@@ -20,6 +20,7 @@ from .bundles import (
     EquivariantBundle,
     MackeySection,
     Section,
+    act_on_all,
     act_on_mackey,
     act_on_section,
     mackey_to_section,
@@ -107,6 +108,7 @@ from .xcorr import (
     check_convolution_equality,
     compress_filter,
     convolve,
+    correlate_sections,
     cross_correlate,
     cross_correlate_at_identity,
     expand_filter,

@@ -10,24 +10,27 @@ lift and projection theorems, their round trip, and a falsification probe
 that plants invalid kernels and demands the equivariance search catch
 every one.
 
+The randomized checks scan every sampled section against every group
+element, each as one computation over the stacked (section, g) grid; their
+witnesses name the first (section, g) attaining the worst residual.  Each
+section is cross-correlated once, and that output serves both the Mackey
+preservation and the convolution comparison.  Every filter sum visits
+only the filter's support.
+
 The battery is deterministic: all randomness flows from the single seed
-argument, and the report is sorted by check name.  Set EQUICORR_THREADS
-to run independent check groups in a thread pool; the report is identical
-either way.
+argument, and the report is sorted by check name.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from .bundles import act_on_mackey, act_on_section, mackey_to_section, section_to_mackey, validate_bundle, validate_mackey
+from .bundles import validate_bundle, validate_mackey
 from .groups import validate_action, validate_group
 from .measures import fubini_pointwise_residual, validate_delta, validate_families, validate_psi
-from .reporting import Check, ValidationReport, check_from_residual
+from .reporting import Check, ValidationReport, _worst_of_grid, check_from_residual
 from .rng import SplitMix64
 from .sampling import random_mackey_sections, random_violating_kernel
 from .scenarios import Scenario
@@ -44,8 +47,8 @@ from .transforms import (
 from .xcorr import (
     check_convolution_equality,
     compress_filter,
+    correlate_sections,
     cross_correlate,
-    cross_correlate_at_identity,
     expand_filter,
     validate_filter,
     xcorr_equivariance_residual,
@@ -68,25 +71,13 @@ def run_battery(
     rng = SplitMix64(seed)
     seeds = {name: rng.next_u64() for name in ("sections", "equivariance", "violators", "transform")}
 
-    tasks = [
-        lambda: _structure_checks(scn),
-        lambda: _family_checks(scn, tolerance),
-        lambda: _filter_checks(scn, seeds["sections"], tolerance, n_sections),
-        lambda: _kernel_checks(scn, seeds["equivariance"], seeds["violators"], tolerance, n_sections, n_violators),
-        lambda: _theta_lift_checks(scn, seeds["transform"], tolerance, n_sections),
-        lambda: _scenario_specific_checks(scn, tolerance),
-    ]
-
-    threads = int(os.environ.get("EQUICORR_THREADS", "0") or "0")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(lambda t: t(), tasks))
-    else:
-        groups = [t() for t in tasks]
-
     report = ValidationReport()
-    for checks in groups:
-        report.checks.extend(checks)
+    report.checks += _structure_checks(scn)
+    report.checks += _family_checks(scn, tolerance)
+    report.checks += _filter_checks(scn, seeds["sections"], tolerance, n_sections)
+    report.checks += _kernel_checks(scn, seeds["equivariance"], seeds["violators"], tolerance, n_sections, n_violators)
+    report.checks += _theta_lift_checks(scn, seeds["transform"], tolerance, n_sections)
+    report.checks += _scenario_specific_checks(scn, tolerance)
     return report.sorted()
 
 
@@ -138,16 +129,11 @@ def _filter_checks(scn: Scenario, seed: int, tolerance: float, n_sections: int) 
     residual, witness = xcorr_equivariance_residual(scn.filt, scn.mu, sections)
     checks.append(check_from_residual("xcorr.equivariance", residual, tolerance, witness))
 
-    worst, wit = 0.0, None
-    for i, m in enumerate(sections):
-        out = cross_correlate(scn.filt, m, scn.mu)
-        rep = validate_mackey(out)
-        r = rep.worst().residual if rep.checks else 0.0
-        if r > worst:
-            worst, wit = r, (i,)
+    outputs = [cross_correlate(scn.filt, m, scn.mu) for m in sections]
+    worst, wit = _worst_of_grid(np.array([validate_mackey(out).worst().residual for out in outputs]))
     checks.append(check_from_residual("xcorr.mackey-preserved", worst, tolerance, wit))
 
-    conv = check_convolution_equality(scn.filt, scn.mu, sections, tolerance=tolerance)
+    conv = check_convolution_equality(scn.filt, scn.mu, sections, tolerance=tolerance, correlated=outputs)
     checks.append(replace(conv.checks[0], name="xcorr.convolution-agreement"))
 
     compressed = compress_filter(scn.filt)
@@ -200,11 +186,9 @@ def _theta_lift_checks(scn: Scenario, seed: int, tolerance: float, n_sections: i
         names = sorted(lifted_filters)
         if len(names) == 2:
             a, b = lifted_filters[names[0]], lifted_filters[names[1]]
-            worst = 0.0
-            for m in random_mackey_sections(scn.input_bundle, rng.split(), max(1, n_sections // 4)):
-                d = cross_correlate_at_identity(a, m, scn.mu) - cross_correlate_at_identity(b, m, scn.mu)
-                worst = max(worst, float(np.abs(d).max()))
-            checks.append(check_from_residual("lift.pair.same-transform", worst, tolerance))
+            f = np.stack([s.values for s in random_sections(scn.input_bundle, rng.split(), max(1, n_sections // 4))])
+            d = correlate_sections(a, scn.mu, f) - correlate_sections(b, scn.mu, f)
+            checks.append(check_from_residual("lift.pair.same-transform", float(np.abs(d).max()), tolerance))
 
     if scn.filt is not None:
         # projection theorem: identity slice of the cross-correlation equals
@@ -212,12 +196,10 @@ def _theta_lift_checks(scn: Scenario, seed: int, tolerance: float, n_sections: i
         fub, _ = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
         if fub <= 1e-9:
             kern = project_filter_to_kernel(scn.filt, scn.nu)
-            worst = 0.0
-            for f in random_sections(scn.input_bundle, rng.split(), max(1, n_sections // 4)):
-                lhs = cross_correlate_at_identity(scn.filt, section_to_mackey(f), scn.mu)
-                rhs = integral_transform(kern, scn.mubar, f)
-                worst = max(worst, float(np.abs(lhs - rhs.values).max()))
-            checks.append(check_from_residual("projection.transform-agreement", worst, tolerance))
+            sections = random_sections(scn.input_bundle, rng.split(), max(1, n_sections // 4))
+            lhs = correlate_sections(scn.filt, scn.mu, np.stack([f.values for f in sections]))
+            rhs = np.stack([integral_transform(kern, scn.mubar, f).values for f in sections])
+            checks.append(check_from_residual("projection.transform-agreement", float(np.abs(lhs - rhs).max()), tolerance))
             checks += _prefixed(validate_kernel(kern, tolerance=tolerance), "projection.kernel")
     return checks
 

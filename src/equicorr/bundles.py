@@ -31,16 +31,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .groups import GroupAction, orbits
-from .reporting import ValidationReport, check_from_residual
-
-
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def _argmax_coords(arr: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.abs(arr).argmax())
-    return tuple(int(c) for c in np.unravel_index(flat, arr.shape))
+from .reporting import ValidationReport, _argmax_coords, _maxabs, check_from_residual
 
 
 @dataclass(eq=False)
@@ -163,7 +154,7 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
             worst = r
             g, b = _argmax_coords(diff)[:2]
             witness = (g, h, b)
-    report.add(check_from_residual("bundle-cocycle", worst, tolerance, witness if worst > tolerance else None))
+    report.add(check_from_residual("bundle-cocycle", worst, tolerance, witness))
     return report
 
 
@@ -196,13 +187,24 @@ class MackeySection:
             raise StructuralError(f"mackey values shape {self.values.shape}, expected {(n, m, dmax)}")
 
 
+def _act(bundle: EquivariantBundle, elements: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(..., |B|, d) section values -> (..., len(elements), |B|, d), one
+    table gather for all the elements at once."""
+    action = bundle.action
+    src = action.table[action.group.inv[elements]]  # [g, b] -> g^-1.b
+    mats = bundle.act_matrix[elements[:, None], src]
+    return np.einsum("gbij,...gbj->...gbi", mats, values[..., src, :])
+
+
 def act_on_section(g: int, f: Section) -> Section:
     """(g.f)(b) = act_matrix(g, g^-1.b) @ f(g^-1.b)."""
-    bundle = f.bundle
-    action = bundle.action
-    src = action.table[action.group.inv[g]]  # b -> g^-1.b
-    vals = np.einsum("bij,bj->bi", bundle.act_matrix[g, src], f.values[src])
-    return Section(bundle, vals)
+    return Section(f.bundle, _act(f.bundle, np.array([g]), f.values)[0])
+
+
+def act_on_all(bundle: EquivariantBundle, values: np.ndarray) -> np.ndarray:
+    """Act with every group element at once: a (S, |B|, d) stack of plain
+    section values becomes the (S, |G|, |B|, d) stack of (g.f)(b)."""
+    return _act(bundle, np.arange(bundle.action.group.order), values)
 
 
 def section_to_mackey(f: Section) -> MackeySection:
@@ -247,5 +249,5 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
             h, b = _argmax_coords(diff)[:2]
             witness = (g, h, b)
     report = ValidationReport()
-    report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness if worst > tolerance else None))
+    report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
     return report

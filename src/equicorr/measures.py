@@ -35,18 +35,9 @@ import numpy as np
 
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from .groups import CosetSection, GroupAction, coset_section, stabilizer, stabilizer_mask
-from .reporting import ValidationReport, check_from_residual
+from .reporting import ValidationReport, _argmax_coords, _maxabs, check_from_residual
 
 _EXACT = 0.0
-
-
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def _argmax_coords(arr: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.abs(arr).argmax())
-    return tuple(int(c) for c in np.unravel_index(flat, arr.shape))
 
 
 @dataclass(eq=False)
@@ -210,10 +201,10 @@ def validate_families(
         return worst, witness
 
     res, wit = conj_residual(mu.weights)
-    report.add(check_from_residual("family-mu-conjugation", res, tolerance, wit if res > tolerance else None))
+    report.add(check_from_residual("family-mu-conjugation", res, tolerance, wit))
 
     res, wit = conj_residual(nu.weights)
-    report.add(check_from_residual("family-nu-conjugation", res, tolerance, wit if res > tolerance else None))
+    report.add(check_from_residual("family-nu-conjugation", res, tolerance, wit))
 
     # left-invariance on a finite stabilizer forces constant weight there
     smask = stabilizer_mask(action)
@@ -225,7 +216,7 @@ def validate_families(
             if r > spread:
                 spread = r
                 wit = (b,)
-    report.add(check_from_residual("family-nu-left-invariance", spread, tolerance, wit if spread > tolerance else None))
+    report.add(check_from_residual("family-nu-left-invariance", spread, tolerance, wit))
 
     worst, witness = 0.0, None
     for g in range(n):
@@ -236,7 +227,7 @@ def validate_families(
             worst = r
             b, c = _argmax_coords(diff)
             witness = (g, b, c)
-    report.add(check_from_residual("family-mubar-pushforward", worst, tolerance, witness if worst > tolerance else None))
+    report.add(check_from_residual("family-mubar-pushforward", worst, tolerance, witness))
 
     if mu.haar:
         spread = float((mu.weights.max(axis=1) - mu.weights.min(axis=1)).max()) if n else 0.0
@@ -392,7 +383,7 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
             worst = r
             h, b = _argmax_coords(diff)
             witness = (g, h, b)
-    report.add(check_from_residual("psi-conjugation", worst, tolerance, witness if worst > tolerance else None))
+    report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
     total = psi.values.sum(axis=0)
     bad = int((total <= 0).sum())
@@ -484,7 +475,7 @@ def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance:
             worst = r
             h, b = _argmax_coords(diff)
             witness = (g, h, b)
-    report.add(check_from_residual("delta-conjugation", worst, tolerance, witness if worst > tolerance else None))
+    report.add(check_from_residual("delta-conjugation", worst, tolerance, witness))
     return report
 
 

@@ -11,6 +11,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+
+def _maxabs(arr: np.ndarray) -> float:
+    return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def _argmax_coords(arr: np.ndarray) -> tuple[int, ...]:
+    """Coordinates of the first maximum of |arr| in row-major order."""
+    flat = int(np.abs(arr).argmax())
+    return tuple(int(c) for c in np.unravel_index(flat, arr.shape))
+
+
+def _worst_of_grid(grid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Largest entry of a residual grid and the coordinates of its first
+    occurrence, the same answer as a row-major scan keeping a strict
+    improvement; no witness when every entry is zero."""
+    worst = _maxabs(grid)
+    return worst, (_argmax_coords(grid) if worst > 0.0 else None)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -40,7 +60,10 @@ def check_from_residual(
     tolerance: float,
     witness: tuple[int, ...] | None = None,
 ) -> Check:
-    return Check(name, float(residual), float(tolerance), float(residual) <= float(tolerance), witness)
+    """A check that passes when residual <= tolerance; only a failing check
+    keeps its witness."""
+    passed = float(residual) <= float(tolerance)
+    return Check(name, float(residual), float(tolerance), passed, None if passed else witness)
 
 
 @dataclass

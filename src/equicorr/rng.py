@@ -43,7 +43,14 @@ class SplitMix64:
         if isinstance(shape, int):
             shape = (shape,)
         n = int(np.prod(shape)) if shape else 1
-        vals = np.array([self.uniform() for _ in range(n)], dtype=float)
+        # the next n states in one step, then the output mix in uint64
+        # arithmetic, which wraps mod 2^64 exactly like the scalar recurrence
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        vals = (z >> np.uint64(11)).astype(float) * 2.0**-53
         return (lo + (hi - lo) * vals).reshape(shape)
 
     def integer(self, bound: int) -> int:

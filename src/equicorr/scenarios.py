@@ -447,8 +447,7 @@ def degeneracy_demo(sizes: list[int]) -> dict:
     the two spreads: relative spread of output/N and absolute spread of
     the lifted output.
     """
-    from .bundles import section_to_mackey
-    from .xcorr import cross_correlate_at_identity
+    from .xcorr import correlate_sections
 
     if any(s < 4 for s in sizes):
         raise DomainError("degeneracy demo needs torus sizes >= 4")
@@ -459,9 +458,7 @@ def degeneracy_demo(sizes: list[int]) -> dict:
         fvals = np.zeros((n, 1))
         for d, v in DEGENERACY_TEST_FUNCTION.items():
             fvals[d % n, 0] += v
-        f = Section(scn.input_bundle, fvals)
-        m = section_to_mackey(f)
-        bi = float(cross_correlate_at_identity(filt, m, scn.mu)[0, 0])
+        bi = float(correlate_sections(filt, scn.mu, fvals)[0, 0])
 
         d = _signed_mod(np.arange(n)[:, None] - np.arange(n)[None, :], n)
         mats = np.zeros((n, n, 1, 1))
@@ -470,7 +467,7 @@ def degeneracy_demo(sizes: list[int]) -> dict:
         kern = Kernel(scn.input_bundle, scn.output_bundle, mats)
         theta = _torus_theta_global(scn.action, n, kern.support)
         lifted = lift_kernel_to_filter(kern, theta, scn.delta)
-        faint = float(cross_correlate_at_identity(lifted, m, scn.mu)[0, 0])
+        faint = float(correlate_sections(lifted, scn.mu, fvals)[0, 0])
         rows.append({"N": n, "biequivariant": bi, "ratio": bi / n, "faint": faint})
 
     ratios = np.array([r["ratio"] for r in rows])
@@ -559,16 +556,14 @@ def circle_offgrid_residual(scn: Scenario, angle: float) -> float:
     nearest-grid translate of the unrotated output; the gap decays like
     1/n for the fixed smooth test function.  Nothing asserts on this.
     """
-    from .bundles import section_to_mackey
-    from .xcorr import cross_correlate_at_identity
+    from .xcorr import correlate_sections
 
     n = scn.params["n"]
     step = scn.extras["grid_step"]
     nearest = int(round(angle / step)) % n
     f0 = circle_grid_samples(scn, 0.0)
     fa = circle_grid_samples(scn, angle)
-    out0 = cross_correlate_at_identity(scn.filt, section_to_mackey(f0), scn.mu)[:, 0]
-    outa = cross_correlate_at_identity(scn.filt, section_to_mackey(fa), scn.mu)[:, 0]
+    out0, outa = correlate_sections(scn.filt, scn.mu, np.stack([f0.values, fa.values]))[:, :, 0]
     shifted = np.roll(out0, nearest)  # translate by the nearest grid rotation
     return float(np.abs(outa - shifted).max())
 
@@ -692,12 +687,11 @@ def line_grid_oracle_residual(scn: Scenario) -> float:
     gap is pure quadrature error, first order in dx because the band edges
     never align with the grid.
     """
-    from .bundles import section_to_mackey
-    from .xcorr import cross_correlate_at_identity
+    from .xcorr import correlate_sections
 
     f = line_grid_sample_function(scn)
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["global"], scn.delta)
-    out = cross_correlate_at_identity(lifted, section_to_mackey(f), scn.mu)
+    out = correlate_sections(lifted, scn.mu, f.values)
     return abs(float(out[scn.extras["origin"], 0]) - continuous_line_transform())
 
 

@@ -15,26 +15,37 @@ Cross-correlation consumes a Mackey section and produces one:
 
     (omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b),
 
-summed in ascending element index.  For a valid filter this intertwines
-the group action on Mackey sections and preserves the periodicity law;
-both facts are checked numerically by the property suite rather than
-assumed.
+summed over the support of omega(., b) in ascending element index.  For a
+valid filter this intertwines the group action on Mackey sections and
+preserves the periodicity law; both facts are checked numerically by the
+property suite rather than assumed.  The induced map on plain sections,
+T(f) = (omega * f~)(e, -) with f~ the Mackey section induced from f, pulls
+back only the support rows of f:
+
+    T(f)(b) = sum_k mu_b(k) omega(k, b) @ actE(k^-1, k.b) @ f(k.b).
 
 When mu is left-invariant the cross-correlation also matches a group
 convolution with the inverted filter omega'(h, b) = omega(h^-1, b):
 
-    (omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b).
+    (omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b),
 
-The equality is conditional, so the check reports a skip when mu is not
-left-invariant instead of asserting anything.
+summed as sum_x mu_b(h x^-1) omega'(x, b) @ m(h x^-1, b) over the support
+of omega'(., b); mu stays evaluated at h x^-1, so the comparison still
+tests left invariance rather than assuming it.  The equality is
+conditional, so the check reports a skip when mu is not left-invariant
+instead of asserting anything.
 
 Filters are stored dense over (|G|, |B|) with an explicit support mask
 derived at construction: an entry belongs to the support exactly when its
 matrix has a nonzero coefficient, so an all-zero matrix never counts as
-support.  A fundamental-domain codec stores one row per orbit and
-rebuilds the rest through the compatibility law; expansion has exactly
-one consistent answer, and the codec re-checks the stabilizer constraint
-on each stored row before trusting it.
+support.  Every sum above visits only the support, through a (|B|, s_max)
+index of ascending support rows built once per filter, so a faintly
+constrained filter with s_max << |G| costs s_max / |G| of a dense one.
+
+A fundamental-domain codec stores one row per orbit and rebuilds the rest
+through the compatibility law; expansion has exactly one consistent
+answer, and the codec re-checks the stabilizer constraint on each stored
+row before trusting it.
 """
 
 from __future__ import annotations
@@ -43,20 +54,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection
+from .bundles import EquivariantBundle, MackeySection, act_on_all
 from .errors import InconsistencyError, StructuralError
 from .groups import coset_section, fundamental_domain, orbit, stabilizer
 from .measures import GroupMeasureFamily
-from .reporting import Check, ValidationReport, check_from_residual
-
-
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def _argmax_coords(arr: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.abs(arr).argmax())
-    return tuple(int(c) for c in np.unravel_index(flat, arr.shape))
+from .reporting import Check, ValidationReport, _argmax_coords, _maxabs, _worst_of_grid, check_from_residual
 
 
 def _common_action(e_bundle: EquivariantBundle, f_bundle: EquivariantBundle):
@@ -73,6 +75,7 @@ class Filter:
     output_bundle: EquivariantBundle
     matrices: np.ndarray  # (|G|, |B|, dF, dE) padded
     support: np.ndarray = None  # (|G|, |B|) bool, derived
+    support_index: np.ndarray = None  # (|B|, s_max) int, derived
 
     def __post_init__(self):
         action = _common_action(self.input_bundle, self.output_bundle)
@@ -83,6 +86,11 @@ class Filter:
             raise StructuralError(f"filter shape {self.matrices.shape}, expected {(n, m, df, de)}")
         # support is derived, never stored: exact-zero matrices are not support
         self.support = np.any(self.matrices != 0.0, axis=(2, 3))
+        # row b lists the support of omega(., b) ascending, padded with the
+        # first elements outside it: their matrices are exactly zero, so a
+        # padded term adds nothing
+        s_max = int(self.support.sum(axis=0).max(initial=0))
+        self.support_index = np.argsort(~self.support, axis=0, kind="stable")[:s_max].T.copy()
 
     @property
     def action(self):
@@ -111,7 +119,7 @@ def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
             h, b = _argmax_coords(diff)[:2]
             witness = (g, h, b)
     report = ValidationReport()
-    report.add(check_from_residual("filter-faint-constraint", worst, tolerance, witness if worst > tolerance else None))
+    report.add(check_from_residual("filter-faint-constraint", worst, tolerance, witness))
     return report
 
 
@@ -119,12 +127,34 @@ def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
 # cross-correlation
 
 
+def _weighted_support(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
+    """(|B|, s_max, dF, dE): mu_b(k) omega(k, b) for k in the support of omega(., b)."""
+    idx = filt.support_index
+    cols = np.arange(idx.shape[0])[:, None]
+    return mu.weights[cols, idx][:, :, None, None] * filt.matrices[idx, cols]
+
+
+def _support_sum(filt: Filter, weights: np.ndarray, term, lead: tuple[int, ...]) -> np.ndarray:
+    """sum_s weights[b, s] @ term(k_s)[..., b, :] with k_s = support_index[b, s],
+    accumulated one support position at a time in ascending order.
+
+    term maps the (|B|,) column of support elements at position s to the
+    (*lead, |B|, dE) values it multiplies, so only one such slice is alive
+    at a time, never the (*lead, |B|, s_max, dE) stack.
+    """
+    idx = filt.support_index
+    out = np.zeros(lead + (idx.shape[0], filt.output_bundle.dmax))
+    for s in range(idx.shape[1]):
+        out += np.einsum("bij,...bj->...bi", weights[:, s], term(idx[:, s]))
+    return out
+
+
 def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
-    """(omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b), ascending k."""
+    """(omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b), ascending k
+    in the support of omega(., b)."""
     _check_xcorr_args(filt, m, mu)
-    grp = filt.action.group
-    shifted = m.values[grp.cayley]  # [h, k, b] -> m(h k, b)
-    vals = np.einsum("bk,kbij,hkbj->hbi", mu.weights, filt.matrices, shifted)
+    grp, cols = filt.action.group, np.arange(filt.action.base_size)
+    vals = _support_sum(filt, _weighted_support(filt, mu), lambda k: m.values[grp.cayley[:, k], cols], (grp.order,))
     return MackeySection(filt.output_bundle, vals)
 
 
@@ -135,7 +165,33 @@ def cross_correlate_at_identity(filt: Filter, m: MackeySection, mu: GroupMeasure
     full (|G|, |G|) shift table on large grids.
     """
     _check_xcorr_args(filt, m, mu)
-    return np.einsum("bk,kbij,kbj->bi", mu.weights, filt.matrices, m.values)
+    cols = np.arange(filt.action.base_size)
+    return _support_sum(filt, _weighted_support(filt, mu), lambda k: m.values[k, cols], ())
+
+
+def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray) -> np.ndarray:
+    """The induced map T(f) = (omega * f~)(e, -) on a stack of plain section
+    values, (..., |B|, dE) -> (..., |B|, dF):
+
+        T(f)(b) = sum_k mu_b(k) omega(k, b) @ actE(k^-1, k.b) @ f(k.b),
+
+    ascending k in the support of omega(., b).  Only the support rows of the
+    induced Mackey section f~ are pulled back; the full table is never built.
+    """
+    action = filt.action
+    if mu.action is not action:
+        raise StructuralError("measure family is over a different action")
+    values = np.asarray(values, dtype=float)
+    expected = (action.base_size, filt.input_bundle.dmax)
+    if values.shape[-2:] != expected:
+        raise StructuralError(f"section values shape {values.shape}, expected (..., {expected[0]}, {expected[1]})")
+    cols = np.arange(action.base_size)
+
+    def pulled_back(k: np.ndarray) -> np.ndarray:  # f~(k, b) = actE(k^-1, k.b) @ f(k.b)
+        kb = action.table[k, cols]
+        return np.einsum("bij,...bj->...bi", filt.input_bundle.act_matrix[action.group.inv[k], kb], values[..., kb, :])
+
+    return _support_sum(filt, _weighted_support(filt, mu), pulled_back, values.shape[:-2])
 
 
 def _check_xcorr_args(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> None:
@@ -151,8 +207,8 @@ def xcorr_equivariance_residual(
     sections: list[MackeySection],
 ) -> tuple[float, tuple[int, int] | None]:
     """Max residual of T(g.f) = g.T(f) over the given sections and every g,
-    where T(f) = (omega * f~)(e, -) is the induced map on plain sections;
-    witness is (section index, g).
+    where T(f) = (omega * f~)(e, -) is the induced map on plain sections
+    and f = m(e, -); witness is the first (section index, g) attaining it.
 
     On the raw Mackey tables the group acts by left translation and
     commutes with any right cross-correlation whatsoever, so the
@@ -160,22 +216,14 @@ def xcorr_equivariance_residual(
     the output table keeping the Mackey periodicity, and it fails for
     matrices that break the conjugation constraint.
     """
-    from .bundles import Section, act_on_section, mackey_to_section, section_to_mackey
-
-    grp = filt.action.group
-    worst, witness = 0.0, None
-    for i, m in enumerate(sections):
-        f = mackey_to_section(m)
-        base = Section(filt.output_bundle, cross_correlate_at_identity(filt, m, mu))
-        for g in range(grp.order):
-            gm = section_to_mackey(act_on_section(g, f))
-            lhs = cross_correlate_at_identity(filt, gm, mu)
-            rhs = act_on_section(g, base).values
-            r = _maxabs(lhs - rhs)
-            if r > worst:
-                worst = r
-                witness = (i, g)
-    return worst, witness
+    for m in sections:
+        _check_xcorr_args(filt, m, mu)
+    if not sections:
+        return 0.0, None
+    f = np.stack([m.values[filt.action.group.identity] for m in sections])
+    lhs = correlate_sections(filt, mu, act_on_all(filt.input_bundle, f))
+    rhs = act_on_all(filt.output_bundle, correlate_sections(filt, mu, f))
+    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +236,19 @@ def to_convolution_form(filt: Filter) -> Filter:
 
 
 def convolve(filt_prime: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
-    """(omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b)."""
+    """(omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b),
+    summed as sum_x mu_b(h x^-1) omega'(x, b) @ m(h x^-1, b) over x in the
+    support of omega'(., b), ascending."""
     _check_xcorr_args(filt_prime, m, mu)
     grp = filt_prime.action.group
-    kinv_h = grp.cayley[grp.inv]  # [k, h] -> k^-1 h
-    mats = filt_prime.matrices[kinv_h]  # (k, h, b, dF, dE)
-    vals = np.einsum("bk,khbij,kbj->hbi", mu.weights, mats, m.values)
-    return MackeySection(filt_prime.output_bundle, vals)
+    idx, cols = filt_prime.support_index, np.arange(filt_prime.action.base_size)
+
+    def weighted_input(x: np.ndarray) -> np.ndarray:  # mu_b(h x^-1) m(h x^-1, b)
+        hx = grp.cayley[:, grp.inv[x]]
+        return mu.weights[cols, hx][..., None] * m.values[hx, cols]
+
+    mats = filt_prime.matrices[idx, cols[:, None]]
+    return MackeySection(filt_prime.output_bundle, _support_sum(filt_prime, mats, weighted_input, (grp.order,)))
 
 
 def mu_left_invariant(mu: GroupMeasureFamily, tolerance: float = 0.0) -> bool:
@@ -210,26 +264,24 @@ def check_convolution_equality(
     mu: GroupMeasureFamily,
     sections: list[MackeySection],
     tolerance: float = 1e-12,
+    correlated: list[MackeySection] | None = None,
 ) -> ValidationReport:
     """Compare cross-correlation with the convolution of the inverted filter.
 
     The identity needs a left-invariant mu; without one the check is
-    recorded as skipped, never asserted.
+    recorded as skipped, never asserted.  A caller that already holds the
+    cross-correlations of the sections passes them as `correlated`.
     """
     report = ValidationReport()
     if not mu_left_invariant(mu):
         report.add(Check("xcorr-convolution-equality", 0.0, tolerance, True, None, skipped=True))
         return report
+    if correlated is None:
+        correlated = [cross_correlate(filt, m, mu) for m in sections]
     flipped = to_convolution_form(filt)
-    worst, witness = 0.0, None
-    for i, m in enumerate(sections):
-        lhs = cross_correlate(filt, m, mu)
-        rhs = convolve(flipped, m, mu)
-        r = _maxabs(lhs.values - rhs.values)
-        if r > worst:
-            worst = r
-            witness = (i,)
-    report.add(check_from_residual("xcorr-convolution-equality", worst, tolerance, witness if worst > tolerance else None))
+    grid = np.array([_maxabs(lhs.values - convolve(flipped, m, mu).values) for lhs, m in zip(correlated, sections)])
+    worst, witness = _worst_of_grid(grid)
+    report.add(check_from_residual("xcorr-convolution-equality", worst, tolerance, witness))
     return report
 
 

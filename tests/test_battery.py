@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import os
-from unittest import mock
-
 import pytest
 
 from equicorr.battery import run_battery, run_structural
@@ -26,13 +23,15 @@ def test_battery_green_on_builtins(spec):
     assert rep.passed, "\n".join(rep.summary_lines())
 
 
-def test_battery_deterministic_across_thread_counts(dihedral4_sign):
-    docs = []
-    for threads in ("1", "4"):
-        with mock.patch.dict(os.environ, {"EQUICORR_THREADS": threads}):
-            rep = run_battery(dihedral4_sign, seed=3, n_sections=5, n_violators=2)
-        docs.append(report_to_dict(rep))
+def test_battery_deterministic(dihedral4_sign):
+    docs = [report_to_dict(run_battery(dihedral4_sign, seed=3, n_sections=5, n_violators=2)) for _ in range(2)]
     assert docs[0] == docs[1]
+
+
+def test_passing_checks_carry_no_witness(dihedral4_sign):
+    rep = run_battery(dihedral4_sign, seed=1, n_sections=20, n_violators=2)
+    assert rep.passed
+    assert [c.name for c in rep.checks if c.witness is not None] == []
 
 
 def test_battery_seed_changes_randomized_residuals(torus8):

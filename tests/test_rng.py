@@ -43,3 +43,18 @@ def test_split_streams_independent_prefixes():
     child = rng.split()
     head = [child.next_u64() for _ in range(4)]
     assert head != [rng.next_u64() for _ in range(4)]
+
+
+def test_uniforms_match_scalar_stream():
+    for seed in (0, 7, 0x123456789ABCDEF, MASK):
+        for shape in ((), 1, 5, (3, 4), (2, 0, 3), (4, 3, 2, 1)):
+            vec, scalar = SplitMix64(seed), SplitMix64(seed)
+            got = vec.uniforms(shape, -1.0, 1.0)
+            size = 1
+            for d in (shape if isinstance(shape, tuple) else (shape,)):
+                size *= d
+            want = [-1.0 + 2.0 * scalar.uniform() for _ in range(size)]
+            assert got.shape == (shape if isinstance(shape, tuple) else (shape,))
+            assert got.ravel().tolist() == want
+            # the generator state advances by exactly one word per float
+            assert vec.next_u64() == scalar.next_u64()
