@@ -50,6 +50,7 @@ from .groups import (
     dihedral_group,
     direct_product,
     fundamental_domain,
+    generating_set,
     group_from_tables,
     orbit,
     orbits,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .groups import GroupAction, orbits
-from .reporting import ValidationReport, _argmax_coords, _maxabs, check_from_residual
+from .reporting import ValidationReport, _maxabs, _worst_over, check_from_residual
 
 
 @dataclass(eq=False)
@@ -115,7 +115,6 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     cocycle law.  Cocycle witness coordinates are (g, h, b)."""
     action = bundle.action
     grp = action.group
-    n, m = grp.order, action.base_size
     A = bundle.act_matrix
     dmax = bundle.dmax
     report = ValidationReport()
@@ -131,9 +130,7 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
                 dim_witness = (o.base_point, off)
     report.add(check_from_residual("bundle-fiber-dim-orbit-constant", dim_bad, 0.0, dim_witness))
 
-    ident = padded_identity(bundle.fiber_dim, dmax)
-    res = _maxabs(A[grp.identity] - ident)
-    witness = (grp.identity,) + _argmax_coords(A[grp.identity] - ident) if res > tolerance else None
+    res, witness = _worst_over([grp.identity], lambda e: A[e] - padded_identity(bundle.fiber_dim, dmax))
     report.add(check_from_residual("bundle-identity-slice", res, tolerance, witness))
 
     # padding must be exactly zero outside the fiber block
@@ -142,18 +139,11 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     pad_res = _maxabs(np.where(block[None, :, :, :], 0.0, A))
     report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, None))
 
-    worst = 0.0
-    witness = None
-    for h in range(n):
-        hb = action.table[h]
-        lhs = A[grp.cayley[:, h]]  # (g, b) -> A(g h, b)
-        rhs = np.einsum("gbij,bjk->gbik", A[:, hb], A[h])
-        diff = lhs - rhs
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            g, b = _argmax_coords(diff)[:2]
-            witness = (g, h, b)
+    def cocycle(h):  # [g, b] -> A(g h, b) - A(g, h.b) @ A(h, b)
+        return A[grp.cayley[:, h]] - np.einsum("gbij,bjk->gbik", A[:, action.table[h]], A[h])
+
+    worst, wit = _worst_over(range(grp.order), cocycle, 2)
+    witness = (wit[1], wit[0], wit[2]) if wit else None
     report.add(check_from_residual("bundle-cocycle", worst, tolerance, witness))
     return report
 
@@ -237,17 +227,12 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
     bundle = m.bundle
     action = bundle.action
     grp = action.group
-    worst = 0.0
-    witness = None
-    for g in range(grp.order):
-        lhs = m.values[:, action.table[g]]  # (h, b) -> m(h, g.b)
+
+    def periodicity(g):  # [h, b] -> m(h, g.b) - act_matrix(g, b) @ m(h g, b)
         rhs = np.einsum("bij,hbj->hbi", bundle.act_matrix[g], m.values[grp.cayley[:, g]])
-        diff = lhs - rhs
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            h, b = _argmax_coords(diff)[:2]
-            witness = (g, h, b)
+        return m.values[:, action.table[g]] - rhs
+
+    worst, witness = _worst_over(range(grp.order), periodicity, 2)
     report = ValidationReport()
     report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
     return report

@@ -50,7 +50,7 @@ from .serialize import (
     section_from_dict,
     section_to_dict,
 )
-from .transforms import Kernel, integral_transform, lift_kernel_to_filter, project_filter_to_kernel, random_sections
+from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel, random_sections
 from .xcorr import cross_correlate
 
 

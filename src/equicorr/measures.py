@@ -29,15 +29,13 @@ is a single positive constant (the `scale` of counting_family).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import CosetSection, GroupAction, coset_section, stabilizer, stabilizer_mask
-from .reporting import ValidationReport, _argmax_coords, _maxabs, check_from_residual
-
-_EXACT = 0.0
+from .groups import CosetSection, GroupAction, coset_section, generating_set, stabilizer, stabilizer_mask
+from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_over, check_from_residual
 
 
 @dataclass(eq=False)
@@ -184,21 +182,12 @@ def validate_families(
     families and (g, b, c) for the orbit family."""
     action = mu.action
     grp = action.group
-    n, m = grp.order, action.base_size
+    elements = range(grp.order)
     report = ValidationReport()
 
     def conj_residual(weights: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-        worst, witness = 0.0, None
-        for g in range(n):
-            conj = grp.conjugation_row(g)  # h -> g h g^-1
-            moved = weights[action.table[g]][:, conj]  # [b, h] -> w[g.b, g h g^-1]
-            diff = moved - weights
-            r = _maxabs(diff)
-            if r > worst:
-                worst = r
-                b, h = _argmax_coords(diff)
-                witness = (g, b, h)
-        return worst, witness
+        # [b, h] -> w[g.b, g h g^-1] - w[b, h]
+        return _worst_over(elements, lambda g: weights[action.table[g]][:, grp.conjugation_row(g)] - weights)
 
     res, wit = conj_residual(mu.weights)
     report.add(check_from_residual("family-mu-conjugation", res, tolerance, wit))
@@ -206,31 +195,23 @@ def validate_families(
     res, wit = conj_residual(nu.weights)
     report.add(check_from_residual("family-nu-conjugation", res, tolerance, wit))
 
-    # left-invariance on a finite stabilizer forces constant weight there
     smask = stabilizer_mask(action)
-    spread, wit = 0.0, None
-    for b in range(m):
-        w = nu.weights[b, smask[b]]
-        if w.size:
-            r = float(w.max() - w.min())
-            if r > spread:
-                spread = r
-                wit = (b,)
-    report.add(check_from_residual("family-nu-left-invariance", spread, tolerance, wit))
 
-    worst, witness = 0.0, None
-    for g in range(n):
-        moved = mubar.weights[np.ix_(action.table[g], action.table[g])]  # [b, c] -> w[g.b, g.c]
-        diff = moved - mubar.weights
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            b, c = _argmax_coords(diff)
-            witness = (g, b, c)
-    report.add(check_from_residual("family-mubar-pushforward", worst, tolerance, witness))
+    def spread(b):  # left-invariance on a finite stabilizer forces constant weight there
+        w = nu.weights[b, smask[b]]
+        return np.ptp(w) if w.size else w
+
+    res, wit = _worst_over(range(action.base_size), spread)
+    report.add(check_from_residual("family-nu-left-invariance", res, tolerance, wit))
+
+    def pushforward(g):  # [b, c] -> w[g.b, g.c] - w[b, c]
+        return mubar.weights[np.ix_(action.table[g], action.table[g])] - mubar.weights
+
+    res, wit = _worst_over(elements, pushforward)
+    report.add(check_from_residual("family-mubar-pushforward", res, tolerance, wit))
 
     if mu.haar:
-        spread = float((mu.weights.max(axis=1) - mu.weights.min(axis=1)).max()) if n else 0.0
+        spread = float((mu.weights.max(axis=1) - mu.weights.min(axis=1)).max()) if grp.order else 0.0
         report.add(check_from_residual("family-mu-haar-flag", spread, tolerance, None))
     return report
 
@@ -281,20 +262,16 @@ def fubini_pointwise_residual(
     """
     action = mu.action
     grp = action.group
-    worst, witness = 0.0, None
-    for b in range(action.base_size):
+
+    def residual(b):  # [h] -> mu_b(h) - mubar_b(h.b) nu_b(k^-1 h)
         sec = coset_section(action, b)
         rep_of = np.zeros(action.base_size, dtype=np.int64)
         rep_of[list(sec.members)] = sec.reps
         hb = action.table[:, b]  # h -> h.b
         k = rep_of[hb]
-        rhs = mubar.weights[b, hb] * nu.weights[b, grp.cayley[grp.inv[k], np.arange(grp.order)]]
-        diff = np.abs(mu.weights[b] - rhs)
-        r = float(diff.max()) if diff.size else 0.0
-        if r > worst:
-            worst = r
-            witness = (b, int(diff.argmax()))
-    return worst, witness
+        return mu.weights[b] - mubar.weights[b, hb] * nu.weights[b, grp.cayley[grp.inv[k], np.arange(grp.order)]]
+
+    return _worst_over(range(action.base_size), residual)
 
 
 def solve_orbit_measure(
@@ -358,12 +335,18 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
     values = np.asarray(values, dtype=float)
     if values.shape != (grp.order,):
         raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
-    for g in range(grp.order):
-        conj = grp.conjugation_row(g)
-        if _maxabs(values[conj] - values) > 0:
-            raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={g}")
+    # the g that fix psi0 under conjugation are closed under products, so a
+    # generating set decides it exactly
+    _, witness = _count_over(generating_set(grp), lambda g: values[grp.conjugation_row(g)] != values)
+    if witness is not None:
+        raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)
     return PsiFunction(action, vals)
+
+
+def _conjugation_residual(action: GroupAction, values: np.ndarray, g: int) -> np.ndarray:
+    """[h, b] -> v(g h g^-1, g.b) - v(h, b) for a (|G|, |B|) table v."""
+    return values[np.ix_(action.group.conjugation_row(g), action.table[g])] - values
 
 
 def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
@@ -373,16 +356,7 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     grp = action.group
     report = ValidationReport()
 
-    worst, witness = 0.0, None
-    for g in range(grp.order):
-        conj = grp.conjugation_row(g)
-        moved = psi.values[np.ix_(conj, action.table[g])]  # [h, b] -> psi(g h g^-1, g.b)
-        diff = moved - psi.values
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            h, b = _argmax_coords(diff)
-            witness = (g, h, b)
+    worst, witness = _worst_over(range(grp.order), lambda g: _conjugation_residual(action, psi.values, g))
     report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
     total = psi.values.sum(axis=0)
@@ -461,20 +435,9 @@ def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance:
     report = ValidationReport()
 
     mass = np.einsum("hb,bh->b", delta.values, nu.weights) - 1.0
-    res = _maxabs(mass)
-    wit = (int(np.abs(mass).argmax()),) if res > tolerance else None
-    report.add(check_from_residual("delta-normalization", res, tolerance, wit))
+    report.add(check_from_residual("delta-normalization", _maxabs(mass), tolerance, _argmax_coords(mass)))
 
-    worst, witness = 0.0, None
-    for g in range(grp.order):
-        conj = grp.conjugation_row(g)
-        moved = delta.values[np.ix_(conj, action.table[g])]
-        diff = moved - delta.values
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            h, b = _argmax_coords(diff)
-            witness = (g, h, b)
+    worst, witness = _worst_over(range(grp.order), lambda g: _conjugation_residual(action, delta.values, g))
     report.add(check_from_residual("delta-conjugation", worst, tolerance, witness))
     return report
 

@@ -32,6 +32,33 @@ def _worst_of_grid(grid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     return worst, (_argmax_coords(grid) if worst > 0.0 else None)
 
 
+def _worst_over(elements, grid_of, depth: int | None = None) -> tuple[float, tuple[int, ...] | None]:
+    """Scan the residual grid grid_of(g) for each g in elements, in order,
+    keeping the first strict maximum of |grid|.  The witness is (g, *coords)
+    of that maximum, its coordinates cut to the first `depth`; no witness
+    while every entry is zero."""
+    worst, witness = 0.0, None
+    for g in elements:
+        grid = grid_of(g)
+        r = _maxabs(grid)
+        if r > worst:
+            worst, witness = r, (int(g),) + _argmax_coords(grid)[:depth]
+    return worst, witness
+
+
+def _count_over(elements, bad_of) -> tuple[int, tuple[int, ...] | None]:
+    """Total count of the violation masks bad_of(g) over the elements; the
+    witness is (g, *coords) of the first violation in scan order."""
+    count, witness = 0, None
+    for g in elements:
+        bad = bad_of(g)
+        k = int(np.count_nonzero(bad))
+        if k and witness is None:
+            witness = (int(g),) + _argmax_coords(bad)
+        count += k
+    return count, witness
+
+
 @dataclass(frozen=True)
 class Check:
     name: str

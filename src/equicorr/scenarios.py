@@ -49,7 +49,6 @@ from .groups import (
     dihedral_group,
     direct_product,
     pair_stabilizer,
-    stabilizer,
 )
 from .measures import (
     DeltaFunction,
@@ -229,14 +228,6 @@ def torus_action(n: int, spacing: int = 1) -> GroupAction:
     return GroupAction(grp, tuple(str(b) for b in range(n)), table)
 
 
-def torus_element(n: int, a: int, m2: int) -> int:
-    """Index of (a, m2) in the product packing (first coordinate fastest)."""
-    return (m2 % n) * n + (a % n)
-
-
-def torus_coords(n: int, g: int) -> tuple[int, int]:
-    return g % n, g // n
-
 def _signed_mod(x: np.ndarray | int, n: int):
     """Wrap to the signed window [-n/2, n/2)."""
     return (np.asarray(x) + n // 2) % n - n // 2
@@ -360,21 +351,28 @@ def theta_builders(scn: Scenario) -> tuple[ThetaMap, ThetaMap]:
     return scn.thetas["global"], scn.thetas["special"]
 
 
+def _banded_lifts(scn: Scenario) -> list[tuple[set[tuple[int, int]], Filter]]:
+    """(predicted support, lift) for the global and the special theta, the
+    support in (spatial, offset) group coordinates relative to b."""
+    tg, ts = theta_builders(scn)
+    s, eps = scn.extras["band_spacing"], scn.extras["eps_steps"]
+    segments = {(i * s + r, 0) for i in (-1, 0, 1) for r in range(-eps, eps + 1)}
+    rectangle = {(r, i) for r in range(-eps, eps + 1) for i in (-1, 0, 1)}
+    return [
+        (segments, lift_kernel_to_filter(scn.kernel, tg, scn.delta)),
+        (rectangle, lift_kernel_to_filter(scn.kernel, ts, scn.delta)),
+    ]
+
+
 def banded_support_shapes(scn: Scenario) -> dict[str, set[tuple[int, int]]]:
-    """Predicted and actual filter supports of the two lifts at every base
-    point, in (spatial, offset) group coordinates relative to b.
+    """Predicted and actual filter supports of the two lifts at base point 0.
 
     The global theta keeps the offset coordinate at zero, so its lift
     lives on three spatial segments; the special theta spends one offset
     step per band, folding the same kernel into a compact rectangle.
     """
-    tg, ts = theta_builders(scn)
+    (segments, lift_g), (rectangle, lift_s) = _banded_lifts(scn)
     n = scn.params["n"]
-    s, eps = scn.extras["band_spacing"], scn.extras["eps_steps"]
-    lift_g = lift_kernel_to_filter(scn.kernel, tg, scn.delta)
-    lift_s = lift_kernel_to_filter(scn.kernel, ts, scn.delta)
-    segments = {(i * s + r, 0) for i in (-1, 0, 1) for r in range(-eps, eps + 1)}
-    rectangle = {(r, i) for r in range(-eps, eps + 1) for i in (-1, 0, 1)}
     return {
         "segments-predicted": segments,
         "rectangle-predicted": rectangle,
@@ -392,18 +390,12 @@ def banded_support_mismatch(scn: Scenario) -> int:
     """Total symmetric difference, over every base point, between the
     observed supports of the two lifts and the predicted shapes; zero
     means the support sets are exactly the segments and the rectangle."""
-    tg, ts = theta_builders(scn)
     n = scn.params["n"]
-    s, eps = scn.extras["band_spacing"], scn.extras["eps_steps"]
-    lift_g = lift_kernel_to_filter(scn.kernel, tg, scn.delta)
-    lift_s = lift_kernel_to_filter(scn.kernel, ts, scn.delta)
-    segments = {(i * s + r, 0) for i in (-1, 0, 1) for r in range(-eps, eps + 1)}
-    rectangle = {(r, i) for r in range(-eps, eps + 1) for i in (-1, 0, 1)}
-    total = 0
-    for b in range(scn.action.base_size):
-        total += len(_filter_support_coords(lift_g, n, b) ^ segments)
-        total += len(_filter_support_coords(lift_s, n, b) ^ rectangle)
-    return total
+    return sum(
+        len(_filter_support_coords(lift, n, b) ^ shape)
+        for shape, lift in _banded_lifts(scn)
+        for b in range(scn.action.base_size)
+    )
 
 
 # ---------------------------------------------------------------------------

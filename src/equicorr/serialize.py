@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, padded_identity, trivial_bundle
+from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
 from .groups import FiniteGroup, GroupAction, group_from_tables
 from .measures import (

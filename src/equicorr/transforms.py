@@ -48,7 +48,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, act_on_all
 from .errors import CoverageError, InconsistencyError, PreconditionError, StructuralError
-from .groups import GroupAction, coset_section, stabilizer
+from .groups import GroupAction, coset_section, generating_set, stabilizer
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -58,7 +58,15 @@ from .measures import (
     fubini_pointwise_residual,
     orbit_mask,
 )
-from .reporting import ValidationReport, _argmax_coords, _maxabs, _worst_of_grid, check_from_residual
+from .reporting import (
+    ValidationReport,
+    _argmax_coords,
+    _count_over,
+    _maxabs,
+    _worst_of_grid,
+    _worst_over,
+    check_from_residual,
+)
 from .rng import SplitMix64
 from .xcorr import Filter, _common_action, correlate_sections
 
@@ -66,7 +74,6 @@ __all__ = [
     "Kernel",
     "ThetaMap",
     "dirac_delta",
-    "make_kernel",
     "validate_kernel",
     "integral_transform",
     "check_equivariance",
@@ -75,7 +82,6 @@ __all__ = [
     "validate_theta",
     "lift_kernel_to_filter",
     "lift_equivalence_check",
-    "theta_trivialization",
     "random_sections",
 ]
 
@@ -111,44 +117,29 @@ class Kernel:
         return [(int(c), int(b)) for c, b in zip(cs, bs)]
 
 
-def make_kernel(
-    input_bundle: EquivariantBundle,
-    output_bundle: EquivariantBundle,
-    matrices: np.ndarray,
-) -> Kernel:
-    return Kernel(input_bundle, output_bundle, matrices)
-
-
 def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
-    """Compatibility law residual (witness (g, c, b)) plus exact invariance
-    of the support under the diagonal action."""
+    """Compatibility law residual over all g (witness (g, c, b)) plus exact
+    invariance of the support under the diagonal action.  The g that keep
+    the support invariant are closed under products, so the support scan
+    covers a generating set; its count is over (generator, c, b)."""
     action = kern.action
-    grp = action.group
     ae = kern.input_bundle.act_matrix
     af = kern.output_bundle.act_matrix
-    n = grp.order
-    worst, witness = 0.0, None
-    support_bad, support_witness = 0, None
-    for g in range(n):
+
+    def constraint(g):  # [c, b] -> actF(g, b) @ kappa(c, b) - kappa(g.c, g.b) @ actE(g, c)
         tg = action.table[g]
         lhs = np.einsum("bij,cbjk->cbik", af[g], kern.matrices)
-        rhs = np.einsum("cbij,cjk->cbik", kern.matrices[np.ix_(tg, tg)], ae[g])
-        diff = lhs - rhs
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            c, b = _argmax_coords(diff)[:2]
-            witness = (g, c, b)
-        moved = kern.support[np.ix_(tg, tg)]
-        bad = moved != kern.support
-        if bad.any():
-            support_bad += int(bad.sum())
-            if support_witness is None:
-                c, b = _argmax_coords(bad.astype(float))
-                support_witness = (g, c, b)
+        return lhs - np.einsum("cbij,cjk->cbik", kern.matrices[np.ix_(tg, tg)], ae[g])
+
+    def moved(g):  # [c, b] -> support(g.c, g.b) != support(c, b)
+        tg = action.table[g]
+        return kern.support[np.ix_(tg, tg)] != kern.support
+
+    worst, witness = _worst_over(range(action.group.order), constraint, 2)
+    count, support_witness = _count_over(generating_set(action.group), moved)
     report = ValidationReport()
     report.add(check_from_residual("kernel-constraint", worst, tolerance, witness))
-    report.add(check_from_residual("kernel-support-invariance", float(support_bad), 0.0, support_witness))
+    report.add(check_from_residual("kernel-support-invariance", float(count), 0.0, support_witness))
     return report
 
 
@@ -287,8 +278,14 @@ class ThetaMap:
 def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> ValidationReport:
     """Check theta on the kernel support: coverage (an uncovered pair raises
     CoverageError), the section law theta(c, b).b = c, and translation
-    compatibility g theta(c, b) = theta(g.c, g.b) g for all g.  Both laws are
-    integer identities; residuals count violations."""
+    compatibility g theta(c, b) = theta(g.c, g.b) g.  Both laws are integer
+    identities; residuals count violations.
+
+    Translation is checked for every g in a generating set, with witness
+    (g, c, b).  A pair that g moves off the support, where theta need not
+    be defined, counts as a violation; with that, the g that pass are closed
+    under products, so the generator scan is exact.
+    """
     if theta.action is not kern.action:
         raise StructuralError("theta is over a different action")
     action = theta.action
@@ -301,7 +298,8 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
 
     report = ValidationReport()
     cs, bs = np.nonzero(supp)
-    sect_bad = action.table[theta.reps[cs, bs], bs] != cs
+    reps = theta.reps[cs, bs]
+    sect_bad = action.table[reps, bs] != cs
     count = int(sect_bad.sum())
     witness = None
     if count:
@@ -309,32 +307,16 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
         witness = (int(cs[i]), int(bs[i]))
     report.add(check_from_residual("theta-section", float(count), tolerance, witness))
 
-    worst_count, witness = 0, None
-    for g in range(grp.order):
-        tg = action.table[g]
-        lhs = grp.cayley[g, theta.reps[cs, bs]]
-        rhs = grp.cayley[theta.reps[tg[cs], tg[bs]], g]
-        bad = lhs != rhs
-        if bad.any():
-            worst_count += int(bad.sum())
-            if witness is None:
-                i = int(np.flatnonzero(bad)[0])
-                witness = (g, int(cs[i]), int(bs[i]))
-    report.add(check_from_residual("theta-translation", float(worst_count), tolerance, witness))
+    def broken(g):  # [i] -> g theta(c_i, b_i) != theta(g.c_i, g.b_i) g, or (g.c_i, g.b_i) off the support
+        gc, gb = action.table[g, cs], action.table[g, bs]
+        kept = supp[gc, gb]
+        moved = np.where(kept, theta.reps[gc, gb], grp.identity)
+        return ~kept | (grp.cayley[g, reps] != grp.cayley[moved, g])
+
+    count, wit = _count_over(generating_set(grp), broken)
+    witness = (wit[0], int(cs[wit[1]]), int(bs[wit[1]])) if wit else None
+    report.add(check_from_residual("theta-translation", float(count), tolerance, witness))
     return report
-
-
-def theta_trivialization(theta: ThetaMap, bundle: EquivariantBundle, b: int) -> dict[int, np.ndarray]:
-    """Diagnostic: the local trivialization over the orbit of b induced by
-    theta, as the matrices actE(theta(c, b), b) indexed by c.
-
-    Composing a section value at b with these matrices transports it to
-    every covered point of the orbit; emitted for inspection only.
-    """
-    if theta.action is not bundle.action:
-        raise StructuralError("theta is over a different action")
-    cs = np.flatnonzero(theta.defined[:, b])
-    return {int(c): bundle.act_matrix[theta.element(int(c), b), b].copy() for c in cs}
 
 
 # ---------------------------------------------------------------------------

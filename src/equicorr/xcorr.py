@@ -56,9 +56,17 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, act_on_all
 from .errors import InconsistencyError, StructuralError
-from .groups import coset_section, fundamental_domain, orbit, stabilizer
+from .groups import coset_section, fundamental_domain, stabilizer
 from .measures import GroupMeasureFamily
-from .reporting import Check, ValidationReport, _argmax_coords, _maxabs, _worst_of_grid, check_from_residual
+from .reporting import (
+    Check,
+    ValidationReport,
+    _argmax_coords,
+    _maxabs,
+    _worst_of_grid,
+    _worst_over,
+    check_from_residual,
+)
 
 
 def _common_action(e_bundle: EquivariantBundle, f_bundle: EquivariantBundle):
@@ -106,18 +114,12 @@ def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
     grp = action.group
     ae = filt.input_bundle.act_matrix
     af = filt.output_bundle.act_matrix
-    worst, witness = 0.0, None
-    for g in range(grp.order):
-        conj = grp.conjugation_row(g)
-        moved = filt.matrices[conj][:, action.table[g]]  # [h, b] -> omega(g h g^-1, g.b)
-        lhs = np.einsum("hbij,bjk->hbik", moved, ae[g])
-        rhs = np.einsum("bij,hbjk->hbik", af[g], filt.matrices)
-        diff = lhs - rhs
-        r = _maxabs(diff)
-        if r > worst:
-            worst = r
-            h, b = _argmax_coords(diff)[:2]
-            witness = (g, h, b)
+
+    def faint(g):  # [h, b] -> omega(g h g^-1, g.b) @ actE(g, b) - actF(g, b) @ omega(h, b)
+        moved = filt.matrices[grp.conjugation_row(g)][:, action.table[g]]
+        return np.einsum("hbij,bjk->hbik", moved, ae[g]) - np.einsum("bij,hbjk->hbik", af[g], filt.matrices)
+
+    worst, witness = _worst_over(range(grp.order), faint, 2)
     report = ValidationReport()
     report.add(check_from_residual("filter-faint-constraint", worst, tolerance, witness))
     return report
@@ -351,23 +353,3 @@ def expand_filter(comp: CompressedFilter, tolerance: float = 1e-9) -> Filter:
             conj_back = grp.cayley[grp.cayley[kinv], k]  # h' -> k^-1 h' k
             out[:, c] = np.einsum("ij,hjk,kl->hil", af[k, b], row[conj_back], ae[kinv, c])
     return Filter(e_bundle, f_bundle, out)
-
-
-# ---------------------------------------------------------------------------
-# scalar specialization
-
-
-def pointwise_xcorr(filt: Filter, f_values: np.ndarray, mu: GroupMeasureFamily) -> np.ndarray:
-    """Scalar pointwise form on a trivial line bundle:
-
-        out(b) = sum_h mu_b(h) omega(h, b) f(h.b).
-
-    Agrees with cross-correlation of the induced Mackey section at h = e;
-    useful as an independent check on transitive scalar scenarios.
-    """
-    action = filt.action
-    if filt.input_bundle.dmax != 1 or filt.output_bundle.dmax != 1:
-        raise StructuralError("pointwise form needs one-dimensional fibers")
-    f_values = np.asarray(f_values, dtype=float)
-    w = filt.matrices[:, :, 0, 0]  # (|G|, |B|)
-    return np.einsum("bh,hb->b", mu.weights, w * f_values[action.table])

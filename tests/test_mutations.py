@@ -1,0 +1,254 @@
+"""Seeded single-entry corruptions: every validator must catch one changed
+table entry, and name the same offending coordinates every time.
+
+The integer-law scans read only a generating set, which is exact; these
+tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
+corruptions.  The float laws are scanned over all g; their witnesses are
+pinned to fix the scan order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
+from equicorr.errors import PreconditionError
+from equicorr.groups import FiniteGroup, GroupAction, generating_set, validate_action, validate_group
+from equicorr.measures import (
+    DeltaFunction,
+    GroupMeasureFamily,
+    OrbitMeasureFamily,
+    PsiFunction,
+    StabilizerMeasureFamily,
+    psi_from_class_function,
+    validate_delta,
+    validate_families,
+    validate_psi,
+)
+from equicorr.rng import SplitMix64
+from equicorr.sampling import random_section
+from equicorr.scenarios import build_scenario
+from equicorr.transforms import Kernel, ThetaMap, validate_kernel, validate_theta
+from equicorr.xcorr import Filter, validate_filter
+
+SEEDS = range(10)
+
+
+@pytest.fixture(scope="module", params=["dihedral(4)", "torus-bands(32)"])
+def scn(request):
+    return build_scenario(request.param)
+
+
+@pytest.fixture(scope="module")
+def d4():
+    return build_scenario("dihedral(4, bundle=sign, families=normalized-psi)")
+
+
+def _other(rng: SplitMix64, value: int, size: int) -> int:
+    """A uniformly chosen value in range(size) other than `value`."""
+    return (value + 1 + rng.integer(size - 1)) % size
+
+
+def _failures(report) -> list[tuple[str, float, tuple[int, ...]]]:
+    return [(c.name, c.residual, c.witness) for c in report.failures()]
+
+
+def _closure(cayley: np.ndarray, identity: int, gens: list[int]) -> set[int]:
+    reached = {identity, *gens}
+    frontier = list(reached)
+    while frontier:
+        new = {int(cayley[r, a]) for r in frontier for a in gens} - reached
+        reached |= new
+        frontier = list(new)
+    return reached
+
+
+# ---------------------------------------------------------------------------
+# generating set
+
+
+def test_generating_set_torus_bands():
+    grp = build_scenario("torus-bands(32)").group
+    gens = generating_set(grp)
+    assert gens == [1, 32]
+    assert _closure(grp.cayley, grp.identity, gens) == set(range(grp.order))
+
+
+def test_generating_set_survives_corrupted_identity_row():
+    grp = build_scenario("dihedral(4)").group
+    cayley = grp.cayley.copy()
+    cayley[grp.identity] = grp.identity  # e x = e for every x
+    broken = FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)
+    gens = generating_set(broken)
+    assert gens == sorted(gens)
+    assert _closure(cayley, grp.identity, gens) == set(range(grp.order))
+    assert not validate_group(broken).passed
+
+
+# ---------------------------------------------------------------------------
+# integer laws: seeded corruptions at small size and at |G| = 1024
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_cayley_entry_caught(scn, seed):
+    grp = scn.group
+    n = grp.order
+    rng = SplitMix64(seed)
+    g, h = rng.integer(n), rng.integer(n)
+    cayley = grp.cayley.copy()
+    cayley[g, h] = _other(rng, int(cayley[g, h]), n)
+    assert not validate_group(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)).passed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_action_entry_caught(scn, seed):
+    action = scn.action
+    rng = SplitMix64(seed)
+    g, b = rng.integer(action.group.order), rng.integer(action.base_size)
+    table = action.table.copy()
+    table[g, b] = _other(rng, int(table[g, b]), action.base_size)
+    assert not validate_action(GroupAction(action.group, action.base, table)).passed
+
+
+def test_associativity_witness_and_count_over_generators():
+    grp = build_scenario("dihedral(4)").group
+    cayley = grp.cayley.copy()
+    cayley[5, 6] = 0
+    report = validate_group(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity))
+    assert _failures(report) == [("group-associativity", 4.0, (5, 1, 5))]
+    gens = generating_set(grp)
+    n = grp.order
+    brute = [
+        (x, a, y)
+        for a in gens
+        for x in range(n)
+        for y in range(n)
+        if cayley[cayley[x, a], y] != cayley[x, cayley[a, y]]
+    ]
+    assert len(brute) == 4 and brute[0] == (5, 1, 5)
+
+
+def test_action_witness_pinned():
+    action = build_scenario("dihedral(4)").action
+    table = action.table.copy()
+    table[6, 2] = 1  # s2 now sends vertex 2 to 1 instead of 0
+    report = validate_action(GroupAction(action.group, action.base, table))
+    # first violation with generator h = r1: (s2 r1).1 = s1.1 = 0, s2.(r1.1) = s2.2 = 1
+    assert _failures(report) == [("action-compatibility", 4.0, (6, 1, 1))]
+
+
+def test_theta_translation_counts_pairs_moved_off_the_support():
+    # abelian Z_8 on itself, kernel supported on the single pair (c, b) = (0, 1)
+    # and theta(0, 1) = 7, the last element: every g != e moves the pair off
+    # the support, where theta is undefined
+    scn = build_scenario("cyclic(8)")
+    n = scn.group.order
+    mats = np.zeros((n, n, 1, 1))
+    mats[0, 1] = 1.0
+    kern = Kernel(scn.input_bundle, scn.output_bundle, mats)
+    reps = np.full((n, n), -1)
+    reps[0, 1] = n - 1
+    report = validate_theta(ThetaMap(scn.action, reps), kern)
+    assert _failures(report) == [("theta-translation", 1.0, (1, 0, 1))]
+
+
+def test_kernel_support_invariance_pinned(d4):
+    mats = d4.kernel.matrices.copy()
+    mats[1, 3] = 0.0
+    report = validate_kernel(Kernel(d4.input_bundle, d4.output_bundle, mats))
+    names = {name: wit for name, _, wit in _failures(report)}
+    # generator r1 carries the supported pair (0, 2) to the dropped pair (1, 3)
+    assert names["kernel-support-invariance"] == (1, 0, 2)
+
+
+def test_class_function_check_names_a_generator():
+    action = build_scenario("dihedral(4)").action
+    values = np.zeros(action.group.order)
+    values[1] = 1.0  # r1 is conjugate to r3 under the reflections
+    with pytest.raises(PreconditionError, match="g=4"):
+        psi_from_class_function(action, values)
+
+
+# ---------------------------------------------------------------------------
+# float laws: one planted entry each, witness pinned
+
+
+def test_bundle_cocycle_witness(d4):
+    bundle = d4.input_bundle
+    mats = bundle.act_matrix.copy()
+    mats[3, 1, 0, 0] *= -1.0
+    report = validate_bundle(EquivariantBundle(bundle.action, bundle.fiber_dim, mats))
+    assert _failures(report) == [("bundle-cocycle", 2.0, (2, 1, 1))]
+
+
+def test_bundle_identity_slice_witness(d4):
+    bundle = d4.input_bundle
+    mats = bundle.act_matrix.copy()
+    mats[0, 2, 0, 0] = 3.0
+    report = validate_bundle(EquivariantBundle(bundle.action, bundle.fiber_dim, mats))
+    assert ("bundle-identity-slice", 2.0, (0, 2, 0, 0)) in _failures(report)
+
+
+def test_family_mu_witness(d4):
+    weights = d4.mu.weights.copy()
+    weights[2, 5] += 0.5
+    report = validate_families(GroupMeasureFamily(d4.action, weights), d4.nu, d4.mubar)
+    assert _failures(report) == [("family-mu-conjugation", 0.5, (1, 1, 7))]
+
+
+def test_family_nu_witness(d4):
+    weights = d4.nu.weights.copy()
+    weights[1, 6] += 0.5  # stabilizer of vertex 1 is {r0, s2}
+    report = validate_families(d4.mu, StabilizerMeasureFamily(d4.action, weights), d4.mubar)
+    assert _failures(report) == [
+        ("family-nu-conjugation", 0.5, (1, 0, 4)),
+        ("family-nu-left-invariance", 0.5, (1,)),
+    ]
+
+
+def test_family_mubar_witness(d4):
+    weights = d4.mubar.weights.copy()
+    weights[2, 3] += 0.5
+    report = validate_families(d4.mu, d4.nu, OrbitMeasureFamily(d4.action, weights))
+    assert _failures(report) == [("family-mubar-pushforward", 0.5, (1, 1, 2))]
+
+
+def test_psi_witness(d4):
+    values = d4.psi.values.copy()
+    values[6, 2] += 0.5
+    report = validate_psi(PsiFunction(d4.action, values))
+    assert _failures(report) == [("psi-conjugation", 0.5, (1, 4, 1))]
+
+
+def test_delta_witness(d4):
+    values = d4.delta.values.copy()
+    values[6, 3] += 0.5  # s2 (v -> 2 - v) fixes vertices 1 and 3
+    report = validate_delta(DeltaFunction(d4.action, values), d4.nu)
+    assert _failures(report) == [
+        ("delta-normalization", 0.5, (3,)),
+        ("delta-conjugation", 0.5, (1, 4, 2)),
+    ]
+
+
+def test_filter_witness(d4):
+    mats = d4.filt.matrices.copy()
+    mats[5, 2, 0, 0] += 1.0
+    report = validate_filter(Filter(d4.input_bundle, d4.output_bundle, mats))
+    assert _failures(report) == [("filter-faint-constraint", 1.0, (1, 5, 2))]
+
+
+def test_kernel_constraint_witness(d4):
+    mats = d4.kernel.matrices.copy()
+    mats[1, 3, 0, 0] += 1.0
+    report = validate_kernel(Kernel(d4.input_bundle, d4.output_bundle, mats))
+    assert _failures(report) == [("kernel-constraint", 1.0, (1, 0, 2))]
+
+
+def test_mackey_witness(d4):
+    m = section_to_mackey(random_section(d4.input_bundle, SplitMix64(5)))
+    assert validate_mackey(m).passed
+    values = m.values.copy()
+    values[6, 2, 0] += 1.0
+    report = validate_mackey(MackeySection(m.bundle, values))
+    assert _failures(report) == [("mackey-periodicity", 1.0, (1, 6, 1))]
