@@ -111,7 +111,6 @@ from .xcorr import (
     convolve,
     correlate_sections,
     cross_correlate,
-    cross_correlate_at_identity,
     expand_filter,
     to_convolution_form,
     validate_filter,

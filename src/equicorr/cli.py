@@ -153,7 +153,7 @@ def _cmd_battery(args) -> int:
 def _input_mackey(args, scn: Scenario):
     if args.section:
         doc = load_document(args.section)
-        if doc.get("schema") == "equicorr-mackey-section/1":
+        if isinstance(doc, dict) and doc.get("schema") == "equicorr-mackey-section/1":
             return mackey_from_dict(doc, scn.input_bundle)
         return section_to_mackey(section_from_dict(doc, scn.input_bundle))
     return random_mackey_sections(scn.input_bundle, SplitMix64(args.seed), 1)[0]

@@ -93,17 +93,10 @@ class OrbitMeasureFamily:
 
 @dataclass(eq=False)
 class PsiFunction:
-    """Positive weight function used to normalize measure families.
-
-    Finite groups are unimodular: the modulus is identically 1 and the
-    group-family scaling constant is a plain positive number, recorded
-    here for reference.
-    """
+    """Positive weight function used to normalize measure families."""
 
     action: GroupAction
     values: np.ndarray  # (|G|, |B|)
-    modulus: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
@@ -112,8 +105,6 @@ class PsiFunction:
             raise StructuralError(f"psi shape {self.values.shape}, expected {(n, m)}")
         if self.values.min(initial=0.0) < 0:
             raise StructuralError("psi must be nonnegative")
-        if self.scale <= 0:
-            raise DomainError("psi scale must be positive")
 
 
 @dataclass(eq=False)

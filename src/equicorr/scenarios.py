@@ -344,17 +344,10 @@ def _torus_theta_special(action: GroupAction, n: int, spacing: int, eps: int, su
     return ThetaMap(action, reps)
 
 
-def theta_builders(scn: Scenario) -> tuple[ThetaMap, ThetaMap]:
-    """The (global, special) theta pair of a torus-bands scenario."""
-    if "global" not in scn.thetas or "special" not in scn.thetas:
-        raise DomainError(f"scenario {scn.name} does not carry the banded theta pair")
-    return scn.thetas["global"], scn.thetas["special"]
-
-
 def _banded_lifts(scn: Scenario) -> list[tuple[set[tuple[int, int]], Filter]]:
     """(predicted support, lift) for the global and the special theta, the
     support in (spatial, offset) group coordinates relative to b."""
-    tg, ts = theta_builders(scn)
+    tg, ts = scn.thetas["global"], scn.thetas["special"]
     s, eps = scn.extras["band_spacing"], scn.extras["eps_steps"]
     segments = {(i * s + r, 0) for i in (-1, 0, 1) for r in range(-eps, eps + 1)}
     rectangle = {(r, i) for r in range(-eps, eps + 1) for i in (-1, 0, 1)}
@@ -639,11 +632,6 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting",
     mats[:, :, 0, 0] = line_band_kernel_value(d_steps * dx)
     kern = Kernel(e_bundle, e_bundle, mats)
 
-    reps = np.full((m, m), -1, dtype=np.int64)
-    cs, bs = np.nonzero(kern.support)
-    reps[cs, bs] = (cs - bs) % m  # ((c-b), 0)
-    theta = ThetaMap(action, reps)
-
     scn = Scenario(
         f"line-grid({units},{dx})",
         {"units": units, "dx": dx, "families": families},
@@ -655,7 +643,7 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting",
         mubar,
     )
     scn.kernel = kern
-    scn.thetas["global"] = theta
+    scn.thetas["global"] = _torus_theta_global(action, m, kern.support)
     scn.delta = dirac_delta(nu)
     scn.extras["dx"] = dx
     scn.extras["origin"] = 0

@@ -8,11 +8,13 @@ sparse maps from group element to matrix; a compressed filter stores rows
 only at orbit representatives and says so with a "compressed" flag.
 Kernels are entry lists over their support.  Loading validates shapes
 and index ranges and raises StructuralError on malformed input rather
-than guessing.
+than guessing; a document-level loader also reports a missing key or a
+value of the wrong JSON type as StructuralError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -48,6 +50,22 @@ def dumps(doc: dict) -> str:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise StructuralError(msg)
+
+
+def _document_loader(load):
+    """Report the KeyError, TypeError, ValueError, AttributeError or
+    IndexError that a malformed document raises inside `load` as one
+    StructuralError line naming the exception."""
+
+    @functools.wraps(load)
+    def wrapped(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+            detail = " ".join(str(exc).split())
+            raise StructuralError(f"malformed document: {type(exc).__name__}: {detail}") from exc
+
+    return wrapped
 
 
 def _expect_schema(doc: dict, schema: str) -> None:
@@ -147,16 +165,11 @@ def families_from_dict(doc: dict, action: GroupAction):
 
 
 def psi_to_dict(psi: PsiFunction) -> dict:
-    return {"values": psi.values.tolist(), "modulus": float(psi.modulus), "scale": float(psi.scale)}
+    return {"values": psi.values.tolist()}
 
 
 def psi_from_dict(doc: dict, action: GroupAction) -> PsiFunction:
-    return PsiFunction(
-        action,
-        np.asarray(doc["values"], dtype=float),
-        modulus=float(doc.get("modulus", 1.0)),
-        scale=float(doc.get("scale", 1.0)),
-    )
+    return PsiFunction(action, np.asarray(doc["values"], dtype=float))
 
 
 def delta_to_dict(delta: DeltaFunction) -> dict:
@@ -214,6 +227,7 @@ def _sparse_row(row: np.ndarray) -> dict:
     return out
 
 
+@_document_loader
 def filter_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle):
     _expect_schema(doc, FILTER_SCHEMA)
     action = input_bundle.action
@@ -250,6 +264,7 @@ def kernel_to_dict(kern: Kernel) -> dict:
     return {"schema": KERNEL_SCHEMA, "entries": entries}
 
 
+@_document_loader
 def kernel_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle) -> Kernel:
     _expect_schema(doc, KERNEL_SCHEMA)
     m = input_bundle.action.base_size
@@ -287,6 +302,7 @@ def section_to_dict(f: Section) -> dict:
     return {"schema": SECTION_SCHEMA, "values": f.values.tolist()}
 
 
+@_document_loader
 def section_from_dict(doc: dict, bundle: EquivariantBundle) -> Section:
     _expect_schema(doc, SECTION_SCHEMA)
     values = np.asarray(doc["values"], dtype=float)
@@ -297,6 +313,7 @@ def mackey_to_dict(m: MackeySection) -> dict:
     return {"schema": MACKEY_SCHEMA, "values": m.values.tolist()}
 
 
+@_document_loader
 def mackey_from_dict(doc: dict, bundle: EquivariantBundle) -> MackeySection:
     _expect_schema(doc, MACKEY_SCHEMA)
     values = np.asarray(doc["values"], dtype=float)
@@ -335,6 +352,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
     return doc
 
 
+@_document_loader
 def scenario_from_dict(doc: dict) -> Scenario:
     _expect_schema(doc, SCENARIO_SCHEMA)
     action = action_from_dict(doc["action"])

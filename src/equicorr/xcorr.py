@@ -104,9 +104,6 @@ class Filter:
     def action(self):
         return self.input_bundle.action
 
-    def support_set(self, b: int) -> set[int]:
-        return {int(h) for h in np.flatnonzero(self.support[:, b])}
-
 
 def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
     """Residual of the faint compatibility law; witness coordinates (g, h, b)."""
@@ -158,17 +155,6 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     grp, cols = filt.action.group, np.arange(filt.action.base_size)
     vals = _support_sum(filt, _weighted_support(filt, mu), lambda k: m.values[grp.cayley[:, k], cols], (grp.order,))
     return MackeySection(filt.output_bundle, vals)
-
-
-def cross_correlate_at_identity(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> np.ndarray:
-    """The h = e slice only: (omega * m)(e, b) = sum_k mu_b(k) omega(k, b) @ m(k, b).
-
-    This is the slice the transform comparison needs, and it avoids the
-    full (|G|, |G|) shift table on large grids.
-    """
-    _check_xcorr_args(filt, m, mu)
-    cols = np.arange(filt.action.base_size)
-    return _support_sum(filt, _weighted_support(filt, mu), lambda k: m.values[k, cols], ())
 
 
 def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from equicorr.bundles import Section, act_on_section, section_to_mackey, validate_mackey
+from equicorr.bundles import Section, act_on_section, validate_mackey
 from equicorr.groups import CosetSection, coset_section, stabilizer
 from equicorr.measures import (
     check_fubini,
@@ -48,7 +48,7 @@ from equicorr.transforms import (
     random_sections,
     validate_theta,
 )
-from equicorr.xcorr import cross_correlate, cross_correlate_at_identity, xcorr_equivariance_residual
+from equicorr.xcorr import correlate_sections, cross_correlate, xcorr_equivariance_residual
 
 TOL = 1e-12
 
@@ -112,9 +112,8 @@ def test_c03_lift_realizes_the_transform(acceptance, bands16):
             gap = lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, f)
             worst_equiv = max(worst_equiv, gap)
     for f in sections:
-        m = section_to_mackey(f)
-        out_g = cross_correlate_at_identity(lifted["global"], m, scn.mu)
-        out_s = cross_correlate_at_identity(lifted["special"], m, scn.mu)
+        out_g = correlate_sections(lifted["global"], scn.mu, f.values)
+        out_s = correlate_sections(lifted["special"], scn.mu, f.values)
         worst_agree = max(worst_agree, float(np.abs(out_g - out_s).max()))
     acceptance(
         "3 both theta lifts realize the kernel transform on torus-bands(16)",
@@ -135,7 +134,7 @@ def test_c04_projection_realizes_the_identity_slice(acceptance):
             filt = random_valid_filter(scn.input_bundle, scn.output_bundle, rng, support_per_rep=8)
             kern = project_filter_to_kernel(filt, scn.nu)
             for f in random_sections(scn.input_bundle, rng, 10):
-                lhs = cross_correlate_at_identity(filt, section_to_mackey(f), scn.mu)
+                lhs = correlate_sections(filt, scn.mu, f.values)
                 rhs = integral_transform(kern, scn.mubar, f)
                 worst = max(worst, float(np.abs(lhs - rhs.values).max()))
     acceptance(

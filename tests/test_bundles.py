@@ -19,7 +19,7 @@ from equicorr.bundles import (
 )
 from equicorr.errors import StructuralError
 from equicorr.rng import SplitMix64
-from equicorr.scenarios import dihedral_vertex_action, torus_action
+from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 from equicorr.transforms import random_sections
 
 
@@ -172,3 +172,65 @@ def test_fiber_dim_must_be_orbit_constant():
     am[:, 2, 1, 1] = 1.0
     bundle = EquivariantBundle(action, fiber_dim, am)
     assert not validate_bundle(bundle).passed
+
+
+def _periodicity_bundle(name: str) -> EquivariantBundle:
+    if name.startswith("rotation-"):
+        n = int(name.split("-")[1])
+        return representation_bundle(dihedral_vertex_action(n), rotation_rep(n))
+    return build_scenario(name).input_bundle
+
+
+def _brute_periodicity(bundle: EquivariantBundle, values: np.ndarray) -> float:
+    """P = max over every (g, h, b) of |m(h, g.b) - A(g, b) @ m(h g, b)|,
+    one (g, b) pair at a time with every h in one column."""
+    action, grp, A = bundle.action, bundle.action.group, bundle.act_matrix
+    worst = 0.0
+    for g in range(grp.order):
+        for b in range(action.base_size):
+            lhs = values[:, action.table[g, b]]
+            rhs = values[grp.cayley[:, g], b] @ A[g, b].T
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def _brute_induced(bundle: EquivariantBundle, values: np.ndarray) -> float:
+    """R = max over (h, b) of |m(h, b) - A(h^-1, h.b) @ m(e, h.b)|."""
+    action, grp, A = bundle.action, bundle.action.group, bundle.act_matrix
+    worst = 0.0
+    for h in range(grp.order):
+        for b in range(action.base_size):
+            hb = action.table[h, b]
+            diff = values[h, b] - A[grp.inverse(h), hb] @ values[grp.identity, hb]
+            worst = max(worst, float(np.abs(diff).max()))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "name", ["dihedral(4, bundle=sign)", "torus-bands(16)", "rotation-4", "rotation-6", "rotation-8"]
+)
+def test_mackey_residual_bounds_periodicity_brute_force(name):
+    # R <= a P and P <= (1 + a) R, a the largest row sum of |A(g, b)|
+    bundle = _periodicity_bundle(name)
+    a = float(np.abs(bundle.act_matrix).sum(axis=3).max())
+    rng = np.random.default_rng(11)
+    f = random_sections(bundle, SplitMix64(4), 1)[0]
+    induced = section_to_mackey(f).values
+    grp_order, base_size = bundle.action.group.order, bundle.action.base_size
+
+    cases = []
+    for _ in range(4):
+        values = induced.copy()
+        values[rng.integers(grp_order), rng.integers(base_size), rng.integers(bundle.dmax)] += 1.0
+        cases.append(values)
+    cases.append(induced + 1e-6 * rng.standard_normal(induced.shape))
+
+    r0 = validate_mackey(MackeySection(bundle, induced)).checks[0].residual
+    assert r0 <= 1e-14 and _brute_periodicity(bundle, induced) <= 1e-14
+    for values in cases:
+        R = validate_mackey(MackeySection(bundle, values)).checks[0].residual
+        P = _brute_periodicity(bundle, values)
+        assert R == pytest.approx(_brute_induced(bundle, values), rel=1e-12, abs=1e-15)
+        assert P > 0.0
+        assert R <= a * P * (1 + 1e-9) + 1e-15
+        assert P <= (1 + a) * R * (1 + 1e-9) + 1e-15

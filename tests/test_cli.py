@@ -78,6 +78,40 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert code == 2 and "no kernel" in err
 
 
+MALFORMED = {
+    "no-families": lambda doc: doc.pop("families"),
+    "mu-number": lambda doc: doc["families"].update(mu=3),
+    "ragged-action-table": lambda doc: doc["action"]["table"][0].pop(),
+    "theta-entry-without-c": lambda doc: doc["thetas"]["derived"]["entries"][0].pop("c"),
+    "filter-rows-list": lambda doc: doc["filter"].update(rows=list(doc["filter"]["rows"].values())),
+    "bundle-without-act-matrix": lambda doc: doc["input_bundle"].pop("act_matrix"),
+    # control: the family constructor rejects this shape itself
+    "mu-wrong-shape": lambda doc: doc["families"]["mu"].update(weights=[[1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
+    doc = json.loads(json.dumps(scenario_to_dict(build_scenario("dihedral(4, bundle=sign)"))))
+    MALFORMED[case](doc)
+    path = tmp_path / "malformed.json"
+    save_document(str(path), doc)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_section_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    for doc in ({"schema": "equicorr-section/1"}, [1, 2, 3], {"schema": "equicorr-section/1", "values": [[1.0], [2.0, 3.0]]}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("xcorr", "transform"):
+            code, out, err = run_cli(capsys, command, "torus-bands(16)", "--section", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_xcorr_and_transform_with_section_file(tmp_path, capsys):
     scn = build_scenario("torus-bands(16)")
     f = random_sections(scn.input_bundle, SplitMix64(4), 1)[0]

@@ -3,8 +3,9 @@ table entry, and name the same offending coordinates every time.
 
 The integer-law scans read only a generating set, which is exact; these
 tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
-corruptions.  The float laws are scanned over all g; their witnesses are
-pinned to fix the scan order.
+corruptions.  The float laws are scanned over all g, Mackey periodicity
+through its identity slice; their witnesses are pinned to fix the scan
+order.
 """
 
 from __future__ import annotations
@@ -251,4 +252,22 @@ def test_mackey_witness(d4):
     values = m.values.copy()
     values[6, 2, 0] += 1.0
     report = validate_mackey(MackeySection(m.bundle, values))
-    assert _failures(report) == [("mackey-periodicity", 1.0, (1, 6, 1))]
+    assert _failures(report) == [("mackey-periodicity", 1.0, (6, 2))]
+
+
+def test_mackey_identity_slice_corruption(d4):
+    # m(e, b0) feeds every m(h, b) with h.b = b0; the pair (e, b0) compares
+    # with itself, so the witness is the first such pair with h != e
+    m = section_to_mackey(random_section(d4.input_bundle, SplitMix64(7)))
+    grp, table = d4.group, d4.action.table
+    for b0 in range(d4.action.base_size):
+        values = m.values.copy()
+        values[grp.identity, b0, 0] += 1.0
+        report = validate_mackey(MackeySection(m.bundle, values))
+        first = next(
+            (h, b)
+            for h in range(grp.order)
+            for b in range(d4.action.base_size)
+            if h != grp.identity and table[h, b] == b0
+        )
+        assert _failures(report) == [("mackey-periodicity", 1.0, first)]

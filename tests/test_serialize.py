@@ -47,6 +47,17 @@ def test_scenario_codec_is_byte_stable(spec):
     assert dumps(again) == text
 
 
+def test_psi_advisory_keys_still_load():
+    # files written before psi lost its advisory modulus and scale keys
+    scn = build_scenario("cyclic(6, families=normalized-psi)")
+    doc = roundtrip(scenario_to_dict(scn))
+    assert set(doc["psi"]) == {"values"}
+    doc["psi"].update(modulus=1.0, scale=1.0)
+    loaded = scenario_from_dict(doc)
+    assert np.array_equal(loaded.psi.values, scn.psi.values)
+    assert dumps(scenario_to_dict(loaded)) == dumps(scenario_to_dict(scn))
+
+
 def test_deserialized_scenario_passes_battery(tmp_path):
     scn = build_scenario("dihedral(3, bundle=sign)")
     path = tmp_path / "scn.json"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import Section, act_on_section, section_to_mackey
+from equicorr.bundles import Section, act_on_section
 from equicorr.errors import CoverageError, PreconditionError, StructuralError
 from equicorr.groups import stabilizer
 from equicorr.measures import counting_family, counting_stabilizer_family, dirac_delta, solve_orbit_family
@@ -22,7 +22,7 @@ from equicorr.transforms import (
     validate_kernel,
     validate_theta,
 )
-from equicorr.xcorr import cross_correlate_at_identity, validate_filter
+from equicorr.xcorr import correlate_sections, validate_filter
 
 
 def brute_transform(kern, mubar, f):
@@ -145,7 +145,7 @@ def test_projection_theorem_identity_slice(dihedral4_sign):
     scn = dihedral4_sign
     kern = project_filter_to_kernel(scn.filt, scn.nu)
     for f in random_sections(scn.input_bundle, SplitMix64(71), 5):
-        lhs = cross_correlate_at_identity(scn.filt, section_to_mackey(f), scn.mu)
+        lhs = correlate_sections(scn.filt, scn.mu, f.values)
         rhs = integral_transform(kern, scn.mubar, f)
         assert np.abs(lhs - rhs.values).max() < 1e-12
 

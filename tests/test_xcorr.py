@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import act_on_mackey, section_to_mackey, trivial_bundle, validate_mackey
+from equicorr.bundles import act_on_mackey, mackey_to_section, section_to_mackey, trivial_bundle, validate_mackey
 from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
 from equicorr.measures import GroupMeasureFamily, counting_family
@@ -16,8 +16,8 @@ from equicorr.xcorr import (
     check_convolution_equality,
     compress_filter,
     convolve,
+    correlate_sections,
     cross_correlate,
-    cross_correlate_at_identity,
     expand_filter,
     to_convolution_form,
     validate_filter,
@@ -45,7 +45,8 @@ def test_xcorr_matches_brute_force_dihedral(dihedral4):
     m = random_mackey_sections(scn.input_bundle, SplitMix64(31), 1)[0]
     out = cross_correlate(scn.filt, m, scn.mu)
     assert np.allclose(out.values, brute_xcorr(scn.filt, m, scn.mu), atol=1e-12)
-    assert np.allclose(out.values[scn.group.identity], cross_correlate_at_identity(scn.filt, m, scn.mu), atol=0)
+    induced = correlate_sections(scn.filt, scn.mu, mackey_to_section(m).values)
+    assert np.allclose(out.values[scn.group.identity], induced, atol=0)
 
 
 def test_xcorr_matches_brute_force_sign_bundle(dihedral4_sign):
