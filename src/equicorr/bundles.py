@@ -29,6 +29,17 @@ validate_mackey checks that one comparison.  Its residual R and the all-g
 periodicity residual P bound each other, R <= a P and P <= (1 + a) R, where
 a is the largest row sum of |act_matrix(g, b)|: a = 1 for trivial and sign
 bundles, a <= sqrt(2) for the 2-d rotation bundle.
+
+The same argument covers the laws saying a table is invariant under G,
+v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) for all g: the filter and
+kernel constraints and the psi, delta, mu, nu and mubar compatibilities.
+With b0 in the fundamental domain and k the smallest element carrying b0
+to c, they hold exactly when S = T = 0 (given the cocycle law of both
+bundles): S compares the rows at b0 with their copies carried by each
+stabilizer element of b0, T compares every v(r, c) with
+A_out(k, b0) v(k^-1.r, b0) A_in(k^-1, .).  _orbit_slice reports
+R = max(S, T); with P the all-g residual and a the largest row or column
+sum of |A(g, b)| over both bundles, R <= a P and P <= (a^2 + 2a) R.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, orbits
+from .groups import GroupAction, coset_section, fundamental_domain, orbits, stabilizer
 from .reporting import ValidationReport, _maxabs, _worst_of_grid, _worst_over, check_from_residual
 
 
@@ -65,12 +76,6 @@ class EquivariantBundle:
     @property
     def dmax(self) -> int:
         return int(self.fiber_dim.max(initial=0))
-
-    def matrix(self, g: int, b: int) -> np.ndarray:
-        """The (fiber_dim(g.b), fiber_dim(b)) block, unpadded."""
-        d_out = int(self.fiber_dim[self.action.table[g, b]])
-        d_in = int(self.fiber_dim[b])
-        return self.act_matrix[g, b, :d_out, :d_in]
 
 
 def padded_identity(fiber_dim: np.ndarray, dmax: int) -> np.ndarray:
@@ -245,3 +250,54 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
     report = ValidationReport()
     report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
     return report
+
+
+# ---------------------------------------------------------------------------
+# table laws on one base slice per orbit
+
+
+def _orbit_slice(
+    values: np.ndarray,
+    action: GroupAction,
+    conjugate: bool,
+    a_out: np.ndarray | None = None,
+    a_in: np.ndarray | None = None,
+) -> tuple[float, tuple[int, int, int] | None, np.ndarray]:
+    """Check v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) on a table indexed
+    [r, b, ...], one base point b0 per orbit (see the module docstring).
+    Rows are group elements moved by conjugation with b' = b (conjugate), or
+    base points moved by the action with b' = r; untwisted laws pass no act
+    matrices.  Returns R = max(S, T), the failing law instance (g, g^-1.r, b0)
+    at its first maximum (S before T, each in fundamental-domain order, then
+    row-major over (g, r)), and the table carried from the rows at each b0.
+    """
+    grp = action.group
+
+    def move(g: np.ndarray) -> np.ndarray:  # [i, r] -> g_i.r
+        return grp.cayley[grp.cayley[g], grp.inv[g][:, None]] if conjugate else action.table[g]
+
+    def carry(g: np.ndarray, b0: int) -> np.ndarray:  # [i, r] -> A_out(g_i, b0) v(g_i^-1.r, b0) A_in(g_i^-1, r')
+        ginv = grp.inv[g]
+        rows = values[move(ginv), b0]
+        if a_out is None:
+            return rows
+        back = a_in[ginv, action.table[g, b0]][:, None] if conjugate else a_in[ginv[:, None], np.arange(len(values))]
+        return a_out[g, b0][:, None] @ rows @ back
+
+    carried = values.copy()
+    stab_parts, coset_parts = [], []  # (b0, elements g, [i, r, ...] carried minus table)
+    for b0 in fundamental_domain(action):
+        stab = stabilizer(action, b0)
+        stab_parts.append((b0, stab, carry(stab, b0) - values[None, :, b0]))
+        sec = coset_section(action, b0)
+        reps = np.array([k for c, k in zip(sec.members, sec.reps) if c != b0], dtype=np.int64)
+        targets = action.table[reps, b0]
+        carried[:, targets] = np.moveaxis(carry(reps, b0), 0, 1)
+        coset_parts.append((b0, reps, np.moveaxis(carried[:, targets] - values[:, targets], 1, 0)))
+    parts = stab_parts + coset_parts
+    worst, wit = _worst_over(range(len(parts)), lambda i: parts[i][2], 2)
+    if wit is None:
+        return worst, None, carried
+    b0, elements, _ = parts[wit[0]]
+    g = int(elements[wit[1]])
+    return worst, (g, int(move(grp.inv[[g]])[0, wit[2]]), int(b0)), carried

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from .groups import CosetSection, GroupAction, coset_section, generating_set, stabilizer, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_over, check_from_residual
@@ -168,23 +169,19 @@ def validate_families(
     mubar: OrbitMeasureFamily,
     tolerance: float = 1e-9,
 ) -> ValidationReport:
-    """Check the three compatibility laws plus nu left-invariance and any
-    advisory flags.  Witnesses are (g, b, h) for the group and stabilizer
-    families and (g, b, c) for the orbit family."""
+    """Check the three compatibility laws, each on one base slice per orbit,
+    plus nu left-invariance and any advisory flags.  Witnesses are (g, b, h)
+    for the group and stabilizer families and (g, b, c) for the orbit family."""
     action = mu.action
     grp = action.group
-    elements = range(grp.order)
     report = ValidationReport()
 
-    def conj_residual(weights: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-        # [b, h] -> w[g.b, g h g^-1] - w[b, h]
-        return _worst_over(elements, lambda g: weights[action.table[g]][:, grp.conjugation_row(g)] - weights)
+    def law(name: str, weights: np.ndarray, conjugate: bool) -> None:  # weights indexed [b, r]
+        res, wit, _ = _orbit_slice(weights.T, action, conjugate)
+        report.add(check_from_residual(name, res, tolerance, wit and (wit[0], wit[2], wit[1])))
 
-    res, wit = conj_residual(mu.weights)
-    report.add(check_from_residual("family-mu-conjugation", res, tolerance, wit))
-
-    res, wit = conj_residual(nu.weights)
-    report.add(check_from_residual("family-nu-conjugation", res, tolerance, wit))
+    law("family-mu-conjugation", mu.weights, True)
+    law("family-nu-conjugation", nu.weights, True)
 
     smask = stabilizer_mask(action)
 
@@ -194,12 +191,7 @@ def validate_families(
 
     res, wit = _worst_over(range(action.base_size), spread)
     report.add(check_from_residual("family-nu-left-invariance", res, tolerance, wit))
-
-    def pushforward(g):  # [b, c] -> w[g.b, g.c] - w[b, c]
-        return mubar.weights[np.ix_(action.table[g], action.table[g])] - mubar.weights
-
-    res, wit = _worst_over(elements, pushforward)
-    report.add(check_from_residual("family-mubar-pushforward", res, tolerance, wit))
+    law("family-mubar-pushforward", mubar.weights, False)
 
     if mu.haar:
         spread = float((mu.weights.max(axis=1) - mu.weights.min(axis=1)).max()) if grp.order else 0.0
@@ -335,19 +327,14 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
     return PsiFunction(action, vals)
 
 
-def _conjugation_residual(action: GroupAction, values: np.ndarray, g: int) -> np.ndarray:
-    """[h, b] -> v(g h g^-1, g.b) - v(h, b) for a (|G|, |B|) table v."""
-    return values[np.ix_(action.group.conjugation_row(g), action.table[g])] - values
-
-
 def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     """Conjugation compatibility plus nonvanishing: each b needs positive
-    total mass and positive mass on its stabilizer."""
+    total mass and positive mass on its stabilizer.  Conjugation is checked on
+    one base slice per orbit, witness (g, h, b)."""
     action = psi.action
-    grp = action.group
     report = ValidationReport()
 
-    worst, witness = _worst_over(range(grp.order), lambda g: _conjugation_residual(action, psi.values, g))
+    worst, witness, _ = _orbit_slice(psi.values, action, True)
     report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
     total = psi.values.sum(axis=0)
@@ -420,15 +407,14 @@ def _psi_delta_norm_residual(psi: PsiFunction, nu: StabilizerMeasureFamily) -> f
 
 def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance: float = 1e-9) -> ValidationReport:
     """Unit mass against nu on each stabilizer, and conjugation compatibility
-    delta(g h g^-1, g.b) = delta(h, b)."""
+    delta(g h g^-1, g.b) = delta(h, b) on one base slice per orbit."""
     action = delta.action
-    grp = action.group
     report = ValidationReport()
 
     mass = np.einsum("hb,bh->b", delta.values, nu.weights) - 1.0
     report.add(check_from_residual("delta-normalization", _maxabs(mass), tolerance, _argmax_coords(mass)))
 
-    worst, witness = _worst_over(range(grp.order), lambda g: _conjugation_residual(action, delta.values, g))
+    worst, witness, _ = _orbit_slice(delta.values, action, True)
     report.add(check_from_residual("delta-conjugation", worst, tolerance, witness))
     return report
 

@@ -104,9 +104,6 @@ class ValidationReport:
     def add(self, check: Check) -> None:
         self.checks.append(check)
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.checks.extend(other.checks)
-
     def worst(self) -> Check | None:
         live = [c for c in self.checks if not c.skipped]
         if not live:

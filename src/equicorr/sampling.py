@@ -23,6 +23,9 @@ from .rng import SplitMix64
 from .transforms import Kernel, random_sections, validate_kernel
 from .xcorr import CompressedFilter, Filter, expand_filter
 
+_MAX_TRIES = 16  # redraws of a stabilizer-averaged row or pair matrix that averaged to ~0
+_MAX_VIOLATOR_DRAWS = 64
+
 
 def random_section(bundle: EquivariantBundle, rng: SplitMix64) -> Section:
     return random_sections(bundle, rng, 1)[0]
@@ -62,7 +65,6 @@ def random_valid_filter(
     output_bundle: EquivariantBundle,
     rng: SplitMix64,
     support_per_rep: int = 8,
-    max_tries: int = 16,
 ) -> Filter:
     """A filter satisfying the faint constraint, with sparse random rows."""
     action = input_bundle.action
@@ -71,7 +73,7 @@ def random_valid_filter(
     de, df = input_bundle.dmax, output_bundle.dmax
     rows: dict[int, np.ndarray] = {}
     for b in fundamental_domain(action):
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             row = np.zeros((n, df, de))
             chosen = rng.sample_without_replacement(n, min(support_per_rep, n))
             for h in chosen:
@@ -102,12 +104,10 @@ def random_valid_kernel(
     input_bundle: EquivariantBundle,
     output_bundle: EquivariantBundle,
     rng: SplitMix64,
-    pair_fraction: float = 1.0,
-    max_tries: int = 16,
 ) -> Kernel:
     """A kernel satisfying the compatibility law, built on pair orbits.
 
-    Each chosen pair-orbit representative gets a random matrix averaged
+    Each pair-orbit representative gets a random matrix averaged
     over the pair stabilizer, then the whole pair orbit is filled through
     the law itself; support is diagonal-invariant by construction.
     """
@@ -117,15 +117,10 @@ def random_valid_kernel(
     de, df = input_bundle.dmax, output_bundle.dmax
     ae, af = input_bundle.act_matrix, output_bundle.act_matrix
     out = np.zeros((m, m, df, de))
-    reps = _diagonal_pair_orbits(action)
-    keep = [i for i in range(len(reps)) if pair_fraction >= 1.0 or rng.uniform() < pair_fraction]
-    if not keep:
-        keep = [0]
-    for i in keep:
-        c, b = reps[i]
+    for c, b in _diagonal_pair_orbits(action):
         stab = pair_stabilizer(action, c, b)
         mat = None
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             draw = rng.uniforms((df, de), -1.0, 1.0)
             acc = np.zeros((df, de))
             for g in stab:
@@ -152,7 +147,6 @@ def random_violating_kernel(
     output_bundle: EquivariantBundle,
     rng: SplitMix64,
     min_violation: float = 0.1,
-    max_tries: int = 64,
 ) -> Kernel:
     """A dense random kernel whose compatibility residual is at least
     min_violation; used to exercise the necessity direction."""
@@ -163,7 +157,7 @@ def random_violating_kernel(
     live_f = pad_mask(output_bundle.fiber_dim, df)  # rows live by the output fiber at b
     live_e = pad_mask(input_bundle.fiber_dim, de)  # columns live by the input fiber at c
     block = live_f[None, :, :, None] & live_e[:, None, None, :]  # (c, b, dF, dE)
-    for _ in range(max_tries):
+    for _ in range(_MAX_VIOLATOR_DRAWS):
         mats = rng.uniforms((m, m, df, de), -1.0, 1.0)
         mats[~mask] = 0.0
         mats *= block  # keep the violation on live fiber coordinates
@@ -171,4 +165,4 @@ def random_violating_kernel(
         res = validate_kernel(kern).worst().residual
         if res >= min_violation:
             return kern
-    raise DomainError(f"could not reach a violation of {min_violation} in {max_tries} draws")
+    raise DomainError(f"could not reach a violation of {min_violation} in {_MAX_VIOLATOR_DRAWS} draws")

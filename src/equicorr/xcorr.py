@@ -44,8 +44,10 @@ constrained filter with s_max << |G| costs s_max / |G| of a dense one.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has exactly one consistent
-answer, and the codec re-checks the stabilizer constraint on each stored
-row before trusting it.
+answer.  The codec and validate_filter share one transport
+(`bundles._orbit_slice`), which checks the law on one base slice per orbit
+instead of for every g, and the codec rejects a stored row that breaks the
+stabilizer constraint.
 """
 
 from __future__ import annotations
@@ -54,17 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, act_on_all
+from .bundles import EquivariantBundle, MackeySection, _orbit_slice, act_on_all
 from .errors import InconsistencyError, StructuralError
-from .groups import coset_section, fundamental_domain, stabilizer
+from .groups import fundamental_domain
 from .measures import GroupMeasureFamily
 from .reporting import (
     Check,
     ValidationReport,
-    _argmax_coords,
     _maxabs,
     _worst_of_grid,
-    _worst_over,
     check_from_residual,
 )
 
@@ -106,17 +106,11 @@ class Filter:
 
 
 def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
-    """Residual of the faint compatibility law; witness coordinates (g, h, b)."""
-    action = filt.action
-    grp = action.group
-    ae = filt.input_bundle.act_matrix
-    af = filt.output_bundle.act_matrix
-
-    def faint(g):  # [h, b] -> omega(g h g^-1, g.b) @ actE(g, b) - actF(g, b) @ omega(h, b)
-        moved = filt.matrices[grp.conjugation_row(g)][:, action.table[g]]
-        return np.einsum("hbij,bjk->hbik", moved, ae[g]) - np.einsum("bij,hbjk->hbik", af[g], filt.matrices)
-
-    worst, witness = _worst_over(range(grp.order), faint, 2)
+    """Residual of the faint compatibility law on one base slice per orbit;
+    witness coordinates (g, h, b)."""
+    worst, witness, _ = _orbit_slice(
+        filt.matrices, filt.action, True, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
+    )
     report = ValidationReport()
     report.add(check_from_residual("filter-faint-constraint", worst, tolerance, witness))
     return report
@@ -296,46 +290,33 @@ def compress_filter(filt: Filter) -> CompressedFilter:
 def expand_filter(comp: CompressedFilter, tolerance: float = 1e-9) -> Filter:
     """Rebuild the full table from fundamental-domain rows.
 
-    Each stored row must satisfy the stabilizer slice of the compatibility
-    law; a violating row has no consistent expansion and raises
-    InconsistencyError naming the offending (g, h).  Off the domain,
+    Off the domain,
 
         omega(h', k.b) = actF(k, b) @ omega(k^-1 h' k, b) @ actE(k^-1, k.b)
 
     with k the deterministic coset representative, which is the unique
-    table satisfying the law with the given rows.
+    table satisfying the law with the given rows.  validate_filter checks
+    the same transport; on an expansion only its stabilizer part can fail,
+    so a stored row violating the stabilizer slice of the law raises
+    InconsistencyError naming (g, h, b) with g in the stabilizer of b.
     """
     e_bundle, f_bundle = comp.input_bundle, comp.output_bundle
     action = _common_action(e_bundle, f_bundle)
-    grp = action.group
-    n, m = grp.order, action.base_size
+    n, m = action.group.order, action.base_size
     reps = fundamental_domain(action)
     if sorted(comp.rows) != reps:
         raise StructuralError(f"compressed rows keyed {sorted(comp.rows)}, expected orbit reps {reps}")
 
-    ae, af = e_bundle.act_matrix, f_bundle.act_matrix
     de, df = e_bundle.dmax, f_bundle.dmax
-    out = np.zeros((n, m, df, de))
+    table = np.zeros((n, m, df, de))
     for b in reps:
         row = np.asarray(comp.rows[b], dtype=float)
         if row.shape != (n, df, de):
             raise StructuralError(f"compressed row at b={b} has shape {row.shape}, expected {(n, df, de)}")
-        for g in stabilizer(action, b):
-            conj = grp.conjugation_row(g)
-            lhs = np.einsum("hij,jk->hik", row[conj], ae[g, b])
-            rhs = np.einsum("ij,hjk->hik", af[g, b], row)
-            diff = np.abs(lhs - rhs)
-            if _maxabs(diff) > tolerance:
-                h = _argmax_coords(diff)[0]
-                raise InconsistencyError(
-                    f"stored row at b={b} violates its stabilizer constraint at (g={int(g)}, h={h})"
-                )
-        sec = coset_section(action, b)
-        for c, k in zip(sec.members, sec.reps):
-            if k == grp.identity:
-                out[:, c] = row
-                continue
-            kinv = grp.inv[k]
-            conj_back = grp.cayley[grp.cayley[kinv], k]  # h' -> k^-1 h' k
-            out[:, c] = np.einsum("ij,hjk,kl->hil", af[k, b], row[conj_back], ae[kinv, c])
+        table[:, b] = row
+    _, _, out = _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix)
+    worst, witness, _ = _orbit_slice(out, action, True, f_bundle.act_matrix, e_bundle.act_matrix)
+    if worst > tolerance:
+        g, h, b = witness
+        raise InconsistencyError(f"stored row violates its stabilizer constraint at (g={g}, h={h}, b={b})")
     return Filter(e_bundle, f_bundle, out)

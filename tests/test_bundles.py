@@ -18,9 +18,12 @@ from equicorr.bundles import (
     validate_mackey,
 )
 from equicorr.errors import StructuralError
+from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families, validate_psi
 from equicorr.rng import SplitMix64
+from equicorr.sampling import random_valid_filter, random_valid_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
-from equicorr.transforms import random_sections
+from equicorr.transforms import Kernel, random_sections, validate_kernel
+from equicorr.xcorr import Filter, validate_filter
 
 
 def rotation_rep(n: int) -> np.ndarray:
@@ -234,3 +237,86 @@ def test_mackey_residual_bounds_periodicity_brute_force(name):
         assert P > 0.0
         assert R <= a * P * (1 + 1e-9) + 1e-15
         assert P <= (1 + a) * R * (1 + 1e-9) + 1e-15
+
+
+def _brute_law(values, action, conjugate, A=None) -> float:
+    """P = max over every (g, r, b) of |v(g.r, g.b) A(g, b') - A(g, b) v(r, b)|,
+    with g.r = g r g^-1 and b' = b for conjugate rows, g.r the action and
+    b' = r otherwise, and no A for an untwisted law; one (g, b) pair at a
+    time with every r in one column."""
+    grp = action.group
+    worst = 0.0
+    for g in range(grp.order):
+        gr = grp.cayley[grp.cayley[g], grp.inverse(g)] if conjugate else action.table[g]
+        for b in range(action.base_size):
+            lhs, rhs = values[gr, action.table[g, b]], values[:, b]
+            if A is not None:
+                lhs = lhs @ (A[g, b] if conjugate else A[g])
+                rhs = A[g, b] @ rhs
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def _invariance_cases(name: str):
+    """(check name, action, table, conjugate, A, residual that check reports on a
+    table), with A the act matrices of both bundles, None for untwisted laws."""
+    if name.startswith("rotation-"):
+        bundle = _periodicity_bundle(name)
+        rng = SplitMix64(9)
+        filt, kern, scn = random_valid_filter(bundle, bundle, rng), random_valid_kernel(bundle, bundle, rng), None
+    else:
+        scn = build_scenario(name)
+        bundle, filt, kern = scn.input_bundle, scn.filt, scn.kernel
+    action, A = bundle.action, bundle.act_matrix
+    cases = [
+        ("filter-faint-constraint", filt.matrices, True, A, lambda t: validate_filter(Filter(bundle, bundle, t))),
+        ("kernel-constraint", kern.matrices, False, A, lambda t: validate_kernel(Kernel(bundle, bundle, t))),
+    ]
+    if scn is not None:  # untwisted: psi rows by conjugation, mubar rows (indexed [c, b]) by the action
+        cases += [
+            ("psi-conjugation", scn.psi.values, True, None, lambda t: validate_psi(PsiFunction(action, t))),
+            (
+                "family-mubar-pushforward",
+                scn.mubar.weights.T,
+                False,
+                None,
+                lambda t: validate_families(scn.mu, scn.nu, OrbitMeasureFamily(action, t.T)),
+            ),
+        ]
+    for check, table, conjugate, mats, report_of in cases:
+
+        def residual(t, check=check, report_of=report_of):
+            return next(c.residual for c in report_of(t).checks if c.name == check)
+
+        yield check, action, table, conjugate, mats, residual
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "dihedral(4, bundle=sign, families=normalized-psi)",
+        "torus-bands(16)",
+        "rotation-4",
+        "rotation-6",
+        "rotation-8",
+    ],
+)
+def test_orbit_slice_residual_bounds_all_g_brute_force(name):
+    # R <= a P and P <= (a^2 + 2a) R, a the largest row or column sum of |A(g, b)|
+    rng = np.random.default_rng(12)
+    for check, action, table, conjugate, A, residual in _invariance_cases(name):
+        a = 1.0 if A is None else float(max(np.abs(A).sum(axis=3).max(), np.abs(A).sum(axis=2).max()))
+        exact = 0.0 if a == 1.0 else 1e-14  # the rotation bundle rounds
+        assert residual(table) <= exact and _brute_law(table, action, conjugate, A) <= exact, check
+
+        cases = []
+        for _ in range(4):
+            bumped = table.copy()
+            bumped[tuple(int(rng.integers(n)) for n in table.shape)] += 1.0
+            cases.append(bumped)
+        cases.append(table + 1e-6 * rng.random(table.shape))
+        for values in cases:
+            R, P = residual(values), _brute_law(values, action, conjugate, A)
+            assert P > 0.0, check
+            assert R <= a * P * (1 + 1e-9) + 1e-15, check
+            assert P <= (a * a + 2 * a) * R * (1 + 1e-9) + 1e-15, check

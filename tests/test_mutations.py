@@ -3,19 +3,24 @@ table entry, and name the same offending coordinates every time.
 
 The integer-law scans read only a generating set, which is exact; these
 tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
-corruptions.  The float laws are scanned over all g, Mackey periodicity
-through its identity slice; their witnesses are pinned to fix the scan
-order.
+corruptions.  Of the float laws only the bundle cocycle is scanned over all
+g: the seven table-invariance laws (filter, kernel, psi, delta, mu, nu,
+mubar) are checked on one base slice per orbit, Mackey periodicity through
+its identity slice.  Their witnesses are pinned to fix the scan order, and
+single-entry corruptions of each of the seven tables are caught at
+|G| = 1024 as well.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
 from equicorr.errors import PreconditionError
-from equicorr.groups import FiniteGroup, GroupAction, generating_set, validate_action, validate_group
+from equicorr.groups import FiniteGroup, GroupAction, generating_set, stabilizer_mask, validate_action, validate_group
 from equicorr.measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -39,6 +44,11 @@ SEEDS = range(10)
 @pytest.fixture(scope="module", params=["dihedral(4)", "torus-bands(32)"])
 def scn(request):
     return build_scenario(request.param)
+
+
+@pytest.fixture(scope="module")
+def bands32():
+    return build_scenario("torus-bands(32)")
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +205,7 @@ def test_family_mu_witness(d4):
     weights = d4.mu.weights.copy()
     weights[2, 5] += 0.5
     report = validate_families(GroupMeasureFamily(d4.action, weights), d4.nu, d4.mubar)
-    assert _failures(report) == [("family-mu-conjugation", 0.5, (1, 1, 7))]
+    assert _failures(report) == [("family-mu-conjugation", 0.5, (2, 0, 5))]
 
 
 def test_family_nu_witness(d4):
@@ -212,14 +222,14 @@ def test_family_mubar_witness(d4):
     weights = d4.mubar.weights.copy()
     weights[2, 3] += 0.5
     report = validate_families(d4.mu, d4.nu, OrbitMeasureFamily(d4.action, weights))
-    assert _failures(report) == [("family-mubar-pushforward", 0.5, (1, 1, 2))]
+    assert _failures(report) == [("family-mubar-pushforward", 0.5, (2, 0, 1))]
 
 
 def test_psi_witness(d4):
     values = d4.psi.values.copy()
     values[6, 2] += 0.5
     report = validate_psi(PsiFunction(d4.action, values))
-    assert _failures(report) == [("psi-conjugation", 0.5, (1, 4, 1))]
+    assert _failures(report) == [("psi-conjugation", 0.5, (2, 6, 0))]
 
 
 def test_delta_witness(d4):
@@ -228,7 +238,7 @@ def test_delta_witness(d4):
     report = validate_delta(DeltaFunction(d4.action, values), d4.nu)
     assert _failures(report) == [
         ("delta-normalization", 0.5, (3,)),
-        ("delta-conjugation", 0.5, (1, 4, 2)),
+        ("delta-conjugation", 0.5, (3, 4, 0)),
     ]
 
 
@@ -236,14 +246,14 @@ def test_filter_witness(d4):
     mats = d4.filt.matrices.copy()
     mats[5, 2, 0, 0] += 1.0
     report = validate_filter(Filter(d4.input_bundle, d4.output_bundle, mats))
-    assert _failures(report) == [("filter-faint-constraint", 1.0, (1, 5, 2))]
+    assert _failures(report) == [("filter-faint-constraint", 1.0, (2, 5, 0))]
 
 
 def test_kernel_constraint_witness(d4):
     mats = d4.kernel.matrices.copy()
     mats[1, 3, 0, 0] += 1.0
     report = validate_kernel(Kernel(d4.input_bundle, d4.output_bundle, mats))
-    assert _failures(report) == [("kernel-constraint", 1.0, (1, 0, 2))]
+    assert _failures(report) == [("kernel-constraint", 1.0, (3, 2, 0))]
 
 
 def test_mackey_witness(d4):
@@ -271,3 +281,61 @@ def test_mackey_identity_slice_corruption(d4):
             if h != grp.identity and table[h, b] == b0
         )
         assert _failures(report) == [("mackey-periodicity", 1.0, first)]
+
+
+# ---------------------------------------------------------------------------
+# float laws: seeded corruptions at |G| = 1024
+
+# table -> (the check that must fail, report on the scenario with one table
+# replaced by bump(table, allowed cells))
+FLOAT_LAWS = {
+    "filter": (
+        "filter-faint-constraint",
+        lambda s, bump: validate_filter(Filter(s.input_bundle, s.output_bundle, bump(s.filt.matrices))),
+    ),
+    "kernel": (
+        "kernel-constraint",
+        lambda s, bump: validate_kernel(Kernel(s.input_bundle, s.output_bundle, bump(s.kernel.matrices))),
+    ),
+    "psi": ("psi-conjugation", lambda s, bump: validate_psi(PsiFunction(s.action, bump(s.psi.values)))),
+    "delta": (
+        "delta-conjugation",
+        lambda s, bump: validate_delta(DeltaFunction(s.action, bump(s.delta.values, stabilizer_mask(s.action).T)), s.nu),
+    ),
+    "mu": (
+        "family-mu-conjugation",
+        lambda s, bump: validate_families(GroupMeasureFamily(s.action, bump(s.mu.weights)), s.nu, s.mubar),
+    ),
+    "nu": (
+        "family-nu-conjugation",
+        lambda s, bump: validate_families(
+            s.mu, StabilizerMeasureFamily(s.action, bump(s.nu.weights, stabilizer_mask(s.action))), s.mubar
+        ),
+    ),
+    "mubar": (
+        "family-mubar-pushforward",
+        lambda s, bump: validate_families(s.mu, s.nu, OrbitMeasureFamily(s.action, bump(s.mubar.weights))),
+    ),
+}
+
+
+def _bump_one(rng: SplitMix64, values: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
+    """Copy of values with one seeded cell of its first two axes, among the
+    allowed ones, raised by 1."""
+    cells = np.argwhere(np.ones(values.shape[:2], dtype=bool) if allowed is None else allowed)
+    out = values.copy()
+    out[tuple(cells[rng.integer(len(cells))])] += 1.0
+    return out
+
+
+@pytest.mark.parametrize("table", sorted(FLOAT_LAWS))
+def test_single_float_entry_caught_at_1024(bands32, table):
+    # delta and nu live on the stabilizers, so only stabilizer cells are bumped
+    assert bands32.group.order == 1024
+    check, report_of = FLOAT_LAWS[table]
+    missed = [
+        seed
+        for seed in SEEDS
+        if check not in {c.name for c in report_of(bands32, partial(_bump_one, SplitMix64(seed))).failures()}
+    ]
+    assert missed == []

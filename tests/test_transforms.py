@@ -19,6 +19,7 @@ from equicorr.transforms import (
     lift_kernel_to_filter,
     project_filter_to_kernel,
     random_sections,
+    transform_equivariance_residual,
     validate_kernel,
     validate_theta,
 )
@@ -110,6 +111,17 @@ def test_planted_violations_always_caught(dihedral4):
         assert not validate_kernel(bad, tolerance=1e-9).passed
         rep = check_equivariance(bad, scn.mubar, seed=rng.next_u64(), n_sections=20, tolerance=1e-9)
         assert not rep.passed
+
+
+def test_equivariance_search_uses_the_requested_section_count(dihedral4):
+    # fewer than 20 sections is honored, not raised to 20
+    scn = dihedral4
+    bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(3))
+    sections = random_sections(scn.input_bundle, SplitMix64(5), 3)
+    residual, witness = transform_equivariance_residual(bad, scn.mubar, sections)
+    check = check_equivariance(bad, scn.mubar, seed=5, n_sections=3, tolerance=1e-9).checks[0]
+    assert (check.residual, check.witness) == (residual, witness)
+    assert witness[0] < 3
 
 
 def test_kernel_support_off_orbit_rejected():

@@ -117,17 +117,34 @@ def test_compression_round_trip_bitwise(dihedral4_sign):
     assert np.array_equal(back.matrices, scn.filt.matrices)
 
 
-def test_expand_rejects_stabilizer_inconsistent_row(dihedral4):
-    scn = dihedral4
+def _bumped_row_filter(scn) -> CompressedFilter:
     comp = compress_filter(scn.filt)
     rows = {b: r.copy() for b, r in comp.rows.items()}
     b0 = next(iter(rows))
     # conjugation by the reflection fixing b0 swaps r1 and r3, so a lone
     # bump at r1 cannot satisfy the stabilizer slice of the constraint
     rows[b0][1, 0, 0] += 1.0
-    bad = CompressedFilter(scn.input_bundle, scn.output_bundle, rows)
-    with pytest.raises(InconsistencyError):
-        expand_filter(bad)
+    return CompressedFilter(scn.input_bundle, scn.output_bundle, rows)
+
+
+def test_expand_rejects_stabilizer_inconsistent_row(dihedral4):
+    with pytest.raises(InconsistencyError) as err:
+        expand_filter(_bumped_row_filter(dihedral4))
+    # s0 r3 s0^-1 = r1: the law at (s0, r3, 0) compares the bumped row with r3's
+    assert str(err.value) == "stored row violates its stabilizer constraint at (g=4, h=3, b=0)"
+    assert dihedral4.action.table[4, 0] == 0  # g is in the stabilizer of b
+
+
+def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
+    # expanding without the stabilizer check carries the bad row to every base
+    # point exactly, so the table is its own transport (T = 0) and only the
+    # stabilizer part S of validate_filter can see the violation
+    filt = expand_filter(_bumped_row_filter(dihedral4), tolerance=np.inf)
+    assert np.array_equal(expand_filter(compress_filter(filt), tolerance=np.inf).matrices, filt.matrices)
+    report = validate_filter(filt)
+    assert not report.passed
+    g, h, b = report.checks[0].witness
+    assert b == 0 and dihedral4.action.table[g, b] == b
 
 
 def test_random_valid_filters_satisfy_constraint():
