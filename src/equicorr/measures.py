@@ -36,7 +36,7 @@ import numpy as np
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from .groups import CosetSection, GroupAction, coset_section, generating_set, stabilizer, stabilizer_mask
-from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_over, check_from_residual
+from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
 @dataclass(eq=False)
@@ -183,13 +183,11 @@ def validate_families(
     law("family-mu-conjugation", mu.weights, True)
     law("family-nu-conjugation", nu.weights, True)
 
+    # left-invariance on a finite stabilizer forces constant weight there
     smask = stabilizer_mask(action)
-
-    def spread(b):  # left-invariance on a finite stabilizer forces constant weight there
-        w = nu.weights[b, smask[b]]
-        return np.ptp(w) if w.size else w
-
-    res, wit = _worst_over(range(action.base_size), spread)
+    hi = np.max(nu.weights, axis=1, where=smask, initial=-np.inf)
+    lo = np.min(nu.weights, axis=1, where=smask, initial=np.inf)
+    res, wit = _worst_of_grid(np.where(smask.any(axis=1), hi - lo, 0.0))
     report.add(check_from_residual("family-nu-left-invariance", res, tolerance, wit))
     law("family-mubar-pushforward", mubar.weights, False)
 
@@ -254,7 +252,7 @@ def fubini_pointwise_residual(
         k = rep_of[hb]
         return mu.weights[b] - mubar.weights[b, hb] * nu.weights[b, grp.cayley[grp.inv[k], np.arange(grp.order)]]
 
-    return _worst_over(range(action.base_size), residual)
+    return _worst_of_grid(np.stack([residual(b) for b in range(action.base_size)]))
 
 
 def solve_orbit_measure(

@@ -25,25 +25,11 @@ def _argmax_coords(arr: np.ndarray) -> tuple[int, ...]:
 
 
 def _worst_of_grid(grid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-    """Largest entry of a residual grid and the coordinates of its first
-    occurrence, the same answer as a row-major scan keeping a strict
-    improvement; no witness when every entry is zero."""
+    """Largest entry of |grid| and the coordinates of its first occurrence in
+    row-major order; no witness when every entry is zero.  A NaN entry is
+    the largest: the residual is NaN and the witness its first coordinate."""
     worst = _maxabs(grid)
-    return worst, (_argmax_coords(grid) if worst > 0.0 else None)
-
-
-def _worst_over(elements, grid_of, depth: int | None = None) -> tuple[float, tuple[int, ...] | None]:
-    """Scan the residual grid grid_of(g) for each g in elements, in order,
-    keeping the first strict maximum of |grid|.  The witness is (g, *coords)
-    of that maximum, its coordinates cut to the first `depth`; no witness
-    while every entry is zero."""
-    worst, witness = 0.0, None
-    for g in elements:
-        grid = grid_of(g)
-        r = _maxabs(grid)
-        if r > worst:
-            worst, witness = r, (int(g),) + _argmax_coords(grid)[:depth]
-    return worst, witness
+    return worst, (_argmax_coords(grid) if worst != 0.0 else None)
 
 
 def _count_over(elements, bad_of) -> tuple[int, tuple[int, ...] | None]:

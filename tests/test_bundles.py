@@ -18,6 +18,7 @@ from equicorr.bundles import (
     validate_mackey,
 )
 from equicorr.errors import StructuralError
+from equicorr.groups import GroupAction
 from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families, validate_psi
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_valid_filter, random_valid_kernel
@@ -178,6 +179,10 @@ def test_fiber_dim_must_be_orbit_constant():
 
 
 def _periodicity_bundle(name: str) -> EquivariantBundle:
+    if name == "rotation-4+centre":  # two orbits: the square's vertices and its fixed centre
+        action = dihedral_vertex_action(4)
+        table = np.concatenate([action.table, np.full((action.group.order, 1), action.base_size)], axis=1)
+        return representation_bundle(GroupAction(action.group, action.base + ("centre",), table), rotation_rep(4))
     if name.startswith("rotation-"):
         n = int(name.split("-")[1])
         return representation_bundle(dihedral_vertex_action(n), rotation_rep(n))
@@ -237,6 +242,46 @@ def test_mackey_residual_bounds_periodicity_brute_force(name):
         assert P > 0.0
         assert R <= a * P * (1 + 1e-9) + 1e-15
         assert P <= (1 + a) * R * (1 + 1e-9) + 1e-15
+
+
+def _brute_cocycle(bundle: EquivariantBundle, A: np.ndarray) -> float:
+    """P = max over every (g, h, b) of |A(g h, b) - A(g, h.b) @ A(h, b)|,
+    one g at a time with every (h, b) in one stack."""
+    action, grp = bundle.action, bundle.action.group
+    return max(float(np.abs(A[grp.cayley[g]] - A[g, action.table] @ A).max()) for g in range(grp.order))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dihedral(4, bundle=sign)", "torus-bands(16)", "rotation-4", "rotation-6", "rotation-8", "rotation-4+centre"],
+)
+def test_cocycle_residual_bounds_all_g_brute_force(name):
+    # R <= P and P <= max(2a(3a + 2), 2d a(1 + a)) (R + R_e), with R_e the
+    # identity-slice residual, a the largest row or column sum of |A(g, b)|
+    # and d = dmax
+    bundle = _periodicity_bundle(name)
+    d = bundle.dmax
+
+    def residuals(A):
+        checks = {c.name: c.residual for c in validate_bundle(EquivariantBundle(bundle.action, bundle.fiber_dim, A)).checks}
+        return checks["bundle-cocycle"], checks["bundle-identity-slice"]
+
+    exact = 0.0 if name in ("dihedral(4, bundle=sign)", "torus-bands(16)") else 1e-14  # the rotation bundle rounds
+    assert residuals(bundle.act_matrix)[0] <= exact and _brute_cocycle(bundle, bundle.act_matrix) <= exact
+
+    rng = np.random.default_rng(13)
+    cases = []
+    for _ in range(4):
+        bumped = bundle.act_matrix.copy()
+        bumped[tuple(int(rng.integers(n)) for n in bumped.shape)] += 1.0
+        cases.append(bumped)
+    cases.append(bundle.act_matrix + 1e-6 * rng.random(bundle.act_matrix.shape))
+    for A in cases:
+        (R, R_e), P = residuals(A), _brute_cocycle(bundle, A)
+        a = float(max(np.abs(A).sum(axis=3).max(), np.abs(A).sum(axis=2).max()))
+        assert P > 0.0
+        assert R <= P * (1 + 1e-9) + 1e-15
+        assert P <= max(2 * a * (3 * a + 2), 2 * d * a * (1 + a)) * (R + R_e) * (1 + 1e-9) + 1e-15
 
 
 def _brute_law(values, action, conjugate, A=None) -> float:

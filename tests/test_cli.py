@@ -65,6 +65,21 @@ def test_corrupted_scenario_file_fails_checks(tmp_path, capsys):
     assert failed
 
 
+def test_nan_filter_entry_fails_validate(tmp_path, capsys):
+    doc = scenario_to_dict(build_scenario("cyclic(8)"))
+    rows = doc["filter"]["rows"]
+    b, row = next(iter(rows.items()))
+    h = next(iter(row))
+    rows[b][h] = np.full(np.shape(row[h]), np.nan).tolist()
+    path = tmp_path / "nan.json"
+    save_document(str(path), doc)
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert "filter.filter-faint-constraint" in [c["name"] for c in failed]
+    assert all(c["witness"] is not None for c in failed)
+
+
 def test_malformed_inputs_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")

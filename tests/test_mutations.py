@@ -3,12 +3,12 @@ table entry, and name the same offending coordinates every time.
 
 The integer-law scans read only a generating set, which is exact; these
 tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
-corruptions.  Of the float laws only the bundle cocycle is scanned over all
-g: the seven table-invariance laws (filter, kernel, psi, delta, mu, nu,
-mubar) are checked on one base slice per orbit, Mackey periodicity through
-its identity slice.  Their witnesses are pinned to fix the scan order, and
-single-entry corruptions of each of the seven tables are caught at
-|G| = 1024 as well.
+corruptions.  No float law is scanned over all g: the bundle cocycle and the
+seven table-invariance laws (filter, kernel, psi, delta, mu, nu, mubar) are
+checked on one base slice per orbit, Mackey periodicity through its identity
+slice.  Their witnesses are pinned to fix the scan order, single-entry
+corruptions of each of the eight tables are caught at |G| = 1024 as well, and
+a NaN planted in any float table fails with a witness.
 """
 
 from __future__ import annotations
@@ -190,7 +190,9 @@ def test_bundle_cocycle_witness(d4):
     mats = bundle.act_matrix.copy()
     mats[3, 1, 0, 0] *= -1.0
     report = validate_bundle(EquivariantBundle(bundle.action, bundle.fiber_dim, mats))
-    assert _failures(report) == [("bundle-cocycle", 2.0, (2, 1, 1))]
+    # A(3, 1) enters the checked instances only as A(g, k_1.0) with g = r3 and
+    # k_1 = r1: the law A(r3 r1, 0) = A(r3, 1) A(r1, 0) is off by 2
+    assert _failures(report) == [("bundle-cocycle", 2.0, (3, 1, 0))]
 
 
 def test_bundle_identity_slice_witness(d4):
@@ -319,12 +321,14 @@ FLOAT_LAWS = {
 }
 
 
-def _bump_one(rng: SplitMix64, values: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
+def _bump_one(
+    rng: SplitMix64, values: np.ndarray, allowed: np.ndarray | None = None, by: float = 1.0
+) -> np.ndarray:
     """Copy of values with one seeded cell of its first two axes, among the
-    allowed ones, raised by 1."""
+    allowed ones, raised by `by`."""
     cells = np.argwhere(np.ones(values.shape[:2], dtype=bool) if allowed is None else allowed)
     out = values.copy()
-    out[tuple(cells[rng.integer(len(cells))])] += 1.0
+    out[tuple(cells[rng.integer(len(cells))])] += by
     return out
 
 
@@ -339,3 +343,50 @@ def test_single_float_entry_caught_at_1024(bands32, table):
         if check not in {c.name for c in report_of(bands32, partial(_bump_one, SplitMix64(seed))).failures()}
     ]
     assert missed == []
+
+
+def _cocycle_defect(A: np.ndarray, scn, g: int, h: int, b: int) -> float:
+    """|A(g h, b) - A(g, h.b) A(h, b)|, the largest entry."""
+    grp, table = scn.group, scn.action.table
+    return float(np.abs(A[grp.cayley[g, h], b] - A[g, table[h, b]] @ A[h, b]).max())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_act_matrix_entry_caught_at_1024(bands32, seed):
+    # every A(g, c) enters a checked instance (g, k_c, b0), so each cell is seen;
+    # the witness is an instance of the law whose defect is the residual
+    bundle = bands32.input_bundle
+    A = _bump_one(SplitMix64(seed), bundle.act_matrix)
+    report = validate_bundle(EquivariantBundle(bundle.action, bundle.fiber_dim, A))
+    check = next(c for c in report.checks if c.name == "bundle-cocycle")
+    assert not check.passed
+    assert _cocycle_defect(A, bands32, *check.witness) == check.residual
+
+
+# every float table -> (the check that must fail, report with the table replaced)
+NAN_LAWS = {
+    **FLOAT_LAWS,
+    "act_matrix": (
+        "bundle-cocycle",
+        lambda s, bump: validate_bundle(
+            EquivariantBundle(s.action, s.input_bundle.fiber_dim, bump(s.input_bundle.act_matrix))
+        ),
+    ),
+    "mackey": (
+        "mackey-periodicity",
+        lambda s, bump: validate_mackey(
+            MackeySection(s.input_bundle, bump(section_to_mackey(random_section(s.input_bundle, SplitMix64(5))).values))
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(NAN_LAWS))
+def test_nan_entry_fails_with_witness(d4, table):
+    # a NaN compares false with everything: its residual must still fail, with
+    # a witness, rather than pass as 0
+    check, report_of = NAN_LAWS[table]
+    for seed in SEEDS:
+        report = report_of(d4, partial(_bump_one, SplitMix64(seed), by=np.nan))
+        failed = {c.name: c for c in report.failures()}.get(check)
+        assert failed is not None and np.isnan(failed.residual) and failed.witness is not None, (table, seed)
