@@ -59,7 +59,9 @@ bundles): S compares the rows at b0 with their copies carried by each
 stabilizer element of b0, T compares every v(r, c) with
 A_out(k, b0) v(k^-1.r, b0) A_in(k^-1, .).  _orbit_slice reports
 R = max(S, T); with P the all-g residual and a the largest row or column
-sum of |A(g, b)| over both bundles, R <= a P and P <= (a^2 + 2a) R.
+sum of |A(g, b)| over both bundles, R <= a P and P <= (a^2 + 2a) R.  The
+random filter and kernel builders of `sampling` share this transport: the
+mean of _carry over Stab(b0) makes S = 0, and _orbit_slice fills T.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, coset_section, fundamental_domain, orbits, stabilizer
+from .groups import GroupAction, _check_budget, coset_section, fundamental_domain, orbits, stabilizer
 from .reporting import ValidationReport, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -114,6 +116,7 @@ def pad_mask(fiber_dim: np.ndarray, dmax: int) -> np.ndarray:
 def trivial_bundle(action: GroupAction, dim: int = 1) -> EquivariantBundle:
     """Product bundle: every fiber dim-dimensional, every act matrix the identity."""
     n, m = action.group.order, action.base_size
+    _check_budget(f"a ({n}, {m}, {dim}, {dim}) act-matrix stack", n * m * dim * dim)
     fiber_dim = np.full(m, dim, dtype=np.int64)
     mats = np.broadcast_to(np.eye(dim), (n, m, dim, dim)).copy()
     return EquivariantBundle(action, fiber_dim, mats)
@@ -131,6 +134,7 @@ def representation_bundle(action: GroupAction, rep: np.ndarray) -> EquivariantBu
     if rep.ndim != 3 or rep.shape[0] != n or rep.shape[1] != rep.shape[2]:
         raise StructuralError(f"representation shape {rep.shape}, expected (|G|, d, d)")
     d = rep.shape[1]
+    _check_budget(f"a ({n}, {m}, {d}, {d}) act-matrix stack", n * m * d * d)
     fiber_dim = np.full(m, d, dtype=np.int64)
     mats = np.repeat(rep[:, None, :, :], m, axis=1)
     return EquivariantBundle(action, fiber_dim, mats)
@@ -281,6 +285,31 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
 # table laws on one base slice per orbit
 
 
+def _move(action: GroupAction, conjugate: bool, g: np.ndarray) -> np.ndarray:
+    """[i, r] -> g_i.r: rows are group elements moved by conjugation, or base points."""
+    grp = action.group
+    return grp.cayley[grp.cayley[g], grp.inv[g][:, None]] if conjugate else action.table[g]
+
+
+def _carry(
+    values: np.ndarray,
+    action: GroupAction,
+    conjugate: bool,
+    a_out: np.ndarray | None,
+    a_in: np.ndarray | None,
+    g: np.ndarray,
+    b0: int,
+) -> np.ndarray:
+    """[i, r] -> A_out(g_i, b0) v(g_i^-1.r, b0) A_in(g_i^-1, r'): the rows of
+    the table at b0 carried by each g_i, with r' as in _orbit_slice."""
+    ginv = action.group.inv[g]
+    rows = values[_move(action, conjugate, ginv), b0]
+    if a_out is None:
+        return rows
+    back = a_in[ginv, action.table[g, b0]][:, None] if conjugate else a_in[ginv[:, None], np.arange(len(values))]
+    return a_out[g, b0][:, None] @ rows @ back
+
+
 def _orbit_slice(
     values: np.ndarray,
     action: GroupAction,
@@ -297,27 +326,15 @@ def _orbit_slice(
     row-major over (g, r)), and the table carried from the rows at each b0.
     """
     grp = action.group
-
-    def move(g: np.ndarray) -> np.ndarray:  # [i, r] -> g_i.r
-        return grp.cayley[grp.cayley[g], grp.inv[g][:, None]] if conjugate else action.table[g]
-
-    def carry(g: np.ndarray, b0: int) -> np.ndarray:  # [i, r] -> A_out(g_i, b0) v(g_i^-1.r, b0) A_in(g_i^-1, r')
-        ginv = grp.inv[g]
-        rows = values[move(ginv), b0]
-        if a_out is None:
-            return rows
-        back = a_in[ginv, action.table[g, b0]][:, None] if conjugate else a_in[ginv[:, None], np.arange(len(values))]
-        return a_out[g, b0][:, None] @ rows @ back
-
     carried = values.copy()
     stab_parts, coset_parts = [], []  # (b0, elements g, [i, r, ...] carried minus table)
     for b0 in fundamental_domain(action):
         stab = stabilizer(action, b0)
-        stab_parts.append((b0, stab, carry(stab, b0) - values[None, :, b0]))
+        stab_parts.append((b0, stab, _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]))
         sec = coset_section(action, b0)
         reps = np.array([k for c, k in zip(sec.members, sec.reps) if c != b0], dtype=np.int64)
         targets = action.table[reps, b0]
-        carried[:, targets] = np.moveaxis(carry(reps, b0), 0, 1)
+        carried[:, targets] = np.moveaxis(_carry(values, action, conjugate, a_out, a_in, reps, b0), 0, 1)
         coset_parts.append((b0, reps, np.moveaxis(carried[:, targets] - values[:, targets], 1, 0)))
     parts = stab_parts + coset_parts
     worst, wit = _worst_of_grid(np.concatenate([diff for _, _, diff in parts]))
@@ -325,4 +342,4 @@ def _orbit_slice(
         return worst, None, carried
     bases = np.concatenate([np.full(len(elements), base) for base, elements, _ in parts])
     g = int(np.concatenate([elements for _, elements, _ in parts])[wit[0]])
-    return worst, (g, int(move(grp.inv[[g]])[0, wit[1]]), int(bases[wit[0]])), carried
+    return worst, (g, int(_move(action, conjugate, grp.inv[[g]])[0, wit[1]]), int(bases[wit[0]])), carried

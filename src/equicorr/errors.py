@@ -18,7 +18,7 @@ class StructuralError(EquicorrError):
 
 
 class DomainError(EquicorrError):
-    """Invalid parameter value (size < 1, nonpositive scale, bad band geometry)."""
+    """Invalid parameter value (size < 1, nonpositive scale, bad band geometry, over the size budget)."""
 
 
 class DegenerateMeasureError(EquicorrError):

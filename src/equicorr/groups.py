@@ -20,8 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
 from .reporting import ValidationReport, _argmax_coords, _count_over, check_from_residual
+
+_ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 512 MiB of int64 or float64
+
+
+def _check_budget(what: str, entries: int) -> None:
+    """Raise DomainError before allocating a table of more entries than the budget."""
+    if entries > _ENTRY_BUDGET:
+        raise DomainError(f"{what} needs {entries:,} entries, over the budget of {_ENTRY_BUDGET:,}")
 
 
 @dataclass(eq=False)
@@ -132,6 +140,7 @@ class CosetSection:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise StructuralError("cyclic group needs n >= 1")
+    _check_budget(f"a ({n}, {n}) cayley table", n * n)
     idx = np.arange(n)
     cayley = (idx[:, None] + idx[None, :]) % n
     inv = (-idx) % n
@@ -148,6 +157,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise StructuralError("dihedral group needs n >= 1")
     order = 2 * n
+    _check_budget(f"a ({order}, {order}) cayley table", order * order)
     cayley = np.zeros((order, order), dtype=np.int64)
     for a in range(order):
         ai, aref = a % n, a >= n
@@ -172,6 +182,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with the first factor cycling fastest: index = j*|A| + i."""
     na, nb = a.order, b.order
+    _check_budget(f"a ({na * nb}, {na * nb}) cayley table", (na * nb) ** 2)
     ia = np.tile(np.arange(na), nb)
     ib = np.repeat(np.arange(nb), na)
 

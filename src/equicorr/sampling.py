@@ -1,29 +1,33 @@
 """Seeded random test data: sections, filters, kernels, and deliberate
 constraint violators.
 
-Valid filters are built orbit by orbit: draw a sparse random row at each
-orbit representative, average it over the stabilizer so it satisfies the
-stabilizer slice of the faint constraint (group averaging projects onto
-the constrained subspace), then expand through the fundamental-domain
-codec.  Valid kernels use the same recipe on pair orbits of the diagonal
-action with the pair stabilizer.  Violating kernels are random dense
-tables over the orbit mask, redrawn until the constraint residual clears
-the requested floor.
+Valid filters and kernels are built the way validate_filter and
+validate_kernel check them, through the transport of
+`bundles._orbit_slice`.  At each fundamental-domain point b0 the builder
+draws the table's rows at b0 (sparse random filter rows, or one dense
+kernel column kappa(., b0) over the orbit of b0) and replaces them by the
+mean of their copies carried by each element of Stab(b0).  Group averaging
+projects onto the rows that satisfy the stabilizer slice of the law; the
+coset representatives then carry those rows to the rest of the orbit.  A
+filter row that averages to ~0 is redrawn.  A kernel column needs no
+redraw: a pair orbit that the average forces to zero stays out of the
+support.  Violating kernels are random dense tables over the orbit mask,
+redrawn until the constraint residual clears the requested floor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, pad_mask, section_to_mackey
+from .bundles import EquivariantBundle, MackeySection, Section, _carry, _orbit_slice, pad_mask, section_to_mackey
 from .errors import DomainError
-from .groups import FiniteGroup, GroupAction, fundamental_domain, pair_stabilizer, stabilizer
+from .groups import FiniteGroup, fundamental_domain, orbits, stabilizer
 from .measures import orbit_mask
 from .rng import SplitMix64
 from .transforms import Kernel, random_sections, validate_kernel
-from .xcorr import CompressedFilter, Filter, expand_filter
+from .xcorr import Filter
 
-_MAX_TRIES = 16  # redraws of a stabilizer-averaged row or pair matrix that averaged to ~0
+_MAX_TRIES = 16  # redraws of a stabilizer-averaged filter row that averaged to ~0
 _MAX_VIOLATOR_DRAWS = 64
 
 
@@ -40,26 +44,6 @@ def random_group_function(group: FiniteGroup, rng: SplitMix64) -> np.ndarray:
     return rng.uniforms(group.order, -1.0, 1.0)
 
 
-def _stabilizer_average_row(
-    row: np.ndarray,
-    b: int,
-    input_bundle: EquivariantBundle,
-    output_bundle: EquivariantBundle,
-) -> np.ndarray:
-    """Project a filter row onto the stabilizer-constrained subspace at b."""
-    action = input_bundle.action
-    grp = action.group
-    ae, af = input_bundle.act_matrix, output_bundle.act_matrix
-    stab = stabilizer(action, b)
-    acc = np.zeros_like(row)
-    for g in stab:
-        conj = grp.conjugation_row(g)
-        ginv = grp.inv[g]
-        # actF(g, b)^-1 = actF(g^-1, g.b) = actF(g^-1, b) on the stabilizer
-        acc += np.einsum("ij,hjk,kl->hil", af[ginv, b], row[conj], ae[g, b])
-    return acc / len(stab)
-
-
 def random_valid_filter(
     input_bundle: EquivariantBundle,
     output_bundle: EquivariantBundle,
@@ -68,36 +52,18 @@ def random_valid_filter(
 ) -> Filter:
     """A filter satisfying the faint constraint, with sparse random rows."""
     action = input_bundle.action
-    grp = action.group
-    n = grp.order
-    de, df = input_bundle.dmax, output_bundle.dmax
-    rows: dict[int, np.ndarray] = {}
+    n = action.group.order
+    mats = (output_bundle.act_matrix, input_bundle.act_matrix)
+    table = np.zeros((n, action.base_size, output_bundle.dmax, input_bundle.dmax))
     for b in fundamental_domain(action):
         for _ in range(_MAX_TRIES):
-            row = np.zeros((n, df, de))
-            chosen = rng.sample_without_replacement(n, min(support_per_rep, n))
-            for h in chosen:
-                row[h] = rng.uniforms((df, de), -1.0, 1.0)
-            row = _stabilizer_average_row(row, b, input_bundle, output_bundle)
-            if np.abs(row).max(initial=0.0) > 1e-6:
+            table[:, b] = 0.0
+            for h in rng.sample_without_replacement(n, min(support_per_rep, n)):
+                table[h, b] = rng.uniforms(table.shape[2:], -1.0, 1.0)
+            table[:, b] = _carry(table, action, True, *mats, stabilizer(action, b), b).mean(axis=0)
+            if np.abs(table[:, b]).max(initial=0.0) > 1e-6:
                 break
-        rows[b] = row
-    return expand_filter(CompressedFilter(input_bundle, output_bundle, rows))
-
-
-def _diagonal_pair_orbits(action: GroupAction) -> list[tuple[int, int]]:
-    """One representative (c, b) per orbit of the diagonal action on
-    same-orbit pairs, smallest (c, b) lexicographically."""
-    m = action.base_size
-    mask = orbit_mask(action)
-    seen = np.zeros((m, m), dtype=bool)
-    reps = []
-    for b in range(m):
-        for c in range(m):
-            if mask[b, c] and not seen[c, b]:
-                reps.append((c, b))
-                seen[action.table[:, c], action.table[:, b]] = True
-    return reps
+    return Filter(input_bundle, output_bundle, _orbit_slice(table, action, True, *mats)[2])
 
 
 def random_valid_kernel(
@@ -105,41 +71,17 @@ def random_valid_kernel(
     output_bundle: EquivariantBundle,
     rng: SplitMix64,
 ) -> Kernel:
-    """A kernel satisfying the compatibility law, built on pair orbits.
-
-    Each pair-orbit representative gets a random matrix averaged
-    over the pair stabilizer, then the whole pair orbit is filled through
-    the law itself; support is diagonal-invariant by construction.
-    """
+    """A kernel satisfying the compatibility law, with one dense random
+    column kappa(., b0) over each orbit."""
     action = input_bundle.action
-    grp = action.group
     m = action.base_size
-    de, df = input_bundle.dmax, output_bundle.dmax
-    ae, af = input_bundle.act_matrix, output_bundle.act_matrix
-    out = np.zeros((m, m, df, de))
-    for c, b in _diagonal_pair_orbits(action):
-        stab = pair_stabilizer(action, c, b)
-        mat = None
-        for _ in range(_MAX_TRIES):
-            draw = rng.uniforms((df, de), -1.0, 1.0)
-            acc = np.zeros((df, de))
-            for g in stab:
-                acc += np.einsum("ij,jk,kl->il", af[grp.inv[g], b], draw, ae[g, c])
-            acc /= len(stab)
-            if np.abs(acc).max(initial=0.0) > 1e-6:
-                mat = acc
-                break
-        if mat is None:
-            continue
-        # fill the pair orbit: kappa(g.c, g.b) = actF(g, b) kappa(c, b) actE(g^-1, g.c)
-        filled = np.zeros((m, m), dtype=bool)
-        for g in range(grp.order):
-            gc, gb = action.table[g, c], action.table[g, b]
-            if filled[gc, gb]:
-                continue
-            out[gc, gb] = np.einsum("ij,jk,kl->il", af[g, b], mat, ae[grp.inv[g], gc])
-            filled[gc, gb] = True
-    return Kernel(input_bundle, output_bundle, out)
+    mats = (output_bundle.act_matrix, input_bundle.act_matrix)
+    table = np.zeros((m, m, output_bundle.dmax, input_bundle.dmax))
+    for o in orbits(action):
+        b0, members = o.base_point, list(o.members)
+        table[members, b0] = rng.uniforms((len(members),) + table.shape[2:], -1.0, 1.0)
+        table[:, b0] = _carry(table, action, False, *mats, stabilizer(action, b0), b0).mean(axis=0)
+    return Kernel(input_bundle, output_bundle, _orbit_slice(table, action, False, *mats)[2])
 
 
 def random_violating_kernel(

@@ -53,15 +53,15 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _document_loader(load):
-    """Report the KeyError, TypeError, ValueError, AttributeError or
-    IndexError that a malformed document raises inside `load` as one
-    StructuralError line naming the exception."""
+    """Report the KeyError, TypeError, ValueError, AttributeError,
+    IndexError or OverflowError that a malformed document raises inside
+    `load` as one StructuralError line naming the exception."""
 
     @functools.wraps(load)
     def wrapped(*args, **kwargs):
         try:
             return load(*args, **kwargs)
-        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
             detail = " ".join(str(exc).split())
             raise StructuralError(f"malformed document: {type(exc).__name__}: {detail}") from exc
 

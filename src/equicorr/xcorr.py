@@ -44,10 +44,10 @@ constrained filter with s_max << |G| costs s_max / |G| of a dense one.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has exactly one consistent
-answer.  The codec and validate_filter share one transport
-(`bundles._orbit_slice`), which checks the law on one base slice per orbit
-instead of for every g, and the codec rejects a stored row that breaks the
-stabilizer constraint.
+answer.  The codec, validate_filter and the random builder share one
+transport (`bundles._orbit_slice`), which checks the law on one base slice
+per orbit instead of for every g, and the codec rejects a stored row that
+breaks the stabilizer constraint.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def expand_filter(comp: CompressedFilter, tolerance: float = 1e-9) -> Filter:
         table[:, b] = row
     _, _, out = _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix)
     worst, witness, _ = _orbit_slice(out, action, True, f_bundle.act_matrix, e_bundle.act_matrix)
-    if worst > tolerance:
+    if not worst <= tolerance:  # a NaN residual fails too
         g, h, b = witness
         raise InconsistencyError(f"stored row violates its stabilizer constraint at (g={g}, h={h}, b={b})")
     return Filter(e_bundle, f_bundle, out)

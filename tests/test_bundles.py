@@ -179,10 +179,11 @@ def test_fiber_dim_must_be_orbit_constant():
 
 
 def _periodicity_bundle(name: str) -> EquivariantBundle:
-    if name == "rotation-4+centre":  # two orbits: the square's vertices and its fixed centre
+    if name.endswith("-4+centre"):  # two orbits: the square's vertices and its fixed centre
         action = dihedral_vertex_action(4)
         table = np.concatenate([action.table, np.full((action.group.order, 1), action.base_size)], axis=1)
-        return representation_bundle(GroupAction(action.group, action.base + ("centre",), table), rotation_rep(4))
+        rep = rotation_rep(4) if name.startswith("rotation") else np.repeat([1.0, -1.0], 4).reshape(-1, 1, 1)
+        return representation_bundle(GroupAction(action.group, action.base + ("centre",), table), rep)
     if name.startswith("rotation-"):
         n = int(name.split("-")[1])
         return representation_bundle(dihedral_vertex_action(n), rotation_rep(n))
@@ -300,6 +301,44 @@ def _brute_law(values, action, conjugate, A=None) -> float:
                 rhs = A[g, b] @ rhs
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
+
+
+@pytest.mark.parametrize(
+    "name, output, support",
+    [
+        ("dihedral(4, bundle=sign)", "same", 16),
+        ("dihedral(4, bundle=sign)", "trivial", 8),  # the average forces kappa(b, b) and kappa(b + 2, b) to zero
+        ("torus(6)", "same", 36),
+        ("rotation-4", "same", 16),
+        ("rotation-5", "same", 25),
+        ("rotation-6", "same", 36),
+        ("rotation-4+centre", "same", 17),
+        ("sign-4+centre", "same", 17),
+    ],
+)
+def test_random_valid_builders_brute_force(name, output, support):
+    # the builders' output against an all-(g, h, b) and all-(g, c, b) scan that
+    # shares no code with the transport the builders and validators use
+    e_bundle = _periodicity_bundle(name)
+    f_bundle = e_bundle if output == "same" else trivial_bundle(e_bundle.action, 1)
+    action, ae, af = e_bundle.action, e_bundle.act_matrix, f_bundle.act_matrix
+    grp = action.group
+    rng = SplitMix64(21)
+    for _ in range(3):
+        filt, kern = random_valid_filter(e_bundle, f_bundle, rng), random_valid_kernel(e_bundle, f_bundle, rng)
+        worst = 0.0
+        for g in range(grp.order):
+            for b in range(action.base_size):
+                gb = action.table[g, b]
+                for h in range(grp.order):  # omega(g h g^-1, g.b) actE(g, b) = actF(g, b) omega(h, b)
+                    lhs = filt.matrices[grp.conjugate(g, h), gb] @ ae[g, b]
+                    worst = max(worst, float(np.abs(lhs - af[g, b] @ filt.matrices[h, b]).max()))
+                for c in range(action.base_size):  # actF(g, b) kappa(c, b) = kappa(g.c, g.b) actE(g, c)
+                    rhs = kern.matrices[action.table[g, c], gb] @ ae[g, c]
+                    worst = max(worst, float(np.abs(af[g, b] @ kern.matrices[c, b] - rhs).max()))
+        assert worst <= 1e-14
+        assert int(kern.support.sum()) == support
+        assert all(np.array_equal(kern.support[np.ix_(t, t)], kern.support) for t in action.table)
 
 
 def _invariance_cases(name: str):

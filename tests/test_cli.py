@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
+    filter_to_dict,
     kernel_from_dict,
     save_document,
     scenario_to_dict,
@@ -17,6 +19,7 @@ from equicorr.serialize import (
 )
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
+from equicorr.xcorr import compress_filter
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -93,6 +96,13 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert code == 2 and "no kernel" in err
 
 
+def _nan_compressed_filter_row(doc: dict) -> None:
+    doc["filter"] = filter_to_dict(compress_filter(build_scenario("dihedral(4, bundle=sign)").filt))
+    row = next(iter(doc["filter"]["rows"].values()))
+    h = next(iter(row))
+    row[h] = np.full(np.shape(row[h]), np.nan).tolist()
+
+
 MALFORMED = {
     "no-families": lambda doc: doc.pop("families"),
     "mu-number": lambda doc: doc["families"].update(mu=3),
@@ -102,6 +112,13 @@ MALFORMED = {
     "bundle-without-act-matrix": lambda doc: doc["input_bundle"].pop("act_matrix"),
     # control: the family constructor rejects this shape itself
     "mu-wrong-shape": lambda doc: doc["families"]["mu"].update(weights=[[1.0]]),
+    # past int64: a JSON integer >= 2^63, or 1e400, which JSON loads as inf
+    "cayley-entry-2^63": lambda doc: doc["action"]["group"]["cayley"][0].__setitem__(0, 2**63),
+    "cayley-entry-1e400": lambda doc: doc["action"]["group"]["cayley"][0].__setitem__(0, float("inf")),
+    "action-entry-2^63": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**63),
+    "action-entry-1e400": lambda doc: doc["action"]["table"][0].__setitem__(0, float("inf")),
+    # a stored row breaks the stabilizer slice when its residual is NaN
+    "compressed-filter-nan-row": _nan_compressed_filter_row,
 }
 
 
@@ -115,6 +132,34 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _run_capped(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at 1 GiB, so
+    an allocation the size guard misses fails the test, not the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "equicorr", *argv], capture_output=True, text=True, preexec_fn=cap, timeout=120
+    )
+
+
+def test_oversized_requests_exit_two_naming_the_size(tmp_path):
+    doc = scenario_to_dict(build_scenario("cyclic(4)"))
+    doc["input_bundle"]["fiber_dim"] = 3000
+    path = tmp_path / "wide.json"
+    save_document(str(path), doc)
+    cases = {
+        "torus-bands(128)": "(16384, 16384) cayley table needs 268,435,456 entries",
+        str(path): "(4, 4, 3000, 3000) act-matrix stack needs 144,000,000 entries",
+    }
+    for scenario, size in cases.items():
+        proc = _run_capped("validate", scenario)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert size in proc.stderr and "budget of 67,108,864" in proc.stderr
 
 
 def test_malformed_section_file_exits_two(tmp_path, capsys):

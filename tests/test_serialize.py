@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicorr.battery import run_battery
-from equicorr.errors import StructuralError
+from equicorr.errors import EquicorrError, StructuralError
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_mackey_sections, random_sections
 from equicorr.scenarios import build_scenario
@@ -159,3 +163,53 @@ def test_trivial_bundle_collapses(cyclic8):
     doc = scenario_to_dict(cyclic8)
     assert doc["input_bundle"] == {"kind": "trivial", "fiber_dim": 1}
     assert doc["output_bundle"] == "same"
+
+
+_FUZZ_SPECS = ("cyclic(4)", "dihedral(3, bundle=sign)")
+_FUZZ_VALUES = (None, "x", [], {}, -1, 0, 2**31, 2**63, float("nan"), float("inf"))
+
+
+@functools.cache
+def _fuzz_doc(spec: str) -> tuple[dict, list[tuple]]:
+    """A valid scenario document and the path to every node in it."""
+    doc = roundtrip(scenario_to_dict(build_scenario(spec)))
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            paths.append(path + (key,))
+            walk(child, path + (key,))
+
+    walk(doc, ())
+    return doc, paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_FUZZ_SPECS),
+    st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(("delete",) + _FUZZ_VALUES)), min_size=1, max_size=3),
+)
+def test_mutated_scenario_documents_load_or_raise_equicorr_errors(spec, mutations):
+    # delete dict keys and replace nodes; a mutation whose path an earlier one removed is skipped
+    valid, paths = _fuzz_doc(spec)
+    doc = copy.deepcopy(valid)
+    for index, value in mutations:
+        *head, key = paths[index % len(paths)]
+        parent = doc
+        try:
+            for step in head:
+                parent = parent[step]
+            parent[key]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(parent, (dict, list)):
+            continue
+        if value != "delete":
+            parent[key] = copy.deepcopy(value)
+        elif isinstance(parent, dict):
+            del parent[key]
+    try:
+        scenario_from_dict(doc)
+    except EquicorrError:
+        pass
