@@ -207,17 +207,15 @@ def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int | N
     cayley = np.asarray(cayley, dtype=np.int64)
     n = len(elements)
     if identity is None:
-        hits = [e for e in range(n) if np.array_equal(cayley[e], np.arange(n))]
-        if not hits:
+        hits = (cayley == np.arange(n)).all(axis=1)
+        if not hits.any():
             raise StructuralError("no identity row in cayley table")
-        identity = hits[0]
-    inv = np.full(n, -1, dtype=np.int64)
-    for g in range(n):
-        right = np.flatnonzero(cayley[g] == identity)
-        if right.size == 0:
-            raise StructuralError(f"element {g} has no right inverse")
-        inv[g] = right[0]
-    return FiniteGroup(tuple(elements), cayley, inv, int(identity))
+        identity = int(hits.argmax())
+    hits = cayley == identity
+    found = hits.any(axis=1)
+    if not found.all():
+        raise StructuralError(f"element {int(found.argmin())} has no right inverse")
+    return FiniteGroup(tuple(elements), cayley, hits.argmax(axis=1), int(identity))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/1" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/2" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
-produce byte-identical files.  Filters are stored per base point as
+produce byte-identical files.  A scenario stores its group by a generating
+set S as the left and right multiplications λ_s and ρ_s, 2·|S|·|G|
+integers in place of the |G|² Cayley table; the loader rebuilds the dense
+table from them and checks it against both.  "equicorr-scenario/1" files,
+which carry the full table, still load.  Filters are stored per base point as
 sparse maps from group element to matrix; a compressed filter stores rows
 only at orbit representatives and says so with a "compressed" flag.
 Kernels are entry lists over their support.  Loading validates shapes
@@ -21,7 +25,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import FiniteGroup, GroupAction, group_from_tables
+from .groups import FiniteGroup, GroupAction, _check_budget, generating_set, group_from_tables
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -34,7 +38,8 @@ from .scenarios import Scenario
 from .transforms import Kernel, ThetaMap
 from .xcorr import CompressedFilter, Filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/1"
+SCENARIO_SCHEMA = "equicorr-scenario/2"
+SCENARIO_SCHEMA_V1 = "equicorr-scenario/1"  # the group as its full Cayley table; read only
 FILTER_SCHEMA = "equicorr-filter/1"
 KERNEL_SCHEMA = "equicorr-kernel/1"
 SECTION_SCHEMA = "equicorr-section/1"
@@ -78,13 +83,72 @@ def _expect_schema(doc: dict, schema: str) -> None:
 
 
 def group_to_dict(grp: FiniteGroup) -> dict:
+    """The group by a generating set S: left[i] = λ_s (row s of the table),
+    right[i] = ρ_s (column s); 2·|S|·|G| entries in place of |G|²."""
+    gens = generating_set(grp)
     return {
         "elements": list(grp.elements),
-        "cayley": grp.cayley.tolist(),
+        "identity": grp.identity,
+        "generators": gens,
+        "left": grp.cayley[gens].tolist(),
+        "right": grp.cayley[:, gens].T.tolist(),
     }
 
 
 def group_from_dict(doc: dict) -> FiniteGroup:
+    """Rebuild the dense table from `left` alone, row by row along a
+    breadth-first spanning tree of λ_S from the identity: row e is the
+    identity permutation, and a tree edge y = s·p gives row y as
+    λ_s(row p), since s·(p·x) = y·x.  Rows, not columns, so that every write
+    is contiguous.  Every element must be reached, and the derived rows and
+    columns at the generators must equal the stored `left` and `right`; the
+    group axioms are left to validate_group."""
+    _require(isinstance(doc, dict), "group must be an object")
+    elements = [str(x) for x in doc["elements"]]
+    n = len(elements)
+    e = _index(doc["identity"], n, "identity")
+    gens = [_index(s, n, "generator") for s in doc["generators"]]
+    left, right = (_generator_permutations(doc, key, len(gens), n) for key in ("left", "right"))
+    _check_budget(f"a ({n}, {n}) cayley table", n * n)
+    cayley = np.empty((n, n), dtype=np.int64)
+    cayley[e] = np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    tree = [e]
+    for p in tree:  # grows while it is walked: breadth-first order
+        for lam in left:
+            y = int(lam[p])
+            if not reached[y]:
+                reached[y] = True
+                cayley[y] = lam[cayley[p]]
+                tree.append(y)
+    _require(
+        reached.all(),
+        f"element {int(reached.argmin())} is not reached from the identity"
+        f" by left multiplication by generators {gens}",
+    )
+    for s, lam, rho in zip(gens, left, right):
+        for what, stored, derived in (("left", lam, cayley[s]), ("right", rho, cayley[:, s])):
+            bad = np.flatnonzero(stored != derived)
+            if bad.size:
+                x = int(bad[0])
+                raise StructuralError(
+                    f"generator {s}: stored {what} multiplication differs from the derived table"
+                    f" at element {x} ({stored[x]} != {derived[x]})"
+                )
+    return group_from_tables(elements, cayley, e)
+
+
+def _generator_permutations(doc: dict, key: str, k: int, n: int) -> np.ndarray:
+    table = np.asarray(doc[key], dtype=np.int64)
+    _require(table.shape == (k, n) or table.size == k == 0, f"group {key} must be ({k}, {n}), a row per generator")
+    table = table.reshape(k, n)
+    _require(table.size == 0 or (table.min() >= 0 and table.max() < n), f"group {key} entries out of range")
+    return table
+
+
+def _group_from_cayley(doc: dict) -> FiniteGroup:
+    """The equicorr-scenario/1 group: element names and the full table."""
     _require(isinstance(doc, dict) and "cayley" in doc, "group needs a cayley table")
     cayley = np.asarray(doc["cayley"], dtype=np.int64)
     _require(cayley.ndim == 2 and cayley.shape[0] == cayley.shape[1], "cayley table must be square")
@@ -103,9 +167,9 @@ def action_to_dict(action: GroupAction) -> dict:
     }
 
 
-def action_from_dict(doc: dict) -> GroupAction:
+def action_from_dict(doc: dict, load_group) -> GroupAction:
     _require(isinstance(doc, dict) and "table" in doc and "group" in doc, "action needs a group and a table")
-    grp = group_from_dict(doc["group"])
+    grp = load_group(doc["group"])
     table = np.asarray(doc["table"], dtype=np.int64)
     _require(table.ndim == 2 and table.shape[0] == grp.order, "action table must be (order, base)")
     m = table.shape[1]
@@ -352,10 +416,15 @@ def scenario_to_dict(scn: Scenario) -> dict:
     return doc
 
 
+_GROUP_LOADERS = {SCENARIO_SCHEMA: group_from_dict, SCENARIO_SCHEMA_V1: _group_from_cayley}
+
+
 @_document_loader
 def scenario_from_dict(doc: dict) -> Scenario:
-    _expect_schema(doc, SCENARIO_SCHEMA)
-    action = action_from_dict(doc["action"])
+    _require(isinstance(doc, dict), "document must be a JSON object")
+    load_group = _GROUP_LOADERS.get(doc.get("schema"))
+    _require(load_group is not None, f"expected schema {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}")
+    action = action_from_dict(doc["action"], load_group)
     input_bundle = bundle_from_dict(doc["input_bundle"], action)
     out_doc = doc.get("output_bundle", "same")
     output_bundle = input_bundle if out_doc == "same" else bundle_from_dict(out_doc, action)

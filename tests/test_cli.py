@@ -103,6 +103,22 @@ def _nan_compressed_filter_row(doc: dict) -> None:
     row[h] = np.full(np.shape(row[h]), np.nan).tolist()
 
 
+MALFORMED_SPEC = "dihedral(4, bundle=sign)"
+
+
+def _v1_cayley(doc: dict) -> list:
+    """Rewrite doc as an equicorr-scenario/1 document, whose group is the
+    full Cayley table, and return that table."""
+    grp = build_scenario(MALFORMED_SPEC).group
+    doc["schema"] = "equicorr-scenario/1"
+    doc["action"]["group"] = {"elements": list(grp.elements), "cayley": grp.cayley.tolist()}
+    return doc["action"]["group"]["cayley"]
+
+
+def _group(doc: dict) -> dict:
+    return doc["action"]["group"]
+
+
 MALFORMED = {
     "no-families": lambda doc: doc.pop("families"),
     "mu-number": lambda doc: doc["families"].update(mu=3),
@@ -113,8 +129,19 @@ MALFORMED = {
     # control: the family constructor rejects this shape itself
     "mu-wrong-shape": lambda doc: doc["families"]["mu"].update(weights=[[1.0]]),
     # past int64: a JSON integer >= 2^63, or 1e400, which JSON loads as inf
-    "cayley-entry-2^63": lambda doc: doc["action"]["group"]["cayley"][0].__setitem__(0, 2**63),
-    "cayley-entry-1e400": lambda doc: doc["action"]["group"]["cayley"][0].__setitem__(0, float("inf")),
+    "cayley-entry-2^63": lambda doc: _v1_cayley(doc)[0].__setitem__(0, 2**63),
+    "cayley-entry-1e400": lambda doc: _v1_cayley(doc)[0].__setitem__(0, float("inf")),
+    "permutation-entry-2^63": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**63),
+    "permutation-entry-1e400": lambda doc: _group(doc)["left"][1].__setitem__(3, float("inf")),
+    # the generator indices are range-checked: -1 must not wrap to the last element
+    "identity-minus-one": lambda doc: _group(doc).update(identity=-1),
+    "generator-minus-one": lambda doc: _group(doc)["generators"].__setitem__(0, -1),
+    "generator-past-order": lambda doc: _group(doc)["generators"].__setitem__(1, 8),
+    # generator 1 multiplying as the identity: its rows reach only <s0>
+    "left-row-unreaching": lambda doc: _group(doc)["left"].__setitem__(0, list(range(8))),
+    # generator 1 times e stored as 4, so the tree reaches 1 another way and derives another row
+    "left-entry-disagrees": lambda doc: _group(doc)["left"][0].__setitem__(0, 4),
+    "right-entry-disagrees": lambda doc: _group(doc)["right"][0].__setitem__(2, 0),
     "action-entry-2^63": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**63),
     "action-entry-1e400": lambda doc: doc["action"]["table"][0].__setitem__(0, float("inf")),
     # a stored row breaks the stabilizer slice when its residual is NaN
@@ -124,7 +151,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
-    doc = json.loads(json.dumps(scenario_to_dict(build_scenario("dihedral(4, bundle=sign)"))))
+    doc = json.loads(json.dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
     MALFORMED[case](doc)
     path = tmp_path / "malformed.json"
     save_document(str(path), doc)
@@ -149,11 +176,25 @@ def _run_capped(*argv) -> subprocess.CompletedProcess:
 def test_oversized_requests_exit_two_naming_the_size(tmp_path):
     doc = scenario_to_dict(build_scenario("cyclic(4)"))
     doc["input_bundle"]["fiber_dim"] = 3000
-    path = tmp_path / "wide.json"
-    save_document(str(path), doc)
+    wide = tmp_path / "wide.json"
+    save_document(str(wide), doc)
+    # a 400 KB group document by one generator whose table would take 2 GiB
+    n = 16384
+    step = [(i + 1) % n for i in range(n)]
+    doc = scenario_to_dict(build_scenario("cyclic(4)"))
+    doc["action"]["group"] = {
+        "elements": [f"r{i}" for i in range(n)],
+        "identity": 0,
+        "generators": [1],
+        "left": [step],
+        "right": [step],
+    }
+    long = tmp_path / "long.json"
+    save_document(str(long), doc)
     cases = {
         "torus-bands(128)": "(16384, 16384) cayley table needs 268,435,456 entries",
-        str(path): "(4, 4, 3000, 3000) act-matrix stack needs 144,000,000 entries",
+        str(wide): "(4, 4, 3000, 3000) act-matrix stack needs 144,000,000 entries",
+        str(long): "(16384, 16384) cayley table needs 268,435,456 entries",
     }
     for scenario, size in cases.items():
         proc = _run_capped("validate", scenario)

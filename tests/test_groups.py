@@ -81,6 +81,20 @@ def test_group_from_tables_rejects_broken():
             raise StructuralError("axioms fail")
 
 
+def test_group_from_tables_takes_first_identity_and_first_inverse():
+    shifted = cyclic_group(3).cayley[[1, 2, 0]]  # the identity row is row 2
+    grp = group_from_tables(("a", "b", "c"), shifted)
+    assert grp.identity == 2 and grp.inv.tolist() == [1, 0, 2]
+    cayley = cyclic_group(4).cayley.copy()
+    cayley[2] = [2, 3, 0, 0]  # two right inverses: the first one wins
+    assert group_from_tables(tuple("abcd"), cayley).inv.tolist() == [0, 3, 2, 1]
+    with pytest.raises(StructuralError, match="^no identity row in cayley table$"):
+        group_from_tables(("a", "b", "c"), np.zeros((3, 3), dtype=np.int64))
+    cayley[1, 3] = cayley[3, 1] = 1  # rows 1 and 3 never reach the identity
+    with pytest.raises(StructuralError, match="^element 1 has no right inverse$"):
+        group_from_tables(tuple("abcd"), cayley)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=24))
 def test_cyclic_always_valid(n):

@@ -13,12 +13,14 @@ a NaN planted in any float table fails with a witness.
 
 from __future__ import annotations
 
+import json
 from functools import partial
 
 import numpy as np
 import pytest
 
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
+from equicorr.cli import main
 from equicorr.errors import PreconditionError
 from equicorr.groups import FiniteGroup, GroupAction, generating_set, stabilizer_mask, validate_action, validate_group
 from equicorr.measures import (
@@ -35,6 +37,7 @@ from equicorr.measures import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_section
 from equicorr.scenarios import build_scenario
+from equicorr.serialize import dumps, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, ThetaMap, validate_kernel, validate_theta
 from equicorr.xcorr import Filter, validate_filter
 
@@ -120,6 +123,31 @@ def test_single_action_entry_caught(scn, seed):
     table = action.table.copy()
     table[g, b] = _other(rng, int(table[g, b]), action.base_size)
     assert not validate_action(GroupAction(action.group, action.base, table)).passed
+
+
+@pytest.fixture(scope="module")
+def scn_text(scn):
+    return dumps(scenario_to_dict(scn))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_stored_permutation_entry_caught(scn, scn_text, seed, tmp_path, capsys):
+    # a changed entry leaves the stored λ_s or ρ_s no permutation, which no
+    # group table's row or column can equal: the file fails at load or in
+    # validate_group, never passes
+    doc = json.loads(scn_text)
+    n = scn.group.order
+    rng = SplitMix64(seed)
+    perms = doc["action"]["group"][("left", "right")[rng.integer(2)]]
+    row, x = perms[rng.integer(len(perms))], rng.integer(n)
+    row[x] = _other(rng, row[x], n)
+    path = tmp_path / "corrupt.json"
+    save_document(str(path), doc)
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2 or (
+        code == 1 and any(c["name"].startswith("group.") and not c["pass"] for c in json.loads(out)["checks"])
+    )
 
 
 def test_associativity_witness_and_count_over_generators():

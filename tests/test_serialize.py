@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,16 +40,63 @@ def roundtrip(doc: dict) -> dict:
     return json.loads(dumps(doc))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["dihedral(4, bundle=sign)", "torus-bands(16)", "cyclic(6, families=normalized-psi)", "line-grid(5, dx=0.2)"],
-)
+CODEC_SPECS = [
+    "dihedral(4, bundle=sign)",
+    "torus-bands(16)",
+    "cyclic(6, families=normalized-psi)",
+    "line-grid(5, dx=0.2)",
+    "cyclic(1)",  # no generators: empty left and right
+]
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS)
 def test_scenario_codec_is_byte_stable(spec):
     scn = build_scenario(spec)
     doc = scenario_to_dict(scn)
     text = dumps(doc)
     again = scenario_to_dict(scenario_from_dict(roundtrip(doc)))
     assert dumps(again) == text
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS)
+def test_v1_documents_load_and_rewrite_as_v2(spec):
+    # equicorr-scenario/1 stored the group as element names and the full Cayley table
+    scn = build_scenario(spec)
+    doc = roundtrip(scenario_to_dict(scn))
+    doc["schema"] = "equicorr-scenario/1"
+    doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
+    assert dumps(scenario_to_dict(scenario_from_dict(doc))) == dumps(scenario_to_dict(scn))
+
+
+def test_group_is_stored_by_generator_permutations():
+    grp = build_scenario("torus-bands(32)").group
+    doc = roundtrip(scenario_to_dict(build_scenario("torus-bands(32)")))["action"]["group"]
+    assert set(doc) == {"elements", "identity", "generators", "left", "right"}
+    gens = doc["generators"]
+    assert gens == [1, 32]
+    assert sum(len(row) for row in doc["left"] + doc["right"]) == 2 * len(gens) * grp.order
+    assert doc["left"] == grp.cayley[gens].tolist() and doc["right"] == grp.cayley[:, gens].T.tolist()
+
+
+DIFFERS = "multiplication differs from the derived table at element"
+GROUP_FAULTS = {
+    # generator 1 multiplying as the identity: the tree reaches only <4>
+    "unreached": (lambda g: g["left"].__setitem__(0, list(range(8))), "element 1 is not reached"),
+    "left": (lambda g: g["left"][0].__setitem__(0, 4), f"generator 1: stored left {DIFFERS} 0 (4 != 1)"),
+    "right": (lambda g: g["right"][1].__setitem__(3, 0), f"generator 4: stored right {DIFFERS} 3 (0 != 7)"),
+    # range-checked, not wrapped to the last element
+    "generator -1": (lambda g: g["generators"].__setitem__(0, -1), "generator index -1 out of range [0, 8)"),
+    "identity -1": (lambda g: g.update(identity=-1), "identity index -1 out of range [0, 8)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(GROUP_FAULTS))
+def test_group_loader_names_generator_and_element(dihedral4, fault):
+    plant, message = GROUP_FAULTS[fault]
+    doc = roundtrip(scenario_to_dict(dihedral4))
+    plant(doc["action"]["group"])
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        scenario_from_dict(doc)
 
 
 def test_psi_advisory_keys_still_load():
@@ -121,7 +169,7 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/2")
+    wrong_schema = dict(good, schema="equicorr-scenario/3")
     with pytest.raises(StructuralError):
         scenario_from_dict(wrong_schema)
 
