@@ -1,0 +1,32 @@
+"""Byte-stability guard: the CLI's JSON report for a few fixed commands must
+match the saved output under tests/golden/ byte for byte.
+
+A change may regenerate a golden file only when it says which bytes moved
+and why; a speed-up that claims identical arithmetic must leave them all.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from equicorr.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "battery-dihedral4-sign-seed1.json": ["battery", "dihedral(4, bundle=sign)", "--seed", "1"],
+    "battery-torus6-seed1.json": ["battery", "torus(6)", "--seed", "1"],
+    "battery-torus-bands16-seed1.json": ["battery", "torus-bands(16)", "--seed", "1"],
+    "battery-line-grid5-seed1.json": ["battery", "line-grid(5, dx=0.2)", "--seed", "1"],
+    "validate-torus-bands16.json": ["validate", "torus-bands(16)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
