@@ -20,7 +20,6 @@ from .bundles import (
     EquivariantBundle,
     MackeySection,
     Section,
-    act_on_all,
     act_on_mackey,
     act_on_section,
     mackey_to_section,

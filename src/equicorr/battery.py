@@ -11,8 +11,11 @@ that plants invalid kernels and demands the equivariance search catch
 every one.
 
 The randomized checks scan every sampled section against every group
-element, each as one computation over the stacked (section, g) grid; their
-witnesses name the first (section, g) attaining the worst residual.  Each
+element.  Elements with the same gather row and the same act matrices on
+both bundles give bit-identical g.f, so each equivariance search evaluates
+one representative per acting class over the stacked (section, class)
+grid and expands it to every g; their witnesses name the first
+(section, g) attaining the worst residual.  Each
 section is cross-correlated once, and that output serves both the Mackey
 preservation and the convolution comparison.  Every filter sum visits
 only the filter's support.
@@ -174,9 +177,8 @@ def _theta_lift_checks(scn: Scenario, seed: int, tolerance: float, n_sections: i
             lifted_filters[name] = lifted
             checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
 
-            worst = 0.0
-            for f in random_sections(scn.input_bundle, rng.split(), max(1, n_sections // 4)):
-                worst = max(worst, lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, f))
+            sections = random_sections(scn.input_bundle, rng.split(), max(1, n_sections // 4))
+            worst = lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, sections)
             checks.append(check_from_residual(f"lift.{name}.transform-agreement", worst, tolerance))
 
             back = project_filter_to_kernel(lifted, scn.nu)

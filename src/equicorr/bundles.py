@@ -228,15 +228,28 @@ def _act(bundle: EquivariantBundle, elements: np.ndarray, values: np.ndarray) ->
     return np.einsum("gbij,...gbj->...gbi", mats, values[..., src, :])
 
 
+def _acting_classes(*bundles: EquivariantBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Group the elements g by the operands _act reads for them: the gather
+    row g^-1.b and the matrices act_matrix(g, g^-1.b) of every bundle given,
+    compared as raw bit patterns (so -0.0 and 0.0 differ).  Elements of one
+    class give bitwise-identical g.f on every section of every bundle.
+    Returns the smallest element of each class, ascending, and each
+    element's class index, so that reps[cls[g]] acts exactly as g does."""
+    action = bundles[0].action
+    elements = np.arange(action.group.order)
+    src = action.table[action.group.inv]  # [g, b] -> g^-1.b
+    keys = np.hstack(
+        [src] + [b.act_matrix[elements[:, None], src].reshape(len(elements), -1).view(np.int64) for b in bundles]
+    )
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    reps = np.sort(first)
+    return reps, np.searchsorted(reps, first[inverse])
+
+
 def act_on_section(g: int, f: Section) -> Section:
     """(g.f)(b) = act_matrix(g, g^-1.b) @ f(g^-1.b)."""
     return Section(f.bundle, _act(f.bundle, np.array([g]), f.values)[0])
-
-
-def act_on_all(bundle: EquivariantBundle, values: np.ndarray) -> np.ndarray:
-    """Act with every group element at once: a (S, |B|, d) stack of plain
-    section values becomes the (S, |G|, |B|, d) stack of (g.f)(b)."""
-    return _act(bundle, np.arange(bundle.action.group.order), values)
 
 
 def section_to_mackey(f: Section) -> MackeySection:

@@ -305,7 +305,7 @@ def validate_action(action: GroupAction, tolerance: float = 0.0) -> ValidationRe
 
 
 def orbit(action: GroupAction, b: int) -> Orbit:
-    members = np.unique(action.table[:, b])
+    members = np.flatnonzero(np.bincount(action.table[:, b]))
     return Orbit(b, tuple(int(c) for c in members))
 
 

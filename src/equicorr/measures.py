@@ -129,8 +129,7 @@ def orbit_mask(action: GroupAction) -> np.ndarray:
     """Boolean (|B|, |B|) mask: mask[b, c] iff c is in the orbit of b."""
     m = action.base_size
     mask = np.zeros((m, m), dtype=bool)
-    for b in range(m):
-        mask[b, np.unique(action.table[:, b])] = True
+    mask[np.arange(m), action.table] = True
     return mask
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, Section, _orbit_slice, act_on_all, pad_mask
+from .bundles import EquivariantBundle, Section, _act, _acting_classes, _orbit_slice, pad_mask
 from .errors import CoverageError, InconsistencyError, PreconditionError, StructuralError
 from .groups import GroupAction, coset_section, generating_set, stabilizer
 from .measures import (
@@ -175,16 +175,19 @@ def transform_equivariance_residual(
     mubar: OrbitMeasureFamily,
     sections: list[Section],
 ) -> tuple[float, tuple[int, int] | None]:
-    """Max residual of T(g.f) = g.T(f) over the sections and every g,
-    computed on the whole (sections, |G|) stack at once; witness is the
-    first (section index, g) attaining it."""
+    """Max residual of T(g.f) = g.T(f) over the sections and every g;
+    witness is the first (section index, g) attaining it.  Elements in one
+    acting class of the two bundles give bitwise-identical residuals, so
+    the (sections, class) stack is computed once with the class
+    representatives and expanded to every g before the scan."""
     _check_transform_args(kern, mubar, sections)
     if not sections:
         return 0.0, None
     f = np.stack([s.values for s in sections])
-    lhs = _transform_values(kern, mubar, act_on_all(kern.input_bundle, f))
-    rhs = act_on_all(kern.output_bundle, _transform_values(kern, mubar, f))
-    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0))
+    reps, cls = _acting_classes(kern.input_bundle, kern.output_bundle)
+    lhs = _transform_values(kern, mubar, _act(kern.input_bundle, reps, f))
+    rhs = _act(kern.output_bundle, reps, _transform_values(kern, mubar, f))
+    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0)[:, cls])
 
 
 def check_equivariance(
@@ -352,10 +355,11 @@ def lift_equivalence_check(
     mu: GroupMeasureFamily,
     nu: StabilizerMeasureFamily,
     mubar: OrbitMeasureFamily,
-    f: Section,
+    sections: list[Section],
 ) -> float:
-    """Residual of (lifted omega * f~)(e, -) = T(f), the transform
-    equivalence the lift construction promises.
+    """Worst residual over the sections of (lifted omega * f~)(e, -) = T(f),
+    the transform equivalence the lift construction promises.  The filter is
+    lifted once and applied to the stacked sections.
 
     The promise only holds when the measure families satisfy the
     disintegration identity, so that is checked first (exhaustively, on
@@ -366,7 +370,9 @@ def lift_equivalence_check(
         raise PreconditionError(
             f"disintegration identity fails by {res:.3e} at (b, h)={wit}; lift equivalence not applicable"
         )
+    _check_transform_args(kern, mubar, sections)
+    if not sections:
+        return 0.0
     lifted = lift_kernel_to_filter(kern, theta, delta)
-    lhs = correlate_sections(lifted, mu, f.values)
-    rhs = integral_transform(kern, mubar, f)
-    return _maxabs(lhs - rhs.values)
+    f = np.stack([s.values for s in sections])
+    return _maxabs(correlate_sections(lifted, mu, f) - _transform_values(kern, mubar, f))

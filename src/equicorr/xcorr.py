@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, _orbit_slice, act_on_all
+from .bundles import EquivariantBundle, MackeySection, _act, _acting_classes, _orbit_slice
 from .errors import InconsistencyError, StructuralError
 from .groups import fundamental_domain
 from .measures import GroupMeasureFamily
@@ -191,6 +191,9 @@ def xcorr_equivariance_residual(
     """Max residual of T(g.f) = g.T(f) over the given sections and every g,
     where T(f) = (omega * f~)(e, -) is the induced map on plain sections
     and f = m(e, -); witness is the first (section index, g) attaining it.
+    Elements in one acting class of the two bundles give bitwise-identical
+    residuals, so the (sections, class) stack is computed once with the
+    class representatives and expanded to every g before the scan.
 
     On the raw Mackey tables the group acts by left translation and
     commutes with any right cross-correlation whatsoever, so the
@@ -203,9 +206,10 @@ def xcorr_equivariance_residual(
     if not sections:
         return 0.0, None
     f = np.stack([m.values[filt.action.group.identity] for m in sections])
-    lhs = correlate_sections(filt, mu, act_on_all(filt.input_bundle, f))
-    rhs = act_on_all(filt.output_bundle, correlate_sections(filt, mu, f))
-    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0))
+    reps, cls = _acting_classes(filt.input_bundle, filt.output_bundle)
+    lhs = correlate_sections(filt, mu, _act(filt.input_bundle, reps, f))
+    rhs = _act(filt.output_bundle, reps, correlate_sections(filt, mu, f))
+    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0)[:, cls])
 
 
 # ---------------------------------------------------------------------------

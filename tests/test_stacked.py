@@ -11,12 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import representation_bundle, section_to_mackey
+from equicorr.bundles import _act, _acting_classes, representation_bundle, section_to_mackey, trivial_bundle
+from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family, counting_orbit_family
+from equicorr.reporting import _worst_of_grid
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_mackey_sections, random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action
-from equicorr.transforms import transform_equivariance_residual
+from equicorr.transforms import _transform_values, transform_equivariance_residual
 from equicorr.xcorr import Filter, convolve, correlate_sections, cross_correlate, to_convolution_form, xcorr_equivariance_residual
 
 BUILTINS = ["cyclic(8)", "dihedral(4, bundle=sign)", "torus(6)", "torus-bands(16)", "circle-grid(16)", "line-grid(5, dx=0.2)"]
@@ -69,14 +71,32 @@ def ref_convolve(filt_prime, m, mu):
     return np.einsum("bk,khbij,kbj->hbi", mu.weights, mats, m.values)
 
 
-def rotation_bundle():
-    n = 4
+def rotation_rep(n):
     rep = np.zeros((2 * n, 2, 2))
     for i in range(n):
         c, s = np.cos(2.0 * np.pi * i / n), np.sin(2.0 * np.pi * i / n)
         rep[i] = [[c, -s], [s, c]]
         rep[n + i] = [[c, s], [s, -c]]
-    return representation_bundle(dihedral_vertex_action(n), rep)
+    return rep
+
+
+def rotation_bundle():
+    return representation_bundle(dihedral_vertex_action(4), rotation_rep(4))
+
+
+def diagonal_action():
+    """dihedral(4) on the two diagonals of the square, {v0, v2} and {v1, v3}:
+    r0, r2 and the diagonal reflections s0, s2 fix both points, so the
+    action table alone has two classes."""
+    square = dihedral_vertex_action(4)
+    return GroupAction(square.group, ("d0", "d1"), square.table[:, :2] % 2)
+
+
+def diagonal_bundles():
+    """Rotation bundle over the diagonals, and the trivial one beside it:
+    every element acts by its own matrix, so there are eight classes."""
+    action = diagonal_action()
+    return representation_bundle(action, rotation_rep(4)), trivial_bundle(action, 2)
 
 
 def filter_cases():
@@ -95,6 +115,13 @@ def filter_cases():
     cases["violating"] = (Filter(d4.input_bundle, d4.output_bundle, mats), d4.mu)
     rot = rotation_bundle()
     cases["rotation"] = (random_valid_filter(rot, rot, SplitMix64(9), support_per_rep=3), counting_family(rot.action, 1.0))
+    diag, flat = diagonal_bundles()
+    valid = random_valid_filter(diag, diag, SplitMix64(13), support_per_rep=4)
+    cases["diagonal"] = (valid, counting_family(diag.action, 1.0))
+    mats = valid.matrices.copy()
+    mats[5, 1, 0, 1] += 0.7
+    cases["diagonal-violating"] = (Filter(diag, diag, mats), counting_family(diag.action, 1.0))
+    cases["diagonal-mixed-violating"] = (Filter(flat, diag, mats), counting_family(diag.action, 1.0))
     return cases
 
 
@@ -110,6 +137,11 @@ def kernel_cases():
     mubar = counting_orbit_family(rot.action)
     cases["rotation"] = (random_valid_kernel(rot, rot, SplitMix64(10)), mubar)
     cases["rotation-violating"] = (random_violating_kernel(rot, rot, SplitMix64(11)), mubar)
+    diag, flat = diagonal_bundles()
+    mubar = counting_orbit_family(diag.action)
+    cases["diagonal"] = (random_valid_kernel(diag, diag, SplitMix64(14)), mubar)
+    cases["diagonal-violating"] = (random_violating_kernel(diag, diag, SplitMix64(15)), mubar)
+    cases["diagonal-mixed-violating"] = (random_violating_kernel(flat, diag, SplitMix64(16)), mubar)
     return cases
 
 
@@ -167,3 +199,74 @@ def test_xcorr_torus_bands_64_matches_brute_force_rows():
         # sum over every k of mu_b(k) w(k, b) m(h k, b)
         want = np.einsum("bk,kbij,kbj->bi", scn.mu.weights, filt.matrices, m.values[grp.cayley[h]])
         np.testing.assert_array_equal(out[h], want)
+
+
+# ---------------------------------------------------------------------------
+# acting classes: the searches act with one representative per class
+
+
+CLASS_COUNTS = {
+    "torus(6)": 6,
+    "torus-bands(16)": 16,
+    "line-grid(5, dx=0.2)": 25,
+    "dihedral(4, bundle=sign)": 8,
+    "diagonal": 8,
+}
+
+
+def class_bundles(name):
+    if name == "diagonal":
+        return diagonal_bundles()
+    scn = build_scenario(name)
+    return scn.input_bundle, scn.output_bundle
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
+def test_acting_class_count(name):
+    reps, cls = _acting_classes(*class_bundles(name))
+    assert len(reps) == CLASS_COUNTS[name]
+    assert list(reps) == sorted(reps) and reps[0] == 0
+    np.testing.assert_array_equal(reps[cls[reps]], reps)  # each rep is its class's smallest element
+    assert all(reps[cls[g]] <= g for g in range(len(cls)))
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
+def test_class_representative_acts_as_every_element(name):
+    bundles = class_bundles(name)
+    reps, cls = _acting_classes(*bundles)
+    for bundle in bundles:
+        f = np.stack([s.values for s in random_sections(bundle, SplitMix64(17), 2)])
+        for g in range(len(cls)):
+            got = _act(bundle, np.array([reps[cls[g]]]), f)
+            want = _act(bundle, np.array([g]), f)
+            assert got.tobytes() == want.tobytes(), (g, reps[cls[g]])
+
+
+def all_g_search(apply, e_bundle, f_bundle, f):
+    """Worst |T(g.f) - g.T(f)| and its first (section, g), acting with every g."""
+    g = np.arange(e_bundle.action.group.order)
+    grid = np.abs(apply(_act(e_bundle, g, f)) - _act(f_bundle, g, apply(f))).max(axis=(2, 3), initial=0.0)
+    return _worst_of_grid(grid)
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_xcorr_equivariance_equals_all_g_search(name):
+    filt, mu = FILTERS[name]
+    sections = random_sections(filt.input_bundle, SplitMix64(3), 4)
+    got = xcorr_equivariance_residual(filt, mu, [section_to_mackey(f) for f in sections])
+    f = np.stack([s.values for s in sections])
+    assert got == all_g_search(lambda v: correlate_sections(filt, mu, v), filt.input_bundle, filt.output_bundle, f)
+    if "violating" in name:
+        assert got[0] > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_transform_equivariance_equals_all_g_search(name):
+    kern, mubar = KERNELS[name]
+    sections = random_sections(kern.input_bundle, SplitMix64(4), 4)
+    got = transform_equivariance_residual(kern, mubar, sections)
+    f = np.stack([s.values for s in sections])
+    want = all_g_search(lambda v: _transform_values(kern, mubar, v), kern.input_bundle, kern.output_bundle, f)
+    assert got == want
+    if "violating" in name:
+        assert got[0] > 0.1

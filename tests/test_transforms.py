@@ -172,10 +172,12 @@ def test_lift_matches_brute_force(bands16):
 
 def test_lift_transform_equivalence(bands16):
     scn = bands16
+    sections = random_sections(scn.input_bundle, SplitMix64(81), 3)
     for theta in scn.thetas.values():
-        for f in random_sections(scn.input_bundle, SplitMix64(81), 3):
-            gap = lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, f)
-            assert gap < 1e-12
+        gaps = [lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, [f]) for f in sections]
+        assert max(gaps) < 1e-12
+        # the stacked sections give the worst single-section residual, bit for bit
+        assert lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, sections) == max(gaps)
 
 
 def test_project_after_lift_is_identity(bands16):
@@ -243,7 +245,7 @@ def test_lift_requires_disintegration():
     bad = OrbitMeasureFamily(scn.action, scn.mubar.weights * 1.5)
     f = random_sections(scn.input_bundle, SplitMix64(3), 1)[0]
     with pytest.raises(PreconditionError):
-        lift_equivalence_check(scn.kernel, scn.thetas["derived"], scn.delta, scn.mu, scn.nu, bad, f)
+        lift_equivalence_check(scn.kernel, scn.thetas["derived"], scn.delta, scn.mu, scn.nu, bad, [f])
 
 
 def test_random_valid_kernels_validate():
