@@ -236,12 +236,10 @@ def _acting_classes(*bundles: EquivariantBundle) -> tuple[np.ndarray, np.ndarray
     Returns the smallest element of each class, ascending, and each
     element's class index, so that reps[cls[g]] acts exactly as g does."""
     action = bundles[0].action
-    elements = np.arange(action.group.order)
-    src = action.table[action.group.inv]  # [g, b] -> g^-1.b
-    keys = np.hstack(
-        [src] + [b.act_matrix[elements[:, None], src].reshape(len(elements), -1).view(np.int64) for b in bundles]
-    )
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    n = action.group.order
+    src = action.table[action.group.inv]  # [g, b] -> g^-1.b, int64
+    keys = np.hstack([src] + [b.act_matrix[np.arange(n)[:, None], src].reshape(n, -1).view(np.int64) for b in bundles])
+    rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     reps = np.sort(first)
     return reps, np.searchsorted(reps, first[inverse])
