@@ -1,5 +1,6 @@
 """Byte-stability guard: the CLI's JSON report for a few fixed commands must
-match the saved output under tests/golden/ byte for byte.
+match the saved output under tests/golden/ byte for byte, and the saved
+scenario file of a few specs must keep the sha256 in scenario-sha256.json.
 
 A change may regenerate a golden file only when it says which bytes moved
 and why; a speed-up that claims identical arithmetic must leave them all.
@@ -7,11 +8,15 @@ and why; a speed-up that claims identical arithmetic must leave them all.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from equicorr.cli import main
+from equicorr.scenarios import build_scenario
+from equicorr.serialize import dumps, scenario_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,3 +35,12 @@ def test_cli_output_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+SCENARIO_HASHES = json.loads((GOLDEN / "scenario-sha256.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
+def test_saved_scenario_bytes_match_golden(spec):
+    text = dumps(scenario_to_dict(build_scenario(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_HASHES[spec]
