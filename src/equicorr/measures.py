@@ -35,7 +35,7 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import CosetSection, GroupAction, coset_section, generating_set, stabilizer, stabilizer_mask
+from .groups import CosetSection, GroupAction, coset_section, stabilizer, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -279,10 +279,9 @@ def solve_orbit_measure(
     if w.size and float(w.max() - w.min()) > tolerance:
         raise PreconditionError(f"group family at b={b} is not constant; cannot solve for orbit weights")
     sec = coset_section(action, b)
+    kh = grp.cayley[np.ix_(sec.reps, stab)]  # row c: the coset k_c G_b
     row = np.zeros(action.base_size)
-    for c, k in zip(sec.members, sec.reps):
-        coset = grp.cayley[k, stab]  # k_c G_b
-        row[c] = float(w[coset].sum()) / nu_mass
+    row[list(sec.members)] = w[kh].sum(axis=1) / nu_mass
     return row
 
 
@@ -317,7 +316,7 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
         raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
     # the g that fix psi0 under conjugation are closed under products, so a
     # generating set decides it exactly
-    _, witness = _count_over(generating_set(grp), lambda g: values[grp.conjugation_row(g)] != values)
+    _, witness = _count_over(grp.generators, lambda g: values[grp.conjugation_row(g)] != values)
     if witness is not None:
         raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)

@@ -95,10 +95,12 @@ class Scenario:
         return self.action.group
 
 
-def _families(action: GroupAction, kind: str):
-    """Counting or psi-normalized family triple; psi travels along when used."""
+def _families(action: GroupAction, kind: str, scale: float = 1.0):
+    """Counting or psi-normalized family triple; psi travels along when used.
+    A counting group family weighs each element by `scale`, a quadrature
+    step; the psi-normalized families carry their own weights."""
     if kind == "counting":
-        mu = counting_family(action, 1.0)
+        mu = counting_family(action, scale)
         nu = counting_stabilizer_family(action, 1.0)
         return mu, nu, solve_orbit_family(mu, nu), None
     if kind == "normalized-psi":
@@ -219,11 +221,13 @@ def build_dihedral(n: int, bundle: str = "trivial", families: str = "counting", 
     return scn
 
 
-def torus_action(n: int, spacing: int = 1) -> GroupAction:
-    """Z_N x Z_N acting on Z_N by (g1, g2).b = g1 + spacing*g2 + b."""
-    grp = direct_product(cyclic_group(n), cyclic_group(n))
-    ia = np.tile(np.arange(n), n)
-    ib = np.repeat(np.arange(n), n)
+def torus_action(n: int, spacing: int = 1, offsets: int | None = None) -> GroupAction:
+    """Z_N x Z_K acting on Z_N by (g1, g2).b = g1 + spacing*g2 + b, with K =
+    `offsets` (default N)."""
+    k = n if offsets is None else offsets
+    grp = direct_product(cyclic_group(n), cyclic_group(k))
+    ia = np.tile(np.arange(n), k)
+    ib = np.repeat(np.arange(k), n)
     table = (ia[:, None] + spacing * ib[:, None] + np.arange(n)[None, :]) % n
     return GroupAction(grp, tuple(str(b) for b in range(n)), table)
 
@@ -492,13 +496,7 @@ def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting",
     action = GroupAction(grp, tuple(str(b) for b in range(n)), table)
     e_bundle = trivial_bundle(action, 1)
     step = 2.0 * math.pi / n
-    if families == "counting":
-        mu = counting_family(action, step)
-        nu = counting_stabilizer_family(action, 1.0)
-        mubar = solve_orbit_family(mu, nu)
-        psi = None
-    else:
-        mu, nu, mubar, psi = _families(action, families)
+    mu, nu, mubar, psi = _families(action, families, step)
 
     j = _signed_mod(np.arange(n), n)
     mats = np.zeros((n, n, 1, 1))
@@ -612,20 +610,12 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting",
     if u < 2 or abs(u * dx - 1.0) > 1e-9:
         raise DomainError(f"grid step {dx} must divide the unit length exactly")
     m = units * u  # base points
-    spatial = cyclic_group(m)
-    offsets = cyclic_group(units)
-    grp = direct_product(spatial, offsets)
-    ia = np.tile(np.arange(m), units)
-    ib = np.repeat(np.arange(units), m)
-    table = (ia[:, None] + u * ib[:, None] + np.arange(m)[None, :]) % m
-    action = GroupAction(grp, tuple(str(b) for b in range(m)), table)
+    action = torus_action(m, u, units)
     e_bundle = trivial_bundle(action, 1)
 
     if families != "counting":
         raise DomainError("line-grid carries quadrature weights; only counting families apply")
-    mu = counting_family(action, dx)
-    nu = counting_stabilizer_family(action, 1.0)
-    mubar = solve_orbit_family(mu, nu)
+    mu, nu, mubar, _ = _families(action, families, dx)
 
     d_steps = _signed_mod(np.arange(m)[:, None] - np.arange(m)[None, :], m)
     mats = np.zeros((m, m, 1, 1))

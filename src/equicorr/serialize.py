@@ -3,13 +3,15 @@ reports.
 
 Documents carry a schema tag ("equicorr-scenario/2" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
-produce byte-identical files.  A scenario stores its group by a generating
-set S as the left and right multiplications λ_s and ρ_s, 2·|S|·|G|
-integers in place of the |G|² Cayley table; the loader rebuilds the dense
-table from them and checks it against both.  "equicorr-scenario/1" files,
-which carry the full table, still load.  Filters are stored per base point as
-sparse maps from group element to matrix; a compressed filter stores rows
-only at orbit representatives and says so with a "compressed" flag.
+produce byte-identical files.  A scenario stores its group by its
+generating set S as the left and right multiplications λ_s and ρ_s,
+2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
+the dense table from λ_S with groups.table_from_generators, the builder
+the built-in groups use too, and checks it against both.
+"equicorr-scenario/1" files, which carry the full table, still load.
+Filters are stored per base point as sparse maps from group element to
+matrix; a compressed filter stores rows only at orbit representatives
+and says so with a "compressed" flag.
 Kernels are entry lists over their support.  Loading validates shapes
 and index ranges and raises StructuralError on malformed input rather
 than guessing; a document-level loader also reports a missing key or a
@@ -25,7 +27,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import FiniteGroup, GroupAction, _check_budget, generating_set, group_from_tables
+from .groups import FiniteGroup, GroupAction, group_from_tables, table_from_generators
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -83,9 +85,9 @@ def _expect_schema(doc: dict, schema: str) -> None:
 
 
 def group_to_dict(grp: FiniteGroup) -> dict:
-    """The group by a generating set S: left[i] = λ_s (row s of the table),
-    right[i] = ρ_s (column s); 2·|S|·|G| entries in place of |G|²."""
-    gens = generating_set(grp)
+    """The group by its generating set S: left[i] = λ_s (row s of the
+    table), right[i] = ρ_s (column s); 2·|S|·|G| entries in place of |G|²."""
+    gens = grp.generators
     return {
         "elements": list(grp.elements),
         "identity": grp.identity,
@@ -96,37 +98,17 @@ def group_to_dict(grp: FiniteGroup) -> dict:
 
 
 def group_from_dict(doc: dict) -> FiniteGroup:
-    """Rebuild the dense table from `left` alone, row by row along a
-    breadth-first spanning tree of λ_S from the identity: row e is the
-    identity permutation, and a tree edge y = s·p gives row y as
-    λ_s(row p), since s·(p·x) = y·x.  Rows, not columns, so that every write
-    is contiguous.  Every element must be reached, and the derived rows and
-    columns at the generators must equal the stored `left` and `right`; the
-    group axioms are left to validate_group."""
+    """Rebuild the dense table from `left` alone (table_from_generators).
+    The derived rows and columns at the generators must equal the stored
+    `left` and `right` before inverses are derived; the group axioms are
+    left to validate_group."""
     _require(isinstance(doc, dict), "group must be an object")
     elements = [str(x) for x in doc["elements"]]
     n = len(elements)
     e = _index(doc["identity"], n, "identity")
     gens = [_index(s, n, "generator") for s in doc["generators"]]
     left, right = (_generator_permutations(doc, key, len(gens), n) for key in ("left", "right"))
-    _check_budget(f"a ({n}, {n}) cayley table", n * n)
-    cayley = np.empty((n, n), dtype=np.int64)
-    cayley[e] = np.arange(n)
-    reached = np.zeros(n, dtype=bool)
-    reached[e] = True
-    tree = [e]
-    for p in tree:  # grows while it is walked: breadth-first order
-        for lam in left:
-            y = int(lam[p])
-            if not reached[y]:
-                reached[y] = True
-                cayley[y] = lam[cayley[p]]
-                tree.append(y)
-    _require(
-        reached.all(),
-        f"element {int(reached.argmin())} is not reached from the identity"
-        f" by left multiplication by generators {gens}",
-    )
+    cayley = table_from_generators(n, e, left)
     for s, lam, rho in zip(gens, left, right):
         for what, stored, derived in (("left", lam, cayley[s]), ("right", rho, cayley[:, s])):
             bad = np.flatnonzero(stored != derived)

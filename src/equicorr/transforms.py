@@ -48,7 +48,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _act, _acting_classes, _orbit_slice, pad_mask
 from .errors import CoverageError, InconsistencyError, PreconditionError, StructuralError
-from .groups import GroupAction, coset_section, generating_set, stabilizer
+from .groups import GroupAction, coset_section, stabilizer
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -130,7 +130,7 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     worst, witness, _ = _orbit_slice(
         kern.matrices, action, False, kern.output_bundle.act_matrix, kern.input_bundle.act_matrix
     )
-    count, support_witness = _count_over(generating_set(action.group), moved)
+    count, support_witness = _count_over(action.group.generators, moved)
     report = ValidationReport()
     report.add(check_from_residual("kernel-constraint", worst, tolerance, witness))
     report.add(check_from_residual("kernel-support-invariance", float(count), 0.0, support_witness))
@@ -229,11 +229,11 @@ def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kerne
         stab = stabilizer(action, b)
         w = nu.weights[b, stab]
         sec = coset_section(action, b)
-        for c, k in zip(sec.members, sec.reps):
-            kh = grp.cayley[k, stab]  # the coset k G_b
-            mats = filt.matrices[kh, b]  # (|S|, dF, dE)
-            back = ae[grp.inv[kh], c]  # (|S|, dE, dE): actE((k h)^-1, c)
-            out[c, b] = np.einsum("s,sij,sjk->ik", w, mats, back)
+        members = np.array(sec.members)
+        kh = grp.cayley[np.ix_(sec.reps, stab)]  # row c: the coset k_c G_b
+        mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
+        back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
+        out[members, b] = np.einsum("s,csij,csjk->cik", w, mats, back)
     return Kernel(filt.input_bundle, filt.output_bundle, out)
 
 
@@ -302,7 +302,7 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
         moved = np.where(kept, theta.reps[gc, gb], grp.identity)
         return ~kept | (grp.cayley[g, reps] != grp.cayley[moved, g])
 
-    count, wit = _count_over(generating_set(grp), broken)
+    count, wit = _count_over(grp.generators, broken)
     witness = (wit[0], int(cs[wit[1]]), int(bs[wit[1]])) if wit else None
     report.add(check_from_residual("theta-translation", float(count), tolerance, witness))
     return report

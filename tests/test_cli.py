@@ -83,6 +83,20 @@ def test_nan_filter_entry_fails_validate(tmp_path, capsys):
     assert all(c["witness"] is not None for c in failed)
 
 
+def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
+    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    doc["families"]["mubar"]["weights"][0][1] *= 1.5
+    path = tmp_path / "mubar.json"
+    save_document(str(path), doc)
+    for command in ("validate", "battery"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1, command
+        failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["pass"]}
+        check = failed["families.disintegration-pointwise"]
+        assert check["residual"] == pytest.approx(0.5) and check["witness"] == [0, 1]
+        assert "error:" not in err
+
+
 def test_malformed_inputs_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")

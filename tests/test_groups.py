@@ -71,6 +71,40 @@ def test_direct_product_packing():
     assert validate_group(prod).passed
 
 
+def _dihedral_map(n: int, g: int):
+    """Element g of dihedral_group(n) as a map on Z_n: v -> v+i or v -> i-v."""
+    i = g % n
+    return (lambda v: (v + i) % n) if g < n else (lambda v: (i - v) % n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dihedral_table_is_composition_of_maps(n):
+    grp = dihedral_group(n)
+    vs = range(n)
+    # an element is its map on Z_n, except for n <= 2, where maps coincide
+    for a in range(2 * n):
+        fa = _dihedral_map(n, a)
+        for b in range(2 * n):
+            fb = _dihedral_map(n, b)
+            ab = int(grp.cayley[a, b])
+            assert [_dihedral_map(n, ab)(v) for v in vs] == [fa(fb(v)) for v in vs]
+            assert (ab >= n) == ((a >= n) != (b >= n))
+    assert [grp.mul(g, grp.inverse(g)) for g in range(2 * n)] == [0] * (2 * n)
+
+
+def test_direct_product_of_dihedral_and_cyclic_componentwise():
+    a, b = dihedral_group(3), cyclic_group(4)
+    prod = direct_product(a, b)
+    assert prod.order == 24 and prod.identity == 0
+    for x in range(24):
+        assert prod.elements[x] == f"({a.elements[x % 6]},{b.elements[x // 6]})"
+        assert prod.inverse(x) == b.inverse(x // 6) * 6 + a.inverse(x % 6)
+        for y in range(24):
+            expect = b.mul(x // 6, y // 6) * 6 + a.mul(x % 6, y % 6)
+            assert prod.mul(x, y) == expect
+    assert validate_group(prod).passed
+
+
 def test_group_from_tables_rejects_broken():
     cayley = cyclic_group(3).cayley.copy()
     cayley[1, 1] = 1  # no longer a latin square row

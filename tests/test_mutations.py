@@ -89,12 +89,22 @@ def test_generating_set_torus_bands():
     assert _closure(grp.cayley, grp.identity, gens) == set(range(grp.order))
 
 
+@pytest.mark.parametrize(
+    "spec, gens",
+    [("cyclic(8)", [1]), ("dihedral(4)", [1, 4]), ("torus-bands(32)", [1, 32]), ("line-grid(5, dx=0.2)", [1, 25])],
+)
+def test_group_derives_its_generators_once(spec, gens):
+    grp = build_scenario(spec).group
+    assert grp.generators == gens == generating_set(grp)
+
+
 def test_generating_set_survives_corrupted_identity_row():
     grp = build_scenario("dihedral(4)").group
     cayley = grp.cayley.copy()
     cayley[grp.identity] = grp.identity  # e x = e for every x
     broken = FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)
     gens = generating_set(broken)
+    assert broken.generators == gens
     assert gens == sorted(gens)
     assert _closure(cayley, grp.identity, gens) == set(range(grp.order))
     assert not validate_group(broken).passed

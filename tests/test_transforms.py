@@ -152,6 +152,13 @@ def test_projection_matches_brute_force(dihedral4):
     assert validate_kernel(kern, tolerance=1e-12).passed
 
 
+@pytest.mark.parametrize("spec", ["dihedral(4, bundle=sign)", "torus-bands(16)"])
+def test_projection_matches_brute_force_on_act_matrices_and_large_stabilizers(spec):
+    scn = build_scenario(spec)
+    kern = project_filter_to_kernel(scn.filt, scn.nu)
+    assert np.allclose(kern.matrices, brute_project(scn.filt, scn.nu), atol=1e-13)
+
+
 def test_projection_theorem_identity_slice(dihedral4_sign):
     # (w * f~)(e, -) = T_{P w}(f) under the exact disintegration identity
     scn = dihedral4_sign
