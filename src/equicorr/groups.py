@@ -23,8 +23,8 @@ elements that satisfy either law are closed under products.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class FiniteGroup:
     cayley: np.ndarray  # (n, n) int, cayley[g, h] = g*h
     inv: np.ndarray  # (n,) int
     identity: int
-    generators: list[int] = None  # greedy generating set of the table, derived
+    generators: list[int] = field(init=False)  # greedy generating set of the table, derived
 
     def __post_init__(self):
         n = len(self.elements)
@@ -147,15 +147,18 @@ class CosetSection:
 # constructors
 
 
-def table_from_generators(n: int, identity: int, left: Sequence[np.ndarray]) -> np.ndarray:
+def table_from_generators(n: int, identity: int, generators: Callable[[], Sequence[np.ndarray]]) -> np.ndarray:
     """The (n, n) Cayley table generated by the left multiplications
     left[i] = λ_s of a generating set, built row by row along a
     breadth-first spanning tree of λ_S from the identity: row e is the
     identity permutation, and a tree edge y = s·p gives row y as
     λ_s(row p), since s·(p·x) = y·x.  Rows, not columns, so that every
-    write is contiguous.  Every element must be reached; the group axioms
-    are left to validate_group."""
+    write is contiguous.  `generators` returns left; it is called after
+    the size check, so a group over the budget allocates nothing of its
+    order.  Every element must be reached; the group axioms are left to
+    validate_group."""
     _check_budget(f"a ({n}, {n}) cayley table", n * n)
+    left = generators()
     cayley = np.empty((n, n), dtype=np.int64)
     cayley[identity] = np.arange(n)
     reached = np.zeros(n, dtype=bool)
@@ -180,8 +183,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Cyclic group of order n, generated by x -> x+1."""
     if n < 1:
         raise StructuralError("cyclic group needs n >= 1")
-    labels = tuple(f"r{i}" for i in range(n))
-    return group_from_tables(labels, table_from_generators(n, 0, [(np.arange(n) + 1) % n]), 0)
+    cayley = table_from_generators(n, 0, lambda: [(np.arange(n) + 1) % n])
+    return group_from_tables(tuple(f"r{i}" for i in range(n)), cayley, 0)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -194,11 +197,13 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise StructuralError("dihedral group needs n >= 1")
-    idx = np.arange(n)
-    r1 = np.concatenate([(idx + 1) % n, n + (idx + 1) % n])
-    s0 = np.concatenate([n + (-idx) % n, (-idx) % n])
-    labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
-    return group_from_tables(labels, table_from_generators(2 * n, 0, [r1, s0]), 0)
+
+    def generators():
+        up, down = (np.arange(n) + 1) % n, -np.arange(n) % n
+        return [np.concatenate([up, n + up]), np.concatenate([n + down, down])]
+
+    cayley = table_from_generators(2 * n, 0, generators)
+    return group_from_tables(tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n)), cayley, 0)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -208,12 +213,16 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     identity.
     """
     na, nb = a.order, b.order
-    ia, ib = np.arange(na), np.arange(nb)
-    left = [(ib[:, None] * na + a.cayley[s][None, :]).ravel() for s in a.generators]
-    left += [(b.cayley[t][:, None] * na + ia[None, :]).ravel() for t in b.generators]
+
+    def generators():
+        ia, ib = np.arange(na), np.arange(nb)
+        left = [(ib[:, None] * na + a.cayley[s][None, :]).ravel() for s in a.generators]
+        return left + [(b.cayley[t][:, None] * na + ia[None, :]).ravel() for t in b.generators]
+
     identity = b.identity * na + a.identity
+    cayley = table_from_generators(na * nb, identity, generators)
     labels = tuple(f"({a.elements[i]},{b.elements[j]})" for j in range(nb) for i in range(na))
-    return group_from_tables(labels, table_from_generators(na * nb, identity, left), identity)
+    return group_from_tables(labels, cayley, identity)
 
 
 def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int | None = None) -> FiniteGroup:

@@ -221,13 +221,12 @@ def build_dihedral(n: int, bundle: str = "trivial", families: str = "counting", 
     return scn
 
 
-def torus_action(n: int, spacing: int = 1, offsets: int | None = None) -> GroupAction:
+def torus_action(n: int, spacing: int, offsets: int) -> GroupAction:
     """Z_N x Z_K acting on Z_N by (g1, g2).b = g1 + spacing*g2 + b, with K =
-    `offsets` (default N)."""
-    k = n if offsets is None else offsets
-    grp = direct_product(cyclic_group(n), cyclic_group(k))
-    ia = np.tile(np.arange(n), k)
-    ib = np.repeat(np.arange(k), n)
+    `offsets`."""
+    grp = direct_product(cyclic_group(n), cyclic_group(offsets))
+    ia = np.tile(np.arange(n), offsets)
+    ib = np.repeat(np.arange(offsets), n)
     table = (ia[:, None] + spacing * ib[:, None] + np.arange(n)[None, :]) % n
     return GroupAction(grp, tuple(str(b) for b in range(n)), table)
 
@@ -241,7 +240,7 @@ def build_torus(n: int, families: str = "counting", seed: int = 0) -> Scenario:
     """The plain finite torus: stabilizer of every b is {(k, -k)}."""
     if n < 1:
         raise DomainError("torus scenario needs n >= 1")
-    action = torus_action(n, 1)
+    action = torus_action(n, 1, n)
     e_bundle = trivial_bundle(action, 1)
     mu, nu, mubar, psi = _families(action, families)
     scn = Scenario(f"torus({n})", {"n": n, "families": families}, action, e_bundle, e_bundle, mu, nu, mubar, psi)
@@ -293,7 +292,7 @@ def build_torus_bands(
     if not (n - 2 * spacing) > 2 * eps_steps:
         raise DomainError("bands overlap around the wrap; increase n or shrink the bands")
 
-    action = torus_action(n, spacing)
+    action = torus_action(n, spacing, n)
     e_bundle = trivial_bundle(action, 1)
     mu, nu, mubar, psi = _families(action, families)
 

@@ -108,7 +108,10 @@ def group_from_dict(doc: dict) -> FiniteGroup:
     e = _index(doc["identity"], n, "identity")
     gens = [_index(s, n, "generator") for s in doc["generators"]]
     left, right = (_generator_permutations(doc, key, len(gens), n) for key in ("left", "right"))
-    cayley = table_from_generators(n, e, left)
+    try:
+        cayley = table_from_generators(n, e, lambda: left)
+    except StructuralError as err:  # name the generators the file stores
+        raise StructuralError(f"{err} {gens}") from None
     for s, lam, rho in zip(gens, left, right):
         for what, stored, derived in (("left", lam, cayley[s]), ("right", rho, cayley[:, s])):
             bad = np.flatnonzero(stored != derived)

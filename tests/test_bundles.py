@@ -75,7 +75,7 @@ def test_representation_bundle_rejects_non_rep():
 
 
 def test_cocycle_violation_caught_with_witness():
-    action = torus_action(4)
+    action = torus_action(4, 1, 4)
     bundle = trivial_bundle(action, 2)
     am = bundle.act_matrix.copy()
     am[5, 2] = [[1.0, 0.5], [0.0, 1.0]]
@@ -169,7 +169,7 @@ def test_mackey_validation_rejects_broken():
 
 
 def test_fiber_dim_must_be_orbit_constant():
-    action = torus_action(4)  # transitive
+    action = torus_action(4, 1, 4)  # transitive
     fiber_dim = np.array([1, 1, 2, 1], dtype=np.int64)
     am = np.zeros((16, 4, 2, 2))
     am[:, :, 0, 0] = 1.0

@@ -207,6 +207,9 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
     save_document(str(long), doc)
     cases = {
         "torus-bands(128)": "(16384, 16384) cayley table needs 268,435,456 entries",
+        # refused before the generators or the labels are built
+        "cyclic(200000000)": "(200000000, 200000000) cayley table needs 40,000,000,000,000,000 entries",
+        "torus(4000)": "(16000000, 16000000) cayley table needs 256,000,000,000,000 entries",
         str(wide): "(4, 4, 3000, 3000) act-matrix stack needs 144,000,000 entries",
         str(long): "(16384, 16384) cayley table needs 268,435,456 entries",
     }

@@ -184,7 +184,7 @@ def test_coset_section_smallest_reps():
 
 
 def test_torus_action_stabilizer():
-    action = torus_action(8)
+    action = torus_action(8, 1, 8)
     assert validate_action(action).passed
     st0 = stabilizer(action, 0)
     # (g1, g2) fixes b=0 iff g1 + g2 = 0, i.e. elements ((-k) % 8, k)
@@ -195,13 +195,13 @@ def test_torus_action_stabilizer():
 
 def test_scaled_torus_action_valid_any_spacing():
     for s in (1, 2, 3, 4):
-        action = torus_action(8, s)
+        action = torus_action(8, s, 8)
         assert validate_action(action).passed
         assert len(stabilizer(action, 0)) == 8
 
 
 def test_orbit_sorted_members():
-    action = torus_action(5)
+    action = torus_action(5, 1, 5)
     ob = orbit(action, 3)
     assert list(ob.members) == [0, 1, 2, 3, 4]
 

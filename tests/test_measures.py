@@ -69,7 +69,7 @@ def test_fubini_counting_brute_force():
 def test_fubini_rep_independent():
     # replacing each coset representative k by k s, s in the stabilizer,
     # leaves the double sum unchanged because nu is left-invariant
-    action = torus_action(6)
+    action = torus_action(6, 1, 6)
     mu = counting_family(action, 0.75)
     nu = counting_stabilizer_family(action, 1.0)
     mubar = solve_orbit_family(mu, nu)
@@ -186,7 +186,7 @@ def test_restrict_psi_requires_unit_mass():
 
 
 def test_family_conjugation_violation_detected():
-    action = torus_action(4)
+    action = torus_action(4, 1, 4)
     mu = counting_family(action, 1.0)
     weights = mu.weights.copy()
     weights[2, 5] *= 3.0

@@ -81,7 +81,10 @@ def test_group_is_stored_by_generator_permutations():
 DIFFERS = "multiplication differs from the derived table at element"
 GROUP_FAULTS = {
     # generator 1 multiplying as the identity: the tree reaches only <4>
-    "unreached": (lambda g: g["left"].__setitem__(0, list(range(8))), "element 1 is not reached"),
+    "unreached": (
+        lambda g: g["left"].__setitem__(0, list(range(8))),
+        "element 1 is not reached from the identity by left multiplication by the generators [1, 4]",
+    ),
     "left": (lambda g: g["left"][0].__setitem__(0, 4), f"generator 1: stored left {DIFFERS} 0 (4 != 1)"),
     "right": (lambda g: g["right"][1].__setitem__(3, 0), f"generator 4: stored right {DIFFERS} 3 (0 != 7)"),
     # range-checked, not wrapped to the last element

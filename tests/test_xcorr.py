@@ -148,7 +148,7 @@ def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
 
 
 def test_random_valid_filters_satisfy_constraint():
-    action = torus_action(6)
+    action = torus_action(6, 1, 6)
     bundle = trivial_bundle(action, 1)
     rng = SplitMix64(77)
     for _ in range(5):
