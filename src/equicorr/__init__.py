@@ -40,11 +40,9 @@ from .errors import (
     StructuralError,
 )
 from .groups import (
-    CosetSection,
     FiniteGroup,
     GroupAction,
     Orbit,
-    coset_section,
     cyclic_group,
     dihedral_group,
     direct_product,

@@ -10,8 +10,9 @@ law
 Fiber dimension is constant along orbits, so every act matrix is square.
 validate_bundle checks the second law on the instances (g, h, b0): b0 an
 orbit O's fundamental-domain point, g in G, h in H = Stab(b0) or a coset
-representative k_c (the smallest element with k_c.b0 = c), so |G| (|H| + |O|)
-products per orbit instead of |G|^2 |O|.  They contain Mackey's induced
+representative k_c (the smallest element with k_c.b0 = c, as the action's
+coset_reps table holds it), so |G| (|H| + |O|) products per orbit instead of
+|G|^2 |O|.  They contain Mackey's induced
 form: rho = A(., b0) is a representation of H, each T_c = A(k_c, b0) has
 the inverse A(k_c^-1, c), and A(g, c) T_c = T_{g.c} rho(k_{g.c}^-1 g k_c);
 so, given the identity slice, they decide the law for every (g, h, b).
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, coset_section, fundamental_domain, orbits, stabilizer
+from .groups import GroupAction, _check_budget, fundamental_domain, orbits, stabilizer
 from .reporting import ValidationReport, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -179,7 +180,7 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, None))
 
     domain = fundamental_domain(action)
-    hs = [np.union1d(stabilizer(action, b0), coset_section(action, b0).reps) for b0 in domain]
+    hs = [np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])) for b0 in domain]
     h = np.repeat(np.concatenate(hs), grp.order)
     b = np.repeat(domain, [len(s) * grp.order for s in hs])
     g = np.resize(np.arange(grp.order), len(h))
@@ -296,6 +297,13 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
 # table laws on one base slice per orbit
 
 
+def _movers(action: GroupAction, b0: int) -> np.ndarray:
+    """The coset representatives k_c of the orbit of b0 other than its own,
+    ascending in c: none of them fixes b0."""
+    reps = action.coset_reps[b0]
+    return reps[(reps >= 0) & (np.arange(action.base_size) != b0)]
+
+
 def _move(action: GroupAction, conjugate: bool, g: np.ndarray) -> np.ndarray:
     """[i, r] -> g_i.r: rows are group elements moved by conjugation, or base points."""
     grp = action.group
@@ -342,8 +350,7 @@ def _orbit_slice(
     for b0 in fundamental_domain(action):
         stab = stabilizer(action, b0)
         stab_parts.append((b0, stab, _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]))
-        sec = coset_section(action, b0)
-        reps = np.array([k for c, k in zip(sec.members, sec.reps) if c != b0], dtype=np.int64)
+        reps = _movers(action, b0)
         targets = action.table[reps, b0]
         carried[:, targets] = np.moveaxis(_carry(values, action, conjugate, a_out, a_in, reps, b0), 0, 1)
         coset_parts.append((b0, reps, np.moveaxis(carried[:, targets] - values[:, targets], 1, 0)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .battery import DEFAULT_TOLERANCE, run_battery, run_structural
 from .bundles import section_to_mackey
-from .errors import EquicorrError
+from .errors import DomainError, EquicorrError
 from .measures import fubini_pointwise_residual
 from .reporting import ValidationReport, check_from_residual
 from .rng import SplitMix64
@@ -222,7 +222,10 @@ def _cmd_project(args) -> int:
 
 def _cmd_demo(args) -> int:
     if args.which == "degeneracy":
-        sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+        try:
+            sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+        except ValueError:
+            raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
         demo = degeneracy_demo(sizes)
         report = ValidationReport()
         report.add(check_from_residual("degeneracy.ratio-constant", demo["ratio_relative_spread"], 1e-9))

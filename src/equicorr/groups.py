@@ -13,6 +13,11 @@ loader passes the ones a file stores.  Each group derives its greedy
 generating set once, at construction, and every generator-based check
 reads it from there.
 
+Likewise each action derives its coset representatives once: the section
+k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
+Projection, disintegration, the orbit-slice laws and theta derivation all
+read this one table.
+
 Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
 with an offending tuple.  The identity and inverse laws are checked at
@@ -94,6 +99,7 @@ class GroupAction:
     group: FiniteGroup
     base: tuple[str, ...]
     table: np.ndarray  # (|G|, |B|) int, table[g, b] = g.b
+    coset_reps: np.ndarray = field(init=False)  # (|B|, |B|): [b, c] smallest k with k.b = c, -1 off the orbit, derived
 
     def __post_init__(self):
         n, m = self.group.order, len(self.base)
@@ -104,6 +110,11 @@ class GroupAction:
             raise StructuralError(f"action table shape {self.table.shape}, expected {(n, m)}")
         if self.table.min() < 0 or self.table.max() >= m:
             raise StructuralError("action table entry out of range")
+        _check_budget(f"a ({m}, {m}) coset-representative table", m * m)
+        self.coset_reps = np.full((m, m), -1, dtype=np.int64)
+        for b in range(m):
+            members, first = np.unique(self.table[:, b], return_index=True)  # stable: first is the smallest k
+            self.coset_reps[b, members] = first
 
     @property
     def base_size(self) -> int:
@@ -122,25 +133,6 @@ class GroupAction:
 class Orbit:
     base_point: int
     members: tuple[int, ...]  # ascending
-
-
-@dataclass(frozen=True)
-class CosetSection:
-    """For an anchor b, one representative k_c per orbit member c with k_c.b = c.
-
-    The default section takes the smallest element index; rep order is
-    parallel to the ascending member list, so sections are deterministic.
-    """
-
-    anchor: int
-    members: tuple[int, ...]
-    reps: tuple[int, ...]
-
-    def rep_for(self, c: int) -> int:
-        i = np.searchsorted(self.members, c)
-        if i >= len(self.members) or self.members[i] != c:
-            raise StructuralError(f"base point {c} not in orbit of anchor {self.anchor}")
-        return self.reps[i]
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +323,11 @@ def validate_action(action: GroupAction, tolerance: float = 0.0) -> ValidationRe
 
 
 # ---------------------------------------------------------------------------
-# orbits, stabilizers, coset sections
+# orbits and stabilizers
 
 
 def orbit(action: GroupAction, b: int) -> Orbit:
-    members = np.flatnonzero(np.bincount(action.table[:, b]))
-    return Orbit(b, tuple(int(c) for c in members))
+    return Orbit(b, tuple(int(c) for c in np.flatnonzero(action.coset_reps[b] >= 0)))
 
 
 def orbits(action: GroupAction) -> list[Orbit]:
@@ -364,13 +355,6 @@ def stabilizer(action: GroupAction, b: int) -> np.ndarray:
 def stabilizer_mask(action: GroupAction) -> np.ndarray:
     """Boolean (|B|, |G|) mask: mask[b, g] iff g.b = b."""
     return (action.table == np.arange(action.base_size)[None, :]).T
-
-
-def coset_section(action: GroupAction, b: int) -> CosetSection:
-    """Deterministic section of k -> k.b over the orbit of b: smallest index wins."""
-    col = action.table[:, b]
-    members, first = np.unique(col, return_index=True)
-    return CosetSection(b, tuple(int(c) for c in members), tuple(int(k) for k in first))
 
 
 def pair_stabilizer(action: GroupAction, c: int, b: int) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import CosetSection, GroupAction, coset_section, stabilizer, stabilizer_mask
+from .groups import GroupAction, stabilizer, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -83,13 +83,12 @@ class OrbitMeasureFamily:
             raise StructuralError(f"orbit family shape {self.weights.shape}, expected {(m, m)}")
         if self.weights.min(initial=0.0) < 0:
             raise StructuralError("orbit family weights must be nonnegative")
-        off = self.weights[~orbit_mask(self.action)]
+        off = self.weights[self.action.coset_reps < 0]
         if off.size and np.any(off != 0.0):
             raise StructuralError("orbit family has weight off the orbit")
 
     def strictly_positive(self) -> bool:
-        mask = orbit_mask(self.action)
-        return bool(np.all(self.weights[mask] > 0))
+        return bool(np.all(self.weights[self.action.coset_reps >= 0] > 0))
 
 
 @dataclass(eq=False)
@@ -125,14 +124,6 @@ class DeltaFunction:
             raise StructuralError("delta has support off the stabilizer")
 
 
-def orbit_mask(action: GroupAction) -> np.ndarray:
-    """Boolean (|B|, |B|) mask: mask[b, c] iff c is in the orbit of b."""
-    m = action.base_size
-    mask = np.zeros((m, m), dtype=bool)
-    mask[np.arange(m), action.table] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -155,7 +146,7 @@ def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> Stabi
 def counting_orbit_family(action: GroupAction, scale: float = 1.0) -> OrbitMeasureFamily:
     if scale <= 0:
         raise DomainError("orbit counting scale must be positive")
-    return OrbitMeasureFamily(action, float(scale) * orbit_mask(action).astype(float))
+    return OrbitMeasureFamily(action, float(scale) * (action.coset_reps >= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +197,24 @@ def check_fubini(
     mubar: OrbitMeasureFamily,
     f: np.ndarray,
     b: int,
-    section: CosetSection | None = None,
+    reps: np.ndarray | None = None,
 ) -> float:
     """Residual of the disintegration identity at base point b for a real
-    function f on the group, using the given coset section (default: the
-    deterministic smallest-index section)."""
+    function f on the group.  reps[c] is the coset representative k_c used
+    for each c in the orbit of b, -1 elsewhere; by default the smallest,
+    action.coset_reps[b]."""
     action = mu.action
     grp = action.group
     f = np.asarray(f, dtype=float)
     if f.shape != (grp.order,):
         raise StructuralError(f"group function shape {f.shape}, expected {(grp.order,)}")
-    if section is None:
-        section = coset_section(action, b)
+    if reps is None:
+        reps = action.coset_reps[b]
     stab = stabilizer(action, b)
-    members = np.asarray(section.members)
-    reps = np.asarray(section.reps)
+    members = np.flatnonzero(reps >= 0)
 
     lhs = float(mu.weights[b] @ f)
-    inner = f[grp.cayley[np.ix_(reps, stab)]] @ nu.weights[b, stab]  # one value per orbit member
+    inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ nu.weights[b, stab]  # one value per orbit member
     rhs = float(mubar.weights[b, members] @ inner)
     return abs(lhs - rhs)
 
@@ -242,16 +233,10 @@ def fubini_pointwise_residual(
     """
     action = mu.action
     grp = action.group
-
-    def residual(b):  # [h] -> mu_b(h) - mubar_b(h.b) nu_b(k^-1 h)
-        sec = coset_section(action, b)
-        rep_of = np.zeros(action.base_size, dtype=np.int64)
-        rep_of[list(sec.members)] = sec.reps
-        hb = action.table[:, b]  # h -> h.b
-        k = rep_of[hb]
-        return mu.weights[b] - mubar.weights[b, hb] * nu.weights[b, grp.cayley[grp.inv[k], np.arange(grp.order)]]
-
-    return _worst_of_grid(np.stack([residual(b) for b in range(action.base_size)]))
+    b = np.arange(action.base_size)[:, None]
+    hb = action.table.T  # [b, h] -> h.b
+    k_inv_h = grp.cayley[grp.inv[action.coset_reps[b, hb]], np.arange(grp.order)]
+    return _worst_of_grid(mu.weights - mubar.weights[b, hb] * nu.weights[b, k_inv_h])
 
 
 def solve_orbit_measure(
@@ -278,10 +263,10 @@ def solve_orbit_measure(
     w = mu.weights[b]
     if w.size and float(w.max() - w.min()) > tolerance:
         raise PreconditionError(f"group family at b={b} is not constant; cannot solve for orbit weights")
-    sec = coset_section(action, b)
-    kh = grp.cayley[np.ix_(sec.reps, stab)]  # row c: the coset k_c G_b
+    members = np.flatnonzero(action.coset_reps[b] >= 0)
+    kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
     row = np.zeros(action.base_size)
-    row[list(sec.members)] = w[kh].sum(axis=1) / nu_mass
+    row[members] = w[kh].sum(axis=1) / nu_mass
     return row
 
 

@@ -12,7 +12,8 @@ coset representatives then carry those rows to the rest of the orbit.  A
 filter row that averages to ~0 is redrawn.  A kernel column needs no
 redraw: a pair orbit that the average forces to zero stays out of the
 support.  Violating kernels are random dense tables over the orbit mask,
-redrawn until the constraint residual clears the requested floor.
+redrawn until the constraint residual clears the requested floor; a draw
+with residual exactly 0 shows the law is vacuous, and none is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .bundles import EquivariantBundle, MackeySection, Section, _carry, _orbit_slice, pad_mask, section_to_mackey
 from .errors import DomainError
 from .groups import FiniteGroup, fundamental_domain, orbits, stabilizer
-from .measures import orbit_mask
 from .rng import SplitMix64
 from .transforms import Kernel, random_sections, validate_kernel
 from .xcorr import Filter
@@ -89,13 +89,15 @@ def random_violating_kernel(
     output_bundle: EquivariantBundle,
     rng: SplitMix64,
     min_violation: float = 0.1,
-) -> Kernel:
+) -> Kernel | None:
     """A dense random kernel whose compatibility residual is at least
-    min_violation; used to exercise the necessity direction."""
+    min_violation; used to exercise the necessity direction.  None when a
+    draw has residual exactly 0: a random dense kernel obeys the law only
+    when every kernel over the orbit mask does, so no violator exists."""
     action = input_bundle.action
     m = action.base_size
     de, df = input_bundle.dmax, output_bundle.dmax
-    mask = orbit_mask(action).T  # [c, b]
+    mask = (action.coset_reps >= 0).T  # [c, b]
     live_f = pad_mask(output_bundle.fiber_dim, df)  # rows live by the output fiber at b
     live_e = pad_mask(input_bundle.fiber_dim, de)  # columns live by the input fiber at c
     block = live_f[None, :, :, None] & live_e[:, None, None, :]  # (c, b, dF, dE)
@@ -105,6 +107,8 @@ def random_violating_kernel(
         mats *= block  # keep the violation on live fiber coordinates
         kern = Kernel(input_bundle, output_bundle, mats)
         res = validate_kernel(kern).worst().residual
+        if res == 0.0:
+            return None
         if res >= min_violation:
             return kern
     raise DomainError(f"could not reach a violation of {min_violation} in {_MAX_VIOLATOR_DRAWS} draws")

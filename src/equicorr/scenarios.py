@@ -60,7 +60,6 @@ from .measures import (
     counting_family,
     counting_stabilizer_family,
     dirac_delta,
-    orbit_mask,
     psi_indicator_identity,
     solve_orbit_family,
 )
@@ -114,41 +113,35 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
     """Construct a compatible orbit-map section over the given pair support
     (default: all same-orbit pairs).
 
-    On each diagonal pair orbit a representative k with k.b = c must
-    commute with the pair stabilizer of (c, b); the smallest such k seeds
-    the orbit and the rest follows by conjugation.  When no candidate
-    commutes, no compatible theta exists on that orbit and DomainError
-    reports the obstruction; nothing is ever guessed.
+    Scanning the support b-major, each pair (c, b) whose diagonal pair
+    orbit has no theta yet seeds that orbit: a representative k with
+    k.b = c must commute with the pair stabilizer of (c, b), the smallest
+    such k is taken, and the first g to reach each pair (g.c, g.b) carries
+    it there as g k g^-1.  When no candidate commutes, no compatible theta
+    exists on that orbit and DomainError reports the obstruction; nothing
+    is ever guessed.
     """
-    grp = action.group
+    grp, table = action.group, action.table
+    cay, inv = grp.cayley, grp.inv
     m = action.base_size
     if support is None:
-        support = orbit_mask(action).T  # [c, b]
+        support = (action.coset_reps >= 0).T  # [c, b]
     support = np.asarray(support, dtype=bool)
     if support.shape != (m, m):
         raise StructuralError(f"support shape {support.shape}, expected {(m, m)}")
     reps = np.full((m, m), -1, dtype=np.int64)
-    seen = np.zeros((m, m), dtype=bool)
     for b in range(m):
-        for c in range(m):
-            if not support[c, b] or seen[c, b]:
+        for c in np.flatnonzero(support[:, b] & (reps[:, b] < 0)):
+            if reps[c, b] >= 0:  # reached by an orbit seeded earlier in this column
                 continue
             ps = pair_stabilizer(action, c, b)
-            movers = np.flatnonzero(action.table[:, b] == c)
-            k0 = -1
-            for k in movers:
-                if all(grp.conjugate(int(g), int(k)) == int(k) for g in ps):
-                    k0 = int(k)
-                    break
-            if k0 < 0:
-                raise DomainError(
-                    f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})"
-                )
-            for g in range(grp.order):
-                gc, gb = action.table[g, c], action.table[g, b]
-                if not seen[gc, gb]:
-                    reps[gc, gb] = grp.conjugate(g, k0)
-                    seen[gc, gb] = True
+            movers = np.flatnonzero(table[:, b] == c)
+            commuting = (cay[cay[np.ix_(ps, movers)], inv[ps][:, None]] == movers).all(axis=0)
+            if not commuting.any():
+                raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
+            k0 = movers[commuting.argmax()]
+            pairs, g = np.unique(table[:, c] * m + table[:, b], return_index=True)  # g: first to reach each pair
+            reps.flat[pairs] = cay[cay[g, k0], inv[g]]
     return ThetaMap(action, reps)
 
 
@@ -166,13 +159,18 @@ def _attach_default_data(scn: Scenario, seed: int) -> None:
     scn.delta = dirac_delta(scn.nu)
 
 
+def cyclic_action(n: int) -> GroupAction:
+    """Z_n acting on itself by translation, g.b = g + b."""
+    grp = cyclic_group(n)  # checks the size before the table is built
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    return GroupAction(grp, tuple(str(b) for b in range(n)), table)
+
+
 def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
     """Z_n acting on itself by translation."""
     if n < 1:
         raise DomainError("cyclic scenario needs n >= 1")
-    grp = cyclic_group(n)
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    action = GroupAction(grp, tuple(str(b) for b in range(n)), table)
+    action = cyclic_action(n)
     e_bundle = trivial_bundle(action, 1)
     mu, nu, mubar, psi = _families(action, families)
     scn = Scenario(f"cyclic({n})", {"n": n, "families": families}, action, e_bundle, e_bundle, mu, nu, mubar, psi)
@@ -182,14 +180,9 @@ def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
 
 def dihedral_vertex_action(n: int) -> GroupAction:
     """Dihedral group on polygon vertices: rotations add, reflections negate."""
-    grp = dihedral_group(n)
-    table = np.zeros((2 * n, n), dtype=np.int64)
-    for g in range(2 * n):
-        i = g % n
-        if g < n:
-            table[g] = (np.arange(n) + i) % n
-        else:
-            table[g] = (i - np.arange(n)) % n
+    grp = dihedral_group(n)  # checks the size before the table is built
+    i, vertex = np.arange(n)[:, None], np.arange(n)[None, :]
+    table = np.concatenate([(i + vertex) % n, (i - vertex) % n])
     return GroupAction(grp, tuple(f"v{v}" for v in range(n)), table)
 
 
@@ -437,6 +430,8 @@ def degeneracy_demo(sizes: list[int]) -> dict:
     """
     from .xcorr import correlate_sections
 
+    if not sizes:
+        raise DomainError("degeneracy demo needs at least one torus size")
     if any(s < 4 for s in sizes):
         raise DomainError("degeneracy demo needs torus sizes >= 4")
     rows = []
@@ -490,9 +485,7 @@ def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting",
         raise DomainError("circle-grid scenario needs n >= 1")
     if filter_width < 0 or 2 * filter_width + 1 > n:
         raise DomainError("filter width must satisfy 2*width + 1 <= n")
-    grp = cyclic_group(n)
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    action = GroupAction(grp, tuple(str(b) for b in range(n)), table)
+    action = cyclic_action(n)
     e_bundle = trivial_bundle(action, 1)
     step = 2.0 * math.pi / n
     mu, nu, mubar, psi = _families(action, families, step)
@@ -666,6 +659,8 @@ def line_grid_oracle_residual(scn: Scenario) -> float:
 
 def line_grid_ladder(levels: int = 4, dx0: float = 0.1, units: int = 6) -> list[float]:
     """Oracle residuals across a 2x refinement ladder, coarse to fine."""
+    if levels < 2:
+        raise DomainError(f"quadrature ladder needs levels >= 2 to compare refinements, got {levels}")
     return [line_grid_oracle_residual(build_line_grid(units, dx0 / 2**j)) for j in range(levels)]
 
 

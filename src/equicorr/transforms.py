@@ -48,7 +48,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _act, _acting_classes, _orbit_slice, pad_mask
 from .errors import CoverageError, InconsistencyError, PreconditionError, StructuralError
-from .groups import GroupAction, coset_section, stabilizer
+from .groups import GroupAction, stabilizer
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -56,7 +56,6 @@ from .measures import (
     StabilizerMeasureFamily,
     dirac_delta,
     fubini_pointwise_residual,
-    orbit_mask,
 )
 from .reporting import (
     ValidationReport,
@@ -102,7 +101,7 @@ class Kernel:
         if self.matrices.shape != (m, m, df, de):
             raise StructuralError(f"kernel shape {self.matrices.shape}, expected {(m, m, df, de)}")
         self.support = np.any(self.matrices != 0.0, axis=(2, 3))
-        off_orbit = self.support & ~orbit_mask(action).T  # support[c, b] needs c in G.b
+        off_orbit = self.support & (action.coset_reps < 0).T  # support[c, b] needs c in G.b
         if np.any(off_orbit):
             c, b = _argmax_coords(off_orbit.astype(float))
             raise StructuralError(f"kernel entry at (c={c}, b={b}) is off the orbit of b")
@@ -215,7 +214,7 @@ def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kerne
 
         kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b)
 
-    with k the deterministic coset representative of c = k.b.
+    with k = k_c the smallest element carrying b to c (action.coset_reps).
     """
     if nu.action is not filt.action:
         raise StructuralError("stabilizer family is over a different action")
@@ -228,9 +227,8 @@ def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kerne
     for b in range(m):
         stab = stabilizer(action, b)
         w = nu.weights[b, stab]
-        sec = coset_section(action, b)
-        members = np.array(sec.members)
-        kh = grp.cayley[np.ix_(sec.reps, stab)]  # row c: the coset k_c G_b
+        members = np.flatnonzero(action.coset_reps[b] >= 0)
+        kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
         mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
         back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
         out[members, b] = np.einsum("s,csij,csjk->cik", w, mats, back)

@@ -3,6 +3,9 @@ from __future__ import annotations
 import pytest
 
 from equicorr.battery import run_battery, run_structural
+from equicorr.errors import DomainError
+from equicorr.rng import SplitMix64
+from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import report_to_dict
 
@@ -65,3 +68,28 @@ def test_offgrid_check_reported_but_skipped():
     off = by_name["rotation.off-grid-gap"]
     assert off.skipped and off.passed
     assert rep.passed
+
+
+@pytest.mark.parametrize("spec", ["cyclic(1)", "dihedral(1)", "dihedral(1, bundle=sign)", "torus(1)"])
+def test_necessity_probe_skipped_when_the_law_is_vacuous(spec):
+    # one base point with a trivial or sign bundle: every kernel obeys the
+    # compatibility law, so there is no violator to plant
+    scn = build_scenario(spec)
+    assert random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1)) is None
+    rep = run_battery(scn, seed=1)
+    probe = {c.name: c for c in rep.checks}["transform.necessity-catches-planted"]
+    assert probe.skipped and probe.passed
+    assert rep.passed
+
+
+def test_unreachable_violation_floor_still_raises():
+    scn = build_scenario("cyclic(2)")
+    with pytest.raises(DomainError, match="could not reach a violation"):
+        random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1), min_violation=1e6)
+
+
+@pytest.mark.parametrize("n_sections, n_violators", [(0, 1), (-1, 1), (1, -1)])
+def test_battery_refuses_bad_counts(n_sections, n_violators):
+    name = "n_sections" if n_sections < 1 else "n_violators"
+    with pytest.raises(DomainError, match=name):
+        run_battery(build_scenario("cyclic(2)"), n_sections=n_sections, n_violators=n_violators)

@@ -266,6 +266,24 @@ def test_lift_theta_choice(capsys):
     assert code == 2 and "choices" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["battery", "dihedral(3)", "--sections", "0"], "n_sections"),
+        (["battery", "dihedral(3)", "--sections", "-1"], "n_sections"),
+        (["battery", "dihedral(3)", "--violators", "-1"], "n_violators"),
+        (["demo", "degeneracy", "--sizes="], "torus size"),
+        (["demo", "degeneracy", "--sizes", "4,x"], "--sizes"),
+        (["demo", "quadrature", "--levels", "0"], "levels"),
+        (["demo", "quadrature", "--levels", "1"], "levels"),
+    ],
+)
+def test_bad_counts_exit_two_naming_the_argument(argv, named, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_demo_degeneracy(capsys):
     code, out, err = run_cli(capsys, "demo", "degeneracy", "--sizes", "4,8")
     assert code == 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import (
-    coset_section,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -20,7 +19,7 @@ from equicorr.groups import (
     validate_action,
     validate_group,
 )
-from equicorr.scenarios import dihedral_vertex_action, torus_action
+from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 
 
 def brute_force_associative(cayley: np.ndarray) -> bool:
@@ -172,15 +171,23 @@ def test_pair_stabilizer_matches_brute_force():
             assert list(ps) == expect
 
 
-def test_coset_section_smallest_reps():
-    action = dihedral_vertex_action(4)
-    sec = coset_section(action, 0)
-    # one representative per target, each the smallest mover
-    for c in range(4):
-        k = sec.rep_for(c)
-        assert action.act(k, 0) == c
-        movers = [g for g in range(8) if action.act(g, 0) == c]
-        assert k == min(movers)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic(8)",
+        "dihedral(4)",
+        "dihedral(5)",
+        "torus(6)",
+        "torus-bands(16)",
+        "circle-grid(16)",
+        "line-grid(5, dx=0.2)",
+    ],
+)
+def test_coset_reps_are_smallest_movers(spec):
+    action = build_scenario(spec).action
+    n, m = action.group.order, action.base_size
+    brute = [[min((k for k in range(n) if action.act(k, b) == c), default=-1) for c in range(m)] for b in range(m)]
+    assert action.coset_reps.tolist() == brute
 
 
 def test_torus_action_stabilizer():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equicorr.errors import DegenerateMeasureError, PreconditionError
-from equicorr.groups import coset_section, orbit, stabilizer
+from equicorr.groups import orbit, stabilizer
 from equicorr.measures import (
     GroupMeasureFamily,
     OrbitMeasureFamily,
@@ -36,7 +36,7 @@ def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
     lhs = sum(mu.weights[b, h] * f[h] for h in range(grp.order))
     stab = [int(s) for s in stabilizer(action, b)]
     if reps is None:
-        reps = {int(c): int(coset_section(action, b).rep_for(int(c))) for c in orbit(action, b).members}
+        reps = {int(c): int(action.coset_reps[b, c]) for c in orbit(action, b).members}
     rhs = 0.0
     for c, k in reps.items():
         inner = sum(nu.weights[b, s] * f[grp.mul(k, s)] for s in stab)
@@ -79,10 +79,9 @@ def test_fubini_rep_independent():
         f = random_group_function(grp, rng)
         for b in range(6):
             stab = [int(s) for s in stabilizer(action, b)]
-            sec = coset_section(action, b)
             reps = {}
             for c in orbit(action, b).members:
-                k = int(sec.rep_for(int(c)))
+                k = int(action.coset_reps[b, c])
                 s = stab[int(rng.integer(len(stab)))]
                 reps[int(c)] = grp.mul(k, s)
             assert brute_fubini_gap(action, mu, nu, mubar, f, b, reps) < 1e-12

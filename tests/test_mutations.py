@@ -135,6 +135,30 @@ def test_single_action_entry_caught(scn, seed):
     assert not validate_action(GroupAction(action.group, action.base, table)).passed
 
 
+def _brute_coset_reps(table: np.ndarray) -> list[list[int]]:
+    """[b, c] -> min{k : k.b = c}, -1 when no k carries b to c: write every
+    k at [b, k.b], largest k first, so the smallest is written last."""
+    n, m = table.shape
+    reps = [[-1] * m for _ in range(m)]
+    for k in reversed(range(n)):
+        for b in range(m):
+            reps[b][int(table[k, b])] = k
+    return reps
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_coset_reps_on_corrupted_action_tables(scn, seed):
+    # the same corruptions as test_single_action_entry_caught: the derived
+    # table stays the smallest mover even where the action law fails
+    action = scn.action
+    rng = SplitMix64(seed)
+    g, b = rng.integer(action.group.order), rng.integer(action.base_size)
+    table = action.table.copy()
+    table[g, b] = _other(rng, int(table[g, b]), action.base_size)
+    assert GroupAction(action.group, action.base, table).coset_reps.tolist() == _brute_coset_reps(table)
+
+
+
 @pytest.fixture(scope="module")
 def scn_text(scn):
     return dumps(scenario_to_dict(scn))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr.errors import DomainError
-from equicorr.groups import GroupAction, dihedral_group
+from equicorr.groups import GroupAction, dihedral_group, pair_stabilizer
+from equicorr.rng import SplitMix64
 from equicorr.scenarios import (
     DEGENERACY_PROFILE,
     DEGENERACY_TEST_FUNCTION,
@@ -25,6 +26,7 @@ from equicorr.scenarios import (
     continuous_line_transform,
     degeneracy_demo,
     derive_theta,
+    dihedral_vertex_action,
     is_scenario_spec,
     line_grid_ladder,
     line_grid_oracle_residual,
@@ -95,6 +97,61 @@ def test_derived_theta_recovers_global_on_bands():
     scn = build_torus_bands(16)
     derived = derive_theta(scn.action, scn.kernel.support)
     assert np.array_equal(derived.reps, scn.thetas["global"].reps)
+
+
+def reference_derive_theta(action: GroupAction, support: np.ndarray) -> np.ndarray:
+    """The scalar derivation derive_theta replaced: scan the support pairs
+    b-major, seed each unseen pair orbit with the smallest mover that
+    commutes with the pair stabilizer, and spread it by conjugation with
+    every g in turn, the first g to reach a pair winning."""
+    grp = action.group
+    m = action.base_size
+    reps = np.full((m, m), -1, dtype=np.int64)
+    seen = np.zeros((m, m), dtype=bool)
+    for b in range(m):
+        for c in range(m):
+            if not support[c, b] or seen[c, b]:
+                continue
+            ps = pair_stabilizer(action, c, b)
+            movers = np.flatnonzero(action.table[:, b] == c)
+            k0 = -1
+            for k in movers:
+                if all(grp.conjugate(int(g), int(k)) == int(k) for g in ps):
+                    k0 = int(k)
+                    break
+            if k0 < 0:
+                raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
+            for g in range(grp.order):
+                gc, gb = action.table[g, c], action.table[g, b]
+                if not seen[gc, gb]:
+                    reps[gc, gb] = grp.conjugate(g, k0)
+                    seen[gc, gb] = True
+    return reps
+
+
+def _square_and_centre() -> GroupAction:
+    """dihedral(4) on the square's vertices and its fixed centre: two orbits,
+    the second with the whole group as stabilizer."""
+    square = dihedral_vertex_action(4)
+    table = np.concatenate([square.table, np.full((square.group.order, 1), square.base_size)], axis=1)
+    return GroupAction(square.group, square.base + ("centre",), table)
+
+
+@pytest.mark.parametrize("name", ["cyclic(8)", "dihedral(5)", "dihedral(4, bundle=sign)", "torus(6)", "square+centre"])
+def test_derive_theta_matches_reference(name):
+    action = _square_and_centre() if name == "square+centre" else build_scenario(name).action
+    full = (action.coset_reps >= 0).T
+    # a support that is not invariant: each orbit is seeded at its first kept pair
+    keep = SplitMix64(11).uniforms(full.shape, 0.0, 1.0) < 0.3
+    for support in (full, full & keep, full & keep.T):
+        assert np.array_equal(derive_theta(action, support).reps, reference_derive_theta(action, support))
+
+
+def test_derive_theta_matches_reference_on_kernel_supports():
+    for spec in ("torus-bands(16)", "dihedral(4, bundle=sign)"):
+        scn = build_scenario(spec)
+        support = scn.kernel.support
+        assert np.array_equal(derive_theta(scn.action, support).reps, reference_derive_theta(scn.action, support))
 
 
 def test_derivation_obstruction_reported():
