@@ -67,6 +67,7 @@ mean of _carry over Stab(b0) makes S = 0, and _orbit_slice fills T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,19 +346,25 @@ def _orbit_slice(
     row-major over (g, r)), and the table carried from the rows at each b0.
     """
     grp = action.group
+    domain = fundamental_domain(action)
     carried = values.copy()
-    stab_parts, coset_parts = [], []  # (b0, elements g, [i, r, ...] carried minus table)
-    for b0 in fundamental_domain(action):
-        stab = stabilizer(action, b0)
-        stab_parts.append((b0, stab, _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]))
-        reps = _movers(action, b0)
-        targets = action.table[reps, b0]
-        carried[:, targets] = np.moveaxis(_carry(values, action, conjugate, a_out, a_in, reps, b0), 0, 1)
-        coset_parts.append((b0, reps, np.moveaxis(carried[:, targets] - values[:, targets], 1, 0)))
-    parts = stab_parts + coset_parts
-    worst, wit = _worst_of_grid(np.concatenate([diff for _, _, diff in parts]))
-    if wit is None:
-        return worst, None, carried
-    bases = np.concatenate([np.full(len(elements), base) for base, elements, _ in parts])
-    g = int(np.concatenate([elements for _, elements, _ in parts])[wit[0]])
-    return worst, (g, int(_move(action, conjugate, grp.inv[[g]])[0, wit[1]]), int(bases[wit[0]])), carried
+
+    def parts():  # (b0, elements g, [i, r, ...] carried minus table)
+        for b0 in domain:
+            stab = stabilizer(action, b0)
+            yield b0, stab, _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]
+        for b0 in domain:
+            reps = _movers(action, b0)
+            targets = action.table[reps, b0]
+            rows = _carry(values, action, conjugate, a_out, a_in, reps, b0)
+            carried[:, targets] = np.moveaxis(rows, 0, 1)
+            rows -= np.moveaxis(values[:, targets], 1, 0)
+            yield b0, reps, rows
+
+    worst, witness = 0.0, None  # running maximum; the first NaN wins and stays
+    for b0, elements, diff in parts():
+        part, at = _worst_of_grid(diff)
+        if not (part <= worst or math.isnan(worst)):
+            g = int(elements[at[0]])
+            worst, witness = part, (g, int(_move(action, conjugate, grp.inv[[g]])[0, at[1]]), int(b0))
+    return worst, witness, carried

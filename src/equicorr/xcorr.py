@@ -58,7 +58,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _act, _acting_classes, _orbit_slice
 from .errors import InconsistencyError, StructuralError
-from .groups import fundamental_domain
+from .groups import FiniteGroup, fundamental_domain
 from .measures import GroupMeasureFamily
 from .reporting import (
     Check,
@@ -127,6 +127,12 @@ def _weighted_support(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     return mu.weights[cols, idx][:, :, None, None] * filt.matrices[idx, cols]
 
 
+def _times_inverse(grp: FiniteGroup, k: np.ndarray) -> np.ndarray:
+    """[h, b] -> h k_b^-1 = (k_b h^-1)^-1 on a valid table, read from the
+    contiguous rows k_b instead of the strided columns k_b^-1."""
+    return grp.inv[grp.cayley[k][:, grp.inv]].T
+
+
 def _support_sum(filt: Filter, weights: np.ndarray, term, lead: tuple[int, ...]) -> np.ndarray:
     """sum_s weights[b, s] @ term(k_s)[..., b, :] with k_s = support_index[b, s],
     accumulated one support position at a time in ascending order.
@@ -147,7 +153,11 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     in the support of omega(., b)."""
     _check_xcorr_args(filt, m, mu)
     grp, cols = filt.action.group, np.arange(filt.action.base_size)
-    vals = _support_sum(filt, _weighted_support(filt, mu), lambda k: m.values[grp.cayley[:, k], cols], (grp.order,))
+
+    def shifted(k: np.ndarray) -> np.ndarray:  # m(h k, b)
+        return m.values[_times_inverse(grp, grp.inv[k]), cols]
+
+    vals = _support_sum(filt, _weighted_support(filt, mu), shifted, (grp.order,))
     return MackeySection(filt.output_bundle, vals)
 
 
@@ -230,7 +240,7 @@ def convolve(filt_prime: Filter, m: MackeySection, mu: GroupMeasureFamily) -> Ma
     idx, cols = filt_prime.support_index, np.arange(filt_prime.action.base_size)
 
     def weighted_input(x: np.ndarray) -> np.ndarray:  # mu_b(h x^-1) m(h x^-1, b)
-        hx = grp.cayley[:, grp.inv[x]]
+        hx = _times_inverse(grp, x)
         return mu.weights[cols, hx][..., None] * m.values[hx, cols]
 
     mats = filt_prime.matrices[idx, cols[:, None]]

@@ -7,6 +7,10 @@ from equicorr.bundles import (
     EquivariantBundle,
     MackeySection,
     Section,
+    _carry,
+    _move,
+    _movers,
+    _orbit_slice,
     act_on_mackey,
     act_on_section,
     mackey_to_section,
@@ -18,13 +22,15 @@ from equicorr.bundles import (
     validate_mackey,
 )
 from equicorr.errors import StructuralError
-from equicorr.groups import GroupAction
+from equicorr.groups import GroupAction, fundamental_domain, stabilizer
 from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families, validate_psi
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_valid_filter, random_valid_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 from equicorr.transforms import Kernel, random_sections, validate_kernel
 from equicorr.xcorr import Filter, validate_filter
+
+from helpers import conjugate
 
 
 def rotation_rep(n: int) -> np.ndarray:
@@ -331,7 +337,7 @@ def test_random_valid_builders_brute_force(name, output, support):
             for b in range(action.base_size):
                 gb = action.table[g, b]
                 for h in range(grp.order):  # omega(g h g^-1, g.b) actE(g, b) = actF(g, b) omega(h, b)
-                    lhs = filt.matrices[grp.conjugate(g, h), gb] @ ae[g, b]
+                    lhs = filt.matrices[conjugate(grp, g, h), gb] @ ae[g, b]
                     worst = max(worst, float(np.abs(lhs - af[g, b] @ filt.matrices[h, b]).max()))
                 for c in range(action.base_size):  # actF(g, b) kappa(c, b) = kappa(g.c, g.b) actE(g, c)
                     rhs = kern.matrices[action.table[g, c], gb] @ ae[g, c]
@@ -404,3 +410,45 @@ def test_orbit_slice_residual_bounds_all_g_brute_force(name):
             assert P > 0.0, check
             assert R <= a * P * (1 + 1e-9) + 1e-15, check
             assert P <= (a * a + 2 * a) * R * (1 + 1e-9) + 1e-15, check
+
+
+def _concatenated_slice(values, action, conjugate, A):
+    """The orbit-slice scan as one array: every stabilizer part, then every
+    coset part, each in fundamental-domain order, concatenated and read
+    row-major; the first maximum of |.|, or the first NaN, is the witness."""
+    grp, domain = action.group, fundamental_domain(action)
+    parts = [(b0, stabilizer(action, b0)) for b0 in domain] + [(b0, _movers(action, b0)) for b0 in domain]
+    diffs = [
+        _carry(values, action, conjugate, A, A, elements, b0) - np.moveaxis(values[:, action.table[elements, b0]], 1, 0)
+        for b0, elements in parts
+    ]
+    grid = np.abs(np.concatenate(diffs))
+    flat = int(np.argmax(grid))  # the first NaN, or the first maximum
+    worst = float(grid.ravel()[flat])
+    if worst == 0.0:
+        return worst, None
+    i, r = np.unravel_index(flat, grid.shape)[:2]
+    bases = np.concatenate([np.full(len(elements), b0) for b0, elements in parts])
+    g = int(np.concatenate([elements for _, elements in parts])[i])
+    return worst, (g, int(_move(action, conjugate, grp.inv[[g]])[0, r]), int(bases[i]))
+
+
+@pytest.mark.parametrize("name", ["dihedral(4, bundle=sign, families=normalized-psi)", "torus-bands(16)", "rotation-6"])
+def test_orbit_slice_keeps_the_concatenated_scan_order(name):
+    # the running maximum names the same residual and witness as one scan of
+    # all parts: ties keep the first part, and the first NaN wins and stays
+    rng = np.random.default_rng(5)
+    for check, action, table, conjugate, A, _ in _invariance_cases(name):
+        cases = [table]
+        for fill in (1.0, np.nan):
+            for _ in range(3):
+                bumped = table.copy()
+                for _ in range(3):
+                    at = tuple(int(rng.integers(n)) for n in table.shape)
+                    bumped[at] = fill if np.isnan(fill) else bumped[at] + fill
+                cases.append(bumped)
+        for values in cases:
+            worst, witness, _ = _orbit_slice(values, action, conjugate, A, A)
+            ref_worst, ref_witness = _concatenated_slice(values, action, conjugate, A)
+            assert (witness, np.isnan(worst)) == (ref_witness, np.isnan(ref_worst)), check
+            assert np.isnan(worst) or worst == ref_worst, check

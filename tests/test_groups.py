@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from equicorr.groups import (
     validate_group,
 )
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+
+from helpers import conjugate
 
 
 def brute_force_associative(cayley: np.ndarray) -> bool:
@@ -51,9 +55,21 @@ def test_dihedral_structure():
     for g in range(4, 8):
         assert grp.mul(g, g) == 0
     # s r = r^-1 s: conjugating a rotation by the base reflection inverts it
-    assert grp.conjugate(4, 1) == 3
+    assert conjugate(grp, 4, 1) == 3
     assert brute_force_associative(grp.cayley)
     assert validate_group(grp).passed
+
+
+def test_validate_group_allocates_no_table_sized_temporary():
+    grp = build_scenario("torus-bands(32)").group
+    tracemalloc.start()
+    try:
+        report = validate_group(grp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < grp.cayley.nbytes / 8
 
 
 def test_direct_product_packing():

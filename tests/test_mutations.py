@@ -3,7 +3,9 @@ table entry, and name the same offending coordinates every time.
 
 The integer-law scans read only a generating set, which is exact; these
 tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
-corruptions.  No float law is scanned over all g: the bundle cocycle and the
+corruptions.  The associativity certificate (generator commutators and one
+row compare per element) is run on every single-entry corruption of two
+small tables against a brute-force scan of all triples.  No float law is scanned over all g: the bundle cocycle and the
 seven table-invariance laws (filter, kernel, psi, delta, mu, nu, mubar) are
 checked on one base slice per orbit, Mackey periodicity through its identity
 slice.  Their witnesses are pinned to fix the scan order, single-entry
@@ -13,6 +15,7 @@ a NaN planted in any float table fails with a witness.
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import partial
 
@@ -22,7 +25,18 @@ import pytest
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
 from equicorr.cli import main
 from equicorr.errors import PreconditionError
-from equicorr.groups import FiniteGroup, GroupAction, generating_set, stabilizer_mask, validate_action, validate_group
+from equicorr.groups import (
+    FiniteGroup,
+    GroupAction,
+    cyclic_group,
+    dihedral_group,
+    generating_set,
+    group_from_tables,
+    stabilizer_mask,
+    table_from_generators,
+    validate_action,
+    validate_group,
+)
 from equicorr.measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -189,7 +203,11 @@ def test_associativity_witness_and_count_over_generators():
     cayley = grp.cayley.copy()
     cayley[5, 6] = 0
     report = validate_group(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity))
-    assert _failures(report) == [("group-associativity", 4.0, (5, 1, 5))]
+    # s1 = r1 s0 is a row of the right-product tree, so row s1 must be row r1
+    # after left multiplication by s0; it differs at x = s2 alone
+    assert _failures(report) == [("group-associativity", 1.0, (1, 4, 6))]
+    # Light's count over (x, generator, y) on the same table, which the row
+    # triple (1, 4, 6) is one of
     gens = generating_set(grp)
     n = grp.order
     brute = [
@@ -199,7 +217,53 @@ def test_associativity_witness_and_count_over_generators():
         for y in range(n)
         if cayley[cayley[x, a], y] != cayley[x, cayley[a, y]]
     ]
-    assert len(brute) == 4 and brute[0] == (5, 1, 5)
+    assert len(brute) == 4 and brute[0] == (5, 1, 5) and (1, 4, 6) in brute
+
+
+@pytest.mark.parametrize("build", [partial(dihedral_group, 3), partial(cyclic_group, 6)], ids=["dihedral(3)", "cyclic(6)"])
+def test_associativity_decided_on_every_single_entry_corruption(build):
+    # every wrong value at every (x, y): the report fails exactly when a
+    # brute-force scan of all triples or a unary law does, and the residual R
+    # keeps its stated relation to Light's count P
+    grp = build()
+    n = grp.order
+    for x, y, v in itertools.product(range(n), repeat=3):
+        if v == grp.cayley[x, y]:
+            continue
+        cayley = grp.cayley.copy()
+        cayley[x, y] = v
+        corrupt = FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)
+        checks = {c.name.removeprefix("group-"): c for c in validate_group(corrupt).checks}
+        bad = cayley[cayley] != cayley[np.arange(n)[:, None, None], cayley]  # [x, y, z] -> (x y) z != x (y z)
+        gens = corrupt.generators
+        R, P = checks["associativity"].residual, int(bad[:, gens].sum())
+        R_comm = int(bad[np.ix_(gens, range(n), gens)].sum())
+        identity_laws = checks["identity-left"].passed and checks["identity-right"].passed
+        unary = identity_laws and checks["inverse-left"].passed and checks["inverse-right"].passed
+        assert all(c.passed for c in checks.values()) == (unary and not bad.any())
+        assert R - R_comm <= P
+        if R:
+            assert bad[checks["associativity"].witness]
+        if identity_laws:
+            assert (R == 0) == (P == 0) == (not bad.any())
+            assert P <= len(gens) * n * n * R and R <= (len(gens) ** 2 * n + 1) * P
+
+
+def test_associativity_needs_the_commutators():
+    # the dihedral group of order 12 acting on the hexagon's 6 vertices is
+    # transitive but not regular: the table built from its left
+    # multiplications keeps every row a product of generator rows and both
+    # identity laws, and only the commutators of the certificate fail
+    n = 6
+    cayley = table_from_generators(n, 0, lambda: [(np.arange(n) + 1) % n, -np.arange(n) % n])
+    grp = group_from_tables(tuple(f"v{i}" for i in range(n)), cayley, 0)
+    checks = {c.name: c for c in validate_group(grp).checks}
+    assert checks["group-identity-left"].passed and checks["group-identity-right"].passed
+    bad = cayley[cayley] != cayley[np.arange(n)[:, None, None], cayley]
+    gens = grp.generators
+    assert checks["group-associativity"].residual == bad[np.ix_(gens, range(n), gens)].sum() == 8
+    s, x, t = checks["group-associativity"].witness
+    assert s in gens and t in gens and bad[s, x, t]
 
 
 def test_action_witness_pinned():

@@ -34,6 +34,8 @@ from equicorr.scenarios import (
 )
 from equicorr.transforms import validate_theta
 
+from helpers import conjugate
+
 
 # ---------------------------------------------------------------------------
 # spec strings and builder preconditions
@@ -116,7 +118,7 @@ def reference_derive_theta(action: GroupAction, support: np.ndarray) -> np.ndarr
             movers = np.flatnonzero(action.table[:, b] == c)
             k0 = -1
             for k in movers:
-                if all(grp.conjugate(int(g), int(k)) == int(k) for g in ps):
+                if all(conjugate(grp, int(g), int(k)) == int(k) for g in ps):
                     k0 = int(k)
                     break
             if k0 < 0:
@@ -124,7 +126,7 @@ def reference_derive_theta(action: GroupAction, support: np.ndarray) -> np.ndarr
             for g in range(grp.order):
                 gc, gb = action.table[g, c], action.table[g, b]
                 if not seen[gc, gb]:
-                    reps[gc, gb] = grp.conjugate(g, k0)
+                    reps[gc, gb] = conjugate(grp, g, k0)
                     seen[gc, gb] = True
     return reps
 
