@@ -79,9 +79,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, g: int, h: int) -> int:
-        return int(self.cayley[g, h])
-
     def inverse(self, g: int) -> int:
         return int(self.inv[g])
 

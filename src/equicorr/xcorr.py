@@ -41,6 +41,11 @@ matrix has a nonzero coefficient, so an all-zero matrix never counts as
 support.  Every sum above visits only the support, through a (|B|, s_max)
 index of ascending support rows built once per filter, so a faintly
 constrained filter with s_max << |G| costs s_max / |G| of a dense one.
+cross_correlate and convolve take one Mackey section or a list of them
+and share one Mackey-level sum: each support position builds its gather
+index once and applies it to every section of the list.  Alive at once
+are the input sections, their (S, |G|, |B|, dF) outputs, and one
+section's gathered (|G|, |B|) slice with its product.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has exactly one consistent
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, _act, _acting_classes, _orbit_slice
+from .bundles import EquivariantBundle, MackeySection, Section, _act, _acting_classes, _orbit_slice
 from .errors import InconsistencyError, StructuralError
 from .groups import FiniteGroup, fundamental_domain
 from .measures import GroupMeasureFamily
@@ -133,32 +138,46 @@ def _times_inverse(grp: FiniteGroup, k: np.ndarray) -> np.ndarray:
     return grp.inv[grp.cayley[k][:, grp.inv]].T
 
 
-def _support_sum(filt: Filter, weights: np.ndarray, term, lead: tuple[int, ...]) -> np.ndarray:
-    """sum_s weights[b, s] @ term(k_s)[..., b, :] with k_s = support_index[b, s],
-    accumulated one support position at a time in ascending order.
+def _support_sum(filt: Filter, mu: GroupMeasureFamily, mats: np.ndarray, m, shift, weigh: bool = False):
+    """sum_s mats[b, s] @ m(y, b), y = shift(k_s)[h, b] with k_s the support
+    row support_index[b, s], accumulated one support position at a time in
+    ascending order; with weigh, each term is scaled by mu_b(y) as well.
+    m is one Mackey section or a list of them, and the result comes back
+    in the same form.
 
-    term maps the (|B|,) column of support elements at position s to the
-    (*lead, |B|, dE) values it multiplies, so only one such slice is alive
-    at a time, never the (*lead, |B|, s_max, dE) stack.
+    Each position builds its flat (y, b) gather index, and the (|G|, |B|)
+    gather of mu's weights when weighing, once, and applies them to every
+    section in turn.  Alive at once: the input sections, the (S, |G|, |B|,
+    dF) output stack, and one section's gathered term and product.
     """
+    sections = [m] if isinstance(m, MackeySection) else list(m)
+    _check_xcorr_args(filt, sections, mu)
     idx = filt.support_index
-    out = np.zeros(lead + (idx.shape[0], filt.output_bundle.dmax))
+    n, nb, de = filt.action.group.order, filt.action.base_size, filt.input_bundle.dmax
+    cols = np.arange(nb)
+    out = np.zeros((len(sections), n, nb, filt.output_bundle.dmax))
+    prod = np.empty(out.shape[1:])
     for s in range(idx.shape[1]):
-        out += np.einsum("bij,...bj->...bi", weights[:, s], term(idx[:, s]))
-    return out
+        y = shift(idx[:, s])
+        at = (y * nb + cols).ravel()
+        w = mu.weights.take(cols * n + y)[..., None] if weigh else None
+        for i, section in enumerate(sections):
+            term = section.values.reshape(n * nb, de).take(at, axis=0).reshape(n, nb, de)
+            if weigh:
+                term *= w
+            out[i] += np.einsum("bij,...bj->...bi", mats[:, s], term, out=prod)
+    outputs = [MackeySection(filt.output_bundle, v) for v in out]
+    return outputs[0] if isinstance(m, MackeySection) else outputs
 
 
-def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
+def cross_correlate(
+    filt: Filter, m: MackeySection | list[MackeySection], mu: GroupMeasureFamily
+) -> MackeySection | list[MackeySection]:
     """(omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b), ascending k
-    in the support of omega(., b)."""
-    _check_xcorr_args(filt, m, mu)
-    grp, cols = filt.action.group, np.arange(filt.action.base_size)
-
-    def shifted(k: np.ndarray) -> np.ndarray:  # m(h k, b)
-        return m.values[_times_inverse(grp, grp.inv[k]), cols]
-
-    vals = _support_sum(filt, _weighted_support(filt, mu), shifted, (grp.order,))
-    return MackeySection(filt.output_bundle, vals)
+    in the support of omega(., b).  m is one Mackey section or a list of
+    them, and the result comes back in the same form."""
+    grp = filt.action.group
+    return _support_sum(filt, mu, _weighted_support(filt, mu), m, lambda k: _times_inverse(grp, grp.inv[k]))
 
 
 def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray) -> np.ndarray:
@@ -177,18 +196,20 @@ def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray)
     expected = (action.base_size, filt.input_bundle.dmax)
     if values.shape[-2:] != expected:
         raise StructuralError(f"section values shape {values.shape}, expected (..., {expected[0]}, {expected[1]})")
-    cols = np.arange(action.base_size)
+    cols, idx = np.arange(action.base_size), filt.support_index
+    weights = _weighted_support(filt, mu)
+    out = np.zeros(values.shape[:-2] + (action.base_size, filt.output_bundle.dmax))
+    for s in range(idx.shape[1]):  # one (..., |B|, dE) slice alive at a time
+        k = idx[:, s]
+        kb = action.table[k, cols]  # f~(k, b) = actE(k^-1, k.b) @ f(k.b)
+        pulled = np.einsum("bij,...bj->...bi", filt.input_bundle.act_matrix[action.group.inv[k], kb], values[..., kb, :])
+        out += np.einsum("bij,...bj->...bi", weights[:, s], pulled)
+    return out
 
-    def pulled_back(k: np.ndarray) -> np.ndarray:  # f~(k, b) = actE(k^-1, k.b) @ f(k.b)
-        kb = action.table[k, cols]
-        return np.einsum("bij,...bj->...bi", filt.input_bundle.act_matrix[action.group.inv[k], kb], values[..., kb, :])
 
-    return _support_sum(filt, _weighted_support(filt, mu), pulled_back, values.shape[:-2])
-
-
-def _check_xcorr_args(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> None:
-    if m.bundle is not filt.input_bundle:
-        raise StructuralError("mackey section does not live in the filter's input bundle")
+def _check_xcorr_args(filt: Filter, sections: list, mu: GroupMeasureFamily) -> None:
+    if any(m.bundle is not filt.input_bundle for m in sections):
+        raise StructuralError("section does not live in the filter's input bundle")
     if mu.action is not filt.action:
         raise StructuralError("measure family is over a different action")
 
@@ -196,11 +217,11 @@ def _check_xcorr_args(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) ->
 def xcorr_equivariance_residual(
     filt: Filter,
     mu: GroupMeasureFamily,
-    sections: list[MackeySection],
+    sections: list[Section],
 ) -> tuple[float, tuple[int, int] | None]:
     """Max residual of T(g.f) = g.T(f) over the given sections and every g,
-    where T(f) = (omega * f~)(e, -) is the induced map on plain sections
-    and f = m(e, -); witness is the first (section index, g) attaining it.
+    where T(f) = (omega * f~)(e, -) is the induced map on plain sections;
+    witness is the first (section index, g) attaining it.
     Elements in one acting class of the two bundles give bitwise-identical
     residuals, so the (sections, class) stack is computed once with the
     class representatives and expanded to every g before the scan.
@@ -211,11 +232,10 @@ def xcorr_equivariance_residual(
     the output table keeping the Mackey periodicity, and it fails for
     matrices that break the conjugation constraint.
     """
-    for m in sections:
-        _check_xcorr_args(filt, m, mu)
+    _check_xcorr_args(filt, sections, mu)
     if not sections:
         return 0.0, None
-    f = np.stack([m.values[filt.action.group.identity] for m in sections])
+    f = np.stack([s.values for s in sections])
     reps, cls = _acting_classes(filt.input_bundle, filt.output_bundle)
     lhs = correlate_sections(filt, mu, _act(filt.input_bundle, reps, f))
     rhs = _act(filt.output_bundle, reps, correlate_sections(filt, mu, f))
@@ -231,20 +251,17 @@ def to_convolution_form(filt: Filter) -> Filter:
     return Filter(filt.input_bundle, filt.output_bundle, filt.matrices[filt.action.group.inv].copy())
 
 
-def convolve(filt_prime: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
+def convolve(
+    filt_prime: Filter, m: MackeySection | list[MackeySection], mu: GroupMeasureFamily
+) -> MackeySection | list[MackeySection]:
     """(omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b),
     summed as sum_x mu_b(h x^-1) omega'(x, b) @ m(h x^-1, b) over x in the
-    support of omega'(., b), ascending."""
-    _check_xcorr_args(filt_prime, m, mu)
+    support of omega'(., b), ascending.  m is one Mackey section or a list
+    of them, and the result comes back in the same form."""
     grp = filt_prime.action.group
     idx, cols = filt_prime.support_index, np.arange(filt_prime.action.base_size)
-
-    def weighted_input(x: np.ndarray) -> np.ndarray:  # mu_b(h x^-1) m(h x^-1, b)
-        hx = _times_inverse(grp, x)
-        return mu.weights[cols, hx][..., None] * m.values[hx, cols]
-
     mats = filt_prime.matrices[idx, cols[:, None]]
-    return MackeySection(filt_prime.output_bundle, _support_sum(filt_prime, mats, weighted_input, (grp.order,)))
+    return _support_sum(filt_prime, mu, mats, m, lambda x: _times_inverse(grp, x), weigh=True)
 
 
 def mu_left_invariant(mu: GroupMeasureFamily, tolerance: float = 0.0) -> bool:
@@ -260,23 +277,18 @@ def check_convolution_equality(
     mu: GroupMeasureFamily,
     sections: list[MackeySection],
     tolerance: float = 1e-12,
-    correlated: list[MackeySection] | None = None,
 ) -> ValidationReport:
     """Compare cross-correlation with the convolution of the inverted filter.
 
     The identity needs a left-invariant mu; without one the check is
-    recorded as skipped, never asserted.  A caller that already holds the
-    cross-correlations of the sections passes them as `correlated`.
+    recorded as skipped, never asserted.
     """
     report = ValidationReport()
     if not mu_left_invariant(mu):
         report.add(Check("xcorr-convolution-equality", 0.0, tolerance, True, None, skipped=True))
         return report
-    if correlated is None:
-        correlated = [cross_correlate(filt, m, mu) for m in sections]
-    flipped = to_convolution_form(filt)
-    grid = np.array([_maxabs(lhs.values - convolve(flipped, m, mu).values) for lhs, m in zip(correlated, sections)])
-    worst, witness = _worst_of_grid(grid)
+    pairs = zip(cross_correlate(filt, sections, mu), convolve(to_convolution_form(filt), sections, mu))
+    worst, witness = _worst_of_grid(np.array([_maxabs(lhs.values - rhs.values) for lhs, rhs in pairs]))
     report.add(check_from_residual("xcorr-convolution-equality", worst, tolerance, witness))
     return report
 

@@ -29,6 +29,8 @@ from equicorr.rng import SplitMix64
 from equicorr.sampling import random_group_function
 from equicorr.scenarios import dihedral_vertex_action, torus_action
 
+from helpers import mul
+
 
 def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
     """Independent double-sum evaluation of the disintegration identity."""
@@ -39,7 +41,7 @@ def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
         reps = {int(c): int(action.coset_reps[b, c]) for c in orbit(action, b).members}
     rhs = 0.0
     for c, k in reps.items():
-        inner = sum(nu.weights[b, s] * f[grp.mul(k, s)] for s in stab)
+        inner = sum(nu.weights[b, s] * f[mul(grp, k, s)] for s in stab)
         rhs += mubar.weights[b, c] * inner
     return abs(lhs - rhs)
 
@@ -83,7 +85,7 @@ def test_fubini_rep_independent():
             for c in orbit(action, b).members:
                 k = int(action.coset_reps[b, c])
                 s = stab[int(rng.integer(len(stab)))]
-                reps[int(c)] = grp.mul(k, s)
+                reps[int(c)] = mul(grp, k, s)
             assert brute_fubini_gap(action, mu, nu, mubar, f, b, reps) < 1e-12
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import _act, _acting_classes, representation_bundle, section_to_mackey, trivial_bundle
+from equicorr.bundles import _act, _acting_classes, representation_bundle, trivial_bundle
 from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family, counting_orbit_family
 from equicorr.reporting import _worst_of_grid
@@ -153,7 +153,7 @@ KERNELS = kernel_cases()
 def test_xcorr_equivariance_matches_brute_force(name):
     filt, mu = FILTERS[name]
     sections = random_sections(filt.input_bundle, SplitMix64(3), 4)
-    got = xcorr_equivariance_residual(filt, mu, [section_to_mackey(f) for f in sections])
+    got = xcorr_equivariance_residual(filt, mu, sections)
     want = ref_equivariance(lambda f: ref_induced(filt, mu, f), filt.input_bundle, filt.output_bundle, [f.values for f in sections])
     assert abs(got[0] - want[0]) <= 1e-15
     assert got[1] == want[1]
@@ -253,7 +253,7 @@ def all_g_search(apply, e_bundle, f_bundle, f):
 def test_xcorr_equivariance_equals_all_g_search(name):
     filt, mu = FILTERS[name]
     sections = random_sections(filt.input_bundle, SplitMix64(3), 4)
-    got = xcorr_equivariance_residual(filt, mu, [section_to_mackey(f) for f in sections])
+    got = xcorr_equivariance_residual(filt, mu, sections)
     f = np.stack([s.values for s in sections])
     assert got == all_g_search(lambda v: correlate_sections(filt, mu, v), filt.input_bundle, filt.output_bundle, f)
     if "violating" in name:

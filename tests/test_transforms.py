@@ -25,6 +25,8 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import correlate_sections, validate_filter
 
+from helpers import mul
+
 
 def brute_transform(kern, mubar, f):
     """T(f)(b) = sum_c mubar_b(c) kappa(c, b) f(c), ascending c."""
@@ -55,7 +57,7 @@ def brute_project(filt, nu):
             seen.add(c)
             acc = np.zeros_like(out[c, b])
             for s in stab:
-                ks = grp.mul(k, s)
+                ks = mul(grp, k, s)
                 acc = acc + nu.weights[b, s] * (filt.matrices[ks, b] @ ae[grp.inverse(ks), c])
             out[c, b] = acc
     return out
@@ -73,7 +75,7 @@ def brute_lift(kern, theta, delta):
             c = action.act(h, b)
             if not kern.support[c, b]:
                 continue
-            s = grp.mul(grp.inverse(int(theta.reps[c, b])), h)
+            s = mul(grp, grp.inverse(int(theta.reps[c, b])), h)
             assert action.act(s, b) == b  # theta(h.b, b)^-1 h stabilizes b
             out[h, b] = delta.values[s, b] * (kern.matrices[c, b] @ ae[h, b])
     return out

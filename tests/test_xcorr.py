@@ -8,7 +8,7 @@ from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_mackey_sections, random_valid_filter
+from equicorr.sampling import random_mackey_sections, random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 from equicorr.xcorr import (
     CompressedFilter,
@@ -24,6 +24,8 @@ from equicorr.xcorr import (
     xcorr_equivariance_residual,
 )
 
+from helpers import mul
+
 
 def brute_xcorr(filt, m, mu):
     """Triple-loop reference: (w * m)(h, b) = sum_k mu_b(k) w(k, b) m(hk, b)."""
@@ -35,7 +37,7 @@ def brute_xcorr(filt, m, mu):
         for b in range(mb):
             acc = np.zeros(m.values.shape[2])
             for k in range(n):
-                acc = acc + mu.weights[b, k] * (filt.matrices[k, b] @ m.values[grp.mul(h, k), b])
+                acc = acc + mu.weights[b, k] * (filt.matrices[k, b] @ m.values[mul(grp, h, k), b])
             out[h, b] = acc
     return out
 
@@ -59,7 +61,7 @@ def test_xcorr_matches_brute_force_sign_bundle(dihedral4_sign):
 def test_xcorr_equivariance_and_mackey_preservation(cyclic8):
     scn = cyclic8
     sections = random_mackey_sections(scn.input_bundle, SplitMix64(7), 6)
-    res, _ = xcorr_equivariance_residual(scn.filt, scn.mu, sections)
+    res, _ = xcorr_equivariance_residual(scn.filt, scn.mu, [mackey_to_section(m) for m in sections])
     assert res <= 1e-12
     for m in sections:
         assert validate_mackey(cross_correlate(scn.filt, m, scn.mu)).passed
@@ -82,7 +84,7 @@ def test_violating_filter_breaks_equivariance(dihedral4):
     mats[3, 1, 0, 0] += 0.7
     bad = Filter(scn.input_bundle, scn.output_bundle, mats)
     assert not validate_filter(bad, tolerance=1e-12).passed
-    sections = random_mackey_sections(scn.input_bundle, SplitMix64(40), 10)
+    sections = random_sections(scn.input_bundle, SplitMix64(40), 10)
     res, _ = xcorr_equivariance_residual(bad, scn.mu, sections)
     assert res > 1e-9
 
