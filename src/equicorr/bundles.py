@@ -247,6 +247,24 @@ def _acting_classes(*bundles: EquivariantBundle) -> tuple[np.ndarray, np.ndarray
     return reps, np.searchsorted(reps, first[inverse])
 
 
+def _equivariance_residual(
+    input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, apply, f: np.ndarray
+) -> tuple[float, tuple[int, int] | None]:
+    """Max residual of T(g.f) = g.T(f) over a (sections, |B|, dE) stack f
+    and every g, for the map T = `apply` from input to output section
+    stacks; witness is the first (section index, g) attaining it.
+
+    An acting class of the two bundles is a set of elements with the same
+    gather row g^-1.b and bitwise-equal act matrices on both bundles
+    (_acting_classes).  Its elements give bitwise-identical residuals, so
+    the (sections, class) stack is computed once with the class
+    representatives and expanded to every g before the scan."""
+    reps, cls = _acting_classes(input_bundle, output_bundle)
+    lhs = apply(_act(input_bundle, reps, f))
+    rhs = _act(output_bundle, reps, apply(f))
+    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0)[:, cls])
+
+
 def act_on_section(g: int, f: Section) -> Section:
     """(g.f)(b) = act_matrix(g, g^-1.b) @ f(g^-1.b)."""
     return Section(f.bundle, _act(f.bundle, np.array([g]), f.values)[0])

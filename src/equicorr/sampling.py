@@ -12,7 +12,7 @@ coset representatives then carry those rows to the rest of the orbit.  A
 filter row that averages to ~0 is redrawn.  A kernel column needs no
 redraw: a pair orbit that the average forces to zero stays out of the
 support.  Violating kernels are random dense tables over the orbit mask,
-redrawn until the constraint residual clears the requested floor; a draw
+redrawn until the constraint residual clears MIN_VIOLATION; a draw
 with residual exactly 0 shows the law is vacuous, and none is returned.
 """
 
@@ -27,6 +27,8 @@ from .rng import SplitMix64
 from .transforms import Kernel, random_sections, validate_kernel
 from .xcorr import Filter
 
+SUPPORT_PER_REP = 8  # random filter entries drawn per fundamental-domain point, before averaging
+MIN_VIOLATION = 0.1  # constraint residual a violating kernel must reach
 _MAX_TRIES = 16  # redraws of a stabilizer-averaged filter row that averaged to ~0
 _MAX_VIOLATOR_DRAWS = 64
 
@@ -44,12 +46,7 @@ def random_group_function(group: FiniteGroup, rng: SplitMix64) -> np.ndarray:
     return rng.uniforms(group.order, -1.0, 1.0)
 
 
-def random_valid_filter(
-    input_bundle: EquivariantBundle,
-    output_bundle: EquivariantBundle,
-    rng: SplitMix64,
-    support_per_rep: int = 8,
-) -> Filter:
+def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rng: SplitMix64) -> Filter:
     """A filter satisfying the faint constraint, with sparse random rows."""
     action = input_bundle.action
     n = action.group.order
@@ -58,7 +55,7 @@ def random_valid_filter(
     for b in fundamental_domain(action):
         for _ in range(_MAX_TRIES):
             table[:, b] = 0.0
-            for h in rng.sample_without_replacement(n, min(support_per_rep, n)):
+            for h in rng.sample_without_replacement(n, min(SUPPORT_PER_REP, n)):
                 table[h, b] = rng.uniforms(table.shape[2:], -1.0, 1.0)
             table[:, b] = _carry(table, action, True, *mats, stabilizer(action, b), b).mean(axis=0)
             if np.abs(table[:, b]).max(initial=0.0) > 1e-6:
@@ -85,13 +82,10 @@ def random_valid_kernel(
 
 
 def random_violating_kernel(
-    input_bundle: EquivariantBundle,
-    output_bundle: EquivariantBundle,
-    rng: SplitMix64,
-    min_violation: float = 0.1,
+    input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rng: SplitMix64
 ) -> Kernel | None:
     """A dense random kernel whose compatibility residual is at least
-    min_violation; used to exercise the necessity direction.  None when a
+    MIN_VIOLATION; used to exercise the necessity direction.  None when a
     draw has residual exactly 0: a random dense kernel obeys the law only
     when every kernel over the orbit mask does, so no violator exists."""
     action = input_bundle.action
@@ -109,6 +103,6 @@ def random_violating_kernel(
         res = validate_kernel(kern).worst().residual
         if res == 0.0:
             return None
-        if res >= min_violation:
+        if res >= MIN_VIOLATION:
             return kern
-    raise DomainError(f"could not reach a violation of {min_violation} in {_MAX_VIOLATOR_DRAWS} draws")
+    raise DomainError(f"could not reach a violation of {MIN_VIOLATION} in {_MAX_VIOLATOR_DRAWS} draws")

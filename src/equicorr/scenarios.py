@@ -25,15 +25,27 @@ Grid quadrature
   deliberately misaligned with every grid level, so the residual against
   the continuous transform is genuinely first order in dx.
 
+Assembly
+--------
+  Every builder checks its parameters, builds its action and passes it to
+  `_assemble`, which adds the bundle (the trivial line bundle unless the
+  builder passes another), the counting or psi-normalized family triple
+  and the Dirac delta of the stabilizer family.  cyclic, dihedral and
+  torus then draw a seeded random filter and kernel and derive theta
+  (`_attach_default_data`).  torus-bands and line-grid tabulate a kernel
+  of the signed displacement c - b (`_displacement_kernel`, which the
+  degeneracy demo shares) and cover it with hand-written thetas;
+  circle-grid tabulates its filter.
+
 Elements of product groups are packed with the first coordinate cycling
-fastest: (a, b) has index b*|A| + a.  Scenario randomness (the default
-filter and kernel of the finite scenarios) comes from the seeded
-generator with fixed salts, so two builds of the same scenario are
-identical.
+fastest: (a, b) has index b*|A| + a.  Scenario randomness (the filter and
+kernel of cyclic, dihedral and torus) comes from the seeded generator with
+fixed salts, so two builds of the same scenario are identical.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, field
@@ -94,19 +106,44 @@ class Scenario:
         return self.action.group
 
 
-def _families(action: GroupAction, kind: str, scale: float = 1.0):
-    """Counting or psi-normalized family triple; psi travels along when used.
-    A counting group family weighs each element by `scale`, a quadrature
-    step; the psi-normalized families carry their own weights."""
-    if kind == "counting":
+def _assemble(
+    name: str,
+    params: dict,
+    action: GroupAction,
+    families: str,
+    bundle: EquivariantBundle | None = None,
+    scale: float = 1.0,
+) -> Scenario:
+    """The scenario every builder starts from: `bundle` (the trivial line
+    bundle by default) as both input and output, the family triple of kind
+    `families`, and the Dirac delta of its stabilizer family.  A counting
+    group family weighs each element by `scale`, a quadrature step; the
+    psi-normalized families carry their own weights, and psi travels along."""
+    bundle = trivial_bundle(action, 1) if bundle is None else bundle
+    psi = None
+    if families == "counting":
         mu = counting_family(action, scale)
         nu = counting_stabilizer_family(action, 1.0)
-        return mu, nu, solve_orbit_family(mu, nu), None
-    if kind == "normalized-psi":
+        mubar = solve_orbit_family(mu, nu)
+    elif families == "normalized-psi":
         psi = psi_indicator_identity(action)
         mu, nu, mubar = construct_normalized_families(psi)
-        return mu, nu, mubar, psi
-    raise DomainError(f"unknown family kind {kind!r}; use 'counting' or 'normalized-psi'")
+    else:
+        raise DomainError(f"unknown family kind {families!r}; use 'counting' or 'normalized-psi'")
+    return Scenario(name, params, action, bundle, bundle, mu, nu, mubar, psi, delta=dirac_delta(nu))
+
+
+def _signed_mod(x: np.ndarray | int, n: int):
+    """Wrap to the signed window [-n/2, n/2)."""
+    return (np.asarray(x) + n // 2) % n - n // 2
+
+
+def _displacement_kernel(scn: Scenario, profile) -> Kernel:
+    """The kernel kappa(c, b) = profile(d) on the scenario's line bundles,
+    d the signed displacement c - b on Z_n, n the base size."""
+    n = scn.action.base_size
+    d = _signed_mod(np.arange(n)[:, None] - np.arange(n)[None, :], n)  # [c, b]
+    return Kernel(scn.input_bundle, scn.output_bundle, profile(d)[:, :, None, None])
 
 
 def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> ThetaMap:
@@ -149,14 +186,12 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
 # finite scenario builders
 
 
-def _attach_default_data(scn: Scenario, seed: int) -> None:
-    """Deterministic filter, kernel, theta, delta for the finite builders."""
-    scn.filt = random_valid_filter(
-        scn.input_bundle, scn.output_bundle, SplitMix64(seed ^ _FILTER_SALT), support_per_rep=8
-    )
+def _attach_default_data(scn: Scenario, seed: int) -> Scenario:
+    """Deterministic random filter and kernel, and the derived theta."""
+    scn.filt = random_valid_filter(scn.input_bundle, scn.output_bundle, SplitMix64(seed ^ _FILTER_SALT))
     scn.kernel = random_valid_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(seed ^ _KERNEL_SALT))
     scn.thetas["derived"] = derive_theta(scn.action)
-    scn.delta = dirac_delta(scn.nu)
+    return scn
 
 
 def cyclic_action(n: int) -> GroupAction:
@@ -170,12 +205,8 @@ def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
     """Z_n acting on itself by translation."""
     if n < 1:
         raise DomainError("cyclic scenario needs n >= 1")
-    action = cyclic_action(n)
-    e_bundle = trivial_bundle(action, 1)
-    mu, nu, mubar, psi = _families(action, families)
-    scn = Scenario(f"cyclic({n})", {"n": n, "families": families}, action, e_bundle, e_bundle, mu, nu, mubar, psi)
-    _attach_default_data(scn, seed)
-    return scn
+    scn = _assemble(f"cyclic({n})", {"n": n, "families": families}, cyclic_action(n), families)
+    return _attach_default_data(scn, seed)
 
 
 def dihedral_vertex_action(n: int) -> GroupAction:
@@ -191,27 +222,11 @@ def build_dihedral(n: int, bundle: str = "trivial", families: str = "counting", 
     if n < 1:
         raise DomainError("dihedral scenario needs n >= 1")
     action = dihedral_vertex_action(n)
-    if bundle == "trivial":
-        e_bundle = trivial_bundle(action, 1)
-    elif bundle == "sign":
-        signs = np.concatenate([np.ones(n), -np.ones(n)])
-        e_bundle = sign_bundle(action, signs)
-    else:
+    if bundle not in ("trivial", "sign"):
         raise DomainError(f"unknown dihedral bundle {bundle!r}; use 'trivial' or 'sign'")
-    mu, nu, mubar, psi = _families(action, families)
-    scn = Scenario(
-        f"dihedral({n})",
-        {"n": n, "bundle": bundle, "families": families},
-        action,
-        e_bundle,
-        e_bundle,
-        mu,
-        nu,
-        mubar,
-        psi,
-    )
-    _attach_default_data(scn, seed)
-    return scn
+    e_bundle = sign_bundle(action, np.concatenate([np.ones(n), -np.ones(n)])) if bundle == "sign" else None
+    params = {"n": n, "bundle": bundle, "families": families}
+    return _attach_default_data(_assemble(f"dihedral({n})", params, action, families, e_bundle), seed)
 
 
 def torus_action(n: int, spacing: int, offsets: int) -> GroupAction:
@@ -224,38 +239,16 @@ def torus_action(n: int, spacing: int, offsets: int) -> GroupAction:
     return GroupAction(grp, tuple(str(b) for b in range(n)), table)
 
 
-def _signed_mod(x: np.ndarray | int, n: int):
-    """Wrap to the signed window [-n/2, n/2)."""
-    return (np.asarray(x) + n // 2) % n - n // 2
-
-
 def build_torus(n: int, families: str = "counting", seed: int = 0) -> Scenario:
     """The plain finite torus: stabilizer of every b is {(k, -k)}."""
     if n < 1:
         raise DomainError("torus scenario needs n >= 1")
-    action = torus_action(n, 1, n)
-    e_bundle = trivial_bundle(action, 1)
-    mu, nu, mubar, psi = _families(action, families)
-    scn = Scenario(f"torus({n})", {"n": n, "families": families}, action, e_bundle, e_bundle, mu, nu, mubar, psi)
-    _attach_default_data(scn, seed)
-    return scn
-
-
-def _band_profile(i: int, r, eps: int):
-    """Deterministic nonzero value on band point (band index i, offset r).
-
-    Stays in [1.0, 3.0] for i, r in range, so the support set is exactly
-    the union of the three bands.
-    """
-    return 2.0 + 0.7 * i + 0.3 * (np.asarray(r) / (eps + 1.0))
+    scn = _assemble(f"torus({n})", {"n": n, "families": families}, torus_action(n, 1, n), families)
+    return _attach_default_data(scn, seed)
 
 
 def build_torus_bands(
-    n: int,
-    spacing: int | None = None,
-    eps_steps: int = 1,
-    families: str = "normalized-psi",
-    seed: int = 0,
+    n: int, spacing: int | None = None, eps_steps: int = 1, families: str = "normalized-psi"
 ) -> Scenario:
     """Finite analogue of the banded line kernel on a scaled torus action.
 
@@ -270,7 +263,9 @@ def build_torus_bands(
     Both are valid; they lift the same kernel to visibly different filters
     inducing one and the same transform.  The half-width must stay below a
     quarter of the outer band separation (eps_steps < spacing / 2), and
-    the three bands must fit on the circle without touching.
+    the three bands must fit on the circle without touching.  On band i
+    at offset r the kernel is 2 + 0.7 i + 0.3 r / (eps_steps + 1), inside
+    [1, 3], so its support is exactly the union of the three bands.
     """
     if n < 4:
         raise DomainError("torus-bands scenario needs n >= 4")
@@ -285,39 +280,23 @@ def build_torus_bands(
     if not (n - 2 * spacing) > 2 * eps_steps:
         raise DomainError("bands overlap around the wrap; increase n or shrink the bands")
 
-    action = torus_action(n, spacing, n)
-    e_bundle = trivial_bundle(action, 1)
-    mu, nu, mubar, psi = _families(action, families)
+    params = {"n": n, "spacing": spacing, "eps_steps": eps_steps, "families": families}
+    scn = _assemble(f"torus-bands({n})", params, torus_action(n, spacing, n), families)
 
-    d = _signed_mod(np.arange(n)[:, None] - np.arange(n)[None, :], n)  # [c, b] displacement
-    mats = np.zeros((n, n, 1, 1))
-    for i in (-1, 0, 1):
-        r = d - i * spacing
-        on_band = np.abs(r) <= eps_steps
-        mats[:, :, 0, 0] = np.where(on_band, _band_profile(i, r, eps_steps), mats[:, :, 0, 0])
-    kern = Kernel(e_bundle, e_bundle, mats)
+    def bands(d: np.ndarray) -> np.ndarray:
+        out = np.zeros(d.shape)
+        for i in (-1, 0, 1):
+            r = d - i * spacing
+            out = np.where(np.abs(r) <= eps_steps, 2.0 + 0.7 * i + 0.3 * (r / (eps_steps + 1.0)), out)
+        return out
 
-    theta_global = _torus_theta_global(action, n, kern.support)
-    theta_special = _torus_theta_special(action, n, spacing, eps_steps, kern.support)
-
-    scn = Scenario(
-        f"torus-bands({n})",
-        {"n": n, "spacing": spacing, "eps_steps": eps_steps, "families": families},
-        action,
-        e_bundle,
-        e_bundle,
-        mu,
-        nu,
-        mubar,
-        psi,
-    )
-    scn.kernel = kern
+    scn.kernel = kern = _displacement_kernel(scn, bands)
+    theta_global = _torus_theta_global(scn.action, n, kern.support)
+    theta_special = _torus_theta_special(scn.action, n, spacing, eps_steps, kern.support)
     scn.thetas = {"global": theta_global, "special": theta_special}
-    scn.delta = dirac_delta(nu)
     # the scenario's filter is the kernel's own lift along the global theta
     scn.filt = lift_kernel_to_filter(kern, theta_global, scn.delta)
-    scn.extras["band_spacing"] = spacing
-    scn.extras["eps_steps"] = eps_steps
+    scn.extras.update(band_spacing=spacing, eps_steps=eps_steps)
     return scn
 
 
@@ -395,22 +374,20 @@ DEGENERACY_PROFILE = {-1: 0.25, 0: 1.0, 1: 0.5}
 DEGENERACY_TEST_FUNCTION = {-1: 0.25, 0: 1.0, 1: 0.5}
 
 
-def biequivariant_filter(scn: Scenario, profile: dict[int, float] | None = None) -> Filter:
+def biequivariant_filter(scn: Scenario) -> Filter:
     """A filter on the plain torus that is constant along stabilizer cosets:
-    omega(g1, g2) = p((g1 + g2) mod N).
+    omega(g1, g2) = p((g1 + g2) mod N), p = DEGENERACY_PROFILE.
 
     Such a filter satisfies the faint constraint (the group is abelian and
     the table is base-independent) and additionally the translation
     invariance along stabilizers that forces the degeneracy.
     """
-    if profile is None:
-        profile = DEGENERACY_PROFILE
     n = scn.params["n"]
     ia = np.tile(np.arange(n), n)
     ib = np.repeat(np.arange(n), n)
     coset = (ia + ib) % n
     vals = np.zeros(n)
-    for d, v in profile.items():
+    for d, v in DEGENERACY_PROFILE.items():
         vals[d % n] += v
     mats = np.zeros((n * n, n, 1, 1))
     mats[:, :, 0, 0] = vals[coset][:, None]
@@ -443,11 +420,9 @@ def degeneracy_demo(sizes: list[int]) -> dict:
             fvals[d % n, 0] += v
         bi = float(correlate_sections(filt, scn.mu, fvals)[0, 0])
 
-        d = _signed_mod(np.arange(n)[:, None] - np.arange(n)[None, :], n)
-        mats = np.zeros((n, n, 1, 1))
-        for off, v in DEGENERACY_PROFILE.items():
-            mats[:, :, 0, 0] += np.where(d == off, v, 0.0)
-        kern = Kernel(scn.input_bundle, scn.output_bundle, mats)
+        kern = _displacement_kernel(
+            scn, lambda d: sum(np.where(d == off, v, 0.0) for off, v in DEGENERACY_PROFILE.items())
+        )
         theta = _torus_theta_global(scn.action, n, kern.support)
         lifted = lift_kernel_to_filter(kern, theta, scn.delta)
         faint = float(correlate_sections(lifted, scn.mu, fvals)[0, 0])
@@ -474,7 +449,7 @@ def circle_test_function(x: np.ndarray) -> np.ndarray:
     return np.sin(x) + 0.5 * np.cos(2.0 * x)
 
 
-def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting", seed: int = 0) -> Scenario:
+def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting") -> Scenario:
     """The circle discretized to n grid points, quadrature weight 2*pi/n.
 
     The filter support spans filter_width grid steps each way and must not
@@ -485,31 +460,13 @@ def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting",
         raise DomainError("circle-grid scenario needs n >= 1")
     if filter_width < 0 or 2 * filter_width + 1 > n:
         raise DomainError("filter width must satisfy 2*width + 1 <= n")
-    action = cyclic_action(n)
-    e_bundle = trivial_bundle(action, 1)
     step = 2.0 * math.pi / n
-    mu, nu, mubar, psi = _families(action, families, step)
-
-    j = _signed_mod(np.arange(n), n)
+    params = {"n": n, "filter_width": filter_width, "families": families}
+    scn = _assemble(f"circle-grid({n})", params, cyclic_action(n), families, scale=step)
     mats = np.zeros((n, n, 1, 1))
-    mats[:, :, 0, 0] = circle_profile(j, filter_width)[:, None]
-    filt = Filter(e_bundle, e_bundle, mats)
-
-    scn = Scenario(
-        f"circle-grid({n})",
-        {"n": n, "filter_width": filter_width, "families": families},
-        action,
-        e_bundle,
-        e_bundle,
-        mu,
-        nu,
-        mubar,
-        psi,
-    )
-    scn.filt = filt
-    scn.kernel = None
-    scn.thetas["derived"] = derive_theta(action)
-    scn.delta = dirac_delta(nu)
+    mats[:, :, 0, 0] = circle_profile(_signed_mod(np.arange(n), n), filter_width)[:, None]
+    scn.filt = Filter(scn.input_bundle, scn.output_bundle, mats)
+    scn.thetas["derived"] = derive_theta(scn.action)
     scn.extras["grid_step"] = step
     return scn
 
@@ -581,7 +538,7 @@ def continuous_line_transform() -> float:
     return total
 
 
-def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting", seed: int = 0) -> Scenario:
+def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting") -> Scenario:
     """Grid discretization of the banded line transform.
 
     The base is a window of `units` length units at step dx; the group is
@@ -601,34 +558,14 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting",
     u = round(1.0 / dx)
     if u < 2 or abs(u * dx - 1.0) > 1e-9:
         raise DomainError(f"grid step {dx} must divide the unit length exactly")
-    m = units * u  # base points
-    action = torus_action(m, u, units)
-    e_bundle = trivial_bundle(action, 1)
-
     if families != "counting":
         raise DomainError("line-grid carries quadrature weights; only counting families apply")
-    mu, nu, mubar, _ = _families(action, families, dx)
-
-    d_steps = _signed_mod(np.arange(m)[:, None] - np.arange(m)[None, :], m)
-    mats = np.zeros((m, m, 1, 1))
-    mats[:, :, 0, 0] = line_band_kernel_value(d_steps * dx)
-    kern = Kernel(e_bundle, e_bundle, mats)
-
-    scn = Scenario(
-        f"line-grid({units},{dx})",
-        {"units": units, "dx": dx, "families": families},
-        action,
-        e_bundle,
-        e_bundle,
-        mu,
-        nu,
-        mubar,
-    )
-    scn.kernel = kern
-    scn.thetas["global"] = _torus_theta_global(action, m, kern.support)
-    scn.delta = dirac_delta(nu)
-    scn.extras["dx"] = dx
-    scn.extras["origin"] = 0
+    m = units * u  # base points
+    params = {"units": units, "dx": dx, "families": families}
+    scn = _assemble(f"line-grid({units},{dx})", params, torus_action(m, u, units), families, scale=dx)
+    scn.kernel = _displacement_kernel(scn, lambda d_steps: line_band_kernel_value(d_steps * dx))
+    scn.thetas["global"] = _torus_theta_global(scn.action, m, scn.kernel.support)
+    scn.extras.update(dx=dx, origin=0)
     return scn
 
 
@@ -684,9 +621,14 @@ def is_scenario_spec(text: str) -> bool:
     return _SPEC_RE.match(text) is not None
 
 
-def build_scenario(spec: str, **overrides) -> Scenario:
+def build_scenario(spec: str) -> Scenario:
     """Build a built-in scenario from a spec string like 'torus-bands(16)'
-    or 'dihedral(4, bundle=sign)'.  Keyword overrides win over the spec."""
+    or 'dihedral(4, bundle=sign)'.
+
+    The arguments are bound to the builder's signature and checked against
+    its annotations before the call (an int passes for a float), so a spec
+    with an unknown or missing parameter, too many arguments or a value of
+    the wrong type raises DomainError before anything is built."""
     m = _SPEC_RE.match(spec)
     if not m:
         raise DomainError(f"not a scenario spec: {spec!r}")
@@ -695,18 +637,26 @@ def build_scenario(spec: str, **overrides) -> Scenario:
         raise DomainError(f"unknown scenario {name!r}; known: {sorted(_BUILDERS)}")
     args: list = []
     kwargs: dict = {}
-    if argtext:
-        for part in argtext.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" in part:
-                key, val = part.split("=", 1)
-                kwargs[key.strip()] = _parse_value(val.strip())
-            else:
-                args.append(_parse_value(part))
-    kwargs.update(overrides)
-    return _BUILDERS[name](*args, **kwargs)
+    for part in argtext.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" in part:
+            key, val = part.split("=", 1)
+            kwargs[key.strip()] = _parse_value(val.strip())
+        else:
+            args.append(_parse_value(part))
+    sig = inspect.signature(_BUILDERS[name], eval_str=True)
+    try:
+        bound = sig.bind(*args, **kwargs)
+    except TypeError as exc:
+        raise DomainError(f"malformed scenario spec {spec!r}: {exc}") from None
+    for key, val in bound.arguments.items():
+        want = sig.parameters[key].annotation
+        if not isinstance(val, float | int if want is float else want):
+            problem = f"{key}={val!r} is not {inspect.formatannotation(want)}"
+            raise DomainError(f"malformed scenario spec {spec!r}: {problem}")
+    return _BUILDERS[name](*bound.args, **bound.kwargs)
 
 
 def _parse_value(text: str):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, Section, _act, _acting_classes, _orbit_slice, pad_mask
+from .bundles import EquivariantBundle, Section, _equivariance_residual, _orbit_slice, pad_mask
 from .errors import CoverageError, InconsistencyError, PreconditionError, StructuralError
 from .groups import GroupAction, stabilizer
 from .measures import (
@@ -62,7 +62,6 @@ from .reporting import (
     _argmax_coords,
     _count_over,
     _maxabs,
-    _worst_of_grid,
     check_from_residual,
 )
 from .rng import SplitMix64
@@ -174,19 +173,14 @@ def transform_equivariance_residual(
     mubar: OrbitMeasureFamily,
     sections: list[Section],
 ) -> tuple[float, tuple[int, int] | None]:
-    """Max residual of T(g.f) = g.T(f) over the sections and every g;
-    witness is the first (section index, g) attaining it.  Elements in one
-    acting class of the two bundles give bitwise-identical residuals, so
-    the (sections, class) stack is computed once with the class
-    representatives and expanded to every g before the scan."""
+    """Max residual of T(g.f) = g.T(f) over the sections and every g (one
+    representative per acting class, `bundles._equivariance_residual`);
+    witness is the first (section index, g) attaining it."""
     _check_transform_args(kern, mubar, sections)
     if not sections:
         return 0.0, None
     f = np.stack([s.values for s in sections])
-    reps, cls = _acting_classes(kern.input_bundle, kern.output_bundle)
-    lhs = _transform_values(kern, mubar, _act(kern.input_bundle, reps, f))
-    rhs = _act(kern.output_bundle, reps, _transform_values(kern, mubar, f))
-    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0)[:, cls])
+    return _equivariance_residual(kern.input_bundle, kern.output_bundle, lambda v: _transform_values(kern, mubar, v), f)
 
 
 def check_equivariance(

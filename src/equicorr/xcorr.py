@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, _act, _acting_classes, _orbit_slice
+from .bundles import EquivariantBundle, MackeySection, Section, _equivariance_residual, _orbit_slice
 from .errors import InconsistencyError, StructuralError
 from .groups import FiniteGroup, fundamental_domain
 from .measures import GroupMeasureFamily
@@ -219,12 +219,10 @@ def xcorr_equivariance_residual(
     mu: GroupMeasureFamily,
     sections: list[Section],
 ) -> tuple[float, tuple[int, int] | None]:
-    """Max residual of T(g.f) = g.T(f) over the given sections and every g,
+    """Max residual of T(g.f) = g.T(f) over the given sections and every g
+    (one representative per acting class, `bundles._equivariance_residual`),
     where T(f) = (omega * f~)(e, -) is the induced map on plain sections;
     witness is the first (section index, g) attaining it.
-    Elements in one acting class of the two bundles give bitwise-identical
-    residuals, so the (sections, class) stack is computed once with the
-    class representatives and expanded to every g before the scan.
 
     On the raw Mackey tables the group acts by left translation and
     commutes with any right cross-correlation whatsoever, so the
@@ -236,10 +234,7 @@ def xcorr_equivariance_residual(
     if not sections:
         return 0.0, None
     f = np.stack([s.values for s in sections])
-    reps, cls = _acting_classes(filt.input_bundle, filt.output_bundle)
-    lhs = correlate_sections(filt, mu, _act(filt.input_bundle, reps, f))
-    rhs = _act(filt.output_bundle, reps, correlate_sections(filt, mu, f))
-    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0)[:, cls])
+    return _equivariance_residual(filt.input_bundle, filt.output_bundle, lambda v: correlate_sections(filt, mu, v), f)
 
 
 # ---------------------------------------------------------------------------

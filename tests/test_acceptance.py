@@ -65,7 +65,7 @@ def equivariance_battery():
         scn = build_scenario(spec)
         rng = SplitMix64(2024)
         filters = [
-            random_valid_filter(scn.input_bundle, scn.output_bundle, rng, support_per_rep=8) for _ in range(20)
+            random_valid_filter(scn.input_bundle, scn.output_bundle, rng) for _ in range(20)
         ]
         sections = random_mackey_sections(scn.input_bundle, rng, 20)
         battery[spec] = (scn, filters, sections)
@@ -133,7 +133,7 @@ def test_c04_projection_realizes_the_identity_slice(acceptance):
         fub_worst = max(fub_worst, fub)
         rng = SplitMix64(404)
         for _ in range(10):
-            filt = random_valid_filter(scn.input_bundle, scn.output_bundle, rng, support_per_rep=8)
+            filt = random_valid_filter(scn.input_bundle, scn.output_bundle, rng)
             kern = project_filter_to_kernel(filt, scn.nu)
             for f in random_sections(scn.input_bundle, rng, 10):
                 lhs = correlate_sections(filt, scn.mu, f.values)
@@ -276,7 +276,7 @@ def test_c09_constraint_violations_always_detected(acceptance):
         scn = build_scenario(spec)
         assert float(scn.mubar.weights.min()) > 0.0
         for _ in range(50):
-            bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng, min_violation=0.1)
+            bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
             rep = check_equivariance(bad, scn.mubar, seed=rng.next_u64(), n_sections=20, tolerance=1e-9)
             found = rep.worst().residual
             smallest = min(smallest, found)

@@ -5,6 +5,7 @@ import pytest
 from equicorr.battery import run_battery, run_structural
 from equicorr.errors import DomainError
 from equicorr.rng import SplitMix64
+from equicorr import sampling
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import report_to_dict
@@ -82,10 +83,11 @@ def test_necessity_probe_skipped_when_the_law_is_vacuous(spec):
     assert rep.passed
 
 
-def test_unreachable_violation_floor_still_raises():
+def test_unreachable_violation_floor_still_raises(monkeypatch):
     scn = build_scenario("cyclic(2)")
+    monkeypatch.setattr(sampling, "MIN_VIOLATION", 1e6)
     with pytest.raises(DomainError, match="could not reach a violation"):
-        random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1), min_violation=1e6)
+        random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1))
 
 
 @pytest.mark.parametrize("n_sections, n_violators", [(0, 1), (-1, 1), (1, -1)])

@@ -175,6 +175,26 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+MALFORMED_SPECS = [
+    "torus-bands(16, foo=1)",
+    "cyclic(8, 3, 4, 5, 6)",
+    "dihedral()",
+    "cyclic(x)",
+    "cyclic(8.5)",
+    "torus-bands(16, spacing=x)",
+    "line-grid(5, dx=x)",
+    "torus-bands(16, seed=3)",  # only cyclic, dihedral and torus draw random data
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS)
+def test_malformed_scenario_spec_exits_two(spec, capsys):
+    code, out, err = run_cli(capsys, "validate", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed scenario spec {spec!r}: ") and err.count("\n") == 1
+
+
 def _run_capped(*argv) -> subprocess.CompletedProcess:
     """The CLI in a child process whose address space is capped at 1 GiB, so
     an allocation the size guard misses fails the test, not the machine."""

@@ -28,6 +28,8 @@ CASES = {
     "battery-torus-bands16-seed7-sections9.json": ["battery", "torus-bands(16)", "--seed", "7", "--sections", "9"],
     "battery-line-grid5-seed1.json": ["battery", "line-grid(5, dx=0.2)", "--seed", "1"],
     "validate-torus-bands16.json": ["validate", "torus-bands(16)"],
+    "demo-degeneracy-sizes4-8-16.json": ["demo", "degeneracy", "--sizes", "4,8,16"],
+    "demo-quadrature-levels3.json": ["demo", "quadrature", "--levels", "3"],
 }
 
 

@@ -53,7 +53,7 @@ def test_spec_parsing_round_trips_names():
 
 def test_spec_overrides_win():
     a = build_scenario("cyclic(6)")
-    b = build_scenario("cyclic(6)", seed=3)
+    b = build_scenario("cyclic(6, seed=3)")
     assert not np.array_equal(a.filt.matrices, b.filt.matrices)
 
 

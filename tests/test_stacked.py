@@ -15,6 +15,7 @@ from equicorr.bundles import _act, _acting_classes, representation_bundle, trivi
 from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family, counting_orbit_family
 from equicorr.reporting import _worst_of_grid
+from equicorr import sampling
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_mackey_sections, random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action
@@ -99,6 +100,13 @@ def diagonal_bundles():
     return representation_bundle(action, rotation_rep(4)), trivial_bundle(action, 2)
 
 
+def sparse_filter(input_bundle, output_bundle, seed, support):
+    """random_valid_filter with `support` drawn entries per base point."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "SUPPORT_PER_REP", support)
+        return random_valid_filter(input_bundle, output_bundle, SplitMix64(seed))
+
+
 def filter_cases():
     cases = {}
     for spec in BUILTINS:
@@ -106,7 +114,7 @@ def filter_cases():
         if scn.filt is not None:
             cases[spec] = (scn.filt, scn.mu)
     torus = build_scenario("torus(6)")
-    dense = random_valid_filter(torus.input_bundle, torus.output_bundle, SplitMix64(5), support_per_rep=36)
+    dense = sparse_filter(torus.input_bundle, torus.output_bundle, 5, 36)
     assert dense.support.all()
     cases["dense"] = (dense, torus.mu)
     d4 = build_scenario("dihedral(4)")
@@ -114,9 +122,9 @@ def filter_cases():
     mats[3, 1, 0, 0] += 0.7
     cases["violating"] = (Filter(d4.input_bundle, d4.output_bundle, mats), d4.mu)
     rot = rotation_bundle()
-    cases["rotation"] = (random_valid_filter(rot, rot, SplitMix64(9), support_per_rep=3), counting_family(rot.action, 1.0))
+    cases["rotation"] = (sparse_filter(rot, rot, 9, 3), counting_family(rot.action, 1.0))
     diag, flat = diagonal_bundles()
-    valid = random_valid_filter(diag, diag, SplitMix64(13), support_per_rep=4)
+    valid = sparse_filter(diag, diag, 13, 4)
     cases["diagonal"] = (valid, counting_family(diag.action, 1.0))
     mats = valid.matrices.copy()
     mats[5, 1, 0, 1] += 0.7
