@@ -67,14 +67,13 @@ mean of _carry over Stab(b0) makes S = 0, and _orbit_slice fills T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructuralError
 from .groups import GroupAction, _check_budget, fundamental_domain, orbits, stabilizer
-from .reporting import ValidationReport, _maxabs, _worst_of_grid, check_from_residual
+from .reporting import ValidationReport, _maxabs, _worst_of_grid, _worst_of_parts, check_from_residual
 
 
 @dataclass(eq=False)
@@ -152,8 +151,9 @@ def sign_bundle(action: GroupAction, signs: np.ndarray) -> EquivariantBundle:
 def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> ValidationReport:
     """Check identity slice, orbit-constant fiber dims, zero padding, and the
     cocycle law on the instances (g, h, b0) of the module docstring, in
-    fundamental-domain order, then ascending h, then ascending g.  The
-    cocycle witness is the first instance (g, h, b) attaining the residual."""
+    fundamental-domain order, then ascending h, then ascending g, one
+    (b0, h) column of all g at a time.  The cocycle witness is the first
+    instance (g, h, b) attaining the residual."""
     action = bundle.action
     grp = action.group
     A = bundle.act_matrix
@@ -180,14 +180,14 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     pad_res = _maxabs(np.where(block[None, :, :, :], 0.0, A))
     report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, None))
 
-    domain = fundamental_domain(action)
-    hs = [np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])) for b0 in domain]
-    h = np.repeat(np.concatenate(hs), grp.order)
-    b = np.repeat(domain, [len(s) * grp.order for s in hs])
-    g = np.resize(np.arange(grp.order), len(h))
-    defect = A[grp.cayley[g, h], b] - A[g, action.table[h, b]] @ A[h, b]
-    worst, at = _worst_of_grid(np.abs(defect).max(axis=(1, 2), initial=0.0))
-    witness = at and (int(g[at]), int(h[at]), int(b[at]))
+    def columns():  # ((h, b0), [g] -> defect of the instance (g, h, b0)), one column of all g at a time
+        for b0 in fundamental_domain(action):
+            for h in np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])):
+                defect = A[grp.cayley[:, h], b0] - A[:, action.table[h, b0]] @ A[h, b0]
+                yield (int(h), b0), np.abs(defect).max(axis=(1, 2), initial=0.0)
+
+    worst, hit = _worst_of_parts(columns())
+    witness = hit and (hit[1][0], *hit[0])
     report.add(check_from_residual("bundle-cocycle", worst, tolerance, witness))
     return report
 
@@ -239,7 +239,7 @@ def _acting_classes(*bundles: EquivariantBundle) -> tuple[np.ndarray, np.ndarray
     element's class index, so that reps[cls[g]] acts exactly as g does."""
     action = bundles[0].action
     n = action.group.order
-    src = action.table[action.group.inv]  # [g, b] -> g^-1.b, int64
+    src = action.table[action.group.inv].astype(np.int64)  # [g, b] -> g^-1.b, stacked with int64 bit views
     keys = np.hstack([src] + [b.act_matrix[np.arange(n)[:, None], src].reshape(n, -1).view(np.int64) for b in bundles])
     rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
@@ -367,22 +367,22 @@ def _orbit_slice(
     domain = fundamental_domain(action)
     carried = values.copy()
 
-    def parts():  # (b0, elements g, [i, r, ...] carried minus table)
+    def parts():  # ((b0, elements g), [i, r, ...] carried minus table)
         for b0 in domain:
             stab = stabilizer(action, b0)
-            yield b0, stab, _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]
+            yield (b0, stab), _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]
         for b0 in domain:
             reps = _movers(action, b0)
             targets = action.table[reps, b0]
             rows = _carry(values, action, conjugate, a_out, a_in, reps, b0)
             carried[:, targets] = np.moveaxis(rows, 0, 1)
             rows -= np.moveaxis(values[:, targets], 1, 0)
-            yield b0, reps, rows
+            yield (b0, reps), rows
 
-    worst, witness = 0.0, None  # running maximum; the first NaN wins and stays
-    for b0, elements, diff in parts():
-        part, at = _worst_of_grid(diff)
-        if not (part <= worst or math.isnan(worst)):
-            g = int(elements[at[0]])
-            worst, witness = part, (g, int(_move(action, conjugate, grp.inv[[g]])[0, at[1]]), int(b0))
+    worst, hit = _worst_of_parts(parts())
+    witness = None
+    if hit:
+        (b0, elements), at = hit
+        g = int(elements[at[0]])
+        witness = (g, int(_move(action, conjugate, grp.inv[[g]])[0, at[1]]), int(b0))
     return worst, witness, carried

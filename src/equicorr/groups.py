@@ -38,7 +38,12 @@ import numpy as np
 from .errors import DomainError, StructuralError
 from .reporting import ValidationReport, _argmax_coords, _count_over, check_from_residual
 
-_ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 512 MiB of int64 or float64
+_ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 256 MiB of int32 or 512 MiB of float64
+
+# dtype of every index table (cayley, inv, action table, coset_reps).  The
+# budget bounds |G| and |B| by 2^13, so an index, and any product of two
+# (at most |G|^2, |G| |B| or |B|^2 <= 2^26), fits.
+INDEX_DTYPE = np.int32
 
 
 def _check_budget(what: str, entries: int) -> None:
@@ -47,30 +52,35 @@ def _check_budget(what: str, entries: int) -> None:
         raise DomainError(f"{what} needs {entries:,} entries, over the budget of {_ENTRY_BUDGET:,}")
 
 
+def _index_table(values, what: str, shape: tuple[int, ...], bound: int) -> np.ndarray:
+    """values, of a nonempty shape, as a contiguous INDEX_DTYPE array, after
+    checking that every entry lies in [0, bound) as given, so that none
+    wraps when narrowed (a NaN fails both comparisons)."""
+    values = np.asarray(values)
+    if values.shape != shape:
+        raise StructuralError(f"{what} shape {values.shape}, expected {shape}")
+    if not (values.min() >= 0 and values.max() < bound):
+        raise StructuralError(f"{what} entry out of range")
+    return np.ascontiguousarray(values, dtype=INDEX_DTYPE)
+
+
 @dataclass(eq=False)
 class FiniteGroup:
     """Explicit finite group: labels, Cayley table, inverses, identity index."""
 
     elements: tuple[str, ...]
-    cayley: np.ndarray  # (n, n) int, cayley[g, h] = g*h
-    inv: np.ndarray  # (n,) int
+    cayley: np.ndarray  # (n, n) INDEX_DTYPE, cayley[g, h] = g*h
+    inv: np.ndarray  # (n,) INDEX_DTYPE
     identity: int
     generators: list[int] = field(init=False)  # greedy generating set of the table, derived
 
     def __post_init__(self):
         n = len(self.elements)
-        self.cayley = np.ascontiguousarray(np.asarray(self.cayley, dtype=np.int64))
-        self.inv = np.ascontiguousarray(np.asarray(self.inv, dtype=np.int64))
         if n == 0:
             raise StructuralError("group must have at least one element")
-        if self.cayley.shape != (n, n):
-            raise StructuralError(f"cayley table shape {self.cayley.shape}, expected {(n, n)}")
-        if self.inv.shape != (n,):
-            raise StructuralError(f"inverse table shape {self.inv.shape}, expected {(n,)}")
-        if self.cayley.min() < 0 or self.cayley.max() >= n:
-            raise StructuralError("cayley table entry out of range")
-        if self.inv.min() < 0 or self.inv.max() >= n:
-            raise StructuralError("inverse table entry out of range")
+        _check_budget(f"a ({n}, {n}) cayley table", n * n)
+        self.cayley = _index_table(self.cayley, "cayley table", (n, n), n)
+        self.inv = _index_table(self.inv, "inverse table", (n,), n)
         if not (0 <= self.identity < n):
             raise StructuralError("identity index out of range")
         self.generators = generating_set(self)
@@ -93,20 +103,16 @@ class GroupAction:
 
     group: FiniteGroup
     base: tuple[str, ...]
-    table: np.ndarray  # (|G|, |B|) int, table[g, b] = g.b
+    table: np.ndarray  # (|G|, |B|) INDEX_DTYPE, table[g, b] = g.b
     coset_reps: np.ndarray = field(init=False)  # (|B|, |B|): [b, c] smallest k with k.b = c, -1 off the orbit, derived
 
     def __post_init__(self):
         n, m = self.group.order, len(self.base)
-        self.table = np.ascontiguousarray(np.asarray(self.table, dtype=np.int64))
         if m == 0:
             raise StructuralError("base set must be nonempty")
-        if self.table.shape != (n, m):
-            raise StructuralError(f"action table shape {self.table.shape}, expected {(n, m)}")
-        if self.table.min() < 0 or self.table.max() >= m:
-            raise StructuralError("action table entry out of range")
         _check_budget(f"a ({m}, {m}) coset-representative table", m * m)
-        self.coset_reps = np.full((m, m), -1, dtype=np.int64)
+        self.table = _index_table(self.table, "action table", (n, m), m)
+        self.coset_reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
         for b in range(m):
             members, first = np.unique(self.table[:, b], return_index=True)  # stable: first is the smallest k
             self.coset_reps[b, members] = first
@@ -146,7 +152,7 @@ def table_from_generators(n: int, identity: int, generators: Callable[[], Sequen
     validate_group."""
     _check_budget(f"a ({n}, {n}) cayley table", n * n)
     left = generators()
-    cayley = np.empty((n, n), dtype=np.int64)
+    cayley = np.empty((n, n), dtype=INDEX_DTYPE)
     cayley[identity] = np.arange(n)
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
@@ -204,6 +210,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     def generators():
         ia, ib = np.arange(na), np.arange(nb)
         left = [(ib[:, None] * na + a.cayley[s][None, :]).ravel() for s in a.generators]
+        # INDEX_DTYPE products below na * nb, which the budget bounds
         return left + [(b.cayley[t][:, None] * na + ia[None, :]).ravel() for t in b.generators]
 
     identity = b.identity * na + a.identity
@@ -219,7 +226,7 @@ def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int | N
     StructuralError when no identity or some inverse exists; deeper axiom
     violations are left to validate_group.
     """
-    cayley = np.asarray(cayley, dtype=np.int64)
+    cayley = np.asarray(cayley)  # FiniteGroup range-checks it, then narrows it to INDEX_DTYPE
     n = len(elements)
     if identity is None:
         hits = (cayley == np.arange(n)).all(axis=1)

@@ -9,6 +9,7 @@ byte-identical report files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,19 @@ def _worst_of_grid(grid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     the largest: the residual is NaN and the witness its first coordinate."""
     worst = _maxabs(grid)
     return worst, (_argmax_coords(grid) if worst != 0.0 else None)
+
+
+def _worst_of_parts(parts) -> tuple[float, tuple | None]:
+    """_worst_of_grid over (key, grid) parts scanned in turn, as if they were
+    one concatenated grid: the largest entry and (key, coordinates) of its
+    first occurrence, or None when every entry is zero.  A running maximum,
+    so only one part is alive at a time; the first NaN wins and stays."""
+    worst, hit = 0.0, None
+    for key, grid in parts:
+        part, at = _worst_of_grid(grid)
+        if not (part <= worst or math.isnan(worst)):
+            worst, hit = part, (key, at)
+    return worst, hit
 
 
 def _count_over(elements, bad_of) -> tuple[int, tuple[int, ...] | None]:

@@ -177,7 +177,8 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
             if not commuting.any():
                 raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
             k0 = movers[commuting.argmax()]
-            pairs, g = np.unique(table[:, c] * m + table[:, b], return_index=True)  # g: first to reach each pair
+            # g: first to reach each pair; INDEX_DTYPE pairs below m^2, which the budget bounds
+            pairs, g = np.unique(table[:, c] * m + table[:, b], return_index=True)
             reps.flat[pairs] = cay[cay[g, k0], inv[g]]
     return ThetaMap(action, reps)
 
@@ -642,8 +643,10 @@ def build_scenario(spec: str) -> Scenario:
         if not part:
             continue
         if "=" in part:
-            key, val = part.split("=", 1)
-            kwargs[key.strip()] = _parse_value(val.strip())
+            key, val = (t.strip() for t in part.split("=", 1))
+            if key in kwargs:
+                raise DomainError(f"malformed scenario spec {spec!r}: keyword {key!r} repeated")
+            kwargs[key] = _parse_value(val)
         else:
             args.append(_parse_value(part))
     sig = inspect.signature(_BUILDERS[name], eval_str=True)

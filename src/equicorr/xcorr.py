@@ -159,6 +159,7 @@ def _support_sum(filt: Filter, mu: GroupMeasureFamily, mats: np.ndarray, m, shif
     prod = np.empty(out.shape[1:])
     for s in range(idx.shape[1]):
         y = shift(idx[:, s])
+        # y is INDEX_DTYPE: y * nb < |G| |B|, which the budget bounds; cols * n is intp
         at = (y * nb + cols).ravel()
         w = mu.weights.take(cols * n + y)[..., None] if weigh else None
         for i, section in enumerate(sections):

@@ -145,6 +145,10 @@ MALFORMED = {
     # past int64: a JSON integer >= 2^63, or 1e400, which JSON loads as inf
     "cayley-entry-2^63": lambda doc: _v1_cayley(doc)[0].__setitem__(0, 2**63),
     "cayley-entry-1e400": lambda doc: _v1_cayley(doc)[0].__setitem__(0, float("inf")),
+    # past int32, into the int64 range: 2^32 would narrow to 0 if cast before the range check
+    "cayley-entry-2^32": lambda doc: _v1_cayley(doc)[0].__setitem__(0, 2**32),
+    "permutation-entry-2^32": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**32),
+    "action-entry-2^32": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**32),
     "permutation-entry-2^63": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**63),
     "permutation-entry-1e400": lambda doc: _group(doc)["left"][1].__setitem__(3, float("inf")),
     # the generator indices are range-checked: -1 must not wrap to the last element
@@ -184,6 +188,7 @@ MALFORMED_SPECS = [
     "torus-bands(16, spacing=x)",
     "line-grid(5, dx=x)",
     "torus-bands(16, seed=3)",  # only cyclic, dihedral and torus draw random data
+    "cyclic(6, seed=1, seed=3)",  # a repeated keyword must not silently win
 ]
 
 
@@ -212,7 +217,7 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
     doc["input_bundle"]["fiber_dim"] = 3000
     wide = tmp_path / "wide.json"
     save_document(str(wide), doc)
-    # a 400 KB group document by one generator whose table would take 2 GiB
+    # a 400 KB group document by one generator whose table would take 1 GiB
     n = 16384
     step = [(i + 1) % n for i in range(n)]
     doc = scenario_to_dict(build_scenario("cyclic(4)"))

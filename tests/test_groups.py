@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import (
+    FiniteGroup,
+    GroupAction,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -22,8 +24,10 @@ from equicorr.groups import (
     validate_group,
 )
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+from equicorr.serialize import load_document, save_document, scenario_from_dict, scenario_to_dict
 
 from helpers import conjugate, mul
+from test_stacked import BUILTINS
 
 
 def brute_force_associative(cayley: np.ndarray) -> bool:
@@ -234,6 +238,50 @@ def test_action_rejects_out_of_range():
     table = np.array([[0, 1], [1, 2], [2, 0]])
     table[2, 1] = 7
     with pytest.raises((StructuralError, DomainError)):
-        from equicorr.groups import GroupAction
-
         GroupAction(grp, ("x", "y"), table)
+
+
+# int64 entries past int32: 2^32 narrows to 0, the true entry at each site
+# below, so a cast before the range check would pass a corrupted table as
+# the valid one; n + 2^32 narrows to n
+WRAPPING = [2**32, 4 + 2**32]
+
+
+@pytest.mark.parametrize("value", WRAPPING)
+def test_group_entry_past_int32_is_refused(value):
+    cayley, inv = cyclic_group(4).cayley.astype(np.int64), cyclic_group(4).inv.astype(np.int64)
+    labels = tuple("abcd")
+    bad = cayley.copy()
+    bad[1, 3] = value  # 1 + 3 = 0 mod 4
+    with pytest.raises(StructuralError):
+        FiniteGroup(labels, bad, inv, 0)
+    with pytest.raises(StructuralError):
+        group_from_tables(labels, bad)
+    bad = inv.copy()
+    bad[0] = value  # the identity is its own inverse
+    with pytest.raises(StructuralError):
+        FiniteGroup(labels, cayley, bad, 0)
+
+
+@pytest.mark.parametrize("value", WRAPPING)
+def test_action_entry_past_int32_is_refused(value):
+    grp = cyclic_group(4)
+    table = grp.cayley.astype(np.int64)
+    table[1, 3] = value
+    with pytest.raises(StructuralError):
+        GroupAction(grp, tuple("wxyz"), table)
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_index_tables_are_int32_built_and_loaded(spec, tmp_path):
+    scn = build_scenario(spec)
+    v2 = tmp_path / "v2.json"
+    save_document(str(v2), scenario_to_dict(scn))
+    doc = load_document(str(v2))
+    doc["schema"] = "equicorr-scenario/1"  # the group as its full Cayley table
+    doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
+    v1 = tmp_path / "v1.json"
+    save_document(str(v1), doc)
+    for action in [scn.action] + [scenario_from_dict(load_document(str(p))).action for p in (v1, v2)]:
+        tables = (action.group.cayley, action.group.inv, action.table, action.coset_reps)
+        assert [t.dtype for t in tables] == [np.dtype(np.int32)] * 4
