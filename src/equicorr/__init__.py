@@ -65,13 +65,11 @@ from .measures import (
     check_fubini,
     construct_normalized_families,
     counting_family,
-    counting_orbit_family,
     counting_stabilizer_family,
     dirac_delta,
     fubini_pointwise_residual,
     psi_from_class_function,
     psi_indicator_identity,
-    restrict_psi_to_delta,
     solve_orbit_family,
     solve_orbit_measure,
     validate_delta,
@@ -82,7 +80,6 @@ from .reporting import Check, ValidationReport, check_from_residual
 from .rng import SplitMix64
 from .sampling import (
     random_mackey_sections,
-    random_section,
     random_valid_filter,
     random_valid_kernel,
     random_violating_kernel,
@@ -91,9 +88,9 @@ from .scenarios import Scenario, build_scenario, degeneracy_demo, derive_theta, 
 from .transforms import (
     Kernel,
     ThetaMap,
-    check_equivariance,
+    filter_operator,
     integral_transform,
-    lift_equivalence_check,
+    kernel_operator,
     lift_kernel_to_filter,
     project_filter_to_kernel,
     transform_equivariance_residual,
@@ -103,7 +100,6 @@ from .transforms import (
 from .xcorr import (
     CompressedFilter,
     Filter,
-    check_convolution_equality,
     compress_filter,
     convolve,
     correlate_sections,

@@ -40,9 +40,9 @@ from .reporting import ValidationReport, _argmax_coords, _count_over, check_from
 
 _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 256 MiB of int32 or 512 MiB of float64
 
-# dtype of every index table (cayley, inv, action table, coset_reps).  The
-# budget bounds |G| and |B| by 2^13, so an index, and any product of two
-# (at most |G|^2, |G| |B| or |B|^2 <= 2^26), fits.
+# dtype of every index table (cayley, inv, action table, coset_reps, theta
+# reps).  The budget bounds |G| and |B| by 2^13, so an index, and any product
+# of two (at most |G|^2, |G| |B| or |B|^2 <= 2^26), fits.
 INDEX_DTYPE = np.int32
 
 
@@ -52,14 +52,14 @@ def _check_budget(what: str, entries: int) -> None:
         raise DomainError(f"{what} needs {entries:,} entries, over the budget of {_ENTRY_BUDGET:,}")
 
 
-def _index_table(values, what: str, shape: tuple[int, ...], bound: int) -> np.ndarray:
+def _index_table(values, what: str, shape: tuple[int, ...], bound: int, low: int = 0) -> np.ndarray:
     """values, of a nonempty shape, as a contiguous INDEX_DTYPE array, after
-    checking that every entry lies in [0, bound) as given, so that none
+    checking that every entry lies in [low, bound) as given, so that none
     wraps when narrowed (a NaN fails both comparisons)."""
     values = np.asarray(values)
     if values.shape != shape:
         raise StructuralError(f"{what} shape {values.shape}, expected {shape}")
-    if not (values.min() >= 0 and values.max() < bound):
+    if not (values.min() >= low and values.max() < bound):
         raise StructuralError(f"{what} entry out of range")
     return np.ascontiguousarray(values, dtype=INDEX_DTYPE)
 

@@ -143,12 +143,6 @@ def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> Stabi
     return StabilizerMeasureFamily(action, float(scale) * stabilizer_mask(action).astype(float))
 
 
-def counting_orbit_family(action: GroupAction, scale: float = 1.0) -> OrbitMeasureFamily:
-    if scale <= 0:
-        raise DomainError("orbit counting scale must be positive")
-    return OrbitMeasureFamily(action, float(scale) * (action.coset_reps >= 0))
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -359,31 +353,6 @@ def construct_normalized_families(
     nu = StabilizerMeasureFamily(action, smask.astype(float) / zs[:, None])
     mubar = solve_orbit_family(mu, nu)
     return mu, nu, mubar
-
-
-def normalization_residual(
-    psi: PsiFunction,
-    mu: GroupMeasureFamily,
-    nu: StabilizerMeasureFamily,
-) -> float:
-    """Max deviation of the two normalizations sum psi*mu = sum psi*nu = 1."""
-    against_mu = np.einsum("hb,bh->b", psi.values, mu.weights) - 1.0
-    against_nu = np.einsum("hb,bh->b", psi.values, nu.weights) - 1.0
-    return max(_maxabs(against_mu), _maxabs(against_nu))
-
-
-def restrict_psi_to_delta(psi: PsiFunction, nu: StabilizerMeasureFamily, tolerance: float = 1e-9) -> DeltaFunction:
-    """Restrict psi to the stabilizers, checking unit nu-mass first."""
-    res = _psi_delta_norm_residual(psi, nu)
-    if res > tolerance:
-        raise PreconditionError(f"psi restricted to stabilizers has nu-mass off 1 by {res:.3e}")
-    vals = np.where(stabilizer_mask(psi.action).T, psi.values, 0.0)
-    return DeltaFunction(psi.action, vals)
-
-
-def _psi_delta_norm_residual(psi: PsiFunction, nu: StabilizerMeasureFamily) -> float:
-    mass = np.einsum("hb,bh->b", psi.values, nu.weights)
-    return _maxabs(mass - 1.0)
 
 
 def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance: float = 1e-9) -> ValidationReport:

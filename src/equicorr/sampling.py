@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, _carry, _orbit_slice, pad_mask, section_to_mackey
+from .bundles import EquivariantBundle, MackeySection, _carry, _orbit_slice, pad_mask, section_to_mackey
 from .errors import DomainError
-from .groups import FiniteGroup, fundamental_domain, orbits, stabilizer
+from .groups import fundamental_domain, orbits, stabilizer
 from .rng import SplitMix64
 from .transforms import Kernel, random_sections, validate_kernel
 from .xcorr import Filter
@@ -33,17 +33,9 @@ _MAX_TRIES = 16  # redraws of a stabilizer-averaged filter row that averaged to 
 _MAX_VIOLATOR_DRAWS = 64
 
 
-def random_section(bundle: EquivariantBundle, rng: SplitMix64) -> Section:
-    return random_sections(bundle, rng, 1)[0]
-
-
 def random_mackey_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> list[MackeySection]:
     """Valid Mackey sections, induced from random plain sections."""
     return [section_to_mackey(f) for f in random_sections(bundle, rng, count)]
-
-
-def random_group_function(group: FiniteGroup, rng: SplitMix64) -> np.ndarray:
-    return rng.uniforms(group.order, -1.0, 1.0)
 
 
 def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rng: SplitMix64) -> Filter:

@@ -55,6 +55,7 @@ import numpy as np
 from .bundles import EquivariantBundle, Section, sign_bundle, trivial_bundle
 from .errors import DomainError, StructuralError
 from .groups import (
+    INDEX_DTYPE,
     FiniteGroup,
     GroupAction,
     cyclic_group,
@@ -166,7 +167,7 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
     support = np.asarray(support, dtype=bool)
     if support.shape != (m, m):
         raise StructuralError(f"support shape {support.shape}, expected {(m, m)}")
-    reps = np.full((m, m), -1, dtype=np.int64)
+    reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
     for b in range(m):
         for c in np.flatnonzero(support[:, b] & (reps[:, b] < 0)):
             if reps[c, b] >= 0:  # reached by an orbit seeded earlier in this column
@@ -302,14 +303,14 @@ def build_torus_bands(
 
 
 def _torus_theta_global(action: GroupAction, n: int, support: np.ndarray) -> ThetaMap:
-    reps = np.full((n, n), -1, dtype=np.int64)
+    reps = np.full((n, n), -1, dtype=INDEX_DTYPE)
     cs, bs = np.nonzero(support)
     reps[cs, bs] = (cs - bs) % n  # element ((c-b), 0) has index (c-b)
     return ThetaMap(action, reps)
 
 
 def _torus_theta_special(action: GroupAction, n: int, spacing: int, eps: int, support: np.ndarray) -> ThetaMap:
-    reps = np.full((n, n), -1, dtype=np.int64)
+    reps = np.full((n, n), -1, dtype=INDEX_DTYPE)
     cs, bs = np.nonzero(support)
     d = _signed_mod(cs - bs, n)
     band = np.zeros_like(d)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import FiniteGroup, GroupAction, group_from_tables, table_from_generators
+from .groups import INDEX_DTYPE, FiniteGroup, GroupAction, group_from_tables, table_from_generators
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -335,7 +335,7 @@ def theta_to_dict(theta: ThetaMap) -> dict:
 def theta_from_dict(doc: dict, action: GroupAction) -> ThetaMap:
     _require(isinstance(doc, dict) and "entries" in doc, "theta needs an entry list")
     m = action.base_size
-    reps = np.full((m, m), -1, dtype=np.int64)
+    reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
     for entry in doc["entries"]:
         c = _index(entry["c"], m, "target point")
         b = _index(entry["b"], m, "base point")

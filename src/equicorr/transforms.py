@@ -31,11 +31,15 @@ on pairs with (h.b, b) in the kernel support, zero elsewhere.  Theta is
 data, never inferred: validate_theta checks a given map and reports
 infeasibility rather than constructing one.
 
-Both directions are tied together numerically: the lifted filter's
-cross-correlation at the identity reproduces the transform whenever the
-disintegration identity holds (checked first as a precondition), and
-projecting a lifted filter returns the original kernel.  The opposite
-composition lift(project(omega)) is NOT an identity in general; distinct
+Both directions are tied together numerically.  A lifted filter induces
+T_kappa, and a filter induces the transform of its projection, whenever
+the disintegration identity holds.  Each is an identity between two
+linear maps on sections, so it is compared on their (|B|, |B|, dF, dE)
+matrices, exactly, with no sampled sections: the matrix of T_kappa is the
+weighted table mubar_b(c) kappa(c, b) (kernel_operator), and the matrix
+of a filter's induced map T(f) = (omega * f~)(e, -) is its value on the
+|B| dE basis sections (filter_operator).  Projecting a lifted filter
+returns the original kernel.  The opposite composition lift(project(omega)) is NOT an identity in general; distinct
 theta choices produce filters with visibly different supports inducing
 one and the same transform.
 """
@@ -47,21 +51,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import EquivariantBundle, Section, _equivariance_residual, _orbit_slice, pad_mask
-from .errors import CoverageError, InconsistencyError, PreconditionError, StructuralError
-from .groups import GroupAction, stabilizer
+from .errors import CoverageError, InconsistencyError, StructuralError
+from .groups import GroupAction, _index_table, stabilizer
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
     OrbitMeasureFamily,
     StabilizerMeasureFamily,
     dirac_delta,
-    fubini_pointwise_residual,
 )
 from .reporting import (
     ValidationReport,
     _argmax_coords,
     _count_over,
-    _maxabs,
     check_from_residual,
 )
 from .rng import SplitMix64
@@ -73,12 +75,12 @@ __all__ = [
     "dirac_delta",
     "validate_kernel",
     "integral_transform",
-    "check_equivariance",
+    "kernel_operator",
+    "filter_operator",
     "transform_equivariance_residual",
     "project_filter_to_kernel",
     "validate_theta",
     "lift_kernel_to_filter",
-    "lift_equivalence_check",
     "random_sections",
 ]
 
@@ -152,10 +154,25 @@ def _check_transform_args(kern: Kernel, mubar: OrbitMeasureFamily, sections: lis
         raise StructuralError("orbit family is over a different action")
 
 
+def kernel_operator(kern: Kernel, mubar: OrbitMeasureFamily) -> np.ndarray:
+    """The matrix of T, (|B|, |B|, dF, dE): [c, b] -> mubar_b(c) kappa(c, b),
+    so that T(f)(b) = sum_c [c, b] @ f(c)."""
+    return mubar.weights.T[:, :, None, None] * kern.matrices
+
+
+def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
+    """The matrix of the induced map T(f) = (omega * f~)(e, -), laid out as
+    kernel_operator: [c, b, i, j] is coordinate i of T(f)(b) for f the basis
+    section with 1 at coordinate j of c and 0 elsewhere, one
+    `correlate_sections` pass over the |B| dE basis sections."""
+    m, de = filt.action.base_size, filt.input_bundle.dmax
+    basis = np.eye(m * de).reshape(m * de, m, de)
+    return correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
+
+
 def _transform_values(kern: Kernel, mubar: OrbitMeasureFamily, values: np.ndarray) -> np.ndarray:
     """T on a stack of section values, (..., |B|, dE) -> (..., |B|, dF)."""
-    weighted = mubar.weights.T[:, :, None, None] * kern.matrices  # [c, b] -> mubar_b(c) kappa(c, b)
-    return np.einsum("cbij,...cj->...bi", weighted, values)
+    return np.einsum("cbij,...cj->...bi", kernel_operator(kern, mubar), values)
 
 
 def random_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> list[Section]:
@@ -181,22 +198,6 @@ def transform_equivariance_residual(
         return 0.0, None
     f = np.stack([s.values for s in sections])
     return _equivariance_residual(kern.input_bundle, kern.output_bundle, lambda v: _transform_values(kern, mubar, v), f)
-
-
-def check_equivariance(
-    kern: Kernel,
-    mubar: OrbitMeasureFamily,
-    seed: int = 0,
-    n_sections: int = 20,
-    tolerance: float = 1e-12,
-) -> ValidationReport:
-    """Equivariance search over n_sections seeded random sections and all g."""
-    rng = SplitMix64(seed)
-    sections = random_sections(kern.input_bundle, rng, n_sections)
-    res, wit = transform_equivariance_residual(kern, mubar, sections)
-    report = ValidationReport()
-    report.add(check_from_residual("transform-equivariance", res, tolerance, wit))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +240,11 @@ class ThetaMap:
     undefined.  Supplied by scenario data, validated here, never inferred."""
 
     action: GroupAction
-    reps: np.ndarray  # (|B|, |B|) int
+    reps: np.ndarray  # (|B|, |B|) INDEX_DTYPE
 
     def __post_init__(self):
         m = self.action.base_size
-        self.reps = np.asarray(self.reps, dtype=np.int64)
-        if self.reps.shape != (m, m):
-            raise StructuralError(f"theta shape {self.reps.shape}, expected {(m, m)}")
-        n = self.action.group.order
-        vals = self.reps[self.reps >= 0]
-        if vals.size and vals.max() >= n:
-            raise StructuralError("theta entry out of group range")
+        self.reps = _index_table(self.reps, "theta", (m, m), self.action.group.order, low=-1)
 
     @property
     def defined(self) -> np.ndarray:
@@ -338,33 +333,3 @@ def lift_kernel_to_filter(kern: Kernel, theta: ThetaMap, delta: DeltaFunction) -
     ksel = kern.matrices[hb, cols[None, :]]  # (|G|, |B|, dF, dE)
     mats = np.einsum("hb,hbij,hbjk->hbik", np.where(mask, dvals, 0.0), ksel, kern.input_bundle.act_matrix)
     return Filter(kern.input_bundle, kern.output_bundle, mats)
-
-
-def lift_equivalence_check(
-    kern: Kernel,
-    theta: ThetaMap,
-    delta: DeltaFunction,
-    mu: GroupMeasureFamily,
-    nu: StabilizerMeasureFamily,
-    mubar: OrbitMeasureFamily,
-    sections: list[Section],
-) -> float:
-    """Worst residual over the sections of (lifted omega * f~)(e, -) = T(f),
-    the transform equivalence the lift construction promises.  The filter is
-    lifted once and applied to the stacked sections.
-
-    The promise only holds when the measure families satisfy the
-    disintegration identity, so that is checked first (exhaustively, on
-    the indicator basis) and a residual above 1e-9 raises PreconditionError.
-    """
-    res, wit = fubini_pointwise_residual(mu, nu, mubar)
-    if res > 1e-9:
-        raise PreconditionError(
-            f"disintegration identity fails by {res:.3e} at (b, h)={wit}; lift equivalence not applicable"
-        )
-    _check_transform_args(kern, mubar, sections)
-    if not sections:
-        return 0.0
-    lifted = lift_kernel_to_filter(kern, theta, delta)
-    f = np.stack([s.values for s in sections])
-    return _maxabs(correlate_sections(lifted, mu, f) - _transform_values(kern, mubar, f))

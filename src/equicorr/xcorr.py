@@ -65,13 +65,7 @@ from .bundles import EquivariantBundle, MackeySection, Section, _equivariance_re
 from .errors import InconsistencyError, StructuralError
 from .groups import FiniteGroup, fundamental_domain
 from .measures import GroupMeasureFamily
-from .reporting import (
-    Check,
-    ValidationReport,
-    _maxabs,
-    _worst_of_grid,
-    check_from_residual,
-)
+from .reporting import ValidationReport, check_from_residual
 
 
 def _common_action(e_bundle: EquivariantBundle, f_bundle: EquivariantBundle):
@@ -266,27 +260,6 @@ def mu_left_invariant(mu: GroupMeasureFamily, tolerance: float = 0.0) -> bool:
     if w.size == 0:
         return True
     return float((w.max(axis=1) - w.min(axis=1)).max()) <= tolerance
-
-
-def check_convolution_equality(
-    filt: Filter,
-    mu: GroupMeasureFamily,
-    sections: list[MackeySection],
-    tolerance: float = 1e-12,
-) -> ValidationReport:
-    """Compare cross-correlation with the convolution of the inverted filter.
-
-    The identity needs a left-invariant mu; without one the check is
-    recorded as skipped, never asserted.
-    """
-    report = ValidationReport()
-    if not mu_left_invariant(mu):
-        report.add(Check("xcorr-convolution-equality", 0.0, tolerance, True, None, skipped=True))
-        return report
-    pairs = zip(cross_correlate(filt, sections, mu), convolve(to_convolution_form(filt), sections, mu))
-    worst, witness = _worst_of_grid(np.array([_maxabs(lhs.values - rhs.values) for lhs, rhs in pairs]))
-    report.add(check_from_residual("xcorr-convolution-equality", worst, tolerance, witness))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from equicorr import battery
 from equicorr.battery import run_battery, run_structural
 from equicorr.errors import DomainError
 from equicorr.rng import SplitMix64
@@ -9,6 +10,7 @@ from equicorr import sampling
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import report_to_dict
+from equicorr.xcorr import Filter
 
 
 @pytest.mark.parametrize(
@@ -95,3 +97,24 @@ def test_battery_refuses_bad_counts(n_sections, n_violators):
     name = "n_sections" if n_sections < 1 else "n_violators"
     with pytest.raises(DomainError, match=name):
         run_battery(build_scenario("cyclic(2)"), n_sections=n_sections, n_violators=n_violators)
+
+
+def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, bands16):
+    # one corrupted entry (h, b) of the lifted filter changes column b of its
+    # operator matrix at row c = h.b, so the witness is (h.b, b, i, j)
+    h, b = 5, 3
+    lift = battery.lift_kernel_to_filter
+
+    def corrupted(kern, theta, delta):
+        filt = lift(kern, theta, delta)
+        mats = filt.matrices.copy()
+        mats[h, b] += 0.25
+        return Filter(filt.input_bundle, filt.output_bundle, mats)
+
+    monkeypatch.setattr(battery, "lift_kernel_to_filter", corrupted)
+    by_name = {c.name: c for c in run_battery(bands16, seed=1, n_sections=2, n_violators=0).checks}
+    for name in bands16.thetas:
+        check = by_name[f"lift.{name}.transform-agreement"]
+        assert not check.passed and check.residual > 0.1
+        assert check.witness[:2] == (int(bands16.action.table[h, b]), b)
+        assert len(check.witness) == 4

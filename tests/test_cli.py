@@ -97,6 +97,25 @@ def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
         assert "error:" not in err
 
 
+def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
+    # the three checks that need the identity are reported skipped; the
+    # projected kernel's own checks do not need it and still run
+    skipped = ["lift.global.transform-agreement", "lift.special.transform-agreement", "projection.transform-agreement"]
+    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    names = []
+    for scale in (1.0, 1.5):
+        doc["families"]["mubar"]["weights"][0][1] *= scale
+        path = tmp_path / f"mubar-{scale}.json"
+        save_document(str(path), doc)
+        _, out, _ = run_cli(capsys, "battery", str(path))
+        checks = json.loads(out)["checks"]
+        names.append([c["name"] for c in checks])
+        assert len(checks) == 46
+        assert [c["name"] for c in checks if c.get("skipped")] == (skipped if scale != 1.0 else [])
+    assert names[0] == names[1]
+    assert "projection.kernel.kernel-constraint" in names[1]
+
+
 def test_malformed_inputs_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")

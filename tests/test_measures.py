@@ -15,10 +15,8 @@ from equicorr.measures import (
     counting_stabilizer_family,
     dirac_delta,
     fubini_pointwise_residual,
-    normalization_residual,
     psi_from_class_function,
     psi_indicator_identity,
-    restrict_psi_to_delta,
     solve_orbit_family,
     solve_orbit_measure,
     validate_delta,
@@ -26,10 +24,9 @@ from equicorr.measures import (
     validate_psi,
 )
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_group_function
 from equicorr.scenarios import dihedral_vertex_action, torus_action
 
-from helpers import mul
+from helpers import mul, normalization_residual, random_group_function
 
 
 def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
@@ -172,18 +169,6 @@ def test_dirac_delta_normalized():
     # mass concentrated at the identity, value 1 / nu_b(e)
     assert np.allclose(delta.values[0], 0.25)
     assert np.count_nonzero(delta.values) == 4
-
-
-def test_restrict_psi_requires_unit_mass():
-    action = dihedral_vertex_action(4)
-    psi = psi_indicator_identity(action)
-    _, nu, _ = construct_normalized_families(psi)
-    delta = restrict_psi_to_delta(psi, nu)
-    assert validate_delta(delta, nu).passed
-    # against a doubled nu the same psi restriction is no longer normalized
-    doubled = StabilizerMeasureFamily(action, nu.weights * 2.0)
-    with pytest.raises(PreconditionError):
-        restrict_psi_to_delta(psi, doubled)
 
 
 def test_family_conjugation_violation_detected():

@@ -49,7 +49,7 @@ from equicorr.measures import (
     validate_psi,
 )
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_section
+from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import dumps, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, ThetaMap, validate_kernel, validate_theta
@@ -385,7 +385,7 @@ def test_kernel_constraint_witness(d4):
 
 
 def test_mackey_witness(d4):
-    m = section_to_mackey(random_section(d4.input_bundle, SplitMix64(5)))
+    m = section_to_mackey(random_sections(d4.input_bundle, SplitMix64(5), 1)[0])
     assert validate_mackey(m).passed
     values = m.values.copy()
     values[6, 2, 0] += 1.0
@@ -396,7 +396,7 @@ def test_mackey_witness(d4):
 def test_mackey_identity_slice_corruption(d4):
     # m(e, b0) feeds every m(h, b) with h.b = b0; the pair (e, b0) compares
     # with itself, so the witness is the first such pair with h != e
-    m = section_to_mackey(random_section(d4.input_bundle, SplitMix64(7)))
+    m = section_to_mackey(random_sections(d4.input_bundle, SplitMix64(7), 1)[0])
     grp, table = d4.group, d4.action.table
     for b0 in range(d4.action.base_size):
         values = m.values.copy()
@@ -501,7 +501,7 @@ NAN_LAWS = {
     "mackey": (
         "mackey-periodicity",
         lambda s, bump: validate_mackey(
-            MackeySection(s.input_bundle, bump(section_to_mackey(random_section(s.input_bundle, SplitMix64(5))).values))
+            MackeySection(s.input_bundle, bump(section_to_mackey(random_sections(s.input_bundle, SplitMix64(5), 1)[0]).values))
         ),
     ),
 }

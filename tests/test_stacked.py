@@ -13,7 +13,7 @@ import pytest
 
 from equicorr.bundles import _act, _acting_classes, representation_bundle, trivial_bundle
 from equicorr.groups import GroupAction
-from equicorr.measures import GroupMeasureFamily, counting_family, counting_orbit_family
+from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr.reporting import _worst_of_grid
 from equicorr import sampling
 from equicorr.rng import SplitMix64
@@ -21,6 +21,8 @@ from equicorr.sampling import random_mackey_sections, random_sections, random_va
 from equicorr.scenarios import build_scenario, dihedral_vertex_action
 from equicorr.transforms import _transform_values, transform_equivariance_residual
 from equicorr.xcorr import Filter, convolve, correlate_sections, cross_correlate, to_convolution_form, xcorr_equivariance_residual
+
+from helpers import counting_orbit_family
 
 BUILTINS = ["cyclic(8)", "dihedral(4, bundle=sign)", "torus(6)", "torus-bands(16)", "circle-grid(16)", "line-grid(5, dx=0.2)"]
 

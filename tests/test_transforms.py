@@ -1,21 +1,31 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from equicorr.battery import _kernel_checks, _theta_lift_checks
 from equicorr.bundles import Section, act_on_section
-from equicorr.errors import CoverageError, PreconditionError, StructuralError
-from equicorr.groups import stabilizer
-from equicorr.measures import counting_family, counting_stabilizer_family, dirac_delta, solve_orbit_family
+from equicorr.errors import CoverageError, StructuralError
+from equicorr.groups import INDEX_DTYPE, stabilizer
+from equicorr.measures import (
+    OrbitMeasureFamily,
+    counting_family,
+    counting_stabilizer_family,
+    dirac_delta,
+    fubini_pointwise_residual,
+    solve_orbit_family,
+)
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, derive_theta
 from equicorr.transforms import (
     Kernel,
     ThetaMap,
-    check_equivariance,
+    filter_operator,
     integral_transform,
-    lift_equivalence_check,
+    kernel_operator,
     lift_kernel_to_filter,
     project_filter_to_kernel,
     random_sections,
@@ -23,7 +33,7 @@ from equicorr.transforms import (
     validate_kernel,
     validate_theta,
 )
-from equicorr.xcorr import correlate_sections, validate_filter
+from equicorr.xcorr import Filter, correlate_sections, validate_filter
 
 from helpers import mul
 
@@ -90,8 +100,8 @@ def test_transform_matches_brute_force(dihedral4):
 
 def test_transform_equivariance_valid_kernel(torus8):
     scn = torus8
-    rep = check_equivariance(scn.kernel, scn.mubar, seed=5, n_sections=20)
-    assert rep.passed
+    sections = random_sections(scn.input_bundle, SplitMix64(5), 20)
+    assert transform_equivariance_residual(scn.kernel, scn.mubar, sections)[0] <= 1e-12
 
 
 def test_transform_equivariance_pointwise(dihedral4_sign):
@@ -111,17 +121,19 @@ def test_planted_violations_always_caught(dihedral4):
     for _ in range(10):
         bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
         assert not validate_kernel(bad, tolerance=1e-9).passed
-        rep = check_equivariance(bad, scn.mubar, seed=rng.next_u64(), n_sections=20, tolerance=1e-9)
-        assert not rep.passed
+        sections = random_sections(scn.input_bundle, SplitMix64(rng.next_u64()), 20)
+        assert not transform_equivariance_residual(bad, scn.mubar, sections)[0] <= 1e-9
 
 
 def test_equivariance_search_uses_the_requested_section_count(dihedral4):
-    # fewer than 20 sections is honored, not raised to 20
+    # the battery's search runs on exactly the n_sections sections its seed
+    # draws: fewer than 20 is honored, not raised to 20
     scn = dihedral4
     bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(3))
     sections = random_sections(scn.input_bundle, SplitMix64(5), 3)
     residual, witness = transform_equivariance_residual(bad, scn.mubar, sections)
-    check = check_equivariance(bad, scn.mubar, seed=5, n_sections=3, tolerance=1e-9).checks[0]
+    checks = _kernel_checks(replace(scn, kernel=bad), 5, 0, 1e-9, 3, 0)
+    check = next(c for c in checks if c.name == "transform.equivariance")
     assert (check.residual, check.witness) == (residual, witness)
     assert witness[0] < 3
 
@@ -181,12 +193,14 @@ def test_lift_matches_brute_force(bands16):
 
 def test_lift_transform_equivalence(bands16):
     scn = bands16
+    transform = kernel_operator(scn.kernel, scn.mubar)
     sections = random_sections(scn.input_bundle, SplitMix64(81), 3)
     for theta in scn.thetas.values():
-        gaps = [lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, [f]) for f in sections]
-        assert max(gaps) < 1e-12
-        # the stacked sections give the worst single-section residual, bit for bit
-        assert lift_equivalence_check(scn.kernel, theta, scn.delta, scn.mu, scn.nu, scn.mubar, sections) == max(gaps)
+        lifted = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
+        assert np.abs(filter_operator(lifted, scn.mu) - transform).max() < 1e-12
+        for f in sections:
+            lhs = correlate_sections(lifted, scn.mu, f.values)
+            assert np.abs(lhs - integral_transform(scn.kernel, scn.mubar, f).values).max() < 1e-12
 
 
 def test_project_after_lift_is_identity(bands16):
@@ -247,14 +261,17 @@ def test_derive_theta_round_trips_scenarios(dihedral4, cyclic8, torus8):
 
 
 def test_lift_requires_disintegration():
-    # a mubar that breaks the pointwise identity must be refused
+    # under a mubar that breaks the pointwise identity the lift no longer
+    # induces the transform, so the battery reports the agreement skipped
     scn = build_scenario("dihedral(4)")
-    from equicorr.measures import OrbitMeasureFamily
-
-    bad = OrbitMeasureFamily(scn.action, scn.mubar.weights * 1.5)
-    f = random_sections(scn.input_bundle, SplitMix64(3), 1)[0]
-    with pytest.raises(PreconditionError):
-        lift_equivalence_check(scn.kernel, scn.thetas["derived"], scn.delta, scn.mu, scn.nu, bad, [f])
+    bad = replace(scn, mubar=OrbitMeasureFamily(scn.action, scn.mubar.weights * 1.5))
+    assert fubini_pointwise_residual(bad.mu, bad.nu, bad.mubar)[0] > 1e-9
+    lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
+    assert np.abs(filter_operator(lifted, bad.mu) - kernel_operator(bad.kernel, bad.mubar)).max() > 1e-9
+    checks = {c.name: c for c in _theta_lift_checks(bad, 1e-12)}
+    for name in ("lift.derived.transform-agreement", "projection.transform-agreement"):
+        assert checks[name].skipped and checks[name].passed
+    assert not checks["projection.kernel.kernel-constraint"].skipped
 
 
 def test_random_valid_kernels_validate():
@@ -263,3 +280,59 @@ def test_random_valid_kernels_validate():
     for _ in range(5):
         kern = random_valid_kernel(scn.input_bundle, scn.output_bundle, rng)
         assert validate_kernel(kern, tolerance=1e-12).passed
+
+
+def brute_filter_operator(filt, mu):
+    """[c, b] = sum over k with k.b = c of mu_b(k) w(k, b) A_E(k^-1, c): the
+    induced map T(f)(b) = sum_k mu_b(k) w(k, b) f~(k, b) read off term by term."""
+    action, grp = filt.action, filt.action.group
+    mb = action.base_size
+    out = np.zeros((mb, mb, filt.output_bundle.dmax, filt.input_bundle.dmax))
+    for b in range(mb):
+        for k in range(grp.order):
+            c = action.act(k, b)
+            out[c, b] += mu.weights[b, k] * (filt.matrices[k, b] @ filt.input_bundle.act_matrix[grp.inverse(k), c])
+    return out
+
+
+@pytest.mark.parametrize("spec", ["dihedral(4, bundle=sign)", "torus-bands(16)"])
+def test_operators_match_brute_force(spec):
+    scn = build_scenario(spec)
+    assert np.allclose(filter_operator(scn.filt, scn.mu), brute_filter_operator(scn.filt, scn.mu), atol=1e-13)
+    f = random_sections(scn.input_bundle, SplitMix64(12), 1)[0]
+    applied = np.einsum("cbij,cj->bi", kernel_operator(scn.kernel, scn.mubar), f.values)
+    assert np.allclose(applied, brute_transform(scn.kernel, scn.mubar, f), atol=1e-13)
+
+
+def test_operator_residual_bounds_the_sampled_residual():
+    # one corrupted entry of a lifted filter: R, the largest entry of the
+    # operator difference, against P, the sampled residual on sections in
+    # [-1, 1]: P <= |B| dE R, and R is the largest P over the signed basis
+    scn = build_scenario("dihedral(4, bundle=sign)")
+    lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
+    mats = lifted.matrices.copy()
+    mats[3, 1, 0, 0] += 0.375
+    bad = Filter(lifted.input_bundle, lifted.output_bundle, mats)
+    R = float(np.abs(filter_operator(bad, scn.mu) - kernel_operator(scn.kernel, scn.mubar)).max())
+    assert R > 0.1
+
+    def sampled(values):
+        f = Section(scn.input_bundle, values)
+        return float(np.abs(correlate_sections(bad, scn.mu, values) - integral_transform(scn.kernel, scn.mubar, f).values).max())
+
+    mb, de = scn.action.base_size, scn.input_bundle.dmax
+    for f in random_sections(scn.input_bundle, SplitMix64(31), 20):
+        assert sampled(f.values) <= mb * de * R
+    basis = np.eye(mb * de).reshape(mb * de, mb, de)
+    assert max(sampled(sign * e) for e in basis for sign in (1.0, -1.0)) == R
+
+
+@pytest.mark.parametrize("entry", [2**32, -(2**32) + 5, -2, 8])  # dihedral(4) has |G| = 8
+def test_theta_entries_are_range_checked_before_narrowing(entry):
+    # -2^32 + 5 wraps to the defined value 5 in int32, 2^32 to 0
+    scn = build_scenario("dihedral(4)")
+    reps = scn.thetas["derived"].reps.astype(np.int64)
+    reps[0, 1] = entry
+    with pytest.raises(StructuralError, match="theta entry out of range"):
+        ThetaMap(scn.action, reps)
+    assert scn.thetas["derived"].reps.dtype == INDEX_DTYPE

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from equicorr.battery import _filter_checks
 from equicorr.bundles import act_on_mackey, mackey_to_section, section_to_mackey, trivial_bundle, validate_mackey
 from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
@@ -13,12 +16,12 @@ from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_act
 from equicorr.xcorr import (
     CompressedFilter,
     Filter,
-    check_convolution_equality,
     compress_filter,
     convolve,
     correlate_sections,
     cross_correlate,
     expand_filter,
+    mu_left_invariant,
     to_convolution_form,
     validate_filter,
     xcorr_equivariance_residual,
@@ -96,8 +99,7 @@ def test_convolution_equality_counting_measure(dihedral4):
     direct = cross_correlate(scn.filt, m, scn.mu)
     via_conv = convolve(conv_filt, m, scn.mu)
     assert np.allclose(direct.values, via_conv.values, atol=1e-12)
-    rep = check_convolution_equality(scn.filt, scn.mu, [m])
-    assert rep.passed and not rep.checks[0].skipped
+    assert mu_left_invariant(scn.mu)
 
 
 def test_convolution_skipped_without_left_invariance(dihedral4):
@@ -105,10 +107,10 @@ def test_convolution_skipped_without_left_invariance(dihedral4):
     weights = scn.mu.weights.copy()
     weights[:, 3] = 2.0  # varies along the group: not left-invariant
     mu = GroupMeasureFamily(scn.action, weights, haar=False)
-    m = random_mackey_sections(scn.input_bundle, SplitMix64(6), 1)[0]
-    rep = check_convolution_equality(scn.filt, mu, [m])
-    assert rep.checks[0].skipped
-    assert rep.passed  # skipped, not failed
+    assert not mu_left_invariant(mu)
+    checks = _filter_checks(replace(scn, mu=mu), 6, 1e-12, 1)
+    check = next(c for c in checks if c.name == "xcorr.convolution-agreement")
+    assert check.skipped and check.passed  # skipped, not failed
 
 
 def test_compression_round_trip_bitwise(dihedral4_sign):
