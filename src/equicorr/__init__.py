@@ -62,7 +62,6 @@ from .measures import (
     OrbitMeasureFamily,
     PsiFunction,
     StabilizerMeasureFamily,
-    check_fubini,
     construct_normalized_families,
     counting_family,
     counting_stabilizer_family,
@@ -80,6 +79,7 @@ from .reporting import Check, ValidationReport, check_from_residual
 from .rng import SplitMix64
 from .sampling import (
     random_mackey_sections,
+    random_sections,
     random_valid_filter,
     random_valid_kernel,
     random_violating_kernel,
@@ -92,8 +92,8 @@ from .transforms import (
     integral_transform,
     kernel_operator,
     lift_kernel_to_filter,
+    operator_equivariance_residual,
     project_filter_to_kernel,
-    transform_equivariance_residual,
     validate_kernel,
     validate_theta,
 )
@@ -107,7 +107,6 @@ from .xcorr import (
     expand_filter,
     to_convolution_form,
     validate_filter,
-    xcorr_equivariance_residual,
 )
 
 __version__ = "0.1.0"

@@ -7,30 +7,30 @@ equivariance, Mackey preservation, the convolution comparison (skipped
 with a note when the group family is not left-invariant), compression
 round trip, kernel constraint and transform equivariance, theta laws,
 lift and projection theorems, their round trip, and a falsification probe
-that plants invalid kernels and demands the equivariance search catch
+that plants invalid kernels and demands the equivariance check catch
 every one (reported skipped when the compatibility law is vacuous, so
 that no invalid kernel exists).
 
-The lift and projection theorems are identities between linear maps on
-sections, so they are checked exactly, on operator matrices
-(`transforms.filter_operator`, `transforms.kernel_operator`), never on
-sampled sections: the residual is the largest entry of the difference of
-the two (|B|, |B|, dF, dE) matrices, and a failing check names (c, b, i, j).
-Against P, the sampled residual over sections with entries in [-1, 1],
-this residual R satisfies P <= |B| dE R, and R is P at a signed basis
-section.  Both theorems need the pointwise disintegration identity; when
-it fails their agreement checks are reported with `skipped: true`.
+Equivariance and the lift and projection theorems are statements about
+linear maps on sections, so they are checked exactly on (|B|, |B|, dF, dE)
+operator matrices, never on sampled sections.  Each battery builds the
+matrix of the filter's induced map (`transforms.filter_operator`) and of
+the kernel's transform (`transforms.kernel_operator`) once.  Equivariance,
+and the necessity probe on each planted kernel, decide the kernel law on
+a matrix for every g (`transforms.operator_equivariance_residual`, which
+states its bounds against the sampled all-g residual; witness (g, c, b)).
+A theorem's residual is the largest entry of the difference of two
+matrices, and a failing check names (c, b, i, j); against P, the sampled
+residual over sections with entries in [-1, 1], P <= |B| dE R, and R is P
+at a signed basis section.  Both theorems need the pointwise
+disintegration identity; when it fails their agreement checks are
+reported with `skipped: true`.
 
-The randomized equivariance checks scan every sampled section against
-every group element.  Elements with the same gather row and the same act
-matrices on both bundles give bit-identical g.f, so each search evaluates
-one representative per acting class over the stacked (section, class)
-grid and expands it to every g; their witnesses name the first
-(section, g) attaining the worst residual.  The Mackey-level filter checks
-stream the sampled sections in blocks of SECTION_BLOCK: a block is
-induced to Mackey sections and cross-correlated once, and that output
-serves both the Mackey preservation and the convolution comparison
-before the block is dropped.  Alive at once are the plain sections, their
+The Mackey-level filter checks, the only ones that sample sections,
+stream them in blocks of SECTION_BLOCK: a block is induced to Mackey
+sections and cross-correlated once, and that output serves both the
+Mackey preservation and the convolution comparison before the block is
+dropped.  Alive at once are the plain sections, their
 per-section residuals, and one block's induced sections, outputs and
 convolutions, so the peak does not grow with the section count.  Witnesses
 name the global section index.  Every filter sum visits only the filter's
@@ -52,15 +52,14 @@ from .groups import validate_action, validate_group
 from .measures import fubini_pointwise_residual, validate_delta, validate_families, validate_psi
 from .reporting import Check, ValidationReport, _maxabs, _worst_of_grid, check_from_residual
 from .rng import SplitMix64
-from .sampling import random_violating_kernel
+from .sampling import random_sections, random_violating_kernel
 from .scenarios import Scenario
 from .transforms import (
     filter_operator,
     kernel_operator,
     lift_kernel_to_filter,
+    operator_equivariance_residual,
     project_filter_to_kernel,
-    random_sections,
-    transform_equivariance_residual,
     validate_kernel,
     validate_theta,
 )
@@ -73,7 +72,6 @@ from .xcorr import (
     mu_left_invariant,
     to_convolution_form,
     validate_filter,
-    xcorr_equivariance_residual,
 )
 
 DEFAULT_TOLERANCE = 1e-12
@@ -96,14 +94,16 @@ def run_battery(
     if n_violators < 0:
         raise DomainError(f"n_violators must be at least 0, got {n_violators}")
     rng = SplitMix64(seed)
-    seeds = {name: rng.next_u64() for name in ("sections", "equivariance", "violators")}
+    seeds = {name: rng.next_u64() for name in ("sections", "violators")}
+    filter_op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
+    kernel_op = None if scn.kernel is None else kernel_operator(scn.kernel, scn.mubar)
 
     report = ValidationReport()
     report.checks += _structure_checks(scn)
     report.checks += _family_checks(scn, tolerance)
-    report.checks += _filter_checks(scn, seeds["sections"], tolerance, n_sections)
-    report.checks += _kernel_checks(scn, seeds["equivariance"], seeds["violators"], tolerance, n_sections, n_violators)
-    report.checks += _theta_lift_checks(scn, tolerance)
+    report.checks += _filter_checks(scn, filter_op, seeds["sections"], tolerance, n_sections)
+    report.checks += _kernel_checks(scn, kernel_op, seeds["violators"], tolerance, n_violators)
+    report.checks += _theta_lift_checks(scn, filter_op, kernel_op, tolerance)
     report.checks += _scenario_specific_checks(scn, tolerance)
     return report.sorted()
 
@@ -146,14 +146,18 @@ def _family_checks(scn: Scenario, tolerance: float) -> list[Check]:
     return checks
 
 
-def _filter_checks(scn: Scenario, seed: int, tolerance: float, n_sections: int) -> list[Check]:
+def _equivariance_check(name: str, scn: Scenario, op: np.ndarray, tolerance: float) -> Check:
+    residual, witness = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)
+    return check_from_residual(name, residual, tolerance, witness)
+
+
+def _filter_checks(scn: Scenario, op: np.ndarray | None, seed: int, tolerance: float, n_sections: int) -> list[Check]:
+    """Checks of the filter; op is the matrix of its induced map."""
     if scn.filt is None:
         return []
     checks = list(_prefixed(validate_filter(scn.filt, tolerance=tolerance), "filter"))
+    checks.append(_equivariance_check("xcorr.equivariance", scn, op, tolerance))
     sections = random_sections(scn.input_bundle, SplitMix64(seed), n_sections)
-
-    residual, witness = xcorr_equivariance_residual(scn.filt, scn.mu, sections)
-    checks.append(check_from_residual("xcorr.equivariance", residual, tolerance, witness))
 
     flipped = to_convolution_form(scn.filt) if mu_left_invariant(scn.mu) else None
     periodicity: list[float] = []
@@ -191,14 +195,13 @@ def _block_residuals(scn: Scenario, flipped: Filter | None, block: list[Section]
 
 
 def _kernel_checks(
-    scn: Scenario, seed: int, violator_seed: int, tolerance: float, n_sections: int, n_violators: int
+    scn: Scenario, op: np.ndarray | None, violator_seed: int, tolerance: float, n_violators: int
 ) -> list[Check]:
+    """Checks of the kernel; op is the matrix of its transform."""
     if scn.kernel is None:
         return []
     checks = list(_prefixed(validate_kernel(scn.kernel, tolerance=tolerance), "kernel"))
-    sections = random_sections(scn.input_bundle, SplitMix64(seed), n_sections)
-    residual, witness = transform_equivariance_residual(scn.kernel, scn.mubar, sections)
-    checks.append(check_from_residual("transform.equivariance", residual, tolerance, witness))
+    checks.append(_equivariance_check("transform.equivariance", scn, op, tolerance))
     if n_violators > 0 and scn.mubar.strictly_positive():
         rng = SplitMix64(violator_seed)
         missed = 0
@@ -207,14 +210,19 @@ def _kernel_checks(
             if bad is None:  # every kernel obeys the law: there is nothing to plant
                 checks.append(Check("transform.necessity-catches-planted", 0.0, 0.0, True, None, skipped=True))
                 return checks
-            sections = random_sections(scn.input_bundle, SplitMix64(rng.next_u64()), n_sections)
-            if transform_equivariance_residual(bad, scn.mubar, sections)[0] <= 1e-9:  # a NaN counts as caught
+            residual, _ = operator_equivariance_residual(kernel_operator(bad, scn.mubar), scn.input_bundle, scn.output_bundle)
+            if residual <= 1e-9:  # a NaN counts as caught
                 missed += 1
         checks.append(check_from_residual("transform.necessity-catches-planted", float(missed), 0.0))
     return checks
 
 
-def _theta_lift_checks(scn: Scenario, tolerance: float) -> list[Check]:
+def _theta_lift_checks(
+    scn: Scenario, filter_op: np.ndarray | None, kernel_op: np.ndarray | None, tolerance: float
+) -> list[Check]:
+    """Theta laws and the lift and projection theorems; filter_op and
+    kernel_op are the matrices of the scenario filter's induced map and of
+    the scenario kernel's transform."""
     checks: list[Check] = []
     # the lift and projection theorems need the disintegration identity
     fub, _ = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
@@ -229,14 +237,13 @@ def _theta_lift_checks(scn: Scenario, tolerance: float) -> list[Check]:
         return compare(name, lhs, rhs)
 
     if scn.kernel is not None and scn.delta is not None:
-        transform = kernel_operator(scn.kernel, scn.mubar)
         lifted_ops = []
         for name, theta in sorted(scn.thetas.items()):
             checks += _prefixed(validate_theta(theta, scn.kernel), f"theta.{name}")
             lifted = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
             checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
             lifted_ops.append(filter_operator(lifted, scn.mu))
-            checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], transform))
+            checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], kernel_op))
 
             back = project_filter_to_kernel(lifted, scn.nu)
             r = float(np.abs(back.matrices - scn.kernel.matrices).max())
@@ -248,8 +255,7 @@ def _theta_lift_checks(scn: Scenario, tolerance: float) -> list[Check]:
     if scn.filt is not None:
         # projection theorem: the filter's induced map is the transform of its projection
         kern = project_filter_to_kernel(scn.filt, scn.nu)
-        lhs, rhs = filter_operator(scn.filt, scn.mu), kernel_operator(kern, scn.mubar)
-        checks.append(agreement("projection.transform-agreement", lhs, rhs))
+        checks.append(agreement("projection.transform-agreement", filter_op, kernel_operator(kern, scn.mubar)))
         checks += _prefixed(validate_kernel(kern, tolerance=tolerance), "projection.kernel")
     return checks
 

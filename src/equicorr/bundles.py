@@ -53,7 +53,9 @@ bundles, a <= sqrt(2) for the 2-d rotation bundle.
 
 The same argument covers the laws saying a table is invariant under G,
 v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) for all g: the filter and
-kernel constraints and the psi, delta, mu, nu and mubar compatibilities.
+kernel constraints, the psi, delta, mu, nu and mubar compatibilities, and
+the equivariance of a linear map on sections, which commutes with every g
+exactly when its (|B|, |B|, dF, dE) matrix obeys the kernel law.
 With b0 in the fundamental domain and k the smallest element carrying b0
 to c, they hold exactly when S = T = 0 (given the cocycle law of both
 bundles): S compares the rows at b0 with their copies carried by each
@@ -222,53 +224,11 @@ class MackeySection:
             raise StructuralError(f"mackey values shape {self.values.shape}, expected {(n, m, dmax)}")
 
 
-def _act(bundle: EquivariantBundle, elements: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(..., |B|, d) section values -> (..., len(elements), |B|, d), one
-    table gather for all the elements at once."""
-    action = bundle.action
-    src = action.table[action.group.inv[elements]]  # [g, b] -> g^-1.b
-    mats = bundle.act_matrix[elements[:, None], src]
-    return np.einsum("gbij,...gbj->...gbi", mats, values[..., src, :])
-
-
-def _acting_classes(*bundles: EquivariantBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Group the elements g by the operands _act reads for them: the gather
-    row g^-1.b and the matrices act_matrix(g, g^-1.b) of every bundle given,
-    compared as raw bit patterns (so -0.0 and 0.0 differ).  Elements of one
-    class give bitwise-identical g.f on every section of every bundle.
-    Returns the smallest element of each class, ascending, and each
-    element's class index, so that reps[cls[g]] acts exactly as g does."""
-    action = bundles[0].action
-    n = action.group.order
-    src = action.table[action.group.inv].astype(np.int64)  # [g, b] -> g^-1.b, stacked with int64 bit views
-    keys = np.hstack([src] + [b.act_matrix[np.arange(n)[:, None], src].reshape(n, -1).view(np.int64) for b in bundles])
-    rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    reps = np.sort(first)
-    return reps, np.searchsorted(reps, first[inverse])
-
-
-def _equivariance_residual(
-    input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, apply, f: np.ndarray
-) -> tuple[float, tuple[int, int] | None]:
-    """Max residual of T(g.f) = g.T(f) over a (sections, |B|, dE) stack f
-    and every g, for the map T = `apply` from input to output section
-    stacks; witness is the first (section index, g) attaining it.
-
-    An acting class of the two bundles is a set of elements with the same
-    gather row g^-1.b and bitwise-equal act matrices on both bundles
-    (_acting_classes).  Its elements give bitwise-identical residuals, so
-    the (sections, class) stack is computed once with the class
-    representatives and expanded to every g before the scan."""
-    reps, cls = _acting_classes(input_bundle, output_bundle)
-    lhs = apply(_act(input_bundle, reps, f))
-    rhs = _act(output_bundle, reps, apply(f))
-    return _worst_of_grid(np.abs(lhs - rhs).max(axis=(2, 3), initial=0.0)[:, cls])
-
-
 def act_on_section(g: int, f: Section) -> Section:
     """(g.f)(b) = act_matrix(g, g^-1.b) @ f(g^-1.b)."""
-    return Section(f.bundle, _act(f.bundle, np.array([g]), f.values)[0])
+    action = f.bundle.action
+    src = action.table[action.group.inv[g]]
+    return Section(f.bundle, np.einsum("bij,bj->bi", f.bundle.act_matrix[g, src], f.values[src]))
 
 
 def section_to_mackey(f: Section) -> MackeySection:

@@ -30,7 +30,7 @@ from .errors import DomainError, EquicorrError
 from .measures import fubini_pointwise_residual
 from .reporting import ValidationReport, check_from_residual
 from .rng import SplitMix64
-from .sampling import random_mackey_sections
+from .sampling import random_mackey_sections, random_sections
 from .scenarios import (
     Scenario,
     build_scenario,
@@ -50,7 +50,7 @@ from .serialize import (
     section_from_dict,
     section_to_dict,
 )
-from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel, random_sections
+from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel
 from .xcorr import cross_correlate
 
 
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("battery", "full property battery")
     p.add_argument("scenario")
-    p.add_argument("--sections", type=int, default=20, help="random sections per randomized check")
+    p.add_argument("--sections", type=int, default=20, help="random sections for the Mackey-level checks")
     p.add_argument("--violators", type=int, default=5, help="planted invalid kernels for the necessity probe")
     p.set_defaults(handler=_cmd_battery)
 

@@ -16,9 +16,8 @@ The three are linked by the disintegration identity
 
 for every real function f on the group, where k_c is any coset
 representative with k_c.b = c; left-invariance of nu_b makes the inner
-sum independent of which representative is chosen.  check_fubini measures
-the identity for a given f; solve_orbit_measure inverts it for mubar when
-mu_b has constant weight.
+sum independent of which representative is chosen.  solve_orbit_measure
+inverts it for mubar when mu_b has constant weight.
 
 Normalized families are built from a positive weight function psi(h, b)
 that is conjugation-compatible, psi(g h g^-1, g.b) = psi(h, b), and does
@@ -183,34 +182,6 @@ def validate_families(
 
 # ---------------------------------------------------------------------------
 # disintegration
-
-
-def check_fubini(
-    mu: GroupMeasureFamily,
-    nu: StabilizerMeasureFamily,
-    mubar: OrbitMeasureFamily,
-    f: np.ndarray,
-    b: int,
-    reps: np.ndarray | None = None,
-) -> float:
-    """Residual of the disintegration identity at base point b for a real
-    function f on the group.  reps[c] is the coset representative k_c used
-    for each c in the orbit of b, -1 elsewhere; by default the smallest,
-    action.coset_reps[b]."""
-    action = mu.action
-    grp = action.group
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grp.order,):
-        raise StructuralError(f"group function shape {f.shape}, expected {(grp.order,)}")
-    if reps is None:
-        reps = action.coset_reps[b]
-    stab = stabilizer(action, b)
-    members = np.flatnonzero(reps >= 0)
-
-    lhs = float(mu.weights[b] @ f)
-    inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ nu.weights[b, stab]  # one value per orbit member
-    rhs = float(mubar.weights[b, members] @ inner)
-    return abs(lhs - rhs)
 
 
 def fubini_pointwise_residual(

@@ -73,6 +73,3 @@ class SplitMix64:
                 seen.add(x)
                 chosen.append(x)
         return chosen
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())

@@ -20,17 +20,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, _carry, _orbit_slice, pad_mask, section_to_mackey
+from .bundles import EquivariantBundle, MackeySection, Section, _carry, _orbit_slice, pad_mask, section_to_mackey
 from .errors import DomainError
 from .groups import fundamental_domain, orbits, stabilizer
 from .rng import SplitMix64
-from .transforms import Kernel, random_sections, validate_kernel
+from .transforms import Kernel, validate_kernel
 from .xcorr import Filter
 
 SUPPORT_PER_REP = 8  # random filter entries drawn per fundamental-domain point, before averaging
 MIN_VIOLATION = 0.1  # constraint residual a violating kernel must reach
 _MAX_TRIES = 16  # redraws of a stabilizer-averaged filter row that averaged to ~0
 _MAX_VIOLATOR_DRAWS = 64
+
+
+def random_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> list[Section]:
+    """Sections with uniform [-1, 1) coordinates on live fiber slots."""
+    mask = pad_mask(bundle.fiber_dim, bundle.dmax)
+    return [Section(bundle, np.where(mask, rng.uniforms(mask.shape, -1.0, 1.0), 0.0)) for _ in range(count)]
 
 
 def random_mackey_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> list[MackeySection]:

@@ -334,23 +334,6 @@ def _banded_lifts(scn: Scenario) -> list[tuple[set[tuple[int, int]], Filter]]:
     ]
 
 
-def banded_support_shapes(scn: Scenario) -> dict[str, set[tuple[int, int]]]:
-    """Predicted and actual filter supports of the two lifts at base point 0.
-
-    The global theta keeps the offset coordinate at zero, so its lift
-    lives on three spatial segments; the special theta spends one offset
-    step per band, folding the same kernel into a compact rectangle.
-    """
-    (segments, lift_g), (rectangle, lift_s) = _banded_lifts(scn)
-    n = scn.params["n"]
-    return {
-        "segments-predicted": segments,
-        "rectangle-predicted": rectangle,
-        "global-observed": _filter_support_coords(lift_g, n, 0),
-        "special-observed": _filter_support_coords(lift_s, n, 0),
-    }
-
-
 def _filter_support_coords(filt: Filter, n: int, b: int) -> set[tuple[int, int]]:
     hs = np.flatnonzero(filt.support[:, b])
     return {(int(_signed_mod(h % n, n)), int(_signed_mod(h // n, n))) for h in hs}

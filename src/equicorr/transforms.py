@@ -11,9 +11,12 @@ transform integrates over the orbit against the orbit measure family:
     T(f)(b) = sum_{c in G.b} mubar_b(c) kappa(c, b) @ f(c),
 
 summed in ascending base index.  The compatibility law is exactly what
-makes T commute with the group action on sections; necessity holds too,
-so a kernel violating the law on a strictly positive mubar is always
-caught by an equivariance search over random sections.
+makes T commute with the group action on sections, and necessity holds
+too: any linear map on sections commutes with G exactly when its matrix
+obeys the same law, so operator_equivariance_residual decides
+equivariance on the matrix, for every g, with no sampled sections.  The
+defects of the matrix of T are mubar_b(c) times those of kappa, so a
+kernel violating the law on a strictly positive mubar is always caught.
 
 Projection averages a filter over each stabilizer into a kernel:
 
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, Section, _equivariance_residual, _orbit_slice, pad_mask
+from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import CoverageError, InconsistencyError, StructuralError
 from .groups import GroupAction, _index_table, stabilizer
 from .measures import (
@@ -66,7 +69,6 @@ from .reporting import (
     _count_over,
     check_from_residual,
 )
-from .rng import SplitMix64
 from .xcorr import Filter, _common_action, correlate_sections
 
 __all__ = [
@@ -77,11 +79,10 @@ __all__ = [
     "integral_transform",
     "kernel_operator",
     "filter_operator",
-    "transform_equivariance_residual",
+    "operator_equivariance_residual",
     "project_filter_to_kernel",
     "validate_theta",
     "lift_kernel_to_filter",
-    "random_sections",
 ]
 
 
@@ -127,9 +128,7 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
         tg = action.table[g]
         return kern.support[np.ix_(tg, tg)] != kern.support
 
-    worst, witness, _ = _orbit_slice(
-        kern.matrices, action, False, kern.output_bundle.act_matrix, kern.input_bundle.act_matrix
-    )
+    worst, witness = operator_equivariance_residual(kern.matrices, kern.input_bundle, kern.output_bundle)
     count, support_witness = _count_over(action.group.generators, moved)
     report = ValidationReport()
     report.add(check_from_residual("kernel-constraint", worst, tolerance, witness))
@@ -143,15 +142,11 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
 
 def integral_transform(kern: Kernel, mubar: OrbitMeasureFamily, f: Section) -> Section:
     """T(f)(b) = sum_c mubar_b(c) kappa(c, b) @ f(c), ascending c."""
-    _check_transform_args(kern, mubar, [f])
-    return Section(kern.output_bundle, _transform_values(kern, mubar, f.values))
-
-
-def _check_transform_args(kern: Kernel, mubar: OrbitMeasureFamily, sections: list[Section]) -> None:
-    if any(f.bundle is not kern.input_bundle for f in sections):
+    if f.bundle is not kern.input_bundle:
         raise StructuralError("section does not live in the kernel's input bundle")
     if mubar.action is not kern.action:
         raise StructuralError("orbit family is over a different action")
+    return Section(kern.output_bundle, np.einsum("cbij,cj->bi", kernel_operator(kern, mubar), f.values))
 
 
 def kernel_operator(kern: Kernel, mubar: OrbitMeasureFamily) -> np.ndarray:
@@ -170,34 +165,30 @@ def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     return correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
 
 
-def _transform_values(kern: Kernel, mubar: OrbitMeasureFamily, values: np.ndarray) -> np.ndarray:
-    """T on a stack of section values, (..., |B|, dE) -> (..., |B|, dF)."""
-    return np.einsum("cbij,...cj->...bi", kernel_operator(kern, mubar), values)
+def operator_equivariance_residual(
+    op: np.ndarray, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle
+) -> tuple[float, tuple[int, int, int] | None]:
+    """Residual of T(g.f) = g.T(f) over every g, for the linear map T on
+    sections with matrix op, laid out as kernel_operator.  With D_g(c, b) =
+    op(g.c, g.b) A_E(g, c) - A_F(g, b) op(c, b), the defect of the kernel
+    law at (g, c, b),
 
+        T(g.f)(g.b) - (g.T(f))(g.b) = sum_c D_g(c, b) @ f(c),
 
-def random_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> list[Section]:
-    """Sections with uniform [-1, 1) coordinates on live fiber slots."""
-    mask = pad_mask(bundle.fiber_dim, bundle.dmax)
-    out = []
-    for _ in range(count):
-        vals = rng.uniforms(mask.shape, -1.0, 1.0)
-        out.append(Section(bundle, np.where(mask, vals, 0.0)))
-    return out
+    so T commutes with every g exactly when op obeys the law, which is the
+    compatibility law of a kernel table.  The law is decided on one base
+    slice per orbit (`bundles._orbit_slice`); returns its residual R and
+    witness (g, c, b).
 
+    Let a be the largest row or column sum of |A(g, b)| over both bundles,
+    P_F the all-g residual over sections F with entries in [-1, 1], and
+    P_basis the all-g residual at the signed basis sections, whose values
+    are the entries of D_g.  Given the cocycle law of both bundles,
 
-def transform_equivariance_residual(
-    kern: Kernel,
-    mubar: OrbitMeasureFamily,
-    sections: list[Section],
-) -> tuple[float, tuple[int, int] | None]:
-    """Max residual of T(g.f) = g.T(f) over the sections and every g (one
-    representative per acting class, `bundles._equivariance_residual`);
-    witness is the first (section index, g) attaining it."""
-    _check_transform_args(kern, mubar, sections)
-    if not sections:
-        return 0.0, None
-    f = np.stack([s.values for s in sections])
-    return _equivariance_residual(kern.input_bundle, kern.output_bundle, lambda v: _transform_values(kern, mubar, v), f)
+        P_F <= |B| dE (a^2 + 2a) R,    R <= a P_basis.
+    """
+    action = _common_action(input_bundle, output_bundle)
+    return _orbit_slice(op, action, False, output_bundle.act_matrix, input_bundle.act_matrix)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,18 @@ Cross-correlation consumes a Mackey section and produces one:
     (omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b),
 
 summed over the support of omega(., b) in ascending element index.  For a
-valid filter this intertwines the group action on Mackey sections and
-preserves the periodicity law; both facts are checked numerically by the
-property suite rather than assumed.  The induced map on plain sections,
-T(f) = (omega * f~)(e, -) with f~ the Mackey section induced from f, pulls
-back only the support rows of f:
+valid filter the output keeps the periodicity law, which the battery
+checks on sampled sections.  On the raw Mackey tables the group acts by
+left translation and commutes with any right cross-correlation
+whatsoever, so equivariance is falsifiable only at the section level.
+The induced map on plain sections, T(f) = (omega * f~)(e, -) with f~ the
+Mackey section induced from f, pulls back only the support rows of f:
 
     T(f)(b) = sum_k mu_b(k) omega(k, b) @ actE(k^-1, k.b) @ f(k.b).
+
+It commutes with every g exactly when its (|B|, |B|, dF, dE) matrix
+(`transforms.filter_operator`) obeys the kernel law, which
+`transforms.operator_equivariance_residual` decides exactly.
 
 When mu is left-invariant the cross-correlation also matches a group
 convolution with the inverted filter omega'(h, b) = omega(h^-1, b):
@@ -61,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, _equivariance_residual, _orbit_slice
+from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import InconsistencyError, StructuralError
 from .groups import FiniteGroup, fundamental_domain
 from .measures import GroupMeasureFamily
@@ -145,7 +150,10 @@ def _support_sum(filt: Filter, mu: GroupMeasureFamily, mats: np.ndarray, m, shif
     dF) output stack, and one section's gathered term and product.
     """
     sections = [m] if isinstance(m, MackeySection) else list(m)
-    _check_xcorr_args(filt, sections, mu)
+    if any(x.bundle is not filt.input_bundle for x in sections):
+        raise StructuralError("section does not live in the filter's input bundle")
+    if mu.action is not filt.action:
+        raise StructuralError("measure family is over a different action")
     idx = filt.support_index
     n, nb, de = filt.action.group.order, filt.action.base_size, filt.input_bundle.dmax
     cols = np.arange(nb)
@@ -202,36 +210,6 @@ def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray)
     return out
 
 
-def _check_xcorr_args(filt: Filter, sections: list, mu: GroupMeasureFamily) -> None:
-    if any(m.bundle is not filt.input_bundle for m in sections):
-        raise StructuralError("section does not live in the filter's input bundle")
-    if mu.action is not filt.action:
-        raise StructuralError("measure family is over a different action")
-
-
-def xcorr_equivariance_residual(
-    filt: Filter,
-    mu: GroupMeasureFamily,
-    sections: list[Section],
-) -> tuple[float, tuple[int, int] | None]:
-    """Max residual of T(g.f) = g.T(f) over the given sections and every g
-    (one representative per acting class, `bundles._equivariance_residual`),
-    where T(f) = (omega * f~)(e, -) is the induced map on plain sections;
-    witness is the first (section index, g) attaining it.
-
-    On the raw Mackey tables the group acts by left translation and
-    commutes with any right cross-correlation whatsoever, so the
-    falsifiable statement lives at the section level: it is equivalent to
-    the output table keeping the Mackey periodicity, and it fails for
-    matrices that break the conjugation constraint.
-    """
-    _check_xcorr_args(filt, sections, mu)
-    if not sections:
-        return 0.0, None
-    f = np.stack([s.values for s in sections])
-    return _equivariance_residual(filt.input_bundle, filt.output_bundle, lambda v: correlate_sections(filt, mu, v), f)
-
-
 # ---------------------------------------------------------------------------
 # convolution form
 
@@ -254,12 +232,13 @@ def convolve(
     return _support_sum(filt_prime, mu, mats, m, lambda x: _times_inverse(grp, x), weigh=True)
 
 
-def mu_left_invariant(mu: GroupMeasureFamily, tolerance: float = 0.0) -> bool:
-    """On a finite group, left invariance is equivalent to constant weights per b."""
+def mu_left_invariant(mu: GroupMeasureFamily) -> bool:
+    """On a finite group, left invariance is equivalent to weights exactly
+    constant per b."""
     w = mu.weights
     if w.size == 0:
         return True
-    return float((w.max(axis=1) - w.min(axis=1)).max()) <= tolerance
+    return float((w.max(axis=1) - w.min(axis=1)).max()) <= 0.0
 
 
 # ---------------------------------------------------------------------------

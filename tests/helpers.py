@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from equicorr.groups import FiniteGroup, GroupAction
+from equicorr.errors import StructuralError
+from equicorr.groups import FiniteGroup, GroupAction, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
+from equicorr.scenarios import Scenario, _banded_lifts, _filter_support_coords
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:
@@ -34,3 +36,48 @@ def normalization_residual(psi: PsiFunction, mu: GroupMeasureFamily, nu: Stabili
     against_mu = np.einsum("hb,bh->b", psi.values, mu.weights) - 1.0
     against_nu = np.einsum("hb,bh->b", psi.values, nu.weights) - 1.0
     return float(max(np.abs(against_mu).max(), np.abs(against_nu).max()))
+
+
+def check_fubini(
+    mu: GroupMeasureFamily,
+    nu: StabilizerMeasureFamily,
+    mubar: OrbitMeasureFamily,
+    f: np.ndarray,
+    b: int,
+    reps: np.ndarray | None = None,
+) -> float:
+    """Residual of the disintegration identity at base point b for a real
+    function f on the group.  reps[c] is the coset representative k_c used
+    for each c in the orbit of b, -1 elsewhere; by default the smallest,
+    action.coset_reps[b]."""
+    action = mu.action
+    grp = action.group
+    f = np.asarray(f, dtype=float)
+    if f.shape != (grp.order,):
+        raise StructuralError(f"group function shape {f.shape}, expected {(grp.order,)}")
+    if reps is None:
+        reps = action.coset_reps[b]
+    stab = stabilizer(action, b)
+    members = np.flatnonzero(reps >= 0)
+
+    lhs = float(mu.weights[b] @ f)
+    inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ nu.weights[b, stab]  # one value per orbit member
+    rhs = float(mubar.weights[b, members] @ inner)
+    return abs(lhs - rhs)
+
+
+def banded_support_shapes(scn: Scenario) -> dict[str, set[tuple[int, int]]]:
+    """Predicted and actual filter supports of the two lifts at base point 0.
+
+    The global theta keeps the offset coordinate at zero, so its lift
+    lives on three spatial segments; the special theta spends one offset
+    step per band, folding the same kernel into a compact rectangle.
+    """
+    (segments, lift_g), (rectangle, lift_s) = _banded_lifts(scn)
+    n = scn.params["n"]
+    return {
+        "segments-predicted": segments,
+        "rectangle-predicted": rectangle,
+        "global-observed": _filter_support_coords(lift_g, n, 0),
+        "special-observed": _filter_support_coords(lift_s, n, 0),
+    }

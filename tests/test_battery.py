@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from equicorr import battery
@@ -40,13 +42,17 @@ def test_passing_checks_carry_no_witness(dihedral4_sign):
     assert [c.name for c in rep.checks if c.witness is not None] == []
 
 
-def test_battery_seed_changes_randomized_residuals(torus8):
-    a = run_battery(torus8, seed=1, n_sections=5, n_violators=2)
-    b = run_battery(torus8, seed=2, n_sections=5, n_violators=2)
-    resid_a = {c.name: c.residual for c in a.checks}
-    resid_b = {c.name: c.residual for c in b.checks}
-    assert resid_a.keys() == resid_b.keys()
-    assert any(resid_a[k] != resid_b[k] for k in resid_a)
+def test_battery_seed_changes_randomized_residuals(dihedral4):
+    # only the Mackey-level checks sample sections: off the faint constraint
+    # their residuals follow the sections the seed draws, and the exact
+    # checks on the operator matrices do not move
+    mats = dihedral4.filt.matrices.copy()
+    mats[3, 1, 0, 0] += 0.7
+    scn = replace(dihedral4, filt=Filter(dihedral4.input_bundle, dihedral4.output_bundle, mats))
+    a, b = ({c.name: c for c in run_battery(scn, seed=seed, n_sections=5, n_violators=2).checks} for seed in (1, 2))
+    assert a.keys() == b.keys()
+    assert a["xcorr.mackey-preserved"].residual != b["xcorr.mackey-preserved"].residual
+    assert a["xcorr.equivariance"] == b["xcorr.equivariance"] and not a["xcorr.equivariance"].passed
 
 
 def test_structural_subset_of_battery(bands16):
@@ -118,3 +124,21 @@ def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, band
         assert not check.passed and check.residual > 0.1
         assert check.witness[:2] == (int(bands16.action.table[h, b]), b)
         assert len(check.witness) == 4
+
+
+def test_battery_builds_each_operator_once(monkeypatch, bands16):
+    # filter_operator runs once for the scenario filter and once per theta
+    # lift; kernel_operator once for the scenario kernel
+    calls = {"filter": [], "kernel": []}
+    for key, name in (("filter", "filter_operator"), ("kernel", "kernel_operator")):
+        original = getattr(battery, name)
+
+        def counted(table, family, key=key, original=original):
+            calls[key].append(table)
+            return original(table, family)
+
+        monkeypatch.setattr(battery, name, counted)
+    rep = run_battery(bands16, seed=1, n_sections=2, n_violators=2)
+    assert rep.passed
+    assert [f is bands16.filt for f in calls["filter"]] == [True] + [False] * len(bands16.thetas)
+    assert sum(k is bands16.kernel for k in calls["kernel"]) == 1

@@ -31,7 +31,8 @@ from equicorr.reporting import _worst_of_grid
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_valid_filter, random_valid_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
-from equicorr.transforms import Kernel, random_sections, validate_kernel
+from equicorr.sampling import random_sections
+from equicorr.transforms import Kernel, validate_kernel
 from equicorr.xcorr import Filter, validate_filter
 
 from helpers import conjugate, mul

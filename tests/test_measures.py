@@ -9,7 +9,6 @@ from equicorr.measures import (
     GroupMeasureFamily,
     OrbitMeasureFamily,
     StabilizerMeasureFamily,
-    check_fubini,
     construct_normalized_families,
     counting_family,
     counting_stabilizer_family,
@@ -26,7 +25,7 @@ from equicorr.measures import (
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import dihedral_vertex_action, torus_action
 
-from helpers import mul, normalization_residual, random_group_function
+from helpers import check_fubini, mul, normalization_residual, random_group_function
 
 
 def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:

@@ -16,7 +16,6 @@ from equicorr.scenarios import (
     LINE_BAND_EPS,
     LINE_BAND_WEIGHTS,
     banded_support_mismatch,
-    banded_support_shapes,
     build_circle_grid,
     build_dihedral,
     build_line_grid,
@@ -34,7 +33,7 @@ from equicorr.scenarios import (
 )
 from equicorr.transforms import validate_theta
 
-from helpers import conjugate
+from helpers import banded_support_shapes, conjugate
 
 
 # ---------------------------------------------------------------------------

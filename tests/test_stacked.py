@@ -3,7 +3,10 @@
 The references loop over (section, g) in Python and sum densely over every
 group element; they share no code with the kernels under test.  Sums over
 the support run in the same ascending order as the dense ones, so the
-residuals, and with them the witnesses, come out the same.
+sums come out the same.  Equivariance is decided on the operator matrix
+(`transforms.operator_equivariance_residual`); its residual R is held to
+the stated bounds against the all-g references, on sections and on the
+matrix's own law.
 """
 
 from __future__ import annotations
@@ -11,16 +14,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import _act, _acting_classes, representation_bundle, trivial_bundle
+from equicorr.bundles import Section, act_on_section, representation_bundle, trivial_bundle
 from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family
-from equicorr.reporting import _worst_of_grid
 from equicorr import sampling
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_mackey_sections, random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action
-from equicorr.transforms import _transform_values, transform_equivariance_residual
-from equicorr.xcorr import Filter, convolve, correlate_sections, cross_correlate, to_convolution_form, xcorr_equivariance_residual
+from equicorr.transforms import filter_operator, kernel_operator, operator_equivariance_residual
+from equicorr.xcorr import Filter, convolve, correlate_sections, cross_correlate, to_convolution_form
 
 from helpers import counting_orbit_family
 
@@ -102,6 +104,14 @@ def diagonal_bundles():
     return representation_bundle(action, rotation_rep(4)), trivial_bundle(action, 2)
 
 
+def rotation_from_trivial():
+    """Z_4 acting on itself, from the trivial 2-d bundle to the rotation
+    bundle: valid tables between different bundles, which the law read with
+    A_E and A_F swapped would fail."""
+    action = build_scenario("cyclic(4)").action
+    return trivial_bundle(action, 2), representation_bundle(action, rotation_rep(4)[:4])
+
+
 def sparse_filter(input_bundle, output_bundle, seed, support):
     """random_valid_filter with `support` drawn entries per base point."""
     with pytest.MonkeyPatch.context() as mp:
@@ -132,6 +142,8 @@ def filter_cases():
     mats[5, 1, 0, 1] += 0.7
     cases["diagonal-violating"] = (Filter(diag, diag, mats), counting_family(diag.action, 1.0))
     cases["diagonal-mixed-violating"] = (Filter(flat, diag, mats), counting_family(diag.action, 1.0))
+    flat, rot = rotation_from_trivial()
+    cases["rotation-from-trivial"] = (sparse_filter(flat, rot, 18, 2), counting_family(rot.action, 1.0))
     return cases
 
 
@@ -152,6 +164,8 @@ def kernel_cases():
     cases["diagonal"] = (random_valid_kernel(diag, diag, SplitMix64(14)), mubar)
     cases["diagonal-violating"] = (random_violating_kernel(diag, diag, SplitMix64(15)), mubar)
     cases["diagonal-mixed-violating"] = (random_violating_kernel(flat, diag, SplitMix64(16)), mubar)
+    flat, rot = rotation_from_trivial()
+    cases["rotation-from-trivial"] = (random_valid_kernel(flat, rot, SplitMix64(19)), counting_orbit_family(rot.action))
     return cases
 
 
@@ -159,28 +173,47 @@ FILTERS = filter_cases()
 KERNELS = kernel_cases()
 
 
+def row_col_bound(*bundles):
+    """a: the largest row or column sum of |A(g, b)| over the bundles."""
+    return max(float(np.abs(b.act_matrix).sum(axis=axis).max()) for b in bundles for axis in (2, 3))
+
+
+def basis_sections(bundle):
+    """The |B| dE basis sections; a negated one has the same residuals."""
+    m, d = bundle.action.base_size, bundle.dmax
+    return list(np.eye(m * d).reshape(m * d, m, d))
+
+
+def assert_section_bounds(R, apply, e_bundle, f_bundle, sections):
+    """P_F <= |B| dE (a^2 + 2a) R over sampled sections with entries in
+    [-1, 1], and R <= a P_basis, both brute force over every g; returns P_F."""
+    a = row_col_bound(e_bundle, f_bundle)
+    m, de = e_bundle.action.base_size, e_bundle.dmax
+    sampled, _ = ref_equivariance(apply, e_bundle, f_bundle, sections)
+    at_basis, _ = ref_equivariance(apply, e_bundle, f_bundle, basis_sections(e_bundle))
+    assert sampled <= m * de * (a * a + 2 * a) * R * (1 + 1e-9) + 1e-12
+    assert R <= a * at_basis * (1 + 1e-9) + 1e-15
+    return sampled
+
+
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_xcorr_equivariance_matches_brute_force(name):
     filt, mu = FILTERS[name]
-    sections = random_sections(filt.input_bundle, SplitMix64(3), 4)
-    got = xcorr_equivariance_residual(filt, mu, sections)
-    want = ref_equivariance(lambda f: ref_induced(filt, mu, f), filt.input_bundle, filt.output_bundle, [f.values for f in sections])
-    assert abs(got[0] - want[0]) <= 1e-15
-    assert got[1] == want[1]
-    if name == "violating":
-        assert got[0] > 0.1
+    R, witness = operator_equivariance_residual(filter_operator(filt, mu), filt.input_bundle, filt.output_bundle)
+    sections = [f.values for f in random_sections(filt.input_bundle, SplitMix64(3), 4)]
+    sampled = assert_section_bounds(R, lambda f: ref_induced(filt, mu, f), filt.input_bundle, filt.output_bundle, sections)
+    if "violating" in name:
+        assert R > 0.1 and sampled > 1e-9 and len(witness) == 3
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_transform_equivariance_matches_brute_force(name):
     kern, mubar = KERNELS[name]
-    sections = random_sections(kern.input_bundle, SplitMix64(4), 4)
-    got = transform_equivariance_residual(kern, mubar, sections)
-    want = ref_equivariance(lambda f: ref_transform(kern, mubar, f), kern.input_bundle, kern.output_bundle, [f.values for f in sections])
-    assert abs(got[0] - want[0]) <= 1e-15
-    assert got[1] == want[1]
+    R, witness = operator_equivariance_residual(kernel_operator(kern, mubar), kern.input_bundle, kern.output_bundle)
+    sections = [f.values for f in random_sections(kern.input_bundle, SplitMix64(4), 4)]
+    sampled = assert_section_bounds(R, lambda f: ref_transform(kern, mubar, f), kern.input_bundle, kern.output_bundle, sections)
     if "violating" in name:
-        assert got[0] > 0.1
+        assert R > 0.1 and sampled > 1e-9 and len(witness) == 3
 
 
 @pytest.mark.parametrize("name", sorted(FILTERS))
@@ -212,71 +245,98 @@ def test_xcorr_torus_bands_64_matches_brute_force_rows():
 
 
 # ---------------------------------------------------------------------------
-# acting classes: the searches act with one representative per class
+# the operator law against every g
 
 
-CLASS_COUNTS = {
-    "torus(6)": 6,
-    "torus-bands(16)": 16,
-    "line-grid(5, dx=0.2)": 25,
-    "dihedral(4, bundle=sign)": 8,
-    "diagonal": 8,
-}
+def ref_law_defects(op, e_bundle, f_bundle):
+    """[g, c, b] -> |D_g(c, b)|, D_g(c, b) = op(g.c, g.b) A_E(g, c) -
+    A_F(g, b) op(c, b), acting with every g in turn."""
+    action = e_bundle.action
+    out = []
+    for g in range(action.group.order):
+        t = action.table[g]
+        d = op[t][:, t] @ e_bundle.act_matrix[g][:, None] - f_bundle.act_matrix[g][None, :] @ op
+        out.append(np.abs(d).max(axis=(2, 3), initial=0.0))
+    return np.array(out)
 
 
-def class_bundles(name):
-    if name == "diagonal":
-        return diagonal_bundles()
-    scn = build_scenario(name)
-    return scn.input_bundle, scn.output_bundle
-
-
-@pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
-def test_acting_class_count(name):
-    reps, cls = _acting_classes(*class_bundles(name))
-    assert len(reps) == CLASS_COUNTS[name]
-    assert list(reps) == sorted(reps) and reps[0] == 0
-    np.testing.assert_array_equal(reps[cls[reps]], reps)  # each rep is its class's smallest element
-    assert all(reps[cls[g]] <= g for g in range(len(cls)))
-
-
-@pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
-def test_class_representative_acts_as_every_element(name):
-    bundles = class_bundles(name)
-    reps, cls = _acting_classes(*bundles)
-    for bundle in bundles:
-        f = np.stack([s.values for s in random_sections(bundle, SplitMix64(17), 2)])
-        for g in range(len(cls)):
-            got = _act(bundle, np.array([reps[cls[g]]]), f)
-            want = _act(bundle, np.array([g]), f)
-            assert got.tobytes() == want.tobytes(), (g, reps[cls[g]])
-
-
-def all_g_search(apply, e_bundle, f_bundle, f):
-    """Worst |T(g.f) - g.T(f)| and its first (section, g), acting with every g."""
-    g = np.arange(e_bundle.action.group.order)
-    grid = np.abs(apply(_act(e_bundle, g, f)) - _act(f_bundle, g, apply(f))).max(axis=(2, 3), initial=0.0)
-    return _worst_of_grid(grid)
+def assert_law_bounds(op, e_bundle, f_bundle, violating):
+    """R <= a P and P <= (a^2 + 2a) R, P the all-g law residual; a failing
+    R names a (g, c, b) whose defect is not zero."""
+    R, witness = operator_equivariance_residual(op, e_bundle, f_bundle)
+    defects = ref_law_defects(op, e_bundle, f_bundle)
+    a, P = row_col_bound(e_bundle, f_bundle), float(defects.max())
+    assert R <= a * P * (1 + 1e-9) + 1e-15
+    assert P <= (a * a + 2 * a) * R * (1 + 1e-9) + 1e-14
+    if violating:
+        assert R > 0.1 and defects[witness] > 0.0
 
 
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_xcorr_equivariance_equals_all_g_search(name):
     filt, mu = FILTERS[name]
-    sections = random_sections(filt.input_bundle, SplitMix64(3), 4)
-    got = xcorr_equivariance_residual(filt, mu, sections)
-    f = np.stack([s.values for s in sections])
-    assert got == all_g_search(lambda v: correlate_sections(filt, mu, v), filt.input_bundle, filt.output_bundle, f)
-    if "violating" in name:
-        assert got[0] > 0.1
+    assert_law_bounds(filter_operator(filt, mu), filt.input_bundle, filt.output_bundle, "violating" in name)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_transform_equivariance_equals_all_g_search(name):
     kern, mubar = KERNELS[name]
-    sections = random_sections(kern.input_bundle, SplitMix64(4), 4)
-    got = transform_equivariance_residual(kern, mubar, sections)
-    f = np.stack([s.values for s in sections])
-    want = all_g_search(lambda v: _transform_values(kern, mubar, v), kern.input_bundle, kern.output_bundle, f)
-    assert got == want
-    if "violating" in name:
-        assert got[0] > 0.1
+    assert_law_bounds(kernel_operator(kern, mubar), kern.input_bundle, kern.output_bundle, "violating" in name)
+
+
+def corrupted_sign_filter():
+    """dihedral(4, bundle=sign) with one filter entry bumped off the law."""
+    scn = build_scenario("dihedral(4, bundle=sign)")
+    mats = scn.filt.matrices.copy()
+    mats[3, 1, 0, 0] += 0.7
+    return Filter(scn.input_bundle, scn.output_bundle, mats), scn.mu
+
+
+def bound_cases():
+    filt, mu = corrupted_sign_filter()
+    kern, mubar = KERNELS["rotation-violating"]
+    return {
+        "dihedral(4, sign) corrupted filter": (filt.input_bundle, filt.output_bundle, filter_operator(filt, mu)),
+        "rotation violating kernel": (kern.input_bundle, kern.output_bundle, kernel_operator(kern, mubar)),
+    }
+
+
+BOUND_CASES = bound_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CASES))
+def test_operator_residual_bounds_the_all_g_section_residual(name):
+    # T(g.f)(g.b) - (g.T f)(g.b) = sum_c D_g(c, b) f(c), so
+    # P_F <= |B| dE (a^2 + 2a) R and R <= a P_basis, every g acting
+    # through act_on_section
+    e_bundle, f_bundle, op = BOUND_CASES[name]
+    R, _ = operator_equivariance_residual(op, e_bundle, f_bundle)
+    a = row_col_bound(e_bundle, f_bundle)
+    m, de = e_bundle.action.base_size, e_bundle.dmax
+
+    def apply(values):
+        return np.einsum("cbij,cj->bi", op, values)
+
+    def all_g(values):
+        f = Section(e_bundle, values)
+        base = Section(f_bundle, apply(values))
+        return max(
+            float(np.abs(apply(act_on_section(g, f).values) - act_on_section(g, base).values).max())
+            for g in range(e_bundle.action.group.order)
+        )
+
+    sampled = max(all_g(f.values) for f in random_sections(e_bundle, SplitMix64(31), 20))
+    at_basis = max(all_g(sign * e) for e in basis_sections(e_bundle) for sign in (1.0, -1.0))
+    assert R > 0.1 and sampled > 0.1
+    assert sampled <= m * de * (a * a + 2 * a) * R
+    assert R <= a * at_basis * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["rotation", "diagonal", "diagonal-trivial"])
+def test_act_on_section_matches_the_loop_reference(name):
+    # act_on_section gathers every base point at once; the reference loops
+    diag, flat = diagonal_bundles()
+    bundle = {"rotation": rotation_bundle(), "diagonal": diag, "diagonal-trivial": flat}[name]
+    f = random_sections(bundle, SplitMix64(17), 1)[0]
+    for g in range(bundle.action.group.order):
+        assert act_on_section(g, f).values.tobytes() == ref_act(bundle, g, f.values).tobytes()

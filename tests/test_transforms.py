@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equicorr.battery import _kernel_checks, _theta_lift_checks
+from equicorr.battery import _theta_lift_checks
 from equicorr.bundles import Section, act_on_section
 from equicorr.errors import CoverageError, StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
@@ -16,9 +16,10 @@ from equicorr.measures import (
     dirac_delta,
     fubini_pointwise_residual,
     solve_orbit_family,
+    validate_families,
 )
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_valid_filter, random_valid_kernel, random_violating_kernel
+from equicorr.sampling import random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, derive_theta
 from equicorr.transforms import (
     Kernel,
@@ -27,9 +28,8 @@ from equicorr.transforms import (
     integral_transform,
     kernel_operator,
     lift_kernel_to_filter,
+    operator_equivariance_residual,
     project_filter_to_kernel,
-    random_sections,
-    transform_equivariance_residual,
     validate_kernel,
     validate_theta,
 )
@@ -100,8 +100,8 @@ def test_transform_matches_brute_force(dihedral4):
 
 def test_transform_equivariance_valid_kernel(torus8):
     scn = torus8
-    sections = random_sections(scn.input_bundle, SplitMix64(5), 20)
-    assert transform_equivariance_residual(scn.kernel, scn.mubar, sections)[0] <= 1e-12
+    op = kernel_operator(scn.kernel, scn.mubar)
+    assert operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)[0] <= 1e-12
 
 
 def test_transform_equivariance_pointwise(dihedral4_sign):
@@ -121,21 +121,25 @@ def test_planted_violations_always_caught(dihedral4):
     for _ in range(10):
         bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
         assert not validate_kernel(bad, tolerance=1e-9).passed
-        sections = random_sections(scn.input_bundle, SplitMix64(rng.next_u64()), 20)
-        assert not transform_equivariance_residual(bad, scn.mubar, sections)[0] <= 1e-9
+        op = kernel_operator(bad, scn.mubar)
+        assert not operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)[0] <= 1e-9
 
 
-def test_equivariance_search_uses_the_requested_section_count(dihedral4):
-    # the battery's search runs on exactly the n_sections sections its seed
-    # draws: fewer than 20 is honored, not raised to 20
-    scn = dihedral4
-    bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(3))
-    sections = random_sections(scn.input_bundle, SplitMix64(5), 3)
-    residual, witness = transform_equivariance_residual(bad, scn.mubar, sections)
-    checks = _kernel_checks(replace(scn, kernel=bad), 5, 0, 1e-9, 3, 0)
-    check = next(c for c in checks if c.name == "transform.equivariance")
-    assert (check.residual, check.witness) == (residual, witness)
-    assert witness[0] < 3
+@pytest.mark.parametrize("spec", ["dihedral(4)", "torus(8)"])
+def test_necessity_residual_is_the_kernel_residual_weighted_by_mubar(spec):
+    # under the mubar law each defect of mubar kappa is mubar_b0(c) times
+    # the defect of kappa, so min mubar R_kappa <= R_op <= max mubar R_kappa
+    scn = build_scenario(spec)
+    assert validate_families(scn.mu, scn.nu, scn.mubar, tolerance=1e-12).passed
+    w = scn.mubar.weights[scn.action.coset_reps >= 0]  # mubar_b(c) on orbit pairs
+    assert w.min() > 0.0
+    rng = SplitMix64(909)
+    for _ in range(50):
+        bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
+        r_kappa = next(c.residual for c in validate_kernel(bad).checks if c.name == "kernel-constraint")
+        r_op, _ = operator_equivariance_residual(kernel_operator(bad, scn.mubar), scn.input_bundle, scn.output_bundle)
+        assert r_kappa >= 0.1
+        assert w.min() * r_kappa * (1 - 1e-12) <= r_op <= w.max() * r_kappa * (1 + 1e-12)
 
 
 def test_kernel_support_off_orbit_rejected():
@@ -268,7 +272,8 @@ def test_lift_requires_disintegration():
     assert fubini_pointwise_residual(bad.mu, bad.nu, bad.mubar)[0] > 1e-9
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
     assert np.abs(filter_operator(lifted, bad.mu) - kernel_operator(bad.kernel, bad.mubar)).max() > 1e-9
-    checks = {c.name: c for c in _theta_lift_checks(bad, 1e-12)}
+    ops = filter_operator(bad.filt, bad.mu), kernel_operator(bad.kernel, bad.mubar)
+    checks = {c.name: c for c in _theta_lift_checks(bad, *ops, 1e-12)}
     for name in ("lift.derived.transform-agreement", "projection.transform-agreement"):
         assert checks[name].skipped and checks[name].passed
     assert not checks["projection.kernel.kernel-constraint"].skipped

@@ -11,8 +11,9 @@ from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_mackey_sections, random_sections, random_valid_filter
+from equicorr.sampling import random_mackey_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import (
     CompressedFilter,
     Filter,
@@ -24,7 +25,6 @@ from equicorr.xcorr import (
     mu_left_invariant,
     to_convolution_form,
     validate_filter,
-    xcorr_equivariance_residual,
 )
 
 from helpers import mul
@@ -64,7 +64,7 @@ def test_xcorr_matches_brute_force_sign_bundle(dihedral4_sign):
 def test_xcorr_equivariance_and_mackey_preservation(cyclic8):
     scn = cyclic8
     sections = random_mackey_sections(scn.input_bundle, SplitMix64(7), 6)
-    res, _ = xcorr_equivariance_residual(scn.filt, scn.mu, [mackey_to_section(m) for m in sections])
+    res, _ = operator_equivariance_residual(filter_operator(scn.filt, scn.mu), scn.input_bundle, scn.output_bundle)
     assert res <= 1e-12
     for m in sections:
         assert validate_mackey(cross_correlate(scn.filt, m, scn.mu)).passed
@@ -87,9 +87,8 @@ def test_violating_filter_breaks_equivariance(dihedral4):
     mats[3, 1, 0, 0] += 0.7
     bad = Filter(scn.input_bundle, scn.output_bundle, mats)
     assert not validate_filter(bad, tolerance=1e-12).passed
-    sections = random_sections(scn.input_bundle, SplitMix64(40), 10)
-    res, _ = xcorr_equivariance_residual(bad, scn.mu, sections)
-    assert res > 1e-9
+    res, witness = operator_equivariance_residual(filter_operator(bad, scn.mu), scn.input_bundle, scn.output_bundle)
+    assert res > 1e-9 and len(witness) == 3
 
 
 def test_convolution_equality_counting_measure(dihedral4):
@@ -108,7 +107,8 @@ def test_convolution_skipped_without_left_invariance(dihedral4):
     weights[:, 3] = 2.0  # varies along the group: not left-invariant
     mu = GroupMeasureFamily(scn.action, weights, haar=False)
     assert not mu_left_invariant(mu)
-    checks = _filter_checks(replace(scn, mu=mu), 6, 1e-12, 1)
+    bad = replace(scn, mu=mu)
+    checks = _filter_checks(bad, filter_operator(bad.filt, bad.mu), 6, 1e-12, 1)
     check = next(c for c in checks if c.name == "xcorr.convolution-agreement")
     assert check.skipped and check.passed  # skipped, not failed
 
