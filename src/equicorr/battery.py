@@ -97,13 +97,14 @@ def run_battery(
     seeds = {name: rng.next_u64() for name in ("sections", "violators")}
     filter_op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
     kernel_op = None if scn.kernel is None else kernel_operator(scn.kernel, scn.mubar)
+    fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
 
     report = ValidationReport()
     report.checks += _structure_checks(scn)
-    report.checks += _family_checks(scn, tolerance)
+    report.checks += _family_checks(scn, fubini, tolerance)
     report.checks += _filter_checks(scn, filter_op, seeds["sections"], tolerance, n_sections)
     report.checks += _kernel_checks(scn, kernel_op, seeds["violators"], tolerance, n_violators)
-    report.checks += _theta_lift_checks(scn, filter_op, kernel_op, tolerance)
+    report.checks += _theta_lift_checks(scn, filter_op, kernel_op, fubini[0], tolerance)
     report.checks += _scenario_specific_checks(scn, tolerance)
     return report.sorted()
 
@@ -114,7 +115,7 @@ def run_structural(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> Valid
     kernel, theta, and delta the scenario carries.  No random sections."""
     report = ValidationReport()
     report.checks += _structure_checks(scn)
-    report.checks += _family_checks(scn, tolerance)
+    report.checks += _family_checks(scn, fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar), tolerance)
     if scn.filt is not None:
         report.checks += _prefixed(validate_filter(scn.filt, tolerance=tolerance), "filter")
     if scn.kernel is not None:
@@ -134,14 +135,16 @@ def _structure_checks(scn: Scenario) -> list[Check]:
     return checks
 
 
-def _family_checks(scn: Scenario, tolerance: float) -> list[Check]:
+def _family_checks(scn: Scenario, fubini: tuple, tolerance: float) -> list[Check]:
+    """fubini is fubini_pointwise_residual's (residual, witness) for the
+    scenario's families."""
     checks = []
     checks += _prefixed(validate_families(scn.mu, scn.nu, scn.mubar, tolerance=tolerance), "families")
     if scn.psi is not None:
         checks += _prefixed(validate_psi(scn.psi, tolerance=tolerance), "psi")
     if scn.delta is not None:
         checks += _prefixed(validate_delta(scn.delta, scn.nu, tolerance=tolerance), "delta")
-    residual, witness = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
+    residual, witness = fubini
     checks.append(check_from_residual("families.disintegration-pointwise", residual, tolerance, witness))
     return checks
 
@@ -218,14 +221,13 @@ def _kernel_checks(
 
 
 def _theta_lift_checks(
-    scn: Scenario, filter_op: np.ndarray | None, kernel_op: np.ndarray | None, tolerance: float
+    scn: Scenario, filter_op: np.ndarray | None, kernel_op: np.ndarray | None, fub: float, tolerance: float
 ) -> list[Check]:
     """Theta laws and the lift and projection theorems; filter_op and
     kernel_op are the matrices of the scenario filter's induced map and of
-    the scenario kernel's transform."""
+    the scenario kernel's transform; fub is the families' disintegration
+    residual, the identity the two theorems rest on."""
     checks: list[Check] = []
-    # the lift and projection theorems need the disintegration identity
-    fub, _ = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
 
     def compare(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:
         worst, witness = _worst_of_grid(lhs - rhs)  # witness (c, b, i, j)

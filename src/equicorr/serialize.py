@@ -16,6 +16,16 @@ Kernels are entry lists over their support.  Loading validates shapes
 and index ranges and raises StructuralError on malformed input rather
 than guessing; a document-level loader also reports a missing key or a
 value of the wrong JSON type as StructuralError.
+
+Numbers cross the JSON boundary in bulk.  `load_document` decodes each
+float table (a `weights`, `values` or `act_matrix` list whose first entry
+is a float) into the ndarray the loaders would build from it, as the
+parser closes the object holding it, so a file's floats never all live as
+Python floats at once; anything else stays a list and reaches the
+loaders' own checks unchanged.  `dumps` is
+`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte for byte, built
+from json's compact C encoding and re-indented with numpy; an ndarray in
+the document is written as its `tolist()`.
 """
 
 from __future__ import annotations
@@ -49,9 +59,46 @@ MACKEY_SCHEMA = "equicorr-mackey-section/1"
 REPORT_SCHEMA = "equicorr-report/1"
 
 
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "), default=_plain).encode
+# byte kinds of the compact text: 1 quote, 2 comma, 3 opener, 4 closer; the depth step of each
+_KIND = bytes({ord('"'): 1, ord(","): 2, ord("["): 3, ord("{"): 3, ord("]"): 4, ord("}"): 4}.get(i, 0) for i in range(256))
+_STEP = np.array([0, 0, 0, 1, -1], np.intp)
+
+
 def dumps(doc: dict) -> str:
-    """Stable text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Stable text form: sorted keys, two-space indent, trailing newline.
+
+    The indent-2 text is the compact text with a newline and 2·depth
+    spaces after each comma and each opening bracket, and before each
+    closing bracket, except inside strings and empty containers.  The
+    compact text is ASCII, so the breaks are found and inserted as byte
+    arrays."""
+    text = _COMPACT(doc)
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    # blank escape pairs, then empty containers: what stays quoted is string content
+    skeleton = text.replace("\\\\", "__").replace('\\"', "__").replace("[]", "__").replace("{}", "__")
+    kind = np.frombuffer(skeleton.encode("ascii").translate(_KIND), np.uint8)
+    marks = np.flatnonzero(kind)
+    kind = kind[marks]
+    quote = kind == 1
+    outside = ~(quote | np.logical_xor.accumulate(quote))
+    breaks, kind = marks[outside], kind[outside]
+    step = _STEP[kind]
+    at = breaks + (kind != 4)  # after a comma or opener, before a closer
+    width = 1 + 2 * np.cumsum(step)  # depth after the break
+    shift = np.zeros(raw.size, np.intp)
+    shift[at] = width
+    np.cumsum(shift, out=shift)
+    out = np.full(raw.size + int(shift[-1]), ord(" "), np.uint8)
+    out[np.arange(raw.size) + shift] = raw
+    out[at + shift[at] - width] = ord("\n")
+    return out.tobytes().decode("ascii") + "\n"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -450,10 +497,30 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
     return doc
 
 
+_FLOAT_TABLES = ("weights", "values", "act_matrix")
+
+
+def _decode_float_tables(obj: dict) -> dict:
+    """json object_hook: a float table, a list whose first entry is a
+    float, becomes np.asarray(table, dtype=float), the array the loaders
+    would build from it.  A list that starts with anything else, or that
+    the conversion refuses (ragged, text, objects), stays a list."""
+    for key in _FLOAT_TABLES:
+        table = leaf = obj.get(key)
+        while isinstance(leaf, list) and leaf:
+            leaf = leaf[0]
+        if type(leaf) is float and leaf is not table:
+            try:
+                obj[key] = np.asarray(table, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=_decode_float_tables)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -126,6 +126,22 @@ def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, band
         assert len(check.witness) == 4
 
 
+def test_battery_scans_the_disintegration_identity_once(monkeypatch, bands16):
+    # the families check and the lift and projection theorems share one scan
+    calls = []
+    original = battery.fubini_pointwise_residual
+
+    def counted(mu, nu, mubar):
+        calls.append(mu)
+        return original(mu, nu, mubar)
+
+    monkeypatch.setattr(battery, "fubini_pointwise_residual", counted)
+    rep = run_battery(bands16, seed=1, n_sections=2, n_violators=2)
+    assert rep.passed and len(calls) == 1
+    names = {c.name for c in rep.checks}
+    assert {"families.disintegration-pointwise", "projection.transform-agreement"} <= names
+
+
 def test_battery_builds_each_operator_once(monkeypatch, bands16):
     # filter_operator runs once for the scenario filter and once per theta
     # lift; kernel_operator once for the scenario kernel

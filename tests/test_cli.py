@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -81,6 +83,47 @@ def test_nan_filter_entry_fails_validate(tmp_path, capsys):
     failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert "filter.filter-faint-constraint" in [c["name"] for c in failed]
     assert all(c["witness"] is not None for c in failed)
+
+
+# Non-finite table entries load (JSON NaN and Infinity decode as floats) and
+# reach the validators, which name their coordinates; an infinite weight off
+# the stabilizer is refused by the family's constructor instead.
+NON_FINITE = {
+    "mu-nan": (
+        ("families", "mu", "weights", 3, 5),
+        math.nan,
+        {
+            "families.disintegration-pointwise": [3, 5],
+            "families.family-mu-conjugation": [3, 0, 5],
+            "families.family-mu-haar-flag": None,
+        },
+    ),
+    "mubar-nan": (
+        ("families", "mubar", "weights", 2, 2),
+        math.nan,
+        {"families.disintegration-pointwise": [2, 0], "families.family-mubar-pushforward": [2, 0, 0]},
+    ),
+    "psi-nan": (("psi", "values", 7, 1), math.nan, {"psi.psi-conjugation": [1, 7, 0]}),
+    "nu-infinity": (("families", "nu", "weights", 3, 5), math.inf, "weight off the stabilizer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
+    (*where, i, j), value, expected = NON_FINITE[case]
+    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    table = functools.reduce(dict.__getitem__, where, doc)
+    table[i][j] = value
+    path = tmp_path / f"{case}.json"
+    save_document(str(path), doc)
+    assert json.dumps(value) in path.read_text(encoding="utf-8")  # JSON NaN or Infinity
+    code, out, err = run_cli(capsys, "validate", str(path))
+    if isinstance(expected, str):
+        assert code == 2 and expected in err
+    else:
+        assert code == 1
+        failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
+        assert failed == expected
 
 
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):

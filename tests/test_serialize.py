@@ -3,7 +3,11 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,13 +240,14 @@ def _fuzz_doc(spec: str) -> tuple[dict, list[tuple]]:
     return doc, paths
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(_FUZZ_SPECS),
-    st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(("delete",) + _FUZZ_VALUES)), min_size=1, max_size=3),
+_FUZZ_MUTATIONS = st.lists(
+    st.tuples(st.integers(min_value=0), st.sampled_from(("delete",) + _FUZZ_VALUES)), min_size=1, max_size=3
 )
-def test_mutated_scenario_documents_load_or_raise_equicorr_errors(spec, mutations):
-    # delete dict keys and replace nodes; a mutation whose path an earlier one removed is skipped
+
+
+def _mutated(spec: str, mutations: list[tuple]) -> dict:
+    """Delete dict keys and replace nodes; a mutation whose path an earlier
+    one removed is skipped."""
     valid, paths = _fuzz_doc(spec)
     doc = copy.deepcopy(valid)
     for index, value in mutations:
@@ -260,7 +265,158 @@ def test_mutated_scenario_documents_load_or_raise_equicorr_errors(spec, mutation
             parent[key] = copy.deepcopy(value)
         elif isinstance(parent, dict):
             del parent[key]
+    return doc
+
+
+def _outcome(load):
+    """The loaded scenario's bytes, or the EquicorrError's type and message."""
     try:
-        scenario_from_dict(doc)
+        return dumps(scenario_to_dict(load()))
+    except EquicorrError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_FUZZ_SPECS), _FUZZ_MUTATIONS)
+def test_mutated_scenario_documents_load_or_raise_equicorr_errors(spec, mutations):
+    try:
+        scenario_from_dict(_mutated(spec, mutations))
     except EquicorrError:
         pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_FUZZ_SPECS), _FUZZ_MUTATIONS)
+def test_mutated_scenario_files_load_like_their_documents(spec, mutations):
+    # decoding float tables during the parse changes no outcome and no message
+    doc = _mutated(spec, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        save_document(path, doc)
+        assert _outcome(lambda: scenario_from_dict(load_document(path))) == _outcome(lambda: scenario_from_dict(doc))
+
+
+# ---------------------------------------------------------------------------
+# the codec in bulk: float tables decoded during the parse, dumps as json's
+# indent-2 encoding
+
+SCENARIO_HASHES = json.loads((Path(__file__).resolve().parent / "golden" / "scenario-sha256.json").read_text())
+
+
+def _arrays(obj, path: str = "scenario", out: dict | None = None) -> dict[str, np.ndarray]:
+    """Every ndarray reachable from an equicorr object, by attribute path."""
+    out = {} if out is None else out
+    if isinstance(obj, np.ndarray):
+        out[path] = obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _arrays(value, f"{path}[{key!r}]", out)
+    elif type(obj).__module__.startswith("equicorr."):
+        for key, value in vars(obj).items():
+            _arrays(value, f"{path}.{key}", out)
+    return out
+
+
+@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
+def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
+    text = dumps(scenario_to_dict(build_scenario(spec)))
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    doc = load_document(str(path))
+    assert isinstance(doc["families"]["mu"]["weights"], np.ndarray)
+    assert isinstance(doc["action"]["table"], list)  # int tables stay lists
+    from_file, from_dict = _arrays(scenario_from_dict(doc)), _arrays(scenario_from_dict(json.loads(text)))
+    assert from_file.keys() == from_dict.keys()
+    for name, array in from_file.items():
+        ref = from_dict[name]
+        assert (array.dtype, array.shape) == (ref.dtype, ref.shape), name
+        assert array.tobytes() == ref.tobytes(), name
+    assert dumps(doc) == text  # a loaded document saves back to the same bytes
+
+
+_TABLE_LEAVES = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=2), st.just({}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_TABLE_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=12))
+def test_float_tables_decode_to_the_arrays_the_loaders_build(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"values": table, "table": table}))
+        doc = load_document(path)
+    parsed = json.loads(json.dumps(table))
+    first = parsed
+    while isinstance(first, list) and first:
+        first = first[0]
+    try:
+        loader_array = np.asarray(parsed, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        loader_array = None
+    assert type(doc["table"]) is type(parsed)  # only the float-table keys decode
+    if isinstance(doc["values"], np.ndarray):
+        assert isinstance(parsed, list) and isinstance(first, float)  # int tables stay lists
+        assert doc["values"].dtype == np.float64 and loader_array is not None
+        assert doc["values"].shape == loader_array.shape and doc["values"].tobytes() == loader_array.tobytes()
+    else:
+        assert type(doc["values"]) is type(parsed)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16]),
+    st.text(),
+    st.text(alphabet='[]{},:"\\ \n\t/\u00e9\u2028\U0001f600x'),
+)
+_JSON_KEYS = st.text(alphabet='[]{},:"\\ \nab\u00e9', max_size=4)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+def test_dumps_is_the_indent_2_encoding(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_matches_json_on_every_document_the_cli_writes():
+    scn = build_scenario("torus-bands(32)")
+    report = run_battery(scn, seed=1, n_sections=1, n_violators=1)
+    docs = {
+        "scenario": scenario_to_dict(scn),
+        "filter": filter_to_dict(scn.filt),
+        "kernel": kernel_to_dict(scn.kernel),
+        "section": section_to_dict(random_sections(scn.input_bundle, SplitMix64(1), 1)[0]),
+        "mackey": mackey_to_dict(random_mackey_sections(scn.input_bundle, SplitMix64(2), 1)[0]),
+        "report": report_to_dict(report, {"scenario": scn.name, "mode": "battery", "seed": 1}),
+    }
+    for kind, doc in docs.items():
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", kind
+
+
+def test_dumps_writes_an_ndarray_as_its_tolist():
+    arrays = [
+        np.array([[0.5, -0.0], [np.nan, -np.inf]]),
+        np.arange(6).reshape(2, 3),
+        np.array([True, False]),
+        np.zeros((2, 0)),
+        np.zeros(0),
+        np.array(1e16),
+    ]
+    doc = {"tables": arrays, "values": arrays[0]}
+    plain = {"tables": [a.tolist() for a in arrays], "values": arrays[0].tolist()}
+    assert dumps(doc) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps({"x": np.int64(1)})

@@ -269,11 +269,12 @@ def test_lift_requires_disintegration():
     # induces the transform, so the battery reports the agreement skipped
     scn = build_scenario("dihedral(4)")
     bad = replace(scn, mubar=OrbitMeasureFamily(scn.action, scn.mubar.weights * 1.5))
-    assert fubini_pointwise_residual(bad.mu, bad.nu, bad.mubar)[0] > 1e-9
+    fub = fubini_pointwise_residual(bad.mu, bad.nu, bad.mubar)[0]
+    assert fub > 1e-9
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
     assert np.abs(filter_operator(lifted, bad.mu) - kernel_operator(bad.kernel, bad.mubar)).max() > 1e-9
     ops = filter_operator(bad.filt, bad.mu), kernel_operator(bad.kernel, bad.mubar)
-    checks = {c.name: c for c in _theta_lift_checks(bad, *ops, 1e-12)}
+    checks = {c.name: c for c in _theta_lift_checks(bad, *ops, fub, 1e-12)}
     for name in ("lift.derived.transform-agreement", "projection.transform-agreement"):
         assert checks[name].skipped and checks[name].passed
     assert not checks["projection.kernel.kernel-constraint"].skipped
