@@ -78,7 +78,6 @@ from .measures import (
 from .reporting import Check, ValidationReport, check_from_residual
 from .rng import SplitMix64
 from .sampling import (
-    random_mackey_sections,
     random_sections,
     random_valid_filter,
     random_valid_kernel,

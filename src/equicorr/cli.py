@@ -30,7 +30,7 @@ from .errors import DomainError, EquicorrError
 from .measures import fubini_pointwise_residual
 from .reporting import ValidationReport, check_from_residual
 from .rng import SplitMix64
-from .sampling import random_mackey_sections, random_sections
+from .sampling import random_sections
 from .scenarios import (
     Scenario,
     build_scenario,
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("battery", "full property battery")
     p.add_argument("scenario")
-    p.add_argument("--sections", type=int, default=20, help="random sections for the Mackey-level checks")
     p.add_argument("--violators", type=int, default=5, help="planted invalid kernels for the necessity probe")
     p.set_defaults(handler=_cmd_battery)
 
@@ -144,9 +143,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_battery(args) -> int:
     scn = _load_scenario(args.scenario)
-    report = run_battery(
-        scn, seed=args.seed, tolerance=args.tolerance, n_sections=args.sections, n_violators=args.violators
-    )
+    report = run_battery(scn, seed=args.seed, tolerance=args.tolerance, n_violators=args.violators)
     return _emit_report(args, report, {"scenario": scn.name, "mode": "battery", "seed": args.seed})
 
 
@@ -156,7 +153,7 @@ def _input_mackey(args, scn: Scenario):
         if isinstance(doc, dict) and doc.get("schema") == "equicorr-mackey-section/1":
             return mackey_from_dict(doc, scn.input_bundle)
         return section_to_mackey(section_from_dict(doc, scn.input_bundle))
-    return random_mackey_sections(scn.input_bundle, SplitMix64(args.seed), 1)[0]
+    return section_to_mackey(random_sections(scn.input_bundle, SplitMix64(args.seed), 1)[0])
 
 
 def _cmd_xcorr(args) -> int:

@@ -33,17 +33,23 @@ def _worst_of_grid(grid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     return worst, (_argmax_coords(grid) if worst != 0.0 else None)
 
 
+def _first_worst(results) -> tuple[float, tuple | None]:
+    """The largest residual over (residual, witness) pairs scanned in turn,
+    with the witness of its first occurrence, or None when every residual
+    is zero.  The first NaN wins and stays."""
+    worst, hit = 0.0, None
+    for residual, witness in results:
+        if not (residual <= worst or math.isnan(worst)):
+            worst, hit = residual, witness
+    return worst, hit
+
+
 def _worst_of_parts(parts) -> tuple[float, tuple | None]:
     """_worst_of_grid over (key, grid) parts scanned in turn, as if they were
     one concatenated grid: the largest entry and (key, coordinates) of its
     first occurrence, or None when every entry is zero.  A running maximum,
-    so only one part is alive at a time; the first NaN wins and stays."""
-    worst, hit = 0.0, None
-    for key, grid in parts:
-        part, at = _worst_of_grid(grid)
-        if not (part <= worst or math.isnan(worst)):
-            worst, hit = part, (key, at)
-    return worst, hit
+    so only one part is alive at a time."""
+    return _first_worst((part, (key, at)) for key, grid in parts for part, at in [_worst_of_grid(grid)])
 
 
 def _count_over(elements, bad_of) -> tuple[int, tuple[int, ...] | None]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, _carry, _orbit_slice, pad_mask, section_to_mackey
+from .bundles import EquivariantBundle, Section, _carry, _orbit_slice, pad_mask
 from .errors import DomainError
 from .groups import fundamental_domain, orbits, stabilizer
 from .rng import SplitMix64
@@ -37,11 +37,6 @@ def random_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> l
     """Sections with uniform [-1, 1) coordinates on live fiber slots."""
     mask = pad_mask(bundle.fiber_dim, bundle.dmax)
     return [Section(bundle, np.where(mask, rng.uniforms(mask.shape, -1.0, 1.0), 0.0)) for _ in range(count)]
-
-
-def random_mackey_sections(bundle: EquivariantBundle, rng: SplitMix64, count: int) -> list[MackeySection]:
-    """Valid Mackey sections, induced from random plain sections."""
-    return [section_to_mackey(f) for f in random_sections(bundle, rng, count)]
 
 
 def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rng: SplitMix64) -> Filter:

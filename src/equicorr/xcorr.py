@@ -17,7 +17,8 @@ Cross-correlation consumes a Mackey section and produces one:
 
 summed over the support of omega(., b) in ascending element index.  For a
 valid filter the output keeps the periodicity law, which the battery
-checks on sampled sections.  On the raw Mackey tables the group acts by
+checks exactly on the induced basis sections, one per orbit fiber
+coordinate.  On the raw Mackey tables the group acts by
 left translation and commutes with any right cross-correlation
 whatsoever, so equivariance is falsifiable only at the section level.
 The induced map on plain sections, T(f) = (omega * f~)(e, -) with f~ the

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from equicorr.bundles import validate_mackey
+from equicorr.bundles import section_to_mackey, validate_mackey
 from equicorr.groups import stabilizer
 from equicorr.measures import (
     construct_normalized_families,
@@ -23,7 +23,6 @@ from equicorr.measures import (
 )
 from equicorr.rng import SplitMix64
 from equicorr.sampling import (
-    random_mackey_sections,
     random_sections,
     random_valid_filter,
     random_violating_kernel,
@@ -64,7 +63,7 @@ def equivariance_battery():
         filters = [
             random_valid_filter(scn.input_bundle, scn.output_bundle, rng) for _ in range(20)
         ]
-        sections = random_mackey_sections(scn.input_bundle, rng, 20)
+        sections = [section_to_mackey(f) for f in random_sections(scn.input_bundle, rng, 20)]
         battery[spec] = (scn, filters, sections)
     return battery
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from equicorr import battery
@@ -27,43 +28,52 @@ from equicorr.xcorr import Filter
     ],
 )
 def test_battery_green_on_builtins(spec):
-    rep = run_battery(build_scenario(spec), seed=1, n_sections=6, n_violators=2)
+    rep = run_battery(build_scenario(spec), seed=1, n_violators=2)
     assert rep.passed, "\n".join(rep.summary_lines())
 
 
 def test_battery_deterministic(dihedral4_sign):
-    docs = [report_to_dict(run_battery(dihedral4_sign, seed=3, n_sections=5, n_violators=2)) for _ in range(2)]
+    docs = [report_to_dict(run_battery(dihedral4_sign, seed=3, n_violators=2)) for _ in range(2)]
     assert docs[0] == docs[1]
 
 
 def test_passing_checks_carry_no_witness(dihedral4_sign):
-    rep = run_battery(dihedral4_sign, seed=1, n_sections=20, n_violators=2)
+    rep = run_battery(dihedral4_sign, seed=1, n_violators=2)
     assert rep.passed
     assert [c.name for c in rep.checks if c.witness is not None] == []
 
 
-def test_battery_seed_changes_randomized_residuals(dihedral4):
-    # only the Mackey-level checks sample sections: off the faint constraint
-    # their residuals follow the sections the seed draws, and the exact
-    # checks on the operator matrices do not move
+def test_battery_seed_moves_only_the_planted_violators(dihedral4, monkeypatch):
+    # the planted kernels are the battery's only draws: a seed changes which
+    # kernels are planted, and every reported residual stays put, also off
+    # the faint constraint, where the Mackey-level checks fail on the basis
     mats = dihedral4.filt.matrices.copy()
     mats[3, 1, 0, 0] += 0.7
     scn = replace(dihedral4, filt=Filter(dihedral4.input_bundle, dihedral4.output_bundle, mats))
-    a, b = ({c.name: c for c in run_battery(scn, seed=seed, n_sections=5, n_violators=2).checks} for seed in (1, 2))
-    assert a.keys() == b.keys()
-    assert a["xcorr.mackey-preserved"].residual != b["xcorr.mackey-preserved"].residual
-    assert a["xcorr.equivariance"] == b["xcorr.equivariance"] and not a["xcorr.equivariance"].passed
+    drawn = []
+    original = battery.random_violating_kernel
+
+    def recorded(*args):
+        drawn.append(original(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(battery, "random_violating_kernel", recorded)
+    reports = [report_to_dict(run_battery(scn, seed=seed, n_violators=2)) for seed in (1, 2)]
+    assert reports[0] == reports[1]
+    assert not {c["name"]: c for c in reports[0]["checks"]}["xcorr.mackey-preserved"]["pass"]
+    assert len(drawn) == 4
+    assert all(not np.array_equal(a.matrices, b.matrices) for a, b in zip(drawn[:2], drawn[2:]))
 
 
 def test_structural_subset_of_battery(bands16):
     structural = {c.name for c in run_structural(bands16).checks}
-    full = {c.name for c in run_battery(bands16, seed=0, n_sections=4, n_violators=1).checks}
+    full = {c.name for c in run_battery(bands16, seed=0, n_violators=1).checks}
     assert structural
     assert structural <= full
 
 
 def test_reports_are_sorted_and_labelled(bands16):
-    rep = run_battery(bands16, seed=0, n_sections=4, n_violators=1)
+    rep = run_battery(bands16, seed=0, n_violators=1)
     names = [c.name for c in rep.checks]
     assert names == sorted(names)
     assert "support.segments-vs-rectangle" in names
@@ -72,7 +82,7 @@ def test_reports_are_sorted_and_labelled(bands16):
 
 
 def test_offgrid_check_reported_but_skipped():
-    rep = run_battery(build_scenario("circle-grid(16)"), seed=0, n_sections=4, n_violators=1)
+    rep = run_battery(build_scenario("circle-grid(16)"), seed=0, n_violators=1)
     by_name = {c.name: c for c in rep.checks}
     off = by_name["rotation.off-grid-gap"]
     assert off.skipped and off.passed
@@ -98,11 +108,9 @@ def test_unreachable_violation_floor_still_raises(monkeypatch):
         random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1))
 
 
-@pytest.mark.parametrize("n_sections, n_violators", [(0, 1), (-1, 1), (1, -1)])
-def test_battery_refuses_bad_counts(n_sections, n_violators):
-    name = "n_sections" if n_sections < 1 else "n_violators"
-    with pytest.raises(DomainError, match=name):
-        run_battery(build_scenario("cyclic(2)"), n_sections=n_sections, n_violators=n_violators)
+def test_battery_refuses_a_negative_violator_count():
+    with pytest.raises(DomainError, match="n_violators"):
+        run_battery(build_scenario("cyclic(2)"), n_violators=-1)
 
 
 def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, bands16):
@@ -118,7 +126,7 @@ def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, band
         return Filter(filt.input_bundle, filt.output_bundle, mats)
 
     monkeypatch.setattr(battery, "lift_kernel_to_filter", corrupted)
-    by_name = {c.name: c for c in run_battery(bands16, seed=1, n_sections=2, n_violators=0).checks}
+    by_name = {c.name: c for c in run_battery(bands16, seed=1, n_violators=0).checks}
     for name in bands16.thetas:
         check = by_name[f"lift.{name}.transform-agreement"]
         assert not check.passed and check.residual > 0.1
@@ -136,7 +144,7 @@ def test_battery_scans_the_disintegration_identity_once(monkeypatch, bands16):
         return original(mu, nu, mubar)
 
     monkeypatch.setattr(battery, "fubini_pointwise_residual", counted)
-    rep = run_battery(bands16, seed=1, n_sections=2, n_violators=2)
+    rep = run_battery(bands16, seed=1, n_violators=2)
     assert rep.passed and len(calls) == 1
     names = {c.name for c in rep.checks}
     assert {"families.disintegration-pointwise", "projection.transform-agreement"} <= names
@@ -154,7 +162,7 @@ def test_battery_builds_each_operator_once(monkeypatch, bands16):
             return original(table, family)
 
         monkeypatch.setattr(battery, name, counted)
-    rep = run_battery(bands16, seed=1, n_sections=2, n_violators=2)
+    rep = run_battery(bands16, seed=1, n_violators=2)
     assert rep.passed
     assert [f is bands16.filt for f in calls["filter"]] == [True] + [False] * len(bands16.thetas)
     assert sum(k is bands16.kernel for k in calls["kernel"]) == 1

@@ -48,7 +48,7 @@ def test_output_flag_trailing(tmp_path, capsys):
 
 
 def test_battery_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "battery", "dihedral(3)", "--sections", "5", "--violators", "2", "--seed", "9")
+    code, out, _ = run_cli(capsys, "battery", "dihedral(3)", "--violators", "2", "--seed", "9")
     assert code == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert "xcorr.equivariance" in names
@@ -356,8 +356,8 @@ def test_lift_theta_choice(capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["battery", "dihedral(3)", "--sections", "0"], "n_sections"),
-        (["battery", "dihedral(3)", "--sections", "-1"], "n_sections"),
+        (["demo", "degeneracy", "--sizes", "2"], "torus size"),
+        (["demo", "quadrature", "--levels", "-1"], "levels"),
         (["battery", "dihedral(3)", "--violators", "-1"], "n_violators"),
         (["demo", "degeneracy", "--sizes="], "torus size"),
         (["demo", "degeneracy", "--sizes", "4,x"], "--sizes"),
@@ -369,6 +369,17 @@ def test_bad_counts_exit_two_naming_the_argument(argv, named, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("count", ["20", "1", "0"])
+def test_battery_has_no_sections_flag(count, capsys):
+    # the Mackey-level checks run on the induced basis sections, so there is
+    # no section count to set: argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["battery", "dihedral(3)", "--sections", count])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --sections" in captured.err
 
 
 def test_demo_degeneracy(capsys):

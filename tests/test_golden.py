@@ -22,10 +22,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     "battery-dihedral4-sign-seed1.json": ["battery", "dihedral(4, bundle=sign)", "--seed", "1"],
-    "battery-dihedral4-sign-seed3-sections1.json": ["battery", "dihedral(4, bundle=sign)", "--seed", "3", "--sections", "1"],
+    "battery-dihedral4-sign-seed3.json": ["battery", "dihedral(4, bundle=sign)", "--seed", "3"],
     "battery-torus6-seed1.json": ["battery", "torus(6)", "--seed", "1"],
     "battery-torus-bands16-seed1.json": ["battery", "torus-bands(16)", "--seed", "1"],
-    "battery-torus-bands16-seed7-sections9.json": ["battery", "torus-bands(16)", "--seed", "7", "--sections", "9"],
+    "battery-torus-bands16-seed7.json": ["battery", "torus-bands(16)", "--seed", "7"],
     "battery-line-grid5-seed1.json": ["battery", "line-grid(5, dx=0.2)", "--seed", "1"],
     "validate-torus-bands16.json": ["validate", "torus-bands(16)"],
     "demo-degeneracy-sizes4-8-16.json": ["demo", "degeneracy", "--sizes", "4,8,16"],

@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from equicorr.battery import _mackey_checks
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
 from equicorr.cli import main
 from equicorr.errors import PreconditionError
@@ -52,7 +53,7 @@ from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import dumps, save_document, scenario_to_dict
-from equicorr.transforms import Kernel, ThetaMap, validate_kernel, validate_theta
+from equicorr.transforms import Kernel, ThetaMap, filter_operator, operator_equivariance_residual, validate_kernel, validate_theta
 from equicorr.xcorr import Filter, validate_filter
 
 SEEDS = range(10)
@@ -391,6 +392,37 @@ def test_mackey_witness(d4):
     values[6, 2, 0] += 1.0
     report = validate_mackey(MackeySection(m.bundle, values))
     assert _failures(report) == [("mackey-periodicity", 1.0, (6, 2))]
+
+
+@pytest.mark.parametrize("spec", ["dihedral(3)", "cyclic(6)"])
+def test_mackey_preservation_fails_exactly_when_equivariance_does(spec):
+    # (omega * f~)(h, .) = T(h^-1 . f) for the induced map T, so the Mackey
+    # level holds for every f exactly when T is equivariant, which the
+    # operator matrix decides; a pair of opposite bumps at (h, b), (h', b)
+    # with h.b = h'.b leaves T, so both checks pass off the faint constraint
+    scn = build_scenario(spec)
+    filt, table = scn.filt, scn.action.table
+
+    def decided(mats):
+        bad = Filter(scn.input_bundle, scn.output_bundle, mats)
+        mackey = {c.name: c for c in _mackey_checks(bad, scn.mu, 1e-12)}["xcorr.mackey-preserved"]
+        op = filter_operator(bad, scn.mu)
+        equivariant = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)[0] <= 1e-12
+        return validate_filter(bad).passed, mackey.passed, equivariant
+
+    for h, b in itertools.product(range(scn.group.order), range(scn.action.base_size)):
+        mats = filt.matrices.copy()
+        mats[h, b, 0, 0] += 0.5
+        faint, mackey, equivariant = decided(mats)
+        assert not faint and mackey == equivariant
+    n, m = table.shape
+    pairs = [(h, k, b) for h, k, b in itertools.product(range(n), range(n), range(m)) if h < k and table[h, b] == table[k, b]]
+    assert bool(pairs) == (spec == "dihedral(3)")  # cyclic(6) acts freely
+    for h, k, b in pairs:
+        mats = filt.matrices.copy()
+        mats[h, b, 0, 0] += 0.5
+        mats[k, b, 0, 0] -= 0.5
+        assert decided(mats) == (False, True, True)
 
 
 def test_mackey_identity_slice_corruption(d4):

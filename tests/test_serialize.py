@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr.battery import run_battery
+from equicorr.bundles import section_to_mackey
 from equicorr.errors import EquicorrError, StructuralError
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_mackey_sections, random_sections
+from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
     dumps,
@@ -158,7 +159,7 @@ def test_section_codecs(cyclic8):
     f = random_sections(cyclic8.input_bundle, SplitMix64(5), 1)[0]
     fb = section_from_dict(roundtrip(section_to_dict(f)), cyclic8.input_bundle)
     assert np.array_equal(fb.values, f.values)
-    m = random_mackey_sections(cyclic8.input_bundle, SplitMix64(6), 1)[0]
+    m = section_to_mackey(random_sections(cyclic8.input_bundle, SplitMix64(6), 1)[0])
     mb = mackey_from_dict(roundtrip(mackey_to_dict(m)), cyclic8.input_bundle)
     assert np.array_equal(mb.values, m.values)
 
@@ -393,13 +394,13 @@ def test_dumps_is_the_indent_2_encoding(doc):
 
 def test_dumps_matches_json_on_every_document_the_cli_writes():
     scn = build_scenario("torus-bands(32)")
-    report = run_battery(scn, seed=1, n_sections=1, n_violators=1)
+    report = run_battery(scn, seed=1, n_violators=1)
     docs = {
         "scenario": scenario_to_dict(scn),
         "filter": filter_to_dict(scn.filt),
         "kernel": kernel_to_dict(scn.kernel),
         "section": section_to_dict(random_sections(scn.input_bundle, SplitMix64(1), 1)[0]),
-        "mackey": mackey_to_dict(random_mackey_sections(scn.input_bundle, SplitMix64(2), 1)[0]),
+        "mackey": mackey_to_dict(section_to_mackey(random_sections(scn.input_bundle, SplitMix64(2), 1)[0])),
         "report": report_to_dict(report, {"scenario": scn.name, "mode": "battery", "seed": 1}),
     }
     for kind, doc in docs.items():

@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import Section, act_on_section, representation_bundle, trivial_bundle
+from equicorr.bundles import Section, act_on_section, representation_bundle, section_to_mackey, trivial_bundle
 from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr import sampling
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_mackey_sections, random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
+from equicorr.sampling import random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action
 from equicorr.transforms import filter_operator, kernel_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, convolve, correlate_sections, cross_correlate, to_convolution_form
@@ -219,7 +219,7 @@ def test_transform_equivariance_matches_brute_force(name):
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_xcorr_and_convolve_match_dense_einsums(name):
     filt, mu = FILTERS[name]
-    m = random_mackey_sections(filt.input_bundle, SplitMix64(6), 1)[0]
+    m = section_to_mackey(random_sections(filt.input_bundle, SplitMix64(6), 1)[0])
     out = cross_correlate(filt, m, mu).values
     np.testing.assert_array_equal(out, ref_cross_correlate(filt, m, mu))
     np.testing.assert_array_equal(correlate_sections(filt, mu, m.values[filt.action.group.identity]), out[filt.action.group.identity])
@@ -236,7 +236,7 @@ def test_xcorr_torus_bands_64_matches_brute_force_rows():
     scn = build_scenario("torus-bands(64)")
     filt, grp = scn.filt, scn.group
     assert filt.support_index.shape == (64, 9)
-    m = random_mackey_sections(scn.input_bundle, SplitMix64(12), 1)[0]
+    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(12), 1)[0])
     out = cross_correlate(filt, m, scn.mu).values
     for h in (0, 1, 777, grp.order - 1):
         # sum over every k of mu_b(k) w(k, b) m(h k, b)

@@ -1,30 +1,34 @@
-"""The battery's block-streamed Mackey-level checks against per-section code.
+"""Cross-correlation over a stack of sections, and the battery's
+Mackey-level checks on the induced basis sections, against brute force.
 
-`battery._filter_checks` induces the sampled sections SECTION_BLOCK at a
-time, cross-correlates each block once and feeds the outputs to the Mackey
-preservation scan and the convolution comparison.  The reference below is
-the per-section form it replaced: every section induced up front, one
-cross-correlation and one convolution per section, each summed over the
-support in ascending order with 2-D gathers of its own.  Both must give
-bitwise-equal residuals and the same witnesses, which name the global
-section index.  The equivariance check reads the filter's operator matrix,
-not the sections, so the reference computes it the same way.
+`cross_correlate` and `convolve` take a list of Mackey sections and apply
+each support position's gather to every section of the list; the
+reference below is the per-section form, every section summed over the
+support in ascending order with 2-D gathers of its own, and the two must
+agree bitwise.
+
+`battery._mackey_checks` pushes one induced basis section e~_{b0,i} per
+fundamental-domain point b0 and fiber coordinate i through the checks.
+Its residuals must equal the maximum over all |B| dE basis sections, each
+summed by the per-section reference, and they must obey the stated bounds
+against the residual P over sections with entries in [-1, 1]:
+P <= |B| dE a' (1 + a) R for Mackey preservation and P <= |B| dE a' R for
+the convolution comparison, with a the largest row sum of |A_F| and a' the
+largest column sum of |A_E|.
 """
 
 from __future__ import annotations
 
-import tracemalloc
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from equicorr.battery import SECTION_BLOCK, _filter_checks
-from equicorr.bundles import MackeySection, validate_mackey
-from equicorr.measures import GroupMeasureFamily
-from equicorr.reporting import _maxabs, _worst_of_grid, check_from_residual
+from equicorr.battery import _mackey_checks
+from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle, validate_mackey
+from equicorr.groups import GroupAction, cyclic_group
+from equicorr.measures import counting_family
+from equicorr.reporting import _maxabs
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_mackey_sections
+from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import (
@@ -33,12 +37,12 @@ from equicorr.xcorr import (
     cross_correlate,
     mu_left_invariant,
     to_convolution_form,
+    validate_filter,
 )
 
-from test_stacked import BUILTINS, FILTERS
+from test_stacked import FILTERS, basis_sections
 
 TOL = 1e-12
-COUNTS = (1, SECTION_BLOCK - 1, SECTION_BLOCK + 1, 2 * SECTION_BLOCK + 1)
 
 
 def per_section_xcorr(filt, m, mu):
@@ -65,45 +69,11 @@ def per_section_convolve(flipped, m, mu):
     return out
 
 
-def per_section_checks(scn, seed, n_sections):
-    """The three cross-correlation checks, every section at once."""
-    sections = random_mackey_sections(scn.input_bundle, SplitMix64(seed), n_sections)
-    op = filter_operator(scn.filt, scn.mu)
-    residual, witness = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)
-    checks = [check_from_residual("xcorr.equivariance", residual, TOL, witness)]
-    outputs = [MackeySection(scn.output_bundle, per_section_xcorr(scn.filt, m, scn.mu)) for m in sections]
-    worst, wit = _worst_of_grid(np.array([validate_mackey(out).worst().residual for out in outputs]))
-    checks.append(check_from_residual("xcorr.mackey-preserved", worst, TOL, wit))
-    if mu_left_invariant(scn.mu):
-        flipped = to_convolution_form(scn.filt)
-        gaps = [_maxabs(out.values - per_section_convolve(flipped, m, scn.mu)) for out, m in zip(outputs, sections)]
-        worst, wit = _worst_of_grid(np.array(gaps))
-        checks.append(check_from_residual("xcorr.convolution-agreement", worst, TOL, wit))
-    return checks
-
-
-def bits(check):
-    return (check.name, float(check.residual).hex(), check.tolerance, check.passed, check.witness, check.skipped)
-
-
-def filter_checks(scn, seed, n_sections):
-    op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
-    return _filter_checks(scn, op, seed, TOL, n_sections)
-
-
-def assert_streamed_matches(scn, seed, n_sections):
-    streamed = {c.name: c for c in filter_checks(scn, seed, n_sections)}
-    want = per_section_checks(scn, seed, n_sections)
-    for check in want:
-        assert bits(streamed[check.name]) == bits(check)
-    return streamed
-
-
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_a_stack_matches_per_section_sums_bitwise(name):
     filt, mu = FILTERS[name]
     flipped = to_convolution_form(filt)
-    sections = random_mackey_sections(filt.input_bundle, SplitMix64(6), SECTION_BLOCK + 1)
+    sections = [section_to_mackey(f) for f in random_sections(filt.input_bundle, SplitMix64(6), 5)]
     for out, conv, m in zip(cross_correlate(filt, sections, mu), convolve(flipped, sections, mu), sections):
         assert out.values.tobytes() == per_section_xcorr(filt, m, mu).tobytes()
         assert conv.values.tobytes() == per_section_convolve(flipped, m, mu).tobytes()
@@ -111,64 +81,116 @@ def test_a_stack_matches_per_section_sums_bitwise(name):
     assert single.values.tobytes() == out.values.tobytes()
 
 
-def broken_conjugation():
-    """dihedral(4) with one filter entry bumped off the faint constraint."""
-    d4 = build_scenario("dihedral(4)")
-    mats = d4.filt.matrices.copy()
-    mats[3, 1, 0, 0] += 0.7
-    return replace(d4, filt=Filter(d4.input_bundle, d4.output_bundle, mats))
+def reference_residuals(filt, mu, values):
+    """Mackey periodicity residual of the cross-correlated section induced
+    from `values`, and its distance from the convolution (None unless mu is
+    left-invariant), each summed per section."""
+    m = section_to_mackey(Section(filt.input_bundle, values))
+    out = MackeySection(filt.output_bundle, per_section_xcorr(filt, m, mu))
+    periodicity = validate_mackey(out).worst().residual
+    if not mu_left_invariant(mu):
+        return periodicity, None
+    return periodicity, _maxabs(out.values - per_section_convolve(to_convolution_form(filt), m, mu))
 
 
-SCENARIOS = {spec: build_scenario(spec) for spec in BUILTINS}
+def corrupted(filt):
+    """filt with one live entry at the last base point bumped by 0.7."""
+    b = filt.action.base_size - 1
+    mats = filt.matrices.copy()
+    mats[filt.support_index[b, 0], b, 0, 0] += 0.7
+    return Filter(filt.input_bundle, filt.output_bundle, mats)
 
 
-@pytest.mark.parametrize("n_sections", COUNTS)
-@pytest.mark.parametrize("spec", BUILTINS)
-def test_streamed_checks_match_per_section(spec, n_sections):
-    scn = SCENARIOS[spec]
-    if scn.filt is None:
-        assert filter_checks(scn, 3, n_sections) == []
-        return
-    assert_streamed_matches(scn, 3, n_sections)
+def cases():
+    out = dict(FILTERS)
+    for spec in ("dihedral(3)", "cyclic(6)", "dihedral(5, bundle=sign)"):
+        scn = build_scenario(spec)
+        out[spec] = (scn.filt, scn.mu)
+    for name in list(out):
+        filt, mu = out[name]
+        out[f"{name}-corrupted"] = (corrupted(filt), mu)
+    return out
 
 
-def test_broken_conjugation_names_a_section_in_a_later_block():
-    streamed = assert_streamed_matches(broken_conjugation(), 2, 2 * SECTION_BLOCK + 1)
-    mackey = streamed["xcorr.mackey-preserved"]
+CASES = cases()
+
+
+def battery_residuals(filt, mu):
+    by_name = {c.name: c for c in _mackey_checks(filt, mu, TOL)}
+    conv = by_name["xcorr.convolution-agreement"]
+    return by_name["xcorr.mackey-preserved"], None if conv.skipped else conv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
+    filt, mu = CASES[name]
+    mackey, conv = battery_residuals(filt, mu)
+    brute = [reference_residuals(filt, mu, e) for e in basis_sections(filt.input_bundle)]
+    # translation is exact when every act matrix entry is 0 or +-1; a
+    # rotation by a quarter turn computed with cos and sin rounds
+    bundles = (filt.input_bundle, filt.output_bundle)
+    exact = all(np.isin(b.act_matrix, (-1.0, 0.0, 1.0)).all() for b in bundles)
+    equal = (lambda x: x) if exact else (lambda x: pytest.approx(x, rel=1e-12, abs=1e-15))
+    assert mackey.residual == equal(max(p for p, _ in brute))
+    assert (conv is None) == (not mu_left_invariant(mu))
+    if conv is not None:
+        assert conv.residual == equal(max(g for _, g in brute))
+    if name.endswith("corrupted") or "violating" in name:
+        assert not mackey.passed and len(mackey.witness) == 4
+    else:
+        assert mackey.passed and mackey.witness is None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_basis_checks_bound_the_residual_on_random_sections(name):
+    filt, mu = CASES[name]
+    mackey, conv = battery_residuals(filt, mu)
+    e_bundle, f_bundle = filt.input_bundle, filt.output_bundle
+    a = float(np.abs(f_bundle.act_matrix).sum(axis=3).max())  # largest row sum of |A_F|
+    a_col = float(np.abs(e_bundle.act_matrix).sum(axis=2).max())  # largest column sum of |A_E|
+    scale = e_bundle.action.base_size * e_bundle.dmax * a_col
+    sampled = [reference_residuals(filt, mu, f.values) for f in random_sections(e_bundle, SplitMix64(20), 20)]
+    assert max(p for p, _ in sampled) <= scale * (1 + a) * mackey.residual * (1 + 1e-9) + 1e-12
+    if conv is not None:
+        assert max(g for _, g in sampled) <= scale * conv.residual * (1 + 1e-9) + 1e-12
+    # R <= P: R is attained at a basis section, which has entries in [-1, 1]
+    at_basis = [reference_residuals(filt, mu, e)[0] for e in basis_sections(e_bundle)]
+    assert mackey.residual <= max(at_basis)
+    if not mackey.passed:
+        assert max(p for p, _ in sampled) > 1e-9
+
+
+def two_orbit_filter():
+    """Z_4 on Z_4 and a fixed point inf: a trivial 1-d fiber on Z_4 and the
+    quarter-turn rotation on a 2-d fiber at inf.  A valid random filter,
+    with one entry at inf bumped off the faint constraint, which there asks
+    omega(h, inf) to commute with the rotations."""
+    group = cyclic_group(4)
+    table = np.concatenate([group.cayley, np.full((4, 1), 4)], axis=1)
+    action = GroupAction(group, ("0", "1", "2", "3", "inf"), table)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    mats = np.zeros((4, 5, 2, 2))
+    mats[:, :4, 0, 0] = 1.0
+    for g in range(4):
+        mats[g, 4] = np.linalg.matrix_power(quarter, g)
+    bundle = EquivariantBundle(action, np.array([1, 1, 1, 1, 2]), mats)
+    assert validate_bundle(bundle).passed
+    valid = random_valid_filter(bundle, bundle, SplitMix64(3))
+    bad = valid.matrices.copy()
+    bad[1, 4, 0, 0] += 0.7
+    return valid, Filter(bundle, bundle, bad), counting_family(action, 1.0)
+
+
+def test_a_second_orbit_corruption_is_named_by_its_base_point():
+    valid, filt, mu = two_orbit_filter()
+    assert validate_filter(valid).passed and not validate_filter(filt).passed
+    assert all(c.passed for c in _mackey_checks(valid, mu, TOL))
+    mackey, _ = battery_residuals(filt, mu)
     assert not mackey.passed
-    assert mackey.witness[0] >= SECTION_BLOCK
-    assert not streamed["xcorr.equivariance"].passed
-
-
-@pytest.mark.parametrize("n_sections", COUNTS)
-def test_non_left_invariant_mu_skips_the_convolution(n_sections):
-    d4 = build_scenario("dihedral(4)")
-    weights = d4.mu.weights.copy()
-    weights[:, 3] = 2.0  # varies along the group: not left-invariant
-    scn = replace(d4, mu=GroupMeasureFamily(d4.action, weights, haar=False))
-    streamed = assert_streamed_matches(scn, 5, n_sections)
-    conv = streamed["xcorr.convolution-agreement"]
-    assert conv.skipped and conv.passed and conv.residual == 0.0
-
-
-def traced_peak(scn, n_sections):
-    op = filter_operator(scn.filt, scn.mu)
-    tracemalloc.start()
-    try:
-        _filter_checks(scn, op, 5, TOL, n_sections)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_filter_checks_peak_is_one_block():
-    """A block holds three Mackey-sized tables per section: its induced
-    input, its cross-correlation and its convolution.  Past one block the
-    peak stays put, because each block's tables die before the next block
-    is induced."""
-    scn = build_scenario("torus-bands(16)")
-    size = scn.group.order * scn.action.base_size * scn.input_bundle.dmax * 8
-    one, block, many = (traced_peak(scn, n) for n in (1, SECTION_BLOCK, 40))
-    assert block < one + (3 * (SECTION_BLOCK - 1) + 1) * size
-    assert many < block + size
+    assert mackey.witness[0] == 4 and mackey.witness[3] == 4  # (b0, i, h, b) on the orbit {inf}
+    # a basis drawn from b = 0 alone would pass
+    e0 = np.zeros((5, 2))
+    e0[0, 0] = 1.0
+    assert reference_residuals(filt, mu, e0) == (0.0, 0.0)
+    op = filter_operator(filt, mu)
+    assert operator_equivariance_residual(op, filt.input_bundle, filt.output_bundle)[0] > 0.1

@@ -11,7 +11,7 @@ from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_mackey_sections, random_valid_filter
+from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import (
@@ -47,7 +47,7 @@ def brute_xcorr(filt, m, mu):
 
 def test_xcorr_matches_brute_force_dihedral(dihedral4):
     scn = dihedral4
-    m = random_mackey_sections(scn.input_bundle, SplitMix64(31), 1)[0]
+    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(31), 1)[0])
     out = cross_correlate(scn.filt, m, scn.mu)
     assert np.allclose(out.values, brute_xcorr(scn.filt, m, scn.mu), atol=1e-12)
     induced = correlate_sections(scn.filt, scn.mu, mackey_to_section(m).values)
@@ -56,14 +56,14 @@ def test_xcorr_matches_brute_force_dihedral(dihedral4):
 
 def test_xcorr_matches_brute_force_sign_bundle(dihedral4_sign):
     scn = dihedral4_sign
-    m = random_mackey_sections(scn.input_bundle, SplitMix64(32), 1)[0]
+    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(32), 1)[0])
     out = cross_correlate(scn.filt, m, scn.mu)
     assert np.allclose(out.values, brute_xcorr(scn.filt, m, scn.mu), atol=1e-12)
 
 
 def test_xcorr_equivariance_and_mackey_preservation(cyclic8):
     scn = cyclic8
-    sections = random_mackey_sections(scn.input_bundle, SplitMix64(7), 6)
+    sections = [section_to_mackey(f) for f in random_sections(scn.input_bundle, SplitMix64(7), 6)]
     res, _ = operator_equivariance_residual(filter_operator(scn.filt, scn.mu), scn.input_bundle, scn.output_bundle)
     assert res <= 1e-12
     for m in sections:
@@ -74,7 +74,7 @@ def test_equivariance_commutes_pointwise(torus8):
     # brute force one group element: w * (g.m) == g.(w * m)
     scn = torus8
     grp = scn.group
-    m = random_mackey_sections(scn.input_bundle, SplitMix64(13), 1)[0]
+    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(13), 1)[0])
     for g in (1, 9, 37):
         lhs = cross_correlate(scn.filt, act_on_mackey(g, m), scn.mu)
         rhs = act_on_mackey(g, cross_correlate(scn.filt, m, scn.mu))
@@ -93,7 +93,7 @@ def test_violating_filter_breaks_equivariance(dihedral4):
 
 def test_convolution_equality_counting_measure(dihedral4):
     scn = dihedral4
-    m = random_mackey_sections(scn.input_bundle, SplitMix64(5), 1)[0]
+    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(5), 1)[0])
     conv_filt = to_convolution_form(scn.filt)
     direct = cross_correlate(scn.filt, m, scn.mu)
     via_conv = convolve(conv_filt, m, scn.mu)
@@ -108,7 +108,7 @@ def test_convolution_skipped_without_left_invariance(dihedral4):
     mu = GroupMeasureFamily(scn.action, weights, haar=False)
     assert not mu_left_invariant(mu)
     bad = replace(scn, mu=mu)
-    checks = _filter_checks(bad, filter_operator(bad.filt, bad.mu), 6, 1e-12, 1)
+    checks = _filter_checks(bad, filter_operator(bad.filt, bad.mu), 1e-12)
     check = next(c for c in checks if c.name == "xcorr.convolution-agreement")
     assert check.skipped and check.passed  # skipped, not failed
 
@@ -169,7 +169,7 @@ def test_identity_filter_reproduces_mean():
     filt = Filter(bundle, bundle, mats)
     assert validate_filter(filt).passed
     mu = counting_family(action, 1.0)
-    m = random_mackey_sections(bundle, SplitMix64(50), 1)[0]
+    m = section_to_mackey(random_sections(bundle, SplitMix64(50), 1)[0])
     out = cross_correlate(filt, m, mu)
     assert np.allclose(out.values, m.values, atol=1e-13)
 
