@@ -14,19 +14,24 @@ summed by the per-section reference, and they must obey the stated bounds
 against the residual P over sections with entries in [-1, 1]:
 P <= |B| dE a' (1 + a) R for Mackey preservation and P <= |B| dE a' R for
 the convolution comparison, with a the largest row sum of |A_F| and a' the
-largest column sum of |A_E|.
+largest column sum of |A_E|.  The battery's `_filter_checks` on every
+built-in scenario, and on dihedral(4) with a measure that is not
+left-invariant, is held to the same references, its equivariance check
+to the operator matrix's residual.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from equicorr.battery import _mackey_checks
+from equicorr.battery import _filter_checks, _mackey_checks
 from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle, validate_mackey
 from equicorr.groups import GroupAction, cyclic_group
-from equicorr.measures import counting_family
-from equicorr.reporting import _maxabs
+from equicorr.measures import GroupMeasureFamily, counting_family
+from equicorr.reporting import _maxabs, check_from_residual
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario
@@ -40,7 +45,7 @@ from equicorr.xcorr import (
     validate_filter,
 )
 
-from test_stacked import FILTERS, basis_sections
+from test_stacked import BUILTINS, FILTERS, basis_sections
 
 TOL = 1e-12
 
@@ -121,10 +126,9 @@ def battery_residuals(filt, mu):
     return by_name["xcorr.mackey-preserved"], None if conv.skipped else conv
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
-    filt, mu = CASES[name]
-    mackey, conv = battery_residuals(filt, mu)
+def assert_basis_maximum(filt, mu, mackey, conv):
+    """Both residuals equal the maximum over every basis section, each
+    summed by the per-section reference; conv is None when skipped."""
     brute = [reference_residuals(filt, mu, e) for e in basis_sections(filt.input_bundle)]
     # translation is exact when every act matrix entry is 0 or +-1; a
     # rotation by a quarter turn computed with cos and sin rounds
@@ -135,6 +139,29 @@ def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
     assert (conv is None) == (not mu_left_invariant(mu))
     if conv is not None:
         assert conv.residual == equal(max(g for _, g in brute))
+
+
+def assert_random_section_bounds(filt, mu, mackey, conv, sections):
+    """P <= |B| dE a' (1 + a) R and P <= |B| dE a' R over `sections`, and
+    R <= P over the basis sections, which have entries in [-1, 1]."""
+    e_bundle, f_bundle = filt.input_bundle, filt.output_bundle
+    a = float(np.abs(f_bundle.act_matrix).sum(axis=3).max())  # largest row sum of |A_F|
+    a_col = float(np.abs(e_bundle.act_matrix).sum(axis=2).max())  # largest column sum of |A_E|
+    scale = e_bundle.action.base_size * e_bundle.dmax * a_col
+    sampled = [reference_residuals(filt, mu, f.values) for f in sections]
+    assert max(p for p, _ in sampled) <= scale * (1 + a) * mackey.residual * (1 + 1e-9) + 1e-12
+    if conv is not None:
+        assert max(g for _, g in sampled) <= scale * conv.residual * (1 + 1e-9) + 1e-12
+    at_basis = [reference_residuals(filt, mu, e)[0] for e in basis_sections(e_bundle)]
+    assert mackey.residual <= max(at_basis)
+    return sampled
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
+    filt, mu = CASES[name]
+    mackey, conv = battery_residuals(filt, mu)
+    assert_basis_maximum(filt, mu, mackey, conv)
     if name.endswith("corrupted") or "violating" in name:
         assert not mackey.passed and len(mackey.witness) == 4
     else:
@@ -145,19 +172,63 @@ def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
 def test_basis_checks_bound_the_residual_on_random_sections(name):
     filt, mu = CASES[name]
     mackey, conv = battery_residuals(filt, mu)
-    e_bundle, f_bundle = filt.input_bundle, filt.output_bundle
-    a = float(np.abs(f_bundle.act_matrix).sum(axis=3).max())  # largest row sum of |A_F|
-    a_col = float(np.abs(e_bundle.act_matrix).sum(axis=2).max())  # largest column sum of |A_E|
-    scale = e_bundle.action.base_size * e_bundle.dmax * a_col
-    sampled = [reference_residuals(filt, mu, f.values) for f in random_sections(e_bundle, SplitMix64(20), 20)]
-    assert max(p for p, _ in sampled) <= scale * (1 + a) * mackey.residual * (1 + 1e-9) + 1e-12
-    if conv is not None:
-        assert max(g for _, g in sampled) <= scale * conv.residual * (1 + 1e-9) + 1e-12
-    # R <= P: R is attained at a basis section, which has entries in [-1, 1]
-    at_basis = [reference_residuals(filt, mu, e)[0] for e in basis_sections(e_bundle)]
-    assert mackey.residual <= max(at_basis)
+    sections = random_sections(filt.input_bundle, SplitMix64(20), 20)
+    sampled = assert_random_section_bounds(filt, mu, mackey, conv, sections)
     if not mackey.passed:
         assert max(p for p, _ in sampled) > 1e-9
+
+
+def bits(check):
+    return (check.name, float(check.residual).hex(), check.tolerance, check.passed, check.witness, check.skipped)
+
+
+def filter_checks(scn):
+    op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
+    return {c.name: c for c in _filter_checks(scn, op, TOL)}
+
+
+def assert_checks_match_per_section(scn, seed, n_sections):
+    """The battery's cross-correlation checks against the per-section
+    references: equivariance read off the operator matrix, the Mackey-level
+    checks streamed one basis section at a time equal to the brute-force
+    maximum, and both bounds over n_sections seeded random sections."""
+    checks = filter_checks(scn)
+    op = filter_operator(scn.filt, scn.mu)
+    residual, witness = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)
+    want = check_from_residual("xcorr.equivariance", residual, TOL, witness)
+    assert bits(checks["xcorr.equivariance"]) == bits(want)
+    mackey, conv = checks["xcorr.mackey-preserved"], checks["xcorr.convolution-agreement"]
+    conv_or_none = None if conv.skipped else conv
+    assert_basis_maximum(scn.filt, scn.mu, mackey, conv_or_none)
+    sections = random_sections(scn.input_bundle, SplitMix64(seed), n_sections)
+    assert_random_section_bounds(scn.filt, scn.mu, mackey, conv_or_none, sections)
+    return checks
+
+
+SCENARIOS = {spec: build_scenario(spec) for spec in BUILTINS}
+COUNTS = (1, 3, 5, 9)  # random sections the bounds are tested against
+
+
+@pytest.mark.parametrize("n_sections", COUNTS)
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_streamed_checks_match_per_section(spec, n_sections):
+    scn = SCENARIOS[spec]
+    if scn.filt is None:
+        assert filter_checks(scn) == {}
+        return
+    checks = assert_checks_match_per_section(scn, 3, n_sections)
+    assert checks["xcorr.mackey-preserved"].passed and checks["xcorr.equivariance"].passed
+
+
+@pytest.mark.parametrize("n_sections", COUNTS)
+def test_non_left_invariant_mu_skips_the_convolution(n_sections):
+    d4 = build_scenario("dihedral(4)")
+    weights = d4.mu.weights.copy()
+    weights[:, 3] = 2.0  # varies along the group: not left-invariant
+    scn = replace(d4, mu=GroupMeasureFamily(d4.action, weights, haar=False))
+    checks = assert_checks_match_per_section(scn, 5, n_sections)
+    conv = checks["xcorr.convolution-agreement"]
+    assert conv.skipped and conv.passed and conv.residual == 0.0
 
 
 def two_orbit_filter():
