@@ -50,8 +50,8 @@ from .serialize import (
     section_from_dict,
     section_to_dict,
 )
-from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel
-from .xcorr import cross_correlate
+from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel, validate_kernel
+from .xcorr import cross_correlate, validate_filter
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="equicorr", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="check tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized checks and data")
+    common.add_argument("--seed", type=int, default=0, help="seed of the random input section of xcorr and transform")
     common.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("battery", "full property battery")
     p.add_argument("scenario")
-    p.add_argument("--violators", type=int, default=5, help="planted invalid kernels for the necessity probe")
     p.set_defaults(handler=_cmd_battery)
 
     p = add_parser("xcorr", "cross-correlate a Mackey section with the scenario filter")
@@ -143,8 +142,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_battery(args) -> int:
     scn = _load_scenario(args.scenario)
-    report = run_battery(scn, seed=args.seed, tolerance=args.tolerance, n_violators=args.violators)
-    return _emit_report(args, report, {"scenario": scn.name, "mode": "battery", "seed": args.seed})
+    report = run_battery(scn, tolerance=args.tolerance)
+    return _emit_report(args, report, {"scenario": scn.name, "mode": "battery"})
 
 
 def _input_mackey(args, scn: Scenario):
@@ -195,8 +194,6 @@ def _cmd_lift(args) -> int:
         raise EquicorrError(f"scenario {scn.name} needs a kernel and a delta to lift")
     name, theta = _pick_theta(scn, args.theta)
     filt = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
-    from .xcorr import validate_filter
-
     report = validate_filter(filt, tolerance=args.tolerance)
     summary = [f"lifted kernel along theta {name!r}"] + report.summary_lines()
     _emit(args, filter_to_dict(filt), summary)
@@ -209,8 +206,6 @@ def _cmd_project(args) -> int:
         raise EquicorrError(f"scenario {scn.name} carries no filter")
     fub, _ = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
     kern = project_filter_to_kernel(scn.filt, scn.nu)
-    from .transforms import validate_kernel
-
     report = validate_kernel(kern, tolerance=args.tolerance)
     summary = [f"disintegration residual {fub:.3e}"] + report.summary_lines()
     _emit(args, kernel_to_dict(kern), summary)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .reporting import ValidationReport, _argmax_coords, _count_over, check_from_residual
+from .reporting import ValidationReport, _count_of, _count_over, check_from_residual
 
 _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 256 MiB of int32 or 512 MiB of float64
 
@@ -307,16 +307,14 @@ def validate_group(group: FiniteGroup, tolerance: float = 0.0) -> ValidationRepo
         ("inverse-right", cay[idn, inv] != e, lambda x: (x, int(inv[x]))),
     )
     for name, bad, site in unary:
-        witness = site(*_argmax_coords(bad)) if bad.any() else None
-        report.add(check_from_residual(f"group-{name}", float(bad.sum()), tolerance, witness))
+        count, at = _count_of(bad)
+        report.add(check_from_residual(f"group-{name}", count, tolerance, at and site(*at)))
 
     gens = group.generators
     left, right = cay[gens], cay[:, gens]
-    bad = left[:, right] != right[left]  # [s, x, t] -> s (x t) != (s x) t
-    count, witness = int(np.count_nonzero(bad)), None
-    if count:
-        s, x, t = _argmax_coords(bad)
-        witness = (gens[s], x, gens[t])
+    # [s, x, t] -> s (x t) != (s x) t
+    count, at = _count_of(left[:, right] != right[left])
+    witness = at and (gens[at[0]], at[1], gens[at[2]])
     tree = [e, *gens]
     reached = np.zeros(group.order, dtype=bool)
     reached[tree] = True
@@ -326,12 +324,11 @@ def validate_group(group: FiniteGroup, tolerance: float = 0.0) -> ValidationRepo
             if not reached[y]:
                 reached[y] = True
                 tree.append(y)
-                bad = cay[y] != cay[r, cay[a]]  # [x] -> (r a) x != r (a x)
-                k = int(np.count_nonzero(bad))
-                if k and witness is None:
-                    witness = (r, a, int(bad.argmax()))
+                k, at = _count_of(cay[y] != cay[r, cay[a]])  # [x] -> (r a) x != r (a x)
+                if witness is None and at is not None:
+                    witness = (r, a) + at
                 count += k
-    report.add(check_from_residual("group-associativity", float(count), tolerance, witness))
+    report.add(check_from_residual("group-associativity", count, tolerance, witness))
     return report
 
 
@@ -346,14 +343,13 @@ def validate_action(action: GroupAction, tolerance: float = 0.0) -> ValidationRe
     grp, table = action.group, action.table
     report = ValidationReport()
 
-    bad_id = table[grp.identity] != np.arange(action.base_size)
-    witness = (grp.identity, int(np.flatnonzero(bad_id)[0])) if bad_id.any() else None
-    report.add(check_from_residual("action-identity", float(bad_id.sum()), tolerance, witness))
+    count, at = _count_of(table[grp.identity] != np.arange(action.base_size))
+    report.add(check_from_residual("action-identity", count, tolerance, at and (grp.identity,) + at))
 
     # [g, b] -> (g h).b != g.(h.b)
     count, wit = _count_over(grp.generators, lambda h: table[grp.cayley[:, h]] != table[:, table[h]])
     witness = (wit[1], wit[0], wit[2]) if wit else None
-    report.add(check_from_residual("action-compatibility", float(count), tolerance, witness))
+    report.add(check_from_residual("action-compatibility", count, tolerance, witness))
     return report
 
 

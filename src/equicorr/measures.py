@@ -35,7 +35,7 @@ import numpy as np
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from .groups import GroupAction, stabilizer, stabilizer_mask
-from .reporting import ValidationReport, _argmax_coords, _count_over, _maxabs, _worst_of_grid, check_from_residual
+from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
 @dataclass(eq=False)
@@ -85,9 +85,6 @@ class OrbitMeasureFamily:
         off = self.weights[self.action.coset_reps < 0]
         if off.size and np.any(off != 0.0):
             raise StructuralError("orbit family has weight off the orbit")
-
-    def strictly_positive(self) -> bool:
-        return bool(np.all(self.weights[self.action.coset_reps >= 0] > 0))
 
 
 @dataclass(eq=False)
@@ -283,16 +280,11 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     worst, witness, _ = _orbit_slice(psi.values, action, True)
     report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
-    total = psi.values.sum(axis=0)
-    bad = int((total <= 0).sum())
-    wit = (int(np.flatnonzero(total <= 0)[0]),) if bad else None
-    report.add(check_from_residual("psi-nonvanishing", float(bad), 0.0, wit))
+    count, wit = _count_of(psi.values.sum(axis=0) <= 0)
+    report.add(check_from_residual("psi-nonvanishing", count, 0.0, wit))
 
-    smask = stabilizer_mask(action)
-    stab_mass = (psi.values.T * smask).sum(axis=1)
-    bad = int((stab_mass <= 0).sum())
-    wit = (int(np.flatnonzero(stab_mass <= 0)[0]),) if bad else None
-    report.add(check_from_residual("psi-stabilizer-nonvanishing", float(bad), 0.0, wit))
+    count, wit = _count_of((psi.values.T * stabilizer_mask(action)).sum(axis=1) <= 0)
+    report.add(check_from_residual("psi-stabilizer-nonvanishing", count, 0.0, wit))
     return report
 
 

@@ -52,15 +52,21 @@ def _worst_of_parts(parts) -> tuple[float, tuple | None]:
     return _first_worst((part, (key, at)) for key, grid in parts for part, at in [_worst_of_grid(grid)])
 
 
-def _count_over(elements, bad_of) -> tuple[int, tuple[int, ...] | None]:
-    """Total count of the violation masks bad_of(g) over the elements; the
-    witness is (g, *coords) of the first violation in scan order."""
-    count, witness = 0, None
+def _count_of(mask: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Number of True entries of mask, as a float, and the coordinates of
+    the first in row-major order, or None when there is none."""
+    count = int(np.count_nonzero(mask))
+    return float(count), (_argmax_coords(mask) if count else None)
+
+
+def _count_over(elements, bad_of) -> tuple[float, tuple[int, ...] | None]:
+    """_count_of summed over the violation masks bad_of(g) of the elements;
+    the witness is (g, *coords) of the first violation in scan order."""
+    count, witness = 0.0, None
     for g in elements:
-        bad = bad_of(g)
-        k = int(np.count_nonzero(bad))
-        if k and witness is None:
-            witness = (int(g),) + _argmax_coords(bad)
+        k, at = _count_of(bad_of(g))
+        if witness is None and at is not None:
+            witness = (int(g),) + at
         count += k
     return count, witness
 

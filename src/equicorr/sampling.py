@@ -14,6 +14,9 @@ redraw: a pair orbit that the average forces to zero stays out of the
 support.  Violating kernels are random dense tables over the orbit mask,
 redrawn until the constraint residual clears MIN_VIOLATION; a draw
 with residual exactly 0 shows the law is vacuous, and none is returned.
+The battery draws none of them: it decides necessity from the orbit
+weights, and the violators serve as a brute-force reference for that
+decision.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def random_violating_kernel(
     input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rng: SplitMix64
 ) -> Kernel | None:
     """A dense random kernel whose compatibility residual is at least
-    MIN_VIOLATION; used to exercise the necessity direction.  None when a
+    MIN_VIOLATION, a brute-force probe of the necessity direction.  None when a
     draw has residual exactly 0: a random dense kernel obeys the law only
     when every kernel over the orbit mask does, so no violator exists."""
     action = input_bundle.action

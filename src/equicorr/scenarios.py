@@ -79,7 +79,7 @@ from .measures import (
 from .rng import SplitMix64
 from .sampling import random_valid_filter, random_valid_kernel
 from .transforms import Kernel, ThetaMap, lift_kernel_to_filter
-from .xcorr import Filter
+from .xcorr import Filter, correlate_sections
 
 _FILTER_SALT = 0x46494C54
 _KERNEL_SALT = 0x4B45524E
@@ -293,20 +293,13 @@ def build_torus_bands(
         return out
 
     scn.kernel = kern = _displacement_kernel(scn, bands)
-    theta_global = _torus_theta_global(scn.action, n, kern.support)
+    theta_global = derive_theta(scn.action, kern.support)
     theta_special = _torus_theta_special(scn.action, n, spacing, eps_steps, kern.support)
     scn.thetas = {"global": theta_global, "special": theta_special}
     # the scenario's filter is the kernel's own lift along the global theta
     scn.filt = lift_kernel_to_filter(kern, theta_global, scn.delta)
     scn.extras.update(band_spacing=spacing, eps_steps=eps_steps)
     return scn
-
-
-def _torus_theta_global(action: GroupAction, n: int, support: np.ndarray) -> ThetaMap:
-    reps = np.full((n, n), -1, dtype=INDEX_DTYPE)
-    cs, bs = np.nonzero(support)
-    reps[cs, bs] = (cs - bs) % n  # element ((c-b), 0) has index (c-b)
-    return ThetaMap(action, reps)
 
 
 def _torus_theta_special(action: GroupAction, n: int, spacing: int, eps: int, support: np.ndarray) -> ThetaMap:
@@ -390,8 +383,6 @@ def degeneracy_demo(sizes: list[int]) -> dict:
     the two spreads: relative spread of output/N and absolute spread of
     the lifted output.
     """
-    from .xcorr import correlate_sections
-
     if not sizes:
         raise DomainError("degeneracy demo needs at least one torus size")
     if any(s < 4 for s in sizes):
@@ -408,7 +399,7 @@ def degeneracy_demo(sizes: list[int]) -> dict:
         kern = _displacement_kernel(
             scn, lambda d: sum(np.where(d == off, v, 0.0) for off, v in DEGENERACY_PROFILE.items())
         )
-        theta = _torus_theta_global(scn.action, n, kern.support)
+        theta = derive_theta(scn.action, kern.support)
         lifted = lift_kernel_to_filter(kern, theta, scn.delta)
         faint = float(correlate_sections(lifted, scn.mu, fvals)[0, 0])
         rows.append({"N": n, "biequivariant": bi, "ratio": bi / n, "faint": faint})
@@ -473,8 +464,6 @@ def circle_offgrid_residual(scn: Scenario, angle: float) -> float:
     nearest-grid translate of the unrotated output; the gap decays like
     1/n for the fixed smooth test function.  Nothing asserts on this.
     """
-    from .xcorr import correlate_sections
-
     n = scn.params["n"]
     step = scn.extras["grid_step"]
     nearest = int(round(angle / step)) % n
@@ -549,7 +538,7 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting")
     params = {"units": units, "dx": dx, "families": families}
     scn = _assemble(f"line-grid({units},{dx})", params, torus_action(m, u, units), families, scale=dx)
     scn.kernel = _displacement_kernel(scn, lambda d_steps: line_band_kernel_value(d_steps * dx))
-    scn.thetas["global"] = _torus_theta_global(scn.action, m, scn.kernel.support)
+    scn.thetas["global"] = derive_theta(scn.action, scn.kernel.support)
     scn.extras.update(dx=dx, origin=0)
     return scn
 
@@ -571,8 +560,6 @@ def line_grid_oracle_residual(scn: Scenario) -> float:
     gap is pure quadrature error, first order in dx because the band edges
     never align with the grid.
     """
-    from .xcorr import correlate_sections
-
     f = line_grid_sample_function(scn)
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["global"], scn.delta)
     out = correlate_sections(lifted, scn.mu, f.values)

@@ -48,7 +48,7 @@ from .measures import (
 from .reporting import ValidationReport
 from .scenarios import Scenario
 from .transforms import Kernel, ThetaMap
-from .xcorr import CompressedFilter, Filter
+from .xcorr import CompressedFilter, Filter, expand_filter
 
 SCENARIO_SCHEMA = "equicorr-scenario/2"
 SCENARIO_SCHEMA_V1 = "equicorr-scenario/1"  # the group as its full Cayley table; read only
@@ -478,8 +478,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "filter" in doc:
         filt = filter_from_dict(doc["filter"], input_bundle, output_bundle)
         if isinstance(filt, CompressedFilter):
-            from .xcorr import expand_filter
-
             filt = expand_filter(filt)
         scn.filt = filt
     if "kernel" in doc:

@@ -63,12 +63,7 @@ from .measures import (
     StabilizerMeasureFamily,
     dirac_delta,
 )
-from .reporting import (
-    ValidationReport,
-    _argmax_coords,
-    _count_over,
-    check_from_residual,
-)
+from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
 from .xcorr import Filter, _common_action, correlate_sections
 
 __all__ = [
@@ -132,7 +127,7 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     count, support_witness = _count_over(action.group.generators, moved)
     report = ValidationReport()
     report.add(check_from_residual("kernel-constraint", worst, tolerance, witness))
-    report.add(check_from_residual("kernel-support-invariance", float(count), 0.0, support_witness))
+    report.add(check_from_residual("kernel-support-invariance", count, 0.0, support_witness))
     return report
 
 
@@ -266,13 +261,8 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
     report = ValidationReport()
     cs, bs = np.nonzero(supp)
     reps = theta.reps[cs, bs]
-    sect_bad = action.table[reps, bs] != cs
-    count = int(sect_bad.sum())
-    witness = None
-    if count:
-        i = int(np.flatnonzero(sect_bad)[0])
-        witness = (int(cs[i]), int(bs[i]))
-    report.add(check_from_residual("theta-section", float(count), tolerance, witness))
+    count, at = _count_of(action.table[reps, bs] != cs)
+    report.add(check_from_residual("theta-section", count, tolerance, at and (int(cs[at[0]]), int(bs[at[0]]))))
 
     def broken(g):  # [i] -> g theta(c_i, b_i) != theta(g.c_i, g.b_i) g, or (g.c_i, g.b_i) off the support
         gc, gb = action.table[g, cs], action.table[g, bs]
@@ -282,7 +272,7 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
 
     count, wit = _count_over(grp.generators, broken)
     witness = (wit[0], int(cs[wit[1]]), int(bs[wit[1]])) if wit else None
-    report.add(check_from_residual("theta-translation", float(count), tolerance, witness))
+    report.add(check_from_residual("theta-translation", count, tolerance, witness))
     return report
 
 

@@ -47,11 +47,9 @@ matrix has a nonzero coefficient, so an all-zero matrix never counts as
 support.  Every sum above visits only the support, through a (|B|, s_max)
 index of ascending support rows built once per filter, so a faintly
 constrained filter with s_max << |G| costs s_max / |G| of a dense one.
-cross_correlate and convolve take one Mackey section or a list of them
-and share one Mackey-level sum: each support position builds its gather
-index once and applies it to every section of the list.  Alive at once
-are the input sections, their (S, |G|, |B|, dF) outputs, and one
-section's gathered (|G|, |B|) slice with its product.
+cross_correlate and convolve share one Mackey-level sum over one Mackey
+section.  Alive at once are the input, its (|G|, |B|, dF) output, and one
+gathered (|G|, |B|) slice with its product.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has exactly one consistent
@@ -138,48 +136,32 @@ def _times_inverse(grp: FiniteGroup, k: np.ndarray) -> np.ndarray:
     return grp.inv[grp.cayley[k][:, grp.inv]].T
 
 
-def _support_sum(filt: Filter, mu: GroupMeasureFamily, mats: np.ndarray, m, shift, weigh: bool = False):
+def _support_sum(filt: Filter, mu: GroupMeasureFamily, mats: np.ndarray, m: MackeySection, shift, weigh: bool = False):
     """sum_s mats[b, s] @ m(y, b), y = shift(k_s)[h, b] with k_s the support
     row support_index[b, s], accumulated one support position at a time in
-    ascending order; with weigh, each term is scaled by mu_b(y) as well.
-    m is one Mackey section or a list of them, and the result comes back
-    in the same form.
-
-    Each position builds its flat (y, b) gather index, and the (|G|, |B|)
-    gather of mu's weights when weighing, once, and applies them to every
-    section in turn.  Alive at once: the input sections, the (S, |G|, |B|,
-    dF) output stack, and one section's gathered term and product.
-    """
-    sections = [m] if isinstance(m, MackeySection) else list(m)
-    if any(x.bundle is not filt.input_bundle for x in sections):
+    ascending order; with weigh, each term is scaled by mu_b(y) as well."""
+    if m.bundle is not filt.input_bundle:
         raise StructuralError("section does not live in the filter's input bundle")
     if mu.action is not filt.action:
         raise StructuralError("measure family is over a different action")
     idx = filt.support_index
     n, nb, de = filt.action.group.order, filt.action.base_size, filt.input_bundle.dmax
     cols = np.arange(nb)
-    out = np.zeros((len(sections), n, nb, filt.output_bundle.dmax))
-    prod = np.empty(out.shape[1:])
+    out = np.zeros((n, nb, filt.output_bundle.dmax))
+    prod = np.empty(out.shape)
     for s in range(idx.shape[1]):
         y = shift(idx[:, s])
-        # y is INDEX_DTYPE: y * nb < |G| |B|, which the budget bounds; cols * n is intp
-        at = (y * nb + cols).ravel()
-        w = mu.weights.take(cols * n + y)[..., None] if weigh else None
-        for i, section in enumerate(sections):
-            term = section.values.reshape(n * nb, de).take(at, axis=0).reshape(n, nb, de)
-            if weigh:
-                term *= w
-            out[i] += np.einsum("bij,...bj->...bi", mats[:, s], term, out=prod)
-    outputs = [MackeySection(filt.output_bundle, v) for v in out]
-    return outputs[0] if isinstance(m, MackeySection) else outputs
+        # y is INDEX_DTYPE: y * nb < |G| |B|, which the budget bounds
+        term = m.values.reshape(n * nb, de).take((y * nb + cols).ravel(), axis=0).reshape(n, nb, de)
+        if weigh:
+            term *= mu.weights.take(cols * n + y)[..., None]  # cols * n is intp
+        out += np.einsum("bij,...bj->...bi", mats[:, s], term, out=prod)
+    return MackeySection(filt.output_bundle, out)
 
 
-def cross_correlate(
-    filt: Filter, m: MackeySection | list[MackeySection], mu: GroupMeasureFamily
-) -> MackeySection | list[MackeySection]:
+def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
     """(omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b), ascending k
-    in the support of omega(., b).  m is one Mackey section or a list of
-    them, and the result comes back in the same form."""
+    in the support of omega(., b)."""
     grp = filt.action.group
     return _support_sum(filt, mu, _weighted_support(filt, mu), m, lambda k: _times_inverse(grp, grp.inv[k]))
 
@@ -220,13 +202,10 @@ def to_convolution_form(filt: Filter) -> Filter:
     return Filter(filt.input_bundle, filt.output_bundle, filt.matrices[filt.action.group.inv].copy())
 
 
-def convolve(
-    filt_prime: Filter, m: MackeySection | list[MackeySection], mu: GroupMeasureFamily
-) -> MackeySection | list[MackeySection]:
+def convolve(filt_prime: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
     """(omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b),
     summed as sum_x mu_b(h x^-1) omega'(x, b) @ m(h x^-1, b) over x in the
-    support of omega'(., b), ascending.  m is one Mackey section or a list
-    of them, and the result comes back in the same form."""
+    support of omega'(., b), ascending."""
     grp = filt_prime.action.group
     idx, cols = filt_prime.support_index, np.arange(filt_prime.action.base_size)
     mats = filt_prime.matrices[idx, cols[:, None]]

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from equicorr.battery import run_battery
 from equicorr.bundles import section_to_mackey, validate_mackey
 from equicorr.groups import stabilizer
 from equicorr.measures import (
@@ -269,12 +270,15 @@ def test_c08_biequivariant_degeneracy_contrast(acceptance):
 
 
 def test_c09_constraint_violations_always_detected(acceptance):
+    # the battery decides this from the orbit weights (transform.necessity);
+    # the sampled violators are the brute-force reference for it
     missed = 0
     smallest = float("inf")
     rng = SplitMix64(909)
     for spec in ("dihedral(4)", "torus(8)"):
         scn = build_scenario(spec)
         assert float(scn.mubar.weights.min()) > 0.0
+        assert {c.name: c for c in run_battery(scn).checks}["transform.necessity"].passed
         for _ in range(50):
             bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
             found, _ = operator_equivariance_residual(kernel_operator(bad, scn.mubar), scn.input_bundle, scn.output_bundle)

@@ -8,11 +8,13 @@ import pytest
 from equicorr import battery
 from equicorr.battery import run_battery, run_structural
 from equicorr.errors import DomainError
+from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, fubini_pointwise_residual, validate_families
 from equicorr.rng import SplitMix64
 from equicorr import sampling
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import report_to_dict
+from equicorr.transforms import Kernel, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
 
@@ -28,52 +30,30 @@ from equicorr.xcorr import Filter
     ],
 )
 def test_battery_green_on_builtins(spec):
-    rep = run_battery(build_scenario(spec), seed=1, n_violators=2)
+    rep = run_battery(build_scenario(spec))
     assert rep.passed, "\n".join(rep.summary_lines())
 
 
 def test_battery_deterministic(dihedral4_sign):
-    docs = [report_to_dict(run_battery(dihedral4_sign, seed=3, n_violators=2)) for _ in range(2)]
+    docs = [report_to_dict(run_battery(dihedral4_sign)) for _ in range(2)]
     assert docs[0] == docs[1]
 
 
 def test_passing_checks_carry_no_witness(dihedral4_sign):
-    rep = run_battery(dihedral4_sign, seed=1, n_violators=2)
+    rep = run_battery(dihedral4_sign)
     assert rep.passed
     assert [c.name for c in rep.checks if c.witness is not None] == []
 
 
-def test_battery_seed_moves_only_the_planted_violators(dihedral4, monkeypatch):
-    # the planted kernels are the battery's only draws: a seed changes which
-    # kernels are planted, and every reported residual stays put, also off
-    # the faint constraint, where the Mackey-level checks fail on the basis
-    mats = dihedral4.filt.matrices.copy()
-    mats[3, 1, 0, 0] += 0.7
-    scn = replace(dihedral4, filt=Filter(dihedral4.input_bundle, dihedral4.output_bundle, mats))
-    drawn = []
-    original = battery.random_violating_kernel
-
-    def recorded(*args):
-        drawn.append(original(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(battery, "random_violating_kernel", recorded)
-    reports = [report_to_dict(run_battery(scn, seed=seed, n_violators=2)) for seed in (1, 2)]
-    assert reports[0] == reports[1]
-    assert not {c["name"]: c for c in reports[0]["checks"]}["xcorr.mackey-preserved"]["pass"]
-    assert len(drawn) == 4
-    assert all(not np.array_equal(a.matrices, b.matrices) for a, b in zip(drawn[:2], drawn[2:]))
-
-
 def test_structural_subset_of_battery(bands16):
     structural = {c.name for c in run_structural(bands16).checks}
-    full = {c.name for c in run_battery(bands16, seed=0, n_violators=1).checks}
+    full = {c.name for c in run_battery(bands16).checks}
     assert structural
     assert structural <= full
 
 
 def test_reports_are_sorted_and_labelled(bands16):
-    rep = run_battery(bands16, seed=0, n_violators=1)
+    rep = run_battery(bands16)
     names = [c.name for c in rep.checks]
     assert names == sorted(names)
     assert "support.segments-vs-rectangle" in names
@@ -82,7 +62,7 @@ def test_reports_are_sorted_and_labelled(bands16):
 
 
 def test_offgrid_check_reported_but_skipped():
-    rep = run_battery(build_scenario("circle-grid(16)"), seed=0, n_violators=1)
+    rep = run_battery(build_scenario("circle-grid(16)"))
     by_name = {c.name: c for c in rep.checks}
     off = by_name["rotation.off-grid-gap"]
     assert off.skipped and off.passed
@@ -90,14 +70,14 @@ def test_offgrid_check_reported_but_skipped():
 
 
 @pytest.mark.parametrize("spec", ["cyclic(1)", "dihedral(1)", "dihedral(1, bundle=sign)", "torus(1)"])
-def test_necessity_probe_skipped_when_the_law_is_vacuous(spec):
+def test_necessity_passes_when_the_law_is_vacuous(spec):
     # one base point with a trivial or sign bundle: every kernel obeys the
-    # compatibility law, so there is no violator to plant
+    # compatibility law, and the one orbit pair has a positive weight
     scn = build_scenario(spec)
     assert random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1)) is None
-    rep = run_battery(scn, seed=1)
-    probe = {c.name: c for c in rep.checks}["transform.necessity-catches-planted"]
-    assert probe.skipped and probe.passed
+    rep = run_battery(scn)
+    necessity = {c.name: c for c in rep.checks}["transform.necessity"]
+    assert necessity.passed and not necessity.skipped and necessity.residual == 0.0
     assert rep.passed
 
 
@@ -106,11 +86,6 @@ def test_unreachable_violation_floor_still_raises(monkeypatch):
     monkeypatch.setattr(sampling, "MIN_VIOLATION", 1e6)
     with pytest.raises(DomainError, match="could not reach a violation"):
         random_violating_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(1))
-
-
-def test_battery_refuses_a_negative_violator_count():
-    with pytest.raises(DomainError, match="n_violators"):
-        run_battery(build_scenario("cyclic(2)"), n_violators=-1)
 
 
 def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, bands16):
@@ -126,7 +101,7 @@ def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, band
         return Filter(filt.input_bundle, filt.output_bundle, mats)
 
     monkeypatch.setattr(battery, "lift_kernel_to_filter", corrupted)
-    by_name = {c.name: c for c in run_battery(bands16, seed=1, n_violators=0).checks}
+    by_name = {c.name: c for c in run_battery(bands16).checks}
     for name in bands16.thetas:
         check = by_name[f"lift.{name}.transform-agreement"]
         assert not check.passed and check.residual > 0.1
@@ -144,7 +119,7 @@ def test_battery_scans_the_disintegration_identity_once(monkeypatch, bands16):
         return original(mu, nu, mubar)
 
     monkeypatch.setattr(battery, "fubini_pointwise_residual", counted)
-    rep = run_battery(bands16, seed=1, n_violators=2)
+    rep = run_battery(bands16)
     assert rep.passed and len(calls) == 1
     names = {c.name for c in rep.checks}
     assert {"families.disintegration-pointwise", "projection.transform-agreement"} <= names
@@ -162,7 +137,106 @@ def test_battery_builds_each_operator_once(monkeypatch, bands16):
             return original(table, family)
 
         monkeypatch.setattr(battery, name, counted)
-    rep = run_battery(bands16, seed=1, n_violators=2)
+    rep = run_battery(bands16)
     assert rep.passed
     assert [f is bands16.filt for f in calls["filter"]] == [True] + [False] * len(bands16.thetas)
     assert sum(k is bands16.kernel for k in calls["kernel"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# necessity, decided from the orbit weights
+
+
+def blind_torus6():
+    """torus(6) whose group family gives weight 0 to every h with
+    h.b = b + 1, with the counting stabilizer family: the orbit weight
+    mubar_b(c) is then 0 exactly when c - b = 1 (mod 6), and every family
+    law and the disintegration identity hold."""
+    scn = build_scenario("torus(6)")
+    action, n = scn.action, scn.action.base_size
+    step = (action.table - np.arange(n)) % n  # [h, b] -> h.b - b
+    mu = GroupMeasureFamily(action, np.where(step.T == 1, 0.0, 1.0))
+    c_minus_b = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [b, c]
+    mubar = OrbitMeasureFamily(action, np.where(c_minus_b == 1, 0.0, 1.0))
+    return replace(scn, mu=mu, mubar=mubar)
+
+
+def necessity(scn):
+    op = kernel_operator(scn.kernel, scn.mubar)
+    return {c.name: c for c in battery._kernel_checks(scn, op, 1e-12)}["transform.necessity"]
+
+
+def transform_residual(kern, scn) -> float:
+    return operator_equivariance_residual(kernel_operator(kern, scn.mubar), scn.input_bundle, scn.output_bundle)[0]
+
+
+def constraint_residual(kern) -> float:
+    return {c.name: c for c in validate_kernel(kern).checks}["kernel-constraint"].residual
+
+
+def planted_missed(scn, rng, count):
+    """The sampled probe this check replaced: how many of `count` planted
+    violators have a transform residual at or below 1e-9."""
+    draws = (random_violating_kernel(scn.input_bundle, scn.output_bundle, rng) for _ in range(count))
+    return sum(transform_residual(bad, scn) <= 1e-9 for bad in draws)
+
+
+def pair_orbit_violator(scn, c, b, rng):
+    """A random violator with its support cut down to the pair orbit of (c, b)."""
+    table = scn.action.table
+    bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
+    mats = np.zeros_like(bad.matrices)
+    mats[table[:, c], table[:, b]] = bad.matrices[table[:, c], table[:, b]]
+    return Kernel(scn.input_bundle, scn.output_bundle, mats)
+
+
+def test_blind_pair_orbit_fails_only_necessity():
+    # every other check passes; a violator on the blind pair orbit
+    # {(b + 1, b)} is missed (test_necessity_against_the_planted_violators)
+    scn = blind_torus6()
+    assert validate_families(scn.mu, scn.nu, scn.mubar, tolerance=0.0).passed
+    assert fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)[0] == 0.0
+    rep = run_battery(scn)
+    assert [(c.name, c.residual, c.witness) for c in rep.failures()] == [("transform.necessity", 6.0, (0, 5))]
+
+
+def test_a_nan_orbit_weight_counts_as_blind(dihedral4):
+    weights = dihedral4.mubar.weights.copy()
+    weights[2, 1] = np.nan
+    check = necessity(replace(dihedral4, mubar=OrbitMeasureFamily(dihedral4.action, weights)))
+    assert not check.passed and check.residual == 1.0 and check.witness == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic(8)",
+        "dihedral(4)",
+        "dihedral(4, bundle=sign)",
+        "torus(8)",
+        "torus-bands(16)",
+        "line-grid(5, dx=0.2)",
+        "blind-torus(6)",
+    ],
+)
+def test_necessity_against_the_planted_violators(spec):
+    # every built-in that carries a kernel (circle-grid carries none), and
+    # the blind torus.  Residual 0: a violator's transform residual is at
+    # least the smallest orbit weight times its constraint residual, so none
+    # is missed.  Residual above 0: a violator on the witness's pair orbit
+    # is missed.
+    scn = blind_torus6() if spec == "blind-torus(6)" else build_scenario(spec)
+    check, rng = necessity(scn), SplitMix64(41)
+    w = scn.mubar.weights[scn.action.coset_reps >= 0]
+    if check.residual == 0.0:
+        assert check.passed and w.min() > 1e-8
+        for _ in range(5):
+            bad = random_violating_kernel(scn.input_bundle, scn.output_bundle, rng)
+            assert transform_residual(bad, scn) >= w.min() * constraint_residual(bad) * (1 - 1e-12)
+        assert planted_missed(scn, rng, 5) == 0
+    else:
+        assert not check.passed and check.residual == float(np.count_nonzero(~(w > 0)))
+        bad = pair_orbit_violator(scn, *check.witness, rng)
+        assert constraint_residual(bad) > 0.0
+        assert transform_residual(bad, scn) == 0.0
+

@@ -48,11 +48,36 @@ def test_output_flag_trailing(tmp_path, capsys):
 
 
 def test_battery_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "battery", "dihedral(3)", "--violators", "2", "--seed", "9")
+    code, out, _ = run_cli(capsys, "battery", "dihedral(3)", "--seed", "9")
     assert code == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert "xcorr.equivariance" in names
-    assert "transform.necessity-catches-planted" in names
+    assert "transform.necessity" in names
+
+
+def test_battery_bytes_do_not_depend_on_the_seed(tmp_path, capsys):
+    # the battery draws nothing at random: --seed is accepted and moves no
+    # byte, also on a scenario whose checks fail
+    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    rows = doc["filter"]["rows"]
+    b, row = next(iter(rows.items()))
+    h, mat = next(iter(row.items()))
+    rows[b][h] = (np.asarray(mat) * 3.0).tolist()  # breaks the faint constraint
+    path = tmp_path / "broken.json"
+    save_document(str(path), doc)
+    for scenario, expected in (("torus-bands(16)", 0), (str(path), 1)):
+        runs = [run_cli(capsys, "battery", scenario, "--seed", seed) for seed in ("1", "7", "-3")]
+        assert [code for code, _, _ in runs] == [expected] * 3
+        assert len({out for _, out, _ in runs}) == 1
+        assert "seed" not in json.loads(runs[0][1])["context"]
+
+
+def test_battery_has_no_violators_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["battery", "dihedral(3)", "--violators", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --violators" in captured.err
 
 
 def test_corrupted_scenario_file_fails_checks(tmp_path, capsys):
@@ -358,7 +383,7 @@ def test_lift_theta_choice(capsys):
     [
         (["demo", "degeneracy", "--sizes", "2"], "torus size"),
         (["demo", "quadrature", "--levels", "-1"], "levels"),
-        (["battery", "dihedral(3)", "--violators", "-1"], "n_violators"),
+        (["demo", "degeneracy", "--sizes", "4,8,3"], "torus size"),
         (["demo", "degeneracy", "--sizes="], "torus size"),
         (["demo", "degeneracy", "--sizes", "4,x"], "--sizes"),
         (["demo", "quadrature", "--levels", "0"], "levels"),

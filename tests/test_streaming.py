@@ -1,11 +1,10 @@
-"""Cross-correlation over a stack of sections, and the battery's
+"""Cross-correlation of one section at a time, and the battery's
 Mackey-level checks on the induced basis sections, against brute force.
 
-`cross_correlate` and `convolve` take a list of Mackey sections and apply
-each support position's gather to every section of the list; the
-reference below is the per-section form, every section summed over the
-support in ascending order with 2-D gathers of its own, and the two must
-agree bitwise.
+`cross_correlate` and `convolve` sum one Mackey section over the support
+in ascending order through flat gather indices; the reference below sums
+the same section with 2-D gathers of its own, and the two must agree
+bitwise.
 
 `battery._mackey_checks` pushes one induced basis section e~_{b0,i} per
 fundamental-domain point b0 and fiber coordinate i through the checks.
@@ -76,14 +75,13 @@ def per_section_convolve(flipped, m, mu):
 
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_a_stack_matches_per_section_sums_bitwise(name):
+    # a stack of five sections, each passed alone
     filt, mu = FILTERS[name]
     flipped = to_convolution_form(filt)
-    sections = [section_to_mackey(f) for f in random_sections(filt.input_bundle, SplitMix64(6), 5)]
-    for out, conv, m in zip(cross_correlate(filt, sections, mu), convolve(flipped, sections, mu), sections):
-        assert out.values.tobytes() == per_section_xcorr(filt, m, mu).tobytes()
-        assert conv.values.tobytes() == per_section_convolve(flipped, m, mu).tobytes()
-    single = cross_correlate(filt, sections[-1], mu)
-    assert single.values.tobytes() == out.values.tobytes()
+    for f in random_sections(filt.input_bundle, SplitMix64(6), 5):
+        m = section_to_mackey(f)
+        assert cross_correlate(filt, m, mu).values.tobytes() == per_section_xcorr(filt, m, mu).tobytes()
+        assert convolve(flipped, m, mu).values.tobytes() == per_section_convolve(flipped, m, mu).tobytes()
 
 
 def reference_residuals(filt, mu, values):
