@@ -100,11 +100,9 @@ from .xcorr import (
     CompressedFilter,
     Filter,
     compress_filter,
-    convolve,
     correlate_sections,
     cross_correlate,
     expand_filter,
-    to_convolution_form,
     validate_filter,
 )
 

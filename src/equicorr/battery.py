@@ -3,10 +3,9 @@
 run_battery builds every check the scenario's data supports: group and
 action axioms, bundle cocycle, measure compatibilities, the pointwise
 disintegration identity, filter constraint and cross-correlation
-equivariance, Mackey preservation, the convolution comparison (skipped
-with a note when the group family is not left-invariant), compression
-round trip, kernel constraint, transform equivariance and its necessity,
-theta laws, lift and projection theorems, and their round trip.
+equivariance, Mackey preservation, compression round trip, kernel
+constraint, transform equivariance and its necessity, theta laws, lift
+and projection theorems, and their round trip.
 
 Equivariance and the lift and projection theorems are statements about
 linear maps on sections, so they are checked exactly on (|B|, |B|, dF, dE)
@@ -39,22 +38,20 @@ residual above 0 a kernel supported on the pair orbit of the witness has
 a transform of residual exactly 0, and it violates the law unless the
 law is vacuous on that orbit.
 
-Mackey preservation and the convolution comparison run on the induced
-basis sections e~_{b0,i}, one per fundamental-domain point b0 and fiber
-coordinate i < dE(b0), with witness (b0, i, h, b).  That is exact given
-the group axioms and the cocycle law, which the report also checks: on an
-associative table omega*(L_g m) = L_g(omega*m) bit for bit, the cocycle
-law gives L_g f~ = (g.f)~, and the translates of the e~_{b0,i} span every
-induced section.  The Mackey defect D = m - ind(m(e, .)) obeys
-D(L_g m)(h, b) = D(m)(g^-1 h, b) - A_F(h^-1, h.b) D(m)(g^-1, h.b), and
-under a left-invariant mu translation only permutes the convolution gap.
-So against P, the residual over sections with entries in [-1, 1],
-R <= P, and P <= |B| dE a' (1 + a) R (Mackey) or P <= |B| dE a' R
-(convolution), with a the largest row sum of |A_F| and a' the largest
-column sum of |A_E|.
-Under a left-invariant mu the two sides of the convolution comparison are
-also one sum in two orders (substitute k = x^-1), so it holds for every
-filter, valid or not, and catches only a defect in `convolve`'s indexing.
+Mackey preservation runs on the induced basis sections e~_{b0,i}, one per
+fundamental-domain point b0 and fiber coordinate i < dE(b0), with witness
+(b0, i, h, b).  That is exact given the group axioms and the cocycle law,
+which the report also checks: on an associative table
+omega*(L_g m) = L_g(omega*m) bit for bit, the cocycle law gives
+L_g f~ = (g.f)~, and the translates of the e~_{b0,i} span every induced
+section.  The Mackey defect D = m - ind(m(e, .)) obeys
+D(L_g m)(h, b) = D(m)(g^-1 h, b) - A_F(h^-1, h.b) D(m)(g^-1, h.b), so
+against P, the residual over sections with entries in [-1, 1], R <= P and
+P <= |B| dE a' (1 + a) R, with a the largest row sum of |A_F| and a' the
+largest column sum of |A_E|.  `xcorr.mackey-preserved` decides the same
+property as `xcorr.equivariance`, which reads the operator matrix; it
+stays because it is the one battery check that runs `cross_correlate`,
+the Mackey-level sum behind `equicorr xcorr`.
 
 The battery draws nothing at random, and the report is sorted by check
 name, so its bytes depend on the scenario and the tolerance alone.
@@ -83,11 +80,8 @@ from .transforms import (
 from .xcorr import (
     Filter,
     compress_filter,
-    convolve,
     cross_correlate,
     expand_filter,
-    mu_left_invariant,
-    to_convolution_form,
     validate_filter,
 )
 
@@ -174,33 +168,19 @@ def _filter_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> li
 
 
 def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> list[Check]:
-    """Mackey preservation and the convolution comparison (skipped unless mu
-    is left-invariant) on the induced basis sections e~_{b0,i}, one at a
+    """Mackey preservation on the induced basis sections e~_{b0,i}, one at a
     time; witness (b0, i, h, b)."""
     bundle = filt.input_bundle
-    flipped = to_convolution_form(filt) if mu_left_invariant(mu) else None
-    periodicity, agreement = [], []  # (residual, witness) per basis section
+    periodicity = []  # (residual, witness) per basis section
     for b0 in fundamental_domain(filt.action):
         for i in range(bundle.fiber_dim[b0]):
             f = np.zeros((bundle.action.base_size, bundle.dmax))
             f[b0, i] = 1.0
-            m = section_to_mackey(Section(bundle, f))
-            out = cross_correlate(filt, m, mu)
+            out = cross_correlate(filt, section_to_mackey(Section(bundle, f)), mu)
             c = validate_mackey(out, tolerance=0.0).worst()  # keeps (h, b) whenever the residual is not 0
             periodicity.append((c.residual, None if c.witness is None else (b0, i) + c.witness))
-            if flipped is not None:
-                gap, at = _worst_of_grid(np.abs(out.values - convolve(flipped, m, mu).values).max(axis=2))
-                agreement.append((gap, None if at is None else (b0, i) + at))
-
-    def check(name: str, results: list) -> Check:
-        worst, witness = _first_worst(results)
-        return check_from_residual(name, worst, tolerance, witness)
-
-    if flipped is None:
-        convolution = Check("xcorr.convolution-agreement", 0.0, tolerance, True, None, skipped=True)
-    else:
-        convolution = check("xcorr.convolution-agreement", agreement)
-    return [check("xcorr.mackey-preserved", periodicity), convolution]
+    worst, witness = _first_worst(periodicity)
+    return [check_from_residual("xcorr.mackey-preserved", worst, tolerance, witness)]
 
 
 def _kernel_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> list[Check]:

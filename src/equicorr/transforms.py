@@ -40,9 +40,10 @@ the disintegration identity holds.  Each is an identity between two
 linear maps on sections, so it is compared on their (|B|, |B|, dF, dE)
 matrices, exactly, with no sampled sections: the matrix of T_kappa is the
 weighted table mubar_b(c) kappa(c, b) (kernel_operator), and the matrix
-of a filter's induced map T(f) = (omega * f~)(e, -) is its value on the
-|B| dE basis sections (filter_operator).  Projecting a lifted filter
-returns the original kernel.  The opposite composition lift(project(omega)) is NOT an identity in general; distinct
+of a filter's induced map T(f) = (omega * f~)(e, -) is the scatter-add,
+one support position at a time, of mu_b(k) omega(k, b) actE(k^-1, k.b)
+at [k.b, b] (filter_operator).  Projecting a lifted filter returns the
+original kernel.  The opposite composition lift(project(omega)) is NOT an identity in general; distinct
 theta choices produce filters with visibly different supports inducing
 one and the same transform.
 """
@@ -64,7 +65,7 @@ from .measures import (
     dirac_delta,
 )
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
-from .xcorr import Filter, _common_action, correlate_sections
+from .xcorr import Filter, _common_action, _pullbacks
 
 __all__ = [
     "Kernel",
@@ -152,12 +153,15 @@ def kernel_operator(kern: Kernel, mubar: OrbitMeasureFamily) -> np.ndarray:
 
 def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     """The matrix of the induced map T(f) = (omega * f~)(e, -), laid out as
-    kernel_operator: [c, b, i, j] is coordinate i of T(f)(b) for f the basis
-    section with 1 at coordinate j of c and 0 elsewhere, one
-    `correlate_sections` pass over the |B| dE basis sections."""
-    m, de = filt.action.base_size, filt.input_bundle.dmax
-    basis = np.eye(m * de).reshape(m * de, m, de)
-    return correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
+    kernel_operator: [c, b] -> the sum of mu_b(k) omega(k, b) @
+    actE(k^-1, c) over the support k of omega(., b) with k.b = c, ascending k,
+    one scatter-add per support position."""
+    m = filt.action.base_size
+    cols = np.arange(m)
+    op = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
+    for kb, weights, pull in _pullbacks(filt, mu):
+        op[kb, cols] += weights @ pull
+    return op
 
 
 def operator_equivariance_residual(

@@ -30,26 +30,16 @@ It commutes with every g exactly when its (|B|, |B|, dF, dE) matrix
 (`transforms.filter_operator`) obeys the kernel law, which
 `transforms.operator_equivariance_residual` decides exactly.
 
-When mu is left-invariant the cross-correlation also matches a group
-convolution with the inverted filter omega'(h, b) = omega(h^-1, b):
-
-    (omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b),
-
-summed as sum_x mu_b(h x^-1) omega'(x, b) @ m(h x^-1, b) over the support
-of omega'(., b); mu stays evaluated at h x^-1, so the comparison still
-tests left invariance rather than assuming it.  The equality is
-conditional, so the check reports a skip when mu is not left-invariant
-instead of asserting anything.
-
 Filters are stored dense over (|G|, |B|) with an explicit support mask
 derived at construction: an entry belongs to the support exactly when its
 matrix has a nonzero coefficient, so an all-zero matrix never counts as
 support.  Every sum above visits only the support, through a (|B|, s_max)
 index of ascending support rows built once per filter, so a faintly
 constrained filter with s_max << |G| costs s_max / |G| of a dense one.
-cross_correlate and convolve share one Mackey-level sum over one Mackey
-section.  Alive at once are the input, its (|G|, |B|, dF) output, and one
-gathered (|G|, |B|) slice with its product.
+cross_correlate is the one Mackey-level sum; alive at once are the input
+section, its (|G|, |B|, dF) output, and one gathered (|G|, |B|) slice with
+its product.  correlate_sections and `transforms.filter_operator` read one
+pull-back per support position, (k.b, mu_b(k) omega(k, b), actE(k^-1, k.b)).
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has exactly one consistent
@@ -67,7 +57,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import InconsistencyError, StructuralError
-from .groups import FiniteGroup, fundamental_domain
+from .groups import fundamental_domain
 from .measures import GroupMeasureFamily
 from .reporting import ValidationReport, check_from_residual
 
@@ -125,45 +115,44 @@ def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
 
 def _weighted_support(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     """(|B|, s_max, dF, dE): mu_b(k) omega(k, b) for k in the support of omega(., b)."""
+    if mu.action is not filt.action:
+        raise StructuralError("measure family is over a different action")
     idx = filt.support_index
     cols = np.arange(idx.shape[0])[:, None]
     return mu.weights[cols, idx][:, :, None, None] * filt.matrices[idx, cols]
 
 
-def _times_inverse(grp: FiniteGroup, k: np.ndarray) -> np.ndarray:
-    """[h, b] -> h k_b^-1 = (k_b h^-1)^-1 on a valid table, read from the
-    contiguous rows k_b instead of the strided columns k_b^-1."""
-    return grp.inv[grp.cayley[k][:, grp.inv]].T
-
-
-def _support_sum(filt: Filter, mu: GroupMeasureFamily, mats: np.ndarray, m: MackeySection, shift, weigh: bool = False):
-    """sum_s mats[b, s] @ m(y, b), y = shift(k_s)[h, b] with k_s the support
-    row support_index[b, s], accumulated one support position at a time in
-    ascending order; with weigh, each term is scaled by mu_b(y) as well."""
+def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
+    """(omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b), accumulated
+    one support position at a time, ascending k in the support of omega(., b)."""
     if m.bundle is not filt.input_bundle:
         raise StructuralError("section does not live in the filter's input bundle")
-    if mu.action is not filt.action:
-        raise StructuralError("measure family is over a different action")
-    idx = filt.support_index
-    n, nb, de = filt.action.group.order, filt.action.base_size, filt.input_bundle.dmax
+    weights = _weighted_support(filt, mu)
+    grp = filt.action.group
+    n, nb, de = grp.order, filt.action.base_size, filt.input_bundle.dmax
     cols = np.arange(nb)
     out = np.zeros((n, nb, filt.output_bundle.dmax))
     prod = np.empty(out.shape)
-    for s in range(idx.shape[1]):
-        y = shift(idx[:, s])
+    for s, k in enumerate(filt.support_index.T):
+        # [h, b] -> h k_b = (k_b^-1 h^-1)^-1, read from the contiguous rows
+        # k_b^-1 instead of the strided columns k_b
+        y = grp.inv[grp.cayley[grp.inv[k]][:, grp.inv]].T
         # y is INDEX_DTYPE: y * nb < |G| |B|, which the budget bounds
         term = m.values.reshape(n * nb, de).take((y * nb + cols).ravel(), axis=0).reshape(n, nb, de)
-        if weigh:
-            term *= mu.weights.take(cols * n + y)[..., None]  # cols * n is intp
-        out += np.einsum("bij,...bj->...bi", mats[:, s], term, out=prod)
+        out += np.einsum("bij,...bj->...bi", weights[:, s], term, out=prod)
     return MackeySection(filt.output_bundle, out)
 
 
-def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
-    """(omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b), ascending k
-    in the support of omega(., b)."""
-    grp = filt.action.group
-    return _support_sum(filt, mu, _weighted_support(filt, mu), m, lambda k: _times_inverse(grp, grp.inv[k]))
+def _pullbacks(filt: Filter, mu: GroupMeasureFamily):
+    """Per support position s, ascending: (k.b, mu_b(k) omega(k, b),
+    actE(k^-1, k.b)) over b, with k = support_index[:, s]; the induced
+    section f~ has f~(k, b) = actE(k^-1, k.b) @ f(k.b)."""
+    action = filt.action
+    cols = np.arange(action.base_size)
+    weights = _weighted_support(filt, mu)
+    for s, k in enumerate(filt.support_index.T):
+        kb = action.table[k, cols]
+        yield kb, weights[:, s], filt.input_bundle.act_matrix[action.group.inv[k], kb]
 
 
 def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray) -> np.ndarray:
@@ -176,49 +165,15 @@ def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray)
     induced Mackey section f~ are pulled back; the full table is never built.
     """
     action = filt.action
-    if mu.action is not action:
-        raise StructuralError("measure family is over a different action")
     values = np.asarray(values, dtype=float)
     expected = (action.base_size, filt.input_bundle.dmax)
     if values.shape[-2:] != expected:
         raise StructuralError(f"section values shape {values.shape}, expected (..., {expected[0]}, {expected[1]})")
-    cols, idx = np.arange(action.base_size), filt.support_index
-    weights = _weighted_support(filt, mu)
     out = np.zeros(values.shape[:-2] + (action.base_size, filt.output_bundle.dmax))
-    for s in range(idx.shape[1]):  # one (..., |B|, dE) slice alive at a time
-        k = idx[:, s]
-        kb = action.table[k, cols]  # f~(k, b) = actE(k^-1, k.b) @ f(k.b)
-        pulled = np.einsum("bij,...bj->...bi", filt.input_bundle.act_matrix[action.group.inv[k], kb], values[..., kb, :])
-        out += np.einsum("bij,...bj->...bi", weights[:, s], pulled)
+    for kb, weights, pull in _pullbacks(filt, mu):  # one (..., |B|, dE) slice alive at a time
+        pulled = np.einsum("bij,...bj->...bi", pull, values[..., kb, :])
+        out += np.einsum("bij,...bj->...bi", weights, pulled)
     return out
-
-
-# ---------------------------------------------------------------------------
-# convolution form
-
-
-def to_convolution_form(filt: Filter) -> Filter:
-    """omega'(h, b) = omega(h^-1, b)."""
-    return Filter(filt.input_bundle, filt.output_bundle, filt.matrices[filt.action.group.inv].copy())
-
-
-def convolve(filt_prime: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
-    """(omega' conv m)(h, b) = sum_k mu_b(k) omega'(k^-1 h, b) @ m(k, b),
-    summed as sum_x mu_b(h x^-1) omega'(x, b) @ m(h x^-1, b) over x in the
-    support of omega'(., b), ascending."""
-    grp = filt_prime.action.group
-    idx, cols = filt_prime.support_index, np.arange(filt_prime.action.base_size)
-    mats = filt_prime.matrices[idx, cols[:, None]]
-    return _support_sum(filt_prime, mu, mats, m, lambda x: _times_inverse(grp, x), weigh=True)
-
-
-def mu_left_invariant(mu: GroupMeasureFamily) -> bool:
-    """On a finite group, left invariance is equivalent to weights exactly
-    constant per b."""
-    w = mu.weights
-    if w.size == 0:
-        return True
-    return float((w.max(axis=1) - w.min(axis=1)).max()) <= 0.0
 
 
 # ---------------------------------------------------------------------------

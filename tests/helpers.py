@@ -9,6 +9,7 @@ from equicorr.groups import FiniteGroup, GroupAction, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _banded_lifts, _filter_support_coords
+from equicorr.xcorr import Filter, correlate_sections
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:
@@ -64,6 +65,15 @@ def check_fubini(
     inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ nu.weights[b, stab]  # one value per orbit member
     rhs = float(mubar.weights[b, members] @ inner)
     return abs(lhs - rhs)
+
+
+def basis_filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
+    """The matrix of a filter's induced map laid out as kernel_operator,
+    read column by column: one `correlate_sections` pass over the |B| dE
+    basis sections, [c, b, i, j] coordinate i of T(e_{c,j})(b)."""
+    m, de = filt.action.base_size, filt.input_bundle.dmax
+    basis = np.eye(m * de).reshape(m * de, m, de)
+    return correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
 
 
 def banded_support_shapes(scn: Scenario) -> dict[str, set[tuple[int, int]]]:

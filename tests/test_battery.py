@@ -14,7 +14,7 @@ from equicorr import sampling
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import report_to_dict
-from equicorr.transforms import Kernel, kernel_operator, operator_equivariance_residual, validate_kernel
+from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
 
@@ -107,6 +107,24 @@ def test_corrupted_lift_fails_transform_agreement_with_witness(monkeypatch, band
         assert not check.passed and check.residual > 0.1
         assert check.witness[:2] == (int(bands16.action.table[h, b]), b)
         assert len(check.witness) == 4
+
+
+def test_a_nan_filter_entry_stays_local_in_the_operator(cyclic8):
+    # a NaN at (k, b) lands only at op[k.b, b]: the scatter-add never
+    # multiplies it by the zero coordinates of a basis section, so the
+    # equivariance witness agrees with the faint-constraint witness
+    filt = cyclic8.filt
+    k, b = int(filt.support_index[3, 0]), 3
+    mats = filt.matrices.copy()
+    mats[k, b] = np.nan
+    scn = replace(cyclic8, filt=Filter(filt.input_bundle, filt.output_bundle, mats))
+    op = filter_operator(scn.filt, scn.mu)
+    assert np.argwhere(np.isnan(op)).tolist() == [[int(scn.action.table[k, b]), b, 0, 0]]
+    by_name = {c.name: c for c in run_battery(scn).checks}
+    assert by_name["filter.filter-faint-constraint"].witness == (3, 0, 0)
+    assert by_name["xcorr.equivariance"].witness == (3, 0, 0)
+    assert by_name["projection.transform-agreement"].witness == (3, 3, 0, 0)
+    assert not by_name["xcorr.equivariance"].passed and not by_name["xcorr.mackey-preserved"].passed
 
 
 def test_battery_scans_the_disintegration_identity_once(monkeypatch, bands16):

@@ -178,7 +178,7 @@ def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
         _, out, _ = run_cli(capsys, "battery", str(path))
         checks = json.loads(out)["checks"]
         names.append([c["name"] for c in checks])
-        assert len(checks) == 46
+        assert len(checks) == 45
         assert [c["name"] for c in checks if c.get("skipped")] == (skipped if scale != 1.0 else [])
     assert names[0] == names[1]
     assert "projection.kernel.kernel-constraint" in names[1]

@@ -21,10 +21,10 @@ from equicorr import sampling
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, dihedral_vertex_action
-from equicorr.transforms import filter_operator, kernel_operator, operator_equivariance_residual
-from equicorr.xcorr import Filter, convolve, correlate_sections, cross_correlate, to_convolution_form
+from equicorr.transforms import filter_operator, kernel_operator, lift_kernel_to_filter, operator_equivariance_residual
+from equicorr.xcorr import Filter, correlate_sections, cross_correlate
 
-from helpers import counting_orbit_family
+from helpers import basis_filter_operator, counting_orbit_family
 
 BUILTINS = ["cyclic(8)", "dihedral(4, bundle=sign)", "torus(6)", "torus-bands(16)", "circle-grid(16)", "line-grid(5, dx=0.2)"]
 
@@ -219,17 +219,58 @@ def test_transform_equivariance_matches_brute_force(name):
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_xcorr_and_convolve_match_dense_einsums(name):
     filt, mu = FILTERS[name]
+    grp = filt.action.group
     m = section_to_mackey(random_sections(filt.input_bundle, SplitMix64(6), 1)[0])
     out = cross_correlate(filt, m, mu).values
     np.testing.assert_array_equal(out, ref_cross_correlate(filt, m, mu))
-    np.testing.assert_array_equal(correlate_sections(filt, mu, m.values[filt.action.group.identity]), out[filt.action.group.identity])
-    flipped = to_convolution_form(filt)
-    # a weight that varies along the group, so mu must be read at h x^-1
-    ramp = GroupMeasureFamily(filt.action, mu.weights * (1.0 + np.arange(filt.action.group.order) / 7.0))
-    for fam in (mu, ramp):
-        got = convolve(flipped, m, fam).values
-        want = ref_convolve(flipped, m, fam)
+    np.testing.assert_array_equal(correlate_sections(filt, mu, m.values[grp.identity]), out[grp.identity])
+    # the convolution identity, a statement about the references alone: with
+    # w'(h, b) = w(h^-1, b), (w' conv m)(h, b) = sum_k mu_b(h k) w(k, b) m(h k, b),
+    # which is w * m under every mu here, each left-invariant; the ramp is not
+    assert np.ptp(mu.weights, axis=1).max() == 0.0
+    flipped = Filter(filt.input_bundle, filt.output_bundle, filt.matrices[grp.inv])
+    ramp = GroupMeasureFamily(filt.action, mu.weights * (1.0 + np.arange(grp.order) / 7.0))
+    at_hk = np.einsum("bhk,kbij,hkbj->hbi", ramp.weights[:, grp.cayley], filt.matrices, m.values[grp.cayley])
+    for fam, want in ((mu, out), (ramp, at_hk)):
+        got = ref_convolve(flipped, m, fam)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, float(np.abs(want).max())))
+
+
+def scenario_filters(spec):
+    """The scenario's filter and each of its lifts."""
+    scn = build_scenario(spec)
+    filts = {} if scn.filt is None else {"filter": scn.filt}
+    if scn.kernel is not None and scn.delta is not None:
+        for name, theta in sorted(scn.thetas.items()):
+            filts[f"lift.{name}"] = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
+    return filts, scn.mu
+
+
+OPERATOR_SPECS = [
+    "torus-bands(16)",
+    "torus-bands(32)",
+    "dihedral(12, bundle=sign)",
+    "dihedral(64)",
+    "torus(6)",
+    "line-grid(5, dx=0.2)",
+    "line-grid(6, dx=0.05)",
+    "circle-grid(64)",
+    "cyclic(256)",
+]
+
+
+@pytest.mark.parametrize("spec", OPERATOR_SPECS)
+def test_filter_operator_equals_the_basis_pass_on_builtins_bitwise(spec):
+    filts, mu = scenario_filters(spec)
+    assert filts
+    for filt in filts.values():
+        assert filter_operator(filt, mu).tobytes() == basis_filter_operator(filt, mu).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_filter_operator_equals_the_basis_pass_bitwise(name):
+    filt, mu = FILTERS[name]
+    assert filter_operator(filt, mu).tobytes() == basis_filter_operator(filt, mu).tobytes()
 
 
 def test_xcorr_torus_bands_64_matches_brute_force_rows():

@@ -1,27 +1,24 @@
 """Cross-correlation of one section at a time, and the battery's
-Mackey-level checks on the induced basis sections, against brute force.
+Mackey preservation check on the induced basis sections, against brute
+force.
 
-`cross_correlate` and `convolve` sum one Mackey section over the support
-in ascending order through flat gather indices; the reference below sums
-the same section with 2-D gathers of its own, and the two must agree
-bitwise.
+`cross_correlate` sums one Mackey section over the support in ascending
+order through flat gather indices; the reference below sums the same
+section with 2-D gathers of its own, and the two must agree bitwise.
 
 `battery._mackey_checks` pushes one induced basis section e~_{b0,i} per
-fundamental-domain point b0 and fiber coordinate i through the checks.
-Its residuals must equal the maximum over all |B| dE basis sections, each
-summed by the per-section reference, and they must obey the stated bounds
-against the residual P over sections with entries in [-1, 1]:
-P <= |B| dE a' (1 + a) R for Mackey preservation and P <= |B| dE a' R for
-the convolution comparison, with a the largest row sum of |A_F| and a' the
-largest column sum of |A_E|.  The battery's `_filter_checks` on every
-built-in scenario, and on dihedral(4) with a measure that is not
-left-invariant, is held to the same references, its equivariance check
-to the operator matrix's residual.
+fundamental-domain point b0 and fiber coordinate i through
+`cross_correlate`.  Its residual must equal the maximum over all |B| dE
+basis sections, each summed by the per-section reference, and it must
+obey the stated bound against the residual P over sections with entries
+in [-1, 1]: P <= |B| dE a' (1 + a) R, with a the largest row sum of |A_F|
+and a' the largest column sum of |A_E|.  The battery's `_filter_checks` on
+every built-in scenario is held to the same references, its equivariance
+check to the operator matrix's residual; the cases include dihedral(4)
+with a measure that is not left-invariant.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,19 +27,12 @@ from equicorr.battery import _filter_checks, _mackey_checks
 from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle, validate_mackey
 from equicorr.groups import GroupAction, cyclic_group
 from equicorr.measures import GroupMeasureFamily, counting_family
-from equicorr.reporting import _maxabs, check_from_residual
+from equicorr.reporting import check_from_residual
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario
 from equicorr.transforms import filter_operator, operator_equivariance_residual
-from equicorr.xcorr import (
-    Filter,
-    convolve,
-    cross_correlate,
-    mu_left_invariant,
-    to_convolution_form,
-    validate_filter,
-)
+from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
 from test_stacked import BUILTINS, FILTERS, basis_sections
 
@@ -61,39 +51,20 @@ def per_section_xcorr(filt, m, mu):
     return out
 
 
-def per_section_convolve(flipped, m, mu):
-    """sum_s mu_b(h x_s^-1) w'(x_s, b) m(h x_s^-1, b), one section."""
-    grp, cols = flipped.action.group, np.arange(flipped.action.base_size)
-    idx = flipped.support_index
-    mats = flipped.matrices[idx, cols[:, None]]
-    out = np.zeros((grp.order, len(cols), flipped.output_bundle.dmax))
-    for s in range(idx.shape[1]):
-        hx = grp.cayley[:, grp.inv[idx[:, s]]]
-        out += np.einsum("bij,...bj->...bi", mats[:, s], mu.weights[cols, hx][..., None] * m.values[hx, cols])
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_a_stack_matches_per_section_sums_bitwise(name):
     # a stack of five sections, each passed alone
     filt, mu = FILTERS[name]
-    flipped = to_convolution_form(filt)
     for f in random_sections(filt.input_bundle, SplitMix64(6), 5):
         m = section_to_mackey(f)
         assert cross_correlate(filt, m, mu).values.tobytes() == per_section_xcorr(filt, m, mu).tobytes()
-        assert convolve(flipped, m, mu).values.tobytes() == per_section_convolve(flipped, m, mu).tobytes()
 
 
-def reference_residuals(filt, mu, values):
+def reference_residual(filt, mu, values):
     """Mackey periodicity residual of the cross-correlated section induced
-    from `values`, and its distance from the convolution (None unless mu is
-    left-invariant), each summed per section."""
+    from `values`, summed per section."""
     m = section_to_mackey(Section(filt.input_bundle, values))
-    out = MackeySection(filt.output_bundle, per_section_xcorr(filt, m, mu))
-    periodicity = validate_mackey(out).worst().residual
-    if not mu_left_invariant(mu):
-        return periodicity, None
-    return periodicity, _maxabs(out.values - per_section_convolve(to_convolution_form(filt), m, mu))
+    return validate_mackey(MackeySection(filt.output_bundle, per_section_xcorr(filt, m, mu))).worst().residual
 
 
 def corrupted(filt):
@@ -104,11 +75,21 @@ def corrupted(filt):
     return Filter(filt.input_bundle, filt.output_bundle, mats)
 
 
+def non_invariant_d4():
+    """dihedral(4) with a weight that varies along the group but stays a
+    class function: 2 on the quarter turns r1 and r3."""
+    d4 = build_scenario("dihedral(4)")
+    weights = d4.mu.weights.copy()
+    weights[:, [1, 3]] = 2.0
+    return d4.filt, GroupMeasureFamily(d4.action, weights, haar=False)
+
+
 def cases():
     out = dict(FILTERS)
     for spec in ("dihedral(3)", "cyclic(6)", "dihedral(5, bundle=sign)"):
         scn = build_scenario(spec)
         out[spec] = (scn.filt, scn.mu)
+    out["dihedral(4)-non-invariant-mu"] = non_invariant_d4()
     for name in list(out):
         filt, mu = out[name]
         out[f"{name}-corrupted"] = (corrupted(filt), mu)
@@ -118,48 +99,42 @@ def cases():
 CASES = cases()
 
 
-def battery_residuals(filt, mu):
-    by_name = {c.name: c for c in _mackey_checks(filt, mu, TOL)}
-    conv = by_name["xcorr.convolution-agreement"]
-    return by_name["xcorr.mackey-preserved"], None if conv.skipped else conv
+def battery_residual(filt, mu):
+    (mackey,) = _mackey_checks(filt, mu, TOL)
+    assert mackey.name == "xcorr.mackey-preserved"
+    return mackey
 
 
-def assert_basis_maximum(filt, mu, mackey, conv):
-    """Both residuals equal the maximum over every basis section, each
-    summed by the per-section reference; conv is None when skipped."""
-    brute = [reference_residuals(filt, mu, e) for e in basis_sections(filt.input_bundle)]
+def assert_basis_maximum(filt, mu, mackey):
+    """The residual equals the maximum over every basis section, each summed
+    by the per-section reference."""
+    brute = [reference_residual(filt, mu, e) for e in basis_sections(filt.input_bundle)]
     # translation is exact when every act matrix entry is 0 or +-1; a
     # rotation by a quarter turn computed with cos and sin rounds
     bundles = (filt.input_bundle, filt.output_bundle)
     exact = all(np.isin(b.act_matrix, (-1.0, 0.0, 1.0)).all() for b in bundles)
     equal = (lambda x: x) if exact else (lambda x: pytest.approx(x, rel=1e-12, abs=1e-15))
-    assert mackey.residual == equal(max(p for p, _ in brute))
-    assert (conv is None) == (not mu_left_invariant(mu))
-    if conv is not None:
-        assert conv.residual == equal(max(g for _, g in brute))
+    assert mackey.residual == equal(max(brute))
 
 
-def assert_random_section_bounds(filt, mu, mackey, conv, sections):
-    """P <= |B| dE a' (1 + a) R and P <= |B| dE a' R over `sections`, and
-    R <= P over the basis sections, which have entries in [-1, 1]."""
+def assert_random_section_bounds(filt, mu, mackey, sections):
+    """P <= |B| dE a' (1 + a) R over `sections`, and R <= P over the basis
+    sections, which have entries in [-1, 1]."""
     e_bundle, f_bundle = filt.input_bundle, filt.output_bundle
     a = float(np.abs(f_bundle.act_matrix).sum(axis=3).max())  # largest row sum of |A_F|
     a_col = float(np.abs(e_bundle.act_matrix).sum(axis=2).max())  # largest column sum of |A_E|
     scale = e_bundle.action.base_size * e_bundle.dmax * a_col
-    sampled = [reference_residuals(filt, mu, f.values) for f in sections]
-    assert max(p for p, _ in sampled) <= scale * (1 + a) * mackey.residual * (1 + 1e-9) + 1e-12
-    if conv is not None:
-        assert max(g for _, g in sampled) <= scale * conv.residual * (1 + 1e-9) + 1e-12
-    at_basis = [reference_residuals(filt, mu, e)[0] for e in basis_sections(e_bundle)]
-    assert mackey.residual <= max(at_basis)
+    sampled = [reference_residual(filt, mu, f.values) for f in sections]
+    assert max(sampled) <= scale * (1 + a) * mackey.residual * (1 + 1e-9) + 1e-12
+    assert mackey.residual <= max(reference_residual(filt, mu, e) for e in basis_sections(e_bundle))
     return sampled
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
     filt, mu = CASES[name]
-    mackey, conv = battery_residuals(filt, mu)
-    assert_basis_maximum(filt, mu, mackey, conv)
+    mackey = battery_residual(filt, mu)
+    assert_basis_maximum(filt, mu, mackey)
     if name.endswith("corrupted") or "violating" in name:
         assert not mackey.passed and len(mackey.witness) == 4
     else:
@@ -169,11 +144,11 @@ def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_basis_checks_bound_the_residual_on_random_sections(name):
     filt, mu = CASES[name]
-    mackey, conv = battery_residuals(filt, mu)
+    mackey = battery_residual(filt, mu)
     sections = random_sections(filt.input_bundle, SplitMix64(20), 20)
-    sampled = assert_random_section_bounds(filt, mu, mackey, conv, sections)
+    sampled = assert_random_section_bounds(filt, mu, mackey, sections)
     if not mackey.passed:
-        assert max(p for p, _ in sampled) > 1e-9
+        assert max(sampled) > 1e-9
 
 
 def bits(check):
@@ -187,19 +162,19 @@ def filter_checks(scn):
 
 def assert_checks_match_per_section(scn, seed, n_sections):
     """The battery's cross-correlation checks against the per-section
-    references: equivariance read off the operator matrix, the Mackey-level
-    checks streamed one basis section at a time equal to the brute-force
-    maximum, and both bounds over n_sections seeded random sections."""
+    references: equivariance read off the operator matrix, Mackey
+    preservation streamed one basis section at a time equal to the
+    brute-force maximum, and its bound over n_sections seeded random
+    sections."""
     checks = filter_checks(scn)
     op = filter_operator(scn.filt, scn.mu)
     residual, witness = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)
     want = check_from_residual("xcorr.equivariance", residual, TOL, witness)
     assert bits(checks["xcorr.equivariance"]) == bits(want)
-    mackey, conv = checks["xcorr.mackey-preserved"], checks["xcorr.convolution-agreement"]
-    conv_or_none = None if conv.skipped else conv
-    assert_basis_maximum(scn.filt, scn.mu, mackey, conv_or_none)
+    mackey = checks["xcorr.mackey-preserved"]
+    assert_basis_maximum(scn.filt, scn.mu, mackey)
     sections = random_sections(scn.input_bundle, SplitMix64(seed), n_sections)
-    assert_random_section_bounds(scn.filt, scn.mu, mackey, conv_or_none, sections)
+    assert_random_section_bounds(scn.filt, scn.mu, mackey, sections)
     return checks
 
 
@@ -216,17 +191,6 @@ def test_streamed_checks_match_per_section(spec, n_sections):
         return
     checks = assert_checks_match_per_section(scn, 3, n_sections)
     assert checks["xcorr.mackey-preserved"].passed and checks["xcorr.equivariance"].passed
-
-
-@pytest.mark.parametrize("n_sections", COUNTS)
-def test_non_left_invariant_mu_skips_the_convolution(n_sections):
-    d4 = build_scenario("dihedral(4)")
-    weights = d4.mu.weights.copy()
-    weights[:, 3] = 2.0  # varies along the group: not left-invariant
-    scn = replace(d4, mu=GroupMeasureFamily(d4.action, weights, haar=False))
-    checks = assert_checks_match_per_section(scn, 5, n_sections)
-    conv = checks["xcorr.convolution-agreement"]
-    assert conv.skipped and conv.passed and conv.residual == 0.0
 
 
 def two_orbit_filter():
@@ -254,12 +218,12 @@ def test_a_second_orbit_corruption_is_named_by_its_base_point():
     valid, filt, mu = two_orbit_filter()
     assert validate_filter(valid).passed and not validate_filter(filt).passed
     assert all(c.passed for c in _mackey_checks(valid, mu, TOL))
-    mackey, _ = battery_residuals(filt, mu)
+    mackey = battery_residual(filt, mu)
     assert not mackey.passed
     assert mackey.witness[0] == 4 and mackey.witness[3] == 4  # (b0, i, h, b) on the orbit {inf}
     # a basis drawn from b = 0 alone would pass
     e0 = np.zeros((5, 2))
     e0[0, 0] = 1.0
-    assert reference_residuals(filt, mu, e0) == (0.0, 0.0)
+    assert reference_residual(filt, mu, e0) == 0.0
     op = filter_operator(filt, mu)
     assert operator_equivariance_residual(op, filt.input_bundle, filt.output_bundle)[0] > 0.1

@@ -1,33 +1,28 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from equicorr.battery import _filter_checks
 from equicorr.bundles import act_on_mackey, mackey_to_section, section_to_mackey, trivial_bundle, validate_mackey
 from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
-from equicorr.measures import GroupMeasureFamily, counting_family
+from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
-from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+from equicorr.scenarios import dihedral_vertex_action, torus_action
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import (
     CompressedFilter,
     Filter,
     compress_filter,
-    convolve,
     correlate_sections,
     cross_correlate,
     expand_filter,
-    mu_left_invariant,
-    to_convolution_form,
     validate_filter,
 )
 
 from helpers import mul
+from test_stacked import ref_convolve
 
 
 def brute_xcorr(filt, m, mu):
@@ -92,25 +87,21 @@ def test_violating_filter_breaks_equivariance(dihedral4):
 
 
 def test_convolution_equality_counting_measure(dihedral4):
+    # under the left-invariant counting measure, w * m is the convolution
+    # with the inverted filter w'(h, b) = w(h^-1, b), for a valid filter and
+    # for a violating one alike: the identity is one sum in two orders and
+    # says nothing about the faint constraint
     scn = dihedral4
+    assert np.ptp(scn.mu.weights, axis=1).max() == 0.0
     m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(5), 1)[0])
-    conv_filt = to_convolution_form(scn.filt)
-    direct = cross_correlate(scn.filt, m, scn.mu)
-    via_conv = convolve(conv_filt, m, scn.mu)
-    assert np.allclose(direct.values, via_conv.values, atol=1e-12)
-    assert mu_left_invariant(scn.mu)
-
-
-def test_convolution_skipped_without_left_invariance(dihedral4):
-    scn = dihedral4
-    weights = scn.mu.weights.copy()
-    weights[:, 3] = 2.0  # varies along the group: not left-invariant
-    mu = GroupMeasureFamily(scn.action, weights, haar=False)
-    assert not mu_left_invariant(mu)
-    bad = replace(scn, mu=mu)
-    checks = _filter_checks(bad, filter_operator(bad.filt, bad.mu), 1e-12)
-    check = next(c for c in checks if c.name == "xcorr.convolution-agreement")
-    assert check.skipped and check.passed  # skipped, not failed
+    mats = scn.filt.matrices.copy()
+    mats[3, 1, 0, 0] += 0.7
+    bad = Filter(scn.input_bundle, scn.output_bundle, mats)
+    assert not validate_filter(bad, tolerance=1e-12).passed
+    for filt in (scn.filt, bad):
+        flipped = Filter(filt.input_bundle, filt.output_bundle, filt.matrices[scn.group.inv])
+        direct = cross_correlate(filt, m, scn.mu)
+        assert np.allclose(direct.values, ref_convolve(flipped, m, scn.mu), atol=1e-12)
 
 
 def test_compression_round_trip_bitwise(dihedral4_sign):
