@@ -9,10 +9,11 @@ and projection theorems, and their round trip.
 
 Equivariance and the lift and projection theorems are statements about
 linear maps on sections, so they are checked exactly on (|B|, |B|, dF, dE)
-operator matrices, never on sampled sections.  Each battery builds the
-matrix of the filter's induced map (`transforms.filter_operator`) and of
-the kernel's transform (`transforms.kernel_operator`) once.  Equivariance
-decides the kernel law on a matrix for every g
+operator matrices, never on sampled sections.  For these checks each
+battery builds the matrix of the filter's induced map
+(`xcorr.filter_operator`) and of the kernel's transform
+(`transforms.kernel_operator`) once.  Equivariance decides the kernel
+law on a matrix for every g
 (`transforms.operator_equivariance_residual`, which states its bounds
 against the sampled all-g residual; witness (g, c, b)).
 A theorem's residual is the largest entry of the difference of two
@@ -93,16 +94,17 @@ def _prefixed(report: ValidationReport, prefix: str) -> list[Check]:
 
 
 def run_battery(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
+    """Every check of run_structural, then the battery's own: equivariance,
+    Mackey preservation, the codec round trip, necessity, the lift and
+    projection theorems and the checks of the built-in scenario families."""
+    fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
     filter_op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
     kernel_op = None if scn.kernel is None else kernel_operator(scn.kernel, scn.mubar)
-    fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
 
-    report = ValidationReport()
-    report.checks += _structure_checks(scn)
-    report.checks += _family_checks(scn, fubini, tolerance)
+    report = ValidationReport(_structural_checks(scn, fubini, tolerance))
     report.checks += _filter_checks(scn, filter_op, tolerance)
     report.checks += _kernel_checks(scn, kernel_op, tolerance)
-    report.checks += _theta_lift_checks(scn, filter_op, kernel_op, fubini[0], tolerance)
+    report.checks += _lift_checks(scn, filter_op, kernel_op, fubini[0], tolerance)
     report.checks += _scenario_specific_checks(scn, tolerance)
     return report.sorted()
 
@@ -111,32 +113,19 @@ def run_structural(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> Valid
     """Structure and constraint checks only: axioms, cocycle, family
     compatibilities, and the pointwise constraints of whatever filter,
     kernel, theta, and delta the scenario carries.  No random sections."""
-    report = ValidationReport()
-    report.checks += _structure_checks(scn)
-    report.checks += _family_checks(scn, fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar), tolerance)
-    if scn.filt is not None:
-        report.checks += _prefixed(validate_filter(scn.filt, tolerance=tolerance), "filter")
-    if scn.kernel is not None:
-        report.checks += _prefixed(validate_kernel(scn.kernel, tolerance=tolerance), "kernel")
-        for name, theta in sorted(scn.thetas.items()):
-            report.checks += _prefixed(validate_theta(theta, scn.kernel), f"theta.{name}")
-    return report.sorted()
+    fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
+    return ValidationReport(_structural_checks(scn, fubini, tolerance)).sorted()
 
 
-def _structure_checks(scn: Scenario) -> list[Check]:
+def _structural_checks(scn: Scenario, fubini: tuple, tolerance: float) -> list[Check]:
+    """fubini is fubini_pointwise_residual's (residual, witness) for the
+    scenario's families."""
     checks = []
     checks += _prefixed(validate_group(scn.group), "group")
     checks += _prefixed(validate_action(scn.action), "action")
     checks += _prefixed(validate_bundle(scn.input_bundle), "bundle.input")
     if scn.output_bundle is not scn.input_bundle:
         checks += _prefixed(validate_bundle(scn.output_bundle), "bundle.output")
-    return checks
-
-
-def _family_checks(scn: Scenario, fubini: tuple, tolerance: float) -> list[Check]:
-    """fubini is fubini_pointwise_residual's (residual, witness) for the
-    scenario's families."""
-    checks = []
     checks += _prefixed(validate_families(scn.mu, scn.nu, scn.mubar, tolerance=tolerance), "families")
     if scn.psi is not None:
         checks += _prefixed(validate_psi(scn.psi, tolerance=tolerance), "psi")
@@ -144,6 +133,12 @@ def _family_checks(scn: Scenario, fubini: tuple, tolerance: float) -> list[Check
         checks += _prefixed(validate_delta(scn.delta, scn.nu, tolerance=tolerance), "delta")
     residual, witness = fubini
     checks.append(check_from_residual("families.disintegration-pointwise", residual, tolerance, witness))
+    if scn.filt is not None:
+        checks += _prefixed(validate_filter(scn.filt, tolerance=tolerance), "filter")
+    if scn.kernel is not None:
+        checks += _prefixed(validate_kernel(scn.kernel, tolerance=tolerance), "kernel")
+        for name, theta in sorted(scn.thetas.items()):
+            checks += _prefixed(validate_theta(theta, scn.kernel), f"theta.{name}")
     return checks
 
 
@@ -153,17 +148,17 @@ def _equivariance_check(name: str, scn: Scenario, op: np.ndarray, tolerance: flo
 
 
 def _filter_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> list[Check]:
-    """Checks of the filter; op is the matrix of its induced map."""
+    """Checks of the filter beyond its constraint; op is the matrix of its
+    induced map."""
     if scn.filt is None:
         return []
-    checks = list(_prefixed(validate_filter(scn.filt, tolerance=tolerance), "filter"))
-    checks.append(_equivariance_check("xcorr.equivariance", scn, op, tolerance))
+    checks = [_equivariance_check("xcorr.equivariance", scn, op, tolerance)]
     checks += _mackey_checks(scn.filt, scn.mu, tolerance)
 
     compressed = compress_filter(scn.filt)
     expanded = expand_filter(compressed)
-    r = float(np.abs(expanded.matrices - scn.filt.matrices).max())
-    checks.append(check_from_residual("filter.codec-roundtrip", r, 0.0))
+    r, witness = _worst_of_grid(expanded.matrices - scn.filt.matrices)  # witness (h, b, i, j)
+    checks.append(check_from_residual("filter.codec-roundtrip", r, 0.0, witness))
     return checks
 
 
@@ -184,21 +179,21 @@ def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> li
 
 
 def _kernel_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> list[Check]:
-    """Checks of the kernel; op is the matrix of its transform."""
+    """Checks of the kernel beyond its constraint; op is the matrix of its
+    transform."""
     if scn.kernel is None:
         return []
-    checks = list(_prefixed(validate_kernel(scn.kernel, tolerance=tolerance), "kernel"))
-    checks.append(_equivariance_check("transform.equivariance", scn, op, tolerance))
+    checks = [_equivariance_check("transform.equivariance", scn, op, tolerance)]
     # [c, b]: orbit pairs whose weight mubar_b(c) is not positive, a NaN included
     count, witness = _count_of(((scn.action.coset_reps >= 0) & ~(scn.mubar.weights > 0)).T)
     checks.append(check_from_residual("transform.necessity", count, 0.0, witness))
     return checks
 
 
-def _theta_lift_checks(
+def _lift_checks(
     scn: Scenario, filter_op: np.ndarray | None, kernel_op: np.ndarray | None, fub: float, tolerance: float
 ) -> list[Check]:
-    """Theta laws and the lift and projection theorems; filter_op and
+    """The lift and projection theorems; filter_op and
     kernel_op are the matrices of the scenario filter's induced map and of
     the scenario kernel's transform; fub is the families' disintegration
     residual, the identity the two theorems rest on."""
@@ -216,15 +211,14 @@ def _theta_lift_checks(
     if scn.kernel is not None and scn.delta is not None:
         lifted_ops = []
         for name, theta in sorted(scn.thetas.items()):
-            checks += _prefixed(validate_theta(theta, scn.kernel), f"theta.{name}")
             lifted = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
             checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
             lifted_ops.append(filter_operator(lifted, scn.mu))
             checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], kernel_op))
 
             back = project_filter_to_kernel(lifted, scn.nu)
-            r = float(np.abs(back.matrices - scn.kernel.matrices).max())
-            checks.append(check_from_residual(f"lift.{name}.project-roundtrip", r, tolerance))
+            r, witness = _worst_of_grid(back.matrices - scn.kernel.matrices)  # witness (c, b, i, j)
+            checks.append(check_from_residual(f"lift.{name}.project-roundtrip", r, tolerance, witness))
 
         if len(lifted_ops) == 2:
             checks.append(compare("lift.pair.same-transform", *lifted_ops))
@@ -238,15 +232,18 @@ def _theta_lift_checks(
 
 
 def _scenario_specific_checks(scn: Scenario, tolerance: float) -> list[Check]:
+    """Checks of what the built-in families promise, each run only when the
+    data it reads is present, since a scenario file may leave any of it out."""
     checks: list[Check] = []
-    if "band_spacing" in scn.extras:
+    lifts = {} if scn.kernel is None or scn.delta is None else scn.thetas  # the thetas a lift can run along
+    if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys() and "n" in scn.params:
         mismatch = banded_support_mismatch(scn)
         checks.append(check_from_residual("support.segments-vs-rectangle", float(mismatch), 0.0))
-    if scn.name.startswith("line-grid"):
+    if scn.name.startswith("line-grid") and "global" in lifts and {"dx", "origin"} <= scn.extras.keys():
         gap = line_grid_oracle_residual(scn)
         # first order in the grid step by design; documents the scale
         checks.append(check_from_residual("quadrature.continuum-gap", gap, scn.extras["dx"]))
-    if scn.name.startswith("circle-grid") and scn.filt is not None:
+    if scn.name.startswith("circle-grid") and scn.filt is not None and "grid_step" in scn.extras and "n" in scn.params:
         aligned = circle_offgrid_residual(scn, 3 * scn.extras["grid_step"])
         checks.append(check_from_residual("rotation.grid-aligned", aligned, tolerance))
         off = circle_offgrid_residual(scn, 0.4321)

@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, fundamental_domain, orbits, stabilizer
-from .reporting import ValidationReport, _maxabs, _worst_of_grid, _worst_of_parts, check_from_residual
+from .groups import GroupAction, _check_budget, _float_table, fundamental_domain, orbits, stabilizer
+from .reporting import ValidationReport, _worst_of_grid, _worst_of_parts, check_from_residual
 
 
 @dataclass(eq=False)
@@ -87,16 +87,11 @@ class EquivariantBundle:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.fiber_dim = np.asarray(self.fiber_dim, dtype=np.int64)
-        self.act_matrix = np.asarray(self.act_matrix, dtype=float)
         if self.fiber_dim.shape != (m,):
             raise StructuralError(f"fiber_dim shape {self.fiber_dim.shape}, expected {(m,)}")
         if self.fiber_dim.min(initial=0) < 0:
             raise StructuralError("fiber dimensions must be nonnegative")
-        dmax = self.dmax
-        if self.act_matrix.shape != (n, m, dmax, dmax):
-            raise StructuralError(
-                f"act_matrix shape {self.act_matrix.shape}, expected {(n, m, dmax, dmax)}"
-            )
+        self.act_matrix = _float_table(self.act_matrix, "act_matrix", (n, m, self.dmax, self.dmax))
 
     @property
     def dmax(self) -> int:
@@ -180,8 +175,9 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     # entries are read, (|G|, padding slots) of them, none when dims are equal
     live = pad_mask(bundle.fiber_dim, dmax)  # (|B|, dmax)
     block = live[:, :, None] & live[:, None, :]  # square fibers: d(g.b) = d(b) if dims valid
-    pad_res = _maxabs(A[:, ~block])
-    report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, None))
+    pad_res, at = _worst_of_grid(A[:, ~block])  # at = (g, index into the padding entries)
+    witness = at and (at[0], *(int(c) for c in np.argwhere(~block)[at[1]]))
+    report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, witness))
 
     def columns():  # ((h, b0), [g] -> defect of the instance (g, h, b0)), one column of all g at a time
         for b0 in fundamental_domain(action):
@@ -206,9 +202,7 @@ class Section:
 
     def __post_init__(self):
         m, dmax = self.bundle.action.base_size, self.bundle.dmax
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (m, dmax):
-            raise StructuralError(f"section values shape {self.values.shape}, expected {(m, dmax)}")
+        self.values = _float_table(self.values, "section values", (m, dmax))
 
 
 @dataclass(eq=False)
@@ -219,9 +213,7 @@ class MackeySection:
     def __post_init__(self):
         n = self.bundle.action.group.order
         m, dmax = self.bundle.action.base_size, self.bundle.dmax
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (n, m, dmax):
-            raise StructuralError(f"mackey values shape {self.values.shape}, expected {(n, m, dmax)}")
+        self.values = _float_table(self.values, "mackey values", (n, m, dmax))
 
 
 def act_on_section(g: int, f: Section) -> Section:

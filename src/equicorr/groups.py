@@ -64,6 +64,15 @@ def _index_table(values, what: str, shape: tuple[int, ...], bound: int, low: int
     return np.ascontiguousarray(values, dtype=INDEX_DTYPE)
 
 
+def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """values as a float array after checking its shape; non-finite entries
+    are kept for the validators to name."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise StructuralError(f"{what} shape {values.shape}, expected {shape}")
+    return values
+
+
 @dataclass(eq=False)
 class FiniteGroup:
     """Explicit finite group: labels, Cayley table, inverses, identity index."""

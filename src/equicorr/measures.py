@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, stabilizer, stabilizer_mask
+from .groups import GroupAction, _float_table, stabilizer, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -46,9 +46,7 @@ class GroupMeasureFamily:
 
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (m, n):
-            raise StructuralError(f"group family shape {self.weights.shape}, expected {(m, n)}")
+        self.weights = _float_table(self.weights, "group family", (m, n))
         if self.weights.min(initial=0.0) < 0:
             raise StructuralError("group family weights must be nonnegative")
 
@@ -60,9 +58,7 @@ class StabilizerMeasureFamily:
 
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (m, n):
-            raise StructuralError(f"stabilizer family shape {self.weights.shape}, expected {(m, n)}")
+        self.weights = _float_table(self.weights, "stabilizer family", (m, n))
         if self.weights.min(initial=0.0) < 0:
             raise StructuralError("stabilizer family weights must be nonnegative")
         off = self.weights[~stabilizer_mask(self.action)]
@@ -77,9 +73,7 @@ class OrbitMeasureFamily:
 
     def __post_init__(self):
         m = self.action.base_size
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (m, m):
-            raise StructuralError(f"orbit family shape {self.weights.shape}, expected {(m, m)}")
+        self.weights = _float_table(self.weights, "orbit family", (m, m))
         if self.weights.min(initial=0.0) < 0:
             raise StructuralError("orbit family weights must be nonnegative")
         off = self.weights[self.action.coset_reps < 0]
@@ -96,9 +90,7 @@ class PsiFunction:
 
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (n, m):
-            raise StructuralError(f"psi shape {self.values.shape}, expected {(n, m)}")
+        self.values = _float_table(self.values, "psi", (n, m))
         if self.values.min(initial=0.0) < 0:
             raise StructuralError("psi must be nonnegative")
 
@@ -112,9 +104,7 @@ class DeltaFunction:
 
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (n, m):
-            raise StructuralError(f"delta shape {self.values.shape}, expected {(n, m)}")
+        self.values = _float_table(self.values, "delta", (n, m))
         off = self.values[~stabilizer_mask(self.action).T]
         if off.size and np.any(off != 0.0):
             raise StructuralError("delta has support off the stabilizer")
@@ -151,9 +141,9 @@ def validate_families(
 ) -> ValidationReport:
     """Check the three compatibility laws, each on one base slice per orbit,
     plus nu left-invariance and any advisory flags.  Witnesses are (g, b, h)
-    for the group and stabilizer families and (g, b, c) for the orbit family."""
+    for the group and stabilizer families, (g, b, c) for the orbit family
+    and (b,) for the Haar flag."""
     action = mu.action
-    grp = action.group
     report = ValidationReport()
 
     def law(name: str, weights: np.ndarray, conjugate: bool) -> None:  # weights indexed [b, r]
@@ -172,8 +162,8 @@ def validate_families(
     law("family-mubar-pushforward", mubar.weights, False)
 
     if mu.haar:
-        spread = float((mu.weights.max(axis=1) - mu.weights.min(axis=1)).max()) if grp.order else 0.0
-        report.add(check_from_residual("family-mu-haar-flag", spread, tolerance, None))
+        spread, wit = _worst_of_grid(mu.weights.max(axis=1) - mu.weights.min(axis=1))
+        report.add(check_from_residual("family-mu-haar-flag", spread, tolerance, wit))
     return report
 
 

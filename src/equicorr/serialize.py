@@ -301,26 +301,20 @@ def _index(key: str, bound: int, what: str) -> int:
 
 
 def filter_to_dict(filt: Filter | CompressedFilter) -> dict:
-    if isinstance(filt, CompressedFilter):
-        rows = {
-            str(int(b)): _sparse_row(row)
-            for b, row in sorted(filt.rows.items())
-        }
-        return {"schema": FILTER_SCHEMA, "compressed": True, "rows": rows}
-    rows = {}
-    for b in range(filt.action.base_size):
-        hs = np.flatnonzero(filt.support[:, b])
-        if hs.size:
-            rows[str(int(b))] = {str(int(h)): filt.matrices[h, b].tolist() for h in hs}
-    return {"schema": FILTER_SCHEMA, "compressed": False, "rows": rows}
+    """Rows {b: {h: matrix}} over the nonzero matrices, ascending; a
+    compressed filter keeps every orbit representative's row, a full one
+    only the rows with support."""
+    compressed = isinstance(filt, CompressedFilter)
+    if compressed:
+        rows = {str(int(b)): _sparse_row(filt.rows[b]) for b in sorted(filt.rows)}
+    else:
+        rows = {str(b): row for b in range(filt.action.base_size) if (row := _sparse_row(filt.matrices[:, b]))}
+    return {"schema": FILTER_SCHEMA, "compressed": compressed, "rows": rows}
 
 
 def _sparse_row(row: np.ndarray) -> dict:
-    out = {}
-    for h in range(row.shape[0]):
-        if np.any(row[h] != 0.0):
-            out[str(h)] = row[h].tolist()
-    return out
+    """{h: row[h]} over the h whose (dF, dE) matrix has a nonzero entry."""
+    return {str(int(h)): row[h].tolist() for h in np.flatnonzero(np.any(row != 0.0, axis=(1, 2)))}
 
 
 @_document_loader
@@ -329,21 +323,21 @@ def filter_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: 
     action = input_bundle.action
     n, m = action.group.order, action.base_size
     de, df = input_bundle.dmax, output_bundle.dmax
+    rows = ((_index(b_key, m, "base point"), _dense_row(row, n, df, de)) for b_key, row in doc.get("rows", {}).items())
     if doc.get("compressed"):
-        rows: dict[int, np.ndarray] = {}
-        for b_key, row in doc["rows"].items():
-            b = _index(b_key, m, "base point")
-            mat = np.zeros((n, df, de))
-            for h_key, entry in row.items():
-                mat[_index(h_key, n, "group element")] = _matrix(entry, df, de)
-            rows[b] = mat
-        return CompressedFilter(input_bundle, output_bundle, rows)
+        return CompressedFilter(input_bundle, output_bundle, dict(rows))
     matrices = np.zeros((n, m, df, de))
-    for b_key, row in doc.get("rows", {}).items():
-        b = _index(b_key, m, "base point")
-        for h_key, entry in row.items():
-            matrices[_index(h_key, n, "group element"), b] = _matrix(entry, df, de)
+    for b, row in rows:  # one decoded row alive at a time
+        matrices[:, b] = row
     return Filter(input_bundle, output_bundle, matrices)
+
+
+def _dense_row(row: dict, n: int, df: int, de: int) -> np.ndarray:
+    """The (|G|, dF, dE) table of a {h: matrix} row, zero elsewhere."""
+    out = np.zeros((n, df, de))
+    for h_key, entry in row.items():
+        out[_index(h_key, n, "group element")] = _matrix(entry, df, de)
+    return out
 
 
 def _matrix(entry, df: int, de: int) -> np.ndarray:

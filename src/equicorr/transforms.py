@@ -39,13 +39,12 @@ T_kappa, and a filter induces the transform of its projection, whenever
 the disintegration identity holds.  Each is an identity between two
 linear maps on sections, so it is compared on their (|B|, |B|, dF, dE)
 matrices, exactly, with no sampled sections: the matrix of T_kappa is the
-weighted table mubar_b(c) kappa(c, b) (kernel_operator), and the matrix
-of a filter's induced map T(f) = (omega * f~)(e, -) is the scatter-add,
-one support position at a time, of mu_b(k) omega(k, b) actE(k^-1, k.b)
-at [k.b, b] (filter_operator).  Projecting a lifted filter returns the
-original kernel.  The opposite composition lift(project(omega)) is NOT an identity in general; distinct
-theta choices produce filters with visibly different supports inducing
-one and the same transform.
+weighted table mubar_b(c) kappa(c, b) (kernel_operator), and a filter's
+induced map T(f) = (omega * f~)(e, -) is defined by its matrix
+(`xcorr.filter_operator`).  Projecting a lifted filter returns the
+original kernel.  The opposite composition lift(project(omega)) is NOT
+an identity in general; distinct theta choices produce filters with
+visibly different supports inducing one and the same transform.
 """
 
 from __future__ import annotations
@@ -56,16 +55,10 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import CoverageError, InconsistencyError, StructuralError
-from .groups import GroupAction, _index_table, stabilizer
-from .measures import (
-    DeltaFunction,
-    GroupMeasureFamily,
-    OrbitMeasureFamily,
-    StabilizerMeasureFamily,
-    dirac_delta,
-)
+from .groups import GroupAction, _float_table, _index_table, stabilizer
+from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
-from .xcorr import Filter, _common_action, _pullbacks
+from .xcorr import Filter, _common_action, filter_operator
 
 __all__ = [
     "Kernel",
@@ -95,9 +88,7 @@ class Kernel:
         action = _common_action(self.input_bundle, self.output_bundle)
         m = action.base_size
         de, df = self.input_bundle.dmax, self.output_bundle.dmax
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        if self.matrices.shape != (m, m, df, de):
-            raise StructuralError(f"kernel shape {self.matrices.shape}, expected {(m, m, df, de)}")
+        self.matrices = _float_table(self.matrices, "kernel", (m, m, df, de))
         self.support = np.any(self.matrices != 0.0, axis=(2, 3))
         off_orbit = self.support & (action.coset_reps < 0).T  # support[c, b] needs c in G.b
         if np.any(off_orbit):
@@ -149,19 +140,6 @@ def kernel_operator(kern: Kernel, mubar: OrbitMeasureFamily) -> np.ndarray:
     """The matrix of T, (|B|, |B|, dF, dE): [c, b] -> mubar_b(c) kappa(c, b),
     so that T(f)(b) = sum_c [c, b] @ f(c)."""
     return mubar.weights.T[:, :, None, None] * kern.matrices
-
-
-def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
-    """The matrix of the induced map T(f) = (omega * f~)(e, -), laid out as
-    kernel_operator: [c, b] -> the sum of mu_b(k) omega(k, b) @
-    actE(k^-1, c) over the support k of omega(., b) with k.b = c, ascending k,
-    one scatter-add per support position."""
-    m = filt.action.base_size
-    cols = np.arange(m)
-    op = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
-    for kb, weights, pull in _pullbacks(filt, mu):
-        op[kb, cols] += weights @ pull
-    return op
 
 
 def operator_equivariance_residual(

@@ -22,12 +22,12 @@ coordinate.  On the raw Mackey tables the group acts by
 left translation and commutes with any right cross-correlation
 whatsoever, so equivariance is falsifiable only at the section level.
 The induced map on plain sections, T(f) = (omega * f~)(e, -) with f~ the
-Mackey section induced from f, pulls back only the support rows of f:
-
-    T(f)(b) = sum_k mu_b(k) omega(k, b) @ actE(k^-1, k.b) @ f(k.b).
-
-It commutes with every g exactly when its (|B|, |B|, dF, dE) matrix
-(`transforms.filter_operator`) obeys the kernel law, which
+Mackey section induced from f, is defined once, by its (|B|, |B|, dF, dE)
+matrix (filter_operator), laid out as `transforms.kernel_operator`: entry
+[c, b] sums mu_b(k) omega(k, b) @ actE(k^-1, c) over the support k of
+omega(., b) with k.b = c.  correlate_sections applies it as
+`transforms.integral_transform` applies a kernel's matrix, and T commutes
+with every g exactly when the matrix obeys the kernel law, which
 `transforms.operator_equivariance_residual` decides exactly.
 
 Filters are stored dense over (|G|, |B|) with an explicit support mask
@@ -38,8 +38,7 @@ index of ascending support rows built once per filter, so a faintly
 constrained filter with s_max << |G| costs s_max / |G| of a dense one.
 cross_correlate is the one Mackey-level sum; alive at once are the input
 section, its (|G|, |B|, dF) output, and one gathered (|G|, |B|) slice with
-its product.  correlate_sections and `transforms.filter_operator` read one
-pull-back per support position, (k.b, mu_b(k) omega(k, b), actE(k^-1, k.b)).
+its product.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has exactly one consistent
@@ -57,7 +56,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import InconsistencyError, StructuralError
-from .groups import fundamental_domain
+from .groups import _float_table, fundamental_domain
 from .measures import GroupMeasureFamily
 from .reporting import ValidationReport, check_from_residual
 
@@ -82,9 +81,7 @@ class Filter:
         action = _common_action(self.input_bundle, self.output_bundle)
         n, m = action.group.order, action.base_size
         de, df = self.input_bundle.dmax, self.output_bundle.dmax
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        if self.matrices.shape != (n, m, df, de):
-            raise StructuralError(f"filter shape {self.matrices.shape}, expected {(n, m, df, de)}")
+        self.matrices = _float_table(self.matrices, "filter", (n, m, df, de))
         # support is derived, never stored: exact-zero matrices are not support
         self.support = np.any(self.matrices != 0.0, axis=(2, 3))
         # row b lists the support of omega(., b) ascending, padded with the
@@ -143,37 +140,31 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     return MackeySection(filt.output_bundle, out)
 
 
-def _pullbacks(filt: Filter, mu: GroupMeasureFamily):
-    """Per support position s, ascending: (k.b, mu_b(k) omega(k, b),
-    actE(k^-1, k.b)) over b, with k = support_index[:, s]; the induced
-    section f~ has f~(k, b) = actE(k^-1, k.b) @ f(k.b)."""
+def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
+    """The matrix of the induced map T(f) = (omega * f~)(e, -), laid out as
+    `transforms.kernel_operator`: [c, b] -> the sum of mu_b(k) omega(k, b) @
+    actE(k^-1, c) over the support k of omega(., b) with k.b = c, ascending k,
+    one scatter-add per support position."""
     action = filt.action
-    cols = np.arange(action.base_size)
+    m = action.base_size
+    cols = np.arange(m)
     weights = _weighted_support(filt, mu)
+    op = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
     for s, k in enumerate(filt.support_index.T):
         kb = action.table[k, cols]
-        yield kb, weights[:, s], filt.input_bundle.act_matrix[action.group.inv[k], kb]
+        op[kb, cols] += weights[:, s] @ filt.input_bundle.act_matrix[action.group.inv[k], kb]
+    return op
 
 
 def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray) -> np.ndarray:
-    """The induced map T(f) = (omega * f~)(e, -) on a stack of plain section
-    values, (..., |B|, dE) -> (..., |B|, dF):
-
-        T(f)(b) = sum_k mu_b(k) omega(k, b) @ actE(k^-1, k.b) @ f(k.b),
-
-    ascending k in the support of omega(., b).  Only the support rows of the
-    induced Mackey section f~ are pulled back; the full table is never built.
-    """
+    """The induced map T on a stack of plain section values, (..., |B|, dE)
+    -> (..., |B|, dF), applied through its matrix (filter_operator)."""
     action = filt.action
     values = np.asarray(values, dtype=float)
     expected = (action.base_size, filt.input_bundle.dmax)
     if values.shape[-2:] != expected:
         raise StructuralError(f"section values shape {values.shape}, expected (..., {expected[0]}, {expected[1]})")
-    out = np.zeros(values.shape[:-2] + (action.base_size, filt.output_bundle.dmax))
-    for kb, weights, pull in _pullbacks(filt, mu):  # one (..., |B|, dE) slice alive at a time
-        pulled = np.einsum("bij,...bj->...bi", pull, values[..., kb, :])
-        out += np.einsum("bij,...bj->...bi", weights, pulled)
-    return out
+    return np.einsum("cbij,...cj->...bi", filter_operator(filt, mu), values)
 
 
 # ---------------------------------------------------------------------------

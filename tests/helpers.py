@@ -9,7 +9,7 @@ from equicorr.groups import FiniteGroup, GroupAction, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _banded_lifts, _filter_support_coords
-from equicorr.xcorr import Filter, correlate_sections
+from equicorr.xcorr import Filter
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:
@@ -67,13 +67,35 @@ def check_fubini(
     return abs(lhs - rhs)
 
 
+def loop_correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray) -> np.ndarray:
+    """The induced map on a stack of plain section values, (..., |B|, dE) ->
+    (..., |B|, dF), summed one support position at a time, ascending k in
+    the support of omega(., b):
+
+        T(f)(b) = sum_k mu_b(k) omega(k, b) @ actE(k^-1, k.b) @ f(k.b).
+
+    Only the support rows of the induced Mackey section are pulled back;
+    no operator matrix is built."""
+    action = filt.action
+    idx = filt.support_index
+    cols = np.arange(action.base_size)
+    weights = mu.weights[cols[:, None], idx][:, :, None, None] * filt.matrices[idx, cols[:, None]]
+    out = np.zeros(values.shape[:-2] + (action.base_size, filt.output_bundle.dmax))
+    for s, k in enumerate(idx.T):
+        kb = action.table[k, cols]
+        pull = filt.input_bundle.act_matrix[action.group.inv[k], kb]
+        pulled = np.einsum("bij,...bj->...bi", pull, values[..., kb, :])
+        out += np.einsum("bij,...bj->...bi", weights[:, s], pulled)
+    return out
+
+
 def basis_filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     """The matrix of a filter's induced map laid out as kernel_operator,
-    read column by column: one `correlate_sections` pass over the |B| dE
-    basis sections, [c, b, i, j] coordinate i of T(e_{c,j})(b)."""
+    read column by column: one `loop_correlate_sections` pass over the
+    |B| dE basis sections, [c, b, i, j] coordinate i of T(e_{c,j})(b)."""
     m, de = filt.action.base_size, filt.input_bundle.dmax
     basis = np.eye(m * de).reshape(m * de, m, de)
-    return correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
+    return loop_correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
 
 
 def banded_support_shapes(scn: Scenario) -> dict[str, set[tuple[int, int]]]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,15 +9,18 @@ import pytest
 
 from equicorr import battery
 from equicorr.battery import run_battery, run_structural
+from equicorr.cli import main
 from equicorr.errors import DomainError
-from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, fubini_pointwise_residual, validate_families
+from equicorr.measures import DeltaFunction, GroupMeasureFamily, OrbitMeasureFamily, fubini_pointwise_residual, validate_families
 from equicorr.rng import SplitMix64
 from equicorr import sampling
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
-from equicorr.serialize import report_to_dict
+from equicorr.serialize import report_to_dict, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
+
+from test_golden import CASES as GOLDEN_CASES
 
 
 @pytest.mark.parametrize(
@@ -258,3 +263,70 @@ def test_necessity_against_the_planted_violators(spec):
         assert constraint_residual(bad) > 0.0
         assert transform_residual(bad, scn) == 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# the battery runs every check validate runs
+
+
+# case -> (spec, key path of the part left out of its saved document); validate
+# accepts each document, and each leaves out data a scenario-specific check reads
+PARTIAL_DOCUMENTS = {
+    "torus-bands-no-delta": ("torus-bands(12)", ("delta",)),
+    "torus-bands-no-special-theta": ("torus-bands(12)", ("thetas", "special")),
+    "line-grid-no-thetas": ("line-grid(5, dx=0.2)", ("thetas",)),
+    "line-grid-no-delta": ("line-grid(5, dx=0.2)", ("delta",)),
+    "circle-grid-no-extras": ("circle-grid(16)", ("extras",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_DOCUMENTS))
+def test_battery_runs_every_validate_check_on_partial_documents(tmp_path, capsys, case):
+    spec, (*where, key) = PARTIAL_DOCUMENTS[case]
+    doc = scenario_to_dict(build_scenario(spec))
+    del functools.reduce(dict.__getitem__, where, doc)[key]
+    path = tmp_path / f"{case}.json"
+    save_document(str(path), doc)
+    names = {}
+    for command in ("validate", "battery"):
+        assert main([command, str(path)]) == 0
+        names[command] = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert names["validate"] <= names["battery"]
+
+
+@pytest.mark.parametrize("spec", sorted({argv[1] for _, argv in GOLDEN_CASES.values() if argv[0] in ("battery", "validate")}))
+def test_battery_runs_every_validate_check_on_golden_builtins(spec):
+    scn = build_scenario(spec)
+    names = [c.name for c in run_battery(scn).checks]
+    assert len(names) == len(set(names))
+    assert {c.name for c in run_structural(scn).checks} <= set(names)
+
+
+# ---------------------------------------------------------------------------
+# witnesses of the round trips
+
+
+def test_codec_roundtrip_names_the_corrupted_entry(cyclic8):
+    # the codec stores the row at the orbit representative b = 0 only, so an
+    # entry corrupted at b = 5 comes back as it was
+    mats = cyclic8.filt.matrices.copy()
+    mats[3, 5, 0, 0] += 0.5
+    scn = replace(cyclic8, filt=Filter(cyclic8.input_bundle, cyclic8.output_bundle, mats))
+    checks = {c.name: c for c in battery._filter_checks(scn, filter_operator(scn.filt, scn.mu), 1e-12)}
+    check = checks["filter.codec-roundtrip"]
+    assert not check.passed and check.residual == pytest.approx(0.5) and check.witness == (3, 5, 0, 0)
+
+
+def test_project_roundtrip_names_the_corrupted_delta_column(cyclic8):
+    # delta(e, 5) doubled: every lift of column 5 doubles, so its projection
+    # comes back as 2 kappa(c, 5), and the worst entry is the largest |kappa(c, 5)|
+    values = cyclic8.delta.values.copy()
+    values[cyclic8.group.identity, 5] *= 2.0
+    scn = replace(cyclic8, delta=DeltaFunction(cyclic8.action, values))
+    ops = filter_operator(scn.filt, scn.mu), kernel_operator(scn.kernel, scn.mubar)
+    checks = {c.name: c for c in battery._lift_checks(scn, *ops, 0.0, 1e-12)}
+    column = np.abs(scn.kernel.matrices[:, 5, 0, 0])
+    for name in scn.thetas:
+        check = checks[f"lift.{name}.project-roundtrip"]
+        assert not check.passed and check.residual == column.max()
+        assert check.witness == (int(column.argmax()), 5, 0, 0)

@@ -210,7 +210,7 @@ def test_padding_check_reads_the_padding_entries(value):
     A[3, 4, 1, 0] = value  # one padding entry of the centre's fiber
     report = validate_bundle(EquivariantBundle(bundle.action, bundle.fiber_dim, A))
     check = next(c for c in report.checks if c.name == "bundle-padding-zero")
-    assert not check.passed
+    assert not check.passed and check.witness == (3, 4, 1, 0)
     assert np.isnan(check.residual) if np.isnan(value) else check.residual == abs(value)
 
 

@@ -120,7 +120,7 @@ NON_FINITE = {
         {
             "families.disintegration-pointwise": [3, 5],
             "families.family-mu-conjugation": [3, 0, 5],
-            "families.family-mu-haar-flag": None,
+            "families.family-mu-haar-flag": [3],
         },
     ),
     "mubar-nan": (

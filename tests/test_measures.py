@@ -124,6 +124,19 @@ def test_solve_orbit_measure_requires_haar():
         solve_orbit_measure(mu, nu, 0)
 
 
+@pytest.mark.parametrize("value", [2.0, np.nan])
+def test_haar_flag_names_the_base_point_of_a_corrupted_weight(value):
+    action = dihedral_vertex_action(4)
+    weights = np.ones((4, 8))
+    weights[2, 5] = value  # one weight off the constant at b = 2
+    mu = GroupMeasureFamily(action, weights, haar=True)
+    nu = counting_stabilizer_family(action, 1.0)
+    mubar = solve_orbit_family(counting_family(action, 1.0), nu)
+    report = validate_families(mu, nu, mubar, tolerance=1e-12)
+    check = next(c for c in report.checks if c.name == "family-mu-haar-flag")
+    assert not check.passed and check.witness == (2,)
+
+
 def test_solve_orbit_measure_rejects_zero_nu_mass():
     action = dihedral_vertex_action(4)
     mu = counting_family(action, 1.0)

@@ -24,7 +24,7 @@ from equicorr.scenarios import build_scenario, dihedral_vertex_action
 from equicorr.transforms import filter_operator, kernel_operator, lift_kernel_to_filter, operator_equivariance_residual
 from equicorr.xcorr import Filter, correlate_sections, cross_correlate
 
-from helpers import basis_filter_operator, counting_orbit_family
+from helpers import basis_filter_operator, counting_orbit_family, loop_correlate_sections
 
 BUILTINS = ["cyclic(8)", "dihedral(4, bundle=sign)", "torus(6)", "torus-bands(16)", "circle-grid(16)", "line-grid(5, dx=0.2)"]
 
@@ -223,7 +223,12 @@ def test_xcorr_and_convolve_match_dense_einsums(name):
     m = section_to_mackey(random_sections(filt.input_bundle, SplitMix64(6), 1)[0])
     out = cross_correlate(filt, m, mu).values
     np.testing.assert_array_equal(out, ref_cross_correlate(filt, m, mu))
-    np.testing.assert_array_equal(correlate_sections(filt, mu, m.values[grp.identity]), out[grp.identity])
+    # the identity slice is the induced map, summed as the pull-back loop
+    # does bit for bit; its matrix sums (W A) f per target, hence a bound
+    ref = loop_correlate_sections(filt, mu, m.values[grp.identity])
+    np.testing.assert_array_equal(out[grp.identity], ref)
+    got = correlate_sections(filt, mu, m.values[grp.identity])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * max(1.0, float(np.abs(ref).max())))
     # the convolution identity, a statement about the references alone: with
     # w'(h, b) = w(h^-1, b), (w' conv m)(h, b) = sum_k mu_b(h k) w(k, b) m(h k, b),
     # which is w * m under every mu here, each left-invariant; the ramp is not

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equicorr.battery import _theta_lift_checks
+from equicorr.battery import _lift_checks
 from equicorr.bundles import Section, act_on_section
 from equicorr.errors import CoverageError, StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
@@ -274,7 +274,7 @@ def test_lift_requires_disintegration():
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
     assert np.abs(filter_operator(lifted, bad.mu) - kernel_operator(bad.kernel, bad.mubar)).max() > 1e-9
     ops = filter_operator(bad.filt, bad.mu), kernel_operator(bad.kernel, bad.mubar)
-    checks = {c.name: c for c in _theta_lift_checks(bad, *ops, fub, 1e-12)}
+    checks = {c.name: c for c in _lift_checks(bad, *ops, fub, 1e-12)}
     for name in ("lift.derived.transform-agreement", "projection.transform-agreement"):
         assert checks[name].skipped and checks[name].passed
     assert not checks["projection.kernel.kernel-constraint"].skipped
