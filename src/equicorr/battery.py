@@ -12,8 +12,9 @@ linear maps on sections, so they are checked exactly on (|B|, |B|, dF, dE)
 operator matrices, never on sampled sections.  For these checks each
 battery builds the matrix of the filter's induced map
 (`xcorr.filter_operator`) and of the kernel's transform
-(`transforms.kernel_operator`) once.  Equivariance decides the kernel
-law on a matrix for every g
+(`transforms.kernel_operator`) once, and it lifts the kernel along each
+theta once; the lift theorems and the scenario checks read those lifts.
+Equivariance decides the kernel law on a matrix for every g
 (`transforms.operator_equivariance_residual`, which states its bounds
 against the sampled all-g residual; witness (g, c, b)).
 A theorem's residual is the largest entry of the difference of two
@@ -104,8 +105,13 @@ def run_battery(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> Validati
     report = ValidationReport(_structural_checks(scn, fubini, tolerance))
     report.checks += _filter_checks(scn, filter_op, tolerance)
     report.checks += _kernel_checks(scn, kernel_op, tolerance)
-    report.checks += _lift_checks(scn, filter_op, kernel_op, fubini[0], tolerance)
-    report.checks += _scenario_specific_checks(scn, tolerance)
+    # the scenario kernel's lift along each theta, built once, and after the
+    # checks above, which reach the battery's peak memory, so as not to add to it
+    lifts = {}
+    if scn.kernel is not None and scn.delta is not None:
+        lifts = {name: lift_kernel_to_filter(scn.kernel, t, scn.delta) for name, t in sorted(scn.thetas.items())}
+    report.checks += _lift_checks(scn, lifts, filter_op, kernel_op, fubini[0], tolerance)
+    report.checks += _scenario_specific_checks(scn, lifts, tolerance)
     return report.sorted()
 
 
@@ -191,12 +197,18 @@ def _kernel_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> li
 
 
 def _lift_checks(
-    scn: Scenario, filter_op: np.ndarray | None, kernel_op: np.ndarray | None, fub: float, tolerance: float
+    scn: Scenario,
+    lifts: dict[str, Filter],
+    filter_op: np.ndarray | None,
+    kernel_op: np.ndarray | None,
+    fub: float,
+    tolerance: float,
 ) -> list[Check]:
-    """The lift and projection theorems; filter_op and
-    kernel_op are the matrices of the scenario filter's induced map and of
-    the scenario kernel's transform; fub is the families' disintegration
-    residual, the identity the two theorems rest on."""
+    """The lift and projection theorems; lifts are the scenario kernel's
+    lifts by theta name, filter_op and kernel_op the matrices of the
+    scenario filter's induced map and of the scenario kernel's transform;
+    fub is the families' disintegration residual, the identity the two
+    theorems rest on."""
     checks: list[Check] = []
 
     def compare(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:
@@ -208,20 +220,18 @@ def _lift_checks(
             return Check(name, 0.0, tolerance, True, None, skipped=True)
         return compare(name, lhs, rhs)
 
-    if scn.kernel is not None and scn.delta is not None:
-        lifted_ops = []
-        for name, theta in sorted(scn.thetas.items()):
-            lifted = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
-            checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
-            lifted_ops.append(filter_operator(lifted, scn.mu))
-            checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], kernel_op))
+    lifted_ops = []
+    for name, lifted in lifts.items():
+        checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
+        lifted_ops.append(filter_operator(lifted, scn.mu))
+        checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], kernel_op))
 
-            back = project_filter_to_kernel(lifted, scn.nu)
-            r, witness = _worst_of_grid(back.matrices - scn.kernel.matrices)  # witness (c, b, i, j)
-            checks.append(check_from_residual(f"lift.{name}.project-roundtrip", r, tolerance, witness))
+        back = project_filter_to_kernel(lifted, scn.nu)
+        r, witness = _worst_of_grid(back.matrices - scn.kernel.matrices)  # witness (c, b, i, j)
+        checks.append(check_from_residual(f"lift.{name}.project-roundtrip", r, tolerance, witness))
 
-        if len(lifted_ops) == 2:
-            checks.append(compare("lift.pair.same-transform", *lifted_ops))
+    if len(lifted_ops) == 2:
+        checks.append(compare("lift.pair.same-transform", *lifted_ops))
 
     if scn.filt is not None:
         # projection theorem: the filter's induced map is the transform of its projection
@@ -231,16 +241,16 @@ def _lift_checks(
     return checks
 
 
-def _scenario_specific_checks(scn: Scenario, tolerance: float) -> list[Check]:
+def _scenario_specific_checks(scn: Scenario, lifts: dict[str, Filter], tolerance: float) -> list[Check]:
     """Checks of what the built-in families promise, each run only when the
-    data it reads is present, since a scenario file may leave any of it out."""
+    data it reads is present, since a scenario file may leave any of it out;
+    lifts are the scenario kernel's lifts by theta name."""
     checks: list[Check] = []
-    lifts = {} if scn.kernel is None or scn.delta is None else scn.thetas  # the thetas a lift can run along
     if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys() and "n" in scn.params:
-        mismatch = banded_support_mismatch(scn)
+        mismatch = banded_support_mismatch(scn, lifts)
         checks.append(check_from_residual("support.segments-vs-rectangle", float(mismatch), 0.0))
     if scn.name.startswith("line-grid") and "global" in lifts and {"dx", "origin"} <= scn.extras.keys():
-        gap = line_grid_oracle_residual(scn)
+        gap = line_grid_oracle_residual(scn, lifts["global"])
         # first order in the grid step by design; documents the scale
         checks.append(check_from_residual("quadrature.continuum-gap", gap, scn.extras["dx"]))
     if scn.name.startswith("circle-grid") and scn.filt is not None and "grid_step" in scn.extras and "n" in scn.params:

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, fundamental_domain, orbits, stabilizer
+from .groups import GroupAction, _check_budget, _float_table, fundamental_domain, stabilizer
 from .reporting import ValidationReport, _worst_of_grid, _worst_of_parts, check_from_residual
 
 
@@ -96,14 +96,6 @@ class EquivariantBundle:
     @property
     def dmax(self) -> int:
         return int(self.fiber_dim.max(initial=0))
-
-
-def padded_identity(fiber_dim: np.ndarray, dmax: int) -> np.ndarray:
-    """(|B|, dmax, dmax) stack: identity on each fiber block, zero padding."""
-    out = np.zeros((len(fiber_dim), dmax, dmax))
-    for b, d in enumerate(fiber_dim):
-        out[b, :d, :d] = np.eye(int(d))
-    return out
 
 
 def pad_mask(fiber_dim: np.ndarray, dmax: int) -> np.ndarray:
@@ -157,30 +149,27 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     dmax = bundle.dmax
     report = ValidationReport()
 
-    dim_bad = 0.0
-    dim_witness = None
-    for o in orbits(action):
-        dims = bundle.fiber_dim[list(o.members)]
-        if not np.all(dims == dims[0]):
-            dim_bad += 1.0
-            if dim_witness is None:
-                off = o.members[int(np.flatnonzero(dims != dims[0])[0])]
-                dim_witness = (o.base_point, off)
-    report.add(check_from_residual("bundle-fiber-dim-orbit-constant", dim_bad, 0.0, dim_witness))
+    domain = list(action.domain)
+    # [orbit, c]: members c of the orbit whose fiber dimension is not its base point's
+    off = (action.coset_reps[domain] >= 0) & (bundle.fiber_dim != bundle.fiber_dim[domain, None])
+    bad = np.flatnonzero(off.any(axis=1))
+    witness = (domain[bad[0]], int(off[bad[0]].argmax())) if bad.size else None
+    report.add(check_from_residual("bundle-fiber-dim-orbit-constant", float(bad.size), 0.0, witness))
 
-    res, witness = _worst_of_grid(A[grp.identity] - padded_identity(bundle.fiber_dim, dmax))
+    live = pad_mask(bundle.fiber_dim, dmax)  # (|B|, dmax)
+    # A(e, b) against the identity on each fiber block, zero padding
+    res, witness = _worst_of_grid(A[grp.identity] - live[:, :, None] * np.eye(dmax))
     report.add(check_from_residual("bundle-identity-slice", res, tolerance, witness and (grp.identity, *witness)))
 
     # padding must be exactly zero outside the fiber block; only the padding
     # entries are read, (|G|, padding slots) of them, none when dims are equal
-    live = pad_mask(bundle.fiber_dim, dmax)  # (|B|, dmax)
     block = live[:, :, None] & live[:, None, :]  # square fibers: d(g.b) = d(b) if dims valid
     pad_res, at = _worst_of_grid(A[:, ~block])  # at = (g, index into the padding entries)
     witness = at and (at[0], *(int(c) for c in np.argwhere(~block)[at[1]]))
     report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, witness))
 
     def columns():  # ((h, b0), [g] -> defect of the instance (g, h, b0)), one column of all g at a time
-        for b0 in fundamental_domain(action):
+        for b0 in domain:
             for h in np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])):
                 defect = A[grp.cayley[:, h], b0] - A[:, action.table[h, b0]] @ A[h, b0]
                 yield (int(h), b0), np.abs(defect).max(axis=(1, 2), initial=0.0)

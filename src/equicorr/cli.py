@@ -67,7 +67,11 @@ def main(argv: list[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="equicorr", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="check tolerance")
+    tolerance_help = (
+        "bound of the float laws (families, psi, delta, filter, kernel, lift and projection, equivariance,"
+        " Mackey preservation); the bundle checks stay at 1e-9 and the integer laws at 0"
+    )
+    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help=tolerance_help)
     common.add_argument("--seed", type=int, default=0, help="seed of the random input section of xcorr and transform")
     common.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,7 +16,9 @@ reads it from there.
 Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
 Projection, disintegration, the orbit-slice laws and theta derivation all
-read this one table.
+read this one table.  Its fundamental domain, the smallest base index of
+each orbit, is derived in the same pass: b is a domain point exactly when
+no c < b lies in its orbit.
 
 Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
@@ -101,10 +103,6 @@ class FiniteGroup:
     def inverse(self, g: int) -> int:
         return int(self.inv[g])
 
-    def conjugation_row(self, g: int) -> np.ndarray:
-        """Array c with c[h] = g h g^-1."""
-        return self.cayley[self.cayley[g], self.inv[g]]
-
 
 @dataclass(eq=False)
 class GroupAction:
@@ -114,6 +112,7 @@ class GroupAction:
     base: tuple[str, ...]
     table: np.ndarray  # (|G|, |B|) INDEX_DTYPE, table[g, b] = g.b
     coset_reps: np.ndarray = field(init=False)  # (|B|, |B|): [b, c] smallest k with k.b = c, -1 off the orbit, derived
+    domain: tuple[int, ...] = field(init=False)  # smallest base index of each orbit, ascending, derived
 
     def __post_init__(self):
         n, m = self.group.order, len(self.base)
@@ -122,9 +121,13 @@ class GroupAction:
         _check_budget(f"a ({m}, {m}) coset-representative table", m * m)
         self.table = _index_table(self.table, "action table", (n, m), m)
         self.coset_reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
+        domain = []
         for b in range(m):
             members, first = np.unique(self.table[:, b], return_index=True)  # stable: first is the smallest k
             self.coset_reps[b, members] = first
+            if members[0] >= b:  # no c < b in the orbit of b
+                domain.append(b)
+        self.domain = tuple(domain)
 
     @property
     def base_size(self) -> int:
@@ -372,24 +375,26 @@ def orbit(action: GroupAction, b: int) -> Orbit:
 
 def orbits(action: GroupAction) -> list[Orbit]:
     """All orbits, ordered by smallest member; each listed once."""
-    seen = np.zeros(action.base_size, dtype=bool)
-    out = []
-    for b in range(action.base_size):
-        if not seen[b]:
-            o = orbit(action, b)
-            seen[list(o.members)] = True
-            out.append(Orbit(b, o.members))
-    return out
+    return [orbit(action, b) for b in action.domain]
 
 
 def fundamental_domain(action: GroupAction) -> list[int]:
     """Smallest base index of each orbit, ascending."""
-    return [o.base_point for o in orbits(action)]
+    return list(action.domain)
 
 
 def stabilizer(action: GroupAction, b: int) -> np.ndarray:
     """Element indices g with g.b = b, ascending."""
     return np.flatnonzero(action.table[:, b] == b)
+
+
+def coset_table(action: GroupAction, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(stab, members, kh) at b: the stabilizer G_b and the orbit of b, both
+    ascending, and kh[c, s] = k_c stab[s], so row c is the coset k_c G_b of
+    the elements carrying b to members[c]."""
+    stab = stabilizer(action, b)
+    members = np.flatnonzero(action.coset_reps[b] >= 0)
+    return stab, members, action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]
 
 
 def stabilizer_mask(action: GroupAction) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, _float_table, stabilizer, stabilizer_mask
+from .groups import GroupAction, _float_table, coset_table, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -207,16 +207,13 @@ def solve_orbit_measure(
     stabilizer.  Returns a full-length weight row (zero off the orbit).
     """
     action = mu.action
-    grp = action.group
-    stab = stabilizer(action, b)
+    stab, members, kh = coset_table(action, b)  # row c of kh: the coset k_c G_b
     nu_mass = float(nu.weights[b, stab].sum())
     if nu_mass <= 0 or np.any(nu.weights[b, stab] <= 0):
         raise DegenerateMeasureError(f"stabilizer weights at b={b} must be strictly positive")
     w = mu.weights[b]
     if w.size and float(w.max() - w.min()) > tolerance:
         raise PreconditionError(f"group family at b={b} is not constant; cannot solve for orbit weights")
-    members = np.flatnonzero(action.coset_reps[b] >= 0)
-    kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
     row = np.zeros(action.base_size)
     row[members] = w[kh].sum(axis=1) / nu_mass
     return row
@@ -251,9 +248,9 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
     values = np.asarray(values, dtype=float)
     if values.shape != (grp.order,):
         raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
-    # the g that fix psi0 under conjugation are closed under products, so a
-    # generating set decides it exactly
-    _, witness = _count_over(grp.generators, lambda g: values[grp.conjugation_row(g)] != values)
+    # [h] -> psi0(g h g^-1) != psi0(h); the g that fix psi0 under conjugation
+    # are closed under products, so a generating set decides it exactly
+    _, witness = _count_over(grp.generators, lambda g: values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values)
     if witness is not None:
         raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)

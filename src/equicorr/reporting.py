@@ -128,9 +128,6 @@ class ValidationReport:
     def sorted(self) -> "ValidationReport":
         return ValidationReport(sorted(self.checks, key=lambda c: c.name))
 
-    def as_dict(self) -> dict:
-        return {"checks": [c.as_dict() for c in self.checks]}
-
     def summary_lines(self) -> list[str]:
         lines = []
         for c in self.checks:

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import EquivariantBundle, Section, sign_bundle, trivial_bundle
+from .bundles import EquivariantBundle, sign_bundle, trivial_bundle
 from .errors import DomainError, StructuralError
 from .groups import (
     INDEX_DTYPE,
@@ -314,34 +314,23 @@ def _torus_theta_special(action: GroupAction, n: int, spacing: int, eps: int, su
     return ThetaMap(action, reps)
 
 
-def _banded_lifts(scn: Scenario) -> list[tuple[set[tuple[int, int]], Filter]]:
-    """(predicted support, lift) for the global and the special theta, the
-    support in (spatial, offset) group coordinates relative to b."""
-    tg, ts = scn.thetas["global"], scn.thetas["special"]
-    s, eps = scn.extras["band_spacing"], scn.extras["eps_steps"]
-    segments = {(i * s + r, 0) for i in (-1, 0, 1) for r in range(-eps, eps + 1)}
-    rectangle = {(r, i) for r in range(-eps, eps + 1) for i in (-1, 0, 1)}
-    return [
-        (segments, lift_kernel_to_filter(scn.kernel, tg, scn.delta)),
-        (rectangle, lift_kernel_to_filter(scn.kernel, ts, scn.delta)),
-    ]
+def banded_support_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> int:
+    """Number of (h, b) at which the supports of the global and the special
+    lift differ from the predicted shapes: three spatial segments and a
+    rectangle, in (spatial, offset) group coordinates relative to b.  Zero
+    means the supports are exactly the segments and the rectangle.
 
-
-def _filter_support_coords(filt: Filter, n: int, b: int) -> set[tuple[int, int]]:
-    hs = np.flatnonzero(filt.support[:, b])
-    return {(int(_signed_mod(h % n, n)), int(_signed_mod(h // n, n))) for h in hs}
-
-
-def banded_support_mismatch(scn: Scenario) -> int:
-    """Total symmetric difference, over every base point, between the
-    observed supports of the two lifts and the predicted shapes; zero
-    means the support sets are exactly the segments and the rectangle."""
-    n = scn.params["n"]
-    return sum(
-        len(_filter_support_coords(lift, n, b) ^ shape)
-        for shape, lift in _banded_lifts(scn)
-        for b in range(scn.action.base_size)
-    )
+    The coordinates h -> (signed h mod n, signed h div n) do not depend on b
+    and are a bijection onto the signed window, which holds both shapes
+    (n - 2s > 2 eps gives s + eps < n/2), so the count is the symmetric
+    difference of the observed and predicted support sets, summed over b."""
+    n, s, eps = scn.params["n"], scn.extras["band_spacing"], scn.extras["eps_steps"]
+    h = np.arange(scn.group.order)
+    x, y = _signed_mod(h % n, n), _signed_mod(h // n, n)
+    segments = (y == 0) & (np.abs(x[:, None] - s * np.arange(-1, 2)) <= eps).any(axis=1)
+    rectangle = (np.abs(x) <= eps) & (np.abs(y) <= 1)
+    shapes = {"global": segments, "special": rectangle}
+    return sum(int(np.count_nonzero(lifts[name].support != shape[:, None])) for name, shape in shapes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +436,6 @@ def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting")
     return scn
 
 
-def circle_grid_samples(scn: Scenario, angle: float = 0.0) -> Section:
-    """The smooth test function rotated by `angle` and sampled on the grid."""
-    n = scn.params["n"]
-    step = scn.extras["grid_step"]
-    x = np.arange(n) * step
-    vals = circle_test_function(x - angle)[:, None]
-    return Section(scn.input_bundle, vals)
-
-
 def circle_offgrid_residual(scn: Scenario, angle: float) -> float:
     """Reported-only residual for an off-grid rotation emulated by
     nearest-grid rounding.
@@ -467,9 +447,9 @@ def circle_offgrid_residual(scn: Scenario, angle: float) -> float:
     n = scn.params["n"]
     step = scn.extras["grid_step"]
     nearest = int(round(angle / step)) % n
-    f0 = circle_grid_samples(scn, 0.0)
-    fa = circle_grid_samples(scn, angle)
-    out0, outa = correlate_sections(scn.filt, scn.mu, np.stack([f0.values, fa.values]))[:, :, 0]
+    x = np.arange(n) * step
+    samples = circle_test_function(np.stack([x, x - angle]))[:, :, None]  # unrotated, and rotated by angle
+    out0, outa = correlate_sections(scn.filt, scn.mu, samples)[:, :, 0]
     shifted = np.roll(out0, nearest)  # translate by the nearest grid rotation
     return float(np.abs(outa - shifted).max())
 
@@ -543,26 +523,19 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting")
     return scn
 
 
-def line_grid_sample_function(scn: Scenario) -> Section:
-    m = scn.action.base_size
-    dx = scn.extras["dx"]
-    x = _signed_mod(np.arange(m), m) * dx
-    return Section(scn.input_bundle, line_test_function(x)[:, None])
-
-
-def line_grid_oracle_residual(scn: Scenario) -> float:
+def line_grid_oracle_residual(scn: Scenario, lifted: Filter) -> float:
     """Gap between the grid computation and the continuous transform at the
     origin.
 
-    The grid side goes through the full machinery: lift the sampled kernel
-    along theta, cross-correlate the induced Mackey section, read off the
-    identity slice.  The continuous side is the closed-form integral.  The
-    gap is pure quadrature error, first order in dx because the band edges
-    never align with the grid.
+    The grid side goes through the full machinery: `lifted`, the sampled
+    kernel's lift along the global theta, cross-correlates the induced
+    Mackey section, read off at the identity.  The continuous side is the
+    closed-form integral.  The gap is pure quadrature error, first order in
+    dx because the band edges never align with the grid.
     """
-    f = line_grid_sample_function(scn)
-    lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["global"], scn.delta)
-    out = correlate_sections(lifted, scn.mu, f.values)
+    m = scn.action.base_size
+    samples = line_test_function(_signed_mod(np.arange(m), m) * scn.extras["dx"])[:, None]
+    out = correlate_sections(lifted, scn.mu, samples)
     return abs(float(out[scn.extras["origin"], 0]) - continuous_line_transform())
 
 
@@ -570,7 +543,12 @@ def line_grid_ladder(levels: int = 4, dx0: float = 0.1, units: int = 6) -> list[
     """Oracle residuals across a 2x refinement ladder, coarse to fine."""
     if levels < 2:
         raise DomainError(f"quadrature ladder needs levels >= 2 to compare refinements, got {levels}")
-    return [line_grid_oracle_residual(build_line_grid(units, dx0 / 2**j)) for j in range(levels)]
+    ladder = []
+    for j in range(levels):
+        scn = build_line_grid(units, dx0 / 2**j)
+        lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["global"], scn.delta)
+        ladder.append(line_grid_oracle_residual(scn, lifted))
+    return ladder
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ and says so with a "compressed" flag.
 Kernels are entry lists over their support.  Loading validates shapes
 and index ranges and raises StructuralError on malformed input rather
 than guessing; a document-level loader also reports a missing key or a
-value of the wrong JSON type as StructuralError.
+value of the wrong JSON type as StructuralError.  An index is a JSON
+integer or, as an object key, its canonical decimal ("1", not "01",
+"+1" or " 1"), so no two keys name one index; a key repeated in one
+object and a kernel or theta entry repeated at one (c, b) are rejected,
+not overwritten.
 
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
 float table (a `weights`, `values` or `act_matrix` list whose first entry
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 
 import numpy as np
 
@@ -287,13 +292,19 @@ def delta_from_dict(doc: dict, action: GroupAction) -> DeltaFunction:
     return DeltaFunction(action, values)
 
 
-def _index(key: str, bound: int, what: str) -> int:
-    try:
-        i = int(key)
-    except (TypeError, ValueError):
-        raise StructuralError(f"{what} index {key!r} is not an integer") from None
-    _require(0 <= i < bound, f"{what} index {i} out of range [0, {bound})")
-    return i
+_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _index(key: object, bound: int, what: str) -> int:
+    """key as an index in [0, bound): a JSON integer, not a bool or a float,
+    or an object key that is the canonical decimal of one, so that no two
+    keys of one object name the same index."""
+    if type(key) is str and _DECIMAL.fullmatch(key):
+        key = int(key)
+    if type(key) is not int:
+        raise StructuralError(f"{what} index {key!r} is not an integer or the canonical decimal of one")
+    _require(0 <= key < bound, f"{what} index {key} out of range [0, {bound})")
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +371,13 @@ def kernel_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: 
     m = input_bundle.action.base_size
     de, df = input_bundle.dmax, output_bundle.dmax
     matrices = np.zeros((m, m, df, de))
+    seen = np.zeros((m, m), dtype=bool)
     for entry in doc.get("entries", []):
         _require(isinstance(entry, dict) and {"c", "b", "matrix"} <= set(entry), "kernel entry needs c, b, matrix")
         c = _index(entry["c"], m, "target point")
         b = _index(entry["b"], m, "base point")
+        _require(not seen[c, b], f"kernel entry (c, b) = ({c}, {b}) repeated")
+        seen[c, b] = True
         matrices[c, b] = _matrix(entry["matrix"], df, de)
     return Kernel(input_bundle, output_bundle, matrices)
 
@@ -380,6 +394,7 @@ def theta_from_dict(doc: dict, action: GroupAction) -> ThetaMap:
     for entry in doc["entries"]:
         c = _index(entry["c"], m, "target point")
         b = _index(entry["b"], m, "base point")
+        _require(reps[c, b] < 0, f"theta entry (c, b) = ({c}, {b}) repeated")
         reps[c, b] = _index(entry["element"], action.group.order, "group element")
     return ThetaMap(action, reps)
 
@@ -492,11 +507,16 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 _FLOAT_TABLES = ("weights", "values", "act_matrix")
 
 
-def _decode_float_tables(obj: dict) -> dict:
-    """json object_hook: a float table, a list whose first entry is a
-    float, becomes np.asarray(table, dtype=float), the array the loaders
-    would build from it.  A list that starts with anything else, or that
-    the conversion refuses (ragged, text, objects), stays a list."""
+def _decode_object(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: the object, its repeated keys rejected rather
+    than letting the last value win.  A float table, a list whose first
+    entry is a float, becomes np.asarray(table, dtype=float), the array the
+    loaders would build from it.  A list that starts with anything else, or
+    that the conversion refuses (ragged, text, objects), stays a list."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = sorted(k for k, _ in pairs)
+        raise StructuralError(f"key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r} repeated in one JSON object")
     for key in _FLOAT_TABLES:
         table = leaf = obj.get(key)
         while isinstance(leaf, list) and leaf:
@@ -512,7 +532,7 @@ def _decode_float_tables(obj: dict) -> dict:
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=_decode_float_tables)
+            return json.load(fh, object_pairs_hook=_decode_object)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

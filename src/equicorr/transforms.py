@@ -55,7 +55,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import CoverageError, InconsistencyError, StructuralError
-from .groups import GroupAction, _float_table, _index_table, stabilizer
+from .groups import GroupAction, _float_table, _index_table, coset_table
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
 from .xcorr import Filter, _common_action, filter_operator
@@ -188,10 +188,8 @@ def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kerne
     de, df = filt.input_bundle.dmax, filt.output_bundle.dmax
     out = np.zeros((m, m, df, de))
     for b in range(m):
-        stab = stabilizer(action, b)
+        stab, members, kh = coset_table(action, b)  # row c of kh: the coset k_c G_b
         w = nu.weights[b, stab]
-        members = np.flatnonzero(action.coset_reps[b] >= 0)
-        kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
         mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
         back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
         out[members, b] = np.einsum("s,csij,csjk->cik", w, mats, back)

@@ -8,7 +8,8 @@ from equicorr.errors import StructuralError
 from equicorr.groups import FiniteGroup, GroupAction, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
-from equicorr.scenarios import Scenario, _banded_lifts, _filter_support_coords
+from equicorr.scenarios import Scenario, _signed_mod
+from equicorr.transforms import lift_kernel_to_filter
 from equicorr.xcorr import Filter
 
 
@@ -98,18 +99,43 @@ def basis_filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     return loop_correlate_sections(filt, mu, basis).reshape(m, de, m, -1).transpose(0, 2, 3, 1)
 
 
-def banded_support_shapes(scn: Scenario) -> dict[str, set[tuple[int, int]]]:
-    """Predicted and actual filter supports of the two lifts at base point 0.
+def scenario_lifts(scn: Scenario) -> dict[str, Filter]:
+    """The scenario kernel's lift along each theta, by theta name."""
+    return {name: lift_kernel_to_filter(scn.kernel, theta, scn.delta) for name, theta in sorted(scn.thetas.items())}
+
+
+def _support_coords(filt: Filter, n: int, b: int) -> set[tuple[int, int]]:
+    """The support of omega(., b) in signed (spatial, offset) coordinates."""
+    hs = np.flatnonzero(filt.support[:, b])
+    return {(int(_signed_mod(h % n, n)), int(_signed_mod(h // n, n))) for h in hs}
+
+
+def banded_support_shapes(scn: Scenario, lifts: dict[str, Filter] | None = None) -> dict[str, set[tuple[int, int]]]:
+    """Predicted and actual filter supports of the two lifts at base point 0,
+    as sets in (spatial, offset) group coordinates relative to b.
 
     The global theta keeps the offset coordinate at zero, so its lift
     lives on three spatial segments; the special theta spends one offset
     step per band, folding the same kernel into a compact rectangle.
     """
-    (segments, lift_g), (rectangle, lift_s) = _banded_lifts(scn)
-    n = scn.params["n"]
+    lifts = scenario_lifts(scn) if lifts is None else lifts
+    s, eps, n = scn.extras["band_spacing"], scn.extras["eps_steps"], scn.params["n"]
     return {
-        "segments-predicted": segments,
-        "rectangle-predicted": rectangle,
-        "global-observed": _filter_support_coords(lift_g, n, 0),
-        "special-observed": _filter_support_coords(lift_s, n, 0),
+        "segments-predicted": {(i * s + r, 0) for i in (-1, 0, 1) for r in range(-eps, eps + 1)},
+        "rectangle-predicted": {(r, i) for r in range(-eps, eps + 1) for i in (-1, 0, 1)},
+        "global-observed": _support_coords(lifts["global"], n, 0),
+        "special-observed": _support_coords(lifts["special"], n, 0),
     }
+
+
+def banded_support_set_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> int:
+    """The set form of scenarios.banded_support_mismatch: the symmetric
+    difference of each lift's observed support set and its predicted shape,
+    summed over every base point."""
+    shapes = banded_support_shapes(scn, lifts)
+    n = scn.params["n"]
+    return sum(
+        len(_support_coords(lifts[name], n, b) ^ shapes[shape])
+        for name, shape in (("global", "segments-predicted"), ("special", "rectangle-predicted"))
+        for b in range(scn.action.base_size)
+    )

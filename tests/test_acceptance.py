@@ -47,7 +47,7 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import correlate_sections, cross_correlate
 
-from helpers import banded_support_shapes, check_fubini, mul, normalization_residual, random_group_function
+from helpers import banded_support_shapes, check_fubini, mul, normalization_residual, random_group_function, scenario_lifts
 
 TOL = 1e-12
 
@@ -245,8 +245,9 @@ def test_c06_disintegration_identity(acceptance):
 
 
 def test_c07_lift_support_shapes(acceptance, bands16):
-    shapes = banded_support_shapes(bands16)
-    mismatch = banded_support_mismatch(bands16)
+    lifts = scenario_lifts(bands16)
+    shapes = banded_support_shapes(bands16, lifts)
+    mismatch = banded_support_mismatch(bands16, lifts)
     ok = (
         mismatch == 0
         and shapes["global-observed"] == shapes["segments-predicted"]

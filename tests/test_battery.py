@@ -13,13 +13,14 @@ from equicorr.cli import main
 from equicorr.errors import DomainError
 from equicorr.measures import DeltaFunction, GroupMeasureFamily, OrbitMeasureFamily, fubini_pointwise_residual, validate_families
 from equicorr.rng import SplitMix64
-from equicorr import sampling
+from equicorr import sampling, scenarios
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import report_to_dict, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
+from helpers import scenario_lifts
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -164,6 +165,29 @@ def test_battery_builds_each_operator_once(monkeypatch, bands16):
     assert rep.passed
     assert [f is bands16.filt for f in calls["filter"]] == [True] + [False] * len(bands16.thetas)
     assert sum(k is bands16.kernel for k in calls["kernel"]) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, lifts, reader",
+    [("torus-bands(16)", 2, "support.segments-vs-rectangle"), ("line-grid(5)", 1, "quadrature.continuum-gap")],
+)
+def test_battery_lifts_each_theta_once(monkeypatch, spec, lifts, reader):
+    # the lift checks and the scenario check `reader` share one lift per
+    # theta, wherever the battery reaches the lift from
+    scn = build_scenario(spec)
+    calls = []
+    original = battery.lift_kernel_to_filter
+
+    def counted(kern, theta, delta):
+        calls.append(theta)
+        return original(kern, theta, delta)
+
+    for module in (battery, scenarios):
+        monkeypatch.setattr(module, "lift_kernel_to_filter", counted)
+    rep = run_battery(scn)
+    assert rep.passed and reader in {c.name for c in rep.checks}
+    assert len(calls) == lifts
+    assert sorted(map(id, calls)) == sorted(map(id, scn.thetas.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +348,7 @@ def test_project_roundtrip_names_the_corrupted_delta_column(cyclic8):
     values[cyclic8.group.identity, 5] *= 2.0
     scn = replace(cyclic8, delta=DeltaFunction(cyclic8.action, values))
     ops = filter_operator(scn.filt, scn.mu), kernel_operator(scn.kernel, scn.mubar)
-    checks = {c.name: c for c in battery._lift_checks(scn, *ops, 0.0, 1e-12)}
+    checks = {c.name: c for c in battery._lift_checks(scn, scenario_lifts(scn), *ops, 0.0, 1e-12)}
     column = np.abs(scn.kernel.matrices[:, 5, 0, 0])
     for name in scn.thetas:
         check = checks[f"lift.{name}.project-roundtrip"]

@@ -25,7 +25,7 @@ from equicorr.bundles import (
     validate_mackey,
 )
 from equicorr.errors import StructuralError
-from equicorr.groups import GroupAction, fundamental_domain, stabilizer
+from equicorr.groups import GroupAction, cyclic_group, fundamental_domain, orbits, stabilizer
 from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families, validate_psi
 from equicorr.reporting import _worst_of_grid
 from equicorr.rng import SplitMix64
@@ -179,14 +179,42 @@ def test_mackey_validation_rejects_broken():
     assert not validate_mackey(broken).passed
 
 
-def test_fiber_dim_must_be_orbit_constant():
-    action = torus_action(4, 1, 4)  # transitive
-    fiber_dim = np.array([1, 1, 2, 1], dtype=np.int64)
-    am = np.zeros((16, 4, 2, 2))
+def loop_fiber_dim_check(bundle: EquivariantBundle) -> tuple[float, tuple[int, int] | None]:
+    """The number of orbits whose fiber dimension varies, and (base point,
+    first member off its dimension) of the first, walking orbit by orbit."""
+    bad, witness = 0, None
+    for o in orbits(bundle.action):
+        off = [c for c in o.members if bundle.fiber_dim[c] != bundle.fiber_dim[o.base_point]]
+        if off:
+            bad += 1
+            witness = witness or (o.base_point, off[0])
+    return float(bad), witness
+
+
+def _dim_bundle(action: GroupAction, fiber_dim: list[int]) -> EquivariantBundle:
+    am = np.zeros((action.group.order, action.base_size, 2, 2))
     am[:, :, 0, 0] = 1.0
-    am[:, 2, 1, 1] = 1.0
-    bundle = EquivariantBundle(action, fiber_dim, am)
+    am[:, np.array(fiber_dim) == 2, 1, 1] = 1.0
+    return EquivariantBundle(action, np.array(fiber_dim, dtype=np.int64), am)
+
+
+def _dim_check(bundle: EquivariantBundle) -> tuple[float, tuple[int, int] | None]:
+    check = {c.name: c for c in validate_bundle(bundle).checks}["bundle-fiber-dim-orbit-constant"]
+    return check.residual, check.witness
+
+
+def test_fiber_dim_must_be_orbit_constant():
+    bundle = _dim_bundle(torus_action(4, 1, 4), [1, 1, 2, 1])  # transitive
     assert not validate_bundle(bundle).passed
+    assert _dim_check(bundle) == loop_fiber_dim_check(bundle) == (1.0, (0, 2))
+
+
+@pytest.mark.parametrize("fiber_dim, expect", [([1, 2, 2, 1], (2.0, (0, 2))), ([2, 1, 2, 2], (1.0, (1, 3)))])
+def test_fiber_dim_check_counts_orbits_as_the_orbit_walk(fiber_dim, expect):
+    # Z_2 on four points by b -> b + 2: the orbits {0, 2} and {1, 3}
+    action = GroupAction(cyclic_group(2), tuple("abcd"), [[0, 1, 2, 3], [2, 3, 0, 1]])
+    bundle = _dim_bundle(action, fiber_dim)
+    assert _dim_check(bundle) == loop_fiber_dim_check(bundle) == expect
 
 
 def _mixed_dim_bundle() -> EquivariantBundle:

@@ -11,6 +11,7 @@ from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import (
     FiniteGroup,
     GroupAction,
+    coset_table,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -28,6 +29,7 @@ from equicorr.serialize import load_document, save_document, scenario_from_dict,
 
 from helpers import conjugate, mul
 from test_stacked import BUILTINS
+from test_streaming import two_orbit_filter
 
 
 def brute_force_associative(cayley: np.ndarray) -> bool:
@@ -180,6 +182,50 @@ def test_orbits_and_stabilizers_dihedral():
     expect = [g for g in range(8) if action.act(g, 0) == 0]
     assert list(st0) == expect == [0, 4]
     assert fundamental_domain(action) == [0]
+
+
+def loop_orbits(action: GroupAction) -> list[tuple[int, list[int]]]:
+    """(smallest member, members) of each orbit: walk the base points in
+    ascending order and open an orbit at each one no earlier orbit holds."""
+    seen: set[int] = set()
+    out = []
+    for b in range(action.base_size):
+        if b not in seen:
+            members = sorted({int(c) for c in action.table[:, b]})
+            seen.update(members)
+            out.append((b, members))
+    return out
+
+
+def three_orbit_action() -> GroupAction:
+    """Z_3 on seven points by the permutation (0 4 2)(3 6 5), fixing 1."""
+    p = np.array([4, 1, 0, 6, 2, 3, 5])
+    return GroupAction(cyclic_group(3), tuple("abcdefg"), np.stack([np.arange(7), p, p[p]]))
+
+
+@pytest.mark.parametrize("case", BUILTINS + ["two-orbit", "three-orbit"])
+def test_derived_fundamental_domain_matches_the_orbit_walk(case):
+    if case == "two-orbit":
+        action = two_orbit_filter()[0].action
+    elif case == "three-orbit":
+        action = three_orbit_action()
+    else:
+        action = build_scenario(case).action
+    expect = loop_orbits(action)
+    assert [(o.base_point, list(o.members)) for o in orbits(action)] == expect
+    assert fundamental_domain(action) == list(action.domain) == [b for b, _ in expect]
+    assert {"two-orbit": [0, 4], "three-orbit": [0, 1, 3]}.get(case, [0]) == fundamental_domain(action)
+
+
+@pytest.mark.parametrize("case", ["dihedral", "three-orbit"])
+def test_coset_table_rows_are_the_elements_carrying_b_to_each_member(case):
+    action = dihedral_vertex_action(5) if case == "dihedral" else three_orbit_action()
+    for b in range(action.base_size):
+        stab, members, kh = coset_table(action, b)
+        assert list(members) == sorted(set(action.table[:, b].tolist()))
+        for c, row in zip(members, kh):
+            assert sorted(row.tolist()) == [g for g in range(action.group.order) if action.table[g, b] == c]
+            assert row[np.flatnonzero(stab == action.group.identity)[0]] == action.coset_reps[b, c]
 
 
 def test_pair_stabilizer_matches_brute_force():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from equicorr.scenarios import (
     line_grid_oracle_residual,
     line_test_function,
 )
-from equicorr.transforms import validate_theta
+from equicorr.transforms import lift_kernel_to_filter, validate_theta
 
-from helpers import banded_support_shapes, conjugate
+from helpers import banded_support_set_mismatch, banded_support_shapes, conjugate, scenario_lifts
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +180,37 @@ def test_band_supports_match_predictions_exactly(bands16):
     assert len(shapes["segments-predicted"]) == 9
     assert len(shapes["rectangle-predicted"]) == 9
     assert shapes["segments-predicted"] != shapes["rectangle-predicted"]
-    assert banded_support_mismatch(bands16) == 0
+    assert banded_support_mismatch(bands16, scenario_lifts(bands16)) == 0
 
 
 def test_band_supports_other_sizes():
-    assert banded_support_mismatch(build_torus_bands(12, spacing=3, eps_steps=1)) == 0
-    assert banded_support_mismatch(build_torus_bands(20)) == 0
+    for scn in (build_torus_bands(12, spacing=3, eps_steps=1), build_torus_bands(20)):
+        assert banded_support_mismatch(scn, scenario_lifts(scn)) == 0
+
+
+@pytest.mark.parametrize("n, spacing", [(12, 3), (16, None), (20, None)])
+def test_band_support_mask_counts_the_set_difference(n, spacing):
+    # the one-mask count equals the set form's symmetric difference, on the
+    # lifts and on lifts whose supports are swapped or moved
+    scn = build_torus_bands(n, spacing=spacing)
+    lifts = scenario_lifts(scn)
+    swapped = {"global": lifts["special"], "special": lifts["global"]}
+    g = lifts["global"]
+    moved = {"global": replace(g, matrices=np.roll(g.matrices, 1, axis=0)), "special": lifts["special"]}
+    for case in (lifts, swapped, moved):
+        assert banded_support_mismatch(scn, case) == banded_support_set_mismatch(scn, case)
+    assert banded_support_mismatch(scn, swapped) > 0 and banded_support_mismatch(scn, moved) > 0
+
+
+@pytest.mark.parametrize("name", ["global", "special"])
+@pytest.mark.parametrize("h, b", [(0, 0), (5, 3), (1, 7)])
+def test_one_flipped_support_entry_counts_once(bands16, name, h, b):
+    lifts = scenario_lifts(bands16)
+    filt = lifts[name]
+    mats = filt.matrices.copy()
+    mats[h, b] = 0.0 if filt.support[h, b] else 1.0
+    flipped = dict(lifts, **{name: replace(filt, matrices=mats)})
+    assert banded_support_mismatch(bands16, flipped) == 1 == banded_support_set_mismatch(bands16, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +268,8 @@ def test_line_grid_machinery_matches_direct_sum():
         q += wt * (np.abs(d * dx - i) <= LINE_BAND_EPS + 1e-12)
     direct = float((q * line_test_function(d * dx)).sum() * dx)
     gap = abs(direct - continuous_line_transform())
-    assert abs(line_grid_oracle_residual(scn) - gap) < 1e-12
+    lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["global"], scn.delta)
+    assert abs(line_grid_oracle_residual(scn, lifted) - gap) < 1e-12
 
 
 def test_line_grid_ladder_halves_the_residual():

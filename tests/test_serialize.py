@@ -215,6 +215,82 @@ def test_load_document_errors(tmp_path):
         load_document(str(bad))
 
 
+# ---------------------------------------------------------------------------
+# an index has one spelling, and no entry is given twice
+
+
+def _cyclic4_doc() -> dict:
+    return roundtrip(scenario_to_dict(build_scenario("cyclic(4)")))
+
+
+@pytest.mark.parametrize("key", ["00", "01", "+1", " 1", "1.0", "\u0661"])
+def test_a_filter_row_key_that_is_not_canonical_is_rejected(key):
+    # "00" used to replace row 0, which then read [5, 0, 0, 0]
+    doc = _cyclic4_doc()
+    doc["filter"]["rows"][key] = {"0": [[5.0]]}
+    with pytest.raises(StructuralError, match=re.escape(f"base point index {key!r}")):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("where", ["base", "element"])
+def test_a_delta_key_that_is_not_canonical_is_rejected(where):
+    doc = _cyclic4_doc()
+    by_base = doc["delta"]["by_base"]
+    if where == "base":
+        by_base["01"] = {"0": 1.0}
+    else:
+        by_base["1"]["00"] = 1.0
+    with pytest.raises(StructuralError, match="index '0[01]' is not an integer"):
+        scenario_from_dict(doc)
+
+
+def test_a_repeated_kernel_entry_is_rejected():
+    # the second entry used to overwrite the first, which then read 9.0
+    doc = _cyclic4_doc()
+    entries = doc["kernel"]["entries"]
+    entries.append(dict(entries[1], matrix=[[9.0]]))
+    c, b = entries[1]["c"], entries[1]["b"]
+    with pytest.raises(StructuralError, match=re.escape(f"kernel entry (c, b) = ({c}, {b}) repeated")):
+        scenario_from_dict(doc)
+
+
+def test_a_repeated_theta_entry_is_rejected():
+    doc = _cyclic4_doc()
+    name, theta = next(iter(doc["thetas"].items()))
+    entries = theta["entries"]
+    entries.append(dict(entries[2]))
+    c, b = entries[2]["c"], entries[2]["b"]
+    with pytest.raises(StructuralError, match=re.escape(f"theta entry (c, b) = ({c}, {b}) repeated")):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0])
+@pytest.mark.parametrize("where", ["identity", "kernel", "theta"])
+def test_a_bool_or_float_index_is_rejected(where, value):
+    # a JSON true used to load as index 1
+    doc = _cyclic4_doc()
+    if where == "identity":
+        doc["action"]["group"]["identity"] = value
+    elif where == "kernel":
+        doc["kernel"]["entries"][0]["c"] = value
+    else:
+        next(iter(doc["thetas"].values()))["entries"][0]["element"] = value
+    with pytest.raises(StructuralError, match=re.escape(f"index {value!r} is not an integer")):
+        scenario_from_dict(doc)
+
+
+def test_a_key_repeated_in_one_json_object_is_rejected(tmp_path):
+    doc = _cyclic4_doc()
+    path = tmp_path / "scenario.json"
+    save_document(str(path), doc)
+    text = path.read_text(encoding="utf-8")
+    scenario_from_dict(load_document(str(path)))  # the file as written loads
+    row = json.dumps(doc["filter"]["rows"]["0"])
+    path.write_text(text.replace('"rows": {', '"rows": {"0": ' + row + ", ", 1), encoding="utf-8")
+    with pytest.raises(StructuralError, match="key '0' repeated in one JSON object"):
+        load_document(str(path))
+
+
 def test_trivial_bundle_collapses(cyclic8):
     doc = scenario_to_dict(cyclic8)
     assert doc["input_bundle"] == {"kind": "trivial", "fiber_dim": 1}

@@ -35,7 +35,7 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import Filter, correlate_sections, validate_filter
 
-from helpers import mul
+from helpers import mul, scenario_lifts
 
 
 def brute_transform(kern, mubar, f):
@@ -274,7 +274,7 @@ def test_lift_requires_disintegration():
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
     assert np.abs(filter_operator(lifted, bad.mu) - kernel_operator(bad.kernel, bad.mubar)).max() > 1e-9
     ops = filter_operator(bad.filt, bad.mu), kernel_operator(bad.kernel, bad.mubar)
-    checks = {c.name: c for c in _lift_checks(bad, *ops, fub, 1e-12)}
+    checks = {c.name: c for c in _lift_checks(bad, scenario_lifts(bad), *ops, fub, 1e-12)}
     for name in ("lift.derived.transform-agreement", "projection.transform-agreement"):
         assert checks[name].skipped and checks[name].passed
     assert not checks["projection.kernel.kernel-constraint"].skipped
