@@ -178,8 +178,8 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
             if not commuting.any():
                 raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
             k0 = movers[commuting.argmax()]
-            # g: first to reach each pair; INDEX_DTYPE pairs below m^2, which the budget bounds
-            pairs, g = np.unique(table[:, c] * m + table[:, b], return_index=True)
+            # g: first to reach each pair; the key reaches m^2, past INDEX_DTYPE, so it is intp
+            pairs, g = np.unique(table[:, c].astype(np.intp) * m + table[:, b], return_index=True)
             reps.flat[pairs] = cay[cay[g, k0], inv[g]]
     return ThetaMap(action, reps)
 

@@ -192,7 +192,6 @@ def _group_from_cayley(doc: dict) -> FiniteGroup:
     n = cayley.shape[0]
     elements = doc.get("elements") or [str(i) for i in range(n)]
     _require(len(elements) == n, "element names must match the table size")
-    _require(cayley.size == 0 or (cayley.min() >= 0 and cayley.max() < n), "cayley entries out of range")
     return group_from_tables(tuple(str(e) for e in elements), cayley)
 
 
@@ -212,7 +211,6 @@ def action_from_dict(doc: dict, load_group) -> GroupAction:
     m = table.shape[1]
     base = doc.get("base") or [str(i) for i in range(m)]
     _require(len(base) == m, "base names must match the table width")
-    _require(table.size == 0 or (table.min() >= 0 and table.max() < m), "action entries out of range")
     return GroupAction(grp, tuple(str(b) for b in base), table)
 
 
@@ -237,11 +235,10 @@ def bundle_to_dict(bundle: EquivariantBundle) -> dict:
 def bundle_from_dict(doc: dict, action: GroupAction) -> EquivariantBundle:
     _require(isinstance(doc, dict) and "kind" in doc, "bundle needs a kind")
     if doc["kind"] == "trivial":
-        return trivial_bundle(action, int(doc.get("fiber_dim", 1)))
+        return trivial_bundle(action, _typed(doc.get("fiber_dim", 1), (int,), "fiber_dim"))
     if doc["kind"] == "explicit":
-        fiber_dim = np.asarray(doc["fiber_dim"], dtype=np.int64)
-        act_matrix = np.asarray(doc["act_matrix"], dtype=float)
-        return EquivariantBundle(action, fiber_dim, act_matrix)
+        fiber_dim = [_typed(d, (int,), "fiber_dim") for d in doc["fiber_dim"]]
+        return EquivariantBundle(action, fiber_dim, doc["act_matrix"])
     raise StructuralError(f"unknown bundle kind {doc['kind']!r}")
 
 
@@ -259,18 +256,14 @@ def families_to_dict(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, mubar:
 
 def families_from_dict(doc: dict, action: GroupAction):
     _require(isinstance(doc, dict) and {"mu", "nu", "mubar"} <= set(doc), "families need mu, nu, mubar")
-    mu = GroupMeasureFamily(action, np.asarray(doc["mu"]["weights"], dtype=float), haar=bool(doc["mu"].get("haar", False)))
-    nu = StabilizerMeasureFamily(action, np.asarray(doc["nu"]["weights"], dtype=float))
-    mubar = OrbitMeasureFamily(action, np.asarray(doc["mubar"]["weights"], dtype=float))
+    mu = GroupMeasureFamily(action, doc["mu"]["weights"], haar=_typed(doc["mu"].get("haar", False), (bool,), "mu haar"))
+    nu = StabilizerMeasureFamily(action, doc["nu"]["weights"])
+    mubar = OrbitMeasureFamily(action, doc["mubar"]["weights"])
     return mu, nu, mubar
 
 
 def psi_to_dict(psi: PsiFunction) -> dict:
     return {"values": psi.values.tolist()}
-
-
-def psi_from_dict(doc: dict, action: GroupAction) -> PsiFunction:
-    return PsiFunction(action, np.asarray(doc["values"], dtype=float))
 
 
 def delta_to_dict(delta: DeltaFunction) -> dict:
@@ -288,11 +281,17 @@ def delta_from_dict(doc: dict, action: GroupAction) -> DeltaFunction:
         b = _index(b_key, action.base_size, "base point")
         for h_key, v in row.items():
             h = _index(h_key, action.group.order, "group element")
-            values[h, b] = float(v)
+            values[h, b] = _typed(v, (int, float), "delta value")
     return DeltaFunction(action, values)
 
 
 _DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _typed(value, types: tuple[type, ...], what: str):
+    """value, if its type is exactly one of types: true is not an int, nor are "1" and 1.9."""
+    _require(type(value) in types, f"{what} {value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
 
 
 def _index(key: object, bound: int, what: str) -> int:
@@ -301,8 +300,7 @@ def _index(key: object, bound: int, what: str) -> int:
     keys of one object name the same index."""
     if type(key) is str and _DECIMAL.fullmatch(key):
         key = int(key)
-    if type(key) is not int:
-        raise StructuralError(f"{what} index {key!r} is not an integer or the canonical decimal of one")
+    _require(type(key) is int, f"{what} index {key!r} is not an integer or the canonical decimal of one")
     _require(0 <= key < bound, f"{what} index {key} out of range [0, {bound})")
     return key
 
@@ -410,8 +408,7 @@ def section_to_dict(f: Section) -> dict:
 @_document_loader
 def section_from_dict(doc: dict, bundle: EquivariantBundle) -> Section:
     _expect_schema(doc, SECTION_SCHEMA)
-    values = np.asarray(doc["values"], dtype=float)
-    return Section(bundle, values)
+    return Section(bundle, doc["values"])
 
 
 def mackey_to_dict(m: MackeySection) -> dict:
@@ -421,8 +418,7 @@ def mackey_to_dict(m: MackeySection) -> dict:
 @_document_loader
 def mackey_from_dict(doc: dict, bundle: EquivariantBundle) -> MackeySection:
     _expect_schema(doc, MACKEY_SCHEMA)
-    values = np.asarray(doc["values"], dtype=float)
-    return MackeySection(bundle, values)
+    return MackeySection(bundle, doc["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
     if scn.thetas:
         doc["thetas"] = {name: theta_to_dict(t) for name, t in sorted(scn.thetas.items())}
     if scn.extras:
-        doc["extras"] = {k: v for k, v in sorted(scn.extras.items()) if isinstance(v, (int, float, str, bool))}
+        doc["extras"] = {k: v for k, v in sorted(scn.extras.items()) if isinstance(v, (int, float))}
     return doc
 
 
@@ -480,8 +476,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         nu,
         mubar,
     )
+    _typed(scn.params.get("n", 0), (int,), "params n")  # the battery's scenario checks compute with n and extras
     if "psi" in doc:
-        scn.psi = psi_from_dict(doc["psi"], action)
+        scn.psi = PsiFunction(action, doc["psi"]["values"])
     if "delta" in doc:
         scn.delta = delta_from_dict(doc["delta"], action)
     if "filter" in doc:
@@ -493,7 +490,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         scn.kernel = kernel_from_dict(doc["kernel"], input_bundle, output_bundle)
     for name, tdoc in doc.get("thetas", {}).items():
         scn.thetas[str(name)] = theta_from_dict(tdoc, action)
-    scn.extras.update(doc.get("extras", {}))
+    scn.extras.update({k: _typed(v, (int, float), f"extras {k}") for k, v in doc.get("extras", {}).items()})
     return scn
 
 

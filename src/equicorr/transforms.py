@@ -217,11 +217,11 @@ class ThetaMap:
         return self.reps >= 0
 
 
-def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> ValidationReport:
+def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
     """Check theta on the kernel support: coverage (an uncovered pair raises
     CoverageError), the section law theta(c, b).b = c, and translation
     compatibility g theta(c, b) = theta(g.c, g.b) g.  Both laws are integer
-    identities; residuals count violations.
+    identities; residuals count violations, held at 0.
 
     Translation is checked for every g in a generating set, with witness
     (g, c, b).  A pair that g moves off the support, where theta need not
@@ -242,7 +242,7 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
     cs, bs = np.nonzero(supp)
     reps = theta.reps[cs, bs]
     count, at = _count_of(action.table[reps, bs] != cs)
-    report.add(check_from_residual("theta-section", count, tolerance, at and (int(cs[at[0]]), int(bs[at[0]]))))
+    report.add(check_from_residual("theta-section", count, 0, at and (int(cs[at[0]]), int(bs[at[0]]))))
 
     def broken(g):  # [i] -> g theta(c_i, b_i) != theta(g.c_i, g.b_i) g, or (g.c_i, g.b_i) off the support
         gc, gb = action.table[g, cs], action.table[g, bs]
@@ -252,7 +252,7 @@ def validate_theta(theta: ThetaMap, kern: Kernel, tolerance: float = 0.0) -> Val
 
     count, wit = _count_over(grp.generators, broken)
     witness = (wit[0], int(cs[wit[1]]), int(bs[wit[1]])) if wit else None
-    report.add(check_from_residual("theta-translation", count, tolerance, witness))
+    report.add(check_from_residual("theta-translation", count, 0, witness))
     return report
 
 

@@ -220,6 +220,11 @@ def _group(doc: dict) -> dict:
     return doc["action"]["group"]
 
 
+def _set_delta_value(doc: dict, value) -> None:
+    row = doc["delta"]["by_base"]["0"]
+    row[next(iter(row))] = value
+
+
 MALFORMED = {
     "no-families": lambda doc: doc.pop("families"),
     "mu-number": lambda doc: doc["families"].update(mu=3),
@@ -236,6 +241,10 @@ MALFORMED = {
     "cayley-entry-2^32": lambda doc: _v1_cayley(doc)[0].__setitem__(0, 2**32),
     "permutation-entry-2^32": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**32),
     "action-entry-2^32": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**32),
+    # past int16, the index dtype: -2^16 would narrow to 0 if cast before the range check
+    "cayley-entry-minus-2^16": lambda doc: _v1_cayley(doc)[0].__setitem__(0, -(2**16)),
+    "permutation-entry-minus-2^16": lambda doc: _group(doc)["right"][0].__setitem__(0, -(2**16)),
+    "action-entry-minus-2^16": lambda doc: doc["action"]["table"][0].__setitem__(0, -(2**16)),
     "permutation-entry-2^63": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**63),
     "permutation-entry-1e400": lambda doc: _group(doc)["left"][1].__setitem__(3, float("inf")),
     # the generator indices are range-checked: -1 must not wrap to the last element
@@ -251,6 +260,16 @@ MALFORMED = {
     "action-entry-1e400": lambda doc: doc["action"]["table"][0].__setitem__(0, float("inf")),
     # a stored row breaks the stabilizer slice when its residual is NaN
     "compressed-filter-nan-row": _nan_compressed_filter_row,
+    # a scalar of the wrong JSON type is refused, not cast: 1.9, "1" and true are not the integer 1
+    "trivial-fiber-dim-1.9": lambda doc: doc.update(input_bundle={"kind": "trivial", "fiber_dim": 1.9}),
+    "trivial-fiber-dim-string": lambda doc: doc.update(input_bundle={"kind": "trivial", "fiber_dim": "1"}),
+    "trivial-fiber-dim-true": lambda doc: doc.update(input_bundle={"kind": "trivial", "fiber_dim": True}),
+    "explicit-fiber-dim-1.9": lambda doc: doc["input_bundle"]["fiber_dim"].__setitem__(0, 1.9),
+    "delta-value-string": lambda doc: _set_delta_value(doc, "1.0"),
+    "delta-value-true": lambda doc: _set_delta_value(doc, True),
+    "mu-haar-string": lambda doc: doc["families"]["mu"].update(haar="no"),
+    "params-n-string": lambda doc: doc["params"].update(n="4"),
+    "extras-band-spacing-string": lambda doc: doc.setdefault("extras", {}).update(band_spacing="1"),
 }
 
 
@@ -261,6 +280,19 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, name, value", [("params", "n", "16"), ("extras", "band_spacing", "4")])
+def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_path, capsys):
+    # numbers the banded support check computes with
+    doc = json.loads(json.dumps(scenario_to_dict(build_scenario("torus-bands(16)"))))
+    doc[key][name] = value
+    path = tmp_path / "mistyped.json"
+    save_document(str(path), doc)
+    code, out, err = run_cli(capsys, "battery", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -44,6 +44,18 @@ def test_cli_output_matches_golden(name, capsys):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+# battery stdout too large to keep, at sizes where a product of two indices
+# passes int16: |B|^2 = 65,536 on cyclic(256), |G| |B| = 262,144 on torus-bands(64)
+BATTERY_HASHES = json.loads((GOLDEN / "battery-sha256.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(BATTERY_HASHES))
+def test_battery_stdout_matches_golden_sha256(spec, capsys):
+    code = main(["battery", spec])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BATTERY_HASHES[spec]
+
+
 SCENARIO_HASHES = json.loads((GOLDEN / "scenario-sha256.json").read_text())
 
 

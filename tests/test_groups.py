@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import (
+    INDEX_DTYPE,
     FiniteGroup,
     GroupAction,
     coset_table,
@@ -287,14 +288,15 @@ def test_action_rejects_out_of_range():
         GroupAction(grp, ("x", "y"), table)
 
 
-# int64 entries past int32: 2^32 narrows to 0, the true entry at each site
-# below, so a cast before the range check would pass a corrupted table as
-# the valid one; n + 2^32 narrows to n
-WRAPPING = [2**32, 4 + 2**32]
+# int64 entries past INDEX_DTYPE (int16) and past int32: 2^16 and 2^32
+# narrow to 0, the true entry at each site below, so a cast before the range
+# check would pass a corrupted table as the valid one; n + 2^16 and n + 2^32
+# narrow to n
+WRAPPING = [2**16, 4 + 2**16, 2**32, 4 + 2**32]
 
 
 @pytest.mark.parametrize("value", WRAPPING)
-def test_group_entry_past_int32_is_refused(value):
+def test_group_entry_past_index_dtype_is_refused(value):
     cayley, inv = cyclic_group(4).cayley.astype(np.int64), cyclic_group(4).inv.astype(np.int64)
     labels = tuple("abcd")
     bad = cayley.copy()
@@ -310,7 +312,7 @@ def test_group_entry_past_int32_is_refused(value):
 
 
 @pytest.mark.parametrize("value", WRAPPING)
-def test_action_entry_past_int32_is_refused(value):
+def test_action_entry_past_index_dtype_is_refused(value):
     grp = cyclic_group(4)
     table = grp.cayley.astype(np.int64)
     table[1, 3] = value
@@ -319,7 +321,7 @@ def test_action_entry_past_int32_is_refused(value):
 
 
 @pytest.mark.parametrize("spec", BUILTINS)
-def test_index_tables_are_int32_built_and_loaded(spec, tmp_path):
+def test_index_tables_are_index_dtype_built_and_loaded(spec, tmp_path):
     scn = build_scenario(spec)
     v2 = tmp_path / "v2.json"
     save_document(str(v2), scenario_to_dict(scn))
@@ -328,6 +330,9 @@ def test_index_tables_are_int32_built_and_loaded(spec, tmp_path):
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
     v1 = tmp_path / "v1.json"
     save_document(str(v1), doc)
-    for action in [scn.action] + [scenario_from_dict(load_document(str(p))).action for p in (v1, v2)]:
-        tables = (action.group.cayley, action.group.inv, action.table, action.coset_reps)
-        assert [t.dtype for t in tables] == [np.dtype(np.int32)] * 4
+    assert INDEX_DTYPE is np.int16  # half the bytes of int32; every index product is formed in intp
+    for loaded in [scn] + [scenario_from_dict(load_document(str(p))) for p in (v1, v2)]:
+        action = loaded.action
+        tables = [action.group.cayley, action.group.inv, action.table, action.coset_reps]
+        tables += [theta.reps for theta in loaded.thetas.values()]
+        assert [t.dtype for t in tables] == [np.dtype(INDEX_DTYPE)] * len(tables)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import Section, act_on_section, representation_bundle, section_to_mackey, trivial_bundle
+from equicorr.bundles import MackeySection, Section, act_on_section, representation_bundle, section_to_mackey, trivial_bundle
 from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr import sampling
@@ -282,7 +282,11 @@ def test_xcorr_torus_bands_64_matches_brute_force_rows():
     scn = build_scenario("torus-bands(64)")
     filt, grp = scn.filt, scn.group
     assert filt.support_index.shape == (64, 9)
-    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(12), 1)[0])
+    # a random table, not an induced section: (g1, g2) and (g1, g2 + 16) act
+    # alike, so an induced section repeats every 1,024 elements and hides a
+    # gather offset y * |B| that wraps in int16, shifting y by exactly 1,024
+    values = SplitMix64(12).uniforms((grp.order, scn.action.base_size, scn.input_bundle.dmax), -1.0, 1.0)
+    m = MackeySection(scn.input_bundle, values)
     out = cross_correlate(filt, m, scn.mu).values
     for h in (0, 1, 777, grp.order - 1):
         # sum over every k of mu_b(k) w(k, b) m(h k, b)

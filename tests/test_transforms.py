@@ -333,9 +333,9 @@ def test_operator_residual_bounds_the_sampled_residual():
     assert max(sampled(sign * e) for e in basis for sign in (1.0, -1.0)) == R
 
 
-@pytest.mark.parametrize("entry", [2**32, -(2**32) + 5, -2, 8])  # dihedral(4) has |G| = 8
+@pytest.mark.parametrize("entry", [2**32, -(2**32) + 5, -2, 8, -(2**16) + 5, 2**16])  # dihedral(4) has |G| = 8
 def test_theta_entries_are_range_checked_before_narrowing(entry):
-    # -2^32 + 5 wraps to the defined value 5 in int32, 2^32 to 0
+    # -2^16 + 5 and -2^32 + 5 wrap to the defined value 5 in int16 and int32, 2^16 and 2^32 to 0
     scn = build_scenario("dihedral(4)")
     reps = scn.thetas["derived"].reps.astype(np.int64)
     reps[0, 1] = entry
