@@ -45,7 +45,11 @@ def test_cli_output_matches_golden(name, capsys):
 
 
 # battery stdout too large to keep, at sizes where a product of two indices
-# passes int16: |B|^2 = 65,536 on cyclic(256), |G| |B| = 262,144 on torus-bands(64)
+# passes int16: |B|^2 = 65,536 on cyclic(256), |G| |B| = 262,144 on
+# torus-bands(64).  They pin the output, not the widening: a product wrapped
+# by a multiple of the array it indexes lands on the same entry, and the
+# battery's induced sections repeat, so the wrapped gather is caught by
+# test_stacked's torus-bands(64) rows instead
 BATTERY_HASHES = json.loads((GOLDEN / "battery-sha256.json").read_text())
 
 
