@@ -29,9 +29,12 @@ so |D T_c| <= (2 + 3a) R.  The instance (k_c^-1, k_c, b0) gives
 A(k_c^-1, c) T_c = I - M with |M| <= R, which inverts T_c when d R <= 1/2;
 then P <= 2a(3a + 2) R.  As P <= a(1 + a) always,
 P <= max(2a(3a + 2), 2d a(1 + a)) R.
-Tables are stored dense and zero-padded to the maximum fiber dimension;
-the padding is inert under all products and sums, and validators confirm
-it stays exactly zero.
+Tables are zero-padded to the maximum fiber dimension; the padding is
+inert under all products and sums, and validators confirm it stays
+exactly zero.  They are dense, except that a bundle whose act matrices
+do not depend on b (representation_bundle, and so trivial_bundle and
+sign_bundle) stores one (|G|, 1, d, d) copy, broadcast along b as a
+read-only view.
 
 Two section representations coexist.  A plain Section stores one vector
 per base point.  A MackeySection stores a vector in the fiber at b for
@@ -74,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, fundamental_domain, stabilizer
+from .groups import GroupAction, _check_budget, _float_table, _row_blocks, fundamental_domain, stabilizer
 from .reporting import ValidationReport, _worst_of_grid, _worst_of_parts, check_from_residual
 
 
@@ -106,10 +109,8 @@ def pad_mask(fiber_dim: np.ndarray, dmax: int) -> np.ndarray:
 def trivial_bundle(action: GroupAction, dim: int = 1) -> EquivariantBundle:
     """Product bundle: every fiber dim-dimensional, every act matrix the identity."""
     n, m = action.group.order, action.base_size
-    _check_budget(f"a ({n}, {m}, {dim}, {dim}) act-matrix stack", n * m * dim * dim)
-    fiber_dim = np.full(m, dim, dtype=np.int64)
-    mats = np.broadcast_to(np.eye(dim), (n, m, dim, dim)).copy()
-    return EquivariantBundle(action, fiber_dim, mats)
+    _check_budget(f"a ({n}, {m}, {dim}, {dim}) act-matrix stack", n * m * dim * dim)  # before np.eye(dim)
+    return representation_bundle(action, np.broadcast_to(np.eye(dim), (n, dim, dim)))
 
 
 def representation_bundle(action: GroupAction, rep: np.ndarray) -> EquivariantBundle:
@@ -117,7 +118,9 @@ def representation_bundle(action: GroupAction, rep: np.ndarray) -> EquivariantBu
 
     rep has shape (|G|, d, d) and must be a homomorphism into GL(d);
     the cocycle law then holds automatically.  validate_bundle still
-    checks it numerically.
+    checks it numerically.  act_matrix is a read-only view of one copy of
+    rep, broadcast along b; the stack it stands for is still budgeted,
+    since consumers gather blocks of that size from it.
     """
     n, m = action.group.order, action.base_size
     rep = np.asarray(rep, dtype=float)
@@ -126,8 +129,8 @@ def representation_bundle(action: GroupAction, rep: np.ndarray) -> EquivariantBu
     d = rep.shape[1]
     _check_budget(f"a ({n}, {m}, {d}, {d}) act-matrix stack", n * m * d * d)
     fiber_dim = np.full(m, d, dtype=np.int64)
-    mats = np.repeat(rep[:, None, :, :], m, axis=1)
-    return EquivariantBundle(action, fiber_dim, mats)
+    # a copy, so that the bundle never aliases the caller's array
+    return EquivariantBundle(action, fiber_dim, np.broadcast_to(rep.copy()[:, None], (n, m, d, d)))
 
 
 def sign_bundle(action: GroupAction, signs: np.ndarray) -> EquivariantBundle:
@@ -304,22 +307,28 @@ def _orbit_slice(
     matrices.  Returns R = max(S, T), the failing law instance (g, g^-1.r, b0)
     at its first maximum (S before T, each in fundamental-domain order, then
     row-major over (g, r)), and the table carried from the rows at each b0.
+    The elements are carried a block at a time, each block's rows holding
+    at most groups._BLOCK_ENTRIES entries (one element's at least), so
+    beside the table and its carried copy only a few blocks are alive.
     """
     grp = action.group
     domain = fundamental_domain(action)
     carried = values.copy()
 
+    def blocks(elements):  # the elements in order, as many at a time as carry _BLOCK_ENTRIES entries
+        return (elements[rows] for rows in _row_blocks(elements.size, values[:, 0].size))
+
     def parts():  # ((b0, elements g), [i, r, ...] carried minus table)
         for b0 in domain:
-            stab = stabilizer(action, b0)
-            yield (b0, stab), _carry(values, action, conjugate, a_out, a_in, stab, b0) - values[None, :, b0]
+            for g in blocks(stabilizer(action, b0)):
+                yield (b0, g), _carry(values, action, conjugate, a_out, a_in, g, b0) - values[None, :, b0]
         for b0 in domain:
-            reps = _movers(action, b0)
-            targets = action.table[reps, b0]
-            rows = _carry(values, action, conjugate, a_out, a_in, reps, b0)
-            carried[:, targets] = np.moveaxis(rows, 0, 1)
-            rows -= np.moveaxis(values[:, targets], 1, 0)
-            yield (b0, reps), rows
+            for g in blocks(_movers(action, b0)):
+                targets = action.table[g, b0]
+                rows = _carry(values, action, conjugate, a_out, a_in, g, b0)
+                carried[:, targets] = np.moveaxis(rows, 0, 1)
+                rows -= np.moveaxis(values[:, targets], 1, 0)
+                yield (b0, g), rows
 
     worst, hit = _worst_of_parts(parts())
     witness = None

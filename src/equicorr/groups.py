@@ -41,6 +41,7 @@ from .errors import DomainError, StructuralError
 from .reporting import ValidationReport, _count_of, _count_over, check_from_residual
 
 _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 128 MiB of int16 or 512 MiB of float64
+_BLOCK_ENTRIES = 1 << 16  # largest transient block a table scan materializes at once
 
 # dtype of every index table (cayley, inv, action table, coset_reps, theta
 # reps).  The budget bounds |G| and |B| by 2^13, so an index fits, but a
@@ -64,6 +65,13 @@ def _index_table(values, what: str, shape: tuple[int, ...], bound: int, low: int
     if not (values.min() >= low and values.max() < bound):
         raise StructuralError(f"{what} entry out of range")
     return np.ascontiguousarray(values, dtype=INDEX_DTYPE)
+
+
+def _row_blocks(count: int, row_entries: int) -> list[slice]:
+    """Consecutive slices covering range(count) in order, each of as many
+    rows of row_entries entries as fit in _BLOCK_ENTRIES, and at least one."""
+    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -240,16 +248,23 @@ def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int | N
     """
     cayley = np.asarray(cayley)  # FiniteGroup range-checks it, then narrows it to INDEX_DTYPE
     n = len(elements)
+    blocks = _row_blocks(len(cayley), n)  # one block of rows compared at a time
     if identity is None:
-        hits = (cayley == np.arange(n)).all(axis=1)
-        if not hits.any():
+        for rows in blocks:
+            hits = (cayley[rows] == np.arange(n)).all(axis=1)
+            if hits.any():
+                identity = rows.start + int(hits.argmax())
+                break
+        else:
             raise StructuralError("no identity row in cayley table")
-        identity = int(hits.argmax())
-    hits = cayley == identity
-    found = hits.any(axis=1)
-    if not found.all():
-        raise StructuralError(f"element {int(found.argmin())} has no right inverse")
-    return FiniteGroup(tuple(elements), cayley, hits.argmax(axis=1), int(identity))
+    inv = np.empty(len(cayley), dtype=np.intp)
+    for rows in blocks:
+        hits = cayley[rows] == identity
+        found = hits.any(axis=1)
+        if not found.all():
+            raise StructuralError(f"element {int(found.argmin()) + rows.start} has no right inverse")
+        inv[rows] = hits.argmax(axis=1)
+    return FiniteGroup(tuple(elements), cayley, inv, int(identity))
 
 
 # ---------------------------------------------------------------------------

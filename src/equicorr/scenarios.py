@@ -196,11 +196,19 @@ def _attach_default_data(scn: Scenario, seed: int) -> Scenario:
     return scn
 
 
+def _circle_table(op: np.ufunc, shift: np.ndarray, n: int) -> np.ndarray:
+    """[g, b] -> op(shift[g], b) mod n over b in Z_n, formed in INDEX_DTYPE
+    in place: both terms lie in [0, n), and the budget keeps n <= 2^13, so
+    the sum or difference stays inside it."""
+    table = op.outer(shift % n, np.arange(n), dtype=INDEX_DTYPE)
+    table %= n
+    return table
+
+
 def cyclic_action(n: int) -> GroupAction:
     """Z_n acting on itself by translation, g.b = g + b."""
     grp = cyclic_group(n)  # checks the size before the table is built
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return GroupAction(grp, tuple(str(b) for b in range(n)), table)
+    return GroupAction(grp, tuple(str(b) for b in range(n)), _circle_table(np.add, np.arange(n), n))
 
 
 def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
@@ -214,8 +222,7 @@ def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
 def dihedral_vertex_action(n: int) -> GroupAction:
     """Dihedral group on polygon vertices: rotations add, reflections negate."""
     grp = dihedral_group(n)  # checks the size before the table is built
-    i, vertex = np.arange(n)[:, None], np.arange(n)[None, :]
-    table = np.concatenate([(i + vertex) % n, (i - vertex) % n])
+    table = np.concatenate([_circle_table(op, np.arange(n), n) for op in (np.add, np.subtract)])
     return GroupAction(grp, tuple(f"v{v}" for v in range(n)), table)
 
 
@@ -235,10 +242,8 @@ def torus_action(n: int, spacing: int, offsets: int) -> GroupAction:
     """Z_N x Z_K acting on Z_N by (g1, g2).b = g1 + spacing*g2 + b, with K =
     `offsets`."""
     grp = direct_product(cyclic_group(n), cyclic_group(offsets))
-    ia = np.tile(np.arange(n), offsets)
-    ib = np.repeat(np.arange(offsets), n)
-    table = (ia[:, None] + spacing * ib[:, None] + np.arange(n)[None, :]) % n
-    return GroupAction(grp, tuple(str(b) for b in range(n)), table)
+    shift = np.tile(np.arange(n), offsets) + spacing * np.repeat(np.arange(offsets), n)  # g1 + spacing*g2
+    return GroupAction(grp, tuple(str(b) for b in range(n)), _circle_table(np.add, shift, n))
 
 
 def build_torus(n: int, families: str = "counting", seed: int = 0) -> Scenario:

@@ -23,10 +23,13 @@ not overwritten.
 
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
 float table (a `weights`, `values` or `act_matrix` list whose first entry
-is a float) into the ndarray the loaders would build from it, as the
-parser closes the object holding it, so a file's floats never all live as
-Python floats at once; anything else stays a list and reaches the
-loaders' own checks unchanged.  `dumps` is
+is a float) into the ndarray the loaders would build from it, and each
+integer table (an action `table`, a group's `left` and `right`, a v1
+`cayley`) whose every entry is a JSON integer into an int64 array, as
+the parser closes the object holding it, so a file's numbers never all
+live as Python objects at once; anything else stays a list and reaches
+the loaders' own checks unchanged.  Those type-check an integer table
+rather than cast it: 1.5 and true are not integers.  `dumps` is
 `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte for byte, built
 from json's compact C encoding and re-indented with numpy; an ndarray in
 the document is written as its `tolist()`.
@@ -35,6 +38,7 @@ the document is written as its `tolist()`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 
@@ -177,7 +181,7 @@ def group_from_dict(doc: dict) -> FiniteGroup:
 
 
 def _generator_permutations(doc: dict, key: str, k: int, n: int) -> np.ndarray:
-    table = np.asarray(doc[key], dtype=np.int64)
+    table = _int_table(doc[key], f"group {key}")
     _require(table.shape == (k, n) or table.size == k == 0, f"group {key} must be ({k}, {n}), a row per generator")
     table = table.reshape(k, n)
     _require(table.size == 0 or (table.min() >= 0 and table.max() < n), f"group {key} entries out of range")
@@ -187,7 +191,7 @@ def _generator_permutations(doc: dict, key: str, k: int, n: int) -> np.ndarray:
 def _group_from_cayley(doc: dict) -> FiniteGroup:
     """The equicorr-scenario/1 group: element names and the full table."""
     _require(isinstance(doc, dict) and "cayley" in doc, "group needs a cayley table")
-    cayley = np.asarray(doc["cayley"], dtype=np.int64)
+    cayley = _int_table(doc["cayley"], "cayley table")
     _require(cayley.ndim == 2 and cayley.shape[0] == cayley.shape[1], "cayley table must be square")
     n = cayley.shape[0]
     elements = doc.get("elements") or [str(i) for i in range(n)]
@@ -206,7 +210,7 @@ def action_to_dict(action: GroupAction) -> dict:
 def action_from_dict(doc: dict, load_group) -> GroupAction:
     _require(isinstance(doc, dict) and "table" in doc and "group" in doc, "action needs a group and a table")
     grp = load_group(doc["group"])
-    table = np.asarray(doc["table"], dtype=np.int64)
+    table = _int_table(doc["table"], "action table")
     _require(table.ndim == 2 and table.shape[0] == grp.order, "action table must be (order, base)")
     m = table.shape[1]
     base = doc.get("base") or [str(i) for i in range(m)]
@@ -292,6 +296,28 @@ def _typed(value, types: tuple[type, ...], what: str):
     """value, if its type is exactly one of types: true is not an int, nor are "1" and 1.9."""
     _require(type(value) in types, f"{what} {value!r} is not {' or '.join(t.__name__ for t in types)}")
     return value
+
+
+def _integer_array(table) -> np.ndarray | None:
+    """A nested list as an int64 array when every entry is a Python int
+    (not a bool) within int64, else None (also for a scalar): np.asarray(..., dtype=np.int64)
+    alone would truncate 1.5 and read true as 1.  Raises ValueError on a
+    ragged list."""
+    arr = np.asarray(table)
+    leaves = table
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if arr.ndim and set(map(type, leaves)) <= {int} and (arr.dtype == np.int64 or arr.size == 0):
+        return arr.astype(np.int64, copy=False)  # an empty list reads as float64
+    return None
+
+
+def _int_table(table, what: str) -> np.ndarray:
+    """An integer table of a scenario: an int64 array as load_document
+    decodes it, or a list of JSON integers."""
+    arr = table if isinstance(table, np.ndarray) and table.dtype == np.int64 else _integer_array(table)
+    _require(arr is not None, f"{what} entries must be JSON integers within the int64 range")
+    return arr
 
 
 def _index(key: object, bound: int, what: str) -> int:
@@ -453,6 +479,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
     return doc
 
 
+_INTEGER_EXTRAS = ("band_spacing", "eps_steps", "origin")  # dx and grid_step may be floats
 _GROUP_LOADERS = {SCENARIO_SCHEMA: group_from_dict, SCENARIO_SCHEMA_V1: _group_from_cayley}
 
 
@@ -490,7 +517,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         scn.kernel = kernel_from_dict(doc["kernel"], input_bundle, output_bundle)
     for name, tdoc in doc.get("thetas", {}).items():
         scn.thetas[str(name)] = theta_from_dict(tdoc, action)
-    scn.extras.update({k: _typed(v, (int, float), f"extras {k}") for k, v in doc.get("extras", {}).items()})
+    for k, v in doc.get("extras", {}).items():  # the battery indexes and counts with the integer ones
+        scn.extras[k] = _typed(v, (int,) if k in _INTEGER_EXTRAS else (int, float), f"extras {k}")
     return scn
 
 
@@ -501,28 +529,36 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
     return doc
 
 
-_FLOAT_TABLES = ("weights", "values", "act_matrix")
+# (key, type of the first entry, decoder) of the tables decoded in bulk:
+# the float tables, and the action table and the group's
+_TABLES = [(key, float, functools.partial(np.asarray, dtype=float)) for key in ("weights", "values", "act_matrix")]
+_TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "cayley")]
 
 
 def _decode_object(pairs: list[tuple[str, object]]) -> dict:
     """json object_pairs_hook: the object, its repeated keys rejected rather
     than letting the last value win.  A float table, a list whose first
     entry is a float, becomes np.asarray(table, dtype=float), the array the
-    loaders would build from it.  A list that starts with anything else, or
-    that the conversion refuses (ragged, text, objects), stays a list."""
+    loaders would build from it; an integer table, one whose first entry
+    is an int, becomes its int64 array when every entry is a JSON integer.
+    A list that starts with anything else, or that the conversion refuses
+    (ragged, text, objects, a float or a bool among the integers), stays a
+    list for the loaders to reject."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = sorted(k for k, _ in pairs)
         raise StructuralError(f"key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r} repeated in one JSON object")
-    for key in _FLOAT_TABLES:
+    for key, kind, decode in _TABLES:
         table = leaf = obj.get(key)
         while isinstance(leaf, list) and leaf:
             leaf = leaf[0]
-        if type(leaf) is float and leaf is not table:
+        if type(leaf) is kind and leaf is not table:
             try:
-                obj[key] = np.asarray(table, dtype=float)
+                arr = decode(table)
             except (TypeError, ValueError, OverflowError):
-                pass
+                continue
+            if arr is not None:
+                obj[key] = arr
     return obj
 
 

@@ -133,9 +133,11 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     for s, k in enumerate(filt.support_index.T):
         # [h, b] -> h k_b = (k_b^-1 h^-1)^-1, read from the contiguous rows
         # k_b^-1 instead of the strided columns k_b
-        y = grp.inv[grp.cayley[grp.inv[k]][:, grp.inv]].T.astype(np.intp)
-        # in intp: the offset y * nb reaches |G| |B|, past INDEX_DTYPE
-        term = m.values.reshape(n * nb, de).take((y * nb + cols).ravel(), axis=0).reshape(n, nb, de)
+        y = grp.inv[grp.cayley[grp.inv[k]][:, grp.inv]].T.astype(np.intp, order="C")
+        # in intp, formed in place: the offset y * nb + b reaches |G| |B|, past INDEX_DTYPE
+        y *= nb
+        y += cols
+        term = m.values.reshape(n * nb, de).take(y, axis=0)
         out += np.einsum("bij,...bj->...bi", weights[:, s], term, out=prod)
     return MackeySection(filt.output_bundle, out)
 

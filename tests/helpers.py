@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from equicorr.errors import StructuralError
@@ -11,6 +13,19 @@ from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
 from equicorr.transforms import lift_kernel_to_filter
 from equicorr.xcorr import Filter
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced during the call,
+    in bytes above what it traced when the call began)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from equicorr import bundles, groups
 from equicorr.bundles import (
     EquivariantBundle,
     MackeySection,
@@ -30,12 +30,12 @@ from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families
 from equicorr.reporting import _worst_of_grid
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_valid_filter, random_valid_kernel
-from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 from equicorr.sampling import random_sections
 from equicorr.transforms import Kernel, validate_kernel
 from equicorr.xcorr import Filter, validate_filter
 
-from helpers import conjugate, mul
+from helpers import conjugate, mul, traced_peak
 
 
 def rotation_rep(n: int) -> np.ndarray:
@@ -388,16 +388,10 @@ def test_cocycle_scan_peak_is_one_column():
     # 0.5 MiB with the column scan while the padding check copied the act
     # matrices (0.25 MiB), 0.04 MiB now that it reads only the padding
     bundle = build_scenario("torus-bands(32)").input_bundle
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        report = validate_bundle(bundle)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: validate_bundle(bundle))
     assert report.passed
-    assert peak - base < 1 << 20
-    assert peak - base < bundle.act_matrix.nbytes // 2  # no act-matrix-sized temporary
+    assert peak < 1 << 20
+    assert peak < bundle.act_matrix.nbytes // 2  # no act-matrix-sized temporary
 
 
 def _brute_law(values, action, conjugate, A=None) -> float:
@@ -561,3 +555,76 @@ def test_orbit_slice_keeps_the_concatenated_scan_order(name):
             ref_worst, ref_witness = _concatenated_slice(values, action, conjugate, A)
             assert (witness, np.isnan(worst)) == (ref_witness, np.isnan(ref_worst)), check
             assert np.isnan(worst) or worst == ref_worst, check
+
+
+def _corrupted_d4_sign_filter():
+    filt = build_scenario("dihedral(4, bundle=sign)").filt
+    bad = filt.matrices.copy()
+    bad[filt.support_index[2, 0], 2, 0, 0] += 0.7
+    return bad, filt.action, True, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
+
+
+def _corrupted_two_orbit_filter():
+    from test_streaming import two_orbit_filter
+
+    _, filt, _ = two_orbit_filter()
+    return filt.matrices, filt.action, True, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
+
+
+def _corrupted_cyclic16_kernel():
+    kern = build_scenario("cyclic(16)").kernel
+    bad = kern.matrices.copy()
+    bad[5, 11, 0, 0] += 0.7
+    return bad, kern.action, False, kern.output_bundle.act_matrix, kern.input_bundle.act_matrix
+
+
+@pytest.mark.parametrize("case", [_corrupted_d4_sign_filter, _corrupted_two_orbit_filter, _corrupted_cyclic16_kernel])
+def test_blocked_transport_matches_the_one_block_scan(case, monkeypatch):
+    # one element per block names the same residual and witness, and
+    # carries the same table bit for bit, as one block of every element
+    values, action, conjugate, a_out, a_in = case()
+    sizes = []
+    monkeypatch.setattr(bundles, "_carry", lambda *args: sizes.append(len(args[5])) or _carry(*args))
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1 << 40)
+    whole = _orbit_slice(values, action, conjugate, a_out, a_in)
+    assert max(sizes) > 1
+    sizes.clear()
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
+    blocked = _orbit_slice(values, action, conjugate, a_out, a_in)
+    assert max(sizes) == 1
+    assert whole[0] > 0.1 and whole[1] is not None
+    assert (float(blocked[0]).hex(), blocked[1]) == (float(whole[0]).hex(), whole[1])
+    assert blocked[2].tobytes() == whole[2].tobytes()
+
+
+def test_b_independent_bundles_allocate_no_act_matrix_stack():
+    # |G| |B| 8 bytes is 2 MiB on cyclic(512) and 1 MiB on dihedral(256)
+    for action, build in (
+        (cyclic_action(512), trivial_bundle),
+        (dihedral_vertex_action(256), lambda action: sign_bundle(action, np.repeat([1.0, -1.0], 256))),
+    ):
+        bundle, peak = traced_peak(lambda: build(action))
+        stack = action.group.order * action.base_size * 8
+        assert peak < stack // 64
+        assert not bundle.act_matrix.flags.writeable
+        with pytest.raises(ValueError):
+            bundle.act_matrix[0, 0, 0, 0] = 2.0
+        assert validate_bundle(bundle).passed
+
+
+def test_representation_bundle_copies_its_representation():
+    action = dihedral_vertex_action(4)
+    rep = rotation_rep(4)
+    bundle = representation_bundle(action, rep)
+    rep[1] = 0.0
+    assert np.array_equal(bundle.act_matrix[1, 3], rotation_rep(4)[1])
+
+
+def test_validate_kernel_peak_is_the_carried_table_and_a_few_blocks():
+    # the carried copy of the (512, 512) kernel table, 2 MiB, and at most
+    # six blocks of groups._BLOCK_ENTRIES floats beside it; 10.5 MB when
+    # every coset representative was carried in one block
+    kern = build_scenario("cyclic(512)").kernel
+    report, peak = traced_peak(lambda: validate_kernel(kern))
+    assert report.passed
+    assert peak < kern.matrices.nbytes + 6 * groups._BLOCK_ENTRIES * 8

@@ -220,6 +220,13 @@ def _group(doc: dict) -> dict:
     return doc["action"]["group"]
 
 
+def _mistype(row: list, kind: type) -> None:
+    """Replace the first 0 or 1 in row by a float or a bool that a cast to
+    int would read back as the same integer."""
+    i = next(i for i, v in enumerate(row) if v in (0, 1))
+    row[i] = row[i] + 0.5 if kind is float else bool(row[i])
+
+
 def _set_delta_value(doc: dict, value) -> None:
     row = doc["delta"]["by_base"]["0"]
     row[next(iter(row))] = value
@@ -270,6 +277,19 @@ MALFORMED = {
     "mu-haar-string": lambda doc: doc["families"]["mu"].update(haar="no"),
     "params-n-string": lambda doc: doc["params"].update(n="4"),
     "extras-band-spacing-string": lambda doc: doc.setdefault("extras", {}).update(band_spacing="1"),
+    # an index or a count the battery computes with must be an integer, not 0.0
+    "extras-origin-float": lambda doc: doc.setdefault("extras", {}).update(origin=0.0),
+    # integer tables are type-checked, not cast: v + 0.5 would truncate to v, and true read as 1
+    **{
+        f"{name}-entry-{kind.__name__}": lambda doc, row=row, kind=kind: _mistype(row(doc), kind)
+        for name, row in (
+            ("action", lambda doc: doc["action"]["table"][0]),
+            ("left", lambda doc: _group(doc)["left"][0]),
+            ("right", lambda doc: _group(doc)["right"][0]),
+            ("cayley", lambda doc: _v1_cayley(doc)[0]),
+        )
+        for kind in (float, bool)
+    },
 }
 
 
@@ -285,10 +305,13 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key, name, value", [("params", "n", "16"), ("extras", "band_spacing", "4")])
+@pytest.mark.parametrize(
+    "key, name, value", [("params", "n", "16"), ("extras", "band_spacing", "4"), ("extras", "origin", 0.0)]
+)
 def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_path, capsys):
-    # numbers the banded support check computes with
-    doc = json.loads(json.dumps(scenario_to_dict(build_scenario("torus-bands(16)"))))
+    # numbers the banded support check and the line-grid oracle compute with
+    spec = "line-grid(5, dx=0.2)" if name == "origin" else "torus-bands(16)"
+    doc = json.loads(json.dumps(scenario_to_dict(build_scenario(spec))))
     doc[key][name] = value
     path = tmp_path / "mistyped.json"
     save_document(str(path), doc)

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicorr import groups
 from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import (
     INDEX_DTYPE,
@@ -28,7 +27,7 @@ from equicorr.groups import (
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 from equicorr.serialize import load_document, save_document, scenario_from_dict, scenario_to_dict
 
-from helpers import conjugate, mul
+from helpers import conjugate, mul, traced_peak
 from test_stacked import BUILTINS
 from test_streaming import two_orbit_filter
 
@@ -69,12 +68,7 @@ def test_dihedral_structure():
 
 def test_validate_group_allocates_no_table_sized_temporary():
     grp = build_scenario("torus-bands(32)").group
-    tracemalloc.start()
-    try:
-        report = validate_group(grp)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: validate_group(grp))
     assert report.passed
     assert peak < grp.cayley.nbytes / 8
 
@@ -149,6 +143,12 @@ def test_group_from_tables_takes_first_identity_and_first_inverse():
     cayley[1, 3] = cayley[3, 1] = 1  # rows 1 and 3 never reach the identity
     with pytest.raises(StructuralError, match="^element 1 has no right inverse$"):
         group_from_tables(tuple("abcd"), cayley)
+
+
+def test_group_from_tables_in_row_blocks_of_one(monkeypatch):
+    # the same first identity, first inverses and errors, one row at a time
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
+    test_group_from_tables_takes_first_identity_and_first_inverse()
 
 
 @settings(max_examples=20, deadline=None)

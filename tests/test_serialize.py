@@ -401,7 +401,7 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
     path.write_text(text, encoding="utf-8")
     doc = load_document(str(path))
     assert isinstance(doc["families"]["mu"]["weights"], np.ndarray)
-    assert isinstance(doc["action"]["table"], list)  # int tables stay lists
+    assert isinstance(doc["action"]["table"], np.ndarray)  # and so is the integer table
     from_file, from_dict = _arrays(scenario_from_dict(doc)), _arrays(scenario_from_dict(json.loads(text)))
     assert from_file.keys() == from_dict.keys()
     for name, array in from_file.items():
@@ -430,13 +430,43 @@ def test_float_tables_decode_to_the_arrays_the_loaders_build(table):
         loader_array = np.asarray(parsed, dtype=float)
     except (TypeError, ValueError, OverflowError):
         loader_array = None
-    assert type(doc["table"]) is type(parsed)  # only the float-table keys decode
+    assert not isinstance(doc["table"], np.ndarray) or doc["table"].dtype == np.int64  # no float decode here
     if isinstance(doc["values"], np.ndarray):
-        assert isinstance(parsed, list) and isinstance(first, float)  # int tables stay lists
+        assert isinstance(parsed, list) and isinstance(first, float)
         assert doc["values"].dtype == np.float64 and loader_array is not None
         assert doc["values"].shape == loader_array.shape and doc["values"].tobytes() == loader_array.tobytes()
     else:
         assert type(doc["values"]) is type(parsed)
+
+
+def _all_json_integers(table) -> bool:
+    if isinstance(table, list):
+        return all(_all_json_integers(x) for x in table)
+    return type(table) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_TABLE_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=12))
+def test_int_tables_decode_only_when_every_entry_is_an_integer(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"table": table, "left": table}))
+        doc = load_document(path)
+    parsed = json.loads(json.dumps(table))
+    first = parsed
+    while isinstance(first, list) and first:
+        first = first[0]
+    try:
+        regular = np.asarray(parsed).dtype == np.int64
+    except ValueError:  # ragged
+        regular = False
+    decodes = isinstance(parsed, list) and type(first) is int and _all_json_integers(parsed) and regular
+    for key in ("table", "left"):
+        if decodes:
+            assert doc[key].dtype == np.int64 and doc[key].tolist() == parsed
+        else:
+            assert type(doc[key]) is type(parsed) and doc[key] == parsed
 
 
 _JSON_SCALARS = st.one_of(
