@@ -3,9 +3,9 @@
 run_battery builds every check the scenario's data supports: group and
 action axioms, bundle cocycle, measure compatibilities, the pointwise
 disintegration identity, filter constraint and cross-correlation
-equivariance, Mackey preservation, compression round trip, kernel
-constraint, transform equivariance and its necessity, theta laws, lift
-and projection theorems, and their round trip.
+equivariance, Mackey preservation, kernel constraint, transform
+equivariance and its necessity, theta laws, lift and projection
+theorems, and their round trip.
 
 Equivariance and the lift and projection theorems are statements about
 linear maps on sections, so they are checked exactly on (|B|, |B|, dF, dE)
@@ -79,13 +79,7 @@ from .transforms import (
     validate_kernel,
     validate_theta,
 )
-from .xcorr import (
-    Filter,
-    compress_filter,
-    cross_correlate,
-    expand_filter,
-    validate_filter,
-)
+from .xcorr import Filter, cross_correlate, validate_filter
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -96,8 +90,8 @@ def _prefixed(report: ValidationReport, prefix: str) -> list[Check]:
 
 def run_battery(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Every check of run_structural, then the battery's own: equivariance,
-    Mackey preservation, the codec round trip, necessity, the lift and
-    projection theorems and the checks of the built-in scenario families."""
+    Mackey preservation, necessity, the lift and projection theorems and
+    the checks of the built-in scenario families."""
     fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
     filter_op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
     kernel_op = None if scn.kernel is None else kernel_operator(scn.kernel, scn.mubar)
@@ -160,11 +154,6 @@ def _filter_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> li
         return []
     checks = [_equivariance_check("xcorr.equivariance", scn, op, tolerance)]
     checks += _mackey_checks(scn.filt, scn.mu, tolerance)
-
-    compressed = compress_filter(scn.filt)
-    expanded = expand_filter(compressed)
-    r, witness = _worst_of_grid(expanded.matrices - scn.filt.matrices)  # witness (h, b, i, j)
-    checks.append(check_from_residual("filter.codec-roundtrip", r, 0.0, witness))
     return checks
 
 

@@ -519,6 +519,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         scn.thetas[str(name)] = theta_from_dict(tdoc, action)
     for k, v in doc.get("extras", {}).items():  # the battery indexes and counts with the integer ones
         scn.extras[k] = _typed(v, (int,) if k in _INTEGER_EXTRAS else (int, float), f"extras {k}")
+    origin = scn.extras.get("origin", 0)  # a base point: -1 would wrap, 10**6 would not index
+    _require(0 <= origin < action.base_size, f"extras origin {origin} is outside [0, |B| = {action.base_size})")
     return scn
 
 

@@ -41,11 +41,10 @@ section, its (|G|, |B|, dF) output, and one gathered (|G|, |B|) slice with
 its product.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
-through the compatibility law; expansion has exactly one consistent
+through the compatibility law; expansion has at most one consistent
 answer.  The codec, validate_filter and the random builder share one
 transport (`bundles._orbit_slice`), which checks the law on one base slice
-per orbit instead of for every g, and the codec rejects a stored row that
-breaks the stabilizer constraint.
+per orbit instead of for every g.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
-from .errors import InconsistencyError, StructuralError
+from .errors import StructuralError
 from .groups import _float_table, fundamental_domain
 from .measures import GroupMeasureFamily
 from .reporting import ValidationReport, check_from_residual
@@ -189,7 +188,7 @@ def compress_filter(filt: Filter) -> CompressedFilter:
     return CompressedFilter(filt.input_bundle, filt.output_bundle, rows)
 
 
-def expand_filter(comp: CompressedFilter, tolerance: float = 1e-9) -> Filter:
+def expand_filter(comp: CompressedFilter) -> Filter:
     """Rebuild the full table from fundamental-domain rows.
 
     Off the domain,
@@ -197,10 +196,10 @@ def expand_filter(comp: CompressedFilter, tolerance: float = 1e-9) -> Filter:
         omega(h', k.b) = actF(k, b) @ omega(k^-1 h' k, b) @ actE(k^-1, k.b)
 
     with k the deterministic coset representative, which is the unique
-    table satisfying the law with the given rows.  validate_filter checks
-    the same transport; on an expansion only its stabilizer part can fail,
-    so a stored row violating the stabilizer slice of the law raises
-    InconsistencyError naming (g, h, b) with g in the stabilizer of b.
+    table satisfying the law with the given rows whenever one exists.  The
+    expansion decides no law: a stored row that breaks the stabilizer slice
+    of it loads as given, and validate_filter names it, as it names any
+    defect of a dense filter.
     """
     e_bundle, f_bundle = comp.input_bundle, comp.output_bundle
     action = _common_action(e_bundle, f_bundle)
@@ -216,9 +215,5 @@ def expand_filter(comp: CompressedFilter, tolerance: float = 1e-9) -> Filter:
         if row.shape != (n, df, de):
             raise StructuralError(f"compressed row at b={b} has shape {row.shape}, expected {(n, df, de)}")
         table[:, b] = row
-    _, _, out = _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix)
-    worst, witness, _ = _orbit_slice(out, action, True, f_bundle.act_matrix, e_bundle.act_matrix)
-    if not worst <= tolerance:  # a NaN residual fails too
-        g, h, b = witness
-        raise InconsistencyError(f"stored row violates its stabilizer constraint at (g={g}, h={h}, b={b})")
+    out = _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix)[2]
     return Filter(e_bundle, f_bundle, out)

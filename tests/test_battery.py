@@ -330,17 +330,6 @@ def test_battery_runs_every_validate_check_on_golden_builtins(spec):
 # witnesses of the round trips
 
 
-def test_codec_roundtrip_names_the_corrupted_entry(cyclic8):
-    # the codec stores the row at the orbit representative b = 0 only, so an
-    # entry corrupted at b = 5 comes back as it was
-    mats = cyclic8.filt.matrices.copy()
-    mats[3, 5, 0, 0] += 0.5
-    scn = replace(cyclic8, filt=Filter(cyclic8.input_bundle, cyclic8.output_bundle, mats))
-    checks = {c.name: c for c in battery._filter_checks(scn, filter_operator(scn.filt, scn.mu), 1e-12)}
-    check = checks["filter.codec-roundtrip"]
-    assert not check.passed and check.residual == pytest.approx(0.5) and check.witness == (3, 5, 0, 0)
-
-
 def test_project_roundtrip_names_the_corrupted_delta_column(cyclic8):
     # delta(e, 5) doubled: every lift of column 5 doubles, so its projection
     # comes back as 2 kappa(c, 5), and the worst entry is the largest |kappa(c, 5)|

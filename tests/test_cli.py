@@ -151,6 +151,46 @@ def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
         assert failed == expected
 
 
+def _compressed_filter(doc: dict, scn, h: int, by: float) -> None:
+    """Store doc's filter compressed, its row at b0 = 0 raised by `by` at h."""
+    comp = compress_filter(scn.filt)
+    comp.rows[0][h] += by
+    doc["filter"] = filter_to_dict(comp)
+
+
+def _bump_dense_entry(doc: dict, scn) -> None:
+    doc["filter"]["rows"]["0"]["1"][0][0] += 0.5
+
+
+# dihedral(4, bundle=sign) rows that break the filter law, stored dense or
+# compressed -> the witness; s0 r3 s0^-1 = r1, so a bump at r1 alone breaks
+# the law at (s0, r3, 0), and a NaN row is named at its first coordinate
+BROKEN_FILTER_ROWS = {
+    "dense-entry": (_bump_dense_entry, [4, 3, 0]),
+    "compressed-row": (lambda doc, scn: _compressed_filter(doc, scn, 1, 1.0), [4, 3, 0]),
+    "compressed-nan-row": (lambda doc, scn: _compressed_filter(doc, scn, 0, np.nan), [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FILTER_ROWS))
+def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
+    # the expansion of a compressed row decides no law, so every case loads
+    # and both commands report the law's failure with its witness
+    edit, witness = BROKEN_FILTER_ROWS[case]
+    scn = build_scenario("dihedral(4, bundle=sign)")
+    doc = json.loads(json.dumps(scenario_to_dict(scn)))
+    edit(doc, scn)
+    path = tmp_path / f"{case}.json"
+    save_document(str(path), doc)
+    for command in ("validate", "battery"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1 and "error:" not in err, command
+        checks = json.loads(out)["checks"]
+        failed = {c["name"]: c["witness"] for c in checks if not c["pass"]}
+        assert failed["filter.filter-faint-constraint"] == witness, command
+    assert "transform.necessity" in {c["name"] for c in checks}  # the battery's whole report
+
+
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
     doc = scenario_to_dict(build_scenario("torus-bands(16)"))
     doc["families"]["mubar"]["weights"][0][1] *= 1.5
@@ -178,7 +218,7 @@ def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
         _, out, _ = run_cli(capsys, "battery", str(path))
         checks = json.loads(out)["checks"]
         names.append([c["name"] for c in checks])
-        assert len(checks) == 45
+        assert len(checks) == 44
         assert [c["name"] for c in checks if c.get("skipped")] == (skipped if scale != 1.0 else [])
     assert names[0] == names[1]
     assert "projection.kernel.kernel-constraint" in names[1]
@@ -195,13 +235,6 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "transform", "circle-grid(16)")
     assert code == 2 and "no kernel" in err
-
-
-def _nan_compressed_filter_row(doc: dict) -> None:
-    doc["filter"] = filter_to_dict(compress_filter(build_scenario("dihedral(4, bundle=sign)").filt))
-    row = next(iter(doc["filter"]["rows"].values()))
-    h = next(iter(row))
-    row[h] = np.full(np.shape(row[h]), np.nan).tolist()
 
 
 MALFORMED_SPEC = "dihedral(4, bundle=sign)"
@@ -265,8 +298,6 @@ MALFORMED = {
     "right-entry-disagrees": lambda doc: _group(doc)["right"][0].__setitem__(2, 0),
     "action-entry-2^63": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**63),
     "action-entry-1e400": lambda doc: doc["action"]["table"][0].__setitem__(0, float("inf")),
-    # a stored row breaks the stabilizer slice when its residual is NaN
-    "compressed-filter-nan-row": _nan_compressed_filter_row,
     # a scalar of the wrong JSON type is refused, not cast: 1.9, "1" and true are not the integer 1
     "trivial-fiber-dim-1.9": lambda doc: doc.update(input_bundle={"kind": "trivial", "fiber_dim": 1.9}),
     "trivial-fiber-dim-string": lambda doc: doc.update(input_bundle={"kind": "trivial", "fiber_dim": "1"}),
@@ -306,7 +337,15 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, name, value", [("params", "n", "16"), ("extras", "band_spacing", "4"), ("extras", "origin", 0.0)]
+    "key, name, value",
+    [
+        ("params", "n", "16"),
+        ("extras", "band_spacing", "4"),
+        ("extras", "origin", 0.0),
+        # an integer origin must be a base point: 10**6 would not index, -1 would wrap to the last
+        ("extras", "origin", 10**6),
+        ("extras", "origin", -1),
+    ],
 )
 def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_path, capsys):
     # numbers the banded support check and the line-grid oracle compute with
@@ -319,6 +358,7 @@ def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_p
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(value) in err
 
 
 MALFORMED_SPECS = [

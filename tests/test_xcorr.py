@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from equicorr.bundles import act_on_mackey, mackey_to_section, section_to_mackey, trivial_bundle, validate_mackey
-from equicorr.errors import InconsistencyError
 from equicorr.groups import fundamental_domain
 from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
-from equicorr.scenarios import dihedral_vertex_action, torus_action
+from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import (
     CompressedFilter,
@@ -23,6 +22,7 @@ from equicorr.xcorr import (
 
 from helpers import mul
 from test_stacked import ref_convolve
+from test_streaming import two_orbit_filter
 
 
 def brute_xcorr(filt, m, mu):
@@ -122,24 +122,42 @@ def _bumped_row_filter(scn) -> CompressedFilter:
     return CompressedFilter(scn.input_bundle, scn.output_bundle, rows)
 
 
-def test_expand_rejects_stabilizer_inconsistent_row(dihedral4):
-    with pytest.raises(InconsistencyError) as err:
-        expand_filter(_bumped_row_filter(dihedral4))
+def test_expand_loads_a_stabilizer_inconsistent_row(dihedral4):
+    # the expansion decides no law; the law check names the bumped row
+    filt = expand_filter(_bumped_row_filter(dihedral4))
+    check = validate_filter(filt).checks[0]
     # s0 r3 s0^-1 = r1: the law at (s0, r3, 0) compares the bumped row with r3's
-    assert str(err.value) == "stored row violates its stabilizer constraint at (g=4, h=3, b=0)"
+    assert not check.passed and check.witness == (4, 3, 0)
     assert dihedral4.action.table[4, 0] == 0  # g is in the stabilizer of b
 
 
 def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
-    # expanding without the stabilizer check carries the bad row to every base
-    # point exactly, so the table is its own transport (T = 0) and only the
-    # stabilizer part S of validate_filter can see the violation
-    filt = expand_filter(_bumped_row_filter(dihedral4), tolerance=np.inf)
-    assert np.array_equal(expand_filter(compress_filter(filt), tolerance=np.inf).matrices, filt.matrices)
+    # the expansion carries the bad row to every base point exactly, so the
+    # table is its own transport (T = 0) and only the stabilizer part S of
+    # validate_filter can see the violation
+    filt = expand_filter(_bumped_row_filter(dihedral4))
+    assert np.array_equal(expand_filter(compress_filter(filt)).matrices, filt.matrices)
     report = validate_filter(filt)
     assert not report.passed
     g, h, b = report.checks[0].witness
     assert b == 0 and dihedral4.action.table[g, b] == b
+
+
+@pytest.mark.parametrize("spec", ["dihedral(4, bundle=sign)", "torus(4)", "cyclic(6)", "two-orbit"])
+def test_codec_residual_is_bounded_by_the_law_residual(spec):
+    # the codec keeps the rows at each orbit's fundamental-domain point and
+    # carries them on, so all it changes is the transport part T of the law's
+    # residual R = max(S, T): the round trip needs no check of its own
+    filt = two_orbit_filter()[0] if spec == "two-orbit" else build_scenario(spec).filt
+    for at in np.ndindex(filt.matrices.shape):  # every single-entry corruption
+        mats = filt.matrices.copy()
+        mats[at] += 0.5
+        bad = Filter(filt.input_bundle, filt.output_bundle, mats)
+        codec = float(np.abs(expand_filter(compress_filter(bad)).matrices - mats).max())
+        check = validate_filter(bad).checks[0]
+        assert not check.passed and codec <= check.residual, at
+        if spec == "two-orbit" and at[1] == 4:  # the fixed point inf is its own orbit: only the law sees it
+            assert codec == 0.0 and check.witness[2] == 4, at
 
 
 def test_random_valid_filters_satisfy_constraint():
