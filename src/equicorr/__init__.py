@@ -31,11 +31,9 @@ from .bundles import (
     validate_mackey,
 )
 from .errors import (
-    CoverageError,
     DegenerateMeasureError,
     DomainError,
     EquicorrError,
-    InconsistencyError,
     PreconditionError,
     StructuralError,
 )

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .battery import DEFAULT_TOLERANCE, run_battery, run_structural
+from .battery import DEFAULT_TOLERANCE, _prefixed, run_battery, run_structural
 from .bundles import section_to_mackey
 from .errors import DomainError, EquicorrError
 from .measures import fubini_pointwise_residual
@@ -50,7 +50,7 @@ from .serialize import (
     section_from_dict,
     section_to_dict,
 )
-from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel, validate_kernel
+from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel, validate_kernel, validate_theta
 from .xcorr import cross_correlate, validate_filter
 
 
@@ -198,7 +198,8 @@ def _cmd_lift(args) -> int:
         raise EquicorrError(f"scenario {scn.name} needs a kernel and a delta to lift")
     name, theta = _pick_theta(scn, args.theta)
     filt = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
-    report = validate_filter(filt, tolerance=args.tolerance)
+    report = ValidationReport(_prefixed(validate_theta(theta, scn.kernel), f"theta.{name}"))
+    report.checks += validate_filter(filt, tolerance=args.tolerance).checks
     summary = [f"lifted kernel along theta {name!r}"] + report.summary_lines()
     _emit(args, filter_to_dict(filt), summary)
     return 0 if report.passed else 1

@@ -1,9 +1,11 @@
 """Exception taxonomy.
 
 Structural problems (wrong shapes, out-of-range indices, entries outside
-their legal support) raise immediately.  Numerical properties never raise;
-they are reported through validation reports so callers can decide what a
-violation means for them.
+their legal support), bad parameters and unmet preconditions of a
+construction raise immediately.  The laws of stored data never raise: a
+filter off its constraint or a theta that misses the kernel support or
+breaks a law is reported through a validation report with a witness, so
+callers can decide what a violation means for them.
 """
 
 from __future__ import annotations
@@ -27,11 +29,3 @@ class DegenerateMeasureError(EquicorrError):
 
 class PreconditionError(EquicorrError):
     """A numerical precondition of an operation fails beyond tolerance."""
-
-
-class InconsistencyError(EquicorrError):
-    """Stored data contradicts a constraint it promised to satisfy."""
-
-
-class CoverageError(EquicorrError):
-    """A map required to cover a support set misses part of it."""

@@ -108,9 +108,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def inverse(self, g: int) -> int:
-        return int(self.inv[g])
-
 
 @dataclass(eq=False)
 class GroupAction:
@@ -140,14 +137,6 @@ class GroupAction:
     @property
     def base_size(self) -> int:
         return len(self.base)
-
-    def act(self, g: int, b: int) -> int:
-        n, m = self.group.order, self.base_size
-        if not (0 <= g < n):
-            raise StructuralError(f"group index {g} out of range for order {n}")
-        if not (0 <= b < m):
-            raise StructuralError(f"base index {b} out of range for size {m}")
-        return int(self.table[g, b])
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,6 @@ class ValidationReport:
             return None
         return max(live, key=lambda c: c.residual)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def sorted(self) -> "ValidationReport":
         return ValidationReport(sorted(self.checks, key=lambda c: c.name))
 

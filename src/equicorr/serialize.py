@@ -41,6 +41,7 @@ import functools
 import itertools
 import json
 import re
+import sys
 
 import numpy as np
 
@@ -521,6 +522,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         scn.extras[k] = _typed(v, (int,) if k in _INTEGER_EXTRAS else (int, float), f"extras {k}")
     origin = scn.extras.get("origin", 0)  # a base point: -1 would wrap, 10**6 would not index
     _require(0 <= origin < action.base_size, f"extras origin {origin} is outside [0, |B| = {action.base_size})")
+    for k in ("dx", "grid_step"):  # the grid oracles scale and divide by these; 0, inf, nan and 1e-320 are no step
+        step = scn.extras.get(k, 1.0)
+        _require(sys.float_info.min <= step <= sys.float_info.max, f"extras {k} {step!r} is not a finite normal step > 0")
     return scn
 
 

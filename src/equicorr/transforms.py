@@ -22,17 +22,18 @@ Projection averages a filter over each stabilizer into a kernel:
 
     kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b),
 
-independent of the representative k by left-invariance of nu.  Lifting
-goes the other way and needs two extra pieces of scenario data: a section
-theta of the orbit map, theta(c, b).b = c with
-g theta(c, b) = theta(g.c, g.b) g on the kernel support, and a
-stabilizer density delta of unit nu-mass:
+independent of the representative k by left-invariance of nu: the
+induced map's support scatter (`xcorr.filter_operator`) with nu_b(h) in
+place of mu_b(k h).  Lifting goes the other way and needs two extra
+pieces of scenario data: a section theta of the orbit map,
+theta(c, b).b = c with g theta(c, b) = theta(g.c, g.b) g on the kernel
+support, and a stabilizer density delta of unit nu-mass:
 
     omega(h, b) = delta(theta(h.b, b)^-1 h, b) kappa(h.b, b) @ actE(h, b)
 
 on pairs with (h.b, b) in the kernel support, zero elsewhere.  Theta is
-data, never inferred: validate_theta checks a given map and reports
-infeasibility rather than constructing one.
+data, never inferred: validate_theta counts the support pairs it misses
+or where it breaks a law, and nothing here raises on a theta.
 
 Both directions are tied together numerically.  A lifted filter induces
 T_kappa, and a filter induces the transform of its projection, whenever
@@ -49,16 +50,16 @@ visibly different supports inducing one and the same transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
-from .errors import CoverageError, InconsistencyError, StructuralError
-from .groups import GroupAction, _float_table, _index_table, coset_table
+from .errors import StructuralError
+from .groups import GroupAction, _float_table, _index_table
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
-from .xcorr import Filter, _common_action, filter_operator
+from .xcorr import Filter, _common_action, _support_scatter, filter_operator
 
 __all__ = [
     "Kernel",
@@ -82,7 +83,7 @@ class Kernel:
     input_bundle: EquivariantBundle
     output_bundle: EquivariantBundle
     matrices: np.ndarray  # (|B|, |B|, dF, dE)
-    support: np.ndarray = None  # (|B|, |B|) bool, derived
+    support: np.ndarray = field(init=False)  # (|B|, |B|) bool, derived
 
     def __post_init__(self):
         action = _common_action(self.input_bundle, self.output_bundle)
@@ -177,23 +178,18 @@ def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kerne
 
         kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b)
 
-    with k = k_c the smallest element carrying b to c (action.coset_reps).
+    with k = k_c the smallest element carrying b to c (action.coset_reps),
+    summed over the support k h of omega(., b) only.
     """
     if nu.action is not filt.action:
         raise StructuralError("stabilizer family is over a different action")
     action = filt.action
     grp = action.group
-    m = action.base_size
-    ae = filt.input_bundle.act_matrix
-    de, df = filt.input_bundle.dmax, filt.output_bundle.dmax
-    out = np.zeros((m, m, df, de))
-    for b in range(m):
-        stab, members, kh = coset_table(action, b)  # row c of kh: the coset k_c G_b
-        w = nu.weights[b, stab]
-        mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
-        back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
-        out[members, b] = np.einsum("s,csij,csjk->cik", w, mats, back)
-    return Kernel(filt.input_bundle, filt.output_bundle, out)
+    idx = filt.support_index
+    rows = np.arange(idx.shape[0])[:, None]
+    reps = action.coset_reps[rows, action.table[idx, rows]]  # [b, s] -> k_c with c = k.b, k = idx[b, s]
+    weights = nu.weights[rows, grp.cayley[grp.inv[reps], idx]]  # nu_b(k_c^-1 k), k_c^-1 k in G_b
+    return Kernel(filt.input_bundle, filt.output_bundle, _support_scatter(filt, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -218,37 +214,32 @@ class ThetaMap:
 
 
 def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
-    """Check theta on the kernel support: coverage (an uncovered pair raises
-    CoverageError), the section law theta(c, b).b = c, and translation
-    compatibility g theta(c, b) = theta(g.c, g.b) g.  Both laws are integer
-    identities; residuals count violations, held at 0.
+    """Check theta on the kernel support: the section law theta(c, b).b = c,
+    which an undefined theta(c, b) violates, and translation compatibility
+    g theta(c, b) = theta(g.c, g.b) g.  Both laws are integer identities;
+    residuals count violations, held at 0.
 
     Translation is checked for every g in a generating set, with witness
-    (g, c, b).  A pair that g moves off the support, where theta need not
-    be defined, counts as a violation; with that, the g that pass are closed
-    under products, so the generator scan is exact.
+    (g, c, b).  A pair that g moves off the support, or with theta undefined
+    at either end, counts as a violation; with that, the g that pass are
+    closed under products, so the generator scan is exact.
     """
     if theta.action is not kern.action:
         raise StructuralError("theta is over a different action")
     action = theta.action
     grp = action.group
     supp = kern.support
-    missing = supp & ~theta.defined
-    if np.any(missing):
-        c, b = _argmax_coords(missing.astype(float))
-        raise CoverageError(f"theta misses kernel support at (c={c}, b={b})")
-
     report = ValidationReport()
     cs, bs = np.nonzero(supp)
     reps = theta.reps[cs, bs]
-    count, at = _count_of(action.table[reps, bs] != cs)
+    # an undefined -1 reads the last row of a table; its own mask outvotes that
+    count, at = _count_of((reps < 0) | (action.table[reps, bs] != cs))
     report.add(check_from_residual("theta-section", count, 0, at and (int(cs[at[0]]), int(bs[at[0]]))))
 
-    def broken(g):  # [i] -> g theta(c_i, b_i) != theta(g.c_i, g.b_i) g, or (g.c_i, g.b_i) off the support
+    def broken(g):  # [i] -> g theta(c_i, b_i) != theta(g.c_i, g.b_i) g, or either is undefined
         gc, gb = action.table[g, cs], action.table[g, bs]
-        kept = supp[gc, gb]
-        moved = np.where(kept, theta.reps[gc, gb], grp.identity)
-        return ~kept | (grp.cayley[g, reps] != grp.cayley[moved, g])
+        moved = theta.reps[gc, gb]
+        return ~supp[gc, gb] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g])
 
     count, wit = _count_over(grp.generators, broken)
     witness = (wit[0], int(cs[wit[1]]), int(bs[wit[1]])) if wit else None
@@ -262,35 +253,21 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
 
 def lift_kernel_to_filter(kern: Kernel, theta: ThetaMap, delta: DeltaFunction) -> Filter:
     """omega(h, b) = delta(theta(h.b, b)^-1 h, b) kappa(h.b, b) @ actE(h, b)
-    on pairs with (h.b, b) in the kernel support, zero elsewhere.
-
-    The delta argument theta(h.b, b)^-1 h lands in the stabilizer of b
-    whenever theta satisfies its section law; that is asserted before the
-    lookup, and a failure raises InconsistencyError rather than silently
-    reading delta off its support.
+    on pairs with (h.b, b) in the kernel support and theta defined there,
+    zero elsewhere.  The lift decides no law of theta (validate_theta
+    does): where theta breaks its section law, theta(h.b, b)^-1 h leaves
+    the stabilizer of b, and delta, zero off it, zeroes the lift there.
     """
     action = kern.action
     if theta.action is not action or delta.action is not action:
         raise StructuralError("theta or delta is over a different action")
     grp = action.group
-    n, m = grp.order, action.base_size
     hb = action.table  # (|G|, |B|): h.b
-    cols = np.arange(m)
-    mask = kern.support[hb, cols[None, :]]  # (|G|, |B|)
-
-    th = np.where(mask, theta.reps[hb, cols[None, :]], grp.identity)
-    if np.any((th < 0) & mask):
-        h, b = _argmax_coords(((th < 0) & mask).astype(float))
-        raise CoverageError(f"theta misses kernel support at (c={int(hb[h, b])}, b={b})")
-    s = grp.cayley[grp.inv[th], np.arange(n)[:, None]]  # theta^-1 h
-    stays = action.table[s, cols[None, :]] == cols[None, :]
-    if np.any(mask & ~stays):
-        h, b = _argmax_coords((mask & ~stays).astype(float))
-        raise InconsistencyError(
-            f"theta(h.b, b)^-1 h left the stabilizer at (h={h}, b={b}); theta violates its section law"
-        )
-
-    dvals = delta.values[s, cols[None, :]]  # (|G|, |B|)
+    cols = np.arange(action.base_size)
+    th = theta.reps[hb, cols[None, :]]
+    mask = kern.support[hb, cols[None, :]] & (th >= 0)  # (|G|, |B|)
+    s = grp.cayley[grp.inv[np.where(mask, th, grp.identity)], np.arange(grp.order)[:, None]]  # theta^-1 h
+    dvals = np.where(mask, delta.values[s, cols[None, :]], 0.0)  # (|G|, |B|)
     ksel = kern.matrices[hb, cols[None, :]]  # (|G|, |B|, dF, dE)
-    mats = np.einsum("hb,hbij,hbjk->hbik", np.where(mask, dvals, 0.0), ksel, kern.input_bundle.act_matrix)
+    mats = np.einsum("hb,hbij,hbjk->hbik", dvals, ksel, kern.input_bundle.act_matrix)
     return Filter(kern.input_bundle, kern.output_bundle, mats)

@@ -49,7 +49,7 @@ per orbit instead of for every g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class Filter:
     input_bundle: EquivariantBundle
     output_bundle: EquivariantBundle
     matrices: np.ndarray  # (|G|, |B|, dF, dE) padded
-    support: np.ndarray = None  # (|G|, |B|) bool, derived
-    support_index: np.ndarray = None  # (|B|, s_max) int, derived
+    support: np.ndarray = field(init=False)  # (|G|, |B|) bool, derived
+    support_index: np.ndarray = field(init=False)  # (|B|, s_max) int, derived
 
     def __post_init__(self):
         action = _common_action(self.input_bundle, self.output_bundle)
@@ -109,13 +109,12 @@ def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
 # cross-correlation
 
 
-def _weighted_support(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
-    """(|B|, s_max, dF, dE): mu_b(k) omega(k, b) for k in the support of omega(., b)."""
+def _support_weights(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
+    """(|B|, s_max): mu_b(k) for k in the support of omega(., b)."""
     if mu.action is not filt.action:
         raise StructuralError("measure family is over a different action")
     idx = filt.support_index
-    cols = np.arange(idx.shape[0])[:, None]
-    return mu.weights[cols, idx][:, :, None, None] * filt.matrices[idx, cols]
+    return mu.weights[np.arange(idx.shape[0])[:, None], idx]
 
 
 def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> MackeySection:
@@ -123,7 +122,7 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     one support position at a time, ascending k in the support of omega(., b)."""
     if m.bundle is not filt.input_bundle:
         raise StructuralError("section does not live in the filter's input bundle")
-    weights = _weighted_support(filt, mu)
+    weights = _support_weights(filt, mu)
     grp = filt.action.group
     n, nb, de = grp.order, filt.action.base_size, filt.input_bundle.dmax
     cols = np.arange(nb)
@@ -137,23 +136,31 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
         y *= nb
         y += cols
         term = m.values.reshape(n * nb, de).take(y, axis=0)
-        out += np.einsum("bij,...bj->...bi", weights[:, s], term, out=prod)
+        weighted = weights[:, s, None, None] * filt.matrices[k, cols]
+        out += np.einsum("bij,...bj->...bi", weighted, term, out=prod)
     return MackeySection(filt.output_bundle, out)
 
 
 def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
     """The matrix of the induced map T(f) = (omega * f~)(e, -), laid out as
     `transforms.kernel_operator`: [c, b] -> the sum of mu_b(k) omega(k, b) @
-    actE(k^-1, c) over the support k of omega(., b) with k.b = c, ascending k,
-    one scatter-add per support position."""
+    actE(k^-1, c) over the support k of omega(., b) with k.b = c."""
+    return _support_scatter(filt, _support_weights(filt, mu))
+
+
+def _support_scatter(filt: Filter, weights: np.ndarray) -> np.ndarray:
+    """[c, b] -> the sum of weights[b, s] omega(k, b) @ actE(k^-1, c) over
+    k = support_index[b, s] with k.b = c, ascending k, one scatter-add per
+    support position s: mu_b(k) weighs the induced map, nu_b(k_c^-1 k) the
+    projection (`transforms.project_filter_to_kernel`)."""
     action = filt.action
     m = action.base_size
     cols = np.arange(m)
-    weights = _weighted_support(filt, mu)
     op = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
     for s, k in enumerate(filt.support_index.T):
         kb = action.table[k, cols]
-        op[kb, cols] += weights[:, s] @ filt.input_bundle.act_matrix[action.group.inv[k], kb]
+        weighted = weights[:, s, None, None] * filt.matrices[k, cols]
+        op[kb, cols] += weighted @ filt.input_bundle.act_matrix[action.group.inv[k], kb]
     return op
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 
 from equicorr.errors import StructuralError
-from equicorr.groups import FiniteGroup, GroupAction, stabilizer
+from equicorr.groups import FiniteGroup, GroupAction, coset_table, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
@@ -102,6 +102,27 @@ def loop_correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.nda
         pull = filt.input_bundle.act_matrix[action.group.inv[k], kb]
         pulled = np.einsum("bij,...bj->...bi", pull, values[..., kb, :])
         out += np.einsum("bij,...bj->...bi", weights[:, s], pulled)
+    return out
+
+
+def coset_project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> np.ndarray:
+    """The projection's (|B|, |B|, dF, dE) matrices summed coset by coset:
+
+        kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b)
+
+    one `groups.coset_table` gather per base point b, every element of each
+    coset k_c G_b visited, on the support of omega(., b) or not."""
+    action = filt.action
+    grp = action.group
+    m = action.base_size
+    ae = filt.input_bundle.act_matrix
+    out = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
+    for b in range(m):
+        stab, members, kh = coset_table(action, b)  # row c of kh: the coset k_c G_b
+        w = nu.weights[b, stab]
+        mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
+        back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
+        out[members, b] = np.einsum("s,csij,csjk->cik", w, mats, back)
     return out
 
 

@@ -158,14 +158,14 @@ def brute_force_projection(filt, nu):
     out = np.zeros((mb, mb, filt.output_bundle.dmax, filt.input_bundle.dmax))
     for b in range(mb):
         for c in range(mb):
-            movers = [k for k in range(grp.order) if action.act(k, b) == c]
+            movers = [k for k in range(grp.order) if action.table[k, b] == c]
             if not movers:
                 continue
             k = movers[0]
             total = np.zeros_like(out[c, b])
             for s in stabilizer(action, b):
                 ks = mul(grp, k, int(s))
-                a_inv = filt.input_bundle.act_matrix[grp.inverse(ks), c]
+                a_inv = filt.input_bundle.act_matrix[grp.inv[ks], c]
                 total = total + nu.weights[b, int(s)] * (filt.matrices[ks, b] @ a_inv)
             out[c, b] = total
     return out
@@ -177,9 +177,9 @@ def brute_force_lift(kern, theta, delta):
     out = np.zeros((grp.order, action.base_size, kern.output_bundle.dmax, kern.input_bundle.dmax))
     for b in range(action.base_size):
         for h in range(grp.order):
-            c = action.act(h, b)
+            c = action.table[h, b]
             if kern.support[c, b]:
-                s = mul(grp, grp.inverse(int(theta.reps[c, b])), h)
+                s = mul(grp, grp.inv[int(theta.reps[c, b])], h)
                 out[h, b] = delta.values[s, b] * (kern.matrices[c, b] @ kern.input_bundle.act_matrix[h, b])
     return out
 

@@ -64,7 +64,7 @@ def test_sign_bundle_cocycle():
     for g in range(8):
         for h in range(8):
             for b in range(4):
-                hb = action.act(h, b)
+                hb = action.table[h, b]
                 lhs = bundle.act_matrix[mul(grp, g, h), b, 0, 0]
                 rhs = bundle.act_matrix[g, hb, 0, 0] * bundle.act_matrix[h, b, 0, 0]
                 assert lhs == rhs
@@ -93,7 +93,7 @@ def test_cocycle_violation_caught_with_witness():
     broken = EquivariantBundle(action, bundle.fiber_dim, am)
     rep = validate_bundle(broken)
     assert not rep.passed
-    worst = max(rep.failures(), key=lambda c: c.residual)
+    worst = max((c for c in rep.checks if not c.passed), key=lambda c: c.residual)
     assert worst.witness is not None
 
 
@@ -127,11 +127,11 @@ def test_mackey_periodicity_brute_force():
     m = section_to_mackey(f)
     for h in range(8):
         for b in range(4):
-            hb = action.act(h, b)
-            expect = bundle.act_matrix[grp.inverse(h), hb] @ f.values[hb]
+            hb = action.table[h, b]
+            expect = bundle.act_matrix[grp.inv[h], hb] @ f.values[hb]
             assert np.allclose(m.values[h, b], expect, atol=1e-13)
             for g in range(8):
-                gb = action.act(g, b)
+                gb = action.table[g, b]
                 lhs = m.values[h, gb]
                 rhs = bundle.act_matrix[g, b] @ m.values[mul(grp, h, g), b]
                 assert np.allclose(lhs, rhs, atol=1e-13)
@@ -145,9 +145,9 @@ def test_group_acts_on_sections_consistently():
     f = random_sections(bundle, SplitMix64(21), 1)[0]
     for g in range(8):
         gf = act_on_section(g, f)
-        ginv = grp.inverse(g)
+        ginv = grp.inv[g]
         for b in range(4):
-            src = action.act(ginv, b)
+            src = action.table[ginv, b]
             assert np.allclose(gf.values[b], bundle.act_matrix[g, src] @ f.values[src], atol=1e-13)
         # action commutes with the Mackey correspondence
         gm = act_on_mackey(g, section_to_mackey(f))
@@ -274,7 +274,7 @@ def _brute_induced(bundle: EquivariantBundle, values: np.ndarray) -> float:
     for h in range(grp.order):
         for b in range(action.base_size):
             hb = action.table[h, b]
-            diff = values[h, b] - A[grp.inverse(h), hb] @ values[grp.identity, hb]
+            diff = values[h, b] - A[grp.inv[h], hb] @ values[grp.identity, hb]
             worst = max(worst, float(np.abs(diff).max()))
     return worst
 
@@ -402,7 +402,7 @@ def _brute_law(values, action, conjugate, A=None) -> float:
     grp = action.group
     worst = 0.0
     for g in range(grp.order):
-        gr = grp.cayley[grp.cayley[g], grp.inverse(g)] if conjugate else action.table[g]
+        gr = grp.cayley[grp.cayley[g], grp.inv[g]] if conjugate else action.table[g]
         for b in range(action.base_size):
             lhs, rhs = values[gr, action.table[g, b]], values[:, b]
             if A is not None:

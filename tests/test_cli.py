@@ -345,11 +345,19 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
         # an integer origin must be a base point: 10**6 would not index, -1 would wrap to the last
         ("extras", "origin", 10**6),
         ("extras", "origin", -1),
+        # a grid step the oracles divide and scale by: 0 and 1e-320 would end in a
+        # division or an overflow, inf in a NaN, and a dx of inf would bound the continuum gap by inf
+        ("extras", "grid_step", 0),
+        ("extras", "grid_step", math.inf),
+        ("extras", "grid_step", 1e-320),
+        ("extras", "dx", 0.0),
+        ("extras", "dx", math.inf),
     ],
 )
 def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_path, capsys):
-    # numbers the banded support check and the line-grid oracle compute with
-    spec = "line-grid(5, dx=0.2)" if name == "origin" else "torus-bands(16)"
+    # numbers the banded support check, the line-grid oracle and the circle-grid rotations compute with
+    line_grid = "line-grid(5, dx=0.2)"
+    spec = {"origin": line_grid, "dx": line_grid, "grid_step": "circle-grid(16)"}.get(name, "torus-bands(16)")
     doc = json.loads(json.dumps(scenario_to_dict(build_scenario(spec))))
     doc[key][name] = value
     path = tmp_path / "mistyped.json"
@@ -462,6 +470,23 @@ def test_project_recovers_kernel_through_cli(tmp_path, capsys):
     assert "disintegration residual" in err
     kern = kernel_from_dict(json.loads(target.read_text()), scn.input_bundle, scn.output_bundle)
     assert np.abs(kern.matrices - scn.kernel.matrices).max() < 1e-12
+
+
+@pytest.mark.parametrize("command", ["validate", "battery", "lift"])
+@pytest.mark.parametrize("corrupt", ["bumped", "deleted"])
+def test_a_corrupted_theta_is_reported_not_raised(command, corrupt, tmp_path, capsys):
+    doc = json.loads(json.dumps(scenario_to_dict(build_scenario("torus-bands(12)"))))
+    entries = doc["thetas"]["global"]["entries"]
+    assert (entries[0]["c"], entries[0]["b"]) == (0, 0)
+    if corrupt == "bumped":
+        entries[0]["element"] += 1  # theta(0, 0).0 != 0
+    else:
+        del entries[0]  # theta misses the kernel support pair (0, 0)
+    path = tmp_path / "theta.json"
+    save_document(str(path), doc)
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert "FAIL theta.global.theta-section residual=1.000e+00 tolerance=0.000e+00 witness=[0, 0]" in err.splitlines()
 
 
 def test_lift_theta_choice(capsys):

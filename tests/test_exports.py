@@ -39,3 +39,18 @@ def test_every_private_module_name_is_referenced():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert private and sorted(private - read) == []
+
+
+def test_every_error_class_is_raised():
+    # a class of the error taxonomy that nothing in the package raises is dead code
+    package = Path(equicorr.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"EquicorrError"}
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes and sorted(classes - raised) == []

@@ -47,7 +47,7 @@ def test_cyclic_structure():
     assert grp.order == 6
     assert grp.identity == 0
     assert mul(grp, 2, 5) == 1
-    assert grp.inverse(4) == 2
+    assert grp.inv[4] == 2
     assert brute_force_associative(grp.cayley)
     assert validate_group(grp).passed
 
@@ -105,7 +105,7 @@ def test_dihedral_table_is_composition_of_maps(n):
             ab = int(grp.cayley[a, b])
             assert [_dihedral_map(n, ab)(v) for v in vs] == [fa(fb(v)) for v in vs]
             assert (ab >= n) == ((a >= n) != (b >= n))
-    assert [mul(grp, g, grp.inverse(g)) for g in range(2 * n)] == [0] * (2 * n)
+    assert [mul(grp, g, grp.inv[g]) for g in range(2 * n)] == [0] * (2 * n)
 
 
 def test_direct_product_of_dihedral_and_cyclic_componentwise():
@@ -114,7 +114,7 @@ def test_direct_product_of_dihedral_and_cyclic_componentwise():
     assert prod.order == 24 and prod.identity == 0
     for x in range(24):
         assert prod.elements[x] == f"({a.elements[x % 6]},{b.elements[x // 6]})"
-        assert prod.inverse(x) == b.inverse(x // 6) * 6 + a.inverse(x % 6)
+        assert prod.inv[x] == b.inv[x // 6] * 6 + a.inv[x % 6]
         for y in range(24):
             expect = mul(b, x // 6, y // 6) * 6 + mul(a, x % 6, y % 6)
             assert mul(prod, x, y) == expect
@@ -169,9 +169,9 @@ def test_dihedral_vertex_action_table():
     action = dihedral_vertex_action(4)
     assert validate_action(action).passed
     # rotation r1 sends vertex v to v+1, reflection s0 sends v to -v
-    assert action.act(1, 0) == 1
-    assert action.act(4, 1) == 3
-    assert action.act(4, 0) == 0
+    assert action.table[1, 0] == 1
+    assert action.table[4, 1] == 3
+    assert action.table[4, 0] == 0
 
 
 def test_orbits_and_stabilizers_dihedral():
@@ -180,7 +180,7 @@ def test_orbits_and_stabilizers_dihedral():
     assert len(os_) == 1 and list(os_[0].members) == [0, 1, 2, 3]
     st0 = stabilizer(action, 0)
     # brute force: elements fixing vertex 0
-    expect = [g for g in range(8) if action.act(g, 0) == 0]
+    expect = [g for g in range(8) if action.table[g, 0] == 0]
     assert list(st0) == expect == [0, 4]
     assert fundamental_domain(action) == [0]
 
@@ -234,7 +234,7 @@ def test_pair_stabilizer_matches_brute_force():
     for c in range(4):
         for b in range(4):
             ps = pair_stabilizer(action, c, b)
-            expect = [g for g in range(8) if action.act(g, c) == c and action.act(g, b) == b]
+            expect = [g for g in range(8) if action.table[g, c] == c and action.table[g, b] == b]
             assert list(ps) == expect
 
 
@@ -253,7 +253,7 @@ def test_pair_stabilizer_matches_brute_force():
 def test_coset_reps_are_smallest_movers(spec):
     action = build_scenario(spec).action
     n, m = action.group.order, action.base_size
-    brute = [[min((k for k in range(n) if action.act(k, b) == c), default=-1) for c in range(m)] for b in range(m)]
+    brute = [[min((k for k in range(n) if action.table[k, b] == c), default=-1) for c in range(m)] for b in range(m)]
     assert action.coset_reps.tolist() == brute
 
 
@@ -264,7 +264,7 @@ def test_torus_action_stabilizer():
     # (g1, g2) fixes b=0 iff g1 + g2 = 0, i.e. elements ((-k) % 8, k)
     got = sorted(int(g) for g in st0)
     assert got == sorted((k * 8) + ((-k) % 8) for k in range(8))
-    assert got == sorted(g for g in range(64) if action.act(g, 0) == 0)
+    assert got == sorted(g for g in range(64) if action.table[g, 0] == 0)
 
 
 def test_scaled_torus_action_valid_any_spacing():

@@ -193,7 +193,7 @@ def test_family_conjugation_violation_detected():
     mubar = solve_orbit_family(mu, nu)
     rep = validate_families(bad, nu, mubar)
     assert not rep.passed
-    names = {c.name for c in rep.failures()}
+    names = {c.name for c in rep.checks if not c.passed}
     assert any("mu" in n for n in names)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from equicorr.battery import _lift_checks
 from equicorr.bundles import Section, act_on_section
-from equicorr.errors import CoverageError, StructuralError
+from equicorr.errors import StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
 from equicorr.measures import (
     OrbitMeasureFamily,
@@ -35,7 +35,8 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import Filter, correlate_sections, validate_filter
 
-from helpers import mul, scenario_lifts
+from helpers import coset_project_filter_to_kernel, mul, scenario_lifts
+from test_streaming import two_orbit_filter
 
 
 def brute_transform(kern, mubar, f):
@@ -61,14 +62,14 @@ def brute_project(filt, nu):
         stab = [int(s) for s in stabilizer(action, b)]
         seen = set()
         for k in range(grp.order):
-            c = action.act(k, b)
+            c = action.table[k, b]
             if c in seen:
                 continue
             seen.add(c)
             acc = np.zeros_like(out[c, b])
             for s in stab:
                 ks = mul(grp, k, s)
-                acc = acc + nu.weights[b, s] * (filt.matrices[ks, b] @ ae[grp.inverse(ks), c])
+                acc = acc + nu.weights[b, s] * (filt.matrices[ks, b] @ ae[grp.inv[ks], c])
             out[c, b] = acc
     return out
 
@@ -82,11 +83,11 @@ def brute_lift(kern, theta, delta):
     out = np.zeros((grp.order, mb, kern.output_bundle.dmax, kern.input_bundle.dmax))
     for b in range(mb):
         for h in range(grp.order):
-            c = action.act(h, b)
+            c = action.table[h, b]
             if not kern.support[c, b]:
                 continue
-            s = mul(grp, grp.inverse(int(theta.reps[c, b])), h)
-            assert action.act(s, b) == b  # theta(h.b, b)^-1 h stabilizes b
+            s = mul(grp, grp.inv[int(theta.reps[c, b])], h)
+            assert action.table[s, b] == b  # theta(h.b, b)^-1 h stabilizes b
             out[h, b] = delta.values[s, b] * (kern.matrices[c, b] @ ae[h, b])
     return out
 
@@ -177,6 +178,33 @@ def test_projection_matches_brute_force_on_act_matrices_and_large_stabilizers(sp
     assert np.allclose(kern.matrices, brute_project(scn.filt, scn.nu), atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic(8)",
+        "dihedral(4, bundle=sign)",
+        "dihedral(8, families=normalized-psi)",
+        "torus(6)",
+        "torus-bands(16)",
+        "circle-grid(16)",
+    ],
+)
+def test_projection_is_bitwise_the_per_coset_sum_on_the_builtins(spec):
+    # the support scatter visits only support elements, in ascending order;
+    # the per-coset sum visits every coset element in stabilizer order
+    scn = build_scenario(spec)
+    kern = project_filter_to_kernel(scn.filt, scn.nu)
+    assert kern.matrices.tobytes() == coset_project_filter_to_kernel(scn.filt, scn.nu).tobytes()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_projection_matches_the_per_coset_sum_on_a_two_dimensional_fiber(which):
+    filt = two_orbit_filter()[which]  # valid, then bumped at the fixed point inf
+    nu = counting_stabilizer_family(filt.action)
+    kern = project_filter_to_kernel(filt, nu)
+    assert np.abs(kern.matrices - coset_project_filter_to_kernel(filt, nu)).max() <= 1e-12
+
+
 def test_projection_theorem_identity_slice(dihedral4_sign):
     # (w * f~)(e, -) = T_{P w}(f) under the exact disintegration identity
     scn = dihedral4_sign
@@ -231,14 +259,36 @@ def test_theta_laws_validate(bands16):
         assert validate_theta(theta, scn.kernel).passed
 
 
-def test_theta_coverage_error():
+def test_theta_coverage_gap_is_a_section_violation():
+    # a support pair theta leaves undefined is counted and named, not raised
     scn = build_scenario("torus-bands(16)")
     reps = scn.thetas["global"].reps.copy()
     cs, bs = np.nonzero(scn.kernel.support)
     reps[cs[0], bs[0]] = -1  # drop one covered pair
-    theta = ThetaMap(scn.action, reps)
-    with pytest.raises(CoverageError):
-        validate_theta(theta, scn.kernel)
+    rep = validate_theta(ThetaMap(scn.action, reps), scn.kernel)
+    section, translation = rep.checks
+    assert (section.name, section.residual, section.witness) == ("theta-section", 1.0, (int(cs[0]), int(bs[0])))
+    assert not translation.passed  # each generator meets the undefined pair at one end
+
+
+def test_lift_zeroes_where_theta_is_undefined_or_breaks_its_section_law():
+    # delta vanishes off each stabilizer, so a theta off its section law lifts to zero
+    scn = build_scenario("torus-bands(16)")
+    theta = scn.thetas["global"]
+    cs, bs = np.nonzero(scn.kernel.support)
+    (c0, b0), (c1, b1) = (int(cs[0]), int(bs[0])), (int(cs[-1]), int(bs[-1]))
+    reps = theta.reps.copy()
+    reps[c0, b0] = -1
+    reps[c1, b1] = (int(reps[c1, b1]) + 1) % scn.group.order
+    assert scn.action.table[reps[c1, b1], b1] != c1
+    broken = ThetaMap(scn.action, reps)
+    assert not validate_theta(broken, scn.kernel).passed
+    lifted = lift_kernel_to_filter(scn.kernel, broken, scn.delta).matrices
+    expect = lift_kernel_to_filter(scn.kernel, theta, scn.delta).matrices.copy()
+    hb = scn.action.table
+    for c, b in ((c0, b0), (c1, b1)):
+        expect[hb[:, b] == c, b] = 0.0
+    assert np.array_equal(lifted, expect)
 
 
 def test_theta_translation_violation_counted():
@@ -254,7 +304,7 @@ def test_theta_translation_violation_counted():
     theta = ThetaMap(scn.action, reps)
     rep = validate_theta(theta, scn.kernel)
     assert not rep.passed
-    failed = {c.name for c in rep.failures()}
+    failed = {c.name for c in rep.checks if not c.passed}
     assert any("translation" in name for name in failed)
 
 
@@ -296,8 +346,8 @@ def brute_filter_operator(filt, mu):
     out = np.zeros((mb, mb, filt.output_bundle.dmax, filt.input_bundle.dmax))
     for b in range(mb):
         for k in range(grp.order):
-            c = action.act(k, b)
-            out[c, b] += mu.weights[b, k] * (filt.matrices[k, b] @ filt.input_bundle.act_matrix[grp.inverse(k), c])
+            c = action.table[k, b]
+            out[c, b] += mu.weights[b, k] * (filt.matrices[k, b] @ filt.input_bundle.act_matrix[grp.inv[k], c])
     return out
 
 

@@ -9,7 +9,7 @@ from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
-from equicorr.transforms import filter_operator, operator_equivariance_residual
+from equicorr.transforms import Kernel, filter_operator, operator_equivariance_residual
 from equicorr.xcorr import (
     CompressedFilter,
     Filter,
@@ -188,3 +188,17 @@ def test_filter_support_tracks_nonzeros(bands16):
     hs, bs = np.nonzero(filt.support)
     assert np.all(np.any(filt.matrices[hs, bs] != 0.0, axis=(1, 2)))
     assert filt.support.sum() == 9 * 16  # three bands of three, every base point
+
+
+@pytest.mark.parametrize("field", ["support", "support_index"])
+def test_filter_refuses_a_derived_field_as_an_argument(bands16, field):
+    # derived from the matrices: a caller's value would be dropped without a word
+    filt = bands16.filt
+    with pytest.raises(TypeError):
+        Filter(filt.input_bundle, filt.output_bundle, filt.matrices, **{field: getattr(filt, field)})
+
+
+def test_kernel_refuses_its_derived_support_as_an_argument(bands16):
+    kern = bands16.kernel
+    with pytest.raises(TypeError):
+        Kernel(kern.input_bundle, kern.output_bundle, kern.matrices, support=kern.support)
