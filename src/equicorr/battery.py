@@ -236,8 +236,8 @@ def _scenario_specific_checks(scn: Scenario, lifts: dict[str, Filter], tolerance
     lifts are the scenario kernel's lifts by theta name."""
     checks: list[Check] = []
     if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys() and "n" in scn.params:
-        mismatch = banded_support_mismatch(scn, lifts)
-        checks.append(check_from_residual("support.segments-vs-rectangle", float(mismatch), 0.0))
+        mismatch, witness = banded_support_mismatch(scn, lifts)  # witness (h, b)
+        checks.append(check_from_residual("support.segments-vs-rectangle", mismatch, 0.0, witness))
     if scn.name.startswith("line-grid") and "global" in lifts and {"dx", "origin"} <= scn.extras.keys():
         gap = line_grid_oracle_residual(scn, lifts["global"])
         # first order in the grid step by design; documents the scale

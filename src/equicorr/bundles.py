@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, _row_blocks, fundamental_domain, stabilizer
+from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _worst_of_rows, fundamental_domain, stabilizer
 from .reporting import ValidationReport, _worst_of_grid, _worst_of_parts, check_from_residual
 
 
@@ -218,12 +218,20 @@ def act_on_section(g: int, f: Section) -> Section:
 def section_to_mackey(f: Section) -> MackeySection:
     """m(h, b) = act_matrix(h^-1, h.b) @ f(h.b): pull the value at h.b back to b."""
     bundle = f.bundle
-    action = bundle.action
-    inv = action.group.inv
-    hb = action.table  # (|G|, |B|)
-    mats = bundle.act_matrix[inv[:, None], hb]  # (|G|, |B|, d, d)
-    vals = np.einsum("hbij,hbj->hbi", mats, f.values[hb])
+    n, m, d = bundle.action.group.order, bundle.action.base_size, bundle.dmax
+    vals = np.empty((n, m, d))
+    for rows in _row_blocks(n, m * d * d):
+        _induced_rows(bundle, f.values, rows, out=vals[rows])
     return MackeySection(bundle, vals)
+
+
+def _induced_rows(bundle: EquivariantBundle, values: np.ndarray, rows: slice, out=None) -> np.ndarray:
+    """The rows h of the Mackey section induced from section values (|B|, dmax):
+    [h, b] -> act_matrix(h^-1, h.b) @ values(h.b)."""
+    action = bundle.action
+    hb = action.table[rows]
+    mats = bundle.act_matrix[action.group.inv[rows, None], hb]  # (rows, |B|, d, d)
+    return np.einsum("hbij,hbj->hbi", mats, values[hb], out=out)
 
 
 def mackey_to_section(m: MackeySection) -> Section:
@@ -249,9 +257,15 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
     all g: h = e in the law gives the induced form, and every induced
     section obeys the law.  With P the all-g residual of the law and a the
     largest row sum of |act_matrix(g, b)|, R <= a P and P <= (1 + a) R.
+    Scanned one row block of h at a time.
     """
-    induced = section_to_mackey(mackey_to_section(m)).values
-    worst, witness = _worst_of_grid(np.abs(m.values - induced).max(axis=2, initial=0.0))
+    bundle = m.bundle
+    identity = m.values[bundle.action.group.identity]
+
+    def defect(rows):  # [h, b] for the h in rows
+        return np.abs(m.values[rows] - _induced_rows(bundle, identity, rows)).max(axis=2, initial=0.0)
+
+    worst, witness = _worst_of_rows(len(m.values), m.values[0].size * bundle.dmax, defect)
     report = ValidationReport()
     report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
     return report
@@ -299,21 +313,26 @@ def _orbit_slice(
     conjugate: bool,
     a_out: np.ndarray | None = None,
     a_in: np.ndarray | None = None,
-) -> tuple[float, tuple[int, int, int] | None, np.ndarray]:
+    carried: np.ndarray | None = None,
+) -> tuple[float, tuple[int, int, int] | None]:
     """Check v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) on a table indexed
     [r, b, ...], one base point b0 per orbit (see the module docstring).
     Rows are group elements moved by conjugation with b' = b (conjugate), or
     base points moved by the action with b' = r; untwisted laws pass no act
-    matrices.  Returns R = max(S, T), the failing law instance (g, g^-1.r, b0)
-    at its first maximum (S before T, each in fundamental-domain order, then
-    row-major over (g, r)), and the table carried from the rows at each b0.
+    matrices.  Returns R = max(S, T) and the failing law instance
+    (g, g^-1.r, b0) at its first maximum (S before T, each in
+    fundamental-domain order, then row-major over (g, r)).  A builder
+    passes carried, a table of values' shape, and each row carried from a
+    b0 is written into it at its target off the fundamental domain.  It
+    may be values itself: the carried rows are read from the columns at
+    the b0, which are never targets, and T then compares each written
+    row with itself.
     The elements are carried a block at a time, each block's rows holding
     at most groups._BLOCK_ENTRIES entries (one element's at least), so
-    beside the table and its carried copy only a few blocks are alive.
+    beside the table only a few blocks are alive.
     """
     grp = action.group
     domain = fundamental_domain(action)
-    carried = values.copy()
 
     def blocks(elements):  # the elements in order, as many at a time as carry _BLOCK_ENTRIES entries
         return (elements[rows] for rows in _row_blocks(elements.size, values[:, 0].size))
@@ -326,7 +345,8 @@ def _orbit_slice(
             for g in blocks(_movers(action, b0)):
                 targets = action.table[g, b0]
                 rows = _carry(values, action, conjugate, a_out, a_in, g, b0)
-                carried[:, targets] = np.moveaxis(rows, 0, 1)
+                if carried is not None:
+                    carried[:, targets] = np.moveaxis(rows, 0, 1)
                 rows -= np.moveaxis(values[:, targets], 1, 0)
                 yield (b0, g), rows
 
@@ -336,4 +356,4 @@ def _orbit_slice(
         (b0, elements), at = hit
         g = int(elements[at[0]])
         witness = (g, int(_move(action, conjugate, grp.inv[[g]])[0, at[1]]), int(b0))
-    return worst, witness, carried
+    return worst, witness

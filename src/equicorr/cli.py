@@ -58,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= args.tolerance <= sys.float_info.max:  # nan fails both
+            raise DomainError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
         return args.handler(args)
     except EquicorrError as exc:
         print(f"error: {exc}", file=sys.stderr)

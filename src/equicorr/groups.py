@@ -38,10 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .reporting import ValidationReport, _count_of, _count_over, check_from_residual
+from .reporting import ValidationReport, _count_of, _count_over, _worst_of_parts, check_from_residual
 
 _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 128 MiB of int16 or 512 MiB of float64
-_BLOCK_ENTRIES = 1 << 16  # largest transient block a table scan materializes at once
+# largest transient block a table scan materializes at once: 128 KiB of
+# float64, which fits in L2 and is smaller than every (|G|, |B|) table of
+# torus-bands(32), so the scans there run in blocks, not as one block
+_BLOCK_ENTRIES = 1 << 14
 
 # dtype of every index table (cayley, inv, action table, coset_reps, theta
 # reps).  The budget bounds |G| and |B| by 2^13, so an index fits, but a
@@ -72,6 +75,27 @@ def _row_blocks(count: int, row_entries: int) -> list[slice]:
     rows of row_entries entries as fit in _BLOCK_ENTRIES, and at least one."""
     step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _worst_of_rows(count: int, row_entries: int, grid_of) -> tuple[float, tuple[int, ...] | None]:
+    """_worst_of_grid of a grid of count rows of row_entries entries,
+    formed one row block at a time by grid_of(rows), rows a slice: the same
+    residual and first-maximum witness as one scan of the whole grid."""
+    worst, hit = _worst_of_parts((rows.start, grid_of(rows)) for rows in _row_blocks(count, row_entries))
+    return worst, hit and (hit[0] + hit[1][0], *hit[1][1:])
+
+
+def _count_of_rows(count: int, row_entries: int, mask_of) -> tuple[float, tuple[int, ...] | None]:
+    """_count_of of a mask of count rows of row_entries entries, formed one
+    row block at a time by mask_of(rows), rows a slice: the same count and
+    first witness as one scan of the whole mask."""
+    total, witness = 0.0, None
+    for rows in _row_blocks(count, row_entries):
+        k, at = _count_of(mask_of(rows))
+        if witness is None and at is not None:
+            witness = (rows.start + at[0], *at[1:])
+        total += k
+    return total, witness
 
 
 def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -362,8 +386,10 @@ def validate_action(action: GroupAction) -> ValidationReport:
     count, at = _count_of(table[grp.identity] != np.arange(action.base_size))
     report.add(check_from_residual("action-identity", count, 0, at and (grp.identity,) + at))
 
-    # [g, b] -> (g h).b != g.(h.b)
-    count, wit = _count_over(grp.generators, lambda h: table[grp.cayley[:, h]] != table[:, table[h]])
+    def broken(h):  # [g, b] -> (g h).b != g.(h.b), a row block of g at a time
+        return _count_of_rows(grp.order, action.base_size, lambda g: table[grp.cayley[g, h]] != table[g][:, table[h]])
+
+    count, wit = _count_over(grp.generators, broken)
     witness = (wit[1], wit[0], wit[2]) if wit else None
     report.add(check_from_residual("action-compatibility", count, 0, witness))
     return report

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, _float_table, coset_table, stabilizer_mask
+from .groups import GroupAction, _float_table, _row_blocks, _worst_of_rows, coset_table, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -61,8 +61,7 @@ class StabilizerMeasureFamily:
         self.weights = _float_table(self.weights, "stabilizer family", (m, n))
         if self.weights.min(initial=0.0) < 0:
             raise StructuralError("stabilizer family weights must be nonnegative")
-        off = self.weights[~stabilizer_mask(self.action)]
-        if off.size and np.any(off != 0.0):
+        if _off_stabilizers(self.weights.T, self.action):
             raise StructuralError("stabilizer family has weight off the stabilizer")
 
 
@@ -105,9 +104,16 @@ class DeltaFunction:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.values = _float_table(self.values, "delta", (n, m))
-        off = self.values[~stabilizer_mask(self.action).T]
-        if off.size and np.any(off != 0.0):
+        if _off_stabilizers(self.values, self.action):
             raise StructuralError("delta has support off the stabilizer")
+
+
+def _off_stabilizers(values: np.ndarray, action: GroupAction) -> bool:
+    """Whether values, indexed [h, b], is not 0 (a NaN included) at some h
+    outside the stabilizer of b; one row block of h at a time."""
+    b = np.arange(action.base_size)
+    blocks = _row_blocks(len(values), action.base_size)
+    return any(np.any((values[rows] != 0.0) & (action.table[rows] != b)) for rows in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +132,9 @@ def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> Stabi
     """Constant weight `scale` on each stabilizer (left-invariant by construction)."""
     if scale <= 0:
         raise DomainError("stabilizer counting scale must be positive")
-    return StabilizerMeasureFamily(action, float(scale) * stabilizer_mask(action).astype(float))
+    weights = stabilizer_mask(action).astype(float)
+    weights *= float(scale)
+    return StabilizerMeasureFamily(action, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +155,7 @@ def validate_families(
     report = ValidationReport()
 
     def law(name: str, weights: np.ndarray, conjugate: bool) -> None:  # weights indexed [b, r]
-        res, wit, _ = _orbit_slice(weights.T, action, conjugate)
+        res, wit = _orbit_slice(weights.T, action, conjugate)
         report.add(check_from_residual(name, res, tolerance, wit and (wit[0], wit[2], wit[1])))
 
     law("family-mu-conjugation", mu.weights, True)
@@ -185,10 +193,14 @@ def fubini_pointwise_residual(
     """
     action = mu.action
     grp = action.group
-    b = np.arange(action.base_size)[:, None]
-    hb = action.table.T  # [b, h] -> h.b
-    k_inv_h = grp.cayley[grp.inv[action.coset_reps[b, hb]], np.arange(grp.order)]
-    return _worst_of_grid(mu.weights - mubar.weights[b, hb] * nu.weights[b, k_inv_h])
+
+    def defect(rows):  # [b, h] for the b in rows
+        b = np.arange(action.base_size)[rows, None]
+        hb = action.table[:, rows].T  # [b, h] -> h.b
+        k_inv_h = grp.cayley[grp.inv[action.coset_reps[b, hb]], np.arange(grp.order)]
+        return mu.weights[rows] - mubar.weights[b, hb] * nu.weights[b, k_inv_h]
+
+    return _worst_of_rows(action.base_size, grp.order, defect)
 
 
 def solve_orbit_measure(
@@ -250,7 +262,7 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
         raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
     # [h] -> psi0(g h g^-1) != psi0(h); the g that fix psi0 under conjugation
     # are closed under products, so a generating set decides it exactly
-    _, witness = _count_over(grp.generators, lambda g: values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values)
+    _, witness = _count_over(grp.generators, lambda g: _count_of(values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values))
     if witness is not None:
         raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)
@@ -264,7 +276,7 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     action = psi.action
     report = ValidationReport()
 
-    worst, witness, _ = _orbit_slice(psi.values, action, True)
+    worst, witness = _orbit_slice(psi.values, action, True)
     report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
     count, wit = _count_of(psi.values.sum(axis=0) <= 0)
@@ -294,13 +306,16 @@ def construct_normalized_families(
         b = int(np.flatnonzero(z <= 0)[0])
         raise DegenerateMeasureError(f"psi has no mass at b={b}")
     smask = stabilizer_mask(action)  # (|B|, |G|)
-    zs = (psi.values.T * smask).sum(axis=1)  # (|B|,)
+    weights = psi.values.T * smask  # psi on each stabilizer, then nu's table, so no second one is formed
+    zs = weights.sum(axis=1)  # (|B|,)
     if np.any(zs <= 0):
         b = int(np.flatnonzero(zs <= 0)[0])
         raise DegenerateMeasureError(f"psi has no mass on the stabilizer of b={b}")
 
     mu = GroupMeasureFamily(action, np.repeat((1.0 / z)[:, None], n, axis=1), haar=True)
-    nu = StabilizerMeasureFamily(action, smask.astype(float) / zs[:, None])
+    weights[...] = smask
+    weights /= zs[:, None]
+    nu = StabilizerMeasureFamily(action, weights)
     mubar = solve_orbit_family(mu, nu)
     return mu, nu, mubar
 
@@ -314,7 +329,7 @@ def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance:
     mass = np.einsum("hb,bh->b", delta.values, nu.weights) - 1.0
     report.add(check_from_residual("delta-normalization", _maxabs(mass), tolerance, _argmax_coords(mass)))
 
-    worst, witness, _ = _orbit_slice(delta.values, action, True)
+    worst, witness = _orbit_slice(delta.values, action, True)
     report.add(check_from_residual("delta-conjugation", worst, tolerance, witness))
     return report
 

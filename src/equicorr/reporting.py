@@ -59,12 +59,12 @@ def _count_of(mask: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     return float(count), (_argmax_coords(mask) if count else None)
 
 
-def _count_over(elements, bad_of) -> tuple[float, tuple[int, ...] | None]:
-    """_count_of summed over the violation masks bad_of(g) of the elements;
-    the witness is (g, *coords) of the first violation in scan order."""
+def _count_over(elements, count_of) -> tuple[float, tuple[int, ...] | None]:
+    """The counts count_of(g) = (count, witness) of the elements summed; the
+    witness is (g, *witness) of the first element with a violation."""
     count, witness = 0.0, None
     for g in elements:
-        k, at = _count_of(bad_of(g))
+        k, at = count_of(g)
         if witness is None and at is not None:
             witness = (int(g),) + at
         count += k

@@ -56,7 +56,8 @@ def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: Equivari
             table[:, b] = _carry(table, action, True, *mats, stabilizer(action, b), b).mean(axis=0)
             if np.abs(table[:, b]).max(initial=0.0) > 1e-6:
                 break
-    return Filter(input_bundle, output_bundle, _orbit_slice(table, action, True, *mats)[2])
+    _orbit_slice(table, action, True, *mats, carried=table)
+    return Filter(input_bundle, output_bundle, table)
 
 
 def random_valid_kernel(
@@ -74,7 +75,8 @@ def random_valid_kernel(
         b0, members = o.base_point, list(o.members)
         table[members, b0] = rng.uniforms((len(members),) + table.shape[2:], -1.0, 1.0)
         table[:, b0] = _carry(table, action, False, *mats, stabilizer(action, b0), b0).mean(axis=0)
-    return Kernel(input_bundle, output_bundle, _orbit_slice(table, action, False, *mats)[2])
+    _orbit_slice(table, action, False, *mats, carried=table)
+    return Kernel(input_bundle, output_bundle, table)
 
 
 def random_violating_kernel(

@@ -76,6 +76,7 @@ from .measures import (
     psi_indicator_identity,
     solve_orbit_family,
 )
+from .reporting import _count_of
 from .rng import SplitMix64
 from .sampling import random_valid_filter, random_valid_kernel
 from .transforms import Kernel, ThetaMap, lift_kernel_to_filter
@@ -319,11 +320,13 @@ def _torus_theta_special(action: GroupAction, n: int, spacing: int, eps: int, su
     return ThetaMap(action, reps)
 
 
-def banded_support_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> int:
+def banded_support_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> tuple[float, tuple[int, int] | None]:
     """Number of (h, b) at which the supports of the global and the special
     lift differ from the predicted shapes: three spatial segments and a
-    rectangle, in (spatial, offset) group coordinates relative to b.  Zero
-    means the supports are exactly the segments and the rectangle.
+    rectangle, in (spatial, offset) group coordinates relative to b, and
+    the first such (h, b) in row-major order, the global lift's before the
+    special lift's.  Zero means the supports are exactly the segments and
+    the rectangle.
 
     The coordinates h -> (signed h mod n, signed h div n) do not depend on b
     and are a bijection onto the signed window, which holds both shapes
@@ -334,8 +337,11 @@ def banded_support_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> int:
     x, y = _signed_mod(h % n, n), _signed_mod(h // n, n)
     segments = (y == 0) & (np.abs(x[:, None] - s * np.arange(-1, 2)) <= eps).any(axis=1)
     rectangle = (np.abs(x) <= eps) & (np.abs(y) <= 1)
-    shapes = {"global": segments, "special": rectangle}
-    return sum(int(np.count_nonzero(lifts[name].support != shape[:, None])) for name, shape in shapes.items())
+    count, witness = 0.0, None
+    for name, shape in (("global", segments), ("special", rectangle)):
+        k, at = _count_of(lifts[name].support != shape[:, None])
+        count, witness = count + k, witness or at
+    return count, witness
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import INDEX_DTYPE, FiniteGroup, GroupAction, group_from_tables, table_from_generators
+from .groups import INDEX_DTYPE, FiniteGroup, GroupAction, _row_blocks, group_from_tables, table_from_generators
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -88,27 +88,34 @@ def dumps(doc: dict) -> str:
     spaces after each comma and each opening bracket, and before each
     closing bracket, except inside strings and empty containers.  The
     compact text is ASCII, so the breaks are found and inserted as byte
-    arrays."""
+    arrays, one block of groups._BLOCK_ENTRIES bytes at a time, with the
+    depth and whether a string is open carried from block to block."""
     text = _COMPACT(doc)
-    raw = np.frombuffer(text.encode("ascii"), np.uint8)
     # blank escape pairs, then empty containers: what stays quoted is string content
     skeleton = text.replace("\\\\", "__").replace('\\"', "__").replace("[]", "__").replace("{}", "__")
-    kind = np.frombuffer(skeleton.encode("ascii").translate(_KIND), np.uint8)
-    marks = np.flatnonzero(kind)
-    kind = kind[marks]
-    quote = kind == 1
-    outside = ~(quote | np.logical_xor.accumulate(quote))
-    breaks, kind = marks[outside], kind[outside]
-    step = _STEP[kind]
-    at = breaks + (kind != 4)  # after a comma or opener, before a closer
-    width = 1 + 2 * np.cumsum(step)  # depth after the break
-    shift = np.zeros(raw.size, np.intp)
-    shift[at] = width
-    np.cumsum(shift, out=shift)
-    out = np.full(raw.size + int(shift[-1]), ord(" "), np.uint8)
-    out[np.arange(raw.size) + shift] = raw
-    out[at + shift[at] - width] = ord("\n")
-    return out.tobytes().decode("ascii") + "\n"
+    chunks, depth, inside = [], 0, False
+    for block in _row_blocks(len(text), 1):
+        raw = np.frombuffer(text[block].encode("ascii"), np.uint8)
+        kind = np.frombuffer(skeleton[block].encode("ascii").translate(_KIND), np.uint8)
+        marks = np.flatnonzero(kind)
+        kind = kind[marks]
+        quote = kind == 1
+        opened = np.logical_xor.accumulate(quote) ^ inside  # a string is open after this mark
+        inside = bool(opened[-1]) if opened.size else inside
+        outside = ~(quote | opened)
+        breaks, kind = marks[outside], kind[outside]
+        at = breaks + (kind != 4)  # after a comma or opener, before a closer; raw.size: after the block
+        width = 1 + 2 * (depth + np.cumsum(_STEP[kind]))  # depth after the break
+        depth = int(width[-1] - 1) // 2 if width.size else depth
+        shift = np.zeros(raw.size + 1, np.intp)
+        shift[at] = width
+        np.cumsum(shift, out=shift)
+        out = np.full(raw.size + int(shift[-1]), ord(" "), np.uint8)
+        out[np.arange(raw.size) + shift[:-1]] = raw
+        out[at + shift[at] - width] = ord("\n")
+        chunks.append(out.tobytes().decode("ascii"))
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _require(cond: bool, msg: str) -> None:

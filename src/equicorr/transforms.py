@@ -56,7 +56,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import StructuralError
-from .groups import GroupAction, _float_table, _index_table
+from .groups import GroupAction, _count_of_rows, _float_table, _index_table, _row_blocks
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
 from .xcorr import Filter, _common_action, _support_scatter, filter_operator
@@ -111,10 +111,11 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     The g that keep the support invariant are closed under products, so the
     support scan covers a generating set; its count is over (generator, c, b)."""
     action = kern.action
+    m = action.base_size
 
-    def moved(g):  # [c, b] -> support(g.c, g.b) != support(c, b)
+    def moved(g):  # [c, b] -> support(g.c, g.b) != support(c, b), a row block of c at a time
         tg = action.table[g]
-        return kern.support[np.ix_(tg, tg)] != kern.support
+        return _count_of_rows(m, m, lambda c: kern.support[tg[c, None], tg] != kern.support[c])
 
     worst, witness = operator_equivariance_residual(kern.matrices, kern.input_bundle, kern.output_bundle)
     count, support_witness = _count_over(action.group.generators, moved)
@@ -166,7 +167,7 @@ def operator_equivariance_residual(
         P_F <= |B| dE (a^2 + 2a) R,    R <= a P_basis.
     """
     action = _common_action(input_bundle, output_bundle)
-    return _orbit_slice(op, action, False, output_bundle.act_matrix, input_bundle.act_matrix)[:2]
+    return _orbit_slice(op, action, False, output_bundle.act_matrix, input_bundle.act_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +230,28 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
     action = theta.action
     grp = action.group
     supp = kern.support
+    m = action.base_size
     report = ValidationReport()
-    cs, bs = np.nonzero(supp)
-    reps = theta.reps[cs, bs]
-    # an undefined -1 reads the last row of a table; its own mask outvotes that
-    count, at = _count_of((reps < 0) | (action.table[reps, bs] != cs))
-    report.add(check_from_residual("theta-section", count, 0, at and (int(cs[at[0]]), int(bs[at[0]]))))
 
-    def broken(g):  # [i] -> g theta(c_i, b_i) != theta(g.c_i, g.b_i) g, or either is undefined
-        gc, gb = action.table[g, cs], action.table[g, bs]
-        moved = theta.reps[gc, gb]
-        return ~supp[gc, gb] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g])
+    def unsectioned(c):  # [c, b] -> a support pair with theta(c, b) undefined or theta(c, b).b != c
+        reps = theta.reps[c]
+        # an undefined -1 reads the last row of a table; its own mask outvotes that
+        return supp[c] & ((reps < 0) | (action.table[reps, np.arange(m)] != np.arange(m)[c, None]))
 
-    count, wit = _count_over(grp.generators, broken)
-    witness = (wit[0], int(cs[wit[1]]), int(bs[wit[1]])) if wit else None
+    count, witness = _count_of_rows(m, m, unsectioned)
+    report.add(check_from_residual("theta-section", count, 0, witness))
+
+    def broken(g):  # [c, b] -> on a support pair, g theta(c, b) != theta(g.c, g.b) g, or either is undefined
+        tg = action.table[g]
+
+        def block(c):
+            gc = tg[c, None]
+            reps, moved = theta.reps[c], theta.reps[gc, tg]
+            return supp[c] & (~supp[gc, tg] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g]))
+
+        return _count_of_rows(m, m, block)
+
+    count, witness = _count_over(grp.generators, broken)
     report.add(check_from_residual("theta-translation", count, 0, witness))
     return report
 
@@ -262,12 +271,14 @@ def lift_kernel_to_filter(kern: Kernel, theta: ThetaMap, delta: DeltaFunction) -
     if theta.action is not action or delta.action is not action:
         raise StructuralError("theta or delta is over a different action")
     grp = action.group
-    hb = action.table  # (|G|, |B|): h.b
     cols = np.arange(action.base_size)
-    th = theta.reps[hb, cols[None, :]]
-    mask = kern.support[hb, cols[None, :]] & (th >= 0)  # (|G|, |B|)
-    s = grp.cayley[grp.inv[np.where(mask, th, grp.identity)], np.arange(grp.order)[:, None]]  # theta^-1 h
-    dvals = np.where(mask, delta.values[s, cols[None, :]], 0.0)  # (|G|, |B|)
-    ksel = kern.matrices[hb, cols[None, :]]  # (|G|, |B|, dF, dE)
-    mats = np.einsum("hb,hbij,hbjk->hbik", dvals, ksel, kern.input_bundle.act_matrix)
+    mats = np.empty((grp.order,) + kern.matrices.shape[1:])
+    for rows in _row_blocks(grp.order, mats[0].size):  # a row block of h at a time
+        hb = action.table[rows]  # [h, b] -> h.b
+        th = theta.reps[hb, cols]
+        mask = kern.support[hb, cols] & (th >= 0)
+        s = grp.cayley[grp.inv[np.where(mask, th, grp.identity)], np.arange(grp.order)[rows, None]]  # theta^-1 h
+        dvals = np.where(mask, delta.values[s, cols], 0.0)
+        ksel = kern.matrices[hb, cols]  # [h, b] -> kappa(h.b, b)
+        np.einsum("hb,hbij,hbjk->hbik", dvals, ksel, kern.input_bundle.act_matrix[rows], out=mats[rows])
     return Filter(kern.input_bundle, kern.output_bundle, mats)

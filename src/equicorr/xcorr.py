@@ -55,7 +55,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import StructuralError
-from .groups import _float_table, fundamental_domain
+from .groups import _float_table, _row_blocks, fundamental_domain
 from .measures import GroupMeasureFamily
 from .reporting import ValidationReport, check_from_residual
 
@@ -87,7 +87,9 @@ class Filter:
         # first elements outside it: their matrices are exactly zero, so a
         # padded term adds nothing
         s_max = int(self.support.sum(axis=0).max(initial=0))
-        self.support_index = np.argsort(~self.support, axis=0, kind="stable")[:s_max].T.copy()
+        self.support_index = np.empty((m, s_max), dtype=np.intp)
+        for cols in _row_blocks(m, n):  # the sort's (|G|, |B|) index, a block of columns at a time
+            self.support_index[cols] = np.argsort(~self.support[:, cols], axis=0, kind="stable")[:s_max].T
 
     @property
     def action(self):
@@ -97,7 +99,7 @@ class Filter:
 def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
     """Residual of the faint compatibility law on one base slice per orbit;
     witness coordinates (g, h, b)."""
-    worst, witness, _ = _orbit_slice(
+    worst, witness = _orbit_slice(
         filt.matrices, filt.action, True, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
     )
     report = ValidationReport()
@@ -126,18 +128,21 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     grp = filt.action.group
     n, nb, de = grp.order, filt.action.base_size, filt.input_bundle.dmax
     cols = np.arange(nb)
+    flat = m.values.reshape(n * nb, de)
     out = np.zeros((n, nb, filt.output_bundle.dmax))
-    prod = np.empty(out.shape)
+    blocks = _row_blocks(n, nb * max(de, out.shape[2]))
+    prod = np.empty((min(n, blocks[0].stop),) + out.shape[1:])
     for s, k in enumerate(filt.support_index.T):
-        # [h, b] -> h k_b = (k_b^-1 h^-1)^-1, read from the contiguous rows
-        # k_b^-1 instead of the strided columns k_b
-        y = grp.inv[grp.cayley[grp.inv[k]][:, grp.inv]].T.astype(np.intp, order="C")
-        # in intp, formed in place: the offset y * nb + b reaches |G| |B|, past INDEX_DTYPE
-        y *= nb
-        y += cols
-        term = m.values.reshape(n * nb, de).take(y, axis=0)
         weighted = weights[:, s, None, None] * filt.matrices[k, cols]
-        out += np.einsum("bij,...bj->...bi", weighted, term, out=prod)
+        kinv = grp.inv[k][:, None]
+        for rows in blocks:  # a row block of h at a time
+            # [h, b] -> h k_b = (k_b^-1 h^-1)^-1, read from the contiguous rows
+            # k_b^-1 instead of the strided columns k_b
+            y = grp.inv[grp.cayley[kinv, grp.inv[rows]]].T.astype(np.intp, order="C")
+            # in intp, formed in place: the offset y * nb + b reaches |G| |B|, past INDEX_DTYPE
+            y *= nb
+            y += cols
+            out[rows] += np.einsum("bij,...bj->...bi", weighted, flat.take(y, axis=0), out=prod[: len(y)])
     return MackeySection(filt.output_bundle, out)
 
 
@@ -222,5 +227,5 @@ def expand_filter(comp: CompressedFilter) -> Filter:
         if row.shape != (n, df, de):
             raise StructuralError(f"compressed row at b={b} has shape {row.shape}, expected {(n, df, de)}")
         table[:, b] = row
-    out = _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix)[2]
-    return Filter(e_bundle, f_bundle, out)
+    _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix, carried=table)
+    return Filter(e_bundle, f_bundle, table)

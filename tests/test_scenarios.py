@@ -180,12 +180,12 @@ def test_band_supports_match_predictions_exactly(bands16):
     assert len(shapes["segments-predicted"]) == 9
     assert len(shapes["rectangle-predicted"]) == 9
     assert shapes["segments-predicted"] != shapes["rectangle-predicted"]
-    assert banded_support_mismatch(bands16, scenario_lifts(bands16)) == 0
+    assert banded_support_mismatch(bands16, scenario_lifts(bands16)) == (0.0, None)
 
 
 def test_band_supports_other_sizes():
     for scn in (build_torus_bands(12, spacing=3, eps_steps=1), build_torus_bands(20)):
-        assert banded_support_mismatch(scn, scenario_lifts(scn)) == 0
+        assert banded_support_mismatch(scn, scenario_lifts(scn)) == (0.0, None)
 
 
 @pytest.mark.parametrize("n, spacing", [(12, 3), (16, None), (20, None)])
@@ -198,8 +198,8 @@ def test_band_support_mask_counts_the_set_difference(n, spacing):
     g = lifts["global"]
     moved = {"global": replace(g, matrices=np.roll(g.matrices, 1, axis=0)), "special": lifts["special"]}
     for case in (lifts, swapped, moved):
-        assert banded_support_mismatch(scn, case) == banded_support_set_mismatch(scn, case)
-    assert banded_support_mismatch(scn, swapped) > 0 and banded_support_mismatch(scn, moved) > 0
+        assert banded_support_mismatch(scn, case)[0] == banded_support_set_mismatch(scn, case)
+    assert banded_support_mismatch(scn, swapped)[0] > 0 and banded_support_mismatch(scn, moved)[0] > 0
 
 
 @pytest.mark.parametrize("name", ["global", "special"])
@@ -210,7 +210,23 @@ def test_one_flipped_support_entry_counts_once(bands16, name, h, b):
     mats = filt.matrices.copy()
     mats[h, b] = 0.0 if filt.support[h, b] else 1.0
     flipped = dict(lifts, **{name: replace(filt, matrices=mats)})
-    assert banded_support_mismatch(bands16, flipped) == 1 == banded_support_set_mismatch(bands16, flipped)
+    assert banded_support_mismatch(bands16, flipped) == (1.0, (h, b))
+    assert banded_support_set_mismatch(bands16, flipped) == 1
+
+
+def test_flipped_support_entries_name_the_global_lift_first(bands16):
+    # the witness is the first mismatch of the global lift in row-major
+    # order over (h, b), and the special lift's only when the global has none
+    lifts = scenario_lifts(bands16)
+
+    def flip(name, *pairs):
+        mats = lifts[name].matrices.copy()
+        for h, b in pairs:
+            mats[h, b] = 0.0 if lifts[name].support[h, b] else 1.0
+        return replace(lifts[name], matrices=mats)
+
+    both = {"global": flip("global", (5, 3), (1, 7)), "special": flip("special", (0, 0))}
+    assert banded_support_mismatch(bands16, both) == (3.0, (1, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicorr import groups
 from equicorr.battery import run_battery
 from equicorr.bundles import section_to_mackey
 from equicorr.errors import EquicorrError, StructuralError
@@ -39,6 +40,8 @@ from equicorr.serialize import (
     theta_to_dict,
 )
 from equicorr.xcorr import CompressedFilter, compress_filter, validate_filter
+
+from helpers import traced_peak
 
 
 def roundtrip(doc: dict) -> dict:
@@ -465,8 +468,8 @@ def test_int_tables_decode_only_when_every_entry_is_an_integer(table):
     for key in ("table", "left"):
         if decodes:
             assert doc[key].dtype == np.int64 and doc[key].tolist() == parsed
-        else:
-            assert type(doc[key]) is type(parsed) and doc[key] == parsed
+        else:  # compared as text, where a NaN equals itself
+            assert type(doc[key]) is type(parsed) and json.dumps(doc[key]) == json.dumps(parsed)
 
 
 _JSON_SCALARS = st.one_of(
@@ -496,6 +499,24 @@ _JSON_DOCS = st.recursive(
 @given(_JSON_DOCS)
 def test_dumps_is_the_indent_2_encoding(doc):
     assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS, st.sampled_from([1, 2, 3, 5, 64]))
+def test_dumps_carries_depth_and_open_strings_across_blocks(doc, block):
+    # a block boundary may fall inside a string, an escape pair or an
+    # empty container, or right after a comma or an opener
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_BLOCK_ENTRIES", block)
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_peak_is_a_few_times_its_text():
+    # the scenario's 2.0 MB of text peaked at 18.5 MB when the whole text
+    # was re-indented at once, through three intp arrays of its length
+    doc = scenario_to_dict(build_scenario("torus-bands(32)"))
+    text, peak = traced_peak(lambda: dumps(doc))
+    assert peak < 3 * len(text)
 
 
 def test_dumps_matches_json_on_every_document_the_cli_writes():
