@@ -66,9 +66,9 @@ from dataclasses import replace
 import numpy as np
 
 from .bundles import Section, section_to_mackey, validate_bundle, validate_mackey
-from .groups import fundamental_domain, validate_action, validate_group
+from .groups import _worst_of_rows, fundamental_domain, validate_action, validate_group
 from .measures import GroupMeasureFamily, fubini_pointwise_residual, validate_delta, validate_families, validate_psi
-from .reporting import Check, ValidationReport, _count_of, _first_worst, _worst_of_grid, check_from_residual
+from .reporting import Check, ValidationReport, _count_of, _first_worst, check_from_residual
 from .scenarios import Scenario, banded_support_mismatch, circle_offgrid_residual, line_grid_oracle_residual
 from .transforms import (
     filter_operator,
@@ -200,8 +200,8 @@ def _lift_checks(
     theorems rest on."""
     checks: list[Check] = []
 
-    def compare(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:
-        worst, witness = _worst_of_grid(lhs - rhs)  # witness (c, b, i, j)
+    def compare(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:  # witness (c, b, i, j)
+        worst, witness = _worst_of_rows(len(lhs), lhs[0].size, lambda c: lhs[c] - rhs[c])
         return check_from_residual(name, worst, tolerance, witness)
 
     def agreement(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:
@@ -216,8 +216,7 @@ def _lift_checks(
         checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], kernel_op))
 
         back = project_filter_to_kernel(lifted, scn.nu)
-        r, witness = _worst_of_grid(back.matrices - scn.kernel.matrices)  # witness (c, b, i, j)
-        checks.append(check_from_residual(f"lift.{name}.project-roundtrip", r, tolerance, witness))
+        checks.append(compare(f"lift.{name}.project-roundtrip", back.matrices, scn.kernel.matrices))
 
     if len(lifted_ops) == 2:
         checks.append(compare("lift.pair.same-transform", *lifted_ops))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, _float_table, _row_blocks, _worst_of_rows, coset_table, stabilizer_mask
+from .groups import GroupAction, _count_of_rows, _float_table, _worst_of_rows, coset_table, stabilizer_mask
 from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, _maxabs, _worst_of_grid, check_from_residual
 
 
@@ -112,8 +112,7 @@ def _off_stabilizers(values: np.ndarray, action: GroupAction) -> bool:
     """Whether values, indexed [h, b], is not 0 (a NaN included) at some h
     outside the stabilizer of b; one row block of h at a time."""
     b = np.arange(action.base_size)
-    blocks = _row_blocks(len(values), action.base_size)
-    return any(np.any((values[rows] != 0.0) & (action.table[rows] != b)) for rows in blocks)
+    return _count_of_rows(len(values), action.base_size, lambda h: (values[h] != 0.0) & (action.table[h] != b))[0] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -231,12 +231,13 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
     grp = action.group
     supp = kern.support
     m = action.base_size
+    cols = np.arange(m)
     report = ValidationReport()
 
     def unsectioned(c):  # [c, b] -> a support pair with theta(c, b) undefined or theta(c, b).b != c
         reps = theta.reps[c]
         # an undefined -1 reads the last row of a table; its own mask outvotes that
-        return supp[c] & ((reps < 0) | (action.table[reps, np.arange(m)] != np.arange(m)[c, None]))
+        return supp[c] & ((reps < 0) | (action.table[reps, cols] != cols[c, None]))
 
     count, witness = _count_of_rows(m, m, unsectioned)
     report.add(check_from_residual("theta-section", count, 0, witness))

@@ -37,8 +37,8 @@ support.  Every sum above visits only the support, through a (|B|, s_max)
 index of ascending support rows built once per filter, so a faintly
 constrained filter with s_max << |G| costs s_max / |G| of a dense one.
 cross_correlate is the one Mackey-level sum; alive at once are the input
-section, its (|G|, |B|, dF) output, and one gathered (|G|, |B|) slice with
-its product.
+section, its (|G|, |B|, dF) output, and one row block of a gathered
+(|G|, |B|) slice with its product.
 
 A fundamental-domain codec stores one row per orbit and rebuilds the rest
 through the compatibility law; expansion has at most one consistent
