@@ -58,7 +58,7 @@ from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import StructuralError
 from .groups import GroupAction, _count_of_rows, _float_table, _index_table, _row_blocks
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
-from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, check_from_residual
+from .reporting import ValidationReport, _argmax_coords, _count_over, check_from_residual
 from .xcorr import Filter, _common_action, _support_scatter, filter_operator
 
 __all__ = [
