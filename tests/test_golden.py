@@ -1,6 +1,8 @@
 """Byte-stability guard: the CLI's JSON report for a few fixed commands must
-match the saved output under tests/golden/ byte for byte, and the saved
-scenario file of a few specs must keep the sha256 in scenario-sha256.json.
+match the saved output under tests/golden/ byte for byte, the stdout of a
+few larger ones must keep the sha256 in battery-sha256.json and
+writers-sha256.json, and the saved scenario file of a few specs must keep
+the sha256 in scenario-sha256.json.
 
 A change may regenerate a golden file only when it says which bytes moved
 and why; a speed-up that claims identical arithmetic must leave them all.
@@ -58,6 +60,20 @@ def test_battery_stdout_matches_golden_sha256(spec, capsys):
     code = main(["battery", spec])
     assert code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BATTERY_HASHES[spec]
+
+
+# the writers of the other commands, keyed by their argv: a section
+# (xcorr, transform), a filter (lift) and a kernel (project) document
+WRITER_HASHES = json.loads((GOLDEN / "writers-sha256.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(WRITER_HASHES))
+def test_writer_stdout_matches_golden_sha256(command, capsys):
+    name, rest = command.split(" ", 1)
+    spec, seed = rest.split(" --seed ")
+    code = main([name, spec, "--seed", seed])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == WRITER_HASHES[command]
 
 
 SCENARIO_HASHES = json.loads((GOLDEN / "scenario-sha256.json").read_text())
