@@ -209,17 +209,20 @@ def _lift_checks(
             return Check(name, 0.0, tolerance, True, None, skipped=True)
         return compare(name, lhs, rhs)
 
-    lifted_ops = []
+    # each matrix is compared as soon as it is built and then dropped; of two
+    # lifts, the first one's is kept until lift.pair.same-transform reads it
+    first = None
     for name, lifted in lifts.items():
         checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
-        lifted_ops.append(filter_operator(lifted, scn.mu))
-        checks.append(agreement(f"lift.{name}.transform-agreement", lifted_ops[-1], kernel_op))
-
+        op = filter_operator(lifted, scn.mu)
+        checks.append(agreement(f"lift.{name}.transform-agreement", op, kernel_op))
+        if first is not None:
+            checks.append(compare("lift.pair.same-transform", first, op))
+        first = op if first is None and len(lifts) == 2 else None
+        del op
         back = project_filter_to_kernel(lifted, scn.nu)
         checks.append(compare(f"lift.{name}.project-roundtrip", back.matrices, scn.kernel.matrices))
-
-    if len(lifted_ops) == 2:
-        checks.append(compare("lift.pair.same-transform", *lifted_ops))
+        del back
 
     if scn.filt is not None:
         # projection theorem: the filter's induced map is the transform of its projection

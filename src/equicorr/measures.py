@@ -47,7 +47,7 @@ class GroupMeasureFamily:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.weights = _float_table(self.weights, "group family", (m, n))
-        if self.weights.min(initial=0.0) < 0:
+        if np.any(self.weights < 0):  # a NaN does not hide a negative entry
             raise StructuralError("group family weights must be nonnegative")
 
 
@@ -59,7 +59,7 @@ class StabilizerMeasureFamily:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.weights = _float_table(self.weights, "stabilizer family", (m, n))
-        if self.weights.min(initial=0.0) < 0:
+        if np.any(self.weights < 0):
             raise StructuralError("stabilizer family weights must be nonnegative")
         if _off_stabilizers(self.weights.T, self.action):
             raise StructuralError("stabilizer family has weight off the stabilizer")
@@ -73,7 +73,7 @@ class OrbitMeasureFamily:
     def __post_init__(self):
         m = self.action.base_size
         self.weights = _float_table(self.weights, "orbit family", (m, m))
-        if self.weights.min(initial=0.0) < 0:
+        if np.any(self.weights < 0):
             raise StructuralError("orbit family weights must be nonnegative")
         off = self.weights[self.action.coset_reps < 0]
         if off.size and np.any(off != 0.0):
@@ -90,7 +90,7 @@ class PsiFunction:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.values = _float_table(self.values, "psi", (n, m))
-        if self.values.min(initial=0.0) < 0:
+        if np.any(self.values < 0):
             raise StructuralError("psi must be nonnegative")
 
 
@@ -120,11 +120,12 @@ def _off_stabilizers(values: np.ndarray, action: GroupAction) -> bool:
 
 
 def counting_family(action: GroupAction, scale: float = 1.0) -> GroupMeasureFamily:
-    """Haar family: constant weight `scale` on every element, every b."""
+    """Haar family: constant weight `scale` on every element, every b; a
+    read-only view of the one value."""
     if scale <= 0:
         raise DomainError("counting family scale must be positive")
     n, m = action.group.order, action.base_size
-    return GroupMeasureFamily(action, np.full((m, n), float(scale)), haar=True)
+    return GroupMeasureFamily(action, np.broadcast_to(float(scale), (m, n)), haar=True)
 
 
 def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> StabilizerMeasureFamily:
@@ -296,7 +297,8 @@ def construct_normalized_families(
 
     and the orbit family solved from the disintegration identity.  The
     compatibilities are inherited from psi's own, exactly: conjugation
-    permutes each sum.
+    permutes each sum.  mu is a read-only (|B|, |G|) view of its |B|
+    weights.
     """
     action = psi.action
     n, m = action.group.order, action.base_size
@@ -311,7 +313,7 @@ def construct_normalized_families(
         b = int(np.flatnonzero(zs <= 0)[0])
         raise DegenerateMeasureError(f"psi has no mass on the stabilizer of b={b}")
 
-    mu = GroupMeasureFamily(action, np.repeat((1.0 / z)[:, None], n, axis=1), haar=True)
+    mu = GroupMeasureFamily(action, np.broadcast_to((1.0 / z)[:, None], (m, n)), haar=True)
     weights[...] = smask
     weights /= zs[:, None]
     nu = StabilizerMeasureFamily(action, weights)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -520,6 +521,8 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting")
     """
     if units < 5:
         raise DomainError("line-grid window must span at least 5 units")
+    if not sys.float_info.min <= dx <= sys.float_info.max:  # round(1 / dx) raises on 0, nan and 1e-320
+        raise DomainError(f"grid step {dx!r} is not a finite normal step > 0")
     u = round(1.0 / dx)
     if u < 2 or abs(u * dx - 1.0) > 1e-9:
         raise DomainError(f"grid step {dx} must divide the unit length exactly")

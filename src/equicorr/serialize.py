@@ -436,7 +436,9 @@ def theta_from_dict(doc: dict, action: GroupAction) -> ThetaMap:
 
 
 def section_to_dict(f: Section) -> dict:
-    return {"schema": SECTION_SCHEMA, "values": f.values.tolist()}
+    """The values as the array itself, which `dumps` writes as its tolist()
+    while encoding that one value, so no nested list of them outlives it."""
+    return {"schema": SECTION_SCHEMA, "values": f.values}
 
 
 @_document_loader
@@ -446,7 +448,8 @@ def section_from_dict(doc: dict, bundle: EquivariantBundle) -> Section:
 
 
 def mackey_to_dict(m: MackeySection) -> dict:
-    return {"schema": MACKEY_SCHEMA, "values": m.values.tolist()}
+    """The values as the array itself, as in section_to_dict."""
+    return {"schema": MACKEY_SCHEMA, "values": m.values}
 
 
 @_document_loader

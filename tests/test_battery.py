@@ -20,7 +20,7 @@ from equicorr.serialize import report_to_dict, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
-from helpers import scenario_lifts
+from helpers import scenario_lifts, traced_peak
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -343,3 +343,16 @@ def test_project_roundtrip_names_the_corrupted_delta_column(cyclic8):
         check = checks[f"lift.{name}.project-roundtrip"]
         assert not check.passed and check.residual == column.max()
         assert check.witness == (int(column.argmax()), 5, 0, 0)
+
+
+def test_lift_checks_hold_no_operator_matrix_they_have_compared():
+    # each lift's matrix and its projection back are compared when built and
+    # dropped: beside its inputs, the checks hold the two matrices of one
+    # comparison and, with two lifts, the first lift's
+    scn = build_scenario("cyclic(256)")
+    lifts = scenario_lifts(scn)
+    filter_op, kernel_op = filter_operator(scn.filt, scn.mu), kernel_operator(scn.kernel, scn.mubar)
+    fub = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)[0]
+    checks, peak = traced_peak(lambda: battery._lift_checks(scn, lifts, filter_op, kernel_op, fub, 1e-12))
+    assert all(c.passed for c in checks)
+    assert peak < 3 * filter_op.nbytes

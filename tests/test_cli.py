@@ -151,6 +151,25 @@ def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
         assert failed == expected
 
 
+def test_a_nan_does_not_hide_a_negative_weight(tmp_path, capsys):
+    # a NaN alone loads (above); beside it a negative entry is still refused
+    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    weights = doc["families"]["mu"]["weights"]
+    weights[0][0], weights[1][1] = math.nan, -5.0
+    path = tmp_path / "negative.json"
+    save_document(str(path), doc)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: group family weights must be nonnegative\n"
+
+
+@pytest.mark.parametrize("dx", ["0", "nan", "1e-320"])
+def test_a_line_grid_step_that_is_no_step_exits_two_naming_it(dx, capsys):
+    code, out, err = run_cli(capsys, "validate", f"line-grid(6, dx={dx})")
+    assert code == 2 and out == ""
+    assert err == f"error: grid step {dx} is not a finite normal step > 0\n"
+
+
 def _compressed_filter(doc: dict, scn, h: int, by: float) -> None:
     """Store doc's filter compressed, its row at b0 = 0 raised by `by` at h."""
     comp = compress_filter(scn.filt)

@@ -3,11 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.errors import DegenerateMeasureError, PreconditionError
+from equicorr.errors import DegenerateMeasureError, PreconditionError, StructuralError
 from equicorr.groups import orbit, stabilizer
 from equicorr.measures import (
     GroupMeasureFamily,
     OrbitMeasureFamily,
+    PsiFunction,
     StabilizerMeasureFamily,
     construct_normalized_families,
     counting_family,
@@ -23,9 +24,9 @@ from equicorr.measures import (
     validate_psi,
 )
 from equicorr.rng import SplitMix64
-from equicorr.scenarios import dihedral_vertex_action, torus_action
+from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 
-from helpers import check_fubini, mul, normalization_residual, random_group_function
+from helpers import check_fubini, mul, normalization_residual, random_group_function, traced_peak
 
 
 def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
@@ -202,3 +203,32 @@ def test_orbit_family_off_orbit_weights_rejected():
     w = np.ones((4, 4))
     fam = OrbitMeasureFamily(action, w)
     assert np.all(fam.weights > 0)
+
+
+@pytest.mark.parametrize("family", [GroupMeasureFamily, StabilizerMeasureFamily, OrbitMeasureFamily, PsiFunction])
+def test_a_nan_does_not_hide_a_negative_weight(family):
+    # on cyclic(4) every table is 4 x 4, and [1, 0] lies on the stabilizer and on the orbit
+    table = np.zeros((4, 4))
+    table[0, 0], table[1, 0] = np.nan, -5.0
+    with pytest.raises(StructuralError, match="nonnegative"):
+        family(cyclic_action(4), table)
+    table[1, 0] = 0.0
+    family(cyclic_action(4), table)  # a NaN alone loads, for the validators to name
+
+
+@pytest.mark.parametrize("spec", ["cyclic(64)", "torus-bands(16)"])  # counting, normalized-psi
+def test_builtin_haar_family_is_a_read_only_view_of_its_weights(spec):
+    weights = build_scenario(spec).mu.weights
+    assert weights.strides[1] == 0 and not weights.flags.writeable
+    with pytest.raises(StructuralError, match="nonnegative"):
+        GroupMeasureFamily(cyclic_action(4), np.broadcast_to(-1.0, (4, 4)))
+
+
+def test_haar_families_allocate_no_table_of_their_own():
+    action = torus_action(32, 8, 32)
+    table = 8 * action.group.order * action.base_size  # one (|B|, |G|) float table
+    _, peak = traced_peak(lambda: counting_family(action))
+    assert peak < table / 4  # the nonnegativity test's boolean table, an eighth of one
+    psi = psi_indicator_identity(action)
+    (mu, nu, _), peak = traced_peak(lambda: construct_normalized_families(psi))
+    assert peak < table + nu.weights.nbytes  # nu's own table, its mask and the orbit solve

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicorr.errors import DomainError
+from equicorr.errors import DomainError, EquicorrError
 from equicorr.groups import GroupAction, dihedral_group, pair_stabilizer
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import (
@@ -16,6 +17,7 @@ from equicorr.scenarios import (
     DEGENERACY_TEST_FUNCTION,
     LINE_BAND_EPS,
     LINE_BAND_WEIGHTS,
+    _BUILDERS,
     banded_support_mismatch,
     build_circle_grid,
     build_dihedral,
@@ -75,6 +77,26 @@ def test_spec_overrides_win():
 def test_builder_rejections(spec):
     with pytest.raises(DomainError):
         build_scenario(spec)
+
+
+# every keyword of every builder at and past its edges, each spec otherwise
+# the builder's small first size, so that nothing larger than 64 is built
+EDGE_SIZES = {"cyclic": 4, "dihedral": 4, "torus": 4, "torus-bands": 16, "circle-grid": 16, "line-grid": 6}
+EDGE_VALUES = ["0", "-1", "1", "2.5", "nan", "inf", "-inf", "1e400", "1e-320", "x", "True"]
+EDGE_SPECS = [
+    f"{name}({key}={value})" if i == 0 else f"{name}({EDGE_SIZES[name]}, {key}={value})"
+    for name, builder in sorted(_BUILDERS.items())
+    for i, key in enumerate(inspect.signature(builder).parameters)
+    for value in EDGE_VALUES
+]
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS)
+def test_every_builder_keyword_at_its_edges_builds_or_is_refused(spec):
+    try:
+        build_scenario(spec)
+    except EquicorrError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicorr import groups
+from equicorr import groups, serialize
 from equicorr.battery import run_battery
 from equicorr.bundles import section_to_mackey
 from equicorr.errors import EquicorrError, StructuralError
@@ -39,7 +40,7 @@ from equicorr.serialize import (
     theta_from_dict,
     theta_to_dict,
 )
-from equicorr.xcorr import CompressedFilter, compress_filter, validate_filter
+from equicorr.xcorr import CompressedFilter, compress_filter, cross_correlate, validate_filter
 
 from helpers import traced_peak
 
@@ -519,6 +520,27 @@ def test_dumps_peak_is_a_few_times_its_text():
     assert peak < 3 * len(text)
 
 
+def test_an_xcorr_document_is_encoded_from_its_array(monkeypatch):
+    # the document holds the output array, whose nested list lives only while
+    # the encoder writes that value: by the time the compact text is
+    # re-indented it is gone
+    scn = build_scenario("cyclic(256)")
+    m = section_to_mackey(random_sections(scn.input_bundle, SplitMix64(5), 1)[0])
+    out = cross_correlate(scn.filt, m, scn.mu)
+    nested, nested_bytes = traced_peak(out.values.tolist)
+    del nested
+    at_reindent = []
+
+    def blocks(*args):
+        at_reindent.append(tracemalloc.get_traced_memory()[0])
+        return groups._row_blocks(*args)
+
+    monkeypatch.setattr(serialize, "_row_blocks", blocks)
+    text, _ = traced_peak(lambda: dumps(mackey_to_dict(out)))
+    assert text == json.dumps({"schema": "equicorr-mackey-section/1", "values": out.values.tolist()}, sort_keys=True, indent=2) + "\n"
+    assert at_reindent[0] < nested_bytes
+
+
 def test_dumps_matches_json_on_every_document_the_cli_writes():
     scn = build_scenario("torus-bands(32)")
     report = run_battery(scn)
@@ -530,8 +552,8 @@ def test_dumps_matches_json_on_every_document_the_cli_writes():
         "mackey": mackey_to_dict(section_to_mackey(random_sections(scn.input_bundle, SplitMix64(2), 1)[0])),
         "report": report_to_dict(report, {"scenario": scn.name, "mode": "battery"}),
     }
-    for kind, doc in docs.items():
-        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", kind
+    for kind, doc in docs.items():  # dumps writes an ndarray as its tolist()
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n", kind
 
 
 def test_dumps_writes_an_ndarray_as_its_tolist():
