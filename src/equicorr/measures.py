@@ -47,7 +47,7 @@ class GroupMeasureFamily:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.weights = _float_table(self.weights, "group family", (m, n))
-        if np.any(self.weights < 0):  # a NaN does not hide a negative entry
+        if _has_negative(self.weights):
             raise StructuralError("group family weights must be nonnegative")
 
 
@@ -59,7 +59,7 @@ class StabilizerMeasureFamily:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.weights = _float_table(self.weights, "stabilizer family", (m, n))
-        if np.any(self.weights < 0):
+        if _has_negative(self.weights):
             raise StructuralError("stabilizer family weights must be nonnegative")
         if _off_stabilizers(self.weights.T, self.action):
             raise StructuralError("stabilizer family has weight off the stabilizer")
@@ -73,7 +73,7 @@ class OrbitMeasureFamily:
     def __post_init__(self):
         m = self.action.base_size
         self.weights = _float_table(self.weights, "orbit family", (m, m))
-        if np.any(self.weights < 0):
+        if _has_negative(self.weights):
             raise StructuralError("orbit family weights must be nonnegative")
         off = self.weights[self.action.coset_reps < 0]
         if off.size and np.any(off != 0.0):
@@ -90,7 +90,7 @@ class PsiFunction:
     def __post_init__(self):
         n, m = self.action.group.order, self.action.base_size
         self.values = _float_table(self.values, "psi", (n, m))
-        if np.any(self.values < 0):
+        if _has_negative(self.values):
             raise StructuralError("psi must be nonnegative")
 
 
@@ -106,6 +106,13 @@ class DeltaFunction:
         self.values = _float_table(self.values, "delta", (n, m))
         if _off_stabilizers(self.values, self.action):
             raise StructuralError("delta has support off the stabilizer")
+
+
+def _has_negative(table: np.ndarray) -> bool:
+    """Whether some entry of a 2-d table is below 0, counted one row block
+    at a time, so a broadcast view is never compared whole; a NaN is not
+    below 0 and hides no entry that is."""
+    return _count_of_rows(len(table), table.shape[1], lambda rows: table[rows] < 0)[0] > 0
 
 
 def _off_stabilizers(values: np.ndarray, action: GroupAction) -> bool:

@@ -1,7 +1,7 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/2" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/3" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
 produce byte-identical files.  A scenario stores its group by its
 generating set S as the left and right multiplications λ_s and ρ_s,
@@ -9,6 +9,15 @@ generating set S as the left and right multiplications λ_s and ρ_s,
 the dense table from λ_S with groups.table_from_generators, the builder
 the built-in groups use too, and checks it against both.
 "equicorr-scenario/1" files, which carry the full table, still load.
+A scenario stores each measure table (mu, nu, mubar and psi) as a fill
+and its exceptions, {"fill": f, "at": [flat indices], "values": [...]}:
+f is the table's most frequent bit pattern, and `at` lists, ascending in
+row-major order, the entries whose bit pattern differs from it, so -0.0
+and NaN round-trip exactly; the loader takes the shape from the action.
+Each theta is stored as its (|B|, |B|) `reps` table, -1 where undefined.
+"equicorr-scenario/2" files, whose measure tables are dense lists and
+whose thetas are lists of {c, b, element} entries, still load; each
+loader takes either form.
 Filters are stored per base point as sparse maps from group element to
 matrix; a compressed filter stores rows only at orbit representatives
 and says so with a "compressed" flag.
@@ -25,7 +34,8 @@ Numbers cross the JSON boundary in bulk.  `load_document` decodes each
 float table (a `weights`, `values` or `act_matrix` list whose first entry
 is a float) into the ndarray the loaders would build from it, and each
 integer table (an action `table`, a group's `left` and `right`, a v1
-`cayley`) whose every entry is a JSON integer into an int64 array, as
+`cayley`, a fill form's `at`, a theta's `reps`) whose every entry is a
+JSON integer into an int64 array, as
 the parser closes the object holding it, so a file's numbers never all
 live as Python objects at once; anything else stays a list and reaches
 the loaders' own checks unchanged.  Those type-check an integer table
@@ -60,7 +70,8 @@ from .scenarios import Scenario
 from .transforms import Kernel, ThetaMap
 from .xcorr import CompressedFilter, Filter, expand_filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/2"
+SCENARIO_SCHEMA = "equicorr-scenario/3"
+SCENARIO_SCHEMA_V2 = "equicorr-scenario/2"  # dense measure tables, theta entry lists; read only
 SCENARIO_SCHEMA_V1 = "equicorr-scenario/1"  # the group as its full Cayley table; read only
 FILTER_SCHEMA = "equicorr-filter/1"
 KERNEL_SCHEMA = "equicorr-kernel/1"
@@ -258,24 +269,63 @@ def bundle_from_dict(doc: dict, action: GroupAction) -> EquivariantBundle:
 # measure families
 
 
+def _fill_to_dict(table: np.ndarray) -> dict:
+    """{"fill": f, "at": flat indices, "values": the entries there}: f is
+    the table's most frequent bit pattern, the smallest as int64 on a tie,
+    and `at` lists, ascending, every entry whose bit pattern differs from
+    it.  The mode comes from a sort and its run lengths, not np.unique,
+    whose hash path imports numpy.ma (15-25 ms)."""
+    flat = np.ravel(table)
+    bits = flat.view(np.int64)
+    ordered = np.sort(bits)
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    fill = ordered[starts[np.argmax(np.diff(starts, append=ordered.size))]]
+    at = np.flatnonzero(bits != fill)
+    return {"fill": float(fill.view(np.float64)), "at": at, "values": flat[at]}
+
+
+def _fill_from_dict(stored, shape: tuple[int, int], what: str):
+    """A stored measure table: the fill form, checked and expanded to shape,
+    or anything else (a dense nested list, or the array load_document made
+    of it) as it is, for the family's constructor to check."""
+    if not isinstance(stored, dict):
+        return stored
+    _require({"fill", "at", "values"} <= stored.keys(), f"{what} needs fill, at and values")
+    fill = _typed(stored["fill"], (int, float), f"{what} fill")
+    at = _int_table(stored["at"], f"{what} at")
+    size = shape[0] * shape[1]
+    _require(at.ndim == 1, f"{what} at must be a flat list of indices")
+    bad = np.flatnonzero((at < 0) | (at >= size) | np.concatenate(([False], at[1:] <= at[:-1])))
+    if bad.size:  # repeated or out of order, or no entry of the table
+        i = int(bad[0])
+        raise StructuralError(f"{what} at[{i}] = {at[i]} is outside [0, {size}) or not above the entry before it")
+    values = np.asarray(stored["values"], dtype=float)
+    _require(values.shape == at.shape, f"{what} values shape {values.shape}, expected {at.shape}")
+    table = np.full(size, float(fill))
+    table[at] = values
+    return table.reshape(shape)
+
+
 def families_to_dict(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, mubar: OrbitMeasureFamily) -> dict:
     return {
-        "mu": {"weights": mu.weights.tolist(), "haar": bool(mu.haar)},
-        "nu": {"weights": nu.weights.tolist()},
-        "mubar": {"weights": mubar.weights.tolist()},
+        "mu": {"weights": _fill_to_dict(mu.weights), "haar": bool(mu.haar)},
+        "nu": {"weights": _fill_to_dict(nu.weights)},
+        "mubar": {"weights": _fill_to_dict(mubar.weights)},
     }
 
 
 def families_from_dict(doc: dict, action: GroupAction):
     _require(isinstance(doc, dict) and {"mu", "nu", "mubar"} <= set(doc), "families need mu, nu, mubar")
-    mu = GroupMeasureFamily(action, doc["mu"]["weights"], haar=_typed(doc["mu"].get("haar", False), (bool,), "mu haar"))
-    nu = StabilizerMeasureFamily(action, doc["nu"]["weights"])
-    mubar = OrbitMeasureFamily(action, doc["mubar"]["weights"])
+    n, m = action.group.order, action.base_size
+    mu_weights = _fill_from_dict(doc["mu"]["weights"], (m, n), "mu")
+    mu = GroupMeasureFamily(action, mu_weights, haar=_typed(doc["mu"].get("haar", False), (bool,), "mu haar"))
+    nu = StabilizerMeasureFamily(action, _fill_from_dict(doc["nu"]["weights"], (m, n), "nu"))
+    mubar = OrbitMeasureFamily(action, _fill_from_dict(doc["mubar"]["weights"], (m, m), "mubar"))
     return mu, nu, mubar
 
 
 def psi_to_dict(psi: PsiFunction) -> dict:
-    return {"values": psi.values.tolist()}
+    return {"values": _fill_to_dict(psi.values)}
 
 
 def delta_to_dict(delta: DeltaFunction) -> dict:
@@ -415,12 +465,15 @@ def kernel_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: 
 
 
 def theta_to_dict(theta: ThetaMap) -> dict:
-    cs, bs = np.nonzero(theta.defined)
-    return {"entries": [{"c": int(c), "b": int(b), "element": int(theta.reps[c, b])} for c, b in zip(cs, bs)]}
+    return {"reps": theta.reps}
 
 
 def theta_from_dict(doc: dict, action: GroupAction) -> ThetaMap:
-    _require(isinstance(doc, dict) and "entries" in doc, "theta needs an entry list")
+    """theta from its reps table, which ThetaMap range-checks, or from a
+    scenario/2 list of {c, b, element} entries."""
+    _require(isinstance(doc, dict) and ("reps" in doc or "entries" in doc), "theta needs a reps table or an entry list")
+    if "reps" in doc:
+        return ThetaMap(action, _int_table(doc["reps"], "theta reps"))
     m = action.base_size
     reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
     for entry in doc["entries"]:
@@ -491,7 +544,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 _INTEGER_EXTRAS = ("band_spacing", "eps_steps", "origin")  # dx and grid_step may be floats
-_GROUP_LOADERS = {SCENARIO_SCHEMA: group_from_dict, SCENARIO_SCHEMA_V1: _group_from_cayley}
+_GROUP_LOADERS = {SCENARIO_SCHEMA: group_from_dict, SCENARIO_SCHEMA_V2: group_from_dict, SCENARIO_SCHEMA_V1: _group_from_cayley}
 
 
 @_document_loader
@@ -516,7 +569,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     _typed(scn.params.get("n", 0), (int,), "params n")  # the battery's scenario checks compute with n and extras
     if "psi" in doc:
-        scn.psi = PsiFunction(action, doc["psi"]["values"])
+        scn.psi = PsiFunction(action, _fill_from_dict(doc["psi"]["values"], (action.group.order, action.base_size), "psi"))
     if "delta" in doc:
         scn.delta = delta_from_dict(doc["delta"], action)
     if "filter" in doc:
@@ -546,9 +599,11 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 
 
 # (key, type of the first entry, decoder) of the tables decoded in bulk:
-# the float tables, and the action table and the group's
+# the float tables, and the integer ones: the action table, the group's,
+# a fill form's exceptions and a theta's reps
 _TABLES = [(key, float, functools.partial(np.asarray, dtype=float)) for key in ("weights", "values", "act_matrix")]
-_TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "cayley")]
+_TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "cayley", "at", "reps")]
+_TABLE_KEYS = frozenset(key for key, _, _ in _TABLES)
 
 
 def _decode_object(pairs: list[tuple[str, object]]) -> dict:
@@ -564,6 +619,8 @@ def _decode_object(pairs: list[tuple[str, object]]) -> dict:
     if len(obj) < len(pairs):
         keys = sorted(k for k, _ in pairs)
         raise StructuralError(f"key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r} repeated in one JSON object")
+    if _TABLE_KEYS.isdisjoint(obj):  # a kernel entry, a filter row, a delta row: nothing to decode
+        return obj
     for key, kind, decode in _TABLES:
         table = leaf = obj.get(key)
         while isinstance(leaf, list) and leaf:

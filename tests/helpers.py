@@ -11,7 +11,8 @@ from equicorr.groups import FiniteGroup, GroupAction, coset_table, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
-from equicorr.transforms import lift_kernel_to_filter
+from equicorr.serialize import scenario_to_dict
+from equicorr.transforms import ThetaMap, lift_kernel_to_filter
 from equicorr.xcorr import Filter
 
 
@@ -26,6 +27,28 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+def theta_to_v2_dict(theta: ThetaMap) -> dict:
+    """theta as equicorr-scenario/2 stored it: a {c, b, element} entry per
+    defined (c, b), in row-major order."""
+    cs, bs = np.nonzero(theta.defined)
+    return {"entries": [{"c": int(c), "b": int(b), "element": int(theta.reps[c, b])} for c, b in zip(cs, bs)]}
+
+
+def scenario_to_v2_dict(scn: Scenario) -> dict:
+    """The scenario as an equicorr-scenario/2 document: the current document
+    with its measure tables as dense nested lists and each theta as its
+    entry list, all plain JSON values."""
+    doc = scenario_to_dict(scn)
+    doc["schema"] = "equicorr-scenario/2"
+    for key in ("mu", "nu", "mubar"):
+        doc["families"][key]["weights"] = getattr(scn, key).weights.tolist()
+    if scn.psi is not None:
+        doc["psi"] = {"values": scn.psi.values.tolist()}
+    for name, theta in scn.thetas.items():
+        doc["thetas"][name] = theta_to_v2_dict(theta)
+    return doc
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:

@@ -13,15 +13,20 @@ import pytest
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
+    dumps,
     filter_to_dict,
     kernel_from_dict,
+    load_document,
     save_document,
+    scenario_from_dict,
     scenario_to_dict,
     section_to_dict,
 )
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 from equicorr.xcorr import compress_filter
+
+from helpers import scenario_to_v2_dict, theta_to_v2_dict
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -136,7 +141,7 @@ NON_FINITE = {
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
     (*where, i, j), value, expected = NON_FINITE[case]
-    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
     table = functools.reduce(dict.__getitem__, where, doc)
     table[i][j] = value
     path = tmp_path / f"{case}.json"
@@ -153,7 +158,7 @@ def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
 
 def test_a_nan_does_not_hide_a_negative_weight(tmp_path, capsys):
     # a NaN alone loads (above); beside it a negative entry is still refused
-    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
     weights = doc["families"]["mu"]["weights"]
     weights[0][0], weights[1][1] = math.nan, -5.0
     path = tmp_path / "negative.json"
@@ -197,7 +202,7 @@ def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
     # and both commands report the law's failure with its witness
     edit, witness = BROKEN_FILTER_ROWS[case]
     scn = build_scenario("dihedral(4, bundle=sign)")
-    doc = json.loads(json.dumps(scenario_to_dict(scn)))
+    doc = json.loads(dumps(scenario_to_dict(scn)))
     edit(doc, scn)
     path = tmp_path / f"{case}.json"
     save_document(str(path), doc)
@@ -211,7 +216,7 @@ def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
 
 
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
-    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
     doc["families"]["mubar"]["weights"][0][1] *= 1.5
     path = tmp_path / "mubar.json"
     save_document(str(path), doc)
@@ -228,7 +233,7 @@ def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
     # the three checks that need the identity are reported skipped; the
     # projected kernel's own checks do not need it and still run
     skipped = ["lift.global.transform-agreement", "lift.special.transform-agreement", "projection.transform-agreement"]
-    doc = scenario_to_dict(build_scenario("torus-bands(16)"))
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
     names = []
     for scale in (1.0, 1.5):
         doc["families"]["mubar"]["weights"][0][1] *= scale
@@ -279,6 +284,12 @@ def _mistype(row: list, kind: type) -> None:
     row[i] = row[i] + 0.5 if kind is float else bool(row[i])
 
 
+def _theta_entries(doc: dict) -> list:
+    """Store doc's derived theta as the /2 entry list, and return that list."""
+    doc["thetas"]["derived"] = theta_to_v2_dict(build_scenario(MALFORMED_SPEC).thetas["derived"])
+    return doc["thetas"]["derived"]["entries"]
+
+
 def _set_delta_value(doc: dict, value) -> None:
     row = doc["delta"]["by_base"]["0"]
     row[next(iter(row))] = value
@@ -288,7 +299,7 @@ MALFORMED = {
     "no-families": lambda doc: doc.pop("families"),
     "mu-number": lambda doc: doc["families"].update(mu=3),
     "ragged-action-table": lambda doc: doc["action"]["table"][0].pop(),
-    "theta-entry-without-c": lambda doc: doc["thetas"]["derived"]["entries"][0].pop("c"),
+    "theta-entry-without-c": lambda doc: _theta_entries(doc)[0].pop("c"),
     "filter-rows-list": lambda doc: doc["filter"].update(rows=list(doc["filter"]["rows"].values())),
     "bundle-without-act-matrix": lambda doc: doc["input_bundle"].pop("act_matrix"),
     # control: the family constructor rejects this shape itself
@@ -345,7 +356,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
-    doc = json.loads(json.dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
+    doc = json.loads(dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
     MALFORMED[case](doc)
     path = tmp_path / "malformed.json"
     save_document(str(path), doc)
@@ -377,7 +388,7 @@ def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_p
     # numbers the banded support check, the line-grid oracle and the circle-grid rotations compute with
     line_grid = "line-grid(5, dx=0.2)"
     spec = {"origin": line_grid, "dx": line_grid, "grid_step": "circle-grid(16)"}.get(name, "torus-bands(16)")
-    doc = json.loads(json.dumps(scenario_to_dict(build_scenario(spec))))
+    doc = json.loads(dumps(scenario_to_dict(build_scenario(spec))))
     doc[key][name] = value
     path = tmp_path / "mistyped.json"
     save_document(str(path), doc)
@@ -386,6 +397,87 @@ def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_p
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(value) in err
+
+
+def _nu(doc: dict) -> dict:
+    """The fill form of doc's nu: fill 0.0, eight entries at [0, 4, 8, 14, 16, 20, 24, 30] of 32."""
+    return doc["families"]["nu"]["weights"]
+
+
+# each malformed fill form or reps table of MALFORMED_SPEC -> a part of its one error line
+MALFORMED_ENCODINGS = {
+    "fill-true": (lambda doc: _nu(doc).update(fill=True), "nu fill True is not int or float"),
+    "fill-string": (lambda doc: _nu(doc).update(fill="0"), "nu fill '0' is not int or float"),
+    "fill-null": (lambda doc: _nu(doc).update(fill=None), "nu fill None is not int or float"),
+    "fill-without-at": (lambda doc: _nu(doc).pop("at"), "nu needs fill, at and values"),
+    "at-entry-float": (lambda doc: _nu(doc)["at"].__setitem__(1, 4.0), "nu at entries must be JSON integers"),
+    "at-entry-true": (lambda doc: _nu(doc)["at"].__setitem__(0, True), "nu at entries must be JSON integers"),
+    "at-entry-string": (lambda doc: _nu(doc)["at"].__setitem__(0, "0"), "nu at entries must be JSON integers"),
+    "at-nested": (lambda doc: _nu(doc).update(at=[_nu(doc)["at"]]), "nu at must be a flat list of indices"),
+    "at-entry-past-the-table": (lambda doc: _nu(doc)["at"].__setitem__(7, 32), "nu at[7] = 32 is outside [0, 32)"),
+    "at-entry-negative": (lambda doc: _nu(doc)["at"].__setitem__(0, -1), "nu at[0] = -1 is outside [0, 32)"),
+    "at-entry-repeated": (lambda doc: _nu(doc)["at"].__setitem__(2, 4), "nu at[2] = 4 is outside [0, 32) or not above"),
+    "at-out-of-order": (lambda doc: _nu(doc)["at"].__setitem__(1, 9), "nu at[2] = 8 is outside [0, 32) or not above"),
+    "values-short": (lambda doc: _nu(doc)["values"].pop(), "nu values shape (7,), expected (8,)"),
+    "values-long": (lambda doc: _nu(doc)["values"].append(1.0), "nu values shape (9,), expected (8,)"),
+    "mu-values-without-at": (
+        lambda doc: doc["families"]["mu"]["weights"].update(values=[2.0]),
+        "mu values shape (1,), expected (0,)",
+    ),
+    "reps-entry-past-order": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 8), "theta entry out of range"),
+    "reps-entry-float": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 0.0), "theta reps entries must be"),
+    "reps-ragged": (lambda doc: doc["thetas"]["derived"]["reps"][0].pop(), "malformed document: ValueError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENCODINGS))
+def test_a_malformed_fill_form_or_reps_table_exits_two(case, tmp_path, capsys):
+    edit, message = MALFORMED_ENCODINGS[case]
+    doc = json.loads(dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
+    edit(doc)
+    path = tmp_path / "malformed.json"
+    save_document(str(path), doc)
+    for command in ("validate", "battery"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == "", command
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, (command, err)
+        assert "Traceback" not in err
+
+
+def test_a_signed_zero_and_a_nan_round_trip_bitwise_and_the_nan_is_named(tmp_path, capsys):
+    # -0.0 is not 0.0's bit pattern and NaN is not equal to itself: both are
+    # exceptions to their table's fill and load back bit for bit
+    scn = build_scenario("torus-bands(16)")
+    scn.nu.weights[3, 5] = -0.0  # off the stabilizer of 3, where nu is 0
+    scn.psi.values[7, 1] = math.nan
+    doc = scenario_to_dict(scn)
+    assert doc["families"]["nu"]["weights"]["fill"] == 0.0 and 3 * 256 + 5 in doc["families"]["nu"]["weights"]["at"]
+    path = tmp_path / "signed.json"
+    save_document(str(path), doc)
+    loaded = scenario_from_dict(load_document(str(path)))
+    assert loaded.nu.weights.tobytes() == scn.nu.weights.tobytes()
+    assert loaded.psi.values.tobytes() == scn.psi.values.tobytes()
+    assert math.copysign(1.0, loaded.nu.weights[3, 5]) == -1.0 and math.isnan(loaded.psi.values[7, 1])
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]} == {"psi.psi-conjugation": [1, 7, 0]}
+
+
+def test_writing_loading_and_the_battery_leave_numpy_ma_unimported(tmp_path):
+    # the fill's mode comes from a sort: np.unique's hash path would import
+    # numpy.ma, 15-25 ms of every run
+    path = tmp_path / "scenario.json"
+    script = (
+        "import sys\n"
+        "from equicorr.cli import main\n"
+        "from equicorr.scenarios import build_scenario\n"
+        "from equicorr.serialize import save_document, scenario_to_dict\n"
+        "save_document(sys.argv[1], scenario_to_dict(build_scenario('torus-bands(16)')))\n"
+        "codes = [main(['validate', sys.argv[1]]), main(['battery', 'cyclic(8)'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "[0, 0] False"
 
 
 MALFORMED_SPECS = [
@@ -494,7 +586,7 @@ def test_project_recovers_kernel_through_cli(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "battery", "lift"])
 @pytest.mark.parametrize("corrupt", ["bumped", "deleted"])
 def test_a_corrupted_theta_is_reported_not_raised(command, corrupt, tmp_path, capsys):
-    doc = json.loads(json.dumps(scenario_to_dict(build_scenario("torus-bands(12)"))))
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(12)"))
     entries = doc["thetas"]["global"]["entries"]
     assert (entries[0]["c"], entries[0]["b"]) == (0, 0)
     if corrupt == "bumped":

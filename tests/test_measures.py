@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from equicorr import groups
 from equicorr.errors import DegenerateMeasureError, PreconditionError, StructuralError
 from equicorr.groups import orbit, stabilizer
 from equicorr.measures import (
@@ -206,16 +207,20 @@ def test_orbit_family_off_orbit_weights_rejected():
 
 
 @pytest.mark.parametrize("family", [GroupMeasureFamily, StabilizerMeasureFamily, OrbitMeasureFamily, PsiFunction])
-def test_a_nan_does_not_hide_a_negative_weight(family):
-    # on cyclic(4) every table is 4 x 4, and [1, 0] lies on the stabilizer and on the orbit
-    table = np.zeros((4, 4))
-    table[0, 0], table[1, 0] = np.nan, -5.0
-    with pytest.raises(StructuralError, match="nonnegative"):
-        family(cyclic_action(4), table)
-    with pytest.raises(StructuralError, match="nonnegative"):
-        family(cyclic_action(4), np.broadcast_to(-1.0, (4, 4)))  # as a view, like the built-in mu
-    table[1, 0] = 0.0
-    family(cyclic_action(4), table)  # a NaN alone loads, for the validators to name
+def test_a_nan_does_not_hide_a_negative_weight(family, monkeypatch):
+    # on cyclic(4) every table is 4 x 4, and [1, 0] lies on the stabilizer and
+    # on the orbit; the second pass counts one row per block, so the NaN and
+    # the negative entry lie in different blocks
+    for block in (groups._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+        table = np.zeros((4, 4))
+        table[0, 0], table[1, 0] = np.nan, -5.0
+        with pytest.raises(StructuralError, match="nonnegative"):
+            family(cyclic_action(4), table)
+        with pytest.raises(StructuralError, match="nonnegative"):
+            family(cyclic_action(4), np.broadcast_to(-1.0, (4, 4)))  # as a view, like the built-in mu
+        table[1, 0] = 0.0
+        family(cyclic_action(4), table)  # a NaN alone loads, for the validators to name
 
 
 @pytest.mark.parametrize("spec", ["cyclic(64)", "torus-bands(16)"])  # counting, normalized-psi
@@ -228,7 +233,9 @@ def test_haar_families_allocate_no_table_of_their_own():
     action = torus_action(32, 8, 32)
     table = 8 * action.group.order * action.base_size  # one (|B|, |G|) float table
     _, peak = traced_peak(lambda: counting_family(action))
-    assert peak < table / 4  # the nonnegativity test's boolean table, an eighth of one
+    # one boolean row block of the nonnegativity test; compared whole, the
+    # view's (|B|, |G|) boolean table traced 34,688 B
+    assert peak < groups._BLOCK_ENTRIES + 8192
     psi = psi_indicator_identity(action)
     (_, nu, _), peak = traced_peak(lambda: construct_normalized_families(psi))
     assert peak < table + nu.weights.nbytes  # nu's own table, its mask and the orbit solve

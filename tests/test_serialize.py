@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import json
@@ -42,7 +43,7 @@ from equicorr.serialize import (
 )
 from equicorr.xcorr import CompressedFilter, compress_filter, cross_correlate, validate_filter
 
-from helpers import traced_peak
+from helpers import scenario_to_v2_dict, traced_peak
 
 
 def roundtrip(doc: dict) -> dict:
@@ -68,10 +69,11 @@ def test_scenario_codec_is_byte_stable(spec):
 
 
 @pytest.mark.parametrize("spec", CODEC_SPECS)
-def test_v1_documents_load_and_rewrite_as_v2(spec):
-    # equicorr-scenario/1 stored the group as element names and the full Cayley table
+def test_v1_documents_load_and_rewrite_as_v3(spec):
+    # equicorr-scenario/1 stored the group as element names and the full
+    # Cayley table, and its measure tables and thetas as /2 did
     scn = build_scenario(spec)
-    doc = roundtrip(scenario_to_dict(scn))
+    doc = roundtrip(scenario_to_v2_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
     assert dumps(scenario_to_dict(scenario_from_dict(doc))) == dumps(scenario_to_dict(scn))
@@ -181,7 +183,7 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/3")
+    wrong_schema = dict(good, schema="equicorr-scenario/4")
     with pytest.raises(StructuralError):
         scenario_from_dict(wrong_schema)
 
@@ -202,10 +204,15 @@ def test_malformed_documents_rejected(bands16):
     with pytest.raises(StructuralError):
         scenario_from_dict(bad_matrix)
 
-    bad_theta = roundtrip(good)
+    bad_theta = roundtrip(scenario_to_v2_dict(bands16))
     bad_theta["thetas"]["global"]["entries"][0]["element"] = 10_000
     with pytest.raises(StructuralError):
         scenario_from_dict(bad_theta)
+
+    bad_reps = roundtrip(good)
+    bad_reps["thetas"]["global"]["reps"][0][0] = 10_000
+    with pytest.raises(StructuralError, match="theta entry out of range"):
+        scenario_from_dict(bad_reps)
 
 
 def test_load_document_errors(tmp_path):
@@ -224,7 +231,8 @@ def test_load_document_errors(tmp_path):
 
 
 def _cyclic4_doc() -> dict:
-    return roundtrip(scenario_to_dict(build_scenario("cyclic(4)")))
+    """cyclic(4) as a /2 document, whose thetas are entry lists."""
+    return roundtrip(scenario_to_v2_dict(build_scenario("cyclic(4)")))
 
 
 @pytest.mark.parametrize("key", ["00", "01", "+1", " 1", "1.0", "\u0661"])
@@ -301,7 +309,8 @@ def test_trivial_bundle_collapses(cyclic8):
     assert doc["output_bundle"] == "same"
 
 
-_FUZZ_SPECS = ("cyclic(4)", "dihedral(3, bundle=sign)")
+# the last has a psi, so the fuzzer reaches every fill form and a reps table
+_FUZZ_SPECS = ("cyclic(4)", "dihedral(3, bundle=sign)", "dihedral(4, families=normalized-psi)")
 _FUZZ_VALUES = (None, "x", [], {}, -1, 0, 2**31, 2**63, float("nan"), float("inf"))
 
 
@@ -404,8 +413,12 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
     doc = load_document(str(path))
-    assert isinstance(doc["families"]["mu"]["weights"], np.ndarray)
-    assert isinstance(doc["action"]["table"], np.ndarray)  # and so is the integer table
+    assert isinstance(doc["action"]["table"], np.ndarray)  # and so are the integer tables
+    stored = [doc["families"][key]["weights"] for key in ("mu", "nu", "mubar")] + [doc.get("psi", {}).get("values")]
+    for fill in filter(None, stored):  # an empty list stays a list: it has no first entry to type
+        decoded = [isinstance(fill[key], np.ndarray) or fill[key] == [] for key in ("at", "values")]
+        assert decoded == [True, True]
+    assert all(isinstance(theta["reps"], np.ndarray) for theta in doc.get("thetas", {}).values())
     from_file, from_dict = _arrays(scenario_from_dict(doc)), _arrays(scenario_from_dict(json.loads(text)))
     assert from_file.keys() == from_dict.keys()
     for name, array in from_file.items():
@@ -413,6 +426,41 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
         assert (array.dtype, array.shape) == (ref.dtype, ref.shape), name
         assert array.tobytes() == ref.tobytes(), name
     assert dumps(doc) == text  # a loaded document saves back to the same bytes
+
+
+@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
+def test_a_v2_document_and_its_v3_file_load_bitwise_equal(spec, tmp_path):
+    scn = build_scenario(spec)
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(scn))
+    v2, v3 = _arrays(scenario_from_dict(scenario_to_v2_dict(scn))), _arrays(scenario_from_dict(load_document(str(path))))
+    assert v2.keys() == v3.keys()
+    for name, array in v3.items():
+        ref = v2[name]
+        assert (array.dtype, array.shape) == (ref.dtype, ref.shape), name
+        assert array.tobytes() == ref.tobytes(), name
+
+
+_BITS = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BITS, min_size=1, max_size=12))
+def test_the_fill_form_keeps_every_bit_pattern(entries):
+    # the fill is the most frequent bit pattern, the smallest int64 view on
+    # a tie; every other entry is listed, -0.0 apart from 0.0 and NaN kept
+    table = np.array(entries).reshape(1, -1)
+    stored = serialize._fill_to_dict(table)
+    bits = table.ravel().view(np.int64).tolist()
+    counts = collections.Counter(bits)
+    fill = min(counts, key=lambda b: (-counts[b], b))
+    assert np.float64(stored["fill"]).view(np.int64) == fill
+    assert stored["at"].tolist() == [i for i, b in enumerate(bits) if b != fill]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        save_document(path, {"weights": stored})
+        back = serialize._fill_from_dict(load_document(path)["weights"], table.shape, "table")
+    assert back.tobytes() == table.tobytes()
 
 
 _TABLE_LEAVES = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=2), st.just({}))
@@ -513,9 +561,9 @@ def test_dumps_carries_depth_and_open_strings_across_blocks(doc, block):
 
 
 def test_dumps_peak_is_a_few_times_its_text():
-    # the scenario's 2.0 MB of text peaked at 18.5 MB when the whole text
+    # the scenario's 2.0 MB of /2 text peaked at 18.5 MB when the whole text
     # was re-indented at once, through three intp arrays of its length
-    doc = scenario_to_dict(build_scenario("torus-bands(32)"))
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(32)"))
     text, peak = traced_peak(lambda: dumps(doc))
     assert peak < 3 * len(text)
 
