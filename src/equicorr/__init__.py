@@ -13,95 +13,55 @@ stabilizers projects a filter down to a kernel, and a kernel lifts back
 through any compatible orbit-map section and normalized stabilizer
 density.  Measure families enter through conjugation-compatibility and a
 disintegration identity, all checked numerically, never assumed.
+
+Importing the package loads none of its modules: each name below is
+imported from its module on first use (PEP 562), so a program that never
+builds a scenario, say, never imports or compiles the builders.
 """
 
-from .battery import run_battery, run_structural
-from .bundles import (
-    EquivariantBundle,
-    MackeySection,
-    Section,
-    act_on_mackey,
-    act_on_section,
-    mackey_to_section,
-    representation_bundle,
-    section_to_mackey,
-    sign_bundle,
-    trivial_bundle,
-    validate_bundle,
-    validate_mackey,
-)
-from .errors import (
-    DegenerateMeasureError,
-    DomainError,
-    EquicorrError,
-    PreconditionError,
-    StructuralError,
-)
-from .groups import (
-    FiniteGroup,
-    GroupAction,
-    Orbit,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    fundamental_domain,
-    generating_set,
-    group_from_tables,
-    orbit,
-    orbits,
-    pair_stabilizer,
-    stabilizer,
-    validate_action,
-    validate_group,
-)
-from .measures import (
-    DeltaFunction,
-    GroupMeasureFamily,
-    OrbitMeasureFamily,
-    PsiFunction,
-    StabilizerMeasureFamily,
-    construct_normalized_families,
-    counting_family,
-    counting_stabilizer_family,
-    dirac_delta,
-    fubini_pointwise_residual,
-    psi_from_class_function,
-    psi_indicator_identity,
-    solve_orbit_family,
-    solve_orbit_measure,
-    validate_delta,
-    validate_families,
-    validate_psi,
-)
-from .reporting import Check, ValidationReport, check_from_residual
-from .rng import SplitMix64
-from .sampling import (
-    random_sections,
-    random_valid_filter,
-    random_valid_kernel,
-    random_violating_kernel,
-)
-from .scenarios import Scenario, build_scenario, degeneracy_demo, derive_theta, line_grid_ladder
-from .transforms import (
-    Kernel,
-    ThetaMap,
-    filter_operator,
-    integral_transform,
-    kernel_operator,
-    lift_kernel_to_filter,
-    operator_equivariance_residual,
-    project_filter_to_kernel,
-    validate_kernel,
-    validate_theta,
-)
-from .xcorr import (
-    CompressedFilter,
-    Filter,
-    compress_filter,
-    correlate_sections,
-    cross_correlate,
-    expand_filter,
-    validate_filter,
-)
+import importlib
 
+# the exported names, by the module that defines them
+_EXPORTS = {
+    "battery": ("run_battery", "run_structural"),
+    "bundles": (
+        "EquivariantBundle", "MackeySection", "Section", "act_on_mackey", "act_on_section", "mackey_to_section",
+        "representation_bundle", "section_to_mackey", "sign_bundle", "trivial_bundle", "validate_bundle",
+        "validate_mackey",
+    ),
+    "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
+    "groups": (
+        "FiniteGroup", "GroupAction", "Orbit", "cyclic_group", "dihedral_group", "direct_product", "fundamental_domain",
+        "generating_set", "group_from_tables", "orbit", "orbits", "pair_stabilizer", "stabilizer", "validate_action",
+        "validate_group",
+    ),
+    "measures": (
+        "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",
+        "construct_normalized_families", "counting_family", "counting_stabilizer_family", "dirac_delta",
+        "fubini_pointwise_residual", "psi_from_class_function", "psi_indicator_identity", "solve_orbit_family",
+        "solve_orbit_measure", "validate_delta", "validate_families", "validate_psi",
+    ),
+    "reporting": ("Check", "ValidationReport", "check_from_residual"),
+    "rng": ("SplitMix64",),
+    "sampling": ("random_sections", "random_valid_filter", "random_valid_kernel", "random_violating_kernel"),
+    "scenarios": ("build_scenario", "degeneracy_demo", "derive_theta", "line_grid_ladder"),
+    "serialize": ("Scenario",),
+    "transforms": (
+        "Kernel", "ThetaMap", "filter_operator", "integral_transform", "kernel_operator", "lift_kernel_to_filter",
+        "operator_equivariance_residual", "project_filter_to_kernel", "validate_kernel", "validate_theta",
+    ),
+    "xcorr": (
+        "CompressedFilter", "Filter", "compress_filter", "correlate_sections", "cross_correlate", "expand_filter",
+        "validate_filter",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -61,15 +61,13 @@ name, so its bytes depend on the scenario and the tolerance alone.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .bundles import Section, section_to_mackey, validate_bundle, validate_mackey
 from .groups import _worst_of_rows, fundamental_domain, validate_action, validate_group
 from .measures import GroupMeasureFamily, fubini_pointwise_residual, validate_delta, validate_families, validate_psi
-from .reporting import Check, ValidationReport, _count_of, _first_worst, check_from_residual
-from .scenarios import Scenario, banded_support_mismatch, circle_offgrid_residual, line_grid_oracle_residual
+from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count_of, _first_worst, _prefixed, check_from_residual
+from .serialize import Scenario
 from .transforms import (
     filter_operator,
     kernel_operator,
@@ -80,12 +78,6 @@ from .transforms import (
     validate_theta,
 )
 from .xcorr import Filter, cross_correlate, validate_filter
-
-DEFAULT_TOLERANCE = 1e-12
-
-
-def _prefixed(report: ValidationReport, prefix: str) -> list[Check]:
-    return [replace(c, name=f"{prefix}.{c.name}") for c in report.checks]
 
 
 def run_battery(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
@@ -236,6 +228,8 @@ def _scenario_specific_checks(scn: Scenario, lifts: dict[str, Filter], tolerance
     """Checks of what the built-in families promise, each run only when the
     data it reads is present, since a scenario file may leave any of it out;
     lifts are the scenario kernel's lifts by theta name."""
+    from .scenarios import banded_support_mismatch, circle_offgrid_residual, line_grid_oracle_residual
+
     checks: list[Check] = []
     if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys() and "n" in scn.params:
         mismatch, witness = banded_support_mismatch(scn, lifts)  # witness (h, b)

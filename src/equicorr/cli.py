@@ -24,21 +24,10 @@ import sys
 
 import numpy as np
 
-from .battery import DEFAULT_TOLERANCE, _prefixed, run_battery, run_structural
-from .bundles import section_to_mackey
 from .errors import DomainError, EquicorrError
-from .measures import fubini_pointwise_residual
-from .reporting import ValidationReport, check_from_residual
-from .rng import SplitMix64
-from .sampling import random_sections
-from .scenarios import (
-    Scenario,
-    build_scenario,
-    degeneracy_demo,
-    is_scenario_spec,
-    line_grid_ladder,
-)
+from .reporting import DEFAULT_TOLERANCE, ValidationReport, _prefixed, check_from_residual
 from .serialize import (
+    Scenario,
     dumps,
     filter_to_dict,
     kernel_to_dict,
@@ -50,8 +39,11 @@ from .serialize import (
     section_from_dict,
     section_to_dict,
 )
-from .transforms import integral_transform, lift_kernel_to_filter, project_filter_to_kernel, validate_kernel, validate_theta
-from .xcorr import cross_correlate, validate_filter
+
+# Every command reads or writes through serialize, which loads the groups,
+# bundles, measures, transforms and xcorr it decodes.  Each command imports
+# the rest of what it runs itself: validate never loads the scenario
+# builders, the sampler or the generator.
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,6 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_scenario(text: str) -> Scenario:
     if os.path.exists(text):
         return scenario_from_dict(load_document(text))
+    from .scenarios import build_scenario, is_scenario_spec
+
     if is_scenario_spec(text):
         return build_scenario(text)
     raise EquicorrError(f"{text!r} is neither a scenario file nor a built-in spec")
@@ -141,27 +135,42 @@ def _emit_report(args, report: ValidationReport, context: dict) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .battery import run_structural
+
     scn = _load_scenario(args.scenario)
     report = run_structural(scn, tolerance=args.tolerance)
     return _emit_report(args, report, {"scenario": scn.name, "mode": "validate"})
 
 
 def _cmd_battery(args) -> int:
+    from .battery import run_battery
+
     scn = _load_scenario(args.scenario)
     report = run_battery(scn, tolerance=args.tolerance)
     return _emit_report(args, report, {"scenario": scn.name, "mode": "battery"})
 
 
+def _random_section(args, scn: Scenario):
+    from .rng import SplitMix64
+    from .sampling import random_sections
+
+    return random_sections(scn.input_bundle, SplitMix64(args.seed), 1)[0]
+
+
 def _input_mackey(args, scn: Scenario):
+    from .bundles import section_to_mackey
+
     if args.section:
         doc = load_document(args.section)
         if isinstance(doc, dict) and doc.get("schema") == "equicorr-mackey-section/1":
             return mackey_from_dict(doc, scn.input_bundle)
         return section_to_mackey(section_from_dict(doc, scn.input_bundle))
-    return section_to_mackey(random_sections(scn.input_bundle, SplitMix64(args.seed), 1)[0])
+    return section_to_mackey(_random_section(args, scn))
 
 
 def _cmd_xcorr(args) -> int:
+    from .xcorr import cross_correlate
+
     scn = _load_scenario(args.scenario)
     if scn.filt is None:
         raise EquicorrError(f"scenario {scn.name} carries no filter")
@@ -172,13 +181,15 @@ def _cmd_xcorr(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import integral_transform
+
     scn = _load_scenario(args.scenario)
     if scn.kernel is None:
         raise EquicorrError(f"scenario {scn.name} carries no kernel")
     if args.section:
         f = section_from_dict(load_document(args.section), scn.input_bundle)
     else:
-        f = random_sections(scn.input_bundle, SplitMix64(args.seed), 1)[0]
+        f = _random_section(args, scn)
     out = integral_transform(scn.kernel, scn.mubar, f)
     _emit(args, section_to_dict(out), [f"transformed over {scn.name}: output max |v| = {np.abs(out.values).max():.6g}"])
     return 0
@@ -195,6 +206,9 @@ def _pick_theta(scn: Scenario, name: str | None):
 
 
 def _cmd_lift(args) -> int:
+    from .transforms import lift_kernel_to_filter, validate_theta
+    from .xcorr import validate_filter
+
     scn = _load_scenario(args.scenario)
     if scn.kernel is None or scn.delta is None:
         raise EquicorrError(f"scenario {scn.name} needs a kernel and a delta to lift")
@@ -208,6 +222,9 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .measures import fubini_pointwise_residual
+    from .transforms import project_filter_to_kernel, validate_kernel
+
     scn = _load_scenario(args.scenario)
     if scn.filt is None:
         raise EquicorrError(f"scenario {scn.name} carries no filter")
@@ -220,6 +237,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .scenarios import degeneracy_demo, line_grid_ladder
+
     if args.which == "degeneracy":
         try:
             sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]

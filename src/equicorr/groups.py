@@ -24,7 +24,7 @@ Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
 with an offending tuple.  The identity and inverse laws are checked at
 every element; associativity by a centralizer argument on the generators'
-rows and columns, streamed one row at a time (validate_group).  Action
+rows and columns, streamed one row block at a time (validate_group).  Action
 compatibility is checked for every generator in the greedy generating
 set, which is exact: the elements that satisfy it are closed under
 products.
@@ -32,6 +32,7 @@ products.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -98,13 +99,23 @@ def _count_of_rows(count: int, row_entries: int, mask_of) -> tuple[float, tuple[
     return total, witness
 
 
+def _leaf_types(table, depth: int) -> set[type]:
+    """The types of the entries of a nested sequence `depth` levels deep."""
+    for _ in range(depth - 1):
+        table = itertools.chain.from_iterable(table)
+    return set(map(type, table))
+
+
 def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
     """values as a float array after checking its shape; non-finite entries
-    are kept for the validators to name."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != shape:
-        raise StructuralError(f"{what} shape {values.shape}, expected {shape}")
-    return values
+    are kept for the validators to name.  A nested list may hold no bool:
+    a JSON true is not the number 1.0."""
+    table = np.asarray(values, dtype=float)
+    if table.shape != shape:
+        raise StructuralError(f"{what} shape {table.shape}, expected {shape}")
+    if not isinstance(values, np.ndarray) and bool in _leaf_types(values, len(shape)):
+        raise StructuralError(f"{what} holds a JSON true or false, not a number")
+    return table
 
 
 @dataclass(eq=False)
@@ -185,21 +196,22 @@ def table_from_generators(n: int, identity: int, generators: Callable[[], Sequen
     validate_group."""
     _check_budget(f"a ({n}, {n}) cayley table", n * n)
     left = generators()
+    steps = [lam.tolist() for lam in left]  # steps[i][p] = s_i p, read as Python ints
     cayley = np.empty((n, n), dtype=INDEX_DTYPE)
     cayley[identity] = np.arange(n)
-    reached = np.zeros(n, dtype=bool)
+    reached = bytearray(n)
     reached[identity] = True
     tree = [identity]
     for p in tree:  # grows while it is walked: breadth-first order
-        for lam in left:
-            y = int(lam[p])
+        for lam, step in zip(left, steps):
+            y = step[p]
             if not reached[y]:
                 reached[y] = True
-                cayley[y] = lam[cayley[p]]
+                lam.take(cayley[p], out=cayley[y])
                 tree.append(y)
-    if not reached.all():
+    if len(tree) < n:
         raise StructuralError(
-            f"element {int(reached.argmin())} is not reached from the identity"
+            f"element {reached.index(0)} is not reached from the identity"
             " by left multiplication by the generators"
         )
     return cayley
@@ -325,7 +337,7 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
       columns: the triples (s, x, t), |S|^2 |G| of them;
     - row y = row r after λ_a for every y = r a that a breadth-first walk
       from {e} ∪ S reaches (the closure generating_set walks, so every
-      element): the triples (r, a, x), one row of |G| at a time.
+      element): the triples (r, a, x), a block of rows of |G| at a time.
 
     Given the identity laws they hold exactly when the table is
     associative: the rows lie in the monoid λ_S generates, which commutes
@@ -355,21 +367,45 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
     # [s, x, t] -> s (x t) != (s x) t
     count, at = _count_of(left[:, right] != right[left])
     witness = at and (gens[at[0]], at[1], gens[at[2]])
+    edges = _tree_edges(right, e, gens)
+    flat = cay.ravel()
+
+    def broken(rows):  # [k, x] -> (r a) x != r (a x) at edge k = (y, r, a), a row block of edges at a time
+        ys, rs, gs = edges[:, rows]
+        idx = cay[gs].astype(np.intp)  # the flat index r |G| + a x of r (a x)
+        idx += group.order * rs[:, None]
+        return flat.take(idx) != cay[ys]
+
+    # rows of 2 |G| entries: the 8-byte index and the 64 KiB buffer numpy
+    # broadcasts r |G| through then fill one block of _BLOCK_ENTRIES float64
+    k, at = _count_of_rows(edges.shape[1], 2 * group.order, broken)
+    if witness is None and at is not None:
+        witness = (int(edges[1, at[0]]), int(edges[2, at[0]]), at[1])
+    count += k
+    report.add(check_from_residual("group-associativity", count, 0, witness))
+    return report
+
+
+def _tree_edges(right: np.ndarray, e: int, gens: list[int]) -> np.ndarray:
+    """The (3, k) edges (y, r, a), y = r a, of the breadth-first walk from
+    {e} ∪ S by right multiplication by S, in walk order, where right[r, i]
+    = r gens[i]: one edge for each element the walk reaches after its
+    start."""
+    steps = right.tolist()
+    reached = bytearray(len(steps))
     tree = [e, *gens]
-    reached = np.zeros(group.order, dtype=bool)
-    reached[tree] = True
+    for r in tree:
+        reached[r] = True
+    edges = np.empty((3, len(steps)), dtype=np.intp)
+    k = 0
     for r in tree:  # grows while it is walked: breadth-first order
-        for a in gens:
-            y = int(cay[r, a])
+        for a, y in zip(gens, steps[r]):
             if not reached[y]:
                 reached[y] = True
                 tree.append(y)
-                k, at = _count_of(cay[y] != cay[r, cay[a]])  # [x] -> (r a) x != r (a x)
-                if witness is None and at is not None:
-                    witness = (r, a) + at
-                count += k
-    report.add(check_from_residual("group-associativity", count, 0, witness))
-    return report
+                edges[:, k] = y, r, a
+                k += 1
+    return edges[:, :k]
 
 
 def validate_action(action: GroupAction) -> ValidationReport:

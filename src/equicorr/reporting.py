@@ -10,9 +10,11 @@ byte-identical report files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+DEFAULT_TOLERANCE = 1e-12  # bound of the float laws unless the caller gives another
 
 
 def _maxabs(arr: np.ndarray) -> float:
@@ -135,3 +137,8 @@ class ValidationReport:
             wit = f" witness={list(c.witness)}" if c.witness is not None else ""
             lines.append(f"{status} {c.name} residual={c.residual:.3e} tolerance={c.tolerance:.3e}{wit}")
         return lines
+
+
+def _prefixed(report: ValidationReport, prefix: str) -> list[Check]:
+    """The report's checks, each renamed prefix.name."""
+    return [replace(c, name=f"{prefix}.{c.name}") for c in report.checks]

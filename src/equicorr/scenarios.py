@@ -49,7 +49,6 @@ import inspect
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,33 +79,12 @@ from .measures import (
 from .reporting import _count_of
 from .rng import SplitMix64
 from .sampling import random_valid_filter, random_valid_kernel
+from .serialize import Scenario
 from .transforms import Kernel, ThetaMap, lift_kernel_to_filter
 from .xcorr import Filter, correlate_sections
 
 _FILTER_SALT = 0x46494C54
 _KERNEL_SALT = 0x4B45524E
-
-
-@dataclass(eq=False)
-class Scenario:
-    name: str
-    params: dict
-    action: GroupAction
-    input_bundle: EquivariantBundle
-    output_bundle: EquivariantBundle
-    mu: GroupMeasureFamily
-    nu: StabilizerMeasureFamily
-    mubar: OrbitMeasureFamily
-    psi: PsiFunction | None = None
-    delta: DeltaFunction | None = None
-    filt: Filter | None = None
-    kernel: Kernel | None = None
-    thetas: dict[str, ThetaMap] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.action.group
 
 
 def _assemble(

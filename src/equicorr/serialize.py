@@ -18,6 +18,8 @@ Each theta is stored as its (|B|, |B|) `reps` table, -1 where undefined.
 "equicorr-scenario/2" files, whose measure tables are dense lists and
 whose thetas are lists of {c, b, element} entries, still load; each
 loader takes either form.
+The Scenario record lives here, beside its codec, so that loading a file
+never imports the scenario builders.
 Filters are stored per base point as sparse maps from group element to
 matrix; a compressed filter stores rows only at orbit representatives
 and says so with a "compressed" flag.
@@ -38,26 +40,35 @@ integer table (an action `table`, a group's `left` and `right`, a v1
 JSON integer into an int64 array, as
 the parser closes the object holding it, so a file's numbers never all
 live as Python objects at once; anything else stays a list and reaches
-the loaders' own checks unchanged.  Those type-check an integer table
-rather than cast it: 1.5 and true are not integers.  `dumps` is
-`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte for byte, built
-from json's compact C encoding and re-indented with numpy; an ndarray in
-the document is written as its `tolist()`.
+the loaders' own checks unchanged.  Those type-check a table rather than
+cast it: 1.5 and true are not integers, and true is not the number 1.0.
+`dumps` is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte for
+byte, built from json's compact C encoding and re-indented with numpy; an
+ndarray in the document is written as its `tolist()`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import re
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import INDEX_DTYPE, FiniteGroup, GroupAction, _row_blocks, group_from_tables, table_from_generators
+from .groups import (
+    INDEX_DTYPE,
+    FiniteGroup,
+    GroupAction,
+    _float_table,
+    _leaf_types,
+    _row_blocks,
+    group_from_tables,
+    table_from_generators,
+)
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -66,7 +77,6 @@ from .measures import (
     StabilizerMeasureFamily,
 )
 from .reporting import ValidationReport
-from .scenarios import Scenario
 from .transforms import Kernel, ThetaMap
 from .xcorr import CompressedFilter, Filter, expand_filter
 
@@ -299,8 +309,7 @@ def _fill_from_dict(stored, shape: tuple[int, int], what: str):
     if bad.size:  # repeated or out of order, or no entry of the table
         i = int(bad[0])
         raise StructuralError(f"{what} at[{i}] = {at[i]} is outside [0, {size}) or not above the entry before it")
-    values = np.asarray(stored["values"], dtype=float)
-    _require(values.shape == at.shape, f"{what} values shape {values.shape}, expected {at.shape}")
+    values = _float_table(stored["values"], f"{what} values", at.shape)
     table = np.full(size, float(fill))
     table[at] = values
     return table.reshape(shape)
@@ -362,12 +371,17 @@ def _integer_array(table) -> np.ndarray | None:
     alone would truncate 1.5 and read true as 1.  Raises ValueError on a
     ragged list."""
     arr = np.asarray(table)
-    leaves = table
-    for _ in range(arr.ndim - 1):
-        leaves = itertools.chain.from_iterable(leaves)
-    if arr.ndim and set(map(type, leaves)) <= {int} and (arr.dtype == np.int64 or arr.size == 0):
+    if arr.ndim and _leaf_types(table, arr.ndim) <= {int} and (arr.dtype == np.int64 or arr.size == 0):
         return arr.astype(np.int64, copy=False)  # an empty list reads as float64
     return None
+
+
+def _float_array(table) -> np.ndarray | None:
+    """A nested list as a float64 array when every entry is a JSON number,
+    else None: np.asarray(..., dtype=float) alone would read true as 1.0.
+    Raises ValueError on a ragged list or text."""
+    arr = np.asarray(table, dtype=float)
+    return arr if _leaf_types(table, arr.ndim) <= {float, int} else None
 
 
 def _int_table(table, what: str) -> np.ndarray:
@@ -429,14 +443,8 @@ def _dense_row(row: dict, n: int, df: int, de: int) -> np.ndarray:
     """The (|G|, dF, dE) table of a {h: matrix} row, zero elsewhere."""
     out = np.zeros((n, df, de))
     for h_key, entry in row.items():
-        out[_index(h_key, n, "group element")] = _matrix(entry, df, de)
+        out[_index(h_key, n, "group element")] = _float_table(entry, "matrix", (df, de))
     return out
-
-
-def _matrix(entry, df: int, de: int) -> np.ndarray:
-    mat = np.asarray(entry, dtype=float)
-    _require(mat.shape == (df, de), f"matrix shape {mat.shape}, expected {(df, de)}")
-    return mat
 
 
 def kernel_to_dict(kern: Kernel) -> dict:
@@ -460,7 +468,7 @@ def kernel_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: 
         b = _index(entry["b"], m, "base point")
         _require(not seen[c, b], f"kernel entry (c, b) = ({c}, {b}) repeated")
         seen[c, b] = True
-        matrices[c, b] = _matrix(entry["matrix"], df, de)
+        matrices[c, b] = _float_table(entry["matrix"], "matrix", (df, de))
     return Kernel(input_bundle, output_bundle, matrices)
 
 
@@ -513,6 +521,32 @@ def mackey_from_dict(doc: dict, bundle: EquivariantBundle) -> MackeySection:
 
 # ---------------------------------------------------------------------------
 # scenarios and reports
+
+
+@dataclass(eq=False)
+class Scenario:
+    """An action with its bundles and measure families, and whatever filter,
+    kernel, thetas and extras the battery reads: scenarios.build_scenario
+    builds the built-in ones, scenario_from_dict loads one from a file."""
+
+    name: str
+    params: dict
+    action: GroupAction
+    input_bundle: EquivariantBundle
+    output_bundle: EquivariantBundle
+    mu: GroupMeasureFamily
+    nu: StabilizerMeasureFamily
+    mubar: OrbitMeasureFamily
+    psi: PsiFunction | None = None
+    delta: DeltaFunction | None = None
+    filt: Filter | None = None
+    kernel: Kernel | None = None
+    thetas: dict[str, ThetaMap] = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.action.group
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
@@ -601,7 +635,7 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 # (key, type of the first entry, decoder) of the tables decoded in bulk:
 # the float tables, and the integer ones: the action table, the group's,
 # a fill form's exceptions and a theta's reps
-_TABLES = [(key, float, functools.partial(np.asarray, dtype=float)) for key in ("weights", "values", "act_matrix")]
+_TABLES = [(key, float, _float_array) for key in ("weights", "values", "act_matrix")]
 _TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "cayley", "at", "reps")]
 _TABLE_KEYS = frozenset(key for key, _, _ in _TABLES)
 
@@ -610,11 +644,12 @@ def _decode_object(pairs: list[tuple[str, object]]) -> dict:
     """json object_pairs_hook: the object, its repeated keys rejected rather
     than letting the last value win.  A float table, a list whose first
     entry is a float, becomes np.asarray(table, dtype=float), the array the
-    loaders would build from it; an integer table, one whose first entry
-    is an int, becomes its int64 array when every entry is a JSON integer.
-    A list that starts with anything else, or that the conversion refuses
-    (ragged, text, objects, a float or a bool among the integers), stays a
-    list for the loaders to reject."""
+    loaders would build from it, when every entry is a JSON number; an
+    integer table, one whose first entry is an int, becomes its int64 array
+    when every entry is a JSON integer.  A list that starts with anything
+    else, or that the conversion refuses (ragged, text, objects, a bool
+    among the numbers, a float among the integers), stays a list for the
+    loaders to reject."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = sorted(k for k, _ in pairs)

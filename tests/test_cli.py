@@ -404,7 +404,15 @@ def _nu(doc: dict) -> dict:
     return doc["families"]["nu"]["weights"]
 
 
-# each malformed fill form or reps table of MALFORMED_SPEC -> a part of its one error line
+def _set(table, at: tuple[int, ...], value) -> None:
+    for i in at[:-1]:
+        table = table[i]
+    table[at[-1]] = value
+
+
+_BOOL = "%s holds a JSON true or false, not a number"
+
+# each malformed fill form, reps table or float table of MALFORMED_SPEC -> a part of its one error line
 MALFORMED_ENCODINGS = {
     "fill-true": (lambda doc: _nu(doc).update(fill=True), "nu fill True is not int or float"),
     "fill-string": (lambda doc: _nu(doc).update(fill="0"), "nu fill '0' is not int or float"),
@@ -427,6 +435,21 @@ MALFORMED_ENCODINGS = {
     "reps-entry-past-order": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 8), "theta entry out of range"),
     "reps-entry-float": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 0.0), "theta reps entries must be"),
     "reps-ragged": (lambda doc: doc["thetas"]["derived"]["reps"][0].pop(), "malformed document: ValueError"),
+    # true is not the number 1.0, in a table whose first entry it is, which
+    # load_document leaves a list, or further in, which load_document refuses
+    "act-matrix-true-first": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (0, 0, 0, 0), True), _BOOL % "act_matrix"),
+    "act-matrix-true-later": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (5, 2, 0, 0), True), _BOOL % "act_matrix"),
+    "values-true": (lambda doc: _set(_nu(doc)["values"], (3,), True), _BOOL % "nu values"),
+    "dense-weights-true-first": (
+        lambda doc: doc["families"]["mu"].update(weights=[[True] + [1.0] * 7] + [[1.0] * 8] * 3),
+        _BOOL % "group family",
+    ),
+    "dense-weights-false-later": (
+        lambda doc: doc["families"]["mu"].update(weights=[[1.0] * 8] * 3 + [[1.0] * 7 + [False]]),
+        _BOOL % "group family",
+    ),
+    "filter-matrix-true": (lambda doc: _set(doc["filter"]["rows"]["1"]["2"], (0, 0), True), _BOOL % "matrix"),
+    "kernel-matrix-false": (lambda doc: _set(doc["kernel"]["entries"][0]["matrix"], (0, 0), False), _BOOL % "matrix"),
 }
 
 
@@ -478,6 +501,29 @@ def test_writing_loading_and_the_battery_leave_numpy_ma_unimported(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "[0, 0] False"
+
+
+def test_import_equicorr_loads_no_module_and_validate_leaves_the_builders_unloaded(tmp_path):
+    # the package resolves its names on first use, and validate imports only
+    # the modules it runs: not the scenario builders, the sampler or the generator
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(build_scenario("torus-bands(16)")))
+    script = (
+        "import sys\n"
+        "import equicorr\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('equicorr.'))\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "from equicorr.cli import main\n"
+        "code = main(['validate', sys.argv[1]])\n"
+        "unused = ('equicorr.scenarios', 'equicorr.sampling', 'equicorr.rng')\n"
+        "print(code, [m for m in unused if m in loaded()], file=sys.stderr)\n"
+        "missing = [name for name in equicorr.__all__ if not hasattr(equicorr, name)]\n"
+        "print(missing, equicorr.scenarios.Scenario is equicorr.Scenario, len(equicorr.__all__), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["0 []", "[] True 81"]
 
 
 MALFORMED_SPECS = [

@@ -73,6 +73,15 @@ def test_validate_group_allocates_no_table_sized_temporary():
     assert peak < grp.cayley.nbytes / 8
 
 
+def test_float_table_refuses_a_bool_in_a_list():
+    assert groups._float_table([[0.5, 2]], "t", (1, 2)).tolist() == [[0.5, 2.0]]
+    with pytest.raises(StructuralError, match="^t holds a JSON true or false, not a number$"):
+        groups._float_table([[0.5, True]], "t", (1, 2))
+    with pytest.raises(StructuralError, match=r"^t shape \(1, 2\), expected \(2, 1\)$"):  # the shape is checked first
+        groups._float_table([[0.5, True]], "t", (2, 1))
+    assert groups._float_table(np.ones((1, 2), dtype=bool), "t", (1, 2)).tolist() == [[1.0, 1.0]]  # an array is cast
+
+
 def test_direct_product_packing():
     a, b = cyclic_group(3), cyclic_group(4)
     prod = direct_product(a, b)

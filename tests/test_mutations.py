@@ -15,6 +15,7 @@ a NaN planted in any float table fails with a witness.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from functools import partial
@@ -25,12 +26,14 @@ import pytest
 from equicorr.battery import _mackey_checks
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
 from equicorr.cli import main
-from equicorr.errors import PreconditionError
+from equicorr.errors import PreconditionError, StructuralError
 from equicorr.groups import (
+    INDEX_DTYPE,
     FiniteGroup,
     GroupAction,
     cyclic_group,
     dihedral_group,
+    direct_product,
     generating_set,
     group_from_tables,
     stabilizer_mask,
@@ -265,6 +268,115 @@ def test_associativity_needs_the_commutators():
     assert checks["group-associativity"].residual == bad[np.ix_(gens, range(n), gens)].sum() == 8
     s, x, t = checks["group-associativity"].witness
     assert s in gens and t in gens and bad[s, x, t]
+
+
+def _per_row_associativity(group: FiniteGroup) -> tuple[float, tuple[int, ...] | None]:
+    """The associativity residual and witness of validate_group, decided
+    with one Python-level row compare per element the walk reaches."""
+    cay, e, gens = group.cayley, group.identity, group.generators
+    left, right = cay[gens], cay[:, gens]
+    bad = left[:, right] != right[left]
+    count = float(bad.sum())
+    witness = tuple(int(c) for c in np.argwhere(bad)[0]) if count else None
+    witness = witness and (gens[witness[0]], witness[1], gens[witness[2]])
+    tree = [e, *gens]
+    reached = np.zeros(group.order, dtype=bool)
+    reached[tree] = True
+    for r in tree:
+        for a in gens:
+            y = int(cay[r, a])
+            if not reached[y]:
+                reached[y] = True
+                tree.append(y)
+                row = cay[y] != cay[r, cay[a]]
+                if witness is None and row.any():
+                    witness = (r, a, int(row.argmax()))
+                count += int(row.sum())
+    return count, witness
+
+
+def _corruptions(grp: FiniteGroup, cells) -> list[FiniteGroup]:
+    """grp with one table entry changed, for each (x, y, v) of cells with v
+    not the entry already there."""
+    out = []
+    for x, y, v in cells:
+        if v != grp.cayley[x, y]:
+            cayley = grp.cayley.copy()
+            cayley[x, y] = v
+            out.append(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity))
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(cyclic_group, 6), partial(dihedral_group, 3), lambda: direct_product(cyclic_group(2), cyclic_group(3))],
+    ids=["cyclic(6)", "dihedral(3)", "Z2xZ3"],
+)
+def test_associativity_blocks_match_the_per_row_walk_on_every_single_entry_corruption(build):
+    grp = build()
+    corrupt = _corruptions(grp, itertools.product(range(grp.order), repeat=3))
+    assert len(corrupt) == grp.order**2 * (grp.order - 1)
+    for bad in corrupt:
+        check = validate_group(bad).checks[-1]
+        assert check.name == "group-associativity"
+        assert (check.residual, check.witness) == _per_row_associativity(bad)
+
+
+def test_associativity_blocks_match_the_per_row_walk_on_random_corruptions():
+    # |G| = 256 spans several row blocks of the scan, so a witness past the
+    # first block keeps its walk position
+    grp = build_scenario("torus-bands(16)").group
+    rng = np.random.default_rng(31)
+    cells = zip(*(rng.integers(0, grp.order, 60) for _ in range(3)))
+    witnesses = set()
+    for bad in _corruptions(grp, cells):
+        check = validate_group(bad).checks[-1]
+        assert (check.residual, check.witness) == _per_row_associativity(bad)
+        witnesses.add(check.witness)
+    assert len(witnesses) > 40
+
+
+def _per_row_table(n: int, identity: int, left: list[np.ndarray]) -> np.ndarray:
+    """table_from_generators with numpy lookups and one gathered row per element."""
+    cayley = np.empty((n, n), dtype=INDEX_DTYPE)
+    cayley[identity] = np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    tree = [identity]
+    for p in tree:
+        for lam in left:
+            y = int(lam[p])
+            if not reached[y]:
+                reached[y] = True
+                cayley[y] = lam[cayley[p]]
+                tree.append(y)
+    if not reached.all():
+        raise StructuralError(
+            f"element {int(reached.argmin())} is not reached from the identity"
+            " by left multiplication by the generators"
+        )
+    return cayley
+
+
+def test_table_from_generators_matches_the_per_row_walk_on_random_permutations():
+    rng = np.random.default_rng(17)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        left = [rng.permutation(n) for _ in range(int(rng.integers(0, 4)))]
+        identity = int(rng.integers(0, n))
+        try:
+            expected = _per_row_table(n, identity, left)
+        except StructuralError as err:
+            with pytest.raises(StructuralError) as got:
+                table_from_generators(n, identity, lambda: left)
+            assert str(got.value) == str(err)
+            outcomes["unreached"] += 1
+        else:
+            table = table_from_generators(n, identity, lambda: left)
+            assert table.dtype == expected.dtype and np.array_equal(table, expected)
+            outcomes["table"] += 1
+    assert outcomes["unreached"] > 50 and outcomes["table"] > 50
 
 
 def test_action_witness_pinned():

@@ -491,6 +491,44 @@ def test_float_tables_decode_to_the_arrays_the_loaders_build(table):
         assert type(doc["values"]) is type(parsed)
 
 
+def _leaves(table) -> list:
+    return [leaf for x in table for leaf in _leaves(x)] if isinstance(table, list) else [table]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.recursive(
+        st.one_of(st.floats(), st.integers(-9, 9), st.booleans()),
+        lambda inner: st.lists(inner, min_size=1, max_size=3),
+        max_leaves=12,
+    )
+)
+def test_a_float_table_decodes_exactly_when_every_entry_is_a_number(table):
+    # true is not the number 1.0: a float table that holds a bool stays the
+    # list it was, for the loader that reads it to refuse
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"weights": table}))
+        doc = load_document(path)
+    parsed = json.loads(json.dumps(table))
+    try:
+        regular = np.asarray(parsed, dtype=float).ndim > 0
+    except ValueError:  # ragged
+        regular = False
+    numbers = {type(leaf) for leaf in _leaves(parsed)} <= {float, int}
+    decodes = regular and numbers and type(_leaves(parsed)[0]) is float
+    assert isinstance(doc["weights"], np.ndarray) == decodes
+
+
+def test_the_fill_values_and_a_filter_matrix_refuse_a_bool():
+    with pytest.raises(StructuralError, match="^nu values holds a JSON true or false, not a number$"):
+        serialize._fill_from_dict({"fill": 0.0, "at": [1], "values": [True]}, (1, 2), "nu")
+    with pytest.raises(StructuralError, match="^matrix holds a JSON true or false, not a number$"):
+        serialize._dense_row({"0": [[0.5], [False]]}, 1, 2, 1)
+    assert serialize._dense_row({"0": [[0.5], [2]]}, 1, 2, 1).tolist() == [[[0.5], [2.0]]]
+
+
 def _all_json_integers(table) -> bool:
     if isinstance(table, list):
         return all(_all_json_integers(x) for x in table)
