@@ -63,10 +63,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import Section, section_to_mackey, validate_bundle, validate_mackey
-from .groups import _worst_of_rows, fundamental_domain, validate_action, validate_group
+from .bundles import Section, _periodicity, section_to_mackey, validate_bundle
+from .groups import _rows, fundamental_domain, validate_action, validate_group
 from .measures import GroupMeasureFamily, fubini_pointwise_residual, validate_delta, validate_families, validate_psi
-from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count_of, _first_worst, _prefixed, check_from_residual
+from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count, _local, _prefixed, _worst, check_from_residual
 from .serialize import Scenario
 from .transforms import (
     filter_operator,
@@ -152,16 +152,17 @@ def _filter_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> li
 def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> list[Check]:
     """Mackey preservation on the induced basis sections e~_{b0,i}, one at a
     time; witness (b0, i, h, b)."""
-    bundle = filt.input_bundle
-    periodicity = []  # (residual, witness) per basis section
-    for b0 in fundamental_domain(filt.action):
-        for i in range(bundle.fiber_dim[b0]):
-            f = np.zeros((bundle.action.base_size, bundle.dmax))
-            f[b0, i] = 1.0
-            out = cross_correlate(filt, section_to_mackey(Section(bundle, f)), mu)
-            c = validate_mackey(out, tolerance=0.0).worst()  # keeps (h, b) whenever the residual is not 0
-            periodicity.append((c.residual, None if c.witness is None else (b0, i) + c.witness))
-    worst, witness = _first_worst(periodicity)
+
+    def parts():  # validate_mackey's parts of each output, placed at (b0, i, h, b)
+        bundle = filt.input_bundle
+        for b0 in fundamental_domain(filt.action):
+            for i in range(bundle.fiber_dim[b0]):
+                f = np.zeros((bundle.action.base_size, bundle.dmax))
+                f[b0, i] = 1.0
+                out = cross_correlate(filt, section_to_mackey(Section(bundle, f)), mu)
+                yield from _periodicity(out, lambda h, b: (b0, i, h, b))
+
+    worst, witness = _worst(parts())
     return [check_from_residual("xcorr.mackey-preserved", worst, tolerance, witness)]
 
 
@@ -172,7 +173,7 @@ def _kernel_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> li
         return []
     checks = [_equivariance_check("transform.equivariance", scn, op, tolerance)]
     # [c, b]: orbit pairs whose weight mubar_b(c) is not positive, a NaN included
-    count, witness = _count_of(((scn.action.coset_reps >= 0) & ~(scn.mubar.weights > 0)).T)
+    count, witness = _count([(_local, ((scn.action.coset_reps >= 0) & ~(scn.mubar.weights > 0)).T)])
     checks.append(check_from_residual("transform.necessity", count, 0.0, witness))
     return checks
 
@@ -193,7 +194,7 @@ def _lift_checks(
     checks: list[Check] = []
 
     def compare(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:  # witness (c, b, i, j)
-        worst, witness = _worst_of_rows(len(lhs), lhs[0].size, lambda c: lhs[c] - rhs[c])
+        worst, witness = _worst(_rows(len(lhs), lhs[0].size, lambda c: lhs[c] - rhs[c], _local))
         return check_from_residual(name, worst, tolerance, witness)
 
     def agreement(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:

@@ -77,8 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _worst_of_rows, fundamental_domain, stabilizer
-from .reporting import ValidationReport, _worst_of_grid, _worst_of_parts, check_from_residual
+from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows, fundamental_domain, stabilizer
+from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
 
 
 @dataclass(eq=False)
@@ -155,30 +155,28 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
     domain = list(action.domain)
     # [orbit, c]: members c of the orbit whose fiber dimension is not its base point's
     off = (action.coset_reps[domain] >= 0) & (bundle.fiber_dim != bundle.fiber_dim[domain, None])
-    bad = np.flatnonzero(off.any(axis=1))
-    witness = (domain[bad[0]], int(off[bad[0]].argmax())) if bad.size else None
-    report.add(check_from_residual("bundle-fiber-dim-orbit-constant", float(bad.size), 0.0, witness))
+    count, witness = _count([(lambda i: (domain[i], int(off[i].argmax())), off.any(axis=1))])  # orbits, first member
+    report.add(check_from_residual("bundle-fiber-dim-orbit-constant", count, 0.0, witness))
 
     live = pad_mask(bundle.fiber_dim, dmax)  # (|B|, dmax)
     # A(e, b) against the identity on each fiber block, zero padding
-    res, witness = _worst_of_grid(A[grp.identity] - live[:, :, None] * np.eye(dmax))
-    report.add(check_from_residual("bundle-identity-slice", res, tolerance, witness and (grp.identity, *witness)))
+    res, witness = _worst([(lambda *at: (grp.identity, *at), A[grp.identity] - live[:, :, None] * np.eye(dmax))])
+    report.add(check_from_residual("bundle-identity-slice", res, tolerance, witness))
 
     # padding must be exactly zero outside the fiber block; only the padding
     # entries are read, (|G|, padding slots) of them, none when dims are equal
     block = live[:, :, None] & live[:, None, :]  # square fibers: d(g.b) = d(b) if dims valid
-    pad_res, at = _worst_of_grid(A[:, ~block])  # at = (g, index into the padding entries)
-    witness = at and (at[0], *(int(c) for c in np.argwhere(~block)[at[1]]))
+    # [g, k] -> the k-th padding entry of A(g, .), placed at (g, b, i, j)
+    pad_res, witness = _worst([(lambda g, k: (g, *(int(c) for c in np.argwhere(~block)[k])), A[:, ~block])])
     report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, witness))
 
-    def columns():  # ((h, b0), [g] -> defect of the instance (g, h, b0)), one column of all g at a time
+    def columns():  # [g] -> defect of the instance (g, h, b0), one column of all g at a time
         for b0 in domain:
             for h in np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])):
                 defect = A[grp.cayley[:, h], b0] - A[:, action.table[h, b0]] @ A[h, b0]
-                yield (int(h), b0), np.abs(defect).max(axis=(1, 2), initial=0.0)
+                yield (lambda g: (g, int(h), b0)), np.abs(defect).max(axis=(1, 2), initial=0.0)
 
-    worst, hit = _worst_of_parts(columns())
-    witness = hit and (hit[1][0], *hit[0])
+    worst, witness = _worst(columns())
     report.add(check_from_residual("bundle-cocycle", worst, tolerance, witness))
     return report
 
@@ -259,16 +257,21 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
     largest row sum of |act_matrix(g, b)|, R <= a P and P <= (1 + a) R.
     Scanned one row block of h at a time.
     """
-    bundle = m.bundle
-    identity = m.values[bundle.action.group.identity]
-
-    def defect(rows):  # [h, b] for the h in rows
-        return np.abs(m.values[rows] - _induced_rows(bundle, identity, rows)).max(axis=2, initial=0.0)
-
-    worst, witness = _worst_of_rows(len(m.values), m.values[0].size * bundle.dmax, defect)
+    worst, witness = _worst(_periodicity(m, _local))
     report = ValidationReport()
     report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
     return report
+
+
+def _periodicity(m: MackeySection, place):
+    """validate_mackey's parts, [h, b] -> the largest entry of the defect of
+    m(h, b), one row block of h at a time."""
+    identity = m.values[m.bundle.action.group.identity]
+
+    def defect(rows):  # [h, b] for the h in rows
+        return np.abs(m.values[rows] - _induced_rows(m.bundle, identity, rows)).max(axis=2, initial=0.0)
+
+    return _rows(len(m.values), m.values[0].size * m.bundle.dmax, defect, place)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +314,17 @@ def _orbit_slice(
     values: np.ndarray,
     action: GroupAction,
     conjugate: bool,
+    place,
     a_out: np.ndarray | None = None,
     a_in: np.ndarray | None = None,
     carried: np.ndarray | None = None,
-) -> tuple[float, tuple[int, int, int] | None]:
+) -> tuple[float, tuple | None]:
     """Check v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) on a table indexed
     [r, b, ...], one base point b0 per orbit (see the module docstring).
     Rows are group elements moved by conjugation with b' = b (conjugate), or
     base points moved by the action with b' = r; untwisted laws pass no act
-    matrices.  Returns R = max(S, T) and the failing law instance
-    (g, g^-1.r, b0) at its first maximum (S before T, each in
+    matrices.  Returns R = max(S, T) and place(g, g^-1.r, b0) of the failing
+    law instance at its first maximum (S before T, each in
     fundamental-domain order, then row-major over (g, r)).  A builder
     passes carried, a table of values' shape, and each row carried from a
     b0 is written into it at its target off the fundamental domain.  It
@@ -337,10 +341,13 @@ def _orbit_slice(
     def blocks(elements):  # the elements in order, as many at a time as carry _BLOCK_ENTRIES entries
         return (elements[rows] for rows in _row_blocks(elements.size, values[:, 0].size))
 
-    def parts():  # ((b0, elements g), [i, r, ...] carried minus table)
+    def instance(b0, g):  # [i, r, ...] -> place(g_i, g_i^-1.r, b0)
+        return lambda i, r, *_: place(int(g[i]), int(_move(action, conjugate, grp.inv[g[[i]]])[0, r]), b0)
+
+    def parts():  # [i, r, ...] -> the row carried by g_i from b0 minus the table's
         for b0 in domain:
             for g in blocks(stabilizer(action, b0)):
-                yield (b0, g), _carry(values, action, conjugate, a_out, a_in, g, b0) - values[None, :, b0]
+                yield instance(b0, g), _carry(values, action, conjugate, a_out, a_in, g, b0) - values[None, :, b0]
         for b0 in domain:
             for g in blocks(_movers(action, b0)):
                 targets = action.table[g, b0]
@@ -348,12 +355,6 @@ def _orbit_slice(
                 if carried is not None:
                     carried[:, targets] = np.moveaxis(rows, 0, 1)
                 rows -= np.moveaxis(values[:, targets], 1, 0)
-                yield (b0, g), rows
+                yield instance(b0, g), rows
 
-    worst, hit = _worst_of_parts(parts())
-    witness = None
-    if hit:
-        (b0, elements), at = hit
-        g = int(elements[at[0]])
-        witness = (g, int(_move(action, conjugate, grp.inv[[g]])[0, at[1]]), int(b0))
-    return worst, witness
+    return _worst(parts())

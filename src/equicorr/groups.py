@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .reporting import ValidationReport, _count_of, _count_over, _worst_of_parts, check_from_residual
+from .reporting import ValidationReport, _count, check_from_residual
 
 _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 128 MiB of int16 or 512 MiB of float64
 # largest transient block a table scan materializes at once: 128 KiB of
@@ -78,25 +78,11 @@ def _row_blocks(count: int, row_entries: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _worst_of_rows(count: int, row_entries: int, grid_of) -> tuple[float, tuple[int, ...] | None]:
-    """_worst_of_grid of a grid of count rows of row_entries entries,
-    formed one row block at a time by grid_of(rows), rows a slice: the same
-    residual and first-maximum witness as one scan of the whole grid."""
-    worst, hit = _worst_of_parts((rows.start, grid_of(rows)) for rows in _row_blocks(count, row_entries))
-    return worst, hit and (hit[0] + hit[1][0], *hit[1][1:])
-
-
-def _count_of_rows(count: int, row_entries: int, mask_of) -> tuple[float, tuple[int, ...] | None]:
-    """_count_of of a mask of count rows of row_entries entries, formed one
-    row block at a time by mask_of(rows), rows a slice: the same count and
-    first witness as one scan of the whole mask."""
-    total, witness = 0.0, None
+def _rows(count: int, row_entries: int, grid_of, place):
+    """The parts of a grid of count rows of row_entries entries, one row block
+    at a time: grid_of(rows), rows a slice, placed by place at its offset."""
     for rows in _row_blocks(count, row_entries):
-        k, at = _count_of(mask_of(rows))
-        if witness is None and at is not None:
-            witness = (rows.start + at[0], *at[1:])
-        total += k
-    return total, witness
+        yield (lambda r, *at: place(rows.start + r, *at)), grid_of(rows)
 
 
 def _leaf_types(table, depth: int) -> set[type]:
@@ -359,14 +345,11 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
         ("inverse-right", cay[idn, inv] != e, lambda x: (x, int(inv[x]))),
     )
     for name, bad, site in unary:
-        count, at = _count_of(bad)
-        report.add(check_from_residual(f"group-{name}", count, 0, at and site(*at)))
+        count, at = _count([(site, bad)])
+        report.add(check_from_residual(f"group-{name}", count, 0, at))
 
     gens = group.generators
     left, right = cay[gens], cay[:, gens]
-    # [s, x, t] -> s (x t) != (s x) t
-    count, at = _count_of(left[:, right] != right[left])
-    witness = at and (gens[at[0]], at[1], gens[at[2]])
     edges = _tree_edges(right, e, gens)
     flat = cay.ravel()
 
@@ -376,12 +359,13 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
         idx += group.order * rs[:, None]
         return flat.take(idx) != cay[ys]
 
-    # rows of 2 |G| entries: the 8-byte index and the 64 KiB buffer numpy
-    # broadcasts r |G| through then fill one block of _BLOCK_ENTRIES float64
-    k, at = _count_of_rows(edges.shape[1], 2 * group.order, broken)
-    if witness is None and at is not None:
-        witness = (int(edges[1, at[0]]), int(edges[2, at[0]]), at[1])
-    count += k
+    def parts():  # [s, x, t] -> s (x t) != (s x) t, then the edges' rows
+        yield (lambda s, x, t: (gens[s], x, gens[t])), left[:, right] != right[left]
+        # rows of 2 |G| entries: the 8-byte index and the 64 KiB buffer numpy
+        # broadcasts r |G| through then fill one block of _BLOCK_ENTRIES float64
+        yield from _rows(edges.shape[1], 2 * group.order, broken, lambda k, x: (int(edges[1, k]), int(edges[2, k]), x))
+
+    count, witness = _count(parts())
     report.add(check_from_residual("group-associativity", count, 0, witness))
     return report
 
@@ -419,14 +403,15 @@ def validate_action(action: GroupAction) -> ValidationReport:
     grp, table = action.group, action.table
     report = ValidationReport()
 
-    count, at = _count_of(table[grp.identity] != np.arange(action.base_size))
-    report.add(check_from_residual("action-identity", count, 0, at and (grp.identity,) + at))
+    count, at = _count([(lambda b: (grp.identity, b), table[grp.identity] != np.arange(action.base_size))])
+    report.add(check_from_residual("action-identity", count, 0, at))
 
-    def broken(h):  # [g, b] -> (g h).b != g.(h.b), a row block of g at a time
-        return _count_of_rows(grp.order, action.base_size, lambda g: table[grp.cayley[g, h]] != table[g][:, table[h]])
+    def parts():  # [g, b] -> (g h).b != g.(h.b) for each generator h, a row block of g at a time
+        for h in grp.generators:
+            broken = lambda g: table[grp.cayley[g, h]] != table[g][:, table[h]]  # a row block of g
+            yield from _rows(grp.order, action.base_size, broken, lambda g, b: (g, h, b))
 
-    count, wit = _count_over(grp.generators, broken)
-    witness = (wit[1], wit[0], wit[2]) if wit else None
+    count, witness = _count(parts())
     report.add(check_from_residual("action-compatibility", count, 0, witness))
     return report
 

@@ -34,8 +34,8 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, _count_of_rows, _float_table, _worst_of_rows, coset_table, stabilizer_mask
-from .reporting import ValidationReport, _argmax_coords, _count_of, _count_over, _maxabs, _worst_of_grid, check_from_residual
+from .groups import GroupAction, _float_table, _rows, coset_table, stabilizer_mask
+from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
 
 
 @dataclass(eq=False)
@@ -112,14 +112,14 @@ def _has_negative(table: np.ndarray) -> bool:
     """Whether some entry of a 2-d table is below 0, counted one row block
     at a time, so a broadcast view is never compared whole; a NaN is not
     below 0 and hides no entry that is."""
-    return _count_of_rows(len(table), table.shape[1], lambda rows: table[rows] < 0)[0] > 0
+    return _count(_rows(len(table), table.shape[1], lambda rows: table[rows] < 0, _local))[0] > 0
 
 
 def _off_stabilizers(values: np.ndarray, action: GroupAction) -> bool:
     """Whether values, indexed [h, b], is not 0 (a NaN included) at some h
     outside the stabilizer of b; one row block of h at a time."""
     b = np.arange(action.base_size)
-    return _count_of_rows(len(values), action.base_size, lambda h: (values[h] != 0.0) & (action.table[h] != b))[0] > 0
+    return _count(_rows(len(values), action.base_size, lambda h: (values[h] != 0.0) & (action.table[h] != b), _local))[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,8 @@ def validate_families(
     report = ValidationReport()
 
     def law(name: str, weights: np.ndarray, conjugate: bool) -> None:  # weights indexed [b, r]
-        res, wit = _orbit_slice(weights.T, action, conjugate)
-        report.add(check_from_residual(name, res, tolerance, wit and (wit[0], wit[2], wit[1])))
+        res, wit = _orbit_slice(weights.T, action, conjugate, lambda g, r, b: (g, b, r))
+        report.add(check_from_residual(name, res, tolerance, wit))
 
     law("family-mu-conjugation", mu.weights, True)
     law("family-nu-conjugation", nu.weights, True)
@@ -172,12 +172,12 @@ def validate_families(
     smask = stabilizer_mask(action)
     hi = np.max(nu.weights, axis=1, where=smask, initial=-np.inf)
     lo = np.min(nu.weights, axis=1, where=smask, initial=np.inf)
-    res, wit = _worst_of_grid(np.where(smask.any(axis=1), hi - lo, 0.0))
+    res, wit = _worst([(_local, np.where(smask.any(axis=1), hi - lo, 0.0))])
     report.add(check_from_residual("family-nu-left-invariance", res, tolerance, wit))
     law("family-mubar-pushforward", mubar.weights, False)
 
     if mu.haar:
-        spread, wit = _worst_of_grid(mu.weights.max(axis=1) - mu.weights.min(axis=1))
+        spread, wit = _worst([(_local, mu.weights.max(axis=1) - mu.weights.min(axis=1))])
         report.add(check_from_residual("family-mu-haar-flag", spread, tolerance, wit))
     return report
 
@@ -207,7 +207,7 @@ def fubini_pointwise_residual(
         k_inv_h = grp.cayley[grp.inv[action.coset_reps[b, hb]], np.arange(grp.order)]
         return mu.weights[rows] - mubar.weights[b, hb] * nu.weights[b, k_inv_h]
 
-    return _worst_of_rows(action.base_size, grp.order, defect)
+    return _worst(_rows(action.base_size, grp.order, defect, _local))
 
 
 def solve_orbit_measure(
@@ -269,7 +269,7 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
         raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
     # [h] -> psi0(g h g^-1) != psi0(h); the g that fix psi0 under conjugation
     # are closed under products, so a generating set decides it exactly
-    _, witness = _count_over(grp.generators, lambda g: _count_of(values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values))
+    _, witness = _count((lambda h: (g, h), values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values) for g in grp.generators)
     if witness is not None:
         raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)
@@ -283,13 +283,14 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     action = psi.action
     report = ValidationReport()
 
-    worst, witness = _orbit_slice(psi.values, action, True)
+    worst, witness = _orbit_slice(psi.values, action, True, _local)
     report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
-    count, wit = _count_of(psi.values.sum(axis=0) <= 0)
+    count, wit = _count([(_local, psi.values.sum(axis=0) <= 0)])
     report.add(check_from_residual("psi-nonvanishing", count, 0.0, wit))
 
-    count, wit = _count_of((psi.values.T * stabilizer_mask(action)).sum(axis=1) <= 0)
+    # masked, not multiplied: 0 times a NaN or an inf off the stabilizer is NaN
+    count, wit = _count([(_local, np.where(stabilizer_mask(action), psi.values.T, 0.0).sum(axis=1) <= 0)])
     report.add(check_from_residual("psi-stabilizer-nonvanishing", count, 0.0, wit))
     return report
 
@@ -314,7 +315,7 @@ def construct_normalized_families(
         b = int(np.flatnonzero(z <= 0)[0])
         raise DegenerateMeasureError(f"psi has no mass at b={b}")
     smask = stabilizer_mask(action)  # (|B|, |G|)
-    weights = psi.values.T * smask  # psi on each stabilizer, then nu's table, so no second one is formed
+    weights = np.where(smask, psi.values.T, 0.0)  # psi on each stabilizer, then nu's table, so no second one is formed
     zs = weights.sum(axis=1)  # (|B|,)
     if np.any(zs <= 0):
         b = int(np.flatnonzero(zs <= 0)[0])
@@ -334,10 +335,10 @@ def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance:
     action = delta.action
     report = ValidationReport()
 
-    mass = np.einsum("hb,bh->b", delta.values, nu.weights) - 1.0
-    report.add(check_from_residual("delta-normalization", _maxabs(mass), tolerance, _argmax_coords(mass)))
+    worst, witness = _worst([(_local, np.einsum("hb,bh->b", delta.values, nu.weights) - 1.0)])  # [b] -> mass - 1
+    report.add(check_from_residual("delta-normalization", worst, tolerance, witness))
 
-    worst, witness = _orbit_slice(delta.values, action, True)
+    worst, witness = _orbit_slice(delta.values, action, True, _local)
     report.add(check_from_residual("delta-conjugation", worst, tolerance, witness))
     return report
 

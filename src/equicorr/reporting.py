@@ -5,6 +5,15 @@ with the maximum observed residual, the tolerance it was held to, and the
 coordinates of the worst offender.  Reports from independent validators
 merge, and serialization is stable so that identical inputs produce
 byte-identical report files.
+
+Every residual and witness comes from one of two scans over `parts`,
+(place, grid) pairs scanned in turn as one grid in row-major order:
+_worst finds the largest |entry|, _count the True entries.  place maps a
+grid's own coordinates to the witness the check reports; it is applied
+only to a first occurrence (of a part's maximum, of the first True
+entry), and before the next part is drawn, so it may read the loop
+variables that formed its grid.  The first NaN is the largest entry and
+stays.  groups._rows forms the parts of a grid one row block at a time.
 """
 
 from __future__ import annotations
@@ -17,60 +26,34 @@ import numpy as np
 DEFAULT_TOLERANCE = 1e-12  # bound of the float laws unless the caller gives another
 
 
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max()) if arr.size else 0.0
+def _local(*at: int) -> tuple[int, ...]:  # the place of a grid whose own coordinates are the witness
+    return at
 
 
-def _argmax_coords(arr: np.ndarray) -> tuple[int, ...]:
-    """Coordinates of the first maximum of |arr| in row-major order."""
-    flat = int(np.abs(arr).argmax())
-    return tuple(int(c) for c in np.unravel_index(flat, arr.shape))
-
-
-def _worst_of_grid(grid: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-    """Largest entry of |grid| and the coordinates of its first occurrence in
-    row-major order; no witness when every entry is zero.  A NaN entry is
-    the largest: the residual is NaN and the witness its first coordinate."""
-    worst = _maxabs(grid)
-    return worst, (_argmax_coords(grid) if worst != 0.0 else None)
-
-
-def _first_worst(results) -> tuple[float, tuple | None]:
-    """The largest residual over (residual, witness) pairs scanned in turn,
-    with the witness of its first occurrence, or None when every residual
-    is zero.  The first NaN wins and stays."""
+def _worst(parts) -> tuple[float, tuple | None]:
+    """The largest |entry| of the parts and its placed first occurrence, or
+    None when every entry is 0; each part is released before the next."""
     worst, hit = 0.0, None
-    for residual, witness in results:
-        if not (residual <= worst or math.isnan(worst)):
-            worst, hit = residual, witness
+    for place, grid in parts:
+        grid = np.abs(grid)
+        top = float(grid.max()) if grid.size else 0.0
+        if not (top <= worst or math.isnan(worst)):
+            worst, hit = top, place(*(int(c) for c in np.unravel_index(int(grid.argmax()), grid.shape)))
+        del grid
     return worst, hit
 
 
-def _worst_of_parts(parts) -> tuple[float, tuple | None]:
-    """_worst_of_grid over (key, grid) parts scanned in turn, as if they were
-    one concatenated grid: the largest entry and (key, coordinates) of its
-    first occurrence, or None when every entry is zero.  A running maximum,
-    so only one part is alive at a time."""
-    return _first_worst((part, (key, at)) for key, grid in parts for part, at in [_worst_of_grid(grid)])
-
-
-def _count_of(mask: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-    """Number of True entries of mask, as a float, and the coordinates of
-    the first in row-major order, or None when there is none."""
-    count = int(np.count_nonzero(mask))
-    return float(count), (_argmax_coords(mask) if count else None)
-
-
-def _count_over(elements, count_of) -> tuple[float, tuple[int, ...] | None]:
-    """The counts count_of(g) = (count, witness) of the elements summed; the
-    witness is (g, *witness) of the first element with a violation."""
-    count, witness = 0.0, None
-    for g in elements:
-        k, at = count_of(g)
-        if witness is None and at is not None:
-            witness = (int(g),) + at
+def _count(parts) -> tuple[float, tuple | None]:
+    """The number of True entries of the parts, as a float, and the first
+    one placed, or None when there is none."""
+    count, hit = 0, None
+    for place, mask in parts:
+        k = int(np.count_nonzero(mask))
+        if k and hit is None:
+            hit = place(*(int(c) for c in np.unravel_index(int(mask.argmax()), mask.shape)))
         count += k
-    return count, witness
+        del mask
+    return float(count), hit
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 from .bundles import EquivariantBundle, Section, _carry, _orbit_slice, pad_mask
 from .errors import DomainError
 from .groups import fundamental_domain, orbits, stabilizer
+from .reporting import _local
 from .rng import SplitMix64
 from .transforms import Kernel, validate_kernel
 from .xcorr import Filter
@@ -56,7 +57,7 @@ def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: Equivari
             table[:, b] = _carry(table, action, True, *mats, stabilizer(action, b), b).mean(axis=0)
             if np.abs(table[:, b]).max(initial=0.0) > 1e-6:
                 break
-    _orbit_slice(table, action, True, *mats, carried=table)
+    _orbit_slice(table, action, True, _local, *mats, carried=table)
     return Filter(input_bundle, output_bundle, table)
 
 
@@ -75,7 +76,7 @@ def random_valid_kernel(
         b0, members = o.base_point, list(o.members)
         table[members, b0] = rng.uniforms((len(members),) + table.shape[2:], -1.0, 1.0)
         table[:, b0] = _carry(table, action, False, *mats, stabilizer(action, b0), b0).mean(axis=0)
-    _orbit_slice(table, action, False, *mats, carried=table)
+    _orbit_slice(table, action, False, _local, *mats, carried=table)
     return Kernel(input_bundle, output_bundle, table)
 
 

@@ -76,7 +76,7 @@ from .measures import (
     psi_indicator_identity,
     solve_orbit_family,
 )
-from .reporting import _count_of
+from .reporting import _count, _local
 from .rng import SplitMix64
 from .sampling import random_valid_filter, random_valid_kernel
 from .serialize import Scenario
@@ -316,11 +316,8 @@ def banded_support_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> tuple[fl
     x, y = _signed_mod(h % n, n), _signed_mod(h // n, n)
     segments = (y == 0) & (np.abs(x[:, None] - s * np.arange(-1, 2)) <= eps).any(axis=1)
     rectangle = (np.abs(x) <= eps) & (np.abs(y) <= 1)
-    count, witness = 0.0, None
-    for name, shape in (("global", segments), ("special", rectangle)):
-        k, at = _count_of(lifts[name].support != shape[:, None])
-        count, witness = count + k, witness or at
-    return count, witness
+    shapes = (("global", segments), ("special", rectangle))
+    return _count((_local, lifts[name].support != shape[:, None]) for name, shape in shapes)
 
 
 # ---------------------------------------------------------------------------

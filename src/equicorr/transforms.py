@@ -56,9 +56,9 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import StructuralError
-from .groups import GroupAction, _count_of_rows, _float_table, _index_table, _row_blocks
+from .groups import GroupAction, _float_table, _index_table, _row_blocks, _rows
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
-from .reporting import ValidationReport, _argmax_coords, _count_over, check_from_residual
+from .reporting import ValidationReport, _count, _local, check_from_residual
 from .xcorr import Filter, _common_action, _support_scatter, filter_operator
 
 __all__ = [
@@ -91,10 +91,9 @@ class Kernel:
         de, df = self.input_bundle.dmax, self.output_bundle.dmax
         self.matrices = _float_table(self.matrices, "kernel", (m, m, df, de))
         self.support = np.any(self.matrices != 0.0, axis=(2, 3))
-        off_orbit = self.support & (action.coset_reps < 0).T  # support[c, b] needs c in G.b
-        if np.any(off_orbit):
-            c, b = _argmax_coords(off_orbit.astype(float))
-            raise StructuralError(f"kernel entry at (c={c}, b={b}) is off the orbit of b")
+        _, at = _count([(_local, self.support & (action.coset_reps < 0).T)])  # support[c, b] needs c in G.b
+        if at:
+            raise StructuralError(f"kernel entry at (c={at[0]}, b={at[1]}) is off the orbit of b")
 
     @property
     def action(self):
@@ -113,12 +112,13 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     action = kern.action
     m = action.base_size
 
-    def moved(g):  # [c, b] -> support(g.c, g.b) != support(c, b), a row block of c at a time
-        tg = action.table[g]
-        return _count_of_rows(m, m, lambda c: kern.support[tg[c, None], tg] != kern.support[c])
+    def moved():  # [c, b] -> support(g.c, g.b) != support(c, b) for each generator g, a row block of c at a time
+        for g in action.group.generators:
+            tg = action.table[g]
+            yield from _rows(m, m, lambda c: kern.support[tg[c, None], tg] != kern.support[c], lambda c, b: (g, c, b))
 
     worst, witness = operator_equivariance_residual(kern.matrices, kern.input_bundle, kern.output_bundle)
-    count, support_witness = _count_over(action.group.generators, moved)
+    count, support_witness = _count(moved())
     report = ValidationReport()
     report.add(check_from_residual("kernel-constraint", worst, tolerance, witness))
     report.add(check_from_residual("kernel-support-invariance", count, 0.0, support_witness))
@@ -167,7 +167,7 @@ def operator_equivariance_residual(
         P_F <= |B| dE (a^2 + 2a) R,    R <= a P_basis.
     """
     action = _common_action(input_bundle, output_bundle)
-    return _orbit_slice(op, action, False, output_bundle.act_matrix, input_bundle.act_matrix)
+    return _orbit_slice(op, action, False, _local, output_bundle.act_matrix, input_bundle.act_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +239,16 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
         # an undefined -1 reads the last row of a table; its own mask outvotes that
         return supp[c] & ((reps < 0) | (action.table[reps, cols] != cols[c, None]))
 
-    count, witness = _count_of_rows(m, m, unsectioned)
+    count, witness = _count(_rows(m, m, unsectioned, _local))
     report.add(check_from_residual("theta-section", count, 0, witness))
 
-    def broken(g):  # [c, b] -> on a support pair, g theta(c, b) != theta(g.c, g.b) g, or either is undefined
+    def broken(g, c):  # [c, b] -> on a support pair, g theta(c, b) != theta(g.c, g.b) g, or either is undefined
         tg = action.table[g]
+        gc = tg[c, None]
+        reps, moved = theta.reps[c], theta.reps[gc, tg]
+        return supp[c] & (~supp[gc, tg] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g]))
 
-        def block(c):
-            gc = tg[c, None]
-            reps, moved = theta.reps[c], theta.reps[gc, tg]
-            return supp[c] & (~supp[gc, tg] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g]))
-
-        return _count_of_rows(m, m, block)
-
-    count, witness = _count_over(grp.generators, broken)
+    count, witness = _count(p for g in grp.generators for p in _rows(m, m, lambda c: broken(g, c), lambda c, b: (g, c, b)))
     report.add(check_from_residual("theta-translation", count, 0, witness))
     return report
 

@@ -57,7 +57,7 @@ from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import StructuralError
 from .groups import _float_table, _row_blocks, fundamental_domain
 from .measures import GroupMeasureFamily
-from .reporting import ValidationReport, check_from_residual
+from .reporting import ValidationReport, _local, check_from_residual
 
 
 def _common_action(e_bundle: EquivariantBundle, f_bundle: EquivariantBundle):
@@ -100,7 +100,7 @@ def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
     """Residual of the faint compatibility law on one base slice per orbit;
     witness coordinates (g, h, b)."""
     worst, witness = _orbit_slice(
-        filt.matrices, filt.action, True, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
+        filt.matrices, filt.action, True, _local, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
     )
     report = ValidationReport()
     report.add(check_from_residual("filter-faint-constraint", worst, tolerance, witness))
@@ -227,5 +227,5 @@ def expand_filter(comp: CompressedFilter) -> Filter:
         if row.shape != (n, df, de):
             raise StructuralError(f"compressed row at b={b} has shape {row.shape}, expected {(n, df, de)}")
         table[:, b] = row
-    _orbit_slice(table, action, True, f_bundle.act_matrix, e_bundle.act_matrix, carried=table)
+    _orbit_slice(table, action, True, _local, f_bundle.act_matrix, e_bundle.act_matrix, carried=table)
     return Filter(e_bundle, f_bundle, table)

@@ -27,7 +27,7 @@ from equicorr.bundles import (
 from equicorr.errors import StructuralError
 from equicorr.groups import GroupAction, cyclic_group, fundamental_domain, orbits, stabilizer
 from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families, validate_psi
-from equicorr.reporting import _worst_of_grid
+from equicorr.reporting import _local, _worst
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_valid_filter, random_valid_kernel
 from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
@@ -362,8 +362,7 @@ def _stacked_cocycle(bundle: EquivariantBundle) -> tuple[float, tuple[int, int, 
     b = np.repeat(domain, [len(s) * grp.order for s in hs])
     g = np.resize(np.arange(grp.order), len(h))
     defect = A[grp.cayley[g, h], b] - A[g, action.table[h, b]] @ A[h, b]
-    worst, at = _worst_of_grid(np.abs(defect).max(axis=(1, 2), initial=0.0))
-    return worst, at and (int(g[at]), int(h[at]), int(b[at]))
+    return _worst([(lambda k: (int(g[k]), int(h[k]), int(b[k])), np.abs(defect).max(axis=(1, 2), initial=0.0))])
 
 
 @pytest.mark.parametrize("name", ["dihedral(3, bundle=sign)", "rotation-4+centre"])
@@ -551,7 +550,7 @@ def test_orbit_slice_keeps_the_concatenated_scan_order(name):
                     bumped[at] = fill if np.isnan(fill) else bumped[at] + fill
                 cases.append(bumped)
         for values in cases:
-            worst, witness = _orbit_slice(values, action, conjugate, A, A)
+            worst, witness = _orbit_slice(values, action, conjugate, _local, A, A)
             ref_worst, ref_witness = _concatenated_slice(values, action, conjugate, A)
             assert (witness, np.isnan(worst)) == (ref_witness, np.isnan(ref_worst)), check
             assert np.isnan(worst) or worst == ref_worst, check
@@ -588,19 +587,19 @@ def test_blocked_transport_matches_the_one_block_scan(case, monkeypatch):
     monkeypatch.setattr(bundles, "_carry", lambda *args: sizes.append(len(args[5])) or _carry(*args))
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1 << 40)
     whole_table = values.copy()
-    whole = _orbit_slice(values, action, conjugate, a_out, a_in, carried=whole_table)
+    whole = _orbit_slice(values, action, conjugate, _local, a_out, a_in, carried=whole_table)
     assert max(sizes) > 1
     sizes.clear()
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
     blocked_table = values.copy()
-    blocked = _orbit_slice(values, action, conjugate, a_out, a_in, carried=blocked_table)
+    blocked = _orbit_slice(values, action, conjugate, _local, a_out, a_in, carried=blocked_table)
     assert max(sizes) == 1
     assert whole[0] > 0.1 and whole[1] is not None
     assert (float(blocked[0]).hex(), blocked[1]) == (float(whole[0]).hex(), whole[1])
     assert blocked_table.tobytes() == whole_table.tobytes()
-    assert _orbit_slice(values, action, conjugate, a_out, a_in) == whole
+    assert _orbit_slice(values, action, conjugate, _local, a_out, a_in) == whole
     in_place = values.copy()
-    _orbit_slice(in_place, action, conjugate, a_out, a_in, carried=in_place)
+    _orbit_slice(in_place, action, conjugate, _local, a_out, a_in, carried=in_place)
     assert in_place.tobytes() == whole_table.tobytes()
 
 

@@ -138,6 +138,24 @@ NON_FINITE = {
 }
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_psi_off_the_stabilizer_fails_the_stabilizer_check(tmp_path, capsys, value):
+    # psi(e, 1) = 0 leaves Stab(1) no psi mass; element 1 is off Stab(1), so a
+    # NaN or an inf there must neither hide that nor warn
+    scn = build_scenario("torus-bands(16)")
+    assert scn.action.table[1, 1] != 1
+    doc = scenario_to_v2_dict(scn)
+    doc["psi"]["values"][scn.group.identity][1] = 0.0
+    doc["psi"]["values"][1][1] = value
+    path = tmp_path / "psi.json"
+    save_document(str(path), doc)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "psi.psi-stabilizer-nonvanishing")
+    assert code == 1
+    assert (check["pass"], check["residual"], check["witness"]) == (False, 1.0, [1])
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
     (*where, i, j), value, expected = NON_FINITE[case]

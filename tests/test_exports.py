@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import equicorr
@@ -54,3 +55,55 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert classes and sorted(classes - raised) == []
+
+
+RETIRED_SCANS = (
+    "_maxabs", "_argmax_coords", "_worst_of_grid", "_first_worst", "_worst_of_parts", "_count_of", "_count_over",
+    "_worst_of_rows", "_count_of_rows",
+)
+
+
+def _references(tree: ast.Module) -> list[tuple[str, str]]:
+    """(top-level name, name read) for each read in the module: a loaded
+    name, an attribute, or the last part of a dotted string such as
+    "transforms.validate_kernel", as a lookup by name spells it."""
+    refs = []
+    for top in tree.body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((owner, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
+                refs.append((owner, node.value.rsplit(".", 1)[-1]))
+    return refs
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # a def or class of the package that nothing outside its own body reads,
+    # in the package or in the benchmark, and that the package does not
+    # export, is a helper that nothing calls; dunder hooks are exempt
+    package = Path(equicorr.__file__).parent
+    sources = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sources.update({path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(bench.glob("*.py"))})
+    reads = {(path, owner, name) for path, tree in sources.items() for owner, name in _references(tree)}
+    exported = {name for names in equicorr._EXPORTS.values() for name in names}
+    unused = []
+    for path, tree in sources.items():
+        if path.parent != package:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+                continue
+            used = any(name == node.name and (p, owner) != (path, node.name) for p, owner, name in reads)
+            if not used and node.name not in exported:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
+def test_the_retired_scan_helpers_are_gone():
+    # every residual and witness comes from reporting._worst or _count
+    modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
+    assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_SCANS if hasattr(m, n)] == []

@@ -147,6 +147,21 @@ def test_solve_orbit_measure_rejects_zero_nu_mass():
         solve_orbit_measure(mu, zero, 0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_psi_off_the_stabilizer_hides_no_stabilizer_without_mass(value):
+    # 0 times a NaN or an inf off Stab(1) would make the stabilizer mass NaN,
+    # which is not <= 0: both the check and the constructor would miss b = 1
+    action = dihedral_vertex_action(4)
+    values = psi_indicator_identity(action).values.copy()
+    values[action.group.identity, 1] = 0.0
+    values[int(np.flatnonzero(action.table[:, 1] != 1)[0]), 1] = value
+    psi = PsiFunction(action, values)
+    check = next(c for c in validate_psi(psi).checks if c.name == "psi-stabilizer-nonvanishing")
+    assert (check.passed, check.residual, check.witness) == (False, 1.0, (1,))
+    with pytest.raises(DegenerateMeasureError, match="stabilizer of b=1"):
+        construct_normalized_families(psi)
+
+
 def test_normalized_families_from_indicator():
     action = dihedral_vertex_action(4)
     psi = psi_indicator_identity(action)
