@@ -72,8 +72,6 @@ mean of _carry over Stab(b0) makes S = 0, and _orbit_slice fills T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StructuralError
@@ -81,20 +79,17 @@ from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows
 from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
 
 
-@dataclass(eq=False)
 class EquivariantBundle:
-    action: GroupAction
-    fiber_dim: np.ndarray  # (|B|,) int
-    act_matrix: np.ndarray  # (|G|, |B|, dmax, dmax), entry [g, b] maps fiber(b) -> fiber(g.b)
-
-    def __post_init__(self):
-        n, m = self.action.group.order, self.action.base_size
-        self.fiber_dim = np.asarray(self.fiber_dim, dtype=np.int64)
+    def __init__(self, action: GroupAction, fiber_dim: np.ndarray, act_matrix: np.ndarray):
+        n, m = action.group.order, action.base_size
+        self.action = action
+        self.fiber_dim = np.asarray(fiber_dim, dtype=np.int64)
         if self.fiber_dim.shape != (m,):
             raise StructuralError(f"fiber_dim shape {self.fiber_dim.shape}, expected {(m,)}")
         if self.fiber_dim.min(initial=0) < 0:
             raise StructuralError("fiber dimensions must be nonnegative")
-        self.act_matrix = _float_table(self.act_matrix, "act_matrix", (n, m, self.dmax, self.dmax))
+        # entry [g, b] maps fiber(b) -> fiber(g.b)
+        self.act_matrix = _float_table(act_matrix, "act_matrix", (n, m, self.dmax, self.dmax))
 
     @property
     def dmax(self) -> int:
@@ -185,25 +180,17 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
 # sections
 
 
-@dataclass(eq=False)
 class Section:
-    bundle: EquivariantBundle
-    values: np.ndarray  # (|B|, dmax)
-
-    def __post_init__(self):
-        m, dmax = self.bundle.action.base_size, self.bundle.dmax
-        self.values = _float_table(self.values, "section values", (m, dmax))
+    def __init__(self, bundle: EquivariantBundle, values: np.ndarray):
+        self.bundle = bundle
+        self.values = _float_table(values, "section values", (bundle.action.base_size, bundle.dmax))
 
 
-@dataclass(eq=False)
 class MackeySection:
-    bundle: EquivariantBundle
-    values: np.ndarray  # (|G|, |B|, dmax); values[h, b] lives in the fiber at b
-
-    def __post_init__(self):
-        n = self.bundle.action.group.order
-        m, dmax = self.bundle.action.base_size, self.bundle.dmax
-        self.values = _float_table(self.values, "mackey values", (n, m, dmax))
+    def __init__(self, bundle: EquivariantBundle, values: np.ndarray):
+        n, m = bundle.action.group.order, bundle.action.base_size
+        self.bundle = bundle
+        self.values = _float_table(values, "mackey values", (n, m, bundle.dmax))  # values[h, b] lives in the fiber at b
 
 
 def act_on_section(g: int, f: Section) -> Section:

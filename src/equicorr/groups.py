@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,48 +103,38 @@ def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-@dataclass(eq=False)
 class FiniteGroup:
     """Explicit finite group: labels, Cayley table, inverses, identity index."""
 
-    elements: tuple[str, ...]
-    cayley: np.ndarray  # (n, n) INDEX_DTYPE, cayley[g, h] = g*h
-    inv: np.ndarray  # (n,) INDEX_DTYPE
-    identity: int
-    generators: list[int] = field(init=False)  # greedy generating set of the table, derived
-
-    def __post_init__(self):
-        n = len(self.elements)
+    def __init__(self, elements: tuple[str, ...], cayley: np.ndarray, inv: np.ndarray, identity: int):
+        n = len(elements)
         if n == 0:
             raise StructuralError("group must have at least one element")
         _check_budget(f"a ({n}, {n}) cayley table", n * n)
-        self.cayley = _index_table(self.cayley, "cayley table", (n, n), n)
-        self.inv = _index_table(self.inv, "inverse table", (n,), n)
-        if not (0 <= self.identity < n):
+        self.elements = elements
+        self.cayley = _index_table(cayley, "cayley table", (n, n), n)  # cayley[g, h] = g*h
+        self.inv = _index_table(inv, "inverse table", (n,), n)
+        if not (0 <= identity < n):
             raise StructuralError("identity index out of range")
-        self.generators = generating_set(self)
+        self.identity = identity
+        self.generators: list[int] = generating_set(self)  # greedy generating set of the table, derived
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@dataclass(eq=False)
 class GroupAction:
     """Left action of a FiniteGroup on a finite base set, as a lookup table."""
 
-    group: FiniteGroup
-    base: tuple[str, ...]
-    table: np.ndarray  # (|G|, |B|) INDEX_DTYPE, table[g, b] = g.b
-    coset_reps: np.ndarray = field(init=False)  # (|B|, |B|): [b, c] smallest k with k.b = c, -1 off the orbit, derived
-    domain: tuple[int, ...] = field(init=False)  # smallest base index of each orbit, ascending, derived
-
-    def __post_init__(self):
-        n, m = self.group.order, len(self.base)
+    def __init__(self, group: FiniteGroup, base: tuple[str, ...], table: np.ndarray):
+        n, m = group.order, len(base)
         if m == 0:
             raise StructuralError("base set must be nonempty")
         _check_budget(f"a ({m}, {m}) coset-representative table", m * m)
-        self.table = _index_table(self.table, "action table", (n, m), m)
+        self.group, self.base = group, base
+        self.table = _index_table(table, "action table", (n, m), m)  # table[g, b] = g.b
+        # derived: [b, c] is the smallest k with k.b = c, -1 off the orbit of b
         self.coset_reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
         domain = []
         for b in range(m):
@@ -153,17 +142,17 @@ class GroupAction:
             self.coset_reps[b, members] = first
             if members[0] >= b:  # no c < b in the orbit of b
                 domain.append(b)
-        self.domain = tuple(domain)
+        self.domain = tuple(domain)  # smallest base index of each orbit, ascending, derived
 
     @property
     def base_size(self) -> int:
         return len(self.base)
 
 
-@dataclass(frozen=True)
 class Orbit:
-    base_point: int
-    members: tuple[int, ...]  # ascending
+    def __init__(self, base_point: int, members: tuple[int, ...]):
+        self.base_point = base_point
+        self.members = members  # ascending
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ is a single positive constant (the `scale` of counting_family).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bundles import _orbit_slice
@@ -38,73 +36,54 @@ from .groups import GroupAction, _float_table, _rows, coset_table, stabilizer_ma
 from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
 
 
-@dataclass(eq=False)
 class GroupMeasureFamily:
-    action: GroupAction
-    weights: np.ndarray  # (|B|, |G|) nonnegative
-    haar: bool = False  # advisory flag: weights constant per b
-
-    def __post_init__(self):
-        n, m = self.action.group.order, self.action.base_size
-        self.weights = _float_table(self.weights, "group family", (m, n))
+    def __init__(self, action: GroupAction, weights: np.ndarray, haar: bool = False):
+        self.action = action
+        self.weights = _float_table(weights, "group family", (action.base_size, action.group.order))
+        self.haar = haar  # advisory flag: weights constant per b
         if _has_negative(self.weights):
             raise StructuralError("group family weights must be nonnegative")
 
 
-@dataclass(eq=False)
 class StabilizerMeasureFamily:
-    action: GroupAction
-    weights: np.ndarray  # (|B|, |G|), zero off the stabilizer of b
-
-    def __post_init__(self):
-        n, m = self.action.group.order, self.action.base_size
-        self.weights = _float_table(self.weights, "stabilizer family", (m, n))
+    def __init__(self, action: GroupAction, weights: np.ndarray):  # weights zero off the stabilizer of b
+        self.action = action
+        self.weights = _float_table(weights, "stabilizer family", (action.base_size, action.group.order))
         if _has_negative(self.weights):
             raise StructuralError("stabilizer family weights must be nonnegative")
-        if _off_stabilizers(self.weights.T, self.action):
+        if _off_stabilizers(self.weights.T, action):
             raise StructuralError("stabilizer family has weight off the stabilizer")
 
 
-@dataclass(eq=False)
 class OrbitMeasureFamily:
-    action: GroupAction
-    weights: np.ndarray  # (|B|, |B|): weights[b, c], zero off the orbit of b
-
-    def __post_init__(self):
-        m = self.action.base_size
-        self.weights = _float_table(self.weights, "orbit family", (m, m))
+    def __init__(self, action: GroupAction, weights: np.ndarray):  # weights[b, c], zero off the orbit of b
+        m = action.base_size
+        self.action = action
+        self.weights = _float_table(weights, "orbit family", (m, m))
         if _has_negative(self.weights):
             raise StructuralError("orbit family weights must be nonnegative")
-        off = self.weights[self.action.coset_reps < 0]
+        off = self.weights[action.coset_reps < 0]
         if off.size and np.any(off != 0.0):
             raise StructuralError("orbit family has weight off the orbit")
 
 
-@dataclass(eq=False)
 class PsiFunction:
     """Positive weight function used to normalize measure families."""
 
-    action: GroupAction
-    values: np.ndarray  # (|G|, |B|)
-
-    def __post_init__(self):
-        n, m = self.action.group.order, self.action.base_size
-        self.values = _float_table(self.values, "psi", (n, m))
+    def __init__(self, action: GroupAction, values: np.ndarray):
+        self.action = action
+        self.values = _float_table(values, "psi", (action.group.order, action.base_size))
         if _has_negative(self.values):
             raise StructuralError("psi must be nonnegative")
 
 
-@dataclass(eq=False)
 class DeltaFunction:
     """Stabilizer-supported density with unit nu-mass on each stabilizer."""
 
-    action: GroupAction
-    values: np.ndarray  # (|G|, |B|), zero off the stabilizer of b
-
-    def __post_init__(self):
-        n, m = self.action.group.order, self.action.base_size
-        self.values = _float_table(self.values, "delta", (n, m))
-        if _off_stabilizers(self.values, self.action):
+    def __init__(self, action: GroupAction, values: np.ndarray):  # values zero off the stabilizer of b
+        self.action = action
+        self.values = _float_table(values, "delta", (action.group.order, action.base_size))
+        if _off_stabilizers(self.values, action):
             raise StructuralError("delta has support off the stabilizer")
 
 
@@ -286,11 +265,12 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     worst, witness = _orbit_slice(psi.values, action, True, _local)
     report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
 
-    count, wit = _count([(_local, psi.values.sum(axis=0) <= 0)])
+    # ~(mass > 0), so a NaN mass counts as no mass in both checks
+    count, wit = _count([(_local, ~(psi.values.sum(axis=0) > 0))])
     report.add(check_from_residual("psi-nonvanishing", count, 0.0, wit))
 
     # masked, not multiplied: 0 times a NaN or an inf off the stabilizer is NaN
-    count, wit = _count([(_local, np.where(stabilizer_mask(action), psi.values.T, 0.0).sum(axis=1) <= 0)])
+    count, wit = _count([(_local, ~(np.where(stabilizer_mask(action), psi.values.T, 0.0).sum(axis=1) > 0))])
     report.add(check_from_residual("psi-stabilizer-nonvanishing", count, 0.0, wit))
     return report
 
@@ -310,16 +290,18 @@ def construct_normalized_families(
     """
     action = psi.action
     n, m = action.group.order, action.base_size
-    z = psi.values.sum(axis=0)  # (|B|,)
-    if np.any(z <= 0):
-        b = int(np.flatnonzero(z <= 0)[0])
-        raise DegenerateMeasureError(f"psi has no mass at b={b}")
     smask = stabilizer_mask(action)  # (|B|, |G|)
     weights = np.where(smask, psi.values.T, 0.0)  # psi on each stabilizer, then nu's table, so no second one is formed
     zs = weights.sum(axis=1)  # (|B|,)
-    if np.any(zs <= 0):
-        b = int(np.flatnonzero(zs <= 0)[0])
+    # ~(sum > 0), so a NaN sum is no mass; the stabilizer's first, so that a
+    # NaN off a stabilizer of no mass does not name the column instead
+    if not np.all(zs > 0):
+        b = int(np.flatnonzero(~(zs > 0))[0])
         raise DegenerateMeasureError(f"psi has no mass on the stabilizer of b={b}")
+    z = psi.values.sum(axis=0)  # (|B|,)
+    if not np.all(z > 0):
+        b = int(np.flatnonzero(~(z > 0))[0])
+        raise DegenerateMeasureError(f"psi has no mass at b={b}")
 
     mu = GroupMeasureFamily(action, np.broadcast_to((1.0 / z)[:, None], (m, n)), haar=True)
     weights[...] = smask

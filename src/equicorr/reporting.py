@@ -19,7 +19,6 @@ stays.  groups._rows forms the parts of a grid one row block at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,12 +33,13 @@ def _worst(parts) -> tuple[float, tuple | None]:
     """The largest |entry| of the parts and its placed first occurrence, or
     None when every entry is 0; each part is released before the next."""
     worst, hit = 0.0, None
-    for place, grid in parts:
-        grid = np.abs(grid)
-        top = float(grid.max()) if grid.size else 0.0
-        if not (top <= worst or math.isnan(worst)):
-            worst, hit = top, place(*(int(c) for c in np.unravel_index(int(grid.argmax()), grid.shape)))
-        del grid
+    with np.errstate(invalid="ignore"):  # a part that meets inf with inf is NaN, reported, not warned about
+        for place, grid in parts:
+            grid = np.abs(grid)
+            top = float(grid.max()) if grid.size else 0.0
+            if not (top <= worst or math.isnan(worst)):
+                worst, hit = top, place(*(int(c) for c in np.unravel_index(int(grid.argmax()), grid.shape)))
+            del grid
     return worst, hit
 
 
@@ -47,23 +47,32 @@ def _count(parts) -> tuple[float, tuple | None]:
     """The number of True entries of the parts, as a float, and the first
     one placed, or None when there is none."""
     count, hit = 0, None
-    for place, mask in parts:
-        k = int(np.count_nonzero(mask))
-        if k and hit is None:
-            hit = place(*(int(c) for c in np.unravel_index(int(mask.argmax()), mask.shape)))
-        count += k
-        del mask
+    with np.errstate(invalid="ignore"):  # as in _worst
+        for place, mask in parts:
+            k = int(np.count_nonzero(mask))
+            if k and hit is None:
+                hit = place(*(int(c) for c in np.unravel_index(int(mask.argmax()), mask.shape)))
+            count += k
+            del mask
     return float(count), hit
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    witness: tuple[int, ...] | None = None
-    skipped: bool = False
+    def __init__(
+        self,
+        name: str,
+        residual: float,
+        tolerance: float,
+        passed: bool,
+        witness: tuple[int, ...] | None = None,
+        skipped: bool = False,
+    ):
+        self.name = name
+        self.residual = residual
+        self.tolerance = tolerance
+        self.passed = passed
+        self.witness = witness
+        self.skipped = skipped
 
     def as_dict(self) -> dict:
         d = {
@@ -90,9 +99,9 @@ def check_from_residual(
     return Check(name, float(residual), float(tolerance), passed, None if passed else witness)
 
 
-@dataclass
 class ValidationReport:
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -124,4 +133,4 @@ class ValidationReport:
 
 def _prefixed(report: ValidationReport, prefix: str) -> list[Check]:
     """The report's checks, each renamed prefix.name."""
-    return [replace(c, name=f"{prefix}.{c.name}") for c in report.checks]
+    return [Check(f"{prefix}.{c.name}", c.residual, c.tolerance, c.passed, c.witness, c.skipped) for c in report.checks]

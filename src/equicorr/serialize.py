@@ -53,7 +53,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -523,26 +522,42 @@ def mackey_from_dict(doc: dict, bundle: EquivariantBundle) -> MackeySection:
 # scenarios and reports
 
 
-@dataclass(eq=False)
 class Scenario:
     """An action with its bundles and measure families, and whatever filter,
     kernel, thetas and extras the battery reads: scenarios.build_scenario
     builds the built-in ones, scenario_from_dict loads one from a file."""
 
-    name: str
-    params: dict
-    action: GroupAction
-    input_bundle: EquivariantBundle
-    output_bundle: EquivariantBundle
-    mu: GroupMeasureFamily
-    nu: StabilizerMeasureFamily
-    mubar: OrbitMeasureFamily
-    psi: PsiFunction | None = None
-    delta: DeltaFunction | None = None
-    filt: Filter | None = None
-    kernel: Kernel | None = None
-    thetas: dict[str, ThetaMap] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        params: dict,
+        action: GroupAction,
+        input_bundle: EquivariantBundle,
+        output_bundle: EquivariantBundle,
+        mu: GroupMeasureFamily,
+        nu: StabilizerMeasureFamily,
+        mubar: OrbitMeasureFamily,
+        psi: PsiFunction | None = None,
+        delta: DeltaFunction | None = None,
+        filt: Filter | None = None,
+        kernel: Kernel | None = None,
+        thetas: dict[str, ThetaMap] | None = None,
+        extras: dict | None = None,
+    ):
+        self.name = name
+        self.params = params
+        self.action = action
+        self.input_bundle = input_bundle
+        self.output_bundle = output_bundle
+        self.mu = mu
+        self.nu = nu
+        self.mubar = mubar
+        self.psi = psi
+        self.delta = delta
+        self.filt = filt
+        self.kernel = kernel
+        self.thetas = {} if thetas is None else thetas
+        self.extras = {} if extras is None else extras
 
     @property
     def group(self) -> FiniteGroup:

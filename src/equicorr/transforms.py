@@ -50,8 +50,6 @@ visibly different supports inducing one and the same transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
@@ -76,21 +74,15 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class Kernel:
     """Matrix table kappa(c, b), indexed [c, b], zero off orbit pairs."""
 
-    input_bundle: EquivariantBundle
-    output_bundle: EquivariantBundle
-    matrices: np.ndarray  # (|B|, |B|, dF, dE)
-    support: np.ndarray = field(init=False)  # (|B|, |B|) bool, derived
-
-    def __post_init__(self):
-        action = _common_action(self.input_bundle, self.output_bundle)
+    def __init__(self, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, matrices: np.ndarray):
+        action = _common_action(input_bundle, output_bundle)
         m = action.base_size
-        de, df = self.input_bundle.dmax, self.output_bundle.dmax
-        self.matrices = _float_table(self.matrices, "kernel", (m, m, df, de))
-        self.support = np.any(self.matrices != 0.0, axis=(2, 3))
+        self.input_bundle, self.output_bundle = input_bundle, output_bundle
+        self.matrices = _float_table(matrices, "kernel", (m, m, output_bundle.dmax, input_bundle.dmax))
+        self.support = np.any(self.matrices != 0.0, axis=(2, 3))  # (|B|, |B|) bool, derived
         _, at = _count([(_local, self.support & (action.coset_reps < 0).T)])  # support[c, b] needs c in G.b
         if at:
             raise StructuralError(f"kernel entry at (c={at[0]}, b={at[1]}) is off the orbit of b")
@@ -141,7 +133,8 @@ def integral_transform(kern: Kernel, mubar: OrbitMeasureFamily, f: Section) -> S
 def kernel_operator(kern: Kernel, mubar: OrbitMeasureFamily) -> np.ndarray:
     """The matrix of T, (|B|, |B|, dF, dE): [c, b] -> mubar_b(c) kappa(c, b),
     so that T(f)(b) = sum_c [c, b] @ f(c)."""
-    return mubar.weights.T[:, :, None, None] * kern.matrices
+    with np.errstate(invalid="ignore"):  # an inf weight times a 0 entry is NaN: reported, not warned about
+        return mubar.weights.T[:, :, None, None] * kern.matrices
 
 
 def operator_equivariance_residual(
@@ -197,17 +190,14 @@ def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kerne
 # theta
 
 
-@dataclass(eq=False)
 class ThetaMap:
     """Partial section of the orbit map: reps[c, b] = theta(c, b), -1 where
     undefined.  Supplied by scenario data, validated here, never inferred."""
 
-    action: GroupAction
-    reps: np.ndarray  # (|B|, |B|) INDEX_DTYPE
-
-    def __post_init__(self):
-        m = self.action.base_size
-        self.reps = _index_table(self.reps, "theta", (m, m), self.action.group.order, low=-1)
+    def __init__(self, action: GroupAction, reps: np.ndarray):
+        m = action.base_size
+        self.action = action
+        self.reps = _index_table(reps, "theta", (m, m), action.group.order, low=-1)
 
     @property
     def defined(self) -> np.ndarray:

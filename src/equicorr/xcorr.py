@@ -49,8 +49,6 @@ per orbit instead of for every g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
@@ -66,23 +64,16 @@ def _common_action(e_bundle: EquivariantBundle, f_bundle: EquivariantBundle):
     return e_bundle.action
 
 
-@dataclass(eq=False)
 class Filter:
     """Matrix-valued filter omega(h, b): fiber_E(b) -> fiber_F(b)."""
 
-    input_bundle: EquivariantBundle
-    output_bundle: EquivariantBundle
-    matrices: np.ndarray  # (|G|, |B|, dF, dE) padded
-    support: np.ndarray = field(init=False)  # (|G|, |B|) bool, derived
-    support_index: np.ndarray = field(init=False)  # (|B|, s_max) int, derived
-
-    def __post_init__(self):
-        action = _common_action(self.input_bundle, self.output_bundle)
+    def __init__(self, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, matrices: np.ndarray):
+        action = _common_action(input_bundle, output_bundle)
         n, m = action.group.order, action.base_size
-        de, df = self.input_bundle.dmax, self.output_bundle.dmax
-        self.matrices = _float_table(self.matrices, "filter", (n, m, df, de))
+        self.input_bundle, self.output_bundle = input_bundle, output_bundle
+        self.matrices = _float_table(matrices, "filter", (n, m, output_bundle.dmax, input_bundle.dmax))  # padded
         # support is derived, never stored: exact-zero matrices are not support
-        self.support = np.any(self.matrices != 0.0, axis=(2, 3))
+        self.support = np.any(self.matrices != 0.0, axis=(2, 3))  # (|G|, |B|) bool
         # row b lists the support of omega(., b) ascending, padded with the
         # first elements outside it: their matrices are exactly zero, so a
         # padded term adds nothing
@@ -184,14 +175,13 @@ def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray)
 # fundamental-domain codec
 
 
-@dataclass(eq=False)
 class CompressedFilter:
     """One filter row per orbit representative; the rest is determined by
     the compatibility law."""
 
-    input_bundle: EquivariantBundle
-    output_bundle: EquivariantBundle
-    rows: dict[int, np.ndarray]  # orbit rep b -> (|G|, dF, dE)
+    def __init__(self, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rows: dict[int, np.ndarray]):
+        self.input_bundle, self.output_bundle = input_bundle, output_bundle
+        self.rows = rows  # orbit rep b -> (|G|, dF, dE)
 
 
 def compress_filter(filt: Filter) -> CompressedFilter:

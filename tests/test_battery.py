@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from equicorr.rng import SplitMix64
 from equicorr import sampling, scenarios
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
-from equicorr.serialize import report_to_dict, save_document, scenario_to_dict
+from equicorr.serialize import Scenario, report_to_dict, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
@@ -123,7 +122,11 @@ def test_a_nan_filter_entry_stays_local_in_the_operator(cyclic8):
     k, b = int(filt.support_index[3, 0]), 3
     mats = filt.matrices.copy()
     mats[k, b] = np.nan
-    scn = replace(cyclic8, filt=Filter(filt.input_bundle, filt.output_bundle, mats))
+    scn = Scenario(
+        cyclic8.name, cyclic8.params, cyclic8.action, cyclic8.input_bundle, cyclic8.output_bundle, cyclic8.mu,
+        cyclic8.nu, cyclic8.mubar, cyclic8.psi, cyclic8.delta, Filter(filt.input_bundle, filt.output_bundle, mats),
+        cyclic8.kernel, cyclic8.thetas, cyclic8.extras,
+    )
     op = filter_operator(scn.filt, scn.mu)
     assert np.argwhere(np.isnan(op)).tolist() == [[int(scn.action.table[k, b]), b, 0, 0]]
     by_name = {c.name: c for c in run_battery(scn).checks}
@@ -205,7 +208,10 @@ def blind_torus6():
     mu = GroupMeasureFamily(action, np.where(step.T == 1, 0.0, 1.0))
     c_minus_b = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [b, c]
     mubar = OrbitMeasureFamily(action, np.where(c_minus_b == 1, 0.0, 1.0))
-    return replace(scn, mu=mu, mubar=mubar)
+    return Scenario(
+        scn.name, scn.params, scn.action, scn.input_bundle, scn.output_bundle, mu, scn.nu, mubar, scn.psi,
+        scn.delta, scn.filt, scn.kernel, scn.thetas, scn.extras,
+    )
 
 
 def necessity(scn):
@@ -250,7 +256,12 @@ def test_blind_pair_orbit_fails_only_necessity():
 def test_a_nan_orbit_weight_counts_as_blind(dihedral4):
     weights = dihedral4.mubar.weights.copy()
     weights[2, 1] = np.nan
-    check = necessity(replace(dihedral4, mubar=OrbitMeasureFamily(dihedral4.action, weights)))
+    scn = Scenario(
+        dihedral4.name, dihedral4.params, dihedral4.action, dihedral4.input_bundle, dihedral4.output_bundle,
+        dihedral4.mu, dihedral4.nu, OrbitMeasureFamily(dihedral4.action, weights), dihedral4.psi, dihedral4.delta,
+        dihedral4.filt, dihedral4.kernel, dihedral4.thetas, dihedral4.extras,
+    )
+    check = necessity(scn)
     assert not check.passed and check.residual == 1.0 and check.witness == (1, 2)
 
 
@@ -335,7 +346,11 @@ def test_project_roundtrip_names_the_corrupted_delta_column(cyclic8):
     # comes back as 2 kappa(c, 5), and the worst entry is the largest |kappa(c, 5)|
     values = cyclic8.delta.values.copy()
     values[cyclic8.group.identity, 5] *= 2.0
-    scn = replace(cyclic8, delta=DeltaFunction(cyclic8.action, values))
+    scn = Scenario(
+        cyclic8.name, cyclic8.params, cyclic8.action, cyclic8.input_bundle, cyclic8.output_bundle, cyclic8.mu,
+        cyclic8.nu, cyclic8.mubar, cyclic8.psi, DeltaFunction(cyclic8.action, values), cyclic8.filt, cyclic8.kernel,
+        cyclic8.thetas, cyclic8.extras,
+    )
     ops = filter_operator(scn.filt, scn.mu), kernel_operator(scn.kernel, scn.mubar)
     checks = {c.name: c for c in battery._lift_checks(scn, scenario_lifts(scn), *ops, 0.0, 1e-12)}
     column = np.abs(scn.kernel.matrices[:, 5, 0, 0])

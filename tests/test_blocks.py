@@ -11,8 +11,6 @@ scan's traced peak above its inputs and output is a few blocks.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,7 @@ from equicorr.measures import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario, derive_theta
-from equicorr.transforms import ThetaMap, lift_kernel_to_filter, validate_kernel, validate_theta
+from equicorr.transforms import Kernel, ThetaMap, lift_kernel_to_filter, validate_kernel, validate_theta
 from equicorr.xcorr import cross_correlate
 
 from helpers import traced_peak
@@ -88,7 +86,8 @@ def _lift_cases():
         cases[f"{spec}-bumped-theta"] = (scn.kernel, ThetaMap(scn.action, reps), scn.delta)
         mats = scn.kernel.matrices.copy()
         mats[tuple(np.argwhere(scn.kernel.support)[-1])] += 0.7
-        cases[f"{spec}-bumped-kernel"] = (replace(scn.kernel, matrices=mats), theta, scn.delta)
+        bumped = Kernel(scn.kernel.input_bundle, scn.kernel.output_bundle, mats)
+        cases[f"{spec}-bumped-kernel"] = (bumped, theta, scn.delta)
     for name in ("rotation", "rotation-violating", "rotation-from-trivial"):  # 2-d fibers
         kern = KERNELS[name][0]
         cases[name] = (kern, derive_theta(kern.action), dirac_delta(counting_stabilizer_family(kern.action)))
@@ -139,7 +138,7 @@ def _count_cases():
     bad_action = GroupAction(scn.group, scn.action.base, table)
     mats = scn.kernel.matrices.copy()
     mats[np.argwhere(~scn.kernel.support)[[2, 30]].T.tolist()] = 1.0  # two support entries off the invariant support
-    bad_support = replace(scn.kernel, matrices=mats)
+    bad_support = Kernel(scn.kernel.input_bundle, scn.kernel.output_bundle, mats)
     reps = scn.thetas["global"].reps.copy()
     reps[0, 0] += 1  # breaks the section law at (0, 0)
     reps[3, 5] = -1  # leaves (3, 5) undefined

@@ -133,7 +133,11 @@ NON_FINITE = {
         math.nan,
         {"families.disintegration-pointwise": [2, 0], "families.family-mubar-pushforward": [2, 0, 0]},
     ),
-    "psi-nan": (("psi", "values", 7, 1), math.nan, {"psi.psi-conjugation": [1, 7, 0]}),
+    "psi-nan": (
+        ("psi", "values", 7, 1),
+        math.nan,
+        {"psi.psi-conjugation": [1, 7, 0], "psi.psi-nonvanishing": [1]},
+    ),
     "nu-infinity": (("families", "nu", "weights", 3, 5), math.inf, "weight off the stabilizer"),
 }
 
@@ -141,7 +145,8 @@ NON_FINITE = {
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_psi_off_the_stabilizer_fails_the_stabilizer_check(tmp_path, capsys, value):
     # psi(e, 1) = 0 leaves Stab(1) no psi mass; element 1 is off Stab(1), so a
-    # NaN or an inf there must neither hide that nor warn
+    # NaN or an inf there must neither hide that nor warn.  The NaN also makes
+    # column 1's total mass NaN, which is no mass; an inf total is mass
     scn = build_scenario("torus-bands(16)")
     assert scn.action.table[1, 1] != 1
     doc = scenario_to_v2_dict(scn)
@@ -150,9 +155,56 @@ def test_non_finite_psi_off_the_stabilizer_fails_the_stabilizer_check(tmp_path, 
     path = tmp_path / "psi.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, "validate", str(path))
-    check = next(c for c in json.loads(out)["checks"] if c["name"] == "psi.psi-stabilizer-nonvanishing")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check, total = checks["psi.psi-stabilizer-nonvanishing"], checks["psi.psi-nonvanishing"]
     assert code == 1
     assert (check["pass"], check["residual"], check["witness"]) == (False, 1.0, [1])
+    assert (total["pass"], total["witness"]) == ((False, [1]) if math.isnan(value) else (True, None))
+    assert "Warning" not in err
+
+
+# inf - inf in a scan, or inf * 0 in the transform's operator, is NaN, which
+# the checks name; numpy warns of no invalid value, a warning whose text
+# would carry the source file's path.  Each case: the family, its cells set
+# to inf, the failures of validate, and the battery's further failures
+INF_MEETS_INF = {
+    "mu": (
+        "mu",
+        [(0, 5), (3, 5)],
+        {
+            "families.disintegration-pointwise": [0, 5],
+            "families.family-mu-conjugation": [0, 0, 5],
+            "families.family-mu-haar-flag": [0],
+        },
+        {},
+    ),
+    "mubar": (
+        "mubar",
+        [(0, 0)],
+        {"families.disintegration-pointwise": [0, 0], "families.family-mubar-pushforward": [0, 0, 0]},
+        {"transform.equivariance": [0, 0, 0]},
+    ),
+    "mubar-off-diagonal": (
+        "mubar",
+        [(0, 5)],
+        {"families.disintegration-pointwise": [0, 5], "families.family-mubar-pushforward": [0, 0, 5]},
+        {"transform.equivariance": [0, 5, 0]},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "battery"])
+@pytest.mark.parametrize("case", sorted(INF_MEETS_INF))
+def test_an_inf_meeting_an_inf_is_named_without_a_warning(tmp_path, capsys, case, command):
+    family, cells, expected, battery_only = INF_MEETS_INF[case]
+    doc = scenario_to_v2_dict(build_scenario("torus-bands(12)"))
+    for i, j in cells:
+        doc["families"][family]["weights"][i][j] = math.inf
+    path = tmp_path / f"{case}.json"
+    save_document(str(path), doc)
+    code, out, err = run_cli(capsys, command, str(path))
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert code == 1 and failed == (dict(expected, **battery_only) if command == "battery" else expected)
     assert "Warning" not in err
 
 
@@ -501,7 +553,8 @@ def test_a_signed_zero_and_a_nan_round_trip_bitwise_and_the_nan_is_named(tmp_pat
     assert math.copysign(1.0, loaded.nu.weights[3, 5]) == -1.0 and math.isnan(loaded.psi.values[7, 1])
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 1
-    assert {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]} == {"psi.psi-conjugation": [1, 7, 0]}
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert failed == {"psi.psi-conjugation": [1, 7, 0], "psi.psi-nonvanishing": [1]}
 
 
 def test_writing_loading_and_the_battery_leave_numpy_ma_unimported(tmp_path):
@@ -519,6 +572,25 @@ def test_writing_loading_and_the_battery_leave_numpy_ma_unimported(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "[0, 0] False"
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    # a dataclass writes its methods as source and compiles them at every
+    # import, never from cached bytecode: about 4 ms of each run
+    path = tmp_path / "scenario.json"
+    script = (
+        "import sys\n"
+        "from equicorr.cli import main\n"
+        "from equicorr.scenarios import build_scenario\n"
+        "from equicorr.serialize import save_document, scenario_to_dict\n"
+        "save_document(sys.argv[1], scenario_to_dict(build_scenario('torus-bands(12)')))\n"
+        "runs = [['validate', sys.argv[1]], ['demo', 'degeneracy', '--sizes', '4,8']]\n"
+        "runs += [[c, 'torus-bands(12)'] for c in ('battery', 'xcorr', 'transform', 'lift', 'project')]\n"
+        "codes = [main(argv) for argv in runs]\n"
+        "print(codes, 'dataclasses' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False"
 
 
 def test_import_equicorr_loads_no_module_and_validate_leaves_the_builders_unloaded(tmp_path):

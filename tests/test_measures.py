@@ -162,6 +162,22 @@ def test_non_finite_psi_off_the_stabilizer_hides_no_stabilizer_without_mass(valu
         construct_normalized_families(psi)
 
 
+@pytest.mark.parametrize("on_stabilizer", [False, True])
+def test_a_nan_psi_mass_is_no_mass(on_stabilizer):
+    # a NaN in column 1 makes its sum NaN, which is not <= 0: the checks and
+    # the constructor must still find no mass at b = 1
+    action = dihedral_vertex_action(4)
+    values = psi_indicator_identity(action).values.copy()
+    h = action.group.identity if on_stabilizer else int(np.flatnonzero(action.table[:, 1] != 1)[0])
+    values[h, 1] = np.nan
+    psi = PsiFunction(action, values)
+    failed = {c.name: c.witness for c in validate_psi(psi).checks if not c.passed}
+    assert failed["psi-nonvanishing"] == (1,)
+    assert failed.get("psi-stabilizer-nonvanishing") == ((1,) if on_stabilizer else None)
+    with pytest.raises(DegenerateMeasureError, match="stabilizer of b=1" if on_stabilizer else "no mass at b=1"):
+        construct_normalized_families(psi)
+
+
 def test_normalized_families_from_indicator():
     action = dihedral_vertex_action(4)
     psi = psi_indicator_identity(action)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from equicorr.scenarios import (
     line_test_function,
 )
 from equicorr.transforms import lift_kernel_to_filter, validate_theta
+from equicorr.xcorr import Filter
 
 from helpers import banded_support_set_mismatch, banded_support_shapes, conjugate, scenario_lifts
 
@@ -218,7 +218,8 @@ def test_band_support_mask_counts_the_set_difference(n, spacing):
     lifts = scenario_lifts(scn)
     swapped = {"global": lifts["special"], "special": lifts["global"]}
     g = lifts["global"]
-    moved = {"global": replace(g, matrices=np.roll(g.matrices, 1, axis=0)), "special": lifts["special"]}
+    rolled = Filter(g.input_bundle, g.output_bundle, np.roll(g.matrices, 1, axis=0))
+    moved = {"global": rolled, "special": lifts["special"]}
     for case in (lifts, swapped, moved):
         assert banded_support_mismatch(scn, case)[0] == banded_support_set_mismatch(scn, case)
     assert banded_support_mismatch(scn, swapped)[0] > 0 and banded_support_mismatch(scn, moved)[0] > 0
@@ -231,7 +232,7 @@ def test_one_flipped_support_entry_counts_once(bands16, name, h, b):
     filt = lifts[name]
     mats = filt.matrices.copy()
     mats[h, b] = 0.0 if filt.support[h, b] else 1.0
-    flipped = dict(lifts, **{name: replace(filt, matrices=mats)})
+    flipped = dict(lifts, **{name: Filter(filt.input_bundle, filt.output_bundle, mats)})
     assert banded_support_mismatch(bands16, flipped) == (1.0, (h, b))
     assert banded_support_set_mismatch(bands16, flipped) == 1
 
@@ -245,7 +246,7 @@ def test_flipped_support_entries_name_the_global_lift_first(bands16):
         mats = lifts[name].matrices.copy()
         for h, b in pairs:
             mats[h, b] = 0.0 if lifts[name].support[h, b] else 1.0
-        return replace(lifts[name], matrices=mats)
+        return Filter(lifts[name].input_bundle, lifts[name].output_bundle, mats)
 
     both = {"global": flip("global", (5, 3), (1, 7)), "special": flip("special", (0, 0))}
     assert banded_support_mismatch(bands16, both) == (3.0, (1, 7))

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -21,6 +19,7 @@ from equicorr.measures import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, derive_theta
+from equicorr.serialize import Scenario
 from equicorr.transforms import (
     Kernel,
     ThetaMap,
@@ -318,7 +317,11 @@ def test_lift_requires_disintegration():
     # under a mubar that breaks the pointwise identity the lift no longer
     # induces the transform, so the battery reports the agreement skipped
     scn = build_scenario("dihedral(4)")
-    bad = replace(scn, mubar=OrbitMeasureFamily(scn.action, scn.mubar.weights * 1.5))
+    bad = Scenario(
+        scn.name, scn.params, scn.action, scn.input_bundle, scn.output_bundle, scn.mu, scn.nu,
+        OrbitMeasureFamily(scn.action, scn.mubar.weights * 1.5), scn.psi, scn.delta, scn.filt, scn.kernel,
+        scn.thetas, scn.extras,
+    )
     fub = fubini_pointwise_residual(bad.mu, bad.nu, bad.mubar)[0]
     assert fub > 1e-9
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
