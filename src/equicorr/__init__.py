@@ -31,9 +31,8 @@ _EXPORTS = {
     ),
     "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
     "groups": (
-        "FiniteGroup", "GroupAction", "Orbit", "cyclic_group", "dihedral_group", "direct_product", "fundamental_domain",
-        "generating_set", "group_from_tables", "orbit", "orbits", "pair_stabilizer", "stabilizer", "validate_action",
-        "validate_group",
+        "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "generating_set",
+        "group_from_tables", "orbits", "pair_stabilizer", "stabilizer", "validate_action", "validate_group",
     ),
     "measures": (
         "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",

@@ -64,7 +64,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import Section, _periodicity, section_to_mackey, validate_bundle
-from .groups import _rows, fundamental_domain, validate_action, validate_group
+from .groups import _rows, validate_action, validate_group
 from .measures import GroupMeasureFamily, fubini_pointwise_residual, validate_delta, validate_families, validate_psi
 from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count, _local, _prefixed, _worst, check_from_residual
 from .serialize import Scenario
@@ -155,7 +155,7 @@ def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> li
 
     def parts():  # validate_mackey's parts of each output, placed at (b0, i, h, b)
         bundle = filt.input_bundle
-        for b0 in fundamental_domain(filt.action):
+        for b0 in filt.action.domain:
             for i in range(bundle.fiber_dim[b0]):
                 f = np.zeros((bundle.action.base_size, bundle.dmax))
                 f[b0, i] = 1.0

@@ -75,7 +75,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows, fundamental_domain, stabilizer
+from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows
 from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
 
 
@@ -167,7 +167,7 @@ def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> Valid
 
     def columns():  # [g] -> defect of the instance (g, h, b0), one column of all g at a time
         for b0 in domain:
-            for h in np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])):
+            for h in np.sort(np.concatenate([action.stabilizers[b0], _movers(action, b0)])):
                 defect = A[grp.cayley[:, h], b0] - A[:, action.table[h, b0]] @ A[h, b0]
                 yield (lambda g: (g, int(h), b0)), np.abs(defect).max(axis=(1, 2), initial=0.0)
 
@@ -323,7 +323,6 @@ def _orbit_slice(
     beside the table only a few blocks are alive.
     """
     grp = action.group
-    domain = fundamental_domain(action)
 
     def blocks(elements):  # the elements in order, as many at a time as carry _BLOCK_ENTRIES entries
         return (elements[rows] for rows in _row_blocks(elements.size, values[:, 0].size))
@@ -332,10 +331,10 @@ def _orbit_slice(
         return lambda i, r, *_: place(int(g[i]), int(_move(action, conjugate, grp.inv[g[[i]]])[0, r]), b0)
 
     def parts():  # [i, r, ...] -> the row carried by g_i from b0 minus the table's
-        for b0 in domain:
-            for g in blocks(stabilizer(action, b0)):
+        for b0 in action.domain:
+            for g in blocks(action.stabilizers[b0]):
                 yield instance(b0, g), _carry(values, action, conjugate, a_out, a_in, g, b0) - values[None, :, b0]
-        for b0 in domain:
+        for b0 in action.domain:
             for g in blocks(_movers(action, b0)):
                 targets = action.table[g, b0]
                 rows = _carry(values, action, conjugate, a_out, a_in, g, b0)

@@ -17,8 +17,11 @@ Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
 Projection, disintegration, the orbit-slice laws and theta derivation all
 read this one table.  Its fundamental domain, the smallest base index of
-each orbit, is derived in the same pass: b is a domain point exactly when
-no c < b lies in its orbit.
+each orbit, and the stabilizer Stab(b) of each base point are derived in
+the same pass: b is a domain point exactly when no c < b lies in its
+orbit.  By the orbit-stabilizer theorem the stabilizers hold k |G|
+elements in all for an action with k orbits; every reader of Stab(b)
+reads them there, and none rescans the action table.
 
 Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
@@ -136,23 +139,21 @@ class GroupAction:
         self.table = _index_table(table, "action table", (n, m), m)  # table[g, b] = g.b
         # derived: [b, c] is the smallest k with k.b = c, -1 off the orbit of b
         self.coset_reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
-        domain = []
+        domain, stabilizers = [], []
         for b in range(m):
             members, first = np.unique(self.table[:, b], return_index=True)  # stable: first is the smallest k
             self.coset_reps[b, members] = first
             if members[0] >= b:  # no c < b in the orbit of b
                 domain.append(b)
+            stab = np.flatnonzero(self.table[:, b] == b)
+            stab.flags.writeable = False
+            stabilizers.append(stab)
         self.domain = tuple(domain)  # smallest base index of each orbit, ascending, derived
+        self.stabilizers = tuple(stabilizers)  # [b]: the g with g.b = b, ascending and read-only, derived
 
     @property
     def base_size(self) -> int:
         return len(self.base)
-
-
-class Orbit:
-    def __init__(self, base_point: int, members: tuple[int, ...]):
-        self.base_point = base_point
-        self.members = members  # ascending
 
 
 # ---------------------------------------------------------------------------
@@ -409,40 +410,17 @@ def validate_action(action: GroupAction) -> ValidationReport:
 # orbits and stabilizers
 
 
-def orbit(action: GroupAction, b: int) -> Orbit:
-    return Orbit(b, tuple(int(c) for c in np.flatnonzero(action.coset_reps[b] >= 0)))
-
-
-def orbits(action: GroupAction) -> list[Orbit]:
-    """All orbits, ordered by smallest member; each listed once."""
-    return [orbit(action, b) for b in action.domain]
-
-
-def fundamental_domain(action: GroupAction) -> list[int]:
-    """Smallest base index of each orbit, ascending."""
-    return list(action.domain)
+def orbits(action: GroupAction) -> list[np.ndarray]:
+    """The members of each orbit, ascending, ordered by smallest member."""
+    return [np.flatnonzero(action.coset_reps[b] >= 0) for b in action.domain]
 
 
 def stabilizer(action: GroupAction, b: int) -> np.ndarray:
-    """Element indices g with g.b = b, ascending."""
-    return np.flatnonzero(action.table[:, b] == b)
-
-
-def coset_table(action: GroupAction, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(stab, members, kh) at b: the stabilizer G_b and the orbit of b, both
-    ascending, and kh[c, s] = k_c stab[s], so row c is the coset k_c G_b of
-    the elements carrying b to members[c]."""
-    stab = stabilizer(action, b)
-    members = np.flatnonzero(action.coset_reps[b] >= 0)
-    return stab, members, action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]
-
-
-def stabilizer_mask(action: GroupAction) -> np.ndarray:
-    """Boolean (|B|, |G|) mask: mask[b, g] iff g.b = b."""
-    return (action.table == np.arange(action.base_size)[None, :]).T
+    """Element indices g with g.b = b, ascending: the action's derived array."""
+    return action.stabilizers[b]
 
 
 def pair_stabilizer(action: GroupAction, c: int, b: int) -> np.ndarray:
     """Elements fixing both c and b under the diagonal action."""
-    table = action.table
-    return np.flatnonzero((table[:, b] == b) & (table[:, c] == c))
+    stab = action.stabilizers[b]
+    return stab[action.table[stab, c] == c]

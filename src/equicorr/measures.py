@@ -32,8 +32,10 @@ import numpy as np
 
 from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, _float_table, _rows, coset_table, stabilizer_mask
+from .groups import GroupAction, _float_table, _rows
 from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
+
+SOLVE_TOLERANCE = 1e-9  # spread of mu_b that solve_orbit_measure still reads as constant
 
 
 class GroupMeasureFamily:
@@ -96,9 +98,16 @@ def _has_negative(table: np.ndarray) -> bool:
 
 def _off_stabilizers(values: np.ndarray, action: GroupAction) -> bool:
     """Whether values, indexed [h, b], is not 0 (a NaN included) at some h
-    outside the stabilizer of b; one row block of h at a time."""
-    b = np.arange(action.base_size)
-    return _count(_rows(len(values), action.base_size, lambda h: (values[h] != 0.0) & (action.table[h] != b), _local))[0] > 0
+    outside the stabilizer of b: whether the table has more nonzero entries
+    than its columns hold on the stabilizers."""
+    on = sum(np.count_nonzero(values[stab, b]) for b, stab in enumerate(action.stabilizers))
+    return np.count_nonzero(values) > on
+
+
+def _stabilizer_mass(psi: PsiFunction) -> np.ndarray:
+    """[b] -> the sum of psi(h, b) over the stabilizer of b, 0.0 on an empty
+    one; summed on the stabilizer alone, so a NaN or an inf off it is not read."""
+    return np.array([psi.values[stab, b].sum() for b, stab in enumerate(psi.action.stabilizers)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +127,9 @@ def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> Stabi
     """Constant weight `scale` on each stabilizer (left-invariant by construction)."""
     if scale <= 0:
         raise DomainError("stabilizer counting scale must be positive")
-    weights = stabilizer_mask(action).astype(float)
+    weights = np.zeros((action.base_size, action.group.order))
+    for b, stab in enumerate(action.stabilizers):
+        weights[b, stab] = 1.0
     weights *= float(scale)
     return StabilizerMeasureFamily(action, weights)
 
@@ -148,10 +159,8 @@ def validate_families(
     law("family-nu-conjugation", nu.weights, True)
 
     # left-invariance on a finite stabilizer forces constant weight there
-    smask = stabilizer_mask(action)
-    hi = np.max(nu.weights, axis=1, where=smask, initial=-np.inf)
-    lo = np.min(nu.weights, axis=1, where=smask, initial=np.inf)
-    res, wit = _worst([(_local, np.where(smask.any(axis=1), hi - lo, 0.0))])
+    spread = [np.ptp(nu.weights[b, stab]) if stab.size else 0.0 for b, stab in enumerate(action.stabilizers)]
+    res, wit = _worst([(_local, np.array(spread))])
     report.add(check_from_residual("family-nu-left-invariance", res, tolerance, wit))
     law("family-mubar-pushforward", mubar.weights, False)
 
@@ -189,40 +198,34 @@ def fubini_pointwise_residual(
     return _worst(_rows(action.base_size, grp.order, defect, _local))
 
 
-def solve_orbit_measure(
-    mu: GroupMeasureFamily,
-    nu: StabilizerMeasureFamily,
-    b: int,
-    tolerance: float = 1e-9,
-) -> np.ndarray:
+def solve_orbit_measure(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, b: int) -> np.ndarray:
     """Solve the disintegration identity for the orbit weights at b.
 
     Testing against coset indicator functions decouples the unknowns:
 
         mubar_b(c) = mu_b(k_c G_b) / nu_b(G_b).
 
-    Requires mu_b constant (Haar) and nu_b strictly positive on the
-    stabilizer.  Returns a full-length weight row (zero off the orbit).
+    Requires mu_b constant (Haar), to within SOLVE_TOLERANCE, and nu_b
+    strictly positive on the stabilizer.  Returns a full-length weight row
+    (zero off the orbit).
     """
     action = mu.action
-    stab, members, kh = coset_table(action, b)  # row c of kh: the coset k_c G_b
+    stab = action.stabilizers[b]
+    members = np.flatnonzero(action.coset_reps[b] >= 0)
+    kh = action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
     nu_mass = float(nu.weights[b, stab].sum())
     if nu_mass <= 0 or np.any(nu.weights[b, stab] <= 0):
         raise DegenerateMeasureError(f"stabilizer weights at b={b} must be strictly positive")
     w = mu.weights[b]
-    if w.size and float(w.max() - w.min()) > tolerance:
+    if w.size and float(w.max() - w.min()) > SOLVE_TOLERANCE:
         raise PreconditionError(f"group family at b={b} is not constant; cannot solve for orbit weights")
     row = np.zeros(action.base_size)
     row[members] = w[kh].sum(axis=1) / nu_mass
     return row
 
 
-def solve_orbit_family(
-    mu: GroupMeasureFamily,
-    nu: StabilizerMeasureFamily,
-    tolerance: float = 1e-9,
-) -> OrbitMeasureFamily:
-    rows = [solve_orbit_measure(mu, nu, b, tolerance) for b in range(mu.action.base_size)]
+def solve_orbit_family(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily) -> OrbitMeasureFamily:
+    rows = [solve_orbit_measure(mu, nu, b) for b in range(mu.action.base_size)]
     return OrbitMeasureFamily(mu.action, np.stack(rows, axis=0))
 
 
@@ -269,8 +272,7 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     count, wit = _count([(_local, ~(psi.values.sum(axis=0) > 0))])
     report.add(check_from_residual("psi-nonvanishing", count, 0.0, wit))
 
-    # masked, not multiplied: 0 times a NaN or an inf off the stabilizer is NaN
-    count, wit = _count([(_local, ~(np.where(stabilizer_mask(action), psi.values.T, 0.0).sum(axis=1) > 0))])
+    count, wit = _count([(_local, ~(_stabilizer_mass(psi) > 0))])
     report.add(check_from_residual("psi-stabilizer-nonvanishing", count, 0.0, wit))
     return report
 
@@ -290,9 +292,7 @@ def construct_normalized_families(
     """
     action = psi.action
     n, m = action.group.order, action.base_size
-    smask = stabilizer_mask(action)  # (|B|, |G|)
-    weights = np.where(smask, psi.values.T, 0.0)  # psi on each stabilizer, then nu's table, so no second one is formed
-    zs = weights.sum(axis=1)  # (|B|,)
+    zs = _stabilizer_mass(psi)  # (|B|,)
     # ~(sum > 0), so a NaN sum is no mass; the stabilizer's first, so that a
     # NaN off a stabilizer of no mass does not name the column instead
     if not np.all(zs > 0):
@@ -304,8 +304,9 @@ def construct_normalized_families(
         raise DegenerateMeasureError(f"psi has no mass at b={b}")
 
     mu = GroupMeasureFamily(action, np.broadcast_to((1.0 / z)[:, None], (m, n)), haar=True)
-    weights[...] = smask
-    weights /= zs[:, None]
+    weights = np.zeros((m, n))
+    for b, stab in enumerate(action.stabilizers):
+        weights[b, stab] = 1.0 / zs[b]
     nu = StabilizerMeasureFamily(action, weights)
     mubar = solve_orbit_family(mu, nu)
     return mu, nu, mubar

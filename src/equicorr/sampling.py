@@ -25,7 +25,6 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _carry, _orbit_slice, pad_mask
 from .errors import DomainError
-from .groups import fundamental_domain, orbits, stabilizer
 from .reporting import _local
 from .rng import SplitMix64
 from .transforms import Kernel, validate_kernel
@@ -49,12 +48,12 @@ def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: Equivari
     n = action.group.order
     mats = (output_bundle.act_matrix, input_bundle.act_matrix)
     table = np.zeros((n, action.base_size, output_bundle.dmax, input_bundle.dmax))
-    for b in fundamental_domain(action):
+    for b in action.domain:
         for _ in range(_MAX_TRIES):
             table[:, b] = 0.0
             for h in rng.sample_without_replacement(n, min(SUPPORT_PER_REP, n)):
                 table[h, b] = rng.uniforms(table.shape[2:], -1.0, 1.0)
-            table[:, b] = _carry(table, action, True, *mats, stabilizer(action, b), b).mean(axis=0)
+            table[:, b] = _carry(table, action, True, *mats, action.stabilizers[b], b).mean(axis=0)
             if np.abs(table[:, b]).max(initial=0.0) > 1e-6:
                 break
     _orbit_slice(table, action, True, _local, *mats, carried=table)
@@ -72,10 +71,10 @@ def random_valid_kernel(
     m = action.base_size
     mats = (output_bundle.act_matrix, input_bundle.act_matrix)
     table = np.zeros((m, m, output_bundle.dmax, input_bundle.dmax))
-    for o in orbits(action):
-        b0, members = o.base_point, list(o.members)
+    for b0 in action.domain:
+        members = np.flatnonzero(action.coset_reps[b0] >= 0)
         table[members, b0] = rng.uniforms((len(members),) + table.shape[2:], -1.0, 1.0)
-        table[:, b0] = _carry(table, action, False, *mats, stabilizer(action, b0), b0).mean(axis=0)
+        table[:, b0] = _carry(table, action, False, *mats, action.stabilizers[b0], b0).mean(axis=0)
     _orbit_slice(table, action, False, _local, *mats, carried=table)
     return Kernel(input_bundle, output_bundle, table)
 

@@ -152,8 +152,8 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
         for c in np.flatnonzero(support[:, b] & (reps[:, b] < 0)):
             if reps[c, b] >= 0:  # reached by an orbit seeded earlier in this column
                 continue
-            ps = pair_stabilizer(action, c, b)
-            movers = np.flatnonzero(table[:, b] == c)
+            ps, k = pair_stabilizer(action, c, b), action.coset_reps[b, c]
+            movers = np.sort(cay[k, action.stabilizers[b]]) if k >= 0 else ps[:0]  # the coset k_c Stab(b)
             commuting = (cay[cay[np.ix_(ps, movers)], inv[ps][:, None]] == movers).all(axis=0)
             if not commuting.any():
                 raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")

@@ -199,10 +199,6 @@ class ThetaMap:
         self.action = action
         self.reps = _index_table(reps, "theta", (m, m), action.group.order, low=-1)
 
-    @property
-    def defined(self) -> np.ndarray:
-        return self.reps >= 0
-
 
 def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
     """Check theta on the kernel support: the section law theta(c, b).b = c,

@@ -53,7 +53,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import StructuralError
-from .groups import _float_table, _row_blocks, fundamental_domain
+from .groups import _float_table, _row_blocks
 from .measures import GroupMeasureFamily
 from .reporting import ValidationReport, _local, check_from_residual
 
@@ -185,8 +185,7 @@ class CompressedFilter:
 
 
 def compress_filter(filt: Filter) -> CompressedFilter:
-    reps = fundamental_domain(filt.action)
-    rows = {b: filt.matrices[:, b].copy() for b in reps}
+    rows = {b: filt.matrices[:, b].copy() for b in filt.action.domain}
     return CompressedFilter(filt.input_bundle, filt.output_bundle, rows)
 
 
@@ -206,7 +205,7 @@ def expand_filter(comp: CompressedFilter) -> Filter:
     e_bundle, f_bundle = comp.input_bundle, comp.output_bundle
     action = _common_action(e_bundle, f_bundle)
     n, m = action.group.order, action.base_size
-    reps = fundamental_domain(action)
+    reps = list(action.domain)
     if sorted(comp.rows) != reps:
         raise StructuralError(f"compressed rows keyed {sorted(comp.rows)}, expected orbit reps {reps}")
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 
 from equicorr.errors import StructuralError
-from equicorr.groups import FiniteGroup, GroupAction, coset_table, stabilizer
+from equicorr.groups import FiniteGroup, GroupAction, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
@@ -32,7 +32,7 @@ def traced_peak(fn):
 def theta_to_v2_dict(theta: ThetaMap) -> dict:
     """theta as equicorr-scenario/2 stored it: a {c, b, element} entry per
     defined (c, b), in row-major order."""
-    cs, bs = np.nonzero(theta.defined)
+    cs, bs = np.nonzero(theta.reps >= 0)
     return {"entries": [{"c": int(c), "b": int(b), "element": int(theta.reps[c, b])} for c, b in zip(cs, bs)]}
 
 
@@ -133,7 +133,7 @@ def coset_project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) ->
 
         kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b)
 
-    one `groups.coset_table` gather per base point b, every element of each
+    one gather per base point b, every element of each
     coset k_c G_b visited, on the support of omega(., b) or not."""
     action = filt.action
     grp = action.group
@@ -141,7 +141,8 @@ def coset_project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) ->
     ae = filt.input_bundle.act_matrix
     out = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
     for b in range(m):
-        stab, members, kh = coset_table(action, b)  # row c of kh: the coset k_c G_b
+        stab, members = stabilizer(action, b), np.flatnonzero(action.coset_reps[b] >= 0)
+        kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c of kh: the coset k_c G_b
         w = nu.weights[b, stab]
         mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
         back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)

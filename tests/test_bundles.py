@@ -25,7 +25,7 @@ from equicorr.bundles import (
     validate_mackey,
 )
 from equicorr.errors import StructuralError
-from equicorr.groups import GroupAction, cyclic_group, fundamental_domain, orbits, stabilizer
+from equicorr.groups import GroupAction, cyclic_group, orbits, stabilizer
 from equicorr.measures import OrbitMeasureFamily, PsiFunction, validate_families, validate_psi
 from equicorr.reporting import _local, _worst
 from equicorr.rng import SplitMix64
@@ -183,11 +183,11 @@ def loop_fiber_dim_check(bundle: EquivariantBundle) -> tuple[float, tuple[int, i
     """The number of orbits whose fiber dimension varies, and (base point,
     first member off its dimension) of the first, walking orbit by orbit."""
     bad, witness = 0, None
-    for o in orbits(bundle.action):
-        off = [c for c in o.members if bundle.fiber_dim[c] != bundle.fiber_dim[o.base_point]]
+    for members in orbits(bundle.action):
+        off = [int(c) for c in members if bundle.fiber_dim[c] != bundle.fiber_dim[members[0]]]
         if off:
             bad += 1
-            witness = witness or (o.base_point, off[0])
+            witness = witness or (int(members[0]), off[0])
     return float(bad), witness
 
 
@@ -356,7 +356,7 @@ def _stacked_cocycle(bundle: EquivariantBundle) -> tuple[float, tuple[int, int, 
     validate_bundle's column scan does without.  The first maximum, or the
     first NaN, is the witness."""
     action, grp, A = bundle.action, bundle.action.group, bundle.act_matrix
-    domain = fundamental_domain(action)
+    domain = list(action.domain)
     hs = [np.sort(np.concatenate([stabilizer(action, b0), _movers(action, b0)])) for b0 in domain]
     h = np.repeat(np.concatenate(hs), grp.order)
     b = np.repeat(domain, [len(s) * grp.order for s in hs])
@@ -518,7 +518,7 @@ def _concatenated_slice(values, action, conjugate, A):
     """The orbit-slice scan as one array: every stabilizer part, then every
     coset part, each in fundamental-domain order, concatenated and read
     row-major; the first maximum of |.|, or the first NaN, is the witness."""
-    grp, domain = action.group, fundamental_domain(action)
+    grp, domain = action.group, action.domain
     parts = [(b0, stabilizer(action, b0)) for b0 in domain] + [(b0, _movers(action, b0)) for b0 in domain]
     diffs = [
         _carry(values, action, conjugate, A, A, elements, b0) - np.moveaxis(values[:, action.table[elements, b0]], 1, 0)

@@ -59,36 +59,48 @@ def test_every_error_class_is_raised():
 
 RETIRED_SCANS = (
     "_maxabs", "_argmax_coords", "_worst_of_grid", "_first_worst", "_worst_of_parts", "_count_of", "_count_over",
-    "_worst_of_rows", "_count_of_rows",
+    "_worst_of_rows", "_count_of_rows", "stabilizer_mask", "coset_table", "fundamental_domain", "orbit", "Orbit",
 )
 
+# public members that nothing in the package reads, kept on purpose: the
+# scalar draw is the reference that test_rng.py checks the vector draw against
+UNREAD_MEMBERS = {"rng.SplitMix64.uniform"}
 
-def _references(tree: ast.Module) -> list[tuple[str, str]]:
-    """(top-level name, name read) for each read in the module: a loaded
-    name, an attribute, or the last part of a dotted string such as
-    "transforms.validate_kernel", as a lookup by name spells it."""
+
+def _references(tree: ast.Module) -> list[tuple[str, str, str]]:
+    """(top-level name, method name, name read) for each read in the module:
+    a loaded name, an attribute, or the last part of a dotted string such
+    as "transforms.validate_kernel", as a lookup by name spells it.  The
+    method is the one of a top-level class whose body holds the read, or ""."""
     refs = []
     for top in tree.body:
         owner = getattr(top, "name", "")
+        members = top.body if isinstance(top, ast.ClassDef) else []
+        method_of = {id(node): m.name for m in members if isinstance(m, ast.FunctionDef) for node in ast.walk(m)}
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.append((owner, node.id))
+                name = node.id
             elif isinstance(node, ast.Attribute):
-                refs.append((owner, node.attr))
+                name = node.attr
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
-                refs.append((owner, node.value.rsplit(".", 1)[-1]))
+                name = node.value.rsplit(".", 1)[-1]
+            else:
+                continue
+            refs.append((owner, method_of.get(id(node), ""), name))
     return refs
 
 
 def test_every_module_level_definition_is_used_or_exported():
     # a def or class of the package that nothing outside its own body reads,
     # in the package or in the benchmark, and that the package does not
-    # export, is a helper that nothing calls; dunder hooks are exempt
+    # export, is a helper that nothing calls; dunder hooks are exempt.  So is
+    # a public method or property of a class that nothing outside its own
+    # body reads, exported class or not
     package = Path(equicorr.__file__).parent
     sources = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     sources.update({path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(bench.glob("*.py"))})
-    reads = {(path, owner, name) for path, tree in sources.items() for owner, name in _references(tree)}
+    reads = {(path, *ref) for path, tree in sources.items() for ref in _references(tree)}
     exported = {name for names in equicorr._EXPORTS.values() for name in names}
     unused = []
     for path, tree in sources.items():
@@ -97,13 +109,20 @@ def test_every_module_level_definition_is_used_or_exported():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
                 continue
-            used = any(name == node.name and (p, owner) != (path, node.name) for p, owner, name in reads)
+            used = any(name == node.name and (p, owner) != (path, node.name) for p, owner, _, name in reads)
             if not used and node.name not in exported:
                 unused.append(f"{path.stem}.{node.name}")
-    assert unused == []
+            for member in node.body if isinstance(node, ast.ClassDef) else []:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                here = (path, node.name, member.name)
+                if not any(name == member.name and (p, owner, method) != here for p, owner, method, name in reads):
+                    unused.append(f"{path.stem}.{node.name}.{member.name}")
+    assert sorted(set(unused) - UNREAD_MEMBERS) == []
 
 
 def test_the_retired_scan_helpers_are_gone():
-    # every residual and witness comes from reporting._worst or _count
+    # every residual and witness comes from reporting._worst or _count, and
+    # every Stab(b), orbit and fundamental domain from the action's derived tables
     modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
     assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_SCANS if hasattr(m, n)] == []

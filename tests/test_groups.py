@@ -6,28 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr import groups
-from equicorr.errors import DomainError, StructuralError
+from equicorr.errors import DegenerateMeasureError, DomainError, StructuralError
 from equicorr.groups import (
     INDEX_DTYPE,
     FiniteGroup,
     GroupAction,
-    coset_table,
     cyclic_group,
     dihedral_group,
     direct_product,
-    fundamental_domain,
     group_from_tables,
-    orbit,
     orbits,
     pair_stabilizer,
     stabilizer,
     validate_action,
     validate_group,
 )
-from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+from equicorr.measures import (
+    construct_normalized_families,
+    counting_family,
+    counting_stabilizer_family,
+    psi_indicator_identity,
+    solve_orbit_measure,
+    validate_families,
+    validate_psi,
+)
+from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 from equicorr.serialize import load_document, save_document, scenario_from_dict, scenario_to_dict
 
-from helpers import conjugate, mul, traced_peak
+from helpers import conjugate, counting_orbit_family, mul, traced_peak
 from test_stacked import BUILTINS
 from test_streaming import two_orbit_filter
 
@@ -186,12 +192,12 @@ def test_dihedral_vertex_action_table():
 def test_orbits_and_stabilizers_dihedral():
     action = dihedral_vertex_action(4)
     os_ = orbits(action)
-    assert len(os_) == 1 and list(os_[0].members) == [0, 1, 2, 3]
+    assert len(os_) == 1 and list(os_[0]) == [0, 1, 2, 3]
     st0 = stabilizer(action, 0)
     # brute force: elements fixing vertex 0
     expect = [g for g in range(8) if action.table[g, 0] == 0]
     assert list(st0) == expect == [0, 4]
-    assert fundamental_domain(action) == [0]
+    assert action.domain == (0,)
 
 
 def loop_orbits(action: GroupAction) -> list[tuple[int, list[int]]]:
@@ -213,29 +219,78 @@ def three_orbit_action() -> GroupAction:
     return GroupAction(cyclic_group(3), tuple("abcdefg"), np.stack([np.arange(7), p, p[p]]))
 
 
+def case_action(case: str) -> GroupAction:
+    if case == "two-orbit":
+        return two_orbit_filter()[0].action
+    if case == "three-orbit":
+        return three_orbit_action()
+    return build_scenario(case).action
+
+
 @pytest.mark.parametrize("case", BUILTINS + ["two-orbit", "three-orbit"])
 def test_derived_fundamental_domain_matches_the_orbit_walk(case):
-    if case == "two-orbit":
-        action = two_orbit_filter()[0].action
-    elif case == "three-orbit":
-        action = three_orbit_action()
-    else:
-        action = build_scenario(case).action
+    action = case_action(case)
     expect = loop_orbits(action)
-    assert [(o.base_point, list(o.members)) for o in orbits(action)] == expect
-    assert fundamental_domain(action) == list(action.domain) == [b for b, _ in expect]
-    assert {"two-orbit": [0, 4], "three-orbit": [0, 1, 3]}.get(case, [0]) == fundamental_domain(action)
+    assert [(int(o[0]), list(o)) for o in orbits(action)] == expect
+    assert list(action.domain) == [b for b, _ in expect]
+    assert {"two-orbit": [0, 4], "three-orbit": [0, 1, 3]}.get(case, [0]) == list(action.domain)
+
+
+@pytest.mark.parametrize("case", BUILTINS + ["two-orbit", "three-orbit"])
+def test_derived_stabilizers_match_brute_force(case):
+    action = case_action(case)
+    table, m = action.table, action.base_size
+    assert len(action.stabilizers) == m
+    for b, stab in enumerate(action.stabilizers):
+        assert stab.tolist() == np.flatnonzero(table[:, b] == b).tolist()
+        assert stabilizer(action, b) is stab
+        for c in range(m):
+            fixes_both = (table[:, b] == b) & (table[:, c] == c)
+            assert pair_stabilizer(action, c, b).tolist() == np.flatnonzero(fixes_both).tolist()
+    members = [o.tolist() for o in orbits(action)]
+    assert sum(map(len, members)) == m
+    assert members == [sorted(set(table[:, b].tolist())) for b in action.domain]
+    # orbit-stabilizer: Σ_b |Stab(b)| = k |G| for k orbits
+    assert sum(map(len, action.stabilizers)) == len(members) * action.group.order
+
+
+def test_derived_stabilizers_are_read_only():
+    action = three_orbit_action()
+    for stab in action.stabilizers:
+        with pytest.raises(ValueError):
+            stab[0] = 1
 
 
 @pytest.mark.parametrize("case", ["dihedral", "three-orbit"])
-def test_coset_table_rows_are_the_elements_carrying_b_to_each_member(case):
+def test_coset_of_the_stabilizer_is_the_elements_carrying_b_to_each_member(case):
     action = dihedral_vertex_action(5) if case == "dihedral" else three_orbit_action()
     for b in range(action.base_size):
-        stab, members, kh = coset_table(action, b)
-        assert list(members) == sorted(set(action.table[:, b].tolist()))
-        for c, row in zip(members, kh):
+        stab = action.stabilizers[b]
+        for c in np.flatnonzero(action.coset_reps[b] >= 0):
+            row = action.group.cayley[action.coset_reps[b, c], stab]
             assert sorted(row.tolist()) == [g for g in range(action.group.order) if action.table[g, b] == c]
             assert row[np.flatnonzero(stab == action.group.identity)[0]] == action.coset_reps[b, c]
+
+
+def test_an_empty_stabilizer_reads_through_the_api():
+    # cyclic(4) with the identity row broken at b=1: no element fixes 1
+    action = cyclic_action(4)
+    table = action.table.copy()
+    table[0, 1] = 2
+    action = GroupAction(action.group, action.base, table)
+    assert stabilizer(action, 1).size == 0 and pair_stabilizer(action, 3, 1).size == 0
+    nu = counting_stabilizer_family(action)
+    assert not nu.weights[1].any() and nu.weights[0].any()
+    mu = counting_family(action)
+    with pytest.raises(DegenerateMeasureError, match="stabilizer weights at b=1 must be strictly positive"):
+        solve_orbit_measure(mu, nu, 1)
+    checks = {c.name: c for c in validate_families(mu, nu, counting_orbit_family(action)).checks}
+    assert checks["family-nu-left-invariance"].residual == 0.0
+    psi = psi_indicator_identity(action)
+    check = next(c for c in validate_psi(psi).checks if c.name == "psi-stabilizer-nonvanishing")
+    assert (check.residual, check.witness) == (1.0, (1,))
+    with pytest.raises(DegenerateMeasureError, match="psi has no mass on the stabilizer of b=1"):
+        construct_normalized_families(psi)
 
 
 def test_pair_stabilizer_matches_brute_force():
@@ -285,8 +340,7 @@ def test_scaled_torus_action_valid_any_spacing():
 
 def test_orbit_sorted_members():
     action = torus_action(5, 1, 5)
-    ob = orbit(action, 3)
-    assert list(ob.members) == [0, 1, 2, 3, 4]
+    assert [o.tolist() for o in orbits(action)] == [[0, 1, 2, 3, 4]]
 
 
 def test_action_rejects_out_of_range():

@@ -5,8 +5,9 @@ import pytest
 
 from equicorr import groups
 from equicorr.errors import DegenerateMeasureError, PreconditionError, StructuralError
-from equicorr.groups import orbit, stabilizer
+from equicorr.groups import stabilizer
 from equicorr.measures import (
+    DeltaFunction,
     GroupMeasureFamily,
     OrbitMeasureFamily,
     PsiFunction,
@@ -36,7 +37,7 @@ def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
     lhs = sum(mu.weights[b, h] * f[h] for h in range(grp.order))
     stab = [int(s) for s in stabilizer(action, b)]
     if reps is None:
-        reps = {int(c): int(action.coset_reps[b, c]) for c in orbit(action, b).members}
+        reps = {int(c): int(action.coset_reps[b, c]) for c in np.flatnonzero(action.coset_reps[b] >= 0)}
     rhs = 0.0
     for c, k in reps.items():
         inner = sum(nu.weights[b, s] * f[mul(grp, k, s)] for s in stab)
@@ -80,7 +81,7 @@ def test_fubini_rep_independent():
         for b in range(6):
             stab = [int(s) for s in stabilizer(action, b)]
             reps = {}
-            for c in orbit(action, b).members:
+            for c in np.flatnonzero(action.coset_reps[b] >= 0):
                 k = int(action.coset_reps[b, c])
                 s = stab[int(rng.integer(len(stab)))]
                 reps[int(c)] = mul(grp, k, s)
@@ -113,7 +114,20 @@ def test_solved_orbit_measure_values():
     mu = counting_family(action, 3.0)
     nu = counting_stabilizer_family(action, 1.0)
     w = solve_orbit_measure(mu, nu, 0)
-    assert np.allclose(w[list(orbit(action, 0).members)], 3.0)
+    assert np.allclose(w[action.coset_reps[0] >= 0], 3.0)
+
+
+@pytest.mark.parametrize("value", [1.0, np.inf, np.nan])
+def test_mass_off_a_stabilizer_is_refused(value):
+    # dihedral(4) on the square: r1 (element 1) moves vertex 1
+    action = dihedral_vertex_action(4)
+    nu = counting_stabilizer_family(action).weights.copy()
+    delta = dirac_delta(counting_stabilizer_family(action)).values.copy()
+    nu[1, 1] = delta[1, 1] = value
+    with pytest.raises(StructuralError, match="stabilizer family has weight off the stabilizer"):
+        StabilizerMeasureFamily(action, nu)
+    with pytest.raises(StructuralError, match="delta has support off the stabilizer"):
+        DeltaFunction(action, delta)
 
 
 def test_solve_orbit_measure_requires_haar():

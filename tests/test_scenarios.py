@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr.errors import DomainError, EquicorrError
-from equicorr.groups import GroupAction, dihedral_group, pair_stabilizer
+from equicorr.groups import GroupAction, cyclic_group, dihedral_group, pair_stabilizer
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import (
     DEGENERACY_PROFILE,
@@ -176,6 +176,17 @@ def test_derive_theta_matches_reference_on_kernel_supports():
         scn = build_scenario(spec)
         support = scn.kernel.support
         assert np.array_equal(derive_theta(scn.action, support).reps, reference_derive_theta(scn.action, support))
+
+
+def test_an_off_orbit_support_pair_is_an_obstruction():
+    # Z_4 on itself and a fixed point: every candidate would commute, but
+    # no element carries 0 to the fixed point
+    grp = cyclic_group(4)
+    action = GroupAction(grp, ("0", "1", "2", "3", "inf"), np.concatenate([grp.cayley, np.full((4, 1), 4)], axis=1))
+    support = (action.coset_reps >= 0).T
+    support[4, 0] = True
+    with pytest.raises(DomainError, match=r"pair stabilizer at \(c=4, b=0\)"):
+        derive_theta(action, support)
 
 
 def test_derivation_obstruction_reported():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from equicorr.bundles import act_on_mackey, mackey_to_section, section_to_mackey, trivial_bundle, validate_mackey
-from equicorr.groups import fundamental_domain
 from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
@@ -107,7 +106,7 @@ def test_convolution_equality_counting_measure(dihedral4):
 def test_compression_round_trip_bitwise(dihedral4_sign):
     scn = dihedral4_sign
     comp = compress_filter(scn.filt)
-    assert set(comp.rows) == set(fundamental_domain(scn.action))
+    assert set(comp.rows) == set(scn.action.domain)
     back = expand_filter(comp)
     assert np.array_equal(back.matrices, scn.filt.matrices)
 
