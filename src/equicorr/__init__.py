@@ -44,15 +44,12 @@ _EXPORTS = {
     "rng": ("SplitMix64",),
     "sampling": ("random_sections", "random_valid_filter", "random_valid_kernel", "random_violating_kernel"),
     "scenarios": ("build_scenario", "degeneracy_demo", "derive_theta", "line_grid_ladder"),
-    "serialize": ("Scenario",),
+    "serialize": ("Scenario", "compressed_filter_to_dict"),
     "transforms": (
         "Kernel", "ThetaMap", "filter_operator", "integral_transform", "kernel_operator", "lift_kernel_to_filter",
         "operator_equivariance_residual", "project_filter_to_kernel", "validate_kernel", "validate_theta",
     ),
-    "xcorr": (
-        "CompressedFilter", "Filter", "compress_filter", "correlate_sections", "cross_correlate", "expand_filter",
-        "validate_filter",
-    ),
+    "xcorr": ("Filter", "correlate_sections", "cross_correlate", "validate_filter"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

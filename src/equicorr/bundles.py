@@ -66,8 +66,9 @@ stabilizer element of b0, T compares every v(r, c) with
 A_out(k, b0) v(k^-1.r, b0) A_in(k^-1, .).  _orbit_slice reports
 R = max(S, T); with P the all-g residual and a the largest row or column
 sum of |A(g, b)| over both bundles, R <= a P and P <= (a^2 + 2a) R.  The
-random filter and kernel builders of `sampling` share this transport: the
-mean of _carry over Stab(b0) makes S = 0, and _orbit_slice fills T.
+random filter and kernel builders of `sampling` and the filter loader share
+this transport: the mean of _carry over Stab(b0) makes S = 0, and
+_transport makes T = 0.
 """
 
 from __future__ import annotations
@@ -297,6 +298,13 @@ def _carry(
     return a_out[g, b0][:, None] @ rows @ back
 
 
+def _blocks(elements: np.ndarray, values: np.ndarray):
+    """The elements in order, as many at a time as carry groups._BLOCK_ENTRIES
+    entries of values' rows (one element's at least), so beside the table
+    only a few blocks are alive."""
+    return (elements[rows] for rows in _row_blocks(elements.size, values[:, 0].size))
+
+
 def _orbit_slice(
     values: np.ndarray,
     action: GroupAction,
@@ -304,7 +312,6 @@ def _orbit_slice(
     place,
     a_out: np.ndarray | None = None,
     a_in: np.ndarray | None = None,
-    carried: np.ndarray | None = None,
 ) -> tuple[float, tuple | None]:
     """Check v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) on a table indexed
     [r, b, ...], one base point b0 per orbit (see the module docstring).
@@ -312,35 +319,33 @@ def _orbit_slice(
     base points moved by the action with b' = r; untwisted laws pass no act
     matrices.  Returns R = max(S, T) and place(g, g^-1.r, b0) of the failing
     law instance at its first maximum (S before T, each in
-    fundamental-domain order, then row-major over (g, r)).  A builder
-    passes carried, a table of values' shape, and each row carried from a
-    b0 is written into it at its target off the fundamental domain.  It
-    may be values itself: the carried rows are read from the columns at
-    the b0, which are never targets, and T then compares each written
-    row with itself.
-    The elements are carried a block at a time, each block's rows holding
-    at most groups._BLOCK_ENTRIES entries (one element's at least), so
-    beside the table only a few blocks are alive.
+    fundamental-domain order, then row-major over (g, r)), carrying the
+    elements a block at a time (_blocks).
     """
     grp = action.group
-
-    def blocks(elements):  # the elements in order, as many at a time as carry _BLOCK_ENTRIES entries
-        return (elements[rows] for rows in _row_blocks(elements.size, values[:, 0].size))
 
     def instance(b0, g):  # [i, r, ...] -> place(g_i, g_i^-1.r, b0)
         return lambda i, r, *_: place(int(g[i]), int(_move(action, conjugate, grp.inv[g[[i]]])[0, r]), b0)
 
     def parts():  # [i, r, ...] -> the row carried by g_i from b0 minus the table's
         for b0 in action.domain:
-            for g in blocks(action.stabilizers[b0]):
+            for g in _blocks(action.stabilizers[b0], values):
                 yield instance(b0, g), _carry(values, action, conjugate, a_out, a_in, g, b0) - values[None, :, b0]
         for b0 in action.domain:
-            for g in blocks(_movers(action, b0)):
-                targets = action.table[g, b0]
+            for g in _blocks(_movers(action, b0), values):
                 rows = _carry(values, action, conjugate, a_out, a_in, g, b0)
-                if carried is not None:
-                    carried[:, targets] = np.moveaxis(rows, 0, 1)
-                rows -= np.moveaxis(values[:, targets], 1, 0)
+                rows -= np.moveaxis(values[:, action.table[g, b0]], 1, 0)
                 yield instance(b0, g), rows
 
     return _worst(parts())
+
+
+def _transport(values: np.ndarray, action: GroupAction, conjugate: bool, a_out: np.ndarray, a_in: np.ndarray):
+    """Write each column of values off the fundamental domain: the column at
+    c is the one at its orbit's b0 carried by the coset representative k_c,
+    so _orbit_slice reads T = 0 on the result.  The columns at the b0 are
+    read, never written; the elements are carried a block at a time
+    (_blocks)."""
+    for b0 in action.domain:
+        for g in _blocks(_movers(action, b0), values):
+            values[:, action.table[g, b0]] = np.moveaxis(_carry(values, action, conjugate, a_out, a_in, g, b0), 0, 1)

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DomainError, EquicorrError
 from .reporting import DEFAULT_TOLERANCE, ValidationReport, _prefixed, check_from_residual
 from .serialize import (
+    MACKEY_SCHEMA,
     Scenario,
     dumps,
     filter_to_dict,
@@ -162,7 +163,7 @@ def _input_mackey(args, scn: Scenario):
 
     if args.section:
         doc = load_document(args.section)
-        if isinstance(doc, dict) and doc.get("schema") == "equicorr-mackey-section/1":
+        if isinstance(doc, dict) and doc.get("schema") == MACKEY_SCHEMA:
             return mackey_from_dict(doc, scn.input_bundle)
         return section_to_mackey(section_from_dict(doc, scn.input_bundle))
     return section_to_mackey(_random_section(args, scn))

@@ -117,16 +117,16 @@ def _stabilizer_mass(psi: PsiFunction) -> np.ndarray:
 def counting_family(action: GroupAction, scale: float = 1.0) -> GroupMeasureFamily:
     """Haar family: constant weight `scale` on every element, every b; a
     read-only view of the one value."""
-    if scale <= 0:
-        raise DomainError("counting family scale must be positive")
+    if not 0 < scale < np.inf:  # a NaN fails both comparisons
+        raise DomainError(f"counting family scale {scale} is not a finite number > 0")
     n, m = action.group.order, action.base_size
     return GroupMeasureFamily(action, np.broadcast_to(float(scale), (m, n)), haar=True)
 
 
 def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> StabilizerMeasureFamily:
     """Constant weight `scale` on each stabilizer (left-invariant by construction)."""
-    if scale <= 0:
-        raise DomainError("stabilizer counting scale must be positive")
+    if not 0 < scale < np.inf:
+        raise DomainError(f"stabilizer counting scale {scale} is not a finite number > 0")
     weights = np.zeros((action.base_size, action.group.order))
     for b, stab in enumerate(action.stabilizers):
         weights[b, stab] = 1.0

@@ -2,13 +2,13 @@
 constraint violators.
 
 Valid filters and kernels are built the way validate_filter and
-validate_kernel check them, through the transport of
-`bundles._orbit_slice`.  At each fundamental-domain point b0 the builder
-draws the table's rows at b0 (sparse random filter rows, or one dense
-kernel column kappa(., b0) over the orbit of b0) and replaces them by the
-mean of their copies carried by each element of Stab(b0).  Group averaging
-projects onto the rows that satisfy the stabilizer slice of the law; the
-coset representatives then carry those rows to the rest of the orbit.  A
+validate_kernel check them (`bundles._orbit_slice`).  At each
+fundamental-domain point b0 the builder draws the table's rows at b0
+(sparse random filter rows, or one dense kernel column kappa(., b0) over
+the orbit of b0) and replaces them by the mean of their copies carried by
+each element of Stab(b0).  Group averaging projects onto the rows that
+satisfy the stabilizer slice of the law; the coset representatives then
+carry those rows to the rest of the orbit (`bundles._transport`).  A
 filter row that averages to ~0 is redrawn.  A kernel column needs no
 redraw: a pair orbit that the average forces to zero stays out of the
 support.  Violating kernels are random dense tables over the orbit mask,
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import EquivariantBundle, Section, _carry, _orbit_slice, pad_mask
+from .bundles import EquivariantBundle, Section, _carry, _transport, pad_mask
 from .errors import DomainError
-from .reporting import _local
 from .rng import SplitMix64
 from .transforms import Kernel, validate_kernel
 from .xcorr import Filter
@@ -56,7 +55,7 @@ def random_valid_filter(input_bundle: EquivariantBundle, output_bundle: Equivari
             table[:, b] = _carry(table, action, True, *mats, action.stabilizers[b], b).mean(axis=0)
             if np.abs(table[:, b]).max(initial=0.0) > 1e-6:
                 break
-    _orbit_slice(table, action, True, _local, *mats, carried=table)
+    _transport(table, action, True, *mats)
     return Filter(input_bundle, output_bundle, table)
 
 
@@ -75,7 +74,7 @@ def random_valid_kernel(
         members = np.flatnonzero(action.coset_reps[b0] >= 0)
         table[members, b0] = rng.uniforms((len(members),) + table.shape[2:], -1.0, 1.0)
         table[:, b0] = _carry(table, action, False, *mats, action.stabilizers[b0], b0).mean(axis=0)
-    _orbit_slice(table, action, False, _local, *mats, carried=table)
+    _transport(table, action, False, *mats)
     return Kernel(input_bundle, output_bundle, table)
 
 

@@ -21,8 +21,8 @@ loader takes either form.
 The Scenario record lives here, beside its codec, so that loading a file
 never imports the scenario builders.
 Filters are stored per base point as sparse maps from group element to
-matrix; a compressed filter stores rows only at orbit representatives
-and says so with a "compressed" flag.
+matrix; the compressed form stores rows only at orbit representatives,
+says so with a "compressed" flag, and loads as the full Filter.
 Kernels are entry lists over their support.  Loading validates shapes
 and index ranges and raises StructuralError on malformed input rather
 than guessing; a document-level loader also reports a missing key or a
@@ -56,7 +56,7 @@ import sys
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
+from .bundles import EquivariantBundle, MackeySection, Section, _transport, trivial_bundle
 from .errors import DomainError, StructuralError
 from .groups import (
     INDEX_DTYPE,
@@ -77,7 +77,7 @@ from .measures import (
 )
 from .reporting import ValidationReport
 from .transforms import Kernel, ThetaMap
-from .xcorr import CompressedFilter, Filter, expand_filter
+from .xcorr import Filter
 
 SCENARIO_SCHEMA = "equicorr-scenario/3"
 SCENARIO_SCHEMA_V2 = "equicorr-scenario/2"  # dense measure tables, theta entry lists; read only
@@ -406,16 +406,19 @@ def _index(key: object, bound: int, what: str) -> int:
 # filters and kernels
 
 
-def filter_to_dict(filt: Filter | CompressedFilter) -> dict:
-    """Rows {b: {h: matrix}} over the nonzero matrices, ascending; a
-    compressed filter keeps every orbit representative's row, a full one
-    only the rows with support."""
-    compressed = isinstance(filt, CompressedFilter)
-    if compressed:
-        rows = {str(int(b)): _sparse_row(filt.rows[b]) for b in sorted(filt.rows)}
-    else:
-        rows = {str(b): row for b in range(filt.action.base_size) if (row := _sparse_row(filt.matrices[:, b]))}
-    return {"schema": FILTER_SCHEMA, "compressed": compressed, "rows": rows}
+def filter_to_dict(filt: Filter) -> dict:
+    """Rows {b: {h: matrix}} over the nonzero matrices, ascending, at the
+    base points with support."""
+    rows = {str(b): row for b in range(filt.action.base_size) if (row := _sparse_row(filt.matrices[:, b]))}
+    return {"schema": FILTER_SCHEMA, "compressed": False, "rows": rows}
+
+
+def compressed_filter_to_dict(filt: Filter) -> dict:
+    """The fundamental-domain form: the rows at the orbit representatives
+    only, each written even when it is empty; the loader carries them to
+    the rest of each orbit."""
+    rows = {str(b): _sparse_row(filt.matrices[:, b]) for b in filt.action.domain}
+    return {"schema": FILTER_SCHEMA, "compressed": True, "rows": rows}
 
 
 def _sparse_row(row: np.ndarray) -> dict:
@@ -424,17 +427,25 @@ def _sparse_row(row: np.ndarray) -> dict:
 
 
 @_document_loader
-def filter_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle):
+def filter_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle) -> Filter:
     _expect_schema(doc, FILTER_SCHEMA)
     action = input_bundle.action
     n, m = action.group.order, action.base_size
     de, df = input_bundle.dmax, output_bundle.dmax
-    rows = ((_index(b_key, m, "base point"), _dense_row(row, n, df, de)) for b_key, row in doc.get("rows", {}).items())
-    if doc.get("compressed"):
-        return CompressedFilter(input_bundle, output_bundle, dict(rows))
     matrices = np.zeros((n, m, df, de))
-    for b, row in rows:  # one decoded row alive at a time
-        matrices[:, b] = row
+    keys = []
+    for b_key, row in doc.get("rows", {}).items():  # one decoded row alive at a time
+        keys.append(_index(b_key, m, "base point"))
+        matrices[:, keys[-1]] = _dense_row(row, n, df, de)
+    if doc.get("compressed"):
+        reps = list(action.domain)
+        _require(sorted(keys) == reps, f"compressed rows keyed {sorted(keys)}, expected orbit reps {reps}")
+        # omega(h', k.b) = actF(k, b) @ omega(k^-1 h' k, b) @ actE(k^-1, k.b) off
+        # the domain, k the coset representative: the one table satisfying
+        # the law with the stored rows whenever one exists.  The loader
+        # decides no law: a row that breaks its stabilizer slice loads as
+        # given, and validate_filter names it, as it names any defect
+        _transport(matrices, action, True, output_bundle.act_matrix, input_bundle.act_matrix)
     return Filter(input_bundle, output_bundle, matrices)
 
 
@@ -447,10 +458,8 @@ def _dense_row(row: dict, n: int, df: int, de: int) -> np.ndarray:
 
 
 def kernel_to_dict(kern: Kernel) -> dict:
-    entries = [
-        {"c": int(c), "b": int(b), "matrix": kern.matrices[c, b].tolist()}
-        for c, b in kern.support_pairs()
-    ]
+    cs, bs = np.nonzero(kern.support)  # row-major
+    entries = [{"c": int(c), "b": int(b), "matrix": kern.matrices[c, b].tolist()} for c, b in zip(cs, bs)]
     return {"schema": KERNEL_SCHEMA, "entries": entries}
 
 
@@ -622,10 +631,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "delta" in doc:
         scn.delta = delta_from_dict(doc["delta"], action)
     if "filter" in doc:
-        filt = filter_from_dict(doc["filter"], input_bundle, output_bundle)
-        if isinstance(filt, CompressedFilter):
-            filt = expand_filter(filt)
-        scn.filt = filt
+        scn.filt = filter_from_dict(doc["filter"], input_bundle, output_bundle)
     if "kernel" in doc:
         scn.kernel = kernel_from_dict(doc["kernel"], input_bundle, output_bundle)
     for name, tdoc in doc.get("thetas", {}).items():

@@ -91,10 +91,6 @@ class Kernel:
     def action(self):
         return self.input_bundle.action
 
-    def support_pairs(self) -> list[tuple[int, int]]:
-        cs, bs = np.nonzero(self.support)
-        return [(int(c), int(b)) for c, b in zip(cs, bs)]
-
 
 def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     """Compatibility law residual on one base slice per orbit (witness

@@ -40,11 +40,10 @@ cross_correlate is the one Mackey-level sum; alive at once are the input
 section, its (|G|, |B|, dF) output, and one row block of a gathered
 (|G|, |B|) slice with its product.
 
-A fundamental-domain codec stores one row per orbit and rebuilds the rest
-through the compatibility law; expansion has at most one consistent
-answer.  The codec, validate_filter and the random builder share one
-transport (`bundles._orbit_slice`), which checks the law on one base slice
-per orbit instead of for every g.
+validate_filter checks the law on one base slice per orbit instead of for
+every g (`bundles._orbit_slice`).  The random builder and the loader of a
+filter document's fundamental-domain form, one row per orbit, rebuild the
+rest of the table through the same transport (`bundles._transport`).
 """
 
 from __future__ import annotations
@@ -169,52 +168,3 @@ def correlate_sections(filt: Filter, mu: GroupMeasureFamily, values: np.ndarray)
     if values.shape[-2:] != expected:
         raise StructuralError(f"section values shape {values.shape}, expected (..., {expected[0]}, {expected[1]})")
     return np.einsum("cbij,...cj->...bi", filter_operator(filt, mu), values)
-
-
-# ---------------------------------------------------------------------------
-# fundamental-domain codec
-
-
-class CompressedFilter:
-    """One filter row per orbit representative; the rest is determined by
-    the compatibility law."""
-
-    def __init__(self, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle, rows: dict[int, np.ndarray]):
-        self.input_bundle, self.output_bundle = input_bundle, output_bundle
-        self.rows = rows  # orbit rep b -> (|G|, dF, dE)
-
-
-def compress_filter(filt: Filter) -> CompressedFilter:
-    rows = {b: filt.matrices[:, b].copy() for b in filt.action.domain}
-    return CompressedFilter(filt.input_bundle, filt.output_bundle, rows)
-
-
-def expand_filter(comp: CompressedFilter) -> Filter:
-    """Rebuild the full table from fundamental-domain rows.
-
-    Off the domain,
-
-        omega(h', k.b) = actF(k, b) @ omega(k^-1 h' k, b) @ actE(k^-1, k.b)
-
-    with k the deterministic coset representative, which is the unique
-    table satisfying the law with the given rows whenever one exists.  The
-    expansion decides no law: a stored row that breaks the stabilizer slice
-    of it loads as given, and validate_filter names it, as it names any
-    defect of a dense filter.
-    """
-    e_bundle, f_bundle = comp.input_bundle, comp.output_bundle
-    action = _common_action(e_bundle, f_bundle)
-    n, m = action.group.order, action.base_size
-    reps = list(action.domain)
-    if sorted(comp.rows) != reps:
-        raise StructuralError(f"compressed rows keyed {sorted(comp.rows)}, expected orbit reps {reps}")
-
-    de, df = e_bundle.dmax, f_bundle.dmax
-    table = np.zeros((n, m, df, de))
-    for b in reps:
-        row = np.asarray(comp.rows[b], dtype=float)
-        if row.shape != (n, df, de):
-            raise StructuralError(f"compressed row at b={b} has shape {row.shape}, expected {(n, df, de)}")
-        table[:, b] = row
-    _orbit_slice(table, action, True, _local, f_bundle.act_matrix, e_bundle.act_matrix, carried=table)
-    return Filter(e_bundle, f_bundle, table)

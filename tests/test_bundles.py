@@ -14,6 +14,7 @@ from equicorr.bundles import (
     _move,
     _movers,
     _orbit_slice,
+    _transport,
     act_on_mackey,
     act_on_section,
     mackey_to_section,
@@ -579,28 +580,42 @@ def _corrupted_cyclic16_kernel():
 
 @pytest.mark.parametrize("case", [_corrupted_d4_sign_filter, _corrupted_two_orbit_filter, _corrupted_cyclic16_kernel])
 def test_blocked_transport_matches_the_one_block_scan(case, monkeypatch):
-    # one element per block names the same residual and witness, and
-    # carries the same table bit for bit, as one block of every element;
-    # carrying into the table itself, as the builders do, writes it too
+    # one element per block names the same residual and witness as one
+    # block of every element, and _transport writes the same table bit for
+    # bit, leaving the columns at the fundamental domain untouched
     values, action, conjugate, a_out, a_in = case()
+    domain = list(action.domain)
     sizes = []
     monkeypatch.setattr(bundles, "_carry", lambda *args: sizes.append(len(args[5])) or _carry(*args))
-    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1 << 40)
-    whole_table = values.copy()
-    whole = _orbit_slice(values, action, conjugate, _local, a_out, a_in, carried=whole_table)
-    assert max(sizes) > 1
-    sizes.clear()
-    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
-    blocked_table = values.copy()
-    blocked = _orbit_slice(values, action, conjugate, _local, a_out, a_in, carried=blocked_table)
-    assert max(sizes) == 1
+    runs = []
+    for entries in (1 << 40, 1):
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", entries)
+        sizes.clear()
+        table = values.copy()
+        _transport(table, action, conjugate, a_out, a_in)
+        assert table[:, domain].tobytes() == values[:, domain].tobytes()
+        runs.append((_orbit_slice(values, action, conjugate, _local, a_out, a_in), table.tobytes(), max(sizes)))
+    (whole, whole_table, whole_size), (blocked, blocked_table, blocked_size) = runs
+    assert whole_size > 1 and blocked_size == 1
     assert whole[0] > 0.1 and whole[1] is not None
     assert (float(blocked[0]).hex(), blocked[1]) == (float(whole[0]).hex(), whole[1])
-    assert blocked_table.tobytes() == whole_table.tobytes()
-    assert _orbit_slice(values, action, conjugate, _local, a_out, a_in) == whole
-    in_place = values.copy()
-    _orbit_slice(in_place, action, conjugate, _local, a_out, a_in, carried=in_place)
-    assert in_place.tobytes() == whole_table.tobytes()
+    assert blocked_table == whole_table
+
+
+@pytest.mark.parametrize("spec", ["dihedral(4, bundle=sign)", "two-orbit", "torus-bands(16)"])
+def test_transport_fills_a_valid_filter_from_its_domain_columns(spec):
+    # the columns at the fundamental domain fix the rest of a valid filter:
+    # _transport writes it back bit for bit, and _orbit_slice reads 0 on it
+    from test_streaming import two_orbit_filter
+
+    filt = two_orbit_filter()[0] if spec == "two-orbit" else build_scenario(spec).filt
+    a_out, a_in = filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
+    table = np.zeros_like(filt.matrices)
+    domain = list(filt.action.domain)
+    table[:, domain] = filt.matrices[:, domain]
+    _transport(table, filt.action, True, a_out, a_in)
+    assert table.tobytes() == filt.matrices.tobytes()
+    assert _orbit_slice(table, filt.action, True, _local, a_out, a_in) == (0.0, None)
 
 
 def test_b_independent_bundles_allocate_no_act_matrix_stack():

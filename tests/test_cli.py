@@ -13,8 +13,8 @@ import pytest
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
+    compressed_filter_to_dict,
     dumps,
-    filter_to_dict,
     kernel_from_dict,
     load_document,
     save_document,
@@ -24,7 +24,6 @@ from equicorr.serialize import (
 )
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
-from equicorr.xcorr import compress_filter
 
 from helpers import scenario_to_v2_dict, theta_to_v2_dict
 
@@ -246,10 +245,11 @@ def test_a_line_grid_step_that_is_no_step_exits_two_naming_it(dx, capsys):
 
 
 def _compressed_filter(doc: dict, scn, h: int, by: float) -> None:
-    """Store doc's filter compressed, its row at b0 = 0 raised by `by` at h."""
-    comp = compress_filter(scn.filt)
-    comp.rows[0][h] += by
-    doc["filter"] = filter_to_dict(comp)
+    """Store doc's filter compressed, its row at b0 = 0 raised by `by` at h
+    (the fibers are 1-d)."""
+    doc["filter"] = compressed_filter_to_dict(scn.filt)
+    row = doc["filter"]["rows"]["0"]
+    row[str(h)] = [[row.get(str(h), [[0.0]])[0][0] + by]]
 
 
 def _bump_dense_entry(doc: dict, scn) -> None:
@@ -283,6 +283,18 @@ def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
         failed = {c["name"]: c["witness"] for c in checks if not c["pass"]}
         assert failed["filter.filter-faint-constraint"] == witness, command
     assert "transform.necessity" in {c["name"] for c in checks}  # the battery's whole report
+
+
+def test_a_compressed_filter_keyed_off_the_domain_exits_two_naming_the_keys(tmp_path, capsys):
+    scn = build_scenario("dihedral(4, bundle=sign)")
+    doc = json.loads(dumps(scenario_to_dict(scn)))
+    doc["filter"] = compressed_filter_to_dict(scn.filt)
+    doc["filter"]["rows"]["1"] = doc["filter"]["rows"].pop("0")
+    path = tmp_path / "off-domain.json"
+    save_document(str(path), doc)
+    for command in ("validate", "battery"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out, err) == (2, "", "error: compressed rows keyed [1], expected orbit reps [0]\n"), command
 
 
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
@@ -613,7 +625,7 @@ def test_import_equicorr_loads_no_module_and_validate_leaves_the_builders_unload
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
     lines = proc.stderr.splitlines()
     assert lines[0] == "[]"
-    assert lines[-2:] == ["0 []", "[] True 78"]
+    assert lines[-2:] == ["0 []", "[] True 76"]
 
 
 MALFORMED_SPECS = [

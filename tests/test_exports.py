@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
 import equicorr
+from equicorr import bundles
 
 
 def test_every_all_entry_resolves():
@@ -57,9 +59,10 @@ def test_every_error_class_is_raised():
     assert classes and sorted(classes - raised) == []
 
 
-RETIRED_SCANS = (
+RETIRED_NAMES = (
     "_maxabs", "_argmax_coords", "_worst_of_grid", "_first_worst", "_worst_of_parts", "_count_of", "_count_over",
     "_worst_of_rows", "_count_of_rows", "stabilizer_mask", "coset_table", "fundamental_domain", "orbit", "Orbit",
+    "CompressedFilter", "compress_filter", "expand_filter",
 )
 
 # public members that nothing in the package reads, kept on purpose: the
@@ -122,7 +125,10 @@ def test_every_module_level_definition_is_used_or_exported():
 
 
 def test_the_retired_scan_helpers_are_gone():
-    # every residual and witness comes from reporting._worst or _count, and
-    # every Stab(b), orbit and fundamental domain from the action's derived tables
+    # every residual and witness comes from reporting._worst or _count, every
+    # Stab(b), orbit and fundamental domain from the action's derived tables,
+    # and a compressed filter is a document form that the loader expands
+    # through bundles._transport, while _orbit_slice only validates
     modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
-    assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_SCANS if hasattr(m, n)] == []
+    assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_NAMES if hasattr(m, n)] == []
+    assert "carried" not in inspect.signature(bundles._orbit_slice).parameters

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equicorr import groups
-from equicorr.errors import DegenerateMeasureError, PreconditionError, StructuralError
+from equicorr.errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from equicorr.groups import stabilizer
 from equicorr.measures import (
     DeltaFunction,
@@ -43,6 +43,17 @@ def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
         inner = sum(nu.weights[b, s] * f[mul(grp, k, s)] for s in stab)
         rhs += mubar.weights[b, c] * inner
     return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "build, what", [(counting_family, "counting family"), (counting_stabilizer_family, "stabilizer counting")]
+)
+def test_a_counting_scale_that_is_not_a_finite_number_above_zero_is_refused(build, what, scale):
+    # a NaN passes `scale <= 0`; it gave NaN weights, and inf gave inf ones
+    with pytest.raises(DomainError) as err:
+        build(cyclic_action(4), scale)
+    assert str(err.value) == f"{what} scale {scale} is not a finite number > 0"
 
 
 def test_counting_families_validate():

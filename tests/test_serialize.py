@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import copy
 import functools
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
+    compressed_filter_to_dict,
     dumps,
     filter_from_dict,
     filter_to_dict,
@@ -41,7 +43,7 @@ from equicorr.serialize import (
     theta_from_dict,
     theta_to_dict,
 )
-from equicorr.xcorr import CompressedFilter, compress_filter, cross_correlate, validate_filter
+from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
 from helpers import scenario_to_v2_dict, traced_peak
 
@@ -142,14 +144,35 @@ def test_filter_codec_preserves_values_bitwise(dihedral4_sign):
 
 
 def test_compressed_filter_docs_expand_bitwise(torus8):
-    comp = compress_filter(torus8.filt)
-    doc = roundtrip(filter_to_dict(comp))
+    # every orbit representative's row is written, and the loader carries
+    # them back to the whole table
+    doc = roundtrip(compressed_filter_to_dict(torus8.filt))
     assert doc["compressed"] is True
+    assert sorted(map(int, doc["rows"])) == list(torus8.action.domain)
     back = filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle)
-    assert isinstance(back, CompressedFilter)
-    assert back.rows.keys() == comp.rows.keys()
-    for b, row in comp.rows.items():
-        assert np.array_equal(back.rows[b], row)
+    assert type(back) is Filter
+    assert back.matrices.tobytes() == torus8.filt.matrices.tobytes()
+
+
+# the fundamental-domain documents of two filters, pinned to the bytes
+# written before the writer moved from an in-memory type into serialize
+COMPRESSED_FILTER_HASHES = {
+    "dihedral(4, bundle=sign)": "145b37ca1dee17eebafac3e0f9dd4cbb1d10a2a00106470961ec53f8faf0ddf8",
+    "torus-bands(16)": "83dfb521492987228af5d1d9496557ee92c9c2ea2e57016e75fde682934bb779",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(COMPRESSED_FILTER_HASHES))
+def test_compressed_filter_doc_bytes_match_golden(spec):
+    text = dumps(compressed_filter_to_dict(build_scenario(spec).filt))
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPRESSED_FILTER_HASHES[spec]
+
+
+def test_a_compressed_filter_doc_writes_every_domain_row_even_an_empty_one(torus8):
+    zero = Filter(torus8.input_bundle, torus8.output_bundle, np.zeros_like(torus8.filt.matrices))
+    doc = roundtrip(compressed_filter_to_dict(zero))
+    assert doc["rows"] == {str(b): {} for b in torus8.action.domain}
+    assert not filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle).support.any()
 
 
 def test_kernel_and_theta_codecs(bands16):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,9 @@ from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
+from equicorr.serialize import compressed_filter_to_dict, dumps, filter_from_dict
 from equicorr.transforms import Kernel, filter_operator, operator_equivariance_residual
-from equicorr.xcorr import (
-    CompressedFilter,
-    Filter,
-    compress_filter,
-    correlate_sections,
-    cross_correlate,
-    expand_filter,
-    validate_filter,
-)
+from equicorr.xcorr import Filter, correlate_sections, cross_correlate, validate_filter
 
 from helpers import mul
 from test_stacked import ref_convolve
@@ -103,27 +98,29 @@ def test_convolution_equality_counting_measure(dihedral4):
         assert np.allclose(direct.values, ref_convolve(flipped, m, scn.mu), atol=1e-12)
 
 
+def _round_trip(filt: Filter, edit=lambda rows: None) -> Filter:
+    """filt written in the fundamental-domain form, its rows passed to edit,
+    and loaded back."""
+    doc = json.loads(dumps(compressed_filter_to_dict(filt)))
+    edit(doc["rows"])
+    return filter_from_dict(doc, filt.input_bundle, filt.output_bundle)
+
+
 def test_compression_round_trip_bitwise(dihedral4_sign):
     scn = dihedral4_sign
-    comp = compress_filter(scn.filt)
-    assert set(comp.rows) == set(scn.action.domain)
-    back = expand_filter(comp)
-    assert np.array_equal(back.matrices, scn.filt.matrices)
+    assert sorted(map(int, compressed_filter_to_dict(scn.filt)["rows"])) == list(scn.action.domain)
+    assert _round_trip(scn.filt).matrices.tobytes() == scn.filt.matrices.tobytes()
 
 
-def _bumped_row_filter(scn) -> CompressedFilter:
-    comp = compress_filter(scn.filt)
-    rows = {b: r.copy() for b, r in comp.rows.items()}
-    b0 = next(iter(rows))
-    # conjugation by the reflection fixing b0 swaps r1 and r3, so a lone
+def _bump(rows: dict) -> None:
+    # conjugation by the reflection fixing b0 = 0 swaps r1 and r3, so a lone
     # bump at r1 cannot satisfy the stabilizer slice of the constraint
-    rows[b0][1, 0, 0] += 1.0
-    return CompressedFilter(scn.input_bundle, scn.output_bundle, rows)
+    rows["0"].setdefault("1", [[0.0]])[0][0] += 1.0
 
 
 def test_expand_loads_a_stabilizer_inconsistent_row(dihedral4):
-    # the expansion decides no law; the law check names the bumped row
-    filt = expand_filter(_bumped_row_filter(dihedral4))
+    # the loader decides no law; the law check names the bumped row
+    filt = _round_trip(dihedral4.filt, _bump)
     check = validate_filter(filt).checks[0]
     # s0 r3 s0^-1 = r1: the law at (s0, r3, 0) compares the bumped row with r3's
     assert not check.passed and check.witness == (4, 3, 0)
@@ -131,11 +128,11 @@ def test_expand_loads_a_stabilizer_inconsistent_row(dihedral4):
 
 
 def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
-    # the expansion carries the bad row to every base point exactly, so the
+    # the loader carries the bad row to every base point exactly, so the
     # table is its own transport (T = 0) and only the stabilizer part S of
     # validate_filter can see the violation
-    filt = expand_filter(_bumped_row_filter(dihedral4))
-    assert np.array_equal(expand_filter(compress_filter(filt)).matrices, filt.matrices)
+    filt = _round_trip(dihedral4.filt, _bump)
+    assert _round_trip(filt).matrices.tobytes() == filt.matrices.tobytes()
     report = validate_filter(filt)
     assert not report.passed
     g, h, b = report.checks[0].witness
@@ -152,7 +149,7 @@ def test_codec_residual_is_bounded_by_the_law_residual(spec):
         mats = filt.matrices.copy()
         mats[at] += 0.5
         bad = Filter(filt.input_bundle, filt.output_bundle, mats)
-        codec = float(np.abs(expand_filter(compress_filter(bad)).matrices - mats).max())
+        codec = float(np.abs(_round_trip(bad).matrices - mats).max())
         check = validate_filter(bad).checks[0]
         assert not check.passed and codec <= check.residual, at
         if spec == "two-orbit" and at[1] == 4:  # the fixed point inf is its own orbit: only the law sees it
