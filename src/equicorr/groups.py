@@ -240,26 +240,14 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return group_from_tables(labels, cayley, identity)
 
 
-def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int | None = None) -> FiniteGroup:
-    """Build a group from labels and a Cayley table, deriving inverses.
-
-    The identity is located by its row behaviour when not given.  Raises
-    StructuralError when no identity or some inverse exists; deeper axiom
-    violations are left to validate_group.
+def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int) -> FiniteGroup:
+    """Build a group from labels, a Cayley table and its identity, deriving
+    inverses.  Raises StructuralError when some inverse does not exist;
+    deeper axiom violations are left to validate_group.
     """
     cayley = np.asarray(cayley)  # FiniteGroup range-checks it, then narrows it to INDEX_DTYPE
-    n = len(elements)
-    blocks = _row_blocks(len(cayley), n)  # one block of rows compared at a time
-    if identity is None:
-        for rows in blocks:
-            hits = (cayley[rows] == np.arange(n)).all(axis=1)
-            if hits.any():
-                identity = rows.start + int(hits.argmax())
-                break
-        else:
-            raise StructuralError("no identity row in cayley table")
     inv = np.empty(len(cayley), dtype=np.intp)
-    for rows in blocks:
+    for rows in _row_blocks(len(cayley), len(elements)):  # one block of rows compared at a time
         hits = cayley[rows] == identity
         found = hits.any(axis=1)
         if not found.all():

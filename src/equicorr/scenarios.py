@@ -528,13 +528,13 @@ def line_grid_oracle_residual(scn: Scenario, lifted: Filter) -> float:
     return abs(float(out[scn.extras["origin"], 0]) - continuous_line_transform())
 
 
-def line_grid_ladder(levels: int = 4, dx0: float = 0.1, units: int = 6) -> list[float]:
-    """Oracle residuals across a 2x refinement ladder, coarse to fine."""
+def line_grid_ladder(levels: int = 4) -> list[float]:
+    """Oracle residuals of the line grids at dx = 0.1 / 2**j, j < levels, coarse to fine."""
     if levels < 2:
         raise DomainError(f"quadrature ladder needs levels >= 2 to compare refinements, got {levels}")
     ladder = []
     for j in range(levels):
-        scn = build_line_grid(units, dx0 / 2**j)
+        scn = build_line_grid(dx=0.1 / 2**j)
         lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["global"], scn.delta)
         ladder.append(line_grid_oracle_residual(scn, lifted))
     return ladder

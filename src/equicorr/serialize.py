@@ -8,7 +8,7 @@ generating set S as the left and right multiplications λ_s and ρ_s,
 2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
 the dense table from λ_S with groups.table_from_generators, the builder
 the built-in groups use too, and checks it against both.
-"equicorr-scenario/1" files, which carry the full table, still load.
+"equicorr-scenario/1" files, which carried the full table, are refused.
 A scenario stores each measure table (mu, nu, mubar and psi) as a fill
 and its exceptions, {"fill": f, "at": [flat indices], "values": [...]}:
 f is the table's most frequent bit pattern, and `at` lists, ascending in
@@ -28,20 +28,20 @@ and index ranges and raises StructuralError on malformed input rather
 than guessing; a document-level loader also reports a missing key or a
 value of the wrong JSON type as StructuralError.  An index is a JSON
 integer or, as an object key, its canonical decimal ("1", not "01",
-"+1" or " 1"), so no two keys name one index; a key repeated in one
-object and a kernel or theta entry repeated at one (c, b) are rejected,
-not overwritten.
+"+1" or " 1"; "0", not "-0"), so no two keys name one index; a key
+repeated in one object and a kernel or theta entry repeated at one
+(c, b) are rejected, not overwritten.
 
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
 float table (a `weights`, `values` or `act_matrix` list whose first entry
 is a float) into the ndarray the loaders would build from it, and each
-integer table (an action `table`, a group's `left` and `right`, a v1
-`cayley`, a fill form's `at`, a theta's `reps`) whose every entry is a
-JSON integer into an int64 array, as
-the parser closes the object holding it, so a file's numbers never all
-live as Python objects at once; anything else stays a list and reaches
-the loaders' own checks unchanged.  Those type-check a table rather than
-cast it: 1.5 and true are not integers, and true is not the number 1.0.
+integer table (an action `table`, a group's `left` and `right`, a fill
+form's `at`, a theta's `reps`) whose every entry is a JSON integer into
+an int64 array, as the parser closes the object holding it, so a file's
+numbers never all live as Python objects at once; anything else stays a
+list and reaches the loaders' own checks unchanged.  Those type-check a
+table rather than cast it: 1.5 and true are not integers, and true is
+not the number 1.0.
 `dumps` is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte for
 byte, built from json's compact C encoding and re-indented with numpy; an
 ndarray in the document is written as its `tolist()`.
@@ -81,7 +81,6 @@ from .xcorr import Filter
 
 SCENARIO_SCHEMA = "equicorr-scenario/3"
 SCENARIO_SCHEMA_V2 = "equicorr-scenario/2"  # dense measure tables, theta entry lists; read only
-SCENARIO_SCHEMA_V1 = "equicorr-scenario/1"  # the group as its full Cayley table; read only
 FILTER_SCHEMA = "equicorr-filter/1"
 KERNEL_SCHEMA = "equicorr-kernel/1"
 SECTION_SCHEMA = "equicorr-section/1"
@@ -216,17 +215,6 @@ def _generator_permutations(doc: dict, key: str, k: int, n: int) -> np.ndarray:
     return table
 
 
-def _group_from_cayley(doc: dict) -> FiniteGroup:
-    """The equicorr-scenario/1 group: element names and the full table."""
-    _require(isinstance(doc, dict) and "cayley" in doc, "group needs a cayley table")
-    cayley = _int_table(doc["cayley"], "cayley table")
-    _require(cayley.ndim == 2 and cayley.shape[0] == cayley.shape[1], "cayley table must be square")
-    n = cayley.shape[0]
-    elements = doc.get("elements") or [str(i) for i in range(n)]
-    _require(len(elements) == n, "element names must match the table size")
-    return group_from_tables(tuple(str(e) for e in elements), cayley)
-
-
 def action_to_dict(action: GroupAction) -> dict:
     return {
         "group": group_to_dict(action.group),
@@ -235,9 +223,9 @@ def action_to_dict(action: GroupAction) -> dict:
     }
 
 
-def action_from_dict(doc: dict, load_group) -> GroupAction:
+def action_from_dict(doc: dict) -> GroupAction:
     _require(isinstance(doc, dict) and "table" in doc and "group" in doc, "action needs a group and a table")
-    grp = load_group(doc["group"])
+    grp = group_from_dict(doc["group"])
     table = _int_table(doc["table"], "action table")
     _require(table.ndim == 2 and table.shape[0] == grp.order, "action table must be (order, base)")
     m = table.shape[1]
@@ -355,7 +343,7 @@ def delta_from_dict(doc: dict, action: GroupAction) -> DeltaFunction:
     return DeltaFunction(action, values)
 
 
-_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _typed(value, types: tuple[type, ...], what: str):
@@ -602,15 +590,14 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 _INTEGER_EXTRAS = ("band_spacing", "eps_steps", "origin")  # dx and grid_step may be floats
-_GROUP_LOADERS = {SCENARIO_SCHEMA: group_from_dict, SCENARIO_SCHEMA_V2: group_from_dict, SCENARIO_SCHEMA_V1: _group_from_cayley}
 
 
 @_document_loader
 def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "document must be a JSON object")
-    load_group = _GROUP_LOADERS.get(doc.get("schema"))
-    _require(load_group is not None, f"expected schema {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}")
-    action = action_from_dict(doc["action"], load_group)
+    schema = doc.get("schema")
+    _require(schema in (SCENARIO_SCHEMA, SCENARIO_SCHEMA_V2), f"expected schema {SCENARIO_SCHEMA!r}, got {schema!r}")
+    action = action_from_dict(doc["action"])
     input_bundle = bundle_from_dict(doc["input_bundle"], action)
     out_doc = doc.get("output_bundle", "same")
     output_bundle = input_bundle if out_doc == "same" else bundle_from_dict(out_doc, action)
@@ -657,7 +644,7 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 # the float tables, and the integer ones: the action table, the group's,
 # a fill form's exceptions and a theta's reps
 _TABLES = [(key, float, _float_array) for key in ("weights", "values", "act_matrix")]
-_TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "cayley", "at", "reps")]
+_TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "at", "reps")]
 _TABLE_KEYS = frozenset(key for key, _, _ in _TABLES)
 
 

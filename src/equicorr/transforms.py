@@ -55,23 +55,9 @@ import numpy as np
 from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import StructuralError
 from .groups import GroupAction, _float_table, _index_table, _row_blocks, _rows
-from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily, dirac_delta
+from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily
 from .reporting import ValidationReport, _count, _local, check_from_residual
-from .xcorr import Filter, _common_action, _support_scatter, filter_operator
-
-__all__ = [
-    "Kernel",
-    "ThetaMap",
-    "dirac_delta",
-    "validate_kernel",
-    "integral_transform",
-    "kernel_operator",
-    "filter_operator",
-    "operator_equivariance_residual",
-    "project_filter_to_kernel",
-    "validate_theta",
-    "lift_kernel_to_filter",
-]
+from .xcorr import Filter, _common_action, _support_scatter, filter_operator  # filter_operator: re-exported
 
 
 class Kernel:

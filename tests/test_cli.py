@@ -346,15 +346,6 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
 MALFORMED_SPEC = "dihedral(4, bundle=sign)"
 
 
-def _v1_cayley(doc: dict) -> list:
-    """Rewrite doc as an equicorr-scenario/1 document, whose group is the
-    full Cayley table, and return that table."""
-    grp = build_scenario(MALFORMED_SPEC).group
-    doc["schema"] = "equicorr-scenario/1"
-    doc["action"]["group"] = {"elements": list(grp.elements), "cayley": grp.cayley.tolist()}
-    return doc["action"]["group"]["cayley"]
-
-
 def _group(doc: dict) -> dict:
     return doc["action"]["group"]
 
@@ -386,19 +377,19 @@ MALFORMED = {
     "bundle-without-act-matrix": lambda doc: doc["input_bundle"].pop("act_matrix"),
     # control: the family constructor rejects this shape itself
     "mu-wrong-shape": lambda doc: doc["families"]["mu"].update(weights=[[1.0]]),
-    # past int64: a JSON integer >= 2^63, or 1e400, which JSON loads as inf
-    "cayley-entry-2^63": lambda doc: _v1_cayley(doc)[0].__setitem__(0, 2**63),
-    "cayley-entry-1e400": lambda doc: _v1_cayley(doc)[0].__setitem__(0, float("inf")),
     # past int32, into the int64 range: 2^32 would narrow to 0 if cast before the range check
-    "cayley-entry-2^32": lambda doc: _v1_cayley(doc)[0].__setitem__(0, 2**32),
     "permutation-entry-2^32": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**32),
+    "left-entry-2^32": lambda doc: _group(doc)["left"][0].__setitem__(0, 2**32),
     "action-entry-2^32": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**32),
     # past int16, the index dtype: -2^16 would narrow to 0 if cast before the range check
-    "cayley-entry-minus-2^16": lambda doc: _v1_cayley(doc)[0].__setitem__(0, -(2**16)),
     "permutation-entry-minus-2^16": lambda doc: _group(doc)["right"][0].__setitem__(0, -(2**16)),
+    "left-entry-minus-2^16": lambda doc: _group(doc)["left"][0].__setitem__(0, -(2**16)),
     "action-entry-minus-2^16": lambda doc: doc["action"]["table"][0].__setitem__(0, -(2**16)),
+    # past int64: a JSON integer >= 2^63, or 1e400, which JSON loads as inf
     "permutation-entry-2^63": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**63),
+    "left-entry-2^63": lambda doc: _group(doc)["left"][0].__setitem__(0, 2**63),
     "permutation-entry-1e400": lambda doc: _group(doc)["left"][1].__setitem__(3, float("inf")),
+    "right-entry-1e400": lambda doc: _group(doc)["right"][1].__setitem__(3, float("inf")),
     # the generator indices are range-checked: -1 must not wrap to the last element
     "identity-minus-one": lambda doc: _group(doc).update(identity=-1),
     "generator-minus-one": lambda doc: _group(doc)["generators"].__setitem__(0, -1),
@@ -429,7 +420,6 @@ MALFORMED = {
             ("action", lambda doc: doc["action"]["table"][0]),
             ("left", lambda doc: _group(doc)["left"][0]),
             ("right", lambda doc: _group(doc)["right"][0]),
-            ("cayley", lambda doc: _v1_cayley(doc)[0]),
         )
         for kind in (float, bool)
     },
@@ -446,6 +436,19 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_v1_schema_file_exits_two_naming_its_schema(tmp_path, capsys):
+    # an equicorr-scenario/1 file, whose group is the full Cayley table, is refused by its tag
+    scn = build_scenario(MALFORMED_SPEC)
+    doc = json.loads(dumps(scenario_to_dict(scn)))
+    doc["schema"] = "equicorr-scenario/1"
+    doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
+    path = tmp_path / "v1.json"
+    save_document(str(path), doc)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: expected schema 'equicorr-scenario/3', got 'equicorr-scenario/1'\n"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import equicorr
-from equicorr import bundles
+from equicorr import bundles, groups, serialize
 
 
 def test_every_all_entry_resolves():
@@ -63,6 +63,7 @@ RETIRED_NAMES = (
     "_maxabs", "_argmax_coords", "_worst_of_grid", "_first_worst", "_worst_of_parts", "_count_of", "_count_over",
     "_worst_of_rows", "_count_of_rows", "stabilizer_mask", "coset_table", "fundamental_domain", "orbit", "Orbit",
     "CompressedFilter", "compress_filter", "expand_filter",
+    "_group_from_cayley", "SCENARIO_SCHEMA_V1", "_GROUP_LOADERS",
 )
 
 # public members that nothing in the package reads, kept on purpose: the
@@ -128,7 +129,11 @@ def test_the_retired_scan_helpers_are_gone():
     # every residual and witness comes from reporting._worst or _count, every
     # Stab(b), orbit and fundamental domain from the action's derived tables,
     # and a compressed filter is a document form that the loader expands
-    # through bundles._transport, while _orbit_slice only validates
+    # through bundles._transport, while _orbit_slice only validates; a
+    # scenario's group loads from its generators alone, with its identity
     modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
     assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_NAMES if hasattr(m, n)] == []
     assert "carried" not in inspect.signature(bundles._orbit_slice).parameters
+    identity = inspect.signature(groups.group_from_tables).parameters["identity"]
+    assert identity.default is inspect.Parameter.empty
+    assert list(inspect.signature(serialize.action_from_dict).parameters) == ["doc"]

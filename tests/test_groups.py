@@ -140,30 +140,28 @@ def test_group_from_tables_rejects_broken():
     cayley = cyclic_group(3).cayley.copy()
     cayley[1, 1] = 1  # no longer a latin square row
     with pytest.raises(StructuralError):
-        grp = group_from_tables(("e", "a", "b"), cayley)
+        grp = group_from_tables(("e", "a", "b"), cayley, 0)
         rep = validate_group(grp)
         if not rep.passed:
             raise StructuralError("axioms fail")
 
 
-def test_group_from_tables_takes_first_identity_and_first_inverse():
+def test_group_from_tables_takes_first_inverse():
     shifted = cyclic_group(3).cayley[[1, 2, 0]]  # the identity row is row 2
-    grp = group_from_tables(("a", "b", "c"), shifted)
+    grp = group_from_tables(("a", "b", "c"), shifted, 2)
     assert grp.identity == 2 and grp.inv.tolist() == [1, 0, 2]
     cayley = cyclic_group(4).cayley.copy()
     cayley[2] = [2, 3, 0, 0]  # two right inverses: the first one wins
-    assert group_from_tables(tuple("abcd"), cayley).inv.tolist() == [0, 3, 2, 1]
-    with pytest.raises(StructuralError, match="^no identity row in cayley table$"):
-        group_from_tables(("a", "b", "c"), np.zeros((3, 3), dtype=np.int64))
+    assert group_from_tables(tuple("abcd"), cayley, 0).inv.tolist() == [0, 3, 2, 1]
     cayley[1, 3] = cayley[3, 1] = 1  # rows 1 and 3 never reach the identity
     with pytest.raises(StructuralError, match="^element 1 has no right inverse$"):
-        group_from_tables(tuple("abcd"), cayley)
+        group_from_tables(tuple("abcd"), cayley, 0)
 
 
 def test_group_from_tables_in_row_blocks_of_one(monkeypatch):
-    # the same first identity, first inverses and errors, one row at a time
+    # the same first inverses and errors, one row at a time
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
-    test_group_from_tables_takes_first_identity_and_first_inverse()
+    test_group_from_tables_takes_first_inverse()
 
 
 @settings(max_examples=20, deadline=None)
@@ -367,7 +365,7 @@ def test_group_entry_past_index_dtype_is_refused(value):
     with pytest.raises(StructuralError):
         FiniteGroup(labels, bad, inv, 0)
     with pytest.raises(StructuralError):
-        group_from_tables(labels, bad)
+        group_from_tables(labels, bad, 0)
     bad = inv.copy()
     bad[0] = value  # the identity is its own inverse
     with pytest.raises(StructuralError):
@@ -386,15 +384,10 @@ def test_action_entry_past_index_dtype_is_refused(value):
 @pytest.mark.parametrize("spec", BUILTINS)
 def test_index_tables_are_index_dtype_built_and_loaded(spec, tmp_path):
     scn = build_scenario(spec)
-    v2 = tmp_path / "v2.json"
-    save_document(str(v2), scenario_to_dict(scn))
-    doc = load_document(str(v2))
-    doc["schema"] = "equicorr-scenario/1"  # the group as its full Cayley table
-    doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
-    v1 = tmp_path / "v1.json"
-    save_document(str(v1), doc)
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(scn))
     assert INDEX_DTYPE is np.int16  # half the bytes of int32; every index product is formed in intp
-    for loaded in [scn] + [scenario_from_dict(load_document(str(p))) for p in (v1, v2)]:
+    for loaded in (scn, scenario_from_dict(load_document(str(path)))):
         action = loaded.action
         tables = [action.group.cayley, action.group.inv, action.table, action.coset_reps]
         tables += [theta.reps for theta in loaded.thetas.values()]

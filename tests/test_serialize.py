@@ -71,14 +71,19 @@ def test_scenario_codec_is_byte_stable(spec):
 
 
 @pytest.mark.parametrize("spec", CODEC_SPECS)
-def test_v1_documents_load_and_rewrite_as_v3(spec):
-    # equicorr-scenario/1 stored the group as element names and the full
-    # Cayley table, and its measure tables and thetas as /2 did
+def test_v1_documents_are_refused_by_their_tag(spec):
+    # equicorr-scenario/1 stored the group as the full Cayley table; the tag
+    # alone refuses the file, whichever group form it holds
     scn = build_scenario(spec)
     doc = roundtrip(scenario_to_v2_dict(scn))
+    assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
+    refused = "^expected schema 'equicorr-scenario/3', got 'equicorr-scenario/1'$"
+    with pytest.raises(StructuralError, match=refused):
+        scenario_from_dict(copy.deepcopy(doc))
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
-    assert dumps(scenario_to_dict(scenario_from_dict(doc))) == dumps(scenario_to_dict(scn))
+    with pytest.raises(StructuralError, match=refused):
+        scenario_from_dict(doc)
 
 
 def test_group_is_stored_by_generator_permutations():
@@ -258,7 +263,7 @@ def _cyclic4_doc() -> dict:
     return roundtrip(scenario_to_v2_dict(build_scenario("cyclic(4)")))
 
 
-@pytest.mark.parametrize("key", ["00", "01", "+1", " 1", "1.0", "\u0661"])
+@pytest.mark.parametrize("key", ["00", "01", "+1", " 1", "1.0", "\u0661", "-0"])
 def test_a_filter_row_key_that_is_not_canonical_is_rejected(key):
     # "00" used to replace row 0, which then read [5, 0, 0, 0]
     doc = _cyclic4_doc()
