@@ -25,9 +25,8 @@ import importlib
 _EXPORTS = {
     "battery": ("run_battery", "run_structural"),
     "bundles": (
-        "EquivariantBundle", "MackeySection", "Section", "act_on_mackey", "act_on_section", "mackey_to_section",
-        "representation_bundle", "section_to_mackey", "sign_bundle", "trivial_bundle", "validate_bundle",
-        "validate_mackey",
+        "EquivariantBundle", "MackeySection", "Section", "representation_bundle", "section_to_mackey", "sign_bundle",
+        "trivial_bundle", "validate_bundle",
     ),
     "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
     "groups": (
@@ -37,14 +36,14 @@ _EXPORTS = {
     "measures": (
         "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",
         "construct_normalized_families", "counting_family", "counting_stabilizer_family", "dirac_delta",
-        "fubini_pointwise_residual", "psi_from_class_function", "psi_indicator_identity", "solve_orbit_family",
-        "solve_orbit_measure", "validate_delta", "validate_families", "validate_psi",
+        "fubini_pointwise_residual", "psi_indicator_identity", "solve_orbit_family", "solve_orbit_measure",
+        "validate_delta", "validate_families", "validate_psi",
     ),
     "reporting": ("Check", "ValidationReport", "check_from_residual"),
     "rng": ("SplitMix64",),
     "sampling": ("random_sections", "random_valid_filter", "random_valid_kernel", "random_violating_kernel"),
     "scenarios": ("build_scenario", "degeneracy_demo", "derive_theta", "line_grid_ladder"),
-    "serialize": ("Scenario", "compressed_filter_to_dict"),
+    "serialize": ("Scenario",),
     "transforms": (
         "Kernel", "ThetaMap", "filter_operator", "integral_transform", "kernel_operator", "lift_kernel_to_filter",
         "operator_equivariance_residual", "project_filter_to_kernel", "validate_kernel", "validate_theta",

@@ -153,7 +153,7 @@ def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> li
     """Mackey preservation on the induced basis sections e~_{b0,i}, one at a
     time; witness (b0, i, h, b)."""
 
-    def parts():  # validate_mackey's parts of each output, placed at (b0, i, h, b)
+    def parts():  # the periodicity defect of each output, placed at (b0, i, h, b)
         bundle = filt.input_bundle
         for b0 in filt.action.domain:
             for i in range(bundle.fiber_dim[b0]):

@@ -49,10 +49,11 @@ is defined, and the conversions are mutually inverse.
 Given the cocycle law, the periodicity law for all g is equivalent to its
 h = e slice: m obeys it exactly when m equals the section induced from its
 identity slice, m(h, b) = act_matrix(h^-1, h.b) @ m(e, h.b).
-validate_mackey checks that one comparison.  Its residual R and the all-g
-periodicity residual P bound each other, R <= a P and P <= (1 + a) R, where
-a is the largest row sum of |act_matrix(g, b)|: a = 1 for trivial and sign
-bundles, a <= sqrt(2) for the 2-d rotation bundle.
+_periodicity measures that one comparison for the battery's Mackey check.
+Its residual R and the all-g periodicity residual P bound each other,
+R <= a P and P <= (1 + a) R, where a is the largest row sum of
+|act_matrix(g, b)|: a = 1 for trivial and sign bundles, a <= sqrt(2) for
+the 2-d rotation bundle.
 
 The same argument covers the laws saying a table is invariant under G,
 v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) for all g: the filter and
@@ -77,7 +78,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows
-from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
+from .reporting import ValidationReport, _count, _worst, check_from_residual
 
 
 class EquivariantBundle:
@@ -194,13 +195,6 @@ class MackeySection:
         self.values = _float_table(values, "mackey values", (n, m, bundle.dmax))  # values[h, b] lives in the fiber at b
 
 
-def act_on_section(g: int, f: Section) -> Section:
-    """(g.f)(b) = act_matrix(g, g^-1.b) @ f(g^-1.b)."""
-    action = f.bundle.action
-    src = action.table[action.group.inv[g]]
-    return Section(f.bundle, np.einsum("bij,bj->bi", f.bundle.act_matrix[g, src], f.values[src]))
-
-
 def section_to_mackey(f: Section) -> MackeySection:
     """m(h, b) = act_matrix(h^-1, h.b) @ f(h.b): pull the value at h.b back to b."""
     bundle = f.bundle
@@ -220,40 +214,9 @@ def _induced_rows(bundle: EquivariantBundle, values: np.ndarray, rows: slice, ou
     return np.einsum("hbij,hbj->hbi", mats, values[hb], out=out)
 
 
-def mackey_to_section(m: MackeySection) -> Section:
-    """f(b) = m(e, b)."""
-    return Section(m.bundle, m.values[m.bundle.action.group.identity].copy())
-
-
-def act_on_mackey(g: int, m: MackeySection) -> MackeySection:
-    """(g.m)(h, b) = m(g^-1 h, b): pure index shuffle in the first slot."""
-    grp = m.bundle.action.group
-    return MackeySection(m.bundle, m.values[grp.cayley[grp.inv[g]]].copy())
-
-
-def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationReport:
-    """Residual of the periodicity law m(h, g.b) = act_matrix(g, b) @ m(h g, b),
-    measured as the distance from m to the section induced from its
-    identity slice:
-
-        R = max over (h, b) of |m(h, b) - act_matrix(h^-1, h.b) @ m(e, h.b)|,
-
-    with witness (h, b), the first pair attaining it.  Given the cocycle
-    law, which validate_bundle checks, R = 0 exactly when the law holds for
-    all g: h = e in the law gives the induced form, and every induced
-    section obeys the law.  With P the all-g residual of the law and a the
-    largest row sum of |act_matrix(g, b)|, R <= a P and P <= (1 + a) R.
-    Scanned one row block of h at a time.
-    """
-    worst, witness = _worst(_periodicity(m, _local))
-    report = ValidationReport()
-    report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
-    return report
-
-
 def _periodicity(m: MackeySection, place):
-    """validate_mackey's parts, [h, b] -> the largest entry of the defect of
-    m(h, b), one row block of h at a time."""
+    """[h, b] -> the largest entry of the defect of m(h, b) from the section
+    induced from its identity slice, one row block of h at a time."""
     identity = m.values[m.bundle.action.group.identity]
 
     def defect(rows):  # [h, b] for the h in rows

@@ -36,6 +36,7 @@ from .serialize import (
     mackey_from_dict,
     mackey_to_dict,
     report_to_dict,
+    save_document,
     scenario_from_dict,
     section_from_dict,
     section_to_dict,
@@ -120,12 +121,10 @@ def _load_scenario(text: str) -> Scenario:
 
 
 def _emit(args, doc: dict, summary: list[str]) -> None:
-    text = dumps(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_document(args.output, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(doc))
     for line in summary:
         print(line, file=sys.stderr)
 

@@ -242,22 +242,6 @@ def psi_indicator_identity(action: GroupAction) -> PsiFunction:
     return PsiFunction(action, vals)
 
 
-def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunction:
-    """psi(h, b) = psi0(h) for a nonnegative class function psi0 (constant on
-    conjugacy classes); conjugation compatibility is then automatic."""
-    grp = action.group
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grp.order,):
-        raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
-    # [h] -> psi0(g h g^-1) != psi0(h); the g that fix psi0 under conjugation
-    # are closed under products, so a generating set decides it exactly
-    _, witness = _count((lambda h: (g, h), values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values) for g in grp.generators)
-    if witness is not None:
-        raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
-    vals = np.repeat(values[:, None], action.base_size, axis=1)
-    return PsiFunction(action, vals)
-
-
 def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     """Conjugation compatibility plus nonvanishing: each b needs positive
     total mass and positive mass on its stabilizer.  Conjugation is checked on

@@ -56,7 +56,6 @@ from .bundles import EquivariantBundle, sign_bundle, trivial_bundle
 from .errors import DomainError, StructuralError
 from .groups import (
     INDEX_DTYPE,
-    FiniteGroup,
     GroupAction,
     cyclic_group,
     dihedral_group,
@@ -64,11 +63,6 @@ from .groups import (
     pair_stabilizer,
 )
 from .measures import (
-    DeltaFunction,
-    GroupMeasureFamily,
-    OrbitMeasureFamily,
-    PsiFunction,
-    StabilizerMeasureFamily,
     construct_normalized_families,
     counting_family,
     counting_stabilizer_family,

@@ -7,17 +7,15 @@ produce byte-identical files.  A scenario stores its group by its
 generating set S as the left and right multiplications λ_s and ρ_s,
 2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
 the dense table from λ_S with groups.table_from_generators, the builder
-the built-in groups use too, and checks it against both.
-"equicorr-scenario/1" files, which carried the full table, are refused.
+the built-in groups use too, and checks it against both.  A file under
+any other schema tag, /1 (the full table) or /2 (dense measure tables and
+theta entry lists) among them, is refused by its tag.
 A scenario stores each measure table (mu, nu, mubar and psi) as a fill
 and its exceptions, {"fill": f, "at": [flat indices], "values": [...]}:
 f is the table's most frequent bit pattern, and `at` lists, ascending in
 row-major order, the entries whose bit pattern differs from it, so -0.0
 and NaN round-trip exactly; the loader takes the shape from the action.
 Each theta is stored as its (|B|, |B|) `reps` table, -1 where undefined.
-"equicorr-scenario/2" files, whose measure tables are dense lists and
-whose thetas are lists of {c, b, element} entries, still load; each
-loader takes either form.
 The Scenario record lives here, beside its codec, so that loading a file
 never imports the scenario builders.
 Filters are stored per base point as sparse maps from group element to
@@ -29,12 +27,12 @@ than guessing; a document-level loader also reports a missing key or a
 value of the wrong JSON type as StructuralError.  An index is a JSON
 integer or, as an object key, its canonical decimal ("1", not "01",
 "+1" or " 1"; "0", not "-0"), so no two keys name one index; a key
-repeated in one object and a kernel or theta entry repeated at one
-(c, b) are rejected, not overwritten.
+repeated in one object and a kernel entry repeated at one (c, b) are
+rejected, not overwritten.
 
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
-float table (a `weights`, `values` or `act_matrix` list whose first entry
-is a float) into the ndarray the loaders would build from it, and each
+float table (a `values` or `act_matrix` list whose first entry is a
+float) into the ndarray the loaders would build from it, and each
 integer table (an action `table`, a group's `left` and `right`, a fill
 form's `at`, a theta's `reps`) whose every entry is a JSON integer into
 an int64 array, as the parser closes the object holding it, so a file's
@@ -59,7 +57,6 @@ import numpy as np
 from .bundles import EquivariantBundle, MackeySection, Section, _transport, trivial_bundle
 from .errors import DomainError, StructuralError
 from .groups import (
-    INDEX_DTYPE,
     FiniteGroup,
     GroupAction,
     _float_table,
@@ -80,7 +77,6 @@ from .transforms import Kernel, ThetaMap
 from .xcorr import Filter
 
 SCENARIO_SCHEMA = "equicorr-scenario/3"
-SCENARIO_SCHEMA_V2 = "equicorr-scenario/2"  # dense measure tables, theta entry lists; read only
 FILTER_SCHEMA = "equicorr-filter/1"
 KERNEL_SCHEMA = "equicorr-kernel/1"
 SECTION_SCHEMA = "equicorr-section/1"
@@ -281,13 +277,9 @@ def _fill_to_dict(table: np.ndarray) -> dict:
     return {"fill": float(fill.view(np.float64)), "at": at, "values": flat[at]}
 
 
-def _fill_from_dict(stored, shape: tuple[int, int], what: str):
-    """A stored measure table: the fill form, checked and expanded to shape,
-    or anything else (a dense nested list, or the array load_document made
-    of it) as it is, for the family's constructor to check."""
-    if not isinstance(stored, dict):
-        return stored
-    _require({"fill", "at", "values"} <= stored.keys(), f"{what} needs fill, at and values")
+def _fill_from_dict(stored, shape: tuple[int, int], what: str) -> np.ndarray:
+    """A stored measure table: the fill form, checked and expanded to shape."""
+    _require(isinstance(stored, dict) and {"fill", "at", "values"} <= stored.keys(), f"{what} needs fill, at and values")
     fill = _typed(stored["fill"], (int, float), f"{what} fill")
     at = _int_table(stored["at"], f"{what} at")
     size = shape[0] * shape[1]
@@ -401,14 +393,6 @@ def filter_to_dict(filt: Filter) -> dict:
     return {"schema": FILTER_SCHEMA, "compressed": False, "rows": rows}
 
 
-def compressed_filter_to_dict(filt: Filter) -> dict:
-    """The fundamental-domain form: the rows at the orbit representatives
-    only, each written even when it is empty; the loader carries them to
-    the rest of each orbit."""
-    rows = {str(b): _sparse_row(filt.matrices[:, b]) for b in filt.action.domain}
-    return {"schema": FILTER_SCHEMA, "compressed": True, "rows": rows}
-
-
 def _sparse_row(row: np.ndarray) -> dict:
     """{h: row[h]} over the h whose (dF, dE) matrix has a nonzero entry."""
     return {str(int(h)): row[h].tolist() for h in np.flatnonzero(np.any(row != 0.0, axis=(1, 2)))}
@@ -473,19 +457,9 @@ def theta_to_dict(theta: ThetaMap) -> dict:
 
 
 def theta_from_dict(doc: dict, action: GroupAction) -> ThetaMap:
-    """theta from its reps table, which ThetaMap range-checks, or from a
-    scenario/2 list of {c, b, element} entries."""
-    _require(isinstance(doc, dict) and ("reps" in doc or "entries" in doc), "theta needs a reps table or an entry list")
-    if "reps" in doc:
-        return ThetaMap(action, _int_table(doc["reps"], "theta reps"))
-    m = action.base_size
-    reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
-    for entry in doc["entries"]:
-        c = _index(entry["c"], m, "target point")
-        b = _index(entry["b"], m, "base point")
-        _require(reps[c, b] < 0, f"theta entry (c, b) = ({c}, {b}) repeated")
-        reps[c, b] = _index(entry["element"], action.group.order, "group element")
-    return ThetaMap(action, reps)
+    """theta from its reps table, which ThetaMap range-checks."""
+    _require(isinstance(doc, dict) and "reps" in doc, "theta needs a reps table")
+    return ThetaMap(action, _int_table(doc["reps"], "theta reps"))
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +568,7 @@ _INTEGER_EXTRAS = ("band_spacing", "eps_steps", "origin")  # dx and grid_step ma
 
 @_document_loader
 def scenario_from_dict(doc: dict) -> Scenario:
-    _require(isinstance(doc, dict), "document must be a JSON object")
-    schema = doc.get("schema")
-    _require(schema in (SCENARIO_SCHEMA, SCENARIO_SCHEMA_V2), f"expected schema {SCENARIO_SCHEMA!r}, got {schema!r}")
+    _expect_schema(doc, SCENARIO_SCHEMA)
     action = action_from_dict(doc["action"])
     input_bundle = bundle_from_dict(doc["input_bundle"], action)
     out_doc = doc.get("output_bundle", "same")
@@ -643,7 +615,7 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 # (key, type of the first entry, decoder) of the tables decoded in bulk:
 # the float tables, and the integer ones: the action table, the group's,
 # a fill form's exceptions and a theta's reps
-_TABLES = [(key, float, _float_array) for key in ("weights", "values", "act_matrix")]
+_TABLES = [(key, float, _float_array) for key in ("values", "act_matrix")]
 _TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "at", "reps")]
 _TABLE_KEYS = frozenset(key for key, _, _ in _TABLES)
 
@@ -689,5 +661,8 @@ def load_document(path: str) -> dict:
 
 
 def save_document(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc

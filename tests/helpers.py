@@ -1,18 +1,22 @@
-"""Scalar reference helpers and test-only oracles shared by the tests."""
+"""Scalar reference helpers and test-only oracles shared by the tests; the
+package itself calls none of them."""
 
 from __future__ import annotations
 
+import bisect
 import tracemalloc
 
 import numpy as np
 
-from equicorr.errors import StructuralError
+from equicorr.bundles import MackeySection, Section, _periodicity
+from equicorr.errors import PreconditionError, StructuralError
 from equicorr.groups import FiniteGroup, GroupAction, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
+from equicorr.reporting import ValidationReport, _count, _local, _worst, check_from_residual
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
-from equicorr.serialize import scenario_to_dict
-from equicorr.transforms import ThetaMap, lift_kernel_to_filter
+from equicorr.serialize import FILTER_SCHEMA, _sparse_row, scenario_to_dict
+from equicorr.transforms import lift_kernel_to_filter
 from equicorr.xcorr import Filter
 
 
@@ -29,17 +33,11 @@ def traced_peak(fn):
     return result, peak - base
 
 
-def theta_to_v2_dict(theta: ThetaMap) -> dict:
-    """theta as equicorr-scenario/2 stored it: a {c, b, element} entry per
-    defined (c, b), in row-major order."""
-    cs, bs = np.nonzero(theta.reps >= 0)
-    return {"entries": [{"c": int(c), "b": int(b), "element": int(theta.reps[c, b])} for c, b in zip(cs, bs)]}
-
-
 def scenario_to_v2_dict(scn: Scenario) -> dict:
-    """The scenario as an equicorr-scenario/2 document: the current document
-    with its measure tables as dense nested lists and each theta as its
-    entry list, all plain JSON values."""
+    """The scenario as an equicorr-scenario/2 document, a form the loader
+    refuses by its tag: the current document with its measure tables as
+    dense nested lists and each theta as a {c, b, element} entry per
+    defined (c, b), in row-major order, all plain JSON values."""
     doc = scenario_to_dict(scn)
     doc["schema"] = "equicorr-scenario/2"
     for key in ("mu", "nu", "mubar"):
@@ -47,8 +45,85 @@ def scenario_to_v2_dict(scn: Scenario) -> dict:
     if scn.psi is not None:
         doc["psi"] = {"values": scn.psi.values.tolist()}
     for name, theta in scn.thetas.items():
-        doc["thetas"][name] = theta_to_v2_dict(theta)
+        entries = [{"c": int(c), "b": int(b), "element": int(theta.reps[c, b])} for c, b in zip(*np.nonzero(theta.reps >= 0))]
+        doc["thetas"][name] = {"entries": entries}
     return doc
+
+
+def set_fill_entry(stored: dict, shape: tuple[int, int], i: int, j: int, value: float) -> None:
+    """Set entry (i, j) of a stored fill form of a table of that shape: the
+    flat index is inserted into `at` in order, or its value replaced."""
+    k = int(np.ravel_multi_index((i, j), shape))
+    at, values = [int(x) for x in stored["at"]], [float(v) for v in stored["values"]]
+    pos = bisect.bisect_left(at, k)
+    if pos < len(at) and at[pos] == k:
+        values[pos] = value
+    else:
+        at.insert(pos, k)
+        values.insert(pos, value)
+    stored.update(at=at, values=values)
+
+
+def act_on_section(g: int, f: Section) -> Section:
+    """(g.f)(b) = act_matrix(g, g^-1.b) @ f(g^-1.b)."""
+    action = f.bundle.action
+    src = action.table[action.group.inv[g]]
+    return Section(f.bundle, np.einsum("bij,bj->bi", f.bundle.act_matrix[g, src], f.values[src]))
+
+
+def mackey_to_section(m: MackeySection) -> Section:
+    """f(b) = m(e, b)."""
+    return Section(m.bundle, m.values[m.bundle.action.group.identity].copy())
+
+
+def act_on_mackey(g: int, m: MackeySection) -> MackeySection:
+    """(g.m)(h, b) = m(g^-1 h, b): pure index shuffle in the first slot."""
+    grp = m.bundle.action.group
+    return MackeySection(m.bundle, m.values[grp.cayley[grp.inv[g]]].copy())
+
+
+def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationReport:
+    """Residual of the periodicity law m(h, g.b) = act_matrix(g, b) @ m(h g, b),
+    measured as the distance from m to the section induced from its
+    identity slice:
+
+        R = max over (h, b) of |m(h, b) - act_matrix(h^-1, h.b) @ m(e, h.b)|,
+
+    with witness (h, b), the first pair attaining it.  Given the cocycle
+    law, which validate_bundle checks, R = 0 exactly when the law holds for
+    all g: h = e in the law gives the induced form, and every induced
+    section obeys the law.  With P the all-g residual of the law and a the
+    largest row sum of |act_matrix(g, b)|, R <= a P and P <= (1 + a) R.
+    Scanned one row block of h at a time, as the battery's Mackey check is.
+    """
+    worst, witness = _worst(_periodicity(m, _local))
+    report = ValidationReport()
+    report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
+    return report
+
+
+def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunction:
+    """psi(h, b) = psi0(h) for a nonnegative class function psi0 (constant on
+    conjugacy classes); conjugation compatibility is then automatic."""
+    grp = action.group
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grp.order,):
+        raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
+    # [h] -> psi0(g h g^-1) != psi0(h); the g that fix psi0 under conjugation
+    # are closed under products, so a generating set decides it exactly
+    _, witness = _count((lambda h: (g, h), values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values) for g in grp.generators)
+    if witness is not None:
+        raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
+    vals = np.repeat(values[:, None], action.base_size, axis=1)
+    return PsiFunction(action, vals)
+
+
+def compressed_filter_to_dict(filt: Filter) -> dict:
+    """The fundamental-domain form: the rows at the orbit representatives
+    only, each written even when it is empty; the loader carries them to
+    the rest of each orbit."""
+    rows = {str(b): _sparse_row(filt.matrices[:, b]) for b in filt.action.domain}
+    return {"schema": FILTER_SCHEMA, "compressed": True, "rows": rows}
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:

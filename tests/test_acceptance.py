@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from equicorr.battery import run_battery
-from equicorr.bundles import section_to_mackey, validate_mackey
+from equicorr.bundles import section_to_mackey
 from equicorr.groups import stabilizer
 from equicorr.measures import (
     construct_normalized_families,
@@ -47,7 +47,15 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import correlate_sections, cross_correlate
 
-from helpers import banded_support_shapes, check_fubini, mul, normalization_residual, random_group_function, scenario_lifts
+from helpers import (
+    banded_support_shapes,
+    check_fubini,
+    mul,
+    normalization_residual,
+    random_group_function,
+    scenario_lifts,
+    validate_mackey,
+)
 
 TOL = 1e-12
 

@@ -16,7 +16,7 @@ import pytest
 
 from equicorr import groups
 from equicorr.battery import _mackey_checks
-from equicorr.bundles import MackeySection, section_to_mackey, validate_mackey
+from equicorr.bundles import MackeySection, section_to_mackey
 from equicorr.groups import GroupAction, validate_action
 from equicorr.measures import (
     GroupMeasureFamily,
@@ -31,7 +31,7 @@ from equicorr.scenarios import build_scenario, derive_theta
 from equicorr.transforms import Kernel, ThetaMap, lift_kernel_to_filter, validate_kernel, validate_theta
 from equicorr.xcorr import cross_correlate
 
-from helpers import traced_peak
+from helpers import traced_peak, validate_mackey
 from test_stacked import FILTERS, KERNELS
 
 WHOLE, ROWS = 1 << 40, 1

@@ -15,15 +15,11 @@ from equicorr.bundles import (
     _movers,
     _orbit_slice,
     _transport,
-    act_on_mackey,
-    act_on_section,
-    mackey_to_section,
     representation_bundle,
     section_to_mackey,
     sign_bundle,
     trivial_bundle,
     validate_bundle,
-    validate_mackey,
 )
 from equicorr.errors import StructuralError
 from equicorr.groups import GroupAction, cyclic_group, orbits, stabilizer
@@ -36,7 +32,7 @@ from equicorr.sampling import random_sections
 from equicorr.transforms import Kernel, validate_kernel
 from equicorr.xcorr import Filter, validate_filter
 
-from helpers import conjugate, mul, traced_peak
+from helpers import act_on_mackey, act_on_section, conjugate, mackey_to_section, mul, traced_peak, validate_mackey
 
 
 def rotation_rep(n: int) -> np.ndarray:

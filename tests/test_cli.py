@@ -13,7 +13,6 @@ import pytest
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
-    compressed_filter_to_dict,
     dumps,
     kernel_from_dict,
     load_document,
@@ -25,7 +24,7 @@ from equicorr.serialize import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 
-from helpers import scenario_to_v2_dict, theta_to_v2_dict
+from helpers import compressed_filter_to_dict, scenario_to_v2_dict, set_fill_entry
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -49,6 +48,14 @@ def test_output_flag_trailing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["schema"] == "equicorr-report/1"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_output_path_that_cannot_be_written_exits_two(where, tmp_path, capsys):
+    target = tmp_path / "nonexistent" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "validate", "cyclic(4)", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_battery_subcommand(capsys):
@@ -148,9 +155,9 @@ def test_non_finite_psi_off_the_stabilizer_fails_the_stabilizer_check(tmp_path, 
     # column 1's total mass NaN, which is no mass; an inf total is mass
     scn = build_scenario("torus-bands(16)")
     assert scn.action.table[1, 1] != 1
-    doc = scenario_to_v2_dict(scn)
-    doc["psi"]["values"][scn.group.identity][1] = 0.0
-    doc["psi"]["values"][1][1] = value
+    doc = scenario_to_dict(scn)
+    set_fill_entry(doc["psi"]["values"], scn.psi.values.shape, scn.group.identity, 1, 0.0)
+    set_fill_entry(doc["psi"]["values"], scn.psi.values.shape, 1, 1, value)
     path = tmp_path / "psi.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, "validate", str(path))
@@ -196,9 +203,10 @@ INF_MEETS_INF = {
 @pytest.mark.parametrize("case", sorted(INF_MEETS_INF))
 def test_an_inf_meeting_an_inf_is_named_without_a_warning(tmp_path, capsys, case, command):
     family, cells, expected, battery_only = INF_MEETS_INF[case]
-    doc = scenario_to_v2_dict(build_scenario("torus-bands(12)"))
+    scn = build_scenario("torus-bands(12)")
+    doc = scenario_to_dict(scn)
     for i, j in cells:
-        doc["families"][family]["weights"][i][j] = math.inf
+        set_fill_entry(doc["families"][family]["weights"], getattr(scn, family).weights.shape, i, j, math.inf)
     path = tmp_path / f"{case}.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, command, str(path))
@@ -210,9 +218,10 @@ def test_an_inf_meeting_an_inf_is_named_without_a_warning(tmp_path, capsys, case
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
     (*where, i, j), value, expected = NON_FINITE[case]
-    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
-    table = functools.reduce(dict.__getitem__, where, doc)
-    table[i][j] = value
+    scn = build_scenario("torus-bands(16)")
+    doc = scenario_to_dict(scn)
+    table = scn.psi.values if where[0] == "psi" else getattr(scn, where[1]).weights
+    set_fill_entry(functools.reduce(dict.__getitem__, where, doc), table.shape, i, j, value)
     path = tmp_path / f"{case}.json"
     save_document(str(path), doc)
     assert json.dumps(value) in path.read_text(encoding="utf-8")  # JSON NaN or Infinity
@@ -227,9 +236,10 @@ def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
 
 def test_a_nan_does_not_hide_a_negative_weight(tmp_path, capsys):
     # a NaN alone loads (above); beside it a negative entry is still refused
-    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
-    weights = doc["families"]["mu"]["weights"]
-    weights[0][0], weights[1][1] = math.nan, -5.0
+    scn = build_scenario("torus-bands(16)")
+    doc = scenario_to_dict(scn)
+    set_fill_entry(doc["families"]["mu"]["weights"], scn.mu.weights.shape, 0, 0, math.nan)
+    set_fill_entry(doc["families"]["mu"]["weights"], scn.mu.weights.shape, 1, 1, -5.0)
     path = tmp_path / "negative.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, "validate", str(path))
@@ -298,8 +308,9 @@ def test_a_compressed_filter_keyed_off_the_domain_exits_two_naming_the_keys(tmp_
 
 
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
-    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
-    doc["families"]["mubar"]["weights"][0][1] *= 1.5
+    scn = build_scenario("torus-bands(16)")
+    doc = scenario_to_dict(scn)
+    set_fill_entry(doc["families"]["mubar"]["weights"], scn.mubar.weights.shape, 0, 1, scn.mubar.weights[0, 1] * 1.5)
     path = tmp_path / "mubar.json"
     save_document(str(path), doc)
     for command in ("validate", "battery"):
@@ -315,10 +326,11 @@ def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
     # the three checks that need the identity are reported skipped; the
     # projected kernel's own checks do not need it and still run
     skipped = ["lift.global.transform-agreement", "lift.special.transform-agreement", "projection.transform-agreement"]
-    doc = scenario_to_v2_dict(build_scenario("torus-bands(16)"))
+    scn = build_scenario("torus-bands(16)")
+    doc = scenario_to_dict(scn)
     names = []
     for scale in (1.0, 1.5):
-        doc["families"]["mubar"]["weights"][0][1] *= scale
+        set_fill_entry(doc["families"]["mubar"]["weights"], scn.mubar.weights.shape, 0, 1, scn.mubar.weights[0, 1] * scale)
         path = tmp_path / f"mubar-{scale}.json"
         save_document(str(path), doc)
         _, out, _ = run_cli(capsys, "battery", str(path))
@@ -357,12 +369,6 @@ def _mistype(row: list, kind: type) -> None:
     row[i] = row[i] + 0.5 if kind is float else bool(row[i])
 
 
-def _theta_entries(doc: dict) -> list:
-    """Store doc's derived theta as the /2 entry list, and return that list."""
-    doc["thetas"]["derived"] = theta_to_v2_dict(build_scenario(MALFORMED_SPEC).thetas["derived"])
-    return doc["thetas"]["derived"]["entries"]
-
-
 def _set_delta_value(doc: dict, value) -> None:
     row = doc["delta"]["by_base"]["0"]
     row[next(iter(row))] = value
@@ -372,7 +378,6 @@ MALFORMED = {
     "no-families": lambda doc: doc.pop("families"),
     "mu-number": lambda doc: doc["families"].update(mu=3),
     "ragged-action-table": lambda doc: doc["action"]["table"][0].pop(),
-    "theta-entry-without-c": lambda doc: _theta_entries(doc)[0].pop("c"),
     "filter-rows-list": lambda doc: doc["filter"].update(rows=list(doc["filter"]["rows"].values())),
     "bundle-without-act-matrix": lambda doc: doc["input_bundle"].pop("act_matrix"),
     # control: the family constructor rejects this shape itself
@@ -451,6 +456,16 @@ def test_v1_schema_file_exits_two_naming_its_schema(tmp_path, capsys):
     assert err == "error: expected schema 'equicorr-scenario/3', got 'equicorr-scenario/1'\n"
 
 
+def test_v2_schema_file_exits_two_naming_its_schema(tmp_path, capsys):
+    # an equicorr-scenario/2 file, whose measure tables are dense and whose
+    # thetas are entry lists, is refused by its tag
+    path = tmp_path / "v2.json"
+    save_document(str(path), scenario_to_v2_dict(build_scenario(MALFORMED_SPEC)))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: expected schema 'equicorr-scenario/3', got 'equicorr-scenario/2'\n"
+
+
 @pytest.mark.parametrize(
     "key, name, value",
     [
@@ -519,20 +534,13 @@ MALFORMED_ENCODINGS = {
     ),
     "reps-entry-past-order": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 8), "theta entry out of range"),
     "reps-entry-float": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 0.0), "theta reps entries must be"),
+    "reps-entry-true": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, True), "theta reps entries must be"),
     "reps-ragged": (lambda doc: doc["thetas"]["derived"]["reps"][0].pop(), "malformed document: ValueError"),
     # true is not the number 1.0, in a table whose first entry it is, which
     # load_document leaves a list, or further in, which load_document refuses
     "act-matrix-true-first": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (0, 0, 0, 0), True), _BOOL % "act_matrix"),
     "act-matrix-true-later": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (5, 2, 0, 0), True), _BOOL % "act_matrix"),
     "values-true": (lambda doc: _set(_nu(doc)["values"], (3,), True), _BOOL % "nu values"),
-    "dense-weights-true-first": (
-        lambda doc: doc["families"]["mu"].update(weights=[[True] + [1.0] * 7] + [[1.0] * 8] * 3),
-        _BOOL % "group family",
-    ),
-    "dense-weights-false-later": (
-        lambda doc: doc["families"]["mu"].update(weights=[[1.0] * 8] * 3 + [[1.0] * 7 + [False]]),
-        _BOOL % "group family",
-    ),
     "filter-matrix-true": (lambda doc: _set(doc["filter"]["rows"]["1"]["2"], (0, 0), True), _BOOL % "matrix"),
     "kernel-matrix-false": (lambda doc: _set(doc["kernel"]["entries"][0]["matrix"], (0, 0), False), _BOOL % "matrix"),
 }
@@ -628,7 +636,7 @@ def test_import_equicorr_loads_no_module_and_validate_leaves_the_builders_unload
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
     lines = proc.stderr.splitlines()
     assert lines[0] == "[]"
-    assert lines[-2:] == ["0 []", "[] True 76"]
+    assert lines[-2:] == ["0 []", "[] True 70"]
 
 
 MALFORMED_SPECS = [
@@ -737,13 +745,13 @@ def test_project_recovers_kernel_through_cli(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "battery", "lift"])
 @pytest.mark.parametrize("corrupt", ["bumped", "deleted"])
 def test_a_corrupted_theta_is_reported_not_raised(command, corrupt, tmp_path, capsys):
-    doc = scenario_to_v2_dict(build_scenario("torus-bands(12)"))
-    entries = doc["thetas"]["global"]["entries"]
-    assert (entries[0]["c"], entries[0]["b"]) == (0, 0)
+    doc = json.loads(dumps(scenario_to_dict(build_scenario("torus-bands(12)"))))
+    reps = doc["thetas"]["global"]["reps"]
+    assert reps[0][0] >= 0
     if corrupt == "bumped":
-        entries[0]["element"] += 1  # theta(0, 0).0 != 0
+        reps[0][0] += 1  # theta(0, 0).0 != 0
     else:
-        del entries[0]  # theta misses the kernel support pair (0, 0)
+        reps[0][0] = -1  # theta misses the kernel support pair (0, 0)
     path = tmp_path / "theta.json"
     save_document(str(path), doc)
     code, _, err = run_cli(capsys, command, str(path))

@@ -63,7 +63,9 @@ RETIRED_NAMES = (
     "_maxabs", "_argmax_coords", "_worst_of_grid", "_first_worst", "_worst_of_parts", "_count_of", "_count_over",
     "_worst_of_rows", "_count_of_rows", "stabilizer_mask", "coset_table", "fundamental_domain", "orbit", "Orbit",
     "CompressedFilter", "compress_filter", "expand_filter",
-    "_group_from_cayley", "SCENARIO_SCHEMA_V1", "_GROUP_LOADERS",
+    "_group_from_cayley", "SCENARIO_SCHEMA_V1", "_GROUP_LOADERS", "SCENARIO_SCHEMA_V2",
+    "act_on_section", "act_on_mackey", "mackey_to_section", "validate_mackey", "psi_from_class_function",
+    "compressed_filter_to_dict",
 )
 
 # public members that nothing in the package reads, kept on purpose: the
@@ -125,12 +127,34 @@ def test_every_module_level_definition_is_used_or_exported():
     assert sorted(set(unused) - UNREAD_MEMBERS) == []
 
 
+def test_every_top_level_import_is_read_or_exported():
+    # a name a module imports and never reads is an import that nothing
+    # needs, unless the package exports it from that module, as it exports
+    # transforms.filter_operator; __future__ imports are exempt
+    package = Path(equicorr.__file__).parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set(equicorr._EXPORTS.get(path.stem, ()))
+        unread += [f"{path.stem}.{name}" for name in sorted(bound - read - exported)]
+    assert unread == []
+
+
 def test_the_retired_scan_helpers_are_gone():
     # every residual and witness comes from reporting._worst or _count, every
     # Stab(b), orbit and fundamental domain from the action's derived tables,
     # and a compressed filter is a document form that the loader expands
     # through bundles._transport, while _orbit_slice only validates; a
-    # scenario's group loads from its generators alone, with its identity
+    # scenario's group loads from its generators alone, with its identity;
+    # a scenario loads from its /3 form alone, and the oracles only the
+    # tests call live in tests/helpers.py
     modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
     assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_NAMES if hasattr(m, n)] == []
     assert "carried" not in inspect.signature(bundles._orbit_slice).parameters

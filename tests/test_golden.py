@@ -2,8 +2,7 @@
 match the saved output under tests/golden/ byte for byte, the stdout of a
 few larger ones must keep the sha256 in battery-sha256.json and
 writers-sha256.json, and the saved scenario file of a few specs must keep
-the sha256 in scenario-sha256.json; the same specs written as
-equicorr-scenario/2 documents keep those in scenario-v2-sha256.json.
+the sha256 in scenario-sha256.json.
 
 A change may regenerate a golden file only when it says which bytes moved
 and why; a speed-up that claims identical arithmetic must leave them all.
@@ -20,8 +19,6 @@ import pytest
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import dumps, scenario_to_dict
-
-from helpers import scenario_to_v2_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -86,14 +83,3 @@ SCENARIO_HASHES = json.loads((GOLDEN / "scenario-sha256.json").read_text())
 def test_saved_scenario_bytes_match_golden(spec):
     text = dumps(scenario_to_dict(build_scenario(spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_HASHES[spec]
-
-
-# the /2 writer of tests/helpers.py, pinned to the bytes the program wrote
-# before the measure tables took the fill form and theta its reps table
-V2_HASHES = json.loads((GOLDEN / "scenario-v2-sha256.json").read_text())
-
-
-@pytest.mark.parametrize("spec", sorted(V2_HASHES))
-def test_v2_scenario_bytes_match_golden(spec):
-    text = dumps(scenario_to_v2_dict(build_scenario(spec)))
-    assert hashlib.sha256(text.encode()).hexdigest() == V2_HASHES[spec]

@@ -350,9 +350,9 @@ def test_action_rejects_out_of_range():
 
 
 # int64 entries past INDEX_DTYPE (int16) and past int32: 2^16 and 2^32
-# narrow to 0, the true entry at each site below, so a cast before the range
-# check would pass a corrupted table as the valid one; n + 2^16 and n + 2^32
-# narrow to n
+# narrow to 0, the true entry at [1, 3] of a table and [0] of the inverses,
+# so a cast before the range check would pass a corrupted table as the valid
+# one; n + 2^16 and n + 2^32 narrow to n
 WRAPPING = [2**16, 4 + 2**16, 2**32, 4 + 2**32]
 
 
@@ -364,7 +364,11 @@ def test_group_entry_past_index_dtype_is_refused(value):
     bad[1, 3] = value  # 1 + 3 = 0 mod 4
     with pytest.raises(StructuralError):
         FiniteGroup(labels, bad, inv, 0)
-    with pytest.raises(StructuralError):
+    # at [1, 3], row 1's only identity, the inverse search would fail first;
+    # at [1, 2] row 1 keeps its inverse, so the range check is what refuses
+    bad = cayley.copy()
+    bad[1, 2] = value
+    with pytest.raises(StructuralError, match="cayley table entry out of range"):
         group_from_tables(labels, bad, 0)
     bad = inv.copy()
     bad[0] = value  # the identity is its own inverse

@@ -17,7 +17,6 @@ from equicorr.measures import (
     counting_stabilizer_family,
     dirac_delta,
     fubini_pointwise_residual,
-    psi_from_class_function,
     psi_indicator_identity,
     solve_orbit_family,
     solve_orbit_measure,
@@ -28,7 +27,7 @@ from equicorr.measures import (
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 
-from helpers import check_fubini, mul, normalization_residual, random_group_function, traced_peak
+from helpers import check_fubini, mul, normalization_residual, psi_from_class_function, random_group_function, traced_peak
 
 
 def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:

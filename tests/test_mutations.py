@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from equicorr.battery import _mackey_checks
-from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle, validate_mackey
+from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle
 from equicorr.cli import main
 from equicorr.errors import PreconditionError, StructuralError
 from equicorr.groups import (
@@ -46,7 +46,6 @@ from equicorr.measures import (
     OrbitMeasureFamily,
     PsiFunction,
     StabilizerMeasureFamily,
-    psi_from_class_function,
     validate_delta,
     validate_families,
     validate_psi,
@@ -57,6 +56,8 @@ from equicorr.scenarios import build_scenario
 from equicorr.serialize import dumps, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, ThetaMap, filter_operator, operator_equivariance_residual, validate_kernel, validate_theta
 from equicorr.xcorr import Filter, validate_filter
+
+from helpers import psi_from_class_function, validate_mackey
 
 SEEDS = range(10)
 

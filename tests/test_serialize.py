@@ -25,7 +25,6 @@ from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
-    compressed_filter_to_dict,
     dumps,
     filter_from_dict,
     filter_to_dict,
@@ -45,7 +44,7 @@ from equicorr.serialize import (
 )
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
-from helpers import scenario_to_v2_dict, traced_peak
+from helpers import compressed_filter_to_dict, scenario_to_v2_dict, traced_peak
 
 
 def roundtrip(doc: dict) -> dict:
@@ -75,7 +74,7 @@ def test_v1_documents_are_refused_by_their_tag(spec):
     # equicorr-scenario/1 stored the group as the full Cayley table; the tag
     # alone refuses the file, whichever group form it holds
     scn = build_scenario(spec)
-    doc = roundtrip(scenario_to_v2_dict(scn))
+    doc = roundtrip(scenario_to_dict(scn))
     assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
     refused = "^expected schema 'equicorr-scenario/3', got 'equicorr-scenario/1'$"
@@ -232,11 +231,6 @@ def test_malformed_documents_rejected(bands16):
     with pytest.raises(StructuralError):
         scenario_from_dict(bad_matrix)
 
-    bad_theta = roundtrip(scenario_to_v2_dict(bands16))
-    bad_theta["thetas"]["global"]["entries"][0]["element"] = 10_000
-    with pytest.raises(StructuralError):
-        scenario_from_dict(bad_theta)
-
     bad_reps = roundtrip(good)
     bad_reps["thetas"]["global"]["reps"][0][0] = 10_000
     with pytest.raises(StructuralError, match="theta entry out of range"):
@@ -259,8 +253,8 @@ def test_load_document_errors(tmp_path):
 
 
 def _cyclic4_doc() -> dict:
-    """cyclic(4) as a /2 document, whose thetas are entry lists."""
-    return roundtrip(scenario_to_v2_dict(build_scenario("cyclic(4)")))
+    """cyclic(4) as a plain JSON document."""
+    return roundtrip(scenario_to_dict(build_scenario("cyclic(4)")))
 
 
 @pytest.mark.parametrize("key", ["00", "01", "+1", " 1", "1.0", "\u0661", "-0"])
@@ -294,27 +288,15 @@ def test_a_repeated_kernel_entry_is_rejected():
         scenario_from_dict(doc)
 
 
-def test_a_repeated_theta_entry_is_rejected():
-    doc = _cyclic4_doc()
-    name, theta = next(iter(doc["thetas"].items()))
-    entries = theta["entries"]
-    entries.append(dict(entries[2]))
-    c, b = entries[2]["c"], entries[2]["b"]
-    with pytest.raises(StructuralError, match=re.escape(f"theta entry (c, b) = ({c}, {b}) repeated")):
-        scenario_from_dict(doc)
-
-
 @pytest.mark.parametrize("value", [True, False, 1.0])
-@pytest.mark.parametrize("where", ["identity", "kernel", "theta"])
+@pytest.mark.parametrize("where", ["identity", "kernel"])
 def test_a_bool_or_float_index_is_rejected(where, value):
     # a JSON true used to load as index 1
     doc = _cyclic4_doc()
     if where == "identity":
         doc["action"]["group"]["identity"] = value
-    elif where == "kernel":
-        doc["kernel"]["entries"][0]["c"] = value
     else:
-        next(iter(doc["thetas"].values()))["entries"][0]["element"] = value
+        doc["kernel"]["entries"][0]["c"] = value
     with pytest.raises(StructuralError, match=re.escape(f"index {value!r} is not an integer")):
         scenario_from_dict(doc)
 
@@ -456,19 +438,6 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
     assert dumps(doc) == text  # a loaded document saves back to the same bytes
 
 
-@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
-def test_a_v2_document_and_its_v3_file_load_bitwise_equal(spec, tmp_path):
-    scn = build_scenario(spec)
-    path = tmp_path / "scenario.json"
-    save_document(str(path), scenario_to_dict(scn))
-    v2, v3 = _arrays(scenario_from_dict(scenario_to_v2_dict(scn))), _arrays(scenario_from_dict(load_document(str(path))))
-    assert v2.keys() == v3.keys()
-    for name, array in v3.items():
-        ref = v2[name]
-        assert (array.dtype, array.shape) == (ref.dtype, ref.shape), name
-        assert array.tobytes() == ref.tobytes(), name
-
-
 _BITS = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf, 5e-324])
 
 
@@ -537,7 +506,7 @@ def test_a_float_table_decodes_exactly_when_every_entry_is_a_number(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"weights": table}))
+            fh.write(json.dumps({"values": table}))
         doc = load_document(path)
     parsed = json.loads(json.dumps(table))
     try:
@@ -546,7 +515,7 @@ def test_a_float_table_decodes_exactly_when_every_entry_is_a_number(table):
         regular = False
     numbers = {type(leaf) for leaf in _leaves(parsed)} <= {float, int}
     decodes = regular and numbers and type(_leaves(parsed)[0]) is float
-    assert isinstance(doc["weights"], np.ndarray) == decodes
+    assert isinstance(doc["values"], np.ndarray) == decodes
 
 
 def test_the_fill_values_and_a_filter_matrix_refuse_a_bool():

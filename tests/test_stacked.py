@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.bundles import MackeySection, Section, act_on_section, representation_bundle, section_to_mackey, trivial_bundle
+from equicorr.bundles import MackeySection, Section, representation_bundle, section_to_mackey, trivial_bundle
 from equicorr.groups import GroupAction
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr import sampling
@@ -24,7 +24,7 @@ from equicorr.scenarios import build_scenario, dihedral_vertex_action
 from equicorr.transforms import filter_operator, kernel_operator, lift_kernel_to_filter, operator_equivariance_residual
 from equicorr.xcorr import Filter, correlate_sections, cross_correlate
 
-from helpers import basis_filter_operator, counting_orbit_family, loop_correlate_sections
+from helpers import act_on_section, basis_filter_operator, counting_orbit_family, loop_correlate_sections
 
 BUILTINS = ["cyclic(8)", "dihedral(4, bundle=sign)", "torus(6)", "torus-bands(16)", "circle-grid(16)", "line-grid(5, dx=0.2)"]
 

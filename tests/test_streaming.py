@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from equicorr.battery import _filter_checks, _mackey_checks
-from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle, validate_mackey
+from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle
 from equicorr.groups import GroupAction, cyclic_group
 from equicorr.measures import GroupMeasureFamily, counting_family
 from equicorr.reporting import check_from_residual
@@ -34,6 +34,7 @@ from equicorr.scenarios import build_scenario
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
+from helpers import validate_mackey
 from test_stacked import BUILTINS, FILTERS, basis_sections
 
 TOL = 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equicorr.battery import _lift_checks
-from equicorr.bundles import Section, act_on_section
+from equicorr.bundles import Section
 from equicorr.errors import StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
 from equicorr.measures import (
@@ -34,7 +34,7 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import Filter, correlate_sections, validate_filter
 
-from helpers import coset_project_filter_to_kernel, mul, scenario_lifts
+from helpers import act_on_section, coset_project_filter_to_kernel, mul, scenario_lifts
 from test_streaming import two_orbit_filter
 
 

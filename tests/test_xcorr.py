@@ -5,16 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from equicorr.bundles import act_on_mackey, mackey_to_section, section_to_mackey, trivial_bundle, validate_mackey
+from equicorr.bundles import section_to_mackey, trivial_bundle
 from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
-from equicorr.serialize import compressed_filter_to_dict, dumps, filter_from_dict
+from equicorr.serialize import dumps, filter_from_dict
 from equicorr.transforms import Kernel, filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, correlate_sections, cross_correlate, validate_filter
 
-from helpers import mul
+from helpers import act_on_mackey, compressed_filter_to_dict, mackey_to_section, mul, validate_mackey
 from test_stacked import ref_convolve
 from test_streaming import two_orbit_filter
 
