@@ -50,10 +50,24 @@ def test_output_flag_trailing(tmp_path, capsys):
     assert json.loads(target.read_text())["schema"] == "equicorr-report/1"
 
 
+# every subcommand writes its -o file through save_document
+OUTPUT_COMMANDS = {
+    "validate": ("validate", "cyclic(4)"),
+    "battery": ("battery", "cyclic(4)"),
+    "xcorr": ("xcorr", "cyclic(4)"),
+    "transform": ("transform", "cyclic(4)"),
+    "lift": ("lift", "cyclic(4)"),
+    "project": ("project", "cyclic(4)"),
+    "demo-degeneracy": ("demo", "degeneracy", "--sizes", "4"),
+    "demo-quadrature": ("demo", "quadrature", "--levels", "2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_an_output_path_that_cannot_be_written_exits_two(where, tmp_path, capsys):
+def test_an_output_path_that_cannot_be_written_exits_two(where, command, tmp_path, capsys):
     target = tmp_path / "nonexistent" / "x.json" if where == "missing-directory" else tmp_path
-    code, out, err = run_cli(capsys, "validate", "cyclic(4)", "-o", str(target))
+    code, out, err = run_cli(capsys, *OUTPUT_COMMANDS[command], "-o", str(target))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
@@ -512,6 +526,13 @@ def _set(table, at: tuple[int, ...], value) -> None:
 
 _BOOL = "%s holds a JSON true or false, not a number"
 
+
+@functools.cache
+def _v2_doc() -> dict:
+    """MALFORMED_SPEC as an equicorr-scenario/2 document, in plain JSON."""
+    return json.loads(dumps(scenario_to_v2_dict(build_scenario(MALFORMED_SPEC))))
+
+
 # each malformed fill form, reps table or float table of MALFORMED_SPEC -> a part of its one error line
 MALFORMED_ENCODINGS = {
     "fill-true": (lambda doc: _nu(doc).update(fill=True), "nu fill True is not int or float"),
@@ -536,6 +557,15 @@ MALFORMED_ENCODINGS = {
     "reps-entry-float": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, 0.0), "theta reps entries must be"),
     "reps-entry-true": (lambda doc: doc["thetas"]["derived"]["reps"][0].__setitem__(0, True), "theta reps entries must be"),
     "reps-ragged": (lambda doc: doc["thetas"]["derived"]["reps"][0].pop(), "malformed document: ValueError"),
+    # a table of the equicorr-scenario/2 form inside a /3 document: a dense measure table, a theta entry list
+    **{
+        f"{name}-dense-list": (
+            lambda doc, name=name: doc["families"][name].update(weights=_v2_doc()["families"][name]["weights"]),
+            f"{name} needs fill, at and values",
+        )
+        for name in ("mu", "nu", "mubar")
+    },
+    "theta-entry-list": (lambda doc: doc["thetas"].update(derived=_v2_doc()["thetas"]["derived"]), "theta needs a reps table"),
     # true is not the number 1.0, in a table whose first entry it is, which
     # load_document leaves a list, or further in, which load_document refuses
     "act-matrix-true-first": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (0, 0, 0, 0), True), _BOOL % "act_matrix"),

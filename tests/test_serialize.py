@@ -289,15 +289,19 @@ def test_a_repeated_kernel_entry_is_rejected():
 
 
 @pytest.mark.parametrize("value", [True, False, 1.0])
-@pytest.mark.parametrize("where", ["identity", "kernel"])
+@pytest.mark.parametrize("where", ["identity", "kernel", "theta"])
 def test_a_bool_or_float_index_is_rejected(where, value):
     # a JSON true used to load as index 1
     doc = _cyclic4_doc()
+    message = f"index {value!r} is not an integer"
     if where == "identity":
         doc["action"]["group"]["identity"] = value
-    else:
+    elif where == "kernel":
         doc["kernel"]["entries"][0]["c"] = value
-    with pytest.raises(StructuralError, match=re.escape(f"index {value!r} is not an integer")):
+    else:
+        next(iter(doc["thetas"].values()))["reps"][0][0] = value
+        message = "theta reps entries must be JSON integers"
+    with pytest.raises(StructuralError, match=re.escape(message)):
         scenario_from_dict(doc)
 
 
@@ -436,6 +440,17 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
         assert (array.dtype, array.shape) == (ref.dtype, ref.shape), name
         assert array.tobytes() == ref.tobytes(), name
     assert dumps(doc) == text  # a loaded document saves back to the same bytes
+
+
+@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
+def test_a_v2_file_is_refused_by_its_tag(spec, tmp_path):
+    # equicorr-scenario/2 stored dense measure tables and theta entry lists;
+    # the tag alone refuses the file, before any of its tables is read
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_v2_dict(build_scenario(spec)))
+    refused = "^expected schema 'equicorr-scenario/3', got 'equicorr-scenario/2'$"
+    with pytest.raises(StructuralError, match=refused):
+        scenario_from_dict(load_document(str(path)))
 
 
 _BITS = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf, 5e-324])
