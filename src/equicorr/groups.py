@@ -94,15 +94,22 @@ def _leaf_types(table, depth: int) -> set[type]:
     return set(map(type, table))
 
 
+# JSON values that numpy would read as a float: true as 1.0, "1" as 1.0, null as NaN
+_NOT_NUMBERS = {bool: "true or false", str: "string", type(None): "null"}
+
+
 def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
     """values as a float array after checking its shape; non-finite entries
-    are kept for the validators to name.  A nested list may hold no bool:
-    a JSON true is not the number 1.0."""
+    are kept for the validators to name.  A nested list may hold no bool,
+    string or None: a JSON true is not the number 1.0."""
     table = np.asarray(values, dtype=float)
     if table.shape != shape:
         raise StructuralError(f"{what} shape {table.shape}, expected {shape}")
-    if not isinstance(values, np.ndarray) and bool in _leaf_types(values, len(shape)):
-        raise StructuralError(f"{what} holds a JSON true or false, not a number")
+    if not isinstance(values, np.ndarray):
+        leaves = _leaf_types(values, len(shape))
+        named = [word for kind, word in _NOT_NUMBERS.items() if kind in leaves]
+        if named:
+            raise StructuralError(f"{what} holds a JSON {named[0]}, not a number")
     return table
 
 

@@ -1,34 +1,30 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/3" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/4" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
-produce byte-identical files.  A scenario stores its group by its
-generating set S as the left and right multiplications λ_s and ρ_s,
+produce byte-identical files; a document under any other tag, an older
+form among them, is refused by its tag.  A scenario stores its group by
+its generating set S as the left and right multiplications λ_s and ρ_s,
 2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
 the dense table from λ_S with groups.table_from_generators, the builder
-the built-in groups use too, and checks it against both.  A file under
-any other schema tag, /1 (the full table) or /2 (dense measure tables and
-theta entry lists) among them, is refused by its tag.
-A scenario stores each measure table (mu, nu, mubar and psi) as a fill
-and its exceptions, {"fill": f, "at": [flat indices], "values": [...]}:
-f is the table's most frequent bit pattern, and `at` lists, ascending in
-row-major order, the entries whose bit pattern differs from it, so -0.0
-and NaN round-trip exactly; the loader takes the shape from the action.
-Each theta is stored as its (|B|, |B|) `reps` table, -1 where undefined.
-The Scenario record lives here, beside its codec, so that loading a file
-never imports the scenario builders.
-Filters are stored per base point as sparse maps from group element to
-matrix; the compressed form stores rows only at orbit representatives,
-says so with a "compressed" flag, and loads as the full Filter.
-Kernels are entry lists over their support.  Loading validates shapes
-and index ranges and raises StructuralError on malformed input rather
-than guessing; a document-level loader also reports a missing key or a
-value of the wrong JSON type as StructuralError.  An index is a JSON
-integer or, as an object key, its canonical decimal ("1", not "01",
-"+1" or " 1"; "0", not "-0"), so no two keys name one index; a key
-repeated in one object and a kernel entry repeated at one (c, b) are
-rejected, not overwritten.
+the built-in groups use too, and checks it against both.
+Every sparse float table (the filter, the kernel, delta, mu, nu, mubar
+and psi) is stored whole as a fill and its exceptions, {"fill": f, "at":
+[flat indices], "values": [...]}: f is the table's most frequent bit
+pattern, and `at` lists, ascending in row-major order, the entries whose
+bit pattern differs from it, so -0.0 and NaN round-trip exactly; the
+loader takes the shape from the action and the fiber dimensions.  A
+filter document whose "compressed" flag is true holds only the columns
+at the orbit representatives, (|G|, k, dF, dE), and loads as the full
+Filter.  Each theta is stored as its (|B|, |B|) `reps` table, -1 where
+undefined.  The Scenario record lives here, beside its codec, so that
+loading a file never imports the scenario builders.
+Loading validates shapes and index ranges and raises StructuralError on
+malformed input rather than guessing; a document-level loader also
+reports a missing key or a value of the wrong JSON type as
+StructuralError.  An index is a JSON integer, and a key repeated in one
+JSON object is rejected, not overwritten.
 
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
 float table (a `values` or `act_matrix` list whose first entry is a
@@ -49,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import json
-import re
+import math
 import sys
 
 import numpy as np
@@ -76,9 +72,9 @@ from .reporting import ValidationReport
 from .transforms import Kernel, ThetaMap
 from .xcorr import Filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/3"
-FILTER_SCHEMA = "equicorr-filter/1"
-KERNEL_SCHEMA = "equicorr-kernel/1"
+SCENARIO_SCHEMA = "equicorr-scenario/4"
+FILTER_SCHEMA = "equicorr-filter/2"
+KERNEL_SCHEMA = "equicorr-kernel/2"
 SECTION_SCHEMA = "equicorr-section/1"
 MACKEY_SCHEMA = "equicorr-mackey-section/1"
 REPORT_SCHEMA = "equicorr-report/1"
@@ -259,7 +255,7 @@ def bundle_from_dict(doc: dict, action: GroupAction) -> EquivariantBundle:
 
 
 # ---------------------------------------------------------------------------
-# measure families
+# sparse float tables and measure families
 
 
 def _fill_to_dict(table: np.ndarray) -> dict:
@@ -277,19 +273,21 @@ def _fill_to_dict(table: np.ndarray) -> dict:
     return {"fill": float(fill.view(np.float64)), "at": at, "values": flat[at]}
 
 
-def _fill_from_dict(stored, shape: tuple[int, int], what: str) -> np.ndarray:
-    """A stored measure table: the fill form, checked and expanded to shape."""
+def _fill_from_dict(stored, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A stored table: the fill form, checked and expanded to shape."""
     _require(isinstance(stored, dict) and {"fill", "at", "values"} <= stored.keys(), f"{what} needs fill, at and values")
-    fill = _typed(stored["fill"], (int, float), f"{what} fill")
+    fill = float(_typed(stored["fill"], (int, float), f"{what} fill"))
     at = _int_table(stored["at"], f"{what} at")
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     _require(at.ndim == 1, f"{what} at must be a flat list of indices")
     bad = np.flatnonzero((at < 0) | (at >= size) | np.concatenate(([False], at[1:] <= at[:-1])))
     if bad.size:  # repeated or out of order, or no entry of the table
         i = int(bad[0])
         raise StructuralError(f"{what} at[{i}] = {at[i]} is outside [0, {size}) or not above the entry before it")
     values = _float_table(stored["values"], f"{what} values", at.shape)
-    table = np.full(size, float(fill))
+    table = np.zeros(size)  # calloc: a +0.0 fill, as the sparse tables have, touches no page
+    if np.float64(fill).view(np.int64):
+        table.fill(fill)
     table[at] = values
     return table.reshape(shape)
 
@@ -310,32 +308,6 @@ def families_from_dict(doc: dict, action: GroupAction):
     nu = StabilizerMeasureFamily(action, _fill_from_dict(doc["nu"]["weights"], (m, n), "nu"))
     mubar = OrbitMeasureFamily(action, _fill_from_dict(doc["mubar"]["weights"], (m, m), "mubar"))
     return mu, nu, mubar
-
-
-def psi_to_dict(psi: PsiFunction) -> dict:
-    return {"values": _fill_to_dict(psi.values)}
-
-
-def delta_to_dict(delta: DeltaFunction) -> dict:
-    out: dict[str, dict[str, float]] = {}
-    hs, bs = np.nonzero(delta.values != 0.0)  # values are (group, base)
-    for h, b in zip(hs, bs):
-        out.setdefault(str(int(b)), {})[str(int(h))] = float(delta.values[h, b])
-    return {"by_base": out}
-
-
-def delta_from_dict(doc: dict, action: GroupAction) -> DeltaFunction:
-    _require(isinstance(doc, dict) and "by_base" in doc, "delta needs a by_base map")
-    values = np.zeros((action.group.order, action.base_size))
-    for b_key, row in doc["by_base"].items():
-        b = _index(b_key, action.base_size, "base point")
-        for h_key, v in row.items():
-            h = _index(h_key, action.group.order, "group element")
-            values[h, b] = _typed(v, (int, float), "delta value")
-    return DeltaFunction(action, values)
-
-
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _typed(value, types: tuple[type, ...], what: str):
@@ -372,12 +344,8 @@ def _int_table(table, what: str) -> np.ndarray:
 
 
 def _index(key: object, bound: int, what: str) -> int:
-    """key as an index in [0, bound): a JSON integer, not a bool or a float,
-    or an object key that is the canonical decimal of one, so that no two
-    keys of one object name the same index."""
-    if type(key) is str and _DECIMAL.fullmatch(key):
-        key = int(key)
-    _require(type(key) is int, f"{what} index {key!r} is not an integer or the canonical decimal of one")
+    """key as an index in [0, bound): a JSON integer, not a bool or a float."""
+    _require(type(key) is int, f"{what} index {key!r} is not an integer")
     _require(0 <= key < bound, f"{what} index {key} out of range [0, {bound})")
     return key
 
@@ -387,68 +355,40 @@ def _index(key: object, bound: int, what: str) -> int:
 
 
 def filter_to_dict(filt: Filter) -> dict:
-    """Rows {b: {h: matrix}} over the nonzero matrices, ascending, at the
-    base points with support."""
-    rows = {str(b): row for b in range(filt.action.base_size) if (row := _sparse_row(filt.matrices[:, b]))}
-    return {"schema": FILTER_SCHEMA, "compressed": False, "rows": rows}
-
-
-def _sparse_row(row: np.ndarray) -> dict:
-    """{h: row[h]} over the h whose (dF, dE) matrix has a nonzero entry."""
-    return {str(int(h)): row[h].tolist() for h in np.flatnonzero(np.any(row != 0.0, axis=(1, 2)))}
+    """The whole (|G|, |B|, dF, dE) table in the fill form."""
+    return {"schema": FILTER_SCHEMA, "compressed": False, "matrices": _fill_to_dict(filt.matrices)}
 
 
 @_document_loader
 def filter_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle) -> Filter:
     _expect_schema(doc, FILTER_SCHEMA)
     action = input_bundle.action
-    n, m = action.group.order, action.base_size
-    de, df = input_bundle.dmax, output_bundle.dmax
-    matrices = np.zeros((n, m, df, de))
-    keys = []
-    for b_key, row in doc.get("rows", {}).items():  # one decoded row alive at a time
-        keys.append(_index(b_key, m, "base point"))
-        matrices[:, keys[-1]] = _dense_row(row, n, df, de)
-    if doc.get("compressed"):
-        reps = list(action.domain)
-        _require(sorted(keys) == reps, f"compressed rows keyed {sorted(keys)}, expected orbit reps {reps}")
+    n, m, domain = action.group.order, action.base_size, list(action.domain)
+    dims = (output_bundle.dmax, input_bundle.dmax)
+    compressed = _typed(doc["compressed"], (bool,), "filter compressed")
+    matrices = _fill_from_dict(doc["matrices"], (n, len(domain) if compressed else m, *dims), "filter")
+    if compressed:
+        stored, matrices = matrices, np.zeros((n, m, *dims))
+        matrices[:, domain] = stored
         # omega(h', k.b) = actF(k, b) @ omega(k^-1 h' k, b) @ actE(k^-1, k.b) off
         # the domain, k the coset representative: the one table satisfying
-        # the law with the stored rows whenever one exists.  The loader
-        # decides no law: a row that breaks its stabilizer slice loads as
+        # the law with the stored columns whenever one exists.  The loader
+        # decides no law: a column that breaks its stabilizer slice loads as
         # given, and validate_filter names it, as it names any defect
         _transport(matrices, action, True, output_bundle.act_matrix, input_bundle.act_matrix)
     return Filter(input_bundle, output_bundle, matrices)
 
 
-def _dense_row(row: dict, n: int, df: int, de: int) -> np.ndarray:
-    """The (|G|, dF, dE) table of a {h: matrix} row, zero elsewhere."""
-    out = np.zeros((n, df, de))
-    for h_key, entry in row.items():
-        out[_index(h_key, n, "group element")] = _float_table(entry, "matrix", (df, de))
-    return out
-
-
 def kernel_to_dict(kern: Kernel) -> dict:
-    cs, bs = np.nonzero(kern.support)  # row-major
-    entries = [{"c": int(c), "b": int(b), "matrix": kern.matrices[c, b].tolist()} for c, b in zip(cs, bs)]
-    return {"schema": KERNEL_SCHEMA, "entries": entries}
+    """The whole (|B|, |B|, dF, dE) table in the fill form."""
+    return {"schema": KERNEL_SCHEMA, "matrices": _fill_to_dict(kern.matrices)}
 
 
 @_document_loader
 def kernel_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle) -> Kernel:
     _expect_schema(doc, KERNEL_SCHEMA)
     m = input_bundle.action.base_size
-    de, df = input_bundle.dmax, output_bundle.dmax
-    matrices = np.zeros((m, m, df, de))
-    seen = np.zeros((m, m), dtype=bool)
-    for entry in doc.get("entries", []):
-        _require(isinstance(entry, dict) and {"c", "b", "matrix"} <= set(entry), "kernel entry needs c, b, matrix")
-        c = _index(entry["c"], m, "target point")
-        b = _index(entry["b"], m, "base point")
-        _require(not seen[c, b], f"kernel entry (c, b) = ({c}, {b}) repeated")
-        seen[c, b] = True
-        matrices[c, b] = _float_table(entry["matrix"], "matrix", (df, de))
+    matrices = _fill_from_dict(doc["matrices"], (m, m, output_bundle.dmax, input_bundle.dmax), "kernel")
     return Kernel(input_bundle, output_bundle, matrices)
 
 
@@ -549,9 +489,9 @@ def scenario_to_dict(scn: Scenario) -> dict:
     else:
         doc["output_bundle"] = bundle_to_dict(scn.output_bundle)
     if scn.psi is not None:
-        doc["psi"] = psi_to_dict(scn.psi)
+        doc["psi"] = {"values": _fill_to_dict(scn.psi.values)}
     if scn.delta is not None:
-        doc["delta"] = delta_to_dict(scn.delta)
+        doc["delta"] = {"values": _fill_to_dict(scn.delta.values)}
     if scn.filt is not None:
         doc["filter"] = filter_to_dict(scn.filt)
     if scn.kernel is not None:
@@ -585,10 +525,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         mubar,
     )
     _typed(scn.params.get("n", 0), (int,), "params n")  # the battery's scenario checks compute with n and extras
+    shape = (action.group.order, action.base_size)
     if "psi" in doc:
-        scn.psi = PsiFunction(action, _fill_from_dict(doc["psi"]["values"], (action.group.order, action.base_size), "psi"))
+        scn.psi = PsiFunction(action, _fill_from_dict(doc["psi"]["values"], shape, "psi"))
     if "delta" in doc:
-        scn.delta = delta_from_dict(doc["delta"], action)
+        scn.delta = DeltaFunction(action, _fill_from_dict(doc["delta"]["values"], shape, "delta"))
     if "filter" in doc:
         scn.filt = filter_from_dict(doc["filter"], input_bundle, output_bundle)
     if "kernel" in doc:
@@ -634,7 +575,7 @@ def _decode_object(pairs: list[tuple[str, object]]) -> dict:
     if len(obj) < len(pairs):
         keys = sorted(k for k, _ in pairs)
         raise StructuralError(f"key {next(a for a, b in zip(keys, keys[1:]) if a == b)!r} repeated in one JSON object")
-    if _TABLE_KEYS.isdisjoint(obj):  # a kernel entry, a filter row, a delta row: nothing to decode
+    if _TABLE_KEYS.isdisjoint(obj):  # nothing to decode
         return obj
     for key, kind, decode in _TABLES:
         table = leaf = obj.get(key)

@@ -42,8 +42,9 @@ section, its (|G|, |B|, dF) output, and one row block of a gathered
 
 validate_filter checks the law on one base slice per orbit instead of for
 every g (`bundles._orbit_slice`).  The random builder and the loader of a
-filter document's fundamental-domain form, one row per orbit, rebuild the
-rest of the table through the same transport (`bundles._transport`).
+compressed filter document, which holds the columns at the orbit
+representatives, rebuild the rest of the table through the same
+transport (`bundles._transport`).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunctio
 from equicorr.reporting import ValidationReport, _count, _local, _worst, check_from_residual
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
-from equicorr.serialize import FILTER_SCHEMA, _sparse_row, scenario_to_dict
+from equicorr.serialize import FILTER_SCHEMA, _fill_to_dict, scenario_to_dict
 from equicorr.transforms import lift_kernel_to_filter
 from equicorr.xcorr import Filter
 
@@ -50,10 +50,11 @@ def scenario_to_v2_dict(scn: Scenario) -> dict:
     return doc
 
 
-def set_fill_entry(stored: dict, shape: tuple[int, int], i: int, j: int, value: float) -> None:
-    """Set entry (i, j) of a stored fill form of a table of that shape: the
-    flat index is inserted into `at` in order, or its value replaced."""
-    k = int(np.ravel_multi_index((i, j), shape))
+def set_fill_entry(stored: dict, shape: tuple[int, ...], index: tuple[int, ...], value: float) -> None:
+    """Set the entry at index of a stored fill form of a table of that
+    shape: the flat index is inserted into `at` in order, or its value
+    replaced."""
+    k = int(np.ravel_multi_index(index, shape))
     at, values = [int(x) for x in stored["at"]], [float(v) for v in stored["values"]]
     pos = bisect.bisect_left(at, k)
     if pos < len(at) and at[pos] == k:
@@ -119,11 +120,11 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
 
 
 def compressed_filter_to_dict(filt: Filter) -> dict:
-    """The fundamental-domain form: the rows at the orbit representatives
-    only, each written even when it is empty; the loader carries them to
-    the rest of each orbit."""
-    rows = {str(b): _sparse_row(filt.matrices[:, b]) for b in filt.action.domain}
-    return {"schema": FILTER_SCHEMA, "compressed": True, "rows": rows}
+    """The fundamental-domain form: the (|G|, k, dF, dE) columns at the k
+    orbit representatives in the fill form; the loader carries them to the
+    rest of each orbit."""
+    columns = filt.matrices[:, list(filt.action.domain)]
+    return {"schema": FILTER_SCHEMA, "compressed": True, "matrices": _fill_to_dict(columns)}
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:

@@ -9,7 +9,6 @@ from equicorr import bundles, groups
 from equicorr.bundles import (
     EquivariantBundle,
     MackeySection,
-    Section,
     _carry,
     _move,
     _movers,

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
@@ -84,10 +90,7 @@ def test_battery_bytes_do_not_depend_on_the_seed(tmp_path, capsys):
     # the battery draws nothing at random: --seed is accepted and moves no
     # byte, also on a scenario whose checks fail
     doc = scenario_to_dict(build_scenario("torus-bands(16)"))
-    rows = doc["filter"]["rows"]
-    b, row = next(iter(rows.items()))
-    h, mat = next(iter(row.items()))
-    rows[b][h] = (np.asarray(mat) * 3.0).tolist()  # breaks the faint constraint
+    doc["filter"]["matrices"]["values"][0] *= 3.0  # breaks the faint constraint
     path = tmp_path / "broken.json"
     save_document(str(path), doc)
     for scenario, expected in (("torus-bands(16)", 0), (str(path), 1)):
@@ -108,10 +111,7 @@ def test_battery_has_no_violators_flag(capsys):
 def test_corrupted_scenario_file_fails_checks(tmp_path, capsys):
     scn = build_scenario("torus-bands(16)")
     doc = scenario_to_dict(scn)
-    rows = doc["filter"]["rows"]
-    b, row = next(iter(rows.items()))
-    h, mat = next(iter(row.items()))
-    rows[b][h] = (np.asarray(mat) * 3.0).tolist()  # breaks the faint constraint
+    doc["filter"]["matrices"]["values"][0] *= 3.0  # breaks the faint constraint
     path = tmp_path / "broken.json"
     save_document(str(path), doc)
     code, out, _ = run_cli(capsys, "validate", str(path))
@@ -122,10 +122,7 @@ def test_corrupted_scenario_file_fails_checks(tmp_path, capsys):
 
 def test_nan_filter_entry_fails_validate(tmp_path, capsys):
     doc = scenario_to_dict(build_scenario("cyclic(8)"))
-    rows = doc["filter"]["rows"]
-    b, row = next(iter(rows.items()))
-    h = next(iter(row))
-    rows[b][h] = np.full(np.shape(row[h]), np.nan).tolist()
+    doc["filter"]["matrices"]["values"][0] = np.nan
     path = tmp_path / "nan.json"
     save_document(str(path), doc)
     code, out, _ = run_cli(capsys, "validate", str(path))
@@ -170,8 +167,8 @@ def test_non_finite_psi_off_the_stabilizer_fails_the_stabilizer_check(tmp_path, 
     scn = build_scenario("torus-bands(16)")
     assert scn.action.table[1, 1] != 1
     doc = scenario_to_dict(scn)
-    set_fill_entry(doc["psi"]["values"], scn.psi.values.shape, scn.group.identity, 1, 0.0)
-    set_fill_entry(doc["psi"]["values"], scn.psi.values.shape, 1, 1, value)
+    set_fill_entry(doc["psi"]["values"], scn.psi.values.shape, (scn.group.identity, 1), 0.0)
+    set_fill_entry(doc["psi"]["values"], scn.psi.values.shape, (1, 1), value)
     path = tmp_path / "psi.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, "validate", str(path))
@@ -220,7 +217,7 @@ def test_an_inf_meeting_an_inf_is_named_without_a_warning(tmp_path, capsys, case
     scn = build_scenario("torus-bands(12)")
     doc = scenario_to_dict(scn)
     for i, j in cells:
-        set_fill_entry(doc["families"][family]["weights"], getattr(scn, family).weights.shape, i, j, math.inf)
+        set_fill_entry(doc["families"][family]["weights"], getattr(scn, family).weights.shape, (i, j), math.inf)
     path = tmp_path / f"{case}.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, command, str(path))
@@ -235,7 +232,7 @@ def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
     scn = build_scenario("torus-bands(16)")
     doc = scenario_to_dict(scn)
     table = scn.psi.values if where[0] == "psi" else getattr(scn, where[1]).weights
-    set_fill_entry(functools.reduce(dict.__getitem__, where, doc), table.shape, i, j, value)
+    set_fill_entry(functools.reduce(dict.__getitem__, where, doc), table.shape, (i, j), value)
     path = tmp_path / f"{case}.json"
     save_document(str(path), doc)
     assert json.dumps(value) in path.read_text(encoding="utf-8")  # JSON NaN or Infinity
@@ -252,8 +249,8 @@ def test_a_nan_does_not_hide_a_negative_weight(tmp_path, capsys):
     # a NaN alone loads (above); beside it a negative entry is still refused
     scn = build_scenario("torus-bands(16)")
     doc = scenario_to_dict(scn)
-    set_fill_entry(doc["families"]["mu"]["weights"], scn.mu.weights.shape, 0, 0, math.nan)
-    set_fill_entry(doc["families"]["mu"]["weights"], scn.mu.weights.shape, 1, 1, -5.0)
+    set_fill_entry(doc["families"]["mu"]["weights"], scn.mu.weights.shape, (0, 0), math.nan)
+    set_fill_entry(doc["families"]["mu"]["weights"], scn.mu.weights.shape, (1, 1), -5.0)
     path = tmp_path / "negative.json"
     save_document(str(path), doc)
     code, out, err = run_cli(capsys, "validate", str(path))
@@ -269,18 +266,17 @@ def test_a_line_grid_step_that_is_no_step_exits_two_naming_it(dx, capsys):
 
 
 def _compressed_filter(doc: dict, scn, h: int, by: float) -> None:
-    """Store doc's filter compressed, its row at b0 = 0 raised by `by` at h
-    (the fibers are 1-d)."""
+    """Store doc's filter compressed, its column at b0 = 0 raised by `by`
+    at h (the fibers are 1-d)."""
     doc["filter"] = compressed_filter_to_dict(scn.filt)
-    row = doc["filter"]["rows"]["0"]
-    row[str(h)] = [[row.get(str(h), [[0.0]])[0][0] + by]]
+    set_fill_entry(doc["filter"]["matrices"], (scn.group.order, 1, 1, 1), (h, 0, 0, 0), scn.filt.matrices[h, 0, 0, 0] + by)
 
 
 def _bump_dense_entry(doc: dict, scn) -> None:
-    doc["filter"]["rows"]["0"]["1"][0][0] += 0.5
+    set_fill_entry(doc["filter"]["matrices"], scn.filt.matrices.shape, (1, 0, 0, 0), scn.filt.matrices[1, 0, 0, 0] + 0.5)
 
 
-# dihedral(4, bundle=sign) rows that break the filter law, stored dense or
+# dihedral(4, bundle=sign) entries that break the filter law, stored dense or
 # compressed -> the witness; s0 r3 s0^-1 = r1, so a bump at r1 alone breaks
 # the law at (s0, r3, 0), and a NaN row is named at its first coordinate
 BROKEN_FILTER_ROWS = {
@@ -309,22 +305,25 @@ def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
     assert "transform.necessity" in {c["name"] for c in checks}  # the battery's whole report
 
 
-def test_a_compressed_filter_keyed_off_the_domain_exits_two_naming_the_keys(tmp_path, capsys):
+def test_a_compressed_flag_on_a_whole_filter_exits_two_naming_the_entry(tmp_path, capsys):
+    # the compressed table of dihedral(4) is its one domain column, 8 entries:
+    # the whole table's exceptions past them name no entry of it
     scn = build_scenario("dihedral(4, bundle=sign)")
     doc = json.loads(dumps(scenario_to_dict(scn)))
-    doc["filter"] = compressed_filter_to_dict(scn.filt)
-    doc["filter"]["rows"]["1"] = doc["filter"]["rows"].pop("0")
-    path = tmp_path / "off-domain.json"
+    doc["filter"]["compressed"] = True
+    at = doc["filter"]["matrices"]["at"]
+    i = next(i for i, k in enumerate(at) if k >= 8)
+    path = tmp_path / "flagged.json"
     save_document(str(path), doc)
+    expected = f"error: filter at[{i}] = {at[i]} is outside [0, 8) or not above the entry before it\n"
     for command in ("validate", "battery"):
-        code, out, err = run_cli(capsys, command, str(path))
-        assert (code, out, err) == (2, "", "error: compressed rows keyed [1], expected orbit reps [0]\n"), command
+        assert run_cli(capsys, command, str(path)) == (2, "", expected), command
 
 
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
     scn = build_scenario("torus-bands(16)")
     doc = scenario_to_dict(scn)
-    set_fill_entry(doc["families"]["mubar"]["weights"], scn.mubar.weights.shape, 0, 1, scn.mubar.weights[0, 1] * 1.5)
+    set_fill_entry(doc["families"]["mubar"]["weights"], scn.mubar.weights.shape, (0, 1), scn.mubar.weights[0, 1] * 1.5)
     path = tmp_path / "mubar.json"
     save_document(str(path), doc)
     for command in ("validate", "battery"):
@@ -344,7 +343,7 @@ def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
     doc = scenario_to_dict(scn)
     names = []
     for scale in (1.0, 1.5):
-        set_fill_entry(doc["families"]["mubar"]["weights"], scn.mubar.weights.shape, 0, 1, scn.mubar.weights[0, 1] * scale)
+        set_fill_entry(doc["families"]["mubar"]["weights"], scn.mubar.weights.shape, (0, 1), scn.mubar.weights[0, 1] * scale)
         path = tmp_path / f"mubar-{scale}.json"
         save_document(str(path), doc)
         _, out, _ = run_cli(capsys, "battery", str(path))
@@ -384,15 +383,14 @@ def _mistype(row: list, kind: type) -> None:
 
 
 def _set_delta_value(doc: dict, value) -> None:
-    row = doc["delta"]["by_base"]["0"]
-    row[next(iter(row))] = value
+    doc["delta"]["values"]["values"][0] = value
 
 
 MALFORMED = {
     "no-families": lambda doc: doc.pop("families"),
     "mu-number": lambda doc: doc["families"].update(mu=3),
     "ragged-action-table": lambda doc: doc["action"]["table"][0].pop(),
-    "filter-rows-list": lambda doc: doc["filter"].update(rows=list(doc["filter"]["rows"].values())),
+    "filter-matrices-list": lambda doc: doc["filter"].update(matrices=doc["filter"]["matrices"]["values"]),
     "bundle-without-act-matrix": lambda doc: doc["input_bundle"].pop("act_matrix"),
     # control: the family constructor rejects this shape itself
     "mu-wrong-shape": lambda doc: doc["families"]["mu"].update(weights=[[1.0]]),
@@ -457,27 +455,43 @@ def test_malformed_scenario_file_exits_two(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_v1_schema_file_exits_two_naming_its_schema(tmp_path, capsys):
-    # an equicorr-scenario/1 file, whose group is the full Cayley table, is refused by its tag
+def _v1_document(doc: dict, scn) -> None:
+    """An equicorr-scenario/1 document: the group as its full Cayley table."""
+    doc.update(schema="equicorr-scenario/1")
+    doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
+
+
+# the previous scenario, filter and kernel forms: each is refused by its
+# tag, before any table is read, so the old filter and kernel forms here
+# hold empty tables
+OLD_FILTER = {"schema": "equicorr-filter/1", "compressed": False, "rows": {}}
+OLD_KERNEL = {"schema": "equicorr-kernel/1", "entries": []}
+OLDER_DOCUMENTS = {
+    "scenario/1": (_v1_document, "'equicorr-scenario/4', got 'equicorr-scenario/1'"),
+    # dense measure tables and theta entry lists
+    "scenario/2": (
+        lambda doc, scn: doc.update(json.loads(dumps(scenario_to_v2_dict(scn)))),
+        "'equicorr-scenario/4', got 'equicorr-scenario/2'",
+    ),
+    "scenario/3": (
+        lambda doc, scn: doc.update(schema="equicorr-scenario/3", filter=OLD_FILTER, kernel=OLD_KERNEL, delta={"by_base": {}}),
+        "'equicorr-scenario/4', got 'equicorr-scenario/3'",
+    ),
+    "filter/1": (lambda doc, scn: doc.update(filter=OLD_FILTER), "'equicorr-filter/2', got 'equicorr-filter/1'"),
+    "kernel/1": (lambda doc, scn: doc.update(kernel=OLD_KERNEL), "'equicorr-kernel/2', got 'equicorr-kernel/1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OLDER_DOCUMENTS))
+def test_an_older_document_exits_two_naming_its_schema(case, tmp_path, capsys):
+    edit, schemas = OLDER_DOCUMENTS[case]
     scn = build_scenario(MALFORMED_SPEC)
     doc = json.loads(dumps(scenario_to_dict(scn)))
-    doc["schema"] = "equicorr-scenario/1"
-    doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
-    path = tmp_path / "v1.json"
+    edit(doc, scn)
+    path = tmp_path / "older.json"
     save_document(str(path), doc)
-    code, out, err = run_cli(capsys, "validate", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: expected schema 'equicorr-scenario/3', got 'equicorr-scenario/1'\n"
-
-
-def test_v2_schema_file_exits_two_naming_its_schema(tmp_path, capsys):
-    # an equicorr-scenario/2 file, whose measure tables are dense and whose
-    # thetas are entry lists, is refused by its tag
-    path = tmp_path / "v2.json"
-    save_document(str(path), scenario_to_v2_dict(build_scenario(MALFORMED_SPEC)))
-    code, out, err = run_cli(capsys, "validate", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: expected schema 'equicorr-scenario/3', got 'equicorr-scenario/2'\n"
+    for command in ("validate", "battery"):
+        assert run_cli(capsys, command, str(path)) == (2, "", f"error: expected schema {schemas}\n"), command
 
 
 @pytest.mark.parametrize(
@@ -571,8 +585,19 @@ MALFORMED_ENCODINGS = {
     "act-matrix-true-first": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (0, 0, 0, 0), True), _BOOL % "act_matrix"),
     "act-matrix-true-later": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (5, 2, 0, 0), True), _BOOL % "act_matrix"),
     "values-true": (lambda doc: _set(_nu(doc)["values"], (3,), True), _BOOL % "nu values"),
-    "filter-matrix-true": (lambda doc: _set(doc["filter"]["rows"]["1"]["2"], (0, 0), True), _BOOL % "matrix"),
-    "kernel-matrix-false": (lambda doc: _set(doc["kernel"]["entries"][0]["matrix"], (0, 0), False), _BOOL % "matrix"),
+    # nor is "1.0" the number 1.0, nor null a NaN, though numpy would read them so
+    "values-string": (lambda doc: _set(_nu(doc)["values"], (3,), "1.0"), "nu values holds a JSON string, not a number"),
+    "values-null": (lambda doc: _set(_nu(doc)["values"], (3,), None), "nu values holds a JSON null, not a number"),
+    "act-matrix-null-later": (
+        lambda doc: _set(doc["input_bundle"]["act_matrix"], (5, 2, 0, 0), None),
+        "act_matrix holds a JSON null, not a number",
+    ),
+    "filter-matrix-true": (lambda doc: _set(doc["filter"]["matrices"]["values"], (0,), True), _BOOL % "filter values"),
+    "kernel-matrix-false": (lambda doc: _set(doc["kernel"]["matrices"]["values"], (0,), False), _BOOL % "kernel values"),
+    # the filter's compressed flag is a JSON bool: "false" and 1 are not false or true
+    "compressed-string": (lambda doc: doc["filter"].update(compressed="false"), "filter compressed 'false' is not bool"),
+    "compressed-one": (lambda doc: doc["filter"].update(compressed=1), "filter compressed 1 is not bool"),
+    "compressed-null": (lambda doc: doc["filter"].update(compressed=None), "filter compressed None is not bool"),
 }
 
 
@@ -588,6 +613,77 @@ def test_a_malformed_fill_form_or_reps_table_exits_two(case, tmp_path, capsys):
         assert code == 2 and out == "", command
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, (command, err)
         assert "Traceback" not in err
+
+
+# the saved files the document fuzzer starts from: three built-ins and one
+# filter stored in its compressed form
+_FUZZ_CASES = ("dihedral(4, bundle=sign)", "torus-bands(16)", "cyclic(6)", "compressed dihedral(4, bundle=sign)")
+# what a leaf becomes: a bool, a string, null, an integer past every float, or a float ("float": the leaf + 0.5)
+_FUZZ_LEAVES = (True, False, "0", None, 10**400, "float")
+
+
+@functools.cache
+def _fuzz_file(case: str) -> tuple[str, list[tuple], list[tuple], list[tuple]]:
+    """The text of a saved file, and the paths to its leaves, to its dict
+    members and to its dicts."""
+    spec = case.removeprefix("compressed ")
+    scn = build_scenario(spec)
+    doc = scenario_to_dict(scn)
+    if spec != case:
+        doc["filter"] = compressed_filter_to_dict(scn.filt)
+    text = dumps(doc)
+    leaves, members, dicts = [], [], []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            dicts.append(path)
+            members.extend(path + (key,) for key in node)
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+        if items is None:
+            leaves.append(path)
+        for key, child in items or ():
+            walk(child, path + (key,))
+
+    walk(json.loads(text), ())
+    return text, leaves, members, dicts
+
+
+def _fuzzed(case: str, kind: str, index: int, leaf) -> dict:
+    """The case's document with one leaf replaced, one dict member deleted,
+    or one unknown key added."""
+    text, leaves, members, dicts = _fuzz_file(case)
+    doc = json.loads(text)
+    paths = {"leaf": leaves, "delete": members, "add": dicts}[kind]
+    *head, last = paths[index % len(paths)] + ("unknown",) * (kind == "add")
+    parent = functools.reduce(lambda node, key: node[key], head, doc)
+    if kind == "leaf":
+        old = parent[last]
+        parent[last] = (old + 0.5 if type(old) is int else 0.5) if leaf == "float" else leaf
+    elif kind == "delete":
+        del parent[last]
+    else:
+        parent[last] = 0
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_FUZZ_CASES),
+    st.sampled_from(("leaf", "delete", "add")),
+    st.integers(min_value=0),
+    st.sampled_from(_FUZZ_LEAVES),
+)
+def test_a_fuzzed_scenario_file_exits_zero_one_or_two_with_one_error_line(case, kind, index, leaf):
+    doc = _fuzzed(case, kind, index, leaf)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.json")
+        save_document(path, doc)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", path])  # an exception escaping main fails the test
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_a_signed_zero_and_a_nan_round_trip_bitwise_and_the_nan_is_named(tmp_path, capsys):
@@ -608,6 +704,37 @@ def test_a_signed_zero_and_a_nan_round_trip_bitwise_and_the_nan_is_named(tmp_pat
     assert code == 1
     failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
     assert failed == {"psi.psi-conjugation": [1, 7, 0], "psi.psi-nonvanishing": [1]}
+
+
+# the filter, the kernel and delta of torus-bands(16), stored as fill and
+# exceptions like the measure tables: (table, a +0.0 set to -0.0, an entry
+# on the support or the stabilizer set to NaN, the checks validate fails
+# with their witnesses)
+SIGNED_AND_NAN = {
+    "filter": (lambda scn: scn.filt.matrices, (2, 0, 0, 0), (13, 0, 0, 0), {"filter.filter-faint-constraint": [0, 13, 0]}),
+    "kernel": (lambda scn: scn.kernel.matrices, (2, 0, 0, 0), (13, 0, 0, 0), {"kernel.kernel-constraint": [0, 13, 0]}),
+    "delta": (
+        lambda scn: scn.delta.values,
+        (3, 5),
+        (40, 0),  # 40 fixes base point 0
+        {"delta.delta-conjugation": [0, 40, 0], "delta.delta-normalization": [0]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNED_AND_NAN))
+def test_a_signed_zero_and_a_nan_in_a_filter_kernel_or_delta_round_trip_and_the_nan_is_named(case, tmp_path, capsys):
+    table_of, zero, nan, expected = SIGNED_AND_NAN[case]
+    scn = build_scenario("torus-bands(16)")
+    table = table_of(scn)
+    assert table[zero].tobytes() == bytes(8)  # +0.0
+    table[zero], table[nan] = -0.0, math.nan
+    path = tmp_path / "signed.json"
+    save_document(str(path), scenario_to_dict(scn))
+    assert table_of(scenario_from_dict(load_document(str(path)))).tobytes() == table.tobytes()
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]} == expected
 
 
 def test_writing_loading_and_the_battery_leave_numpy_ma_unimported(tmp_path):
@@ -796,7 +923,7 @@ def test_a_corrupted_theta_is_reported_not_raised(command, corrupt, tmp_path, ca
 def test_lift_theta_choice(capsys):
     code, out, _ = run_cli(capsys, "lift", "torus-bands(16)", "--theta", "special")
     assert code == 0
-    assert json.loads(out)["schema"] == "equicorr-filter/1"
+    assert json.loads(out)["schema"] == "equicorr-filter/2"
 
     code, _, err = run_cli(capsys, "lift", "torus-bands(16)", "--theta", "imaginary")
     assert code == 2 and "choices" in err

@@ -65,7 +65,7 @@ RETIRED_NAMES = (
     "CompressedFilter", "compress_filter", "expand_filter",
     "_group_from_cayley", "SCENARIO_SCHEMA_V1", "_GROUP_LOADERS", "SCENARIO_SCHEMA_V2",
     "act_on_section", "act_on_mackey", "mackey_to_section", "validate_mackey", "psi_from_class_function",
-    "compressed_filter_to_dict",
+    "compressed_filter_to_dict", "_sparse_row", "_dense_row", "_DECIMAL",
 )
 
 # public members that nothing in the package reads, kept on purpose: the
@@ -128,12 +128,14 @@ def test_every_module_level_definition_is_used_or_exported():
 
 
 def test_every_top_level_import_is_read_or_exported():
-    # a name a module imports and never reads is an import that nothing
-    # needs, unless the package exports it from that module, as it exports
-    # transforms.filter_operator; __future__ imports are exempt
+    # a name a module of the package or of the tests imports and never reads
+    # is an import that nothing needs, unless the package exports it from
+    # that module, as it exports transforms.filter_operator; __future__
+    # imports are exempt
     package = Path(equicorr.__file__).parent
+    tests = Path(__file__).resolve().parent
     unread = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = set()
         for node in tree.body:
@@ -142,8 +144,8 @@ def test_every_top_level_import_is_read_or_exported():
             elif isinstance(node, ast.Import):
                 bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        exported = set(equicorr._EXPORTS.get(path.stem, ()))
-        unread += [f"{path.stem}.{name}" for name in sorted(bound - read - exported)]
+        exported = set(equicorr._EXPORTS.get(path.stem, ())) if path.parent == package else set()
+        unread += [f"{path.parent.name}/{path.stem}.{name}" for name in sorted(bound - read - exported)]
     assert unread == []
 
 

@@ -77,7 +77,7 @@ def test_v1_documents_are_refused_by_their_tag(spec):
     doc = roundtrip(scenario_to_dict(scn))
     assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
-    refused = "^expected schema 'equicorr-scenario/3', got 'equicorr-scenario/1'$"
+    refused = "^expected schema 'equicorr-scenario/4', got 'equicorr-scenario/1'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(copy.deepcopy(doc))
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
@@ -148,21 +148,21 @@ def test_filter_codec_preserves_values_bitwise(dihedral4_sign):
 
 
 def test_compressed_filter_docs_expand_bitwise(torus8):
-    # every orbit representative's row is written, and the loader carries
-    # them back to the whole table
+    # the columns at the orbit representatives are stored, and the loader
+    # carries them back to the whole table
     doc = roundtrip(compressed_filter_to_dict(torus8.filt))
     assert doc["compressed"] is True
-    assert sorted(map(int, doc["rows"])) == list(torus8.action.domain)
+    columns = torus8.filt.matrices[:, list(torus8.action.domain)]
+    assert serialize._fill_from_dict(doc["matrices"], columns.shape, "filter").tobytes() == columns.tobytes()
     back = filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle)
     assert type(back) is Filter
     assert back.matrices.tobytes() == torus8.filt.matrices.tobytes()
 
 
-# the fundamental-domain documents of two filters, pinned to the bytes
-# written before the writer moved from an in-memory type into serialize
+# the fundamental-domain documents of two filters, pinned to their bytes
 COMPRESSED_FILTER_HASHES = {
-    "dihedral(4, bundle=sign)": "145b37ca1dee17eebafac3e0f9dd4cbb1d10a2a00106470961ec53f8faf0ddf8",
-    "torus-bands(16)": "83dfb521492987228af5d1d9496557ee92c9c2ea2e57016e75fde682934bb779",
+    "dihedral(4, bundle=sign)": "a632bb711f110dbd5ce0df4deb0d703d6e4c729ccbe54ad150487909d2af57a0",
+    "torus-bands(16)": "9368169d38c065426c844a26ad62434c3cf62857ac63f5c313689c5de7b688e7",
 }
 
 
@@ -172,11 +172,11 @@ def test_compressed_filter_doc_bytes_match_golden(spec):
     assert hashlib.sha256(text.encode()).hexdigest() == COMPRESSED_FILTER_HASHES[spec]
 
 
-def test_a_compressed_filter_doc_writes_every_domain_row_even_an_empty_one(torus8):
+def test_a_zero_filter_doc_is_its_fill_alone(torus8):
     zero = Filter(torus8.input_bundle, torus8.output_bundle, np.zeros_like(torus8.filt.matrices))
-    doc = roundtrip(compressed_filter_to_dict(zero))
-    assert doc["rows"] == {str(b): {} for b in torus8.action.domain}
-    assert not filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle).support.any()
+    for doc in (roundtrip(filter_to_dict(zero)), roundtrip(compressed_filter_to_dict(zero))):
+        assert doc["matrices"] == {"fill": 0.0, "at": [], "values": []}
+        assert not filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle).support.any()
 
 
 def test_kernel_and_theta_codecs(bands16):
@@ -210,7 +210,7 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/4")
+    wrong_schema = dict(good, schema="equicorr-scenario/5")
     with pytest.raises(StructuralError):
         scenario_from_dict(wrong_schema)
 
@@ -220,15 +220,13 @@ def test_malformed_documents_rejected(bands16):
         scenario_from_dict(bad_action)
 
     bad_index = roundtrip(good)
-    first_base = next(iter(bad_index["filter"]["rows"]))
-    row = bad_index["filter"]["rows"][first_base]
-    row["999"] = next(iter(row.values()))
-    with pytest.raises(StructuralError):
+    bad_index["filter"]["matrices"]["at"][-1] = bands16.filt.matrices.size
+    with pytest.raises(StructuralError, match="filter at"):
         scenario_from_dict(bad_index)
 
     bad_matrix = roundtrip(good)
-    bad_matrix["kernel"]["entries"][0]["matrix"] = [[1.0, 2.0]]
-    with pytest.raises(StructuralError):
+    bad_matrix["kernel"]["matrices"]["values"] = [[1.0, 2.0]]
+    with pytest.raises(StructuralError, match="kernel values shape"):
         scenario_from_dict(bad_matrix)
 
     bad_reps = roundtrip(good)
@@ -257,47 +255,16 @@ def _cyclic4_doc() -> dict:
     return roundtrip(scenario_to_dict(build_scenario("cyclic(4)")))
 
 
-@pytest.mark.parametrize("key", ["00", "01", "+1", " 1", "1.0", "\u0661", "-0"])
-def test_a_filter_row_key_that_is_not_canonical_is_rejected(key):
-    # "00" used to replace row 0, which then read [5, 0, 0, 0]
-    doc = _cyclic4_doc()
-    doc["filter"]["rows"][key] = {"0": [[5.0]]}
-    with pytest.raises(StructuralError, match=re.escape(f"base point index {key!r}")):
-        scenario_from_dict(doc)
-
-
-@pytest.mark.parametrize("where", ["base", "element"])
-def test_a_delta_key_that_is_not_canonical_is_rejected(where):
-    doc = _cyclic4_doc()
-    by_base = doc["delta"]["by_base"]
-    if where == "base":
-        by_base["01"] = {"0": 1.0}
-    else:
-        by_base["1"]["00"] = 1.0
-    with pytest.raises(StructuralError, match="index '0[01]' is not an integer"):
-        scenario_from_dict(doc)
-
-
-def test_a_repeated_kernel_entry_is_rejected():
-    # the second entry used to overwrite the first, which then read 9.0
-    doc = _cyclic4_doc()
-    entries = doc["kernel"]["entries"]
-    entries.append(dict(entries[1], matrix=[[9.0]]))
-    c, b = entries[1]["c"], entries[1]["b"]
-    with pytest.raises(StructuralError, match=re.escape(f"kernel entry (c, b) = ({c}, {b}) repeated")):
-        scenario_from_dict(doc)
-
-
 @pytest.mark.parametrize("value", [True, False, 1.0])
-@pytest.mark.parametrize("where", ["identity", "kernel", "theta"])
+@pytest.mark.parametrize("where", ["identity", "generator", "theta"])
 def test_a_bool_or_float_index_is_rejected(where, value):
     # a JSON true used to load as index 1
     doc = _cyclic4_doc()
     message = f"index {value!r} is not an integer"
     if where == "identity":
         doc["action"]["group"]["identity"] = value
-    elif where == "kernel":
-        doc["kernel"]["entries"][0]["c"] = value
+    elif where == "generator":
+        doc["action"]["group"]["generators"][0] = value
     else:
         next(iter(doc["thetas"].values()))["reps"][0][0] = value
         message = "theta reps entries must be JSON integers"
@@ -311,9 +278,8 @@ def test_a_key_repeated_in_one_json_object_is_rejected(tmp_path):
     save_document(str(path), doc)
     text = path.read_text(encoding="utf-8")
     scenario_from_dict(load_document(str(path)))  # the file as written loads
-    row = json.dumps(doc["filter"]["rows"]["0"])
-    path.write_text(text.replace('"rows": {', '"rows": {"0": ' + row + ", ", 1), encoding="utf-8")
-    with pytest.raises(StructuralError, match="key '0' repeated in one JSON object"):
+    path.write_text(text.replace('"compressed": false,', '"compressed": false, "compressed": true,', 1), encoding="utf-8")
+    with pytest.raises(StructuralError, match="key 'compressed' repeated in one JSON object"):
         load_document(str(path))
 
 
@@ -428,7 +394,9 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
     path.write_text(text, encoding="utf-8")
     doc = load_document(str(path))
     assert isinstance(doc["action"]["table"], np.ndarray)  # and so are the integer tables
-    stored = [doc["families"][key]["weights"] for key in ("mu", "nu", "mubar")] + [doc.get("psi", {}).get("values")]
+    stored = [doc["families"][key]["weights"] for key in ("mu", "nu", "mubar")]
+    stored += [doc.get(key, {}).get("values") for key in ("psi", "delta")]
+    stored += [doc.get(key, {}).get("matrices") for key in ("filter", "kernel")]
     for fill in filter(None, stored):  # an empty list stays a list: it has no first entry to type
         decoded = [isinstance(fill[key], np.ndarray) or fill[key] == [] for key in ("at", "values")]
         assert decoded == [True, True]
@@ -448,20 +416,25 @@ def test_a_v2_file_is_refused_by_its_tag(spec, tmp_path):
     # the tag alone refuses the file, before any of its tables is read
     path = tmp_path / "scenario.json"
     save_document(str(path), scenario_to_v2_dict(build_scenario(spec)))
-    refused = "^expected schema 'equicorr-scenario/3', got 'equicorr-scenario/2'$"
+    refused = "^expected schema 'equicorr-scenario/4', got 'equicorr-scenario/2'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 
 
 _BITS = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf, 5e-324])
+# 2-d measure tables, 3-d and 4-d filter and kernel tables
+_SHAPED_TABLES = st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4).flatmap(
+    lambda shape: st.lists(_BITS, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda entries: np.array(entries).reshape(shape)
+    )
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_BITS, min_size=1, max_size=12))
-def test_the_fill_form_keeps_every_bit_pattern(entries):
+@given(_SHAPED_TABLES)
+def test_the_fill_form_keeps_every_bit_pattern(table):
     # the fill is the most frequent bit pattern, the smallest int64 view on
     # a tie; every other entry is listed, -0.0 apart from 0.0 and NaN kept
-    table = np.array(entries).reshape(1, -1)
     stored = serialize._fill_to_dict(table)
     bits = table.ravel().view(np.int64).tolist()
     counts = collections.Counter(bits)
@@ -536,9 +509,11 @@ def test_a_float_table_decodes_exactly_when_every_entry_is_a_number(table):
 def test_the_fill_values_and_a_filter_matrix_refuse_a_bool():
     with pytest.raises(StructuralError, match="^nu values holds a JSON true or false, not a number$"):
         serialize._fill_from_dict({"fill": 0.0, "at": [1], "values": [True]}, (1, 2), "nu")
-    with pytest.raises(StructuralError, match="^matrix holds a JSON true or false, not a number$"):
-        serialize._dense_row({"0": [[0.5], [False]]}, 1, 2, 1)
-    assert serialize._dense_row({"0": [[0.5], [2]]}, 1, 2, 1).tolist() == [[[0.5], [2.0]]]
+    with pytest.raises(StructuralError, match="^filter values holds a JSON true or false, not a number$"):
+        serialize._fill_from_dict({"fill": 0.5, "at": [1], "values": [False]}, (1, 2, 1, 1), "filter")
+    assert serialize._fill_from_dict({"fill": 0.5, "at": [1], "values": [2]}, (1, 2, 1, 1), "filter").tolist() == [
+        [[[0.5]], [[2.0]]]
+    ]
 
 
 def _all_json_integers(table) -> bool:

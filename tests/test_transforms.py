@@ -7,17 +7,9 @@ from equicorr.battery import _lift_checks
 from equicorr.bundles import Section
 from equicorr.errors import StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
-from equicorr.measures import (
-    OrbitMeasureFamily,
-    counting_family,
-    counting_stabilizer_family,
-    dirac_delta,
-    fubini_pointwise_residual,
-    solve_orbit_family,
-    validate_families,
-)
+from equicorr.measures import OrbitMeasureFamily, counting_stabilizer_family, fubini_pointwise_residual, validate_families
 from equicorr.rng import SplitMix64
-from equicorr.sampling import random_sections, random_valid_filter, random_valid_kernel, random_violating_kernel
+from equicorr.sampling import random_sections, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, derive_theta
 from equicorr.serialize import Scenario
 from equicorr.transforms import (

@@ -14,7 +14,7 @@ from equicorr.serialize import dumps, filter_from_dict
 from equicorr.transforms import Kernel, filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, correlate_sections, cross_correlate, validate_filter
 
-from helpers import act_on_mackey, compressed_filter_to_dict, mackey_to_section, mul, validate_mackey
+from helpers import act_on_mackey, compressed_filter_to_dict, mackey_to_section, mul, set_fill_entry, validate_mackey
 from test_stacked import ref_convolve
 from test_streaming import two_orbit_filter
 
@@ -98,29 +98,26 @@ def test_convolution_equality_counting_measure(dihedral4):
         assert np.allclose(direct.values, ref_convolve(flipped, m, scn.mu), atol=1e-12)
 
 
-def _round_trip(filt: Filter, edit=lambda rows: None) -> Filter:
-    """filt written in the fundamental-domain form, its rows passed to edit,
-    and loaded back."""
+def _round_trip(filt: Filter, bump: float = 0.0) -> Filter:
+    """filt written in the fundamental-domain form, its entry at (r1, b0 = 0)
+    raised by bump, and loaded back.  Conjugation by the reflection fixing
+    b0 = 0 swaps r1 and r3 in dihedral(4), so a lone bump at r1 cannot
+    satisfy the stabilizer slice of the constraint."""
     doc = json.loads(dumps(compressed_filter_to_dict(filt)))
-    edit(doc["rows"])
+    if bump:
+        shape = (filt.action.group.order, len(filt.action.domain)) + filt.matrices.shape[2:]
+        set_fill_entry(doc["matrices"], shape, (1, 0, 0, 0), filt.matrices[1, 0, 0, 0] + bump)
     return filter_from_dict(doc, filt.input_bundle, filt.output_bundle)
 
 
 def test_compression_round_trip_bitwise(dihedral4_sign):
     scn = dihedral4_sign
-    assert sorted(map(int, compressed_filter_to_dict(scn.filt)["rows"])) == list(scn.action.domain)
     assert _round_trip(scn.filt).matrices.tobytes() == scn.filt.matrices.tobytes()
-
-
-def _bump(rows: dict) -> None:
-    # conjugation by the reflection fixing b0 = 0 swaps r1 and r3, so a lone
-    # bump at r1 cannot satisfy the stabilizer slice of the constraint
-    rows["0"].setdefault("1", [[0.0]])[0][0] += 1.0
 
 
 def test_expand_loads_a_stabilizer_inconsistent_row(dihedral4):
     # the loader decides no law; the law check names the bumped row
-    filt = _round_trip(dihedral4.filt, _bump)
+    filt = _round_trip(dihedral4.filt, bump=1.0)
     check = validate_filter(filt).checks[0]
     # s0 r3 s0^-1 = r1: the law at (s0, r3, 0) compares the bumped row with r3's
     assert not check.passed and check.witness == (4, 3, 0)
@@ -131,7 +128,7 @@ def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
     # the loader carries the bad row to every base point exactly, so the
     # table is its own transport (T = 0) and only the stabilizer part S of
     # validate_filter can see the violation
-    filt = _round_trip(dihedral4.filt, _bump)
+    filt = _round_trip(dihedral4.filt, bump=1.0)
     assert _round_trip(filt).matrices.tobytes() == filt.matrices.tobytes()
     report = validate_filter(filt)
     assert not report.passed
