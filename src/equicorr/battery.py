@@ -232,14 +232,14 @@ def _scenario_specific_checks(scn: Scenario, lifts: dict[str, Filter], tolerance
     from .scenarios import banded_support_mismatch, circle_offgrid_residual, line_grid_oracle_residual
 
     checks: list[Check] = []
-    if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys() and "n" in scn.params:
+    if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys():
         mismatch, witness = banded_support_mismatch(scn, lifts)  # witness (h, b)
         checks.append(check_from_residual("support.segments-vs-rectangle", mismatch, 0.0, witness))
     if scn.name.startswith("line-grid") and "global" in lifts and {"dx", "origin"} <= scn.extras.keys():
         gap = line_grid_oracle_residual(scn, lifts["global"])
         # first order in the grid step by design; documents the scale
         checks.append(check_from_residual("quadrature.continuum-gap", gap, scn.extras["dx"]))
-    if scn.name.startswith("circle-grid") and scn.filt is not None and "grid_step" in scn.extras and "n" in scn.params:
+    if scn.name.startswith("circle-grid") and scn.filt is not None and "grid_step" in scn.extras:
         aligned = circle_offgrid_residual(scn, 3 * scn.extras["grid_step"])
         checks.append(check_from_residual("rotation.grid-aligned", aligned, tolerance))
         off = circle_offgrid_residual(scn, 0.4321)

@@ -4,9 +4,9 @@ Three families travel together.  For each base point b:
 
   * a group family mu_b, a weight per group element, satisfying the
     pushforward compatibility mu_{g.b}(g h g^-1) = mu_b(h);
-  * a stabilizer family nu_b, weights supported on the stabilizer of b,
-    with the same compatibility and left-invariant (hence constant on the
-    stabilizer, since the stabilizer is finite);
+  * a stabilizer family nu_b, left-invariant on the finite stabilizer G_b
+    and so a constant times counting measure there, stored as that one
+    weight per b, with the same compatibility: nu_{g.b} = nu_b;
   * an orbit family mubar_b, weights on the orbit of b, compatible with
     the action itself: mubar_{g.b}(g.c) = mubar_b(c).
 
@@ -15,7 +15,7 @@ The three are linked by the disintegration identity
     sum_h mu_b(h) f(h) = sum_{c in G.b} mubar_b(c) sum_{h in G_b} nu_b(h) f(k_c h)
 
 for every real function f on the group, where k_c is any coset
-representative with k_c.b = c; left-invariance of nu_b makes the inner
+representative with k_c.b = c; the constant weight nu_b makes the inner
 sum independent of which representative is chosen.  solve_orbit_measure
 inverts it for mubar when mu_b has constant weight.
 
@@ -48,13 +48,11 @@ class GroupMeasureFamily:
 
 
 class StabilizerMeasureFamily:
-    def __init__(self, action: GroupAction, weights: np.ndarray):  # weights zero off the stabilizer of b
+    def __init__(self, action: GroupAction, weights: np.ndarray):  # weights[b]: the mass of each element of G_b
         self.action = action
-        self.weights = _float_table(weights, "stabilizer family", (action.base_size, action.group.order))
-        if _has_negative(self.weights):
+        self.weights = _float_table(weights, "stabilizer family", (action.base_size,))
+        if np.any(self.weights < 0):  # a NaN is not below 0 and hides no entry that is
             raise StructuralError("stabilizer family weights must be nonnegative")
-        if _off_stabilizers(self.weights.T, action):
-            raise StructuralError("stabilizer family has weight off the stabilizer")
 
 
 class OrbitMeasureFamily:
@@ -124,14 +122,10 @@ def counting_family(action: GroupAction, scale: float = 1.0) -> GroupMeasureFami
 
 
 def counting_stabilizer_family(action: GroupAction, scale: float = 1.0) -> StabilizerMeasureFamily:
-    """Constant weight `scale` on each stabilizer (left-invariant by construction)."""
+    """Constant weight `scale` on each stabilizer."""
     if not 0 < scale < np.inf:
         raise DomainError(f"stabilizer counting scale {scale} is not a finite number > 0")
-    weights = np.zeros((action.base_size, action.group.order))
-    for b, stab in enumerate(action.stabilizers):
-        weights[b, stab] = 1.0
-    weights *= float(scale)
-    return StabilizerMeasureFamily(action, weights)
+    return StabilizerMeasureFamily(action, np.full(action.base_size, float(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +139,11 @@ def validate_families(
     tolerance: float = 1e-9,
 ) -> ValidationReport:
     """Check the three compatibility laws, each on one base slice per orbit,
-    plus nu left-invariance and any advisory flags.  Witnesses are (g, b, h)
-    for the group and stabilizer families, (g, b, c) for the orbit family
-    and (b,) for the Haar flag."""
+    plus any advisory flags.  Witnesses are (g, b, h) for the group family,
+    (g, b, c) for the orbit family and (b,) for the Haar flag.  nu's law is
+    nu(c) = nu(b0) on each orbit, witness c: the residual _orbit_slice gives
+    on the (|B|, |G|) table nu_b(h), S = 0 and T = max_c |nu(c) - nu(b0)|
+    (c = b0 is scanned, so a NaN or an inf nu(b0), where S is NaN, is NaN)."""
     action = mu.action
     report = ValidationReport()
 
@@ -155,13 +151,13 @@ def validate_families(
         res, wit = _orbit_slice(weights.T, action, conjugate, lambda g, r, b: (g, b, r))
         report.add(check_from_residual(name, res, tolerance, wit))
 
-    law("family-mu-conjugation", mu.weights, True)
-    law("family-nu-conjugation", nu.weights, True)
+    def orbit(b0):  # [i] -> nu(c) - nu(b0) at the i-th c of the orbit of b0, placed at c
+        members = np.flatnonzero(action.coset_reps[b0] >= 0)
+        return (lambda i: (int(members[i]),)), nu.weights[members] - nu.weights[b0]
 
-    # left-invariance on a finite stabilizer forces constant weight there
-    spread = [np.ptp(nu.weights[b, stab]) if stab.size else 0.0 for b, stab in enumerate(action.stabilizers)]
-    res, wit = _worst([(_local, np.array(spread))])
-    report.add(check_from_residual("family-nu-left-invariance", res, tolerance, wit))
+    law("family-mu-conjugation", mu.weights, True)
+    res, wit = _worst(orbit(b0) for b0 in action.domain)
+    report.add(check_from_residual("family-nu-conjugation", res, tolerance, wit))
     law("family-mubar-pushforward", mubar.weights, False)
 
     if mu.haar:
@@ -182,20 +178,18 @@ def fubini_pointwise_residual(
     """Exhaustive disintegration check on the indicator basis.
 
     For f the indicator of one element h, the identity collapses to
-    mu_b(h) = mubar_b(h.b) * nu_b(k^-1 h) with k the representative of
-    h.b; scanning all (b, h) covers a complete basis of functions, so a
-    zero residual here implies the identity for every f.
+    mu_b(h) = mubar_b(h.b) * nu_b, nu_b's weight at k^-1 h in G_b, k the
+    representative of h.b; scanning all (b, h) covers a complete basis of
+    functions, so a zero residual here implies the identity for every f.
     """
     action = mu.action
-    grp = action.group
 
     def defect(rows):  # [b, h] for the b in rows
         b = np.arange(action.base_size)[rows, None]
         hb = action.table[:, rows].T  # [b, h] -> h.b
-        k_inv_h = grp.cayley[grp.inv[action.coset_reps[b, hb]], np.arange(grp.order)]
-        return mu.weights[rows] - mubar.weights[b, hb] * nu.weights[b, k_inv_h]
+        return mu.weights[rows] - mubar.weights[b, hb] * nu.weights[b]
 
-    return _worst(_rows(action.base_size, grp.order, defect, _local))
+    return _worst(_rows(action.base_size, action.group.order, defect, _local))
 
 
 def solve_orbit_measure(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, b: int) -> np.ndarray:
@@ -203,18 +197,18 @@ def solve_orbit_measure(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, b: 
 
     Testing against coset indicator functions decouples the unknowns:
 
-        mubar_b(c) = mu_b(k_c G_b) / nu_b(G_b).
+        mubar_b(c) = mu_b(k_c G_b) / nu_b(G_b),  nu_b(G_b) = nu_b |G_b|.
 
-    Requires mu_b constant (Haar), to within SOLVE_TOLERANCE, and nu_b
-    strictly positive on the stabilizer.  Returns a full-length weight row
-    (zero off the orbit).
+    Requires mu_b constant (Haar), to within SOLVE_TOLERANCE, and a
+    stabilizer of positive nu-mass: a positive weight on a nonempty G_b.
+    Returns a full-length weight row (zero off the orbit).
     """
     action = mu.action
     stab = action.stabilizers[b]
     members = np.flatnonzero(action.coset_reps[b] >= 0)
     kh = action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
-    nu_mass = float(nu.weights[b, stab].sum())
-    if nu_mass <= 0 or np.any(nu.weights[b, stab] <= 0):
+    nu_mass = float(nu.weights[b] * stab.size)
+    if nu_mass <= 0:
         raise DegenerateMeasureError(f"stabilizer weights at b={b} must be strictly positive")
     w = mu.weights[b]
     if w.size and float(w.max() - w.min()) > SOLVE_TOLERANCE:
@@ -272,7 +266,7 @@ def construct_normalized_families(
     and the orbit family solved from the disintegration identity.  The
     compatibilities are inherited from psi's own, exactly: conjugation
     permutes each sum.  mu is a read-only (|B|, |G|) view of its |B|
-    weights.
+    weights, and nu is the |B| weights 1 / Z'_b.
     """
     action = psi.action
     n, m = action.group.order, action.base_size
@@ -288,21 +282,19 @@ def construct_normalized_families(
         raise DegenerateMeasureError(f"psi has no mass at b={b}")
 
     mu = GroupMeasureFamily(action, np.broadcast_to((1.0 / z)[:, None], (m, n)), haar=True)
-    weights = np.zeros((m, n))
-    for b, stab in enumerate(action.stabilizers):
-        weights[b, stab] = 1.0 / zs[b]
-    nu = StabilizerMeasureFamily(action, weights)
+    nu = StabilizerMeasureFamily(action, 1.0 / zs)
     mubar = solve_orbit_family(mu, nu)
     return mu, nu, mubar
 
 
 def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance: float = 1e-9) -> ValidationReport:
-    """Unit mass against nu on each stabilizer, and conjugation compatibility
-    delta(g h g^-1, g.b) = delta(h, b) on one base slice per orbit."""
+    """Unit mass against nu on each stabilizer (delta is zero off it), and
+    conjugation compatibility delta(g h g^-1, g.b) = delta(h, b) on one base
+    slice per orbit."""
     action = delta.action
     report = ValidationReport()
 
-    worst, witness = _worst([(_local, np.einsum("hb,bh->b", delta.values, nu.weights) - 1.0)])  # [b] -> mass - 1
+    worst, witness = _worst([(_local, np.einsum("hb,b->b", delta.values, nu.weights) - 1.0)])  # [b] -> mass - 1
     report.add(check_from_residual("delta-normalization", worst, tolerance, witness))
 
     worst, witness = _orbit_slice(delta.values, action, True, _local)
@@ -311,10 +303,10 @@ def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance:
 
 
 def dirac_delta(nu: StabilizerMeasureFamily) -> DeltaFunction:
-    """delta(h, b) = [h = e] / nu_b(e): the canonical unit-mass density."""
+    """delta(h, b) = [h = e] / nu_b: the canonical unit-mass density."""
     action = nu.action
     e = action.group.identity
-    w = nu.weights[:, e]
+    w = nu.weights
     if np.any(w <= 0):
         b = int(np.flatnonzero(w <= 0)[0])
         raise DegenerateMeasureError(f"nu gives the identity no mass at b={b}")

@@ -304,8 +304,9 @@ def banded_support_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> tuple[fl
     The coordinates h -> (signed h mod n, signed h div n) do not depend on b
     and are a bijection onto the signed window, which holds both shapes
     (n - 2s > 2 eps gives s + eps < n/2), so the count is the symmetric
-    difference of the observed and predicted support sets, summed over b."""
-    n, s, eps = scn.params["n"], scn.extras["band_spacing"], scn.extras["eps_steps"]
+    difference of the observed and predicted support sets, summed over b.
+    n is |B|, which it is on every torus-bands scenario."""
+    n, s, eps = scn.action.base_size, scn.extras["band_spacing"], scn.extras["eps_steps"]
     h = np.arange(scn.group.order)
     x, y = _signed_mod(h % n, n), _signed_mod(h // n, n)
     segments = (y == 0) & (np.abs(x[:, None] - s * np.arange(-1, 2)) <= eps).any(axis=1)
@@ -330,7 +331,7 @@ def biequivariant_filter(scn: Scenario) -> Filter:
     the table is base-independent) and additionally the translation
     invariance along stabilizers that forces the degeneracy.
     """
-    n = scn.params["n"]
+    n = scn.action.base_size
     ia = np.tile(np.arange(n), n)
     ib = np.repeat(np.arange(n), n)
     coset = (ia + ib) % n
@@ -423,9 +424,10 @@ def circle_offgrid_residual(scn: Scenario, angle: float) -> float:
 
     The exactly rotated samples are cross-correlated and compared with the
     nearest-grid translate of the unrotated output; the gap decays like
-    1/n for the fixed smooth test function.  Nothing asserts on this.
+    1/n for the fixed smooth test function, n = |B| grid points.  Nothing
+    asserts on this.
     """
-    n = scn.params["n"]
+    n = scn.action.base_size
     step = scn.extras["grid_step"]
     nearest = int(round(angle / step)) % n
     x = np.arange(n) * step

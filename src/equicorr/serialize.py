@@ -1,7 +1,7 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/4" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/5" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
 produce byte-identical files; a document under any other tag, an older
 form among them, is refused by its tag.  A scenario stores its group by
@@ -9,17 +9,18 @@ its generating set S as the left and right multiplications λ_s and ρ_s,
 2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
 the dense table from λ_S with groups.table_from_generators, the builder
 the built-in groups use too, and checks it against both.
-Every sparse float table (the filter, the kernel, delta, mu, nu, mubar
-and psi) is stored whole as a fill and its exceptions, {"fill": f, "at":
-[flat indices], "values": [...]}: f is the table's most frequent bit
-pattern, and `at` lists, ascending in row-major order, the entries whose
-bit pattern differs from it, so -0.0 and NaN round-trip exactly; the
-loader takes the shape from the action and the fiber dimensions.  A
-filter document whose "compressed" flag is true holds only the columns
-at the orbit representatives, (|G|, k, dF, dE), and loads as the full
-Filter.  Each theta is stored as its (|B|, |B|) `reps` table, -1 where
-undefined.  The Scenario record lives here, beside its codec, so that
-loading a file never imports the scenario builders.
+Every float table (the filter, the kernel, delta, mu, nu, mubar and psi)
+is stored whole as a fill and its exceptions, {"fill": f, "at": [flat
+indices], "values": [...]}: f is the table's most frequent bit pattern,
+and `at` lists, ascending in row-major order, the entries whose bit
+pattern differs from it, so -0.0 and NaN round-trip exactly; the loader
+takes the shape from the action and the fiber dimensions; nu's is (|B|,),
+one weight per base point.  A filter document whose "compressed" flag is
+true holds only the columns at the orbit representatives, (|G|, k, dF,
+dE), and loads as the full Filter.  Each theta is stored as its (|B|,
+|B|) `reps` table, -1 where undefined.  The Scenario record lives here,
+beside its codec, so that loading a file never imports the scenario
+builders.
 Loading validates shapes and index ranges and raises StructuralError on
 malformed input rather than guessing; a document-level loader also
 reports a missing key or a value of the wrong JSON type as
@@ -72,7 +73,7 @@ from .reporting import ValidationReport
 from .transforms import Kernel, ThetaMap
 from .xcorr import Filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/4"
+SCENARIO_SCHEMA = "equicorr-scenario/5"
 FILTER_SCHEMA = "equicorr-filter/2"
 KERNEL_SCHEMA = "equicorr-kernel/2"
 SECTION_SCHEMA = "equicorr-section/1"
@@ -305,7 +306,7 @@ def families_from_dict(doc: dict, action: GroupAction):
     n, m = action.group.order, action.base_size
     mu_weights = _fill_from_dict(doc["mu"]["weights"], (m, n), "mu")
     mu = GroupMeasureFamily(action, mu_weights, haar=_typed(doc["mu"].get("haar", False), (bool,), "mu haar"))
-    nu = StabilizerMeasureFamily(action, _fill_from_dict(doc["nu"]["weights"], (m, n), "nu"))
+    nu = StabilizerMeasureFamily(action, _fill_from_dict(doc["nu"]["weights"], (m,), "nu"))
     mubar = OrbitMeasureFamily(action, _fill_from_dict(doc["mubar"]["weights"], (m, m), "mubar"))
     return mu, nu, mubar
 
@@ -436,7 +437,8 @@ def mackey_from_dict(doc: dict, bundle: EquivariantBundle) -> MackeySection:
 class Scenario:
     """An action with its bundles and measure families, and whatever filter,
     kernel, thetas and extras the battery reads: scenarios.build_scenario
-    builds the built-in ones, scenario_from_dict loads one from a file."""
+    builds the built-in ones, scenario_from_dict loads one from a file.
+    params records how a built-in was built; no check reads it."""
 
     def __init__(
         self,
@@ -524,7 +526,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         nu,
         mubar,
     )
-    _typed(scn.params.get("n", 0), (int,), "params n")  # the battery's scenario checks compute with n and extras
     shape = (action.group.order, action.base_size)
     if "psi" in doc:
         scn.psi = PsiFunction(action, _fill_from_dict(doc["psi"]["values"], shape, "psi"))
@@ -540,6 +541,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         scn.extras[k] = _typed(v, (int,) if k in _INTEGER_EXTRAS else (int, float), f"extras {k}")
     origin = scn.extras.get("origin", 0)  # a base point: -1 would wrap, 10**6 would not index
     _require(0 <= origin < action.base_size, f"extras origin {origin} is outside [0, |B| = {action.base_size})")
+    for k in ("band_spacing", "eps_steps"):  # the banded support check spans windows of these many base points
+        width = scn.extras.get(k, 0)
+        _require(0 <= width <= action.base_size, f"extras {k} {width} is outside [0, |B| = {action.base_size}]")
     for k in ("dx", "grid_step"):  # the grid oracles scale and divide by these; 0, inf, nan and 1e-320 are no step
         step = scn.extras.get(k, 1.0)
         _require(sys.float_info.min <= step <= sys.float_info.max, f"extras {k} {step!r} is not a finite normal step > 0")

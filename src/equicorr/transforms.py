@@ -20,10 +20,10 @@ kernel violating the law on a strictly positive mubar is always caught.
 
 Projection averages a filter over each stabilizer into a kernel:
 
-    kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b),
+    kappa(k.b, b) = nu_b sum_{h in G_b} omega(k h, b) @ actE((k h)^-1, k.b),
 
-independent of the representative k by left-invariance of nu: the
-induced map's support scatter (`xcorr.filter_operator`) with nu_b(h) in
+independent of the representative k, nu_b being one weight on G_b: the
+induced map's support scatter (`xcorr.filter_operator`) with nu_b in
 place of mu_b(k h).  Lifting goes the other way and needs two extra
 pieces of scenario data: a section theta of the orbit map,
 theta(c, b).b = c with g theta(c, b) = theta(g.c, g.b) g on the kernel
@@ -152,19 +152,14 @@ def operator_equivariance_residual(
 def project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) -> Kernel:
     """Average the filter over each stabilizer:
 
-        kappa(k.b, b) = sum_{h in G_b} nu_b(h) omega(k h, b) @ actE((k h)^-1, k.b)
+        kappa(k.b, b) = nu_b sum_{h in G_b} omega(k h, b) @ actE((k h)^-1, k.b),
 
-    with k = k_c the smallest element carrying b to c (action.coset_reps),
-    summed over the support k h of omega(., b) only.
+    summed over the support k h of omega(., b) only, each term weighed by
+    nu_b.
     """
     if nu.action is not filt.action:
         raise StructuralError("stabilizer family is over a different action")
-    action = filt.action
-    grp = action.group
-    idx = filt.support_index
-    rows = np.arange(idx.shape[0])[:, None]
-    reps = action.coset_reps[rows, action.table[idx, rows]]  # [b, s] -> k_c with c = k.b, k = idx[b, s]
-    weights = nu.weights[rows, grp.cayley[grp.inv[reps], idx]]  # nu_b(k_c^-1 k), k_c^-1 k in G_b
+    weights = np.broadcast_to(nu.weights[:, None], filt.support_index.shape)  # [b, s] -> nu_b
     return Kernel(filt.input_bundle, filt.output_bundle, _support_scatter(filt, weights))
 
 

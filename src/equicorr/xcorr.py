@@ -147,7 +147,7 @@ def filter_operator(filt: Filter, mu: GroupMeasureFamily) -> np.ndarray:
 def _support_scatter(filt: Filter, weights: np.ndarray) -> np.ndarray:
     """[c, b] -> the sum of weights[b, s] omega(k, b) @ actE(k^-1, c) over
     k = support_index[b, s] with k.b = c, ascending k, one scatter-add per
-    support position s: mu_b(k) weighs the induced map, nu_b(k_c^-1 k) the
+    support position s: mu_b(k) weighs the induced map, nu_b the
     projection (`transforms.project_filter_to_kernel`)."""
     action = filt.action
     m = action.base_size

@@ -40,14 +40,23 @@ def scenario_to_v2_dict(scn: Scenario) -> dict:
     defined (c, b), in row-major order, all plain JSON values."""
     doc = scenario_to_dict(scn)
     doc["schema"] = "equicorr-scenario/2"
-    for key in ("mu", "nu", "mubar"):
+    for key in ("mu", "mubar"):
         doc["families"][key]["weights"] = getattr(scn, key).weights.tolist()
+    doc["families"]["nu"]["weights"] = dense_nu(scn.nu).tolist()
     if scn.psi is not None:
         doc["psi"] = {"values": scn.psi.values.tolist()}
     for name, theta in scn.thetas.items():
         entries = [{"c": int(c), "b": int(b), "element": int(theta.reps[c, b])} for c, b in zip(*np.nonzero(theta.reps >= 0))]
         doc["thetas"][name] = {"entries": entries}
     return doc
+
+
+def dense_nu(nu: StabilizerMeasureFamily) -> np.ndarray:
+    """The (|B|, |G|) table nu_b(h): the weight nu_b where h.b = b, read
+    from the action table, and 0 elsewhere."""
+    action = nu.action
+    fixes = action.table.T == np.arange(action.base_size)[:, None]
+    return np.where(fixes, nu.weights[:, None], 0.0)
 
 
 def set_fill_entry(stored: dict, shape: tuple[int, ...], index: tuple[int, ...], value: float) -> None:
@@ -148,9 +157,12 @@ def counting_orbit_family(action: GroupAction, scale: float = 1.0) -> OrbitMeasu
 
 
 def normalization_residual(psi: PsiFunction, mu: GroupMeasureFamily, nu: StabilizerMeasureFamily) -> float:
-    """Max deviation of the two normalizations sum psi*mu = sum psi*nu = 1."""
+    """Max deviation of the two normalizations sum psi*mu = sum psi*nu = 1,
+    the second summed over the stabilizer of each b, each element of mass nu_b."""
+    action = psi.action
     against_mu = np.einsum("hb,bh->b", psi.values, mu.weights) - 1.0
-    against_nu = np.einsum("hb,bh->b", psi.values, nu.weights) - 1.0
+    on_stabilizers = np.array([psi.values[stabilizer(action, b), b].sum() for b in range(action.base_size)])
+    against_nu = on_stabilizers * nu.weights - 1.0
     return float(max(np.abs(against_mu).max(), np.abs(against_nu).max()))
 
 
@@ -177,7 +189,7 @@ def check_fubini(
     members = np.flatnonzero(reps >= 0)
 
     lhs = float(mu.weights[b] @ f)
-    inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ nu.weights[b, stab]  # one value per orbit member
+    inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ np.full(stab.size, nu.weights[b])  # one value per orbit member
     rhs = float(mubar.weights[b, members] @ inner)
     return abs(lhs - rhs)
 
@@ -219,7 +231,7 @@ def coset_project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) ->
     for b in range(m):
         stab, members = stabilizer(action, b), np.flatnonzero(action.coset_reps[b] >= 0)
         kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c of kh: the coset k_c G_b
-        w = nu.weights[b, stab]
+        w = np.full(stab.size, nu.weights[b])  # the mass of each element of the stabilizer
         mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
         back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
         out[members, b] = np.einsum("s,csij,csjk->cik", w, mats, back)

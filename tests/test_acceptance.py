@@ -174,7 +174,7 @@ def brute_force_projection(filt, nu):
             for s in stabilizer(action, b):
                 ks = mul(grp, k, int(s))
                 a_inv = filt.input_bundle.act_matrix[grp.inv[ks], c]
-                total = total + nu.weights[b, int(s)] * (filt.matrices[ks, b] @ a_inv)
+                total = total + nu.weights[b] * (filt.matrices[ks, b] @ a_inv)
             out[c, b] = total
     return out
 

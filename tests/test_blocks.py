@@ -58,7 +58,7 @@ def _fubini_cases():
         mu[7 % scn.action.base_size, 2] += 0.5  # the same defect, later: the first one is named
         cases[spec] = (GroupMeasureFamily(scn.action, mu), scn.nu, scn.mubar)
         nu = scn.nu.weights.copy()
-        nu[1, np.flatnonzero(nu[1])[-1]] = np.nan  # the first NaN wins
+        nu[1] = np.nan  # the first NaN wins
         cases[f"{spec}-nan"] = (scn.mu, StabilizerMeasureFamily(scn.action, nu), scn.mubar)
     return cases
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
 from equicorr.serialize import (
+    _fill_to_dict,
     dumps,
     kernel_from_dict,
     load_document,
@@ -30,7 +31,7 @@ from equicorr.serialize import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 
-from helpers import compressed_filter_to_dict, scenario_to_v2_dict, set_fill_entry
+from helpers import compressed_filter_to_dict, dense_nu, scenario_to_v2_dict, set_fill_entry
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -133,11 +134,12 @@ def test_nan_filter_entry_fails_validate(tmp_path, capsys):
 
 
 # Non-finite table entries load (JSON NaN and Infinity decode as floats) and
-# reach the validators, which name their coordinates; an infinite weight off
-# the stabilizer is refused by the family's constructor instead.
+# reach the validators, which name their coordinates: (the path to the
+# table, the entry, its value, the failed checks and their witnesses)
 NON_FINITE = {
     "mu-nan": (
-        ("families", "mu", "weights", 3, 5),
+        ("families", "mu", "weights"),
+        (3, 5),
         math.nan,
         {
             "families.disintegration-pointwise": [3, 5],
@@ -146,16 +148,23 @@ NON_FINITE = {
         },
     ),
     "mubar-nan": (
-        ("families", "mubar", "weights", 2, 2),
+        ("families", "mubar", "weights"),
+        (2, 2),
         math.nan,
         {"families.disintegration-pointwise": [2, 0], "families.family-mubar-pushforward": [2, 0, 0]},
     ),
     "psi-nan": (
-        ("psi", "values", 7, 1),
+        ("psi", "values"),
+        (7, 1),
         math.nan,
         {"psi.psi-conjugation": [1, 7, 0], "psi.psi-nonvanishing": [1]},
     ),
-    "nu-infinity": (("families", "nu", "weights", 3, 5), math.inf, "weight off the stabilizer"),
+    "nu-infinity": (
+        ("families", "nu", "weights"),
+        (3,),
+        math.inf,
+        {"families.disintegration-pointwise": [3, 0], "families.family-nu-conjugation": [3], "delta.delta-normalization": [3]},
+    ),
 }
 
 
@@ -228,21 +237,18 @@ def test_an_inf_meeting_an_inf_is_named_without_a_warning(tmp_path, capsys, case
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_table_entries_load_and_are_named(tmp_path, capsys, case):
-    (*where, i, j), value, expected = NON_FINITE[case]
+    where, index, value, expected = NON_FINITE[case]
     scn = build_scenario("torus-bands(16)")
     doc = scenario_to_dict(scn)
     table = scn.psi.values if where[0] == "psi" else getattr(scn, where[1]).weights
-    set_fill_entry(functools.reduce(dict.__getitem__, where, doc), table.shape, (i, j), value)
+    set_fill_entry(functools.reduce(dict.__getitem__, where, doc), table.shape, index, value)
     path = tmp_path / f"{case}.json"
     save_document(str(path), doc)
     assert json.dumps(value) in path.read_text(encoding="utf-8")  # JSON NaN or Infinity
     code, out, err = run_cli(capsys, "validate", str(path))
-    if isinstance(expected, str):
-        assert code == 2 and expected in err
-    else:
-        assert code == 1
-        failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
-        assert failed == expected
+    assert code == 1
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert failed == expected
 
 
 def test_a_nan_does_not_hide_a_negative_weight(tmp_path, capsys):
@@ -349,7 +355,7 @@ def test_broken_disintegration_skips_the_transform_agreements(tmp_path, capsys):
         _, out, _ = run_cli(capsys, "battery", str(path))
         checks = json.loads(out)["checks"]
         names.append([c["name"] for c in checks])
-        assert len(checks) == 44
+        assert len(checks) == 43
         assert [c["name"] for c in checks if c.get("skipped")] == (skipped if scale != 1.0 else [])
     assert names[0] == names[1]
     assert "projection.kernel.kernel-constraint" in names[1]
@@ -426,7 +432,6 @@ MALFORMED = {
     "delta-value-string": lambda doc: _set_delta_value(doc, "1.0"),
     "delta-value-true": lambda doc: _set_delta_value(doc, True),
     "mu-haar-string": lambda doc: doc["families"]["mu"].update(haar="no"),
-    "params-n-string": lambda doc: doc["params"].update(n="4"),
     "extras-band-spacing-string": lambda doc: doc.setdefault("extras", {}).update(band_spacing="1"),
     # an index or a count the battery computes with must be an integer, not 0.0
     "extras-origin-float": lambda doc: doc.setdefault("extras", {}).update(origin=0.0),
@@ -467,15 +472,22 @@ def _v1_document(doc: dict, scn) -> None:
 OLD_FILTER = {"schema": "equicorr-filter/1", "compressed": False, "rows": {}}
 OLD_KERNEL = {"schema": "equicorr-kernel/1", "entries": []}
 OLDER_DOCUMENTS = {
-    "scenario/1": (_v1_document, "'equicorr-scenario/4', got 'equicorr-scenario/1'"),
+    "scenario/1": (_v1_document, "'equicorr-scenario/5', got 'equicorr-scenario/1'"),
     # dense measure tables and theta entry lists
     "scenario/2": (
         lambda doc, scn: doc.update(json.loads(dumps(scenario_to_v2_dict(scn)))),
-        "'equicorr-scenario/4', got 'equicorr-scenario/2'",
+        "'equicorr-scenario/5', got 'equicorr-scenario/2'",
     ),
     "scenario/3": (
         lambda doc, scn: doc.update(schema="equicorr-scenario/3", filter=OLD_FILTER, kernel=OLD_KERNEL, delta={"by_base": {}}),
-        "'equicorr-scenario/4', got 'equicorr-scenario/3'",
+        "'equicorr-scenario/5', got 'equicorr-scenario/3'",
+    ),
+    # nu as the fill form of its (|B|, |G|) table
+    "scenario/4": (
+        lambda doc, scn: doc.update(
+            schema="equicorr-scenario/4", families=dict(doc["families"], nu={"weights": _fill_to_dict(dense_nu(scn.nu))})
+        ),
+        "'equicorr-scenario/5', got 'equicorr-scenario/4'",
     ),
     "filter/1": (lambda doc, scn: doc.update(filter=OLD_FILTER), "'equicorr-filter/2', got 'equicorr-filter/1'"),
     "kernel/1": (lambda doc, scn: doc.update(kernel=OLD_KERNEL), "'equicorr-kernel/2', got 'equicorr-kernel/1'"),
@@ -497,8 +509,11 @@ def test_an_older_document_exits_two_naming_its_schema(case, tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, name, value",
     [
-        ("params", "n", "16"),
         ("extras", "band_spacing", "4"),
+        # the banded support check spans windows of these many base points: [0, |B|]
+        pytest.param("extras", "band_spacing", 10**400, id="extras-band_spacing-10**400"),
+        ("extras", "band_spacing", -1),
+        ("extras", "eps_steps", 17),
         ("extras", "origin", 0.0),
         # an integer origin must be a base point: 10**6 would not index, -1 would wrap to the last
         ("extras", "origin", 10**6),
@@ -527,9 +542,34 @@ def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_p
     assert str(value) in err
 
 
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        pytest.param("torus-bands(16)", 10**400, id="torus-bands(16)-10**400"),
+        pytest.param("circle-grid(16)", 0, id="circle-grid(16)-0"),
+        pytest.param("circle-grid(16)", 10**18, id="circle-grid(16)-10**18"),
+    ],
+)
+def test_the_battery_reads_no_params_n(spec, n, tmp_path, capsys):
+    # params only record how a built-in was built: the banded support check
+    # and the circle-grid rotations take n = |B| from the action
+    doc = json.loads(dumps(scenario_to_dict(build_scenario(spec))))
+    path = tmp_path / "scenario.json"
+    save_document(str(path), doc)
+    expected = run_cli(capsys, "battery", str(path))
+    doc["params"]["n"] = n
+    save_document(str(path), doc)
+    assert run_cli(capsys, "battery", str(path)) == expected and expected[0] == 0  # no exception escapes main
+
+
 def _nu(doc: dict) -> dict:
-    """The fill form of doc's nu: fill 0.0, eight entries at [0, 4, 8, 14, 16, 20, 24, 30] of 32."""
-    return doc["families"]["nu"]["weights"]
+    """The fill form of doc's nu, its four weights of 1.0 rewritten in place
+    as the exceptions to a fill of 0.0, at [0, 1, 2, 3] of 4: a form that
+    loads as the same table."""
+    stored = doc["families"]["nu"]["weights"]
+    if stored == {"fill": 1.0, "at": [], "values": []}:
+        stored.update(fill=0.0, at=[0, 1, 2, 3], values=[1.0] * 4)
+    return stored
 
 
 def _set(table, at: tuple[int, ...], value) -> None:
@@ -557,12 +597,12 @@ MALFORMED_ENCODINGS = {
     "at-entry-true": (lambda doc: _nu(doc)["at"].__setitem__(0, True), "nu at entries must be JSON integers"),
     "at-entry-string": (lambda doc: _nu(doc)["at"].__setitem__(0, "0"), "nu at entries must be JSON integers"),
     "at-nested": (lambda doc: _nu(doc).update(at=[_nu(doc)["at"]]), "nu at must be a flat list of indices"),
-    "at-entry-past-the-table": (lambda doc: _nu(doc)["at"].__setitem__(7, 32), "nu at[7] = 32 is outside [0, 32)"),
-    "at-entry-negative": (lambda doc: _nu(doc)["at"].__setitem__(0, -1), "nu at[0] = -1 is outside [0, 32)"),
-    "at-entry-repeated": (lambda doc: _nu(doc)["at"].__setitem__(2, 4), "nu at[2] = 4 is outside [0, 32) or not above"),
-    "at-out-of-order": (lambda doc: _nu(doc)["at"].__setitem__(1, 9), "nu at[2] = 8 is outside [0, 32) or not above"),
-    "values-short": (lambda doc: _nu(doc)["values"].pop(), "nu values shape (7,), expected (8,)"),
-    "values-long": (lambda doc: _nu(doc)["values"].append(1.0), "nu values shape (9,), expected (8,)"),
+    "at-entry-past-the-table": (lambda doc: _nu(doc)["at"].__setitem__(3, 4), "nu at[3] = 4 is outside [0, 4)"),
+    "at-entry-negative": (lambda doc: _nu(doc)["at"].__setitem__(0, -1), "nu at[0] = -1 is outside [0, 4)"),
+    "at-entry-repeated": (lambda doc: _nu(doc)["at"].__setitem__(2, 1), "nu at[2] = 1 is outside [0, 4) or not above"),
+    "at-out-of-order": (lambda doc: _nu(doc)["at"].__setitem__(1, 3), "nu at[2] = 2 is outside [0, 4) or not above"),
+    "values-short": (lambda doc: _nu(doc)["values"].pop(), "nu values shape (3,), expected (4,)"),
+    "values-long": (lambda doc: _nu(doc)["values"].append(1.0), "nu values shape (5,), expected (4,)"),
     "mu-values-without-at": (
         lambda doc: doc["families"]["mu"]["weights"].update(values=[2.0]),
         "mu values shape (1,), expected (0,)",
@@ -599,6 +639,12 @@ MALFORMED_ENCODINGS = {
     "compressed-one": (lambda doc: doc["filter"].update(compressed=1), "filter compressed 1 is not bool"),
     "compressed-null": (lambda doc: doc["filter"].update(compressed=None), "filter compressed None is not bool"),
 }
+
+
+def test_the_rewritten_nu_fill_form_loads_as_the_same_table():
+    doc = json.loads(dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
+    assert _nu(doc)["at"] == [0, 1, 2, 3]
+    assert scenario_from_dict(doc).nu.weights.tolist() == [1.0] * 4
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ENCODINGS))
@@ -690,16 +736,16 @@ def test_a_signed_zero_and_a_nan_round_trip_bitwise_and_the_nan_is_named(tmp_pat
     # -0.0 is not 0.0's bit pattern and NaN is not equal to itself: both are
     # exceptions to their table's fill and load back bit for bit
     scn = build_scenario("torus-bands(16)")
-    scn.nu.weights[3, 5] = -0.0  # off the stabilizer of 3, where nu is 0
+    scn.psi.values[3, 5] = -0.0  # where psi is 0
     scn.psi.values[7, 1] = math.nan
     doc = scenario_to_dict(scn)
-    assert doc["families"]["nu"]["weights"]["fill"] == 0.0 and 3 * 256 + 5 in doc["families"]["nu"]["weights"]["at"]
+    psi = doc["psi"]["values"]
+    assert psi["fill"] == 0.0 and {3 * 16 + 5, 7 * 16 + 1} <= set(psi["at"].tolist())
     path = tmp_path / "signed.json"
     save_document(str(path), doc)
     loaded = scenario_from_dict(load_document(str(path)))
-    assert loaded.nu.weights.tobytes() == scn.nu.weights.tobytes()
     assert loaded.psi.values.tobytes() == scn.psi.values.tobytes()
-    assert math.copysign(1.0, loaded.nu.weights[3, 5]) == -1.0 and math.isnan(loaded.psi.values[7, 1])
+    assert math.copysign(1.0, loaded.psi.values[3, 5]) == -1.0 and math.isnan(loaded.psi.values[7, 1])
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 1
     failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}

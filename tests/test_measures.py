@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equicorr import groups
+from equicorr.bundles import _orbit_slice
 from equicorr.errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from equicorr.groups import stabilizer
 from equicorr.measures import (
@@ -24,10 +25,21 @@ from equicorr.measures import (
     validate_families,
     validate_psi,
 )
+from equicorr.reporting import _local
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 
-from helpers import check_fubini, mul, normalization_residual, psi_from_class_function, random_group_function, traced_peak
+from helpers import (
+    check_fubini,
+    counting_orbit_family,
+    dense_nu,
+    mul,
+    normalization_residual,
+    psi_from_class_function,
+    random_group_function,
+    traced_peak,
+)
+from test_streaming import two_orbit_filter
 
 
 def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
@@ -39,7 +51,7 @@ def brute_fubini_gap(action, mu, nu, mubar, f, b, reps=None) -> float:
         reps = {int(c): int(action.coset_reps[b, c]) for c in np.flatnonzero(action.coset_reps[b] >= 0)}
     rhs = 0.0
     for c, k in reps.items():
-        inner = sum(nu.weights[b, s] * f[mul(grp, k, s)] for s in stab)
+        inner = sum(nu.weights[b] * f[mul(grp, k, s)] for s in stab)  # nu_b: the mass of each s
         rhs += mubar.weights[b, c] * inner
     return abs(lhs - rhs)
 
@@ -129,12 +141,15 @@ def test_solved_orbit_measure_values():
 
 @pytest.mark.parametrize("value", [1.0, np.inf, np.nan])
 def test_mass_off_a_stabilizer_is_refused(value):
-    # dihedral(4) on the square: r1 (element 1) moves vertex 1
+    # dihedral(4) on the square: r1 (element 1) moves vertex 1.  nu is one
+    # weight per base point, so it holds no mass off a stabilizer: a
+    # (|B|, |G|) table of nu_b(h), with or without such mass, is refused by
+    # its shape
     action = dihedral_vertex_action(4)
-    nu = counting_stabilizer_family(action).weights.copy()
+    nu = np.where(action.table.T == np.arange(4)[:, None], 1.0, 0.0)
     delta = dirac_delta(counting_stabilizer_family(action)).values.copy()
     nu[1, 1] = delta[1, 1] = value
-    with pytest.raises(StructuralError, match="stabilizer family has weight off the stabilizer"):
+    with pytest.raises(StructuralError, match=r"^stabilizer family shape \(4, 8\), expected \(4,\)$"):
         StabilizerMeasureFamily(action, nu)
     with pytest.raises(StructuralError, match="delta has support off the stabilizer"):
         DeltaFunction(action, delta)
@@ -166,7 +181,7 @@ def test_haar_flag_names_the_base_point_of_a_corrupted_weight(value):
 def test_solve_orbit_measure_rejects_zero_nu_mass():
     action = dihedral_vertex_action(4)
     mu = counting_family(action, 1.0)
-    zero = StabilizerMeasureFamily(action, np.zeros((4, 8)))
+    zero = StabilizerMeasureFamily(action, np.zeros(4))
     with pytest.raises(DegenerateMeasureError):
         solve_orbit_measure(mu, zero, 0)
 
@@ -240,6 +255,37 @@ def test_dirac_delta_normalized():
     assert np.count_nonzero(delta.values) == 4
 
 
+@pytest.mark.parametrize("spec", ["dihedral(4, bundle=sign)", "torus(4)", "cyclic(6)", "two orbits"])
+def test_the_nu_conjugation_residual_is_the_orbit_slice_residual_of_the_dense_table(spec):
+    # the residual the (|B|, |G|) table nu_b(h) gave under _orbit_slice, the
+    # scan of the other invariance laws, on random weights, one bumped weight
+    # and a NaN at each base point in turn
+    action = two_orbit_filter()[0].action if spec == "two orbits" else build_scenario(spec).action
+    m = action.base_size
+    rng = SplitMix64(29)
+    cases = [rng.uniforms(m, 0.5, 2.0) for _ in range(4)]
+    for b in range(m):
+        for value in (1.25, np.nan):
+            weights = np.full(m, 0.75)
+            weights[b] = value
+            cases.append(weights)
+    mu, mubar = counting_family(action), counting_orbit_family(action)
+    for weights in cases:
+        nu = StabilizerMeasureFamily(action, weights)
+        check = next(c for c in validate_families(mu, nu, mubar).checks if c.name == "family-nu-conjugation")
+        dense, _ = _orbit_slice(dense_nu(nu).T, action, True, _local)
+        assert check.residual == dense or np.isnan(check.residual) and np.isnan(dense), weights
+        if not check.passed:
+            c = check.witness[0]  # a base point whose weight differs from its orbit's first
+            b0 = min(np.flatnonzero(action.coset_reps[c] >= 0))
+            assert abs(weights[c] - weights[b0]) == check.residual or np.isnan(weights[c] - weights[b0])
+    if spec == "two orbits":  # the fixed point inf is an orbit of its own: any finite weight passes there
+        for value in (0.0, 1.0, 1e300):
+            weights = np.full(m, 0.75)
+            weights[4] = value
+            assert validate_families(mu, StabilizerMeasureFamily(action, weights), mubar).passed
+
+
 def test_family_conjugation_violation_detected():
     action = torus_action(4, 1, 4)
     mu = counting_family(action, 1.0)
@@ -265,17 +311,19 @@ def test_orbit_family_off_orbit_weights_rejected():
 def test_a_nan_does_not_hide_a_negative_weight(family, monkeypatch):
     # on cyclic(4) every table is 4 x 4, and [1, 0] lies on the stabilizer and
     # on the orbit; the second pass counts one row per block, so the NaN and
-    # the negative entry lie in different blocks
+    # the negative entry lie in different blocks.  nu is one weight per base
+    # point: its table is the column [:, 0]
+    own = (lambda table: table[:, 0]) if family is StabilizerMeasureFamily else (lambda table: table)
     for block in (groups._BLOCK_ENTRIES, 1):
         monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
         table = np.zeros((4, 4))
         table[0, 0], table[1, 0] = np.nan, -5.0
         with pytest.raises(StructuralError, match="nonnegative"):
-            family(cyclic_action(4), table)
+            family(cyclic_action(4), own(table))
         with pytest.raises(StructuralError, match="nonnegative"):
-            family(cyclic_action(4), np.broadcast_to(-1.0, (4, 4)))  # as a view, like the built-in mu
+            family(cyclic_action(4), np.broadcast_to(-1.0, own(table).shape))  # as a view, like the built-in mu
         table[1, 0] = 0.0
-        family(cyclic_action(4), table)  # a NaN alone loads, for the validators to name
+        family(cyclic_action(4), own(table))  # a NaN alone loads, for the validators to name
 
 
 @pytest.mark.parametrize("spec", ["cyclic(64)", "torus-bands(16)"])  # counting, normalized-psi
@@ -293,4 +341,5 @@ def test_haar_families_allocate_no_table_of_their_own():
     assert peak < groups._BLOCK_ENTRIES + 8192
     psi = psi_indicator_identity(action)
     (_, nu, _), peak = traced_peak(lambda: construct_normalized_families(psi))
-    assert peak < table + nu.weights.nbytes  # nu's own table, its mask and the orbit solve
+    assert nu.weights.shape == (action.base_size,)
+    assert peak < table // 2  # the orbit solve; a (|B|, |G|) nu table alone traced a whole table

@@ -6,9 +6,9 @@ tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
 corruptions.  The associativity certificate (generator commutators and one
 row compare per element) is run on every single-entry corruption of two
 small tables against a brute-force scan of all triples.  No float law is scanned over all g: the bundle cocycle and the
-seven table-invariance laws (filter, kernel, psi, delta, mu, nu, mubar) are
-checked on one base slice per orbit, Mackey periodicity through its identity
-slice.  Their witnesses are pinned to fix the scan order, single-entry
+six table-invariance laws (filter, kernel, psi, delta, mu, mubar) are
+checked on one base slice per orbit, nu's conjugation law as one weight per
+orbit, Mackey periodicity through its identity slice.  Their witnesses are pinned to fix the scan order, single-entry
 corruptions of each of the eight tables are caught at |G| = 1024 as well, and
 a NaN planted in any float table fails with a witness.
 """
@@ -451,12 +451,9 @@ def test_family_mu_witness(d4):
 
 def test_family_nu_witness(d4):
     weights = d4.nu.weights.copy()
-    weights[1, 6] += 0.5  # stabilizer of vertex 1 is {r0, s2}
+    weights[1] += 0.5  # the weight of each element of the stabilizer {r0, s2} of vertex 1
     report = validate_families(d4.mu, StabilizerMeasureFamily(d4.action, weights), d4.mubar)
-    assert _failures(report) == [
-        ("family-nu-conjugation", 0.5, (1, 0, 4)),
-        ("family-nu-left-invariance", 0.5, (1,)),
-    ]
+    assert _failures(report) == [("family-nu-conjugation", 0.5, (1,))]
 
 
 def test_family_mubar_witness(d4):
@@ -586,9 +583,7 @@ FLOAT_LAWS = {
     ),
     "nu": (
         "family-nu-conjugation",
-        lambda s, bump: validate_families(
-            s.mu, StabilizerMeasureFamily(s.action, bump(s.nu.weights, fixes(s.action).T)), s.mubar
-        ),
+        lambda s, bump: validate_families(s.mu, StabilizerMeasureFamily(s.action, bump(s.nu.weights)), s.mubar),
     ),
     "mubar": (
         "family-mubar-pushforward",
@@ -600,8 +595,8 @@ FLOAT_LAWS = {
 def _bump_one(
     rng: SplitMix64, values: np.ndarray, allowed: np.ndarray | None = None, by: float = 1.0
 ) -> np.ndarray:
-    """Copy of values with one seeded cell of its first two axes, among the
-    allowed ones, raised by `by`."""
+    """Copy of values with one seeded cell of its first two axes (an entry
+    of a 1-d table), among the allowed ones, raised by `by`."""
     cells = np.argwhere(np.ones(values.shape[:2], dtype=bool) if allowed is None else allowed)
     out = values.copy()
     out[tuple(cells[rng.integer(len(cells))])] += by
@@ -610,7 +605,7 @@ def _bump_one(
 
 @pytest.mark.parametrize("table", sorted(FLOAT_LAWS))
 def test_single_float_entry_caught_at_1024(bands32, table):
-    # delta and nu live on the stabilizers, so only stabilizer cells are bumped
+    # delta lives on the stabilizers, so only its stabilizer cells are bumped
     assert bands32.group.order == 1024
     check, report_of = FLOAT_LAWS[table]
     missed = [

@@ -44,7 +44,7 @@ from equicorr.serialize import (
 )
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
-from helpers import compressed_filter_to_dict, scenario_to_v2_dict, traced_peak
+from helpers import compressed_filter_to_dict, dense_nu, scenario_to_v2_dict, traced_peak
 
 
 def roundtrip(doc: dict) -> dict:
@@ -77,7 +77,7 @@ def test_v1_documents_are_refused_by_their_tag(spec):
     doc = roundtrip(scenario_to_dict(scn))
     assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
-    refused = "^expected schema 'equicorr-scenario/4', got 'equicorr-scenario/1'$"
+    refused = "^expected schema 'equicorr-scenario/5', got 'equicorr-scenario/1'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(copy.deepcopy(doc))
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
@@ -210,7 +210,7 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/5")
+    wrong_schema = dict(good, schema="equicorr-scenario/6")
     with pytest.raises(StructuralError):
         scenario_from_dict(wrong_schema)
 
@@ -416,9 +416,36 @@ def test_a_v2_file_is_refused_by_its_tag(spec, tmp_path):
     # the tag alone refuses the file, before any of its tables is read
     path = tmp_path / "scenario.json"
     save_document(str(path), scenario_to_v2_dict(build_scenario(spec)))
-    refused = "^expected schema 'equicorr-scenario/4', got 'equicorr-scenario/2'$"
+    refused = "^expected schema 'equicorr-scenario/5', got 'equicorr-scenario/2'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS)
+def test_a_v4_file_is_refused_by_its_tag(spec, tmp_path):
+    # equicorr-scenario/4 stored nu as the fill form of its (|B|, |G|) table
+    # nu_b(h); the tag alone refuses the file
+    scn = build_scenario(spec)
+    doc = scenario_to_dict(scn)
+    doc["schema"] = "equicorr-scenario/4"
+    doc["families"]["nu"]["weights"] = serialize._fill_to_dict(dense_nu(scn.nu))
+    path = tmp_path / "scenario.json"
+    save_document(str(path), doc)
+    refused = "^expected schema 'equicorr-scenario/5', got 'equicorr-scenario/4'$"
+    with pytest.raises(StructuralError, match=refused):
+        scenario_from_dict(load_document(str(path)))
+
+
+def test_the_readme_file_formats_name_the_current_schema_tags():
+    # every tag the section names is one serialize writes, and every one it
+    # writes is named, apart from the older tag of the refused example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    refused = re.search(r"expected schema '([\w/-]+)', got\s+'([\w/-]+)'", section)
+    named = re.findall(r"equicorr-[a-z-]+/\d+", section.replace(refused.group(0), ""))
+    tags = {value for key, value in vars(serialize).items() if key.endswith("_SCHEMA")}
+    assert refused.group(1) == serialize.SCENARIO_SCHEMA
+    assert set(named) == tags and len(tags) == 6
 
 
 _BITS = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf, 5e-324])

@@ -43,7 +43,7 @@ def brute_transform(kern, mubar, f):
 
 
 def brute_project(filt, nu):
-    """kappa(k.b, b) = sum_{s in G_b} nu_b(s) w(k s, b) A_E((k s)^-1, k.b)."""
+    """kappa(k.b, b) = sum_{s in G_b} nu_b w(k s, b) A_E((k s)^-1, k.b), nu_b the mass of each s."""
     action = filt.action
     grp = action.group
     mb = action.base_size
@@ -60,7 +60,7 @@ def brute_project(filt, nu):
             acc = np.zeros_like(out[c, b])
             for s in stab:
                 ks = mul(grp, k, s)
-                acc = acc + nu.weights[b, s] * (filt.matrices[ks, b] @ ae[grp.inv[ks], c])
+                acc = acc + nu.weights[b] * (filt.matrices[ks, b] @ ae[grp.inv[ks], c])
             out[c, b] = acc
     return out
 
