@@ -9,9 +9,10 @@ different objects here.
 Every table is built by table_from_generators from the left
 multiplications λ_s of a generating set (Cayley's theorem): the
 constructors only state their generator permutations, and the scenario
-loader passes the ones a file stores.  Each group derives its greedy
-generating set once, at construction, and every generator-based check
-reads it from there.
+loader passes the ones a file stores, with the action's rows at them when
+the file holds those, so that the same walk builds the action table.
+Each group derives its greedy generating set once, at construction, and
+every generator-based check reads it from there.
 
 Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
@@ -167,7 +168,9 @@ class GroupAction:
 # constructors
 
 
-def table_from_generators(n: int, identity: int, generators: Callable[[], Sequence[np.ndarray]]) -> np.ndarray:
+def table_from_generators(
+    n: int, identity: int, generators: Callable[[], Sequence[np.ndarray]], rows: np.ndarray | None = None
+):
     """The (n, n) Cayley table generated by the left multiplications
     left[i] = λ_s of a generating set, built row by row along a
     breadth-first spanning tree of λ_S from the identity: row e is the
@@ -176,8 +179,18 @@ def table_from_generators(n: int, identity: int, generators: Callable[[], Sequen
     write is contiguous.  `generators` returns left; it is called after
     the size check, so a group over the budget allocates nothing of its
     order.  Every element must be reached; the group axioms are left to
-    validate_group."""
+    validate_group.
+
+    With rows, the (|S|, m) rows rows[i][b] = s_i.b of an action at the
+    same generators, the same walk builds the (n, m) action table: row e
+    is the identity, and the edge y = s·p gives row y as rows[i] after
+    row p, since (s·p).b = s.(p.b).  (cayley, table) is then returned;
+    the action axioms are left to validate_action."""
     _check_budget(f"a ({n}, {n}) cayley table", n * n)
+    if rows is not None:
+        _check_budget(f"a ({n}, {rows.shape[1]}) action table", n * rows.shape[1])
+        table = np.empty((n, rows.shape[1]), dtype=INDEX_DTYPE)
+        table[identity] = np.arange(rows.shape[1])
     left = generators()
     steps = [lam.tolist() for lam in left]  # steps[i][p] = s_i p, read as Python ints
     cayley = np.empty((n, n), dtype=INDEX_DTYPE)
@@ -186,18 +199,20 @@ def table_from_generators(n: int, identity: int, generators: Callable[[], Sequen
     reached[identity] = True
     tree = [identity]
     for p in tree:  # grows while it is walked: breadth-first order
-        for lam, step in zip(left, steps):
+        for i, step in enumerate(steps):
             y = step[p]
             if not reached[y]:
                 reached[y] = True
-                lam.take(cayley[p], out=cayley[y])
+                left[i].take(cayley[p], out=cayley[y])
+                if rows is not None:
+                    rows[i].take(table[p], out=table[y])
                 tree.append(y)
     if len(tree) < n:
         raise StructuralError(
             f"element {reached.index(0)} is not reached from the identity"
             " by left multiplication by the generators"
         )
-    return cayley
+    return cayley if rows is None else (cayley, table)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

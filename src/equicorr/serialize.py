@@ -1,14 +1,18 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/5" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/6" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
 produce byte-identical files; a document under any other tag, an older
 form among them, is refused by its tag.  A scenario stores its group by
 its generating set S as the left and right multiplications λ_s and ρ_s,
 2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
 the dense table from λ_S with groups.table_from_generators, the builder
-the built-in groups use too, and checks it against both.
+the built-in groups use too, and checks it against both.  The action
+table is stored by its rows s.b at S, |S|·|B| integers with the flag
+"by_generators" true, whenever those rebuild it in the same walk, as they
+do for every action; any other table is stored whole, (|G|, |B|), with the
+flag false.  The loader decides no action law: validate_action does.
 Every float table (the filter, the kernel, delta, mu, nu, mubar and psi)
 is stored whole as a fill and its exceptions, {"fill": f, "at": [flat
 indices], "values": [...]}: f is the table's most frequent bit pattern,
@@ -48,6 +52,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -73,7 +78,7 @@ from .reporting import ValidationReport
 from .transforms import Kernel, ThetaMap
 from .xcorr import Filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/5"
+SCENARIO_SCHEMA = "equicorr-scenario/6"
 FILTER_SCHEMA = "equicorr-filter/2"
 KERNEL_SCHEMA = "equicorr-kernel/2"
 SECTION_SCHEMA = "equicorr-section/1"
@@ -173,21 +178,25 @@ def group_to_dict(grp: FiniteGroup) -> dict:
     }
 
 
-def group_from_dict(doc: dict) -> FiniteGroup:
+def group_from_dict(doc: dict, action_rows: Callable[[int], np.ndarray] | None = None):
     """Rebuild the dense table from `left` alone (table_from_generators).
     The derived rows and columns at the generators must equal the stored
     `left` and `right` before inverses are derived; the group axioms are
-    left to validate_group."""
+    left to validate_group.  With action_rows, which returns an action's
+    rows at the |S| stored generators, the same walk rebuilds the action
+    table, and (group, table) is returned."""
     _require(isinstance(doc, dict), "group must be an object")
     elements = [str(x) for x in doc["elements"]]
     n = len(elements)
     e = _index(doc["identity"], n, "identity")
     gens = [_index(s, n, "generator") for s in doc["generators"]]
-    left, right = (_generator_permutations(doc, key, len(gens), n) for key in ("left", "right"))
+    left, right = (_generator_rows(doc[key], f"group {key}", len(gens), n) for key in ("left", "right"))
+    rows = None if action_rows is None else action_rows(len(gens))
     try:
-        cayley = table_from_generators(n, e, lambda: left)
+        built = table_from_generators(n, e, lambda: left, rows)
     except StructuralError as err:  # name the generators the file stores
         raise StructuralError(f"{err} {gens}") from None
+    cayley = built if rows is None else built[0]
     for s, lam, rho in zip(gens, left, right):
         for what, stored, derived in (("left", lam, cayley[s]), ("right", rho, cayley[:, s])):
             bad = np.flatnonzero(stored != derived)
@@ -197,34 +206,46 @@ def group_from_dict(doc: dict) -> FiniteGroup:
                     f"generator {s}: stored {what} multiplication differs from the derived table"
                     f" at element {x} ({stored[x]} != {derived[x]})"
                 )
-    return group_from_tables(elements, cayley, e)
+    grp = group_from_tables(elements, cayley, e)
+    return grp if rows is None else (grp, built[1])
 
 
-def _generator_permutations(doc: dict, key: str, k: int, n: int) -> np.ndarray:
-    table = _int_table(doc[key], f"group {key}")
-    _require(table.shape == (k, n) or table.size == k == 0, f"group {key} must be ({k}, {n}), a row per generator")
-    table = table.reshape(k, n)
-    _require(table.size == 0 or (table.min() >= 0 and table.max() < n), f"group {key} entries out of range")
+def _generator_rows(stored, what: str, k: int, width: int) -> np.ndarray:
+    """A (k, width) table, a row per generator, of entries in [0, width)."""
+    table = _int_table(stored, what)
+    _require(table.shape == (k, width) or table.size == k == 0, f"{what} must be ({k}, {width}), a row per generator")
+    table = table.reshape(k, width)
+    _require(table.size == 0 or (table.min() >= 0 and table.max() < width), f"{what} entries out of range")
     return table
 
 
 def action_to_dict(action: GroupAction) -> dict:
+    """`table` holds the rows s.b at the group's generators S, and
+    `by_generators` is true, when row e is the identity and table[s·g] =
+    s.(g.b) for every g and every s in S: then, by induction along the
+    loader's walk, every row it rebuilds is the stored one.  Any other
+    table, one that is no action among them, is stored whole."""
+    grp, table = action.group, action.table
+    gens = grp.generators
+    by_generators = np.array_equal(table[grp.identity], np.arange(action.base_size)) and all(
+        np.array_equal(table[grp.cayley[s]], table[s][table]) for s in gens
+    )
     return {
-        "group": group_to_dict(action.group),
+        "group": group_to_dict(grp),
         "base": list(action.base),
-        "table": action.table.tolist(),
+        "by_generators": by_generators,
+        "table": (table[gens] if by_generators else table).tolist(),
     }
 
 
 def action_from_dict(doc: dict) -> GroupAction:
     _require(isinstance(doc, dict) and "table" in doc and "group" in doc, "action needs a group and a table")
-    grp = group_from_dict(doc["group"])
-    table = _int_table(doc["table"], "action table")
-    _require(table.ndim == 2 and table.shape[0] == grp.order, "action table must be (order, base)")
-    m = table.shape[1]
-    base = doc.get("base") or [str(i) for i in range(m)]
-    _require(len(base) == m, "base names must match the table width")
-    return GroupAction(grp, tuple(str(b) for b in base), table)
+    base = tuple(str(b) for b in doc["base"])
+    if _typed(doc["by_generators"], (bool,), "action by_generators"):
+        grp, table = group_from_dict(doc["group"], lambda k: _generator_rows(doc["table"], "action table", k, len(base)))
+    else:  # GroupAction checks the whole table's shape and range
+        grp, table = group_from_dict(doc["group"]), _int_table(doc["table"], "action table")
+    return GroupAction(grp, base, table)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +284,18 @@ def _fill_to_dict(table: np.ndarray) -> dict:
     """{"fill": f, "at": flat indices, "values": the entries there}: f is
     the table's most frequent bit pattern, the smallest as int64 on a tie,
     and `at` lists, ascending, every entry whose bit pattern differs from
-    it.  The mode comes from a sort and its run lengths, not np.unique,
-    whose hash path imports numpy.ma (15-25 ms)."""
+    it.  +0.0, whose bit pattern is 0, is the mode when it fills more than
+    half the table, as it does in a sparse one, which one count decides;
+    otherwise the mode comes from a sort and its run lengths, not
+    np.unique, whose hash path imports numpy.ma (15-25 ms)."""
     flat = np.ravel(table)
     bits = flat.view(np.int64)
-    ordered = np.sort(bits)
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    fill = ordered[starts[np.argmax(np.diff(starts, append=ordered.size))]]
+    if 2 * np.count_nonzero(bits) < bits.size:
+        fill = np.int64(0)
+    else:
+        ordered = np.sort(bits)
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        fill = ordered[starts[np.argmax(np.diff(starts, append=ordered.size))]]
     at = np.flatnonzero(bits != fill)
     return {"fill": float(fill.view(np.float64)), "at": at, "values": flat[at]}
 

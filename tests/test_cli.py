@@ -13,11 +13,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equicorr.bundles import EquivariantBundle
 from equicorr.cli import main
-from equicorr.scenarios import build_scenario
+from equicorr.groups import GroupAction
+from equicorr.scenarios import _assemble, build_scenario
 from equicorr.serialize import (
     _fill_to_dict,
     dumps,
@@ -466,29 +468,37 @@ def _v1_document(doc: dict, scn) -> None:
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
 
 
+def _v5_document(doc: dict, scn) -> None:
+    """An equicorr-scenario/5 document: the action table always whole, with no by_generators flag."""
+    doc.update(schema="equicorr-scenario/5")
+    del doc["action"]["by_generators"]
+    doc["action"]["table"] = scn.action.table.tolist()
+
+
 # the previous scenario, filter and kernel forms: each is refused by its
 # tag, before any table is read, so the old filter and kernel forms here
 # hold empty tables
 OLD_FILTER = {"schema": "equicorr-filter/1", "compressed": False, "rows": {}}
 OLD_KERNEL = {"schema": "equicorr-kernel/1", "entries": []}
 OLDER_DOCUMENTS = {
-    "scenario/1": (_v1_document, "'equicorr-scenario/5', got 'equicorr-scenario/1'"),
+    "scenario/1": (_v1_document, "'equicorr-scenario/6', got 'equicorr-scenario/1'"),
     # dense measure tables and theta entry lists
     "scenario/2": (
         lambda doc, scn: doc.update(json.loads(dumps(scenario_to_v2_dict(scn)))),
-        "'equicorr-scenario/5', got 'equicorr-scenario/2'",
+        "'equicorr-scenario/6', got 'equicorr-scenario/2'",
     ),
     "scenario/3": (
         lambda doc, scn: doc.update(schema="equicorr-scenario/3", filter=OLD_FILTER, kernel=OLD_KERNEL, delta={"by_base": {}}),
-        "'equicorr-scenario/5', got 'equicorr-scenario/3'",
+        "'equicorr-scenario/6', got 'equicorr-scenario/3'",
     ),
     # nu as the fill form of its (|B|, |G|) table
     "scenario/4": (
         lambda doc, scn: doc.update(
             schema="equicorr-scenario/4", families=dict(doc["families"], nu={"weights": _fill_to_dict(dense_nu(scn.nu))})
         ),
-        "'equicorr-scenario/5', got 'equicorr-scenario/4'",
+        "'equicorr-scenario/6', got 'equicorr-scenario/4'",
     ),
+    "scenario/5": (_v5_document, "'equicorr-scenario/6', got 'equicorr-scenario/5'"),
     "filter/1": (lambda doc, scn: doc.update(filter=OLD_FILTER), "'equicorr-filter/2', got 'equicorr-filter/1'"),
     "kernel/1": (lambda doc, scn: doc.update(kernel=OLD_KERNEL), "'equicorr-kernel/2', got 'equicorr-kernel/1'"),
 }
@@ -587,7 +597,16 @@ def _v2_doc() -> dict:
     return json.loads(dumps(scenario_to_v2_dict(build_scenario(MALFORMED_SPEC))))
 
 
-# each malformed fill form, reps table or float table of MALFORMED_SPEC -> a part of its one error line
+def _whole(doc: dict) -> list:
+    """doc's action rewritten in place in the whole form: the flag false
+    and the (|G|, |B|) table, which it returns."""
+    doc["action"].update(by_generators=False, table=build_scenario(MALFORMED_SPEC).action.table.tolist())
+    return doc["action"]["table"]
+
+
+_ROWS = "action table must be (2, 4), a row per generator"
+
+# each malformed fill form, reps table, action table or float table of MALFORMED_SPEC -> a part of its one error line
 MALFORMED_ENCODINGS = {
     "fill-true": (lambda doc: _nu(doc).update(fill=True), "nu fill True is not int or float"),
     "fill-string": (lambda doc: _nu(doc).update(fill="0"), "nu fill '0' is not int or float"),
@@ -638,13 +657,139 @@ MALFORMED_ENCODINGS = {
     "compressed-string": (lambda doc: doc["filter"].update(compressed="false"), "filter compressed 'false' is not bool"),
     "compressed-one": (lambda doc: doc["filter"].update(compressed=1), "filter compressed 1 is not bool"),
     "compressed-null": (lambda doc: doc["filter"].update(compressed=None), "filter compressed None is not bool"),
+    # so is the action's by_generators flag, and its rows are one per generator, each |B| base points
+    "by-generators-one": (lambda doc: doc["action"].update(by_generators=1), "action by_generators 1 is not bool"),
+    "by-generators-string": (
+        lambda doc: doc["action"].update(by_generators="true"),
+        "action by_generators 'true' is not bool",
+    ),
+    "by-generators-null": (lambda doc: doc["action"].update(by_generators=None), "action by_generators None is not bool"),
+    "by-generators-missing": (lambda doc: doc["action"].pop("by_generators"), "KeyError: 'by_generators'"),
+    "rows-one-short": (lambda doc: doc["action"]["table"].pop(), _ROWS),
+    "rows-one-long": (lambda doc: doc["action"]["table"].append([0, 1, 2, 3]), _ROWS),
+    "rows-none": (lambda doc: doc["action"].update(table=[]), _ROWS),
+    "row-ragged": (lambda doc: doc["action"]["table"][1].pop(), "malformed document: ValueError"),
+    "row-entry-past-base": (
+        lambda doc: doc["action"]["table"][1].__setitem__(2, 4),
+        "action table entries out of range",
+    ),
+    "row-entry-negative": (
+        lambda doc: doc["action"]["table"][0].__setitem__(3, -1),
+        "action table entries out of range",
+    ),
+    # the whole form: a row per element, each of |B| base points in range
+    "whole-one-short": (lambda doc: _whole(doc).pop(), "action table shape (7, 4), expected (8, 4)"),
+    "whole-the-rows-only": (
+        lambda doc: doc["action"].update(by_generators=False),
+        "action table shape (2, 4), expected (8, 4)",
+    ),
+    "whole-a-base-point-short": (
+        lambda doc: (_whole(doc), doc["action"]["base"].pop()),
+        "action table shape (8, 4), expected (8, 3)",
+    ),
+    "a-base-point-short": (lambda doc: doc["action"]["base"].pop(), "action table must be (2, 3), a row per generator"),
+    "whole-ragged": (lambda doc: _whole(doc)[3].pop(), "malformed document: ValueError"),
+    "whole-entry-past-base": (lambda doc: _whole(doc)[5].__setitem__(1, 4), "action table entry out of range"),
+    "whole-entry-negative": (lambda doc: _whole(doc)[0].__setitem__(0, -1), "action table entry out of range"),
 }
+
+
+def test_the_whole_action_form_loads_as_the_same_table():
+    doc = json.loads(dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
+    rows = doc["action"]["table"]
+    assert doc["action"]["by_generators"] is True and len(_whole(doc)) == 8 and rows == [[1, 2, 3, 0], [0, 3, 2, 1]]
+    assert scenario_from_dict(doc).action.table.tolist() == build_scenario(MALFORMED_SPEC).action.table.tolist()
 
 
 def test_the_rewritten_nu_fill_form_loads_as_the_same_table():
     doc = json.loads(dumps(scenario_to_dict(build_scenario(MALFORMED_SPEC))))
     assert _nu(doc)["at"] == [0, 1, 2, 3]
     assert scenario_from_dict(doc).nu.weights.tolist() == [1.0] * 4
+
+
+def _two_orbit_scenario():
+    """Z_4 on Z_4 and a fixed point, with its 2-d rotation fiber, as a scenario."""
+    from test_streaming import two_orbit_filter
+
+    valid = two_orbit_filter()[0]
+    return _assemble("two-orbit", {}, valid.input_bundle.action, "counting", valid.input_bundle)
+
+
+def _rebuilt_rows(grp, rows: list[list[int]], m: int) -> list[list[int]]:
+    """The table stored rows give along the loader's walk, by brute force:
+    row e the identity, then breadth-first from e, each generator in turn,
+    row s·p = rows[s] after row p for each element s·p not yet reached."""
+    cayley = grp.cayley.tolist()
+    table = {grp.identity: list(range(m))}
+    tree = [grp.identity]
+    for p in tree:
+        for i, s in enumerate(grp.generators):
+            y = cayley[s][p]
+            if y not in table:
+                table[y] = [rows[i][c] for c in table[p]]
+                tree.append(y)
+    return [table[g] for g in range(grp.order)]
+
+
+def _compatibility_oracle(grp, table: list[list[int]]) -> tuple[int, list[int] | None]:
+    """(count, first (g, h, b)) of (g h).b != g.(h.b) over h in the
+    generators, then g, then b, validate_action's scan order."""
+    cayley = grp.cayley.tolist()
+    bad = [
+        [g, h, b]
+        for h in grp.generators
+        for g in range(grp.order)
+        for b in range(len(table[0]))
+        if table[cayley[g][h]][b] != table[g][table[h][b]]
+    ]
+    return len(bad), (bad[0] if bad else None)
+
+
+# row 0 sending base point 0 to 0, not 1: (residual, witness) of action-compatibility
+FIRST_ROW_CORRUPTION = {
+    "dihedral(4, bundle=sign)": (14, [3, 1, 1]),
+    "torus(4)": (48, [3, 1, 1]),
+    "cyclic(6)": (5, [5, 1, 1]),
+    "two-orbit": (3, [3, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FIRST_ROW_CORRUPTION))
+def test_every_corrupted_generator_row_entry_fails_action_compatibility(spec, tmp_path, capsys):
+    # rows that form no action load as the table the walk rebuilds from
+    # them, and validate names the first (g, h, b) at which it breaks
+    # compatibility at a generator h.  The rest of the file is the counting
+    # scenario on that table, since measure tables drawn on the intact
+    # orbits would be refused for weight off the corrupted ones; written by
+    # the package it holds the table whole, and both forms validate alike
+    scn = _two_orbit_scenario() if spec == "two-orbit" else build_scenario(spec)
+    grp, m, bundle = scn.group, scn.action.base_size, scn.input_bundle
+    rows = json.loads(dumps(scenario_to_dict(scn)))["action"]["table"]
+    assert _rebuilt_rows(grp, rows, m) == scn.action.table.tolist()
+    witnesses = set()
+    for i, b, value in ((i, b, v) for i in range(len(rows)) for b in range(m) for v in range(m) if v != rows[i][b]):
+        corrupted = [list(row) for row in rows]
+        corrupted[i][b] = value
+        table = _rebuilt_rows(grp, corrupted, m)
+        action = GroupAction(grp, scn.action.base, np.array(table))
+        doc = json.loads(dumps(scenario_to_dict(
+            _assemble("corrupted", {}, action, "counting", EquivariantBundle(action, bundle.fiber_dim, bundle.act_matrix))
+        )))
+        assert doc["action"]["by_generators"] is False and doc["action"]["table"] == table
+        outputs = []
+        for form in (doc["action"], {**doc["action"], "by_generators": True, "table": corrupted}):
+            save_document(str(tmp_path / "corrupted.json"), {**doc, "action": form})
+            outputs.append(run_cli(capsys, "validate", str(tmp_path / "corrupted.json")))
+        code, out, err = outputs[1]
+        assert outputs[0] == outputs[1] and code == 1 and "error:" not in err, (i, b, value)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        compat = checks["action.action-compatibility"]
+        assert not compat["pass"] and checks["action.action-identity"]["pass"], (i, b, value)
+        assert (compat["residual"], compat["witness"]) == _compatibility_oracle(grp, table), (i, b, value)
+        if (i, b, value) == (0, 0, 0):
+            assert (compat["residual"], compat["witness"]) == FIRST_ROW_CORRUPTION[spec]
+        witnesses.add(tuple(compat["witness"]))
+    assert len(witnesses) > 1 and rows[0][0] == 1
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ENCODINGS))
@@ -712,6 +857,18 @@ def _fuzzed(case: str, kind: str, index: int, leaf) -> dict:
     return doc
 
 
+def _reach_the_action(test):
+    """test with an example per fuzz leaf at the action's by_generators
+    flag and at an entry of each of its rows, and with the flag deleted."""
+    case = _FUZZ_CASES[0]
+    _, leaves, members, _ = _fuzz_file(case)
+    paths = [("action", "by_generators"), ("action", "table", 0, 0), ("action", "table", 1, 3)]
+    for path in paths:
+        for leaf in _FUZZ_LEAVES:
+            test = example(case, "leaf", leaves.index(path), leaf)(test)
+    return example(case, "delete", members.index(paths[0]), None)(test)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(_FUZZ_CASES),
@@ -719,6 +876,7 @@ def _fuzzed(case: str, kind: str, index: int, leaf) -> dict:
     st.integers(min_value=0),
     st.sampled_from(_FUZZ_LEAVES),
 )
+@_reach_the_action
 def test_a_fuzzed_scenario_file_exits_zero_one_or_two_with_one_error_line(case, kind, index, leaf):
     doc = _fuzzed(case, kind, index, leaf)
     out, err = io.StringIO(), io.StringIO()

@@ -336,45 +336,54 @@ def test_associativity_blocks_match_the_per_row_walk_on_random_corruptions():
     assert len(witnesses) > 40
 
 
-def _per_row_table(n: int, identity: int, left: list[np.ndarray]) -> np.ndarray:
-    """table_from_generators with numpy lookups and one gathered row per element."""
+def _per_row_table(n: int, identity: int, left: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """table_from_generators with numpy lookups and one gathered row per
+    element, and the action table that rows, one per generator, give."""
     cayley = np.empty((n, n), dtype=INDEX_DTYPE)
     cayley[identity] = np.arange(n)
+    table = np.empty((n, rows.shape[1]), dtype=INDEX_DTYPE)
+    table[identity] = np.arange(rows.shape[1])
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
     tree = [identity]
     for p in tree:
-        for lam in left:
+        for lam, row in zip(left, rows):
             y = int(lam[p])
             if not reached[y]:
                 reached[y] = True
                 cayley[y] = lam[cayley[p]]
+                table[y] = row[table[p]]
                 tree.append(y)
     if not reached.all():
         raise StructuralError(
             f"element {int(reached.argmin())} is not reached from the identity"
             " by left multiplication by the generators"
         )
-    return cayley
+    return cayley, table
 
 
 def test_table_from_generators_matches_the_per_row_walk_on_random_permutations():
+    # and so does the action table it carries from rows of any entries in range
     rng = np.random.default_rng(17)
     outcomes = collections.Counter()
     for _ in range(300):
-        n = int(rng.integers(1, 13))
+        n, m = int(rng.integers(1, 13)), int(rng.integers(1, 7))
         left = [rng.permutation(n) for _ in range(int(rng.integers(0, 4)))]
+        rows = rng.integers(0, m, (len(left), m))
         identity = int(rng.integers(0, n))
         try:
-            expected = _per_row_table(n, identity, left)
+            expected = _per_row_table(n, identity, left, rows)
         except StructuralError as err:
-            with pytest.raises(StructuralError) as got:
-                table_from_generators(n, identity, lambda: left)
-            assert str(got.value) == str(err)
+            for carried in (None, rows):
+                with pytest.raises(StructuralError) as got:
+                    table_from_generators(n, identity, lambda: left, carried)
+                assert str(got.value) == str(err)
             outcomes["unreached"] += 1
         else:
-            table = table_from_generators(n, identity, lambda: left)
-            assert table.dtype == expected.dtype and np.array_equal(table, expected)
+            cayley = table_from_generators(n, identity, lambda: left)
+            both = table_from_generators(n, identity, lambda: left, rows)
+            for got, want in zip((cayley, *both), (expected[0], *expected)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
             outcomes["table"] += 1
     assert outcomes["unreached"] > 50 and outcomes["table"] > 50
 

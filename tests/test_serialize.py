@@ -77,7 +77,7 @@ def test_v1_documents_are_refused_by_their_tag(spec):
     doc = roundtrip(scenario_to_dict(scn))
     assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
-    refused = "^expected schema 'equicorr-scenario/5', got 'equicorr-scenario/1'$"
+    refused = "^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/1'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(copy.deepcopy(doc))
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
@@ -210,8 +210,8 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/6")
-    with pytest.raises(StructuralError):
+    wrong_schema = dict(good, schema="equicorr-scenario/7")
+    with pytest.raises(StructuralError, match="^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/7'$"):
         scenario_from_dict(wrong_schema)
 
     bad_action = roundtrip(good)
@@ -367,6 +367,65 @@ def test_mutated_scenario_files_load_like_their_documents(spec, mutations):
 
 
 # ---------------------------------------------------------------------------
+# the action by its rows at the group's generators
+
+
+def _is_action(action: groups.GroupAction) -> bool:
+    """Brute force: row e is the identity and (g h).b = g.(h.b) for every g, h and b."""
+    grp, table, cayley = action.group, action.table.tolist(), action.group.cayley.tolist()
+    n, m = grp.order, action.base_size
+    return table[grp.identity] == list(range(m)) and all(
+        table[cayley[g][h]][b] == table[g][table[h][b]] for g in range(n) for h in range(n) for b in range(m)
+    )
+
+
+@functools.cache
+def _built_action(spec: str) -> groups.GroupAction:
+    return build_scenario(spec).action
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("dihedral(4, bundle=sign)", "torus(4)", "cyclic(6)")),
+    st.lists(st.tuples(*[st.integers(min_value=0, max_value=99)] * 3), max_size=3),
+)
+def test_the_writer_stores_the_rows_exactly_for_an_action_and_every_table_round_trips(spec, edits):
+    # the rows at S when they rebuild the table, which is when it is an
+    # action; any other table, with an entry or the identity row corrupted,
+    # whole; either loads back bit for bit
+    built = _built_action(spec)
+    table = built.table.copy()
+    n, m = table.shape
+    for g, b, value in edits:
+        table[g % n, b % m] = value % m
+    action = groups.GroupAction(built.group, built.base, table)
+    doc = roundtrip(serialize.action_to_dict(action))
+    assert doc["by_generators"] is _is_action(action)
+    assert doc["table"] == (table[built.group.generators] if doc["by_generators"] else table).tolist()
+    back = serialize.action_from_dict(doc)
+    assert back.table.dtype == table.dtype and back.table.tobytes() == table.tobytes()
+
+
+def test_cyclic_1_stores_no_generator_row_and_loads(tmp_path):
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(build_scenario("cyclic(1)")))
+    doc = load_document(str(path))
+    action = doc["action"]
+    assert (action["group"]["generators"], action["by_generators"], action["table"]) == ([], True, [])
+    table = scenario_from_dict(doc).action.table
+    assert table.dtype == groups.INDEX_DTYPE and table.tolist() == [[0]]
+
+
+def test_action_rows_over_the_entry_budget_are_refused_before_the_walk():
+    # a row of 2^14 + 1 base points on a group of order 2^12: the action
+    # table, not the cayley table, is over the budget
+    from equicorr.errors import DomainError
+
+    rows = np.zeros((1, 2**14 + 1), dtype=np.int64)
+    with pytest.raises(DomainError, match=r"^a \(4096, 16385\) action table needs 67,112,960 entries"):
+        groups.table_from_generators(4096, 0, lambda: pytest.fail("generators read"), rows)
+
+
 # the codec in bulk: float tables decoded during the parse, dumps as json's
 # indent-2 encoding
 
@@ -393,7 +452,8 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
     doc = load_document(str(path))
-    assert isinstance(doc["action"]["table"], np.ndarray)  # and so are the integer tables
+    # and so are the integer tables; cyclic(1) stores no generator row
+    assert isinstance(doc["action"]["table"], np.ndarray) or doc["action"]["table"] == [] == doc["action"]["group"]["left"]
     stored = [doc["families"][key]["weights"] for key in ("mu", "nu", "mubar")]
     stored += [doc.get(key, {}).get("values") for key in ("psi", "delta")]
     stored += [doc.get(key, {}).get("matrices") for key in ("filter", "kernel")]
@@ -411,12 +471,31 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
 
 
 @pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
+def test_a_saved_file_loads_the_arrays_of_the_built_scenario(spec, tmp_path):
+    # the action stored as its rows at the generators, rebuilt in the
+    # group's walk, and every other table: bitwise the built ones
+    scn = build_scenario(spec)
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(scn))
+    doc = load_document(str(path))
+    gens, m = scn.group.generators, scn.action.base_size
+    assert doc["action"]["by_generators"] is True
+    assert np.array_equal(np.reshape(doc["action"]["table"], (len(gens), m)), scn.action.table[gens])
+    built, loaded = _arrays(scn), _arrays(scenario_from_dict(doc))
+    assert loaded.keys() == built.keys()
+    for name, array in loaded.items():
+        ref = built[name]
+        assert (array.dtype, array.shape) == (ref.dtype, ref.shape), name
+        assert array.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
 def test_a_v2_file_is_refused_by_its_tag(spec, tmp_path):
     # equicorr-scenario/2 stored dense measure tables and theta entry lists;
     # the tag alone refuses the file, before any of its tables is read
     path = tmp_path / "scenario.json"
     save_document(str(path), scenario_to_v2_dict(build_scenario(spec)))
-    refused = "^expected schema 'equicorr-scenario/5', got 'equicorr-scenario/2'$"
+    refused = "^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/2'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 
@@ -431,7 +510,7 @@ def test_a_v4_file_is_refused_by_its_tag(spec, tmp_path):
     doc["families"]["nu"]["weights"] = serialize._fill_to_dict(dense_nu(scn.nu))
     path = tmp_path / "scenario.json"
     save_document(str(path), doc)
-    refused = "^expected schema 'equicorr-scenario/5', got 'equicorr-scenario/4'$"
+    refused = "^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/4'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 
@@ -473,6 +552,37 @@ def test_the_fill_form_keeps_every_bit_pattern(table):
         save_document(path, {"weights": stored})
         back = serialize._fill_from_dict(load_document(path)["weights"], table.shape, "table")
     assert back.tobytes() == table.tobytes()
+
+
+# tables whose +0.0 share sits at, just under and just over a half, the
+# rest of negative, positive and NaN bit patterns: a negative float's int64
+# view is below +0.0's, so on an exact tie with +0.0 it is the fill
+_HALF_ZERO_TABLES = st.integers(min_value=1, max_value=12).flatmap(
+    lambda half: st.tuples(
+        st.integers(min_value=max(0, half - 1), max_value=half + 1),
+        st.lists(st.sampled_from([-1.0, -0.0, 2.0, math.nan, 5e-324]), min_size=2 * half, max_size=2 * half),
+    ).map(lambda drawn: np.random.default_rng(drawn[0]).permutation(np.array([0.0] * drawn[0] + drawn[1][drawn[0]:])))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HALF_ZERO_TABLES)
+def test_the_zero_majority_shortcut_picks_the_fill_the_sort_picks(table):
+    # one count decides a strict +0.0 majority; an exact half goes to the sort
+    bits = table.view(np.int64)
+    ordered = np.sort(bits)
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    by_sort = ordered[starts[np.argmax(np.diff(starts, append=ordered.size))]]
+    counts = collections.Counter(bits.tolist())
+    assert by_sort == min(counts, key=lambda b: (-counts[b], b))
+    assert np.float64(serialize._fill_to_dict(table)["fill"]).view(np.int64) == by_sort
+
+
+def test_an_exact_half_of_zeros_ties_to_the_smaller_int64_view():
+    for other, fill in ((-1.0, -1.0), (2.0, 0.0)):
+        stored = serialize._fill_to_dict(np.array([0.0, other, 0.0, other]))
+        assert np.float64(stored["fill"]).tobytes() == np.float64(fill).tobytes(), other
+    assert serialize._fill_to_dict(np.array([0.0, -1.0, 0.0]))["fill"] == 0.0
 
 
 _TABLE_LEAVES = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=2), st.just({}))
