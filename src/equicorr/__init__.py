@@ -31,7 +31,7 @@ _EXPORTS = {
     "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
     "groups": (
         "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "generating_set",
-        "group_from_tables", "orbits", "pair_stabilizer", "stabilizer", "validate_action", "validate_group",
+        "orbits", "pair_stabilizer", "stabilizer", "validate_action", "validate_group",
     ),
     "measures": (
         "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",

@@ -6,13 +6,14 @@ into these tables, so element order is part of a group's identity: two
 groups with the same multiplication but different element order are
 different objects here.
 
-Every table is built by table_from_generators from the left
-multiplications λ_s of a generating set (Cayley's theorem): the
-constructors only state their generator permutations, and the scenario
-loader passes the ones a file stores, with the action's rows at them when
-the file holds those, so that the same walk builds the action table.
-Each group derives its greedy generating set once, at construction, and
-every generator-based check reads it from there.
+A group is defined by the left multiplications λ_s of a generating set S,
+the rows a scenario file stores: FiniteGroup(elements, identity, left)
+derives its Cayley table by one breadth-first walk of λ_S from the
+identity (Cayley's theorem), its inverses, and its greedy generating set
+S′, once, at construction; every generator-based check reads S′ from
+there.  The constructors only state their generator rows, those of S′,
+and the scenario loader passes the ones a file stores.  An action stored
+by its rows at S is rebuilt along the same walk (action_table).
 
 Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
@@ -27,8 +28,8 @@ reads them there, and none rescans the action table.
 Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
 with an offending tuple.  The identity and inverse laws are checked at
-every element; associativity by a centralizer argument on the generators'
-rows and columns, streamed one row block at a time (validate_group).  Action
+every element; associativity exactly on the commutators of the stored
+rows λ_s with the columns at S′, by a centralizer argument (validate_group).  Action
 compatibility is checked for every generator in the greedy generating
 set, which is exact: the elements that satisfy it are closed under
 products.
@@ -36,8 +37,8 @@ products.
 
 from __future__ import annotations
 
+import array
 import itertools
-from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -63,13 +64,13 @@ def _check_budget(what: str, entries: int) -> None:
 
 
 def _index_table(values, what: str, shape: tuple[int, ...], bound: int, low: int = 0) -> np.ndarray:
-    """values, of a nonempty shape, as a contiguous INDEX_DTYPE array, after
+    """values as a contiguous INDEX_DTYPE array of the given shape, after
     checking that every entry lies in [low, bound) as given, so that none
     wraps when narrowed (a NaN fails both comparisons)."""
     values = np.asarray(values)
     if values.shape != shape:
         raise StructuralError(f"{what} shape {values.shape}, expected {shape}")
-    if not (values.min() >= low and values.max() < bound):
+    if values.size and not (values.min() >= low and values.max() < bound):
         raise StructuralError(f"{what} entry out of range")
     return np.ascontiguousarray(values, dtype=INDEX_DTYPE)
 
@@ -114,21 +115,40 @@ def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-class FiniteGroup:
-    """Explicit finite group: labels, Cayley table, inverses, identity index."""
+def _check_order(n: int) -> None:
+    """Raise DomainError before anything of a group whose Cayley table is over the budget is built."""
+    _check_budget(f"a ({n}, {n}) cayley table", n * n)
 
-    def __init__(self, elements: tuple[str, ...], cayley: np.ndarray, inv: np.ndarray, identity: int):
+
+class FiniteGroup:
+    """Explicit finite group, defined by labels, the identity index and the
+    left multiplications left[i] = λ_s of a generating set S, s = left[i][e]
+    (empty for the trivial group), the rows a scenario file stores.  The
+    Cayley table, with the walk that built it, the inverses and the greedy
+    generating set S′ are derived from them once.  Rows that leave an
+    element unreached, or a table row without the identity, are refused;
+    the group axioms are left to validate_group."""
+
+    def __init__(self, elements: tuple[str, ...], identity: int, left):
         n = len(elements)
         if n == 0:
             raise StructuralError("group must have at least one element")
-        _check_budget(f"a ({n}, {n}) cayley table", n * n)
-        self.elements = elements
-        self.cayley = _index_table(cayley, "cayley table", (n, n), n)  # cayley[g, h] = g*h
-        self.inv = _index_table(inv, "inverse table", (n,), n)
+        _check_order(n)
         if not (0 <= identity < n):
             raise StructuralError("identity index out of range")
-        self.identity = identity
-        self.generators: list[int] = generating_set(self)  # greedy generating set of the table, derived
+        self.elements, self.identity = tuple(elements), identity
+        left = np.asarray(left)
+        self.left = _index_table(left.reshape(0, n) if left.shape == (0,) else left, "group left", (len(left), n), n)
+        # derived: cayley[g, h] = g*h, and walk[k] = (y, p, i), the k-th tree edge y = λ_i(p) that built row y
+        self.cayley, self.walk = _walk(self.left, identity)
+        self.inv = np.empty(n, dtype=INDEX_DTYPE)  # the first right inverse of each element, derived
+        for rows in _row_blocks(n, n):  # one block of rows compared at a time
+            hits = self.cayley[rows] == identity
+            found = hits.any(axis=1)
+            if not found.all():
+                raise StructuralError(f"element {int(found.argmin()) + rows.start} has no right inverse")
+            self.inv[rows] = hits.argmax(axis=1)
+        self.generators: list[int] = generating_set(self)  # greedy generating set S′ of the table, derived
 
     @property
     def order(self) -> int:
@@ -168,59 +188,58 @@ class GroupAction:
 # constructors
 
 
-def table_from_generators(
-    n: int, identity: int, generators: Callable[[], Sequence[np.ndarray]], rows: np.ndarray | None = None
-):
+def _walk(left: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndarray]:
     """The (n, n) Cayley table generated by the left multiplications
-    left[i] = λ_s of a generating set, built row by row along a
-    breadth-first spanning tree of λ_S from the identity: row e is the
-    identity permutation, and a tree edge y = s·p gives row y as
-    λ_s(row p), since s·(p·x) = y·x.  Rows, not columns, so that every
-    write is contiguous.  `generators` returns left; it is called after
-    the size check, so a group over the budget allocates nothing of its
-    order.  Every element must be reached; the group axioms are left to
-    validate_group.
-
-    With rows, the (|S|, m) rows rows[i][b] = s_i.b of an action at the
-    same generators, the same walk builds the (n, m) action table: row e
-    is the identity, and the edge y = s·p gives row y as rows[i] after
-    row p, since (s·p).b = s.(p.b).  (cayley, table) is then returned;
-    the action axioms are left to validate_action."""
-    _check_budget(f"a ({n}, {n}) cayley table", n * n)
-    if rows is not None:
-        _check_budget(f"a ({n}, {rows.shape[1]}) action table", n * rows.shape[1])
-        table = np.empty((n, rows.shape[1]), dtype=INDEX_DTYPE)
-        table[identity] = np.arange(rows.shape[1])
-    left = generators()
-    steps = [lam.tolist() for lam in left]  # steps[i][p] = s_i p, read as Python ints
+    left[i] = λ_s, built row by row along a breadth-first spanning tree of
+    λ_S from the identity: row e is the identity permutation, and a tree
+    edge y = s·p gives row y as λ_s(row p), since s·(p·x) = y·x.  Rows,
+    not columns, so that every write is contiguous.  Returned with the
+    tree's (n - 1, 3) edges (y, p, i), y = λ_i(p), in walk order.  Every
+    element must be reached; the group axioms are left to validate_group."""
+    n = left.shape[1]
+    steps = left.tolist()  # steps[i][p] = s_i p, read as Python ints
     cayley = np.empty((n, n), dtype=INDEX_DTYPE)
     cayley[identity] = np.arange(n)
     reached = bytearray(n)
     reached[identity] = True
-    tree = [identity]
+    tree, edges = [identity], array.array("h")  # INDEX_DTYPE, flat: no Python object per edge
     for p in tree:  # grows while it is walked: breadth-first order
         for i, step in enumerate(steps):
             y = step[p]
             if not reached[y]:
                 reached[y] = True
                 left[i].take(cayley[p], out=cayley[y])
-                if rows is not None:
-                    rows[i].take(table[p], out=table[y])
                 tree.append(y)
+                edges.extend((y, p, i))
     if len(tree) < n:
         raise StructuralError(
             f"element {reached.index(0)} is not reached from the identity"
             " by left multiplication by the generators"
         )
-    return cayley if rows is None else (cayley, table)
+    return cayley, np.frombuffer(edges, dtype=INDEX_DTYPE).reshape(n - 1, 3)
+
+
+def action_table(group: FiniteGroup, rows: np.ndarray) -> np.ndarray:
+    """The (n, m) action table that the (|S|, m) rows rows[i][b] = s_i.b of
+    an action at the group's stored generators give along the group's own
+    walk: row e is the identity, and the edge y = s·p gives row y as
+    rows[i] after row p, since (s·p).b = s.(p.b).  The action axioms are
+    left to validate_action."""
+    n, m = group.order, rows.shape[1]
+    _check_budget(f"a ({n}, {m}) action table", n * m)
+    table = np.empty((n, m), dtype=INDEX_DTYPE)
+    table[group.identity] = np.arange(m)
+    for y, p, i in zip(*group.walk.T.tolist()):
+        rows[i].take(table[p], out=table[y])
+    return table
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Cyclic group of order n, generated by x -> x+1."""
+    """Cyclic group of order n, generated by x -> x+1 (by nothing when n = 1)."""
     if n < 1:
         raise StructuralError("cyclic group needs n >= 1")
-    cayley = table_from_generators(n, 0, lambda: [(np.arange(n) + 1) % n])
-    return group_from_tables(tuple(f"r{i}" for i in range(n)), cayley, 0)
+    _check_order(n)
+    return FiniteGroup(tuple(f"r{i}" for i in range(n)), 0, [(np.arange(n) + 1) % n][: n - 1])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -228,18 +247,15 @@ def dihedral_group(n: int) -> FiniteGroup:
 
     Encoding: index i < n is the rotation v -> v+i, index n+i is the
     reflection v -> i-v (all mod n), composed as functions: (a*b).v =
-    a.(b.v).  Generated by r1 (r_i -> r_{i+1}, s_i -> s_{i+1}) and s0
-    (r_i -> s_{-i}, s_i -> r_{-i}).
+    a.(b.v).  Generated by r1 (r_i -> r_{i+1}, s_i -> s_{i+1}), unless n =
+    1 makes it the identity, and s0 (r_i -> s_{-i}, s_i -> r_{-i}).
     """
     if n < 1:
         raise StructuralError("dihedral group needs n >= 1")
-
-    def generators():
-        up, down = (np.arange(n) + 1) % n, -np.arange(n) % n
-        return [np.concatenate([up, n + up]), np.concatenate([n + down, down])]
-
-    cayley = table_from_generators(2 * n, 0, generators)
-    return group_from_tables(tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n)), cayley, 0)
+    _check_order(2 * n)
+    up, down = (np.arange(n) + 1) % n, -np.arange(n) % n
+    left = [np.concatenate([up, n + up]), np.concatenate([n + down, down])][n == 1 :]
+    return FiniteGroup(tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n)), 0, left)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -249,33 +265,13 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     identity.
     """
     na, nb = a.order, b.order
-
-    def generators():
-        ia, ib = np.arange(na), np.arange(nb)
-        left = [(ib[:, None] * na + a.cayley[s][None, :]).ravel() for s in a.generators]
-        # INDEX_DTYPE products below na * nb = |G|, an index
-        return left + [(b.cayley[t][:, None] * na + ia[None, :]).ravel() for t in b.generators]
-
-    identity = b.identity * na + a.identity
-    cayley = table_from_generators(na * nb, identity, generators)
+    _check_order(na * nb)
+    ia, ib = np.arange(na), np.arange(nb)
+    left = [(ib[:, None] * na + a.cayley[s][None, :]).ravel() for s in a.generators]
+    # INDEX_DTYPE products below na * nb = |G|, an index
+    left += [(b.cayley[t][:, None] * na + ia[None, :]).ravel() for t in b.generators]
     labels = tuple(f"({a.elements[i]},{b.elements[j]})" for j in range(nb) for i in range(na))
-    return group_from_tables(labels, cayley, identity)
-
-
-def group_from_tables(elements: list[str], cayley: np.ndarray, identity: int) -> FiniteGroup:
-    """Build a group from labels, a Cayley table and its identity, deriving
-    inverses.  Raises StructuralError when some inverse does not exist;
-    deeper axiom violations are left to validate_group.
-    """
-    cayley = np.asarray(cayley)  # FiniteGroup range-checks it, then narrows it to INDEX_DTYPE
-    inv = np.empty(len(cayley), dtype=np.intp)
-    for rows in _row_blocks(len(cayley), len(elements)):  # one block of rows compared at a time
-        hits = cayley[rows] == identity
-        found = hits.any(axis=1)
-        if not found.all():
-            raise StructuralError(f"element {int(found.argmin()) + rows.start} has no right inverse")
-        inv[rows] = hits.argmax(axis=1)
-    return FiniteGroup(tuple(elements), cayley, inv, int(identity))
+    return FiniteGroup(labels, b.identity * na + a.identity, left)
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +285,15 @@ def generating_set(group: FiniteGroup) -> list[int]:
 
     Every element ends up a generator, the identity, or a product r a of a
     reached r and a generator a, read from the table.  Only table products
-    are read, so this is sound on a table that is not yet validated; a new
-    generator is marked reached directly, so a corrupted identity row cannot
-    stall the closure.
+    are read, so this is sound on a table that is not yet validated.
     """
     cay = group.cayley
     reached = np.zeros(group.order, dtype=bool)
     reached[group.identity] = True
     gens: list[int] = []
     while not reached.all():
-        a = int(np.flatnonzero(~reached)[0])
-        gens.append(a)
-        reached[a] = True
-        frontier = np.flatnonzero(reached)
+        gens.append(int(np.flatnonzero(~reached)[0]))
+        frontier = np.flatnonzero(reached)  # e among them: row e is the identity, so e a = a is reached first
         while frontier.size:
             # a mask, not np.unique, whose hash path imports numpy.ma (15-25 ms)
             new = np.zeros_like(reached)
@@ -315,25 +307,24 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
     """Scan the group axioms.  Residuals count violations, held at 0;
     witnesses name the first offending tuple in scan order.
 
-    Associativity is decided by the centralizer argument (Dixon & Mortimer,
-    Permutation Groups, 1996, 4.2) on two sets of instances of
-    (x a) y = x (a y), scanned in this order:
-
-    - the commutators λ_s ρ_t = ρ_t λ_s of the generators' rows and
-      columns: the triples (s, x, t), |S|^2 |G| of them;
-    - row y = row r after λ_a for every y = r a that a breadth-first walk
-      from {e} ∪ S reaches (the closure generating_set walks, so every
-      element): the triples (r, a, x), a block of rows of |G| at a time.
-
-    Given the identity laws they hold exactly when the table is
-    associative: the rows lie in the monoid λ_S generates, which commutes
-    with the columns ρ_S, and these carry e to every element, so a row is
-    fixed by its value at e; row x after row y and row x y both take e to
-    x y.  The residual R counts the violated instances, and the witness
-    (x, a, y) is the first.  Light's count P over the triples (x, a, y)
-    with a in S contains the row instances, so R - R_comm <= P, R_comm
-    being the commutator part; given the identity laws R = 0 exactly when
-    P = 0, so P <= |S| |G|^2 R and R <= (|S|^2 |G| + 1) P.
+    Associativity is decided on the commutators λ_s ρ_t = ρ_t λ_s of the
+    stored rows λ_s and the columns ρ_t at S′: the instances λ_s(x t) =
+    λ_s(x) t over (s, x, t) in row-major order, |S| |S′| |G| of them, s
+    named by λ_s(e).  The residual N counts the violated ones and the
+    witness is the first.  N = 0 exactly when the table is associative and
+    every stored row is the table's row at λ_s(e), by the centralizer
+    argument (Dixon & Mortimer, Permutation Groups, 1996, 4.2) on two
+    invariants of the construction: every row is a product of the λ_s
+    (the walk), and every element is e, an element of S′, or r a with r
+    reached before and a in S′ (generating_set's closure).  Row e and
+    column e are the identity by construction.  If the commutators hold,
+    so every row commutes with every ρ_a, then by induction along the
+    closure (y x) z = y (x z) for every z, and λ_s(g) = λ_s(e g) = λ_s(e) g;
+    an associative table's rows commute with its columns.  Against the
+    residual R of the scan this replaced (these commutators over S′ × S′
+    plus one row compare per element): N = 0 forces R = 0, so R <=
+    (|S′|^2 |G| + |G|^2) N, and on stored rows that are those of S′, N is
+    R's commutator part, so N <= R.
     """
     cay, inv, e = group.cayley, group.inv, group.identity
     idn = np.arange(group.order)
@@ -348,48 +339,12 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
         count, at = _count([(site, bad)])
         report.add(check_from_residual(f"group-{name}", count, 0, at))
 
-    gens = group.generators
-    left, right = cay[gens], cay[:, gens]
-    edges = _tree_edges(right, e, gens)
-    flat = cay.ravel()
-
-    def broken(rows):  # [k, x] -> (r a) x != r (a x) at edge k = (y, r, a), a row block of edges at a time
-        ys, rs, gs = edges[:, rows]
-        idx = cay[gs].astype(np.intp)  # the flat index r |G| + a x of r (a x)
-        idx += group.order * rs[:, None]
-        return flat.take(idx) != cay[ys]
-
-    def parts():  # [s, x, t] -> s (x t) != (s x) t, then the edges' rows
-        yield (lambda s, x, t: (gens[s], x, gens[t])), left[:, right] != right[left]
-        # rows of 2 |G| entries: the 8-byte index and the 64 KiB buffer numpy
-        # broadcasts r |G| through then fill one block of _BLOCK_ENTRIES float64
-        yield from _rows(edges.shape[1], 2 * group.order, broken, lambda k, x: (int(edges[1, k]), int(edges[2, k]), x))
-
-    count, witness = _count(parts())
+    left, gens = group.left, group.generators
+    right = cay[:, gens]  # [x, t] = x t
+    commutators = (lambda s, x, t: (int(left[s, e]), x, gens[t])), left[:, right] != right[left]  # [s, x, t]
+    count, witness = _count([commutators])
     report.add(check_from_residual("group-associativity", count, 0, witness))
     return report
-
-
-def _tree_edges(right: np.ndarray, e: int, gens: list[int]) -> np.ndarray:
-    """The (3, k) edges (y, r, a), y = r a, of the breadth-first walk from
-    {e} ∪ S by right multiplication by S, in walk order, where right[r, i]
-    = r gens[i]: one edge for each element the walk reaches after its
-    start."""
-    steps = right.tolist()
-    reached = bytearray(len(steps))
-    tree = [e, *gens]
-    for r in tree:
-        reached[r] = True
-    edges = np.empty((3, len(steps)), dtype=np.intp)
-    k = 0
-    for r in tree:  # grows while it is walked: breadth-first order
-        for a, y in zip(gens, steps[r]):
-            if not reached[y]:
-                reached[y] = True
-                tree.append(y)
-                edges[:, k] = y, r, a
-                k += 1
-    return edges[:, :k]
 
 
 def validate_action(action: GroupAction) -> ValidationReport:

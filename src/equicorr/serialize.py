@@ -1,18 +1,19 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/6" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/7" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
 produce byte-identical files; a document under any other tag, an older
-form among them, is refused by its tag.  A scenario stores its group by
-its generating set S as the left and right multiplications λ_s and ρ_s,
-2·|S|·|G| integers in place of the |G|² Cayley table; the loader rebuilds
-the dense table from λ_S with groups.table_from_generators, the builder
-the built-in groups use too, and checks it against both.  The action
-table is stored by its rows s.b at S, |S|·|B| integers with the flag
-"by_generators" true, whenever those rebuild it in the same walk, as they
-do for every action; any other table is stored whole, (|G|, |B|), with the
-flag false.  The loader decides no action law: validate_action does.
+form among them, is refused by its tag.  A scenario stores its group as
+FiniteGroup defines it, by the left multiplications λ_s of its generating
+set, |S|·|G| integers in place of the |G|² Cayley table; each generator s
+is λ_s(e).  The action table is stored by its rows s.b at those s,
+|S|·|B| integers with the flag "by_generators" true, whenever those
+rebuild it along the group's walk (groups.action_table), as they do for
+every action; any other table is stored whole, (|G|, |B|), with the flag
+false.  The loader decides no group or action law: validate_group and
+validate_action do.  When a table read after the action is refused, and
+the action breaks a law, the refusal names the law first.
 Every float table (the filter, the kernel, delta, mu, nu, mubar and psi)
 is stored whole as a fill and its exceptions, {"fill": f, "at": [flat
 indices], "values": [...]}: f is the table's most frequent bit pattern,
@@ -34,8 +35,8 @@ JSON object is rejected, not overwritten.
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
 float table (a `values` or `act_matrix` list whose first entry is a
 float) into the ndarray the loaders would build from it, and each
-integer table (an action `table`, a group's `left` and `right`, a fill
-form's `at`, a theta's `reps`) whose every entry is a JSON integer into
+integer table (an action `table`, a group's `left`, a fill form's `at`,
+a theta's `reps`) whose every entry is a JSON integer into
 an int64 array, as the parser closes the object holding it, so a file's
 numbers never all live as Python objects at once; anything else stays a
 list and reaches the loaders' own checks unchanged.  Those type-check a
@@ -52,21 +53,12 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Callable
 
 import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, Section, _transport, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import (
-    FiniteGroup,
-    GroupAction,
-    _float_table,
-    _leaf_types,
-    _row_blocks,
-    group_from_tables,
-    table_from_generators,
-)
+from .groups import FiniteGroup, GroupAction, _float_table, _leaf_types, _row_blocks, action_table, validate_action
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -78,7 +70,7 @@ from .reporting import ValidationReport
 from .transforms import Kernel, ThetaMap
 from .xcorr import Filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/6"
+SCENARIO_SCHEMA = "equicorr-scenario/7"
 FILTER_SCHEMA = "equicorr-filter/2"
 KERNEL_SCHEMA = "equicorr-kernel/2"
 SECTION_SCHEMA = "equicorr-section/1"
@@ -166,48 +158,17 @@ def _expect_schema(doc: dict, schema: str) -> None:
 
 
 def group_to_dict(grp: FiniteGroup) -> dict:
-    """The group by its generating set S: left[i] = λ_s (row s of the
-    table), right[i] = ρ_s (column s); 2·|S|·|G| entries in place of |G|²."""
-    gens = grp.generators
-    return {
-        "elements": list(grp.elements),
-        "identity": grp.identity,
-        "generators": gens,
-        "left": grp.cayley[gens].tolist(),
-        "right": grp.cayley[:, gens].T.tolist(),
-    }
+    """The group by its stored rows: left[i] = λ_s, |S|·|G| entries in place of |G|²."""
+    return {"elements": list(grp.elements), "identity": grp.identity, "left": grp.left.tolist()}
 
 
-def group_from_dict(doc: dict, action_rows: Callable[[int], np.ndarray] | None = None):
-    """Rebuild the dense table from `left` alone (table_from_generators).
-    The derived rows and columns at the generators must equal the stored
-    `left` and `right` before inverses are derived; the group axioms are
-    left to validate_group.  With action_rows, which returns an action's
-    rows at the |S| stored generators, the same walk rebuilds the action
-    table, and (group, table) is returned."""
+def group_from_dict(doc: dict) -> FiniteGroup:
+    """The group of the stored rows `left`, from which FiniteGroup derives
+    the table; the group axioms are left to validate_group."""
     _require(isinstance(doc, dict), "group must be an object")
-    elements = [str(x) for x in doc["elements"]]
-    n = len(elements)
-    e = _index(doc["identity"], n, "identity")
-    gens = [_index(s, n, "generator") for s in doc["generators"]]
-    left, right = (_generator_rows(doc[key], f"group {key}", len(gens), n) for key in ("left", "right"))
-    rows = None if action_rows is None else action_rows(len(gens))
-    try:
-        built = table_from_generators(n, e, lambda: left, rows)
-    except StructuralError as err:  # name the generators the file stores
-        raise StructuralError(f"{err} {gens}") from None
-    cayley = built if rows is None else built[0]
-    for s, lam, rho in zip(gens, left, right):
-        for what, stored, derived in (("left", lam, cayley[s]), ("right", rho, cayley[:, s])):
-            bad = np.flatnonzero(stored != derived)
-            if bad.size:
-                x = int(bad[0])
-                raise StructuralError(
-                    f"generator {s}: stored {what} multiplication differs from the derived table"
-                    f" at element {x} ({stored[x]} != {derived[x]})"
-                )
-    grp = group_from_tables(elements, cayley, e)
-    return grp if rows is None else (grp, built[1])
+    elements = tuple(str(x) for x in doc["elements"])
+    identity = _index(doc["identity"], len(elements), "identity")
+    return FiniteGroup(elements, identity, _int_table(doc["left"], "group left"))
 
 
 def _generator_rows(stored, what: str, k: int, width: int) -> np.ndarray:
@@ -220,15 +181,16 @@ def _generator_rows(stored, what: str, k: int, width: int) -> np.ndarray:
 
 
 def action_to_dict(action: GroupAction) -> dict:
-    """`table` holds the rows s.b at the group's generators S, and
-    `by_generators` is true, when row e is the identity and table[s·g] =
-    s.(g.b) for every g and every s in S: then, by induction along the
-    loader's walk, every row it rebuilds is the stored one.  Any other
-    table, one that is no action among them, is stored whole."""
+    """`table` holds the rows s.b at the group's stored generators s =
+    λ_s(e), and `by_generators` is true, when row e is the identity and
+    table[λ_s(g)] = s.(g.b) for every g and every stored λ_s: then, by
+    induction along the group's walk, every row the loader rebuilds is the
+    stored one.  Any other table, one that is no action among them, is
+    stored whole."""
     grp, table = action.group, action.table
-    gens = grp.generators
+    gens = grp.left[:, grp.identity]
     by_generators = np.array_equal(table[grp.identity], np.arange(action.base_size)) and all(
-        np.array_equal(table[grp.cayley[s]], table[s][table]) for s in gens
+        np.array_equal(table[lam], table[s][table]) for lam, s in zip(grp.left, gens)
     )
     return {
         "group": group_to_dict(grp),
@@ -241,10 +203,11 @@ def action_to_dict(action: GroupAction) -> dict:
 def action_from_dict(doc: dict) -> GroupAction:
     _require(isinstance(doc, dict) and "table" in doc and "group" in doc, "action needs a group and a table")
     base = tuple(str(b) for b in doc["base"])
+    grp = group_from_dict(doc["group"])
     if _typed(doc["by_generators"], (bool,), "action by_generators"):
-        grp, table = group_from_dict(doc["group"], lambda k: _generator_rows(doc["table"], "action table", k, len(base)))
+        table = action_table(grp, _generator_rows(doc["table"], "action table", len(grp.left), len(base)))
     else:  # GroupAction checks the whole table's shape and range
-        grp, table = group_from_dict(doc["group"]), _int_table(doc["table"], "action table")
+        table = _int_table(doc["table"], "action table")
     return GroupAction(grp, base, table)
 
 
@@ -541,28 +504,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
     input_bundle = bundle_from_dict(doc["input_bundle"], action)
     out_doc = doc.get("output_bundle", "same")
     output_bundle = input_bundle if out_doc == "same" else bundle_from_dict(out_doc, action)
-    mu, nu, mubar = families_from_dict(doc["families"], action)
-    scn = Scenario(
-        str(doc.get("name", "scenario")),
-        dict(doc.get("params", {})),
-        action,
-        input_bundle,
-        output_bundle,
-        mu,
-        nu,
-        mubar,
-    )
     shape = (action.group.order, action.base_size)
-    if "psi" in doc:
-        scn.psi = PsiFunction(action, _fill_from_dict(doc["psi"]["values"], shape, "psi"))
-    if "delta" in doc:
-        scn.delta = DeltaFunction(action, _fill_from_dict(doc["delta"]["values"], shape, "delta"))
-    if "filter" in doc:
-        scn.filt = filter_from_dict(doc["filter"], input_bundle, output_bundle)
-    if "kernel" in doc:
-        scn.kernel = kernel_from_dict(doc["kernel"], input_bundle, output_bundle)
-    for name, tdoc in doc.get("thetas", {}).items():
-        scn.thetas[str(name)] = theta_from_dict(tdoc, action)
+    try:  # these refuse weight off the orbits and stabilizers, which a broken action moves
+        mu, nu, mubar = families_from_dict(doc["families"], action)
+        psi = PsiFunction(action, _fill_from_dict(doc["psi"]["values"], shape, "psi")) if "psi" in doc else None
+        delta = DeltaFunction(action, _fill_from_dict(doc["delta"]["values"], shape, "delta")) if "delta" in doc else None
+        filt = filter_from_dict(doc["filter"], input_bundle, output_bundle) if "filter" in doc else None
+        kernel = kernel_from_dict(doc["kernel"], input_bundle, output_bundle) if "kernel" in doc else None
+    except StructuralError as err:  # name the broken action law first, then the refusal
+        broken = next((c for c in validate_action(action).checks if not c.passed), None)
+        if broken is None:
+            raise
+        raise StructuralError(f"{broken.name} fails at {broken.witness}: {err}") from err
+    name, params = str(doc.get("name", "scenario")), dict(doc.get("params", {}))
+    scn = Scenario(name, params, action, input_bundle, output_bundle, mu, nu, mubar, psi, delta, filt, kernel)
+    for key, tdoc in doc.get("thetas", {}).items():
+        scn.thetas[str(key)] = theta_from_dict(tdoc, action)
     for k, v in doc.get("extras", {}).items():  # the battery indexes and counts with the integer ones
         scn.extras[k] = _typed(v, (int,) if k in _INTEGER_EXTRAS else (int, float), f"extras {k}")
     origin = scn.extras.get("origin", 0)  # a base point: -1 would wrap, 10**6 would not index
@@ -584,10 +541,10 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 
 
 # (key, type of the first entry, decoder) of the tables decoded in bulk:
-# the float tables, and the integer ones: the action table, the group's,
+# the float tables, and the integer ones: the action table, the group's rows,
 # a fill form's exceptions and a theta's reps
 _TABLES = [(key, float, _float_array) for key in ("values", "act_matrix")]
-_TABLES += [(key, int, _integer_array) for key in ("table", "left", "right", "at", "reps")]
+_TABLES += [(key, int, _integer_array) for key in ("table", "left", "at", "reps")]
 _TABLE_KEYS = frozenset(key for key, _, _ in _TABLES)
 
 

@@ -403,27 +403,20 @@ MALFORMED = {
     # control: the family constructor rejects this shape itself
     "mu-wrong-shape": lambda doc: doc["families"]["mu"].update(weights=[[1.0]]),
     # past int32, into the int64 range: 2^32 would narrow to 0 if cast before the range check
-    "permutation-entry-2^32": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**32),
     "left-entry-2^32": lambda doc: _group(doc)["left"][0].__setitem__(0, 2**32),
     "action-entry-2^32": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**32),
     # past int16, the index dtype: -2^16 would narrow to 0 if cast before the range check
-    "permutation-entry-minus-2^16": lambda doc: _group(doc)["right"][0].__setitem__(0, -(2**16)),
     "left-entry-minus-2^16": lambda doc: _group(doc)["left"][0].__setitem__(0, -(2**16)),
     "action-entry-minus-2^16": lambda doc: doc["action"]["table"][0].__setitem__(0, -(2**16)),
     # past int64: a JSON integer >= 2^63, or 1e400, which JSON loads as inf
-    "permutation-entry-2^63": lambda doc: _group(doc)["right"][0].__setitem__(0, 2**63),
     "left-entry-2^63": lambda doc: _group(doc)["left"][0].__setitem__(0, 2**63),
     "permutation-entry-1e400": lambda doc: _group(doc)["left"][1].__setitem__(3, float("inf")),
-    "right-entry-1e400": lambda doc: _group(doc)["right"][1].__setitem__(3, float("inf")),
-    # the generator indices are range-checked: -1 must not wrap to the last element
+    # the identity index is range-checked: -1 must not wrap to the last element
     "identity-minus-one": lambda doc: _group(doc).update(identity=-1),
-    "generator-minus-one": lambda doc: _group(doc)["generators"].__setitem__(0, -1),
-    "generator-past-order": lambda doc: _group(doc)["generators"].__setitem__(1, 8),
     # generator 1 multiplying as the identity: its rows reach only <s0>
     "left-row-unreaching": lambda doc: _group(doc)["left"].__setitem__(0, list(range(8))),
-    # generator 1 times e stored as 4, so the tree reaches 1 another way and derives another row
+    # generator 1 times e stored as 4: row 1 sends two elements to 4, and row 7 of the table holds no identity
     "left-entry-disagrees": lambda doc: _group(doc)["left"][0].__setitem__(0, 4),
-    "right-entry-disagrees": lambda doc: _group(doc)["right"][0].__setitem__(2, 0),
     "action-entry-2^63": lambda doc: doc["action"]["table"][0].__setitem__(0, 2**63),
     "action-entry-1e400": lambda doc: doc["action"]["table"][0].__setitem__(0, float("inf")),
     # a scalar of the wrong JSON type is refused, not cast: 1.9, "1" and true are not the integer 1
@@ -443,7 +436,6 @@ MALFORMED = {
         for name, row in (
             ("action", lambda doc: doc["action"]["table"][0]),
             ("left", lambda doc: _group(doc)["left"][0]),
-            ("right", lambda doc: _group(doc)["right"][0]),
         )
         for kind in (float, bool)
     },
@@ -481,24 +473,24 @@ def _v5_document(doc: dict, scn) -> None:
 OLD_FILTER = {"schema": "equicorr-filter/1", "compressed": False, "rows": {}}
 OLD_KERNEL = {"schema": "equicorr-kernel/1", "entries": []}
 OLDER_DOCUMENTS = {
-    "scenario/1": (_v1_document, "'equicorr-scenario/6', got 'equicorr-scenario/1'"),
+    "scenario/1": (_v1_document, "'equicorr-scenario/7', got 'equicorr-scenario/1'"),
     # dense measure tables and theta entry lists
     "scenario/2": (
         lambda doc, scn: doc.update(json.loads(dumps(scenario_to_v2_dict(scn)))),
-        "'equicorr-scenario/6', got 'equicorr-scenario/2'",
+        "'equicorr-scenario/7', got 'equicorr-scenario/2'",
     ),
     "scenario/3": (
         lambda doc, scn: doc.update(schema="equicorr-scenario/3", filter=OLD_FILTER, kernel=OLD_KERNEL, delta={"by_base": {}}),
-        "'equicorr-scenario/6', got 'equicorr-scenario/3'",
+        "'equicorr-scenario/7', got 'equicorr-scenario/3'",
     ),
     # nu as the fill form of its (|B|, |G|) table
     "scenario/4": (
         lambda doc, scn: doc.update(
             schema="equicorr-scenario/4", families=dict(doc["families"], nu={"weights": _fill_to_dict(dense_nu(scn.nu))})
         ),
-        "'equicorr-scenario/6', got 'equicorr-scenario/4'",
+        "'equicorr-scenario/7', got 'equicorr-scenario/4'",
     ),
-    "scenario/5": (_v5_document, "'equicorr-scenario/6', got 'equicorr-scenario/5'"),
+    "scenario/5": (_v5_document, "'equicorr-scenario/7', got 'equicorr-scenario/5'"),
     "filter/1": (lambda doc, scn: doc.update(filter=OLD_FILTER), "'equicorr-filter/2', got 'equicorr-filter/1'"),
     "kernel/1": (lambda doc, scn: doc.update(kernel=OLD_KERNEL), "'equicorr-kernel/2', got 'equicorr-kernel/1'"),
 }
@@ -606,6 +598,13 @@ def _whole(doc: dict) -> list:
 
 _ROWS = "action table must be (2, 4), a row per generator"
 
+
+def _v6_document(doc: dict) -> None:
+    """An equicorr-scenario/6 document: the group also by its generators and their columns."""
+    grp = build_scenario(MALFORMED_SPEC).group
+    doc.update(schema="equicorr-scenario/6")
+    _group(doc).update(generators=grp.generators, right=grp.cayley[:, grp.generators].T.tolist())
+
 # each malformed fill form, reps table, action table or float table of MALFORMED_SPEC -> a part of its one error line
 MALFORMED_ENCODINGS = {
     "fill-true": (lambda doc: _nu(doc).update(fill=True), "nu fill True is not int or float"),
@@ -691,6 +690,17 @@ MALFORMED_ENCODINGS = {
     "whole-ragged": (lambda doc: _whole(doc)[3].pop(), "malformed document: ValueError"),
     "whole-entry-past-base": (lambda doc: _whole(doc)[5].__setitem__(1, 4), "action table entry out of range"),
     "whole-entry-negative": (lambda doc: _whole(doc)[0].__setitem__(0, -1), "action table entry out of range"),
+    # the group: its stored rows, |G| elements each, that reach every element from the identity
+    "scenario/6": (_v6_document, "expected schema 'equicorr-scenario/7', got 'equicorr-scenario/6'"),
+    "left-ragged": (lambda doc: _group(doc)["left"][1].pop(), "malformed document: ValueError"),
+    "left-rows-short": (lambda doc: [row.pop() for row in _group(doc)["left"]], "group left shape (2, 7), expected (2, 8)"),
+    "left-entry-past-order": (lambda doc: _group(doc)["left"][0].__setitem__(3, 8), "group left entry out of range"),
+    "left-entry-true": (lambda doc: _group(doc)["left"][0].__setitem__(1, True), "group left entries must be JSON integers"),
+    "left-entry-float": (lambda doc: _group(doc)["left"][1].__setitem__(2, 6.0), "group left entries must be JSON integers"),
+    "left-unreaching": (
+        lambda doc: _group(doc)["left"].__setitem__(1, list(range(8))),
+        "element 4 is not reached from the identity by left multiplication by the generators",
+    ),
 }
 
 
@@ -792,6 +802,42 @@ def test_every_corrupted_generator_row_entry_fails_action_compatibility(spec, tm
     assert len(witnesses) > 1 and rows[0][0] == 1
 
 
+# the saved file's stored action rows with one entry changed, (row, base point,
+# value), that the loader refuses for a measure table off the orbits
+REFUSED_ROW_CORRUPTIONS = {
+    "cyclic(6)": {(0, b, v) for b in range(6) for v in range(6) if v != (b + 1) % 6},
+    "dihedral(4, bundle=sign)": {
+        (0, 0, 0), (0, 0, 3), (0, 1, 0), (0, 1, 1), (0, 1, 3), (0, 2, 1), (0, 2, 2), (0, 3, 1), (0, 3, 2), (0, 3, 3),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(REFUSED_ROW_CORRUPTIONS))
+def test_a_refused_corrupted_action_row_names_the_action_law_first(spec, tmp_path, capsys):
+    # every single-entry corruption of the saved file's rows: the loader
+    # either refuses the file with one line that names the action law the
+    # rebuilt table breaks, at validate_action's witness, then the refusal,
+    # or validate reports the same law failing
+    scn = build_scenario(spec)
+    text = dumps(scenario_to_dict(scn))
+    rows = json.loads(text)["action"]["table"]
+    m, refused = scn.action.base_size, set()
+    for i, b, value in ((i, b, v) for i in range(len(rows)) for b in range(m) for v in range(m) if v != rows[i][b]):
+        doc = json.loads(text)
+        doc["action"]["table"][i][b] = value
+        save_document(str(tmp_path / "corrupted.json"), doc)
+        code, out, err = run_cli(capsys, "validate", str(tmp_path / "corrupted.json"))
+        corrupted = doc["action"]["table"]
+        count, witness = _compatibility_oracle(scn.group, _rebuilt_rows(scn.group, corrupted, m))
+        if code == 2:
+            refused.add((i, b, value))
+            assert out == "" and err == f"error: action-compatibility fails at {tuple(witness)}: orbit family has weight off the orbit\n"
+        else:
+            compat = {c["name"]: c for c in json.loads(out)["checks"]}["action.action-compatibility"]
+            assert code == 1 and (compat["residual"], compat["witness"]) == (count, witness), (i, b, value)
+    assert refused == REFUSED_ROW_CORRUPTIONS[spec]
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_ENCODINGS))
 def test_a_malformed_fill_form_or_reps_table_exits_two(case, tmp_path, capsys):
     edit, message = MALFORMED_ENCODINGS[case]
@@ -859,10 +905,12 @@ def _fuzzed(case: str, kind: str, index: int, leaf) -> dict:
 
 def _reach_the_action(test):
     """test with an example per fuzz leaf at the action's by_generators
-    flag and at an entry of each of its rows, and with the flag deleted."""
+    flag, at an entry of each of its rows and of each of the group's rows,
+    and with the flag deleted."""
     case = _FUZZ_CASES[0]
     _, leaves, members, _ = _fuzz_file(case)
     paths = [("action", "by_generators"), ("action", "table", 0, 0), ("action", "table", 1, 3)]
+    paths += [("action", "group", "left", 0, 0), ("action", "group", "left", 1, 3)]
     for path in paths:
         for leaf in _FUZZ_LEAVES:
             test = example(case, "leaf", leaves.index(path), leaf)(test)
@@ -997,7 +1045,7 @@ def test_import_equicorr_loads_no_module_and_validate_leaves_the_builders_unload
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
     lines = proc.stderr.splitlines()
     assert lines[0] == "[]"
-    assert lines[-2:] == ["0 []", "[] True 70"]
+    assert lines[-2:] == ["0 []", "[] True 69"]
 
 
 MALFORMED_SPECS = [
@@ -1038,17 +1086,10 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
     doc["input_bundle"]["fiber_dim"] = 3000
     wide = tmp_path / "wide.json"
     save_document(str(wide), doc)
-    # a 400 KB group document by one generator whose table would take 1 GiB
+    # a 300 KB group document by one generator whose table would take 1 GiB
     n = 16384
-    step = [(i + 1) % n for i in range(n)]
     doc = scenario_to_dict(build_scenario("cyclic(4)"))
-    doc["action"]["group"] = {
-        "elements": [f"r{i}" for i in range(n)],
-        "identity": 0,
-        "generators": [1],
-        "left": [step],
-        "right": [step],
-    }
+    doc["action"]["group"] = {"elements": [f"r{i}" for i in range(n)], "identity": 0, "left": [[(i + 1) % n for i in range(n)]]}
     long = tmp_path / "long.json"
     save_document(str(long), doc)
     cases = {

@@ -66,6 +66,7 @@ RETIRED_NAMES = (
     "_group_from_cayley", "SCENARIO_SCHEMA_V1", "_GROUP_LOADERS", "SCENARIO_SCHEMA_V2",
     "act_on_section", "act_on_mackey", "mackey_to_section", "validate_mackey", "psi_from_class_function",
     "compressed_filter_to_dict", "_sparse_row", "_dense_row", "_DECIMAL",
+    "group_from_tables", "table_from_generators", "_tree_edges",
 )
 
 # public members that nothing in the package reads, kept on purpose: the
@@ -160,6 +161,5 @@ def test_the_retired_scan_helpers_are_gone():
     modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
     assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_NAMES if hasattr(m, n)] == []
     assert "carried" not in inspect.signature(bundles._orbit_slice).parameters
-    identity = inspect.signature(groups.group_from_tables).parameters["identity"]
-    assert identity.default is inspect.Parameter.empty
+    assert list(inspect.signature(groups.FiniteGroup).parameters) == ["elements", "identity", "left"]
     assert list(inspect.signature(serialize.action_from_dict).parameters) == ["doc"]

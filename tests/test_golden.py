@@ -2,7 +2,8 @@
 match the saved output under tests/golden/ byte for byte, the stdout of a
 few larger ones must keep the sha256 in battery-sha256.json and
 writers-sha256.json, and the saved scenario file of a few specs must keep
-the sha256 in scenario-sha256.json.
+the sha256 in scenario-sha256.json and validate and battery as its spec
+does.
 
 A change may regenerate a golden file only when it says which bytes moved
 and why; a speed-up that claims identical arithmetic must leave them all.
@@ -18,7 +19,7 @@ import pytest
 
 from equicorr.cli import main
 from equicorr.scenarios import build_scenario
-from equicorr.serialize import dumps, scenario_to_dict
+from equicorr.serialize import dumps, save_document, scenario_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -83,3 +84,17 @@ SCENARIO_HASHES = json.loads((GOLDEN / "scenario-sha256.json").read_text())
 def test_saved_scenario_bytes_match_golden(spec):
     text = dumps(scenario_to_dict(build_scenario(spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_HASHES[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
+def test_a_saved_file_validates_and_batteries_as_its_spec(spec, tmp_path, capsys):
+    # the benchmark's validate-file gate: the saved file prints the bytes
+    # its spec prints, on stdout and stderr, with the same exit status
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(build_scenario(spec)))
+    for command in ("validate", "battery"):
+        runs = []
+        for scenario in (spec, str(path)):
+            code = main([command, scenario])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 0, command

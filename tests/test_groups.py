@@ -14,7 +14,6 @@ from equicorr.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    group_from_tables,
     orbits,
     pair_stabilizer,
     stabilizer,
@@ -136,32 +135,25 @@ def test_direct_product_of_dihedral_and_cyclic_componentwise():
     assert validate_group(prod).passed
 
 
-def test_group_from_tables_rejects_broken():
-    cayley = cyclic_group(3).cayley.copy()
-    cayley[1, 1] = 1  # no longer a latin square row
-    with pytest.raises(StructuralError):
-        grp = group_from_tables(("e", "a", "b"), cayley, 0)
-        rep = validate_group(grp)
-        if not rep.passed:
-            raise StructuralError("axioms fail")
+def test_rows_that_leave_an_element_unreached_are_refused():
+    with pytest.raises(StructuralError, match="^element 2 is not reached from the identity by left multiplication"):
+        FiniteGroup(("e", "a", "b"), 0, [[1, 1, 0]])  # cyclic(3)'s row with 2 sent to 1
 
 
-def test_group_from_tables_takes_first_inverse():
-    shifted = cyclic_group(3).cayley[[1, 2, 0]]  # the identity row is row 2
-    grp = group_from_tables(("a", "b", "c"), shifted, 2)
-    assert grp.identity == 2 and grp.inv.tolist() == [1, 0, 2]
-    cayley = cyclic_group(4).cayley.copy()
-    cayley[2] = [2, 3, 0, 0]  # two right inverses: the first one wins
-    assert group_from_tables(tuple("abcd"), cayley, 0).inv.tolist() == [0, 3, 2, 1]
-    cayley[1, 3] = cayley[3, 1] = 1  # rows 1 and 3 never reach the identity
+def test_a_group_takes_each_first_right_inverse():
+    grp = FiniteGroup(("a", "b", "c"), 2, [[1, 2, 0]])  # cyclic(3) with its identity at index 2
+    assert grp.identity == 2 and grp.cayley.tolist() == [[1, 2, 0], [2, 0, 1], [0, 1, 2]] and grp.inv.tolist() == [1, 0, 2]
+    grp = FiniteGroup(tuple("abcd"), 0, [[1, 2, 3, 0], [1, 3, 0, 0]])
+    assert grp.cayley[3].tolist() == [3, 0, 0, 1]  # two right inverses: the first one wins
+    assert grp.inv.tolist() == [0, 3, 2, 1]
     with pytest.raises(StructuralError, match="^element 1 has no right inverse$"):
-        group_from_tables(tuple("abcd"), cayley, 0)
+        FiniteGroup(tuple("abcd"), 0, [[1, 2, 3, 3]])  # row 1 never reaches the identity
 
 
-def test_group_from_tables_in_row_blocks_of_one(monkeypatch):
+def test_a_group_takes_each_first_right_inverse_in_row_blocks_of_one(monkeypatch):
     # the same first inverses and errors, one row at a time
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
-    test_group_from_tables_takes_first_inverse()
+    test_a_group_takes_each_first_right_inverse()
 
 
 @settings(max_examples=20, deadline=None)
@@ -350,30 +342,20 @@ def test_action_rejects_out_of_range():
 
 
 # int64 entries past INDEX_DTYPE (int16) and past int32: 2^16 and 2^32
-# narrow to 0, the true entry at [1, 3] of a table and [0] of the inverses,
-# so a cast before the range check would pass a corrupted table as the valid
+# narrow to 0, the true entry at [0, 3] of a row and [1, 3] of a table, so a
+# cast before the range check would pass a corrupted table as the valid
 # one; n + 2^16 and n + 2^32 narrow to n
 WRAPPING = [2**16, 4 + 2**16, 2**32, 4 + 2**32]
 
 
 @pytest.mark.parametrize("value", WRAPPING)
 def test_group_entry_past_index_dtype_is_refused(value):
-    cayley, inv = cyclic_group(4).cayley.astype(np.int64), cyclic_group(4).inv.astype(np.int64)
-    labels = tuple("abcd")
-    bad = cayley.copy()
-    bad[1, 3] = value  # 1 + 3 = 0 mod 4
-    with pytest.raises(StructuralError):
-        FiniteGroup(labels, bad, inv, 0)
-    # at [1, 3], row 1's only identity, the inverse search would fail first;
-    # at [1, 2] row 1 keeps its inverse, so the range check is what refuses
-    bad = cayley.copy()
-    bad[1, 2] = value
-    with pytest.raises(StructuralError, match="cayley table entry out of range"):
-        group_from_tables(labels, bad, 0)
-    bad = inv.copy()
-    bad[0] = value  # the identity is its own inverse
-    with pytest.raises(StructuralError):
-        FiniteGroup(labels, cayley, bad, 0)
+    # at [0, 3] of cyclic(4)'s row, whose true entry is 0
+    left = cyclic_group(4).left.astype(np.int64)
+    assert left[0, 3] == 0
+    left[0, 3] = value
+    with pytest.raises(StructuralError, match="^group left entry out of range$"):
+        FiniteGroup(tuple("abcd"), 0, left)
 
 
 @pytest.mark.parametrize("value", WRAPPING)

@@ -3,9 +3,10 @@ table entry, and name the same offending coordinates every time.
 
 The integer-law scans read only a generating set, which is exact; these
 tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
-corruptions.  The associativity certificate (generator commutators and one
-row compare per element) is run on every single-entry corruption of two
-small tables against a brute-force scan of all triples.  No float law is scanned over all g: the bundle cocycle and the
+corruptions.  The associativity residual (the commutators of the stored
+rows with the columns at S′) is run on every single-entry corruption of
+the stored rows of four small groups and on 6,000 seeded row sets, against
+a brute-force scan of all triples and the residual it replaced.  No float law is scanned over all g: the bundle cocycle and the
 six table-invariance laws (filter, kernel, psi, delta, mu, mubar) are
 checked on one base slice per orbit, nu's conjugation law as one weight per
 orbit, Mackey periodicity through its identity slice.  Their witnesses are pinned to fix the scan order, single-entry
@@ -31,12 +32,11 @@ from equicorr.groups import (
     INDEX_DTYPE,
     FiniteGroup,
     GroupAction,
+    action_table,
     cyclic_group,
     dihedral_group,
     direct_product,
     generating_set,
-    group_from_tables,
-    table_from_generators,
     validate_action,
     validate_group,
 )
@@ -116,15 +116,16 @@ def test_group_derives_its_generators_once(spec, gens):
     assert grp.generators == gens == generating_set(grp)
 
 
-def test_generating_set_survives_corrupted_identity_row():
+def test_generating_set_reaches_every_element_of_a_table_that_is_no_group():
+    # r1's stored row with r1 r1 stored as r0: the walk still reaches every
+    # element, and the greedy set of the table it builds closes over all of them
     grp = build_scenario("dihedral(4)").group
-    cayley = grp.cayley.copy()
-    cayley[grp.identity] = grp.identity  # e x = e for every x
-    broken = FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)
+    left = grp.left.copy()
+    left[0, 1] = 0
+    broken = FiniteGroup(grp.elements, grp.identity, left)
     gens = generating_set(broken)
-    assert broken.generators == gens
-    assert gens == sorted(gens)
-    assert _closure(cayley, grp.identity, gens) == set(range(grp.order))
+    assert broken.generators == gens == [1, 2, 4]
+    assert _closure(broken.cayley, grp.identity, gens) == set(range(grp.order))
     assert not validate_group(broken).passed
 
 
@@ -133,14 +134,19 @@ def test_generating_set_survives_corrupted_identity_row():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_single_cayley_entry_caught(scn, seed):
+def test_single_stored_row_entry_caught(scn, seed):
+    # the group of rows with one entry changed is refused, or validate_group fails it
     grp = scn.group
     n = grp.order
     rng = SplitMix64(seed)
-    g, h = rng.integer(n), rng.integer(n)
-    cayley = grp.cayley.copy()
-    cayley[g, h] = _other(rng, int(cayley[g, h]), n)
-    assert not validate_group(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)).passed
+    i, x = rng.integer(len(grp.left)), rng.integer(n)
+    left = grp.left.copy()
+    left[i, x] = _other(rng, int(left[i, x]), n)
+    try:
+        corrupt = FiniteGroup(grp.elements, grp.identity, left)
+    except StructuralError:
+        return
+    assert not validate_group(corrupt).passed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -184,13 +190,13 @@ def scn_text(scn):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_stored_permutation_entry_caught(scn, scn_text, seed, tmp_path, capsys):
-    # a changed entry leaves the stored λ_s or ρ_s no permutation, which no
-    # group table's row or column can equal: the file fails at load or in
-    # validate_group, never passes
+    # a changed entry leaves the stored λ_s no permutation, which no group
+    # table's row can equal: the file fails at load or in validate_group,
+    # never passes
     doc = json.loads(scn_text)
     n = scn.group.order
     rng = SplitMix64(seed)
-    perms = doc["action"]["group"][("left", "right")[rng.integer(2)]]
+    perms = doc["action"]["group"]["left"]
     row, x = perms[rng.integer(len(perms))], rng.integer(n)
     row[x] = _other(rng, row[x], n)
     path = tmp_path / "corrupt.json"
@@ -203,83 +209,43 @@ def test_single_stored_permutation_entry_caught(scn, scn_text, seed, tmp_path, c
 
 
 def test_associativity_witness_and_count_over_generators():
+    # s0's stored row with s0 s3 stored as r2, not r1: every unary law still
+    # holds, and the commutators of λ_s0 fail at four (s, x, t), the first
+    # at x = r3, t = s0
     grp = build_scenario("dihedral(4)").group
-    cayley = grp.cayley.copy()
-    cayley[5, 6] = 0
-    report = validate_group(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity))
-    # s1 = r1 s0 is a row of the right-product tree, so row s1 must be row r1
-    # after left multiplication by s0; it differs at x = s2 alone
-    assert _failures(report) == [("group-associativity", 1.0, (1, 4, 6))]
-    # Light's count over (x, generator, y) on the same table, which the row
-    # triple (1, 4, 6) is one of
-    gens = generating_set(grp)
-    n = grp.order
-    brute = [
-        (x, a, y)
-        for a in gens
-        for x in range(n)
-        for y in range(n)
-        if cayley[cayley[x, a], y] != cayley[x, cayley[a, y]]
+    left = grp.left.copy()
+    left[1, 7] = 2
+    corrupt = FiniteGroup(grp.elements, grp.identity, left)
+    assert _failures(validate_group(corrupt)) == [("group-associativity", 4.0, (4, 3, 4))]
+    assert _commutators(corrupt) == (4, (4, 3, 4))
+
+
+def _commutators(group: FiniteGroup) -> tuple[int, tuple[int, int, int] | None]:
+    """(count, first (s, x, t)) of λ_s(x t) != λ_s(x) t over the stored
+    rows, then x, then t in S′, one instance at a time; s named by λ_s(e)."""
+    cay, e = group.cayley.tolist(), group.identity
+    bad = [
+        (lam[e], x, t)
+        for lam in group.left.tolist()
+        for x in range(group.order)
+        for t in group.generators
+        if lam[cay[x][t]] != cay[lam[x]][t]
     ]
-    assert len(brute) == 4 and brute[0] == (5, 1, 5) and (1, 4, 6) in brute
+    return len(bad), (bad[0] if bad else None)
 
 
-@pytest.mark.parametrize("build", [partial(dihedral_group, 3), partial(cyclic_group, 6)], ids=["dihedral(3)", "cyclic(6)"])
-def test_associativity_decided_on_every_single_entry_corruption(build):
-    # every wrong value at every (x, y): the report fails exactly when a
-    # brute-force scan of all triples or a unary law does, and the residual R
-    # keeps its stated relation to Light's count P
-    grp = build()
-    n = grp.order
-    for x, y, v in itertools.product(range(n), repeat=3):
-        if v == grp.cayley[x, y]:
-            continue
-        cayley = grp.cayley.copy()
-        cayley[x, y] = v
-        corrupt = FiniteGroup(grp.elements, cayley, grp.inv, grp.identity)
-        checks = {c.name.removeprefix("group-"): c for c in validate_group(corrupt).checks}
-        bad = cayley[cayley] != cayley[np.arange(n)[:, None, None], cayley]  # [x, y, z] -> (x y) z != x (y z)
-        gens = corrupt.generators
-        R, P = checks["associativity"].residual, int(bad[:, gens].sum())
-        R_comm = int(bad[np.ix_(gens, range(n), gens)].sum())
-        identity_laws = checks["identity-left"].passed and checks["identity-right"].passed
-        unary = identity_laws and checks["inverse-left"].passed and checks["inverse-right"].passed
-        assert all(c.passed for c in checks.values()) == (unary and not bad.any())
-        assert R - R_comm <= P
-        if R:
-            assert bad[checks["associativity"].witness]
-        if identity_laws:
-            assert (R == 0) == (P == 0) == (not bad.any())
-            assert P <= len(gens) * n * n * R and R <= (len(gens) ** 2 * n + 1) * P
-
-
-def test_associativity_needs_the_commutators():
-    # the dihedral group of order 12 acting on the hexagon's 6 vertices is
-    # transitive but not regular: the table built from its left
-    # multiplications keeps every row a product of generator rows and both
-    # identity laws, and only the commutators of the certificate fail
-    n = 6
-    cayley = table_from_generators(n, 0, lambda: [(np.arange(n) + 1) % n, -np.arange(n) % n])
-    grp = group_from_tables(tuple(f"v{i}" for i in range(n)), cayley, 0)
-    checks = {c.name: c for c in validate_group(grp).checks}
-    assert checks["group-identity-left"].passed and checks["group-identity-right"].passed
-    bad = cayley[cayley] != cayley[np.arange(n)[:, None, None], cayley]
-    gens = grp.generators
-    assert checks["group-associativity"].residual == bad[np.ix_(gens, range(n), gens)].sum() == 8
-    s, x, t = checks["group-associativity"].witness
-    assert s in gens and t in gens and bad[s, x, t]
-
-
-def _per_row_associativity(group: FiniteGroup) -> tuple[float, tuple[int, ...] | None]:
-    """The associativity residual and witness of validate_group, decided
-    with one Python-level row compare per element the walk reaches."""
-    cay, e, gens = group.cayley, group.identity, group.generators
-    left, right = cay[gens], cay[:, gens]
-    bad = left[:, right] != right[left]
-    count = float(bad.sum())
-    witness = tuple(int(c) for c in np.argwhere(bad)[0]) if count else None
+def _previous_residual(group: FiniteGroup) -> tuple[int, int, tuple[int, int, int] | None]:
+    """(R, R_comm, first commutator witness) of the previous associativity
+    scan, which read the table alone: the commutators of its rows and
+    columns at S′, (s, x, t) over S′ × G × S′, then one row compare per
+    element that the breadth-first walk of right products by S′ from
+    {e} ∪ S′ reaches, row r a against row r after row a."""
+    cay, gens = group.cayley, group.generators
+    bad = cay[gens][:, cay[:, gens]] != cay[:, gens][cay[gens]]
+    r_comm = int(bad.sum())
+    witness = tuple(int(c) for c in np.argwhere(bad)[0]) if r_comm else None
     witness = witness and (gens[witness[0]], witness[1], gens[witness[2]])
-    tree = [e, *gens]
+    count, tree = r_comm, [group.identity, *gens]
     reached = np.zeros(group.order, dtype=bool)
     reached[tree] = True
     for r in tree:
@@ -288,56 +254,115 @@ def _per_row_associativity(group: FiniteGroup) -> tuple[float, tuple[int, ...] |
             if not reached[y]:
                 reached[y] = True
                 tree.append(y)
-                row = cay[y] != cay[r, cay[a]]
-                if witness is None and row.any():
-                    witness = (r, a, int(row.argmax()))
-                count += int(row.sum())
-    return count, witness
+                count += int((cay[y] != cay[r, cay[a]]).sum())
+    return count, r_comm, witness
 
 
-def _corruptions(grp: FiniteGroup, cells) -> list[FiniteGroup]:
-    """grp with one table entry changed, for each (x, y, v) of cells with v
-    not the entry already there."""
-    out = []
-    for x, y, v in cells:
-        if v != grp.cayley[x, y]:
-            cayley = grp.cayley.copy()
-            cayley[x, y] = v
-            out.append(FiniteGroup(grp.elements, cayley, grp.inv, grp.identity))
-    return out
+def _single_entry_corruptions(grp: FiniteGroup):
+    """grp's stored rows with one entry changed, for every entry and value."""
+    for i, x, v in itertools.product(range(len(grp.left)), range(grp.order), range(grp.order)):
+        if v != grp.left[i, x]:
+            left = grp.left.copy()
+            left[i, x] = v
+            yield grp.elements, grp.identity, left
 
 
-@pytest.mark.parametrize(
-    "build",
-    [partial(cyclic_group, 6), partial(dihedral_group, 3), lambda: direct_product(cyclic_group(2), cyclic_group(3))],
-    ids=["cyclic(6)", "dihedral(3)", "Z2xZ3"],
-)
-def test_associativity_blocks_match_the_per_row_walk_on_every_single_entry_corruption(build):
-    grp = build()
-    corrupt = _corruptions(grp, itertools.product(range(grp.order), repeat=3))
-    assert len(corrupt) == grp.order**2 * (grp.order - 1)
-    for bad in corrupt:
-        check = validate_group(bad).checks[-1]
-        assert check.name == "group-associativity"
-        assert (check.residual, check.witness) == _per_row_associativity(bad)
+def _random_row_sets(count: int):
+    """Seeded row sets on at most 8 points: 0 to 3 rows, each a permutation
+    or, half of the time, any map, at a random identity."""
+    rng = np.random.default_rng(1974)
+    for _ in range(count):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        maps = bool(rng.integers(0, 2))
+        left = [rng.integers(0, n, n) if maps else rng.permutation(n) for _ in range(k)]
+        yield tuple(map(str, range(n))), int(rng.integers(0, n)), np.reshape(left, (k, n))
 
 
-def test_associativity_blocks_match_the_per_row_walk_on_random_corruptions():
-    # |G| = 256 spans several row blocks of the scan, so a witness past the
-    # first block keeps its walk position
+# the rows of the dihedral group of order 12 on the hexagon's vertices,
+# transitive but not regular
+HEXAGON = (tuple(f"v{i}" for i in range(6)), 0, [(np.arange(6) + 1) % 6, -np.arange(6) % 6])
+
+ROW_CASES = {
+    "cyclic(6)": lambda: _single_entry_corruptions(cyclic_group(6)),
+    "dihedral(3)": lambda: _single_entry_corruptions(dihedral_group(3)),
+    "dihedral(4)": lambda: _single_entry_corruptions(dihedral_group(4)),
+    "Z2xZ3": lambda: _single_entry_corruptions(direct_product(cyclic_group(2), cyclic_group(3))),
+    "random": lambda: _random_row_sets(6000),
+    "cyclic(1)": lambda: [(("r0",), 0, [])],
+    "hexagon": lambda: [HEXAGON],
+}
+# case -> (loadable row sets, those whose table is associative with a stored row not its own)
+ROW_CASE_COUNTS = {
+    "cyclic(6)": (0, 0),
+    "dihedral(3)": (35, 0),
+    "dihedral(4)": (65, 0),
+    "Z2xZ3": (30, 0),
+    "random": (2291, 105),
+    "cyclic(1)": (1, 0),
+    "hexagon": (1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_associativity_residual_against_brute_force_and_the_previous_residual(case):
+    # N, the commutator count, is 0 exactly when every triple associates and
+    # every stored row is the table's row at λ_s(e); N = 0 forces the
+    # previous residual R to 0, so R <= (|S′|^2 |G| + |G|^2) N; and on rows
+    # that are the rows of S′, N is R's commutator part, witness and all
+    loadable = foreign = 0
+    for elements, identity, left in ROW_CASES[case]():
+        try:
+            grp = FiniteGroup(elements, identity, left)
+        except StructuralError:
+            continue
+        loadable += 1
+        n, cay, gens = grp.order, grp.cayley, grp.generators
+        check = {c.name: c for c in validate_group(grp).checks}["group-associativity"]
+        N = check.residual
+        associative = not (cay[cay] != cay[np.arange(n)[:, None, None], cay]).any()
+        own = all(np.array_equal(lam, cay[lam[identity]]) for lam in grp.left)
+        assert (N == 0) == (associative and own)
+        assert (N, check.witness) == _commutators(grp)
+        R, R_comm, witness = _previous_residual(grp)
+        assert R <= (len(gens) ** 2 * n + n * n) * N
+        if own and grp.left[:, identity].tolist() == gens:
+            assert (N, check.witness) == (R_comm, witness) and N <= R
+        foreign += associative and not own
+    assert (loadable, foreign) == ROW_CASE_COUNTS[case]
+
+
+def test_associativity_matches_the_instance_loop_on_random_row_corruptions():
+    # |G| = 256: a witness far into the scan keeps its row-major position
     grp = build_scenario("torus-bands(16)").group
     rng = np.random.default_rng(31)
-    cells = zip(*(rng.integers(0, grp.order, 60) for _ in range(3)))
     witnesses = set()
-    for bad in _corruptions(grp, cells):
-        check = validate_group(bad).checks[-1]
-        assert (check.residual, check.witness) == _per_row_associativity(bad)
+    for i, x, v in zip(rng.integers(0, 2, 60), rng.integers(0, grp.order, 60), rng.integers(0, grp.order, 60)):
+        left = grp.left.copy()
+        left[i, x] = v
+        try:
+            corrupt = FiniteGroup(grp.elements, grp.identity, left)
+        except StructuralError:
+            continue
+        check = validate_group(corrupt).checks[-1]
+        assert check.name == "group-associativity"
+        assert (check.residual, check.witness) == _commutators(corrupt)
         witnesses.add(check.witness)
-    assert len(witnesses) > 40
+    assert len(witnesses) > 10
+
+
+def test_associativity_needs_the_commutators():
+    # the dihedral group of order 12 acting on the hexagon's 6 vertices is
+    # transitive but not regular: the table built from its rows keeps every
+    # row a product of them and both identity laws, and only the
+    # commutators fail
+    grp = FiniteGroup(*HEXAGON)
+    checks = {c.name: c for c in validate_group(grp).checks}
+    assert checks["group-identity-left"].passed and checks["group-identity-right"].passed
+    assert (checks["group-associativity"].residual, checks["group-associativity"].witness) == (8, (1, 3, 1)) == _commutators(grp)
 
 
 def _per_row_table(n: int, identity: int, left: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """table_from_generators with numpy lookups and one gathered row per
+    """The group's walk with numpy lookups and one gathered row per
     element, and the action table that rows, one per generator, give."""
     cayley = np.empty((n, n), dtype=INDEX_DTYPE)
     cayley[identity] = np.arange(n)
@@ -362,8 +387,8 @@ def _per_row_table(n: int, identity: int, left: list[np.ndarray], rows: np.ndarr
     return cayley, table
 
 
-def test_table_from_generators_matches_the_per_row_walk_on_random_permutations():
-    # and so does the action table it carries from rows of any entries in range
+def test_the_walk_and_the_action_rebuild_match_the_per_row_walk_on_random_permutations():
+    # and so does the action table rebuilt along the walk from rows of any entries in range
     rng = np.random.default_rng(17)
     outcomes = collections.Counter()
     for _ in range(300):
@@ -371,18 +396,17 @@ def test_table_from_generators_matches_the_per_row_walk_on_random_permutations()
         left = [rng.permutation(n) for _ in range(int(rng.integers(0, 4)))]
         rows = rng.integers(0, m, (len(left), m))
         identity = int(rng.integers(0, n))
+        labels = tuple(map(str, range(n)))
         try:
             expected = _per_row_table(n, identity, left, rows)
         except StructuralError as err:
-            for carried in (None, rows):
-                with pytest.raises(StructuralError) as got:
-                    table_from_generators(n, identity, lambda: left, carried)
-                assert str(got.value) == str(err)
+            with pytest.raises(StructuralError) as got:
+                FiniteGroup(labels, identity, np.reshape(left, (len(left), n)))
+            assert str(got.value) == str(err)
             outcomes["unreached"] += 1
         else:
-            cayley = table_from_generators(n, identity, lambda: left)
-            both = table_from_generators(n, identity, lambda: left, rows)
-            for got, want in zip((cayley, *both), (expected[0], *expected)):
+            grp = FiniteGroup(labels, identity, np.reshape(left, (len(left), n)))
+            for got, want in zip((grp.cayley, action_table(grp, rows)), expected):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             outcomes["table"] += 1
     assert outcomes["unreached"] > 50 and outcomes["table"] > 50

@@ -77,7 +77,7 @@ def test_v1_documents_are_refused_by_their_tag(spec):
     doc = roundtrip(scenario_to_dict(scn))
     assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
-    refused = "^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/1'$"
+    refused = "^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/1'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(copy.deepcopy(doc))
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
@@ -85,27 +85,26 @@ def test_v1_documents_are_refused_by_their_tag(spec):
         scenario_from_dict(doc)
 
 
-def test_group_is_stored_by_generator_permutations():
+def test_group_is_stored_by_its_generator_rows():
     grp = build_scenario("torus-bands(32)").group
     doc = roundtrip(scenario_to_dict(build_scenario("torus-bands(32)")))["action"]["group"]
-    assert set(doc) == {"elements", "identity", "generators", "left", "right"}
-    gens = doc["generators"]
-    assert gens == [1, 32]
-    assert sum(len(row) for row in doc["left"] + doc["right"]) == 2 * len(gens) * grp.order
-    assert doc["left"] == grp.cayley[gens].tolist() and doc["right"] == grp.cayley[:, gens].T.tolist()
+    assert set(doc) == {"elements", "identity", "left"}
+    assert [row[grp.identity] for row in doc["left"]] == grp.generators == [1, 32]
+    assert sum(len(row) for row in doc["left"]) == len(grp.generators) * grp.order
+    assert doc["left"] == grp.cayley[grp.generators].tolist()
 
 
-DIFFERS = "multiplication differs from the derived table at element"
 GROUP_FAULTS = {
-    # generator 1 multiplying as the identity: the tree reaches only <4>
+    # generator 1 multiplying as the identity: the walk reaches only <4>
     "unreached": (
         lambda g: g["left"].__setitem__(0, list(range(8))),
-        "element 1 is not reached from the identity by left multiplication by the generators [1, 4]",
+        "element 1 is not reached from the identity by left multiplication by the generators",
     ),
-    "left": (lambda g: g["left"][0].__setitem__(0, 4), f"generator 1: stored left {DIFFERS} 0 (4 != 1)"),
-    "right": (lambda g: g["right"][1].__setitem__(3, 0), f"generator 4: stored right {DIFFERS} 3 (0 != 7)"),
+    # generator 1 times e stored as 4: row 1 sends two elements to 4, and row 7 of the table holds no identity
+    "left": (lambda g: g["left"][0].__setitem__(0, 4), "element 7 has no right inverse"),
+    "left width": (lambda g: [row.pop() for row in g["left"]], "group left shape (2, 7), expected (2, 8)"),
     # range-checked, not wrapped to the last element
-    "generator -1": (lambda g: g["generators"].__setitem__(0, -1), "generator index -1 out of range [0, 8)"),
+    "left -1": (lambda g: g["left"][1].__setitem__(0, -1), "group left entry out of range"),
     "identity -1": (lambda g: g.update(identity=-1), "identity index -1 out of range [0, 8)"),
 }
 
@@ -210,8 +209,8 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/7")
-    with pytest.raises(StructuralError, match="^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/7'$"):
+    wrong_schema = dict(good, schema="equicorr-scenario/8")
+    with pytest.raises(StructuralError, match="^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/8'$"):
         scenario_from_dict(wrong_schema)
 
     bad_action = roundtrip(good)
@@ -256,15 +255,16 @@ def _cyclic4_doc() -> dict:
 
 
 @pytest.mark.parametrize("value", [True, False, 1.0])
-@pytest.mark.parametrize("where", ["identity", "generator", "theta"])
+@pytest.mark.parametrize("where", ["identity", "left", "theta"])
 def test_a_bool_or_float_index_is_rejected(where, value):
     # a JSON true used to load as index 1
     doc = _cyclic4_doc()
     message = f"index {value!r} is not an integer"
     if where == "identity":
         doc["action"]["group"]["identity"] = value
-    elif where == "generator":
-        doc["action"]["group"]["generators"][0] = value
+    elif where == "left":
+        doc["action"]["group"]["left"][0][0] = value
+        message = "group left entries must be JSON integers"
     else:
         next(iter(doc["thetas"].values()))["reps"][0][0] = value
         message = "theta reps entries must be JSON integers"
@@ -411,19 +411,22 @@ def test_cyclic_1_stores_no_generator_row_and_loads(tmp_path):
     save_document(str(path), scenario_to_dict(build_scenario("cyclic(1)")))
     doc = load_document(str(path))
     action = doc["action"]
-    assert (action["group"]["generators"], action["by_generators"], action["table"]) == ([], True, [])
+    assert (action["group"]["left"], action["by_generators"], action["table"]) == ([], True, [])
     table = scenario_from_dict(doc).action.table
     assert table.dtype == groups.INDEX_DTYPE and table.tolist() == [[0]]
 
 
-def test_action_rows_over_the_entry_budget_are_refused_before_the_walk():
+def test_action_rows_over_the_entry_budget_are_refused_before_the_rebuild():
     # a row of 2^14 + 1 base points on a group of order 2^12: the action
-    # table, not the cayley table, is over the budget
+    # table, not the cayley table, is over the budget, and the group's walk
+    # is not read
+    from types import SimpleNamespace
+
     from equicorr.errors import DomainError
 
     rows = np.zeros((1, 2**14 + 1), dtype=np.int64)
     with pytest.raises(DomainError, match=r"^a \(4096, 16385\) action table needs 67,112,960 entries"):
-        groups.table_from_generators(4096, 0, lambda: pytest.fail("generators read"), rows)
+        groups.action_table(SimpleNamespace(order=4096, identity=0), rows)
 
 
 # the codec in bulk: float tables decoded during the parse, dumps as json's
@@ -495,7 +498,7 @@ def test_a_v2_file_is_refused_by_its_tag(spec, tmp_path):
     # the tag alone refuses the file, before any of its tables is read
     path = tmp_path / "scenario.json"
     save_document(str(path), scenario_to_v2_dict(build_scenario(spec)))
-    refused = "^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/2'$"
+    refused = "^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/2'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 
@@ -510,7 +513,7 @@ def test_a_v4_file_is_refused_by_its_tag(spec, tmp_path):
     doc["families"]["nu"]["weights"] = serialize._fill_to_dict(dense_nu(scn.nu))
     path = tmp_path / "scenario.json"
     save_document(str(path), doc)
-    refused = "^expected schema 'equicorr-scenario/6', got 'equicorr-scenario/4'$"
+    refused = "^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/4'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 
