@@ -1,11 +1,12 @@
-"""One-call property battery for a scenario.
+"""The law table behind every report, and the one-call property battery.
 
-run_battery builds every check the scenario's data supports: group and
-action axioms, bundle cocycle, measure compatibilities, the pointwise
-disintegration identity, filter constraint and cross-correlation
-equivariance, Mackey preservation, kernel constraint, transform
-equivariance and its necessity, theta laws, lift and projection
-theorems, and their round trip.
+Each check is declared once, as a row of _LAWS: its report name, the
+inputs it reads, its tolerance kind (_report) and its scan, which returns
+(residual, witness), or None to report the check skipped.  A row runs
+when every input it reads is present, a scenario field or a value derived
+from them (_DERIVED); a row named with "{}" runs once per entry of a dict.
+run_structural runs the structural rows, run_battery every row, and each
+validate_* function is the view of its own rows (_view).
 
 Equivariance and the lift and projection theorems are statements about
 linear maps on sections, so they are checked exactly on (|B|, |B|, dF, dE)
@@ -61,98 +62,115 @@ name, so its bytes depend on the scenario and the tolerance alone.
 
 from __future__ import annotations
 
+import math
+from importlib import import_module
+
 import numpy as np
 
-from .bundles import Section, _periodicity, section_to_mackey, validate_bundle
-from .groups import _rows, validate_action, validate_group
-from .measures import GroupMeasureFamily, fubini_pointwise_residual, validate_delta, validate_families, validate_psi
-from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count, _local, _prefixed, _worst, check_from_residual
+from . import bundles, groups, measures, transforms, xcorr
+from .bundles import Section, _orbit_slice, _periodicity, section_to_mackey
+from .groups import _rows
+from .measures import GroupMeasureFamily, fubini_pointwise_residual
+from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count, _local, _worst, check_from_residual
 from .serialize import Scenario
-from .transforms import (
-    filter_operator,
-    kernel_operator,
-    lift_kernel_to_filter,
-    operator_equivariance_residual,
-    project_filter_to_kernel,
-    validate_kernel,
-    validate_theta,
-)
-from .xcorr import Filter, cross_correlate, validate_filter
+from .transforms import filter_operator, kernel_operator, lift_kernel_to_filter, project_filter_to_kernel
+from .xcorr import Filter, cross_correlate
+
+BUNDLE_TOLERANCE = 1e-9  # bound of the bundle laws' float checks, whatever the run's tolerance
 
 
 def run_battery(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Every check of run_structural, then the battery's own: equivariance,
     Mackey preservation, necessity, the lift and projection theorems and
     the checks of the built-in scenario families."""
-    fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
-    filter_op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
-    kernel_op = None if scn.kernel is None else kernel_operator(scn.kernel, scn.mubar)
-
-    report = ValidationReport(_structural_checks(scn, fubini, tolerance))
-    report.checks += _filter_checks(scn, filter_op, tolerance)
-    report.checks += _kernel_checks(scn, kernel_op, tolerance)
-    # the scenario kernel's lift along each theta, built once, and after the
-    # checks above, which reach the battery's peak memory, so as not to add to it
-    lifts = {}
-    if scn.kernel is not None and scn.delta is not None:
-        lifts = {name: lift_kernel_to_filter(scn.kernel, t, scn.delta) for name, t in sorted(scn.thetas.items())}
-    report.checks += _lift_checks(scn, lifts, filter_op, kernel_op, fubini[0], tolerance)
-    report.checks += _scenario_specific_checks(scn, lifts, tolerance)
-    return report.sorted()
+    return _report(_LAWS, _Inputs(vars(scn), scenario=scn, group=scn.group), tolerance, BUNDLE_TOLERANCE).sorted()
 
 
 def run_structural(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Structure and constraint checks only: axioms, cocycle, family
     compatibilities, and the pointwise constraints of whatever filter,
     kernel, theta, and delta the scenario carries.  No random sections."""
-    fubini = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
-    return ValidationReport(_structural_checks(scn, fubini, tolerance)).sorted()
+    return _report(_STRUCTURAL, _Inputs(vars(scn), scenario=scn, group=scn.group), tolerance, BUNDLE_TOLERANCE).sorted()
 
 
-def _structural_checks(scn: Scenario, fubini: tuple, tolerance: float) -> list[Check]:
-    """fubini is fubini_pointwise_residual's (residual, witness) for the
-    scenario's families."""
+def _view(prefix: str, tolerance: float = 0.0, short: bool = True, **fields) -> ValidationReport:
+    """A validator's report: the laws whose names start with prefix, on the
+    given fields, in table order.  tolerance stands for the run's and the
+    bundle tolerance; short names a check by the last part of its name."""
+    report = _report([law for law in _LAWS if law[0].startswith(prefix)], _Inputs(fields), tolerance, tolerance)
+    for check in report.checks if short else ():
+        check.name = check.name.rsplit(".", 1)[1]
+    return report
+
+
+def _report(laws, inputs: _Inputs, tolerance: float, bundle_tolerance: float) -> ValidationReport:
+    """The check of each law whose inputs are all present, in table order,
+    a law named with "{}" once per entry of the dict its "{}" read names, in
+    ascending key order.  A derived input is dropped after the last law
+    that reads it.  The tolerance kinds: "exact" 0, "tolerance" the run's,
+    "bundle" the bundle laws', "reported" a value reported, never asserted,
+    or else the extras key of a scale."""
+    last = {key.partition(".")[0]: i for i, (_, reads, _, _) in enumerate(laws) for key in reads}
+    tolerances = {"exact": 0.0, "tolerance": tolerance, "bundle": bundle_tolerance, "reported": math.inf}
     checks = []
-    checks += _prefixed(validate_group(scn.group), "group")
-    checks += _prefixed(validate_action(scn.action), "action")
-    checks += _prefixed(validate_bundle(scn.input_bundle), "bundle.input")
-    if scn.output_bundle is not scn.input_bundle:
-        checks += _prefixed(validate_bundle(scn.output_bundle), "bundle.output")
-    checks += _prefixed(validate_families(scn.mu, scn.nu, scn.mubar, tolerance=tolerance), "families")
-    if scn.psi is not None:
-        checks += _prefixed(validate_psi(scn.psi, tolerance=tolerance), "psi")
-    if scn.delta is not None:
-        checks += _prefixed(validate_delta(scn.delta, scn.nu, tolerance=tolerance), "delta")
-    residual, witness = fubini
-    checks.append(check_from_residual("families.disintegration-pointwise", residual, tolerance, witness))
-    if scn.filt is not None:
-        checks += _prefixed(validate_filter(scn.filt, tolerance=tolerance), "filter")
-    if scn.kernel is not None:
-        checks += _prefixed(validate_kernel(scn.kernel, tolerance=tolerance), "kernel")
-        for name, theta in sorted(scn.thetas.items()):
-            checks += _prefixed(validate_theta(theta, scn.kernel), f"theta.{name}")
-    return checks
+    for i, (name, reads, kind, scan) in enumerate(laws):
+        each = next((key.partition(".")[0] for key in reads if "{}" in key), None)  # the dict a "{}" law runs over
+        for entry in sorted(inputs[each] or ()) if each else ("",):
+            args = [inputs[key.format(entry)] for key in reads]
+            if any(arg is None for arg in args):
+                continue
+            found, label = scan(*args), name.format(entry)
+            tolerance = tolerances[kind] if kind in tolerances else inputs[f"extras.{kind}"]
+            if found is None or kind == "reported":  # a failed precondition, or a value not asserted
+                checks.append(Check(label, 0.0 if found is None else found[0], tolerance, True, skipped=True))
+            else:
+                checks.append(check_from_residual(label, found[0], tolerance, found[1]))
+        for head in [head for head, j in last.items() if j == i and head in _DERIVED]:
+            inputs.pop(head, None)
+    return ValidationReport(checks)
 
 
-def _equivariance_check(name: str, scn: Scenario, op: np.ndarray, tolerance: float) -> Check:
-    residual, witness = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)
-    return check_from_residual(name, residual, tolerance, witness)
+class _Inputs(dict):
+    """What the laws read, by name: the fields given, a scenario's in a
+    battery, and what _DERIVED derives from them, on first read.  A dotted
+    name reads one entry of a dict, as "extras.dx" or "lifts.global" does;
+    what is neither given nor derivable reads None."""
+
+    def __missing__(self, key: str):
+        head, dot, entry = key.partition(".")
+        if dot:
+            return None if self[head] is None else self[head].get(entry)
+        reads, build = _DERIVED.get(key, ((), lambda: None))
+        args = [self[name] for name in reads]
+        self[key] = None if any(arg is None for arg in args) else build(*args)
+        return self[key]
 
 
-def _filter_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> list[Check]:
-    """Checks of the filter beyond its constraint; op is the matrix of its
-    induced map."""
-    if scn.filt is None:
-        return []
-    checks = [_equivariance_check("xcorr.equivariance", scn, op, tolerance)]
-    checks += _mackey_checks(scn.filt, scn.mu, tolerance)
-    return checks
+# what the laws read beyond the given fields, each built on first read from
+# its inputs, when none is None, by a build that looks its function up when
+# it runs (so a test may replace it).  The matrices and lifts are first read
+# by the battery's own laws, the lifts after the equivariance checks, which
+# reach the battery's peak memory, so as not to add to it
+_DERIVED = {
+    "bundles": (("input_bundle", "output_bundle"), lambda e, f: {"input": e} | ({} if f is e else {"output": f})),
+    "haar_mu": (("mu",), lambda mu: mu if mu.haar else None),
+    "fubini": (("mu", "nu", "mubar"), lambda *given: fubini_pointwise_residual(*given)),
+    "filter_op": (("filt", "mu"), lambda *given: filter_operator(*given)),  # the filter's induced map
+    "kernel_op": (("kernel", "mubar"), lambda *given: kernel_operator(*given)),  # the kernel's transform
+    "lifts": (  # the kernel's lift along each theta, by name
+        ("kernel", "delta", "thetas"),
+        lambda kern, delta, thetas: {name: lift_kernel_to_filter(kern, t, delta) for name, t in sorted(thetas.items())},
+    ),
+    "lift_ops": (("lifts", "mu"), lambda lifts, mu: {name: filter_operator(f, mu) for name, f in lifts.items()}),
+    "lift_pair": (("lifts",), lambda lifts: tuple(lifts.values()) if len(lifts) == 2 else None),
+    "projection": (("filt", "nu"), lambda *given: project_filter_to_kernel(*given)),  # the filter's projection
+    "line_grid": (("scenario",), lambda scn: scn if scn.name.startswith("line-grid") else None),
+    "circle_grid": (("scenario",), lambda scn: scn if scn.name.startswith("circle-grid") else None),
+    "builders": ((), lambda: import_module(".scenarios", __package__)),  # their oracles; validate never imports them
+}
 
 
-def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> list[Check]:
-    """Mackey preservation on the induced basis sections e~_{b0,i}, one at a
-    time; witness (b0, i, h, b)."""
-
+def _mackey_preserved(filt: Filter, mu: GroupMeasureFamily) -> tuple[float, tuple | None]:
     def parts():  # the periodicity defect of each output, placed at (b0, i, h, b)
         bundle = filt.input_bundle
         for b0 in filt.action.domain:
@@ -162,87 +180,88 @@ def _mackey_checks(filt: Filter, mu: GroupMeasureFamily, tolerance: float) -> li
                 out = cross_correlate(filt, section_to_mackey(Section(bundle, f)), mu)
                 yield from _periodicity(out, lambda h, b: (b0, i, h, b))
 
-    worst, witness = _worst(parts())
-    return [check_from_residual("xcorr.mackey-preserved", worst, tolerance, witness)]
+    return _worst(parts())
 
 
-def _kernel_checks(scn: Scenario, op: np.ndarray | None, tolerance: float) -> list[Check]:
-    """Checks of the kernel beyond its constraint; op is the matrix of its
-    transform."""
-    if scn.kernel is None:
-        return []
-    checks = [_equivariance_check("transform.equivariance", scn, op, tolerance)]
-    # [c, b]: orbit pairs whose weight mubar_b(c) is not positive, a NaN included
-    count, witness = _count([(_local, ((scn.action.coset_reps >= 0) & ~(scn.mubar.weights > 0)).T)])
-    checks.append(check_from_residual("transform.necessity", count, 0.0, witness))
-    return checks
+def _compare(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, tuple | None]:  # witness (c, b, i, j)
+    return _worst(_rows(len(lhs), lhs[0].size, lambda c: lhs[c] - rhs[c], _local))
 
 
-def _lift_checks(
-    scn: Scenario,
-    lifts: dict[str, Filter],
-    filter_op: np.ndarray | None,
-    kernel_op: np.ndarray | None,
-    fub: float,
-    tolerance: float,
-) -> list[Check]:
-    """The lift and projection theorems; lifts are the scenario kernel's
-    lifts by theta name, filter_op and kernel_op the matrices of the
-    scenario filter's induced map and of the scenario kernel's transform;
-    fub is the families' disintegration residual, the identity the two
-    theorems rest on."""
-    checks: list[Check] = []
-
-    def compare(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:  # witness (c, b, i, j)
-        worst, witness = _worst(_rows(len(lhs), lhs[0].size, lambda c: lhs[c] - rhs[c], _local))
-        return check_from_residual(name, worst, tolerance, witness)
-
-    def agreement(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Check:
-        if not fub <= 1e-9:
-            return Check(name, 0.0, tolerance, True, None, skipped=True)
-        return compare(name, lhs, rhs)
-
-    # each matrix is compared as soon as it is built and then dropped; of two
-    # lifts, the first one's is kept until lift.pair.same-transform reads it
-    first = None
-    for name, lifted in lifts.items():
-        checks += _prefixed(validate_filter(lifted, tolerance=tolerance), f"lift.{name}")
-        op = filter_operator(lifted, scn.mu)
-        checks.append(agreement(f"lift.{name}.transform-agreement", op, kernel_op))
-        if first is not None:
-            checks.append(compare("lift.pair.same-transform", first, op))
-        first = op if first is None and len(lifts) == 2 else None
-        del op
-        back = project_filter_to_kernel(lifted, scn.nu)
-        checks.append(compare(f"lift.{name}.project-roundtrip", back.matrices, scn.kernel.matrices))
-        del back
-
-    if scn.filt is not None:
-        # projection theorem: the filter's induced map is the transform of its projection
-        kern = project_filter_to_kernel(scn.filt, scn.nu)
-        checks.append(agreement("projection.transform-agreement", filter_op, kernel_operator(kern, scn.mubar)))
-        checks += _prefixed(validate_kernel(kern, tolerance=tolerance), "projection.kernel")
-    return checks
+def _agreement(lhs: np.ndarray, rhs: np.ndarray, fubini: tuple) -> tuple[float, tuple | None] | None:
+    # a theorem's agreement rests on the disintegration identity: None, skipped, where it fails
+    return _compare(lhs, rhs) if fubini[0] <= 1e-9 else None
 
 
-def _scenario_specific_checks(scn: Scenario, lifts: dict[str, Filter], tolerance: float) -> list[Check]:
-    """Checks of what the built-in families promise, each run only when the
-    data it reads is present, since a scenario file may leave any of it out;
-    lifts are the scenario kernel's lifts by theta name."""
-    from .scenarios import banded_support_mismatch, circle_offgrid_residual, line_grid_oracle_residual
+# the rows, (report name, inputs read, tolerance kind, scan): the structural
+# ones, then, in _LAWS, the battery's own
+_STRUCTURAL = (
+    ("group.group-identity-left", ("group",), "exact",  # e x = x
+     lambda g: _count([(lambda x: (g.identity, x), g.cayley[g.identity] != np.arange(g.order))])),
+    ("group.group-identity-right", ("group",), "exact",  # x e = x
+     lambda g: _count([(lambda x: (x, g.identity), g.cayley[:, g.identity] != np.arange(g.order))])),
+    ("group.group-inverse-left", ("group",), "exact",  # x^-1 x = e
+     lambda g: _count([(lambda x: (int(g.inv[x]), x), g.cayley[g.inv, np.arange(g.order)] != g.identity)])),
+    ("group.group-inverse-right", ("group",), "exact",  # x x^-1 = e
+     lambda g: _count([(lambda x: (x, int(g.inv[x])), g.cayley[np.arange(g.order), g.inv] != g.identity)])),
+    ("group.group-associativity", ("group",), "exact", groups._associativity),
+    ("action.action-identity", ("action",), "exact",  # e.b = b
+     lambda a: _count([(lambda b: (a.group.identity, b), a.table[a.group.identity] != np.arange(a.base_size))])),
+    ("action.action-compatibility", ("action",), "exact", groups._action_compatibility),
+    ("bundle.{}.bundle-fiber-dim-orbit-constant", ("bundles.{}",), "exact", bundles._fiber_dim_orbit_constant),
+    ("bundle.{}.bundle-identity-slice", ("bundles.{}",), "bundle", bundles._identity_slice),
+    ("bundle.{}.bundle-padding-zero", ("bundles.{}",), "exact", bundles._padding_zero),
+    ("bundle.{}.bundle-cocycle", ("bundles.{}",), "bundle", bundles._cocycle),
+    ("families.family-mu-conjugation", ("mu",), "tolerance",  # witness (g, b, h)
+     lambda mu: _orbit_slice(mu.weights.T, mu.action, True, lambda g, h, b: (g, b, h))),
+    ("families.family-nu-conjugation", ("nu",), "tolerance", measures._nu_conjugation),
+    ("families.family-mubar-pushforward", ("mubar",), "tolerance",  # witness (g, b, c)
+     lambda mubar: _orbit_slice(mubar.weights.T, mubar.action, False, lambda g, c, b: (g, b, c))),
+    ("families.family-mu-haar-flag", ("haar_mu",), "tolerance",  # the spread of each mu_b, witness (b,)
+     lambda mu: _worst([(_local, mu.weights.max(axis=1) - mu.weights.min(axis=1))])),
+    ("psi.psi-conjugation", ("psi",), "tolerance", lambda psi: _orbit_slice(psi.values, psi.action, True, _local)),
+    # ~(mass > 0), so a NaN mass counts as no mass in both nonvanishing checks
+    ("psi.psi-nonvanishing", ("psi",), "exact", lambda psi: _count([(_local, ~(psi.values.sum(axis=0) > 0))])),
+    ("psi.psi-stabilizer-nonvanishing", ("psi",), "exact",
+     lambda psi: _count([(_local, ~(measures._stabilizer_mass(psi) > 0))])),
+    ("delta.delta-normalization", ("delta", "nu"), "tolerance",  # [b] -> mass - 1
+     lambda delta, nu: _worst([(_local, np.einsum("hb,b->b", delta.values, nu.weights) - 1.0)])),
+    ("delta.delta-conjugation", ("delta",), "tolerance",
+     lambda delta: _orbit_slice(delta.values, delta.action, True, _local)),
+    ("families.disintegration-pointwise", ("fubini",), "tolerance", lambda found: found),
+    ("filter.filter-faint-constraint", ("filt",), "tolerance", xcorr._faint_constraint),
+    ("kernel.kernel-constraint", ("kernel",), "tolerance", transforms._kernel_constraint),
+    ("kernel.kernel-support-invariance", ("kernel",), "exact", transforms._support_invariance),
+    ("theta.{}.theta-section", ("thetas.{}", "kernel"), "exact", transforms._theta_section),
+    ("theta.{}.theta-translation", ("thetas.{}", "kernel"), "exact", transforms._theta_translation),
+)
 
-    checks: list[Check] = []
-    if {"global", "special"} <= lifts.keys() and {"band_spacing", "eps_steps"} <= scn.extras.keys():
-        mismatch, witness = banded_support_mismatch(scn, lifts)  # witness (h, b)
-        checks.append(check_from_residual("support.segments-vs-rectangle", mismatch, 0.0, witness))
-    if scn.name.startswith("line-grid") and "global" in lifts and {"dx", "origin"} <= scn.extras.keys():
-        gap = line_grid_oracle_residual(scn, lifts["global"])
-        # first order in the grid step by design; documents the scale
-        checks.append(check_from_residual("quadrature.continuum-gap", gap, scn.extras["dx"]))
-    if scn.name.startswith("circle-grid") and scn.filt is not None and "grid_step" in scn.extras:
-        aligned = circle_offgrid_residual(scn, 3 * scn.extras["grid_step"])
-        checks.append(check_from_residual("rotation.grid-aligned", aligned, tolerance))
-        off = circle_offgrid_residual(scn, 0.4321)
-        # off-grid rotations are approximate by nature: reported, not asserted
-        checks.append(Check("rotation.off-grid-gap", off, float("inf"), True, None, skipped=True))
-    return checks
+_LAWS = _STRUCTURAL + (
+    ("xcorr.equivariance", ("filter_op", "input_bundle", "output_bundle"), "tolerance",
+     transforms.operator_equivariance_residual),
+    ("xcorr.mackey-preserved", ("filt", "mu"), "tolerance", _mackey_preserved),
+    ("transform.equivariance", ("kernel_op", "input_bundle", "output_bundle"), "tolerance",
+     transforms.operator_equivariance_residual),
+    ("transform.necessity", ("kernel", "mubar"), "exact",  # orbit pairs [c, b] of no positive weight, NaN too
+     lambda kern, mubar: _count([(_local, ((kern.action.coset_reps >= 0) & ~(mubar.weights > 0)).T)])),
+    ("lift.{}.filter-faint-constraint", ("lifts.{}",), "tolerance", xcorr._faint_constraint),
+    ("lift.{}.transform-agreement", ("lift_ops.{}", "kernel_op", "fubini"), "tolerance", _agreement),
+    # the lifts' matrices are dropped here, before the lifts are projected back
+    ("lift.pair.same-transform", ("lift_pair", "lift_ops"), "tolerance", lambda _, ops: _compare(*ops.values())),
+    ("lift.{}.project-roundtrip", ("lifts.{}", "nu", "kernel"), "tolerance",
+     lambda lift, nu, kern: _compare(project_filter_to_kernel(lift, nu).matrices, kern.matrices)),
+    ("projection.transform-agreement", ("filter_op", "projection", "mubar", "fubini"), "tolerance",
+     lambda op, kern, mubar, fubini: _agreement(op, kernel_operator(kern, mubar), fubini)),
+    ("projection.kernel.kernel-constraint", ("projection",), "tolerance", transforms._kernel_constraint),
+    ("projection.kernel.kernel-support-invariance", ("projection",), "exact", transforms._support_invariance),
+    # what the built-in families promise, each where the data it reads is
+    # present, since a scenario file may leave any of it out
+    ("support.segments-vs-rectangle",  # witness (h, b)
+     ("builders", "scenario", "lifts", "lifts.global", "lifts.special", "extras.band_spacing", "extras.eps_steps"),
+     "exact", lambda builders, scn, lifts, *_: builders.banded_support_mismatch(scn, lifts)),
+    ("quadrature.continuum-gap", ("builders", "line_grid", "lifts.global", "extras.dx", "extras.origin"), "dx",
+     lambda builders, scn, lift, *_: (builders.line_grid_oracle_residual(scn, lift), None)),  # first order in dx
+    ("rotation.grid-aligned", ("builders", "circle_grid", "filt", "extras.grid_step"), "tolerance",
+     lambda builders, scn, _, step: (builders.circle_offgrid_residual(scn, 3 * step), None)),
+    ("rotation.off-grid-gap", ("builders", "circle_grid", "filt", "extras.grid_step"), "reported",  # approximate
+     lambda builders, scn, *_: (builders.circle_offgrid_residual(scn, 0.4321), None)),
+)

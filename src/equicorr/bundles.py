@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows
-from .reporting import ValidationReport, _count, _worst, check_from_residual
+from .reporting import ValidationReport, _count, _worst
 
 
 class EquivariantBundle:
@@ -138,44 +138,49 @@ def sign_bundle(action: GroupAction, signs: np.ndarray) -> EquivariantBundle:
 
 
 def validate_bundle(bundle: EquivariantBundle, tolerance: float = 1e-9) -> ValidationReport:
-    """Check identity slice, orbit-constant fiber dims, zero padding, and the
-    cocycle law on the instances (g, h, b0) of the module docstring, in
+    """Check orbit-constant fiber dims, the identity slice, zero padding, and
+    the cocycle law on the instances (g, h, b0) of the module docstring, in
     fundamental-domain order, then ascending h, then ascending g, one
     (b0, h) column of all g at a time.  The cocycle witness is the first
     instance (g, h, b) attaining the residual."""
-    action = bundle.action
-    grp = action.group
-    A = bundle.act_matrix
-    dmax = bundle.dmax
-    report = ValidationReport()
+    from .battery import _view
+    return _view("bundle.", tolerance, bundles={"input": bundle})
 
+
+def _fiber_dim_orbit_constant(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
+    action = bundle.action
     domain = list(action.domain)
     # [orbit, c]: members c of the orbit whose fiber dimension is not its base point's
     off = (action.coset_reps[domain] >= 0) & (bundle.fiber_dim != bundle.fiber_dim[domain, None])
-    count, witness = _count([(lambda i: (domain[i], int(off[i].argmax())), off.any(axis=1))])  # orbits, first member
-    report.add(check_from_residual("bundle-fiber-dim-orbit-constant", count, 0.0, witness))
+    return _count([(lambda i: (domain[i], int(off[i].argmax())), off.any(axis=1))])  # orbits, first member
 
-    live = pad_mask(bundle.fiber_dim, dmax)  # (|B|, dmax)
+
+def _identity_slice(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
     # A(e, b) against the identity on each fiber block, zero padding
-    res, witness = _worst([(lambda *at: (grp.identity, *at), A[grp.identity] - live[:, :, None] * np.eye(dmax))])
-    report.add(check_from_residual("bundle-identity-slice", res, tolerance, witness))
+    e, dmax = bundle.action.group.identity, bundle.dmax
+    live = pad_mask(bundle.fiber_dim, dmax)  # (|B|, dmax)
+    return _worst([(lambda *at: (e, *at), bundle.act_matrix[e] - live[:, :, None] * np.eye(dmax))])
 
+
+def _padding_zero(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
     # padding must be exactly zero outside the fiber block; only the padding
     # entries are read, (|G|, padding slots) of them, none when dims are equal
+    live = pad_mask(bundle.fiber_dim, bundle.dmax)
     block = live[:, :, None] & live[:, None, :]  # square fibers: d(g.b) = d(b) if dims valid
     # [g, k] -> the k-th padding entry of A(g, .), placed at (g, b, i, j)
-    pad_res, witness = _worst([(lambda g, k: (g, *(int(c) for c in np.argwhere(~block)[k])), A[:, ~block])])
-    report.add(check_from_residual("bundle-padding-zero", pad_res, 0.0, witness))
+    return _worst([(lambda g, k: (g, *(int(c) for c in np.argwhere(~block)[k])), bundle.act_matrix[:, ~block])])
+
+
+def _cocycle(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
+    action, A, grp = bundle.action, bundle.act_matrix, bundle.action.group
 
     def columns():  # [g] -> defect of the instance (g, h, b0), one column of all g at a time
-        for b0 in domain:
+        for b0 in action.domain:
             for h in np.sort(np.concatenate([action.stabilizers[b0], _movers(action, b0)])):
                 defect = A[grp.cayley[:, h], b0] - A[:, action.table[h, b0]] @ A[h, b0]
                 yield (lambda g: (g, int(h), b0)), np.abs(defect).max(axis=(1, 2), initial=0.0)
 
-    worst, witness = _worst(columns())
-    report.add(check_from_residual("bundle-cocycle", worst, tolerance, witness))
-    return report
+    return _worst(columns())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, EquicorrError
-from .reporting import DEFAULT_TOLERANCE, ValidationReport, _prefixed, check_from_residual
+from .reporting import DEFAULT_TOLERANCE, ValidationReport, check_from_residual
 from .serialize import (
     MACKEY_SCHEMA,
     Scenario,
@@ -206,7 +206,8 @@ def _pick_theta(scn: Scenario, name: str | None):
 
 
 def _cmd_lift(args) -> int:
-    from .transforms import lift_kernel_to_filter, validate_theta
+    from .battery import _view
+    from .transforms import lift_kernel_to_filter
     from .xcorr import validate_filter
 
     scn = _load_scenario(args.scenario)
@@ -214,7 +215,7 @@ def _cmd_lift(args) -> int:
         raise EquicorrError(f"scenario {scn.name} needs a kernel and a delta to lift")
     name, theta = _pick_theta(scn, args.theta)
     filt = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
-    report = ValidationReport(_prefixed(validate_theta(theta, scn.kernel), f"theta.{name}"))
+    report = _view("theta.", short=False, thetas={name: theta}, kernel=scn.kernel)
     report.checks += validate_filter(filt, tolerance=args.tolerance).checks
     summary = [f"lifted kernel along theta {name!r}"] + report.summary_lines()
     _emit(args, filter_to_dict(filt), summary)
@@ -245,9 +246,9 @@ def _cmd_demo(args) -> int:
         except ValueError:
             raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
         demo = degeneracy_demo(sizes)
-        report = ValidationReport()
-        report.add(check_from_residual("degeneracy.ratio-constant", demo["ratio_relative_spread"], 1e-9))
-        report.add(check_from_residual("degeneracy.faint-size-independent", demo["faint_absolute_spread"], 1e-12))
+        ratio = check_from_residual("degeneracy.ratio-constant", demo["ratio_relative_spread"], 1e-9)
+        faint = check_from_residual("degeneracy.faint-size-independent", demo["faint_absolute_spread"], 1e-12)
+        report = ValidationReport([ratio, faint])
         doc = {"schema": "equicorr-demo/1", "demo": "degeneracy", "rows": demo["rows"]}
         doc["checks"] = report_to_dict(report)["checks"]
         summary = [
@@ -259,10 +260,10 @@ def _cmd_demo(args) -> int:
 
     ladder = line_grid_ladder(levels=args.levels)
     ratios = [ladder[j] / ladder[j + 1] for j in range(len(ladder) - 1)]
-    report = ValidationReport()
-    for j, r in enumerate(ratios):
-        # first-order quadrature: each refinement should roughly halve the gap
-        report.add(check_from_residual(f"quadrature.ratio-level-{j}", abs(r - 2.0), 0.6))
+    # first-order quadrature: each refinement should roughly halve the gap
+    report = ValidationReport(
+        [check_from_residual(f"quadrature.ratio-level-{j}", abs(r - 2.0), 0.6) for j, r in enumerate(ratios)]
+    )
     doc = {
         "schema": "equicorr-demo/1",
         "demo": "quadrature",

@@ -43,7 +43,7 @@ import itertools
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .reporting import ValidationReport, _count, check_from_residual
+from .reporting import ValidationReport, _count
 
 _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 128 MiB of int16 or 512 MiB of float64
 # largest transient block a table scan materializes at once: 128 KiB of
@@ -326,25 +326,14 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
     (|S′|^2 |G| + |G|^2) N, and on stored rows that are those of S′, N is
     R's commutator part, so N <= R.
     """
-    cay, inv, e = group.cayley, group.inv, group.identity
-    idn = np.arange(group.order)
-    report = ValidationReport()
-    unary = (
-        ("identity-left", cay[e] != idn, lambda x: (e, x)),
-        ("identity-right", cay[:, e] != idn, lambda x: (x, e)),
-        ("inverse-left", cay[inv, idn] != e, lambda x: (int(inv[x]), x)),
-        ("inverse-right", cay[idn, inv] != e, lambda x: (x, int(inv[x]))),
-    )
-    for name, bad, site in unary:
-        count, at = _count([(site, bad)])
-        report.add(check_from_residual(f"group-{name}", count, 0, at))
+    from .battery import _view
+    return _view("group.", group=group)
 
-    left, gens = group.left, group.generators
-    right = cay[:, gens]  # [x, t] = x t
-    commutators = (lambda s, x, t: (int(left[s, e]), x, gens[t])), left[:, right] != right[left]  # [s, x, t]
-    count, witness = _count([commutators])
-    report.add(check_from_residual("group-associativity", count, 0, witness))
-    return report
+
+def _associativity(grp: FiniteGroup) -> tuple[float, tuple | None]:  # the commutators of validate_group
+    left, gens, e = grp.left, grp.generators, grp.identity
+    right = grp.cayley[:, gens]  # [x, t] = x t
+    return _count([((lambda s, x, t: (int(left[s, e]), x, gens[t])), left[:, right] != right[left])])  # [s, x, t]
 
 
 def validate_action(action: GroupAction) -> ValidationReport:
@@ -355,20 +344,19 @@ def validate_action(action: GroupAction) -> ValidationReport:
     that satisfy it for all g and b are closed under products, so this is
     exact.
     """
-    grp, table = action.group, action.table
-    report = ValidationReport()
+    from .battery import _view
+    return _view("action.", action=action)
 
-    count, at = _count([(lambda b: (grp.identity, b), table[grp.identity] != np.arange(action.base_size))])
-    report.add(check_from_residual("action-identity", count, 0, at))
+
+def _action_compatibility(action: GroupAction) -> tuple[float, tuple | None]:
+    grp, table = action.group, action.table
 
     def parts():  # [g, b] -> (g h).b != g.(h.b) for each generator h, a row block of g at a time
         for h in grp.generators:
             broken = lambda g: table[grp.cayley[g, h]] != table[g][:, table[h]]  # a row block of g
             yield from _rows(grp.order, action.base_size, broken, lambda g, b: (g, h, b))
 
-    count, witness = _count(parts())
-    report.add(check_from_residual("action-compatibility", count, 0, witness))
-    return report
+    return _count(parts())
 
 
 # ---------------------------------------------------------------------------

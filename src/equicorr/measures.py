@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import _orbit_slice
 from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
 from .groups import GroupAction, _float_table, _rows
-from .reporting import ValidationReport, _count, _local, _worst, check_from_residual
+from .reporting import ValidationReport, _count, _local, _worst
 
 SOLVE_TOLERANCE = 1e-9  # spread of mu_b that solve_orbit_measure still reads as constant
 
@@ -144,26 +143,18 @@ def validate_families(
     nu(c) = nu(b0) on each orbit, witness c: the residual _orbit_slice gives
     on the (|B|, |G|) table nu_b(h), S = 0 and T = max_c |nu(c) - nu(b0)|
     (c = b0 is scanned, so a NaN or an inf nu(b0), where S is NaN, is NaN)."""
-    action = mu.action
-    report = ValidationReport()
+    from .battery import _view
+    return _view("families.family-", tolerance, mu=mu, nu=nu, mubar=mubar)
 
-    def law(name: str, weights: np.ndarray, conjugate: bool) -> None:  # weights indexed [b, r]
-        res, wit = _orbit_slice(weights.T, action, conjugate, lambda g, r, b: (g, b, r))
-        report.add(check_from_residual(name, res, tolerance, wit))
+
+def _nu_conjugation(nu: StabilizerMeasureFamily) -> tuple[float, tuple | None]:
+    action = nu.action
 
     def orbit(b0):  # [i] -> nu(c) - nu(b0) at the i-th c of the orbit of b0, placed at c
         members = np.flatnonzero(action.coset_reps[b0] >= 0)
         return (lambda i: (int(members[i]),)), nu.weights[members] - nu.weights[b0]
 
-    law("family-mu-conjugation", mu.weights, True)
-    res, wit = _worst(orbit(b0) for b0 in action.domain)
-    report.add(check_from_residual("family-nu-conjugation", res, tolerance, wit))
-    law("family-mubar-pushforward", mubar.weights, False)
-
-    if mu.haar:
-        spread, wit = _worst([(_local, mu.weights.max(axis=1) - mu.weights.min(axis=1))])
-        report.add(check_from_residual("family-mu-haar-flag", spread, tolerance, wit))
-    return report
+    return _worst(orbit(b0) for b0 in action.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +231,8 @@ def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
     """Conjugation compatibility plus nonvanishing: each b needs positive
     total mass and positive mass on its stabilizer.  Conjugation is checked on
     one base slice per orbit, witness (g, h, b)."""
-    action = psi.action
-    report = ValidationReport()
-
-    worst, witness = _orbit_slice(psi.values, action, True, _local)
-    report.add(check_from_residual("psi-conjugation", worst, tolerance, witness))
-
-    # ~(mass > 0), so a NaN mass counts as no mass in both checks
-    count, wit = _count([(_local, ~(psi.values.sum(axis=0) > 0))])
-    report.add(check_from_residual("psi-nonvanishing", count, 0.0, wit))
-
-    count, wit = _count([(_local, ~(_stabilizer_mass(psi) > 0))])
-    report.add(check_from_residual("psi-stabilizer-nonvanishing", count, 0.0, wit))
-    return report
+    from .battery import _view
+    return _view("psi.", tolerance, psi=psi)
 
 
 def construct_normalized_families(
@@ -291,15 +271,8 @@ def validate_delta(delta: DeltaFunction, nu: StabilizerMeasureFamily, tolerance:
     """Unit mass against nu on each stabilizer (delta is zero off it), and
     conjugation compatibility delta(g h g^-1, g.b) = delta(h, b) on one base
     slice per orbit."""
-    action = delta.action
-    report = ValidationReport()
-
-    worst, witness = _worst([(_local, np.einsum("hb,b->b", delta.values, nu.weights) - 1.0)])  # [b] -> mass - 1
-    report.add(check_from_residual("delta-normalization", worst, tolerance, witness))
-
-    worst, witness = _orbit_slice(delta.values, action, True, _local)
-    report.add(check_from_residual("delta-conjugation", worst, tolerance, witness))
-    return report
+    from .battery import _view
+    return _view("delta.", tolerance, delta=delta, nu=nu)
 
 
 def dirac_delta(nu: StabilizerMeasureFamily) -> DeltaFunction:

@@ -1,10 +1,11 @@
 """Validation reports.
 
-Every validator returns a ValidationReport: a list of named checks, each
-with the maximum observed residual, the tolerance it was held to, and the
-coordinates of the worst offender.  Reports from independent validators
-merge, and serialization is stable so that identical inputs produce
-byte-identical report files.
+A ValidationReport is a list of named checks, each with the maximum
+observed residual, the tolerance it was held to, and the coordinates of
+the worst offender.  Every report a validator, validate or battery
+returns is assembled by one loop over the law table (battery._LAWS),
+which declares each check once, and serialization is stable so that
+identical inputs produce byte-identical report files.
 
 Every residual and witness comes from one of two scans over `parts`,
 (place, grid) pairs scanned in turn as one grid in row-major order:
@@ -107,9 +108,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
-
     def worst(self) -> Check | None:
         live = [c for c in self.checks if not c.skipped]
         if not live:
@@ -130,7 +128,3 @@ class ValidationReport:
             lines.append(f"{status} {c.name} residual={c.residual:.3e} tolerance={c.tolerance:.3e}{wit}")
         return lines
 
-
-def _prefixed(report: ValidationReport, prefix: str) -> list[Check]:
-    """The report's checks, each renamed prefix.name."""
-    return [Check(f"{prefix}.{c.name}", c.residual, c.tolerance, c.passed, c.witness, c.skipped) for c in report.checks]

@@ -166,7 +166,7 @@ def group_from_dict(doc: dict) -> FiniteGroup:
     """The group of the stored rows `left`, from which FiniteGroup derives
     the table; the group axioms are left to validate_group."""
     _require(isinstance(doc, dict), "group must be an object")
-    elements = tuple(str(x) for x in doc["elements"])
+    elements = _labels(doc["elements"], "group elements")
     identity = _index(doc["identity"], len(elements), "identity")
     return FiniteGroup(elements, identity, _int_table(doc["left"], "group left"))
 
@@ -202,7 +202,7 @@ def action_to_dict(action: GroupAction) -> dict:
 
 def action_from_dict(doc: dict) -> GroupAction:
     _require(isinstance(doc, dict) and "table" in doc and "group" in doc, "action needs a group and a table")
-    base = tuple(str(b) for b in doc["base"])
+    base = _labels(doc["base"], "action base")
     grp = group_from_dict(doc["group"])
     if _typed(doc["by_generators"], (bool,), "action by_generators"):
         table = action_table(grp, _generator_rows(doc["table"], "action table", len(grp.left), len(base)))
@@ -331,6 +331,16 @@ def _int_table(table, what: str) -> np.ndarray:
     arr = table if isinstance(table, np.ndarray) and table.dtype == np.int64 else _integer_array(table)
     _require(arr is not None, f"{what} entries must be JSON integers within the int64 range")
     return arr
+
+
+def _labels(stored, what: str) -> tuple[str, ...]:
+    """Element or base-point labels: distinct JSON strings, never cast."""
+    _require(type(stored) is list, f"{what} must be a list of labels")
+    first = {}
+    for i, label in enumerate(stored):
+        _typed(label, (str,), f"{what}[{i}]")
+        _require(first.setdefault(label, i) == i, f"{what}[{i}] {label!r} repeats {what}[{first[label]}]")
+    return tuple(stored)
 
 
 def _index(key: object, bound: int, what: str) -> int:

@@ -56,7 +56,7 @@ from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import StructuralError
 from .groups import GroupAction, _float_table, _index_table, _row_blocks, _rows
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily
-from .reporting import ValidationReport, _count, _local, check_from_residual
+from .reporting import ValidationReport, _count, _local
 from .xcorr import Filter, _common_action, _support_scatter, filter_operator  # filter_operator: re-exported
 
 
@@ -83,6 +83,15 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     (g, c, b)) plus exact invariance of the support under the diagonal action.
     The g that keep the support invariant are closed under products, so the
     support scan covers a generating set; its count is over (generator, c, b)."""
+    from .battery import _view
+    return _view("kernel.", tolerance, kernel=kern)
+
+
+def _kernel_constraint(kern: Kernel) -> tuple[float, tuple | None]:
+    return operator_equivariance_residual(kern.matrices, kern.input_bundle, kern.output_bundle)
+
+
+def _support_invariance(kern: Kernel) -> tuple[float, tuple | None]:
     action = kern.action
     m = action.base_size
 
@@ -91,12 +100,7 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
             tg = action.table[g]
             yield from _rows(m, m, lambda c: kern.support[tg[c, None], tg] != kern.support[c], lambda c, b: (g, c, b))
 
-    worst, witness = operator_equivariance_residual(kern.matrices, kern.input_bundle, kern.output_bundle)
-    count, support_witness = _count(moved())
-    report = ValidationReport()
-    report.add(check_from_residual("kernel-constraint", worst, tolerance, witness))
-    report.add(check_from_residual("kernel-support-invariance", count, 0.0, support_witness))
-    return report
+    return _count(moved())
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +192,28 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
     at either end, counts as a violation; with that, the g that pass are
     closed under products, so the generator scan is exact.
     """
-    if theta.action is not kern.action:
+    from .battery import _view
+    return _view("theta.", thetas={"": theta}, kernel=kern)
+
+
+def _theta_section(theta: ThetaMap, kern: Kernel) -> tuple[float, tuple | None]:
+    if theta.action is not kern.action:  # read first: the section law is the first theta law
         raise StructuralError("theta is over a different action")
     action = theta.action
-    grp = action.group
-    supp = kern.support
     m = action.base_size
     cols = np.arange(m)
-    report = ValidationReport()
 
     def unsectioned(c):  # [c, b] -> a support pair with theta(c, b) undefined or theta(c, b).b != c
         reps = theta.reps[c]
         # an undefined -1 reads the last row of a table; its own mask outvotes that
-        return supp[c] & ((reps < 0) | (action.table[reps, cols] != cols[c, None]))
+        return kern.support[c] & ((reps < 0) | (action.table[reps, cols] != cols[c, None]))
 
-    count, witness = _count(_rows(m, m, unsectioned, _local))
-    report.add(check_from_residual("theta-section", count, 0, witness))
+    return _count(_rows(m, m, unsectioned, _local))
+
+
+def _theta_translation(theta: ThetaMap, kern: Kernel) -> tuple[float, tuple | None]:
+    action = theta.action
+    grp, supp, m = action.group, kern.support, action.base_size
 
     def broken(g, c):  # [c, b] -> on a support pair, g theta(c, b) != theta(g.c, g.b) g, or either is undefined
         tg = action.table[g]
@@ -211,9 +221,7 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
         reps, moved = theta.reps[c], theta.reps[gc, tg]
         return supp[c] & (~supp[gc, tg] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g]))
 
-    count, witness = _count(p for g in grp.generators for p in _rows(m, m, lambda c: broken(g, c), lambda c, b: (g, c, b)))
-    report.add(check_from_residual("theta-translation", count, 0, witness))
-    return report
+    return _count(p for g in grp.generators for p in _rows(m, m, lambda c: broken(g, c), lambda c, b: (g, c, b)))
 
 
 # ---------------------------------------------------------------------------

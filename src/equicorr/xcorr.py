@@ -55,7 +55,7 @@ from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import StructuralError
 from .groups import _float_table, _row_blocks
 from .measures import GroupMeasureFamily
-from .reporting import ValidationReport, _local, check_from_residual
+from .reporting import ValidationReport, _local
 
 
 def _common_action(e_bundle: EquivariantBundle, f_bundle: EquivariantBundle):
@@ -90,12 +90,13 @@ class Filter:
 def validate_filter(filt: Filter, tolerance: float = 1e-9) -> ValidationReport:
     """Residual of the faint compatibility law on one base slice per orbit;
     witness coordinates (g, h, b)."""
-    worst, witness = _orbit_slice(
-        filt.matrices, filt.action, True, _local, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
-    )
-    report = ValidationReport()
-    report.add(check_from_residual("filter-faint-constraint", worst, tolerance, witness))
-    return report
+    from .battery import _view
+    return _view("filter.", tolerance, filt=filt)
+
+
+def _faint_constraint(filt: Filter) -> tuple[float, tuple | None]:
+    a_out, a_in = filt.output_bundle.act_matrix, filt.input_bundle.act_matrix
+    return _orbit_slice(filt.matrices, filt.action, True, _local, a_out, a_in)
 
 
 # ---------------------------------------------------------------------------

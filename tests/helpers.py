@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 
+from equicorr.battery import _view
 from equicorr.bundles import MackeySection, Section, _periodicity
 from equicorr.errors import PreconditionError, StructuralError
 from equicorr.groups import FiniteGroup, GroupAction, stabilizer
@@ -31,6 +32,13 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+def battery_checks(scn: Scenario, prefix: str, tolerance: float = 1e-12, **derived) -> dict:
+    """The checks of the battery's laws whose names start with prefix, run
+    on the scenario alone, by name; derived gives inputs the battery would
+    derive, such as lifts or kernel_op, ready-made."""
+    return {c.name: c for c in _view(prefix, tolerance, short=False, **vars(scn), **derived).checks}
 
 
 def scenario_to_v2_dict(scn: Scenario) -> dict:
@@ -107,9 +115,7 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
     Scanned one row block of h at a time, as the battery's Mackey check is.
     """
     worst, witness = _worst(_periodicity(m, _local))
-    report = ValidationReport()
-    report.add(check_from_residual("mackey-periodicity", worst, tolerance, witness))
-    return report
+    return ValidationReport([check_from_residual("mackey-periodicity", worst, tolerance, witness)])
 
 
 def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunction:

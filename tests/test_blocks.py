@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from equicorr import groups
-from equicorr.battery import _mackey_checks
+from equicorr.battery import _mackey_preserved
 from equicorr.bundles import MackeySection, section_to_mackey
 from equicorr.groups import GroupAction, validate_action
 from equicorr.measures import (
@@ -110,11 +110,11 @@ def test_blocked_cross_correlate_matches_the_one_block_scan(name, monkeypatch):
     # the output of a random section, and the Mackey check with its witness
     filt, mu = FILTERS[name]
     m = section_to_mackey(random_sections(filt.input_bundle, SplitMix64(3), 1)[0])
-    whole, blocked = _both(monkeypatch, lambda: (cross_correlate(filt, m, mu), _mackey_checks(filt, mu, 1e-12)))
+    whole, blocked = _both(monkeypatch, lambda: (cross_correlate(filt, m, mu), _mackey_preserved(filt, mu)))
     assert blocked[0].values.tobytes() == whole[0].values.tobytes()
-    (checked,), (blocked_check,) = whole[1], blocked[1]
-    assert (float(checked.residual).hex(), checked.witness) == (float(blocked_check.residual).hex(), blocked_check.witness)
-    assert checked.witness is not None or "violating" not in name
+    (residual, witness), (blocked_residual, blocked_witness) = whole[1], blocked[1]
+    assert (float(residual).hex(), witness) == (float(blocked_residual).hex(), blocked_witness)
+    assert witness is not None or "violating" not in name
 
 
 @pytest.mark.parametrize("name", ["rotation", "diagonal", "torus-bands(16)"])

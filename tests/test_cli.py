@@ -701,6 +701,18 @@ MALFORMED_ENCODINGS = {
         lambda doc: _group(doc)["left"].__setitem__(1, list(range(8))),
         "element 4 is not reached from the identity by left multiplication by the generators",
     ),
+    # a label is a JSON string, never cast, and no two labels of a list are equal
+    "element-null": (lambda doc: _group(doc)["elements"].__setitem__(0, None), "group elements[0] None is not str"),
+    "element-float": (lambda doc: _group(doc)["elements"].__setitem__(1, 1.5), "group elements[1] 1.5 is not str"),
+    "element-list": (lambda doc: _group(doc)["elements"].__setitem__(2, [2]), "group elements[2] [2] is not str"),
+    "element-repeated": (
+        lambda doc: _group(doc)["elements"].__setitem__(3, _group(doc)["elements"][1]),
+        "group elements[3] 'r1' repeats group elements[1]",
+    ),
+    "elements-string": (lambda doc: _group(doc).update(elements="r0r1"), "group elements must be a list of labels"),
+    "base-true": (lambda doc: doc["action"]["base"].__setitem__(0, True), "action base[0] True is not str"),
+    "base-null": (lambda doc: doc["action"]["base"].__setitem__(1, None), "action base[1] None is not str"),
+    "base-repeated": (lambda doc: doc["action"]["base"].__setitem__(3, doc["action"]["base"][2]), "action base[3] 'v2' repeats action base[2]"),
 }
 
 
@@ -927,15 +939,16 @@ def _reach_the_action(test):
 @_reach_the_action
 def test_a_fuzzed_scenario_file_exits_zero_one_or_two_with_one_error_line(case, kind, index, leaf):
     doc = _fuzzed(case, kind, index, leaf)
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzzed.json")
         save_document(path, doc)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["validate", path])  # an exception escaping main fails the test
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        for command in ("validate", "battery"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path])  # an exception escaping main fails the test
+            assert code in (0, 1, 2), command
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_a_signed_zero_and_a_nan_round_trip_bitwise_and_the_nan_is_named(tmp_path, capsys):

@@ -6,13 +6,13 @@ force.
 order through flat gather indices; the reference below sums the same
 section with 2-D gathers of its own, and the two must agree bitwise.
 
-`battery._mackey_checks` pushes one induced basis section e~_{b0,i} per
+`battery._mackey_preserved` pushes one induced basis section e~_{b0,i} per
 fundamental-domain point b0 and fiber coordinate i through
 `cross_correlate`.  Its residual must equal the maximum over all |B| dE
 basis sections, each summed by the per-section reference, and it must
 obey the stated bound against the residual P over sections with entries
 in [-1, 1]: P <= |B| dE a' (1 + a) R, with a the largest row sum of |A_F|
-and a' the largest column sum of |A_E|.  The battery's `_filter_checks` on
+and a' the largest column sum of |A_E|.  The battery's `xcorr.` laws on
 every built-in scenario is held to the same references, its equivariance
 check to the operator matrix's residual; the cases include dihedral(4)
 with a measure that is not left-invariant.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.battery import _filter_checks, _mackey_checks
+from equicorr.battery import _view
 from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle
 from equicorr.groups import GroupAction, cyclic_group
 from equicorr.measures import GroupMeasureFamily, counting_family
@@ -34,7 +34,7 @@ from equicorr.scenarios import build_scenario
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
-from helpers import validate_mackey
+from helpers import battery_checks, validate_mackey
 from test_stacked import BUILTINS, FILTERS, basis_sections
 
 TOL = 1e-12
@@ -101,7 +101,7 @@ CASES = cases()
 
 
 def battery_residual(filt, mu):
-    (mackey,) = _mackey_checks(filt, mu, TOL)
+    (mackey,) = _view("xcorr.mackey-preserved", TOL, short=False, filt=filt, mu=mu).checks
     assert mackey.name == "xcorr.mackey-preserved"
     return mackey
 
@@ -157,8 +157,7 @@ def bits(check):
 
 
 def filter_checks(scn):
-    op = None if scn.filt is None else filter_operator(scn.filt, scn.mu)
-    return {c.name: c for c in _filter_checks(scn, op, TOL)}
+    return battery_checks(scn, "xcorr.", TOL)
 
 
 def assert_checks_match_per_section(scn, seed, n_sections):
@@ -218,7 +217,7 @@ def two_orbit_filter():
 def test_a_second_orbit_corruption_is_named_by_its_base_point():
     valid, filt, mu = two_orbit_filter()
     assert validate_filter(valid).passed and not validate_filter(filt).passed
-    assert all(c.passed for c in _mackey_checks(valid, mu, TOL))
+    assert battery_residual(valid, mu).passed
     mackey = battery_residual(filt, mu)
     assert not mackey.passed
     assert mackey.witness[0] == 4 and mackey.witness[3] == 4  # (b0, i, h, b) on the orbit {inf}

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.battery import _lift_checks
+from equicorr.battery import run_battery
 from equicorr.bundles import Section
 from equicorr.errors import StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
@@ -26,7 +26,7 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import Filter, correlate_sections, validate_filter
 
-from helpers import act_on_section, coset_project_filter_to_kernel, mul, scenario_lifts
+from helpers import act_on_section, coset_project_filter_to_kernel, mul
 from test_streaming import two_orbit_filter
 
 
@@ -318,8 +318,7 @@ def test_lift_requires_disintegration():
     assert fub > 1e-9
     lifted = lift_kernel_to_filter(scn.kernel, scn.thetas["derived"], scn.delta)
     assert np.abs(filter_operator(lifted, bad.mu) - kernel_operator(bad.kernel, bad.mubar)).max() > 1e-9
-    ops = filter_operator(bad.filt, bad.mu), kernel_operator(bad.kernel, bad.mubar)
-    checks = {c.name: c for c in _lift_checks(bad, scenario_lifts(bad), *ops, fub, 1e-12)}
+    checks = {c.name: c for c in run_battery(bad, 1e-12).checks}
     for name in ("lift.derived.transform-agreement", "projection.transform-agreement"):
         assert checks[name].skipped and checks[name].passed
     assert not checks["projection.kernel.kernel-constraint"].skipped
