@@ -258,10 +258,11 @@ _LAWS = _STRUCTURAL + (
     ("support.segments-vs-rectangle",  # witness (h, b)
      ("builders", "scenario", "lifts", "lifts.global", "lifts.special", "extras.band_spacing", "extras.eps_steps"),
      "exact", lambda builders, scn, lifts, *_: builders.banded_support_mismatch(scn, lifts)),
-    ("quadrature.continuum-gap", ("builders", "line_grid", "lifts.global", "extras.dx", "extras.origin"), "dx",
-     lambda builders, scn, lift, *_: (builders.line_grid_oracle_residual(scn, lift), None)),  # first order in dx
-    ("rotation.grid-aligned", ("builders", "circle_grid", "filt", "extras.grid_step"), "tolerance",
-     lambda builders, scn, _, step: (builders.circle_offgrid_residual(scn, 3 * step), None)),
-    ("rotation.off-grid-gap", ("builders", "circle_grid", "filt", "extras.grid_step"), "reported",  # approximate
+    ("quadrature.continuum-gap", ("builders", "line_grid", "lifts.global", "extras.dx"), "dx",
+     lambda builders, scn, lift, _: (builders.line_grid_oracle_residual(scn, lift), None)),  # first order in dx
+    ("rotation.grid-aligned", ("builders", "circle_grid", "filt"), "tolerance",  # three grid steps
+     lambda builders, scn, _: (
+         builders.circle_offgrid_residual(scn, 3 * builders.circle_grid_step(scn.action.base_size)), None)),
+    ("rotation.off-grid-gap", ("builders", "circle_grid", "filt"), "reported",  # approximate
      lambda builders, scn, *_: (builders.circle_offgrid_residual(scn, 0.4321), None)),
 )

@@ -67,9 +67,8 @@ stabilizer element of b0, T compares every v(r, c) with
 A_out(k, b0) v(k^-1.r, b0) A_in(k^-1, .).  _orbit_slice reports
 R = max(S, T); with P the all-g residual and a the largest row or column
 sum of |A(g, b)| over both bundles, R <= a P and P <= (a^2 + 2a) R.  The
-random filter and kernel builders of `sampling` and the filter loader share
-this transport: the mean of _carry over Stab(b0) makes S = 0, and
-_transport makes T = 0.
+random filter and kernel builders of `sampling` build on this transport:
+the mean of _carry over Stab(b0) makes S = 0, and _transport makes T = 0.
 """
 
 from __future__ import annotations

@@ -396,6 +396,11 @@ def circle_test_function(x: np.ndarray) -> np.ndarray:
     return np.sin(x) + 0.5 * np.cos(2.0 * x)
 
 
+def circle_grid_step(n: int) -> float:
+    """The angle between neighbouring points of the n-point circle grid."""
+    return 2.0 * math.pi / n
+
+
 def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting") -> Scenario:
     """The circle discretized to n grid points, quadrature weight 2*pi/n.
 
@@ -407,14 +412,13 @@ def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting")
         raise DomainError("circle-grid scenario needs n >= 1")
     if filter_width < 0 or 2 * filter_width + 1 > n:
         raise DomainError("filter width must satisfy 2*width + 1 <= n")
-    step = 2.0 * math.pi / n
+    step = circle_grid_step(n)
     params = {"n": n, "filter_width": filter_width, "families": families}
     scn = _assemble(f"circle-grid({n})", params, cyclic_action(n), families, scale=step)
     mats = np.zeros((n, n, 1, 1))
     mats[:, :, 0, 0] = circle_profile(_signed_mod(np.arange(n), n), filter_width)[:, None]
     scn.filt = Filter(scn.input_bundle, scn.output_bundle, mats)
     scn.thetas["derived"] = derive_theta(scn.action)
-    scn.extras["grid_step"] = step
     return scn
 
 
@@ -428,7 +432,7 @@ def circle_offgrid_residual(scn: Scenario, angle: float) -> float:
     asserts on this.
     """
     n = scn.action.base_size
-    step = scn.extras["grid_step"]
+    step = circle_grid_step(n)
     nearest = int(round(angle / step)) % n
     x = np.arange(n) * step
     samples = circle_test_function(np.stack([x, x - angle]))[:, :, None]  # unrotated, and rotated by angle
@@ -504,13 +508,13 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting")
     scn = _assemble(f"line-grid({units},{dx})", params, torus_action(m, u, units), families, scale=dx)
     scn.kernel = _displacement_kernel(scn, lambda d_steps: line_band_kernel_value(d_steps * dx))
     scn.thetas["global"] = derive_theta(scn.action, scn.kernel.support)
-    scn.extras.update(dx=dx, origin=0)
+    scn.extras["dx"] = dx
     return scn
 
 
 def line_grid_oracle_residual(scn: Scenario, lifted: Filter) -> float:
     """Gap between the grid computation and the continuous transform at the
-    origin.
+    origin, base point 0.
 
     The grid side goes through the full machinery: `lifted`, the sampled
     kernel's lift along the global theta, cross-correlates the induced
@@ -521,7 +525,7 @@ def line_grid_oracle_residual(scn: Scenario, lifted: Filter) -> float:
     m = scn.action.base_size
     samples = line_test_function(_signed_mod(np.arange(m), m) * scn.extras["dx"])[:, None]
     out = correlate_sections(lifted, scn.mu, samples)
-    return abs(float(out[scn.extras["origin"], 0]) - continuous_line_transform())
+    return abs(float(out[0, 0]) - continuous_line_transform())
 
 
 def line_grid_ladder(levels: int = 4) -> list[float]:

@@ -1,7 +1,7 @@
 """JSON serialization for scenarios, filters, kernels, sections, and
 reports.
 
-Documents carry a schema tag ("equicorr-scenario/7" and friends) and are
+Documents carry a schema tag ("equicorr-scenario/8" and friends) and are
 emitted with sorted keys and fixed indentation, so identical inputs
 produce byte-identical files; a document under any other tag, an older
 form among them, is refused by its tag.  A scenario stores its group as
@@ -14,18 +14,18 @@ every action; any other table is stored whole, (|G|, |B|), with the flag
 false.  The loader decides no group or action law: validate_group and
 validate_action do.  When a table read after the action is refused, and
 the action breaks a law, the refusal names the law first.
-Every float table (the filter, the kernel, delta, mu, nu, mubar and psi)
-is stored whole as a fill and its exceptions, {"fill": f, "at": [flat
-indices], "values": [...]}: f is the table's most frequent bit pattern,
-and `at` lists, ascending in row-major order, the entries whose bit
-pattern differs from it, so -0.0 and NaN round-trip exactly; the loader
-takes the shape from the action and the fiber dimensions; nu's is (|B|,),
-one weight per base point.  A filter document whose "compressed" flag is
-true holds only the columns at the orbit representatives, (|G|, k, dF,
-dE), and loads as the full Filter.  Each theta is stored as its (|B|,
-|B|) `reps` table, -1 where undefined.  The Scenario record lives here,
-beside its codec, so that loading a file never imports the scenario
-builders.
+Every float table (an explicit bundle's act matrices, the filter, the
+kernel, delta, mu, nu, mubar and psi) is stored whole as a fill and its
+exceptions, {"fill": f, "at": [flat indices], "values": [...]}: f is the
+table's most frequent bit pattern, and `at` lists, ascending in row-major
+order, the entries whose bit pattern differs from it, so -0.0 and NaN
+round-trip exactly; the loader takes the shape from the action and the
+fiber dimensions, and refuses one over the size budget before allocating
+it; nu's is (|B|,), one weight per base point, and the act matrices' is
+(|G|, |B|, d, d), d the largest fiber dimension.  Each theta is stored as
+its (|B|, |B|) `reps` table, -1 where undefined.  The Scenario record
+lives here, beside its codec, so that loading a file never imports the
+scenario builders.
 Loading validates shapes and index ranges and raises StructuralError on
 malformed input rather than guessing; a document-level loader also
 reports a missing key or a value of the wrong JSON type as
@@ -33,13 +33,13 @@ StructuralError.  An index is a JSON integer, and a key repeated in one
 JSON object is rejected, not overwritten.
 
 Numbers cross the JSON boundary in bulk.  `load_document` decodes each
-float table (a `values` or `act_matrix` list whose first entry is a
-float) into the ndarray the loaders would build from it, and each
-integer table (an action `table`, a group's `left`, a fill form's `at`,
-a theta's `reps`) whose every entry is a JSON integer into
-an int64 array, as the parser closes the object holding it, so a file's
-numbers never all live as Python objects at once; anything else stays a
-list and reaches the loaders' own checks unchanged.  Those type-check a
+float table (a `values` list whose first entry is a float) into the
+ndarray the loaders would build from it, and each integer table (an
+action `table`, a group's `left`, a fill form's `at`, a theta's `reps`)
+whose every entry is a JSON integer into an int64 array, as the parser
+closes the object holding it, so a file's numbers never all live as
+Python objects at once; anything else stays a list and reaches the
+loaders' own checks unchanged.  Those type-check a
 table rather than cast it: 1.5 and true are not integers, and true is
 not the number 1.0.
 `dumps` is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte for
@@ -56,9 +56,11 @@ import sys
 
 import numpy as np
 
-from .bundles import EquivariantBundle, MackeySection, Section, _transport, trivial_bundle
+from .bundles import EquivariantBundle, MackeySection, Section, trivial_bundle
 from .errors import DomainError, StructuralError
-from .groups import FiniteGroup, GroupAction, _float_table, _leaf_types, _row_blocks, action_table, validate_action
+from .groups import (
+    FiniteGroup, GroupAction, _check_budget, _float_table, _leaf_types, _row_blocks, action_table, validate_action,
+)
 from .measures import (
     DeltaFunction,
     GroupMeasureFamily,
@@ -70,8 +72,8 @@ from .reporting import ValidationReport
 from .transforms import Kernel, ThetaMap
 from .xcorr import Filter
 
-SCENARIO_SCHEMA = "equicorr-scenario/7"
-FILTER_SCHEMA = "equicorr-filter/2"
+SCENARIO_SCHEMA = "equicorr-scenario/8"
+FILTER_SCHEMA = "equicorr-filter/3"
 KERNEL_SCHEMA = "equicorr-kernel/2"
 SECTION_SCHEMA = "equicorr-section/1"
 MACKEY_SCHEMA = "equicorr-mackey-section/1"
@@ -216,7 +218,8 @@ def action_from_dict(doc: dict) -> GroupAction:
 
 
 def bundle_to_dict(bundle: EquivariantBundle) -> dict:
-    """Trivial bundles collapse to a tag; anything else is stored in full."""
+    """Trivial bundles collapse to a tag; anything else stores its act
+    matrices in the fill form."""
     n, m, d = bundle.action.group.order, bundle.action.base_size, bundle.dmax
     if np.array_equal(bundle.fiber_dim, np.full(m, d)) and np.array_equal(
         bundle.act_matrix, np.broadcast_to(np.eye(d), (n, m, d, d))
@@ -225,7 +228,7 @@ def bundle_to_dict(bundle: EquivariantBundle) -> dict:
     return {
         "kind": "explicit",
         "fiber_dim": bundle.fiber_dim.tolist(),
-        "act_matrix": bundle.act_matrix.tolist(),
+        "act_matrix": _fill_to_dict(bundle.act_matrix),
     }
 
 
@@ -235,7 +238,9 @@ def bundle_from_dict(doc: dict, action: GroupAction) -> EquivariantBundle:
         return trivial_bundle(action, _typed(doc.get("fiber_dim", 1), (int,), "fiber_dim"))
     if doc["kind"] == "explicit":
         fiber_dim = [_typed(d, (int,), "fiber_dim") for d in doc["fiber_dim"]]
-        return EquivariantBundle(action, fiber_dim, doc["act_matrix"])
+        d = max([0, *fiber_dim])  # EquivariantBundle refuses a negative one
+        shape = (action.group.order, action.base_size, d, d)
+        return EquivariantBundle(action, fiber_dim, _fill_from_dict(doc["act_matrix"], shape, "act_matrix"))
     raise StructuralError(f"unknown bundle kind {doc['kind']!r}")
 
 
@@ -264,11 +269,13 @@ def _fill_to_dict(table: np.ndarray) -> dict:
 
 
 def _fill_from_dict(stored, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A stored table: the fill form, checked and expanded to shape."""
+    """A stored table: the fill form, checked and expanded to shape, which
+    is refused over the size budget before it is allocated."""
     _require(isinstance(stored, dict) and {"fill", "at", "values"} <= stored.keys(), f"{what} needs fill, at and values")
+    size = math.prod(shape)
+    _check_budget(f"a {shape} {what} table", size)
     fill = float(_typed(stored["fill"], (int, float), f"{what} fill"))
     at = _int_table(stored["at"], f"{what} at")
-    size = math.prod(shape)
     _require(at.ndim == 1, f"{what} at must be a flat list of indices")
     bad = np.flatnonzero((at < 0) | (at >= size) | np.concatenate(([False], at[1:] <= at[:-1])))
     if bad.size:  # repeated or out of order, or no entry of the table
@@ -356,26 +363,14 @@ def _index(key: object, bound: int, what: str) -> int:
 
 def filter_to_dict(filt: Filter) -> dict:
     """The whole (|G|, |B|, dF, dE) table in the fill form."""
-    return {"schema": FILTER_SCHEMA, "compressed": False, "matrices": _fill_to_dict(filt.matrices)}
+    return {"schema": FILTER_SCHEMA, "matrices": _fill_to_dict(filt.matrices)}
 
 
 @_document_loader
 def filter_from_dict(doc: dict, input_bundle: EquivariantBundle, output_bundle: EquivariantBundle) -> Filter:
     _expect_schema(doc, FILTER_SCHEMA)
-    action = input_bundle.action
-    n, m, domain = action.group.order, action.base_size, list(action.domain)
-    dims = (output_bundle.dmax, input_bundle.dmax)
-    compressed = _typed(doc["compressed"], (bool,), "filter compressed")
-    matrices = _fill_from_dict(doc["matrices"], (n, len(domain) if compressed else m, *dims), "filter")
-    if compressed:
-        stored, matrices = matrices, np.zeros((n, m, *dims))
-        matrices[:, domain] = stored
-        # omega(h', k.b) = actF(k, b) @ omega(k^-1 h' k, b) @ actE(k^-1, k.b) off
-        # the domain, k the coset representative: the one table satisfying
-        # the law with the stored columns whenever one exists.  The loader
-        # decides no law: a column that breaks its stabilizer slice loads as
-        # given, and validate_filter names it, as it names any defect
-        _transport(matrices, action, True, output_bundle.act_matrix, input_bundle.act_matrix)
+    n, m = input_bundle.action.group.order, input_bundle.action.base_size
+    matrices = _fill_from_dict(doc["matrices"], (n, m, output_bundle.dmax, input_bundle.dmax), "filter")
     return Filter(input_bundle, output_bundle, matrices)
 
 
@@ -504,7 +499,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
     return doc
 
 
-_INTEGER_EXTRAS = ("band_spacing", "eps_steps", "origin")  # dx and grid_step may be floats
+_INTEGER_EXTRAS = ("band_spacing", "eps_steps")  # dx may be a float
 
 
 @_document_loader
@@ -526,20 +521,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if broken is None:
             raise
         raise StructuralError(f"{broken.name} fails at {broken.witness}: {err}") from err
-    name, params = str(doc.get("name", "scenario")), dict(doc.get("params", {}))
+    # the name decides which built-in oracles run; params is a record no check reads
+    name = _typed(doc.get("name", "scenario"), (str,), "name")
+    params = _typed(doc.get("params", {}), (dict,), "params")
     scn = Scenario(name, params, action, input_bundle, output_bundle, mu, nu, mubar, psi, delta, filt, kernel)
     for key, tdoc in doc.get("thetas", {}).items():
         scn.thetas[str(key)] = theta_from_dict(tdoc, action)
     for k, v in doc.get("extras", {}).items():  # the battery indexes and counts with the integer ones
         scn.extras[k] = _typed(v, (int,) if k in _INTEGER_EXTRAS else (int, float), f"extras {k}")
-    origin = scn.extras.get("origin", 0)  # a base point: -1 would wrap, 10**6 would not index
-    _require(0 <= origin < action.base_size, f"extras origin {origin} is outside [0, |B| = {action.base_size})")
     for k in ("band_spacing", "eps_steps"):  # the banded support check spans windows of these many base points
         width = scn.extras.get(k, 0)
         _require(0 <= width <= action.base_size, f"extras {k} {width} is outside [0, |B| = {action.base_size}]")
-    for k in ("dx", "grid_step"):  # the grid oracles scale and divide by these; 0, inf, nan and 1e-320 are no step
-        step = scn.extras.get(k, 1.0)
-        _require(sys.float_info.min <= step <= sys.float_info.max, f"extras {k} {step!r} is not a finite normal step > 0")
+    step = scn.extras.get("dx", 1.0)  # the line-grid oracle scales by it; 0, inf, nan and 1e-320 are no step
+    _require(sys.float_info.min <= step <= sys.float_info.max, f"extras dx {step!r} is not a finite normal step > 0")
     return scn
 
 
@@ -551,9 +545,9 @@ def report_to_dict(report: ValidationReport, context: dict | None = None) -> dic
 
 
 # (key, type of the first entry, decoder) of the tables decoded in bulk:
-# the float tables, and the integer ones: the action table, the group's rows,
-# a fill form's exceptions and a theta's reps
-_TABLES = [(key, float, _float_array) for key in ("values", "act_matrix")]
+# a fill form's float values, and the integer tables: the action table, the
+# group's rows, a fill form's exceptions and a theta's reps
+_TABLES = [("values", float, _float_array)]
 _TABLES += [(key, int, _integer_array) for key in ("table", "left", "at", "reps")]
 _TABLE_KEYS = frozenset(key for key, _, _ in _TABLES)
 

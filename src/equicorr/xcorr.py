@@ -41,10 +41,9 @@ section, its (|G|, |B|, dF) output, and one row block of a gathered
 (|G|, |B|) slice with its product.
 
 validate_filter checks the law on one base slice per orbit instead of for
-every g (`bundles._orbit_slice`).  The random builder and the loader of a
-compressed filter document, which holds the columns at the orbit
-representatives, rebuild the rest of the table through the same
-transport (`bundles._transport`).
+every g (`bundles._orbit_slice`).  The random builder fills the columns
+at the orbit representatives and rebuilds the rest of the table through
+the same transport (`bundles._transport`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunctio
 from equicorr.reporting import ValidationReport, _count, _local, _worst, check_from_residual
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
-from equicorr.serialize import FILTER_SCHEMA, _fill_to_dict, scenario_to_dict
+from equicorr.serialize import scenario_to_dict
 from equicorr.transforms import lift_kernel_to_filter
 from equicorr.xcorr import Filter
 
@@ -132,14 +132,6 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
         raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)
     return PsiFunction(action, vals)
-
-
-def compressed_filter_to_dict(filt: Filter) -> dict:
-    """The fundamental-domain form: the (|G|, k, dF, dE) columns at the k
-    orbit representatives in the fill form; the loader carries them to the
-    rest of each orbit."""
-    columns = filt.matrices[:, list(filt.action.domain)]
-    return {"schema": FILTER_SCHEMA, "compressed": True, "matrices": _fill_to_dict(columns)}
 
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:

@@ -32,6 +32,7 @@ from equicorr.scenarios import (
     banded_support_mismatch,
     build_circle_grid,
     build_scenario,
+    circle_grid_step,
     circle_offgrid_residual,
     degeneracy_demo,
     line_grid_ladder,
@@ -306,7 +307,7 @@ def test_c10_grid_refinement_behaviour(acceptance):
     ratios = [ladder[j] / ladder[j + 1] for j in range(3)]
     ratios_ok = all(1.4 <= r <= 2.6 for r in ratios)
     scn = build_circle_grid(16)
-    step = scn.extras["grid_step"]
+    step = circle_grid_step(16)
     aligned = max(circle_offgrid_residual(scn, k * step) for k in range(16))
     acceptance(
         "10 line-grid continuum gap halves per refinement; grid-aligned rotations exact",

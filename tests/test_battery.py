@@ -14,6 +14,7 @@ import pytest
 
 from equicorr import battery
 from equicorr.battery import run_battery, run_structural
+from equicorr.bundles import EquivariantBundle
 from equicorr.cli import main
 from equicorr.errors import DomainError
 from equicorr.measures import DeltaFunction, GroupMeasureFamily, OrbitMeasureFamily, fubini_pointwise_residual, validate_families
@@ -21,7 +22,9 @@ from equicorr.rng import SplitMix64
 from equicorr import sampling, scenarios
 from equicorr.sampling import random_violating_kernel
 from equicorr.scenarios import build_scenario
-from equicorr.serialize import Scenario, dumps, load_document, report_to_dict, save_document, scenario_from_dict, scenario_to_dict
+from equicorr.serialize import (
+    Scenario, bundle_to_dict, dumps, load_document, report_to_dict, save_document, scenario_from_dict, scenario_to_dict,
+)
 from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
@@ -316,7 +319,6 @@ PARTIAL_DOCUMENTS = {
     "torus-bands-no-special-theta": ("torus-bands(12)", ("thetas", "special")),
     "line-grid-no-thetas": ("line-grid(5, dx=0.2)", ("thetas",)),
     "line-grid-no-delta": ("line-grid(5, dx=0.2)", ("delta",)),
-    "circle-grid-no-extras": ("circle-grid(16)", ("extras",)),
 }
 
 
@@ -455,7 +457,7 @@ def act_matrix_sweep(spec: str) -> dict[str, int]:
         for g, b in itertools.product(range(n), range(m)):
             mats = scn.input_bundle.act_matrix.copy()
             mats[g, b, 0, 0] += 0.5
-            doc["input_bundle"] = {"kind": "explicit", "fiber_dim": scn.input_bundle.fiber_dim.tolist(), "act_matrix": mats.tolist()}
+            doc["input_bundle"] = bundle_to_dict(EquivariantBundle(scn.action, scn.input_bundle.fiber_dim, mats))
             save_document(path, doc)
             bad = scenario_from_dict(load_document(path))
             checks = {c.name: c for c in run_battery(bad).checks}

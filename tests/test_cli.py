@@ -33,7 +33,7 @@ from equicorr.serialize import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 
-from helpers import compressed_filter_to_dict, dense_nu, scenario_to_v2_dict, set_fill_entry
+from helpers import dense_nu, scenario_to_v2_dict, set_fill_entry
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -273,31 +273,21 @@ def test_a_line_grid_step_that_is_no_step_exits_two_naming_it(dx, capsys):
     assert err == f"error: grid step {dx} is not a finite normal step > 0\n"
 
 
-def _compressed_filter(doc: dict, scn, h: int, by: float) -> None:
-    """Store doc's filter compressed, its column at b0 = 0 raised by `by`
-    at h (the fibers are 1-d)."""
-    doc["filter"] = compressed_filter_to_dict(scn.filt)
-    set_fill_entry(doc["filter"]["matrices"], (scn.group.order, 1, 1, 1), (h, 0, 0, 0), scn.filt.matrices[h, 0, 0, 0] + by)
-
-
 def _bump_dense_entry(doc: dict, scn) -> None:
     set_fill_entry(doc["filter"]["matrices"], scn.filt.matrices.shape, (1, 0, 0, 0), scn.filt.matrices[1, 0, 0, 0] + 0.5)
 
 
-# dihedral(4, bundle=sign) entries that break the filter law, stored dense or
-# compressed -> the witness; s0 r3 s0^-1 = r1, so a bump at r1 alone breaks
-# the law at (s0, r3, 0), and a NaN row is named at its first coordinate
+# dihedral(4, bundle=sign) entries that break the filter law -> the witness;
+# s0 r3 s0^-1 = r1, so a bump at r1 alone breaks the law at (s0, r3, 0)
 BROKEN_FILTER_ROWS = {
     "dense-entry": (_bump_dense_entry, [4, 3, 0]),
-    "compressed-row": (lambda doc, scn: _compressed_filter(doc, scn, 1, 1.0), [4, 3, 0]),
-    "compressed-nan-row": (lambda doc, scn: _compressed_filter(doc, scn, 0, np.nan), [0, 0, 0]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_FILTER_ROWS))
 def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
-    # the expansion of a compressed row decides no law, so every case loads
-    # and both commands report the law's failure with its witness
+    # the loader decides no law, so every case loads and both commands
+    # report the law's failure with its witness
     edit, witness = BROKEN_FILTER_ROWS[case]
     scn = build_scenario("dihedral(4, bundle=sign)")
     doc = json.loads(dumps(scenario_to_dict(scn)))
@@ -311,21 +301,6 @@ def test_a_filter_row_off_its_law_loads_and_is_named(case, tmp_path, capsys):
         failed = {c["name"]: c["witness"] for c in checks if not c["pass"]}
         assert failed["filter.filter-faint-constraint"] == witness, command
     assert "transform.necessity" in {c["name"] for c in checks}  # the battery's whole report
-
-
-def test_a_compressed_flag_on_a_whole_filter_exits_two_naming_the_entry(tmp_path, capsys):
-    # the compressed table of dihedral(4) is its one domain column, 8 entries:
-    # the whole table's exceptions past them name no entry of it
-    scn = build_scenario("dihedral(4, bundle=sign)")
-    doc = json.loads(dumps(scenario_to_dict(scn)))
-    doc["filter"]["compressed"] = True
-    at = doc["filter"]["matrices"]["at"]
-    i = next(i for i, k in enumerate(at) if k >= 8)
-    path = tmp_path / "flagged.json"
-    save_document(str(path), doc)
-    expected = f"error: filter at[{i}] = {at[i]} is outside [0, 8) or not above the entry before it\n"
-    for command in ("validate", "battery"):
-        assert run_cli(capsys, command, str(path)) == (2, "", expected), command
 
 
 def test_broken_disintegration_fails_battery_without_error(tmp_path, capsys):
@@ -428,8 +403,6 @@ MALFORMED = {
     "delta-value-true": lambda doc: _set_delta_value(doc, True),
     "mu-haar-string": lambda doc: doc["families"]["mu"].update(haar="no"),
     "extras-band-spacing-string": lambda doc: doc.setdefault("extras", {}).update(band_spacing="1"),
-    # an index or a count the battery computes with must be an integer, not 0.0
-    "extras-origin-float": lambda doc: doc.setdefault("extras", {}).update(origin=0.0),
     # integer tables are type-checked, not cast: v + 0.5 would truncate to v, and true read as 1
     **{
         f"{name}-entry-{kind.__name__}": lambda doc, row=row, kind=kind: _mistype(row(doc), kind)
@@ -467,31 +440,44 @@ def _v5_document(doc: dict, scn) -> None:
     doc["action"]["table"] = scn.action.table.tolist()
 
 
+def _v7_document(doc: dict, scn) -> None:
+    """An equicorr-scenario/7 document: the act matrices as nested lists, the filter flagged whole."""
+    doc.update(schema="equicorr-scenario/7")
+    doc["input_bundle"]["act_matrix"] = scn.input_bundle.act_matrix.tolist()
+    doc["filter"].update(schema="equicorr-filter/2", compressed=False)
+
+
 # the previous scenario, filter and kernel forms: each is refused by its
 # tag, before any table is read, so the old filter and kernel forms here
 # hold empty tables
 OLD_FILTER = {"schema": "equicorr-filter/1", "compressed": False, "rows": {}}
 OLD_KERNEL = {"schema": "equicorr-kernel/1", "entries": []}
 OLDER_DOCUMENTS = {
-    "scenario/1": (_v1_document, "'equicorr-scenario/7', got 'equicorr-scenario/1'"),
+    "scenario/1": (_v1_document, "'equicorr-scenario/8', got 'equicorr-scenario/1'"),
     # dense measure tables and theta entry lists
     "scenario/2": (
         lambda doc, scn: doc.update(json.loads(dumps(scenario_to_v2_dict(scn)))),
-        "'equicorr-scenario/7', got 'equicorr-scenario/2'",
+        "'equicorr-scenario/8', got 'equicorr-scenario/2'",
     ),
     "scenario/3": (
         lambda doc, scn: doc.update(schema="equicorr-scenario/3", filter=OLD_FILTER, kernel=OLD_KERNEL, delta={"by_base": {}}),
-        "'equicorr-scenario/7', got 'equicorr-scenario/3'",
+        "'equicorr-scenario/8', got 'equicorr-scenario/3'",
     ),
     # nu as the fill form of its (|B|, |G|) table
     "scenario/4": (
         lambda doc, scn: doc.update(
             schema="equicorr-scenario/4", families=dict(doc["families"], nu={"weights": _fill_to_dict(dense_nu(scn.nu))})
         ),
-        "'equicorr-scenario/7', got 'equicorr-scenario/4'",
+        "'equicorr-scenario/8', got 'equicorr-scenario/4'",
     ),
-    "scenario/5": (_v5_document, "'equicorr-scenario/7', got 'equicorr-scenario/5'"),
-    "filter/1": (lambda doc, scn: doc.update(filter=OLD_FILTER), "'equicorr-filter/2', got 'equicorr-filter/1'"),
+    "scenario/5": (_v5_document, "'equicorr-scenario/8', got 'equicorr-scenario/5'"),
+    "scenario/7": (_v7_document, "'equicorr-scenario/8', got 'equicorr-scenario/7'"),
+    "filter/1": (lambda doc, scn: doc.update(filter=OLD_FILTER), "'equicorr-filter/3', got 'equicorr-filter/1'"),
+    # the whole table, flagged so that a /2 reader would not expand it from its domain columns
+    "filter/2": (
+        lambda doc, scn: doc["filter"].update(schema="equicorr-filter/2", compressed=False),
+        "'equicorr-filter/3', got 'equicorr-filter/2'",
+    ),
     "kernel/1": (lambda doc, scn: doc.update(kernel=OLD_KERNEL), "'equicorr-kernel/2', got 'equicorr-kernel/1'"),
 }
 
@@ -516,23 +502,15 @@ def test_an_older_document_exits_two_naming_its_schema(case, tmp_path, capsys):
         pytest.param("extras", "band_spacing", 10**400, id="extras-band_spacing-10**400"),
         ("extras", "band_spacing", -1),
         ("extras", "eps_steps", 17),
-        ("extras", "origin", 0.0),
-        # an integer origin must be a base point: 10**6 would not index, -1 would wrap to the last
-        ("extras", "origin", 10**6),
-        ("extras", "origin", -1),
-        # a grid step the oracles divide and scale by: 0 and 1e-320 would end in a
-        # division or an overflow, inf in a NaN, and a dx of inf would bound the continuum gap by inf
-        ("extras", "grid_step", 0),
-        ("extras", "grid_step", math.inf),
-        ("extras", "grid_step", 1e-320),
+        # the grid step the line-grid oracle scales by: 0 is no step, and a dx
+        # of inf would bound the continuum gap by inf
         ("extras", "dx", 0.0),
         ("extras", "dx", math.inf),
     ],
 )
 def test_battery_on_a_mistyped_scenario_number_exits_two(key, name, value, tmp_path, capsys):
-    # numbers the banded support check, the line-grid oracle and the circle-grid rotations compute with
-    line_grid = "line-grid(5, dx=0.2)"
-    spec = {"origin": line_grid, "dx": line_grid, "grid_step": "circle-grid(16)"}.get(name, "torus-bands(16)")
+    # numbers the banded support check and the line-grid oracle compute with
+    spec = "line-grid(5, dx=0.2)" if name == "dx" else "torus-bands(16)"
     doc = json.loads(dumps(scenario_to_dict(build_scenario(spec))))
     doc[key][name] = value
     path = tmp_path / "mistyped.json"
@@ -599,6 +577,13 @@ def _whole(doc: dict) -> list:
 _ROWS = "action table must be (2, 4), a row per generator"
 
 
+def _act(doc: dict) -> dict:
+    """The fill form of doc's input act matrices: (8, 4, 1, 1) signs, 16 of them stored in `values`."""
+    stored = doc["input_bundle"]["act_matrix"]
+    assert len(stored["values"]) == 16
+    return stored
+
+
 def _v6_document(doc: dict) -> None:
     """An equicorr-scenario/6 document: the group also by its generators and their columns."""
     grp = build_scenario(MALFORMED_SPEC).group
@@ -640,23 +625,17 @@ MALFORMED_ENCODINGS = {
     "theta-entry-list": (lambda doc: doc["thetas"].update(derived=_v2_doc()["thetas"]["derived"]), "theta needs a reps table"),
     # true is not the number 1.0, in a table whose first entry it is, which
     # load_document leaves a list, or further in, which load_document refuses
-    "act-matrix-true-first": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (0, 0, 0, 0), True), _BOOL % "act_matrix"),
-    "act-matrix-true-later": (lambda doc: _set(doc["input_bundle"]["act_matrix"], (5, 2, 0, 0), True), _BOOL % "act_matrix"),
+    "act-matrix-true-first": (lambda doc: _set(_act(doc)["values"], (0,), True), _BOOL % "act_matrix values"),
+    "act-matrix-true-later": (lambda doc: _set(_act(doc)["values"], (5,), True), _BOOL % "act_matrix values"),
     "values-true": (lambda doc: _set(_nu(doc)["values"], (3,), True), _BOOL % "nu values"),
     # nor is "1.0" the number 1.0, nor null a NaN, though numpy would read them so
     "values-string": (lambda doc: _set(_nu(doc)["values"], (3,), "1.0"), "nu values holds a JSON string, not a number"),
     "values-null": (lambda doc: _set(_nu(doc)["values"], (3,), None), "nu values holds a JSON null, not a number"),
-    "act-matrix-null-later": (
-        lambda doc: _set(doc["input_bundle"]["act_matrix"], (5, 2, 0, 0), None),
-        "act_matrix holds a JSON null, not a number",
-    ),
+    "act-matrix-null-later": (lambda doc: _set(_act(doc)["values"], (5,), None), "act_matrix values holds a JSON null, not a number"),
     "filter-matrix-true": (lambda doc: _set(doc["filter"]["matrices"]["values"], (0,), True), _BOOL % "filter values"),
     "kernel-matrix-false": (lambda doc: _set(doc["kernel"]["matrices"]["values"], (0,), False), _BOOL % "kernel values"),
-    # the filter's compressed flag is a JSON bool: "false" and 1 are not false or true
-    "compressed-string": (lambda doc: doc["filter"].update(compressed="false"), "filter compressed 'false' is not bool"),
-    "compressed-one": (lambda doc: doc["filter"].update(compressed=1), "filter compressed 1 is not bool"),
-    "compressed-null": (lambda doc: doc["filter"].update(compressed=None), "filter compressed None is not bool"),
-    # so is the action's by_generators flag, and its rows are one per generator, each |B| base points
+    # the action's by_generators flag is a JSON bool: "true" and 1 are not true,
+    # and its rows are one per generator, each |B| base points
     "by-generators-one": (lambda doc: doc["action"].update(by_generators=1), "action by_generators 1 is not bool"),
     "by-generators-string": (
         lambda doc: doc["action"].update(by_generators="true"),
@@ -691,7 +670,7 @@ MALFORMED_ENCODINGS = {
     "whole-entry-past-base": (lambda doc: _whole(doc)[5].__setitem__(1, 4), "action table entry out of range"),
     "whole-entry-negative": (lambda doc: _whole(doc)[0].__setitem__(0, -1), "action table entry out of range"),
     # the group: its stored rows, |G| elements each, that reach every element from the identity
-    "scenario/6": (_v6_document, "expected schema 'equicorr-scenario/7', got 'equicorr-scenario/6'"),
+    "scenario/6": (_v6_document, "expected schema 'equicorr-scenario/8', got 'equicorr-scenario/6'"),
     "left-ragged": (lambda doc: _group(doc)["left"][1].pop(), "malformed document: ValueError"),
     "left-rows-short": (lambda doc: [row.pop() for row in _group(doc)["left"]], "group left shape (2, 7), expected (2, 8)"),
     "left-entry-past-order": (lambda doc: _group(doc)["left"][0].__setitem__(3, 8), "group left entry out of range"),
@@ -713,6 +692,10 @@ MALFORMED_ENCODINGS = {
     "base-true": (lambda doc: doc["action"]["base"].__setitem__(0, True), "action base[0] True is not str"),
     "base-null": (lambda doc: doc["action"]["base"].__setitem__(1, None), "action base[1] None is not str"),
     "base-repeated": (lambda doc: doc["action"]["base"].__setitem__(3, doc["action"]["base"][2]), "action base[3] 'v2' repeats action base[2]"),
+    # the name decides which built-in oracles run, and params is a JSON object: neither is cast
+    "name-null": (lambda doc: doc.update(name=None), "name None is not str"),
+    "name-number": (lambda doc: doc.update(name=5), "name 5 is not str"),
+    "params-pairs": (lambda doc: doc.update(params=[["n", 4]]), "params [['n', 4]] is not dict"),
 }
 
 
@@ -864,9 +847,8 @@ def test_a_malformed_fill_form_or_reps_table_exits_two(case, tmp_path, capsys):
         assert "Traceback" not in err
 
 
-# the saved files the document fuzzer starts from: three built-ins and one
-# filter stored in its compressed form
-_FUZZ_CASES = ("dihedral(4, bundle=sign)", "torus-bands(16)", "cyclic(6)", "compressed dihedral(4, bundle=sign)")
+# the saved files the document fuzzer starts from
+_FUZZ_CASES = ("dihedral(4, bundle=sign)", "torus-bands(16)", "cyclic(6)")
 # what a leaf becomes: a bool, a string, null, an integer past every float, or a float ("float": the leaf + 0.5)
 _FUZZ_LEAVES = (True, False, "0", None, 10**400, "float")
 
@@ -875,12 +857,7 @@ _FUZZ_LEAVES = (True, False, "0", None, 10**400, "float")
 def _fuzz_file(case: str) -> tuple[str, list[tuple], list[tuple], list[tuple]]:
     """The text of a saved file, and the paths to its leaves, to its dict
     members and to its dicts."""
-    spec = case.removeprefix("compressed ")
-    scn = build_scenario(spec)
-    doc = scenario_to_dict(scn)
-    if spec != case:
-        doc["filter"] = compressed_filter_to_dict(scn.filt)
-    text = dumps(doc)
+    text = dumps(scenario_to_dict(build_scenario(case)))
     leaves, members, dicts = [], [], []
 
     def walk(node, path):
@@ -1082,12 +1059,13 @@ def test_malformed_scenario_spec_exits_two(spec, capsys):
     assert err.startswith(f"error: malformed scenario spec {spec!r}: ") and err.count("\n") == 1
 
 
-def _run_capped(*argv) -> subprocess.CompletedProcess:
-    """The CLI in a child process whose address space is capped at 1 GiB, so
-    an allocation the size guard misses fails the test, not the machine."""
+def _run_capped(*argv, cap_bytes: int = 1 << 30) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped, at 1 GiB
+    unless given, so an allocation the size guard misses fails the test,
+    not the machine."""
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
     return subprocess.run(
         [sys.executable, "-m", "equicorr", *argv], capture_output=True, text=True, preexec_fn=cap, timeout=120
@@ -1105,6 +1083,11 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
     doc["action"]["group"] = {"elements": [f"r{i}" for i in range(n)], "identity": 0, "left": [[(i + 1) % n for i in range(n)]]}
     long = tmp_path / "long.json"
     save_document(str(long), doc)
+    # explicit act matrices whose fill form is 16 signs, in fibers declared 3000-d
+    doc = scenario_to_dict(build_scenario("dihedral(4, bundle=sign)"))
+    doc["input_bundle"]["fiber_dim"] = [3000] * 4
+    deep = tmp_path / "deep.json"
+    save_document(str(deep), doc)
     cases = {
         "torus-bands(128)": "(16384, 16384) cayley table needs 268,435,456 entries",
         # refused before the generators or the labels are built
@@ -1112,12 +1095,33 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
         "torus(4000)": "(16000000, 16000000) cayley table needs 256,000,000,000,000 entries",
         str(wide): "(4, 4, 3000, 3000) act-matrix stack needs 144,000,000 entries",
         str(long): "(16384, 16384) cayley table needs 268,435,456 entries",
+        str(deep): "(8, 4, 3000, 3000) act_matrix table needs 288,000,000 entries",
     }
     for scenario, size in cases.items():
         proc = _run_capped("validate", scenario)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert size in proc.stderr and "budget of 67,108,864" in proc.stderr
+
+
+def test_an_empty_fill_form_over_the_budget_exits_two_before_it_is_allocated(tmp_path):
+    # the trivial group on 8,192 points, in a trivial 2-d bundle, with a kernel
+    # stored as its fill alone: the (|B|, |B|, 2, 2) table it stands for would
+    # take 2 GiB.  Every table before it fits: each measure family is its fill
+    # or the diagonal.  The cap leaves room for those, not for the kernel
+    m = 8192
+    doc = scenario_to_dict(build_scenario("cyclic(1)"))
+    for key in ("delta", "filter", "thetas"):
+        del doc[key]
+    doc["action"]["base"] = [str(b) for b in range(m)]
+    doc["input_bundle"]["fiber_dim"] = 2
+    doc["families"]["mubar"]["weights"] = {"fill": 0.0, "at": [b * (m + 1) for b in range(m)], "values": [1.0] * m}
+    doc["kernel"]["matrices"] = {"fill": 0.0, "at": [], "values": []}
+    path = tmp_path / "empty-kernel.json"
+    save_document(str(path), doc)
+    proc = _run_capped("validate", str(path), cap_bytes=3 << 29)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a (8192, 8192, 2, 2) kernel table needs 268,435,456 entries, over the budget of 67,108,864\n"
 
 
 def test_malformed_section_file_exits_two(tmp_path, capsys):
@@ -1181,7 +1185,7 @@ def test_a_corrupted_theta_is_reported_not_raised(command, corrupt, tmp_path, ca
 def test_lift_theta_choice(capsys):
     code, out, _ = run_cli(capsys, "lift", "torus-bands(16)", "--theta", "special")
     assert code == 0
-    assert json.loads(out)["schema"] == "equicorr-filter/2"
+    assert json.loads(out)["schema"] == "equicorr-filter/3"
 
     code, _, err = run_cli(capsys, "lift", "torus-bands(16)", "--theta", "imaginary")
     assert code == 2 and "choices" in err

@@ -153,11 +153,10 @@ def test_every_top_level_import_is_read_or_exported():
 def test_the_retired_scan_helpers_are_gone():
     # every residual and witness comes from reporting._worst or _count, every
     # Stab(b), orbit and fundamental domain from the action's derived tables,
-    # and a compressed filter is a document form that the loader expands
-    # through bundles._transport, while _orbit_slice only validates; a
-    # scenario's group loads from its generators alone, with its identity;
-    # a scenario loads from its /3 form alone, and the oracles only the
-    # tests call live in tests/helpers.py
+    # and _orbit_slice only validates; no filter document is stored by its
+    # domain columns; a scenario's group loads from its generators alone,
+    # with its identity; a scenario loads from its current form alone, and
+    # the oracles only the tests call live in tests/helpers.py
     modules = [importlib.import_module(f"equicorr.{info.name}") for info in pkgutil.iter_modules(equicorr.__path__)]
     assert [f"{m.__name__}.{n}" for m in modules for n in RETIRED_NAMES if hasattr(m, n)] == []
     assert "carried" not in inspect.signature(bundles._orbit_slice).parameters

@@ -22,6 +22,7 @@ from equicorr.scenarios import (
     build_line_grid,
     build_scenario,
     build_torus_bands,
+    circle_grid_step,
     circle_offgrid_residual,
     continuous_line_transform,
     degeneracy_demo,
@@ -334,7 +335,7 @@ def test_line_grid_ladder_halves_the_residual():
 
 def test_grid_aligned_rotation_is_exact():
     scn = build_circle_grid(16)
-    step = scn.extras["grid_step"]
+    step = circle_grid_step(16)
     for k in (1, 3, 7):
         assert circle_offgrid_residual(scn, k * step) < 1e-12
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import collections
 import copy
 import functools
-import hashlib
 import json
 import math
 import os
@@ -44,7 +43,7 @@ from equicorr.serialize import (
 )
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
-from helpers import compressed_filter_to_dict, dense_nu, scenario_to_v2_dict, traced_peak
+from helpers import dense_nu, scenario_to_v2_dict, traced_peak
 
 
 def roundtrip(doc: dict) -> dict:
@@ -77,7 +76,7 @@ def test_v1_documents_are_refused_by_their_tag(spec):
     doc = roundtrip(scenario_to_dict(scn))
     assert dumps(scenario_to_dict(scenario_from_dict(copy.deepcopy(doc)))) == dumps(scenario_to_dict(scn))
     doc["schema"] = "equicorr-scenario/1"
-    refused = "^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/1'$"
+    refused = "^expected schema 'equicorr-scenario/8', got 'equicorr-scenario/1'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(copy.deepcopy(doc))
     doc["action"]["group"] = {"elements": list(scn.group.elements), "cayley": scn.group.cayley.tolist()}
@@ -146,36 +145,11 @@ def test_filter_codec_preserves_values_bitwise(dihedral4_sign):
     assert validate_filter(back).passed
 
 
-def test_compressed_filter_docs_expand_bitwise(torus8):
-    # the columns at the orbit representatives are stored, and the loader
-    # carries them back to the whole table
-    doc = roundtrip(compressed_filter_to_dict(torus8.filt))
-    assert doc["compressed"] is True
-    columns = torus8.filt.matrices[:, list(torus8.action.domain)]
-    assert serialize._fill_from_dict(doc["matrices"], columns.shape, "filter").tobytes() == columns.tobytes()
-    back = filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle)
-    assert type(back) is Filter
-    assert back.matrices.tobytes() == torus8.filt.matrices.tobytes()
-
-
-# the fundamental-domain documents of two filters, pinned to their bytes
-COMPRESSED_FILTER_HASHES = {
-    "dihedral(4, bundle=sign)": "a632bb711f110dbd5ce0df4deb0d703d6e4c729ccbe54ad150487909d2af57a0",
-    "torus-bands(16)": "9368169d38c065426c844a26ad62434c3cf62857ac63f5c313689c5de7b688e7",
-}
-
-
-@pytest.mark.parametrize("spec", sorted(COMPRESSED_FILTER_HASHES))
-def test_compressed_filter_doc_bytes_match_golden(spec):
-    text = dumps(compressed_filter_to_dict(build_scenario(spec).filt))
-    assert hashlib.sha256(text.encode()).hexdigest() == COMPRESSED_FILTER_HASHES[spec]
-
-
 def test_a_zero_filter_doc_is_its_fill_alone(torus8):
     zero = Filter(torus8.input_bundle, torus8.output_bundle, np.zeros_like(torus8.filt.matrices))
-    for doc in (roundtrip(filter_to_dict(zero)), roundtrip(compressed_filter_to_dict(zero))):
-        assert doc["matrices"] == {"fill": 0.0, "at": [], "values": []}
-        assert not filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle).support.any()
+    doc = roundtrip(filter_to_dict(zero))
+    assert doc["matrices"] == {"fill": 0.0, "at": [], "values": []}
+    assert not filter_from_dict(doc, torus8.input_bundle, torus8.output_bundle).support.any()
 
 
 def test_kernel_and_theta_codecs(bands16):
@@ -209,8 +183,8 @@ def test_report_doc_shape(dihedral4):
 def test_malformed_documents_rejected(bands16):
     good = scenario_to_dict(bands16)
 
-    wrong_schema = dict(good, schema="equicorr-scenario/8")
-    with pytest.raises(StructuralError, match="^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/8'$"):
+    wrong_schema = dict(good, schema="equicorr-scenario/9")
+    with pytest.raises(StructuralError, match="^expected schema 'equicorr-scenario/8', got 'equicorr-scenario/9'$"):
         scenario_from_dict(wrong_schema)
 
     bad_action = roundtrip(good)
@@ -278,8 +252,8 @@ def test_a_key_repeated_in_one_json_object_is_rejected(tmp_path):
     save_document(str(path), doc)
     text = path.read_text(encoding="utf-8")
     scenario_from_dict(load_document(str(path)))  # the file as written loads
-    path.write_text(text.replace('"compressed": false,', '"compressed": false, "compressed": true,', 1), encoding="utf-8")
-    with pytest.raises(StructuralError, match="key 'compressed' repeated in one JSON object"):
+    path.write_text(text.replace('"haar": true,', '"haar": true, "haar": false,', 1), encoding="utf-8")
+    with pytest.raises(StructuralError, match="key 'haar' repeated in one JSON object"):
         load_document(str(path))
 
 
@@ -460,6 +434,7 @@ def test_loading_a_file_matches_loading_its_dict(spec, tmp_path):
     stored = [doc["families"][key]["weights"] for key in ("mu", "nu", "mubar")]
     stored += [doc.get(key, {}).get("values") for key in ("psi", "delta")]
     stored += [doc.get(key, {}).get("matrices") for key in ("filter", "kernel")]
+    stored += [doc[key].get("act_matrix") for key in ("input_bundle", "output_bundle") if isinstance(doc[key], dict)]
     for fill in filter(None, stored):  # an empty list stays a list: it has no first entry to type
         decoded = [isinstance(fill[key], np.ndarray) or fill[key] == [] for key in ("at", "values")]
         assert decoded == [True, True]
@@ -492,13 +467,50 @@ def test_a_saved_file_loads_the_arrays_of_the_built_scenario(spec, tmp_path):
         assert array.tobytes() == ref.tobytes(), name
 
 
+FORMAT_SPECS = sorted(SCENARIO_HASHES) + ["dihedral(64, bundle=sign)"]
+
+
+@functools.cache
+def _saved(spec: str) -> dict:
+    """The saved file of spec, as plain JSON."""
+    return json.loads(dumps(scenario_to_dict(build_scenario(spec))))
+
+
+def _lists(node, key=None, parent=None):
+    """(key, the object holding it, the list) of each list a JSON document
+    holds as an object member."""
+    if isinstance(node, dict):
+        for k, child in node.items():
+            yield from _lists(child, k, node)
+    elif isinstance(node, list):
+        yield key, parent, node
+
+
+@pytest.mark.parametrize("spec", FORMAT_SPECS)
+def test_a_saved_file_holds_float_tables_in_the_fill_form_alone(spec):
+    # every float table of a scenario has one encoding: a list holding a
+    # float is the `values` of a {"fill", "at", "values"} form
+    stray = [
+        key
+        for key, parent, table in _lists(_saved(spec))
+        if float in set(map(type, _leaves(table))) and not (key == "values" and parent.keys() == {"fill", "at", "values"})
+    ]
+    assert stray == []
+
+
+def test_every_key_decoded_in_bulk_holds_a_table_in_a_saved_file():
+    # load_document decodes no key that the package never writes a table under
+    written = {key for spec in FORMAT_SPECS for key, _, table in _lists(_saved(spec)) if table}
+    assert {key for key, _, _ in serialize._TABLES} <= written
+
+
 @pytest.mark.parametrize("spec", sorted(SCENARIO_HASHES))
 def test_a_v2_file_is_refused_by_its_tag(spec, tmp_path):
     # equicorr-scenario/2 stored dense measure tables and theta entry lists;
     # the tag alone refuses the file, before any of its tables is read
     path = tmp_path / "scenario.json"
     save_document(str(path), scenario_to_v2_dict(build_scenario(spec)))
-    refused = "^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/2'$"
+    refused = "^expected schema 'equicorr-scenario/8', got 'equicorr-scenario/2'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 
@@ -513,7 +525,7 @@ def test_a_v4_file_is_refused_by_its_tag(spec, tmp_path):
     doc["families"]["nu"]["weights"] = serialize._fill_to_dict(dense_nu(scn.nu))
     path = tmp_path / "scenario.json"
     save_document(str(path), doc)
-    refused = "^expected schema 'equicorr-scenario/7', got 'equicorr-scenario/4'$"
+    refused = "^expected schema 'equicorr-scenario/8', got 'equicorr-scenario/4'$"
     with pytest.raises(StructuralError, match=refused):
         scenario_from_dict(load_document(str(path)))
 

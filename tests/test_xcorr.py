@@ -1,20 +1,17 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from equicorr.bundles import section_to_mackey, trivial_bundle
+from equicorr.bundles import _transport, section_to_mackey, trivial_bundle
 from equicorr.measures import counting_family
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_filter
 from equicorr.scenarios import build_scenario, dihedral_vertex_action, torus_action
-from equicorr.serialize import dumps, filter_from_dict
 from equicorr.transforms import Kernel, filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, correlate_sections, cross_correlate, validate_filter
 
-from helpers import act_on_mackey, compressed_filter_to_dict, mackey_to_section, mul, set_fill_entry, validate_mackey
+from helpers import act_on_mackey, mackey_to_section, mul, validate_mackey
 from test_stacked import ref_convolve
 from test_streaming import two_orbit_filter
 
@@ -99,24 +96,21 @@ def test_convolution_equality_counting_measure(dihedral4):
 
 
 def _round_trip(filt: Filter, bump: float = 0.0) -> Filter:
-    """filt written in the fundamental-domain form, its entry at (r1, b0 = 0)
-    raised by bump, and loaded back.  Conjugation by the reflection fixing
-    b0 = 0 swaps r1 and r3 in dihedral(4), so a lone bump at r1 cannot
-    satisfy the stabilizer slice of the constraint."""
-    doc = json.loads(dumps(compressed_filter_to_dict(filt)))
-    if bump:
-        shape = (filt.action.group.order, len(filt.action.domain)) + filt.matrices.shape[2:]
-        set_fill_entry(doc["matrices"], shape, (1, 0, 0, 0), filt.matrices[1, 0, 0, 0] + bump)
-    return filter_from_dict(doc, filt.input_bundle, filt.output_bundle)
-
-
-def test_compression_round_trip_bitwise(dihedral4_sign):
-    scn = dihedral4_sign
-    assert _round_trip(scn.filt).matrices.tobytes() == scn.filt.matrices.tobytes()
+    """filt's columns at the orbit representatives, its entry at (r1, b0 =
+    0) raised by bump, carried to the rest of each orbit by
+    bundles._transport.  Conjugation by the reflection fixing b0 = 0 swaps
+    r1 and r3 in dihedral(4), so a lone bump at r1 cannot satisfy the
+    stabilizer slice of the constraint."""
+    domain = list(filt.action.domain)
+    mats = np.zeros_like(filt.matrices)
+    mats[:, domain] = filt.matrices[:, domain]
+    mats[1, 0, 0, 0] += bump
+    _transport(mats, filt.action, True, filt.output_bundle.act_matrix, filt.input_bundle.act_matrix)
+    return Filter(filt.input_bundle, filt.output_bundle, mats)
 
 
 def test_expand_loads_a_stabilizer_inconsistent_row(dihedral4):
-    # the loader decides no law; the law check names the bumped row
+    # the transport decides no law; the law check names the bumped row
     filt = _round_trip(dihedral4.filt, bump=1.0)
     check = validate_filter(filt).checks[0]
     # s0 r3 s0^-1 = r1: the law at (s0, r3, 0) compares the bumped row with r3's
@@ -125,7 +119,7 @@ def test_expand_loads_a_stabilizer_inconsistent_row(dihedral4):
 
 
 def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
-    # the loader carries the bad row to every base point exactly, so the
+    # the transport carries the bad row to every base point exactly, so the
     # table is its own transport (T = 0) and only the stabilizer part S of
     # validate_filter can see the violation
     filt = _round_trip(dihedral4.filt, bump=1.0)
@@ -138,9 +132,9 @@ def test_stabilizer_part_alone_catches_a_carried_bad_row(dihedral4):
 
 @pytest.mark.parametrize("spec", ["dihedral(4, bundle=sign)", "torus(4)", "cyclic(6)", "two-orbit"])
 def test_codec_residual_is_bounded_by_the_law_residual(spec):
-    # the codec keeps the rows at each orbit's fundamental-domain point and
-    # carries them on, so all it changes is the transport part T of the law's
-    # residual R = max(S, T): the round trip needs no check of its own
+    # the round trip keeps the rows at each orbit's fundamental-domain point
+    # and carries them on, so all it changes is the transport part T of the
+    # law's residual R = max(S, T)
     filt = two_orbit_filter()[0] if spec == "two-orbit" else build_scenario(spec).filt
     for at in np.ndindex(filt.matrices.shape):  # every single-entry corruption
         mats = filt.matrices.copy()
