@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
     "groups": (
-        "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "generating_set",
-        "orbits", "pair_stabilizer", "stabilizer", "validate_action", "validate_group",
+        "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "orbits", "pair_stabilizer",
+        "stabilizer", "validate_action", "validate_group",
     ),
     "measures": (
         "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",

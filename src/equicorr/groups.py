@@ -9,11 +9,11 @@ different objects here.
 A group is defined by the left multiplications λ_s of a generating set S,
 the rows a scenario file stores: FiniteGroup(elements, identity, left)
 derives its Cayley table by one breadth-first walk of λ_S from the
-identity (Cayley's theorem), its inverses, and its greedy generating set
-S′, once, at construction; every generator-based check reads S′ from
-there.  The constructors only state their generator rows, those of S′,
-and the scenario loader passes the ones a file stores.  An action stored
-by its rows at S is rebuilt along the same walk (action_table).
+identity (Cayley's theorem) and its inverses, once, at construction.  S,
+the elements s = λ_s(e) in stored order, is the group's one generating
+set: every generator-based check reads it, and nothing derives another
+from the table.  An action stored by its rows at S is rebuilt along the
+same walk (action_table).
 
 Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
@@ -29,10 +29,9 @@ Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
 with an offending tuple.  The identity and inverse laws are checked at
 every element; associativity exactly on the commutators of the stored
-rows λ_s with the columns at S′, by a centralizer argument (validate_group).  Action
-compatibility is checked for every generator in the greedy generating
-set, which is exact: the elements that satisfy it are closed under
-products.
+rows λ_s with the columns at S, by a centralizer argument (validate_group).
+Action compatibility is checked for every generator in S, which is exact:
+the elements that satisfy it are closed under products.
 """
 
 from __future__ import annotations
@@ -124,8 +123,8 @@ class FiniteGroup:
     """Explicit finite group, defined by labels, the identity index and the
     left multiplications left[i] = λ_s of a generating set S, s = left[i][e]
     (empty for the trivial group), the rows a scenario file stores.  The
-    Cayley table, with the walk that built it, the inverses and the greedy
-    generating set S′ are derived from them once.  Rows that leave an
+    Cayley table, with the walk that built it, and the inverses are derived
+    from them once; S is the group's generating set.  Rows that leave an
     element unreached, or a table row without the identity, are refused;
     the group axioms are left to validate_group."""
 
@@ -148,7 +147,7 @@ class FiniteGroup:
             if not found.all():
                 raise StructuralError(f"element {int(found.argmin()) + rows.start} has no right inverse")
             self.inv[rows] = hits.argmax(axis=1)
-        self.generators: list[int] = generating_set(self)  # greedy generating set S′ of the table, derived
+        self.generators: list[int] = self.left[:, identity].tolist()  # S, s = λ_s(e), in stored order
 
     @property
     def order(self) -> int:
@@ -261,15 +260,15 @@ def dihedral_group(n: int) -> FiniteGroup:
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with the first factor cycling fastest: index = j*|A| + i.
 
-    Generated by each factor's generators paired with the other factor's
-    identity.
+    Generated by each factor's stored rows λ_s, acting on its own
+    coordinate alone.
     """
     na, nb = a.order, b.order
     _check_order(na * nb)
     ia, ib = np.arange(na), np.arange(nb)
-    left = [(ib[:, None] * na + a.cayley[s][None, :]).ravel() for s in a.generators]
+    left = [(ib[:, None] * na + lam[None, :]).ravel() for lam in a.left]
     # INDEX_DTYPE products below na * nb = |G|, an index
-    left += [(b.cayley[t][:, None] * na + ia[None, :]).ravel() for t in b.generators]
+    left += [(lam[:, None] * na + ia[None, :]).ravel() for lam in b.left]
     labels = tuple(f"({a.elements[i]},{b.elements[j]})" for j in range(nb) for i in range(na))
     return FiniteGroup(labels, b.identity * na + a.identity, left)
 
@@ -278,71 +277,52 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 # validation
 
 
-def generating_set(group: FiniteGroup) -> list[int]:
-    """Greedy generating set, ascending: take the smallest element not yet
-    reached, then close the reached set (seeded with the identity) under
-    right multiplication by the generators so far.
-
-    Every element ends up a generator, the identity, or a product r a of a
-    reached r and a generator a, read from the table.  Only table products
-    are read, so this is sound on a table that is not yet validated.
-    """
-    cay = group.cayley
-    reached = np.zeros(group.order, dtype=bool)
-    reached[group.identity] = True
-    gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.flatnonzero(~reached)[0]))
-        frontier = np.flatnonzero(reached)  # e among them: row e is the identity, so e a = a is reached first
-        while frontier.size:
-            # a mask, not np.unique, whose hash path imports numpy.ma (15-25 ms)
-            new = np.zeros_like(reached)
-            new[cay[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(new & ~reached)
-            reached[frontier] = True
-    return gens
-
-
 def validate_group(group: FiniteGroup) -> ValidationReport:
     """Scan the group axioms.  Residuals count violations, held at 0;
     witnesses name the first offending tuple in scan order.
 
     Associativity is decided on the commutators λ_s ρ_t = ρ_t λ_s of the
-    stored rows λ_s and the columns ρ_t at S′: the instances λ_s(x t) =
-    λ_s(x) t over (s, x, t) in row-major order, |S| |S′| |G| of them, s
-    named by λ_s(e).  The residual N counts the violated ones and the
-    witness is the first.  N = 0 exactly when the table is associative and
-    every stored row is the table's row at λ_s(e), by the centralizer
-    argument (Dixon & Mortimer, Permutation Groups, 1996, 4.2) on two
-    invariants of the construction: every row is a product of the λ_s
-    (the walk), and every element is e, an element of S′, or r a with r
-    reached before and a in S′ (generating_set's closure).  Row e and
-    column e are the identity by construction.  If the commutators hold,
-    so every row commutes with every ρ_a, then by induction along the
-    closure (y x) z = y (x z) for every z, and λ_s(g) = λ_s(e g) = λ_s(e) g;
-    an associative table's rows commute with its columns.  Against the
-    residual R of the scan this replaced (these commutators over S′ × S′
-    plus one row compare per element): N = 0 forces R = 0, so R <=
-    (|S′|^2 |G| + |G|^2) N, and on stored rows that are those of S′, N is
-    R's commutator part, so N <= R.
+    stored rows λ_s and the columns ρ_t at S: the instances λ_s(x t) =
+    λ_s(x) t over (s, x, t) in row-major order, |S|^2 |G| of them, s and t
+    named by λ_s(e) and λ_t(e).  The residual N counts the violated ones
+    and the witness is the first.  N = 0 exactly when the table is
+    associative and every stored row is the table's row at λ_s(e), by the
+    centralizer argument (Dixon & Mortimer, Permutation Groups, 1996, 4.2)
+    on the construction.  Row e and column e are the identity, and every
+    row is a composition of stored λ's (the walk).  N = 0 makes each λ_s,
+    so every row, commute with ρ_t for each t in S.  The right products of
+    e by S are then closed under every λ_s, since λ_s(x t) = λ_s(x) t and
+    λ_s(e) = e s, so the walk makes them all of G.  Induction on the
+    length of a right word z = e t_1 ... t_k then gives (x y) z = x (y z),
+    and λ_s(z) = λ_s(e) z; an associative table's rows commute with its
+    columns.  Against N′, the previous count over S × S′ with S′ the
+    greedy generating set of the table: both are 0 on exactly these
+    tables, so N <= |S|^2 |G| [N′ > 0] and N′ <= |S| |S′| |G| [N > 0],
+    and where S equals S′ as a list they are one scan, witness and all.
+    The scan holds one row block of (s, x) rows at a time.
     """
     from .battery import _view
     return _view("group.", group=group)
 
 
 def _associativity(grp: FiniteGroup) -> tuple[float, tuple | None]:  # the commutators of validate_group
-    left, gens, e = grp.left, grp.generators, grp.identity
+    left, gens, n = grp.left, grp.generators, grp.order
     right = grp.cayley[:, gens]  # [x, t] = x t
-    return _count([((lambda s, x, t: (int(left[s, e]), x, gens[t])), left[:, right] != right[left])])  # [s, x, t]
+
+    def broken(rows):  # [(s, x), t] -> λ_s(x t) != λ_s(x) t, a block of flat s |G| + x
+        s, x = np.divmod(np.arange(*rows.indices(len(gens) * n)), n)
+        return left[s[:, None], right[x]] != right[left[s, x]]
+
+    return _count(_rows(len(gens) * n, len(gens), broken, lambda r, t: (gens[r // n], r % n, gens[t])))
 
 
 def validate_action(action: GroupAction) -> ValidationReport:
     """Scan the action axioms: identity row and (g h).b = g.(h.b).
 
-    Compatibility is checked for every h in a generating set, with witness
-    (g, h, b).  Given associativity, which validate_group checks, the h
-    that satisfy it for all g and b are closed under products, so this is
-    exact.
+    Compatibility is checked for every h in S, the group's generators, with
+    witness (g, h, b).  Given associativity, which validate_group checks,
+    the h that satisfy it for all g and b are closed under products, so
+    this is exact.
     """
     from .battery import _view
     return _view("action.", action=action)

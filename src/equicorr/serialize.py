@@ -343,10 +343,11 @@ def _int_table(table, what: str) -> np.ndarray:
 def _labels(stored, what: str) -> tuple[str, ...]:
     """Element or base-point labels: distinct JSON strings, never cast."""
     _require(type(stored) is list, f"{what} must be a list of labels")
-    first = {}
-    for i, label in enumerate(stored):
-        _typed(label, (str,), f"{what}[{i}]")
-        _require(first.setdefault(label, i) == i, f"{what}[{i}] {label!r} repeats {what}[{first[label]}]")
+    if not (set(map(type, stored)) <= {str} and len(set(stored)) == len(stored)):
+        first = {}
+        for i, label in enumerate(stored):  # name the first offender
+            _typed(label, (str,), f"{what}[{i}]")
+            _require(first.setdefault(label, i) == i, f"{what}[{i}] {label!r} repeats {what}[{first[label]}]")
     return tuple(stored)
 
 

@@ -82,7 +82,8 @@ def validate_kernel(kern: Kernel, tolerance: float = 1e-9) -> ValidationReport:
     """Compatibility law residual on one base slice per orbit (witness
     (g, c, b)) plus exact invariance of the support under the diagonal action.
     The g that keep the support invariant are closed under products, so the
-    support scan covers a generating set; its count is over (generator, c, b)."""
+    support scan covers the group's stored generators S; its count is over
+    (generator, c, b)."""
     from .battery import _view
     return _view("kernel.", tolerance, kernel=kern)
 
@@ -187,10 +188,10 @@ def validate_theta(theta: ThetaMap, kern: Kernel) -> ValidationReport:
     g theta(c, b) = theta(g.c, g.b) g.  Both laws are integer identities;
     residuals count violations, held at 0.
 
-    Translation is checked for every g in a generating set, with witness
-    (g, c, b).  A pair that g moves off the support, or with theta undefined
-    at either end, counts as a violation; with that, the g that pass are
-    closed under products, so the generator scan is exact.
+    Translation is checked for every g in the group's stored generators S,
+    with witness (g, c, b).  A pair that g moves off the support, or with
+    theta undefined at either end, counts as a violation; with that, the g
+    that pass are closed under products, so the generator scan is exact.
     """
     from .battery import _view
     return _view("theta.", thetas={"": theta}, kernel=kern)

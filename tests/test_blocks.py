@@ -17,7 +17,7 @@ import pytest
 from equicorr import groups
 from equicorr.battery import _mackey_preserved
 from equicorr.bundles import MackeySection, section_to_mackey
-from equicorr.groups import GroupAction, validate_action
+from equicorr.groups import FiniteGroup, GroupAction, validate_action, validate_group
 from equicorr.measures import (
     GroupMeasureFamily,
     StabilizerMeasureFamily,
@@ -143,7 +143,11 @@ def _count_cases():
     reps[0, 0] += 1  # breaks the section law at (0, 0)
     reps[3, 5] = -1  # leaves (3, 5) undefined
     bad_theta = ThetaMap(scn.action, reps)
+    left = scn.group.left.copy()
+    left[1, 13] = left[1, 14]  # a stored row that is no permutation: the commutators fail
+    bad_group = FiniteGroup(scn.group.elements, scn.group.identity, left)
     return {
+        "group": lambda: validate_group(bad_group),
         "action": lambda: validate_action(bad_action),
         "kernel-support": lambda: validate_kernel(bad_support),
         "theta": lambda: validate_theta(bad_theta, scn.kernel),

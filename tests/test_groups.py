@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr import groups
+from equicorr.battery import run_structural
 from equicorr.errors import DegenerateMeasureError, DomainError, StructuralError
 from equicorr.groups import (
     INDEX_DTYPE,
@@ -76,6 +77,23 @@ def test_validate_group_allocates_no_table_sized_temporary():
     report, peak = traced_peak(lambda: validate_group(grp))
     assert report.passed
     assert peak < grp.cayley.nbytes / 8
+
+
+def test_validate_scans_every_stored_generator_in_row_blocks(tmp_path):
+    # cyclic(256) stored with every element as a generator row: the
+    # commutator scan alone has |S|^2 |G| = 2^24 instances, and the
+    # generator laws read all 256 generators, yet validate holds at most
+    # eight blocks of groups._BLOCK_ENTRIES float64 entries at once
+    scn = build_scenario("cyclic(256)")
+    doc = scenario_to_dict(scn)
+    doc["action"]["group"]["left"] = scn.group.cayley.tolist()
+    doc["action"]["table"] = scn.action.table.tolist()
+    save_document(str(tmp_path / "every.json"), doc)
+    loaded = scenario_from_dict(load_document(str(tmp_path / "every.json")))
+    assert loaded.group.generators == list(range(256))
+    report, peak = traced_peak(lambda: run_structural(loaded))
+    assert report.passed and [c.name for c in report.checks] == [c.name for c in run_structural(scn).checks]
+    assert peak < 8 * groups._BLOCK_ENTRIES * 8
 
 
 def test_float_table_refuses_a_bool_in_a_list():

@@ -1,12 +1,13 @@
 """Seeded single-entry corruptions: every validator must catch one changed
 table entry, and name the same offending coordinates every time.
 
-The integer-law scans read only a generating set, which is exact; these
-tests show it at |G| = 1024, where a sampled scan missed most Cayley-table
-corruptions.  The associativity residual (the commutators of the stored
-rows with the columns at S′) is run on every single-entry corruption of
-the stored rows of four small groups and on 6,000 seeded row sets, against
-a brute-force scan of all triples and the residual it replaced.  No float law is scanned over all g: the bundle cocycle and the
+The integer-law scans read only the group's stored generators S, which is
+exact; these tests show it at |G| = 1024, where a sampled scan missed most
+Cayley-table corruptions.  The associativity residual (the commutators of
+the stored rows with the columns at S) is run on every single-entry
+corruption of the stored rows of five small groups and on 6,000 seeded
+row sets, against a brute-force scan of all triples and the count over the
+greedy generating set S′ of the table that it replaced.  No float law is scanned over all g: the bundle cocycle and the
 six table-invariance laws (filter, kernel, psi, delta, mu, mubar) are
 checked on one base slice per orbit, nu's conjugation law as one weight per
 orbit, Mackey periodicity through its identity slice.  Their witnesses are pinned to fix the scan order, single-entry
@@ -36,7 +37,6 @@ from equicorr.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    generating_set,
     validate_action,
     validate_group,
 )
@@ -96,36 +96,48 @@ def _closure(cayley: np.ndarray, identity: int, gens: list[int]) -> set[int]:
     return reached
 
 
+def _greedy(cayley: np.ndarray, identity: int) -> list[int]:
+    """The greedy generating set S′ of a table, ascending, which the group
+    derived before it read its stored rows: take the smallest element not
+    yet reached, then close the reached set under right multiplication by
+    the generators so far."""
+    gens, reached = [], {identity}
+    while len(reached) < len(cayley):
+        gens.append(min(set(range(len(cayley))) - reached))
+        reached = _closure(cayley, identity, gens)
+    return gens
+
+
 # ---------------------------------------------------------------------------
-# generating set
+# generators
 
 
-def test_generating_set_torus_bands():
+def test_stored_generators_generate_torus_bands():
     grp = build_scenario("torus-bands(32)").group
-    gens = generating_set(grp)
-    assert gens == [1, 32]
-    assert _closure(grp.cayley, grp.identity, gens) == set(range(grp.order))
+    assert grp.generators == [1, 32] == _greedy(grp.cayley, grp.identity)
+    assert _closure(grp.cayley, grp.identity, grp.generators) == set(range(grp.order))
 
 
 @pytest.mark.parametrize(
     "spec, gens",
     [("cyclic(8)", [1]), ("dihedral(4)", [1, 4]), ("torus-bands(32)", [1, 32]), ("line-grid(5, dx=0.2)", [1, 25])],
 )
-def test_group_derives_its_generators_once(spec, gens):
+def test_group_reads_its_stored_generators(spec, gens):
+    # the built-ins store the rows of the greedy set of their tables
     grp = build_scenario(spec).group
-    assert grp.generators == gens == generating_set(grp)
+    assert grp.generators == gens == grp.left[:, grp.identity].tolist() == _greedy(grp.cayley, grp.identity)
 
 
-def test_generating_set_reaches_every_element_of_a_table_that_is_no_group():
+def test_a_table_that_is_no_group_keeps_its_stored_generators():
     # r1's stored row with r1 r1 stored as r0: the walk still reaches every
-    # element, and the greedy set of the table it builds closes over all of them
+    # element, the group reads the stored r1 and s0, and the greedy set of
+    # the table it builds would take r2 as well
     grp = build_scenario("dihedral(4)").group
     left = grp.left.copy()
     left[0, 1] = 0
     broken = FiniteGroup(grp.elements, grp.identity, left)
-    gens = generating_set(broken)
-    assert broken.generators == gens == [1, 2, 4]
-    assert _closure(broken.cayley, grp.identity, gens) == set(range(grp.order))
+    assert broken.generators == [1, 4] and _greedy(broken.cayley, grp.identity) == [1, 2, 4]
+    assert _closure(broken.cayley, grp.identity, [1, 2, 4]) == set(range(grp.order))
     assert not validate_group(broken).passed
 
 
@@ -220,42 +232,19 @@ def test_associativity_witness_and_count_over_generators():
     assert _commutators(corrupt) == (4, (4, 3, 4))
 
 
-def _commutators(group: FiniteGroup) -> tuple[int, tuple[int, int, int] | None]:
+def _commutators(group: FiniteGroup, columns: list[int] | None = None) -> tuple[int, tuple[int, int, int] | None]:
     """(count, first (s, x, t)) of λ_s(x t) != λ_s(x) t over the stored
-    rows, then x, then t in S′, one instance at a time; s named by λ_s(e)."""
+    rows, then x, then t in columns, S by default, one instance at a time;
+    s named by λ_s(e)."""
     cay, e = group.cayley.tolist(), group.identity
     bad = [
         (lam[e], x, t)
         for lam in group.left.tolist()
         for x in range(group.order)
-        for t in group.generators
+        for t in (group.generators if columns is None else columns)
         if lam[cay[x][t]] != cay[lam[x]][t]
     ]
     return len(bad), (bad[0] if bad else None)
-
-
-def _previous_residual(group: FiniteGroup) -> tuple[int, int, tuple[int, int, int] | None]:
-    """(R, R_comm, first commutator witness) of the previous associativity
-    scan, which read the table alone: the commutators of its rows and
-    columns at S′, (s, x, t) over S′ × G × S′, then one row compare per
-    element that the breadth-first walk of right products by S′ from
-    {e} ∪ S′ reaches, row r a against row r after row a."""
-    cay, gens = group.cayley, group.generators
-    bad = cay[gens][:, cay[:, gens]] != cay[:, gens][cay[gens]]
-    r_comm = int(bad.sum())
-    witness = tuple(int(c) for c in np.argwhere(bad)[0]) if r_comm else None
-    witness = witness and (gens[witness[0]], witness[1], gens[witness[2]])
-    count, tree = r_comm, [group.identity, *gens]
-    reached = np.zeros(group.order, dtype=bool)
-    reached[tree] = True
-    for r in tree:
-        for a in gens:
-            y = int(cay[r, a])
-            if not reached[y]:
-                reached[y] = True
-                tree.append(y)
-                count += int((cay[y] != cay[r, cay[a]]).sum())
-    return count, r_comm, witness
 
 
 def _single_entry_corruptions(grp: FiniteGroup):
@@ -281,6 +270,8 @@ def _random_row_sets(count: int):
 # the rows of the dihedral group of order 12 on the hexagon's vertices,
 # transitive but not regular
 HEXAGON = (tuple(f"v{i}" for i in range(6)), 0, [(np.arange(6) + 1) % 6, -np.arange(6) % 6])
+# dihedral(4) stored as [s0, r1, r1^2]: out of greedy order, and redundant
+D4_REORDERED = (dihedral_group(4).elements, 0, dihedral_group(4).cayley[[4, 1, 2]])
 
 ROW_CASES = {
     "cyclic(6)": lambda: _single_entry_corruptions(cyclic_group(6)),
@@ -290,45 +281,80 @@ ROW_CASES = {
     "random": lambda: _random_row_sets(6000),
     "cyclic(1)": lambda: [(("r0",), 0, [])],
     "hexagon": lambda: [HEXAGON],
+    "dihedral(4) [s0, r1, r1^2]": lambda: [D4_REORDERED, *_single_entry_corruptions(FiniteGroup(*D4_REORDERED))],
 }
-# case -> (loadable row sets, those whose table is associative with a stored row not its own)
+# case -> (loadable row sets, those whose table is associative with a stored
+# row not its own, those whose stored generators S are not the greedy S′)
 ROW_CASE_COUNTS = {
-    "cyclic(6)": (0, 0),
-    "dihedral(3)": (35, 0),
-    "dihedral(4)": (65, 0),
-    "Z2xZ3": (30, 0),
-    "random": (2291, 105),
-    "cyclic(1)": (1, 0),
-    "hexagon": (1, 0),
+    "cyclic(6)": (0, 0, 0),
+    "dihedral(3)": (35, 0, 10),
+    "dihedral(4)": (65, 0, 18),
+    "Z2xZ3": (30, 0, 9),
+    "random": (2291, 105, 1962),
+    "cyclic(1)": (1, 0, 0),
+    "hexagon": (1, 0, 1),
+    "dihedral(4) [s0, r1, r1^2]": (110, 0, 110),
 }
+# case -> how many loadable row sets fail group-inverse-left and group-associativity
+ROW_CASE_FAILURES = {
+    "cyclic(6)": (0, 0),
+    "dihedral(3)": (18, 35),
+    "dihedral(4)": (28, 65),
+    "Z2xZ3": (15, 30),
+    "random": (945, 1141),
+    "cyclic(1)": (0, 0),
+    "hexagon": (1, 1),
+    "dihedral(4) [s0, r1, r1^2]": (38, 109),
+}
+
+
+def _loadable(case: str):
+    """The groups of the case's row sets that FiniteGroup accepts."""
+    for elements, identity, left in ROW_CASES[case]():
+        try:
+            yield FiniteGroup(elements, identity, left)
+        except StructuralError:
+            pass
 
 
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
 def test_associativity_residual_against_brute_force_and_the_previous_residual(case):
-    # N, the commutator count, is 0 exactly when every triple associates and
-    # every stored row is the table's row at λ_s(e); N = 0 forces the
-    # previous residual R to 0, so R <= (|S′|^2 |G| + |G|^2) N; and on rows
-    # that are the rows of S′, N is R's commutator part, witness and all
-    loadable = foreign = 0
-    for elements, identity, left in ROW_CASES[case]():
-        try:
-            grp = FiniteGroup(elements, identity, left)
-        except StructuralError:
-            continue
+    # N, the commutator count over S × S, is 0 exactly when every triple
+    # associates and every stored row is the table's row at λ_s(e); so is
+    # N′, the previous count over S × S′, S′ the greedy set of the table, so
+    # N <= |S|^2 |G| [N′ > 0] and N′ <= |S| |S′| |G| [N > 0]; and where S is
+    # S′ as a list the two are one scan, witness and all
+    loadable = foreign = moved = 0
+    for grp in _loadable(case):
         loadable += 1
-        n, cay, gens = grp.order, grp.cayley, grp.generators
+        n, cay, gens, identity = grp.order, grp.cayley, grp.generators, grp.identity
         check = {c.name: c for c in validate_group(grp).checks}["group-associativity"]
         N = check.residual
         associative = not (cay[cay] != cay[np.arange(n)[:, None, None], cay]).any()
         own = all(np.array_equal(lam, cay[lam[identity]]) for lam in grp.left)
         assert (N == 0) == (associative and own)
         assert (N, check.witness) == _commutators(grp)
-        R, R_comm, witness = _previous_residual(grp)
-        assert R <= (len(gens) ** 2 * n + n * n) * N
-        if own and grp.left[:, identity].tolist() == gens:
-            assert (N, check.witness) == (R_comm, witness) and N <= R
+        greedy = _greedy(cay, identity)
+        N_prev, witness = _commutators(grp, greedy)
+        assert N <= len(gens) ** 2 * n * (N_prev > 0) and N_prev <= len(gens) * len(greedy) * n * (N > 0)
+        if gens == greedy:
+            assert (N, check.witness) == (N_prev, witness)
         foreign += associative and not own
-    assert (loadable, foreign) == ROW_CASE_COUNTS[case]
+        moved += gens != greedy
+    assert (loadable, foreign, moved) == ROW_CASE_COUNTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_the_constructor_guarantees_three_group_checks(case):
+    # row e is the identity by construction, column e by the walk, and inv
+    # is each first right inverse or the constructor raises: on every
+    # loadable row set those three checks pass, while the left inverse law
+    # and associativity are left to validate_group
+    failed = collections.Counter()
+    for grp in _loadable(case):
+        failed.update(c.name for c in validate_group(grp).checks if not c.passed)
+    assert failed.keys() <= {"group-inverse-left", "group-associativity"}
+    assert (failed["group-inverse-left"], failed["group-associativity"]) == ROW_CASE_FAILURES[case]
 
 
 def test_associativity_matches_the_instance_loop_on_random_row_corruptions():
@@ -354,11 +380,14 @@ def test_associativity_needs_the_commutators():
     # the dihedral group of order 12 acting on the hexagon's 6 vertices is
     # transitive but not regular: the table built from its rows keeps every
     # row a product of them and both identity laws, and only the
-    # commutators fail
+    # commutators fail.  The reflection's row fixes v0, so S = [1, 0], whose
+    # column at 0 is the identity; over the greedy S′ = [1, 5] the count was 8
     grp = FiniteGroup(*HEXAGON)
     checks = {c.name: c for c in validate_group(grp).checks}
     assert checks["group-identity-left"].passed and checks["group-identity-right"].passed
-    assert (checks["group-associativity"].residual, checks["group-associativity"].witness) == (8, (1, 3, 1)) == _commutators(grp)
+    assert grp.generators == [1, 0] and _greedy(grp.cayley, grp.identity) == [1, 5]
+    assert (checks["group-associativity"].residual, checks["group-associativity"].witness) == (4, (1, 3, 1)) == _commutators(grp)
+    assert _commutators(grp, [1, 5]) == (8, (1, 3, 1))
 
 
 def _per_row_table(n: int, identity: int, left: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
