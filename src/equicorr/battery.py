@@ -41,20 +41,11 @@ residual above 0 a kernel supported on the pair orbit of the witness has
 a transform of residual exactly 0, and it violates the law unless the
 law is vacuous on that orbit.
 
-Mackey preservation runs on the induced basis sections e~_{b0,i}, one per
-fundamental-domain point b0 and fiber coordinate i < dE(b0), with witness
-(b0, i, h, b).  That is exact given the group axioms and the cocycle law,
-which the report also checks: on an associative table
-omega*(L_g m) = L_g(omega*m) bit for bit, the cocycle law gives
-L_g f~ = (g.f)~, and the translates of the e~_{b0,i} span every induced
-section.  The Mackey defect D = m - ind(m(e, .)) obeys
-D(L_g m)(h, b) = D(m)(g^-1 h, b) - A_F(h^-1, h.b) D(m)(g^-1, h.b), so
-against P, the residual over sections with entries in [-1, 1], R <= P and
-P <= |B| dE a' (1 + a) R, with a the largest row sum of |A_F| and a' the
-largest column sum of |A_E|.  `xcorr.mackey-preserved` decides the same
-property as `xcorr.equivariance`, which reads the operator matrix; it
-stays because it is the one battery check that runs `cross_correlate`,
-the Mackey-level sum behind `equicorr xcorr`.
+What the group constructor guarantees has no row (row e and column e of
+the table are the identity, inv holds right inverses), and neither has
+what another row decides: psi's total mass at b (psi >= 0, psi-conjugation
+reads every entry), or Mackey preservation, which `xcorr.equivariance`
+decides, as (omega * f~)(h, .) = T(h^-1.f) for the induced map T.
 
 The battery draws nothing at random, and the report is sorted by check
 name, so its bytes depend on the scenario and the tolerance alone.
@@ -68,21 +59,20 @@ from importlib import import_module
 import numpy as np
 
 from . import bundles, groups, measures, transforms, xcorr
-from .bundles import Section, _orbit_slice, _periodicity, section_to_mackey
+from .bundles import _orbit_slice
 from .groups import _rows
-from .measures import GroupMeasureFamily, fubini_pointwise_residual
+from .measures import fubini_pointwise_residual
 from .reporting import DEFAULT_TOLERANCE, Check, ValidationReport, _count, _local, _worst, check_from_residual
 from .serialize import Scenario
 from .transforms import filter_operator, kernel_operator, lift_kernel_to_filter, project_filter_to_kernel
-from .xcorr import Filter, cross_correlate
 
 BUNDLE_TOLERANCE = 1e-9  # bound of the bundle laws' float checks, whatever the run's tolerance
 
 
 def run_battery(scn: Scenario, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Every check of run_structural, then the battery's own: equivariance,
-    Mackey preservation, necessity, the lift and projection theorems and
-    the checks of the built-in scenario families."""
+    necessity, the lift and projection theorems and the checks of the
+    built-in scenario families."""
     return _report(_LAWS, _Inputs(vars(scn), scenario=scn, group=scn.group), tolerance, BUNDLE_TOLERANCE).sorted()
 
 
@@ -170,19 +160,6 @@ _DERIVED = {
 }
 
 
-def _mackey_preserved(filt: Filter, mu: GroupMeasureFamily) -> tuple[float, tuple | None]:
-    def parts():  # the periodicity defect of each output, placed at (b0, i, h, b)
-        bundle = filt.input_bundle
-        for b0 in filt.action.domain:
-            for i in range(bundle.fiber_dim[b0]):
-                f = np.zeros((bundle.action.base_size, bundle.dmax))
-                f[b0, i] = 1.0
-                out = cross_correlate(filt, section_to_mackey(Section(bundle, f)), mu)
-                yield from _periodicity(out, lambda h, b: (b0, i, h, b))
-
-    return _worst(parts())
-
-
 def _compare(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, tuple | None]:  # witness (c, b, i, j)
     return _worst(_rows(len(lhs), lhs[0].size, lambda c: lhs[c] - rhs[c], _local))
 
@@ -195,14 +172,8 @@ def _agreement(lhs: np.ndarray, rhs: np.ndarray, fubini: tuple) -> tuple[float, 
 # the rows, (report name, inputs read, tolerance kind, scan): the structural
 # ones, then, in _LAWS, the battery's own
 _STRUCTURAL = (
-    ("group.group-identity-left", ("group",), "exact",  # e x = x
-     lambda g: _count([(lambda x: (g.identity, x), g.cayley[g.identity] != np.arange(g.order))])),
-    ("group.group-identity-right", ("group",), "exact",  # x e = x
-     lambda g: _count([(lambda x: (x, g.identity), g.cayley[:, g.identity] != np.arange(g.order))])),
     ("group.group-inverse-left", ("group",), "exact",  # x^-1 x = e
      lambda g: _count([(lambda x: (int(g.inv[x]), x), g.cayley[g.inv, np.arange(g.order)] != g.identity)])),
-    ("group.group-inverse-right", ("group",), "exact",  # x x^-1 = e
-     lambda g: _count([(lambda x: (x, int(g.inv[x])), g.cayley[np.arange(g.order), g.inv] != g.identity)])),
     ("group.group-associativity", ("group",), "exact", groups._associativity),
     ("action.action-identity", ("action",), "exact",  # e.b = b
      lambda a: _count([(lambda b: (a.group.identity, b), a.table[a.group.identity] != np.arange(a.base_size))])),
@@ -219,9 +190,7 @@ _STRUCTURAL = (
     ("families.family-mu-haar-flag", ("haar_mu",), "tolerance",  # the spread of each mu_b, witness (b,)
      lambda mu: _worst([(_local, mu.weights.max(axis=1) - mu.weights.min(axis=1))])),
     ("psi.psi-conjugation", ("psi",), "tolerance", lambda psi: _orbit_slice(psi.values, psi.action, True, _local)),
-    # ~(mass > 0), so a NaN mass counts as no mass in both nonvanishing checks
-    ("psi.psi-nonvanishing", ("psi",), "exact", lambda psi: _count([(_local, ~(psi.values.sum(axis=0) > 0))])),
-    ("psi.psi-stabilizer-nonvanishing", ("psi",), "exact",
+    ("psi.psi-stabilizer-nonvanishing", ("psi",), "exact",  # ~(mass > 0): a NaN mass is no mass
      lambda psi: _count([(_local, ~(measures._stabilizer_mass(psi) > 0))])),
     ("delta.delta-normalization", ("delta", "nu"), "tolerance",  # [b] -> mass - 1
      lambda delta, nu: _worst([(_local, np.einsum("hb,b->b", delta.values, nu.weights) - 1.0)])),
@@ -238,7 +207,6 @@ _STRUCTURAL = (
 _LAWS = _STRUCTURAL + (
     ("xcorr.equivariance", ("filter_op", "input_bundle", "output_bundle"), "tolerance",
      transforms.operator_equivariance_residual),
-    ("xcorr.mackey-preserved", ("filt", "mu"), "tolerance", _mackey_preserved),
     ("transform.equivariance", ("kernel_op", "input_bundle", "output_bundle"), "tolerance",
      transforms.operator_equivariance_residual),
     ("transform.necessity", ("kernel", "mubar"), "exact",  # orbit pairs [c, b] of no positive weight, NaN too

@@ -49,11 +49,6 @@ is defined, and the conversions are mutually inverse.
 Given the cocycle law, the periodicity law for all g is equivalent to its
 h = e slice: m obeys it exactly when m equals the section induced from its
 identity slice, m(h, b) = act_matrix(h^-1, h.b) @ m(e, h.b).
-_periodicity measures that one comparison for the battery's Mackey check.
-Its residual R and the all-g periodicity residual P bound each other,
-R <= a P and P <= (1 + a) R, where a is the largest row sum of
-|act_matrix(g, b)|: a = 1 for trivial and sign bundles, a <= sqrt(2) for
-the 2-d rotation bundle.
 
 The same argument covers the laws saying a table is invariant under G,
 v(g.r, g.b) A_in(g, b') = A_out(g, b) v(r, b) for all g: the filter and
@@ -76,7 +71,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, _row_blocks, _rows
+from .groups import GroupAction, _check_budget, _float_table, _row_blocks
 from .reporting import ValidationReport, _count, _worst
 
 
@@ -216,17 +211,6 @@ def _induced_rows(bundle: EquivariantBundle, values: np.ndarray, rows: slice, ou
     hb = action.table[rows]
     mats = bundle.act_matrix[action.group.inv[rows, None], hb]  # (rows, |B|, d, d)
     return np.einsum("hbij,hbj->hbi", mats, values[hb], out=out)
-
-
-def _periodicity(m: MackeySection, place):
-    """[h, b] -> the largest entry of the defect of m(h, b) from the section
-    induced from its identity slice, one row block of h at a time."""
-    identity = m.values[m.bundle.action.group.identity]
-
-    def defect(rows):  # [h, b] for the h in rows
-        return np.abs(m.values[rows] - _induced_rows(m.bundle, identity, rows)).max(axis=2, initial=0.0)
-
-    return _rows(len(m.values), m.values[0].size * m.bundle.dmax, defect, place)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ reads them there, and none rescans the action table.
 
 Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
-with an offending tuple.  The identity and inverse laws are checked at
-every element; associativity exactly on the commutators of the stored
-rows λ_s with the columns at S, by a centralizer argument (validate_group).
-Action compatibility is checked for every generator in S, which is exact:
-the elements that satisfy it are closed under products.
+with an offending tuple.  Row e, column e and the right inverses hold by
+construction; the left inverse law is checked at every element, and
+associativity exactly on the commutators of the stored rows λ_s with the
+columns at S, by a centralizer argument (validate_group), |S|^2 |G|
+entries that the constructor budgets.  Action compatibility is checked for
+every generator in S, which is exact: the elements that satisfy it are
+closed under products.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class FiniteGroup:
     (empty for the trivial group), the rows a scenario file stores.  The
     Cayley table, with the walk that built it, and the inverses are derived
     from them once; S is the group's generating set.  Rows that leave an
-    element unreached, or a table row without the identity, are refused;
-    the group axioms are left to validate_group."""
+    element unreached, a table row without the identity, or an |S|^2 |G|
+    over the budget are refused; the group axioms are left to validate_group."""
 
     def __init__(self, elements: tuple[str, ...], identity: int, left):
         n = len(elements)
@@ -138,6 +140,8 @@ class FiniteGroup:
         self.elements, self.identity = tuple(elements), identity
         left = np.asarray(left)
         self.left = _index_table(left.reshape(0, n) if left.shape == (0,) else left, "group left", (len(left), n), n)
+        k = len(self.left)
+        _check_budget(f"a ({k}, {k}, {n}) associativity scan", k * k * n)
         # derived: cayley[g, h] = g*h, and walk[k] = (y, p, i), the k-th tree edge y = λ_i(p) that built row y
         self.cayley, self.walk = _walk(self.left, identity)
         self.inv = np.empty(n, dtype=INDEX_DTYPE)  # the first right inverse of each element, derived

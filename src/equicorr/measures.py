@@ -228,9 +228,9 @@ def psi_indicator_identity(action: GroupAction) -> PsiFunction:
 
 
 def validate_psi(psi: PsiFunction, tolerance: float = 1e-9) -> ValidationReport:
-    """Conjugation compatibility plus nonvanishing: each b needs positive
-    total mass and positive mass on its stabilizer.  Conjugation is checked on
-    one base slice per orbit, witness (g, h, b)."""
+    """Conjugation compatibility, on one base slice per orbit (witness
+    (g, h, b)), and positive mass on each stabilizer, which with psi >= 0
+    gives a positive total unless a NaN, failing conjugation, hides it."""
     from .battery import _view
     return _view("psi.", tolerance, psi=psi)
 

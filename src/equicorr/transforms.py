@@ -35,6 +35,15 @@ on pairs with (h.b, b) in the kernel support, zero elsewhere.  Theta is
 data, never inferred: validate_theta counts the support pairs it misses
 or where it breaks a law, and nothing here raises on a theta.
 
+Given theta's section law, a valid kernel lifts to a faint filter when
+theta meets its translation law or delta is constant on each stabilizer,
+as delta_b = 1/(nu_b |G_b|) is.  With c = h.b, the cocycle and kernel
+laws reduce the faint law to delta(theta(g.c, g.b)^-1 g h g^-1, g.b) =
+delta(theta(c, b)^-1 h, b) where kappa(c, b) != 0.  Translation makes the
+left argument the conjugate by g of the right, which delta's conjugation
+law answers; the section law puts them in G_{g.b} and G_b, where such a
+delta takes delta(e, g.b) = delta(e, b) by the same law.
+
 Both directions are tied together numerically.  A lifted filter induces
 T_kappa, and a filter induces the transform of its projection, whenever
 the disintegration identity holds.  Each is an identity between two

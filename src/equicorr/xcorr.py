@@ -16,11 +16,10 @@ Cross-correlation consumes a Mackey section and produces one:
     (omega * m)(h, b) = sum_k mu_b(k) omega(k, b) @ m(h k, b),
 
 summed over the support of omega(., b) in ascending element index.  For a
-valid filter the output keeps the periodicity law, which the battery
-checks exactly on the induced basis sections, one per orbit fiber
-coordinate.  On the raw Mackey tables the group acts by
-left translation and commutes with any right cross-correlation
-whatsoever, so equivariance is falsifiable only at the section level.
+valid filter the output keeps the periodicity law.  On the raw Mackey
+tables the group acts by left translation and commutes with any right
+cross-correlation whatsoever, so equivariance is falsifiable only at
+the section level.
 The induced map on plain sections, T(f) = (omega * f~)(e, -) with f~ the
 Mackey section induced from f, is defined once, by its (|B|, |B|, dF, dE)
 matrix (filter_operator), laid out as `transforms.kernel_operator`: entry

@@ -4,21 +4,22 @@ package itself calls none of them."""
 from __future__ import annotations
 
 import bisect
+import itertools
 import tracemalloc
 
 import numpy as np
 
-from equicorr.battery import _view
-from equicorr.bundles import MackeySection, Section, _periodicity
+from equicorr.battery import _LAWS, _STRUCTURAL, BUNDLE_TOLERANCE, _Inputs, _report, _view
+from equicorr.bundles import MackeySection, Section, _induced_rows, section_to_mackey
 from equicorr.errors import PreconditionError, StructuralError
-from equicorr.groups import FiniteGroup, GroupAction, stabilizer
+from equicorr.groups import FiniteGroup, GroupAction, _rows, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
-from equicorr.reporting import ValidationReport, _count, _local, _worst, check_from_residual
+from equicorr.reporting import DEFAULT_TOLERANCE, ValidationReport, _count, _local, _worst, check_from_residual
 from equicorr.rng import SplitMix64
 from equicorr.scenarios import Scenario, _signed_mod
 from equicorr.serialize import scenario_to_dict
 from equicorr.transforms import lift_kernel_to_filter
-from equicorr.xcorr import Filter
+from equicorr.xcorr import Filter, cross_correlate
 
 
 def traced_peak(fn):
@@ -100,6 +101,20 @@ def act_on_mackey(g: int, m: MackeySection) -> MackeySection:
     return MackeySection(m.bundle, m.values[grp.cayley[grp.inv[g]]].copy())
 
 
+def periodicity(m: MackeySection, place):
+    """[h, b] -> the largest entry of the defect of m(h, b) from the section
+    induced from its identity slice, one row block of h at a time.  Given
+    the cocycle law, the periodicity law for all g is equivalent to this
+    h = e slice; with P the all-g residual and a the largest row sum of
+    |act_matrix(g, b)|, R <= a P and P <= (1 + a) R."""
+    identity = m.values[m.bundle.action.group.identity]
+
+    def defect(rows):  # [h, b] for the h in rows
+        return np.abs(m.values[rows] - _induced_rows(m.bundle, identity, rows)).max(axis=2, initial=0.0)
+
+    return _rows(len(m.values), m.values[0].size * m.bundle.dmax, defect, place)
+
+
 def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationReport:
     """Residual of the periodicity law m(h, g.b) = act_matrix(g, b) @ m(h g, b),
     measured as the distance from m to the section induced from its
@@ -112,9 +127,9 @@ def validate_mackey(m: MackeySection, tolerance: float = 1e-9) -> ValidationRepo
     all g: h = e in the law gives the induced form, and every induced
     section obeys the law.  With P the all-g residual of the law and a the
     largest row sum of |act_matrix(g, b)|, R <= a P and P <= (1 + a) R.
-    Scanned one row block of h at a time, as the battery's Mackey check is.
+    Scanned one row block of h at a time (periodicity).
     """
-    worst, witness = _worst(_periodicity(m, _local))
+    worst, witness = _worst(periodicity(m, _local))
     return ValidationReport([check_from_residual("mackey-periodicity", worst, tolerance, witness)])
 
 
@@ -285,3 +300,90 @@ def banded_support_set_mismatch(scn: Scenario, lifts: dict[str, Filter]) -> int:
         for name, shape in (("global", "segments-predicted"), ("special", "rectangle-predicted"))
         for b in range(scn.action.base_size)
     )
+
+
+def mackey_preserved(filt: Filter, mu: GroupMeasureFamily) -> tuple[float, tuple | None]:
+    """The Mackey periodicity of the filter's output on the induced basis
+    sections e~_{b0,i}, one per fundamental-domain point b0 and fiber
+    coordinate i < dE(b0), with witness (b0, i, h, b): the residual of the
+    report row xcorr.mackey-preserved, retired because xcorr.equivariance
+    decides the same property on the operator matrix.
+
+    Exact given the group axioms and the cocycle law: on an associative
+    table omega*(L_g m) = L_g(omega*m) bit for bit, the cocycle law gives
+    L_g f~ = (g.f)~, and the translates of the e~_{b0,i} span every induced
+    section.  Against P, the residual over sections with entries in
+    [-1, 1], R <= P and P <= |B| dE a' (1 + a) R, with a the largest row
+    sum of |A_F| and a' the largest column sum of |A_E|."""
+
+    def parts():  # the periodicity defect of each output, placed at (b0, i, h, b)
+        bundle = filt.input_bundle
+        for b0 in filt.action.domain:
+            for i in range(bundle.fiber_dim[b0]):
+                f = np.zeros((bundle.action.base_size, bundle.dmax))
+                f[b0, i] = 1.0
+                out = cross_correlate(filt, section_to_mackey(Section(bundle, f)), mu)
+                yield from periodicity(out, lambda h, b: (b0, i, h, b))
+
+    return _worst(parts())
+
+
+# the report rows retired because another row or the group constructor
+# decides what each decides, as rows of battery._LAWS: the structural ones,
+# which validate ran, then the battery's own
+RETIRED_STRUCTURAL = (
+    ("group.group-identity-left", ("group",), "exact",  # e x = x: row e is the identity by construction
+     lambda g: _count([(lambda x: (g.identity, x), g.cayley[g.identity] != np.arange(g.order))])),
+    ("group.group-identity-right", ("group",), "exact",  # x e = x: column e by the walk
+     lambda g: _count([(lambda x: (x, g.identity), g.cayley[:, g.identity] != np.arange(g.order))])),
+    ("group.group-inverse-right", ("group",), "exact",  # x x^-1 = e: inv is each first right inverse
+     lambda g: _count([(lambda x: (x, int(g.inv[x])), g.cayley[np.arange(g.order), g.inv] != g.identity)])),
+    # ~(mass > 0), so a NaN mass counts as no mass; psi-stabilizer-nonvanishing
+    # and psi-conjugation decide it
+    ("psi.psi-nonvanishing", ("psi",), "exact", lambda psi: _count([(_local, ~(psi.values.sum(axis=0) > 0))])),
+)
+RETIRED_LAWS = RETIRED_STRUCTURAL + (("xcorr.mackey-preserved", ("filt", "mu"), "tolerance", mackey_preserved),)
+
+
+def scenario_fields(scn: Scenario) -> dict:
+    """What the battery's laws read of a scenario, by name."""
+    return dict(vars(scn), scenario=scn, group=scn.group)
+
+
+def retired_alone(fields: dict, tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
+    """The retired rows that fail on the fields where every row of a command
+    that ran them passes, so that the command's exit status would move:
+    validate ran the structural ones, battery all of them."""
+
+    def failed(laws) -> set[str]:
+        return {c.name for c in _report(laws, _Inputs(fields), tolerance, BUNDLE_TOLERANCE).checks if not c.passed}
+
+    alone = set()
+    for retired, kept in ((RETIRED_STRUCTURAL, _STRUCTURAL), (RETIRED_LAWS, _LAWS)):
+        names = failed(retired)
+        if names and not failed(kept):
+            alone |= names
+    return sorted(alone)
+
+
+def s4_on_four_and_two() -> GroupAction:
+    """S4 acting on 4 ⊔ 2 points: on {0, 1, 2, 3} by permutation and on
+    {4, 5} by its sign, so the stabilizers have 6 and 12 elements.  An
+    element is a permutation p of range(4), indexed in lexicographic
+    order, and p q = p ∘ q; stored by the rows of the 4-cycle (0 1 2 3) and
+    the transposition (0 1)."""
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    rows = [[index[tuple(s[x] for x in p)] for p in perms] for s in ((1, 2, 3, 0), (1, 0, 2, 3))]
+    grp = FiniteGroup(tuple("".join(map(str, p)) for p in perms), index[(0, 1, 2, 3)], rows)
+    odd = [sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 for p in perms]
+    table = [list(p) + [4 + s, 5 - s] for p, s in zip(perms, odd)]
+    return GroupAction(grp, ("0", "1", "2", "3", "+", "-"), np.array(table))
+
+
+def permutation_representation(action: GroupAction) -> np.ndarray:
+    """(|G|, 4, 4): the permutation matrix of each g on the first four base
+    points, P_g e_i = e_{g.i}."""
+    rep = np.zeros((action.group.order, 4, 4))
+    rep[np.arange(action.group.order)[:, None], action.table[:, :4], np.arange(4)] = 1.0
+    return rep

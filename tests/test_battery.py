@@ -28,7 +28,7 @@ from equicorr.serialize import (
 from equicorr.transforms import Kernel, filter_operator, kernel_operator, operator_equivariance_residual, validate_kernel
 from equicorr.xcorr import Filter
 
-from helpers import battery_checks, scenario_lifts, traced_peak
+from helpers import battery_checks, mackey_preserved, retired_alone, scenario_fields, scenario_lifts, traced_peak
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -142,7 +142,7 @@ def test_a_nan_filter_entry_stays_local_in_the_operator(cyclic8):
     assert by_name["filter.filter-faint-constraint"].witness == (3, 0, 0)
     assert by_name["xcorr.equivariance"].witness == (3, 0, 0)
     assert by_name["projection.transform-agreement"].witness == (3, 3, 0, 0)
-    assert not by_name["xcorr.equivariance"].passed and not by_name["xcorr.mackey-preserved"].passed
+    assert not by_name["xcorr.equivariance"].passed and not mackey_preserved(scn.filt, scn.mu)[0] <= 1e-12
 
 
 def test_battery_scans_the_disintegration_identity_once(monkeypatch, bands16):
@@ -387,10 +387,10 @@ def test_lift_checks_hold_no_operator_matrix_they_have_compared():
 # (spec, checks, exact 0 / bundle 1e-9 / the run's tolerance counts, other tolerances by name) of a
 # battery run with --tolerance 1e-6
 TOLERANCE_KINDS = {
-    "torus-bands(16)": (43, (19, 2, 22), {}),
-    "dihedral(4, bundle=sign)": (33, (14, 2, 17), {}),
-    "line-grid(5, dx=0.2)": (28, (13, 2, 12), {"quadrature.continuum-gap": 0.2}),
-    "circle-grid(16)": (26, (10, 2, 13), {"rotation.off-grid-gap": math.inf}),
+    "torus-bands(16)": (38, (15, 2, 21), {}),
+    "dihedral(4, bundle=sign)": (29, (11, 2, 16), {}),
+    "line-grid(5, dx=0.2)": (25, (10, 2, 12), {"quadrature.continuum-gap": 0.2}),
+    "circle-grid(16)": (22, (7, 2, 12), {"rotation.off-grid-gap": math.inf}),
 }
 
 
@@ -447,9 +447,11 @@ def act_matrix_sweep(spec: str) -> dict[str, int]:
     through a saved file, run the battery, and count, per equivariance
     check, the corruptions it reports PASS while the dense all-g defect
     D_g(c, b) = op(g.c, g.b) A_E(g, c) - A_F(g, b) op(c, b) of its operator
-    matrix exceeds the check's tolerance."""
+    matrix exceeds the check's tolerance; and, as "retired-alone", the
+    corruptions on which a retired report row fails where every row of a
+    command that ran it passes."""
     scn = build_scenario(spec)
-    false_pass = {"xcorr.equivariance": 0, "transform.equivariance": 0}
+    false_pass = {"xcorr.equivariance": 0, "transform.equivariance": 0, "retired-alone": 0}
     doc = json.loads(dumps(scenario_to_dict(scn)))
     n, m = scn.input_bundle.act_matrix.shape[:2]
     with tempfile.TemporaryDirectory() as tmp:
@@ -465,6 +467,7 @@ def act_matrix_sweep(spec: str) -> dict[str, int]:
             for name, op in ops.items():
                 check = checks[name]
                 false_pass[name] += check.passed and dense_defect(op, bad.input_bundle, bad.output_bundle) > check.tolerance
+            false_pass["retired-alone"] += bool(retired_alone(scenario_fields(bad)))
     return false_pass
 
 
@@ -499,6 +502,11 @@ SWEEP = {
 )
 def test_no_equivariance_pass_is_false_under_a_corrupted_act_matrix(spec, check):
     assert act_matrix_sweep(spec)[check] == 0
+
+
+@pytest.mark.parametrize("spec", sorted({spec for spec, _ in SWEEP}))
+def test_no_retired_row_fails_alone_under_a_corrupted_act_matrix(spec):
+    assert act_matrix_sweep(spec)["retired-alone"] == 0
 
 
 def test_the_known_false_passes_are_the_ones_recorded():

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from equicorr import groups
-from equicorr.battery import _mackey_preserved
 from equicorr.bundles import MackeySection, section_to_mackey
 from equicorr.groups import FiniteGroup, GroupAction, validate_action, validate_group
 from equicorr.measures import (
@@ -31,7 +30,7 @@ from equicorr.scenarios import build_scenario, derive_theta
 from equicorr.transforms import Kernel, ThetaMap, lift_kernel_to_filter, validate_kernel, validate_theta
 from equicorr.xcorr import cross_correlate
 
-from helpers import traced_peak, validate_mackey
+from helpers import mackey_preserved, traced_peak, validate_mackey
 from test_stacked import FILTERS, KERNELS
 
 WHOLE, ROWS = 1 << 40, 1
@@ -110,7 +109,7 @@ def test_blocked_cross_correlate_matches_the_one_block_scan(name, monkeypatch):
     # the output of a random section, and the Mackey check with its witness
     filt, mu = FILTERS[name]
     m = section_to_mackey(random_sections(filt.input_bundle, SplitMix64(3), 1)[0])
-    whole, blocked = _both(monkeypatch, lambda: (cross_correlate(filt, m, mu), _mackey_preserved(filt, mu)))
+    whole, blocked = _both(monkeypatch, lambda: (cross_correlate(filt, m, mu), mackey_preserved(filt, mu)))
     assert blocked[0].values.tobytes() == whole[0].values.tobytes()
     (residual, witness), (blocked_residual, blocked_witness) = whole[1], blocked[1]
     assert (float(residual).hex(), witness) == (float(blocked_residual).hex(), blocked_witness)

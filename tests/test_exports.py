@@ -66,7 +66,7 @@ RETIRED_NAMES = (
     "_group_from_cayley", "SCENARIO_SCHEMA_V1", "_GROUP_LOADERS", "SCENARIO_SCHEMA_V2",
     "act_on_section", "act_on_mackey", "mackey_to_section", "validate_mackey", "psi_from_class_function",
     "compressed_filter_to_dict", "_sparse_row", "_dense_row", "_DECIMAL",
-    "group_from_tables", "table_from_generators", "_tree_edges", "generating_set",
+    "group_from_tables", "table_from_generators", "_tree_edges", "generating_set", "_mackey_preserved", "_periodicity",
 )
 
 # public members that nothing in the package reads, kept on purpose: the

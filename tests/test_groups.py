@@ -80,10 +80,11 @@ def test_validate_group_allocates_no_table_sized_temporary():
 
 
 def test_validate_scans_every_stored_generator_in_row_blocks(tmp_path):
-    # cyclic(256) stored with every element as a generator row: the
-    # commutator scan alone has |S|^2 |G| = 2^24 instances, and the
-    # generator laws read all 256 generators, yet validate holds at most
-    # eight blocks of groups._BLOCK_ENTRIES float64 entries at once
+    # cyclic(256) stored with every element as a generator row loads: the
+    # commutator scan alone has |S|^2 |G| = 2^24 instances, under the entry
+    # budget that refuses cyclic(512) so stored, and the generator laws read
+    # all 256 generators, yet validate holds at most eight blocks of
+    # groups._BLOCK_ENTRIES float64 entries at once
     scn = build_scenario("cyclic(256)")
     doc = scenario_to_dict(scn)
     doc["action"]["group"]["left"] = scn.group.cayley.tolist()

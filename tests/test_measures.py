@@ -37,6 +37,8 @@ from helpers import (
     normalization_residual,
     psi_from_class_function,
     random_group_function,
+    retired_alone,
+    s4_on_four_and_two,
     traced_peak,
 )
 from test_streaming import two_orbit_filter
@@ -211,7 +213,7 @@ def test_a_nan_psi_mass_is_no_mass(on_stabilizer):
     values[h, 1] = np.nan
     psi = PsiFunction(action, values)
     failed = {c.name: c.witness for c in validate_psi(psi).checks if not c.passed}
-    assert failed["psi-nonvanishing"] == (1,)
+    assert failed["psi-conjugation"] is not None  # the one check that reads every entry
     assert failed.get("psi-stabilizer-nonvanishing") == ((1,) if on_stabilizer else None)
     with pytest.raises(DegenerateMeasureError, match="stabilizer of b=1" if on_stabilizer else "no mass at b=1"):
         construct_normalized_families(psi)
@@ -343,3 +345,48 @@ def test_haar_families_allocate_no_table_of_their_own():
     (_, nu, _), peak = traced_peak(lambda: construct_normalized_families(psi))
     assert nu.weights.shape == (action.base_size,)
     assert peak < table // 2  # the orbit solve; a (|B|, |G|) nu table alone traced a whole table
+
+
+def _pair_orbits(action) -> np.ndarray:
+    """(|G|, |B|): [h, b] -> the index of the orbit of (h, b) under
+    g.(h, b) = (g h g^-1, g.b), numbered by first pair in row-major order."""
+    grp, table = action.group, action.table
+    label = np.full((grp.order, action.base_size), -1)
+    for h, b in np.ndindex(*label.shape):
+        if label[h, b] < 0:
+            label[grp.cayley[grp.cayley[:, h], grp.inv], table[:, b]] = label.max() + 1
+    return label
+
+
+PSI_ACTIONS = {
+    "dihedral(4)": lambda: dihedral_vertex_action(4),
+    "cyclic(6)": lambda: cyclic_action(6),
+    "torus(4) on 4 points": lambda: torus_action(4, 1, 4),
+    "Z4 on Z4 and inf": lambda: two_orbit_filter()[0].action,
+    "S4 on 4 and 2": s4_on_four_and_two,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSI_ACTIONS))
+def test_the_other_psi_checks_decide_nonvanishing_total_mass(name):
+    # psi >= 0, so a column whose stabilizer mass is above 0 has a total above
+    # 0 unless it holds a NaN, and psi-conjugation reads every entry (Stab(b0)
+    # holds e, and the movers reach every orbit point), failing on a NaN: the
+    # retired psi-nonvanishing never fails alone.  Brute force over psi
+    # constant on the pair orbits, drawn from 0, a weight, inf and NaN, each
+    # also with one entry set to 0, inf or NaN
+    action = PSI_ACTIONS[name]()
+    label = _pair_orbits(action)
+    rng = np.random.default_rng(46)
+    caught = 0
+    for _ in range(150):
+        per_orbit = rng.choice([0.0, 0.5, 1.0, np.inf, np.nan], size=label.max() + 1, p=[0.5, 0.2, 0.2, 0.05, 0.05])
+        tables = [per_orbit[label]]
+        for value in (0.0, np.inf, np.nan):
+            tables.append(tables[0].copy())
+            tables[-1][tuple(rng.integers(0, label.shape))] = value
+        for values in tables:
+            psi = PsiFunction(action, values)
+            assert retired_alone({"psi": psi}) == []
+            caught += not (values.sum(axis=0) > 0).all()
+    assert caught > 100

@@ -12,7 +12,9 @@ six table-invariance laws (filter, kernel, psi, delta, mu, mubar) are
 checked on one base slice per orbit, nu's conjugation law as one weight per
 orbit, Mackey periodicity through its identity slice.  Their witnesses are pinned to fix the scan order, single-entry
 corruptions of each of the eight tables are caught at |G| = 1024 as well, and
-a NaN planted in any float table fails with a witness.
+a NaN planted in any float table fails with a witness.  The report rows
+retired as decided elsewhere (helpers.RETIRED_LAWS) never fail alone on
+these corruptions: where one fails, a row of the same command fails too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from equicorr.battery import _mackey_preserved
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle
 from equicorr.cli import main
 from equicorr.errors import PreconditionError, StructuralError
@@ -53,11 +54,11 @@ from equicorr.measures import (
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
 from equicorr.scenarios import build_scenario
-from equicorr.serialize import dumps, save_document, scenario_to_dict
+from equicorr.serialize import Scenario, dumps, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, ThetaMap, filter_operator, operator_equivariance_residual, validate_kernel, validate_theta
 from equicorr.xcorr import Filter, validate_filter
 
-from helpers import psi_from_class_function, validate_mackey
+from helpers import mackey_preserved, psi_from_class_function, retired_alone, scenario_fields, validate_mackey
 
 SEEDS = range(10)
 
@@ -84,6 +85,15 @@ def _other(rng: SplitMix64, value: int, size: int) -> int:
 
 def _failures(report) -> list[tuple[str, float, tuple[int, ...]]]:
     return [(c.name, c.residual, c.witness) for c in report.checks if not c.passed]
+
+
+def _assert_constructor_laws(grp: FiniteGroup) -> None:
+    """e x = x, x e = x and x x^-1 = e at every x, read off the table: row e
+    is the identity by construction, column e by the walk, and inv is each
+    first right inverse or the constructor raises."""
+    every = np.arange(grp.order)
+    assert np.array_equal(grp.cayley[grp.identity], every) and np.array_equal(grp.cayley[:, grp.identity], every)
+    assert (grp.cayley[every, grp.inv] == grp.identity).all()
 
 
 def _closure(cayley: np.ndarray, identity: int, gens: list[int]) -> set[int]:
@@ -158,6 +168,7 @@ def test_single_stored_row_entry_caught(scn, seed):
         corrupt = FiniteGroup(grp.elements, grp.identity, left)
     except StructuralError:
         return
+    _assert_constructor_laws(corrupt)
     assert not validate_group(corrupt).passed
 
 
@@ -346,12 +357,12 @@ def test_associativity_residual_against_brute_force_and_the_previous_residual(ca
 
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
 def test_the_constructor_guarantees_three_group_checks(case):
-    # row e is the identity by construction, column e by the walk, and inv
-    # is each first right inverse or the constructor raises: on every
-    # loadable row set those three checks pass, while the left inverse law
-    # and associativity are left to validate_group
+    # on every loadable row set the identity laws and the right inverse law
+    # hold, so no report row checks them, while the left inverse law and
+    # associativity are left to validate_group
     failed = collections.Counter()
     for grp in _loadable(case):
+        _assert_constructor_laws(grp)
         failed.update(c.name for c in validate_group(grp).checks if not c.passed)
     assert failed.keys() <= {"group-inverse-left", "group-associativity"}
     assert (failed["group-inverse-left"], failed["group-associativity"]) == ROW_CASE_FAILURES[case]
@@ -369,6 +380,7 @@ def test_associativity_matches_the_instance_loop_on_random_row_corruptions():
             corrupt = FiniteGroup(grp.elements, grp.identity, left)
         except StructuralError:
             continue
+        _assert_constructor_laws(corrupt)
         check = validate_group(corrupt).checks[-1]
         assert check.name == "group-associativity"
         assert (check.residual, check.witness) == _commutators(corrupt)
@@ -384,7 +396,7 @@ def test_associativity_needs_the_commutators():
     # column at 0 is the identity; over the greedy S′ = [1, 5] the count was 8
     grp = FiniteGroup(*HEXAGON)
     checks = {c.name: c for c in validate_group(grp).checks}
-    assert checks["group-identity-left"].passed and checks["group-identity-right"].passed
+    _assert_constructor_laws(grp)
     assert grp.generators == [1, 0] and _greedy(grp.cayley, grp.identity) == [1, 5]
     assert (checks["group-associativity"].residual, checks["group-associativity"].witness) == (4, (1, 3, 1)) == _commutators(grp)
     assert _commutators(grp, [1, 5]) == (8, (1, 3, 1))
@@ -569,14 +581,16 @@ def test_mackey_witness(d4):
 def test_mackey_preservation_fails_exactly_when_equivariance_does(spec):
     # (omega * f~)(h, .) = T(h^-1 . f) for the induced map T, so the Mackey
     # level holds for every f exactly when T is equivariant, which the
-    # operator matrix decides; a pair of opposite bumps at (h, b), (h', b)
-    # with h.b = h'.b leaves T, so both checks pass off the faint constraint
+    # operator matrix decides, so the retired Mackey row never fails alone;
+    # a pair of opposite bumps at (h, b), (h', b) with h.b = h'.b leaves T,
+    # so both pass off the faint constraint
     scn = build_scenario(spec)
     filt, table = scn.filt, scn.action.table
 
     def decided(mats):
         bad = Filter(scn.input_bundle, scn.output_bundle, mats)
-        mackey = _mackey_preserved(bad, scn.mu)[0] <= 1e-12
+        assert retired_alone(scenario_fields(_replaced(scn, filt=bad))) == []
+        mackey = mackey_preserved(bad, scn.mu)[0] <= 1e-12
         op = filter_operator(bad, scn.mu)
         equivariant = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)[0] <= 1e-12
         return validate_filter(bad).passed, mackey, equivariant
@@ -723,3 +737,48 @@ def test_nan_entry_fails_with_witness(d4, table):
         report = report_of(d4, partial(_bump_one, SplitMix64(seed), by=np.nan))
         failed = {c.name: c for c in report.checks if not c.passed}.get(check)
         assert failed is not None and np.isnan(failed.residual) and failed.witness is not None, (table, seed)
+
+
+# ---------------------------------------------------------------------------
+# the retired report rows: no exit status moves
+
+
+def _replaced(scn: Scenario, **fields) -> Scenario:
+    return Scenario(**(vars(scn) | fields))
+
+
+def _rebundled(scn: Scenario, bundle: EquivariantBundle) -> Scenario:
+    """scn with its input bundle replaced, and its filter and kernel read on it."""
+    out = scn.output_bundle
+    return _replaced(
+        scn,
+        input_bundle=bundle,
+        filt=Filter(bundle, out, scn.filt.matrices),
+        kernel=Kernel(bundle, out, scn.kernel.matrices),
+    )
+
+
+# table -> the scenario with the table replaced by bump(table), as the
+# float-law tests above corrupt it
+CORRUPTED_SCENARIOS = {
+    "filter": lambda s, bump: _replaced(s, filt=Filter(s.input_bundle, s.output_bundle, bump(s.filt.matrices))),
+    "kernel": lambda s, bump: _replaced(s, kernel=Kernel(s.input_bundle, s.output_bundle, bump(s.kernel.matrices))),
+    "psi": lambda s, bump: _replaced(s, psi=PsiFunction(s.action, bump(s.psi.values))),
+    "delta": lambda s, bump: _replaced(s, delta=DeltaFunction(s.action, bump(s.delta.values, fixes(s.action)))),
+    "mu": lambda s, bump: _replaced(s, mu=GroupMeasureFamily(s.action, bump(s.mu.weights), s.mu.haar)),
+    "nu": lambda s, bump: _replaced(s, nu=StabilizerMeasureFamily(s.action, bump(s.nu.weights))),
+    "mubar": lambda s, bump: _replaced(s, mubar=OrbitMeasureFamily(s.action, bump(s.mubar.weights))),
+    "act_matrix": lambda s, bump: _rebundled(
+        s, EquivariantBundle(s.action, s.input_bundle.fiber_dim, bump(s.input_bundle.act_matrix))
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CORRUPTED_SCENARIOS))
+def test_no_retired_row_fails_alone_on_a_corrupted_table(bands32, d4, table):
+    # the seeded corruptions of the float-law tests, each in its whole
+    # scenario: a bump of 1 at |G| = 1024, and a NaN in dihedral(4, bundle=sign)
+    corrupt = CORRUPTED_SCENARIOS[table]
+    for seed, (scn, by) in itertools.product(SEEDS, ((bands32, 1.0), (d4, np.nan))):
+        bad = corrupt(scn, partial(_bump_one, SplitMix64(seed), by=by))
+        assert retired_alone(scenario_fields(bad)) == [], (seed, by)

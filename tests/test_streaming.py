@@ -1,21 +1,21 @@
-"""Cross-correlation of one section at a time, and the battery's
-Mackey preservation check on the induced basis sections, against brute
-force.
+"""Cross-correlation of one section at a time, and Mackey preservation
+on the induced basis sections, against brute force.
 
 `cross_correlate` sums one Mackey section over the support in ascending
 order through flat gather indices; the reference below sums the same
 section with 2-D gathers of its own, and the two must agree bitwise.
 
-`battery._mackey_preserved` pushes one induced basis section e~_{b0,i} per
-fundamental-domain point b0 and fiber coordinate i through
-`cross_correlate`.  Its residual must equal the maximum over all |B| dE
-basis sections, each summed by the per-section reference, and it must
-obey the stated bound against the residual P over sections with entries
-in [-1, 1]: P <= |B| dE a' (1 + a) R, with a the largest row sum of |A_F|
-and a' the largest column sum of |A_E|.  The battery's `xcorr.` laws on
-every built-in scenario is held to the same references, its equivariance
-check to the operator matrix's residual; the cases include dihedral(4)
-with a measure that is not left-invariant.
+`helpers.mackey_preserved`, once the battery row xcorr.mackey-preserved,
+pushes one induced basis section e~_{b0,i} per fundamental-domain point b0
+and fiber coordinate i through `cross_correlate`.  Its residual must equal
+the maximum over all |B| dE basis sections, each summed by the
+per-section reference, and it must obey the stated bound against the
+residual P over sections with entries in [-1, 1]: P <= |B| dE a' (1 + a) R,
+with a the largest row sum of |A_F| and a' the largest column sum of |A_E|.
+The battery's `xcorr.` law on every built-in scenario is held to the same
+references, its equivariance check to the operator matrix's residual and
+its verdict to Mackey preservation's; the cases include dihedral(4) with a
+measure that is not left-invariant.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equicorr.battery import _view
 from equicorr.bundles import EquivariantBundle, MackeySection, Section, section_to_mackey, validate_bundle
 from equicorr.groups import GroupAction, cyclic_group
 from equicorr.measures import GroupMeasureFamily, counting_family
@@ -34,7 +33,7 @@ from equicorr.scenarios import build_scenario
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
-from helpers import battery_checks, validate_mackey
+from helpers import battery_checks, mackey_preserved, validate_mackey
 from test_stacked import BUILTINS, FILTERS, basis_sections
 
 TOL = 1e-12
@@ -100,10 +99,10 @@ def cases():
 CASES = cases()
 
 
-def battery_residual(filt, mu):
-    (mackey,) = _view("xcorr.mackey-preserved", TOL, short=False, filt=filt, mu=mu).checks
-    assert mackey.name == "xcorr.mackey-preserved"
-    return mackey
+def mackey_check(filt, mu):
+    """Mackey preservation as a check held to TOL."""
+    residual, witness = mackey_preserved(filt, mu)
+    return check_from_residual("mackey-preserved", residual, TOL, witness)
 
 
 def assert_basis_maximum(filt, mu, mackey):
@@ -134,7 +133,7 @@ def assert_random_section_bounds(filt, mu, mackey, sections):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
     filt, mu = CASES[name]
-    mackey = battery_residual(filt, mu)
+    mackey = mackey_check(filt, mu)
     assert_basis_maximum(filt, mu, mackey)
     if name.endswith("corrupted") or "violating" in name:
         assert not mackey.passed and len(mackey.witness) == 4
@@ -145,7 +144,7 @@ def test_basis_checks_equal_the_maximum_over_every_basis_section(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_basis_checks_bound_the_residual_on_random_sections(name):
     filt, mu = CASES[name]
-    mackey = battery_residual(filt, mu)
+    mackey = mackey_check(filt, mu)
     sections = random_sections(filt.input_bundle, SplitMix64(20), 20)
     sampled = assert_random_section_bounds(filt, mu, mackey, sections)
     if not mackey.passed:
@@ -161,17 +160,18 @@ def filter_checks(scn):
 
 
 def assert_checks_match_per_section(scn, seed, n_sections):
-    """The battery's cross-correlation checks against the per-section
-    references: equivariance read off the operator matrix, Mackey
-    preservation streamed one basis section at a time equal to the
-    brute-force maximum, and its bound over n_sections seeded random
-    sections."""
+    """The battery's cross-correlation check against the per-section
+    references: equivariance read off the operator matrix and its verdict
+    that of Mackey preservation, streamed one basis section at a time equal
+    to the brute-force maximum, with its bound over n_sections seeded
+    random sections."""
     checks = filter_checks(scn)
     op = filter_operator(scn.filt, scn.mu)
     residual, witness = operator_equivariance_residual(op, scn.input_bundle, scn.output_bundle)
     want = check_from_residual("xcorr.equivariance", residual, TOL, witness)
     assert bits(checks["xcorr.equivariance"]) == bits(want)
-    mackey = checks["xcorr.mackey-preserved"]
+    mackey = mackey_check(scn.filt, scn.mu)
+    assert mackey.passed == want.passed
     assert_basis_maximum(scn.filt, scn.mu, mackey)
     sections = random_sections(scn.input_bundle, SplitMix64(seed), n_sections)
     assert_random_section_bounds(scn.filt, scn.mu, mackey, sections)
@@ -190,7 +190,7 @@ def test_streamed_checks_match_per_section(spec, n_sections):
         assert filter_checks(scn) == {}
         return
     checks = assert_checks_match_per_section(scn, 3, n_sections)
-    assert checks["xcorr.mackey-preserved"].passed and checks["xcorr.equivariance"].passed
+    assert checks["xcorr.equivariance"].passed
 
 
 def two_orbit_filter():
@@ -217,8 +217,8 @@ def two_orbit_filter():
 def test_a_second_orbit_corruption_is_named_by_its_base_point():
     valid, filt, mu = two_orbit_filter()
     assert validate_filter(valid).passed and not validate_filter(filt).passed
-    assert battery_residual(valid, mu).passed
-    mackey = battery_residual(filt, mu)
+    assert mackey_check(valid, mu).passed
+    mackey = mackey_check(filt, mu)
     assert not mackey.passed
     assert mackey.witness[0] == 4 and mackey.witness[3] == 4  # (b0, i, h, b) on the orbit {inf}
     # a basis drawn from b = 0 alone would pass

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from equicorr.battery import run_battery
-from equicorr.bundles import Section
-from equicorr.errors import StructuralError
+from equicorr.bundles import Section, representation_bundle, trivial_bundle
+from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import INDEX_DTYPE, stabilizer
-from equicorr.measures import OrbitMeasureFamily, counting_stabilizer_family, fubini_pointwise_residual, validate_families
+from equicorr.measures import (
+    DeltaFunction,
+    OrbitMeasureFamily,
+    counting_stabilizer_family,
+    dirac_delta,
+    fubini_pointwise_residual,
+    validate_families,
+)
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_kernel, random_violating_kernel
 from equicorr.scenarios import build_scenario, derive_theta
@@ -24,9 +31,9 @@ from equicorr.transforms import (
     validate_kernel,
     validate_theta,
 )
-from equicorr.xcorr import Filter, correlate_sections, validate_filter
+from equicorr.xcorr import Filter, _faint_constraint, correlate_sections, validate_filter
 
-from helpers import act_on_section, coset_project_filter_to_kernel, mul
+from helpers import act_on_section, coset_project_filter_to_kernel, mul, permutation_representation, s4_on_four_and_two
 from test_streaming import two_orbit_filter
 
 
@@ -386,3 +393,76 @@ def test_theta_entries_are_range_checked_before_narrowing(entry):
     with pytest.raises(StructuralError, match="theta entry out of range"):
         ThetaMap(scn.action, reps)
     assert scn.thetas["derived"].reps.dtype == INDEX_DTYPE
+
+
+# ---------------------------------------------------------------------------
+# the averaged lift: theta by the coset representatives, delta uniform on
+# each stabilizer
+
+
+def averaged_delta(nu) -> DeltaFunction:
+    """delta(h, b) = 1 / (nu_b |Stab(b)|) on the stabilizer of b: constant
+    there, of unit nu-mass."""
+    action = nu.action
+    values = np.zeros((action.group.order, action.base_size))
+    for b, stab in enumerate(action.stabilizers):
+        values[stab, b] = 1.0 / (nu.weights[b] * stab.size)
+    return DeltaFunction(action, values)
+
+
+def s4_kernels():
+    """S4 on 4 ⊔ 2 points, by bundle: a valid random kernel and nu counting."""
+    action = s4_on_four_and_two()
+    nu = counting_stabilizer_family(action)
+    bundles = {"trivial": trivial_bundle(action), "permutation": representation_bundle(action, permutation_representation(action))}
+    return {f"S4 on 4+2, {name}": (random_valid_kernel(b, b, SplitMix64(46)), nu) for name, b in bundles.items()}
+
+
+def averaged_lift_cases():
+    """Built-ins and S4, by name: a kernel and nu."""
+    cases = dict(S4_KERNELS)
+    for spec in ("cyclic(6)", "dihedral(5, bundle=sign)", "torus(4)", "torus-bands(16)"):
+        scn = build_scenario(spec)
+        cases[spec] = (scn.kernel, scn.nu)
+    return cases
+
+
+S4_KERNELS = s4_kernels()
+AVERAGED_LIFTS = averaged_lift_cases()
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGED_LIFTS))
+def test_the_averaged_lift_is_faint_and_projects_back(name):
+    # delta constant on each stabilizer makes the lift faint whatever theta
+    # does beyond its section law, which the coset representatives meet
+    kern, nu = AVERAGED_LIFTS[name]
+    action = kern.action
+    theta = ThetaMap(action, action.coset_reps.T)
+    assert validate_theta(theta, kern).checks[0].passed  # the section law
+    lift = lift_kernel_to_filter(kern, theta, averaged_delta(nu))
+    assert lift.support.any() and _faint_constraint(lift)[0] <= 1e-12
+    assert np.abs(project_filter_to_kernel(lift, nu).matrices - kern.matrices).max() <= 1e-12
+
+
+def faint_defect(filt, g: int, h: int, b: int) -> float:
+    """|omega(g h g^-1, g.b) A_E(g, b) - A_F(g, b) omega(h, b)|, the largest entry."""
+    grp, table = filt.action.group, filt.action.table
+    lhs = filt.matrices[grp.cayley[grp.cayley[g, h], grp.inv[g]], table[g, b]] @ filt.input_bundle.act_matrix[g, b]
+    return float(np.abs(lhs - filt.output_bundle.act_matrix[g, b] @ filt.matrices[h, b]).max())
+
+
+@pytest.mark.parametrize("name", sorted(S4_KERNELS))
+def test_a_dirac_delta_needs_the_translation_law_that_s4_denies(name):
+    # no theta on S4's 4 ⊔ 2 points meets the translation law, and the coset
+    # representatives break it: the Dirac lift along them is not faint, and
+    # its witness is an instance of the law whose defect is the residual
+    kern, nu = S4_KERNELS[name]
+    action = kern.action
+    with pytest.raises(DomainError, match="no orbit-map section is compatible"):
+        derive_theta(action)
+    theta = ThetaMap(action, action.coset_reps.T)
+    section, translation = validate_theta(theta, kern).checks
+    assert section.passed and not translation.passed
+    lift = lift_kernel_to_filter(kern, theta, dirac_delta(nu))
+    residual, witness = _faint_constraint(lift)
+    assert residual > 0.1 and faint_defect(lift, *witness) == pytest.approx(residual, rel=1e-12)
