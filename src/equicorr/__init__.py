@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
     "groups": (
-        "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "orbits", "pair_stabilizer",
-        "stabilizer", "validate_action", "validate_group",
+        "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "orbits", "stabilizer",
+        "validate_action", "validate_group",
     ),
     "measures": (
         "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",
@@ -42,7 +42,7 @@ _EXPORTS = {
     "reporting": ("Check", "ValidationReport", "check_from_residual"),
     "rng": ("SplitMix64",),
     "sampling": ("random_sections", "random_valid_filter", "random_valid_kernel", "random_violating_kernel"),
-    "scenarios": ("build_scenario", "degeneracy_demo", "derive_theta", "line_grid_ladder"),
+    "scenarios": ("build_scenario", "degeneracy_demo", "line_grid_ladder"),
     "serialize": ("Scenario",),
     "transforms": (
         "Kernel", "ThetaMap", "filter_operator", "integral_transform", "kernel_operator", "lift_kernel_to_filter",

@@ -17,8 +17,8 @@ same walk (action_table).
 
 Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
-Projection, disintegration, the orbit-slice laws and theta derivation all
-read this one table.  Its fundamental domain, the smallest base index of
+Projection, disintegration, the orbit-slice laws and every built-in
+scenario's theta all read this one table.  Its fundamental domain, the smallest base index of
 each orbit, and the stabilizer Stab(b) of each base point are derived in
 the same pass: b is a domain point exactly when no c < b lies in its
 orbit.  By the orbit-stabilizer theorem the stabilizers hold k |G|
@@ -356,8 +356,3 @@ def stabilizer(action: GroupAction, b: int) -> np.ndarray:
     """Element indices g with g.b = b, ascending: the action's derived array."""
     return action.stabilizers[b]
 
-
-def pair_stabilizer(action: GroupAction, c: int, b: int) -> np.ndarray:
-    """Elements fixing both c and b under the diagonal action."""
-    stab = action.stabilizers[b]
-    return stab[action.table[stab, c] == c]

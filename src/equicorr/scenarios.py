@@ -31,11 +31,12 @@ Assembly
   `_assemble`, which adds the bundle (the trivial line bundle unless the
   builder passes another), the counting or psi-normalized family triple
   and the Dirac delta of the stabilizer family.  cyclic, dihedral and
-  torus then draw a seeded random filter and kernel and derive theta
+  torus then draw a seeded random filter and kernel
   (`_attach_default_data`).  torus-bands and line-grid tabulate a kernel
   of the signed displacement c - b (`_displacement_kernel`, which the
-  degeneracy demo shares) and cover it with hand-written thetas;
-  circle-grid tabulates its filter.
+  degeneracy demo shares); circle-grid tabulates its filter.  Every
+  theta but torus-bands' special one is the action's coset-representative
+  table on the kernel's support (`_coset_theta`).
 
 Elements of product groups are packed with the first coordinate cycling
 fastest: (a, b) has index b*|A| + a.  Scenario randomness (the filter and
@@ -53,15 +54,8 @@ import sys
 import numpy as np
 
 from .bundles import EquivariantBundle, sign_bundle, trivial_bundle
-from .errors import DomainError, StructuralError
-from .groups import (
-    INDEX_DTYPE,
-    GroupAction,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    pair_stabilizer,
-)
+from .errors import DomainError
+from .groups import INDEX_DTYPE, GroupAction, cyclic_group, dihedral_group, direct_product
 from .measures import (
     construct_normalized_families,
     counting_family,
@@ -121,41 +115,26 @@ def _displacement_kernel(scn: Scenario, profile) -> Kernel:
     return Kernel(scn.input_bundle, scn.output_bundle, profile(d)[:, :, None, None])
 
 
-def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> ThetaMap:
-    """Construct a compatible orbit-map section over the given pair support
-    (default: all same-orbit pairs).
+def _coset_theta(action: GroupAction, support: np.ndarray | None = None) -> ThetaMap:
+    """The built-ins' theta: theta(c, b) = k_c, the smallest k with k.b = c
+    (`action.coset_reps`), on the support (default: every same-orbit pair).
 
-    Scanning the support b-major, each pair (c, b) whose diagonal pair
-    orbit has no theta yet seeds that orbit: a representative k with
-    k.b = c must commute with the pair stabilizer of (c, b), the smallest
-    such k is taken, and the first g to reach each pair (g.c, g.b) carries
-    it there as g k g^-1.  When no candidate commutes, no compatible theta
-    exists on that orbit and DomainError reports the obstruction; nothing
-    is ever guessed.
+    It meets the section law k_c.b = c by definition, and on every built-in
+    the translation law g theta(c, b) = theta(g.c, g.b) g as well:
+
+      * abelian groups (cyclic, torus, torus-bands, circle-grid, line-grid):
+        k.(g.b) = g.c exactly when k.b = c, so the smallest mover from g.b
+        to g.c is the same k, and g k g^-1 = k;
+      * the dihedral vertex action: rotations have the smaller indices, so
+        the smallest mover is the rotation r_{c-b}.  A rotation g leaves it
+        unchanged and moves g.c - g.b = c - b; a reflection g inverts it
+        to r_{b-c} and negates g.c - g.b = b - c.
+
+    A scenario file's theta stays data: the theta rows of every report
+    check it.
     """
-    grp, table = action.group, action.table
-    cay, inv = grp.cayley, grp.inv
-    m = action.base_size
-    if support is None:
-        support = (action.coset_reps >= 0).T  # [c, b]
-    support = np.asarray(support, dtype=bool)
-    if support.shape != (m, m):
-        raise StructuralError(f"support shape {support.shape}, expected {(m, m)}")
-    reps = np.full((m, m), -1, dtype=INDEX_DTYPE)
-    for b in range(m):
-        for c in np.flatnonzero(support[:, b] & (reps[:, b] < 0)):
-            if reps[c, b] >= 0:  # reached by an orbit seeded earlier in this column
-                continue
-            ps, k = pair_stabilizer(action, c, b), action.coset_reps[b, c]
-            movers = np.sort(cay[k, action.stabilizers[b]]) if k >= 0 else ps[:0]  # the coset k_c Stab(b)
-            commuting = (cay[cay[np.ix_(ps, movers)], inv[ps][:, None]] == movers).all(axis=0)
-            if not commuting.any():
-                raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
-            k0 = movers[commuting.argmax()]
-            # g: first to reach each pair; the key reaches m^2, past INDEX_DTYPE, so it is intp
-            pairs, g = np.unique(table[:, c].astype(np.intp) * m + table[:, b], return_index=True)
-            reps.flat[pairs] = cay[cay[g, k0], inv[g]]
-    return ThetaMap(action, reps)
+    reps = action.coset_reps.T
+    return ThetaMap(action, reps if support is None else np.where(support, reps, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +142,10 @@ def derive_theta(action: GroupAction, support: np.ndarray | None = None) -> Thet
 
 
 def _attach_default_data(scn: Scenario, seed: int) -> Scenario:
-    """Deterministic random filter and kernel, and the derived theta."""
+    """Deterministic random filter and kernel, and the coset theta as `derived`."""
     scn.filt = random_valid_filter(scn.input_bundle, scn.output_bundle, SplitMix64(seed ^ _FILTER_SALT))
     scn.kernel = random_valid_kernel(scn.input_bundle, scn.output_bundle, SplitMix64(seed ^ _KERNEL_SALT))
-    scn.thetas["derived"] = derive_theta(scn.action)
+    scn.thetas["derived"] = _coset_theta(scn.action)
     return scn
 
 
@@ -272,7 +251,7 @@ def build_torus_bands(
         return out
 
     scn.kernel = kern = _displacement_kernel(scn, bands)
-    theta_global = derive_theta(scn.action, kern.support)
+    theta_global = _coset_theta(scn.action, kern.support)
     theta_special = _torus_theta_special(scn.action, n, spacing, eps_steps, kern.support)
     scn.thetas = {"global": theta_global, "special": theta_special}
     # the scenario's filter is the kernel's own lift along the global theta
@@ -360,7 +339,7 @@ def degeneracy_demo(sizes: list[int]) -> dict:
         raise DomainError("degeneracy demo needs torus sizes >= 4")
     rows = []
     for n in sizes:
-        scn = build_torus(n, families="counting")
+        scn = _assemble(f"torus({n})", {"n": n, "families": "counting"}, torus_action(n, 1, n), "counting")
         filt = biequivariant_filter(scn)
         fvals = np.zeros((n, 1))
         for d, v in DEGENERACY_TEST_FUNCTION.items():
@@ -370,7 +349,7 @@ def degeneracy_demo(sizes: list[int]) -> dict:
         kern = _displacement_kernel(
             scn, lambda d: sum(np.where(d == off, v, 0.0) for off, v in DEGENERACY_PROFILE.items())
         )
-        theta = derive_theta(scn.action, kern.support)
+        theta = _coset_theta(scn.action, kern.support)
         lifted = lift_kernel_to_filter(kern, theta, scn.delta)
         faint = float(correlate_sections(lifted, scn.mu, fvals)[0, 0])
         rows.append({"N": n, "biequivariant": bi, "ratio": bi / n, "faint": faint})
@@ -418,7 +397,7 @@ def build_circle_grid(n: int, filter_width: int = 2, families: str = "counting")
     mats = np.zeros((n, n, 1, 1))
     mats[:, :, 0, 0] = circle_profile(_signed_mod(np.arange(n), n), filter_width)[:, None]
     scn.filt = Filter(scn.input_bundle, scn.output_bundle, mats)
-    scn.thetas["derived"] = derive_theta(scn.action)
+    scn.thetas["derived"] = _coset_theta(scn.action)
     return scn
 
 
@@ -507,7 +486,7 @@ def build_line_grid(units: int = 6, dx: float = 0.1, families: str = "counting")
     params = {"units": units, "dx": dx, "families": families}
     scn = _assemble(f"line-grid({units},{dx})", params, torus_action(m, u, units), families, scale=dx)
     scn.kernel = _displacement_kernel(scn, lambda d_steps: line_band_kernel_value(d_steps * dx))
-    scn.thetas["global"] = derive_theta(scn.action, scn.kernel.support)
+    scn.thetas["global"] = _coset_theta(scn.action, scn.kernel.support)
     scn.extras["dx"] = dx
     return scn
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from equicorr.battery import _LAWS, _STRUCTURAL, BUNDLE_TOLERANCE, _Inputs, _report, _view
 from equicorr.bundles import MackeySection, Section, _induced_rows, section_to_mackey
-from equicorr.errors import PreconditionError, StructuralError
+from equicorr.errors import DomainError, PreconditionError, StructuralError
 from equicorr.groups import FiniteGroup, GroupAction, _rows, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.reporting import DEFAULT_TOLERANCE, ValidationReport, _count, _local, _worst, check_from_residual
@@ -157,6 +157,44 @@ def mul(grp: FiniteGroup, g: int, h: int) -> int:
 def conjugate(grp: FiniteGroup, g: int, h: int) -> int:
     """g h g^-1, read one entry at a time from the table."""
     return int(grp.cayley[grp.cayley[g, h], grp.inv[g]])
+
+
+def pair_stabilizer(action: GroupAction, c: int, b: int) -> np.ndarray:
+    """Elements fixing both c and b under the diagonal action, ascending."""
+    stab = action.stabilizers[b]
+    return stab[action.table[stab, c] == c]
+
+
+def reference_derive_theta(action: GroupAction, support: np.ndarray) -> np.ndarray:
+    """The scalar search for a theta that meets both theta laws on a support:
+    scan the support pairs b-major, seed each unseen pair orbit with the
+    smallest mover that commutes with the pair stabilizer, and spread it by
+    conjugation with every g in turn, the first g to reach a pair winning.
+    DomainError reports a pair orbit where no mover commutes: no compatible
+    theta exists there."""
+    grp = action.group
+    m = action.base_size
+    reps = np.full((m, m), -1, dtype=np.int64)
+    seen = np.zeros((m, m), dtype=bool)
+    for b in range(m):
+        for c in range(m):
+            if not support[c, b] or seen[c, b]:
+                continue
+            ps = pair_stabilizer(action, c, b)
+            movers = np.flatnonzero(action.table[:, b] == c)
+            k0 = -1
+            for k in movers:
+                if all(conjugate(grp, int(g), int(k)) == int(k) for g in ps):
+                    k0 = int(k)
+                    break
+            if k0 < 0:
+                raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
+            for g in range(grp.order):
+                gc, gb = action.table[g, c], action.table[g, b]
+                if not seen[gc, gb]:
+                    reps[gc, gb] = conjugate(grp, g, k0)
+                    seen[gc, gb] = True
+    return reps
 
 
 def random_group_function(group: FiniteGroup, rng: SplitMix64) -> np.ndarray:

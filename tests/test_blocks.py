@@ -26,7 +26,7 @@ from equicorr.measures import (
 )
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections
-from equicorr.scenarios import build_scenario, derive_theta
+from equicorr.scenarios import build_scenario
 from equicorr.transforms import Kernel, ThetaMap, lift_kernel_to_filter, validate_kernel, validate_theta
 from equicorr.xcorr import cross_correlate
 
@@ -89,7 +89,8 @@ def _lift_cases():
         cases[f"{spec}-bumped-kernel"] = (bumped, theta, scn.delta)
     for name in ("rotation", "rotation-violating", "rotation-from-trivial"):  # 2-d fibers
         kern = KERNELS[name][0]
-        cases[name] = (kern, derive_theta(kern.action), dirac_delta(counting_stabilizer_family(kern.action)))
+        action = kern.action
+        cases[name] = (kern, ThetaMap(action, action.coset_reps.T), dirac_delta(counting_stabilizer_family(action)))
     return cases
 
 

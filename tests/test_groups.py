@@ -16,7 +16,6 @@ from equicorr.groups import (
     dihedral_group,
     direct_product,
     orbits,
-    pair_stabilizer,
     stabilizer,
     validate_action,
     validate_group,
@@ -33,7 +32,7 @@ from equicorr.measures import (
 from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 from equicorr.serialize import load_document, save_document, scenario_from_dict, scenario_to_dict
 
-from helpers import conjugate, counting_orbit_family, mul, traced_peak
+from helpers import conjugate, counting_orbit_family, mul, pair_stabilizer, traced_peak
 from test_stacked import BUILTINS
 from test_streaming import two_orbit_filter
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr.errors import DomainError, EquicorrError
-from equicorr.groups import GroupAction, cyclic_group, dihedral_group, pair_stabilizer
-from equicorr.rng import SplitMix64
+from equicorr.groups import GroupAction, cyclic_group, dihedral_group
 from equicorr.scenarios import (
     DEGENERACY_PROFILE,
     DEGENERACY_TEST_FUNCTION,
     LINE_BAND_EPS,
     LINE_BAND_WEIGHTS,
     _BUILDERS,
+    _coset_theta,
     banded_support_mismatch,
     build_circle_grid,
     build_dihedral,
@@ -25,18 +27,19 @@ from equicorr.scenarios import (
     circle_grid_step,
     circle_offgrid_residual,
     continuous_line_transform,
+    cyclic_action,
     degeneracy_demo,
-    derive_theta,
     dihedral_vertex_action,
     is_scenario_spec,
     line_grid_ladder,
     line_grid_oracle_residual,
     line_test_function,
+    torus_action,
 )
 from equicorr.transforms import lift_kernel_to_filter, validate_theta
 from equicorr.xcorr import Filter
 
-from helpers import banded_support_set_mismatch, banded_support_shapes, conjugate, scenario_lifts
+from helpers import banded_support_set_mismatch, banded_support_shapes, reference_derive_theta, scenario_lifts
 
 
 # ---------------------------------------------------------------------------
@@ -115,67 +118,45 @@ def test_derived_theta_validates_on_odd_dihedral():
     assert validate_theta(scn.thetas["derived"], scn.kernel).passed
 
 
-def test_derived_theta_recovers_global_on_bands():
-    # the smallest compatible mover on the scaled torus keeps the offset
-    # coordinate at zero, which is exactly the global section
+def test_the_global_theta_on_bands_is_the_displacement_at_offset_zero():
+    # theta_global(c, b) = (c - b, 0): the smallest mover keeps the offset
+    # coordinate at zero, and (a, 0) has index a
     scn = build_torus_bands(16)
-    derived = derive_theta(scn.action, scn.kernel.support)
-    assert np.array_equal(derived.reps, scn.thetas["global"].reps)
+    support, reps = scn.kernel.support, scn.thetas["global"].reps
+    c, b = np.nonzero(support)
+    assert (reps[c, b] == (c - b) % 16).all() and (reps[~support] == -1).all()
 
 
-def reference_derive_theta(action: GroupAction, support: np.ndarray) -> np.ndarray:
-    """The scalar derivation derive_theta replaced: scan the support pairs
-    b-major, seed each unseen pair orbit with the smallest mover that
-    commutes with the pair stabilizer, and spread it by conjugation with
-    every g in turn, the first g to reach a pair winning."""
-    grp = action.group
-    m = action.base_size
-    reps = np.full((m, m), -1, dtype=np.int64)
-    seen = np.zeros((m, m), dtype=bool)
-    for b in range(m):
-        for c in range(m):
-            if not support[c, b] or seen[c, b]:
-                continue
-            ps = pair_stabilizer(action, c, b)
-            movers = np.flatnonzero(action.table[:, b] == c)
-            k0 = -1
-            for k in movers:
-                if all(conjugate(grp, int(g), int(k)) == int(k) for g in ps):
-                    k0 = int(k)
-                    break
-            if k0 < 0:
-                raise DomainError(f"no orbit-map section is compatible with the pair stabilizer at (c={c}, b={b})")
-            for g in range(grp.order):
-                gc, gb = action.table[g, c], action.table[g, b]
-                if not seen[gc, gb]:
-                    reps[gc, gb] = conjugate(grp, g, k0)
-                    seen[gc, gb] = True
-    return reps
+BUILTIN_ACTIONS = {  # each built-in's action as its builder makes it: bands at spacing n // 4, line-grid at dx = 0.1
+    "cyclic": lambda: (cyclic_action(n) for n in range(1, 65)),
+    "dihedral": lambda: (dihedral_vertex_action(n) for n in range(1, 65)),
+    "torus": lambda: (torus_action(n, 1, n) for n in range(1, 13)),
+    "torus-bands": lambda: (torus_action(n, n // 4, n) for n in range(4, 25)),
+    "line-grid": lambda: (torus_action(10 * units, 10, units) for units in range(5, 9)),
+}
 
 
-def _square_and_centre() -> GroupAction:
-    """dihedral(4) on the square's vertices and its fixed centre: two orbits,
-    the second with the whole group as stabilizer."""
-    square = dihedral_vertex_action(4)
-    table = np.concatenate([square.table, np.full((square.group.order, 1), square.base_size)], axis=1)
-    return GroupAction(square.group, square.base + ("centre",), table)
+@pytest.mark.parametrize("kind", sorted(BUILTIN_ACTIONS))
+def test_the_coset_theta_meets_both_laws_at_every_element(kind):
+    # the proof in _coset_theta, by brute force: the section law at every
+    # pair (each action is transitive) and the translation law
+    # g theta(c, b) = theta(g.c, g.b) g for every g, not only at generators
+    for action in BUILTIN_ACTIONS[kind]():
+        cay, table, m = action.group.cayley, action.table, action.base_size
+        reps = _coset_theta(action).reps  # [c, b]
+        g = np.arange(action.group.order)[:, None, None]
+        assert (table[reps, np.arange(m)] == np.arange(m)[:, None]).all()
+        assert (cay[g, reps] == cay[reps[table[:, :, None], table[:, None, :]], g]).all()
 
 
-@pytest.mark.parametrize("name", ["cyclic(8)", "dihedral(5)", "dihedral(4, bundle=sign)", "torus(6)", "square+centre"])
-def test_derive_theta_matches_reference(name):
-    action = _square_and_centre() if name == "square+centre" else build_scenario(name).action
-    full = (action.coset_reps >= 0).T
-    # a support that is not invariant: each orbit is seeded at its first kept pair
-    keep = SplitMix64(11).uniforms(full.shape, 0.0, 1.0) < 0.3
-    for support in (full, full & keep, full & keep.T):
-        assert np.array_equal(derive_theta(action, support).reps, reference_derive_theta(action, support))
-
-
-def test_derive_theta_matches_reference_on_kernel_supports():
-    for spec in ("torus-bands(16)", "dihedral(4, bundle=sign)"):
-        scn = build_scenario(spec)
-        support = scn.kernel.support
-        assert np.array_equal(derive_theta(scn.action, support).reps, reference_derive_theta(scn.action, support))
+@pytest.mark.parametrize("spec", sorted(json.loads((Path(__file__).parent / "golden" / "scenario-sha256.json").read_text())))
+def test_each_builtin_theta_is_the_reference_search(spec):
+    # the coset table is what the search for a compatible theta finds: on
+    # the kernel's support for a global theta, on every pair for a derived one
+    scn = build_scenario(spec)
+    name = "global" if "global" in scn.thetas else "derived"
+    support = scn.kernel.support if name == "global" else (scn.action.coset_reps >= 0).T
+    assert np.array_equal(scn.thetas[name].reps, reference_derive_theta(scn.action, support))
 
 
 def test_an_off_orbit_support_pair_is_an_obstruction():
@@ -186,7 +167,7 @@ def test_an_off_orbit_support_pair_is_an_obstruction():
     support = (action.coset_reps >= 0).T
     support[4, 0] = True
     with pytest.raises(DomainError, match=r"pair stabilizer at \(c=4, b=0\)"):
-        derive_theta(action, support)
+        reference_derive_theta(action, support)
 
 
 def test_derivation_obstruction_reported():
@@ -198,8 +179,8 @@ def test_derivation_obstruction_reported():
         i = g % 4
         table[g] = (i + np.arange(2)) % 2
     action = GroupAction(grp, ("d0", "d1"), table)
-    with pytest.raises(DomainError):
-        derive_theta(action)
+    with pytest.raises(DomainError, match="no orbit-map section is compatible"):
+        reference_derive_theta(action, (action.coset_reps >= 0).T)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from equicorr.measures import (
 )
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_kernel, random_violating_kernel
-from equicorr.scenarios import build_scenario, derive_theta
+from equicorr.scenarios import build_scenario
 from equicorr.serialize import Scenario
 from equicorr.transforms import (
     Kernel,
@@ -33,7 +33,14 @@ from equicorr.transforms import (
 )
 from equicorr.xcorr import Filter, _faint_constraint, correlate_sections, validate_filter
 
-from helpers import act_on_section, coset_project_filter_to_kernel, mul, permutation_representation, s4_on_four_and_two
+from helpers import (
+    act_on_section,
+    coset_project_filter_to_kernel,
+    mul,
+    permutation_representation,
+    reference_derive_theta,
+    s4_on_four_and_two,
+)
 from test_streaming import two_orbit_filter
 
 
@@ -306,9 +313,9 @@ def test_theta_translation_violation_counted():
     assert any("translation" in name for name in failed)
 
 
-def test_derive_theta_round_trips_scenarios(dihedral4, cyclic8, torus8):
+def test_the_coset_theta_round_trips_scenarios(dihedral4, cyclic8, torus8):
     for scn in (dihedral4, cyclic8, torus8):
-        theta = derive_theta(scn.action)
+        theta = ThetaMap(scn.action, scn.action.coset_reps.T)
         assert validate_theta(theta, scn.kernel).passed
 
 
@@ -459,7 +466,7 @@ def test_a_dirac_delta_needs_the_translation_law_that_s4_denies(name):
     kern, nu = S4_KERNELS[name]
     action = kern.action
     with pytest.raises(DomainError, match="no orbit-map section is compatible"):
-        derive_theta(action)
+        reference_derive_theta(action, (action.coset_reps >= 0).T)
     theta = ThetaMap(action, action.coset_reps.T)
     section, translation = validate_theta(theta, kern).checks
     assert section.passed and not translation.passed
