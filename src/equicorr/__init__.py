@@ -28,7 +28,7 @@ _EXPORTS = {
         "EquivariantBundle", "MackeySection", "Section", "representation_bundle", "section_to_mackey", "sign_bundle",
         "trivial_bundle", "validate_bundle",
     ),
-    "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "PreconditionError", "StructuralError"),
+    "errors": ("DegenerateMeasureError", "DomainError", "EquicorrError", "StructuralError"),
     "groups": (
         "FiniteGroup", "GroupAction", "cyclic_group", "dihedral_group", "direct_product", "orbits", "stabilizer",
         "validate_action", "validate_group",
@@ -36,7 +36,7 @@ _EXPORTS = {
     "measures": (
         "DeltaFunction", "GroupMeasureFamily", "OrbitMeasureFamily", "PsiFunction", "StabilizerMeasureFamily",
         "construct_normalized_families", "counting_family", "counting_stabilizer_family", "dirac_delta",
-        "fubini_pointwise_residual", "psi_indicator_identity", "solve_orbit_family", "solve_orbit_measure",
+        "fubini_pointwise_residual", "psi_indicator_identity", "solve_orbit_family",
         "validate_delta", "validate_families", "validate_psi",
     ),
     "reporting": ("Check", "ValidationReport", "check_from_residual"),

@@ -1,8 +1,8 @@
 """Exception taxonomy.
 
 Structural problems (wrong shapes, out-of-range indices, entries outside
-their legal support), bad parameters and unmet preconditions of a
-construction raise immediately.  The laws of stored data never raise: a
+their legal support), bad parameters and a measure with no mass where a
+construction divides by it raise immediately.  The laws of stored data never raise: a
 filter off its constraint or a theta that misses the kernel support or
 breaks a law is reported through a validation report with a witness, so
 callers can decide what a violation means for them.
@@ -26,6 +26,3 @@ class DomainError(EquicorrError):
 class DegenerateMeasureError(EquicorrError):
     """A measure that must be strictly positive somewhere vanishes there."""
 
-
-class PreconditionError(EquicorrError):
-    """A numerical precondition of an operation fails beyond tolerance."""

@@ -16,8 +16,8 @@ The three are linked by the disintegration identity
 
 for every real function f on the group, where k_c is any coset
 representative with k_c.b = c; the constant weight nu_b makes the inner
-sum independent of which representative is chosen.  solve_orbit_measure
-inverts it for mubar when mu_b has constant weight.
+sum independent of which representative is chosen.  solve_orbit_family
+reads mubar off it at the indicators of the representatives, for any mu.
 
 Normalized families are built from a positive weight function psi(h, b)
 that is conjugation-compatible, psi(g h g^-1, g.b) = psi(h, b), and does
@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
-from .groups import GroupAction, _float_table, _rows
+from .errors import DegenerateMeasureError, DomainError, StructuralError
+from .groups import GroupAction, _float_table, _row_blocks, _rows
 from .reporting import ValidationReport, _count, _local, _worst
-
-SOLVE_TOLERANCE = 1e-9  # spread of mu_b that solve_orbit_measure still reads as constant
 
 
 class GroupMeasureFamily:
@@ -183,35 +181,32 @@ def fubini_pointwise_residual(
     return _worst(_rows(action.base_size, action.group.order, defect, _local))
 
 
-def solve_orbit_measure(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, b: int) -> np.ndarray:
-    """Solve the disintegration identity for the orbit weights at b.
+def solve_orbit_family(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily) -> OrbitMeasureFamily:
+    """Solve the disintegration identity for the orbit family, every b at once.
 
-    Testing against coset indicator functions decouples the unknowns:
+    At the indicator of one element h the identity reads
+    mu_b(h) = mubar_b(h.b) nu_b (fubini_pointwise_residual); at h = k_c,
+    the coset representative of c, it gives
 
-        mubar_b(c) = mu_b(k_c G_b) / nu_b(G_b),  nu_b(G_b) = nu_b |G_b|.
+        mubar_b(c) = mu_b(k_c) / nu_b
 
-    Requires mu_b constant (Haar), to within SOLVE_TOLERANCE, and a
-    stabilizer of positive nu-mass: a positive weight on a nonempty G_b.
-    Returns a full-length weight row (zero off the orbit).
+    exactly, for any mu, and 0 off the orbit.  The identity then holds
+    exactly when mu_b is constant on each coset k_c G_b, which
+    families.disintegration-pointwise decides.  A stabilizer of no nu-mass,
+    nu_b |G_b| not > 0 (a NaN included), is refused, naming the first b.
     """
     action = mu.action
-    stab = action.stabilizers[b]
-    members = np.flatnonzero(action.coset_reps[b] >= 0)
-    kh = action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
-    nu_mass = float(nu.weights[b] * stab.size)
-    if nu_mass <= 0:
+    m = action.base_size
+    massless = ~(nu.weights > 0) | np.array([stab.size == 0 for stab in action.stabilizers])
+    if massless.any():
+        b = int(np.flatnonzero(massless)[0])
         raise DegenerateMeasureError(f"stabilizer weights at b={b} must be strictly positive")
-    w = mu.weights[b]
-    if w.size and float(w.max() - w.min()) > SOLVE_TOLERANCE:
-        raise PreconditionError(f"group family at b={b} is not constant; cannot solve for orbit weights")
-    row = np.zeros(action.base_size)
-    row[members] = w[kh].sum(axis=1) / nu_mass
-    return row
-
-
-def solve_orbit_family(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily) -> OrbitMeasureFamily:
-    rows = [solve_orbit_measure(mu, nu, b) for b in range(mu.action.base_size)]
-    return OrbitMeasureFamily(mu.action, np.stack(rows, axis=0))
+    weights = np.zeros((m, m))
+    for rows in _row_blocks(m, m):
+        reps = action.coset_reps[rows]  # [b, c] -> k_c, -1 off the orbit
+        solved = mu.weights[np.arange(m)[rows, None], reps] / nu.weights[rows, None]
+        weights[rows] = np.where(reps >= 0, solved, 0.0)
+    return OrbitMeasureFamily(action, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +275,9 @@ def dirac_delta(nu: StabilizerMeasureFamily) -> DeltaFunction:
     action = nu.action
     e = action.group.identity
     w = nu.weights
-    if np.any(w <= 0):
-        b = int(np.flatnonzero(w <= 0)[0])
+    massless = ~(w > 0)  # a NaN weight is no mass
+    if massless.any():
+        b = int(np.flatnonzero(massless)[0])
         raise DegenerateMeasureError(f"nu gives the identity no mass at b={b}")
     vals = np.zeros((action.group.order, action.base_size))
     vals[e, :] = 1.0 / w

@@ -109,10 +109,12 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def worst(self) -> Check | None:
+        """The live check of the largest residual, the first on a tie; the
+        first NaN is the largest, as in _worst."""
         live = [c for c in self.checks if not c.skipped]
         if not live:
             return None
-        return max(live, key=lambda c: c.residual)
+        return next((c for c in live if math.isnan(c.residual)), None) or max(live, key=lambda c: c.residual)
 
     def sorted(self) -> "ValidationReport":
         return ValidationReport(sorted(self.checks, key=lambda c: c.name))

@@ -11,7 +11,7 @@ import numpy as np
 
 from equicorr.battery import _LAWS, _STRUCTURAL, BUNDLE_TOLERANCE, _Inputs, _report, _view
 from equicorr.bundles import MackeySection, Section, _induced_rows, section_to_mackey
-from equicorr.errors import DomainError, PreconditionError, StructuralError
+from equicorr.errors import DegenerateMeasureError, DomainError, StructuralError
 from equicorr.groups import FiniteGroup, GroupAction, _rows, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.reporting import DEFAULT_TOLERANCE, ValidationReport, _count, _local, _worst, check_from_residual
@@ -144,7 +144,7 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
     # are closed under products, so a generating set decides it exactly
     _, witness = _count((lambda h: (g, h), values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values) for g in grp.generators)
     if witness is not None:
-        raise PreconditionError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
+        raise DomainError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)
     return PsiFunction(action, vals)
 
@@ -195,6 +195,27 @@ def reference_derive_theta(action: GroupAction, support: np.ndarray) -> np.ndarr
                     reps[gc, gb] = conjugate(grp, g, k0)
                     seen[gc, gb] = True
     return reps
+
+
+def reference_solve_orbit_measure(mu: GroupMeasureFamily, nu: StabilizerMeasureFamily, b: int) -> np.ndarray:
+    """The coset-sum solve of the disintegration identity at one b: tested
+    against the indicator of each coset k_c G_b, it gives
+
+        mubar_b(c) = mu_b(k_c G_b) / (nu_b |G_b|),
+
+    the mean of mu_b over the coset over nu_b, and 0 off the orbit.  It
+    agrees with the representative's weight mu_b(k_c) / nu_b when mu_b is
+    constant on each coset.  A stabilizer of no nu-mass is refused."""
+    action = mu.action
+    stab = action.stabilizers[b]
+    members = np.flatnonzero(action.coset_reps[b] >= 0)
+    kh = action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
+    nu_mass = float(nu.weights[b] * stab.size)
+    if not nu_mass > 0:
+        raise DegenerateMeasureError(f"stabilizer weights at b={b} must be strictly positive")
+    row = np.zeros(action.base_size)
+    row[members] = mu.weights[b][kh].sum(axis=1) / nu_mass
+    return row
 
 
 def random_group_function(group: FiniteGroup, rng: SplitMix64) -> np.ndarray:

@@ -1087,7 +1087,7 @@ def test_import_equicorr_loads_no_module_and_validate_leaves_the_builders_unload
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120)
     lines = proc.stderr.splitlines()
     assert lines[0] == "[]"
-    assert lines[-2:] == ["0 []", "[] True 66"]
+    assert lines[-2:] == ["0 []", "[] True 64"]
 
 
 MALFORMED_SPECS = [

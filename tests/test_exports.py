@@ -67,7 +67,7 @@ RETIRED_NAMES = (
     "act_on_section", "act_on_mackey", "mackey_to_section", "validate_mackey", "psi_from_class_function",
     "compressed_filter_to_dict", "_sparse_row", "_dense_row", "_DECIMAL",
     "group_from_tables", "table_from_generators", "_tree_edges", "generating_set", "_mackey_preserved", "_periodicity",
-    "derive_theta", "pair_stabilizer",
+    "derive_theta", "pair_stabilizer", "solve_orbit_measure", "SOLVE_TOLERANCE", "PreconditionError",
 )
 
 # public members that nothing in the package reads, kept on purpose: the

@@ -25,7 +25,7 @@ from equicorr.measures import (
     counting_family,
     counting_stabilizer_family,
     psi_indicator_identity,
-    solve_orbit_measure,
+    solve_orbit_family,
     validate_families,
     validate_psi,
 )
@@ -291,7 +291,7 @@ def test_an_empty_stabilizer_reads_through_the_api():
     assert nu.weights.tolist() == [1.0] * 4  # the weight of each element of G_b: none at b=1
     mu = counting_family(action)
     with pytest.raises(DegenerateMeasureError, match="stabilizer weights at b=1 must be strictly positive"):
-        solve_orbit_measure(mu, nu, 1)
+        solve_orbit_family(mu, nu)
     checks = {c.name: c for c in validate_families(mu, nu, counting_orbit_family(action)).checks}
     assert checks["family-nu-conjugation"].residual == 0.0
     psi = psi_indicator_identity(action)

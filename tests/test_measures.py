@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from equicorr import groups
 from equicorr.bundles import _orbit_slice
-from equicorr.errors import DegenerateMeasureError, DomainError, PreconditionError, StructuralError
+from equicorr.battery import _view
+from equicorr.errors import DegenerateMeasureError, DomainError, StructuralError
 from equicorr.groups import stabilizer
 from equicorr.measures import (
     DeltaFunction,
@@ -20,7 +24,6 @@ from equicorr.measures import (
     fubini_pointwise_residual,
     psi_indicator_identity,
     solve_orbit_family,
-    solve_orbit_measure,
     validate_delta,
     validate_families,
     validate_psi,
@@ -37,10 +40,12 @@ from helpers import (
     normalization_residual,
     psi_from_class_function,
     random_group_function,
+    reference_solve_orbit_measure,
     retired_alone,
     s4_on_four_and_two,
     traced_peak,
 )
+from test_bundles import _mixed_dim_bundle
 from test_streaming import two_orbit_filter
 
 
@@ -137,7 +142,7 @@ def test_solved_orbit_measure_values():
     action = dihedral_vertex_action(4)
     mu = counting_family(action, 3.0)
     nu = counting_stabilizer_family(action, 1.0)
-    w = solve_orbit_measure(mu, nu, 0)
+    w = solve_orbit_family(mu, nu).weights[0]
     assert np.allclose(w[action.coset_reps[0] >= 0], 3.0)
 
 
@@ -157,14 +162,78 @@ def test_mass_off_a_stabilizer_is_refused(value):
         DeltaFunction(action, delta)
 
 
-def test_solve_orbit_measure_requires_haar():
+SOLVE_SPECS = sorted(json.loads((Path(__file__).parent / "golden" / "scenario-sha256.json").read_text()))
+SOLVE_ACTIONS = {
+    "S4 on 4 and 2": s4_on_four_and_two,
+    "Z4 on Z4 and inf": lambda: two_orbit_filter()[0].action,
+    "dihedral(4) on the square and its centre": lambda: _mixed_dim_bundle().action,
+}
+# the coset sum adds |G_b| copies of one weight, which rounds: line-grid(6)'s
+# sum of 6 copies of dx over 6 is 1 ulp off dx, its representative's weight
+WITHIN_ONE_ULP = {"line-grid(6)"}
+
+
+@pytest.mark.parametrize("name", SOLVE_SPECS + sorted(SOLVE_ACTIONS))
+def test_the_solve_is_the_coset_sum_solve_on_a_haar_family(name):
+    if name in SOLVE_ACTIONS:
+        action = SOLVE_ACTIONS[name]()
+        mu, nu = counting_family(action, 0.75), counting_stabilizer_family(action, 1.25)
+    else:
+        scn = build_scenario(name)
+        action, mu, nu = scn.action, scn.mu, scn.nu
+    solved = solve_orbit_family(mu, nu).weights
+    reference = np.stack([reference_solve_orbit_measure(mu, nu, b) for b in range(action.base_size)])
+    if name in WITHIN_ONE_ULP:
+        assert not np.array_equal(solved, reference)
+        assert np.all(np.abs(solved - reference) <= np.spacing(reference))
+    else:
+        assert np.array_equal(solved, reference)
+
+
+def _base_pair_orbits(action) -> np.ndarray:
+    """(|B|, |B|): [b, c] -> the index of the orbit of (b, c) under
+    g.(b, c) = (g.b, g.c), numbered by first pair in row-major order."""
+    label = np.full((action.base_size, action.base_size), -1)
+    for b, c in np.ndindex(*label.shape):
+        if label[b, c] < 0:
+            label[action.table[:, b], action.table[:, c]] = label.max() + 1
+    return label
+
+
+def _pair_orbit_family(action) -> GroupMeasureFamily:
+    """mu_b(h) = (1, 2, 3)[the orbit of the pair (b, h.b)]: conjugation-
+    compatible, constant on each coset k_c G_b and not Haar."""
+    label = _base_pair_orbits(action)
+    assert label.max() == 2
+    b = np.arange(action.base_size)[:, None]
+    return GroupMeasureFamily(action, np.array([1.0, 2.0, 3.0])[label[b, action.table.T]])
+
+
+def test_a_family_that_is_not_haar_is_solved_exactly():
+    # dihedral(4) on the square: the pairs at distance 0, 1 and 2 weigh 1, 2
+    # and 3; the coset-sum solve refused a mu_b that is not constant
     action = dihedral_vertex_action(4)
-    weights = np.ones((4, 8))
-    weights[0, 3] = 2.0  # not conjugation-compatible as a haar family
-    mu = GroupMeasureFamily(action, weights, haar=False)
-    nu = counting_stabilizer_family(action, 1.0)
-    with pytest.raises(PreconditionError):
-        solve_orbit_measure(mu, nu, 0)
+    mu, nu = _pair_orbit_family(action), counting_stabilizer_family(action)
+    mubar = solve_orbit_family(mu, nu)
+    assert mubar.weights[0].tolist() == [1.0, 2.0, 3.0, 2.0]
+    checks = _view("families.", 0.0, mu=mu, nu=nu, mubar=mubar).checks
+    assert {c.name: c.residual for c in checks} == {  # haar=False: no haar-flag row
+        "family-mu-conjugation": 0.0,
+        "family-nu-conjugation": 0.0,
+        "family-mubar-pushforward": 0.0,
+        "disintegration-pointwise": 0.0,
+    }
+
+
+def test_a_family_not_constant_on_a_coset_has_its_defect_named():
+    # element 5, a reflection, is no coset representative at b = 0: the
+    # solve reads the smaller rotation that moves 0 where 5 does, and the
+    # identity misses mu_0(5) by the bump
+    action = dihedral_vertex_action(4)
+    weights = _pair_orbit_family(action).weights
+    weights[0, 5] += 0.5
+    mu, nu = GroupMeasureFamily(action, weights), counting_stabilizer_family(action)
+    assert fubini_pointwise_residual(mu, nu, solve_orbit_family(mu, nu)) == (0.5, (0, 5))
 
 
 @pytest.mark.parametrize("value", [2.0, np.nan])
@@ -180,12 +249,15 @@ def test_haar_flag_names_the_base_point_of_a_corrupted_weight(value):
     assert not check.passed and check.witness == (2,)
 
 
-def test_solve_orbit_measure_rejects_zero_nu_mass():
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_a_stabilizer_weight_that_is_not_above_zero_is_refused(value):
+    # a NaN is not <= 0: it gave a NaN orbit row and a NaN delta column
     action = dihedral_vertex_action(4)
-    mu = counting_family(action, 1.0)
-    zero = StabilizerMeasureFamily(action, np.zeros(4))
-    with pytest.raises(DegenerateMeasureError):
-        solve_orbit_measure(mu, zero, 0)
+    nu = StabilizerMeasureFamily(action, [1.0, value, 1.0, 1.0])
+    with pytest.raises(DegenerateMeasureError, match="^stabilizer weights at b=1 must be strictly positive$"):
+        solve_orbit_family(counting_family(action), nu)
+    with pytest.raises(DegenerateMeasureError, match="^nu gives the identity no mass at b=1$"):
+        dirac_delta(nu)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -29,7 +29,7 @@ import pytest
 
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle
 from equicorr.cli import main
-from equicorr.errors import PreconditionError, StructuralError
+from equicorr.errors import DomainError, StructuralError
 from equicorr.groups import (
     INDEX_DTYPE,
     FiniteGroup,
@@ -490,7 +490,7 @@ def test_class_function_check_names_a_generator():
     action = build_scenario("dihedral(4)").action
     values = np.zeros(action.group.order)
     values[1] = 1.0  # r1 is conjugate to r3 under the reflections
-    with pytest.raises(PreconditionError, match="g=4"):
+    with pytest.raises(DomainError, match="g=4"):
         psi_from_class_function(action, values)
 
 

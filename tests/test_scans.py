@@ -13,12 +13,13 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr import groups
 from equicorr.groups import _rows
-from equicorr.reporting import _count, _local, _worst
+from equicorr.reporting import Check, ValidationReport, _count, _local, _worst
 
 from helpers import traced_peak
 
@@ -119,3 +120,12 @@ def test_each_part_is_released_before_the_next_is_drawn():
         parts = ((_local, np.ones(size // np.dtype(dtype).itemsize, dtype=dtype)) for _ in range(4))
         (_, witness), peak = traced_peak(lambda: scan(parts))
         assert witness == (0,) and peak < bound * size
+
+
+@pytest.mark.parametrize("residuals", [(math.nan, 0.5), (0.5, math.nan), (0.5, 2.0, math.nan, math.nan), (2.0, 0.5, 2.0)])
+def test_a_reports_worst_check_is_the_one_worst_scans_to(residuals):
+    # the first NaN is the largest in either order of the checks; max() over
+    # the residuals returned the NaN only when it came first
+    checks = [Check(f"c{i}", r, 1.0, False) for i, r in enumerate(residuals)]
+    _, (i,) = _worst([(_local, np.array(residuals))])
+    assert ValidationReport(checks).worst() is checks[i]
