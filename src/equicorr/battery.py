@@ -43,8 +43,10 @@ law is vacuous on that orbit.
 
 What the group constructor guarantees has no row (row e and column e of
 the table are the identity, inv holds right inverses), and neither has
-what another row decides: psi's total mass at b (psi >= 0, psi-conjugation
-reads every entry), or Mackey preservation, which `xcorr.equivariance`
+what another row decides: the left inverses (an associative table with a
+two-sided identity and right inverses is a group, so group-associativity
+decides them), psi's total mass at b (psi >= 0, psi-conjugation reads
+every entry), or Mackey preservation, which `xcorr.equivariance`
 decides, as (omega * f~)(h, .) = T(h^-1.f) for the induced map T.
 
 The battery draws nothing at random, and the report is sorted by check
@@ -172,8 +174,6 @@ def _agreement(lhs: np.ndarray, rhs: np.ndarray, fubini: tuple) -> tuple[float, 
 # the rows, (report name, inputs read, tolerance kind, scan): the structural
 # ones, then, in _LAWS, the battery's own
 _STRUCTURAL = (
-    ("group.group-inverse-left", ("group",), "exact",  # x^-1 x = e
-     lambda g: _count([(lambda x: (int(g.inv[x]), x), g.cayley[g.inv, np.arange(g.order)] != g.identity)])),
     ("group.group-associativity", ("group",), "exact", groups._associativity),
     ("action.action-identity", ("action",), "exact",  # e.b = b
      lambda a: _count([(lambda b: (a.group.identity, b), a.table[a.group.identity] != np.arange(a.base_size))])),

@@ -71,7 +71,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _float_table, _row_blocks
+from .groups import GroupAction, _check_budget, _distinct, _float_table, _row_blocks
 from .reporting import ValidationReport, _count, _worst
 
 
@@ -166,12 +166,15 @@ def _padding_zero(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
 
 
 def _cocycle(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
-    action, A, grp = bundle.action, bundle.act_matrix, bundle.action.group
+    action, A = bundle.action, bundle.act_matrix
+    hs = [np.sort(np.concatenate([action.stabilizers[b0], _movers(action, b0)])) for b0 in action.domain]
+    at = _distinct(np.concatenate(hs), action.group.order)
+    right = action.group.columns(at)  # [g, j] = g at[j], every column the scan reads, in one pass
 
     def columns():  # [g] -> defect of the instance (g, h, b0), one column of all g at a time
-        for b0 in action.domain:
-            for h in np.sort(np.concatenate([action.stabilizers[b0], _movers(action, b0)])):
-                defect = A[grp.cayley[:, h], b0] - A[:, action.table[h, b0]] @ A[h, b0]
+        for b0, hs_b0 in zip(action.domain, hs):
+            for h, j in zip(hs_b0, np.searchsorted(at, hs_b0)):
+                defect = A[right[:, j], b0] - A[:, action.table[h, b0]] @ A[h, b0]
                 yield (lambda g: (g, int(h), b0)), np.abs(defect).max(axis=(1, 2), initial=0.0)
 
     return _worst(columns())
@@ -224,10 +227,14 @@ def _movers(action: GroupAction, b0: int) -> np.ndarray:
     return reps[(reps >= 0) & (np.arange(action.base_size) != b0)]
 
 
-def _move(action: GroupAction, conjugate: bool, g: np.ndarray) -> np.ndarray:
-    """[i, r] -> g_i.r: rows are group elements moved by conjugation, or base points."""
-    grp = action.group
-    return grp.cayley[grp.cayley[g], grp.inv[g][:, None]] if conjugate else action.table[g]
+def _move_back(action: GroupAction, conjugate: bool, g: np.ndarray) -> np.ndarray:
+    """[i, r] -> g_i^-1.r: rows are group elements moved by conjugation, read
+    from the action's conjugation table (g among its elements), or base
+    points."""
+    if not conjugate:
+        return action.table[action.group.inv[g]]
+    at, moved = action.conjugation
+    return moved[np.searchsorted(at, g)]
 
 
 def _carry(
@@ -241,10 +248,10 @@ def _carry(
 ) -> np.ndarray:
     """[i, r] -> A_out(g_i, b0) v(g_i^-1.r, b0) A_in(g_i^-1, r'): the rows of
     the table at b0 carried by each g_i, with r' as in _orbit_slice."""
-    ginv = action.group.inv[g]
-    rows = values[_move(action, conjugate, ginv), b0]
+    rows = values[_move_back(action, conjugate, g), b0]
     if a_out is None:
         return rows
+    ginv = action.group.inv[g]
     back = a_in[ginv, action.table[g, b0]][:, None] if conjugate else a_in[ginv[:, None], np.arange(len(values))]
     return a_out[g, b0][:, None] @ rows @ back
 
@@ -273,10 +280,9 @@ def _orbit_slice(
     fundamental-domain order, then row-major over (g, r)), carrying the
     elements a block at a time (_blocks).
     """
-    grp = action.group
 
     def instance(b0, g):  # [i, r, ...] -> place(g_i, g_i^-1.r, b0)
-        return lambda i, r, *_: place(int(g[i]), int(_move(action, conjugate, grp.inv[g[[i]]])[0, r]), b0)
+        return lambda i, r, *_: place(int(g[i]), int(_move_back(action, conjugate, g[[i]])[0, r]), b0)
 
     def parts():  # [i, r, ...] -> the row carried by g_i from b0 minus the table's
         for b0 in action.domain:

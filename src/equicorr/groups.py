@@ -1,44 +1,56 @@
 """Finite groups and their actions on finite base sets.
 
-Groups are explicit Cayley tables over dense 0-based element indices;
-actions are explicit (group x base) tables.  Everything downstream indexes
-into these tables, so element order is part of a group's identity: two
-groups with the same multiplication but different element order are
-different objects here.
+Groups and actions are over dense 0-based element indices; actions are
+explicit (group x base) tables.  Everything downstream indexes into these
+tables, so element order is part of a group's identity: two groups with
+the same multiplication but different element order are different objects
+here.
 
 A group is defined by the left multiplications λ_s of a generating set S,
 the rows a scenario file stores: FiniteGroup(elements, identity, left)
-derives its Cayley table by one breadth-first walk of λ_S from the
-identity (Cayley's theorem) and its inverses, once, at construction.  S,
-the elements s = λ_s(e) in stored order, is the group's one generating
-set: every generator-based check reads it, and nothing derives another
-from the table.  An action stored by its rows at S is rebuilt along the
-same walk (action_table).
+derives a breadth-first walk of λ_S from the identity, once, at
+construction.  The walk is the Schreier vector of e under λ_S (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): it
+stands for the Cayley table without storing it, since row y of the table
+is λ_i after row p for the tree edge y = λ_i(p) (Cayley's theorem).  One
+pass over the rows, holding only the tree's frontier, derives the
+inverses and the columns at S.  A scan asks the group for the rows or the
+columns it reads (FiniteGroup.rows, FiniteGroup.columns), each composed
+along the walk in one pass, so it gets the values a table built by the
+walk would hold, for any stored rows, and no (|G|, |G|) table is built
+unless a scan reads every row or every column.  S, the elements s =
+λ_s(e) in stored order, is the group's one generating set: every
+generator-based check reads it.  An action stored by its rows at S is
+rebuilt along the same walk (action_table).
 
 Likewise each action derives its coset representatives once: the section
 k_c of the orbit map k -> k.b that takes the smallest k with k.b = c.
 Projection, disintegration, the orbit-slice laws and every built-in
-scenario's theta all read this one table.  Its fundamental domain, the smallest base index of
-each orbit, and the stabilizer Stab(b) of each base point are derived in
-the same pass: b is a domain point exactly when no c < b lies in its
-orbit.  By the orbit-stabilizer theorem the stabilizers hold k |G|
+scenario's theta all read this one table.  Its fundamental domain, the
+smallest base index of each orbit, and the stabilizer Stab(b) of each
+base point are derived in the same pass: b is a domain point exactly
+when no c < b lies in its orbit.  By the orbit-stabilizer theorem the stabilizers hold k |G|
 elements in all for an action with k orbits; every reader of Stab(b)
-reads them there, and none rescans the action table.
+reads them there, and none rescans the action table.  The orbit-slice
+laws that move group elements by conjugation read one table more,
+derived on first read (GroupAction.conjugation).
 
 Axioms are checked numerically, not assumed: validate_group and
 validate_action scan the tables exactly and report every violated axiom
 with an offending tuple.  Row e, column e and the right inverses hold by
-construction; the left inverse law is checked at every element, and
-associativity exactly on the commutators of the stored rows λ_s with the
-columns at S, by a centralizer argument (validate_group), |S|^2 |G|
-entries that the constructor budgets.  Action compatibility is checked for
-every generator in S, which is exact: the elements that satisfy it are
-closed under products.
+construction, and associativity is checked exactly on the commutators of
+the stored rows λ_s with the columns at S, by a centralizer argument
+(validate_group), |S|^2 |G| entries that the constructor budgets.  An
+associative table with a two-sided identity and right inverses is a
+group, so that decides the left inverses too.  Action compatibility is
+checked for every generator in S, which is exact: the elements that
+satisfy it are closed under products.
 """
 
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 
 import numpy as np
@@ -52,9 +64,10 @@ _ENTRY_BUDGET = 1 << 26  # largest table a constructor allocates: 128 MiB of int
 # torus-bands(32), so the scans there run in blocks, not as one block
 _BLOCK_ENTRIES = 1 << 14
 
-# dtype of every index table (cayley, inv, action table, coset_reps, theta
-# reps).  The budget bounds |G| and |B| by 2^13, so an index fits, but a
-# product of two (up to 2^26) does not: form one in np.intp.
+# dtype of every index table (walk, inv, product tables, action table,
+# coset_reps, theta reps).  _check_order bounds |G| and the budget |B| by
+# its range, so an index fits, but a product of two does not: form one in
+# np.intp.
 INDEX_DTYPE = np.int16
 
 
@@ -90,6 +103,14 @@ def _rows(count: int, row_entries: int, grid_of, place):
         yield (lambda r, *at: place(rows.start + r, *at)), grid_of(rows)
 
 
+def _distinct(elements, n: int) -> np.ndarray:
+    """The distinct entries of an index array into range(n), ascending,
+    read off a mask over range(n) (np.unique's hash path imports numpy.ma)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[elements] = True
+    return np.flatnonzero(mask)
+
+
 def _leaf_types(table, depth: int) -> set[type]:
     """The types of the entries of a nested sequence `depth` levels deep."""
     for _ in range(depth - 1):
@@ -117,18 +138,23 @@ def _float_table(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_order(n: int) -> None:
-    """Raise DomainError before anything of a group whose Cayley table is over the budget is built."""
-    _check_budget(f"a ({n}, {n}) cayley table", n * n)
+    """Raise DomainError before anything of a group whose element indices
+    would not fit in INDEX_DTYPE is built."""
+    top = int(np.iinfo(INDEX_DTYPE).max)
+    if n > top:
+        raise DomainError(f"a group of {n:,} elements is past the {np.dtype(INDEX_DTYPE).name} index range of {top:,}")
 
 
 class FiniteGroup:
     """Explicit finite group, defined by labels, the identity index and the
     left multiplications left[i] = λ_s of a generating set S, s = left[i][e]
     (empty for the trivial group), the rows a scenario file stores.  The
-    Cayley table, with the walk that built it, and the inverses are derived
-    from them once; S is the group's generating set.  Rows that leave an
-    element unreached, a table row without the identity, or an |S|^2 |G|
-    over the budget are refused; the group axioms are left to validate_group."""
+    walk, the inverses and the columns at S are derived from them once; S
+    is the group's generating set.  No Cayley table is stored: rows and
+    columns hand out its rows and columns at the elements a scan reads,
+    each composed along the walk.  Rows that leave an element unreached, a
+    table row without the identity, or an |S|^2 |G| over the budget are
+    refused; the group axioms are left to validate_group."""
 
     def __init__(self, elements: tuple[str, ...], identity: int, left):
         n = len(elements)
@@ -142,20 +168,81 @@ class FiniteGroup:
         self.left = _index_table(left.reshape(0, n) if left.shape == (0,) else left, "group left", (len(left), n), n)
         k = len(self.left)
         _check_budget(f"a ({k}, {k}, {n}) associativity scan", k * k * n)
-        # derived: cayley[g, h] = g*h, and walk[k] = (y, p, i), the k-th tree edge y = λ_i(p) that built row y
-        self.cayley, self.walk = _walk(self.left, identity)
-        self.inv = np.empty(n, dtype=INDEX_DTYPE)  # the first right inverse of each element, derived
-        for rows in _row_blocks(n, n):  # one block of rows compared at a time
-            hits = self.cayley[rows] == identity
-            found = hits.any(axis=1)
-            if not found.all():
-                raise StructuralError(f"element {int(found.argmin()) + rows.start} has no right inverse")
-            self.inv[rows] = hits.argmax(axis=1)
+        self.walk = _walk(self.left, identity)  # derived: walk[k] = (y, p, i), the k-th tree edge y = λ_i(p)
         self.generators: list[int] = self.left[:, identity].tolist()  # S, s = λ_s(e), in stored order
+        # derived from every row of the table, a row block at a time: the first
+        # right inverse of each element, and right[x, j] = x s_j, the columns at S
+        self.inv = np.empty(n, dtype=INDEX_DTYPE)
+        self.right = np.empty((n, k), dtype=INDEX_DTYPE)
+        lacking = n
+        for ys, rows in _blocked(self._composed(), n, n):
+            hits = rows == identity
+            self.inv[ys] = first = hits.argmax(axis=1)
+            self.right[ys] = rows[:, self.generators]
+            lacking = min(lacking, ys[~hits[np.arange(len(ys)), first]].min(initial=n))
+        if lacking < n:
+            raise StructuralError(f"element {lacking} has no right inverse")
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def rows(self, at) -> np.ndarray:
+        """[r, x] -> at[r] x: the table's rows at the elements at, each
+        composed along the walk (_composed) in one pass over the ancestors
+        of all of them, so a scan asks once for every row it reads."""
+        at = np.asarray(at, dtype=np.intp)
+        n = self.order
+        _check_budget(f"a ({at.size}, {n}) product table", at.size * n)
+        slots: dict[int, list[int]] = {}
+        for r, y in enumerate(at.tolist()):
+            slots.setdefault(y, []).append(r)
+        need = bytearray(n)
+        for y in slots:
+            need[y] = True
+        ys, ps, _ = _edges(self.walk)
+        for y, p in zip(reversed(ys), reversed(ps)):
+            need[p] |= need[y]  # children come after their parents: the ancestor closure
+        out = np.empty((at.size, n), dtype=INDEX_DTYPE)
+        for y, row in self._composed(np.frombuffer(need, dtype=bool)):
+            for r in slots.get(y, ()):
+                out[r] = row
+        return out
+
+    def columns(self, at) -> np.ndarray:
+        """[y, t] -> y at[t]: the table's columns at the elements at, in one
+        pass down the walk, [y] = λ_i([p]) for the edge y = λ_i(p)."""
+        at = np.asarray(at, dtype=INDEX_DTYPE)
+        _check_budget(f"a ({self.order}, {at.size}) product table", self.order * at.size)
+        return _along_walk(self, self.left, at)
+
+    def conjugates(self, at) -> np.ndarray:
+        """[r, x] -> (at[r] x) at[r]^-1, from the rows at the elements at
+        and the columns at their inverses, gathered a row at a time."""
+        moved, back = self.rows(at), self.columns(self.inv[np.asarray(at, dtype=np.intp)])
+        for r, row in enumerate(moved):
+            back[:, r].take(row, out=row)
+        return moved
+
+    def _composed(self, need: np.ndarray | None = None):
+        """(y, row y of the table) for the identity, then for each walk edge
+        y = λ_i(p) whose y is needed (all, by default), in walk order: row y
+        is left[i] after row p.  need must hold every needed element's
+        parent.  A row is held only while a needed edge still has it as its
+        parent, so beside the rows handed out only the tree's frontier is."""
+        n = self.order
+        edges = self.walk if need is None else self.walk[need[self.walk[:, 0]]]
+        pending = np.bincount(edges[:, 1], minlength=n).tolist()  # needed children not yet composed
+        held = {self.identity: np.arange(n, dtype=INDEX_DTYPE)}
+        yield self.identity, held[self.identity]
+        for y, p, i in zip(*_edges(edges)):
+            row = self.left[i].take(held[p])
+            pending[p] -= 1
+            if not pending[p]:
+                del held[p]
+            if pending[y]:
+                held[y] = row
+            yield y, row
 
 
 class GroupAction:
@@ -186,23 +273,37 @@ class GroupAction:
     def base_size(self) -> int:
         return len(self.base)
 
+    @functools.cached_property
+    def conjugation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, [j, x] -> (v_j x) v_j^-1 for v_j = U[j]^-1): U the elements
+        the orbit-slice laws carry, Stab(b0) and the coset representatives
+        of each fundamental-domain point b0, ascending, and the group's
+        conjugates at their inverses (FiniteGroup.conjugates), each inverse
+        read from inv.  Derived on first read and kept, since every
+        conjugation law of the action reads it: (|U|, |G|) entries, where a
+        table-free scan of each law would compose them anew."""
+        grp, domain = self.group, list(self.domain)
+        reps = self.coset_reps[domain]
+        at = _distinct(np.concatenate([*(self.stabilizers[b] for b in domain), reps[reps >= 0]]), grp.order)
+        moved = grp.conjugates(grp.inv[at])
+        at.flags.writeable = moved.flags.writeable = False  # shared by every reader
+        return at, moved
+
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def _walk(left: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, n) Cayley table generated by the left multiplications
-    left[i] = λ_s, built row by row along a breadth-first spanning tree of
-    λ_S from the identity: row e is the identity permutation, and a tree
-    edge y = s·p gives row y as λ_s(row p), since s·(p·x) = y·x.  Rows,
-    not columns, so that every write is contiguous.  Returned with the
-    tree's (n - 1, 3) edges (y, p, i), y = λ_i(p), in walk order.  Every
-    element must be reached; the group axioms are left to validate_group."""
+def _walk(left: np.ndarray, identity: int) -> np.ndarray:
+    """The (n - 1, 3) edges (y, p, i), y = λ_i(p), of a breadth-first
+    spanning tree of the left multiplications left[i] = λ_s from the
+    identity, in walk order, so that every parent comes before its
+    children.  Row y of the Cayley table is λ_i after row p, since
+    s·(p·x) = y·x, and row e is the identity permutation: the walk stands
+    for the whole table.  Every element must be reached; the group axioms
+    are left to validate_group."""
     n = left.shape[1]
     steps = left.tolist()  # steps[i][p] = s_i p, read as Python ints
-    cayley = np.empty((n, n), dtype=INDEX_DTYPE)
-    cayley[identity] = np.arange(n)
     reached = bytearray(n)
     reached[identity] = True
     tree, edges = [identity], array.array("h")  # INDEX_DTYPE, flat: no Python object per edge
@@ -211,7 +312,6 @@ def _walk(left: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndarray]:
             y = step[p]
             if not reached[y]:
                 reached[y] = True
-                left[i].take(cayley[p], out=cayley[y])
                 tree.append(y)
                 edges.extend((y, p, i))
     if len(tree) < n:
@@ -219,7 +319,39 @@ def _walk(left: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndarray]:
             f"element {reached.index(0)} is not reached from the identity"
             " by left multiplication by the generators"
         )
-    return cayley, np.frombuffer(edges, dtype=INDEX_DTYPE).reshape(n - 1, 3)
+    return np.frombuffer(edges, dtype=INDEX_DTYPE).reshape(n - 1, 3)
+
+
+def _edges(walk: np.ndarray) -> list:
+    """The columns y, p and i of walk edges as flat INDEX_DTYPE arrays,
+    which hand out Python ints one at a time, so no list of them is built."""
+    return [array.array("h", column.tobytes()) for column in walk.T]
+
+
+def _blocked(pairs, count: int, width: int):
+    """count (y, row) pairs, rows of width entries, gathered into (ys, rows)
+    blocks of as many rows as fit in _BLOCK_ENTRIES, and at least one."""
+    size = min(count, max(1, _BLOCK_ENTRIES // width))
+    ys, rows = np.empty(size, dtype=np.intp), np.empty((size, width), dtype=INDEX_DTYPE)
+    count = 0
+    for y, row in pairs:
+        ys[count], rows[count] = y, row
+        count += 1
+        if count == size:
+            yield ys, rows
+            count = 0
+    if count:
+        yield ys[:count], rows[:count]
+
+
+def _along_walk(group: FiniteGroup, steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The (n, len(start)) table whose row e is start and whose row y is
+    steps[i] after row p for each walk edge y = λ_i(p), in walk order."""
+    out = np.empty((group.order, len(start)), dtype=INDEX_DTYPE)
+    out[group.identity] = start
+    for y, p, i in zip(*_edges(group.walk)):
+        steps[i].take(out[p], out=out[y])
+    return out
 
 
 def action_table(group: FiniteGroup, rows: np.ndarray) -> np.ndarray:
@@ -230,11 +362,7 @@ def action_table(group: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     left to validate_action."""
     n, m = group.order, rows.shape[1]
     _check_budget(f"a ({n}, {m}) action table", n * m)
-    table = np.empty((n, m), dtype=INDEX_DTYPE)
-    table[group.identity] = np.arange(m)
-    for y, p, i in zip(*group.walk.T.tolist()):
-        rows[i].take(table[p], out=table[y])
-    return table
+    return _along_walk(group, rows, np.arange(m))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -310,8 +438,7 @@ def validate_group(group: FiniteGroup) -> ValidationReport:
 
 
 def _associativity(grp: FiniteGroup) -> tuple[float, tuple | None]:  # the commutators of validate_group
-    left, gens, n = grp.left, grp.generators, grp.order
-    right = grp.cayley[:, gens]  # [x, t] = x t
+    left, right, gens, n = grp.left, grp.right, grp.generators, grp.order  # right[x, t] = x t
 
     def broken(rows):  # [(s, x), t] -> λ_s(x t) != λ_s(x) t, a block of flat s |G| + x
         s, x = np.divmod(np.arange(*rows.indices(len(gens) * n)), n)
@@ -333,11 +460,11 @@ def validate_action(action: GroupAction) -> ValidationReport:
 
 
 def _action_compatibility(action: GroupAction) -> tuple[float, tuple | None]:
-    grp, table = action.group, action.table
+    grp, table, right = action.group, action.table, action.group.right  # right[g, j] = g h_j
 
     def parts():  # [g, b] -> (g h).b != g.(h.b) for each generator h, a row block of g at a time
-        for h in grp.generators:
-            broken = lambda g: table[grp.cayley[g, h]] != table[g][:, table[h]]  # a row block of g
+        for j, h in enumerate(grp.generators):
+            broken = lambda g: table[right[g, j]] != table[g][:, table[h]]  # a row block of g
             yield from _rows(grp.order, action.base_size, broken, lambda g, b: (g, h, b))
 
     return _count(parts())

@@ -55,7 +55,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, sign_bundle, trivial_bundle
 from .errors import DomainError
-from .groups import INDEX_DTYPE, GroupAction, cyclic_group, dihedral_group, direct_product
+from .groups import INDEX_DTYPE, GroupAction, _check_budget, cyclic_group, dihedral_group, direct_product
 from .measures import (
     construct_normalized_families,
     counting_family,
@@ -151,8 +151,11 @@ def _attach_default_data(scn: Scenario, seed: int) -> Scenario:
 
 def _circle_table(op: np.ufunc, shift: np.ndarray, n: int) -> np.ndarray:
     """[g, b] -> op(shift[g], b) mod n over b in Z_n, formed in INDEX_DTYPE
-    in place: both terms lie in [0, n), and the budget keeps n <= 2^13, so
+    in place: both terms lie in [0, n), and the budget of the action's
+    (n, n) coset-representative table, checked first, keeps n <= 2^13, so
     the sum or difference stays inside it."""
+    _check_budget(f"a ({n}, {n}) coset-representative table", n * n)
+    _check_budget(f"a ({len(shift)}, {n}) action table", len(shift) * n)
     table = op.outer(shift % n, np.arange(n), dtype=INDEX_DTYPE)
     table %= n
     return table

@@ -63,7 +63,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, Section, _orbit_slice
 from .errors import StructuralError
-from .groups import GroupAction, _float_table, _index_table, _row_blocks, _rows
+from .groups import INDEX_DTYPE, GroupAction, _float_table, _index_table, _row_blocks, _rows
 from .measures import DeltaFunction, OrbitMeasureFamily, StabilizerMeasureFamily
 from .reporting import ValidationReport, _count, _local
 from .xcorr import Filter, _common_action, _support_scatter, filter_operator  # filter_operator: re-exported
@@ -224,14 +224,16 @@ def _theta_section(theta: ThetaMap, kern: Kernel) -> tuple[float, tuple | None]:
 def _theta_translation(theta: ThetaMap, kern: Kernel) -> tuple[float, tuple | None]:
     action = theta.action
     grp, supp, m = action.group, kern.support, action.base_size
+    gens = grp.generators
+    left, right = grp.rows(gens), grp.right  # [j, x] = g_j x, [x, j] = x g_j
 
-    def broken(g, c):  # [c, b] -> on a support pair, g theta(c, b) != theta(g.c, g.b) g, or either is undefined
-        tg = action.table[g]
+    def broken(j, c):  # [c, b] -> on a support pair, g theta(c, b) != theta(g.c, g.b) g, or either is undefined
+        tg = action.table[gens[j]]
         gc = tg[c, None]
         reps, moved = theta.reps[c], theta.reps[gc, tg]
-        return supp[c] & (~supp[gc, tg] | (reps < 0) | (moved < 0) | (grp.cayley[g, reps] != grp.cayley[moved, g]))
+        return supp[c] & (~supp[gc, tg] | (reps < 0) | (moved < 0) | (left[j, reps] != right[moved, j]))
 
-    return _count(p for g in grp.generators for p in _rows(m, m, lambda c: broken(g, c), lambda c, b: (g, c, b)))
+    return _count(p for j, g in enumerate(gens) for p in _rows(m, m, lambda c: broken(j, c), lambda c, b: (g, c, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +252,24 @@ def lift_kernel_to_filter(kern: Kernel, theta: ThetaMap, delta: DeltaFunction) -
         raise StructuralError("theta or delta is over a different action")
     grp = action.group
     cols = np.arange(action.base_size)
+    read = np.zeros(grp.order, dtype=bool)  # the theta values the lift reads, and e
+    read[grp.identity] = True
+    for rows in _row_blocks(len(cols), len(cols)):
+        reps = theta.reps[rows]
+        read[reps[kern.support[rows] & (reps >= 0)]] = True
+    inverse = np.zeros(grp.order, dtype=bool)
+    inverse[grp.inv[read]] = True
+    left = grp.rows(np.flatnonzero(inverse))  # the rows at their inverses y, ascending: [j, x] = y_j x
+    row_of = np.cumsum(inverse, dtype=INDEX_DTYPE) - 1  # [y_j] -> j
     mats = np.empty((grp.order,) + kern.matrices.shape[1:])
     for rows in _row_blocks(grp.order, mats[0].size):  # a row block of h at a time
         hb = action.table[rows]  # [h, b] -> h.b
         th = theta.reps[hb, cols]
         mask = kern.support[hb, cols] & (th >= 0)
-        s = grp.cayley[grp.inv[np.where(mask, th, grp.identity)], np.arange(grp.order)[rows, None]]  # theta^-1 h
-        dvals = np.where(mask, delta.values[s, cols], 0.0)
+        s = left[row_of[grp.inv[np.where(mask, th, grp.identity)]], np.arange(grp.order)[rows, None]]  # theta^-1 h
+        dvals = delta.values[s, cols]
+        dvals[~mask] = 0.0
         ksel = kern.matrices[hb, cols]  # [h, b] -> kappa(h.b, b)
         np.einsum("hb,hbij,hbjk->hbik", dvals, ksel, kern.input_bundle.act_matrix[rows], out=mats[rows])
+    del left  # not held while the filter derives its support
     return Filter(kern.input_bundle, kern.output_bundle, mats)

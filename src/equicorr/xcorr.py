@@ -51,7 +51,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, MackeySection, _orbit_slice
 from .errors import StructuralError
-from .groups import _float_table, _row_blocks
+from .groups import _distinct, _float_table, _row_blocks
 from .measures import GroupMeasureFamily
 from .reporting import ValidationReport, _local
 
@@ -122,13 +122,15 @@ def cross_correlate(filt: Filter, m: MackeySection, mu: GroupMeasureFamily) -> M
     out = np.zeros((n, nb, filt.output_bundle.dmax))
     blocks = _row_blocks(n, nb * max(de, out.shape[2]))
     prod = np.empty((min(n, blocks[0].stop),) + out.shape[1:])
+    at = _distinct(grp.inv[filt.support_index], n)
+    left = grp.rows(at)  # the rows at the inverse support, [j, x] = at[j] x
     for s, k in enumerate(filt.support_index.T):
         weighted = weights[:, s, None, None] * filt.matrices[k, cols]
-        kinv = grp.inv[k][:, None]
+        kinv = np.searchsorted(at, grp.inv[k])[:, None]
         for rows in blocks:  # a row block of h at a time
             # [h, b] -> h k_b = (k_b^-1 h^-1)^-1, read from the contiguous rows
             # k_b^-1 instead of the strided columns k_b
-            y = grp.inv[grp.cayley[kinv, grp.inv[rows]]].T.astype(np.intp, order="C")
+            y = grp.inv[left[kinv, grp.inv[rows]]].T.astype(np.intp, order="C")
             # in intp, formed in place: the offset y * nb + b reaches |G| |B|, past INDEX_DTYPE
             y *= nb
             y += cols

@@ -6,13 +6,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 
 from equicorr.battery import _LAWS, _STRUCTURAL, BUNDLE_TOLERANCE, _Inputs, _report, _view
 from equicorr.bundles import MackeySection, Section, _induced_rows, section_to_mackey
 from equicorr.errors import DegenerateMeasureError, DomainError, StructuralError
-from equicorr.groups import FiniteGroup, GroupAction, _rows, stabilizer
+from equicorr.groups import INDEX_DTYPE, FiniteGroup, GroupAction, _rows, stabilizer
 from equicorr.measures import GroupMeasureFamily, OrbitMeasureFamily, PsiFunction, StabilizerMeasureFamily
 from equicorr.reporting import DEFAULT_TOLERANCE, ValidationReport, _count, _local, _worst, check_from_residual
 from equicorr.rng import SplitMix64
@@ -20,6 +21,26 @@ from equicorr.scenarios import Scenario, _signed_mod
 from equicorr.serialize import scenario_to_dict
 from equicorr.transforms import lift_kernel_to_filter
 from equicorr.xcorr import Filter, cross_correlate
+
+
+_CAYLEY_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cayley_table(grp: FiniteGroup) -> np.ndarray:
+    """The group's dense (|G|, |G|) Cayley table, [g, h] = g h: the
+    reference every product the package forms is checked against.  Filled
+    along the walk, row e the identity and row y = λ_i after row p for each
+    edge y = λ_i(p), as the walk defines the group, valid or not.  Built
+    once per group object, kept while the group lives, read-only."""
+    if grp not in _CAYLEY_TABLES:
+        n = grp.order
+        table = np.empty((n, n), dtype=INDEX_DTYPE)
+        table[grp.identity] = np.arange(n)
+        for y, p, i in grp.walk.tolist():
+            grp.left[i].take(table[p], out=table[y])
+        table.flags.writeable = False
+        _CAYLEY_TABLES[grp] = table
+    return _CAYLEY_TABLES[grp]
 
 
 def traced_peak(fn):
@@ -98,7 +119,7 @@ def mackey_to_section(m: MackeySection) -> Section:
 def act_on_mackey(g: int, m: MackeySection) -> MackeySection:
     """(g.m)(h, b) = m(g^-1 h, b): pure index shuffle in the first slot."""
     grp = m.bundle.action.group
-    return MackeySection(m.bundle, m.values[grp.cayley[grp.inv[g]]].copy())
+    return MackeySection(m.bundle, m.values[cayley_table(grp)[grp.inv[g]]].copy())
 
 
 def periodicity(m: MackeySection, place):
@@ -142,7 +163,7 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
         raise StructuralError(f"class function shape {values.shape}, expected {(grp.order,)}")
     # [h] -> psi0(g h g^-1) != psi0(h); the g that fix psi0 under conjugation
     # are closed under products, so a generating set decides it exactly
-    _, witness = _count((lambda h: (g, h), values[grp.cayley[grp.cayley[g], grp.inv[g]]] != values) for g in grp.generators)
+    _, witness = _count((lambda h: (g, h), values[cayley_table(grp)[cayley_table(grp)[g], grp.inv[g]]] != values) for g in grp.generators)
     if witness is not None:
         raise DomainError(f"psi0 is not a class function: varies under conjugation by g={witness[0]}")
     vals = np.repeat(values[:, None], action.base_size, axis=1)
@@ -151,12 +172,12 @@ def psi_from_class_function(action: GroupAction, values: np.ndarray) -> PsiFunct
 
 def mul(grp: FiniteGroup, g: int, h: int) -> int:
     """g h, read from the table."""
-    return int(grp.cayley[g, h])
+    return int(cayley_table(grp)[g, h])
 
 
 def conjugate(grp: FiniteGroup, g: int, h: int) -> int:
     """g h g^-1, read one entry at a time from the table."""
-    return int(grp.cayley[grp.cayley[g, h], grp.inv[g]])
+    return int(cayley_table(grp)[cayley_table(grp)[g, h], grp.inv[g]])
 
 
 def pair_stabilizer(action: GroupAction, c: int, b: int) -> np.ndarray:
@@ -209,7 +230,7 @@ def reference_solve_orbit_measure(mu: GroupMeasureFamily, nu: StabilizerMeasureF
     action = mu.action
     stab = action.stabilizers[b]
     members = np.flatnonzero(action.coset_reps[b] >= 0)
-    kh = action.group.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
+    kh = cayley_table(action.group)[np.ix_(action.coset_reps[b, members], stab)]  # row c: the coset k_c G_b
     nu_mass = float(nu.weights[b] * stab.size)
     if not nu_mass > 0:
         raise DegenerateMeasureError(f"stabilizer weights at b={b} must be strictly positive")
@@ -261,7 +282,7 @@ def check_fubini(
     members = np.flatnonzero(reps >= 0)
 
     lhs = float(mu.weights[b] @ f)
-    inner = f[grp.cayley[np.ix_(reps[members], stab)]] @ np.full(stab.size, nu.weights[b])  # one value per orbit member
+    inner = f[cayley_table(grp)[np.ix_(reps[members], stab)]] @ np.full(stab.size, nu.weights[b])  # one value per orbit member
     rhs = float(mubar.weights[b, members] @ inner)
     return abs(lhs - rhs)
 
@@ -302,7 +323,7 @@ def coset_project_filter_to_kernel(filt: Filter, nu: StabilizerMeasureFamily) ->
     out = np.zeros((m, m, filt.output_bundle.dmax, filt.input_bundle.dmax))
     for b in range(m):
         stab, members = stabilizer(action, b), np.flatnonzero(action.coset_reps[b] >= 0)
-        kh = grp.cayley[np.ix_(action.coset_reps[b, members], stab)]  # row c of kh: the coset k_c G_b
+        kh = cayley_table(grp)[np.ix_(action.coset_reps[b, members], stab)]  # row c of kh: the coset k_c G_b
         w = np.full(stab.size, nu.weights[b])  # the mass of each element of the stabilizer
         mats = filt.matrices[kh, b]  # (|orbit|, |S|, dF, dE)
         back = ae[grp.inv[kh], members[:, None]]  # (|orbit|, |S|, dE, dE): actE((k h)^-1, c)
@@ -392,11 +413,15 @@ def mackey_preserved(filt: Filter, mu: GroupMeasureFamily) -> tuple[float, tuple
 # which validate ran, then the battery's own
 RETIRED_STRUCTURAL = (
     ("group.group-identity-left", ("group",), "exact",  # e x = x: row e is the identity by construction
-     lambda g: _count([(lambda x: (g.identity, x), g.cayley[g.identity] != np.arange(g.order))])),
+     lambda g: _count([(lambda x: (g.identity, x), cayley_table(g)[g.identity] != np.arange(g.order))])),
     ("group.group-identity-right", ("group",), "exact",  # x e = x: column e by the walk
-     lambda g: _count([(lambda x: (x, g.identity), g.cayley[:, g.identity] != np.arange(g.order))])),
+     lambda g: _count([(lambda x: (x, g.identity), cayley_table(g)[:, g.identity] != np.arange(g.order))])),
     ("group.group-inverse-right", ("group",), "exact",  # x x^-1 = e: inv is each first right inverse
-     lambda g: _count([(lambda x: (x, int(g.inv[x])), g.cayley[np.arange(g.order), g.inv] != g.identity)])),
+     lambda g: _count([(lambda x: (x, int(g.inv[x])), cayley_table(g)[np.arange(g.order), g.inv] != g.identity)])),
+    # x^-1 x = e: an associative table with a two-sided identity and right
+    # inverses is a group, so group-associativity decides it
+    ("group.group-inverse-left", ("group",), "exact",
+     lambda g: _count([(lambda x: (int(g.inv[x]), x), cayley_table(g)[g.inv, np.arange(g.order)] != g.identity)])),
     # ~(mass > 0), so a NaN mass counts as no mass; psi-stabilizer-nonvanishing
     # and psi-conjugation decide it
     ("psi.psi-nonvanishing", ("psi",), "exact", lambda psi: _count([(_local, ~(psi.values.sum(axis=0) > 0))])),

@@ -8,6 +8,8 @@ the defining formulas, independent of the library code paths.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 
 import numpy as np
@@ -46,7 +48,7 @@ from equicorr.transforms import (
     project_filter_to_kernel,
     validate_theta,
 )
-from equicorr.xcorr import correlate_sections, cross_correlate
+from equicorr.xcorr import Filter, correlate_sections, cross_correlate
 
 from helpers import (
     banded_support_shapes,
@@ -59,6 +61,14 @@ from helpers import (
 )
 
 TOL = 1e-12
+
+
+def fold(worst: float, residual: float) -> float:
+    """The larger of two residuals, the first NaN winning and staying, as
+    reporting._worst folds them: max(0.0, nan) is 0.0, which would print a
+    NaN residual as a PASS."""
+    return worst if math.isnan(worst) or residual <= worst else residual
+
 
 EQUIVARIANCE_SPECS = ("cyclic(8)", "dihedral(4)", "dihedral(4, bundle=sign)", "torus(8)")
 
@@ -78,6 +88,25 @@ def equivariance_battery():
     return battery
 
 
+def test_a_nan_residual_fails_a_criterion(equivariance_battery):
+    # criterion 1's fold over three filters of cyclic(8), the second with a
+    # NaN entry: its residual is NaN, and the criterion fails, where
+    # max(worst, r) would have folded it away and printed PASS
+    scn, filters, _ = equivariance_battery["cyclic(8)"]
+    first, second, third = filters[:3]
+    mats = second.matrices.copy()
+    mats[int(second.support_index[0, 0]), 0] = np.nan
+    broken = Filter(second.input_bundle, second.output_bundle, mats)
+    residuals = [
+        operator_equivariance_residual(filter_operator(filt, scn.mu), scn.input_bundle, scn.output_bundle)[0]
+        for filt in (first, broken, third)
+    ]
+    assert math.isnan(residuals[1]) and residuals[0] <= TOL and residuals[2] <= TOL
+    assert max(max(0.0, residuals[0]), residuals[1]) <= TOL  # NaN compares false: the old fold hid it
+    worst = functools.reduce(fold, residuals, 0.0)
+    assert math.isnan(worst) and not worst <= TOL
+
+
 def test_c01_cross_correlation_equivariance(acceptance, equivariance_battery):
     # exactly, for every g, on the matrix of each filter's induced map
     t0 = time.perf_counter()
@@ -85,7 +114,7 @@ def test_c01_cross_correlation_equivariance(acceptance, equivariance_battery):
     for scn, filters, _ in equivariance_battery.values():
         for filt in filters:
             r, _ = operator_equivariance_residual(filter_operator(filt, scn.mu), scn.input_bundle, scn.output_bundle)
-            worst = max(worst, r)
+            worst = fold(worst, r)
     elapsed = time.perf_counter() - t0
     acceptance(
         "1 cross-correlation equivariance over cyclic(8)/dihedral(4)/torus(8)",
@@ -100,7 +129,7 @@ def test_c02_output_stays_mackey(acceptance, equivariance_battery):
         for filt in filters:
             for m in sections:
                 rep = validate_mackey(cross_correlate(filt, m, scn.mu))
-                worst = max(worst, rep.worst().residual)
+                worst = fold(worst, rep.worst().residual)
     acceptance(
         "2 cross-correlation outputs keep Mackey periodicity",
         worst <= TOL,
@@ -119,14 +148,14 @@ def test_c03_lift_realizes_the_transform(acceptance, bands16):
         assert validate_theta(theta, scn.kernel).passed
         lifted[name] = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
         # exactly, on the operator matrices, and on sampled sections
-        worst_equiv = max(worst_equiv, float(np.abs(filter_operator(lifted[name], scn.mu) - transform).max()))
+        worst_equiv = fold(worst_equiv, float(np.abs(filter_operator(lifted[name], scn.mu) - transform).max()))
         for f in sections:
             gap = correlate_sections(lifted[name], scn.mu, f.values) - integral_transform(scn.kernel, scn.mubar, f).values
-            worst_equiv = max(worst_equiv, float(np.abs(gap).max()))
+            worst_equiv = fold(worst_equiv, float(np.abs(gap).max()))
     for f in sections:
         out_g = correlate_sections(lifted["global"], scn.mu, f.values)
         out_s = correlate_sections(lifted["special"], scn.mu, f.values)
-        worst_agree = max(worst_agree, float(np.abs(out_g - out_s).max()))
+        worst_agree = fold(worst_agree, float(np.abs(out_g - out_s).max()))
     acceptance(
         "3 both theta lifts realize the kernel transform on torus-bands(16)",
         worst_equiv <= TOL and worst_agree <= TOL,
@@ -140,7 +169,7 @@ def test_c04_projection_realizes_the_identity_slice(acceptance):
     for spec in ("dihedral(4)", "dihedral(4, bundle=sign)"):
         scn = build_scenario(spec)
         fub, _ = fubini_pointwise_residual(scn.mu, scn.nu, scn.mubar)
-        fub_worst = max(fub_worst, fub)
+        fub_worst = fold(fub_worst, fub)
         rng = SplitMix64(404)
         for _ in range(10):
             filt = random_valid_filter(scn.input_bundle, scn.output_bundle, rng)
@@ -148,7 +177,7 @@ def test_c04_projection_realizes_the_identity_slice(acceptance):
             for f in random_sections(scn.input_bundle, rng, 10):
                 lhs = correlate_sections(filt, scn.mu, f.values)
                 rhs = integral_transform(kern, scn.mubar, f)
-                worst = max(worst, float(np.abs(lhs - rhs.values).max()))
+                worst = fold(worst, float(np.abs(lhs - rhs.values).max()))
     acceptance(
         "4 projected kernel transform equals the identity-slice cross-correlation on dihedral(4)",
         worst <= TOL and fub_worst <= TOL,
@@ -199,12 +228,11 @@ def test_c05_project_after_lift_round_trip(acceptance, bands16, dihedral4):
     for scn in (bands16, dihedral4):
         for theta in scn.thetas.values():
             lifted = lift_kernel_to_filter(scn.kernel, theta, scn.delta)
-            worst_xchk = max(
-                worst_xchk, float(np.abs(lifted.matrices - brute_force_lift(scn.kernel, theta, scn.delta)).max())
-            )
+            brute = brute_force_lift(scn.kernel, theta, scn.delta)
+            worst_xchk = fold(worst_xchk, float(np.abs(lifted.matrices - brute).max()))
             back = project_filter_to_kernel(lifted, scn.nu)
-            worst_xchk = max(worst_xchk, float(np.abs(back.matrices - brute_force_projection(lifted, scn.nu)).max()))
-            worst_rt = max(worst_rt, float(np.abs(back.matrices - scn.kernel.matrices).max()))
+            worst_xchk = fold(worst_xchk, float(np.abs(back.matrices - brute_force_projection(lifted, scn.nu)).max()))
+            worst_rt = fold(worst_rt, float(np.abs(back.matrices - scn.kernel.matrices).max()))
     acceptance(
         "5 project(lift(kernel)) returns the kernel on torus-bands(16) and dihedral(4)",
         worst_rt <= TOL and worst_xchk <= TOL,
@@ -243,9 +271,9 @@ def test_c06_disintegration_identity(acceptance):
         for _ in range(100):
             f = random_group_function(scn.group, rng)
             b = rng.next_u64() % scn.action.base_size
-            worst = max(worst, check_fubini(scn.mu, scn.nu, scn.mubar, f, b))
+            worst = fold(worst, check_fubini(scn.mu, scn.nu, scn.mubar, f, b))
             shuffled = randomized_coset_reps(scn.action, b, rng)
-            worst = max(worst, check_fubini(scn.mu, scn.nu, scn.mubar, f, b, reps=shuffled))
+            worst = fold(worst, check_fubini(scn.mu, scn.nu, scn.mubar, f, b, reps=shuffled))
     acceptance(
         "6 disintegration identity for 100 random functions per scenario, any coset representatives",
         worst <= TOL,
@@ -308,7 +336,7 @@ def test_c10_grid_refinement_behaviour(acceptance):
     ratios_ok = all(1.4 <= r <= 2.6 for r in ratios)
     scn = build_circle_grid(16)
     step = circle_grid_step(16)
-    aligned = max(circle_offgrid_residual(scn, k * step) for k in range(16))
+    aligned = functools.reduce(fold, (circle_offgrid_residual(scn, k * step) for k in range(16)), 0.0)
     acceptance(
         "10 line-grid continuum gap halves per refinement; grid-aligned rotations exact",
         ratios_ok and aligned <= TOL,
@@ -323,8 +351,8 @@ def test_c11_normalized_measure_construction(acceptance):
         psi = psi_indicator_identity(scn.action)
         mu, nu, mubar = construct_normalized_families(psi)
         rep = validate_families(mu, nu, mubar, tolerance=TOL)
-        worst = max(worst, rep.worst().residual)
-        worst = max(worst, normalization_residual(psi, mu, nu))
+        worst = fold(worst, rep.worst().residual)
+        worst = fold(worst, normalization_residual(psi, mu, nu))
         assert rep.passed
     acceptance(
         "11 indicator-built measure families satisfy every compatibility and normalization law",

@@ -387,10 +387,10 @@ def test_lift_checks_hold_no_operator_matrix_they_have_compared():
 # (spec, checks, exact 0 / bundle 1e-9 / the run's tolerance counts, other tolerances by name) of a
 # battery run with --tolerance 1e-6
 TOLERANCE_KINDS = {
-    "torus-bands(16)": (38, (15, 2, 21), {}),
-    "dihedral(4, bundle=sign)": (29, (11, 2, 16), {}),
-    "line-grid(5, dx=0.2)": (25, (10, 2, 12), {"quadrature.continuum-gap": 0.2}),
-    "circle-grid(16)": (22, (7, 2, 12), {"rotation.off-grid-gap": math.inf}),
+    "torus-bands(16)": (37, (14, 2, 21), {}),
+    "dihedral(4, bundle=sign)": (28, (10, 2, 16), {}),
+    "line-grid(5, dx=0.2)": (24, (9, 2, 12), {"quadrature.continuum-gap": 0.2}),
+    "circle-grid(16)": (21, (6, 2, 12), {"rotation.off-grid-gap": math.inf}),
 }
 
 

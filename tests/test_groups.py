@@ -32,7 +32,7 @@ from equicorr.measures import (
 from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 from equicorr.serialize import load_document, save_document, scenario_from_dict, scenario_to_dict
 
-from helpers import conjugate, counting_orbit_family, mul, pair_stabilizer, traced_peak
+from helpers import cayley_table, conjugate, counting_orbit_family, mul, pair_stabilizer, traced_peak
 from test_stacked import BUILTINS
 from test_streaming import two_orbit_filter
 
@@ -53,7 +53,7 @@ def test_cyclic_structure():
     assert grp.identity == 0
     assert mul(grp, 2, 5) == 1
     assert grp.inv[4] == 2
-    assert brute_force_associative(grp.cayley)
+    assert brute_force_associative(cayley_table(grp))
     assert validate_group(grp).passed
 
 
@@ -67,7 +67,7 @@ def test_dihedral_structure():
         assert mul(grp, g, g) == 0
     # s r = r^-1 s: conjugating a rotation by the base reflection inverts it
     assert conjugate(grp, 4, 1) == 3
-    assert brute_force_associative(grp.cayley)
+    assert brute_force_associative(cayley_table(grp))
     assert validate_group(grp).passed
 
 
@@ -75,7 +75,21 @@ def test_validate_group_allocates_no_table_sized_temporary():
     grp = build_scenario("torus-bands(32)").group
     report, peak = traced_peak(lambda: validate_group(grp))
     assert report.passed
-    assert peak < grp.cayley.nbytes / 8
+    assert peak < cayley_table(grp).nbytes / 8
+
+
+def test_the_saved_torus_bands_64_file_validates_without_a_cayley_table(tmp_path):
+    # |G| = 4,096 and |B| = 64: the (|G|, |G|) INDEX_DTYPE table the group
+    # once derived is 32 MiB, and loading the file and running the structural
+    # checks peaked at 41.8 MiB with it.  Without it the peak is 11.3 MiB,
+    # the largest product table a scan composes being 4,096 x 127 entries
+    scn = build_scenario("torus-bands(64)")
+    path = tmp_path / "scenario.json"
+    save_document(str(path), scenario_to_dict(scn))
+    del scn
+    report, peak = traced_peak(lambda: run_structural(scenario_from_dict(load_document(str(path)))))
+    assert report.passed
+    assert peak < 16 << 20  # half the table alone
 
 
 def test_validate_scans_every_stored_generator_in_row_blocks(tmp_path):
@@ -86,7 +100,7 @@ def test_validate_scans_every_stored_generator_in_row_blocks(tmp_path):
     # groups._BLOCK_ENTRIES float64 entries at once
     scn = build_scenario("cyclic(256)")
     doc = scenario_to_dict(scn)
-    doc["action"]["group"]["left"] = scn.group.cayley.tolist()
+    doc["action"]["group"]["left"] = cayley_table(scn.group).tolist()
     doc["action"]["table"] = scn.action.table.tolist()
     save_document(str(tmp_path / "every.json"), doc)
     loaded = scenario_from_dict(load_document(str(tmp_path / "every.json")))
@@ -134,7 +148,7 @@ def test_dihedral_table_is_composition_of_maps(n):
         fa = _dihedral_map(n, a)
         for b in range(2 * n):
             fb = _dihedral_map(n, b)
-            ab = int(grp.cayley[a, b])
+            ab = int(cayley_table(grp)[a, b])
             assert [_dihedral_map(n, ab)(v) for v in vs] == [fa(fb(v)) for v in vs]
             assert (ab >= n) == ((a >= n) != (b >= n))
     assert [mul(grp, g, grp.inv[g]) for g in range(2 * n)] == [0] * (2 * n)
@@ -160,9 +174,9 @@ def test_rows_that_leave_an_element_unreached_are_refused():
 
 def test_a_group_takes_each_first_right_inverse():
     grp = FiniteGroup(("a", "b", "c"), 2, [[1, 2, 0]])  # cyclic(3) with its identity at index 2
-    assert grp.identity == 2 and grp.cayley.tolist() == [[1, 2, 0], [2, 0, 1], [0, 1, 2]] and grp.inv.tolist() == [1, 0, 2]
+    assert grp.identity == 2 and cayley_table(grp).tolist() == [[1, 2, 0], [2, 0, 1], [0, 1, 2]] and grp.inv.tolist() == [1, 0, 2]
     grp = FiniteGroup(tuple("abcd"), 0, [[1, 2, 3, 0], [1, 3, 0, 0]])
-    assert grp.cayley[3].tolist() == [3, 0, 0, 1]  # two right inverses: the first one wins
+    assert cayley_table(grp)[3].tolist() == [3, 0, 0, 1]  # two right inverses: the first one wins
     assert grp.inv.tolist() == [0, 3, 2, 1]
     with pytest.raises(StructuralError, match="^element 1 has no right inverse$"):
         FiniteGroup(tuple("abcd"), 0, [[1, 2, 3, 3]])  # row 1 never reaches the identity
@@ -275,7 +289,7 @@ def test_coset_of_the_stabilizer_is_the_elements_carrying_b_to_each_member(case)
     for b in range(action.base_size):
         stab = action.stabilizers[b]
         for c in np.flatnonzero(action.coset_reps[b] >= 0):
-            row = action.group.cayley[action.coset_reps[b, c], stab]
+            row = cayley_table(action.group)[action.coset_reps[b, c], stab]
             assert sorted(row.tolist()) == [g for g in range(action.group.order) if action.table[g, b] == c]
             assert row[np.flatnonzero(stab == action.group.identity)[0]] == action.coset_reps[b, c]
 
@@ -379,7 +393,7 @@ def test_group_entry_past_index_dtype_is_refused(value):
 @pytest.mark.parametrize("value", WRAPPING)
 def test_action_entry_past_index_dtype_is_refused(value):
     grp = cyclic_group(4)
-    table = grp.cayley.astype(np.int64)
+    table = cayley_table(grp).astype(np.int64)
     table[1, 3] = value
     with pytest.raises(StructuralError):
         GroupAction(grp, tuple("wxyz"), table)
@@ -393,6 +407,6 @@ def test_index_tables_are_index_dtype_built_and_loaded(spec, tmp_path):
     assert INDEX_DTYPE is np.int16  # half the bytes of int32; every index product is formed in intp
     for loaded in (scn, scenario_from_dict(load_document(str(path)))):
         action = loaded.action
-        tables = [action.group.cayley, action.group.inv, action.table, action.coset_reps]
+        tables = [cayley_table(action.group), action.group.inv, action.table, action.coset_reps]
         tables += [theta.reps for theta in loaded.thetas.values()]
         assert [t.dtype for t in tables] == [np.dtype(INDEX_DTYPE)] * len(tables)

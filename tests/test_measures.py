@@ -33,6 +33,7 @@ from equicorr.rng import SplitMix64
 from equicorr.scenarios import build_scenario, cyclic_action, dihedral_vertex_action, torus_action
 
 from helpers import (
+    cayley_table,
     check_fubini,
     counting_orbit_family,
     dense_nu,
@@ -426,7 +427,7 @@ def _pair_orbits(action) -> np.ndarray:
     label = np.full((grp.order, action.base_size), -1)
     for h, b in np.ndindex(*label.shape):
         if label[h, b] < 0:
-            label[grp.cayley[grp.cayley[:, h], grp.inv], table[:, b]] = label.max() + 1
+            label[cayley_table(grp)[cayley_table(grp)[:, h], grp.inv], table[:, b]] = label.max() + 1
     return label
 
 

@@ -27,6 +27,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from equicorr.battery import _Inputs, _report
 from equicorr.bundles import EquivariantBundle, MackeySection, section_to_mackey, validate_bundle
 from equicorr.cli import main
 from equicorr.errors import DomainError, StructuralError
@@ -58,7 +59,9 @@ from equicorr.serialize import Scenario, dumps, save_document, scenario_to_dict
 from equicorr.transforms import Kernel, ThetaMap, filter_operator, operator_equivariance_residual, validate_kernel, validate_theta
 from equicorr.xcorr import Filter, validate_filter
 
-from helpers import mackey_preserved, psi_from_class_function, retired_alone, scenario_fields, validate_mackey
+from helpers import (
+    RETIRED_STRUCTURAL, cayley_table, mackey_preserved, psi_from_class_function, retired_alone, scenario_fields, validate_mackey,
+)
 
 SEEDS = range(10)
 
@@ -92,8 +95,8 @@ def _assert_constructor_laws(grp: FiniteGroup) -> None:
     is the identity by construction, column e by the walk, and inv is each
     first right inverse or the constructor raises."""
     every = np.arange(grp.order)
-    assert np.array_equal(grp.cayley[grp.identity], every) and np.array_equal(grp.cayley[:, grp.identity], every)
-    assert (grp.cayley[every, grp.inv] == grp.identity).all()
+    assert np.array_equal(cayley_table(grp)[grp.identity], every) and np.array_equal(cayley_table(grp)[:, grp.identity], every)
+    assert (cayley_table(grp)[every, grp.inv] == grp.identity).all()
 
 
 def _closure(cayley: np.ndarray, identity: int, gens: list[int]) -> set[int]:
@@ -124,8 +127,8 @@ def _greedy(cayley: np.ndarray, identity: int) -> list[int]:
 
 def test_stored_generators_generate_torus_bands():
     grp = build_scenario("torus-bands(32)").group
-    assert grp.generators == [1, 32] == _greedy(grp.cayley, grp.identity)
-    assert _closure(grp.cayley, grp.identity, grp.generators) == set(range(grp.order))
+    assert grp.generators == [1, 32] == _greedy(cayley_table(grp), grp.identity)
+    assert _closure(cayley_table(grp), grp.identity, grp.generators) == set(range(grp.order))
 
 
 @pytest.mark.parametrize(
@@ -135,7 +138,7 @@ def test_stored_generators_generate_torus_bands():
 def test_group_reads_its_stored_generators(spec, gens):
     # the built-ins store the rows of the greedy set of their tables
     grp = build_scenario(spec).group
-    assert grp.generators == gens == grp.left[:, grp.identity].tolist() == _greedy(grp.cayley, grp.identity)
+    assert grp.generators == gens == grp.left[:, grp.identity].tolist() == _greedy(cayley_table(grp), grp.identity)
 
 
 def test_a_table_that_is_no_group_keeps_its_stored_generators():
@@ -146,8 +149,8 @@ def test_a_table_that_is_no_group_keeps_its_stored_generators():
     left = grp.left.copy()
     left[0, 1] = 0
     broken = FiniteGroup(grp.elements, grp.identity, left)
-    assert broken.generators == [1, 4] and _greedy(broken.cayley, grp.identity) == [1, 2, 4]
-    assert _closure(broken.cayley, grp.identity, [1, 2, 4]) == set(range(grp.order))
+    assert broken.generators == [1, 4] and _greedy(cayley_table(broken), grp.identity) == [1, 2, 4]
+    assert _closure(cayley_table(broken), grp.identity, [1, 2, 4]) == set(range(grp.order))
     assert not validate_group(broken).passed
 
 
@@ -247,7 +250,7 @@ def _commutators(group: FiniteGroup, columns: list[int] | None = None) -> tuple[
     """(count, first (s, x, t)) of λ_s(x t) != λ_s(x) t over the stored
     rows, then x, then t in columns, S by default, one instance at a time;
     s named by λ_s(e)."""
-    cay, e = group.cayley.tolist(), group.identity
+    cay, e = cayley_table(group).tolist(), group.identity
     bad = [
         (lam[e], x, t)
         for lam in group.left.tolist()
@@ -282,7 +285,7 @@ def _random_row_sets(count: int):
 # transitive but not regular
 HEXAGON = (tuple(f"v{i}" for i in range(6)), 0, [(np.arange(6) + 1) % 6, -np.arange(6) % 6])
 # dihedral(4) stored as [s0, r1, r1^2]: out of greedy order, and redundant
-D4_REORDERED = (dihedral_group(4).elements, 0, dihedral_group(4).cayley[[4, 1, 2]])
+D4_REORDERED = (dihedral_group(4).elements, 0, cayley_table(dihedral_group(4))[[4, 1, 2]])
 
 ROW_CASES = {
     "cyclic(6)": lambda: _single_entry_corruptions(cyclic_group(6)),
@@ -338,7 +341,7 @@ def test_associativity_residual_against_brute_force_and_the_previous_residual(ca
     loadable = foreign = moved = 0
     for grp in _loadable(case):
         loadable += 1
-        n, cay, gens, identity = grp.order, grp.cayley, grp.generators, grp.identity
+        n, cay, gens, identity = grp.order, cayley_table(grp), grp.generators, grp.identity
         check = {c.name: c for c in validate_group(grp).checks}["group-associativity"]
         N = check.residual
         associative = not (cay[cay] != cay[np.arange(n)[:, None, None], cay]).any()
@@ -358,12 +361,16 @@ def test_associativity_residual_against_brute_force_and_the_previous_residual(ca
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
 def test_the_constructor_guarantees_three_group_checks(case):
     # on every loadable row set the identity laws and the right inverse law
-    # hold, so no report row checks them, while the left inverse law and
-    # associativity are left to validate_group
+    # hold, so no report row checks them, and associativity is left to
+    # validate_group.  The left inverse law, a retired row, fails only where
+    # associativity fails too: an associative table with a two-sided
+    # identity and right inverses is a group
     failed = collections.Counter()
     for grp in _loadable(case):
         _assert_constructor_laws(grp)
         failed.update(c.name for c in validate_group(grp).checks if not c.passed)
+        failed.update(c.name.rsplit(".", 1)[1] for c in _report(RETIRED_STRUCTURAL, _Inputs(group=grp), 0.0, 0.0).checks if not c.passed)
+        assert retired_alone({"group": grp}) == []
     assert failed.keys() <= {"group-inverse-left", "group-associativity"}
     assert (failed["group-inverse-left"], failed["group-associativity"]) == ROW_CASE_FAILURES[case]
 
@@ -397,7 +404,7 @@ def test_associativity_needs_the_commutators():
     grp = FiniteGroup(*HEXAGON)
     checks = {c.name: c for c in validate_group(grp).checks}
     _assert_constructor_laws(grp)
-    assert grp.generators == [1, 0] and _greedy(grp.cayley, grp.identity) == [1, 5]
+    assert grp.generators == [1, 0] and _greedy(cayley_table(grp), grp.identity) == [1, 5]
     assert (checks["group-associativity"].residual, checks["group-associativity"].witness) == (4, (1, 3, 1)) == _commutators(grp)
     assert _commutators(grp, [1, 5]) == (8, (1, 3, 1))
 
@@ -447,7 +454,7 @@ def test_the_walk_and_the_action_rebuild_match_the_per_row_walk_on_random_permut
             outcomes["unreached"] += 1
         else:
             grp = FiniteGroup(labels, identity, np.reshape(left, (len(left), n)))
-            for got, want in zip((grp.cayley, action_table(grp, rows)), expected):
+            for got, want in zip((cayley_table(grp), action_table(grp, rows)), expected):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             outcomes["table"] += 1
     assert outcomes["unreached"] > 50 and outcomes["table"] > 50
@@ -695,7 +702,7 @@ def test_single_float_entry_caught_at_1024(bands32, table):
 def _cocycle_defect(A: np.ndarray, scn, g: int, h: int, b: int) -> float:
     """|A(g h, b) - A(g, h.b) A(h, b)|, the largest entry."""
     grp, table = scn.group, scn.action.table
-    return float(np.abs(A[grp.cayley[g, h], b] - A[g, table[h, b]] @ A[h, b]).max())
+    return float(np.abs(A[cayley_table(grp)[g, h], b] - A[g, table[h, b]] @ A[h, b]).max())
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -39,7 +39,7 @@ from equicorr.scenarios import (
 from equicorr.transforms import lift_kernel_to_filter, validate_theta
 from equicorr.xcorr import Filter
 
-from helpers import banded_support_set_mismatch, banded_support_shapes, reference_derive_theta, scenario_lifts
+from helpers import banded_support_set_mismatch, banded_support_shapes, cayley_table, reference_derive_theta, scenario_lifts
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_the_coset_theta_meets_both_laws_at_every_element(kind):
     # pair (each action is transitive) and the translation law
     # g theta(c, b) = theta(g.c, g.b) g for every g, not only at generators
     for action in BUILTIN_ACTIONS[kind]():
-        cay, table, m = action.group.cayley, action.table, action.base_size
+        cay, table, m = cayley_table(action.group), action.table, action.base_size
         reps = _coset_theta(action).reps  # [c, b]
         g = np.arange(action.group.order)[:, None, None]
         assert (table[reps, np.arange(m)] == np.arange(m)[:, None]).all()
@@ -163,7 +163,7 @@ def test_an_off_orbit_support_pair_is_an_obstruction():
     # Z_4 on itself and a fixed point: every candidate would commute, but
     # no element carries 0 to the fixed point
     grp = cyclic_group(4)
-    action = GroupAction(grp, ("0", "1", "2", "3", "inf"), np.concatenate([grp.cayley, np.full((4, 1), 4)], axis=1))
+    action = GroupAction(grp, ("0", "1", "2", "3", "inf"), np.concatenate([cayley_table(grp), np.full((4, 1), 4)], axis=1))
     support = (action.coset_reps >= 0).T
     support[4, 0] = True
     with pytest.raises(DomainError, match=r"pair stabilizer at \(c=4, b=0\)"):

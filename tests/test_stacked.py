@@ -24,7 +24,7 @@ from equicorr.scenarios import build_scenario, dihedral_vertex_action
 from equicorr.transforms import filter_operator, kernel_operator, lift_kernel_to_filter, operator_equivariance_residual
 from equicorr.xcorr import Filter, correlate_sections, cross_correlate
 
-from helpers import act_on_section, basis_filter_operator, counting_orbit_family, loop_correlate_sections
+from helpers import act_on_section, basis_filter_operator, cayley_table, counting_orbit_family, loop_correlate_sections
 
 BUILTINS = ["cyclic(8)", "dihedral(4, bundle=sign)", "torus(6)", "torus-bands(16)", "circle-grid(16)", "line-grid(5, dx=0.2)"]
 
@@ -66,13 +66,13 @@ def ref_equivariance(apply, e_bundle, f_bundle, sections):
 
 
 def ref_cross_correlate(filt, m, mu):
-    shifted = m.values[filt.action.group.cayley]  # [h, k, b] -> m(h k, b)
+    shifted = m.values[cayley_table(filt.action.group)]  # [h, k, b] -> m(h k, b)
     return np.einsum("bk,kbij,hkbj->hbi", mu.weights, filt.matrices, shifted)
 
 
 def ref_convolve(filt_prime, m, mu):
     grp = filt_prime.action.group
-    mats = filt_prime.matrices[grp.cayley[grp.inv]]  # [k, h, b] -> w'(k^-1 h, b)
+    mats = filt_prime.matrices[cayley_table(grp)[grp.inv]]  # [k, h, b] -> w'(k^-1 h, b)
     return np.einsum("bk,khbij,kbj->hbi", mu.weights, mats, m.values)
 
 
@@ -235,7 +235,7 @@ def test_xcorr_and_convolve_match_dense_einsums(name):
     assert np.ptp(mu.weights, axis=1).max() == 0.0
     flipped = Filter(filt.input_bundle, filt.output_bundle, filt.matrices[grp.inv])
     ramp = GroupMeasureFamily(filt.action, mu.weights * (1.0 + np.arange(grp.order) / 7.0))
-    at_hk = np.einsum("bhk,kbij,hkbj->hbi", ramp.weights[:, grp.cayley], filt.matrices, m.values[grp.cayley])
+    at_hk = np.einsum("bhk,kbij,hkbj->hbi", ramp.weights[:, cayley_table(grp)], filt.matrices, m.values[cayley_table(grp)])
     for fam, want in ((mu, out), (ramp, at_hk)):
         got = ref_convolve(flipped, m, fam)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, float(np.abs(want).max())))
@@ -290,7 +290,7 @@ def test_xcorr_torus_bands_64_matches_brute_force_rows():
     out = cross_correlate(filt, m, scn.mu).values
     for h in (0, 1, 777, grp.order - 1):
         # sum over every k of mu_b(k) w(k, b) m(h k, b)
-        want = np.einsum("bk,kbij,kbj->bi", scn.mu.weights, filt.matrices, m.values[grp.cayley[h]])
+        want = np.einsum("bk,kbij,kbj->bi", scn.mu.weights, filt.matrices, m.values[cayley_table(grp)[h]])
         np.testing.assert_array_equal(out[h], want)
 
 

@@ -33,7 +33,7 @@ from equicorr.scenarios import build_scenario
 from equicorr.transforms import filter_operator, operator_equivariance_residual
 from equicorr.xcorr import Filter, cross_correlate, validate_filter
 
-from helpers import battery_checks, mackey_preserved, validate_mackey
+from helpers import battery_checks, cayley_table, mackey_preserved, validate_mackey
 from test_stacked import BUILTINS, FILTERS, basis_sections
 
 TOL = 1e-12
@@ -46,7 +46,7 @@ def per_section_xcorr(filt, m, mu):
     weights = mu.weights[cols[:, None], idx][:, :, None, None] * filt.matrices[idx, cols[:, None]]
     out = np.zeros((grp.order, len(cols), filt.output_bundle.dmax))
     for s in range(idx.shape[1]):
-        hk = grp.cayley[:, idx[:, s]]
+        hk = cayley_table(grp)[:, idx[:, s]]
         out += np.einsum("bij,...bj->...bi", weights[:, s], m.values[hk, cols])
     return out
 
@@ -199,7 +199,7 @@ def two_orbit_filter():
     with one entry at inf bumped off the faint constraint, which there asks
     omega(h, inf) to commute with the rotations."""
     group = cyclic_group(4)
-    table = np.concatenate([group.cayley, np.full((4, 1), 4)], axis=1)
+    table = np.concatenate([cayley_table(group), np.full((4, 1), 4)], axis=1)
     action = GroupAction(group, ("0", "1", "2", "3", "inf"), table)
     quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
     mats = np.zeros((4, 5, 2, 2))

@@ -35,6 +35,7 @@ from equicorr.xcorr import Filter, _faint_constraint, correlate_sections, valida
 
 from helpers import (
     act_on_section,
+    cayley_table,
     coset_project_filter_to_kernel,
     mul,
     permutation_representation,
@@ -454,7 +455,7 @@ def test_the_averaged_lift_is_faint_and_projects_back(name):
 def faint_defect(filt, g: int, h: int, b: int) -> float:
     """|omega(g h g^-1, g.b) A_E(g, b) - A_F(g, b) omega(h, b)|, the largest entry."""
     grp, table = filt.action.group, filt.action.table
-    lhs = filt.matrices[grp.cayley[grp.cayley[g, h], grp.inv[g]], table[g, b]] @ filt.input_bundle.act_matrix[g, b]
+    lhs = filt.matrices[cayley_table(grp)[cayley_table(grp)[g, h], grp.inv[g]], table[g, b]] @ filt.input_bundle.act_matrix[g, b]
     return float(np.abs(lhs - filt.output_bundle.act_matrix[g, b] @ filt.matrices[h, b]).max())
 
 
