@@ -71,7 +71,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .groups import GroupAction, _check_budget, _distinct, _float_table, _row_blocks
+from .groups import GroupAction, _check_budget, _float_table, _row_blocks
 from .reporting import ValidationReport, _count, _worst
 
 
@@ -166,16 +166,21 @@ def _padding_zero(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
 
 
 def _cocycle(bundle: EquivariantBundle) -> tuple[float, tuple | None]:
-    action, A = bundle.action, bundle.act_matrix
-    hs = [np.sort(np.concatenate([action.stabilizers[b0], _movers(action, b0)])) for b0 in action.domain]
-    at = _distinct(np.concatenate(hs), action.group.order)
-    right = action.group.columns(at)  # [g, j] = g at[j], every column the scan reads, in one pass
+    action, A, grp = bundle.action, bundle.act_matrix, bundle.action.group
+    # the columns g h it reads, composed a block of h at a time: a block holds
+    # at most an eighth of the act matrices' bytes, or a 64th of a (|G|, |G|)
+    # table where that is more, so each domain point takes at most 64 walk passes
+    step = max(A.size // (2 * grp.order), -(-grp.order // 64))
 
     def columns():  # [g] -> defect of the instance (g, h, b0), one column of all g at a time
-        for b0, hs_b0 in zip(action.domain, hs):
-            for h, j in zip(hs_b0, np.searchsorted(at, hs_b0)):
-                defect = A[right[:, j], b0] - A[:, action.table[h, b0]] @ A[h, b0]
-                yield (lambda g: (g, int(h), b0)), np.abs(defect).max(axis=(1, 2), initial=0.0)
+        for b0 in action.domain:
+            hs = np.sort(np.concatenate([action.stabilizers[b0], _movers(action, b0)]))
+            for block in (hs[lo : lo + step] for lo in range(0, len(hs), step)):
+                right = grp.columns(block)  # [g, j] = g block[j]
+                for j, h in enumerate(block):
+                    defect = A[right[:, j], b0] - A[:, action.table[h, b0]] @ A[h, b0]
+                    yield (lambda g: (g, int(h), b0)), np.abs(defect).max(axis=(1, 2), initial=0.0)
+                del right  # before the next block is composed
 
     return _worst(columns())
 

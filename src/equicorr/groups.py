@@ -13,12 +13,13 @@ construction.  The walk is the Schreier vector of e under λ_S (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): it
 stands for the Cayley table without storing it, since row y of the table
 is λ_i after row p for the tree edge y = λ_i(p) (Cayley's theorem).  One
-pass over the rows, holding only the tree's frontier, derives the
-inverses and the columns at S.  A scan asks the group for the rows or the
-columns it reads (FiniteGroup.rows, FiniteGroup.columns), each composed
-along the walk in one pass, so it gets the values a table built by the
-walk would hold, for any stored rows, and no (|G|, |G|) table is built
-unless a scan reads every row or every column.  S, the elements s =
+pass over the rows, holding only the tree's frontier (budgeted at its
+widest before it starts), derives the inverses and the columns at S.  A
+scan asks the group for the rows or the columns it reads
+(FiniteGroup.rows, FiniteGroup.columns), each composed along the walk
+in one pass, so it gets the values a table built by the walk would hold,
+for any stored rows, and no (|G|, |G|) table is built unless a scan
+reads every row or every column.  S, the elements s =
 λ_s(e) in stored order, is the group's one generating set: every
 generator-based check reads it.  An action stored by its rows at S is
 rebuilt along the same walk (action_table).
@@ -153,8 +154,9 @@ class FiniteGroup:
     is the group's generating set.  No Cayley table is stored: rows and
     columns hand out its rows and columns at the elements a scan reads,
     each composed along the walk.  Rows that leave an element unreached, a
-    table row without the identity, or an |S|^2 |G| over the budget are
-    refused; the group axioms are left to validate_group."""
+    table row without the identity, or an |S|^2 |G| or a walk frontier
+    over the budget are refused; the group axioms are left to
+    validate_group."""
 
     def __init__(self, elements: tuple[str, ...], identity: int, left):
         n = len(elements)
@@ -169,6 +171,8 @@ class FiniteGroup:
         k = len(self.left)
         _check_budget(f"a ({k}, {k}, {n}) associativity scan", k * k * n)
         self.walk = _walk(self.left, identity)  # derived: walk[k] = (y, p, i), the k-th tree edge y = λ_i(p)
+        held = _frontier(self.walk)
+        _check_budget(f"a ({held}, {n}) walk frontier", held * n)
         self.generators: list[int] = self.left[:, identity].tolist()  # S, s = λ_s(e), in stored order
         # derived from every row of the table, a row block at a time: the first
         # right inverse of each element, and right[x, j] = x s_j, the columns at S
@@ -215,14 +219,6 @@ class FiniteGroup:
         at = np.asarray(at, dtype=INDEX_DTYPE)
         _check_budget(f"a ({self.order}, {at.size}) product table", self.order * at.size)
         return _along_walk(self, self.left, at)
-
-    def conjugates(self, at) -> np.ndarray:
-        """[r, x] -> (at[r] x) at[r]^-1, from the rows at the elements at
-        and the columns at their inverses, gathered a row at a time."""
-        moved, back = self.rows(at), self.columns(self.inv[np.asarray(at, dtype=np.intp)])
-        for r, row in enumerate(moved):
-            back[:, r].take(row, out=row)
-        return moved
 
     def _composed(self, need: np.ndarray | None = None):
         """(y, row y of the table) for the identity, then for each walk edge
@@ -278,14 +274,17 @@ class GroupAction:
         """(U, [j, x] -> (v_j x) v_j^-1 for v_j = U[j]^-1): U the elements
         the orbit-slice laws carry, Stab(b0) and the coset representatives
         of each fundamental-domain point b0, ascending, and the group's
-        conjugates at their inverses (FiniteGroup.conjugates), each inverse
-        read from inv.  Derived on first read and kept, since every
-        conjugation law of the action reads it: (|U|, |G|) entries, where a
-        table-free scan of each law would compose them anew."""
+        conjugates at their inverses, each inverse read from inv: the rows
+        at the v_j gathered through the columns at their inverses, a row at
+        a time.  Derived on first read and kept, since every conjugation
+        law of the action reads it: (|U|, |G|) entries, where a table-free
+        scan of each law would compose them anew."""
         grp, domain = self.group, list(self.domain)
         reps = self.coset_reps[domain]
         at = _distinct(np.concatenate([*(self.stabilizers[b] for b in domain), reps[reps >= 0]]), grp.order)
-        moved = grp.conjugates(grp.inv[at])
+        moved, back = grp.rows(grp.inv[at]), grp.columns(grp.inv[grp.inv[at]])
+        for j, row in enumerate(moved):
+            back[:, j].take(row, out=row)
         at.flags.writeable = moved.flags.writeable = False  # shared by every reader
         return at, moved
 
@@ -320,6 +319,21 @@ def _walk(left: np.ndarray, identity: int) -> np.ndarray:
             " by left multiplication by the generators"
         )
     return np.frombuffer(edges, dtype=INDEX_DTYPE).reshape(n - 1, 3)
+
+
+def _frontier(walk: np.ndarray) -> int:
+    """The most rows FiniteGroup._composed holds at once on the whole walk,
+    the row it composes included; on a subset of the walk it holds fewer.
+    A row is held from its own edge to its last child's, and the children
+    of a parent are one run of edges, since the walk is breadth-first."""
+    n = len(walk) + 1
+    position = np.zeros(n, dtype=np.intp)  # the identity's is 0, the k-th edge's k + 1
+    position[walk[:, 0]] = np.arange(1, n)
+    last = np.flatnonzero(np.diff(walk[:, 1], append=-1))  # the last edge of each run
+    live = np.zeros(n + 1, dtype=np.intp)  # held while an edge after its own is composed
+    live[position[walk[last, 1]] + 1] += 1
+    live[last + 2] -= 1
+    return int(np.cumsum(live).max()) + 1
 
 
 def _edges(walk: np.ndarray) -> list:

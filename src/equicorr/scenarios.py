@@ -55,7 +55,7 @@ import numpy as np
 
 from .bundles import EquivariantBundle, sign_bundle, trivial_bundle
 from .errors import DomainError
-from .groups import INDEX_DTYPE, GroupAction, _check_budget, cyclic_group, dihedral_group, direct_product
+from .groups import INDEX_DTYPE, GroupAction, _check_budget, _check_order, cyclic_group, dihedral_group, direct_product
 from .measures import (
     construct_normalized_families,
     counting_family,
@@ -149,13 +149,20 @@ def _attach_default_data(scn: Scenario, seed: int) -> Scenario:
     return scn
 
 
+def _circle_budget(order: int, n: int) -> None:
+    """Raise DomainError before a group of `order` elements acting on Z_n,
+    or anything of its action, is built: the group's order, then the
+    action's (n, n) coset-representative and (order, n) action tables."""
+    _check_order(order)
+    _check_budget(f"a ({n}, {n}) coset-representative table", n * n)
+    _check_budget(f"a ({order}, {n}) action table", order * n)
+
+
 def _circle_table(op: np.ufunc, shift: np.ndarray, n: int) -> np.ndarray:
     """[g, b] -> op(shift[g], b) mod n over b in Z_n, formed in INDEX_DTYPE
     in place: both terms lie in [0, n), and the budget of the action's
-    (n, n) coset-representative table, checked first, keeps n <= 2^13, so
+    (n, n) coset-representative table (_circle_budget) keeps n <= 2^13, so
     the sum or difference stays inside it."""
-    _check_budget(f"a ({n}, {n}) coset-representative table", n * n)
-    _check_budget(f"a ({len(shift)}, {n}) action table", len(shift) * n)
     table = op.outer(shift % n, np.arange(n), dtype=INDEX_DTYPE)
     table %= n
     return table
@@ -163,8 +170,8 @@ def _circle_table(op: np.ufunc, shift: np.ndarray, n: int) -> np.ndarray:
 
 def cyclic_action(n: int) -> GroupAction:
     """Z_n acting on itself by translation, g.b = g + b."""
-    grp = cyclic_group(n)  # checks the size before the table is built
-    return GroupAction(grp, tuple(str(b) for b in range(n)), _circle_table(np.add, np.arange(n), n))
+    _circle_budget(n, n)
+    return GroupAction(cyclic_group(n), tuple(str(b) for b in range(n)), _circle_table(np.add, np.arange(n), n))
 
 
 def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
@@ -177,7 +184,8 @@ def build_cyclic(n: int, families: str = "counting", seed: int = 0) -> Scenario:
 
 def dihedral_vertex_action(n: int) -> GroupAction:
     """Dihedral group on polygon vertices: rotations add, reflections negate."""
-    grp = dihedral_group(n)  # checks the size before the table is built
+    _circle_budget(2 * n, n)
+    grp = dihedral_group(n)
     table = np.concatenate([_circle_table(op, np.arange(n), n) for op in (np.add, np.subtract)])
     return GroupAction(grp, tuple(f"v{v}" for v in range(n)), table)
 
@@ -197,6 +205,7 @@ def build_dihedral(n: int, bundle: str = "trivial", families: str = "counting", 
 def torus_action(n: int, spacing: int, offsets: int) -> GroupAction:
     """Z_N x Z_K acting on Z_N by (g1, g2).b = g1 + spacing*g2 + b, with K =
     `offsets`."""
+    _circle_budget(n * offsets, n)
     grp = direct_product(cyclic_group(n), cyclic_group(offsets))
     shift = np.tile(np.arange(n), offsets) + spacing * np.repeat(np.arange(offsets), n)  # g1 + spacing*g2
     return GroupAction(grp, tuple(str(b) for b in range(n)), _circle_table(np.add, shift, n))

@@ -1144,6 +1144,15 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
     doc["action"]["group"] = {"elements": [f"r{i}" for i in range(n)], "identity": 0, "left": left}
     rows = tmp_path / "rows.json"
     save_document(str(rows), doc)
+    # Z2^2 x Z3^8 by its ten generator rows x -> x + e_i: 26,244 elements,
+    # inside the index range, whose walk holds 3,090 rows of its table at once
+    shape = (2, 2) + (3,) * 8
+    index = np.arange(np.prod(shape)).reshape(shape)
+    doc = scenario_to_dict(build_scenario("cyclic(4)"))
+    left = [np.roll(index, -1, axis).ravel().tolist() for axis in range(len(shape))]
+    doc["action"]["group"] = {"elements": [f"g{i}" for i in range(index.size)], "identity": 0, "left": left}
+    wide_walk = tmp_path / "wide_walk.json"
+    save_document(str(wide_walk), doc)
     # explicit act matrices whose fill form is 16 signs, in fibers declared 3000-d
     doc = scenario_to_dict(build_scenario("dihedral(4, bundle=sign)"))
     doc["input_bundle"]["fiber_dim"] = [3000] * 4
@@ -1157,6 +1166,7 @@ def test_oversized_requests_exit_two_naming_the_size(tmp_path):
         str(wide): f"(4, 4, 3000, 3000) act-matrix stack needs 144,000,000 entries, {over_budget}",
         str(long): f"a group of 32,768 elements is {past_range}",
         str(rows): f"(512, 512, 512) associativity scan needs 134,217,728 entries, {over_budget}",
+        str(wide_walk): f"(3090, 26244) walk frontier needs 81,093,960 entries, {over_budget}",
         str(deep): f"(8, 4, 3000, 3000) act_matrix table needs 288,000,000 entries, {over_budget}",
     }
     for scenario, size in cases.items():

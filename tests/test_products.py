@@ -24,7 +24,7 @@ import pytest
 from equicorr.battery import run_battery
 from equicorr.bundles import _cocycle, _move_back, _movers, representation_bundle, section_to_mackey, trivial_bundle
 from equicorr.errors import StructuralError
-from equicorr.groups import INDEX_DTYPE, FiniteGroup, GroupAction, _action_compatibility, _associativity
+from equicorr.groups import INDEX_DTYPE, FiniteGroup, GroupAction, _action_compatibility, _associativity, _frontier
 from equicorr.measures import counting_stabilizer_family, dirac_delta
 from equicorr.rng import SplitMix64
 from equicorr.sampling import random_sections, random_valid_kernel
@@ -78,7 +78,8 @@ def _point(grp: FiniteGroup) -> GroupAction:
 
 
 def _assert_products(grp: FiniteGroup) -> None:
-    """inv, right, rows, columns and the conjugates equal the reference's."""
+    """inv, right, rows and columns equal the reference's, and so do the
+    conjugates the one-point action carries."""
     table, n = cayley_table(grp), grp.order
     hits = table == grp.identity
     assert hits.any(axis=1).all() and np.array_equal(grp.inv, hits.argmax(axis=1)) and grp.inv.dtype == INDEX_DTYPE
@@ -90,8 +91,6 @@ def _assert_products(grp: FiniteGroup) -> None:
         assert rows.dtype == columns.dtype == INDEX_DTYPE
         assert np.array_equal(rows, table[np.asarray(at, dtype=np.intp)])
         assert np.array_equal(columns, table[:, np.asarray(at, dtype=np.intp)])
-    conjugation = table[table, grp.inv[:, None]]  # [g, x] -> (g x) g^-1
-    assert np.array_equal(grp.conjugates(every), conjugation)
     _assert_carried(_point(grp))  # the one point's stabilizer is G
 
 
@@ -193,3 +192,30 @@ def test_a_deep_walk_composes_each_row_once(monkeypatch):
     composed.clear()
     assert np.array_equal(grp.rows([3, 1, 3]), cayley_table(grp)[[3, 1, 3]])
     assert composed == [0, 1, 2, 3]
+
+
+def _most_held(grp: FiniteGroup) -> int:
+    """The most rows _composed holds at once on the whole walk, the row it
+    composes included, counted edge by edge: a row is held while some of
+    its children are still to be composed."""
+    pending = np.bincount(grp.walk[:, 1], minlength=grp.order).tolist()
+    held, most = {grp.identity}, 1
+    for y, p, _ in grp.walk.tolist():
+        most = max(most, len(held) + 1)
+        pending[p] -= 1
+        held -= set() if pending[p] else {p}
+        held |= {y} if pending[y] else set()
+    return most
+
+
+def test_the_budgeted_frontier_is_the_most_rows_the_walk_holds():
+    # the constructor budgets the rows its pass over the table holds at once
+    # before it composes any: one pass over the walk's runs of children.
+    # Z2^2 x Z3^4 by its six rows x -> x + e_i has a walk of wide levels
+    shape = (2, 2, 3, 3, 3, 3)
+    index = np.arange(np.prod(shape)).reshape(shape)
+    wide = FiniteGroup(tuple(map(str, range(index.size))), 0, [np.roll(index, -1, axis).ravel() for axis in range(6)])
+    groups = [build_scenario(spec).group for spec in SPECS] + [FiniteGroup(*D4_REORDERED), s4_on_four_and_two().group, wide]
+    for grp in groups:
+        assert _frontier(grp.walk) == _most_held(grp)
+    assert _most_held(wide) > 40

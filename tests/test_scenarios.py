@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicorr.errors import DomainError, EquicorrError
-from equicorr.groups import GroupAction, cyclic_group, dihedral_group
+from equicorr.groups import FiniteGroup, GroupAction, cyclic_group, dihedral_group
 from equicorr.scenarios import (
     DEGENERACY_PROFILE,
     DEGENERACY_TEST_FUNCTION,
@@ -80,6 +81,24 @@ def test_spec_overrides_win():
 def test_builder_rejections(spec):
     with pytest.raises(DomainError):
         build_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    "build, table",
+    [
+        (lambda: cyclic_action(20000), "(20000, 20000) coset-representative table needs 400,000,000 entries"),
+        (lambda: dihedral_vertex_action(6000), "(12000, 6000) action table needs 72,000,000 entries"),
+        (lambda: torus_action(8000, 1, 4), "(32000, 8000) action table needs 256,000,000 entries"),
+    ],
+)
+def test_a_circle_action_over_the_budget_is_refused_before_its_group_is_built(build, table, monkeypatch):
+    # the group is inside the index range, so only the action's tables can refuse it
+    def unbuilt(*args):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", unbuilt)
+    with pytest.raises(DomainError, match=re.escape(table)):
+        build()
 
 
 # every keyword of every builder at and past its edges, each spec otherwise
