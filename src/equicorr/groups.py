@@ -323,7 +323,7 @@ def _walk(left: np.ndarray, identity: int) -> np.ndarray:
 
 def _frontier(walk: np.ndarray) -> int:
     """The most rows FiniteGroup._composed holds at once on the whole walk,
-    the row it composes included; on a subset of the walk it holds fewer.
+    the row it composes included; on a subset of the walk it holds no more.
     A row is held from its own edge to its last child's, and the children
     of a parent are one run of edges, since the walk is breadth-first."""
     n = len(walk) + 1
